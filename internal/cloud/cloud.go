@@ -7,7 +7,6 @@ package cloud
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -19,17 +18,6 @@ import (
 	"repro/internal/transport/session"
 )
 
-// ErrRoundAbandoned is returned by Submit when a round's barrier was
-// evicted because a newer round completed before the barrier filled — the
-// submitting edge fell behind a partition or restart and should move on to
-// the cloud's current round.
-var ErrRoundAbandoned = errors.New("cloud: round abandoned")
-
-// ErrBadCensus is returned by Submit for a census whose shape does not
-// match the configured lattice: its Counts length differs from the number
-// of decisions K, so folding it into the state would silently drop it.
-var ErrBadCensus = errors.New("cloud: malformed census")
-
 // Server is the networked cloud coordinator. Edge servers connect, send one
 // Census per round, and receive the next round's Ratio once every region
 // has reported — a barrier per round, matching the paper's synchronized
@@ -40,39 +28,25 @@ var ErrBadCensus = errors.New("cloud: malformed census")
 type Server struct {
 	fold *Fold
 
-	mu            sync.Mutex
-	eng           *Engine // round barriers + completed-round watermark
-	m             int
-	k             int // decisions per census
-	roundDeadline time.Duration
-	logf          func(format string, args ...interface{})
-	obsv          *obs.Observer
-	metrics       serverMetrics
-	conns         map[transport.Conn]struct{}
-	closed        chan struct{}
-	once          sync.Once
-	wg            sync.WaitGroup
+	mu      sync.Mutex
+	eng     *Engine // roster, round barriers, ingest, completed-round watermark
+	m       int
+	k       int // decisions per census
+	logf    func(format string, args ...interface{})
+	obsv    *obs.Observer
+	metrics serverMetrics
+	srv     *transport.Acceptor
 
-	// Durability (nil store = in-memory only; see Open).
-	store        *durable.Store
+	// Durability (nil journal = in-memory only; see Open).
+	journal      *durable.Journal
 	compactEvery int
-	sinceCompact int
-
-	// Membership leases (see RenewLease). leasing stays false until the
-	// first lease is granted, preserving the all-regions barrier for
-	// deployments that never send heartbeats.
-	leases  map[int]*leaseEntry
-	leasing bool
 
 	// Fixed-lag fusion (see SetFixedLag). window holds the last lag
 	// completed rounds in round order; correctionSeq totally orders the
-	// ratio corrections rewinds publish; edgeSess maps each edge to the
-	// session its censuses arrive on, the channel corrections go back out.
+	// ratio corrections rewinds publish.
 	lag           int
 	window        []*lagEntry
 	correctionSeq int64
-	maxSkew       int
-	edgeSess      map[int]*session.Session
 
 	// Digest reconciliation (see SubmitDigest). digestSeen tracks, per
 	// pending round, which neighborhoods have reported it; a round folds
@@ -89,54 +63,46 @@ type Server struct {
 // serverMetrics are the coordinator's registry-backed instruments (see the
 // naming convention in package obs).
 type serverMetrics struct {
-	rounds         *obs.Counter   // consensus_rounds_total
-	degraded       *obs.Counter   // consensus_degraded_rounds_total
-	abandoned      *obs.Counter   // consensus_abandoned_rounds_total
-	late           *obs.Counter   // consensus_late_censuses_total
-	decodeFailures *obs.Counter   // consensus_decode_failures_total
-	latestRound    *obs.Gauge     // consensus_round_latest
-	roundDuration  *obs.Histogram // consensus_round_duration_seconds
-	recoveries     *obs.Counter   // durable_recoveries_total
-	replayRecords  *obs.Counter   // journal_replay_records_total
-	journalErrors  *obs.Counter   // durable_journal_errors_total
-	checkpointSize *obs.Gauge     // checkpoint_bytes
-	leaseRenewals  *obs.Counter   // lease_renewals_total
-	leaseEvictions *obs.Counter   // lease_evictions_total
-	leasesLive     *obs.Gauge     // cloud_leases_live
-	rewinds        *obs.Counter   // consensus_rewinds_total
-	replayed       *obs.Counter   // consensus_replayed_rounds_total
-	beyondLag      *obs.Counter   // consensus_censuses_beyond_lag_total
-	duplicates     *obs.Counter   // consensus_duplicate_censuses_total
-	future         *obs.Counter   // consensus_future_censuses_total
-	corrections    *obs.Counter   // consensus_ratio_corrections_total
-	lagDepth       *obs.Gauge     // consensus_lag_window_depth
-	stateHash      *obs.Gauge     // consensus_state_hash
-	digests        *obs.Counter   // consensus_digests_total
-	digestRounds   *obs.Counter   // consensus_digest_rounds_total
-	digestSkipped  *obs.Counter   // consensus_digest_rounds_skipped_total
+	Counters                    // the kernel's ticks, under the consensus_* / lease_* names
+	late           *obs.Counter // consensus_late_censuses_total
+	recoveries     *obs.Counter // durable_recoveries_total
+	replayRecords  *obs.Counter // journal_replay_records_total
+	journalErrors  *obs.Counter // durable_journal_errors_total
+	checkpointSize *obs.Gauge   // checkpoint_bytes
+	rewinds        *obs.Counter // consensus_rewinds_total
+	replayed       *obs.Counter // consensus_replayed_rounds_total
+	beyondLag      *obs.Counter // consensus_censuses_beyond_lag_total
+	corrections    *obs.Counter // consensus_ratio_corrections_total
+	lagDepth       *obs.Gauge   // consensus_lag_window_depth
+	stateHash      *obs.Gauge   // consensus_state_hash
+	digests        *obs.Counter // consensus_digests_total
+	digestRounds   *obs.Counter // consensus_digest_rounds_total
+	digestSkipped  *obs.Counter // consensus_digest_rounds_skipped_total
 }
 
 func newServerMetrics(o *obs.Observer) serverMetrics {
 	return serverMetrics{
-		rounds:         o.Counter("consensus_rounds_total", "consensus rounds whose FDS update ran (degraded or not)"),
-		degraded:       o.Counter("consensus_degraded_rounds_total", "rounds completed by the deadline with at least one region missing"),
-		abandoned:      o.Counter("consensus_abandoned_rounds_total", "stale round barriers evicted when a newer round completed first"),
+		Counters: Counters{
+			Rounds:         o.Counter("consensus_rounds_total", "consensus rounds whose FDS update ran (degraded or not)"),
+			Degraded:       o.Counter("consensus_degraded_rounds_total", "rounds completed by the deadline with at least one region missing"),
+			Abandoned:      o.Counter("consensus_abandoned_rounds_total", "stale round barriers evicted when a newer round completed first"),
+			Duplicates:     o.Counter("consensus_duplicate_censuses_total", "duplicate censuses absorbed without changing a round's fold"),
+			Future:         o.Counter("consensus_future_censuses_total", "censuses rejected for exceeding the round skew bound"),
+			BadCensus:      o.Counter("consensus_decode_failures_total", "malformed frames dropped by connection handlers"),
+			LeaseRenewals:  o.Counter("lease_renewals_total", "edge membership lease registrations and renewals"),
+			LeaseEvictions: o.Counter("lease_evictions_total", "edges evicted from the barrier quorum by lease expiry"),
+			LeasesLive:     o.Gauge("cloud_leases_live", "edges currently holding a live membership lease"),
+			Latest:         o.Gauge("consensus_round_latest", "highest completed consensus round (-1 before the first)"),
+			RoundDuration:  o.Histogram("consensus_round_duration_seconds", "first census to barrier completion", nil),
+		},
 		late:           o.Counter("consensus_late_censuses_total", "censuses for already-completed rounds, answered with the current ratio"),
-		decodeFailures: o.Counter("consensus_decode_failures_total", "malformed frames dropped by connection handlers"),
-		latestRound:    o.Gauge("consensus_round_latest", "highest completed consensus round (-1 before the first)"),
-		roundDuration:  o.Histogram("consensus_round_duration_seconds", "first census to barrier completion", nil),
 		recoveries:     o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords:  o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
 		journalErrors:  o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
 		checkpointSize: o.Gauge("checkpoint_bytes", "size of the last checkpoint written or recovered"),
-		leaseRenewals:  o.Counter("lease_renewals_total", "edge membership lease registrations and renewals"),
-		leaseEvictions: o.Counter("lease_evictions_total", "edges evicted from the barrier quorum by lease expiry"),
-		leasesLive:     o.Gauge("cloud_leases_live", "edges currently holding a live membership lease"),
 		rewinds:        o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
 		replayed:       o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
 		beyondLag:      o.Counter("consensus_censuses_beyond_lag_total", "late censuses outside the lag window, answered from current state"),
-		duplicates:     o.Counter("consensus_duplicate_censuses_total", "duplicate censuses absorbed without changing a round's fold"),
-		future:         o.Counter("consensus_future_censuses_total", "censuses rejected for exceeding the round skew bound"),
 		corrections:    o.Counter("consensus_ratio_corrections_total", "ratio-correction frames published after rewinds"),
 		lagDepth:       o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
 		stateHash:      o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)"),
@@ -157,22 +123,30 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 	o := obs.New()
 	s := &Server{
 		fold:         fold,
-		eng:          NewEngine(),
 		m:            fold.Regions(),
 		k:            fold.Decisions(),
 		obsv:         o,
 		metrics:      newServerMetrics(o),
-		conns:        make(map[transport.Conn]struct{}),
-		closed:       make(chan struct{}),
-		compactEvery: defaultCompactEvery,
-		leases:       make(map[int]*leaseEntry),
-		maxSkew:      defaultMaxRoundSkew,
-		edgeSess:     make(map[int]*session.Session),
+		srv:          transport.NewAcceptor(),
+		compactEvery: durable.CompactEvery,
 		digestSeen:   make(map[int]map[int]bool),
 		digestMark:   make(map[int]int),
 	}
-	s.metrics.latestRound.Set(-1)
-	s.metrics.stateHash.Set(float64(s.stateHashLocked()))
+	s.eng = NewEngine(EngineConfig{
+		Lock:     &s.mu,
+		Name:     "cloud",
+		Members:  s.m,
+		Owns:     func(edge int) bool { return edge >= 0 && edge < s.m },
+		K:        s.k,
+		Closed:   s.srv.Closed(),
+		Counters: &s.metrics.Counters,
+		Logf:     s.logfLocked,
+		Span:     func(round int) *obs.Span { return s.obsv.Span("consensus_round", obs.A("round", round)) },
+		Complete: s.completeRoundLocked,
+		Ratio:    fold.X,
+	})
+	s.metrics.Latest.Set(-1)
+	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 	return s, nil
 }
 
@@ -194,9 +168,9 @@ func (s *Server) Instrument(o *obs.Observer) {
 	defer s.mu.Unlock()
 	s.obsv = o
 	s.metrics = newServerMetrics(o)
-	s.metrics.latestRound.Set(float64(s.eng.Latest()))
+	s.metrics.Latest.Set(float64(s.eng.Latest()))
 	s.metrics.lagDepth.Set(float64(len(s.window)))
-	s.metrics.stateHash.Set(float64(s.stateHashLocked()))
+	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 }
 
 // Registry returns the registry behind the server's metrics (the private
@@ -214,7 +188,7 @@ func (s *Server) Registry() *obs.Registry {
 func (s *Server) SetRoundDeadline(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.roundDeadline = d
+	s.eng.Deadline = d
 }
 
 // SetLogf installs a logger for dropped frames and degraded rounds
@@ -247,157 +221,56 @@ func (s *Server) Converged() bool {
 }
 
 // Serve accepts edge-server connections until the listener is torn down or
-// the server closes. Transient accept failures — injected faults and real
-// ones alike — are retried with bounded backoff (see transport.AcceptLoop),
-// so a flaky listener cannot permanently kill the coordinator. Run in a
+// the server closes (see transport.Acceptor), serving each with the
+// kernel's session table plus the control plane's KindDigest. Run in a
 // goroutine.
 func (s *Server) Serve(l transport.Listener) {
-	transport.AcceptLoop(l, s.closed, func(conn transport.Conn) {
-		s.mu.Lock()
-		select {
-		case <-s.closed:
-			s.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
+	s.srv.Serve(l, func(conn transport.Conn) {
+		sess := session.Wrap(conn)
+		s.eng.ServeSession(sess, s, map[transport.Kind]session.Handler{
+			transport.KindDigest: func(m transport.Message) error {
+				var d transport.Digest
+				if err := transport.Decode(m, transport.KindDigest, &d); err != nil {
+					s.eng.DropFrame(err)
+					return nil
+				}
+				reply, err := s.SubmitDigest(d)
+				if errors.Is(err, transport.ErrClosed) {
+					return err
+				}
+				if err != nil {
+					// Bad digest (malformed census, skew bound): reject it,
+					// keep the conn for the leader's next attempt.
+					return sess.Ack(err)
+				}
+				return sess.Send(transport.KindRatioBatch, reply)
+			},
+		})
 	})
 }
 
 // Close shuts the server down without flushing a final checkpoint — the
 // crash path; see Drain for the graceful one. Pending barriers fail, open
-// connections close, lease timers stop, and the durable store (already
-// fsynced through the last completed round) is released.
+// connections close, lease timers stop, and the journal (already fsynced
+// through the last completed round) is released.
 func (s *Server) Close() {
-	s.once.Do(func() {
-		close(s.closed)
+	s.srv.Close(func() {
 		s.mu.Lock()
-		for _, a := range s.eng.FailAll(transport.ErrClosed) {
-			a.Barrier.Span.End(obs.A("closed", true))
+		defer s.mu.Unlock()
+		s.eng.Stop()
+		if s.journal != nil {
+			_ = s.journal.Close()
 		}
-		for _, e := range s.leases {
-			if e.timer != nil {
-				e.timer.Stop()
-			}
-		}
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.conns = make(map[transport.Conn]struct{})
-		if s.store != nil {
-			_ = s.store.Close()
-		}
-		s.mu.Unlock()
 	})
-	s.wg.Wait()
 }
 
-func (s *Server) handleConn(conn transport.Conn) {
-	sess := session.Wrap(conn)
-	defer sess.Close()
-	defer s.dropEdgeSess(sess)
-	// dropFrame counts and logs a malformed frame without killing the
-	// connection: the edge's next census must still be servable.
-	dropFrame := func(err error) error {
-		s.mu.Lock()
-		s.metrics.decodeFailures.Inc()
-		s.logfLocked("cloud: dropping malformed frame: %v", err)
-		s.mu.Unlock()
-		return nil
-	}
-	_ = sess.Serve(map[transport.Kind]session.Handler{
-		transport.KindCensus: func(m transport.Message) error {
-			var census transport.Census
-			if err := transport.Decode(m, transport.KindCensus, &census); err != nil {
-				return dropFrame(err)
-			}
-			s.registerEdgeSess(census.Edge, sess)
-			x, err := s.Submit(census)
-			switch {
-			case err == nil:
-			case errors.Is(err, ErrRoundAbandoned):
-				// The edge fell behind; answer with the region's current
-				// ratio so it can catch up instead of hanging.
-				s.mu.Lock()
-				x = s.fold.X(census.Edge)
-				s.mu.Unlock()
-			case errors.Is(err, transport.ErrClosed):
-				return err
-			default:
-				// Bad census (e.g. unknown edge): reject it, keep the conn.
-				_ = sess.Ack(err)
-				return nil
-			}
-			return sess.Send(transport.KindRatio, transport.Ratio{Round: census.Round + 1, X: x})
-		},
-		transport.KindCensusBatch: func(m transport.Message) error {
-			var batch transport.CensusBatch
-			if err := transport.Decode(m, transport.KindCensusBatch, &batch); err != nil {
-				return dropFrame(err)
-			}
-			for _, c := range batch.Censuses {
-				s.registerEdgeSess(c.Edge, sess)
-			}
-			reply, err := s.SubmitBatch(batch)
-			switch {
-			case err == nil:
-			case errors.Is(err, ErrRoundAbandoned):
-				// The shard fell behind; answer with the regions' current
-				// ratios so it can catch up instead of hanging.
-				s.mu.Lock()
-				reply = s.ratioBatchLocked(batch)
-				s.mu.Unlock()
-			case errors.Is(err, transport.ErrClosed):
-				return err
-			default:
-				_ = sess.Ack(err)
-				return nil
-			}
-			return sess.Send(transport.KindRatioBatch, reply)
-		},
-		transport.KindDigest: func(m transport.Message) error {
-			var d transport.Digest
-			if err := transport.Decode(m, transport.KindDigest, &d); err != nil {
-				return dropFrame(err)
-			}
-			reply, err := s.SubmitDigest(d)
-			switch {
-			case err == nil:
-			case errors.Is(err, transport.ErrClosed):
-				return err
-			default:
-				// Bad digest (malformed census, skew bound): reject it, keep
-				// the conn for the leader's next attempt.
-				_ = sess.Ack(err)
-				return nil
-			}
-			return sess.Send(transport.KindRatioBatch, reply)
-		},
-		transport.KindLease: func(m transport.Message) error {
-			var lease transport.Lease
-			if err := transport.Decode(m, transport.KindLease, &lease); err != nil {
-				return dropFrame(err)
-			}
-			err := s.RenewLease(lease.Edge, time.Duration(lease.TTLMillis)*time.Millisecond)
-			if errors.Is(err, transport.ErrClosed) {
-				return err
-			}
-			return sess.Ack(err)
-		},
-	}, func(m transport.Message) error {
-		return dropFrame(fmt.Errorf("expected %s message, got %s", transport.KindCensus, m.Kind))
-	})
-}
+// RenewLease registers or renews an edge server's membership lease (see
+// Engine.Renew): for ttl the edge counts toward every round barrier's
+// quorum, and once any edge holds a lease a lapsed one no longer stalls it.
+func (s *Server) RenewLease(edgeID int, ttl time.Duration) error { return s.eng.Renew(edgeID, ttl) }
+
+// LiveLeases returns the ids of edges currently holding a live lease.
+func (s *Server) LiveLeases() []int { return s.eng.LiveLeases() }
 
 // Submit records one region's census for a round and blocks until every
 // region has reported — or, with a round deadline set, until the deadline
@@ -405,131 +278,67 @@ func (s *Server) handleConn(conn transport.Conn) {
 // sharing ratio. A census for an already-completed round returns the
 // region's current ratio immediately, so a reconnecting edge catches up
 // without blocking. It is the transport-independent core of the
-// coordinator (the in-process simulator calls it directly).
+// coordinator (the in-process simulator calls it directly), and a
+// one-census call into the same path as SubmitBatch.
 func (s *Server) Submit(census transport.Census) (float64, error) {
-	if census.Edge < 0 || census.Edge >= s.m {
-		return 0, fmt.Errorf("cloud: census from unknown edge %d", census.Edge)
+	one := [1]transport.Census{census}
+	if err := s.ingest(census.Round, one[:]); err != nil {
+		return 0, err
 	}
-	if len(census.Counts) != s.k {
-		s.mu.Lock()
-		s.metrics.decodeFailures.Inc()
-		s.logfLocked("cloud: rejecting census from edge %d with %d counts (lattice has %d decisions)",
-			census.Edge, len(census.Counts), s.k)
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: edge %d sent %d counts, lattice has %d decisions",
-			ErrBadCensus, census.Edge, len(census.Counts), s.k)
-	}
-	s.mu.Lock()
-	if census.Round <= s.eng.Latest() {
-		// The round already completed (possibly degraded, without this
-		// region). Inside the lag window the fold rewinds and re-propagates
-		// so the answer — and every subsequent published ratio — matches
-		// what a lossless network would have produced; beyond it the census
-		// is folded away and answered from the current state, the degraded
-		// legacy path.
-		s.metrics.late.Inc()
-		handled, rewound, err := s.handleLateLocked(census)
-		if err != nil {
-			s.mu.Unlock()
-			return 0, err
-		}
-		if !handled && s.lag > 0 {
-			s.metrics.beyondLag.Inc()
-		}
-		var corrections []correctionSend
-		if rewound {
-			corrections = s.collectCorrectionsLocked(census.Edge)
-		}
-		x := s.fold.X(census.Edge)
-		s.mu.Unlock()
-		s.sendCorrections(corrections)
-		return x, nil
-	}
-	if s.maxSkew > 0 && census.Round > s.eng.Latest()+s.maxSkew {
-		s.metrics.future.Inc()
-		s.logfLocked("cloud: rejecting census from edge %d for round %d (latest %d, skew bound %d)",
-			census.Edge, census.Round, s.eng.Latest(), s.maxSkew)
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: round %d is beyond latest %d + skew %d",
-			ErrFutureRound, census.Round, s.eng.Latest(), s.maxSkew)
-	}
-	rb, ok := s.eng.Barrier(census.Round)
-	if !ok {
-		span := s.obsv.Span("consensus_round", obs.A("round", census.Round))
-		rb = s.eng.Open(census.Round, span, s.roundDeadline, s.expireRound)
-	}
-	rb.Span.Event("census", obs.A("edge", census.Edge))
-	if rb.Add(census.Edge, census.Counts) {
-		// A CloudLink redial re-submits the census it never got an answer
-		// for; last write wins under the one barrier lock.
-		s.metrics.duplicates.Inc()
-	}
-	if s.quorumMetLocked(rb) {
-		s.completeRoundLocked(census.Round, rb, rb.Size() < s.m)
-	}
-	s.mu.Unlock()
-
-	select {
-	case <-rb.Done:
-		if rb.Err != nil {
-			return 0, rb.Err
-		}
-		s.mu.Lock()
-		x := s.fold.X(census.Edge)
-		s.mu.Unlock()
-		return x, nil
-	case <-s.closed:
-		return 0, transport.ErrClosed
-	}
+	return s.eng.Ratio(census.Edge), nil
 }
 
-// expireRound completes a still-pending round in degraded mode when its
-// deadline fires.
-func (s *Server) expireRound(round int) {
+// SubmitBatch records a whole region group's censuses for one round in a
+// single call — the aggregation tier's entry point for shard coordinators
+// and multiplexing load generators. All censuses must carry the batch's
+// round; any malformed census rejects the whole batch before anything is
+// folded, so a batch is applied atomically or not at all. The call blocks
+// like Submit until the round's barrier completes, then answers every
+// batched region's next ratio in one RatioBatch.
+func (s *Server) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch, error) {
+	if err := s.ingest(batch.Round, batch.Censuses); err != nil {
+		return transport.RatioBatch{}, err
+	}
+	return s.eng.RatioBatch(batch.Round, batch.Censuses), nil
+}
+
+// ingest runs one round's censuses through the kernel and, when the round
+// had already completed (possibly degraded, without these regions),
+// resolves them the cloud's way: inside the lag window the fold rewinds and
+// re-propagates so every subsequent published ratio matches what a lossless
+// network would have produced — the submitters read theirs from the
+// resulting state, every other connected edge is pushed a correction —
+// and beyond it the censuses are folded away, the degraded legacy path.
+func (s *Server) ingest(round int, censuses []transport.Census) error {
+	late, err := s.eng.Submit(round, censuses)
+	if !late {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rb, ok := s.eng.Barrier(round)
-	if !ok {
-		return
+	rewound, err := s.lateLocked(round, censuses)
+	if rewound && err == nil {
+		s.pushCorrectionsLocked(censuses)
 	}
-	select {
-	case <-rb.Done:
-		return
-	default:
-	}
-	s.completeRoundLocked(round, rb, true)
+	return err
 }
 
-// completeRoundLocked applies the round, releases its waiters, and evicts
-// any stale barriers the completion leaves behind (an edge that died
-// mid-round must not leak its half-filled barrier). Called with s.mu held.
-func (s *Server) completeRoundLocked(round int, rb *Barrier, degraded bool) {
+// completeRoundLocked is the kernel's Complete hook: fold the round, journal
+// it, release its waiters. Called with s.mu held.
+func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (after func()) {
 	if s.lag > 0 {
 		// Snapshot the pre-fold state so a late census can rewind this round.
-		s.pushWindowLocked(round, rb.Censuses, degraded)
+		s.pushWindowLocked(round, b.Censuses, degraded)
 	}
-	rb.Err = s.fold.Apply(rb.Censuses)
-	s.metrics.stateHash.Set(float64(s.stateHashLocked()))
+	b.Err = s.fold.Apply(b.Censuses)
+	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 	// Advance the watermark before journaling: a compaction inside persist
 	// snapshots Latest() as the checkpoint round, and the state it captures
 	// already includes this round's fold.
-	if round > s.eng.Latest() {
-		s.eng.SetLatest(round)
-	}
+	s.eng.Advance(round)
 	// Journal before releasing the waiters: a ratio answered to an edge must
 	// never be lost to a crash the edge did not see.
-	s.persistRoundLocked(round, rb, degraded)
-	abandoned := s.eng.Complete(round, rb, degraded)
-	s.metrics.rounds.Inc()
-	s.metrics.latestRound.Set(float64(s.eng.Latest()))
-	s.metrics.roundDuration.Observe(time.Since(rb.Opened).Seconds())
-	if degraded {
-		s.metrics.degraded.Inc()
-		s.logfLocked("cloud: round %d completed degraded with %d/%d regions", round, rb.Size(), s.m)
-	}
-	rb.Span.End(obs.A("degraded", degraded), obs.A("regions", rb.Size()), obs.A("of", s.m))
-	for _, a := range abandoned {
-		s.metrics.abandoned.Inc()
-		a.Barrier.Span.End(obs.A("abandoned", true), obs.A("superseded_by", round))
-	}
+	s.persistRoundLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: b.Censuses})
+	s.eng.Release(round, b, degraded)
+	return nil
 }

@@ -3,7 +3,6 @@ package cloud
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -37,21 +36,14 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 			return transport.RatioBatch{}, fmt.Errorf("cloud: digest rounds out of order (%d after %d)", dr.Round, last)
 		}
 		last = dr.Round
-		for _, c := range dr.Censuses {
-			if c.Edge < 0 || c.Edge >= s.m {
-				return transport.RatioBatch{}, fmt.Errorf("cloud: digest census from unknown edge %d", c.Edge)
-			}
-			if len(c.Counts) != s.k {
-				return transport.RatioBatch{}, fmt.Errorf("%w: digest edge %d sent %d counts, lattice has %d decisions",
-					ErrBadCensus, c.Edge, len(c.Counts), s.k)
-			}
+		if err := s.eng.Validate(dr.Censuses); err != nil {
+			return transport.RatioBatch{}, err
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.metrics.digests.Inc()
-	var firstErr error
 	for _, dr := range d.Rounds {
 		s.metrics.digestRounds.Inc()
 		if dr.Round < s.digestMark[d.Neighborhood] {
@@ -63,34 +55,20 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 			s.metrics.digestSkipped.Inc()
 			continue
 		}
-		if dr.Round <= s.eng.Latest() {
+		// Digest barriers carry no deadline: a round completes when every
+		// neighborhood has reported it, however long a partition lasts.
+		b, late, err := s.eng.Place(dr.Round, dr.Censuses, false)
+		if late {
 			// Re-escalation after a lost ack, or another neighborhood's copy
 			// of a round this one already completed: the rewind window
 			// absorbs duplicates and merges genuinely late censuses.
-			for _, c := range dr.Censuses {
-				cc := c
-				cc.Round = dr.Round
-				s.metrics.late.Inc()
-				if _, _, err := s.handleLateLocked(cc); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
+			_, err = s.lateLocked(dr.Round, dr.Censuses)
+		}
+		if err != nil {
+			return transport.RatioBatch{}, err
+		}
+		if late {
 			continue
-		}
-		if s.maxSkew > 0 && dr.Round > s.eng.Latest()+s.maxSkew {
-			s.metrics.future.Inc()
-			return transport.RatioBatch{}, fmt.Errorf("%w: digest round %d is beyond latest %d + skew %d",
-				ErrFutureRound, dr.Round, s.eng.Latest(), s.maxSkew)
-		}
-		rb, ok := s.eng.Barrier(dr.Round)
-		if !ok {
-			span := s.obsv.Span("consensus_round", obs.A("round", dr.Round))
-			rb = s.eng.Open(dr.Round, span, 0, nil)
-		}
-		for _, c := range dr.Censuses {
-			if rb.Add(c.Edge, c.Counts) {
-				s.metrics.duplicates.Inc()
-			}
 		}
 		seen := s.digestSeen[dr.Round]
 		if seen == nil {
@@ -99,16 +77,13 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 		}
 		seen[d.Neighborhood] = true
 		if len(seen) >= d.Of {
-			s.completeRoundLocked(dr.Round, rb, rb.Size() < s.m)
+			s.completeRoundLocked(dr.Round, b, b.Size() < s.m)
 		}
 	}
 	for round := range s.digestSeen {
 		if round <= s.eng.Latest() {
 			delete(s.digestSeen, round)
 		}
-	}
-	if firstErr != nil {
-		return transport.RatioBatch{}, firstErr
 	}
 	// Advance the neighborhood's watermark past everything this digest
 	// carried: the rounds are either folded, pending on the digest barrier,

@@ -6,19 +6,6 @@ import (
 	"repro/internal/durable"
 )
 
-// defaultCompactEvery is how many journaled rounds accumulate before the
-// journal is folded into a fresh checkpoint.
-const defaultCompactEvery = 32
-
-// SetCompactEvery tunes how many journaled rounds trigger a snapshot
-// compaction (default 32; 0 or negative disables compaction, the journal
-// then grows until Drain).
-func (s *Server) SetCompactEvery(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactEvery = n
-}
-
 // Open attaches a durable state directory to the server and recovers any
 // state a previous process left there: the checkpoint is loaded, the
 // journal's round records are replayed onto it through the same fold the
@@ -28,58 +15,26 @@ func (s *Server) SetCompactEvery(n int) {
 // Call after Instrument and before Serve; recovery is visible as
 // durable_recoveries_total and journal_replay_records_total.
 func (s *Server) Open(stateDir string) error {
-	store, err := durable.Open(stateDir)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		store.Close()
-		return fmt.Errorf("cloud: state directory already open (%s)", s.store.Dir())
+	if s.journal != nil {
+		return fmt.Errorf("cloud: state directory already open (%s)", s.journal.Dir())
 	}
-	recovered := false
-	snap, ok, err := store.LoadSnapshot()
+	journal, cp, err := s.fold.Recover(stateDir)
 	if err != nil {
-		store.Close()
-		return err
+		return fmt.Errorf("cloud: %w", err)
 	}
-	if ok {
-		cp, err := durable.DecodeCheckpoint(snap)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		cpK := 0
-		if len(cp.State.P) > 0 {
-			cpK = len(cp.State.P[0])
-		}
-		if len(cp.State.P) != s.m || cpK != s.k {
-			store.Close()
-			return fmt.Errorf("cloud: checkpoint in %s has %dx%d state, server configured for %dx%d",
-				stateDir, len(cp.State.P), cpK, s.m, s.k)
-		}
-		if len(cp.FDS.LastShortfall) > 0 {
-			if err := s.fold.SetMemory(cp.FDS); err != nil {
-				store.Close()
-				return fmt.Errorf("cloud: checkpoint in %s: %w", stateDir, err)
-			}
-		}
-		s.fold.SetState(cp.State)
-		s.eng.SetLatest(cp.Round)
+	recovered := cp != nil
+	if recovered {
+		s.eng.Advance(cp.Round)
 		s.correctionSeq = cp.CorrectionSeq
 		for h, mark := range cp.DigestWatermarks {
 			s.digestMark[h] = mark
 		}
-		s.metrics.checkpointSize.Set(float64(len(snap)))
-		recovered = true
+		s.metrics.checkpointSize.Set(float64(journal.CheckpointSize()))
 	}
 	replayed := 0
-	_, err = store.Replay(func(payload []byte) error {
-		rec, err := durable.DecodeRound(payload)
-		if err != nil {
-			return err
-		}
+	err = journal.Replay(func(rec durable.RoundRecord) error {
 		if rec.Corrected {
 			// A fixed-lag rewind re-journaled this round with a late census
 			// merged in: supersede the earlier fold and re-propagate, so the
@@ -114,12 +69,12 @@ func (s *Server) Open(stateDir string) error {
 		if err := s.fold.Apply(rec.Censuses); err != nil {
 			return fmt.Errorf("replaying round %d: %w", rec.Round, err)
 		}
-		s.eng.SetLatest(rec.Round)
+		s.eng.Advance(rec.Round)
 		replayed++
 		return nil
 	})
 	if err != nil {
-		store.Close()
+		journal.Close()
 		return fmt.Errorf("cloud: journal in %s: %w", stateDir, err)
 	}
 	if replayed > 0 {
@@ -128,13 +83,11 @@ func (s *Server) Open(stateDir string) error {
 	}
 	if recovered {
 		s.metrics.recoveries.Inc()
-		s.metrics.latestRound.Set(float64(s.eng.Latest()))
-		s.metrics.stateHash.Set(float64(s.stateHashLocked()))
+		s.metrics.stateHash.Set(float64(s.fold.Hash()))
 		s.logfLocked("cloud: recovered state through round %d from %s (%d journal records replayed)",
 			s.eng.Latest(), stateDir, replayed)
 	}
-	s.store = store
-	s.sinceCompact = replayed
+	s.journal = journal
 	return nil
 }
 
@@ -143,35 +96,28 @@ func (s *Server) Open(stateDir string) error {
 // always recoverable — and folds the journal into a checkpoint every
 // compactEvery rounds. Persistence failures are counted and logged but do
 // not fail the round: the coordinator keeps serving from memory. Called
-// with s.mu held; no-op without an open store.
-func (s *Server) persistRoundLocked(round int, rb *Barrier, degraded bool) {
-	if s.store == nil {
+// with s.mu held; no-op without an open journal.
+func (s *Server) persistRoundLocked(rec durable.RoundRecord) {
+	if s.journal == nil {
 		return
 	}
-	payload, err := durable.EncodeRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
-	if err == nil {
-		err = s.store.Append(payload)
+	n, err := s.journal.AppendRound(rec)
+	if err == nil && s.compactEvery > 0 && n >= s.compactEvery {
+		err = s.checkpointLocked()
 	}
 	if err != nil {
 		s.metrics.journalErrors.Inc()
-		s.logfLocked("cloud: journaling round %d: %v", round, err)
-		return
-	}
-	s.sinceCompact++
-	if s.compactEvery > 0 && s.sinceCompact >= s.compactEvery {
-		if err := s.checkpointLocked(); err != nil {
-			s.metrics.journalErrors.Inc()
-			s.logfLocked("cloud: compacting after round %d: %v", round, err)
-		}
+		s.logfLocked("cloud: journaling round %d: %v", rec.Round, err)
 	}
 }
 
 // persistCorrectedLocked re-journals a window entry whose fold a rewind just
 // superseded, marked Corrected so recovery replays the corrected history.
-// Failures are counted and logged but do not fail the rewind, matching
-// persistRoundLocked. Called with s.mu held; no-op without an open store.
+// It does not count toward the compaction cadence. Failures are counted and
+// logged but do not fail the rewind, matching persistRoundLocked. Called
+// with s.mu held; no-op without an open journal.
 func (s *Server) persistCorrectedLocked(e *lagEntry) {
-	if s.store == nil {
+	if s.journal == nil {
 		return
 	}
 	payload, err := durable.EncodeRound(durable.RoundRecord{
@@ -181,7 +127,7 @@ func (s *Server) persistCorrectedLocked(e *lagEntry) {
 		Corrected: true,
 	})
 	if err == nil {
-		err = s.store.Append(payload)
+		err = s.journal.Append(payload)
 	}
 	if err != nil {
 		s.metrics.journalErrors.Inc()
@@ -198,51 +144,33 @@ func (s *Server) persistCorrectedLocked(e *lagEntry) {
 // state would make the buffered rounds unrecoverable. Called with s.mu
 // held.
 func (s *Server) checkpointLocked() error {
-	cp := durable.Checkpoint{
-		Round:         s.eng.Latest(),
-		State:         s.fold.State(),
-		FDS:           s.fold.Memory(),
-		CorrectionSeq: s.correctionSeq,
-	}
+	cp := s.fold.Checkpoint(s.eng.Latest())
+	cp.CorrectionSeq = s.correctionSeq
 	if len(s.digestMark) > 0 {
 		cp.DigestWatermarks = make(map[int]int, len(s.digestMark))
 		for h, mark := range s.digestMark {
 			cp.DigestWatermarks[h] = mark
 		}
 	}
-	var retained [][]byte
+	var retained []durable.RoundRecord
 	if s.lag > 0 && len(s.window) > 0 {
 		w0 := s.window[0]
 		cp.Round = w0.round - 1
 		cp.State = w0.preState
 		cp.FDS = w0.preFDS
 		for _, e := range s.window {
-			rec, err := durable.EncodeRound(durable.RoundRecord{
-				Round:    e.round,
-				Degraded: e.degraded,
-				Censuses: e.censuses,
-			})
-			if err != nil {
-				return err
-			}
-			retained = append(retained, rec)
+			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses})
 		}
 	}
 	payload, err := durable.EncodeCheckpoint(cp)
 	if err != nil {
 		return err
 	}
-	var n int
-	if retained == nil {
-		n, err = s.store.Compact(payload)
-	} else {
-		n, err = s.store.CompactRetain(payload, retained)
-	}
+	n, err := s.journal.Checkpoint(payload, retained)
 	if err != nil {
 		return err
 	}
 	s.metrics.checkpointSize.Set(float64(n))
-	s.sinceCompact = 0
 	return nil
 }
 
@@ -252,13 +180,10 @@ func (s *Server) checkpointLocked() error {
 // the server closes. The returned error reports checkpoint failure only —
 // the shutdown itself always proceeds.
 func (s *Server) Drain() error {
+	s.eng.Drain()
 	var err error
 	s.mu.Lock()
-	if best, rb := s.eng.Best(nil); best >= 0 {
-		s.logfLocked("cloud: draining: completing round %d with %d/%d regions", best, rb.Size(), s.m)
-		s.completeRoundLocked(best, rb, rb.Size() < s.m)
-	}
-	if s.store != nil {
+	if s.journal != nil {
 		err = s.checkpointLocked()
 	}
 	s.mu.Unlock()

@@ -1,29 +1,133 @@
 package cloud
 
 import (
+	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
+	"repro/internal/transport/session"
 )
 
-// Engine is the transport-independent round-barrier core shared by the
-// aggregation tier (Server) and the shard coordinators (internal/shard): one
-// Barrier per pending round, a completion deadline per barrier, and the
-// eviction sweep that abandons stale barriers once a newer round completes.
-// The engine holds no fold state and does no locking of its own — the owner
-// serializes every call under its own mutex — so the same machinery drives
-// both the global FDS fold and a shard's forward-and-wait round.
+// ErrRoundAbandoned is returned by Submit when a round's barrier was
+// evicted because a newer round completed before the barrier filled — the
+// submitting edge fell behind a partition or restart and should move on to
+// the coordinator's current round.
+var ErrRoundAbandoned = errors.New("cloud: round abandoned")
+
+// ErrBadCensus is returned for a census whose shape cannot be folded: its
+// Counts length differs from the number of decisions K (folding it would
+// silently drop it), or a count is negative (the wire's zig-zag varints
+// carry negative ints, and a negative share would corrupt the game state).
+var ErrBadCensus = errors.New("cloud: malformed census")
+
+// ErrFutureRound is returned for a census whose round is further ahead of
+// the latest completed round than the skew bound. Accepting it would let a
+// clock-skewed (or malicious) edge allocate barriers arbitrarily far ahead
+// and grow the pending set without limit.
+var ErrFutureRound = errors.New("cloud: census round beyond skew bound")
+
+// defaultMaxRoundSkew bounds how far ahead of the latest completed round a
+// census may be before it is rejected with ErrFutureRound.
+const defaultMaxRoundSkew = 1024
+
+// Engine is the round-coordination kernel under all three consensus
+// topologies: the cloud (Server), a shard coordinator (internal/shard) and a
+// gossip neighborhood member (internal/gossip) are the same mechanism with
+// a different member set and a different meaning of "complete". The kernel
+// owns
+//
+//   - the membership roster: lease renewal, expiry, re-admission, and the
+//     quorum rule a barrier must meet;
+//   - one Barrier per pending round, each with a completion deadline;
+//   - census ingest as a batch of N for one round: shape validation, the
+//     late / future / pending classification against the completed-round
+//     watermark, open-or-find barrier, last-write-wins add, quorum check;
+//   - the eviction sweep that abandons stale barriers once a newer round
+//     completes.
+//
+// It holds no fold state. It is constructed over the owner's lock: entry
+// points documented "takes the lock" acquire it, everything else is called
+// with it held, and the kernel's own timers acquire it before touching
+// anything. What a completed barrier means is the owner's Complete hook.
 type Engine struct {
-	rounds map[int]*Barrier
-	latest int // highest completed round (-1 before the first)
+	// Deadline bounds every barrier opened from now on: a round whose quorum
+	// has not filled within Deadline of its first census completes degraded.
+	// Zero leaves barriers unbounded. Guarded by the lock.
+	Deadline time.Duration
+
+	cfg      EngineConfig
+	mu       sync.Locker
+	maxSkew  int
+	rounds   map[int]*Barrier
+	latest   int // highest completed round (-1 before the first)
+	leases   map[int]*leaseEntry
+	leasing  bool // false until the first lease: all members form the quorum
+	stopped  bool
+	sessions map[int]*session.Session
+}
+
+// EngineConfig is what differs between the kernel's owners.
+type EngineConfig struct {
+	// Lock is the owner's mutex (required); see Engine.
+	Lock sync.Locker
+	// Name prefixes the kernel's errors and log lines ("cloud", "shard 2").
+	Name string
+	// Members is the size of the member set: a barrier holding this many
+	// censuses is full. Owns reports whether an edge id is in the set.
+	Members int
+	Owns    func(edge int) bool
+	// K is the number of decisions every census must carry.
+	K int
+	// Closed is closed when the owner shuts down; blocked submitters return
+	// transport.ErrClosed.
+	Closed <-chan struct{}
+	// Counters are the owner's instruments the kernel ticks (required; the
+	// kernel reads the fields at tick time, so the owner may re-bind them).
+	Counters *Counters
+	// Logf, when non-nil, receives the kernel's log lines. Called with the
+	// lock held.
+	Logf func(format string, args ...interface{})
+	// Span opens the owner's span for a new barrier (the owners' span names
+	// differ). Called with the lock held.
+	Span func(round int) *obs.Span
+	// Complete is called with the lock held when a barrier must complete:
+	// its quorum filled, its deadline fired (degraded), a lease eviction
+	// left it satisfied, or the owner is draining. The owner folds or
+	// forwards the round and resolves the barrier with Release or Fail —
+	// either before returning, or, when completing means work outside the
+	// lock, by setting Barrier.Frozen and returning that work: the kernel
+	// runs after (when non-nil) once the lock is released.
+	Complete func(round int, b *Barrier, degraded bool) (after func())
+	// Ratio returns a member's current sharing ratio, the step-② answer.
+	// Called with the lock held. Owners that never answer ratios leave it nil.
+	Ratio func(edge int) float64
+}
+
+// Counters are the instruments the kernel ticks on its owner's behalf. Each
+// owner binds its own metric names; nil fields discard their updates.
+type Counters struct {
+	Rounds         *obs.Counter   // barriers released as completed rounds
+	Degraded       *obs.Counter   // ... of which with members missing
+	Abandoned      *obs.Counter   // stale barriers evicted by a newer round
+	Duplicates     *obs.Counter   // censuses overwriting one already on a barrier
+	Future         *obs.Counter   // censuses refused for exceeding the skew bound
+	BadCensus      *obs.Counter   // malformed frames and censuses refused
+	LeaseRenewals  *obs.Counter   // lease registrations and renewals
+	LeaseEvictions *obs.Counter   // members evicted from the quorum by lease expiry
+	LeasesLive     *obs.Gauge     // members currently holding a live lease
+	Latest         *obs.Gauge     // highest completed round
+	RoundDuration  *obs.Histogram // first census to release, seconds
 }
 
 // Barrier collects one pending round's censuses until its quorum fills or
 // its deadline expires. Waiters block on Done; after it closes, Err reports
-// abandonment or shutdown (nil means the round completed and the owner's
-// post-round state is current). All fields are guarded by the owner's mutex
-// except Done, which is safe to receive on anywhere.
+// abandonment, failure or shutdown (nil means the round completed and the
+// owner's post-round state is current). All fields are guarded by the
+// owner's lock except Done, which is safe to receive on anywhere.
 type Barrier struct {
 	Censuses map[int][]int
 	Done     chan struct{}
@@ -31,38 +135,71 @@ type Barrier struct {
 	Degraded bool
 	Opened   time.Time
 	Span     *obs.Span
-	timer    *time.Timer
-}
-
-// Add records one member's census on the barrier, last write wins. It
-// reports whether the member had already reported (a re-submitted census
-// after a redial, worth a duplicate counter tick).
-func (b *Barrier) Add(member int, counts []int) (dup bool) {
-	_, dup = b.Censuses[member]
-	b.Censuses[member] = counts
-	return dup
+	// Frozen marks a barrier whose completion is in flight outside the lock
+	// (set by the owner's Complete hook): the kernel no longer adds to it,
+	// expires it or completes it again, and a census that finds it frozen is
+	// reported late once the barrier resolves.
+	Frozen bool
+	timer  *time.Timer
 }
 
 // Size returns how many members have reported.
 func (b *Barrier) Size() int { return len(b.Censuses) }
 
-// Abandoned pairs an evicted barrier with the round it was waiting on, so
-// the owner can tick its metrics and end its span outside the engine.
-type Abandoned struct {
-	Round   int
-	Barrier *Barrier
+// resolve stops the barrier's deadline and wakes its waiters with err.
+func (b *Barrier) resolve(err error) {
+	if b.timer != nil {
+		b.timer.Stop()
+	}
+	b.Err = err
+	close(b.Done)
 }
 
-// NewEngine returns an empty engine with no completed rounds.
-func NewEngine() *Engine {
-	return &Engine{rounds: make(map[int]*Barrier), latest: -1}
+// SortedCensuses flattens one round's census set into a slice ordered by
+// edge id, the deterministic form batches and digests travel in.
+func SortedCensuses(round int, censuses map[int][]int) []transport.Census {
+	edges := make([]int, 0, len(censuses))
+	for e := range censuses {
+		edges = append(edges, e)
+	}
+	sort.Ints(edges)
+	out := make([]transport.Census, len(edges))
+	for i, e := range edges {
+		out[i] = transport.Census{Edge: e, Round: round, Counts: censuses[e]}
+	}
+	return out
+}
+
+// NewEngine returns an idle kernel with no completed rounds.
+func NewEngine(cfg EngineConfig) *Engine {
+	return &Engine{
+		cfg:      cfg,
+		mu:       cfg.Lock,
+		maxSkew:  defaultMaxRoundSkew,
+		rounds:   make(map[int]*Barrier),
+		latest:   -1,
+		leases:   make(map[int]*leaseEntry),
+		sessions: make(map[int]*session.Session),
+	}
+}
+
+func (e *Engine) logf(format string, args ...interface{}) {
+	if e.cfg.Logf != nil {
+		e.cfg.Logf(format, args...)
+	}
 }
 
 // Latest returns the highest completed round (-1 before the first).
 func (e *Engine) Latest() int { return e.latest }
 
-// SetLatest fast-forwards the completed-round watermark (recovery replay).
-func (e *Engine) SetLatest(round int) { e.latest = round }
+// Advance moves the completed-round watermark up to round; it never moves
+// back (recovery replay, and adoptions that resolve out of order).
+func (e *Engine) Advance(round int) {
+	if round > e.latest {
+		e.latest = round
+		e.cfg.Counters.Latest.Set(float64(round))
+	}
+}
 
 // Barrier returns the pending barrier for round, if any.
 func (e *Engine) Barrier(round int) (*Barrier, bool) {
@@ -73,98 +210,378 @@ func (e *Engine) Barrier(round int) (*Barrier, bool) {
 // Pending returns the number of rounds currently holding a barrier.
 func (e *Engine) Pending() int { return len(e.rounds) }
 
-// Open creates the barrier for round and, with a positive deadline, arms a
-// timer that calls expire(round) when it fires. The expire callback runs on
-// the timer goroutine: it must take the owner's lock, re-look the barrier up,
-// and check Done before acting (the round may have completed in the window).
-func (e *Engine) Open(round int, span *obs.Span, deadline time.Duration, expire func(round int)) *Barrier {
-	b := &Barrier{
-		Censuses: make(map[int][]int),
-		Done:     make(chan struct{}),
-		Opened:   time.Now(),
-		Span:     span,
+// Validate checks every census's shape — a member's id, exactly K counts,
+// none negative — so nothing unfoldable reaches a barrier. A malformed
+// census is counted and logged. Takes the lock (to log).
+func (e *Engine) Validate(censuses []transport.Census) error {
+	bad := func(err error) error {
+		e.DropFrame(err)
+		return err
 	}
-	e.rounds[round] = b
-	if deadline > 0 && expire != nil {
-		b.timer = time.AfterFunc(deadline, func() { expire(round) })
+	for i := range censuses {
+		c := &censuses[i]
+		if !e.cfg.Owns(c.Edge) {
+			return fmt.Errorf("%s: census from edge %d, which is not a member", e.cfg.Name, c.Edge)
+		}
+		if len(c.Counts) != e.cfg.K {
+			return bad(fmt.Errorf("%w: edge %d sent %d counts, lattice has %d decisions", ErrBadCensus, c.Edge, len(c.Counts), e.cfg.K))
+		}
+		for _, n := range c.Counts {
+			if n < 0 {
+				return bad(fmt.Errorf("%w: edge %d sent a negative count %d", ErrBadCensus, c.Edge, n))
+			}
+		}
 	}
-	return b
+	return nil
 }
 
-// Best returns the most advanced pending round whose barrier satisfies ok
-// (nil accepts any), or (-1, nil) when none does.
-func (e *Engine) Best(ok func(round int, b *Barrier) bool) (int, *Barrier) {
+// DropFrame counts and logs a malformed frame or census. Takes the lock.
+func (e *Engine) DropFrame(err error) {
+	e.cfg.Counters.BadCensus.Inc()
+	e.mu.Lock()
+	e.logf("%s: dropping malformed frame: %v", e.cfg.Name, err)
+	e.mu.Unlock()
+}
+
+// Place classifies one round's validated censuses against the watermark and
+// puts them on the round's barrier, opening it if needed (timed barriers
+// arm the Deadline). A round at or below the watermark is late: nothing is
+// placed and the owner resolves the censuses its own way. A round beyond
+// the skew bound is refused. A census finding its barrier frozen is not
+// added; the barrier is returned with late set, for the caller to wait on
+// before treating the census as late. Otherwise each census lands last
+// write wins — a redialing link re-submits the census it never got an
+// answer for. Called with the lock held; it does not check the quorum.
+func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *Barrier, late bool, err error) {
+	switch {
+	case e.stopped:
+		return nil, false, transport.ErrClosed
+	case round <= e.latest:
+		return nil, true, nil
+	case e.maxSkew > 0 && round > e.latest+e.maxSkew:
+		e.cfg.Counters.Future.Inc()
+		e.logf("%s: rejecting census for round %d (latest %d, skew bound %d)", e.cfg.Name, round, e.latest, e.maxSkew)
+		return nil, false, fmt.Errorf("%w: round %d is beyond latest %d + skew %d", ErrFutureRound, round, e.latest, e.maxSkew)
+	}
+	b, ok := e.rounds[round]
+	if !ok {
+		b = &Barrier{
+			Censuses: make(map[int][]int),
+			Done:     make(chan struct{}),
+			Opened:   time.Now(),
+			Span:     e.cfg.Span(round),
+		}
+		e.rounds[round] = b
+		if timed && e.Deadline > 0 {
+			b.timer = time.AfterFunc(e.Deadline, func() { e.expire(round, b) })
+		}
+	}
+	if b.Frozen {
+		return b, true, nil
+	}
+	if len(censuses) == 1 {
+		b.Span.Event("census", obs.A("edge", censuses[0].Edge))
+	} else {
+		b.Span.Event("census_batch", obs.A("edges", len(censuses)))
+	}
+	for i := range censuses {
+		c := &censuses[i]
+		if _, dup := b.Censuses[c.Edge]; dup {
+			e.cfg.Counters.Duplicates.Inc()
+		}
+		b.Censuses[c.Edge] = c.Counts
+	}
+	return b, false, nil
+}
+
+// Add validates one round's censuses, places them (see Place), and
+// completes the barrier through the owner's hook if that fills the quorum.
+// It does not wait: a non-nil barrier is the one to wait on. late with a
+// nil barrier means the round had already completed. Takes the lock.
+func (e *Engine) Add(round int, censuses []transport.Census) (b *Barrier, late bool, err error) {
+	if len(censuses) == 0 {
+		return nil, false, fmt.Errorf("%s: empty census batch for round %d", e.cfg.Name, round)
+	}
+	for i := range censuses {
+		if censuses[i].Round != round {
+			return nil, false, fmt.Errorf("%s: batch for round %d carries a census for round %d (edge %d)",
+				e.cfg.Name, round, censuses[i].Round, censuses[i].Edge)
+		}
+	}
+	if err := e.Validate(censuses); err != nil {
+		return nil, false, err
+	}
+	e.mu.Lock()
+	var after func()
+	b, late, err = e.Place(round, censuses, true)
+	if b != nil && !late && e.quorumMetLocked(b) {
+		after = e.cfg.Complete(round, b, b.Size() < e.cfg.Members)
+	}
+	e.unlockThen(after)
+	return b, late, err
+}
+
+// unlockThen releases the lock and runs the work a Complete hook deferred
+// until then, if any.
+func (e *Engine) unlockThen(after func()) {
+	e.mu.Unlock()
+	if after != nil {
+		after()
+	}
+}
+
+// Submit is Add followed by the wait every ratio-answering owner performs:
+// it blocks until the round's barrier resolves — completed, degraded by its
+// deadline, abandoned, failed, or shut down. late reports that the censuses
+// did not make it into the round's completion (the round had already
+// completed, or its completion was in flight and has now finished): the
+// owner resolves them its own way. Takes the lock.
+func (e *Engine) Submit(round int, censuses []transport.Census) (late bool, err error) {
+	b, late, err := e.Add(round, censuses)
+	if b == nil {
+		return late, err
+	}
+	select {
+	case <-b.Done:
+		return late, b.Err
+	case <-e.cfg.Closed:
+		return false, transport.ErrClosed
+	}
+}
+
+// Ratio returns one member's current sharing ratio. Takes the lock.
+func (e *Engine) Ratio(edge int) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.cfg.Ratio(edge)
+}
+
+// RatioBatch answers censuses with each member's current sharing ratio
+// under the step-② reply convention (Round = round + 1, edges echoed in
+// request order — the exchange's identity). Takes the lock.
+func (e *Engine) RatioBatch(round int, censuses []transport.Census) transport.RatioBatch {
+	reply := transport.RatioBatch{
+		Round: round + 1,
+		Edges: make([]int, len(censuses)),
+		X:     make([]float64, len(censuses)),
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range censuses {
+		reply.Edges[i] = censuses[i].Edge
+		reply.X[i] = e.cfg.Ratio(censuses[i].Edge)
+	}
+	return reply
+}
+
+// expire is a barrier's deadline: unless the barrier resolved or froze
+// while the timer waited on the lock, it completes degraded.
+func (e *Engine) expire(round int, b *Barrier) {
+	e.mu.Lock()
+	var after func()
+	if e.rounds[round] == b && !b.Frozen {
+		after = e.cfg.Complete(round, b, true)
+	}
+	e.unlockThen(after)
+}
+
+// completeBestLocked completes the most advanced pending barrier that is
+// not frozen and (unless force) meets the quorum; its release sweeps the
+// stale ones.
+func (e *Engine) completeBestLocked(force bool) (after func()) {
 	best := -1
 	for round, b := range e.rounds {
-		if round > best && (ok == nil || ok(round, b)) {
+		if round > best && !b.Frozen && (force || e.quorumMetLocked(b)) {
 			best = round
 		}
 	}
 	if best < 0 {
-		return -1, nil
+		return nil
 	}
-	return best, e.rounds[best]
+	b := e.rounds[best]
+	return e.cfg.Complete(best, b, b.Size() < e.cfg.Members)
 }
 
-// Complete finishes round: the watermark advances, b's waiters release, and
-// every pending barrier the new watermark strands (round <= latest) is
-// evicted with ErrRoundAbandoned. The owner must have folded/persisted the
-// round's effect before calling — waiters read the post-round state the
-// moment Done closes. Evicted barriers are returned for metrics and spans.
-func (e *Engine) Complete(round int, b *Barrier, degraded bool) []Abandoned {
-	if b.timer != nil {
-		b.timer.Stop()
-	}
+// Drain completes the most advanced pending barrier with whatever censuses
+// it holds — the graceful-shutdown step before a final checkpoint. Takes
+// the lock.
+func (e *Engine) Drain() {
+	e.mu.Lock()
+	e.logf("%s: draining %d pending rounds", e.cfg.Name, len(e.rounds))
+	e.unlockThen(e.completeBestLocked(true))
+}
+
+// Release resolves round as completed: the watermark advances, b's waiters
+// wake, and every pending barrier the new watermark strands is evicted
+// with ErrRoundAbandoned (an edge that died mid-round must not leak its
+// half-filled barrier). The owner must have folded and journaled the
+// round's effect first — waiters read the post-round state the moment Done
+// closes — and may have set b.Err (a fold that failed still consumes its
+// round; its waiters see the error).
+func (e *Engine) Release(round int, b *Barrier, degraded bool) {
+	c := e.cfg.Counters
 	b.Degraded = degraded
-	if round > e.latest {
-		e.latest = round
-	}
-	close(b.Done)
+	b.resolve(b.Err)
 	delete(e.rounds, round)
-	var evicted []Abandoned
+	e.Advance(round)
+	c.Rounds.Inc()
+	c.RoundDuration.Observe(time.Since(b.Opened).Seconds())
+	if degraded {
+		c.Degraded.Inc()
+		e.logf("%s: round %d completed degraded with %d/%d members", e.cfg.Name, round, b.Size(), e.cfg.Members)
+	}
+	b.Span.End(obs.A("degraded", degraded), obs.A("regions", b.Size()), obs.A("of", e.cfg.Members))
 	for r, old := range e.rounds {
 		if r > e.latest {
 			continue
 		}
-		if old.timer != nil {
-			old.timer.Stop()
-		}
-		old.Err = fmt.Errorf("%w: round %d superseded by round %d", ErrRoundAbandoned, r, round)
-		close(old.Done)
+		old.resolve(fmt.Errorf("%w: round %d superseded by round %d", ErrRoundAbandoned, r, round))
 		delete(e.rounds, r)
-		evicted = append(evicted, Abandoned{Round: r, Barrier: old})
+		c.Abandoned.Inc()
+		old.Span.End(obs.A("abandoned", true), obs.A("superseded_by", round))
 	}
-	return evicted
 }
 
-// Fail fails round's pending barrier with err without advancing the
-// watermark (a shard's upstream forward failed; the submitting edges will
-// redial and re-open the round). No-op if the round has no barrier.
-func (e *Engine) Fail(round int, err error) {
-	b, ok := e.rounds[round]
-	if !ok {
+// Fail resolves round's barrier with err without advancing the watermark
+// (a shard's upstream forward failed; the submitting edges will redial and
+// re-open the round).
+func (e *Engine) Fail(round int, b *Barrier, err error) {
+	b.resolve(err)
+	if e.rounds[round] == b {
+		delete(e.rounds, round)
+	}
+	b.Span.End(obs.A("failed", err.Error()))
+}
+
+// Stop shuts the kernel down: every pending barrier fails with
+// transport.ErrClosed, every lease timer stops, and later submissions and
+// renewals are refused.
+func (e *Engine) Stop() {
+	e.stopped = true
+	for round, b := range e.rounds {
+		b.resolve(transport.ErrClosed)
+		delete(e.rounds, round)
+		b.Span.End(obs.A("closed", true))
+	}
+	for _, l := range e.leases {
+		l.timer.Stop()
+	}
+}
+
+// leaseEntry tracks one member's lease. The timer fires at expiry and
+// evicts the member from the quorum; a renewal pushes expiry out and
+// re-arms it.
+type leaseEntry struct {
+	expiry time.Time
+	timer  *time.Timer
+	live   bool
+}
+
+// Renew registers or renews a member's lease: for ttl the member counts
+// toward every barrier's quorum. When the lease lapses the member is
+// evicted — pending barriers then complete as soon as all remaining live
+// members have reported, instead of waiting out the round deadline — and
+// the next renewal re-admits it. The first renewal switches the kernel from
+// the all-members barrier to the lease-defined quorum; deployments that
+// never send heartbeats keep the original behavior. Takes the lock.
+func (e *Engine) Renew(edge int, ttl time.Duration) error {
+	if !e.cfg.Owns(edge) {
+		return fmt.Errorf("%s: lease from edge %d, which is not a member", e.cfg.Name, edge)
+	}
+	if ttl <= 0 {
+		return fmt.Errorf("%s: lease TTL %v must be positive", e.cfg.Name, ttl)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stopped {
+		return transport.ErrClosed
+	}
+	e.leasing = true
+	l := e.leases[edge]
+	if l == nil {
+		l = &leaseEntry{timer: time.AfterFunc(ttl, func() { e.expireLease(edge) })}
+		e.leases[edge] = l
+	} else {
+		if !l.live {
+			e.logf("%s: edge %d re-admitted to quorum", e.cfg.Name, edge)
+		}
+		l.timer.Reset(ttl)
+	}
+	l.live = true
+	l.expiry = time.Now().Add(ttl)
+	e.cfg.Counters.LeaseRenewals.Inc()
+	e.cfg.Counters.LeasesLive.Set(float64(e.liveLeasesLocked()))
+	return nil
+}
+
+// LiveLeases returns the ids of members currently holding a live lease.
+// Takes the lock.
+func (e *Engine) LiveLeases() []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var ids []int
+	for id, l := range e.leases {
+		if l.live {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// expireLease runs when a member's lease timer fires: unless the lease was
+// renewed while the callback waited on the lock, the member is evicted from
+// the quorum and the pending barriers are re-checked — the healthy members
+// may now complete without waiting for the round deadline.
+func (e *Engine) expireLease(edge int) {
+	e.mu.Lock()
+	l := e.leases[edge]
+	if e.stopped || !l.live {
+		e.mu.Unlock()
 		return
 	}
-	if b.timer != nil {
-		b.timer.Stop()
+	if remaining := time.Until(l.expiry); remaining > 0 {
+		// Renewed between the timer firing and this callback taking the
+		// lock: re-arm for the true expiry.
+		l.timer.Reset(remaining)
+		e.mu.Unlock()
+		return
 	}
-	b.Err = err
-	close(b.Done)
-	delete(e.rounds, round)
+	l.live = false
+	e.cfg.Counters.LeaseEvictions.Inc()
+	e.cfg.Counters.LeasesLive.Set(float64(e.liveLeasesLocked()))
+	e.logf("%s: lease of edge %d expired, evicting from quorum", e.cfg.Name, edge)
+	e.unlockThen(e.completeBestLocked(false))
 }
 
-// FailAll fails every pending barrier with err (shutdown) and returns them
-// for the owner to end their spans.
-func (e *Engine) FailAll(err error) []Abandoned {
-	var failed []Abandoned
-	for round, b := range e.rounds {
-		if b.timer != nil {
-			b.timer.Stop()
+// liveLeasesLocked counts live leases.
+func (e *Engine) liveLeasesLocked() int {
+	n := 0
+	for _, l := range e.leases {
+		if l.live {
+			n++
 		}
-		b.Err = err
-		close(b.Done)
-		delete(e.rounds, round)
-		failed = append(failed, Abandoned{Round: round, Barrier: b})
 	}
-	return failed
+	return n
+}
+
+// quorumMetLocked reports whether b can complete: every member reported,
+// or — once leases are in use — every member holding a live lease reported.
+// A member reporting without a lease still counts toward its own barrier;
+// it just cannot be waited on after its lease lapses.
+func (e *Engine) quorumMetLocked(b *Barrier) bool {
+	if b.Size() >= e.cfg.Members {
+		return true
+	}
+	if !e.leasing || b.Size() == 0 {
+		return false
+	}
+	for id, l := range e.leases {
+		if !l.live {
+			continue
+		}
+		if _, ok := b.Censuses[id]; !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -1,0 +1,390 @@
+package cloud
+
+import (
+	"errors"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/transport"
+)
+
+// rig is a bare kernel with a recording Complete hook that releases every
+// barrier it is handed — the smallest possible owner.
+type rig struct {
+	mu        sync.Mutex
+	eng       *Engine
+	closed    chan struct{}
+	tick      Counters
+	completed []completion // guarded by mu
+}
+
+type completion struct {
+	round    int
+	degraded bool
+	edges    []int
+}
+
+func newRig(members, k int) *rig {
+	reg := obs.NewRegistry()
+	r := &rig{closed: make(chan struct{}), tick: Counters{
+		Duplicates:     reg.Counter("dup", ""),
+		Future:         reg.Counter("future", ""),
+		BadCensus:      reg.Counter("bad", ""),
+		Abandoned:      reg.Counter("abandoned", ""),
+		LeaseEvictions: reg.Counter("evictions", ""),
+	}}
+	r.eng = NewEngine(EngineConfig{
+		Lock:     &r.mu,
+		Name:     "rig",
+		Members:  members,
+		Owns:     func(edge int) bool { return edge >= 0 && edge < members },
+		K:        k,
+		Closed:   r.closed,
+		Counters: &r.tick,
+		Span:     func(int) *obs.Span { return nil },
+		Complete: func(round int, b *Barrier, degraded bool) func() {
+			var edges []int
+			for e := range b.Censuses {
+				edges = append(edges, e)
+			}
+			sort.Ints(edges)
+			r.completed = append(r.completed, completion{round, degraded, edges})
+			r.eng.Release(round, b, degraded)
+			return nil
+		},
+	})
+	return r
+}
+
+func (r *rig) completions() []completion {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]completion(nil), r.completed...)
+}
+
+func (r *rig) latest() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.eng.Latest()
+}
+
+func census(edge, round int, counts ...int) transport.Census {
+	return transport.Census{Edge: edge, Round: round, Counts: counts}
+}
+
+// add places one census without waiting on its barrier.
+func (r *rig) add(t *testing.T, c transport.Census) *Barrier {
+	t.Helper()
+	b, late, err := r.eng.Add(c.Round, []transport.Census{c})
+	if err != nil || late {
+		t.Fatalf("Add(%+v) = late %v, err %v", c, late, err)
+	}
+	return b
+}
+
+func TestEngineRoster(t *testing.T) {
+	const long, short = time.Hour, 20 * time.Millisecond
+	cases := map[string]func(t *testing.T, r *rig){
+		"renew validates the member and the ttl": func(t *testing.T, r *rig) {
+			if err := r.eng.Renew(5, long); err == nil {
+				t.Error("lease for a non-member accepted")
+			}
+			if err := r.eng.Renew(0, 0); err == nil {
+				t.Error("lease with zero TTL accepted")
+			}
+			if err := r.eng.Renew(0, long); err != nil {
+				t.Errorf("valid lease rejected: %v", err)
+			}
+			if live := r.eng.LiveLeases(); !reflect.DeepEqual(live, []int{0}) {
+				t.Errorf("live leases = %v, want [0]", live)
+			}
+		},
+		"without leases the barrier waits for every member": func(t *testing.T, r *rig) {
+			b := r.add(t, census(0, 0, 1, 2))
+			select {
+			case <-b.Done:
+				t.Fatal("barrier completed on one of two members with no lease in play")
+			case <-time.After(3 * short):
+			}
+			r.add(t, census(1, 0, 2, 1))
+			<-b.Done
+			if got := r.completions(); !reflect.DeepEqual(got, []completion{{0, false, []int{0, 1}}}) {
+				t.Errorf("completions = %+v, want round 0 full", got)
+			}
+		},
+		"expiry evicts and completes the best satisfiable barrier": func(t *testing.T, r *rig) {
+			if err := r.eng.Renew(0, long); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.eng.Renew(1, short); err != nil {
+				t.Fatal(err)
+			}
+			stale, best := r.add(t, census(0, 3, 1, 2)), r.add(t, census(0, 4, 1, 2))
+			<-best.Done
+			<-stale.Done
+			if best.Err != nil || !best.Degraded {
+				t.Errorf("round 4: err %v degraded %v, want completed degraded", best.Err, best.Degraded)
+			}
+			if !errors.Is(stale.Err, ErrRoundAbandoned) {
+				t.Errorf("round 3: err %v, want ErrRoundAbandoned (swept by round 4)", stale.Err)
+			}
+			if got := r.completions(); !reflect.DeepEqual(got, []completion{{4, true, []int{0}}}) {
+				t.Errorf("completions = %+v, want only round 4", got)
+			}
+			if n := r.tick.LeaseEvictions.Value(); n != 1 {
+				t.Errorf("evictions = %d, want 1", n)
+			}
+			if live := r.eng.LiveLeases(); !reflect.DeepEqual(live, []int{0}) {
+				t.Errorf("live leases = %v, want [0]", live)
+			}
+		},
+		"a renewal racing the expiry timer re-arms instead of evicting": func(t *testing.T, r *rig) {
+			if err := r.eng.Renew(1, short); err != nil {
+				t.Fatal(err)
+			}
+			// The renewal's effect without its timer reset: exactly what the
+			// expiry callback sees when it lost the lock to a renewal.
+			r.mu.Lock()
+			r.eng.leases[1].expiry = time.Now().Add(long)
+			r.mu.Unlock()
+			time.Sleep(4 * short)
+			if live := r.eng.LiveLeases(); !reflect.DeepEqual(live, []int{1}) {
+				t.Errorf("live leases = %v, want [1]: the fired timer must re-arm for the true expiry", live)
+			}
+			if n := r.tick.LeaseEvictions.Value(); n != 0 {
+				t.Errorf("evictions = %d, want 0", n)
+			}
+		},
+		"a renewal after eviction re-admits the member": func(t *testing.T, r *rig) {
+			if err := r.eng.Renew(0, long); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.eng.Renew(1, short); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return len(r.eng.LiveLeases()) == 1 })
+			if err := r.eng.Renew(1, long); err != nil {
+				t.Fatal(err)
+			}
+			b := r.add(t, census(0, 0, 1, 2))
+			select {
+			case <-b.Done:
+				t.Fatal("barrier completed without the re-admitted member")
+			case <-time.After(3 * short):
+			}
+			r.add(t, census(1, 0, 2, 1))
+			<-b.Done
+			if b.Degraded {
+				t.Error("round with both members reported completed degraded")
+			}
+		},
+		"stop cancels every timer": func(t *testing.T, r *rig) {
+			r.mu.Lock()
+			r.eng.Deadline = short
+			r.mu.Unlock()
+			if err := r.eng.Renew(1, short); err != nil {
+				t.Fatal(err)
+			}
+			b := r.add(t, census(0, 0, 1, 2))
+			r.mu.Lock()
+			r.eng.Stop()
+			r.mu.Unlock()
+			<-b.Done
+			if !errors.Is(b.Err, transport.ErrClosed) {
+				t.Errorf("pending barrier after Stop: err %v, want ErrClosed", b.Err)
+			}
+			time.Sleep(4 * short)
+			if got := r.completions(); len(got) != 0 {
+				t.Errorf("completions after Stop = %+v, want none (deadline timer must be cancelled)", got)
+			}
+			if n := r.tick.LeaseEvictions.Value(); n != 0 {
+				t.Errorf("evictions after Stop = %d, want 0 (lease timer must be cancelled)", n)
+			}
+			if err := r.eng.Renew(0, long); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Renew after Stop = %v, want ErrClosed", err)
+			}
+			if _, _, err := r.eng.Add(1, []transport.Census{census(0, 1, 1, 2)}); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Add after Stop = %v, want ErrClosed", err)
+			}
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(2, 2)
+			defer func() {
+				r.mu.Lock()
+				r.eng.Stop()
+				r.mu.Unlock()
+			}()
+			run(t, r)
+		})
+	}
+}
+
+func TestEngineIngestClassification(t *testing.T) {
+	type want struct {
+		late    bool
+		err     error // matched with errors.Is; anyErr accepts any refusal
+		pending int   // censuses on the round's barrier afterwards
+		dup     int64
+		future  int64
+		bad     int64
+	}
+	anyErr := errors.New("any refusal")
+	cases := []struct {
+		name     string
+		round    int
+		censuses []transport.Census
+		want     want
+	}{
+		{"pending: a census ahead of the watermark waits on its barrier", 1, []transport.Census{census(0, 1, 1, 2)}, want{pending: 1}},
+		{"pending: a batch lands whole", 1, []transport.Census{census(0, 1, 1, 2), census(1, 1, 2, 1)}, want{pending: 2}},
+		{"duplicate: last write wins and is counted", 2, []transport.Census{census(0, 2, 9, 9)}, want{pending: 1, dup: 1}},
+		{"late: a round at the watermark is the owner's to resolve", 0, []transport.Census{census(0, 0, 1, 2)}, want{late: true}},
+		{"future: beyond the skew bound", 100, []transport.Census{census(0, 100, 1, 2)}, want{err: ErrFutureRound, future: 1}},
+		{"bad: wrong number of counts", 1, []transport.Census{census(0, 1, 1, 2, 3)}, want{err: ErrBadCensus, bad: 1}},
+		{"bad: a negative count", 1, []transport.Census{census(0, 1, -1, 2)}, want{err: ErrBadCensus, bad: 1}},
+		{"bad: one malformed census refuses the whole batch", 1, []transport.Census{census(0, 1, 1, 2), census(1, 1, 2, -1)}, want{err: ErrBadCensus, bad: 1}},
+		{"refused: not a member", 1, []transport.Census{census(7, 1, 1, 2)}, want{err: anyErr}},
+		{"refused: a census for another round", 1, []transport.Census{census(0, 2, 1, 2)}, want{err: anyErr}},
+		{"refused: an empty batch", 1, nil, want{err: anyErr}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Three members, so no case fills the quorum; round 0 completed,
+			// round 2 already holds member 0's census; skew bound 4.
+			r := newRig(3, 2)
+			r.eng.maxSkew = 4
+			for e := 0; e < 3; e++ {
+				r.add(t, census(e, 0, 1, 1))
+			}
+			r.add(t, census(0, 2, 1, 2))
+
+			b, late, err := r.eng.Add(tc.round, tc.censuses)
+			switch {
+			case tc.want.err == nil && err != nil:
+				t.Fatalf("Add = %v, want accepted", err)
+			case tc.want.err == anyErr && err == nil, tc.want.err != nil && tc.want.err != anyErr && !errors.Is(err, tc.want.err):
+				t.Fatalf("Add = %v, want %v", err, tc.want.err)
+			}
+			if late != tc.want.late {
+				t.Errorf("late = %v, want %v", late, tc.want.late)
+			}
+			if (b != nil) != (tc.want.pending > 0) {
+				t.Errorf("barrier = %v, want pending %d", b, tc.want.pending)
+			}
+			if b != nil {
+				if b.Size() != tc.want.pending {
+					t.Errorf("barrier holds %d censuses, want %d", b.Size(), tc.want.pending)
+				}
+				last := tc.censuses[len(tc.censuses)-1]
+				if got := b.Censuses[last.Edge]; !reflect.DeepEqual(got, last.Counts) {
+					t.Errorf("barrier has %v for edge %d, want %v", got, last.Edge, last.Counts)
+				}
+			}
+			if err != nil {
+				// A refusal places nothing: round 1 has no barrier, round 2
+				// still holds exactly what it held.
+				r.mu.Lock()
+				_, opened := r.eng.Barrier(1)
+				held := r.eng.rounds[2].Censuses[0]
+				r.mu.Unlock()
+				if opened || !reflect.DeepEqual(held, []int{1, 2}) {
+					t.Errorf("refused ingest left a trace: round 1 opened %v, round 2 holds %v", opened, held)
+				}
+			}
+			for name, got := range map[string][2]int64{
+				"duplicates": {r.tick.Duplicates.Value(), tc.want.dup},
+				"future":     {r.tick.Future.Value(), tc.want.future},
+				"bad":        {r.tick.BadCensus.Value(), tc.want.bad},
+			} {
+				if got[0] != got[1] {
+					t.Errorf("%s counter = %d, want %d", name, got[0], got[1])
+				}
+			}
+			if r.latest() != 0 {
+				t.Errorf("watermark moved to %d", r.latest())
+			}
+		})
+	}
+}
+
+// A one-census Submit is the batch path with a batch of one: same barrier,
+// same completion, same wake-up.
+func TestEngineSubmitOneIsBatchOfOne(t *testing.T) {
+	r := newRig(3, 2)
+	var wg sync.WaitGroup
+	submit := func(censuses ...transport.Census) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if late, err := r.eng.Submit(0, censuses); late || err != nil {
+				t.Errorf("Submit(%v) = late %v, err %v", censuses, late, err)
+			}
+		}()
+	}
+	submit(census(2, 0, 3, 3))
+	submit(census(0, 0, 1, 2), census(1, 0, 2, 1))
+	wg.Wait()
+	if got := r.completions(); !reflect.DeepEqual(got, []completion{{0, false, []int{0, 1, 2}}}) {
+		t.Errorf("completions = %+v, want one full round 0", got)
+	}
+	if late, err := r.eng.Submit(0, []transport.Census{census(1, 0, 5, 5)}); !late || err != nil {
+		t.Errorf("Submit for the completed round = late %v, err %v, want late", late, err)
+	}
+}
+
+// A barrier frozen by its owner's Complete hook takes no more censuses: a
+// straggler waits for it to resolve and is then reported late, and the
+// deferred work runs outside the lock.
+func TestEngineFrozenBarrierReportsStragglersLate(t *testing.T) {
+	r := newRig(2, 2)
+	release := make(chan struct{})
+	r.eng.cfg.Complete = func(round int, b *Barrier, degraded bool) func() {
+		b.Frozen = true
+		return func() {
+			<-release // e.g. an upstream exchange
+			r.mu.Lock()
+			r.eng.Release(round, b, degraded)
+			r.mu.Unlock()
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if late, err := r.eng.Submit(0, []transport.Census{census(0, 0, 1, 2), census(1, 0, 2, 1)}); late || err != nil {
+			t.Errorf("filling Submit = late %v, err %v", late, err)
+		}
+	}()
+	waitFor(t, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		b, ok := r.eng.Barrier(0)
+		return ok && b.Frozen
+	})
+	straggler := make(chan bool)
+	go func() {
+		late, err := r.eng.Submit(0, []transport.Census{census(1, 0, 9, 9)})
+		if err != nil {
+			t.Errorf("straggler Submit: %v", err)
+		}
+		straggler <- late
+	}()
+	select {
+	case <-straggler:
+		t.Fatal("straggler returned before the frozen barrier resolved")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if late := <-straggler; !late {
+		t.Error("straggler on a frozen barrier not reported late")
+	}
+	<-done
+	if r.tick.Duplicates.Value() != 0 {
+		t.Error("straggler was added to the frozen barrier")
+	}
+}

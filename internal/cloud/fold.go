@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/durable"
 	"repro/internal/edge"
 	"repro/internal/game"
 	"repro/internal/policy"
@@ -101,4 +102,40 @@ func (f *Fold) SetMemory(mem policy.FDSMemory) error { return f.fds.SetMemory(me
 func (f *Fold) Converged() bool {
 	ok, _ := f.fds.Field().Converged(f.state.Clone())
 	return ok
+}
+
+// Checkpoint captures the fold after round as a durable checkpoint; the
+// owner adds its own fields before encoding it.
+func (f *Fold) Checkpoint(round int) durable.Checkpoint {
+	return durable.Checkpoint{Round: round, State: f.state, FDS: f.fds.Memory()}
+}
+
+// Recover opens stateDir as the fold owner's state directory and restores
+// the checkpoint a previous process left there — refusing one whose shape
+// differs from the fold's — returning it (nil when there is none) for the
+// owner to read its own fields from. The owner then replays the journal
+// onto the restored fold.
+func (f *Fold) Recover(stateDir string) (*durable.Journal, *durable.Checkpoint, error) {
+	journal, snap, err := durable.OpenJournal(stateDir)
+	if err != nil || snap == nil {
+		return journal, nil, err
+	}
+	cp, err := durable.DecodeCheckpoint(snap)
+	if err == nil {
+		cpK := 0
+		if len(cp.State.P) > 0 {
+			cpK = len(cp.State.P[0])
+		}
+		if len(cp.State.P) != f.Regions() || cpK != f.Decisions() {
+			err = fmt.Errorf("has %dx%d state, fold configured for %dx%d", len(cp.State.P), cpK, f.Regions(), f.Decisions())
+		} else if len(cp.FDS.LastShortfall) > 0 {
+			err = f.fds.SetMemory(cp.FDS)
+		}
+	}
+	if err != nil {
+		journal.Close()
+		return nil, nil, fmt.Errorf("checkpoint in %s: %w", stateDir, err)
+	}
+	f.state = cp.State
+	return journal, &cp, nil
 }

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -11,23 +10,9 @@ import (
 	"repro/internal/transport/session"
 )
 
-func TestRenewLeaseValidation(t *testing.T) {
-	fds, _ := testFDS(t)
-	srv, err := NewServer(fds, game.NewUniformState(2, 8, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := srv.RenewLease(5, time.Second); err == nil {
-		t.Error("lease for unknown edge accepted")
-	}
-	if err := srv.RenewLease(0, 0); err == nil {
-		t.Error("lease with zero TTL accepted")
-	}
-	if err := srv.RenewLease(0, time.Second); err != nil {
-		t.Errorf("valid lease rejected: %v", err)
-	}
-}
+// The roster's mechanics — validation, expiry, the renew-vs-expiry race,
+// re-admission, Stop — are the kernel's and are tested once in
+// engine_test.go; these are the cloud's end-to-end cases.
 
 // An evicted edge must stop blocking the barrier: the healthy region's
 // round completes (degraded) as soon as the dead edge's lease lapses, long
@@ -70,53 +55,6 @@ func TestLeaseEvictionUnblocksBarrier(t *testing.T) {
 	if live := srv.LiveLeases(); len(live) != 1 || live[0] != 0 {
 		t.Fatalf("live leases = %v, want [0]", live)
 	}
-}
-
-// A renewal after eviction re-admits the edge: the next barrier waits for
-// it again.
-func TestLeaseReadmission(t *testing.T) {
-	fds, _ := testFDS(t)
-	srv, err := NewServer(fds, game.NewUniformState(2, 8, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	if err := srv.RenewLease(0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.RenewLease(1, 20*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return len(srv.LiveLeases()) == 1 })
-
-	if err := srv.RenewLease(1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	live := srv.LiveLeases()
-	sort.Ints(live)
-	if len(live) != 2 {
-		t.Fatalf("live leases after re-admission = %v, want both", live)
-	}
-
-	// With both edges live again the barrier must wait for both.
-	c0, c1 := testCounts(0, 7, 10)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := srv.Submit(transport.Census{Edge: 0, Round: 0, Counts: c0}); err != nil {
-			t.Errorf("edge 0 submit: %v", err)
-		}
-	}()
-	select {
-	case <-done:
-		t.Fatal("barrier completed without the re-admitted edge")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if _, err := srv.Submit(transport.Census{Edge: 1, Round: 0, Counts: c1}); err != nil {
-		t.Fatalf("edge 1 submit: %v", err)
-	}
-	<-done
 }
 
 // Lease renewal over the wire: KindLease frames are acked by the

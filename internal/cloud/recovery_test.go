@@ -213,7 +213,7 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1.SetCompactEvery(2)
+	srv1.compactEvery = 2
 	if err := srv1.Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestRecoveryPreservesRewindWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv1.SetFixedLag(8)
-	srv1.SetCompactEvery(2) // exercise the retained-window checkpoint path
+	srv1.compactEvery = 2 // exercise the retained-window checkpoint path
 	if err := srv1.Open(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,15 @@
 package cloud
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/game"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/transport"
-	"repro/internal/transport/session"
 )
-
-// ErrFutureRound is returned by Submit for a census whose round is further
-// ahead of the latest completed round than the configured skew bound.
-// Accepting it would let a clock-skewed (or malicious) edge allocate
-// barriers arbitrarily far ahead and grow s.rounds without limit.
-var ErrFutureRound = errors.New("cloud: census round beyond skew bound")
-
-// defaultMaxRoundSkew bounds how far ahead of the latest completed round a
-// census may be before Submit rejects it with ErrFutureRound.
-const defaultMaxRoundSkew = 1024
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -36,13 +25,6 @@ type lagEntry struct {
 	preFDS   policy.FDSMemory
 	censuses map[int][]int
 	degraded bool
-}
-
-// correctionSend is one ratio-correction frame bound for an edge session,
-// collected under the server lock and pushed after it is released.
-type correctionSend struct {
-	sess *session.Session
-	rc   transport.RatioCorrection
 }
 
 // SetFixedLag sets the fixed-lag fusion window to the last n completed
@@ -64,21 +46,6 @@ func (s *Server) SetFixedLag(n int) {
 	s.metrics.lagDepth.Set(float64(len(s.window)))
 }
 
-// FixedLag returns the configured window length (0 = disabled).
-func (s *Server) FixedLag() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lag
-}
-
-// SetMaxRoundSkew bounds how far ahead of the latest completed round a
-// census may be (default 1024). Zero or negative disables the check.
-func (s *Server) SetMaxRoundSkew(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxSkew = n
-}
-
 // StateHash returns a CRC-32C over the canonical JSON encoding of the
 // current game state. encoding/json round-trips float64 exactly and map-free
 // state marshals deterministically, so two coordinators hold bit-identical
@@ -87,10 +54,8 @@ func (s *Server) SetMaxRoundSkew(n int) {
 func (s *Server) StateHash() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stateHashLocked()
+	return s.fold.Hash()
 }
-
-func (s *Server) stateHashLocked() uint32 { return s.fold.Hash() }
 
 // pushWindowLocked buffers a round about to be applied: the snapshots are
 // taken from the *current* (pre-fold) state. Called with s.mu held, before
@@ -151,32 +116,46 @@ func (s *Server) refoldLocked(idx int) error {
 	return nil
 }
 
+// lateLocked resolves censuses for an already-completed round through the
+// lag window, one by one (see handleLateLocked), stopping at the first
+// fold failure. rewound tells the caller the published ratios changed:
+// correction frames are due, once per submission however many censuses
+// rewound. Called with s.mu held.
+func (s *Server) lateLocked(round int, censuses []transport.Census) (rewound bool, err error) {
+	for i := range censuses {
+		s.metrics.late.Inc()
+		handled, rw, err := s.handleLateLocked(round, &censuses[i])
+		if err != nil {
+			return rewound, err
+		}
+		if !handled && s.lag > 0 {
+			s.metrics.beyondLag.Inc()
+		}
+		rewound = rewound || rw
+	}
+	return rewound, nil
+}
+
 // handleLateLocked resolves a census for an already-completed round through
 // the lag window. It returns handled=false when the round is outside the
 // window (lag disabled, round too old, or round abandoned without ever
-// completing) — the caller then falls back to the degraded
-// answer-from-current-state path. When the census is a byte-identical
+// completing) — the census is then folded away and answered from the
+// current state, the degraded path. When the census is a byte-identical
 // duplicate of what the round already folded, it is absorbed without a
 // rewind. Otherwise the fold rewinds, the census is merged last-write-wins,
-// subsequent rounds re-propagate, and the corrected round is re-journaled;
-// rewound=true tells the caller to collect correction frames (once per
-// submission, even when a batch rewinds several times) and push them after
-// unlocking. Called with s.mu held.
-func (s *Server) handleLateLocked(census transport.Census) (handled, rewound bool, err error) {
-	if s.lag <= 0 {
-		return false, false, nil
-	}
-	idx := s.windowIndexLocked(census.Round)
-	if idx < 0 {
+// subsequent rounds re-propagate, and the corrected round is re-journaled.
+// Called with s.mu held.
+func (s *Server) handleLateLocked(round int, census *transport.Census) (handled, rewound bool, err error) {
+	idx := s.windowIndexLocked(round)
+	if s.lag <= 0 || idx < 0 {
 		return false, false, nil
 	}
 	e := s.window[idx]
-	if prev, ok := e.censuses[census.Edge]; ok && equalCounts(prev, census.Counts) {
-		s.metrics.duplicates.Inc()
+	if prev, ok := e.censuses[census.Edge]; ok && slices.Equal(prev, census.Counts) {
+		s.metrics.Duplicates.Inc()
 		return true, false, nil
 	}
-	span := s.obsv.Span("consensus_rewind",
-		obs.A("round", census.Round), obs.A("edge", census.Edge))
+	span := s.obsv.Span("consensus_rewind", obs.A("round", round), obs.A("edge", census.Edge))
 	e.censuses[census.Edge] = census.Counts
 	if err := s.refoldLocked(idx); err != nil {
 		span.End(obs.A("error", err.Error()))
@@ -186,86 +165,30 @@ func (s *Server) handleLateLocked(census transport.Census) (handled, rewound boo
 	s.correctionSeq++
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
-	s.metrics.stateHash.Set(float64(s.stateHashLocked()))
+	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 	s.persistCorrectedLocked(e)
 	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d rounds (correction seq %d)",
-		census.Round, census.Edge, replayed, s.correctionSeq)
+		round, census.Edge, replayed, s.correctionSeq)
 	span.End(obs.A("replayed", replayed), obs.A("seq", s.correctionSeq))
 	return true, true, nil
 }
 
-// collectCorrectionsLocked builds one ratio-correction frame per connected
-// edge not in exclude (the submitters, whose census replies already carry
-// the corrected ratios). Called with s.mu held.
-func (s *Server) collectCorrectionsLocked(exclude ...int) []correctionSend {
-	if len(s.edgeSess) == 0 {
-		return nil
+// pushCorrectionsLocked publishes one ratio-correction frame to every
+// connected edge except the submitters (whose census replies already carry
+// the corrected ratios). The frames are pushed asynchronously: send
+// failures are expected (the edge may have hung up), and the monotonic Seq
+// makes redelivery on the next rewind harmless. Called with s.mu held.
+func (s *Server) pushCorrectionsLocked(submitted []transport.Census) {
+	skip := make(map[int]bool, len(submitted))
+	for i := range submitted {
+		skip[submitted[i].Edge] = true
 	}
-	skip := make(map[int]bool, len(exclude))
-	for _, e := range exclude {
-		skip[e] = true
-	}
-	out := make([]correctionSend, 0, len(s.edgeSess))
-	for i, sess := range s.edgeSess {
-		if skip[i] || i < 0 || i >= s.m {
+	for edge, sess := range s.eng.Sessions() {
+		if skip[edge] {
 			continue
 		}
-		out = append(out, correctionSend{
-			sess: sess,
-			rc: transport.RatioCorrection{
-				Edge:  i,
-				Round: s.eng.Latest(),
-				Seq:   s.correctionSeq,
-				X:     s.fold.X(i),
-			},
-		})
+		rc := transport.RatioCorrection{Edge: edge, Round: s.eng.Latest(), Seq: s.correctionSeq, X: s.fold.X(edge)}
+		s.metrics.corrections.Inc()
+		go func() { _ = sess.Send(transport.KindRatioCorrection, rc) }()
 	}
-	s.metrics.corrections.Add(int64(len(out)))
-	return out
-}
-
-// sendCorrections pushes collected correction frames asynchronously. Send
-// failures are expected (the edge may have hung up); the monotonic Seq makes
-// redelivery on the next rewind harmless.
-func (s *Server) sendCorrections(corrections []correctionSend) {
-	for _, c := range corrections {
-		c := c
-		go func() { _ = c.sess.Send(transport.KindRatioCorrection, c.rc) }()
-	}
-}
-
-// registerEdgeSess remembers the session an edge reports censuses on, so
-// rewinds can push ratio corrections to it.
-func (s *Server) registerEdgeSess(edge int, sess *session.Session) {
-	if edge < 0 || edge >= s.m {
-		return
-	}
-	s.mu.Lock()
-	s.edgeSess[edge] = sess
-	s.mu.Unlock()
-}
-
-// dropEdgeSess forgets every edge registration pointing at sess (the conn
-// closed; a reconnecting edge re-registers with its next census).
-func (s *Server) dropEdgeSess(sess *session.Session) {
-	s.mu.Lock()
-	for edge, es := range s.edgeSess {
-		if es == sess {
-			delete(s.edgeSess, edge)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// equalCounts reports whether two census count vectors are identical.
-func equalCounts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

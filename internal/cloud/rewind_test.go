@@ -3,6 +3,7 @@ package cloud
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -213,7 +214,7 @@ func TestPendingBarrierDuplicateLastWriteWins(t *testing.T) {
 				return false
 			}
 			got, ok := rb.Censuses[0]
-			return ok && equalCounts(got, want)
+			return ok && slices.Equal(got, want)
 		}
 	}
 	var wg sync.WaitGroup
@@ -253,7 +254,7 @@ func TestSubmitRejectsFutureRound(t *testing.T) {
 	c0, c1 := testCounts(0, 7, 10)
 	srv := newLagServer(t, 0)
 	defer srv.Close()
-	srv.SetMaxRoundSkew(4)
+	srv.eng.maxSkew = 4
 	runFullRound(t, srv, 0, c0, c1)
 
 	_, err := srv.Submit(transport.Census{Edge: 0, Round: 100, Counts: c0})

@@ -1,0 +1,119 @@
+package cloud
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/transport"
+	"repro/internal/transport/session"
+)
+
+// Tier is a ratio-answering round owner as the edge-facing session table
+// sees it: the cloud server and a shard coordinator.
+type Tier interface {
+	// Submit records one member's census and blocks until its round
+	// resolves, returning the member's next sharing ratio.
+	Submit(transport.Census) (float64, error)
+	// SubmitBatch is Submit for several members' censuses of one round.
+	SubmitBatch(transport.CensusBatch) (transport.RatioBatch, error)
+}
+
+// ServeSession runs the edge-facing protocol on sess until the connection
+// closes: KindCensus and KindCensusBatch go to the tier and are answered
+// with the ratio frames of step ②, KindLease renews the member's lease,
+// and more lets an owner handle further kinds. A malformed frame is counted
+// and dropped without killing the connection — the edge's next census must
+// still be servable. A refused request is acked back with its error; a
+// round abandoned under the submitter is answered with the members' current
+// ratios so the edge catches up instead of hanging; a closed owner drops
+// the connection. The session each member reports on is remembered as the
+// channel pushed frames (ratio corrections) go back out on.
+func (e *Engine) ServeSession(sess *session.Session, t Tier, more map[transport.Kind]session.Handler) {
+	defer sess.Close()
+	defer e.dropSessions(sess)
+	drop := func(err error) error {
+		e.DropFrame(err)
+		return nil
+	}
+	ack := func(err error) error {
+		if errors.Is(err, transport.ErrClosed) {
+			return err
+		}
+		return sess.Ack(err)
+	}
+	handlers := map[transport.Kind]session.Handler{
+		transport.KindCensus: func(m transport.Message) error {
+			var census transport.Census
+			if err := transport.Decode(m, transport.KindCensus, &census); err != nil {
+				return drop(err)
+			}
+			e.register(sess, []transport.Census{census})
+			x, err := t.Submit(census)
+			if errors.Is(err, ErrRoundAbandoned) {
+				x, err = e.Ratio(census.Edge), nil
+			}
+			if err != nil {
+				return ack(err)
+			}
+			return sess.Send(transport.KindRatio, transport.Ratio{Round: census.Round + 1, X: x})
+		},
+		transport.KindCensusBatch: func(m transport.Message) error {
+			var batch transport.CensusBatch
+			if err := transport.Decode(m, transport.KindCensusBatch, &batch); err != nil {
+				return drop(err)
+			}
+			e.register(sess, batch.Censuses)
+			reply, err := t.SubmitBatch(batch)
+			if errors.Is(err, ErrRoundAbandoned) {
+				reply, err = e.RatioBatch(batch.Round, batch.Censuses), nil
+			}
+			if err != nil {
+				return ack(err)
+			}
+			return sess.Send(transport.KindRatioBatch, reply)
+		},
+		transport.KindLease: func(m transport.Message) error {
+			var lease transport.Lease
+			if err := transport.Decode(m, transport.KindLease, &lease); err != nil {
+				return drop(err)
+			}
+			return ack(e.Renew(lease.Edge, time.Duration(lease.TTLMillis)*time.Millisecond))
+		},
+	}
+	for kind, h := range more {
+		handlers[kind] = h
+	}
+	_ = sess.Serve(handlers, func(m transport.Message) error {
+		return drop(fmt.Errorf("unexpected %s frame", m.Kind))
+	})
+}
+
+// register remembers sess as the session the censuses' members report on.
+// Takes the lock.
+func (e *Engine) register(sess *session.Session, censuses []transport.Census) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range censuses {
+		if edge := censuses[i].Edge; e.cfg.Owns(edge) {
+			e.sessions[edge] = sess
+		}
+	}
+}
+
+// dropSessions forgets every member registration pointing at sess (the
+// conn closed; a reconnecting edge re-registers with its next census).
+// Takes the lock.
+func (e *Engine) dropSessions(sess *session.Session) {
+	e.mu.Lock()
+	for edge, es := range e.sessions {
+		if es == sess {
+			delete(e.sessions, edge)
+		}
+	}
+	e.mu.Unlock()
+}
+
+// Sessions returns the live member → session registrations. Called with
+// the lock held; the map is the kernel's own.
+func (e *Engine) Sessions() map[int]*session.Session { return e.sessions }

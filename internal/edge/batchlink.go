@@ -2,7 +2,6 @@ package edge
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -43,147 +42,40 @@ type BatchLink struct {
 	// link's own sequence check before the callback fires.
 	OnCorrection func(rc transport.RatioCorrection)
 
-	// reqMu serializes whole Report exchanges: a shard coordinator forwards
-	// concurrent rounds and late stragglers over one link, and interleaved
-	// request/reply pairs on a single connection would cross replies between
-	// waiters (a consumed frame is never redelivered to the right exchange).
-	reqMu sync.Mutex
-
-	mu          sync.Mutex
-	conn        transport.Conn
-	dialed      bool
-	lastSeq     int64
-	redials     *obs.Counter // edge_cloud_redials_total
-	reports     *obs.Counter // edge_batch_reports_total
-	corrections *obs.Counter // edge_ratio_corrections_total
+	link
 }
 
-// metricsLocked lazily binds the link's counters to Obs (or a private
-// observer). Called with l.mu held.
-func (l *BatchLink) metricsLocked() {
-	if l.redials != nil {
-		return
-	}
-	o := l.Obs
-	if o == nil {
-		o = obs.New()
-		l.Obs = o
-	}
-	l.redials = o.Counter("edge_cloud_redials_total", "cloud-link reconnects after the first dial")
-	l.reports = o.Counter("edge_batch_reports_total", "census batches submitted upstream (including re-submissions)")
-	l.corrections = o.Counter("edge_ratio_corrections_total", "ratio corrections adopted after cloud fixed-lag rewinds")
+func (l *BatchLink) bound() *link {
+	return l.bind(&l.Obs, "edge_batch_reports_total", "census batches submitted upstream (including re-submissions)")
 }
 
 // Redials returns how many times the link re-established its connection
 // after the first dial.
-func (l *BatchLink) Redials() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.metricsLocked()
-	return int(l.redials.Value())
-}
-
-// Close drops the link's connection, if any.
-func (l *BatchLink) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.conn == nil {
-		return nil
-	}
-	err := l.conn.Close()
-	l.conn = nil
-	return err
-}
-
-// ensureConn returns the live connection, dialing one if needed.
-func (l *BatchLink) ensureConn() (transport.Conn, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.metricsLocked()
-	if l.conn != nil {
-		return l.conn, nil
-	}
-	if l.Dialer == nil {
-		return nil, fmt.Errorf("shard %d: batch link has no dialer", l.Shard)
-	}
-	conn, err := l.Dialer.DialRetry()
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: dialing coordinator: %w", l.Shard, err)
-	}
-	if l.dialed {
-		l.redials.Inc()
-	}
-	l.dialed = true
-	l.conn = conn
-	return conn, nil
-}
-
-// dropConn discards conn if it is still the link's current connection.
-func (l *BatchLink) dropConn(conn transport.Conn) {
-	_ = conn.Close()
-	l.mu.Lock()
-	if l.conn == conn {
-		l.conn = nil
-	}
-	l.mu.Unlock()
-}
+func (l *BatchLink) Redials() int { return l.bound().redialCount() }
 
 // handleOther absorbs non-reply frames that interleave with a batch
-// exchange: ratio corrections are adopted monotonically by sequence,
-// anything else fails the exchange.
+// exchange: ratio corrections for any region are adopted monotonically by
+// sequence, anything else fails the exchange.
 func (l *BatchLink) handleOther(m transport.Message) error {
-	if m.Kind != transport.KindRatioCorrection {
-		return fmt.Errorf("shard %d: unexpected %s frame during batch exchange", l.Shard, m.Kind)
+	rc, fresh, err := l.adoptCorrection(m, -1)
+	if fresh && l.OnCorrection != nil {
+		l.OnCorrection(rc)
 	}
-	var rc transport.RatioCorrection
-	if err := transport.Decode(m, transport.KindRatioCorrection, &rc); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	if rc.Seq <= l.lastSeq {
-		l.mu.Unlock()
-		return nil
-	}
-	l.lastSeq = rc.Seq
-	l.corrections.Inc()
-	cb := l.OnCorrection
-	l.mu.Unlock()
-	if cb != nil {
-		cb(rc)
-	}
-	return nil
+	return err
 }
 
 // Report submits one round's census batch and returns the coordinator's
 // RatioBatch answer (reply.Round = round+1), reconnecting and re-submitting
-// across connection failures.
-func (l *BatchLink) Report(round int, censuses []transport.Census) (transport.RatioBatch, error) {
-	l.reqMu.Lock()
-	defer l.reqMu.Unlock()
+// across connection failures. Exchanges are serialized: a shard coordinator
+// forwards concurrent rounds and late stragglers over one link.
+func (l *BatchLink) Report(round int, censuses []transport.Census) (reply transport.RatioBatch, err error) {
 	batch := transport.CensusBatch{Shard: l.Shard, Round: round, Censuses: censuses}
-	attempts := l.Attempts
-	if attempts <= 0 {
-		attempts = 3
+	err = l.bound().exchange(l.Dialer, l.Attempts, func(conn transport.Conn) (err error) {
+		reply, err = session.ReportCensusBatch(conn, batch, l.ReplyTimeout, l.handleOther)
+		return err
+	})
+	if err != nil {
+		return transport.RatioBatch{}, fmt.Errorf("shard %d: reporting round %d: %w", l.Shard, round, err)
 	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		conn, err := l.ensureConn()
-		if err != nil {
-			return transport.RatioBatch{}, err // the dialer already retried with backoff
-		}
-		l.mu.Lock()
-		l.reports.Inc()
-		l.mu.Unlock()
-		reply, err := session.ReportCensusBatch(conn, batch, l.ReplyTimeout, l.handleOther)
-		if err == nil {
-			return reply, nil
-		}
-		l.dropConn(conn)
-		if !transport.IsConnError(err) {
-			return transport.RatioBatch{}, fmt.Errorf("shard %d: reporting round %d: %w", l.Shard, round, err)
-		}
-		lastErr = err
-	}
-	return transport.RatioBatch{}, fmt.Errorf("shard %d: reporting round %d failed after %d attempts: %w",
-		l.Shard, round, attempts, lastErr)
+	return reply, nil
 }

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -41,142 +40,38 @@ type CloudLink struct {
 	// the monotonic correction sequence before the callback fires.
 	OnCorrection func(round int, x float64)
 
-	mu          sync.Mutex
-	conn        transport.Conn
-	dialed      bool
-	lastSeq     int64        // newest adopted correction sequence
-	redials     *obs.Counter // edge_cloud_redials_total
-	reports     *obs.Counter // edge_cloud_reports_total
-	corrections *obs.Counter // edge_ratio_corrections_total
+	link
 }
 
-// metricsLocked lazily binds the link's counters to Obs (or a private
-// observer). Called with l.mu held.
-func (l *CloudLink) metricsLocked() {
-	if l.redials != nil {
-		return
-	}
-	o := l.Obs
-	if o == nil {
-		o = obs.New()
-		l.Obs = o
-	}
-	l.redials = o.Counter("edge_cloud_redials_total", "cloud-link reconnects after the first dial")
-	l.reports = o.Counter("edge_cloud_reports_total", "censuses submitted to the cloud (including re-submissions)")
-	l.corrections = o.Counter("edge_ratio_corrections_total", "ratio corrections adopted after cloud fixed-lag rewinds")
+func (l *CloudLink) bound() *link {
+	return l.bind(&l.Obs, "edge_cloud_reports_total", "censuses submitted to the cloud (including re-submissions)")
 }
 
 // Redials returns how many times the link re-established its connection
 // after the first dial. It is a typed view over the obs registry
 // (edge_cloud_redials_total).
-func (l *CloudLink) Redials() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.metricsLocked()
-	return int(l.redials.Value())
-}
-
-// Close drops the link's connection, if any.
-func (l *CloudLink) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.conn == nil {
-		return nil
-	}
-	err := l.conn.Close()
-	l.conn = nil
-	return err
-}
-
-// ensureConn returns the live connection, dialing one if needed.
-func (l *CloudLink) ensureConn() (transport.Conn, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.metricsLocked()
-	if l.conn != nil {
-		return l.conn, nil
-	}
-	if l.Dialer == nil {
-		return nil, fmt.Errorf("edge %d: cloud link has no dialer", l.Edge)
-	}
-	conn, err := l.Dialer.DialRetry()
-	if err != nil {
-		return nil, fmt.Errorf("edge %d: dialing cloud: %w", l.Edge, err)
-	}
-	if l.dialed {
-		l.redials.Inc()
-	}
-	l.dialed = true
-	l.conn = conn
-	return conn, nil
-}
-
-// dropConn discards conn if it is still the link's current connection.
-func (l *CloudLink) dropConn(conn transport.Conn) {
-	_ = conn.Close()
-	l.mu.Lock()
-	if l.conn == conn {
-		l.conn = nil
-	}
-	l.mu.Unlock()
-}
+func (l *CloudLink) Redials() int { return l.bound().redialCount() }
 
 // handleOther absorbs non-reply frames that interleave with a census
-// exchange. Ratio corrections are adopted when their sequence advances past
-// the newest one seen — redelivered or reordered frames are no-ops — and
-// anything else fails the exchange, preserving the strict reply discipline.
+// exchange: this region's ratio corrections are adopted monotonically by
+// sequence, anything else fails the exchange.
 func (l *CloudLink) handleOther(m transport.Message) error {
-	if m.Kind != transport.KindRatioCorrection {
-		return fmt.Errorf("edge %d: unexpected %s frame during census exchange", l.Edge, m.Kind)
+	rc, fresh, err := l.adoptCorrection(m, l.Edge)
+	if fresh && l.OnCorrection != nil {
+		l.OnCorrection(rc.Round, rc.X)
 	}
-	var rc transport.RatioCorrection
-	if err := transport.Decode(m, transport.KindRatioCorrection, &rc); err != nil {
-		return err
-	}
-	if rc.Edge != l.Edge {
-		return nil // misrouted frame; the ratio belongs to another region
-	}
-	l.mu.Lock()
-	if rc.Seq <= l.lastSeq {
-		l.mu.Unlock()
-		return nil
-	}
-	l.lastSeq = rc.Seq
-	l.corrections.Inc()
-	cb := l.OnCorrection
-	l.mu.Unlock()
-	if cb != nil {
-		cb(rc.Round, rc.X)
-	}
-	return nil
+	return err
 }
 
 // Report submits one round's census and returns the next sharing ratio,
 // reconnecting and re-submitting across connection failures.
-func (l *CloudLink) Report(round int, counts []int) (float64, error) {
-	attempts := l.Attempts
-	if attempts <= 0 {
-		attempts = 3
+func (l *CloudLink) Report(round int, counts []int) (x float64, err error) {
+	err = l.bound().exchange(l.Dialer, l.Attempts, func(conn transport.Conn) (err error) {
+		x, err = session.ReportCensusWith(conn, l.Edge, round, counts, l.ReplyTimeout, l.handleOther)
+		return err
+	})
+	if err != nil {
+		return 0, fmt.Errorf("edge %d: reporting round %d: %w", l.Edge, round, err)
 	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		conn, err := l.ensureConn()
-		if err != nil {
-			return 0, err // the dialer already retried with backoff
-		}
-		l.mu.Lock()
-		l.reports.Inc()
-		l.mu.Unlock()
-		x, err := session.ReportCensusWith(conn, l.Edge, round, counts, l.ReplyTimeout, l.handleOther)
-		if err == nil {
-			return x, nil
-		}
-		l.dropConn(conn)
-		if !transport.IsConnError(err) {
-			return 0, fmt.Errorf("edge %d: reporting round %d: %w", l.Edge, round, err)
-		}
-		lastErr = err
-	}
-	return 0, fmt.Errorf("edge %d: reporting round %d failed after %d attempts: %w",
-		l.Edge, round, attempts, lastErr)
+	return x, nil
 }

@@ -222,3 +222,60 @@ func TestCloudLinkAdoptsRatioCorrections(t *testing.T) {
 		t.Fatalf("fake cloud: %v", err)
 	}
 }
+
+// TestCloudLinkOutlastsClosingServer: a coordinator that is shutting down
+// keeps its listener open for a moment, accepting and immediately dropping
+// every connection. The dial succeeds each time, so the link must rest a
+// backoff step between attempts — retrying instantly burns all of them in
+// microseconds, long before the restarted server is there to answer.
+func TestCloudLinkOutlastsClosingServer(t *testing.T) {
+	net := transport.NewInprocNetwork()
+	l, err := net.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	go func() {
+		serveAt := time.Now().Add(100 * time.Millisecond)
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			if time.Now().Before(serveAt) {
+				_ = c.Close()
+				continue
+			}
+			go func() {
+				defer c.Close()
+				m, err := c.Recv()
+				if err != nil {
+					return
+				}
+				var census transport.Census
+				if transport.Decode(m, transport.KindCensus, &census) != nil {
+					return
+				}
+				if reply, err := transport.Encode(transport.KindRatio, transport.Ratio{Round: census.Round + 1, X: 0.5}); err == nil {
+					_ = c.Send(reply)
+				}
+			}()
+		}
+	}()
+
+	link := &CloudLink{
+		Edge:         0,
+		Dialer:       &transport.Dialer{Dial: func() (transport.Conn, error) { return net.Dial("cloud") }, Seed: 1},
+		ReplyTimeout: 2 * time.Second,
+		Attempts:     5,
+	}
+	defer link.Close()
+	x, err := link.Report(4, []int{1, 2, 3})
+	if err != nil {
+		t.Fatalf("Report across a closing server: %v", err)
+	}
+	if x != 0.5 {
+		t.Errorf("ratio = %f, want 0.5", x)
+	}
+}

@@ -13,59 +13,27 @@ import (
 // rebuilds its unacked backlog from the records above the watermark. Call
 // before Serve; the node resumes at Latest()+1.
 func (n *Node) Open(stateDir string) error {
-	store, err := durable.Open(stateDir)
-	if err != nil {
-		return err
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.store != nil {
-		store.Close()
-		return fmt.Errorf("gossip: state directory already open (%s)", n.store.Dir())
+	if n.journal != nil {
+		return fmt.Errorf("gossip: state directory already open (%s)", n.journal.Dir())
 	}
-	fromCheckpoint := false
-	snap, ok, err := store.LoadSnapshot()
+	journal, cp, err := n.fold.Recover(stateDir)
 	if err != nil {
-		store.Close()
-		return err
+		return fmt.Errorf("gossip: %w", err)
 	}
-	if ok {
-		cp, err := durable.DecodeCheckpoint(snap)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		cpK := 0
-		if len(cp.State.P) > 0 {
-			cpK = len(cp.State.P[0])
-		}
-		if len(cp.State.P) != n.fold.Regions() || cpK != n.k {
-			store.Close()
-			return fmt.Errorf("gossip: checkpoint in %s has %dx%d state, node configured for %dx%d",
-				stateDir, len(cp.State.P), cpK, n.fold.Regions(), n.k)
-		}
-		if len(cp.FDS.LastShortfall) > 0 {
-			if err := n.fold.SetMemory(cp.FDS); err != nil {
-				store.Close()
-				return fmt.Errorf("gossip: checkpoint in %s: %w", stateDir, err)
-			}
-		}
-		n.fold.SetState(cp.State)
-		n.eng.SetLatest(cp.Round)
+	fromCheckpoint := cp != nil
+	if fromCheckpoint {
+		n.eng.Advance(cp.Round)
 		n.escalated = cp.Escalated
 		if n.failover {
 			n.epoch = cp.Epoch
 			n.leader = n.leaderAt(n.epoch) == n.cfg.Edge
 		}
-		fromCheckpoint = true
 	}
 	retain := n.leader || n.failover
 	replayed := 0
-	_, err = store.Replay(func(payload []byte) error {
-		rec, err := durable.DecodeRound(payload)
-		if err != nil {
-			return err
-		}
+	err = journal.Replay(func(rec durable.RoundRecord) error {
 		if rec.Round <= n.eng.Latest() && fromCheckpoint {
 			// The fold effect is already inside the checkpoint — either a
 			// record a crash between snapshot rename and journal truncate
@@ -80,7 +48,7 @@ func (n *Node) Open(stateDir string) error {
 		if err := n.fold.Apply(rec.Censuses); err != nil {
 			return fmt.Errorf("replaying round %d: %w", rec.Round, err)
 		}
-		n.eng.SetLatest(rec.Round)
+		n.eng.Advance(rec.Round)
 		if retain && rec.Round >= n.escalated {
 			n.pending = append(n.pending, rec)
 		} else if !retain {
@@ -90,7 +58,7 @@ func (n *Node) Open(stateDir string) error {
 		return nil
 	})
 	if err != nil {
-		store.Close()
+		journal.Close()
 		return fmt.Errorf("gossip: journal in %s: %w", stateDir, err)
 	}
 	if replayed > 0 {
@@ -107,15 +75,12 @@ func (n *Node) Open(stateDir string) error {
 	}
 	if fromCheckpoint || replayed > 0 || len(n.pending) > 0 {
 		n.metrics.recoveries.Inc()
-		n.metrics.latestRound.Set(float64(n.eng.Latest()))
-		n.metrics.pendingGauge.Set(float64(len(n.pending)))
-		n.metrics.backlogGauge.Set(float64(len(n.pending)))
+		n.setBacklogLocked()
 		n.metrics.stateHash.Set(float64(n.fold.Hash()))
 		n.logf("gossip: edge %d: recovered state through round %d from %s (%d journal records replayed, %d pending escalation)",
 			n.cfg.Edge, n.eng.Latest(), stateDir, replayed, len(n.pending))
 	}
-	n.store = store
-	n.sinceComp = replayed
+	n.journal = journal
 	return nil
 }
 
@@ -125,26 +90,18 @@ func (n *Node) Open(stateDir string) error {
 // nodes compact by count (their journal only serves their own recovery);
 // the leader compacts on acknowledged escalations instead, because its
 // journal doubles as the unacked-digest backlog. Called with n.mu held;
-// no-op without an open store.
+// no-op without an open journal.
 func (n *Node) persistRoundLocked(rec durable.RoundRecord) {
-	if n.store == nil {
+	if n.journal == nil {
 		return
 	}
-	payload, err := durable.EncodeRound(rec)
-	if err == nil {
-		err = n.store.Append(payload)
+	since, err := n.journal.AppendRound(rec)
+	if err == nil && !n.leader && since >= durable.CompactEvery {
+		err = n.checkpointLocked()
 	}
 	if err != nil {
 		n.metrics.journalErrs.Inc()
 		n.logf("gossip: edge %d: journaling round %d: %v", n.cfg.Edge, rec.Round, err)
-		return
-	}
-	n.sinceComp++
-	if !n.leader && n.sinceComp >= defaultCompactEvery {
-		if err := n.checkpointLocked(); err != nil {
-			n.metrics.journalErrs.Inc()
-			n.logf("gossip: edge %d: compacting after round %d: %v", n.cfg.Edge, rec.Round, err)
-		}
 	}
 }
 
@@ -153,33 +110,13 @@ func (n *Node) persistRoundLocked(rec durable.RoundRecord) {
 // restarted leader re-escalates exactly the unacked backlog. Called with
 // n.mu held.
 func (n *Node) checkpointLocked() error {
-	cp := durable.Checkpoint{
-		Round:     n.eng.Latest(),
-		State:     n.fold.State(),
-		FDS:       n.fold.Memory(),
-		Escalated: n.escalated,
-		Epoch:     n.epoch,
-	}
+	cp := n.fold.Checkpoint(n.eng.Latest())
+	cp.Escalated = n.escalated
+	cp.Epoch = n.epoch
 	payload, err := durable.EncodeCheckpoint(cp)
 	if err != nil {
 		return err
 	}
-	var retained [][]byte
-	for _, rec := range n.pending {
-		b, err := durable.EncodeRound(rec)
-		if err != nil {
-			return err
-		}
-		retained = append(retained, b)
-	}
-	if retained == nil {
-		_, err = n.store.Compact(payload)
-	} else {
-		_, err = n.store.CompactRetain(payload, retained)
-	}
-	if err != nil {
-		return err
-	}
-	n.sinceComp = 0
-	return nil
+	_, err = n.journal.Checkpoint(payload, n.pending)
+	return err
 }

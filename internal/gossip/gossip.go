@@ -28,7 +28,6 @@
 package gossip
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -37,19 +36,11 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/durable"
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/transport/session"
 )
-
-// ErrClosed is returned by LocalRound after Close.
-var ErrClosed = errors.New("gossip: node closed")
-
-// defaultCompactEvery matches the cloud coordinator's journal compaction
-// cadence for nodes that are not their neighborhood's leader (the leader
-// compacts on acknowledged escalations instead, since its journal doubles
-// as the escalation backlog).
-const defaultCompactEvery = 32
 
 // Config assembles a Node. Members must include Edge; the member with the
 // smallest id is the neighborhood's leader and the only escalator.
@@ -113,24 +104,19 @@ type Node struct {
 	epoch     int  // leadership epoch; leader = members[epoch mod len(members)]
 	tentative bool // recovered self-leader holding off until a quiet TTL passes
 	lastBeat  time.Time
-	eng       *cloud.Engine
+	eng       *cloud.Engine // the hood's round barriers, ingest and watermark
 	fold      *cloud.Fold
-	k         int                   // decisions per census
 	escalated int                   // next round the leader will escalate (rounds below are acked)
 	pending   []durable.RoundRecord // unacked rounds, ascending (every member retains them under failover)
-	peers     map[int]*peerLink
-	store     *durable.Store
-	sinceComp int
+	peers     map[int]*edge.PeerLink
+	journal   *durable.Journal
 	cloudX    float64 // latest cloud-published ratio for Edge (observability)
 	cloudSeen bool
 	obsv      *obs.Observer
 	metrics   nodeMetrics
 
-	conns    map[transport.Conn]struct{}
-	closed   chan struct{}
-	once     sync.Once
+	srv      *transport.Acceptor
 	beatOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // nodeMetrics are the node's registry-backed instruments. Counters are
@@ -138,39 +124,39 @@ type Node struct {
 // while per-node gauges carry an edge label so they do not clobber each
 // other.
 type nodeMetrics struct {
-	localRounds  *obs.Counter // gossip_local_rounds_total
-	degraded     *obs.Counter // gossip_degraded_rounds_total
-	peerCensuses *obs.Counter // gossip_peer_censuses_total
-	late         *obs.Counter // gossip_late_peer_censuses_total
-	duplicates   *obs.Counter // gossip_duplicate_censuses_total
-	peerSends    *obs.Counter // gossip_peer_sends_total
-	sendFailures *obs.Counter // gossip_peer_send_failures_total
-	escalations  *obs.Counter // gossip_digest_escalations_total
-	escFailures  *obs.Counter // gossip_escalation_failures_total
-	cloudUpdates *obs.Counter // gossip_cloud_ratio_updates_total
-	journalErrs  *obs.Counter // gossip_journal_errors_total
-	recoveries   *obs.Counter // gossip_recoveries_total
-	replayed     *obs.Counter // gossip_replay_records_total
-	failovers    *obs.Counter // gossip_failovers_total
-	beatsSent    *obs.Counter // gossip_hood_beats_sent_total
-	beatsRecv    *obs.Counter // gossip_hood_beats_received_total
-	beatFailures *obs.Counter // gossip_hood_beat_failures_total
-	backlogDrop  *obs.Counter // gossip_backlog_dropped_total
-	latestRound  *obs.Gauge   // gossip_round_latest{edge}
-	pendingGauge *obs.Gauge   // gossip_pending_rounds{edge}
-	backlogGauge *obs.Gauge   // gossip_escalation_backlog{edge}
-	stateHash    *obs.Gauge   // gossip_state_hash{edge}
+	cloud.Counters              // the kernel's ticks, under the gossip_* names
+	peerCensuses   *obs.Counter // gossip_peer_censuses_total
+	late           *obs.Counter // gossip_late_peer_censuses_total
+	peerSends      *obs.Counter // gossip_peer_sends_total
+	sendFailures   *obs.Counter // gossip_peer_send_failures_total
+	escalations    *obs.Counter // gossip_digest_escalations_total
+	escFailures    *obs.Counter // gossip_escalation_failures_total
+	cloudUpdates   *obs.Counter // gossip_cloud_ratio_updates_total
+	journalErrs    *obs.Counter // gossip_journal_errors_total
+	recoveries     *obs.Counter // gossip_recoveries_total
+	replayed       *obs.Counter // gossip_replay_records_total
+	failovers      *obs.Counter // gossip_failovers_total
+	beatsSent      *obs.Counter // gossip_hood_beats_sent_total
+	beatsRecv      *obs.Counter // gossip_hood_beats_received_total
+	beatFailures   *obs.Counter // gossip_hood_beat_failures_total
+	backlogDrop    *obs.Counter // gossip_backlog_dropped_total
+	pendingGauge   *obs.Gauge   // gossip_pending_rounds{edge}
+	backlogGauge   *obs.Gauge   // gossip_escalation_backlog{edge}
+	stateHash      *obs.Gauge   // gossip_state_hash{edge}
 }
 
 func newNodeMetrics(o *obs.Observer, edge int) nodeMetrics {
 	e := strconv.Itoa(edge)
 	r := o.Registry()
 	return nodeMetrics{
-		localRounds:  o.Counter("gossip_local_rounds_total", "local consensus rounds folded by gossip nodes (degraded or not)"),
-		degraded:     o.Counter("gossip_degraded_rounds_total", "local rounds completed by the deadline with at least one member missing"),
+		Counters: cloud.Counters{
+			Rounds:     o.Counter("gossip_local_rounds_total", "local consensus rounds folded by gossip nodes (degraded or not)"),
+			Degraded:   o.Counter("gossip_degraded_rounds_total", "local rounds completed by the deadline with at least one member missing"),
+			Duplicates: o.Counter("gossip_duplicate_censuses_total", "duplicate peer censuses absorbed without changing a round's fold"),
+			Latest:     r.GaugeVec("gossip_round_latest", "highest completed local round (-1 before the first)", "edge").With(e),
+		},
 		peerCensuses: o.Counter("gossip_peer_censuses_total", "censuses received from neighborhood peers"),
 		late:         o.Counter("gossip_late_peer_censuses_total", "peer censuses for already-completed local rounds, absorbed"),
-		duplicates:   o.Counter("gossip_duplicate_censuses_total", "duplicate peer censuses absorbed without changing a round's fold"),
 		peerSends:    o.Counter("gossip_peer_sends_total", "censuses broadcast to neighborhood peers (including re-sends)"),
 		sendFailures: o.Counter("gossip_peer_send_failures_total", "peer census broadcasts abandoned after redial attempts"),
 		escalations:  o.Counter("gossip_digest_escalations_total", "digests the cloud control plane acknowledged"),
@@ -184,7 +170,6 @@ func newNodeMetrics(o *obs.Observer, edge int) nodeMetrics {
 		beatsRecv:    o.Counter("gossip_hood_beats_received_total", "leader liveness heartbeats received (stale epochs included)"),
 		beatFailures: o.Counter("gossip_hood_beat_failures_total", "heartbeat sends abandoned after redial attempts"),
 		backlogDrop:  o.Counter("gossip_backlog_dropped_total", "oldest backlog rounds shed by the max-backlog cap (permanently unescalated)"),
-		latestRound:  r.GaugeVec("gossip_round_latest", "highest completed local round (-1 before the first)", "edge").With(e),
 		pendingGauge: r.GaugeVec("gossip_pending_rounds", "completed local rounds awaiting cloud acknowledgment", "edge").With(e),
 		backlogGauge: r.GaugeVec("gossip_escalation_backlog", "completed rounds retained for digest escalation (with failover every member mirrors the leader's backlog)", "edge").With(e),
 		stateHash:    r.GaugeVec("gossip_state_hash", "CRC-32C of the node's canonical JSON game state", "edge").With(e),
@@ -226,33 +211,43 @@ func NewNode(cfg Config) (*Node, error) {
 		members:  members,
 		failover: cfg.FailoverTTL > 0,
 		leader:   members[0] == cfg.Edge,
-		eng:      cloud.NewEngine(),
 		fold:     cfg.Fold,
-		k:        cfg.Fold.Decisions(),
-		peers:    make(map[int]*peerLink),
+		peers:    make(map[int]*edge.PeerLink),
 		obsv:     o,
 		metrics:  newNodeMetrics(o, cfg.Edge),
-		conns:    make(map[transport.Conn]struct{}),
-		closed:   make(chan struct{}),
+		srv:      transport.NewAcceptor(),
 	}
+	n.eng = cloud.NewEngine(cloud.EngineConfig{
+		Lock:     &n.mu,
+		Name:     fmt.Sprintf("gossip: edge %d", cfg.Edge),
+		Members:  len(members),
+		Owns:     n.isMember,
+		K:        cfg.Fold.Decisions(),
+		Closed:   n.srv.Closed(),
+		Counters: &n.metrics.Counters,
+		Logf:     cfg.Logf,
+		Span: func(round int) *obs.Span {
+			return n.obsv.Span("gossip_round", obs.A("round", round), obs.A("edge", cfg.Edge))
+		},
+		Complete: n.completeLocalLocked,
+	})
+	n.eng.Deadline = cfg.Deadline
 	for _, m := range members {
 		if m == cfg.Edge {
 			continue
 		}
-		member := m
-		n.peers[m] = &peerLink{
-			member: m,
+		n.peers[m] = &edge.PeerLink{
 			// A short dial schedule: a dead peer must cost less than the
 			// round deadline, not the transport default's two-second cap.
-			dialer: &transport.Dialer{
-				Dial:        func() (transport.Conn, error) { return cfg.PeerDial(member) },
+			Dialer: &transport.Dialer{
+				Dial:        func() (transport.Conn, error) { return cfg.PeerDial(m) },
 				MaxAttempts: 4,
 				BaseDelay:   2 * time.Millisecond,
 				MaxDelay:    50 * time.Millisecond,
 			},
 		}
 	}
-	n.metrics.latestRound.Set(-1)
+	n.metrics.Latest.Set(-1)
 	n.metrics.stateHash.Set(float64(n.fold.Hash()))
 	return n, nil
 }
@@ -264,10 +259,16 @@ func (n *Node) Instrument(o *obs.Observer) {
 	defer n.mu.Unlock()
 	n.obsv = o
 	n.metrics = newNodeMetrics(o, n.cfg.Edge)
-	n.metrics.latestRound.Set(float64(n.eng.Latest()))
+	n.metrics.Latest.Set(float64(n.eng.Latest()))
+	n.setBacklogLocked()
+	n.metrics.stateHash.Set(float64(n.fold.Hash()))
+}
+
+// setBacklogLocked publishes the backlog depth under both of its names.
+// Called with n.mu held.
+func (n *Node) setBacklogLocked() {
 	n.metrics.pendingGauge.Set(float64(len(n.pending)))
 	n.metrics.backlogGauge.Set(float64(len(n.pending)))
-	n.metrics.stateHash.Set(float64(n.fold.Hash()))
 }
 
 // Leader reports whether this node escalates the neighborhood's digests.
@@ -351,30 +352,10 @@ func (n *Node) Serve(l transport.Listener) {
 			n.mu.Lock()
 			n.lastBeat = time.Now()
 			n.mu.Unlock()
-			n.wg.Add(1)
-			go n.failoverLoop()
+			n.srv.Go(n.failoverLoop)
 		})
 	}
-	transport.AcceptLoop(l, n.closed, func(conn transport.Conn) {
-		n.mu.Lock()
-		select {
-		case <-n.closed:
-			n.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		n.conns[conn] = struct{}{}
-		n.wg.Add(1)
-		n.mu.Unlock()
-		go func() {
-			defer n.wg.Done()
-			n.handleConn(conn)
-			n.mu.Lock()
-			delete(n.conns, conn)
-			n.mu.Unlock()
-		}()
-	})
+	n.srv.Serve(l, n.handleConn)
 }
 
 func (n *Node) handleConn(conn transport.Conn) {
@@ -448,8 +429,7 @@ func (n *Node) prunePendingLocked() {
 		}
 	}
 	n.pending = keep
-	n.metrics.pendingGauge.Set(float64(len(n.pending)))
-	n.metrics.backlogGauge.Set(float64(len(n.pending)))
+	n.setBacklogLocked()
 }
 
 // failoverLoop is the node's liveness clock, ticking at a third of the
@@ -460,7 +440,6 @@ func (n *Node) prunePendingLocked() {
 // quiet TTL first, so a successor elected while it was down can demote it
 // before it escalates anything.
 func (n *Node) failoverLoop() {
-	defer n.wg.Done()
 	interval := n.cfg.FailoverTTL / 3
 	if interval <= 0 {
 		interval = time.Millisecond
@@ -469,7 +448,7 @@ func (n *Node) failoverLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-n.closed:
+		case <-n.srv.Closed():
 			return
 		case <-ticker.C:
 			n.tickFailover()
@@ -527,16 +506,7 @@ func (n *Node) tickFailover() {
 		// Drain the dead leader's unescalated rounds immediately — the
 		// takeover half of the failover contract. A partitioned cloud fails
 		// the dial fast; the backlog stays for the next K boundary or Flush.
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			select {
-			case <-n.closed:
-				return
-			default:
-			}
-			_ = n.escalate()
-		}()
+		n.srv.Go(func() { _ = n.escalate() })
 	}
 }
 
@@ -547,13 +517,16 @@ func (n *Node) broadcastBeat(beat transport.HoodBeat) {
 	var wg sync.WaitGroup
 	for _, pl := range n.peers {
 		wg.Add(1)
-		go func(pl *peerLink) {
+		go func() {
 			defer wg.Done()
 			n.metrics.beatsSent.Inc()
-			if err := pl.sendBeat(beat, n.cfg.ReplyTimeout); err != nil {
+			err := pl.Exchange(func(conn transport.Conn) error {
+				return session.SendHoodBeat(conn, beat, n.cfg.ReplyTimeout)
+			})
+			if err != nil {
 				n.metrics.beatFailures.Inc()
 			}
-		}(pl)
+		}()
 	}
 	wg.Wait()
 }
@@ -561,36 +534,18 @@ func (n *Node) broadcastBeat(beat transport.HoodBeat) {
 // SubmitPeer folds one peer's census into the pending local round. Unlike
 // the cloud's Submit it never blocks: the peer only needs receipt, not the
 // round's outcome — each member folds the round itself once its own barrier
-// fills.
+// fills. A census for a local round that already completed (degraded, or a
+// re-send after a redial) is absorbed: the fold moved on.
 func (n *Node) SubmitPeer(census transport.Census) error {
-	if !n.isMember(census.Edge) {
-		return fmt.Errorf("gossip: census from edge %d outside neighborhood %v", census.Edge, n.members)
+	one := [1]transport.Census{census}
+	_, late, err := n.eng.Add(census.Round, one[:])
+	if err == nil {
+		n.metrics.peerCensuses.Inc()
 	}
-	if len(census.Counts) != n.k {
-		return fmt.Errorf("gossip: census from edge %d has %d counts, lattice has %d decisions",
-			census.Edge, len(census.Counts), n.k)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.metrics.peerCensuses.Inc()
-	if census.Round <= n.eng.Latest() {
-		// The local round already completed (degraded, or this is a re-send
-		// after a redial). The fold moved on; receipt is all the peer needs.
+	if late {
 		n.metrics.late.Inc()
-		return nil
 	}
-	rb, ok := n.eng.Barrier(census.Round)
-	if !ok {
-		span := n.obsv.Span("gossip_round", obs.A("round", census.Round), obs.A("edge", n.cfg.Edge))
-		rb = n.eng.Open(census.Round, span, n.cfg.Deadline, n.expireRound)
-	}
-	if rb.Add(census.Edge, census.Counts) {
-		n.metrics.duplicates.Inc()
-	}
-	if rb.Size() == len(n.members) {
-		n.completeLocalLocked(census.Round, rb, false)
-	}
-	return nil
+	return err
 }
 
 func (n *Node) isMember(edge int) bool {
@@ -602,68 +557,41 @@ func (n *Node) isMember(edge int) bool {
 	return false
 }
 
-// expireRound completes a still-pending local round in degraded mode when
-// its deadline fires (a dead or partitioned member).
-func (n *Node) expireRound(round int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rb, ok := n.eng.Barrier(round)
-	if !ok {
-		return
-	}
-	select {
-	case <-rb.Done:
-		return
-	default:
-	}
-	n.completeLocalLocked(round, rb, true)
-}
-
 // LocalRound runs this node's part of one local consensus round: it adds its
 // own census to the round barrier, broadcasts the census to every peer, and
 // blocks until the barrier fills (or its deadline degrades it), returning
 // the region's next sharing ratio from the local fold. A census for an
-// already-completed round returns the current ratio immediately.
+// already-completed round returns the current ratio immediately. After
+// Close it fails with transport.ErrClosed.
 func (n *Node) LocalRound(round int, counts []int) (float64, error) {
-	if len(counts) != n.k {
-		return 0, fmt.Errorf("gossip: edge %d census has %d counts, lattice has %d decisions",
-			n.cfg.Edge, len(counts), n.k)
+	one := [1]transport.Census{{Edge: n.cfg.Edge, Round: round, Counts: counts}}
+	rb, late, err := n.eng.Add(round, one[:])
+	if err != nil {
+		return 0, err
 	}
-	n.mu.Lock()
-	if round <= n.eng.Latest() {
+	if late {
 		// Completed while this node was down or behind; serve the current
 		// policy so the caller catches up to Latest()+1.
-		x := n.fold.X(n.cfg.Edge)
-		n.mu.Unlock()
-		return x, nil
+		return n.X(), nil
 	}
-	rb, ok := n.eng.Barrier(round)
-	if !ok {
-		span := n.obsv.Span("gossip_round", obs.A("round", round), obs.A("edge", n.cfg.Edge))
-		rb = n.eng.Open(round, span, n.cfg.Deadline, n.expireRound)
-	}
-	if rb.Add(n.cfg.Edge, counts) {
-		n.metrics.duplicates.Inc()
-	}
-	if rb.Size() == len(n.members) {
-		n.completeLocalLocked(round, rb, false)
-	}
-	n.mu.Unlock()
 
 	// Broadcast outside the lock: peer barriers fill from these sends the
 	// way ours fills from theirs. Sends run concurrently per peer; each
 	// link serializes its own rounds, so per-peer order is preserved.
 	var sendWG sync.WaitGroup
-	for _, pl := range n.peers {
+	for member, pl := range n.peers {
 		sendWG.Add(1)
-		go func(pl *peerLink) {
+		go func() {
 			defer sendWG.Done()
 			n.metrics.peerSends.Inc()
-			if err := pl.send(n.cfg.Edge, round, counts, n.cfg.ReplyTimeout); err != nil {
+			err := pl.Exchange(func(conn transport.Conn) error {
+				return session.GossipCensus(conn, n.cfg.Edge, round, counts, n.cfg.ReplyTimeout)
+			})
+			if err != nil {
 				n.metrics.sendFailures.Inc()
-				n.logf("gossip: edge %d: census to peer %d round %d: %v", n.cfg.Edge, pl.member, round, err)
+				n.logf("gossip: edge %d: census to peer %d round %d: %v", n.cfg.Edge, member, round, err)
 			}
-		}(pl)
+		}()
 	}
 	sendWG.Wait()
 
@@ -672,8 +600,8 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 		if rb.Err != nil {
 			return 0, rb.Err
 		}
-	case <-n.closed:
-		return 0, ErrClosed
+	case <-n.srv.Closed():
+		return 0, transport.ErrClosed
 	}
 
 	n.mu.Lock()
@@ -686,14 +614,17 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 	return x, nil
 }
 
-// completeLocalLocked folds the round, journals it, and releases its
-// waiters. The journal append fsyncs before Done closes, so a ratio served
-// to a vehicle is always recoverable — the same write discipline as the
-// cloud coordinator. Called with n.mu held.
-func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) {
+// completeLocalLocked is the kernel's Complete hook: fold the round, journal
+// it, release its waiters. The journal append fsyncs before Done closes, so
+// a ratio served to a vehicle is always recoverable — the same write
+// discipline as the cloud coordinator. Called with n.mu held.
+func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
 	rb.Err = n.fold.Apply(rb.Censuses)
 	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
-	n.persistRoundLocked(rec)
+	// Watermark and backlog move before journaling: a compaction inside
+	// persist snapshots Latest() as the checkpoint round over a state that
+	// already includes this round's fold, and retains the backlog.
+	n.eng.Advance(round)
 	if n.leader || n.failover {
 		// With failover every member mirrors the backlog: a follower promoted
 		// after the leader dies must hold the rounds the leader never
@@ -712,24 +643,11 @@ func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) 
 	} else {
 		n.escalated = round + 1
 	}
-	if round > n.eng.Latest() {
-		n.eng.SetLatest(round)
-	}
-	abandoned := n.eng.Complete(round, rb, degraded)
-	n.metrics.localRounds.Inc()
-	n.metrics.latestRound.Set(float64(n.eng.Latest()))
-	n.metrics.pendingGauge.Set(float64(len(n.pending)))
-	n.metrics.backlogGauge.Set(float64(len(n.pending)))
+	n.persistRoundLocked(rec)
+	n.setBacklogLocked()
 	n.metrics.stateHash.Set(float64(n.fold.Hash()))
-	if degraded {
-		n.metrics.degraded.Inc()
-		n.logf("gossip: edge %d: round %d completed degraded with %d/%d members",
-			n.cfg.Edge, round, rb.Size(), len(n.members))
-	}
-	rb.Span.End(obs.A("degraded", degraded), obs.A("members", rb.Size()), obs.A("of", len(n.members)))
-	for _, a := range abandoned {
-		a.Barrier.Span.End(obs.A("abandoned", true), obs.A("superseded_by", round))
-	}
+	n.eng.Release(round, rb, degraded)
+	return nil
 }
 
 // Flush escalates every pending round immediately, regardless of the K
@@ -770,13 +688,9 @@ func (n *Node) escalate() error {
 		Rounds:       make([]transport.DigestRound, 0, len(n.pending)),
 	}
 	for _, rec := range n.pending {
-		dr := transport.DigestRound{Round: rec.Round, Degraded: rec.Degraded}
-		for _, m := range n.members {
-			if counts, ok := rec.Censuses[m]; ok {
-				dr.Censuses = append(dr.Censuses, transport.Census{Edge: m, Round: rec.Round, Counts: counts})
-			}
-		}
-		d.Rounds = append(d.Rounds, dr)
+		d.Rounds = append(d.Rounds, transport.DigestRound{
+			Round: rec.Round, Degraded: rec.Degraded, Censuses: cloud.SortedCensuses(rec.Round, rec.Censuses),
+		})
 	}
 	last := d.Rounds[len(d.Rounds)-1].Round
 	n.mu.Unlock()
@@ -818,9 +732,8 @@ func (n *Node) escalate() error {
 		n.escalated = last + 1
 	}
 	n.metrics.escalations.Inc()
-	n.metrics.pendingGauge.Set(float64(len(n.pending)))
-	n.metrics.backlogGauge.Set(float64(len(n.pending)))
-	if n.store != nil {
+	n.setBacklogLocked()
+	if n.journal != nil {
 		if err := n.checkpointLocked(); err != nil {
 			n.metrics.journalErrs.Inc()
 			n.logf("gossip: edge %d: compacting after escalation through round %d: %v", n.cfg.Edge, last, err)
@@ -834,84 +747,16 @@ func (n *Node) escalate() error {
 // connections close. It does not Flush; callers wanting the backlog on the
 // cloud call Flush first.
 func (n *Node) Close() {
-	n.once.Do(func() {
-		close(n.closed)
+	n.srv.Close(func() {
 		n.mu.Lock()
-		for _, a := range n.eng.FailAll(ErrClosed) {
-			a.Barrier.Span.End(obs.A("closed", true))
-		}
-		for conn := range n.conns {
-			conn.Close()
-		}
-		n.conns = make(map[transport.Conn]struct{})
+		defer n.mu.Unlock()
+		n.eng.Stop()
 		for _, pl := range n.peers {
-			pl.close()
+			pl.Close()
 		}
-		if n.store != nil {
-			_ = n.store.Close()
-			n.store = nil
+		if n.journal != nil {
+			_ = n.journal.Close()
+			n.journal = nil
 		}
-		n.mu.Unlock()
 	})
-	n.wg.Wait()
-}
-
-// peerLink maintains one lazily-dialed connection to a neighborhood peer,
-// re-dialing and re-sending across connection failures (the CloudLink
-// discipline, without the ratio reply).
-type peerLink struct {
-	member int
-	dialer *transport.Dialer
-
-	mu   sync.Mutex
-	conn transport.Conn
-}
-
-func (p *peerLink) send(edge, round int, counts []int, timeout time.Duration) error {
-	return p.exchange(func(conn transport.Conn) error {
-		return session.GossipCensus(conn, edge, round, counts, timeout)
-	})
-}
-
-func (p *peerLink) sendBeat(beat transport.HoodBeat, timeout time.Duration) error {
-	return p.exchange(func(conn transport.Conn) error {
-		return session.SendHoodBeat(conn, beat, timeout)
-	})
-}
-
-// exchange runs one acked frame exchange over the link, re-dialing and
-// re-sending across connection failures.
-func (p *peerLink) exchange(fn func(transport.Conn) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if p.conn == nil {
-			conn, err := p.dialer.DialRetry()
-			if err != nil {
-				return err // the dialer already retried with backoff
-			}
-			p.conn = conn
-		}
-		err := fn(p.conn)
-		if err == nil {
-			return nil
-		}
-		p.conn.Close()
-		p.conn = nil
-		if !transport.IsConnError(err) {
-			return err
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("gossip: exchange with peer %d failed after 3 attempts: %w", p.member, lastErr)
-}
-
-func (p *peerLink) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-	}
 }

@@ -2,9 +2,7 @@ package shard
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,13 +13,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/transport/session"
 )
-
-// defaultCompactEvery matches the cloud coordinator's compaction cadence.
-const defaultCompactEvery = 32
-
-// defaultMaxRoundSkew bounds how far ahead of the shard's completed
-// watermark a census may run before Submit rejects it.
-const defaultMaxRoundSkew = 1024
 
 // Config describes one shard coordinator's slice of the consensus tier.
 type Config struct {
@@ -54,78 +45,54 @@ type Coordinator struct {
 	cfg   Config
 	owned map[int]bool
 
-	mu         sync.Mutex
-	eng        *cloud.Engine
-	forwarding map[int]bool        // rounds mid-forward (barrier frozen)
-	ratios     map[int]float64     // latest adopted ratio per owned region
-	edgeSess   map[int]*session.Session
-	obsv       *obs.Observer
-	metrics    coordinatorMetrics
-	conns      map[transport.Conn]struct{}
-	closed     chan struct{}
-	once       sync.Once
-	wg         sync.WaitGroup
+	mu      sync.Mutex
+	eng     *cloud.Engine   // roster, round barriers, ingest, forwarded-round watermark
+	ratios  map[int]float64 // latest adopted ratio per owned region
+	obsv    *obs.Observer
+	metrics coordinatorMetrics
+	srv     *transport.Acceptor
 
-	// Durability (nil store = in-memory only; see Open).
-	store        *durable.Store
-	compactEvery int
-	sinceCompact int
-	lastRec      *durable.RoundRecord // newest journaled round, for re-forward
-
-	// Membership leases over the owned group, mirroring the cloud's.
-	leases  map[int]*leaseEntry
-	leasing bool
-}
-
-type leaseEntry struct {
-	expiry time.Time
-	timer  *time.Timer
-	live   bool
+	// Durability (nil journal = in-memory only; see Open).
+	journal *durable.Journal
+	lastRec *durable.RoundRecord // newest journaled round, for re-forward
 }
 
 type coordinatorMetrics struct {
-	rounds          *obs.Counter // shard_rounds_total
-	degraded        *obs.Counter // shard_degraded_rounds_total
-	abandoned       *obs.Counter // shard_abandoned_rounds_total
+	cloud.Counters               // the kernel's ticks, under the shard_* / lease_* names
 	late            *obs.Counter // shard_late_censuses_total
-	duplicates      *obs.Counter // shard_duplicate_censuses_total
-	decodeFailures  *obs.Counter // shard_decode_failures_total
 	forwards        *obs.Counter // shard_forwards_total
 	forwardFailures *obs.Counter // shard_forward_failures_total
 	corrections     *obs.Counter // shard_ratio_corrections_total
-	latestRound     *obs.Gauge   // shard_round_latest
 	regionsOwned    *obs.Gauge   // shard_regions_owned
-	roundDuration   *obs.Histogram // shard_round_duration_seconds
 	recoveries      *obs.Counter // durable_recoveries_total
 	replayRecords   *obs.Counter // journal_replay_records_total
 	journalErrors   *obs.Counter // durable_journal_errors_total
 	checkpointSize  *obs.Gauge   // checkpoint_bytes
-	leaseRenewals   *obs.Counter // lease_renewals_total
-	leaseEvictions  *obs.Counter // lease_evictions_total
-	leasesLive      *obs.Gauge   // shard_leases_live
 }
 
 func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
 	return coordinatorMetrics{
-		rounds:          o.Counter("shard_rounds_total", "shard rounds forwarded upstream and answered"),
-		degraded:        o.Counter("shard_degraded_rounds_total", "shard rounds forwarded by the deadline with owned regions missing"),
-		abandoned:       o.Counter("shard_abandoned_rounds_total", "stale shard barriers evicted when a newer round completed first"),
+		Counters: cloud.Counters{
+			Rounds:         o.Counter("shard_rounds_total", "shard rounds forwarded upstream and answered"),
+			Degraded:       o.Counter("shard_degraded_rounds_total", "shard rounds forwarded by the deadline with owned regions missing"),
+			Abandoned:      o.Counter("shard_abandoned_rounds_total", "stale shard barriers evicted when a newer round completed first"),
+			Duplicates:     o.Counter("shard_duplicate_censuses_total", "duplicate censuses absorbed by a pending shard barrier"),
+			BadCensus:      o.Counter("shard_decode_failures_total", "malformed frames dropped by shard connection handlers"),
+			LeaseRenewals:  o.Counter("lease_renewals_total", "edge membership lease registrations and renewals"),
+			LeaseEvictions: o.Counter("lease_evictions_total", "edges evicted from the shard quorum by lease expiry"),
+			LeasesLive:     o.Gauge("shard_leases_live", "owned edges currently holding a live membership lease"),
+			Latest:         o.Gauge("shard_round_latest", "highest round this shard has forwarded and adopted (-1 before the first)"),
+			RoundDuration:  o.Histogram("shard_round_duration_seconds", "first census to adopted aggregator reply", nil),
+		},
 		late:            o.Counter("shard_late_censuses_total", "censuses for already-forwarded rounds, relayed upstream individually"),
-		duplicates:      o.Counter("shard_duplicate_censuses_total", "duplicate censuses absorbed by a pending shard barrier"),
-		decodeFailures:  o.Counter("shard_decode_failures_total", "malformed frames dropped by shard connection handlers"),
 		forwards:        o.Counter("shard_forwards_total", "census batches forwarded to the aggregation tier"),
 		forwardFailures: o.Counter("shard_forward_failures_total", "upstream forwards that failed after the link's retries"),
 		corrections:     o.Counter("shard_ratio_corrections_total", "ratio corrections relayed from the aggregator to owned edges"),
-		latestRound:     o.Gauge("shard_round_latest", "highest round this shard has forwarded and adopted (-1 before the first)"),
 		regionsOwned:    o.Gauge("shard_regions_owned", "regions assigned to this shard by the hash ring"),
-		roundDuration:   o.Histogram("shard_round_duration_seconds", "first census to adopted aggregator reply", nil),
 		recoveries:      o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords:   o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
 		journalErrors:   o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
 		checkpointSize:  o.Gauge("checkpoint_bytes", "size of the last checkpoint written or recovered"),
-		leaseRenewals:   o.Counter("lease_renewals_total", "edge membership lease registrations and renewals"),
-		leaseEvictions:  o.Counter("lease_evictions_total", "edges evicted from the shard quorum by lease expiry"),
-		leasesLive:      o.Gauge("shard_leases_live", "owned edges currently holding a live membership lease"),
 	}
 }
 
@@ -145,23 +112,33 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	o := obs.New()
 	c := &Coordinator{
-		cfg:          cfg,
-		owned:        make(map[int]bool, len(cfg.Regions)),
-		eng:          cloud.NewEngine(),
-		forwarding:   make(map[int]bool),
-		ratios:       make(map[int]float64, len(cfg.Regions)),
-		edgeSess:     make(map[int]*session.Session),
-		obsv:         o,
-		metrics:      newCoordinatorMetrics(o),
-		conns:        make(map[transport.Conn]struct{}),
-		closed:       make(chan struct{}),
-		compactEvery: defaultCompactEvery,
-		leases:       make(map[int]*leaseEntry),
+		cfg:     cfg,
+		owned:   make(map[int]bool, len(cfg.Regions)),
+		ratios:  make(map[int]float64, len(cfg.Regions)),
+		obsv:    o,
+		metrics: newCoordinatorMetrics(o),
+		srv:     transport.NewAcceptor(),
 	}
 	for _, r := range cfg.Regions {
 		c.owned[r] = true
 	}
-	c.metrics.latestRound.Set(-1)
+	c.eng = cloud.NewEngine(cloud.EngineConfig{
+		Lock:     &c.mu,
+		Name:     fmt.Sprintf("shard %d", cfg.ID),
+		Members:  len(cfg.Regions),
+		Owns:     func(edge int) bool { return c.owned[edge] },
+		K:        cfg.K,
+		Closed:   c.srv.Closed(),
+		Counters: &c.metrics.Counters,
+		Logf:     cfg.Logf,
+		Span: func(round int) *obs.Span {
+			return c.obsv.Span("shard_round", obs.A("shard", cfg.ID), obs.A("round", round))
+		},
+		Complete: c.beginCompleteLocked,
+		Ratio:    func(edge int) float64 { return c.ratios[edge] },
+	})
+	c.eng.Deadline = cfg.Deadline
+	c.metrics.Latest.Set(-1)
 	c.metrics.regionsOwned.Set(float64(len(cfg.Regions)))
 	cfg.Upstream.OnCorrection = c.routeCorrection
 	return c, nil
@@ -174,7 +151,7 @@ func (c *Coordinator) Instrument(o *obs.Observer) {
 	defer c.mu.Unlock()
 	c.obsv = o
 	c.metrics = newCoordinatorMetrics(o)
-	c.metrics.latestRound.Set(float64(c.eng.Latest()))
+	c.metrics.Latest.Set(float64(c.eng.Latest()))
 	c.metrics.regionsOwned.Set(float64(len(c.cfg.Regions)))
 }
 
@@ -193,21 +170,6 @@ func (c *Coordinator) Latest() int {
 	return c.eng.Latest()
 }
 
-// Regions returns the shard's owned region group.
-func (c *Coordinator) Regions() []int {
-	out := make([]int, len(c.cfg.Regions))
-	copy(out, c.cfg.Regions)
-	return out
-}
-
-// SetCompactEvery tunes how many journaled rounds trigger a snapshot
-// compaction (default 32; 0 or negative disables compaction).
-func (c *Coordinator) SetCompactEvery(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.compactEvery = n
-}
-
 func (c *Coordinator) logf(format string, args ...interface{}) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)
@@ -215,430 +177,134 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 }
 
 // Serve accepts downstream connections (edge CloudLinks and batching load
-// generators) until the listener closes. Run in a goroutine.
+// generators) until the listener closes, serving each with the kernel's
+// session table. Run in a goroutine.
 func (c *Coordinator) Serve(l transport.Listener) {
-	transport.AcceptLoop(l, c.closed, func(conn transport.Conn) {
-		c.mu.Lock()
-		select {
-		case <-c.closed:
-			c.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		c.conns[conn] = struct{}{}
-		c.wg.Add(1)
-		c.mu.Unlock()
-		go func() {
-			defer c.wg.Done()
-			c.handleConn(conn)
-			c.mu.Lock()
-			delete(c.conns, conn)
-			c.mu.Unlock()
-		}()
-	})
+	c.srv.Serve(l, func(conn transport.Conn) { c.eng.ServeSession(session.Wrap(conn), c, nil) })
 }
 
 // Close shuts the coordinator down: pending barriers fail, connections
-// close, lease timers stop, and the durable store is released.
+// close, lease timers stop, and the journal is released.
 func (c *Coordinator) Close() {
-	c.once.Do(func() {
-		close(c.closed)
+	c.srv.Close(func() {
 		c.mu.Lock()
-		for _, a := range c.eng.FailAll(transport.ErrClosed) {
-			a.Barrier.Span.End(obs.A("closed", true))
+		defer c.mu.Unlock()
+		c.eng.Stop()
+		if c.journal != nil {
+			_ = c.journal.Close()
 		}
-		for _, e := range c.leases {
-			if e.timer != nil {
-				e.timer.Stop()
-			}
-		}
-		for conn := range c.conns {
-			conn.Close()
-		}
-		c.conns = make(map[transport.Conn]struct{})
-		if c.store != nil {
-			_ = c.store.Close()
-		}
-		c.mu.Unlock()
-	})
-	c.wg.Wait()
-}
-
-func (c *Coordinator) handleConn(conn transport.Conn) {
-	sess := session.Wrap(conn)
-	defer sess.Close()
-	defer c.dropEdgeSess(sess)
-	dropFrame := func(err error) error {
-		c.mu.Lock()
-		c.metrics.decodeFailures.Inc()
-		c.mu.Unlock()
-		c.logf("shard %d: dropping malformed frame: %v", c.cfg.ID, err)
-		return nil
-	}
-	_ = sess.Serve(map[transport.Kind]session.Handler{
-		transport.KindCensus: func(m transport.Message) error {
-			var census transport.Census
-			if err := transport.Decode(m, transport.KindCensus, &census); err != nil {
-				return dropFrame(err)
-			}
-			c.registerEdgeSess(census.Edge, sess)
-			x, err := c.Submit(census)
-			switch {
-			case err == nil:
-			case errors.Is(err, cloud.ErrRoundAbandoned):
-				c.mu.Lock()
-				x = c.ratios[census.Edge]
-				c.mu.Unlock()
-			case errors.Is(err, transport.ErrClosed):
-				return err
-			default:
-				_ = sess.Ack(err)
-				return nil
-			}
-			return sess.Send(transport.KindRatio, transport.Ratio{Round: census.Round + 1, X: x})
-		},
-		transport.KindCensusBatch: func(m transport.Message) error {
-			var batch transport.CensusBatch
-			if err := transport.Decode(m, transport.KindCensusBatch, &batch); err != nil {
-				return dropFrame(err)
-			}
-			for _, cs := range batch.Censuses {
-				c.registerEdgeSess(cs.Edge, sess)
-			}
-			reply, err := c.SubmitBatch(batch)
-			switch {
-			case err == nil:
-			case errors.Is(err, cloud.ErrRoundAbandoned):
-				c.mu.Lock()
-				reply = c.ratioBatchLocked(batch)
-				c.mu.Unlock()
-			case errors.Is(err, transport.ErrClosed):
-				return err
-			default:
-				_ = sess.Ack(err)
-				return nil
-			}
-			return sess.Send(transport.KindRatioBatch, reply)
-		},
-		transport.KindLease: func(m transport.Message) error {
-			var lease transport.Lease
-			if err := transport.Decode(m, transport.KindLease, &lease); err != nil {
-				return dropFrame(err)
-			}
-			err := c.RenewLease(lease.Edge, time.Duration(lease.TTLMillis)*time.Millisecond)
-			if errors.Is(err, transport.ErrClosed) {
-				return err
-			}
-			return sess.Ack(err)
-		},
-	}, func(m transport.Message) error {
-		return dropFrame(fmt.Errorf("unexpected %s frame on shard connection", m.Kind))
 	})
 }
 
-// validate rejects a census outside the shard's group or lattice shape.
-func (c *Coordinator) validate(census transport.Census) error {
-	if !c.owned[census.Edge] {
-		return fmt.Errorf("shard %d: census from region %d outside owned group", c.cfg.ID, census.Edge)
-	}
-	if len(census.Counts) != c.cfg.K {
-		return fmt.Errorf("%w: edge %d sent %d counts, lattice has %d decisions",
-			cloud.ErrBadCensus, census.Edge, len(census.Counts), c.cfg.K)
-	}
-	return nil
-}
-
-// forward is one completed barrier on its way upstream, built under the
-// lock and executed outside it.
-type forward struct {
-	round    int
-	rb       *cloud.Barrier
-	degraded bool
-	censuses []transport.Census
+// RenewLease registers or renews an owned edge's membership lease, with
+// the cloud coordinator's quorum semantics within the shard's region group
+// (see cloud.Engine.Renew).
+func (c *Coordinator) RenewLease(edgeID int, ttl time.Duration) error {
+	return c.eng.Renew(edgeID, ttl)
 }
 
 // Submit records one owned region's census and blocks until the round's
 // batch has been forwarded upstream and the aggregator's answer adopted —
-// then returns the region's next global-fold sharing ratio. A census for an
-// already-forwarded round is relayed upstream as a single-census batch (the
-// aggregator absorbs duplicates or rewinds its lag window) and answered
-// from the aggregator's reply.
+// then returns the region's next global-fold sharing ratio. It is a
+// one-census call into the same path as SubmitBatch.
 func (c *Coordinator) Submit(census transport.Census) (float64, error) {
-	if err := c.validate(census); err != nil {
+	one := [1]transport.Census{census}
+	if err := c.ingest(census.Round, one[:]); err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	if census.Round <= c.eng.Latest() {
-		c.metrics.late.Inc()
-		c.mu.Unlock()
-		reply, err := c.forwardLate(census)
-		if err != nil {
-			return 0, err
-		}
-		return c.ratioFor(reply, census.Edge)
-	}
-	if census.Round > c.eng.Latest()+defaultMaxRoundSkew {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("%w: round %d is beyond latest %d + skew %d",
-			cloud.ErrFutureRound, census.Round, c.eng.Latest(), defaultMaxRoundSkew)
-	}
-	rb, missed, fw := c.insertLocked(census)
-	c.mu.Unlock()
-	if fw != nil {
-		c.finishForward(fw)
-	}
-
-	select {
-	case <-rb.Done:
-		if rb.Err != nil {
-			return 0, rb.Err
-		}
-		if missed {
-			// The census arrived while the round's batch was already in
-			// flight: relay it upstream on its own so the global fold sees
-			// it (rewinding if needed), and answer from that exchange.
-			c.mu.Lock()
-			c.metrics.late.Inc()
-			c.mu.Unlock()
-			reply, err := c.forwardLate(census)
-			if err != nil {
-				return 0, err
-			}
-			return c.ratioFor(reply, census.Edge)
-		}
-		c.mu.Lock()
-		x := c.ratios[census.Edge]
-		c.mu.Unlock()
-		return x, nil
-	case <-c.closed:
-		return 0, transport.ErrClosed
-	}
+	return c.eng.Ratio(census.Edge), nil
 }
 
 // SubmitBatch records several owned regions' censuses in one call (a load
 // generator multiplexing a region group over one connection) and answers
 // them all from the adopted aggregator reply.
 func (c *Coordinator) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch, error) {
-	if len(batch.Censuses) == 0 {
-		return transport.RatioBatch{}, fmt.Errorf("shard %d: empty census batch", c.cfg.ID)
+	if err := c.ingest(batch.Round, batch.Censuses); err != nil {
+		return transport.RatioBatch{}, err
 	}
-	for _, cs := range batch.Censuses {
-		if cs.Round != batch.Round {
-			return transport.RatioBatch{}, fmt.Errorf("shard %d: batch for round %d carries a census for round %d (edge %d)",
-				c.cfg.ID, batch.Round, cs.Round, cs.Edge)
-		}
-		if err := c.validate(cs); err != nil {
-			return transport.RatioBatch{}, err
-		}
-	}
-	c.mu.Lock()
-	if batch.Round <= c.eng.Latest() {
-		c.metrics.late.Add(int64(len(batch.Censuses)))
-		c.mu.Unlock()
-		reply, err := c.upstreamReport(batch.Round, batch.Censuses)
-		if err != nil {
-			return transport.RatioBatch{}, err
-		}
-		c.adoptReply(reply)
-		return c.replyFor(reply, batch)
-	}
-	if batch.Round > c.eng.Latest()+defaultMaxRoundSkew {
-		c.mu.Unlock()
-		return transport.RatioBatch{}, fmt.Errorf("%w: round %d is beyond latest %d + skew %d",
-			cloud.ErrFutureRound, batch.Round, c.eng.Latest(), defaultMaxRoundSkew)
-	}
-	var rb *cloud.Barrier
-	var fw *forward
-	missed := false
-	for i, cs := range batch.Censuses {
-		b, m, f := c.insertLocked(cs)
-		if i == 0 {
-			rb = b
-		}
-		missed = missed || m
-		if f != nil {
-			fw = f
-		}
-	}
-	c.mu.Unlock()
-	if fw != nil {
-		c.finishForward(fw)
-	}
-
-	select {
-	case <-rb.Done:
-		if rb.Err != nil {
-			return transport.RatioBatch{}, rb.Err
-		}
-		if missed {
-			c.mu.Lock()
-			c.metrics.late.Add(int64(len(batch.Censuses)))
-			c.mu.Unlock()
-			reply, err := c.upstreamReport(batch.Round, batch.Censuses)
-			if err != nil {
-				return transport.RatioBatch{}, err
-			}
-			c.adoptReply(reply)
-			return c.replyFor(reply, batch)
-		}
-		c.mu.Lock()
-		reply := c.ratioBatchLocked(batch)
-		c.mu.Unlock()
-		return reply, nil
-	case <-c.closed:
-		return transport.RatioBatch{}, transport.ErrClosed
-	}
+	return c.eng.RatioBatch(batch.Round, batch.Censuses), nil
 }
 
-// insertLocked adds one validated census to its round's barrier, opening
-// the barrier if needed, and begins the upstream forward when the quorum
-// fills. missed reports that the round's batch was already in flight when
-// the census arrived (the caller must relay it upstream itself after the
-// barrier resolves). Called with c.mu held.
-func (c *Coordinator) insertLocked(census transport.Census) (rb *cloud.Barrier, missed bool, fw *forward) {
-	rb, ok := c.eng.Barrier(census.Round)
-	if !ok {
-		span := c.obsv.Span("shard_round", obs.A("shard", c.cfg.ID), obs.A("round", census.Round))
-		rb = c.eng.Open(census.Round, span, c.cfg.Deadline, c.expireRound)
+// ingest runs one round's censuses through the kernel. Censuses that
+// missed their round's forward — it had already been adopted, or its batch
+// was in flight when they arrived — are relayed upstream on their own (the
+// aggregator absorbs duplicates or rewinds its lag window) and the reply
+// adopted, so the global fold sees them and the caller answers from it.
+func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
+	late, err := c.eng.Submit(round, censuses)
+	if !late || err != nil {
+		return err
 	}
-	if c.forwarding[census.Round] {
-		return rb, true, nil
-	}
-	rb.Span.Event("census", obs.A("edge", census.Edge))
-	if rb.Add(census.Edge, census.Counts) {
-		c.metrics.duplicates.Inc()
-	}
-	if c.quorumMetLocked(rb) {
-		fw = c.beginCompleteLocked(census.Round, rb, rb.Size() < len(c.cfg.Regions))
-	}
-	return rb, false, fw
+	c.metrics.late.Add(int64(len(censuses)))
+	// The link retains what it sends; a copy keeps Submit's one-census view
+	// off the heap on the common path.
+	return c.relay(round, append([]transport.Census(nil), censuses...))
 }
 
-// expireRound forwards a still-pending round degraded when its deadline
-// fires.
-func (c *Coordinator) expireRound(round int) {
-	c.mu.Lock()
-	rb, ok := c.eng.Barrier(round)
-	if !ok || c.forwarding[round] {
-		c.mu.Unlock()
-		return
-	}
-	select {
-	case <-rb.Done:
-		c.mu.Unlock()
-		return
-	default:
-	}
-	fw := c.beginCompleteLocked(round, rb, true)
-	c.mu.Unlock()
-	if fw != nil {
-		c.finishForward(fw)
-	}
-}
-
-// beginCompleteLocked freezes a filled (or expired) barrier, journals its
-// batch — fsynced before the upstream ever sees it, so a crash between here
-// and the forward can re-forward on recovery — and returns the forward for
-// the caller to execute outside the lock. Called with c.mu held.
-func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) *forward {
-	c.forwarding[round] = true
-	fw := &forward{round: round, rb: rb, degraded: degraded}
-	edges := make([]int, 0, rb.Size())
-	for e := range rb.Censuses {
-		edges = append(edges, e)
-	}
-	sort.Ints(edges)
-	for _, e := range edges {
-		fw.censuses = append(fw.censuses, transport.Census{Edge: e, Round: round, Counts: rb.Censuses[e]})
-	}
-	c.persistRoundLocked(round, rb, degraded)
-	return fw
+// beginCompleteLocked is the kernel's Complete hook: it freezes a filled
+// (or expired) barrier, journals its batch — fsynced before the upstream
+// ever sees it, so a crash between here and the forward can re-forward on
+// recovery — and returns the upstream exchange for the kernel to run
+// outside the lock. Called with c.mu held.
+func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
+	rb.Frozen = true
+	censuses := cloud.SortedCensuses(round, rb.Censuses)
+	c.persistRoundLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
+	return func() { c.finishForward(round, rb, degraded, censuses) }
 }
 
 // finishForward runs one frozen barrier's upstream exchange and resolves
 // its waiters: on success the aggregator's ratios are adopted and the round
 // completes; on failure the barrier fails without advancing the watermark,
 // so redialing edges re-open the round and trigger a fresh forward.
-func (c *Coordinator) finishForward(fw *forward) {
-	c.mu.Lock()
-	c.metrics.forwards.Inc()
-	c.mu.Unlock()
-	reply, err := c.cfg.Upstream.Report(fw.round, fw.censuses)
+func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool, censuses []transport.Census) {
+	reply, err := c.upstreamReport(round, censuses)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.forwarding, fw.round)
+	if err == nil {
+		c.adoptReplyLocked(reply)
+	}
 	select {
-	case <-fw.rb.Done:
+	case <-rb.Done:
 		// The barrier resolved while the forward was in flight: a newer
 		// round's forward finished first and evicted it, or the coordinator
-		// shut down. Its waiters are gone; just adopt whatever the upstream
-		// answered and keep the watermark monotonic.
+		// shut down. Its waiters are gone; whatever the upstream answered is
+		// adopted, and the watermark stays monotonic.
 		if err == nil {
-			c.adoptReplyLocked(reply)
-			if fw.round > c.eng.Latest() {
-				c.eng.SetLatest(fw.round)
-				c.metrics.latestRound.Set(float64(fw.round))
-			}
+			c.eng.Advance(round)
 		}
-		return
 	default:
-	}
-	if err != nil {
-		c.metrics.forwardFailures.Inc()
-		c.logf("shard %d: forwarding round %d failed: %v", c.cfg.ID, fw.round, err)
-		c.eng.Fail(fw.round, fmt.Errorf("shard %d: forwarding round %d: %w", c.cfg.ID, fw.round, err))
-		fw.rb.Span.End(obs.A("forward_failed", true))
-		return
-	}
-	c.adoptReplyLocked(reply)
-	abandoned := c.eng.Complete(fw.round, fw.rb, fw.degraded)
-	c.metrics.rounds.Inc()
-	c.metrics.latestRound.Set(float64(c.eng.Latest()))
-	c.metrics.roundDuration.Observe(time.Since(fw.rb.Opened).Seconds())
-	if fw.degraded {
-		c.metrics.degraded.Inc()
-		c.logf("shard %d: round %d forwarded degraded with %d/%d regions",
-			c.cfg.ID, fw.round, fw.rb.Size(), len(c.cfg.Regions))
-	}
-	fw.rb.Span.End(obs.A("degraded", fw.degraded), obs.A("regions", fw.rb.Size()), obs.A("of", len(c.cfg.Regions)))
-	for _, a := range abandoned {
-		c.metrics.abandoned.Inc()
-		a.Barrier.Span.End(obs.A("abandoned", true), obs.A("superseded_by", fw.round))
+		if err != nil {
+			c.logf("shard %d: forwarding round %d failed: %v", c.cfg.ID, round, err)
+			c.eng.Fail(round, rb, fmt.Errorf("shard %d: forwarding round %d: %w", c.cfg.ID, round, err))
+			return
+		}
+		c.eng.Release(round, rb, degraded)
 	}
 }
 
-// forwardLate relays one census for an already-forwarded round upstream as
-// a single-census batch and adopts the reply.
-func (c *Coordinator) forwardLate(census transport.Census) (transport.RatioBatch, error) {
-	reply, err := c.upstreamReport(census.Round, []transport.Census{census})
+// relay forwards censuses upstream outside any barrier — stragglers for an
+// already-forwarded round, or a recovered batch — and adopts the reply.
+func (c *Coordinator) relay(round int, censuses []transport.Census) error {
+	reply, err := c.upstreamReport(round, censuses)
 	if err != nil {
-		return transport.RatioBatch{}, err
+		return err
 	}
-	c.adoptReply(reply)
-	return reply, nil
+	c.mu.Lock()
+	c.adoptReplyLocked(reply)
+	c.mu.Unlock()
+	return nil
 }
 
 // upstreamReport is one upstream batch exchange with the forward counters
 // maintained.
 func (c *Coordinator) upstreamReport(round int, censuses []transport.Census) (transport.RatioBatch, error) {
-	c.mu.Lock()
 	c.metrics.forwards.Inc()
-	c.mu.Unlock()
 	reply, err := c.cfg.Upstream.Report(round, censuses)
 	if err != nil {
-		c.mu.Lock()
 		c.metrics.forwardFailures.Inc()
-		c.mu.Unlock()
-		return transport.RatioBatch{}, err
 	}
-	return reply, nil
-}
-
-func (c *Coordinator) adoptReply(reply transport.RatioBatch) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.adoptReplyLocked(reply)
+	return reply, err
 }
 
 // adoptReplyLocked caches the aggregator's answered ratios for the owned
@@ -651,49 +317,6 @@ func (c *Coordinator) adoptReplyLocked(reply transport.RatioBatch) {
 	}
 }
 
-// ratioFor extracts one edge's ratio from an upstream reply.
-func (c *Coordinator) ratioFor(reply transport.RatioBatch, edge int) (float64, error) {
-	for i, e := range reply.Edges {
-		if e == edge && i < len(reply.X) {
-			return reply.X[i], nil
-		}
-	}
-	return 0, fmt.Errorf("shard %d: upstream reply missing edge %d", c.cfg.ID, edge)
-}
-
-// replyFor re-shapes an upstream reply onto the downstream batch's edges.
-func (c *Coordinator) replyFor(reply transport.RatioBatch, batch transport.CensusBatch) (transport.RatioBatch, error) {
-	out := transport.RatioBatch{
-		Round: batch.Round + 1,
-		Edges: make([]int, len(batch.Censuses)),
-		X:     make([]float64, len(batch.Censuses)),
-	}
-	for i, cs := range batch.Censuses {
-		x, err := c.ratioFor(reply, cs.Edge)
-		if err != nil {
-			return transport.RatioBatch{}, err
-		}
-		out.Edges[i] = cs.Edge
-		out.X[i] = x
-	}
-	return out, nil
-}
-
-// ratioBatchLocked answers batch from the cached adopted ratios. Called
-// with c.mu held.
-func (c *Coordinator) ratioBatchLocked(batch transport.CensusBatch) transport.RatioBatch {
-	reply := transport.RatioBatch{
-		Round: batch.Round + 1,
-		Edges: make([]int, len(batch.Censuses)),
-		X:     make([]float64, len(batch.Censuses)),
-	}
-	for i, cs := range batch.Censuses {
-		reply.Edges[i] = cs.Edge
-		reply.X[i] = c.ratios[cs.Edge]
-	}
-	return reply
-}
-
 // routeCorrection relays an aggregator rewind correction to the owned
 // edge's session, preserving the aggregator-assigned sequence, and adopts
 // the corrected ratio into the shard's cache.
@@ -704,137 +327,11 @@ func (c *Coordinator) routeCorrection(rc transport.RatioCorrection) {
 	c.mu.Lock()
 	c.ratios[rc.Edge] = rc.X
 	c.metrics.corrections.Inc()
-	sess := c.edgeSess[rc.Edge]
+	sess := c.eng.Sessions()[rc.Edge]
 	c.mu.Unlock()
 	if sess != nil {
 		go func() { _ = sess.Send(transport.KindRatioCorrection, rc) }()
 	}
-}
-
-// registerEdgeSess remembers the session an edge reports on, the channel
-// relayed corrections go back out.
-func (c *Coordinator) registerEdgeSess(edge int, sess *session.Session) {
-	if !c.owned[edge] {
-		return
-	}
-	c.mu.Lock()
-	c.edgeSess[edge] = sess
-	c.mu.Unlock()
-}
-
-// dropEdgeSess forgets every edge registration pointing at sess.
-func (c *Coordinator) dropEdgeSess(sess *session.Session) {
-	c.mu.Lock()
-	for edge, es := range c.edgeSess {
-		if es == sess {
-			delete(c.edgeSess, edge)
-		}
-	}
-	c.mu.Unlock()
-}
-
-// RenewLease registers or renews an owned edge's membership lease,
-// mirroring the cloud coordinator's quorum semantics within the shard's
-// region group.
-func (c *Coordinator) RenewLease(edgeID int, ttl time.Duration) error {
-	if !c.owned[edgeID] {
-		return fmt.Errorf("shard %d: lease from region %d outside owned group", c.cfg.ID, edgeID)
-	}
-	if ttl <= 0 {
-		return fmt.Errorf("shard %d: lease TTL %v must be positive", c.cfg.ID, ttl)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return transport.ErrClosed
-	default:
-	}
-	c.leasing = true
-	e := c.leases[edgeID]
-	if e == nil {
-		e = &leaseEntry{live: true}
-		c.leases[edgeID] = e
-		id := edgeID
-		e.timer = time.AfterFunc(ttl, func() { c.expireLease(id) })
-	} else {
-		if !e.live {
-			c.logf("shard %d: edge %d re-admitted to quorum", c.cfg.ID, edgeID)
-		}
-		e.live = true
-		e.timer.Reset(ttl)
-	}
-	e.expiry = time.Now().Add(ttl)
-	c.metrics.leaseRenewals.Inc()
-	c.metrics.leasesLive.Set(float64(c.liveLeasesLocked()))
-	return nil
-}
-
-// expireLease evicts an edge whose lease lapsed and re-checks pending
-// barriers against the shrunken quorum.
-func (c *Coordinator) expireLease(edgeID int) {
-	c.mu.Lock()
-	select {
-	case <-c.closed:
-		c.mu.Unlock()
-		return
-	default:
-	}
-	e := c.leases[edgeID]
-	if e == nil || !e.live {
-		c.mu.Unlock()
-		return
-	}
-	if remaining := time.Until(e.expiry); remaining > 0 {
-		e.timer.Reset(remaining)
-		c.mu.Unlock()
-		return
-	}
-	e.live = false
-	c.metrics.leaseEvictions.Inc()
-	c.metrics.leasesLive.Set(float64(c.liveLeasesLocked()))
-	c.logf("shard %d: lease of edge %d expired, evicting from quorum", c.cfg.ID, edgeID)
-	var fw *forward
-	if best, rb := c.eng.Best(func(round int, b *cloud.Barrier) bool {
-		return !c.forwarding[round] && c.quorumMetLocked(b)
-	}); best >= 0 {
-		fw = c.beginCompleteLocked(best, rb, rb.Size() < len(c.cfg.Regions))
-	}
-	c.mu.Unlock()
-	if fw != nil {
-		c.finishForward(fw)
-	}
-}
-
-func (c *Coordinator) liveLeasesLocked() int {
-	n := 0
-	for _, e := range c.leases {
-		if e.live {
-			n++
-		}
-	}
-	return n
-}
-
-// quorumMetLocked mirrors the cloud's barrier quorum within the owned
-// group: every owned region reported, or — once leases are in use — every
-// owned edge holding a live lease reported. Called with c.mu held.
-func (c *Coordinator) quorumMetLocked(rb *cloud.Barrier) bool {
-	if rb.Size() >= len(c.cfg.Regions) {
-		return true
-	}
-	if !c.leasing || rb.Size() == 0 {
-		return false
-	}
-	for id, e := range c.leases {
-		if !e.live {
-			continue
-		}
-		if _, ok := rb.Censuses[id]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // shardCheckpoint is the shard's tiny durable snapshot: the forwarded-round
@@ -851,126 +348,83 @@ type shardCheckpoint struct {
 // duplicate (or rewinds) if it had already seen it. Call after Instrument
 // and before Serve.
 func (c *Coordinator) Open(stateDir string) error {
-	store, err := durable.Open(stateDir)
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
-	if c.store != nil {
-		c.mu.Unlock()
-		store.Close()
-		return fmt.Errorf("shard %d: state directory already open (%s)", c.cfg.ID, c.store.Dir())
+	defer c.mu.Unlock()
+	if c.journal != nil {
+		return fmt.Errorf("shard %d: state directory already open (%s)", c.cfg.ID, c.journal.Dir())
 	}
-	recovered := false
-	latest := -1
-	snap, ok, err := store.LoadSnapshot()
+	journal, snap, err := durable.OpenJournal(stateDir)
 	if err != nil {
-		c.mu.Unlock()
-		store.Close()
 		return err
 	}
-	if ok {
+	recovered := snap != nil
+	if recovered {
 		var cp shardCheckpoint
 		if err := json.Unmarshal(snap, &cp); err != nil {
-			c.mu.Unlock()
-			store.Close()
+			journal.Close()
 			return fmt.Errorf("shard %d: checkpoint in %s: %w", c.cfg.ID, stateDir, err)
 		}
-		latest = cp.Round
+		c.eng.Advance(cp.Round)
 		c.metrics.checkpointSize.Set(float64(len(snap)))
-		recovered = true
 	}
 	replayed := 0
 	var lastRec *durable.RoundRecord
-	_, err = store.Replay(func(payload []byte) error {
-		rec, err := durable.DecodeRound(payload)
-		if err != nil {
-			return err
-		}
+	err = journal.Replay(func(rec durable.RoundRecord) error {
 		if lastRec == nil || rec.Round >= lastRec.Round {
-			r := rec
-			lastRec = &r
+			lastRec = &rec
 		}
-		if rec.Round > latest {
-			latest = rec.Round
+		if rec.Round > c.eng.Latest() {
+			c.eng.Advance(rec.Round)
 			replayed++
 		}
 		return nil
 	})
 	if err != nil {
-		c.mu.Unlock()
-		store.Close()
+		journal.Close()
 		return fmt.Errorf("shard %d: journal in %s: %w", c.cfg.ID, stateDir, err)
 	}
-	if replayed > 0 {
-		c.metrics.replayRecords.Add(int64(replayed))
-		recovered = true
-	}
-	c.eng.SetLatest(latest)
 	c.lastRec = lastRec
-	c.store = store
-	c.sinceCompact = replayed
-	if recovered {
+	c.journal = journal
+	if replayed > 0 || recovered {
+		c.metrics.replayRecords.Add(int64(replayed))
 		c.metrics.recoveries.Inc()
-		c.metrics.latestRound.Set(float64(latest))
 		c.logf("shard %d: recovered watermark round %d from %s (%d journal records replayed)",
-			c.cfg.ID, latest, stateDir, replayed)
+			c.cfg.ID, c.eng.Latest(), stateDir, replayed)
 	}
-	c.mu.Unlock()
 	if lastRec != nil {
 		// Re-forward the newest batch off the serve path: the crash may have
 		// raced the upstream exchange. Idempotent upstream (duplicate absorb
 		// / lag-window rewind), so re-forwarding an acknowledged batch is
 		// harmless.
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			censuses := make([]transport.Census, 0, len(lastRec.Censuses))
-			edges := make([]int, 0, len(lastRec.Censuses))
-			for e := range lastRec.Censuses {
-				edges = append(edges, e)
-			}
-			sort.Ints(edges)
-			for _, e := range edges {
-				censuses = append(censuses, transport.Census{Edge: e, Round: lastRec.Round, Counts: lastRec.Censuses[e]})
-			}
-			reply, err := c.upstreamReport(lastRec.Round, censuses)
-			if err != nil {
+		c.srv.Go(func() {
+			if err := c.relay(lastRec.Round, cloud.SortedCensuses(lastRec.Round, lastRec.Censuses)); err != nil {
 				c.logf("shard %d: re-forwarding recovered round %d failed: %v", c.cfg.ID, lastRec.Round, err)
 				return
 			}
-			c.adoptReply(reply)
-			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, lastRec.Round, len(censuses))
-		}()
+			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, lastRec.Round, len(lastRec.Censuses))
+		})
 	}
 	return nil
 }
 
 // persistRoundLocked journals one frozen barrier's batch, fsynced before
-// the upstream forward, and compacts every compactEvery rounds. Failures
-// are counted and logged but do not fail the round. Called with c.mu held;
-// no-op without an open store.
-func (c *Coordinator) persistRoundLocked(round int, rb *cloud.Barrier, degraded bool) {
-	if c.store == nil {
+// the upstream forward, and compacts every durable.CompactEvery rounds.
+// Failures are counted and logged but do not fail the round. Called with
+// c.mu held; no-op without an open journal.
+func (c *Coordinator) persistRoundLocked(rec durable.RoundRecord) {
+	if c.journal == nil {
 		return
 	}
-	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
-	payload, err := durable.EncodeRound(rec)
+	n, err := c.journal.AppendRound(rec)
 	if err == nil {
-		err = c.store.Append(payload)
+		c.lastRec = &rec
+		if n >= durable.CompactEvery {
+			err = c.checkpointLocked()
+		}
 	}
 	if err != nil {
 		c.metrics.journalErrors.Inc()
-		c.logf("shard %d: journaling round %d: %v", c.cfg.ID, round, err)
-		return
-	}
-	c.lastRec = &rec
-	c.sinceCompact++
-	if c.compactEvery > 0 && c.sinceCompact >= c.compactEvery {
-		if err := c.checkpointLocked(); err != nil {
-			c.metrics.journalErrors.Inc()
-			c.logf("shard %d: compacting after round %d: %v", c.cfg.ID, round, err)
-		}
+		c.logf("shard %d: journaling round %d: %v", c.cfg.ID, rec.Round, err)
 	}
 }
 
@@ -982,25 +436,15 @@ func (c *Coordinator) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	var retained [][]byte
+	var retained []durable.RoundRecord
 	if c.lastRec != nil {
-		rec, err := durable.EncodeRound(*c.lastRec)
-		if err != nil {
-			return err
-		}
-		retained = append(retained, rec)
+		retained = append(retained, *c.lastRec)
 	}
-	var n int
-	if retained == nil {
-		n, err = c.store.Compact(cp)
-	} else {
-		n, err = c.store.CompactRetain(cp, retained)
-	}
+	n, err := c.journal.Checkpoint(cp, retained)
 	if err != nil {
 		return err
 	}
 	c.metrics.checkpointSize.Set(float64(n))
-	c.sinceCompact = 0
 	return nil
 }
 
@@ -1008,20 +452,10 @@ func (c *Coordinator) checkpointLocked() error {
 // forwards degraded with whatever censuses it holds, a final checkpoint is
 // written, and the coordinator closes.
 func (c *Coordinator) Drain() error {
-	c.mu.Lock()
-	var fw *forward
-	if best, rb := c.eng.Best(func(round int, b *cloud.Barrier) bool { return !c.forwarding[round] }); best >= 0 {
-		c.logf("shard %d: draining: forwarding round %d with %d/%d regions",
-			c.cfg.ID, best, rb.Size(), len(c.cfg.Regions))
-		fw = c.beginCompleteLocked(best, rb, rb.Size() < len(c.cfg.Regions))
-	}
-	c.mu.Unlock()
-	if fw != nil {
-		c.finishForward(fw)
-	}
+	c.eng.Drain()
 	var err error
 	c.mu.Lock()
-	if c.store != nil {
+	if c.journal != nil {
 		err = c.checkpointLocked()
 	}
 	c.mu.Unlock()

@@ -81,12 +81,14 @@ func (d *Dialer) Backoff(attempt int) time.Duration {
 	return time.Duration(float64(delay) * (1 - jitter + 2*jitter*u))
 }
 
-func (d *Dialer) sleep(t time.Duration) {
-	if d.Sleep != nil {
+// Pause sleeps the backoff delay that follows the given 0-based failed
+// attempt (through the Sleep hook when set).
+func (d *Dialer) Pause(attempt int) {
+	if t := d.Backoff(attempt); d.Sleep != nil {
 		d.Sleep(t)
-		return
+	} else {
+		time.Sleep(t)
 	}
-	time.Sleep(t)
 }
 
 // DialRetry dials until an attempt succeeds or MaxAttempts is exhausted,
@@ -100,7 +102,7 @@ func (d *Dialer) DialRetry() (Conn, error) {
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			d.sleep(d.Backoff(a - 1))
+			d.Pause(a - 1)
 		}
 		c, err := d.Dial()
 		if err == nil {

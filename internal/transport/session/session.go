@@ -199,20 +199,20 @@ func (s *Session) RequestWith(kind transport.Kind, payload interface{},
 	}
 }
 
-// RenewLease sends one membership-lease renewal on conn and waits for the
-// cloud's ack. The heartbeat must run on a connection of its own: on a
-// shared conn the ack would race with census/ratio replies (Request treats
-// any Ack as a refusal). A cloud refusal — e.g. an unknown edge id —
-// surfaces as *RejectedError. timeout bounds the ack wait (0 = forever);
-// on expiry the conn is closed and must be redialed.
-func RenewLease(conn transport.Conn, edgeID int, ttl, timeout time.Duration) error {
-	s := Wrap(conn)
-	if err := s.Send(transport.KindLease, transport.Lease{Edge: edgeID, TTLMillis: ttl.Milliseconds()}); err != nil {
-		return fmt.Errorf("sending lease renewal: %w", err)
+// Notify sends payload under kind and waits for the peer's Ack: the one
+// acked-frame exchange behind lease renewals, gossip censuses and hood
+// beats. It must run on a connection the sender owns for the exchange — on
+// a shared conn the ack would race with census/ratio replies (Request
+// treats any Ack as a refusal). A refusal surfaces as *RejectedError.
+// timeout bounds the ack wait (0 = forever); on expiry the conn is closed
+// and must be redialed.
+func (s *Session) Notify(kind transport.Kind, payload interface{}, timeout time.Duration) error {
+	if err := s.Send(kind, payload); err != nil {
+		return fmt.Errorf("sending %s: %w", kind, err)
 	}
-	m, err := transport.RecvTimeout(conn, timeout)
+	m, err := transport.RecvTimeout(s.conn, timeout)
 	if err != nil {
-		return fmt.Errorf("waiting for lease ack: %w", err)
+		return fmt.Errorf("waiting for %s ack: %w", kind, err)
 	}
 	var ack transport.Ack
 	if err := transport.Decode(m, transport.KindAck, &ack); err != nil {
@@ -222,6 +222,14 @@ func RenewLease(conn transport.Conn, edgeID int, ttl, timeout time.Duration) err
 		return &RejectedError{Reason: ack.Err}
 	}
 	return nil
+}
+
+// RenewLease sends one membership-lease renewal on conn and waits for the
+// coordinator's ack (see Notify). A refusal — e.g. an unknown edge id —
+// surfaces as *RejectedError.
+func RenewLease(conn transport.Conn, edgeID int, ttl, timeout time.Duration) error {
+	return Wrap(conn).Notify(transport.KindLease,
+		transport.Lease{Edge: edgeID, TTLMillis: ttl.Milliseconds()}, timeout)
 }
 
 // ReportCensus submits one round's census on conn (step ①) and waits for
@@ -270,58 +278,24 @@ func ReportCensusBatch(conn transport.Conn, batch transport.CensusBatch,
 }
 
 // GossipCensus pushes one round's census to a gossip peer on conn and waits
-// for the peer's ack. Unlike ReportCensus there is no ratio reply: peers
-// fold each other's censuses into their own local engines, so the exchange
-// is census → ack. A peer refusal (e.g. a census for a region outside the
-// neighborhood) surfaces as *RejectedError. timeout bounds the ack wait
-// (0 = forever); on expiry the conn is closed and must be redialed.
+// for the peer's ack (see Notify). Unlike ReportCensus there is no ratio
+// reply: peers fold each other's censuses into their own local engines. A
+// peer refusal (e.g. a census for a region outside the neighborhood)
+// surfaces as *RejectedError.
 func GossipCensus(conn transport.Conn, edgeID, round int, counts []int,
 	timeout time.Duration) error {
-	s := Wrap(conn)
-	if err := s.Send(transport.KindCensus,
-		transport.Census{Edge: edgeID, Round: round, Counts: counts}); err != nil {
-		return fmt.Errorf("sending gossip census: %w", err)
-	}
-	m, err := transport.RecvTimeout(conn, timeout)
-	if err != nil {
-		return fmt.Errorf("waiting for gossip ack: %w", err)
-	}
-	var ack transport.Ack
-	if err := transport.Decode(m, transport.KindAck, &ack); err != nil {
-		return err
-	}
-	if ack.Err != "" {
-		return &RejectedError{Reason: ack.Err}
-	}
-	return nil
+	return Wrap(conn).Notify(transport.KindCensus,
+		transport.Census{Edge: edgeID, Round: round, Counts: counts}, timeout)
 }
 
 // SendHoodBeat pushes one gossip leadership heartbeat to a neighborhood
-// peer on conn and waits for the peer's ack, mirroring the lease-renewal
-// exchange (beat → ack on a connection the sender owns). Receivers ack
+// peer on conn and waits for the peer's ack (see Notify). Receivers ack
 // every well-formed beat — including stale-epoch ones, which they ignore
-// after acking — so a beat refusal (*RejectedError) means the frame itself
-// was malformed, not that the peer disputes the leadership. timeout bounds
-// the ack wait (0 = forever); on expiry the conn is closed and must be
-// redialed.
+// after acking — so a refusal (*RejectedError) means the frame itself was
+// malformed, not that the peer disputes the leadership.
 func SendHoodBeat(conn transport.Conn, beat transport.HoodBeat,
 	timeout time.Duration) error {
-	s := Wrap(conn)
-	if err := s.Send(transport.KindHoodBeat, beat); err != nil {
-		return fmt.Errorf("sending hood beat: %w", err)
-	}
-	m, err := transport.RecvTimeout(conn, timeout)
-	if err != nil {
-		return fmt.Errorf("waiting for hood-beat ack: %w", err)
-	}
-	var ack transport.Ack
-	if err := transport.Decode(m, transport.KindAck, &ack); err != nil {
-		return err
-	}
-	if ack.Err != "" {
-		return &RejectedError{Reason: ack.Err}
-	}
-	return nil
+	return Wrap(conn).Notify(transport.KindHoodBeat, beat, timeout)
 }
 
 // EscalateDigest submits a neighborhood's compacted round digest to the
