@@ -10,6 +10,7 @@
 package main
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/policy"
 	"repro/internal/roadnet"
+	"repro/internal/scenario"
 	"repro/internal/sensor"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -322,32 +324,76 @@ func BenchmarkLogitStep(b *testing.B) {
 }
 
 // BenchmarkFDSUpdate measures one FDS control round (linearization +
-// interval solving across all regions and decisions).
+// interval solving across all regions and decisions): on the benchmark
+// world, and on the two graphs the round-pipeline benchmark folds over —
+// the dense demo graph at the fleets' M=16 and the ring at the floods'
+// M=1024 — under the load harness's P1 band, with allocations reported.
 func BenchmarkFDSUpdate(b *testing.B) {
-	bc, _ := getBenchWorlds(b)
-	opts := sim.MacroOptions{}
-	start, err := bc.EquilibriumAt(0.3, opts)
-	if err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, fds *policy.FDS, s *game.State) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := fds.UpdateRatios(s); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
-	target, err := bc.EquilibriumFrom(start, 0.8, 0.1, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	field, err := sim.FieldFromState(target, 0.03)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fds, err := policy.NewFDS(bc.Model, field, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := start.Clone()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fds.UpdateRatios(s); err != nil {
+	b.Run("world", func(b *testing.B) {
+		bc, _ := getBenchWorlds(b)
+		opts := sim.MacroOptions{}
+		start, err := bc.EquilibriumAt(0.3, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		target, err := bc.EquilibriumFrom(start, 0.8, 0.1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		field, err := sim.FieldFromState(target, 0.03)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fds, err := policy.NewFDS(bc.Model, field, 0.1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, fds, start.Clone())
+	})
+	for _, tc := range []struct {
+		name  string
+		graph game.Graph
+	}{
+		{"M=16/demo", scenario.DemoGraph(16)},
+		{"M=1024/cycle", scenario.CycleGraph(1024)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := tc.graph.M()
+			betas := make([]float64, m)
+			for i := range betas {
+				betas[i] = 3
+			}
+			model, err := game.NewModel(lattice.PaperPayoffs(), tc.graph, betas)
+			if err != nil {
+				b.Fatal(err)
+			}
+			field, err := scenario.P1BandField(m, model.K(), 0.7, 0.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fds, err := policy.NewFDS(model, field, 0.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			s := game.NewUniformState(m, model.K(), 0.2)
+			for i := range s.P {
+				for k := range s.P[i] {
+					s.P[i][k] = rng.Float64()
+				}
+				game.Normalize(s.P[i])
+			}
+			run(b, fds, s)
+		})
 	}
 }
 

@@ -1,12 +1,10 @@
 package cloud
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/durable"
-	"repro/internal/edge"
 	"repro/internal/game"
 	"repro/internal/policy"
 )
@@ -23,6 +21,7 @@ import (
 type Fold struct {
 	fds   *policy.FDS
 	state *game.State
+	enc   []byte // Hash's encoding buffer, reused from call to call
 }
 
 // NewFold validates the initial state and returns a fold over a private
@@ -55,12 +54,11 @@ func (f *Fold) Apply(censuses map[int][]int) error {
 		for _, c := range counts {
 			total += c
 		}
-		if total == 0 {
+		if total == 0 || i < 0 || i >= len(f.state.P) || len(counts) != len(f.state.P[i]) {
 			continue
 		}
-		shares := edge.Shares(counts)
-		if i >= 0 && i < len(f.state.P) && len(shares) == len(f.state.P[i]) {
-			copy(f.state.P[i], shares)
+		for d, c := range counts {
+			f.state.P[i][d] = float64(c) / float64(total)
 		}
 	}
 	if _, err := f.fds.UpdateRatios(f.state); err != nil {
@@ -69,13 +67,15 @@ func (f *Fold) Apply(censuses map[int][]int) error {
 	return nil
 }
 
-// Hash returns a CRC-32C over the canonical JSON encoding of the state.
-// encoding/json round-trips float64 exactly and map-free state marshals
-// deterministically, so two folds hold bit-identical ratio fields if and
-// only if their hashes match.
+// Hash returns a CRC-32C over the canonical JSON encoding of the state —
+// the bytes json.Marshal(state) produces. That encoding round-trips float64
+// exactly and a map-free state encodes deterministically, so two folds hold
+// bit-identical ratio fields if and only if their hashes match. A state
+// JSON cannot carry (NaN, infinity) hashes to 0.
 func (f *Fold) Hash() uint32 {
-	b, err := json.Marshal(f.state)
-	if err != nil {
+	b, ok := f.state.AppendJSON(f.enc[:0])
+	f.enc = b
+	if !ok {
 		return 0
 	}
 	return crc32.Checksum(b, castagnoli)
@@ -100,7 +100,7 @@ func (f *Fold) SetMemory(mem policy.FDSMemory) error { return f.fds.SetMemory(me
 
 // Converged reports whether the current state satisfies the desired field.
 func (f *Fold) Converged() bool {
-	ok, _ := f.fds.Field().Converged(f.state.Clone())
+	ok, _ := f.fds.Field().Converged(f.state)
 	return ok
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/transport"
+	"repro/internal/transport/session"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -106,9 +107,12 @@ func (s *Server) refoldLocked(idx int) error {
 	if err := s.fold.SetMemory(e.preFDS); err != nil {
 		return err
 	}
-	for _, entry := range s.window[idx:] {
-		entry.preState = s.fold.State().Clone()
-		entry.preFDS = s.fold.Memory()
+	for n, entry := range s.window[idx:] {
+		if n > 0 {
+			// Entry idx keeps the snapshot the fold was just rewound to.
+			entry.preState = s.fold.State().Clone()
+			entry.preFDS = s.fold.Memory()
+		}
 		if err := s.fold.Apply(entry.censuses); err != nil {
 			return fmt.Errorf("re-folding round %d: %w", entry.round, err)
 		}
@@ -175,7 +179,9 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 
 // pushCorrectionsLocked publishes one ratio-correction frame to every
 // connected edge except the submitters (whose census replies already carry
-// the corrected ratios). The frames are pushed asynchronously: send
+// the corrected ratios). The frames are pushed asynchronously, by one sender
+// per session that writes its frames in turn — a shard's session carries a
+// frame for each of its regions — and gives up at the first failed send:
 // failures are expected (the edge may have hung up), and the monotonic Seq
 // makes redelivery on the next rewind harmless. Called with s.mu held.
 func (s *Server) pushCorrectionsLocked(submitted []transport.Census) {
@@ -183,12 +189,23 @@ func (s *Server) pushCorrectionsLocked(submitted []transport.Census) {
 	for i := range submitted {
 		skip[submitted[i].Edge] = true
 	}
+	frames := make(map[*session.Session][]transport.RatioCorrection)
 	for edge, sess := range s.eng.Sessions() {
 		if skip[edge] {
 			continue
 		}
-		rc := transport.RatioCorrection{Edge: edge, Round: s.eng.Latest(), Seq: s.correctionSeq, X: s.fold.X(edge)}
+		frames[sess] = append(frames[sess], transport.RatioCorrection{
+			Edge: edge, Round: s.eng.Latest(), Seq: s.correctionSeq, X: s.fold.X(edge),
+		})
 		s.metrics.corrections.Inc()
-		go func() { _ = sess.Send(transport.KindRatioCorrection, rc) }()
+	}
+	for sess, rcs := range frames {
+		go func() {
+			for _, rc := range rcs {
+				if sess.Send(transport.KindRatioCorrection, rc) != nil {
+					return
+				}
+			}
+		}()
 	}
 }

@@ -15,6 +15,7 @@ package game
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/lattice"
 )
@@ -29,7 +30,9 @@ type Stepper interface {
 }
 
 // Graph abstracts the auxiliary region graph the model runs on
-// (cluster.RegionGraph satisfies it).
+// (cluster.RegionGraph satisfies it). NewModel reads Neighbors and Gamma
+// once and keeps the values, so both must be stable for the model's
+// lifetime: a graph that changes needs a new model.
 type Graph interface {
 	// M returns the number of regions.
 	M() int
@@ -47,8 +50,16 @@ type Model struct {
 	graph   Graph
 	beta    []float64
 	// access[k] lists the decisions whose shared data decision k+1 may
-	// access (l such that P^l is a subset of P^k), precomputed.
-	access [][]int
+	// access (l such that P^l is a subset of P^k), precomputed;
+	// accessible[l*K+k] reports whether access[l] contains k.
+	access     [][]int
+	accessible []bool
+	// The graph as the numeric core reads it, frozen at NewModel: nbrs[i] is
+	// Neighbors(i), gammaIn[i][n] is Gamma(nbrs[i][n], i) in the same order,
+	// and gammaSelf[i] is Gamma(i, i).
+	nbrs      [][]int
+	gammaIn   [][]float64
+	gammaSelf []float64
 }
 
 // NewModel validates and assembles a model. beta must have one non-negative
@@ -67,17 +78,32 @@ func NewModel(p *lattice.Payoffs, g Graph, beta []float64) (*Model, error) {
 	}
 	l := p.Lattice()
 	access := make([][]int, p.K())
+	accessible := make([]bool, p.K()*p.K())
 	for k := 1; k <= p.K(); k++ {
 		for _, d := range l.Accessible(lattice.Decision(k)) {
 			access[k-1] = append(access[k-1], int(d)-1)
+			accessible[(k-1)*p.K()+int(d)-1] = true
 		}
 	}
-	return &Model{
-		payoffs: p,
-		graph:   g,
-		beta:    append([]float64(nil), beta...),
-		access:  access,
-	}, nil
+	m := &Model{
+		payoffs:    p,
+		graph:      g,
+		beta:       append([]float64(nil), beta...),
+		access:     access,
+		accessible: accessible,
+		nbrs:       make([][]int, g.M()),
+		gammaIn:    make([][]float64, g.M()),
+		gammaSelf:  make([]float64, g.M()),
+	}
+	for i := range m.nbrs {
+		m.nbrs[i] = append([]int(nil), g.Neighbors(i)...)
+		m.gammaIn[i] = make([]float64, len(m.nbrs[i]))
+		for n, j := range m.nbrs[i] {
+			m.gammaIn[i][n] = g.Gamma(j, i)
+		}
+		m.gammaSelf[i] = g.Gamma(i, i)
+	}
+	return m, nil
 }
 
 // K returns the number of decisions.
@@ -132,16 +158,77 @@ func NewUniformState(mRegions, k int, x0 float64) *State {
 	return s
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state. The copy's distributions are carved from one
+// slab, so a clone costs four allocations however many regions there are;
+// each row is capped at its own length and cannot grow into the next.
 func (s *State) Clone() *State {
+	total := 0
+	for _, p := range s.P {
+		total += len(p)
+	}
 	out := &State{
 		P: make([][]float64, len(s.P)),
 		X: append([]float64(nil), s.X...),
 	}
-	for i := range s.P {
-		out.P[i] = append([]float64(nil), s.P[i]...)
+	slab := make([]float64, total)
+	for i, p := range s.P {
+		n := copy(slab, p)
+		out.P[i], slab = slab[:n:n], slab[n:]
 	}
 	return out
+}
+
+// AppendJSON appends to b exactly the bytes json.Marshal(s) produces — the
+// canonical encoding the consensus state hash is taken over — without
+// reflection, and reports false where json.Marshal would fail (a NaN or
+// infinite value). encoding/json still decodes it.
+func (s *State) AppendJSON(b []byte) ([]byte, bool) {
+	ok := true
+	b = append(b, `{"P":`...)
+	if s.P == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range s.P {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b, ok = appendJSONFloats(b, p, ok)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"X":`...)
+	b, ok = appendJSONFloats(b, s.X, ok)
+	return append(b, '}'), ok
+}
+
+// appendJSONFloats appends a []float64 the way encoding/json does: null for
+// a nil slice, shortest round-trip digits, exponent form below 1e-6 and
+// from 1e21 with a two-digit exponent's leading zero removed. ok turns false
+// at a value JSON cannot carry.
+func appendJSONFloats(b []byte, vs []float64, ok bool) ([]byte, bool) {
+	if vs == nil {
+		return append(b, "null"...), ok
+	}
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			ok = false
+		}
+		format := byte('f')
+		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(b, v, format, -1, 64)
+		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return append(b, ']'), ok
 }
 
 // Validate checks simplex and ratio invariants.
@@ -212,11 +299,11 @@ func (m *Model) Fitness(s *State, i int, out []float64) error {
 		return fmt.Errorf("game: out has %d entries, want %d", len(out), m.K())
 	}
 	bi := m.beta[i]
-	inner := bi * s.X[i] * m.graph.Gamma(i, i)
+	inner := bi * s.X[i] * m.gammaSelf[i]
 	for k := 0; k < m.K(); k++ {
 		q := inner * m.AccessibleValue(k, s.P[i])
-		for _, j := range m.graph.Neighbors(i) {
-			q += bi * s.X[j] * m.graph.Gamma(j, i) * m.AccessibleValue(k, s.P[j])
+		for n, j := range m.nbrs[i] {
+			q += bi * s.X[j] * m.gammaIn[i][n] * m.AccessibleValue(k, s.P[j])
 		}
 		out[k] = q - m.payoffs.Cost[k]
 	}

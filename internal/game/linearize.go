@@ -58,8 +58,8 @@ func (c LinearCoeffs) GrowthRateAt(x, p float64) float64 {
 // inter-region term), which is independent of x_i.
 func (m *Model) InterRegionGain(s *State, i, k int) float64 {
 	total := 0.0
-	for _, j := range m.graph.Neighbors(i) {
-		total += s.X[j] * m.graph.Gamma(j, i) * m.AccessibleValue(k, s.P[j])
+	for n, j := range m.nbrs[i] {
+		total += s.X[j] * m.gammaIn[i][n] * m.AccessibleValue(k, s.P[j])
 	}
 	return m.beta[i] * total
 }
@@ -71,19 +71,54 @@ func (m *Model) Linearize(s *State, i int) ([]LinearCoeffs, error) {
 	if i < 0 || i >= m.M() {
 		return nil, fmt.Errorf("game: region %d out of range [0,%d)", i, m.M())
 	}
+	// A one-region table: a row per neighbour in Neighbors order, then i's.
+	k, nb := m.K(), m.nbrs[i]
+	av := make([]float64, (len(nb)+2)*k)
+	rows := make([]int, len(nb))
+	for n, j := range nb {
+		rows[n] = n
+		m.accessibleValues(s.P[j], av[n*k:(n+1)*k])
+	}
+	m.accessibleValues(s.P[i], av[len(nb)*k:(len(nb)+1)*k])
+	out := make([]LinearCoeffs, k)
+	m.linearize(s, i, av, len(nb), rows, av[(len(nb)+1)*k:], out)
+	return out, nil
+}
+
+// accessibleValues writes AccessibleValue(k, p) for every decision k into
+// row.
+func (m *Model) accessibleValues(p, row []float64) {
+	for k := range row {
+		row[k] = m.AccessibleValue(k, p)
+	}
+}
+
+// linearize is the kernel behind Linearize and Linearizer.Region. av is a
+// table of accessible values in rows of K (row r, decision k at av[r*K+k]):
+// row self holds region i's and row rows[n] its n-th neighbour's. The
+// ratios s.X are read live. gain (length K) is scratch; the coefficients go
+// to out (length K).
+//
+// Every sum below accumulates in the order, and every product associates the
+// way, the formulas above are written: states are compared by the bits of
+// their ratios (the consensus_state_hash), so a reordering that moves a
+// result by one ulp is a behaviour change.
+func (m *Model) linearize(s *State, i int, av []float64, self int, rows []int, gain []float64, out []LinearCoeffs) {
 	k := m.K()
 	p := s.P[i]
-	c := m.beta[i] * m.graph.Gamma(i, i)
+	beta, nbrs, gammaIn := m.beta[i], m.nbrs[i], m.gammaIn[i]
+	c := beta * m.gammaSelf[i]
+	s1 := av[self*k : (self+1)*k]
 
-	// Precompute A_l for all decisions and S1_l.
-	interGain := make([]float64, k)
-	s1 := make([]float64, k)
+	// A_l for all decisions.
 	for l := 0; l < k; l++ {
-		interGain[l] = m.InterRegionGain(s, i, l)
-		s1[l] = m.AccessibleValue(l, p)
+		total := 0.0
+		for n, j := range nbrs {
+			total += s.X[j] * gammaIn[n] * av[rows[n]*k+l]
+		}
+		gain[l] = beta * total
 	}
 
-	out := make([]LinearCoeffs, k)
 	for kk := 0; kk < k; kk++ {
 		gk := m.payoffs.Cost[kk]
 
@@ -94,7 +129,7 @@ func (m *Model) Linearize(s *State, i int) ([]LinearCoeffs, error) {
 				continue
 			}
 			innerSum := s1[l]
-			if m.accessContains(l, kk) {
+			if m.accessible[l*k+kk] {
 				innerSum -= p[kk] * m.payoffs.Utility[kk]
 			}
 			s2 += p[l] * innerSum
@@ -107,30 +142,56 @@ func (m *Model) Linearize(s *State, i int) ([]LinearCoeffs, error) {
 				continue
 			}
 			sumOtherCost += m.payoffs.Cost[l] * p[l]
-			sumOtherGain += p[l] * interGain[l]
+			sumOtherGain += p[l] * gain[l]
 		}
 
 		out[kk] = LinearCoeffs{
 			Alpha1: Affine{
-				A: gk - interGain[kk],
+				A: gk - gain[kk],
 				B: -c * s1[kk],
 			},
 			Alpha2: Affine{
-				A: interGain[kk] + sumOtherCost - gk - sumOtherGain,
+				A: gain[kk] + sumOtherCost - gk - sumOtherGain,
 				B: c * (s1[kk] - s2),
 			},
 		}
 	}
-	return out, nil
 }
 
-// accessContains reports whether decision l (0-based) can access decision
-// k's (0-based) shared data.
-func (m *Model) accessContains(l, k int) bool {
-	for _, a := range m.access[l] {
-		if a == k {
-			return true
-		}
+// Linearizer linearizes the regions of one state over and over on buffers
+// it owns: Tabulate computes every region's accessible values once, Region
+// then costs no allocation. It belongs to one caller (the FDS controller
+// keeps its own); the Model it reads is shared and never written.
+type Linearizer struct {
+	m      *Model
+	av     []float64 // av[j*K+k] = AccessibleValue(k, P[j]) as of Tabulate
+	gain   []float64
+	coeffs []LinearCoeffs
+}
+
+// NewLinearizer returns a linearizer for states of the model's shape.
+func (m *Model) NewLinearizer() *Linearizer {
+	return &Linearizer{
+		m:      m,
+		av:     make([]float64, m.M()*m.K()),
+		gain:   make([]float64, m.K()),
+		coeffs: make([]LinearCoeffs, m.K()),
 	}
-	return false
+}
+
+// Tabulate records the accessible values of every region's distribution in
+// s. Call it again whenever s.P changed; s.X may change freely in between.
+func (l *Linearizer) Tabulate(s *State) {
+	k := l.m.K()
+	for j, p := range s.P {
+		l.m.accessibleValues(p, l.av[j*k:(j+1)*k])
+	}
+}
+
+// Region linearizes region i of s, which must hold the distributions last
+// tabulated, at its current ratios. The result is the linearizer's own
+// buffer, valid until the next call.
+func (l *Linearizer) Region(s *State, i int) []LinearCoeffs {
+	l.m.linearize(s, i, l.av, i, l.m.nbrs[i], l.gain, l.coeffs)
+	return l.coeffs
 }

@@ -8,7 +8,6 @@ package optimize
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Interval is a closed interval [Lo, Hi]. An interval with Lo > Hi is empty.
@@ -79,48 +78,98 @@ func SolveAffineLE(a, b float64) Interval {
 	return SolveAffineGE(-a, -b)
 }
 
+// setInline is how many intervals a Set holds without touching the heap. An
+// FDS condition is a union of at most two intervals and an intersection of
+// sets with a and b intervals has at most a+b-1, so the sets of one control
+// round almost never outgrow it.
+const setInline = 4
+
 // Set is a union of disjoint, sorted, non-empty intervals within [0,1].
-// The zero Set is the empty set.
+// The zero Set is the empty set. A Set is a value: up to setInline intervals
+// live in the struct itself, larger sets spill to one heap slice, and no
+// operation modifies a set once it is built, so copies are independent.
 type Set struct {
-	ivs []Interval
+	n      int
+	inline [setInline]Interval
+	spill  []Interval // all n intervals once the set outgrew inline, else nil
+}
+
+// view returns the set's intervals without copying; callers only read it.
+func (s *Set) view() []Interval {
+	if s.spill != nil {
+		return s.spill
+	}
+	return s.inline[:s.n]
+}
+
+// add appends iv clipped to [0,1], dropping it when nothing is left. The set
+// is not a valid Set again until normalize has run.
+func (s *Set) add(iv Interval) {
+	iv = iv.Intersect(Unit())
+	if iv.Empty() {
+		return
+	}
+	switch {
+	case s.spill != nil:
+		s.spill = append(s.spill, iv)
+	case s.n < setInline:
+		s.inline[s.n] = iv
+	default:
+		s.spill = append(append(make([]Interval, 0, 2*setInline), s.inline[:]...), iv)
+	}
+	s.n++
+}
+
+// normalize sorts the added intervals by Lo (by insertion: the inputs are
+// few and nearly sorted) and merges those that overlap or touch within
+// 1e-12.
+func (s *Set) normalize() {
+	ivs := s.view()
+	for i := 1; i < len(ivs); i++ {
+		for j := i; j > 0 && ivs[j].Lo < ivs[j-1].Lo; j-- {
+			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
+		}
+	}
+	n := 0
+	for _, iv := range ivs {
+		if n > 0 && iv.Lo <= ivs[n-1].Hi+1e-12 {
+			if iv.Hi > ivs[n-1].Hi {
+				ivs[n-1].Hi = iv.Hi
+			}
+			continue
+		}
+		ivs[n] = iv
+		n++
+	}
+	s.n = n
+	if s.spill != nil {
+		s.spill = s.spill[:n]
+	}
 }
 
 // NewSet builds a Set from arbitrary intervals (they are cleaned, sorted,
 // and merged).
 func NewSet(ivs ...Interval) Set {
-	var kept []Interval
+	var s Set
 	for _, iv := range ivs {
-		iv = iv.Intersect(Unit())
-		if !iv.Empty() {
-			kept = append(kept, iv)
-		}
+		s.add(iv)
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Lo < kept[j].Lo })
-	var merged []Interval
-	for _, iv := range kept {
-		if n := len(merged); n > 0 && iv.Lo <= merged[n-1].Hi+1e-12 {
-			if iv.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = iv.Hi
-			}
-			continue
-		}
-		merged = append(merged, iv)
-	}
-	return Set{ivs: merged}
+	s.normalize()
+	return s
 }
 
 // FullSet returns the set {[0,1]}.
 func FullSet() Set { return NewSet(Unit()) }
 
 // Empty reports whether the set contains no points.
-func (s Set) Empty() bool { return len(s.ivs) == 0 }
+func (s Set) Empty() bool { return s.n == 0 }
 
 // Intervals returns the disjoint intervals of the set in ascending order.
-func (s Set) Intervals() []Interval { return append([]Interval(nil), s.ivs...) }
+func (s Set) Intervals() []Interval { return append([]Interval(nil), s.view()...) }
 
 // Contains reports membership.
 func (s Set) Contains(x float64) bool {
-	for _, iv := range s.ivs {
+	for _, iv := range s.view() {
 		if iv.Contains(x) {
 			return true
 		}
@@ -130,20 +179,27 @@ func (s Set) Contains(x float64) bool {
 
 // Union returns the union of two sets.
 func (s Set) Union(other Set) Set {
-	return NewSet(append(s.Intervals(), other.ivs...)...)
+	var out Set
+	for _, iv := range s.view() {
+		out.add(iv)
+	}
+	for _, iv := range other.view() {
+		out.add(iv)
+	}
+	out.normalize()
+	return out
 }
 
 // Intersect returns the intersection of two sets.
 func (s Set) Intersect(other Set) Set {
-	var out []Interval
-	for _, a := range s.ivs {
-		for _, b := range other.ivs {
-			if c := a.Intersect(b); !c.Empty() {
-				out = append(out, c)
-			}
+	var out Set
+	for _, a := range s.view() {
+		for _, b := range other.view() {
+			out.add(a.Intersect(b))
 		}
 	}
-	return NewSet(out...)
+	out.normalize()
+	return out
 }
 
 // Nearest returns the point of the set closest to x. ok is false when the
@@ -153,7 +209,7 @@ func (s Set) Nearest(x float64) (nearest float64, ok bool) {
 		return 0, false
 	}
 	best, bestD := 0.0, math.Inf(1)
-	for _, iv := range s.ivs {
+	for _, iv := range s.view() {
 		c := iv.Clamp(x)
 		if d := math.Abs(c - x); d < bestD {
 			bestD, best = d, c
@@ -167,7 +223,7 @@ func (s Set) Min() (float64, bool) {
 	if s.Empty() {
 		return 0, false
 	}
-	return s.ivs[0].Lo, true
+	return s.view()[0].Lo, true
 }
 
 // String implements fmt.Stringer.
@@ -176,7 +232,7 @@ func (s Set) String() string {
 		return "∅"
 	}
 	out := ""
-	for i, iv := range s.ivs {
+	for i, iv := range s.view() {
 		if i > 0 {
 			out += "∪"
 		}

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/game"
 	"repro/internal/obs"
@@ -46,6 +45,12 @@ type FDS struct {
 	lastShortfall []float64
 	stallRounds   []int
 
+	// Scratch UpdateRatios reuses from call to call. The controller is
+	// single-caller already (the stall state above), so whoever serializes
+	// its calls serializes these too.
+	lin   *game.Linearizer
+	conds []cond
+
 	// Instruments; nil (no-op) until Instrument is called.
 	obsv    *obs.Observer
 	updates *obs.Counter // fds_updates_total
@@ -71,7 +76,16 @@ func NewFDS(m *game.Model, f *Field, lambda float64) (*FDS, error) {
 		StallPatience: 8,
 		lastShortfall: make([]float64, m.M()),
 		stallRounds:   make([]int, m.M()),
+		lin:           m.NewLinearizer(),
+		conds:         make([]cond, 0, m.K()),
 	}, nil
+}
+
+// cond is one tracked decision's condition set and how far its share is
+// from its target interval.
+type cond struct {
+	set  optimize.Set
+	dist float64
 }
 
 // ResetStallState clears the stall-detection memory (call when reusing one
@@ -166,19 +180,19 @@ func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimi
 // current ratio already satisfied its condition set.
 func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 	m := f.model
+	if len(s.P) != m.M() || len(s.X) != m.M() {
+		return nil, fmt.Errorf("policy: state has %d distributions and %d ratios, model %d regions", len(s.P), len(s.X), m.M())
+	}
 	f.updates.Inc()
 	satisfied := make([]bool, m.M())
+	// The distributions do not change during the sweep, so their accessible
+	// values are tabulated once; the ratios do (region i sees the ratios
+	// regions < i just moved to), so each region is linearized in turn.
+	f.lin.Tabulate(s)
 	for i := 0; i < m.M(); i++ {
-		coeffs, err := m.Linearize(s, i)
-		if err != nil {
-			return nil, err
-		}
+		coeffs := f.lin.Region(s, i)
 
-		type cond struct {
-			set  optimize.Set
-			dist float64 // how far the share is from its target interval
-		}
-		conds := make([]cond, 0, m.K())
+		conds := f.conds[:0]
 		for k := 0; k < m.K(); k++ {
 			want := f.field.P[i][k]
 			if want.Lo <= 0 && want.Hi >= 1 {
@@ -209,8 +223,13 @@ func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 		xSet := optimize.FullSet()
 		if len(conds) > 0 {
 			// Intersect most-urgent first so best-effort dropping removes
-			// the least-urgent conditions.
-			sort.SliceStable(conds, func(a, b int) bool { return conds[a].dist > conds[b].dist })
+			// the least-urgent conditions: a stable insertion sort by
+			// descending distance.
+			for a := 1; a < len(conds); a++ {
+				for b := a; b > 0 && conds[b].dist > conds[b-1].dist; b-- {
+					conds[b], conds[b-1] = conds[b-1], conds[b]
+				}
+			}
 			for _, c := range conds {
 				next := xSet.Intersect(c.set)
 				if next.Empty() {

@@ -1,0 +1,84 @@
+package policy
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/game"
+	"repro/internal/israce"
+	"repro/internal/lattice"
+)
+
+// ringGraph is the load-scale topology: every region adjacent to its two
+// ring neighbours.
+type ringGraph struct{ m int }
+
+func (g ringGraph) M() int { return g.m }
+func (g ringGraph) Gamma(i, j int) float64 {
+	if i == j {
+		return 0.6
+	}
+	if d := (i - j + g.m) % g.m; d == 1 || d == g.m-1 {
+		return 0.2
+	}
+	return 0
+}
+func (g ringGraph) Neighbors(i int) []int { return []int{(i + g.m - 1) % g.m, (i + 1) % g.m} }
+
+// TestUpdateRatiosAllocs pins a warmed control round at M=1024 on the ring
+// at one allocation — the satisfied slice it returns — on random censuses
+// under both a one-sided band and a field that constrains every share, so
+// the empty-set fallback and best-effort dropping run on the controller's
+// scratch too.
+func TestUpdateRatiosAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	const m = 1024
+	betas := make([]float64, m)
+	for i := range betas {
+		betas[i] = 3
+	}
+	model, err := game.NewModel(lattice.PaperPayoffs(), ringGraph{m}, betas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, err := NewUniformField(m, []float64{0.7, 0, 0, 0, 0, 0, 0, 0}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range band.P {
+		for k := 1; k < model.K(); k++ {
+			band.P[i][k].Lo, band.P[i][k].Hi = 0, 1
+		}
+	}
+	twoSided, err := NewUniformField(m, []float64{0.65, 0, 0, 0, 0.25, 0, 0.05, 0.05}, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, field := range map[string]*Field{"band": band, "two-sided": twoSided} {
+		fds, err := NewFDS(model, field, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		s := game.NewUniformState(m, model.K(), 0.2)
+		reshuffle := func() {
+			for i := range s.P {
+				for k := range s.P[i] {
+					s.P[i][k] = rng.Float64()
+				}
+				game.Normalize(s.P[i])
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			reshuffle()
+			if _, err := fds.UpdateRatios(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s field: UpdateRatios at M=%d: %.0f allocs, want at most 1", name, m, allocs)
+		}
+	}
+}

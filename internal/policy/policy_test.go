@@ -149,6 +149,13 @@ func TestNewFDSValidation(t *testing.T) {
 	if _, err := NewFDS(m, NewFreeField(3, 8), 0.1); err == nil {
 		t.Error("mismatched field must error")
 	}
+	fds, err := NewFDS(m, f, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fds.UpdateRatios(game.NewUniformState(2, 8, 0.5)); err == nil {
+		t.Error("a state of another region count must error")
+	}
 }
 
 // logitEquilibriumAt computes the equilibrium distribution of a model at a
