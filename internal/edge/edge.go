@@ -30,10 +30,17 @@ type Distributor struct {
 	lat *lattice.Lattice
 	rng *rand.Rand
 
-	mu      sync.Mutex
-	round   int
-	x       float64
-	uploads map[int]transport.Upload // by vehicle
+	mu    sync.Mutex
+	round int
+	x     float64
+	// slots holds one upload per vehicle and is kept from round to round:
+	// AddUpload copies the items into the vehicle's slot, because the
+	// caller's slice may be a conn's decode scratch (see
+	// transport.Message.Body), and a slot counts toward the current round
+	// only while its gen is the distributor's.
+	slots map[int]*uploadSlot
+	gen   uint64 // advanced by BeginRound; starts at 1, a new slot's is 0
+	n     int    // slots filled this round
 
 	// Edge-side perception (see perception.go); zero mask disables it.
 	edgeShare    sensor.Mask
@@ -41,14 +48,22 @@ type Distributor struct {
 	edgeSeq      int
 }
 
+// uploadSlot is one vehicle's upload; up.Items is the slot's own backing
+// array, reused by the vehicle's next upload.
+type uploadSlot struct {
+	gen uint64
+	up  transport.Upload
+}
+
 // NewDistributor builds a distributor over the decision lattice with the
 // given random seed (randomness implements the sharing-ratio coin flips).
 func NewDistributor(lat *lattice.Lattice, seed int64) *Distributor {
 	return &Distributor{
-		lat:     lat,
-		rng:     rand.New(rand.NewSource(seed)),
-		x:       1,
-		uploads: make(map[int]transport.Upload),
+		lat:   lat,
+		rng:   rand.New(rand.NewSource(seed)),
+		x:     1,
+		slots: make(map[int]*uploadSlot),
+		gen:   1,
 	}
 }
 
@@ -62,7 +77,15 @@ func (d *Distributor) BeginRound(round int, x float64) error {
 	defer d.mu.Unlock()
 	d.round = round
 	d.x = x
-	d.uploads = make(map[int]transport.Upload)
+	// A vehicle that sat out the round just ended (it left the cell) gives
+	// its slot up; the others keep theirs for the items they send next.
+	for v, s := range d.slots {
+		if s.gen != d.gen {
+			delete(d.slots, v)
+		}
+	}
+	d.gen++
+	d.n = 0
 	return nil
 }
 
@@ -84,7 +107,8 @@ func (d *Distributor) X() float64 {
 // other rounds are rejected; a vehicle uploading twice replaces its earlier
 // upload. The upload's decision must be valid, and every item's share set
 // must be consistent with the decision (the edge enforces the policy: a
-// vehicle cannot smuggle modalities its decision does not share).
+// vehicle cannot smuggle modalities its decision does not share). The upload
+// is copied: the caller may reuse u.Items as soon as AddUpload returns.
 func (d *Distributor) AddUpload(u transport.Upload) error {
 	// Policy validation first: it reads only the immutable lattice, so it
 	// needs no lock.
@@ -110,7 +134,18 @@ func (d *Distributor) AddUpload(u transport.Upload) error {
 	if u.Round != d.round {
 		return fmt.Errorf("%w: upload for round %d, current round is %d", ErrStaleUpload, u.Round, d.round)
 	}
-	d.uploads[u.Vehicle] = u
+	s := d.slots[u.Vehicle]
+	if s == nil {
+		s = &uploadSlot{}
+		d.slots[u.Vehicle] = s
+	}
+	if s.gen != d.gen {
+		s.gen = d.gen
+		d.n++
+	}
+	items := append(s.up.Items[:0], u.Items...)
+	s.up = u
+	s.up.Items = items
 	return nil
 }
 
@@ -118,7 +153,7 @@ func (d *Distributor) AddUpload(u transport.Upload) error {
 func (d *Distributor) NumUploads() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.uploads)
+	return d.n
 }
 
 // Distribute computes each uploader's delivery: for every other vehicle b
@@ -130,9 +165,11 @@ func (d *Distributor) Distribute() map[int][]transport.Item {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	vehicles := make([]int, 0, len(d.uploads))
-	for v := range d.uploads {
-		vehicles = append(vehicles, v)
+	vehicles := make([]int, 0, d.n)
+	for v, s := range d.slots {
+		if s.gen == d.gen {
+			vehicles = append(vehicles, v)
+		}
 	}
 	sort.Ints(vehicles) // determinism for a fixed seed
 
@@ -140,13 +177,13 @@ func (d *Distributor) Distribute() map[int][]transport.Item {
 
 	out := make(map[int][]transport.Item, len(vehicles))
 	for _, a := range vehicles {
-		ua := d.uploads[a]
+		ua := &d.slots[a].up
 		var items []transport.Item
 		for _, b := range vehicles {
 			if a == b {
 				continue
 			}
-			ub := d.uploads[b]
+			ub := &d.slots[b].up
 			if !d.lat.CanAccess(lattice.Decision(ua.Decision), lattice.Decision(ub.Decision)) {
 				continue
 			}
@@ -173,8 +210,8 @@ func (d *Distributor) Census() []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	counts := make([]int, d.lat.K())
-	for _, u := range d.uploads {
-		if u.Decision >= 1 && u.Decision <= d.lat.K() {
+	for _, s := range d.slots {
+		if u := &s.up; s.gen == d.gen && u.Decision >= 1 && u.Decision <= d.lat.K() {
 			counts[u.Decision-1]++
 		}
 	}

@@ -184,128 +184,47 @@ func TestCensusAndShares(t *testing.T) {
 	}
 }
 
-// TestServerRoundOverInproc drives a full round over the in-process
-// transport with three scripted vehicle clients.
+// TestServerRoundOverInproc drives two full rounds over the in-process
+// transport with three hand-driven vehicles. Frames on one conn arrive in
+// order, so each vehicle asserts that its good upload is followed by the
+// delivery and nothing else: a success ack would show up either in place of
+// the delivery or in place of the next round's policy.
 func TestServerRoundOverInproc(t *testing.T) {
-	net := transport.NewInprocNetwork()
-	l, err := net.Listen("edge-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(0, lattice.NewPaper(), 7)
-	go srv.Serve(l)
-	defer srv.Close()
-
-	type client struct {
-		conn     transport.Conn
+	srv, dial := startServer(t)
+	clients := []struct {
 		decision int
 		items    []sensor.Type
-	}
-	clients := []*client{
-		{decision: 1, items: []sensor.Type{sensor.Camera, sensor.LiDAR, sensor.Radar}},
+	}{
+		{decision: 1, items: sensor.AllTypes()},
 		{decision: 7, items: []sensor.Type{sensor.Radar}},
 		{decision: 8},
 	}
-	for i, c := range clients {
-		conn, err := net.Dial("edge-0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.conn = conn
-		hello, err := transport.Encode(transport.KindHello, transport.Hello{Vehicle: i + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.Send(hello); err != nil {
-			t.Fatal(err)
-		}
-		ack, err := conn.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a transport.Ack
-		if err := transport.Decode(ack, transport.KindAck, &a); err != nil || a.Err != "" {
-			t.Fatalf("hello ack = %+v, %v", a, err)
-		}
+	vehicles := make([]*testVehicle, len(clients))
+	for i := range clients {
+		vehicles[i] = registerVehicle(t, dial, i+1)
 	}
-	// Wait until registration is visible.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.NumVehicles() < len(clients) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.NumVehicles() != len(clients) {
-		t.Fatalf("registered %d vehicles", srv.NumVehicles())
-	}
+	awaitVehicles(t, srv, len(clients))
 
-	// Each client: receive policy, upload, expect ack + delivery.
-	var wg sync.WaitGroup
-	results := make([]transport.Delivery, len(clients))
-	for i, c := range clients {
-		i, c := i, c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := c.conn.Recv()
-			if err != nil {
-				t.Errorf("client %d: recv policy: %v", i, err)
-				return
+	for round := 1; round <= 2; round++ {
+		census := runRound(t, srv, round, 5*time.Second)
+		for i, v := range vehicles {
+			v.recvPolicy(round)
+			v.upload(round, clients[i].decision, round, clients[i].items...)
+		}
+		if counts := <-census; total(counts) != 3 || counts[0] != 1 || counts[6] != 1 || counts[7] != 1 {
+			t.Errorf("round %d census = %v", round, counts)
+		}
+		for _, v := range vehicles {
+			var del transport.Delivery
+			v.recv(transport.KindDelivery, &del)
+			if del.Round != round {
+				t.Errorf("vehicle %d: delivery for round %d in round %d", v.id, del.Round, round)
 			}
-			var pol transport.Policy
-			if err := transport.Decode(m, transport.KindPolicy, &pol); err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
+			// Vehicle 1 (decision 1, x=1) must receive vehicle 2's radar item.
+			if v.id == 1 && (len(del.Items) != 1 || del.Items[0].Modality != sensor.Radar) {
+				t.Errorf("vehicle 1 delivery = %+v", del)
 			}
-			if pol.X != 1 || pol.Round != 1 {
-				t.Errorf("client %d: policy = %+v", i, pol)
-			}
-			up := upload(i+1, 1, c.decision, c.items...)
-			msg, err := transport.Encode(transport.KindUpload, up)
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			if err := c.conn.Send(msg); err != nil {
-				t.Errorf("client %d: send upload: %v", i, err)
-				return
-			}
-			// Ack then delivery (order: ack is sent by the read loop,
-			// delivery by RunRound; both arrive on the same conn).
-			for n := 0; n < 2; n++ {
-				m, err := c.conn.Recv()
-				if err != nil {
-					t.Errorf("client %d: recv: %v", i, err)
-					return
-				}
-				switch m.Kind {
-				case transport.KindAck:
-					var a transport.Ack
-					if err := transport.Decode(m, transport.KindAck, &a); err != nil || a.Err != "" {
-						t.Errorf("client %d: upload ack %+v %v", i, a, err)
-					}
-				case transport.KindDelivery:
-					if err := transport.Decode(m, transport.KindDelivery, &results[i]); err != nil {
-						t.Errorf("client %d: %v", i, err)
-					}
-				}
-			}
-		}()
-	}
-
-	census, err := srv.RunRound(1, 1.0, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
-	if census[0] != 1 || census[6] != 1 || census[7] != 1 {
-		t.Errorf("census = %v", census)
-	}
-	// Vehicle 1 (decision 1, x=1) must receive vehicle 2's radar item.
-	if len(results[0].Items) != 1 || results[0].Items[0].Modality != sensor.Radar {
-		t.Errorf("vehicle 1 delivery = %+v", results[0])
-	}
-	for _, c := range clients {
-		_ = c.conn.Close()
+		}
 	}
 }
 
@@ -454,9 +373,9 @@ func TestAddUploadRoundFlipRace(t *testing.T) {
 	check := func() {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		for v, u := range d.uploads {
-			if u.Round != d.round {
-				t.Fatalf("vehicle %d upload for round %d buffered in round %d", v, u.Round, d.round)
+		for v, s := range d.slots {
+			if s.gen == d.gen && s.up.Round != d.round {
+				t.Fatalf("vehicle %d upload for round %d buffered in round %d", v, s.up.Round, d.round)
 			}
 		}
 	}

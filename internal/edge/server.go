@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lattice"
@@ -23,16 +24,30 @@ type Server struct {
 
 	dist *Distributor
 
-	mu       sync.Mutex
-	conns    map[int]transport.Conn
-	shares   []float64 // last round's decision distribution
+	mu     sync.Mutex
+	conns  map[int]transport.Conn
+	shares []float64 // last round's decision distribution; replaced, never written in place
+	closed chan struct{}
+	once   sync.Once
+	wg     sync.WaitGroup
+
+	// RunRound publishes in target how many uploads it is waiting for, before
+	// it broadcasts the policy; the upload handler that brings the round's
+	// count up to it leaves one token in uploaded. A token left over from a
+	// round that ended first only makes the next wait re-check its count.
+	target   atomic.Int64
 	uploaded chan struct{}
-	closed   chan struct{}
-	once     sync.Once
-	wg       sync.WaitGroup
+	// members is RunRound's snapshot of conns, reused from round to round.
+	members []member
 
 	obsv    *obs.Observer
 	metrics edgeMetrics
+}
+
+// member is one registered vehicle in a round's snapshot.
+type member struct {
+	vehicle int
+	conn    transport.Conn
 }
 
 // edgeMetrics are the edge server's registry-backed instruments.
@@ -66,7 +81,7 @@ func NewServer(id int, lat *lattice.Lattice, seed int64) *Server {
 		dist:     NewDistributor(lat, seed),
 		conns:    make(map[int]transport.Conn),
 		shares:   shares,
-		uploaded: make(chan struct{}, 1024),
+		uploaded: make(chan struct{}, 1),
 		closed:   make(chan struct{}),
 		obsv:     o,
 		metrics:  newEdgeMetrics(o),
@@ -164,26 +179,27 @@ func (s *Server) handleConn(conn transport.Conn) {
 		s.mu.Unlock()
 	}()
 
+	var up transport.Upload // one per session: the read loop handles a frame at a time
 	_ = sess.Serve(map[transport.Kind]session.Handler{
 		transport.KindUpload: func(m transport.Message) error {
-			var up transport.Upload
+			up = transport.Upload{}
 			if err := transport.Decode(m, transport.KindUpload, &up); err != nil {
 				_ = sess.Ack(err)
 				return nil
 			}
-			err := s.dist.AddUpload(up)
-			if errors.Is(err, ErrStaleUpload) {
-				// A delayed policy made the vehicle upload for an old
-				// round; harmless, drop it without an error ack.
-				return sess.Ack(nil)
-			}
-			_ = sess.Ack(err)
-			if err == nil {
-				select {
-				case s.uploaded <- struct{}{}:
-				case <-s.closed:
-					return transport.ErrClosed
+			// An accepted upload is acknowledged by the round's delivery
+			// and a stale one (a delayed policy made the vehicle upload for
+			// an old round; harmless) by nothing; only a refusal is acked.
+			switch err := s.dist.AddUpload(up); {
+			case err == nil:
+				if s.dist.NumUploads() >= int(s.target.Load()) {
+					select {
+					case s.uploaded <- struct{}{}:
+					default:
+					}
 				}
+			case !errors.Is(err, ErrStaleUpload):
+				_ = sess.Ack(err)
 			}
 			return nil
 		},
@@ -193,7 +209,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 // RunRound drives one synchronized data-sharing round: broadcast the policy
 // (step ③), wait until every registered vehicle has uploaded or the timeout
 // expires (step ④), distribute the collected items (step ⑤), and return the
-// decision census (for step ①).
+// decision census (for step ①). Rounds run one at a time.
 func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -204,25 +220,19 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 		span.End(obs.A("error", err.Error()))
 		return nil, err
 	}
-	// Drain stale upload signals from previous rounds.
-	for {
-		select {
-		case <-s.uploaded:
-			continue
-		default:
-		}
-		break
-	}
 
 	s.mu.Lock()
-	conns := make(map[int]transport.Conn, len(s.conns))
+	clear(s.members) // do not pin the conns of vehicles that left
+	members := s.members[:0]
 	for v, c := range s.conns {
-		conns[v] = c
+		members = append(members, member{v, c})
 	}
-	shares := append([]float64(nil), s.shares...)
+	s.members = members
+	shares := s.shares
 	s.mu.Unlock()
 
-	policy, err := transport.Encode(transport.KindPolicy, transport.Policy{
+	s.target.Store(int64(len(members)))
+	policy, err := transport.Encode(transport.KindPolicy, &transport.Policy{
 		Round:  round,
 		X:      x,
 		Shares: shares,
@@ -230,19 +240,19 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range conns {
+	for _, mb := range members {
 		// Dead connections are detected by their read loop; ignore here.
-		_ = c.Send(policy)
+		_ = mb.conn.Send(policy)
 	}
 
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	for s.dist.NumUploads() < len(conns) {
+	for s.dist.NumUploads() < len(members) {
 		select {
 		case <-s.uploaded:
 		case <-deadline.C:
 			// Proceed with whatever arrived.
-			span.Event("upload_deadline", obs.A("uploads", s.dist.NumUploads()), obs.A("vehicles", len(conns)))
+			span.Event("upload_deadline", obs.A("uploads", s.dist.NumUploads()), obs.A("vehicles", len(members)))
 			goto distribute
 		case <-s.closed:
 			span.End(obs.A("error", "closed"))
@@ -253,16 +263,20 @@ distribute:
 	m.uploads.Add(int64(s.dist.NumUploads()))
 	span.Event("distribute", obs.A("uploads", s.dist.NumUploads()))
 	deliveries := s.dist.Distribute()
-	for v, items := range deliveries {
-		conn, ok := conns[v]
+	// The bodies are this round's own: a receiver on the in-process
+	// transport may still be reading one when the next round starts.
+	bodies := make([]transport.Delivery, 0, len(deliveries))
+	for _, mb := range members {
+		items, ok := deliveries[mb.vehicle]
 		if !ok {
 			continue
 		}
-		m, err := transport.Encode(transport.KindDelivery, transport.Delivery{Round: round, Items: items})
+		bodies = append(bodies, transport.Delivery{Round: round, Items: items})
+		m, err := transport.Encode(transport.KindDelivery, &bodies[len(bodies)-1])
 		if err != nil {
 			return nil, err
 		}
-		_ = conn.Send(m)
+		_ = mb.conn.Send(m)
 	}
 
 	census := s.dist.Census()

@@ -1,10 +1,15 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/israce"
+	"repro/internal/obs"
+)
 
 // TestBinaryEncodeHotPathZeroAlloc pins the per-frame heap cost of the two
 // messages every consensus round sends (census up, ratio down) at zero: the
-// scratch structs the encoder extracts typed bodies into come from a pool,
+// encoder copies a typed body out of the message without boxing it again,
 // and the destination buffer is reused the way tcpConn.Send reuses its own.
 // BenchmarkEncodeCensus reports the same number as allocs/op; this test
 // makes the regression a hard failure instead of a bench diff.
@@ -32,6 +37,62 @@ func TestBinaryEncodeHotPathZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("binary %s encode: %.1f allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestTCPVehiclePlaneAllocs pins the heap cost of moving the four frames of a
+// vehicle-round (policy, upload, delivery, ack) over a warmed TCP conn at
+// zero, Send and Recv together: the frame buffer is pooled or the conn's
+// own, the bodies are the conn's decode scratch, and the wire metrics, when
+// on, are handles the conn already holds. Send and Recv run in turn on one
+// goroutine — a frame fits the loopback socket buffer many times over — so
+// the count covers both ends.
+func TestTCPVehiclePlaneAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	for _, instrumented := range []bool{false, true} {
+		if instrumented {
+			Instrument(obs.New())
+			defer Instrument(nil)
+		}
+		l, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		accepted := acceptOne(t, l)
+		client, err := DialTCP(l.Addr(), WithCodec(Binary))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		msgs := vehiclePlaneMessages(t)
+		if err := client.Send(msgs[0]); err != nil { // carries the codec declaration
+			t.Fatal(err)
+		}
+		server := <-accepted
+		if server == nil {
+			t.Fatal("accept failed")
+		}
+		defer server.Close()
+		if _, err := server.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := client.Send(m); err != nil {
+					t.Fatal(err)
+				}
+				got, err := server.Recv()
+				if err != nil || got.Kind != m.Kind {
+					t.Fatalf("Recv = %s, %v, want %s", got.Kind, err, m.Kind)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("instrumented=%v: %s Send+Recv: %.1f allocs/op, want 0", instrumented, m.Kind, allocs)
+			}
 		}
 	}
 }

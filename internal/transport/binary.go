@@ -62,16 +62,6 @@ const (
 	tagHoodBeat
 )
 
-// censusScratch and ratioScratch recycle the payload structs the per-round
-// hot path (census up, ratio down) extracts typed bodies into, so encoding
-// a frame costs zero heap allocations. Structs are zeroed before Put: a
-// JSON-fallback decode merges into whatever the struct holds, and a pooled
-// census must not pin the previous caller's Counts slice.
-var (
-	censusScratch = sync.Pool{New: func() interface{} { return new(Census) }}
-	ratioScratch  = sync.Pool{New: func() interface{} { return new(Ratio) }}
-)
-
 func (binaryCodec) Name() string  { return "binary" }
 func (binaryCodec) Version() byte { return VersionBinary }
 
@@ -85,35 +75,23 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = append(dst, tagHello)
 		return appendInt(dst, int64(h.Vehicle)), nil
 	case KindCensus:
-		c := censusScratch.Get().(*Census)
-		err := payloadFor(m, c)
-		if err == nil {
-			dst = append(dst, tagCensus)
-			dst = appendCensus(dst, c)
-		}
-		*c = Census{}
-		censusScratch.Put(c)
+		c, err := typedBody[Census](m)
 		if err != nil {
 			return nil, err
 		}
-		return dst, nil
+		dst = append(dst, tagCensus)
+		return appendCensus(dst, &c), nil
 	case KindRatio:
-		r := ratioScratch.Get().(*Ratio)
-		err := payloadFor(m, r)
-		if err == nil {
-			dst = append(dst, tagRatio)
-			dst = appendInt(dst, int64(r.Round))
-			dst = appendFloat(dst, r.X)
-		}
-		*r = Ratio{}
-		ratioScratch.Put(r)
+		r, err := typedBody[Ratio](m)
 		if err != nil {
 			return nil, err
 		}
-		return dst, nil
+		dst = append(dst, tagRatio)
+		dst = appendInt(dst, int64(r.Round))
+		return appendFloat(dst, r.X), nil
 	case KindPolicy:
-		var p Policy
-		if err := payloadFor(m, &p); err != nil {
+		p, err := typedBody[Policy](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagPolicy)
@@ -125,8 +103,8 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		return dst, nil
 	case KindUpload:
-		var u Upload
-		if err := payloadFor(m, &u); err != nil {
+		u, err := typedBody[Upload](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagUpload)
@@ -135,16 +113,16 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = appendInt(dst, int64(u.Decision))
 		return appendItems(dst, u.Items), nil
 	case KindDelivery:
-		var d Delivery
-		if err := payloadFor(m, &d); err != nil {
+		d, err := typedBody[Delivery](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagDelivery)
 		dst = appendInt(dst, int64(d.Round))
 		return appendItems(dst, d.Items), nil
 	case KindAck:
-		var a Ack
-		if err := payloadFor(m, &a); err != nil {
+		a, err := typedBody[Ack](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagAck)
@@ -241,7 +219,46 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 	}
 }
 
+// Decode parses one frame into bodies the caller owns.
 func (binaryCodec) Decode(frame []byte) (Message, error) {
+	var fresh recvScratch
+	return decodeBinary(frame, &fresh)
+}
+
+// recvScratch holds the bodies the four per-vehicle-round kinds (policy,
+// upload, delivery, ack) decode into. A TCP conn keeps one and reuses it
+// from frame to frame, which is what makes a received body valid only until
+// the conn's next Recv; Decode hands in an empty one, so its bodies are the
+// caller's. A body is allocated the first time its kind arrives — an
+// edge-side conn never sees a delivery, a vehicle-side conn never an upload
+// — and its slice grows to the largest frame of that kind seen.
+type recvScratch struct {
+	policy   *Policy
+	upload   *Upload
+	delivery *Delivery
+	ack      *Ack
+}
+
+// deliveryPool holds the delivery bodies no conn is lending out. A delivery
+// is the one large body — 60 items are 1.5 KB where the other three kinds
+// stay near 100 bytes — and a vehicle is done with it as soon as its handler
+// returns, so a fleet shares as many as are being handled at once instead of
+// every vehicle's conn keeping its own between rounds.
+var deliveryPool = sync.Pool{New: func() interface{} { return new(Delivery) }}
+
+// release gives the delivery body back at the conn's next Recv, which is
+// when the last message's Body stops being valid.
+func (s *recvScratch) release() {
+	if s.delivery != nil {
+		deliveryPool.Put(s.delivery)
+		s.delivery = nil
+	}
+}
+
+// decodeBinary parses one frame. The four scratch kinds come back as
+// pointers into s; every other kind — census, batch, digest and ratio-batch
+// consumers hold their slices across rounds — as a freshly allocated value.
+func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	if len(frame) == 0 {
 		return Message{}, fmt.Errorf("transport: empty binary frame")
 	}
@@ -268,26 +285,39 @@ func (binaryCodec) Decode(frame []byte) (Message, error) {
 		kind = KindRatio
 		body = Ratio{Round: int(r.int()), X: r.float()}
 	case tagPolicy:
-		p := Policy{Round: int(r.int()), X: r.float()}
+		if s.policy == nil {
+			s.policy = new(Policy)
+		}
+		p := s.policy
+		p.Round, p.X = int(r.int()), r.float()
 		n := r.len(8)
-		if n > 0 {
-			p.Shares = make([]float64, n)
-			for i := range p.Shares {
-				p.Shares[i] = r.float()
-			}
+		p.Shares = append(p.Shares[:0], make([]float64, n)...)
+		for i := range p.Shares {
+			p.Shares[i] = r.float()
 		}
 		kind, body = KindPolicy, p
 	case tagUpload:
-		u := Upload{Vehicle: int(r.int()), Round: int(r.int()), Decision: int(r.int())}
-		u.Items = r.items()
+		if s.upload == nil {
+			s.upload = new(Upload)
+		}
+		u := s.upload
+		u.Vehicle, u.Round, u.Decision = int(r.int()), int(r.int()), int(r.int())
+		u.Items = r.items(u.Items)
 		kind, body = KindUpload, u
 	case tagDelivery:
-		d := Delivery{Round: int(r.int())}
-		d.Items = r.items()
+		if s.delivery == nil {
+			s.delivery = deliveryPool.Get().(*Delivery)
+		}
+		d := s.delivery
+		d.Round = int(r.int())
+		d.Items = r.items(d.Items)
 		kind, body = KindDelivery, d
 	case tagAck:
-		kind = KindAck
-		body = Ack{Err: r.str()}
+		if s.ack == nil {
+			s.ack = new(Ack)
+		}
+		s.ack.Err = r.str()
+		kind, body = KindAck, s.ack
 	case tagLease:
 		kind = KindLease
 		body = Lease{Edge: int(r.int()), TTLMillis: r.int()}
@@ -349,6 +379,22 @@ func (binaryCodec) Decode(frame []byte) (Message, error) {
 		return Message{}, fmt.Errorf("transport: binary %s frame has %d trailing bytes", kind, len(r.buf))
 	}
 	return Message{Kind: kind, Body: body}, nil
+}
+
+// typedBody returns m's payload as a T for the kinds sent every round: a
+// typed Body, value or pointer, is copied out with no heap allocation (out
+// below is only reached, and only then allocated, by a JSON Payload or a
+// mismatched Body).
+func typedBody[T any](m Message) (T, error) {
+	switch b := m.Body.(type) {
+	case T:
+		return b, nil
+	case *T:
+		return *b, nil
+	}
+	var out T
+	err := payloadFor(m, &out)
+	return out, err
 }
 
 // payloadFor extracts m's payload into out regardless of which form
@@ -498,18 +544,18 @@ func (r *byteReader) censuses() []Census {
 	return out
 }
 
-func (r *byteReader) items() []Item {
+// items reads an item list into dst's backing array, growing it when the
+// list is longer than any read into it before. An empty list leaves a nil
+// dst nil.
+func (r *byteReader) items(dst []Item) []Item {
 	n := r.len(3)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{
+	dst = append(dst[:0], make([]Item, n)...)
+	for i := range dst {
+		dst[i] = Item{
 			Owner:    int(r.int()),
 			Modality: sensor.Type(r.int()),
 			Seq:      int(r.int()),
 		}
 	}
-	return items
+	return dst
 }

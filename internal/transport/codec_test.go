@@ -60,36 +60,86 @@ func allKindsMessages(t *testing.T) []Message {
 	return out
 }
 
+// warmedScratch returns the decode scratch of a conn that has already
+// received every per-vehicle-round kind, each longer than anything the tables
+// below decode — so a decode that kept a stale element, length or string
+// from the frame before would show.
+func warmedScratch(t testing.TB) *recvScratch {
+	t.Helper()
+	items := make([]Item, 80)
+	for i := range items {
+		items[i] = Item{Owner: 1000 + i, Modality: sensor.Camera, Seq: 9000 + i}
+	}
+	s := new(recvScratch)
+	for _, p := range []struct {
+		kind Kind
+		body interface{}
+	}{
+		{KindPolicy, Policy{Round: 99, X: 1, Shares: make([]float64, 16)}},
+		{KindUpload, Upload{Vehicle: 1000, Round: 99, Decision: 1, Items: items}},
+		{KindDelivery, Delivery{Round: 99, Items: items}},
+		{KindAck, Ack{Err: "a refusal left over from the frame before"}},
+	} {
+		m, err := Encode(p.kind, p.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := Binary.AppendEncode(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeBinary(frame, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// binaryDecoders are the binary decoder's two entry points: Binary.Decode,
+// whose bodies the caller owns, and a TCP conn's decode into scratch it has
+// used before. They must accept, reject and produce exactly the same.
+func binaryDecoders(t testing.TB) map[string]func([]byte) (Message, error) {
+	scratch := warmedScratch(t)
+	return map[string]func([]byte) (Message, error){
+		"owned":   Binary.Decode,
+		"scratch": func(frame []byte) (Message, error) { return decodeBinary(frame, scratch) },
+	}
+}
+
 func TestCodecRoundTripAllKinds(t *testing.T) {
-	for _, codec := range []Codec{JSON, Binary} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			for _, m := range allKindsMessages(t) {
-				frame, err := codec.AppendEncode(nil, m)
+	roundTrip := func(t *testing.T, codec Codec, decode func([]byte) (Message, error)) {
+		for _, m := range allKindsMessages(t) {
+			frame, err := codec.AppendEncode(nil, m)
+			if err != nil {
+				t.Fatalf("%s: encode: %v", m.Kind, err)
+			}
+			got, err := decode(frame)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", m.Kind, err)
+			}
+			if got.Kind != m.Kind {
+				t.Fatalf("kind = %s, want %s", got.Kind, m.Kind)
+			}
+			// Round-trip the payload through the typed Decode helper and
+			// compare via a second encode: byte equality is type
+			// equality for the binary format.
+			if codec == Binary {
+				again, err := codec.AppendEncode(nil, got)
 				if err != nil {
-					t.Fatalf("%s: encode: %v", m.Kind, err)
+					t.Fatalf("%s: re-encode: %v", m.Kind, err)
 				}
-				got, err := codec.Decode(frame)
-				if err != nil {
-					t.Fatalf("%s: decode: %v", m.Kind, err)
-				}
-				if got.Kind != m.Kind {
-					t.Fatalf("kind = %s, want %s", got.Kind, m.Kind)
-				}
-				// Round-trip the payload through the typed Decode helper and
-				// compare via a second encode: byte equality is type
-				// equality for the binary format.
-				if codec == Binary {
-					again, err := codec.AppendEncode(nil, got)
-					if err != nil {
-						t.Fatalf("%s: re-encode: %v", m.Kind, err)
-					}
-					if !bytes.Equal(frame, again) {
-						t.Errorf("%s: re-encode differs:\n  %x\n  %x", m.Kind, frame, again)
-					}
+				if !bytes.Equal(frame, again) {
+					t.Errorf("%s: re-encode differs:\n  %x\n  %x", m.Kind, frame, again)
 				}
 			}
-		})
+		}
 	}
+	t.Run("json", func(t *testing.T) { roundTrip(t, JSON, JSON.Decode) })
+	t.Run("binary", func(t *testing.T) {
+		for name, decode := range binaryDecoders(t) {
+			t.Run(name, func(t *testing.T) { roundTrip(t, Binary, decode) })
+		}
+	})
 }
 
 // TestCodecRoundTripPayloads checks field-level fidelity through the
@@ -268,11 +318,22 @@ func TestBinaryDecodeHardening(t *testing.T) {
 		{"digest trailing garbage", []byte{0x0C, 0x02, 0x04, 0x00, 0x00, 0xAA}},
 		{"hood_beat truncated", []byte{0x0D, 0x02, 0x04}},
 		{"hood_beat trailing garbage", []byte{0x0D, 0x02, 0x04, 0x06, 0x0C, 0x00, 0xAA}},
+		{"policy shares length exceeds remaining", append([]byte{0x04, 0x0A}, append(make([]byte, 8), 0x03, 0x00, 0x00)...)},
+		{"policy share cut short", append([]byte{0x04, 0x0A}, append(make([]byte, 8), 0x01, 0x00, 0x00, 0x00)...)},
+		{"policy trailing garbage", append([]byte{0x04, 0x0A}, append(make([]byte, 8), 0x00, 0xAA)...)},
+		{"upload truncated item", []byte{0x05, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x80}}, // seq varint never ends
+		{"delivery items length overflow", []byte{0x06, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"delivery trailing garbage", []byte{0x06, 0x0A, 0x00, 0xAA}},
+		{"ack text length exceeds remaining", []byte{0x07, 0x05, 'n', 'o'}},
+		{"ack trailing garbage", []byte{0x07, 0x00, 0xAA}},
 	}
+	decoders := binaryDecoders(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Binary.Decode(c.frame); err == nil {
-				t.Errorf("Decode(%x) succeeded, want error", c.frame)
+			for name, decode := range decoders {
+				if _, err := decode(c.frame); err == nil {
+					t.Errorf("%s: Decode(%x) succeeded, want error", name, c.frame)
+				}
 			}
 		})
 	}
@@ -611,10 +672,25 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	scratch := warmedScratch(f) // as on a conn: dirtied by every frame before
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		// Decoding arbitrary bytes must never panic or over-allocate; a
 		// frame that decodes must re-encode deterministically.
 		m, err := Binary.Decode(frame)
+		viaScratch, scratchErr := decodeBinary(frame, scratch)
+		if (err == nil) != (scratchErr == nil) {
+			t.Fatalf("frame %x: Decode = %v, decode into scratch = %v", frame, err, scratchErr)
+		}
+		if err == nil {
+			owned, err := Binary.AppendEncode(nil, m)
+			if err != nil {
+				t.Fatalf("decoded frame %x failed to re-encode: %v", frame, err)
+			}
+			borrowed, err := Binary.AppendEncode(nil, viaScratch)
+			if err != nil || !bytes.Equal(owned, borrowed) {
+				t.Fatalf("frame %x: scratch decode re-encodes to %x (%v), owned decode to %x", frame, borrowed, err, owned)
+			}
+		}
 		if err == nil {
 			again, err := Binary.AppendEncode(nil, m)
 			if err != nil {

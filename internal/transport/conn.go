@@ -15,7 +15,10 @@ type Conn interface {
 	// Send writes one message. Safe for one concurrent sender.
 	Send(Message) error
 	// Recv blocks for the next message; it returns io.EOF after the peer
-	// closes.
+	// closes. The message's Body is valid until the next Recv on this conn:
+	// a TCP conn on the binary codec decodes policy, upload, delivery and
+	// ack frames into bodies it reuses, so a receiver that keeps such a body
+	// (or a slice inside it) past its next Recv must copy it first.
 	Recv() (Message, error)
 	// Close releases the connection; pending Recv calls unblock with
 	// io.EOF.
@@ -138,6 +141,7 @@ type codecConn struct {
 	closed chan struct{}
 	once   sync.Once
 	peer   *codecConn
+	wm     metricHandles
 }
 
 // CodecPipe returns two connected in-process Conns that serialize every
@@ -156,7 +160,7 @@ func CodecPipe(codec Codec) (Conn, Conn) {
 func (c *codecConn) codecName() string { return c.codec.Name() }
 
 func (c *codecConn) Send(m Message) error {
-	frame, err := encodeFrame(c.codec, m)
+	frame, err := encodeFrame(c.codec, c.wm.get(c.codec.Name()), m)
 	if err != nil {
 		return err
 	}
@@ -194,9 +198,10 @@ func (c *codecConn) Recv() (Message, error) {
 			return Message{}, io.EOF
 		}
 	}
-	m, err := decodeFrame(c.codec, frame)
-	if wm := wireMetrics(); wm != nil && err == nil {
-		wm.bytesRecv.With(c.codec.Name()).Add(int64(len(frame)))
+	wm := c.wm.get(c.codec.Name())
+	m, err := decodeFrame(c.codec, nil, wm, frame)
+	if wm != nil && err == nil {
+		wm.bytesRecv.Add(int64(len(frame)))
 	}
 	return m, err
 }
@@ -206,19 +211,19 @@ func (c *codecConn) Close() error {
 	return nil
 }
 
-// encodeFrame runs one codec encode with instrumentation and the shared
-// frame-size check.
-func encodeFrame(codec Codec, m Message) ([]byte, error) {
+// encodeFrame runs one codec encode for a codec pipe, with instrumentation
+// (wm may be nil) and the shared frame-size check.
+func encodeFrame(codec Codec, wm *connMetrics, m Message) ([]byte, error) {
 	var (
 		frame []byte
 		err   error
 	)
-	if wm := wireMetrics(); wm != nil {
+	if wm != nil {
 		start := time.Now()
 		frame, err = codec.AppendEncode(nil, m)
-		wm.encodeSeconds.With(codec.Name()).Observe(time.Since(start).Seconds())
+		wm.encodeSeconds.Observe(time.Since(start).Seconds())
 		if err == nil {
-			wm.bytesSent.With(codec.Name()).Add(int64(len(frame)))
+			wm.bytesSent.Add(int64(len(frame)))
 		}
 	} else {
 		frame, err = codec.AppendEncode(nil, m)
@@ -233,15 +238,24 @@ func encodeFrame(codec Codec, m Message) ([]byte, error) {
 	return frame, nil
 }
 
-// decodeFrame runs one codec decode with instrumentation.
-func decodeFrame(codec Codec, frame []byte) (Message, error) {
-	if wm := wireMetrics(); wm != nil {
-		start := time.Now()
-		m, err := codec.Decode(frame)
-		wm.decodeSeconds.With(codec.Name()).Observe(time.Since(start).Seconds())
-		return m, err
+// decodeFrame runs one codec decode with instrumentation (wm may be nil). A
+// conn that owns decode scratch passes it, and the binary codec decodes the
+// per-vehicle-round kinds into it; with none, every body is freshly
+// allocated.
+func decodeFrame(codec Codec, scratch *recvScratch, wm *connMetrics, frame []byte) (m Message, err error) {
+	var start time.Time
+	if wm != nil {
+		start = time.Now()
 	}
-	return codec.Decode(frame)
+	if codec == Binary && scratch != nil {
+		m, err = decodeBinary(frame, scratch)
+	} else {
+		m, err = codec.Decode(frame)
+	}
+	if wm != nil {
+		wm.decodeSeconds.Observe(time.Since(start).Seconds())
+	}
+	return m, err
 }
 
 // InprocNetwork is a registry of in-process listeners addressable by name,
@@ -343,8 +357,9 @@ func (l *inprocListener) Addr() string { return l.name }
 
 // --- TCP transport ---
 
-// framePool recycles frame buffers across Send and Recv calls on every TCP
-// conn, so the steady-state hot path allocates nothing for framing.
+// framePool recycles frame buffers across Send calls, and Recv calls whose
+// body outgrows the conn's read buffer, on every TCP conn, so the
+// steady-state hot path allocates nothing for framing.
 var framePool = sync.Pool{
 	New: func() interface{} {
 		b := make([]byte, 0, 4096)
@@ -352,9 +367,17 @@ var framePool = sync.Pool{
 	},
 }
 
+// recvBufBytes sizes a TCP conn's read buffer. Every per-vehicle-round frame
+// fits with its header (a policy at K=9 is about 90 bytes, a 60-item delivery
+// about 300), so one read brings in a whole frame and whatever is queued behind
+// it; a fleet holds hundreds of mostly idle conns, so the buffer is an eighth
+// of a bufio.Reader's default. Larger bodies bypass it.
+const recvBufBytes = 512
+
 // tcpConn frames messages as a 4-byte big-endian length followed by the
 // negotiated codec's encoding. The first bytes on the wire are a version
-// negotiation (see negotiate); frame buffers come from a shared pool.
+// negotiation (see negotiate). A frame is sent with one Write and received,
+// header and body together, with one Read.
 type tcpConn struct {
 	c       net.Conn
 	timeout time.Duration
@@ -364,10 +387,18 @@ type tcpConn struct {
 	hs    sync.Once
 	hsErr error
 	codec Codec
-	pre   []byte // bytes sniffed during negotiation, replayed to Recv
+	wm    metricHandles
 
-	wr     sync.Mutex
-	rd     sync.Mutex
+	wr sync.Mutex
+	rd sync.Mutex // guards rbuf, r, w and scratch once negotiation is done
+	// rbuf[r:w] holds bytes read from c and not yet consumed: the rest of
+	// the frame being received and any frames (or part of one) that arrived
+	// with it. Negotiation reads through it too, so a legacy peer's first
+	// header byte is simply still there for Recv.
+	rbuf    [recvBufBytes]byte
+	r, w    int
+	scratch recvScratch
+
 	closed chan struct{}
 	once   sync.Once
 }
@@ -435,9 +466,9 @@ func (t *tcpConn) handshake() error {
 // adopts the version, failing with ErrCodecVersion on one it does not
 // implement. A first byte that is not the magic marks a legacy peer that
 // sends JSON frames with no preamble: the acceptor falls back to JSON and
-// replays the sniffed byte into the first frame's header (a legacy length
-// prefix for a frame ≤ MaxFrameBytes always starts 0x00, so the magic can
-// never be mistaken for one).
+// leaves the sniffed byte buffered as the first frame's first header byte (a
+// legacy length prefix for a frame ≤ MaxFrameBytes always starts 0x00, so
+// the magic can never be mistaken for one).
 func (t *tcpConn) negotiate() error {
 	if t.timeout > 0 {
 		deadline := time.Now().Add(t.timeout)
@@ -455,24 +486,21 @@ func (t *tcpConn) negotiate() error {
 		t.codec = pref
 		return nil
 	}
-	var first [1]byte
-	if _, err := io.ReadFull(t.c, first[:]); err != nil {
+	if err := t.fill(1); err != nil {
 		return t.headerErr("codec negotiation", err)
 	}
-	if first[0] != codecMagic {
-		// Legacy peer: no declaration, frames are JSON v1 and the sniffed
-		// byte is the first header byte.
+	if t.rbuf[t.r] != codecMagic {
 		t.codec = JSON
-		t.pre = []byte{first[0]}
 		return nil
 	}
-	var declared [1]byte
-	if _, err := io.ReadFull(t.c, declared[:]); err != nil {
+	if err := t.fill(2); err != nil {
 		return t.headerErr("codec negotiation", err)
 	}
-	codec, ok := codecByVersion(declared[0])
+	declared := t.rbuf[t.r+1]
+	t.r += 2
+	codec, ok := codecByVersion(declared)
 	if !ok {
-		return fmt.Errorf("%w: peer declared version %d", ErrCodecVersion, declared[0])
+		return fmt.Errorf("%w: peer declared version %d", ErrCodecVersion, declared)
 	}
 	t.codec = codec
 	return nil
@@ -509,19 +537,29 @@ func (t *tcpConn) headerErr(op string, err error) error {
 	return t.opErr(op, err)
 }
 
-// readFull fills p, draining bytes sniffed during negotiation first.
-// Callers hold t.rd.
-func (t *tcpConn) readFull(p []byte) error {
-	for len(t.pre) > 0 && len(p) > 0 {
-		p[0] = t.pre[0]
-		t.pre = t.pre[1:]
-		p = p[1:]
+// fill reads until at least n (≤ recvBufBytes) unconsumed bytes are
+// buffered, taking in the same read whatever else the peer has already
+// sent. Like io.ReadFull it reports io.EOF when the stream ended with
+// nothing buffered and io.ErrUnexpectedEOF when it ended short of n. Callers
+// hold t.rd, or run inside the handshake.
+func (t *tcpConn) fill(n int) error {
+	if t.r == t.w {
+		t.r, t.w = 0, 0
+	} else if t.r+n > len(t.rbuf) {
+		t.w = copy(t.rbuf[:], t.rbuf[t.r:t.w])
+		t.r = 0
 	}
-	if len(p) == 0 {
-		return nil
+	for t.w-t.r < n {
+		k, err := t.c.Read(t.rbuf[t.w:])
+		t.w += k
+		if err != nil && t.w-t.r < n {
+			if err == io.EOF && t.w > t.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
 	}
-	_, err := io.ReadFull(t.c, p)
-	return err
+	return nil
 }
 
 func (t *tcpConn) Send(m Message) error {
@@ -531,14 +569,14 @@ func (t *tcpConn) Send(m Message) error {
 		}
 		return err
 	}
-	wm := wireMetrics()
+	wm := t.wm.get(t.codec.Name())
 	bufp := framePool.Get().(*[]byte)
 	buf := append((*bufp)[:0], 0, 0, 0, 0) // length prefix placeholder
 	var err error
 	if wm != nil {
 		start := time.Now()
 		buf, err = t.codec.AppendEncode(buf, m)
-		wm.encodeSeconds.With(t.codec.Name()).Observe(time.Since(start).Seconds())
+		wm.encodeSeconds.Observe(time.Since(start).Seconds())
 	} else {
 		buf, err = t.codec.AppendEncode(buf, m)
 	}
@@ -568,38 +606,65 @@ func (t *tcpConn) Send(m Message) error {
 		return t.opErr("writing frame", werr)
 	}
 	if wm != nil {
-		wm.bytesSent.With(t.codec.Name()).Add(int64(body) + 4)
+		wm.bytesSent.Add(int64(body) + 4)
 	}
 	return nil
 }
 
+// Recv returns the next message; see Conn.Recv for how long its Body stays
+// valid.
 func (t *tcpConn) Recv() (Message, error) {
 	t.rd.Lock()
 	defer t.rd.Unlock()
 	if err := t.handshake(); err != nil {
 		return Message{}, err
 	}
+	t.scratch.release()
 	if t.timeout > 0 {
 		_ = t.c.SetReadDeadline(time.Now().Add(t.timeout))
 	}
-	var header [4]byte
-	if err := t.readFull(header[:]); err != nil {
+	if err := t.fill(4); err != nil {
 		return Message{}, t.headerErr("reading frame header", err)
 	}
-	size := int(binary.BigEndian.Uint32(header[:]))
+	size := int(binary.BigEndian.Uint32(t.rbuf[t.r:]))
+	t.r += 4
 	if size > MaxFrameBytes {
 		return Message{}, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit %d: %w",
 			size, MaxFrameBytes, ErrFrameTooLarge)
 	}
-	bufp := framePool.Get().(*[]byte)
-	buf := *bufp
-	if cap(buf) < size {
-		buf = make([]byte, size)
+	var (
+		frame []byte
+		bufp  *[]byte
+		err   error
+	)
+	if size <= len(t.rbuf) {
+		// Usually already here: the read that brought the header brought
+		// the body with it, and the codecs do not alias the frame they
+		// decode, so it is decoded where it lies.
+		if err = t.fill(size); err == nil {
+			frame = t.rbuf[t.r : t.r+size]
+			t.r += size
+		}
+	} else {
+		// A body larger than the read buffer goes straight into a pooled
+		// frame buffer, after the part of it that arrived with the header.
+		bufp = framePool.Get().(*[]byte)
+		frame = *bufp
+		if cap(frame) < size {
+			frame = make([]byte, size)
+		}
+		frame = frame[:size]
+		*bufp = frame
+		k := copy(frame, t.rbuf[t.r:t.w])
+		t.r += k
+		if _, err = io.ReadFull(t.c, frame[k:]); err == io.EOF && k > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 	}
-	buf = buf[:size]
-	if err := t.readFull(buf); err != nil {
-		*bufp = buf
-		framePool.Put(bufp)
+	if err != nil {
+		if bufp != nil {
+			framePool.Put(bufp)
+		}
 		select {
 		case <-t.closed:
 			return Message{}, io.EOF
@@ -607,14 +672,16 @@ func (t *tcpConn) Recv() (Message, error) {
 		}
 		return Message{}, t.opErr("reading frame body", err)
 	}
-	m, err := decodeFrame(t.codec, buf)
-	*bufp = buf
-	framePool.Put(bufp)
+	wm := t.wm.get(t.codec.Name())
+	m, err := decodeFrame(t.codec, &t.scratch, wm, frame)
+	if bufp != nil {
+		framePool.Put(bufp)
+	}
 	if err != nil {
 		return Message{}, err
 	}
-	if wm := wireMetrics(); wm != nil {
-		wm.bytesRecv.With(t.codec.Name()).Add(int64(size) + 4)
+	if wm != nil {
+		wm.bytesRecv.Add(int64(size) + 4)
 	}
 	return m, nil
 }

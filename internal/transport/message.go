@@ -76,6 +76,14 @@ type Message struct {
 	// Body is the typed payload (one of Hello, Census, Ratio, Policy,
 	// Upload, Delivery, Ack — value or pointer). It is never serialized by
 	// the envelope itself; codecs consume it directly.
+	//
+	// On a received message Body is borrowed: it is valid until the next
+	// Recv on the conn that returned it. A TCP conn on the binary codec
+	// decodes Policy, Upload, Delivery and Ack into bodies it reuses for the
+	// next frame of that kind, and Decode copies the struct but not the
+	// slice inside it, so a receiver that keeps Shares or Items past its
+	// next Recv copies them. Census, CensusBatch, Digest, RatioBatch and
+	// the remaining kinds are always freshly allocated and may be kept.
 	Body interface{} `json:"-"`
 }
 

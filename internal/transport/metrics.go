@@ -8,7 +8,8 @@ import (
 
 // wireInstruments groups the transport's wire-level metrics. It is swapped
 // in atomically by Instrument so the Send/Recv hot paths pay a single
-// pointer load when observability is off.
+// pointer load when observability is off; conns hold its per-codec children
+// through metricHandles.
 type wireInstruments struct {
 	bytesSent     *obs.CounterVec   // transport_bytes_sent_total{codec}
 	bytesRecv     *obs.CounterVec   // transport_bytes_received_total{codec}
@@ -43,7 +44,42 @@ func Instrument(o *obs.Observer) {
 	})
 }
 
-// wireMetrics returns the active instruments, or nil when uninstrumented.
-func wireMetrics() *wireInstruments {
-	return wireObs.Load()
+// connMetrics are one conn's wire instruments: the children of the package
+// vecs for the conn's codec, so the per-frame path adds to a counter it
+// already holds instead of looking one up by label.
+type connMetrics struct {
+	from          *wireInstruments
+	bytesSent     *obs.Counter
+	bytesRecv     *obs.Counter
+	encodeSeconds *obs.Histogram
+	decodeSeconds *obs.Histogram
+}
+
+// metricHandles caches a conn's connMetrics. Senders and the receiver of one
+// conn share it, so it is an atomic pointer; racing resolvers store equal
+// handles.
+type metricHandles struct {
+	p atomic.Pointer[connMetrics]
+}
+
+// get returns the conn's instruments for codec, or nil when uninstrumented.
+// They are resolved on the conn's first frame and again only after
+// Instrument has re-pointed the package at another registry.
+func (h *metricHandles) get(codec string) *connMetrics {
+	wm := wireObs.Load()
+	if wm == nil {
+		return nil
+	}
+	cm := h.p.Load()
+	if cm == nil || cm.from != wm {
+		cm = &connMetrics{
+			from:          wm,
+			bytesSent:     wm.bytesSent.With(codec),
+			bytesRecv:     wm.bytesRecv.With(codec),
+			encodeSeconds: wm.encodeSeconds.With(codec),
+			decodeSeconds: wm.decodeSeconds.With(codec),
+		}
+		h.p.Store(cm)
+	}
+	return cm
 }

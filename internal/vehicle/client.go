@@ -95,9 +95,17 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 	policyRound := -1
 	var cachedUpload transport.Upload
 	deliveryRound := -1
+	// One of each per session: the read loop handles a frame at a time, and
+	// nothing below keeps Shares or Items past its own call (a received body
+	// is only valid until the next Recv).
+	var (
+		pol transport.Policy
+		del transport.Delivery
+		ack transport.Ack
+	)
 	return map[transport.Kind]session.Handler{
 		transport.KindPolicy: func(m transport.Message) error {
-			var pol transport.Policy
+			pol = transport.Policy{}
 			if err := transport.Decode(m, transport.KindPolicy, &pol); err != nil {
 				return err
 			}
@@ -124,7 +132,7 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 			return nil
 		},
 		transport.KindDelivery: func(m transport.Message) error {
-			var del transport.Delivery
+			del = transport.Delivery{}
 			if err := transport.Decode(m, transport.KindDelivery, &del); err != nil {
 				return err
 			}
@@ -135,13 +143,15 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 			deliveryRound = del.Round
 			return c.Agent.AbsorbDelivery(del, c.Cap)
 		},
+		// The edge acks only what it refuses; an older edge also acks every
+		// accepted upload, which is absorbed here.
 		transport.KindAck: func(m transport.Message) error {
-			var a transport.Ack
-			if err := transport.Decode(m, transport.KindAck, &a); err != nil {
+			ack = transport.Ack{}
+			if err := transport.Decode(m, transport.KindAck, &ack); err != nil {
 				return err
 			}
-			if a.Err != "" {
-				return fmt.Errorf("vehicle %d: server rejected message: %s", c.Agent.Profile.ID, a.Err)
+			if ack.Err != "" {
+				return fmt.Errorf("vehicle %d: server rejected message: %s", c.Agent.Profile.ID, ack.Err)
 			}
 			return nil
 		},

@@ -48,7 +48,15 @@ func ackOK(conn transport.Conn) error {
 	return conn.Send(m)
 }
 
+// TestClientFullRound runs one round against both generations of edge: the
+// current one answers a good upload with the delivery alone, an older one
+// acks it first, and the client absorbs that ack.
 func TestClientFullRound(t *testing.T) {
+	t.Run("delivery only", func(t *testing.T) { clientFullRound(t, false) })
+	t.Run("old edge acks the upload", func(t *testing.T) { clientFullRound(t, true) })
+}
+
+func clientFullRound(t *testing.T, ackUpload bool) {
 	clientConn, serverConn := transport.Pipe()
 	agent, err := NewAgent(profile(7), lattice.PaperPayoffs(), 1)
 	if err != nil {
@@ -83,8 +91,10 @@ func TestClientFullRound(t *testing.T) {
 		if err := transport.Decode(m, transport.KindUpload, &gotUpload); err != nil {
 			return err
 		}
-		if err := ackOK(conn); err != nil {
-			return err
+		if ackUpload {
+			if err := ackOK(conn); err != nil {
+				return err
+			}
 		}
 		// Delivery.
 		del, err := transport.Encode(transport.KindDelivery, transport.Delivery{

@@ -203,16 +203,28 @@ func (a *Agent) BuildUpload(round int) transport.Upload {
 // desired modality contributes its Table III share of utility; undesired
 // items contribute nothing (Property 3.1(a)).
 func (a *Agent) AbsorbDelivery(d transport.Delivery, cap *sensor.CapabilityTable) error {
+	// A modality's contribution is looked up once per delivery, on its first
+	// item, and added item by item so the running sum rounds as it always has.
+	var (
+		sums [sensor.Radar + 1]float64 // by modality
+		have [sensor.Radar + 1]bool
+	)
 	for _, item := range d.Items {
 		a.ReceivedItems++
 		if !a.Profile.Desired.Has(item.Modality) {
 			continue
 		}
-		u, err := cap.SumContribution(item.Modality)
-		if err != nil {
-			return fmt.Errorf("vehicle %d: absorbing delivery: %w", a.Profile.ID, err)
+		i := int(item.Modality)
+		if i >= len(sums) || !have[i] {
+			// The table knows the three modalities only, so a value past
+			// Radar fails here and never indexes sums.
+			u, err := cap.SumContribution(item.Modality)
+			if err != nil {
+				return fmt.Errorf("vehicle %d: absorbing delivery: %w", a.Profile.ID, err)
+			}
+			sums[i], have[i] = u, true
 		}
-		a.ReceivedUtility += u
+		a.ReceivedUtility += sums[i]
 	}
 	return nil
 }

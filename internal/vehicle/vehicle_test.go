@@ -250,3 +250,55 @@ func TestAbsorbDelivery(t *testing.T) {
 		t.Errorf("ReceivedUtility = %f, want 7", a.ReceivedUtility)
 	}
 }
+
+// TestAbsorbDeliveryMatchesPerItemSum: AbsorbDelivery looks a modality's
+// contribution up once per delivery, and must still report, bit for bit, what
+// one lookup and one addition per item reported — the reference loop below —
+// on a fleet-sized delivery that arrives on top of a utility the earlier
+// rounds left inexact.
+func TestAbsorbDeliveryMatchesPerItemSum(t *testing.T) {
+	p := profile(1)
+	p.Desired = sensor.MaskOf(sensor.Camera, sensor.Radar)
+	a, err := NewAgent(p, lattice.PaperPayoffs(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := sensor.TableIII()
+	var d transport.Delivery
+	for i := 0; i < 60; i++ {
+		d.Items = append(d.Items, transport.Item{Owner: 2 + i/3, Modality: sensor.AllTypes()[(i*7)%3], Seq: i})
+	}
+	const prior = 0.1 + 0.7 // not representable: every addition after it rounds
+	a.ReceivedUtility, a.ReceivedItems = prior, 5
+
+	want, wantItems := prior, 5
+	for _, item := range d.Items {
+		wantItems++
+		if !p.Desired.Has(item.Modality) {
+			continue
+		}
+		u, err := table.SumContribution(item.Modality)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += u
+	}
+	if err := a.AbsorbDelivery(d, table); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(a.ReceivedUtility) != math.Float64bits(want) || a.ReceivedItems != wantItems {
+		t.Errorf("AbsorbDelivery = %v (%#x) over %d items, per-item sum = %v (%#x) over %d",
+			a.ReceivedUtility, math.Float64bits(a.ReceivedUtility), a.ReceivedItems,
+			want, math.Float64bits(want), wantItems)
+	}
+
+	// A modality the table does not know still fails the delivery, wherever
+	// its value falls relative to the three it does.
+	a.Profile.Desired = sensor.Mask(0xFF)
+	for _, bad := range []sensor.Type{sensor.Camera | sensor.LiDAR, sensor.Radar << 1, 0x80} {
+		err := a.AbsorbDelivery(transport.Delivery{Items: []transport.Item{{Owner: 2, Modality: bad}}}, table)
+		if err == nil {
+			t.Errorf("modality %#x absorbed without error", uint8(bad))
+		}
+	}
+}
