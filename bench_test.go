@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cloud"
 	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/game"
@@ -494,202 +493,6 @@ func BenchmarkRoundTrip(b *testing.B) {
 			b.ReportMetric(float64(total)/float64(len(messages)), "bytes/frame")
 		})
 	}
-}
-
-// benchGraph is the 2-region graph the consensus benchmarks fold over.
-type benchGraph struct{}
-
-func (benchGraph) M() int { return 2 }
-func (benchGraph) Gamma(i, j int) float64 {
-	if i == j {
-		return 0.8
-	}
-	return 0.2
-}
-func (benchGraph) Neighbors(i int) []int {
-	if i == 0 {
-		return []int{1}
-	}
-	return []int{0}
-}
-
-func benchCloudServer(b *testing.B, lag int) *cloud.Server {
-	b.Helper()
-	m, err := game.NewModel(lattice.PaperPayoffs(), benchGraph{}, []float64{3, 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := []float64{0.7, 0, 0, 0, 0, 0, 0, 0}
-	field, err := policy.NewUniformField(2, target, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for k := 1; k < 8; k++ {
-			field.P[i][k].Lo, field.P[i][k].Hi = 0, 1
-		}
-	}
-	fds, err := policy.NewFDS(m, field, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := cloud.NewServer(fds, game.NewUniformState(2, 8, 0.5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if lag > 0 {
-		srv.SetFixedLag(lag)
-	}
-	return srv
-}
-
-// BenchmarkConsensusRoundsPerSec measures round-barrier fold throughput at
-// the cloud: each iteration is one complete two-region round. The direct
-// variant is the plain fold, lag16 adds the fixed-lag window's per-round
-// snapshots, and rewind pays a full rewind + re-fold every round (a late
-// non-identical census for the round just completed).
-func BenchmarkConsensusRoundsPerSec(b *testing.B) {
-	c0 := []int{12, 40, 7, 3, 0, 9, 1, 28}
-	c1 := []int{5, 22, 31, 0, 8, 14, 2, 18}
-	fullRound := func(b *testing.B, srv *cloud.Server, round int) {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := srv.Submit(transport.Census{Edge: 1, Round: round, Counts: c1}); err != nil {
-				b.Error(err)
-			}
-		}()
-		if _, err := srv.Submit(transport.Census{Edge: 0, Round: round, Counts: c0}); err != nil {
-			b.Fatal(err)
-		}
-		wg.Wait()
-	}
-	for _, bench := range []struct {
-		name string
-		lag  int
-	}{
-		{"direct", 0},
-		{"lag16", 16},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			srv := benchCloudServer(b, bench.lag)
-			defer srv.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fullRound(b, srv, i)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
-		})
-	}
-	b.Run("rewind", func(b *testing.B) {
-		srv := benchCloudServer(b, 16)
-		defer srv.Close()
-		late := []int{9, 9, 9, 9, 9, 9, 9, 9}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fullRound(b, srv, i)
-			// A differing late census for the round just folded: rewinds and
-			// re-folds it (window depth 1 behind the head).
-			if _, err := srv.Submit(transport.Census{Edge: 1, Round: i, Counts: late}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
-	})
-}
-
-// benchRingGraph couples m regions in a sparse cycle, matching the graph
-// the sharded load harness folds over.
-type benchRingGraph struct{ m int }
-
-func (g benchRingGraph) M() int { return g.m }
-func (g benchRingGraph) Gamma(i, j int) float64 {
-	if i == j {
-		return 0.6
-	}
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	if d == 1 || d == g.m-1 {
-		return 0.2
-	}
-	return 0
-}
-func (g benchRingGraph) Neighbors(i int) []int {
-	return []int{(i + g.m - 1) % g.m, (i + 1) % g.m}
-}
-
-// BenchmarkShardedConsensusRoundsPerSec measures aggregation-tier fold
-// throughput under the sharded submission shape: each iteration is one
-// 16-region round arriving as 4 concurrent census batches of 4 regions —
-// what 4 shard coordinators forward upstream per round.
-func BenchmarkShardedConsensusRoundsPerSec(b *testing.B) {
-	const (
-		regions = 16
-		shards  = 4
-	)
-	m, err := game.NewModel(lattice.PaperPayoffs(), benchRingGraph{m: regions}, func() []float64 {
-		betas := make([]float64, regions)
-		for i := range betas {
-			betas[i] = 3
-		}
-		return betas
-	}())
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := []float64{0.7, 0, 0, 0, 0, 0, 0, 0}
-	field, err := policy.NewUniformField(regions, target, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < regions; i++ {
-		for k := 1; k < 8; k++ {
-			field.P[i][k].Lo, field.P[i][k].Hi = 0, 1
-		}
-	}
-	fds, err := policy.NewFDS(m, field, 0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := cloud.NewServer(fds, game.NewUniformState(regions, 8, 0.5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetFixedLag(16)
-
-	counts := func(region, round int) []int {
-		cs := make([]int, 8)
-		for k := range cs {
-			cs[k] = 1 + (region*31+round*7+k*3)%5
-		}
-		return cs
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			batch := transport.CensusBatch{Shard: s, Round: i}
-			for r := s * (regions / shards); r < (s+1)*(regions/shards); r++ {
-				batch.Censuses = append(batch.Censuses, transport.Census{Edge: r, Round: i, Counts: counts(r, i)})
-			}
-			wg.Add(1)
-			go func(batch transport.CensusBatch) {
-				defer wg.Done()
-				if _, err := srv.SubmitBatch(batch); err != nil {
-					b.Error(err)
-				}
-			}(batch)
-		}
-		wg.Wait()
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
 }
 
 // BenchmarkJournalAppend measures the durable journal's append+fsync cost

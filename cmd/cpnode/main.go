@@ -65,11 +65,12 @@
 // re-escalated overlap. -gossip-max-backlog bounds the buffered digests
 // while the cloud is unreachable (shedding oldest first).
 //
-// cpnode is a thin adapter over internal/scenario's typed NodeConfig: each
-// flag the invocation actually sets maps to one functional option, and an
-// option set on a role that ignores it is rejected up front ("-role edge
+// cpnode is a thin adapter over internal/scenario's typed NodeConfig: every
+// flag is bound straight to a field of scenario.Defaults, so a flag's default
+// is the Defaults value, and is registered with the roles that consume it. A
+// flag set on a role that ignores it is rejected up front ("-role edge
 // -fixed-lag 8" is an error, not a silently dead knob). The same NodeConfig
-// constructors wire cmd/loadgen, cmd/scenario, and examples/distributed.
+// constructors wire cmd/loadgen, cmd/scenario, and the benchmark.
 package main
 
 import (
@@ -78,6 +79,8 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -88,154 +91,188 @@ import (
 	"repro/internal/transport"
 )
 
-func main() {
-	var (
-		role      = flag.String("role", "", "cloud | aggregator | shard | edge | vehicles")
-		listen    = flag.String("listen", "127.0.0.1:0", "listen address (cloud, shard, edge)")
-		cloudAddr = flag.String("cloud", "127.0.0.1:7000", "cloud address, or comma-separated shard addresses with -shards > 1 (edge)")
-		edgeAddr  = flag.String("edge", "127.0.0.1:7100", "edge address (vehicles)")
-		id        = flag.Int("id", 0, "edge/region id (edge)")
-		idBase    = flag.Int("id-base", 100, "first vehicle id (vehicles)")
-		regions   = flag.Int("regions", 2, "number of regions (cloud, aggregator, shard, edge)")
-		n         = flag.Int("n", 20, "fleet size (vehicles)")
-		rounds    = flag.Int("rounds", 40, "rounds to run (edge)")
-		vehiclesN = flag.Int("vehicles", 20, "vehicles to wait for before starting (edge)")
-		x0        = flag.Float64("x0", 0.3, "initial sharing ratio (cloud)")
-		targetX   = flag.Float64("target-x", 0.85, "desired sharing regime (cloud)")
-		eps       = flag.Float64("eps", 0.05, "desired-field tolerance (cloud)")
-		fieldPath = flag.String("field", "", "desired-field JSON spec (cloud; overrides -target-x)")
-		beta      = flag.Float64("beta", 4.0, "utility coefficient (cloud, vehicles)")
-		seed      = flag.Int64("seed", 1, "random seed")
+// Role sets flags are registered with.
+var (
+	allRoles = scenario.Roles()
+	// tierRoles run the global fold.
+	tierRoles = []scenario.Role{scenario.RoleCloud, scenario.RoleAggregator}
+	// foldRoles additionally include gossip edges, which resolve the same
+	// model/field/FDS locally so the edge data plane folds the policy the
+	// cloud control plane reconciles.
+	foldRoles = []scenario.Role{scenario.RoleCloud, scenario.RoleAggregator, scenario.RoleEdge}
+	// listenRoles accept connections and may keep durable state.
+	listenRoles = []scenario.Role{scenario.RoleCloud, scenario.RoleAggregator, scenario.RoleShard, scenario.RoleEdge}
+	shardOnly   = []scenario.Role{scenario.RoleShard}
+	edgeOnly    = []scenario.Role{scenario.RoleEdge}
+	fleetOnly   = []scenario.Role{scenario.RoleVehicles}
+)
 
-		faultDrop = flag.Float64("fault-drop", 0,
-			"fault injection: per-message drop probability on this node's links")
-		faultDelay = flag.Duration("fault-delay", 0,
-			"fault injection: max injected per-message delay on this node's links (delays reorder frames)")
-		faultDup = flag.Float64("fault-dup", 0,
-			"fault injection: per-message duplication probability on this node's links")
-		fixedLag = flag.Int("fixed-lag", 0,
-			"cloud: rewind window in rounds; a census arriving this late is folded back in and the corrected ratio re-published (0 = answer late censuses from current state)")
-		retryMax = flag.Int("retry-max", 8,
-			"max dial attempts per reconnect burst (shard, edge, vehicles)")
-		roundDeadline = flag.Duration("round-deadline", 10*time.Second,
-			"cloud: complete a round barrier after this long with last-known shares for missing edges (0 = wait forever)")
-		metricsAddr = flag.String("metrics", "",
-			"serve /metrics, /debug/spans and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")
-		codecName = flag.String("codec", "json",
-			"wire codec this node declares on dialed TCP links: json | binary (accepted conns adopt the dialer's codec)")
-		ioTimeout = flag.Duration("io-timeout", 0,
-			"per-operation read/write deadline on every TCP conn, dialed or accepted (0 = off; must exceed the idle gap between rounds)")
-		stateDir = flag.String("state-dir", "",
-			"cloud, shard: durable state directory (checkpoint + journal); a restarted node resumes the consensus from it (empty = in-memory only)")
-		leaseTTL = flag.Duration("lease-ttl", 0,
-			"edge: membership lease TTL heartbeated to the cloud; a dead edge is evicted from the barrier quorum after this long (0 = no heartbeat)")
-		shards = flag.Int("shards", 0,
-			"number of shard coordinators in the consensus tier (shard: ring size; edge: route -cloud's address list by region owner; 0/1 = unsharded)")
-		shardID = flag.Int("shard-id", 0,
-			"this coordinator's index into the shard ring (shard)")
-		aggregatorAddr = flag.String("aggregator", "127.0.0.1:7000",
-			"aggregation-tier address census batches are forwarded to (shard)")
-		shardDeadline = flag.Duration("shard-deadline", 5*time.Second,
-			"shard: forward a round degraded after this long with owned regions missing (0 = wait for the full group)")
-		gossipPeers = flag.String("gossip-peers", "",
-			"edge: comma-separated region=addr gossip peers; non-empty switches the edge from direct census reports to local gossip rounds")
-		gossipListen = flag.String("gossip-listen", "127.0.0.1:0",
-			"edge: listen address peers dial for gossip censuses")
-		gossipHood = flag.Int("gossip-hood", 0,
-			"edge: this neighborhood's index among -gossip-of escalating to the cloud")
-		gossipOf = flag.Int("gossip-of", 1,
-			"edge: total neighborhoods the cloud folds digests from")
-		gossipEvery = flag.Int("gossip-every", 1,
-			"edge: the neighborhood leader escalates a digest every K-th local round")
-		gossipDeadline = flag.Duration("gossip-deadline", 0,
-			"edge: local round barrier deadline; a silent peer degrades the round after this long (0 = wait forever)")
-		gossipFailoverTTL = flag.Duration("gossip-failover-ttl", 0,
-			"edge: heartbeat lease TTL for neighborhood leadership; followers promote the ring successor after this long without a leader beat (0 = static leadership, no failover)")
-		gossipMaxBacklog = flag.Int("gossip-max-backlog", 0,
-			"edge: cap on buffered escalation digests while the cloud is unreachable; the oldest rounds are shed past the cap (0 = unbounded)")
-	)
+// nodeFlags is cpnode's command line over one NodeConfig.
+type nodeFlags struct {
+	fs *flag.FlagSet
+	nc *scenario.NodeConfig
+	// roles lists, per NodeConfig flag, the roles that consume it. -role,
+	// -metrics and -fault-* apply to every role and are not in it.
+	roles map[string][]scenario.Role
+
+	role, metrics       *string
+	faultDrop, faultDup *float64
+	faultDelay          *time.Duration
+}
+
+// bind registers flag name on the NodeConfig field p points at — the field's
+// Defaults value is the flag's default — consumed by roles.
+func (f *nodeFlags) bind(p interface{}, name, usage string, roles []scenario.Role) {
+	switch p := p.(type) {
+	case *string:
+		f.fs.StringVar(p, name, *p, usage)
+	case *int:
+		f.fs.IntVar(p, name, *p, usage)
+	case *int64:
+		f.fs.Int64Var(p, name, *p, usage)
+	case *float64:
+		f.fs.Float64Var(p, name, *p, usage)
+	case *time.Duration:
+		f.fs.DurationVar(p, name, *p, usage)
+	default:
+		panic(fmt.Sprintf("cpnode: flag -%s bound to unsupported type %T", name, p))
+	}
+	f.roles[name] = roles
+}
+
+func newNodeFlags(fs *flag.FlagSet) *nodeFlags {
+	nc := scenario.Defaults("") // the role is known only after parsing
+	f := &nodeFlags{fs: fs, nc: nc, roles: map[string][]scenario.Role{}}
+	f.role = fs.String("role", "", "cloud | aggregator | shard | edge | vehicles")
+	f.bind(&nc.Listen, "listen", "listen address (cloud, shard, edge)", listenRoles)
+	f.bind(&nc.CloudAddr, "cloud", "cloud address, or comma-separated shard addresses with -shards > 1 (edge)", edgeOnly)
+	f.bind(&nc.EdgeAddr, "edge", "edge address (vehicles)", fleetOnly)
+	f.bind(&nc.ID, "id", "edge/region id (edge)", edgeOnly)
+	f.bind(&nc.IDBase, "id-base", "first vehicle id (vehicles)", fleetOnly)
+	f.bind(&nc.Regions, "regions", "number of regions (cloud, aggregator, shard, edge)", listenRoles)
+	f.bind(&nc.N, "n", "fleet size (vehicles)", fleetOnly)
+	f.bind(&nc.Rounds, "rounds", "rounds to run (edge)", edgeOnly)
+	f.bind(&nc.Vehicles, "vehicles", "vehicles to wait for before starting (edge)", edgeOnly)
+	f.bind(&nc.X0, "x0", "initial sharing ratio (cloud)", foldRoles)
+	f.bind(&nc.TargetX, "target-x", "desired sharing regime (cloud)", foldRoles)
+	f.bind(&nc.Eps, "eps", "desired-field tolerance (cloud)", foldRoles)
+	f.bind(&nc.FieldPath, "field", "desired-field JSON spec (cloud; overrides -target-x)", foldRoles)
+	f.bind(&nc.Beta, "beta", "utility coefficient (cloud, vehicles)",
+		[]scenario.Role{scenario.RoleCloud, scenario.RoleAggregator, scenario.RoleEdge, scenario.RoleVehicles})
+	f.bind(&nc.Seed, "seed", "random seed", allRoles)
+
+	f.faultDrop = fs.Float64("fault-drop", 0,
+		"fault injection: per-message drop probability on this node's links")
+	f.faultDelay = fs.Duration("fault-delay", 0,
+		"fault injection: max injected per-message delay on this node's links (delays reorder frames)")
+	f.faultDup = fs.Float64("fault-dup", 0,
+		"fault injection: per-message duplication probability on this node's links")
+	f.bind(&nc.FixedLag, "fixed-lag",
+		"cloud: rewind window in rounds; a census arriving this late is folded back in and the corrected ratio re-published (0 = answer late censuses from current state)", tierRoles)
+	f.bind(&nc.RetryMax, "retry-max",
+		"max dial attempts per reconnect burst (shard, edge, vehicles)",
+		[]scenario.Role{scenario.RoleShard, scenario.RoleEdge, scenario.RoleVehicles})
+	f.bind(&nc.RoundDeadline, "round-deadline",
+		"cloud: complete a round barrier after this long with last-known shares for missing edges (0 = wait forever)", tierRoles)
+	f.metrics = fs.String("metrics", "",
+		"serve /metrics, /debug/spans and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")
+	f.bind(&nc.Codec, "codec",
+		"wire codec this node declares on dialed TCP links: json | binary (accepted conns adopt the dialer's codec)", allRoles)
+	f.bind(&nc.IOTimeout, "io-timeout",
+		"per-operation read/write deadline on every TCP conn, dialed or accepted (0 = off; must exceed the idle gap between rounds)", allRoles)
+	f.bind(&nc.StateDir, "state-dir",
+		"cloud, shard: durable state directory (checkpoint + journal); a restarted node resumes the consensus from it (empty = in-memory only)", listenRoles)
+	f.bind(&nc.LeaseTTL, "lease-ttl",
+		"edge: membership lease TTL heartbeated to the cloud; a dead edge is evicted from the barrier quorum after this long (0 = no heartbeat)", edgeOnly)
+	f.bind(&nc.Shards, "shards",
+		"number of shard coordinators in the consensus tier (shard: ring size; edge: route -cloud's address list by region owner; 0/1 = unsharded)",
+		[]scenario.Role{scenario.RoleShard, scenario.RoleEdge})
+	f.bind(&nc.ShardID, "shard-id",
+		"this coordinator's index into the shard ring (shard)", shardOnly)
+	f.bind(&nc.AggregatorAddr, "aggregator",
+		"aggregation-tier address census batches are forwarded to (shard)", shardOnly)
+	f.bind(&nc.ShardDeadline, "shard-deadline",
+		"shard: forward a round degraded after this long with owned regions missing (0 = wait for the full group)", shardOnly)
+	f.bind(&nc.GossipPeers, "gossip-peers",
+		"edge: comma-separated region=addr gossip peers; non-empty switches the edge from direct census reports to local gossip rounds", edgeOnly)
+	f.bind(&nc.GossipListen, "gossip-listen",
+		"edge: listen address peers dial for gossip censuses", edgeOnly)
+	f.bind(&nc.GossipHood, "gossip-hood",
+		"edge: this neighborhood's index among -gossip-of escalating to the cloud", edgeOnly)
+	f.bind(&nc.GossipOf, "gossip-of",
+		"edge: total neighborhoods the cloud folds digests from", edgeOnly)
+	f.bind(&nc.GossipEvery, "gossip-every",
+		"edge: the neighborhood leader escalates a digest every K-th local round", edgeOnly)
+	f.bind(&nc.GossipDeadline, "gossip-deadline",
+		"edge: local round barrier deadline; a silent peer degrades the round after this long (0 = wait forever)", edgeOnly)
+	f.bind(&nc.GossipFailoverTTL, "gossip-failover-ttl",
+		"edge: heartbeat lease TTL for neighborhood leadership; followers promote the ring successor after this long without a leader beat (0 = static leadership, no failover)", edgeOnly)
+	f.bind(&nc.GossipMaxBacklog, "gossip-max-backlog",
+		"edge: cap on buffered escalation digests while the cloud is unreachable; the oldest rounds are shed past the cap (0 = unbounded)", edgeOnly)
+	return f
+}
+
+// config resolves the parsed command line into a validated NodeConfig. A flag
+// the invocation set (flag.Visit) on a role that does not consume it is an
+// error naming the flag and the roles that do.
+func (f *nodeFlags) config() (*scenario.NodeConfig, error) {
+	nc := f.nc
+	nc.Role = scenario.Role(*f.role)
+	if !slices.Contains(allRoles, nc.Role) {
+		return nil, fmt.Errorf("scenario: unknown role %q (want cloud, aggregator, shard, edge, or vehicles)", nc.Role)
+	}
+	var err error
+	faultSet := false
+	f.fs.Visit(func(fl *flag.Flag) {
+		if strings.HasPrefix(fl.Name, "fault-") {
+			faultSet = true
+		}
+		roles, ok := f.roles[fl.Name]
+		if err != nil || !ok || slices.Contains(roles, nc.Role) {
+			return
+		}
+		names := make([]string, len(roles))
+		for i, r := range roles {
+			names[i] = string(r)
+		}
+		slices.Sort(names)
+		err = fmt.Errorf("scenario: option %q is not used by role %q (applies to: %s)",
+			fl.Name, nc.Role, strings.Join(names, ", "))
+	})
+	if err != nil {
+		return nil, err
+	}
+	if faultSet {
+		nc.Fault = &transport.FaultConfig{
+			Seed:     nc.Seed,
+			DropProb: *f.faultDrop,
+			DupProb:  *f.faultDup,
+			MinDelay: *f.faultDelay / 20,
+			MaxDelay: *f.faultDelay,
+		}
+	}
+	return nc, nc.Validate()
+}
+
+func main() {
+	f := newNodeFlags(flag.CommandLine)
 	flag.Parse()
 
-	var o *obs.Observer
-	if *metricsAddr != "" {
-		o = obs.New()
+	f.nc.Logf = log.Printf
+	if *f.metrics != "" {
+		o := obs.New()
 		transport.Instrument(o) // wire bytes + codec encode/decode latency
-		msrv, err := obs.Serve(*metricsAddr, o)
+		msrv, err := obs.Serve(*f.metrics, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpnode: %v\n", err)
 			os.Exit(1)
 		}
 		defer msrv.Close()
 		fmt.Printf("metrics: serving /metrics, /debug/spans, /debug/pprof on http://%s\n", msrv.Addr())
+		f.nc.Obs = o
 	}
 
-	// Each flag the invocation actually set (flag.Visit) maps to one typed
-	// option; scenario.New rejects any option the role does not consume.
-	optionByFlag := map[string]func() scenario.Option{
-		"listen":          func() scenario.Option { return scenario.Listen(*listen) },
-		"cloud":           func() scenario.Option { return scenario.CloudAddr(*cloudAddr) },
-		"edge":            func() scenario.Option { return scenario.EdgeAddr(*edgeAddr) },
-		"id":              func() scenario.Option { return scenario.EdgeID(*id) },
-		"id-base":         func() scenario.Option { return scenario.IDBase(*idBase) },
-		"regions":         func() scenario.Option { return scenario.Regions(*regions) },
-		"n":               func() scenario.Option { return scenario.FleetSize(*n) },
-		"rounds":          func() scenario.Option { return scenario.Rounds(*rounds) },
-		"vehicles":        func() scenario.Option { return scenario.WaitVehicles(*vehiclesN) },
-		"x0":              func() scenario.Option { return scenario.X0(*x0) },
-		"target-x":        func() scenario.Option { return scenario.TargetX(*targetX) },
-		"eps":             func() scenario.Option { return scenario.Eps(*eps) },
-		"field":           func() scenario.Option { return scenario.FieldPath(*fieldPath) },
-		"beta":            func() scenario.Option { return scenario.Beta(*beta) },
-		"seed":            func() scenario.Option { return scenario.Seed(*seed) },
-		"fixed-lag":       func() scenario.Option { return scenario.FixedLag(*fixedLag) },
-		"retry-max":       func() scenario.Option { return scenario.RetryMax(*retryMax) },
-		"round-deadline":  func() scenario.Option { return scenario.RoundDeadline(*roundDeadline) },
-		"codec":           func() scenario.Option { return scenario.Codec(*codecName) },
-		"io-timeout":      func() scenario.Option { return scenario.IOTimeout(*ioTimeout) },
-		"state-dir":       func() scenario.Option { return scenario.StateDir(*stateDir) },
-		"lease-ttl":       func() scenario.Option { return scenario.LeaseTTL(*leaseTTL) },
-		"shards":          func() scenario.Option { return scenario.Shards(*shards) },
-		"shard-id":        func() scenario.Option { return scenario.ShardID(*shardID) },
-		"aggregator":      func() scenario.Option { return scenario.AggregatorAddr(*aggregatorAddr) },
-		"shard-deadline":  func() scenario.Option { return scenario.ShardDeadline(*shardDeadline) },
-		"gossip-peers":    func() scenario.Option { return scenario.GossipPeers(*gossipPeers) },
-		"gossip-listen":   func() scenario.Option { return scenario.GossipListen(*gossipListen) },
-		"gossip-hood":     func() scenario.Option { return scenario.GossipHood(*gossipHood) },
-		"gossip-of":       func() scenario.Option { return scenario.GossipOf(*gossipOf) },
-		"gossip-every":    func() scenario.Option { return scenario.GossipEvery(*gossipEvery) },
-		"gossip-deadline": func() scenario.Option { return scenario.GossipDeadline(*gossipDeadline) },
-		"gossip-failover-ttl": func() scenario.Option {
-			return scenario.GossipFailoverTTL(*gossipFailoverTTL)
-		},
-		"gossip-max-backlog": func() scenario.Option { return scenario.GossipMaxBacklog(*gossipMaxBacklog) },
-	}
-	opts := []scenario.Option{scenario.WithLogf(log.Printf)}
-	if o != nil {
-		opts = append(opts, scenario.WithObs(o))
-	}
-	faultSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "role", "metrics":
-		case "fault-drop", "fault-delay", "fault-dup":
-			faultSet = true
-		default:
-			if mk, ok := optionByFlag[f.Name]; ok {
-				opts = append(opts, mk())
-			}
-		}
-	})
-	if faultSet {
-		opts = append(opts, scenario.WithFault(&transport.FaultConfig{
-			Seed:     *seed,
-			DropProb: *faultDrop,
-			DupProb:  *faultDup,
-			MinDelay: *faultDelay / 20,
-			MaxDelay: *faultDelay,
-		}))
-	}
-
-	nc, err := scenario.New(scenario.Role(*role), opts...)
+	nc, err := f.config()
 	if err == nil {
 		switch nc.Role {
 		case scenario.RoleCloud, scenario.RoleAggregator:
@@ -371,7 +408,7 @@ func runEdge(nc *scenario.NodeConfig) error {
 		fmt.Printf("edge %d: heartbeating membership lease (ttl %v)\n", nc.ID, nc.LeaseTTL)
 	}
 
-	x := 0.3
+	x := nc.X0
 	for t := 0; t < nc.Rounds; t++ {
 		corrMu.Lock()
 		if haveCorrection {

@@ -14,10 +14,7 @@
 //	        -edges 64 -vehicles-per-edge 32 -rounds 40
 //
 // It publishes loadgen_rounds_per_sec, loadgen_round_latency_seconds (and
-// its p99) plus loadgen_vehicles through the obs registry (-metrics), and
-// can append the run's numbers to a bench JSON (-bench-json) in the same
-// shape scripts/bench.sh emits, keyed by scale so differently sized runs
-// never gate against each other.
+// its p99) plus loadgen_vehicles through the obs registry (-metrics).
 package main
 
 import (
@@ -54,11 +51,10 @@ func main() {
 		aggDead    = flag.Duration("round-deadline", 10*time.Second, "spawned aggregator: barrier deadline")
 		seed       = flag.Int64("seed", 1, "census sampling seed")
 		metricsAd  = flag.String("metrics", "", "serve /metrics on this address during the run (empty = off)")
-		benchJSON  = flag.String("bench-json", "", "append this run's series to a bench JSON file (created if missing)")
 	)
 	flag.Parse()
 	if err := run(*edges, *vehPerEdge, *rounds, *shards, *connsPer, *spawn,
-		*aggAddr, *shardAddrs, *deadline, *aggDead, *seed, *metricsAd, *benchJSON); err != nil {
+		*aggAddr, *shardAddrs, *deadline, *aggDead, *seed, *metricsAd); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
 	}
@@ -87,7 +83,7 @@ func spawnTier(m, nShards int, shardDeadline, aggDeadline time.Duration) ([]stri
 	if err != nil {
 		return nil, nil, err
 	}
-	aggL, err := transport.ListenTCP("127.0.0.1:0")
+	aggL, err := nc.Listener() // 127.0.0.1:0
 	if err != nil {
 		agg.Close()
 		return nil, nil, err
@@ -117,12 +113,12 @@ func spawnTier(m, nShards int, shardDeadline, aggDeadline time.Duration) ([]stri
 		snc.Regions = m
 		snc.ShardDeadline = shardDeadline
 		snc.Logf = log.Printf
-		coord, upstream, err := snc.NewShard(func() (transport.Conn, error) { return transport.DialTCP(aggAddr) })
+		coord, upstream, err := snc.NewShard(snc.DialFunc(aggAddr))
 		if err != nil {
 			shutdown()
 			return nil, nil, err
 		}
-		l, err := transport.ListenTCP("127.0.0.1:0")
+		l, err := snc.Listener() // 127.0.0.1:0
 		if err != nil {
 			coord.Close()
 			upstream.Close()
@@ -150,7 +146,7 @@ type worker struct {
 
 func run(edges, vehPerEdge, rounds, nShards, connsPer int, spawn bool,
 	aggAddr, shardAddrs string, shardDeadline, aggDeadline time.Duration,
-	seed int64, metricsAddr, benchJSON string) error {
+	seed int64, metricsAddr string) error {
 	if edges <= 0 || vehPerEdge <= 0 || rounds <= 0 || nShards <= 0 || connsPer <= 0 {
 		return fmt.Errorf("edges, vehicles-per-edge, rounds, shards, conns-per-shard must all be positive")
 	}
@@ -199,7 +195,9 @@ func run(edges, vehPerEdge, rounds, nShards, connsPer int, spawn bool,
 		fmt.Printf("loadgen: metrics on http://%s/metrics\n", msrv.Addr())
 	}
 
-	// Partition each shard's region group across its worker connections.
+	// Partition each shard's region group across its worker connections,
+	// dialed the way an edge dials its shard.
+	edgeNC := scenario.Defaults(scenario.RoleEdge)
 	var workers []*worker
 	for s := 0; s < nShards; s++ {
 		group := table.Regions(s)
@@ -212,7 +210,6 @@ func run(edges, vehPerEdge, rounds, nShards, connsPer int, spawn bool,
 			for idx := w; idx < len(group); idx += per {
 				slice = append(slice, group[idx])
 			}
-			addr := addrs[s]
 			workers = append(workers, &worker{
 				shard:   s,
 				regions: slice,
@@ -220,7 +217,7 @@ func run(edges, vehPerEdge, rounds, nShards, connsPer int, spawn bool,
 				link: &edge.BatchLink{
 					Shard: s,
 					Dialer: &transport.Dialer{
-						Dial:        func() (transport.Conn, error) { return transport.DialTCP(addr) },
+						Dial:        edgeNC.DialFunc(addrs[s]),
 						MaxAttempts: 30,
 						BaseDelay:   5 * time.Millisecond,
 						MaxDelay:    500 * time.Millisecond,
@@ -294,30 +291,5 @@ func run(edges, vehPerEdge, rounds, nShards, connsPer int, spawn bool,
 	p99Gauge.Set(p99)
 	fmt.Printf("loadgen: %d rounds in %v: %.2f rounds/s, %.0f censuses/s, round latency p50 %.1fms p99 %.1fms\n",
 		rounds, elapsed.Round(time.Millisecond), rps, censusesPerSec, p50*1e3, p99*1e3)
-
-	if benchJSON != "" {
-		scale := fmt.Sprintf("%dx%d", edges, vehPerEdge)
-		if err := scenario.AppendBench(benchJSON, []map[string]interface{}{
-			{
-				"name":             "Loadgen/" + scale + "/rounds_per_sec",
-				"iterations":       rounds,
-				"rounds_per_sec":   scenario.Round3(rps),
-				"censuses_per_sec": scenario.Round3(censusesPerSec),
-				"vehicles":         vehicles,
-				"shards":           nShards,
-			},
-			{
-				"name":        "Loadgen/" + scale + "/round_latency",
-				"iterations":  len(all),
-				"p50_seconds": scenario.Round6(p50),
-				"p99_seconds": scenario.Round6(p99),
-				"vehicles":    vehicles,
-				"shards":      nShards,
-			},
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("loadgen: appended Loadgen/%s series to %s\n", scale, benchJSON)
-	}
 	return nil
 }

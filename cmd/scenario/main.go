@@ -1,6 +1,6 @@
 // Command scenario executes declarative consensus scenarios.
 //
-//	scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr] [-bench-json file]
+//	scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr]
 //	scenario check spec.yaml...
 //	scenario fmt spec.yaml [-w]
 //
@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -54,7 +53,7 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr] [-bench-json file]
+  scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr]
   scenario check spec.yaml...
   scenario fmt spec.yaml [-w]
 `)
@@ -65,7 +64,6 @@ func cmdRun(args []string) error {
 	jsonOut := fs.Bool("json", false, "print the verdict as JSON")
 	seed := fs.Int64("seed", 0, "override the spec's seed (0 keeps it)")
 	quiet := fs.Bool("q", false, "suppress progress logging")
-	benchJSON := fs.String("bench-json", "", "merge a Scenario/<name> rounds-per-sec series into this bench JSON file")
 	metrics := fs.String("metrics", "", "serve the run's live /metrics on this address while it executes")
 	spec, _, rest, err := parseSpecArg(fs, args, "run")
 	if err != nil {
@@ -94,25 +92,9 @@ func cmdRun(args []string) error {
 			fmt.Fprintf(os.Stderr, "# "+format+"\n", a...)
 		}
 	}
-	started := time.Now()
 	verdict, err := scenario.Run(spec, opts)
 	if err != nil {
 		return err
-	}
-	if *benchJSON != "" {
-		elapsed := time.Since(started).Seconds()
-		rps := float64(verdict.Rounds) / elapsed
-		entry := map[string]interface{}{
-			"name":           "Scenario/" + verdict.Name,
-			"rounds":         verdict.Rounds,
-			"vehicles":       verdict.Vehicles,
-			"rounds_per_sec": scenario.Round3(rps),
-			"p50_seconds":    scenario.Round6(verdict.RoundLatency.P50MS / 1e3),
-			"p99_seconds":    scenario.Round6(verdict.RoundLatency.P99MS / 1e3),
-		}
-		if err := scenario.AppendBench(*benchJSON, []map[string]interface{}{entry}); err != nil {
-			return err
-		}
 	}
 	if *jsonOut {
 		out, err := json.MarshalIndent(verdict, "", "  ")

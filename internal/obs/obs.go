@@ -34,7 +34,7 @@
 // ids, round numbers) are forbidden — put those on spans instead.
 //
 // HTTP exposition (/metrics, /debug/spans, pprof) lives in http.go; cmd/cpnode
-// and examples/distributed serve it behind a -metrics flag.
+// and cmd/scenario serve it behind a -metrics flag.
 package obs
 
 import (

@@ -1,22 +1,21 @@
 // Package scenario is the declarative workload layer over the consensus
 // tier: a typed node-configuration API shared by every entry point
-// (cmd/cpnode, cmd/loadgen, cmd/scenario, examples, the agent simulation),
-// a versioned YAML/JSON scenario spec, and a runner that compiles a spec
-// into a wired tier, executes it, and emits a machine-readable verdict.
+// (cmd/cpnode, cmd/loadgen, cmd/scenario, the agent simulation, the
+// benchmark), a versioned YAML/JSON scenario spec, and a runner that
+// compiles a spec into a wired tier, executes it, and emits a
+// machine-readable verdict.
 //
-// The configuration API replaces the loose per-binary flag plumbing: a
-// NodeConfig is built from functional options, each of which declares the
-// roles it applies to, so an option set on a role that ignores it is a
-// construction error instead of a silently dead knob. All tier
-// constructors (game model, desired field, FDS, cloud server, shard
-// coordinator, vehicle fleets) live behind NodeConfig methods, so no
-// component is wired from two different flag-parsing paths.
+// The configuration API is one struct: start from Defaults(role), assign
+// the fields that differ, call Validate. Each knob is declared once (the
+// NodeConfig field) and defaulted once (Defaults); cmd/cpnode binds its
+// flags straight to those fields and rejects a flag the chosen role does
+// not consume. All tier constructors (game model, desired field, FDS, cloud
+// server, shard coordinator, vehicle fleets) live behind NodeConfig methods,
+// so no component is wired from two different configuration paths.
 package scenario
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/game"
@@ -44,16 +43,16 @@ func Roles() []Role {
 	return []Role{RoleCloud, RoleAggregator, RoleShard, RoleEdge, RoleVehicles}
 }
 
-// NodeConfig is the typed configuration for one node of the tier. Build one
-// with New (which validates option/role combinations) or fill it directly
-// for programmatic callers, then use the constructor methods in build.go.
+// NodeConfig is the typed configuration for one node of the tier: take
+// Defaults(role), assign fields, call Validate, then use the constructor
+// methods in build.go.
 type NodeConfig struct {
 	Role Role
 
 	// Common runtime knobs.
 	Listen    string // listen address (cloud, aggregator, shard, edge)
 	Seed      int64
-	Codec     string        // wire codec dialed links declare ("" = codec default json)
+	Codec     string        // wire codec dialed links declare ("" = the transport's dial default, binary)
 	IOTimeout time.Duration // per-op read/write deadline on TCP conns
 	RetryMax  int           // max dial attempts per reconnect burst
 	Fault     *transport.FaultConfig
@@ -113,324 +112,14 @@ type NodeConfig struct {
 	IDBase   int
 }
 
-// Option is one typed configuration knob. Every option declares the roles
-// that consume it; New rejects an option applied to any other role, so a
-// cpnode invocation like "-role edge -fixed-lag 8" fails loudly instead of
-// silently ignoring the flag.
-type Option struct {
-	name  string
-	roles []Role
-	apply func(*NodeConfig)
-}
-
-// Name returns the option's display name (the cpnode flag name).
-func (o Option) Name() string { return o.name }
-
-func mkOpt(name string, apply func(*NodeConfig), roles ...Role) Option {
-	return Option{name: name, roles: roles, apply: apply}
-}
-
-var allRoles = []Role{RoleCloud, RoleAggregator, RoleShard, RoleEdge, RoleVehicles}
-
-// tierRoles are the two roles that run the global fold.
-var tierRoles = []Role{RoleCloud, RoleAggregator}
-
-// foldRoles additionally include gossip edges, which resolve the same
-// model/field/FDS locally so the edge data plane folds the policy the cloud
-// control plane reconciles.
-var foldRoles = []Role{RoleCloud, RoleAggregator, RoleEdge}
-
-// Listen sets the listen address (cloud, aggregator, shard, edge).
-func Listen(addr string) Option {
-	return mkOpt("listen", func(c *NodeConfig) { c.Listen = addr },
-		RoleCloud, RoleAggregator, RoleShard, RoleEdge)
-}
-
-// Seed sets the node's random seed (all roles).
-func Seed(seed int64) Option {
-	return mkOpt("seed", func(c *NodeConfig) { c.Seed = seed }, allRoles...)
-}
-
-// Codec names the wire codec dialed TCP links declare (all roles).
-func Codec(name string) Option {
-	return mkOpt("codec", func(c *NodeConfig) { c.Codec = name }, allRoles...)
-}
-
-// IOTimeout sets the per-operation read/write deadline on every TCP conn
-// (all roles).
-func IOTimeout(d time.Duration) Option {
-	return mkOpt("io-timeout", func(c *NodeConfig) { c.IOTimeout = d }, allRoles...)
-}
-
-// RetryMax bounds dial attempts per reconnect burst (shard, edge, vehicles).
-func RetryMax(n int) Option {
-	return mkOpt("retry-max", func(c *NodeConfig) { c.RetryMax = n },
-		RoleShard, RoleEdge, RoleVehicles)
-}
-
-// WithFault installs a fault-injection profile on the node's links (all
-// roles).
-func WithFault(fc *transport.FaultConfig) Option {
-	return mkOpt("fault", func(c *NodeConfig) { c.Fault = fc }, allRoles...)
-}
-
-// WithObs routes the node's metrics through a shared observer (all roles).
-func WithObs(o *obs.Observer) Option {
-	return mkOpt("obs", func(c *NodeConfig) { c.Obs = o }, allRoles...)
-}
-
-// WithLogf installs a progress/failure logger (all roles).
-func WithLogf(logf func(string, ...interface{})) Option {
-	return mkOpt("logf", func(c *NodeConfig) { c.Logf = logf }, allRoles...)
-}
-
-// Regions sets the number of consensus regions (cloud, aggregator, shard;
-// edges need it to route through the shard ring).
-func Regions(m int) Option {
-	return mkOpt("regions", func(c *NodeConfig) { c.Regions = m },
-		RoleCloud, RoleAggregator, RoleShard, RoleEdge)
-}
-
-// X0 sets the initial sharing ratio (cloud, aggregator, gossip edges).
-func X0(x float64) Option {
-	return mkOpt("x0", func(c *NodeConfig) { c.X0 = x }, foldRoles...)
-}
-
-// TargetX sets the desired sharing regime the probe field is derived from
-// (cloud, aggregator, gossip edges).
-func TargetX(x float64) Option {
-	return mkOpt("target-x", func(c *NodeConfig) { c.TargetX = x }, foldRoles...)
-}
-
-// Eps sets the desired-field tolerance band (cloud, aggregator, gossip
-// edges).
-func Eps(e float64) Option {
-	return mkOpt("eps", func(c *NodeConfig) { c.Eps = e }, foldRoles...)
-}
-
-// Beta sets the utility coefficient (cloud, aggregator, vehicles, gossip
-// edges).
-func Beta(b float64) Option {
-	return mkOpt("beta", func(c *NodeConfig) { c.Beta = b },
-		RoleCloud, RoleAggregator, RoleVehicles, RoleEdge)
-}
-
-// Lambda sets the FDS ratio step limit (cloud, aggregator, gossip edges).
-func Lambda(l float64) Option {
-	return mkOpt("lambda", func(c *NodeConfig) { c.Lambda = l }, foldRoles...)
-}
-
-// Tau sets the choice temperature of the mean-field probe (cloud,
-// aggregator, gossip edges).
-func Tau(t float64) Option {
-	return mkOpt("tau", func(c *NodeConfig) { c.Tau = t }, foldRoles...)
-}
-
-// FieldPath points at a declarative desired-field JSON spec (cloud,
-// aggregator, gossip edges; overrides the TargetX probe).
-func FieldPath(path string) Option {
-	return mkOpt("field", func(c *NodeConfig) { c.FieldPath = path }, foldRoles...)
-}
-
-// WithField installs a prebuilt desired field (cloud, aggregator, gossip
-// edges; programmatic callers).
-func WithField(f *policy.Field) Option {
-	return mkOpt("field-value", func(c *NodeConfig) { c.Field = f }, foldRoles...)
-}
-
-// WithModel installs a prebuilt game model (cloud, aggregator, gossip
-// edges; programmatic callers — overrides Graph/Beta/Regions).
-func WithModel(m *game.Model) Option {
-	return mkOpt("model", func(c *NodeConfig) { c.Model = m }, foldRoles...)
-}
-
-// WithGraph installs the region coupling graph (cloud, aggregator, gossip
-// edges; nil defaults to the dense demo graph).
-func WithGraph(g game.Graph) Option {
-	return mkOpt("graph", func(c *NodeConfig) { c.Graph = g }, foldRoles...)
-}
-
-// RoundDeadline bounds the cloud's round barrier (cloud, aggregator).
-func RoundDeadline(d time.Duration) Option {
-	return mkOpt("round-deadline", func(c *NodeConfig) { c.RoundDeadline = d }, tierRoles...)
-}
-
-// FixedLag sets the cloud's rewind window in rounds (cloud, aggregator).
-func FixedLag(n int) Option {
-	return mkOpt("fixed-lag", func(c *NodeConfig) { c.FixedLag = n }, tierRoles...)
-}
-
-// StateDir enables durable state (cloud, aggregator, shard, gossip edges'
-// round journal).
-func StateDir(dir string) Option {
-	return mkOpt("state-dir", func(c *NodeConfig) { c.StateDir = dir },
-		RoleCloud, RoleAggregator, RoleShard, RoleEdge)
-}
-
-// Shards sets the shard-ring size (shard; edges need it to route their
-// region's owner).
-func Shards(n int) Option {
-	return mkOpt("shards", func(c *NodeConfig) { c.Shards = n },
-		RoleShard, RoleEdge)
-}
-
-// ShardID sets this coordinator's index into the ring (shard).
-func ShardID(id int) Option {
-	return mkOpt("shard-id", func(c *NodeConfig) { c.ShardID = id }, RoleShard)
-}
-
-// AggregatorAddr points a shard at the aggregation tier (shard).
-func AggregatorAddr(addr string) Option {
-	return mkOpt("aggregator", func(c *NodeConfig) { c.AggregatorAddr = addr }, RoleShard)
-}
-
-// ShardDeadline bounds the shard's local round barrier (shard).
-func ShardDeadline(d time.Duration) Option {
-	return mkOpt("shard-deadline", func(c *NodeConfig) { c.ShardDeadline = d }, RoleShard)
-}
-
-// EdgeID sets the edge/region id (edge).
-func EdgeID(id int) Option {
-	return mkOpt("id", func(c *NodeConfig) { c.ID = id }, RoleEdge)
-}
-
-// CloudAddr points an edge at the cloud (or, sharded, at the comma-
-// separated shard address list) (edge).
-func CloudAddr(addr string) Option {
-	return mkOpt("cloud", func(c *NodeConfig) { c.CloudAddr = addr }, RoleEdge)
-}
-
-// Rounds bounds the edge's round loop (edge).
-func Rounds(n int) Option {
-	return mkOpt("rounds", func(c *NodeConfig) { c.Rounds = n }, RoleEdge)
-}
-
-// WaitVehicles sets how many registrations an edge waits for before
-// starting rounds (edge).
-func WaitVehicles(n int) Option {
-	return mkOpt("vehicles", func(c *NodeConfig) { c.Vehicles = n }, RoleEdge)
-}
-
-// LeaseTTL enables the edge's membership heartbeat (edge).
-func LeaseTTL(d time.Duration) Option {
-	return mkOpt("lease-ttl", func(c *NodeConfig) { c.LeaseTTL = d }, RoleEdge)
-}
-
-// GossipPeers switches the edge into the gossip data plane: the comma-
-// separated "region=addr" list of every other member of its neighborhood
-// (edge).
-func GossipPeers(peers string) Option {
-	return mkOpt("gossip-peers", func(c *NodeConfig) { c.GossipPeers = peers }, RoleEdge)
-}
-
-// GossipListen sets the edge's gossip listener address (edge).
-func GossipListen(addr string) Option {
-	return mkOpt("gossip-listen", func(c *NodeConfig) { c.GossipListen = addr }, RoleEdge)
-}
-
-// GossipHood sets the edge's neighborhood index (edge).
-func GossipHood(h int) Option {
-	return mkOpt("gossip-hood", func(c *NodeConfig) { c.GossipHood = h }, RoleEdge)
-}
-
-// GossipOf sets how many neighborhoods report to the cloud (edge).
-func GossipOf(n int) Option {
-	return mkOpt("gossip-of", func(c *NodeConfig) { c.GossipOf = n }, RoleEdge)
-}
-
-// GossipEvery sets K: the neighborhood leader escalates a digest to the
-// cloud after every K-th completed local round (edge).
-func GossipEvery(k int) Option {
-	return mkOpt("gossip-every", func(c *NodeConfig) { c.GossipEvery = k }, RoleEdge)
-}
-
-// GossipDeadline bounds each local gossip round barrier; a round missing
-// members past the deadline completes degraded (edge).
-func GossipDeadline(d time.Duration) Option {
-	return mkOpt("gossip-deadline", func(c *NodeConfig) { c.GossipDeadline = d }, RoleEdge)
-}
-
-// GossipFailoverTTL enables neighborhood leader failover: members track the
-// leader's heartbeat lease and promote the ring successor when it lapses
-// (edge; 0 keeps leadership static).
-func GossipFailoverTTL(d time.Duration) Option {
-	return mkOpt("gossip-failover-ttl", func(c *NodeConfig) { c.GossipFailoverTTL = d }, RoleEdge)
-}
-
-// GossipMaxBacklog caps the mirrored escalation backlog, shedding the oldest
-// unacked rounds past it (edge; 0 is unbounded).
-func GossipMaxBacklog(n int) Option {
-	return mkOpt("gossip-max-backlog", func(c *NodeConfig) { c.GossipMaxBacklog = n }, RoleEdge)
-}
-
-// EdgeAddr points a vehicle fleet at its edge server (vehicles).
-func EdgeAddr(addr string) Option {
-	return mkOpt("edge", func(c *NodeConfig) { c.EdgeAddr = addr }, RoleVehicles)
-}
-
-// FleetSize sets the fleet size (vehicles).
-func FleetSize(n int) Option {
-	return mkOpt("n", func(c *NodeConfig) { c.N = n }, RoleVehicles)
-}
-
-// IDBase sets the first vehicle id (vehicles).
-func IDBase(id int) Option {
-	return mkOpt("id-base", func(c *NodeConfig) { c.IDBase = id }, RoleVehicles)
-}
-
-// rolesString renders a role list for error messages.
-func rolesString(roles []Role) string {
-	out := make([]string, len(roles))
-	for i, r := range roles {
-		out[i] = string(r)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
-}
-
-// New builds a NodeConfig for role from defaults plus the given options.
-// An option whose declared roles do not include role is rejected with an
-// error naming the option and the roles that do consume it — the typed
-// replacement for cpnode's silently ignored flag combinations.
-func New(role Role, opts ...Option) (*NodeConfig, error) {
-	valid := false
-	for _, r := range allRoles {
-		if r == role {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return nil, fmt.Errorf("scenario: unknown role %q (want cloud, aggregator, shard, edge, or vehicles)", role)
-	}
-	cfg := Defaults(role)
-	for _, opt := range opts {
-		ok := false
-		for _, r := range opt.roles {
-			if r == role {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("scenario: option %q is not used by role %q (applies to: %s)",
-				opt.name, role, rolesString(opt.roles))
-		}
-		opt.apply(cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
-}
-
-// Defaults returns the role's default configuration (the former cpnode
-// flag defaults).
+// Defaults returns the role's default configuration; cpnode's flag defaults
+// are these values.
 func Defaults(role Role) *NodeConfig {
 	return &NodeConfig{
 		Role:           role,
 		Listen:         "127.0.0.1:0",
 		Seed:           1,
+		Codec:          "binary",
 		RetryMax:       8,
 		Regions:        2,
 		X0:             0.3,

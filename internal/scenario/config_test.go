@@ -3,84 +3,21 @@ package scenario
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/policy"
 )
 
-// TestNewRejectsForeignOptions: an option applied to a role that does not
-// consume it is a construction error naming the option and the roles that
-// do — the typed replacement for cpnode's silently ignored flags.
-func TestNewRejectsForeignOptions(t *testing.T) {
-	cases := []struct {
-		name      string
-		role      Role
-		opt       Option
-		wantRoles string
-	}{
-		{"fixed-lag on edge", RoleEdge, FixedLag(8), "aggregator, cloud"},
-		{"rounds on cloud", RoleCloud, Rounds(10), "edge"},
-		{"listen on vehicles", RoleVehicles, Listen("127.0.0.1:0"), "cloud"},
-		{"edge addr on cloud", RoleCloud, EdgeAddr("127.0.0.1:7100"), "vehicles"},
-		{"x0 on shard", RoleShard, X0(0.5), "aggregator, cloud"},
-		{"shard-id on aggregator", RoleAggregator, ShardID(1), "shard"},
-		{"state-dir on vehicles", RoleVehicles, StateDir("/tmp/x"), "shard"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.role, tc.opt)
-			if err == nil {
-				t.Fatalf("role %s accepted option %q", tc.role, tc.opt.Name())
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, tc.opt.Name()) {
-				t.Errorf("error %v does not name the option %q", err, tc.opt.Name())
-			}
-			if !strings.Contains(msg, tc.wantRoles) {
-				t.Errorf("error %v does not list the applicable roles (%s)", err, tc.wantRoles)
-			}
-		})
-	}
-}
-
-func TestNewUnknownRole(t *testing.T) {
-	if _, err := New(Role("satellite")); err == nil {
-		t.Error("unknown role accepted")
-	}
-}
-
-func TestNewAppliesOptions(t *testing.T) {
-	nc, err := New(RoleCloud,
-		Regions(4),
-		X0(0.5),
-		FixedLag(8),
-		RoundDeadline(150*time.Millisecond),
-		Codec("binary"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nc.Regions != 4 || nc.X0 != 0.5 || nc.FixedLag != 8 ||
-		nc.RoundDeadline != 150*time.Millisecond || nc.Codec != "binary" {
-		t.Errorf("options not applied: %+v", nc)
-	}
-	// Untouched knobs keep the role defaults.
-	if nc.Lambda != 0.1 || nc.TargetX != 0.85 {
-		t.Errorf("defaults clobbered: lambda=%v target-x=%v", nc.Lambda, nc.TargetX)
-	}
-}
-
-// TestDefaultsValidForEveryRole: New(role) with the role's minimum options
-// must succeed — the former cpnode flag defaults are a runnable
-// configuration. Only shard has a required knob (the ring size has no sane
-// default).
+// TestDefaultsValidForEveryRole: Defaults(role) must validate — cpnode's
+// flag defaults are a runnable configuration. Only shard has a required knob
+// (the ring size has no sane default).
 func TestDefaultsValidForEveryRole(t *testing.T) {
-	minimum := map[Role][]Option{
-		RoleShard: {Shards(1)},
-	}
 	for _, role := range Roles() {
-		if _, err := New(role, minimum[role]...); err != nil {
-			t.Errorf("New(%s): %v", role, err)
+		nc := Defaults(role)
+		if role == RoleShard {
+			nc.Shards = 1
+		}
+		if err := nc.Validate(); err != nil {
+			t.Errorf("Defaults(%s): %v", role, err)
 		}
 	}
 }
@@ -89,20 +26,22 @@ func TestValidateCrossFieldErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		role Role
-		opts []Option
+		set  func(*NodeConfig)
 		want string
 	}{
-		{"bad codec", RoleCloud, []Option{Codec("xml")}, "codec"},
-		{"shard id outside ring", RoleShard, []Option{Shards(4), ShardID(5)}, "outside the ring"},
-		{"zero shards", RoleShard, []Option{Shards(0)}, "shards >= 1"},
-		{"zero rounds", RoleEdge, []Option{Rounds(0)}, "rounds >= 1"},
-		{"empty fleet", RoleVehicles, []Option{FleetSize(0)}, "n >= 1"},
-		{"negative fixed lag", RoleCloud, []Option{FixedLag(-1)}, "fixed-lag"},
-		{"field and field-path", RoleCloud, []Option{FieldPath("f.json"), WithField(mustBandField(t, 2))}, "mutually exclusive"},
+		{"bad codec", RoleCloud, func(c *NodeConfig) { c.Codec = "xml" }, "codec"},
+		{"shard id outside ring", RoleShard, func(c *NodeConfig) { c.Shards, c.ShardID = 4, 5 }, "outside the ring"},
+		{"zero shards", RoleShard, func(c *NodeConfig) { c.Shards = 0 }, "shards >= 1"},
+		{"zero rounds", RoleEdge, func(c *NodeConfig) { c.Rounds = 0 }, "rounds >= 1"},
+		{"empty fleet", RoleVehicles, func(c *NodeConfig) { c.N = 0 }, "n >= 1"},
+		{"negative fixed lag", RoleCloud, func(c *NodeConfig) { c.FixedLag = -1 }, "fixed-lag"},
+		{"field and field-path", RoleCloud, func(c *NodeConfig) { c.FieldPath, c.Field = "f.json", mustBandField(t, 2) }, "mutually exclusive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.role, tc.opts...)
+			nc := Defaults(tc.role)
+			tc.set(nc)
+			err := nc.Validate()
 			if err == nil {
 				t.Fatalf("invalid config accepted")
 			}
@@ -140,8 +79,9 @@ func TestGraphByName(t *testing.T) {
 // TestBuildCloudFromConfig: the shared constructor wires a working cloud —
 // the same path cpnode, loadgen, the agent sim, and the runner all use.
 func TestBuildCloudFromConfig(t *testing.T) {
-	nc, err := New(RoleCloud, Regions(2), RoundDeadline(0))
-	if err != nil {
+	nc := Defaults(RoleCloud)
+	nc.Regions, nc.RoundDeadline = 2, 0
+	if err := nc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	srv, desc, err := nc.NewCloud()

@@ -140,15 +140,12 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 	// The cloud is wired through the shared scenario.NodeConfig layer — the
 	// same constructor cpnode, cmd/loadgen, and cmd/scenario use. Round
 	// deadline 0 keeps the in-process barrier waiting for every region.
-	nc, err := scenario.New(scenario.RoleCloud,
-		scenario.WithModel(w.Model),
-		scenario.WithField(cfg.Field),
-		scenario.Lambda(cfg.Lambda),
-		scenario.X0(cfg.X0),
-		scenario.RoundDeadline(0),
-		scenario.WithObs(cfg.Obs),
-	)
-	if err != nil {
+	nc := scenario.Defaults(scenario.RoleCloud)
+	nc.Model, nc.Field = w.Model, cfg.Field
+	nc.Lambda, nc.X0 = cfg.Lambda, cfg.X0
+	nc.RoundDeadline = 0
+	nc.Obs = cfg.Obs
+	if err := nc.Validate(); err != nil {
 		return nil, err
 	}
 	cloudSrv, _, err := nc.NewCloud()

@@ -429,7 +429,7 @@ func TestMixedCodecConsensusRound(t *testing.T) {
 		opts []transport.TCPOption
 	}{
 		{"binary", []transport.TCPOption{transport.WithCodec(transport.Binary)}},
-		{"json", nil}, // dialer default
+		{"json", []transport.TCPOption{transport.WithCodec(transport.JSON)}},
 	}
 	var conns [regions]transport.Conn
 	var links [regions]*edge.CloudLink

@@ -19,7 +19,7 @@ var ErrCodecVersion = errors.New("transport: unknown codec version")
 // peer that only speaks JSON always gets JSON.
 const (
 	// VersionJSON is wire version 1: the length-prefixed JSON envelope
-	// (debug/compat default; human-readable, used by golden tests).
+	// (debug/compat; human-readable, used by golden tests).
 	VersionJSON byte = 1
 	// VersionBinary is wire version 2: the compact tag+varint encoding.
 	VersionBinary byte = 2

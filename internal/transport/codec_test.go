@@ -403,8 +403,9 @@ func TestTCPCodecNegotiation(t *testing.T) {
 		want   string
 	}{
 		{"binary both", []TCPOption{WithCodec(Binary)}, []TCPOption{WithCodec(Binary)}, "binary"},
-		{"json dialer to binary server", nil, []TCPOption{WithCodec(Binary)}, "json"},
-		{"binary dialer to json server", []TCPOption{WithCodec(Binary)}, nil, "binary"},
+		{"json dialer to binary server", []TCPOption{WithCodec(JSON)}, []TCPOption{WithCodec(Binary)}, "json"},
+		{"binary dialer to json server", []TCPOption{WithCodec(Binary)}, []TCPOption{WithCodec(JSON)}, "binary"},
+		{"default dialer declares binary", nil, []TCPOption{WithCodec(JSON)}, "binary"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

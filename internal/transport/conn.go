@@ -381,7 +381,7 @@ const recvBufBytes = 512
 type tcpConn struct {
 	c       net.Conn
 	timeout time.Duration
-	pref    Codec // preferred (maximum) codec; nil = JSON
+	pref    Codec // codec the dialing side declares
 	dialer  bool  // dialing side proposes, accepting side answers
 
 	hs    sync.Once
@@ -415,7 +415,7 @@ func WithTimeout(d time.Duration) TCPOption {
 }
 
 // WithCodec sets the wire codec a dialed connection declares (default
-// JSON). Accepted conns ignore it: the accepting side adopts whatever
+// Binary). Accepted conns ignore it: the accepting side adopts whatever
 // version the dialer declared, so mixed-codec deployments interoperate
 // regardless of either side's default.
 func WithCodec(c Codec) TCPOption {
@@ -426,7 +426,7 @@ func WithCodec(c Codec) TCPOption {
 // accepting (server) role of version negotiation. Dialed conns come from
 // DialTCP, which takes the proposing role.
 func NewTCPConn(c net.Conn, opts ...TCPOption) Conn {
-	t := &tcpConn{c: c, pref: JSON, closed: make(chan struct{})}
+	t := &tcpConn{c: c, pref: Binary, closed: make(chan struct{})}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -476,14 +476,10 @@ func (t *tcpConn) negotiate() error {
 		_ = t.c.SetReadDeadline(deadline)
 	}
 	if t.dialer {
-		pref := t.pref
-		if pref == nil {
-			pref = JSON
-		}
-		if _, err := t.c.Write([]byte{codecMagic, pref.Version()}); err != nil {
+		if _, err := t.c.Write([]byte{codecMagic, t.pref.Version()}); err != nil {
 			return t.opErr("codec negotiation", err)
 		}
-		t.codec = pref
+		t.codec = t.pref
 		return nil
 	}
 	if err := t.fill(1); err != nil {

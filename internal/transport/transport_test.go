@@ -277,7 +277,8 @@ func TestTCPOversizeFrameRejected(t *testing.T) {
 		defer c.Close()
 		_, _ = c.Recv()
 	}()
-	client, err := DialTCP(l.Addr())
+	// JSON frames the payload bytes as they are, so the frame is oversize.
+	client, err := DialTCP(l.Addr(), WithCodec(JSON))
 	if err != nil {
 		t.Fatal(err)
 	}
