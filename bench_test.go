@@ -423,12 +423,10 @@ var benchCodecs = []struct {
 	name  string
 	codec transport.Codec
 }{
-	{"json", transport.JSON},
 	{"binary", transport.Binary},
 }
 
-// BenchmarkEncodeCensus measures encoding a step-① census frame under each
-// codec, reusing the destination buffer the way tcpConn.Send does. The
+// BenchmarkEncodeCensus measures encoding a step-① census frame, reusing the destination buffer the way tcpConn.Send does. The
 // bytes/frame metric is the wire size the acceptance criterion compares.
 func BenchmarkEncodeCensus(b *testing.B) {
 	m := benchMessage(b, transport.KindCensus,
@@ -452,8 +450,7 @@ func BenchmarkEncodeCensus(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTrip measures a full encode+decode cycle per codec for the
-// three message shapes that dominate wire traffic: the census (step ①), the
+// BenchmarkRoundTrip measures a full encode+decode cycle for the three message shapes that dominate wire traffic: the census (step ①), the
 // ratio broadcast (step ②), and a vehicle upload (step ④).
 func BenchmarkRoundTrip(b *testing.B) {
 	items := make([]transport.Item, 4)

@@ -176,8 +176,6 @@ func newNodeFlags(fs *flag.FlagSet) *nodeFlags {
 		"cloud: complete a round barrier after this long with last-known shares for missing edges (0 = wait forever)", tierRoles)
 	f.metrics = fs.String("metrics", "",
 		"serve /metrics, /debug/spans and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")
-	f.bind(&nc.Codec, "codec",
-		"wire codec this node declares on dialed TCP links: json | binary (accepted conns adopt the dialer's codec)", allRoles)
 	f.bind(&nc.IOTimeout, "io-timeout",
 		"per-operation read/write deadline on every TCP conn, dialed or accepted (0 = off; must exceed the idle gap between rounds)", allRoles)
 	f.bind(&nc.StateDir, "state-dir",
@@ -455,11 +453,7 @@ func runEdgeGossip(nc *scenario.NodeConfig, srv *edge.Server) error {
 	}
 	defer node.Close()
 
-	gopts, err := nc.TCPOptions()
-	if err != nil {
-		return err
-	}
-	gl, err := transport.ListenTCP(nc.GossipListen, gopts...)
+	gl, err := transport.ListenTCP(nc.GossipListen, nc.TCPOptions()...)
 	if err != nil {
 		return err
 	}

@@ -63,12 +63,12 @@ func TestRejectsForeignFlags(t *testing.T) {
 // ones keep the Defaults value, and any -fault-* flag installs a profile.
 func TestFlagsSetConfigFields(t *testing.T) {
 	nc, err := parse(t, "-role", "cloud", "-regions", "4", "-x0", "0.5", "-fixed-lag", "8",
-		"-round-deadline", "150ms", "-codec", "json", "-seed", "9", "-fault-dup", "0.25")
+		"-round-deadline", "150ms", "-io-timeout", "2s", "-seed", "9", "-fault-dup", "0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nc.Role != scenario.RoleCloud || nc.Regions != 4 || nc.X0 != 0.5 || nc.FixedLag != 8 ||
-		nc.RoundDeadline != 150*time.Millisecond || nc.Codec != "json" {
+		nc.RoundDeadline != 150*time.Millisecond || nc.IOTimeout != 2*time.Second {
 		t.Errorf("flags not applied: %+v", nc)
 	}
 	if nc.Lambda != 0.1 || nc.TargetX != 0.85 {

@@ -2,7 +2,6 @@
 //
 //	scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr]
 //	scenario check spec.yaml...
-//	scenario fmt spec.yaml [-w]
 //
 // run compiles the spec into a wired tier (in-proc or TCP, per the spec),
 // executes it, and prints the verdict — human-readable by default, machine-
@@ -10,8 +9,7 @@
 // text) on addr while the scenario is in flight, so smoke jobs can assert
 // mid-run counters. Exit status: 0 when every verdict check passed, 2
 // when the run finished but a check failed, 1 on infrastructure errors.
-// check validates specs without running them; fmt rewrites a spec in
-// canonical form.
+// check validates specs without running them.
 package main
 
 import (
@@ -35,8 +33,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "check":
 		err = cmdCheck(os.Args[2:])
-	case "fmt":
-		err = cmdFmt(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -55,7 +51,6 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr]
   scenario check spec.yaml...
-  scenario fmt spec.yaml [-w]
 `)
 }
 
@@ -65,7 +60,7 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("seed", 0, "override the spec's seed (0 keeps it)")
 	quiet := fs.Bool("q", false, "suppress progress logging")
 	metrics := fs.String("metrics", "", "serve the run's live /metrics on this address while it executes")
-	spec, _, rest, err := parseSpecArg(fs, args, "run")
+	spec, rest, err := parseSpecArg(fs, args)
 	if err != nil {
 		return err
 	}
@@ -178,48 +173,27 @@ func cmdCheck(args []string) error {
 	return nil
 }
 
-func cmdFmt(args []string) error {
-	fs := flag.NewFlagSet("fmt", flag.ExitOnError)
-	write := fs.Bool("w", false, "rewrite the file instead of printing")
-	spec, path, rest, err := parseSpecArg(fs, args, "fmt")
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("fmt takes one spec file")
-	}
-	out, err := scenario.MarshalSpec(spec)
-	if err != nil {
-		return err
-	}
-	if *write {
-		return os.WriteFile(path, out, 0o644)
-	}
-	os.Stdout.Write(out)
-	return nil
-}
-
 // parseSpecArg parses flags that may appear before or after the spec path
 // and loads the spec.
-func parseSpecArg(fs *flag.FlagSet, args []string, cmd string) (*scenario.Spec, string, []string, error) {
+func parseSpecArg(fs *flag.FlagSet, args []string) (*scenario.Spec, []string, error) {
 	if err := fs.Parse(args); err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	if fs.NArg() < 1 {
-		return nil, "", nil, fmt.Errorf("%s takes a spec file", cmd)
+		return nil, nil, fmt.Errorf("%s takes a spec file", fs.Name())
 	}
 	// Allow trailing flags after the positional spec path.
 	path := fs.Arg(0)
 	if err := fs.Parse(fs.Args()[1:]); err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	spec, err := scenario.ParseSpec(data)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return spec, path, fs.Args(), nil
+	return spec, fs.Args(), nil
 }

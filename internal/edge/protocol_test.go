@@ -243,7 +243,7 @@ func TestRecvBodyValidUntilNextRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	client, err := transport.DialTCP(l.Addr(), transport.WithCodec(transport.Binary))
+	client, err := transport.DialTCP(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestServerRoundsOverTCP(t *testing.T) {
 		l.Close()
 	})
 	dial := func() (transport.Conn, error) {
-		return transport.DialTCP(l.Addr(), transport.WithCodec(transport.Binary))
+		return transport.DialTCP(l.Addr())
 	}
 	vehicles := []*testVehicle{registerVehicle(t, dial, 1), registerVehicle(t, dial, 2), registerVehicle(t, dial, 3)}
 	awaitVehicles(t, srv, len(vehicles))

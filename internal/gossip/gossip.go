@@ -140,7 +140,6 @@ type nodeMetrics struct {
 	beatsRecv      *obs.Counter // gossip_hood_beats_received_total
 	beatFailures   *obs.Counter // gossip_hood_beat_failures_total
 	backlogDrop    *obs.Counter // gossip_backlog_dropped_total
-	pendingGauge   *obs.Gauge   // gossip_pending_rounds{edge}
 	backlogGauge   *obs.Gauge   // gossip_escalation_backlog{edge}
 	stateHash      *obs.Gauge   // gossip_state_hash{edge}
 }
@@ -170,7 +169,6 @@ func newNodeMetrics(o *obs.Observer, edge int) nodeMetrics {
 		beatsRecv:    o.Counter("gossip_hood_beats_received_total", "leader liveness heartbeats received (stale epochs included)"),
 		beatFailures: o.Counter("gossip_hood_beat_failures_total", "heartbeat sends abandoned after redial attempts"),
 		backlogDrop:  o.Counter("gossip_backlog_dropped_total", "oldest backlog rounds shed by the max-backlog cap (permanently unescalated)"),
-		pendingGauge: r.GaugeVec("gossip_pending_rounds", "completed local rounds awaiting cloud acknowledgment", "edge").With(e),
 		backlogGauge: r.GaugeVec("gossip_escalation_backlog", "completed rounds retained for digest escalation (with failover every member mirrors the leader's backlog)", "edge").With(e),
 		stateHash:    r.GaugeVec("gossip_state_hash", "CRC-32C of the node's canonical JSON game state", "edge").With(e),
 	}
@@ -264,10 +262,8 @@ func (n *Node) Instrument(o *obs.Observer) {
 	n.metrics.stateHash.Set(float64(n.fold.Hash()))
 }
 
-// setBacklogLocked publishes the backlog depth under both of its names.
-// Called with n.mu held.
+// setBacklogLocked publishes the backlog depth. Called with n.mu held.
 func (n *Node) setBacklogLocked() {
-	n.metrics.pendingGauge.Set(float64(len(n.pending)))
 	n.metrics.backlogGauge.Set(float64(len(n.pending)))
 }
 

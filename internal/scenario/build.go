@@ -397,7 +397,7 @@ func ShardRoute(cloudAddr string, shards, regions, edgeID int) (string, error) {
 
 // NewShard wires one shard coordinator: the rendezvous ring assigns its
 // region group, the upstream BatchLink dials the aggregation tier through
-// dial (nil defaults to a TCP dial of AggregatorAddr with the node's codec
+// dial (nil defaults to a TCP dial of AggregatorAddr with the node's timeout
 // and fault profile), and the durable state directory is opened when set.
 // Close the returned link after the coordinator.
 func (c *NodeConfig) NewShard(dial func() (transport.Conn, error)) (*shard.Coordinator, *edge.BatchLink, error) {
@@ -609,21 +609,13 @@ func (c *NodeConfig) NewFleet(fs FleetSpec) ([]*FleetVehicle, error) {
 }
 
 // TCPOptions returns the transport options every TCP endpoint this node
-// opens shares: listeners pass them to accepted conns, dialed conns
-// declare the codec.
-func (c *NodeConfig) TCPOptions(extra ...transport.TCPOption) ([]transport.TCPOption, error) {
+// opens shares; listeners pass them to accepted conns.
+func (c *NodeConfig) TCPOptions(extra ...transport.TCPOption) []transport.TCPOption {
 	var opts []transport.TCPOption
-	if c.Codec != "" {
-		codec, err := transport.CodecByName(c.Codec)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, transport.WithCodec(codec))
-	}
 	if c.IOTimeout > 0 {
 		opts = append(opts, transport.WithTimeout(c.IOTimeout))
 	}
-	return append(opts, extra...), nil
+	return append(opts, extra...)
 }
 
 // NewFaultInjector builds the node's fault injector from its profile (nil
@@ -643,16 +635,12 @@ func (c *NodeConfig) NewFaultInjector() *transport.Fault {
 	return fault
 }
 
-// DialFunc returns a dial closure for addr carrying the node's codec,
-// timeout, and fault profile.
+// DialFunc returns a dial closure for addr carrying the node's timeout and
+// fault profile.
 func (c *NodeConfig) DialFunc(addr string, extra ...transport.TCPOption) func() (transport.Conn, error) {
 	fault := c.NewFaultInjector()
 	return func() (transport.Conn, error) {
-		opts, err := c.TCPOptions(extra...)
-		if err != nil {
-			return nil, err
-		}
-		conn, err := transport.DialTCP(addr, opts...)
+		conn, err := transport.DialTCP(addr, c.TCPOptions(extra...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -665,11 +653,7 @@ func (c *NodeConfig) DialFunc(addr string, extra ...transport.TCPOption) func() 
 
 // Listener opens the node's TCP listener, wrapped in its fault injector.
 func (c *NodeConfig) Listener() (transport.Listener, error) {
-	opts, err := c.TCPOptions()
-	if err != nil {
-		return nil, err
-	}
-	l, err := transport.ListenTCP(c.Listen, opts...)
+	l, err := transport.ListenTCP(c.Listen, c.TCPOptions()...)
 	if err != nil {
 		return nil, err
 	}

@@ -50,9 +50,12 @@ type NodeConfig struct {
 	Role Role
 
 	// Common runtime knobs.
-	Listen    string // listen address (cloud, aggregator, shard, edge)
-	Seed      int64
-	Codec     string        // wire codec dialed links declare ("" = the transport's dial default, binary)
+	Listen string // listen address (cloud, aggregator, shard, edge)
+	Seed   int64
+	// Codec is "" or "binary" and nothing reads it: TCP is always binary.
+	// It stays only because the frozen bench/tier.go assigns it; delete it
+	// with the next benchmark-archetype PR.
+	Codec     string
 	IOTimeout time.Duration // per-op read/write deadline on TCP conns
 	RetryMax  int           // max dial attempts per reconnect burst
 	Fault     *transport.FaultConfig
@@ -119,7 +122,6 @@ func Defaults(role Role) *NodeConfig {
 		Role:           role,
 		Listen:         "127.0.0.1:0",
 		Seed:           1,
-		Codec:          "binary",
 		RetryMax:       8,
 		Regions:        2,
 		X0:             0.3,

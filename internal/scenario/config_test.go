@@ -29,7 +29,7 @@ func TestValidateCrossFieldErrors(t *testing.T) {
 		set  func(*NodeConfig)
 		want string
 	}{
-		{"bad codec", RoleCloud, func(c *NodeConfig) { c.Codec = "xml" }, "codec"},
+		{"bad codec", RoleCloud, func(c *NodeConfig) { c.Codec = "json" }, `want "binary" or empty`},
 		{"shard id outside ring", RoleShard, func(c *NodeConfig) { c.Shards, c.ShardID = 4, 5 }, "outside the ring"},
 		{"zero shards", RoleShard, func(c *NodeConfig) { c.Shards = 0 }, "shards >= 1"},
 		{"zero rounds", RoleEdge, func(c *NodeConfig) { c.Rounds = 0 }, "rounds >= 1"},

@@ -333,14 +333,13 @@ func (r *runner) counterNow(name string) uint64 {
 // and so a restarted component can reclaim its name.
 type netw struct {
 	inproc *transport.InprocNetwork
-	codec  string
 
 	mu    sync.Mutex
 	addrs map[string]string // tcp only: name -> current address
 }
 
 func newNetw(network, codec string) (*netw, error) {
-	n := &netw{codec: codec}
+	n := &netw{}
 	if network == "inproc" {
 		n.inproc = transport.NewInprocNetwork()
 		if codec != "" {
@@ -356,26 +355,11 @@ func newNetw(network, codec string) (*netw, error) {
 	return n, nil
 }
 
-func (n *netw) tcpOptions() ([]transport.TCPOption, error) {
-	if n.codec == "" {
-		return nil, nil
-	}
-	c, err := transport.CodecByName(n.codec)
-	if err != nil {
-		return nil, err
-	}
-	return []transport.TCPOption{transport.WithCodec(c)}, nil
-}
-
 func (n *netw) listen(name string) (transport.Listener, error) {
 	if n.inproc != nil {
 		return n.inproc.Listen(name)
 	}
-	opts, err := n.tcpOptions()
-	if err != nil {
-		return nil, err
-	}
-	l, err := transport.ListenTCP("127.0.0.1:0", opts...)
+	l, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
@@ -397,11 +381,7 @@ func (n *netw) dial(name string) (transport.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("scenario: no listener named %q yet", name)
 	}
-	opts, err := n.tcpOptions()
-	if err != nil {
-		return nil, err
-	}
-	return transport.DialTCP(addr, opts...)
+	return transport.DialTCP(addr)
 }
 
 // edgeState is the driver's view of one region's edge.

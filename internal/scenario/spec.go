@@ -55,8 +55,8 @@ type Topology struct {
 	// Shards > 1 interposes the sharded consensus tier: a rendezvous ring
 	// of shard coordinators batching censuses up to a thin aggregator.
 	Shards int `json:"shards"`
-	// Codec serializes messages ("json" or "binary"; empty keeps the
-	// transport default).
+	// Codec "binary" serializes in-process messages through the wire
+	// codec; empty passes them typed. TCP is always binary.
 	Codec string `json:"codec"`
 	// Gossip switches the edges into the edge-local gossip data plane:
 	// neighborhoods of edges run consensus rounds among themselves and

@@ -6,14 +6,12 @@ package scenario
 // comments — and rejects everything else loudly. Decoding goes through a
 // generic tree and then a strict JSON round-trip, so struct mapping,
 // unknown-field rejection, and custom unmarshalers (Duration) all come
-// from encoding/json; encoding walks the JSON token stream so struct
-// field order is preserved and output is deterministic.
+// from encoding/json.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 )
@@ -30,10 +28,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 	}
 	return spec, nil
 }
-
-// MarshalSpec renders the spec in canonical YAML: struct field order, two-
-// space indents, no comments. Parsing its output yields an equal spec.
-func MarshalSpec(s *Spec) ([]byte, error) { return marshalYAML(s) }
 
 // unmarshalYAML decodes YAML-subset data into v via a strict JSON
 // round-trip.
@@ -386,188 +380,4 @@ func unquoteScalar(s string) (any, error) {
 		return f, nil
 	}
 	return s, nil
-}
-
-// --- encoding ---
-
-// marshalYAML renders v (via its JSON form, which preserves struct field
-// order) as canonical YAML.
-func marshalYAML(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	node, err := readJSONNode(dec)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := writeYAMLNode(&buf, node, 0, false); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-type jsonNode struct {
-	// Exactly one of these shapes is active: keys/vals (mapping, ordered),
-	// seq (sequence), or scalar.
-	keys   []string
-	vals   []*jsonNode
-	seq    []*jsonNode
-	isMap  bool
-	isSeq  bool
-	scalar any
-}
-
-func readJSONNode(dec *json.Decoder) (*jsonNode, error) {
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			n := &jsonNode{isMap: true}
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return nil, err
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return nil, fmt.Errorf("scenario: non-string key %v", keyTok)
-				}
-				val, err := readJSONNode(dec)
-				if err != nil {
-					return nil, err
-				}
-				n.keys = append(n.keys, key)
-				n.vals = append(n.vals, val)
-			}
-			_, err := dec.Token() // consume '}'
-			return n, err
-		case '[':
-			n := &jsonNode{isSeq: true}
-			for dec.More() {
-				item, err := readJSONNode(dec)
-				if err != nil {
-					return nil, err
-				}
-				n.seq = append(n.seq, item)
-			}
-			_, err := dec.Token() // consume ']'
-			return n, err
-		}
-		return nil, fmt.Errorf("scenario: unexpected delimiter %v", t)
-	default:
-		return &jsonNode{scalar: tok}, nil
-	}
-}
-
-// writeYAMLNode emits node at the given indent. seqItem means the first
-// line continues a "- " prefix already written.
-func writeYAMLNode(w io.Writer, n *jsonNode, indent int, seqItem bool) error {
-	pad := strings.Repeat(" ", indent)
-	switch {
-	case n.isMap:
-		if len(n.keys) == 0 {
-			_, err := fmt.Fprintf(w, "{}\n")
-			return err
-		}
-		for i, key := range n.keys {
-			prefix := pad
-			if seqItem && i == 0 {
-				prefix = "" // continues the "- " on the current line
-			}
-			val := n.vals[i]
-			switch {
-			case val.isMap && len(val.keys) > 0, val.isSeq && len(val.seq) > 0:
-				if _, err := fmt.Fprintf(w, "%s%s:\n", prefix, key); err != nil {
-					return err
-				}
-				if err := writeYAMLNode(w, val, indent+2, false); err != nil {
-					return err
-				}
-			default:
-				if _, err := fmt.Fprintf(w, "%s%s: %s\n", prefix, key, scalarYAML(val)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	case n.isSeq:
-		if len(n.seq) == 0 {
-			_, err := fmt.Fprintf(w, "[]\n")
-			return err
-		}
-		for _, item := range n.seq {
-			if item.isMap && len(item.keys) > 0 {
-				if _, err := fmt.Fprintf(w, "%s- ", pad); err != nil {
-					return err
-				}
-				if err := writeYAMLNode(w, item, indent+2, true); err != nil {
-					return err
-				}
-				continue
-			}
-			if item.isSeq && len(item.seq) > 0 {
-				return fmt.Errorf("scenario: nested sequences are not emitted")
-			}
-			if _, err := fmt.Fprintf(w, "%s- %s\n", pad, scalarYAML(item)); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		_, err := fmt.Fprintf(w, "%s%s\n", pad, scalarYAML(n))
-		return err
-	}
-}
-
-// scalarYAML renders a leaf node as a YAML scalar, quoting strings that
-// would otherwise reparse as something else.
-func scalarYAML(n *jsonNode) string {
-	if n.isMap {
-		return "{}"
-	}
-	if n.isSeq {
-		return "[]"
-	}
-	switch v := n.scalar.(type) {
-	case nil:
-		return "null"
-	case bool:
-		return strconv.FormatBool(v)
-	case json.Number:
-		return v.String()
-	case string:
-		if needsQuoting(v) {
-			return strconv.Quote(v)
-		}
-		return v
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-func needsQuoting(s string) bool {
-	if s == "" || s == "null" || s == "~" || s == "true" || s == "false" {
-		return true
-	}
-	if _, err := strconv.ParseFloat(s, 64); err == nil {
-		return true
-	}
-	if strings.TrimSpace(s) != s {
-		return true
-	}
-	if strings.ContainsAny(s, ":#\"'[]{},\n") {
-		return true
-	}
-	if s[0] == '-' || s[0] == ' ' {
-		return true
-	}
-	return false
 }

@@ -55,9 +55,9 @@ type AgentSimConfig struct {
 	// runs the vehicle clients with reconnect + re-registration, so the
 	// simulation exercises the runtime's degraded paths.
 	Fault *transport.FaultConfig
-	// Codec, when non-empty ("json" or "binary"), serializes every
-	// in-process message through that wire codec instead of passing typed
-	// values, so the simulation exercises the real encode/decode path.
+	// Codec, when "binary", serializes every in-process message through
+	// the wire codec instead of passing typed values, so the simulation
+	// exercises the real encode/decode path.
 	Codec string
 	// Obs, when non-nil, is the shared observer every component of the run
 	// (cloud, edges, fault injector, vehicle clients, FDS) reports through,

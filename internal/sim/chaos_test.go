@@ -394,104 +394,6 @@ func TestChaosPipelineConverges(t *testing.T) {
 		degraded, dropped, delayed, disconnects)
 }
 
-// TestMixedCodecConsensusRound: one binary-codec edge and one JSON-codec
-// edge report to the same cloud over real TCP and complete full consensus
-// rounds (census → barrier → FDS → next-round ratio). Version negotiation
-// is per connection — the dialer declares, the acceptor adopts — so mixed
-// fleets interoperate during a rolling codec upgrade.
-func TestMixedCodecConsensusRound(t *testing.T) {
-	const regions = 2
-	payoffs := lattice.PaperPayoffs()
-	model, err := game.NewModel(payoffs, chaosGraph{}, []float64{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := model.K()
-	fds, err := policy.NewFDS(model, policy.NewFreeField(regions, k), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloudSrv, err := cloud.NewServer(fds, game.NewUniformState(regions, k, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cloudSrv.Close()
-
-	l, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go cloudSrv.Serve(l)
-
-	codecs := [regions]struct {
-		name string
-		opts []transport.TCPOption
-	}{
-		{"binary", []transport.TCPOption{transport.WithCodec(transport.Binary)}},
-		{"json", []transport.TCPOption{transport.WithCodec(transport.JSON)}},
-	}
-	var conns [regions]transport.Conn
-	var links [regions]*edge.CloudLink
-	for i := range links {
-		i := i
-		links[i] = &edge.CloudLink{
-			Edge: i,
-			Dialer: &transport.Dialer{
-				Dial: func() (transport.Conn, error) {
-					c, err := transport.DialTCP(l.Addr(), codecs[i].opts...)
-					if err == nil {
-						conns[i] = c
-					}
-					return c, err
-				},
-				MaxAttempts: 3,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    10 * time.Millisecond,
-				Seed:        int64(i + 1),
-			},
-			ReplyTimeout: 5 * time.Second,
-		}
-		defer links[i].Close()
-	}
-
-	for round := 0; round < 3; round++ {
-		var next [regions]float64
-		var errs [regions]error
-		var wg sync.WaitGroup
-		for i := range links {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				counts := make([]int, k)
-				counts[0] = 8 - i
-				counts[1] = 2 + i
-				next[i], errs[i] = links[i].Report(round, counts)
-			}()
-		}
-		wg.Wait()
-		for i := range errs {
-			if errs[i] != nil {
-				t.Fatalf("%s edge, round %d: %v", codecs[i].name, round, errs[i])
-			}
-			if next[i] < 0 || next[i] > 1 {
-				t.Errorf("%s edge, round %d: ratio = %v out of [0,1]", codecs[i].name, round, next[i])
-			}
-		}
-	}
-
-	// Each link really negotiated its declared codec on the shared cloud.
-	for i, c := range conns {
-		if c == nil {
-			t.Fatalf("edge %d never dialed", i)
-		}
-		if got := transport.CodecOf(c); got != codecs[i].name {
-			t.Errorf("edge %d codec = %q, want %q", i, got, codecs[i].name)
-		}
-	}
-}
-
 // TestRunAgentSimWithFaults: the packaged agent simulation survives a lossy
 // transport when configured with a FaultConfig (drops, delays, reconnecting
 // clients) and still completes its rounds. Codec forces every in-process

@@ -22,23 +22,44 @@ func TestBinaryEncodeHotPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, 512)
-	for _, tc := range []struct {
-		name string
-		m    Message
-	}{
-		{"census", census},
-		{"ratio", ratio},
-	} {
+	encodesWithoutAlloc(t, census, ratio)
+}
+
+// encodesWithoutAlloc fails for each message whose encode into a buffer that
+// already has the room allocates.
+func encodesWithoutAlloc(t *testing.T, msgs ...Message) {
+	t.Helper()
+	buf := make([]byte, 0, 4096)
+	for _, m := range msgs {
 		allocs := testing.AllocsPerRun(1000, func() {
-			if _, err := Binary.AppendEncode(buf[:0], tc.m); err != nil {
+			if _, err := Binary.AppendEncode(buf[:0], m); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("binary %s encode: %.1f allocs/op, want 0", tc.name, allocs)
+			t.Errorf("binary %s encode: %.1f allocs/op, want 0", m.Kind, allocs)
 		}
 	}
+}
+
+// TestBatchEncodeAllocs pins the same for the tier's frames — a shard's
+// census batch, the aggregator's ratio batch, a rewind's correction: the
+// encoder takes each body out of the message typed, as it does a census.
+func TestBatchEncodeAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	batch := CensusBatch{Shard: 1, Round: 117}
+	ratios := RatioBatch{Round: 118}
+	for e := 0; e < 64; e++ {
+		batch.Censuses = append(batch.Censuses, Census{Edge: e, Round: 117, Counts: []int{12, 40, 7, 3, 0, 9, 1, 28}})
+		ratios.Edges = append(ratios.Edges, e)
+		ratios.X = append(ratios.X, 0.7125)
+	}
+	encodesWithoutAlloc(t,
+		mustEncode(t, KindCensusBatch, batch),
+		mustEncode(t, KindRatioBatch, &ratios),
+		mustEncode(t, KindRatioCorrection, RatioCorrection{Edge: 3, Round: 110, Seq: 9, X: 0.7125}))
 }
 
 // TestTCPVehiclePlaneAllocs pins the heap cost of moving the four frames of a
@@ -63,7 +84,7 @@ func TestTCPVehiclePlaneAllocs(t *testing.T) {
 		}
 		defer l.Close()
 		accepted := acceptOne(t, l)
-		client, err := DialTCP(l.Addr(), WithCodec(Binary))
+		client, err := DialTCP(l.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

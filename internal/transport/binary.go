@@ -9,8 +9,8 @@ import (
 	"repro/internal/sensor"
 )
 
-// binaryCodec is wire version 2: a compact tag+varint encoding of the seven
-// protocol payloads, with no intermediate JSON pass.
+// binaryCodec is the wire format (version 2): a compact tag+varint encoding
+// of the thirteen protocol payloads.
 //
 // Frame layout (after the 4-byte big-endian length prefix):
 //
@@ -62,14 +62,13 @@ const (
 	tagHoodBeat
 )
 
-func (binaryCodec) Name() string  { return "binary" }
-func (binaryCodec) Version() byte { return VersionBinary }
+func (binaryCodec) Name() string { return "binary" }
 
 func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 	switch m.Kind {
 	case KindHello:
-		var h Hello
-		if err := payloadFor(m, &h); err != nil {
+		h, err := typedBody[Hello](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagHello)
@@ -129,16 +128,16 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = appendLen(dst, len(a.Err))
 		return append(dst, a.Err...), nil
 	case KindLease:
-		var l Lease
-		if err := payloadFor(m, &l); err != nil {
+		l, err := typedBody[Lease](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagLease)
 		dst = appendInt(dst, int64(l.Edge))
 		return appendInt(dst, l.TTLMillis), nil
 	case KindRatioCorrection:
-		var rc RatioCorrection
-		if err := payloadFor(m, &rc); err != nil {
+		rc, err := typedBody[RatioCorrection](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagRatioCorrection)
@@ -147,8 +146,8 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = appendInt(dst, rc.Seq)
 		return appendFloat(dst, rc.X), nil
 	case KindCensusBatch:
-		var cb CensusBatch
-		if err := payloadFor(m, &cb); err != nil {
+		cb, err := typedBody[CensusBatch](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagCensusBatch)
@@ -160,8 +159,8 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		return dst, nil
 	case KindRatioBatch:
-		var rb RatioBatch
-		if err := payloadFor(m, &rb); err != nil {
+		rb, err := typedBody[RatioBatch](m)
+		if err != nil {
 			return nil, err
 		}
 		if len(rb.Edges) != len(rb.X) {
@@ -178,8 +177,8 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		return dst, nil
 	case KindDigest:
-		var d Digest
-		if err := payloadFor(m, &d); err != nil {
+		d, err := typedBody[Digest](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagDigest)
@@ -204,8 +203,8 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		return dst, nil
 	case KindHoodBeat:
-		var hb HoodBeat
-		if err := payloadFor(m, &hb); err != nil {
+		hb, err := typedBody[HoodBeat](m)
+		if err != nil {
 			return nil, err
 		}
 		dst = append(dst, tagHoodBeat)
@@ -379,31 +378,6 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		return Message{}, fmt.Errorf("transport: binary %s frame has %d trailing bytes", kind, len(r.buf))
 	}
 	return Message{Kind: kind, Body: body}, nil
-}
-
-// typedBody returns m's payload as a T for the kinds sent every round: a
-// typed Body, value or pointer, is copied out with no heap allocation (out
-// below is only reached, and only then allocated, by a JSON Payload or a
-// mismatched Body).
-func typedBody[T any](m Message) (T, error) {
-	switch b := m.Body.(type) {
-	case T:
-		return b, nil
-	case *T:
-		return *b, nil
-	}
-	var out T
-	err := payloadFor(m, &out)
-	return out, err
-}
-
-// payloadFor extracts m's payload into out regardless of which form
-// (typed Body or JSON Payload) the message carries.
-func payloadFor(m Message, out interface{}) error {
-	if err := decodePayload(m, out); err != nil {
-		return fmt.Errorf("transport: encoding %s payload: %w", m.Kind, err)
-	}
-	return nil
 }
 
 // --- encode helpers ---

@@ -9,12 +9,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sensor"
 )
 
 // allKindsMessages is one representative message per protocol kind, used to
-// exercise both codecs over every encode/decode path.
+// exercise the codec over every encode/decode path.
 func allKindsMessages(t *testing.T) []Message {
 	t.Helper()
 	payloads := []struct {
@@ -107,9 +108,9 @@ func binaryDecoders(t testing.TB) map[string]func([]byte) (Message, error) {
 }
 
 func TestCodecRoundTripAllKinds(t *testing.T) {
-	roundTrip := func(t *testing.T, codec Codec, decode func([]byte) (Message, error)) {
+	roundTrip := func(t *testing.T, decode func([]byte) (Message, error)) {
 		for _, m := range allKindsMessages(t) {
-			frame, err := codec.AppendEncode(nil, m)
+			frame, err := Binary.AppendEncode(nil, m)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", m.Kind, err)
 			}
@@ -120,24 +121,20 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 			if got.Kind != m.Kind {
 				t.Fatalf("kind = %s, want %s", got.Kind, m.Kind)
 			}
-			// Round-trip the payload through the typed Decode helper and
-			// compare via a second encode: byte equality is type
-			// equality for the binary format.
-			if codec == Binary {
-				again, err := codec.AppendEncode(nil, got)
-				if err != nil {
-					t.Fatalf("%s: re-encode: %v", m.Kind, err)
-				}
-				if !bytes.Equal(frame, again) {
-					t.Errorf("%s: re-encode differs:\n  %x\n  %x", m.Kind, frame, again)
-				}
+			// Compare via a second encode: byte equality is type equality
+			// for the binary format.
+			again, err := Binary.AppendEncode(nil, got)
+			if err != nil {
+				t.Fatalf("%s: re-encode: %v", m.Kind, err)
+			}
+			if !bytes.Equal(frame, again) {
+				t.Errorf("%s: re-encode differs:\n  %x\n  %x", m.Kind, frame, again)
 			}
 		}
 	}
-	t.Run("json", func(t *testing.T) { roundTrip(t, JSON, JSON.Decode) })
 	t.Run("binary", func(t *testing.T) {
 		for name, decode := range binaryDecoders(t) {
-			t.Run(name, func(t *testing.T) { roundTrip(t, Binary, decode) })
+			t.Run(name, func(t *testing.T) { roundTrip(t, decode) })
 		}
 	})
 }
@@ -145,32 +142,30 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 // TestCodecRoundTripPayloads checks field-level fidelity through the
 // decode-into-struct path (the one role handlers use).
 func TestCodecRoundTripPayloads(t *testing.T) {
-	for _, codec := range []Codec{JSON, Binary} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			in, err := Encode(KindUpload, Upload{Vehicle: -3, Round: 9, Decision: 4, Items: []Item{
-				{Owner: -3, Modality: sensor.Camera, Seq: 17},
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			frame, err := codec.AppendEncode(nil, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := codec.Decode(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var up Upload
-			if err := Decode(m, KindUpload, &up); err != nil {
-				t.Fatal(err)
-			}
-			if up.Vehicle != -3 || up.Round != 9 || up.Decision != 4 || len(up.Items) != 1 ||
-				up.Items[0] != (Item{Owner: -3, Modality: sensor.Camera, Seq: 17}) {
-				t.Errorf("round trip = %+v", up)
-			}
-		})
-	}
+	t.Run(Binary.Name(), func(t *testing.T) {
+		in, err := Encode(KindUpload, Upload{Vehicle: -3, Round: 9, Decision: 4, Items: []Item{
+			{Owner: -3, Modality: sensor.Camera, Seq: 17},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := Binary.AppendEncode(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Binary.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var up Upload
+		if err := Decode(m, KindUpload, &up); err != nil {
+			t.Fatal(err)
+		}
+		if up.Vehicle != -3 || up.Round != 9 || up.Decision != 4 || len(up.Items) != 1 ||
+			up.Items[0] != (Item{Owner: -3, Modality: sensor.Camera, Seq: 17}) {
+			t.Errorf("round trip = %+v", up)
+		}
+	})
 }
 
 // TestBinaryGoldenBytes pins the wire format byte-for-byte (the same
@@ -258,47 +253,21 @@ func TestBinaryGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestBinaryFramesSmaller asserts the headline perf claim: binary Census
-// and Ratio frames are at least 5x smaller than the JSON envelope.
-func TestBinaryFramesSmaller(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		kind Kind
-		body interface{}
-	}{
-		{"census", KindCensus, Census{Edge: 1, Round: 12, Counts: []int{10, 4, 3, 2, 1, 0, 0, 0}}},
-		{"ratio", KindRatio, Ratio{Round: 12, X: 0.8125}},
-	} {
-		m, err := Encode(c.kind, c.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jf, err := JSON.AppendEncode(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := Binary.AppendEncode(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(jf) < 5*len(bf) {
-			t.Errorf("%s: json %d bytes vs binary %d bytes — want >= 5x reduction",
-				c.name, len(jf), len(bf))
-		}
-		t.Logf("%s: json=%dB binary=%dB (%.1fx)", c.name, len(jf), len(bf), float64(len(jf))/float64(len(bf)))
-	}
+// hardeningCase is one malformed frame the strict decoder must refuse.
+type hardeningCase struct {
+	name  string
+	frame []byte
 }
 
-func TestBinaryDecodeHardening(t *testing.T) {
+// hardeningCases is the table TestBinaryDecodeHardening runs and
+// FuzzDecodeFrame seeds its corpus with.
+func hardeningCases() []hardeningCase {
 	ratio := func() []byte {
 		m, _ := Encode(KindRatio, Ratio{Round: 2, X: 0.5})
 		f, _ := Binary.AppendEncode(nil, m)
 		return f
 	}()
-	cases := []struct {
-		name  string
-		frame []byte
-	}{
+	return []hardeningCase{
 		{"empty frame", nil},
 		{"unknown kind tag", []byte{0x7F, 0x01}},
 		{"truncated varint", []byte{0x02, 0x80}},                                 // census, endless continuation bit
@@ -327,6 +296,10 @@ func TestBinaryDecodeHardening(t *testing.T) {
 		{"ack text length exceeds remaining", []byte{0x07, 0x05, 'n', 'o'}},
 		{"ack trailing garbage", []byte{0x07, 0x00, 0xAA}},
 	}
+}
+
+func TestBinaryDecodeHardening(t *testing.T) {
+	cases := hardeningCases()
 	decoders := binaryDecoders(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -337,34 +310,26 @@ func TestBinaryDecodeHardening(t *testing.T) {
 			}
 		})
 	}
-	// The JSON codec must also reject garbage.
-	if _, err := JSON.Decode([]byte("{broken")); err == nil {
-		t.Error("JSON.Decode accepted garbage")
-	}
 }
 
 func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]Codec{"json": JSON, "binary": Binary} {
-		c, err := CodecByName(name)
-		if err != nil || c != want {
-			t.Errorf("CodecByName(%q) = %v, %v", name, c, err)
-		}
+	if c, err := CodecByName("binary"); err != nil || c != Binary {
+		t.Errorf("CodecByName(binary) = %v, %v", c, err)
 	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Error("unknown codec name must error")
+	// The retired JSON codec is an unknown name like any other, and the
+	// error says what is accepted.
+	for _, name := range []string{"json", "protobuf"} {
+		if _, err := CodecByName(name); err == nil || !strings.Contains(err.Error(), `"binary"`) {
+			t.Errorf("CodecByName(%q) = %v, want an error naming \"binary\"", name, err)
+		}
 	}
 }
 
 func TestCodecPipe(t *testing.T) {
-	for _, codec := range []Codec{JSON, Binary} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			a, b := CodecPipe(codec)
-			if CodecOf(a) != codec.Name() || CodecOf(b) != codec.Name() {
-				t.Errorf("CodecOf = %q/%q, want %q", CodecOf(a), CodecOf(b), codec.Name())
-			}
-			exerciseConnPair(t, a, b)
-		})
-	}
+	t.Run(Binary.Name(), func(t *testing.T) {
+		a, b := CodecPipe(Binary)
+		exerciseConnPair(t, a, b)
+	})
 }
 
 func TestCodecPipeOversizeFrameRejected(t *testing.T) {
@@ -395,135 +360,129 @@ func acceptOne(t *testing.T, l Listener) <-chan Conn {
 	return ch
 }
 
+// TestTCPCodecNegotiation: a dialer declares the binary version ahead of its
+// first frame, and an acceptor that reads the declaration exchanges frames
+// with it.
 func TestTCPCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		name   string
-		dial   []TCPOption
-		listen []TCPOption
-		want   string
+	t.Run("default dialer declares binary", func(t *testing.T) {
+		raw, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		client, err := DialTCP(raw.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		hello := mustEncode(t, KindHello, Hello{Vehicle: 42})
+		if err := client.Send(hello); err != nil {
+			t.Fatal(err)
+		}
+		peer, err := raw.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer peer.Close()
+		want := append([]byte{codecMagic, VersionBinary}, framed(t, Binary, hello)...)
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(peer, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("dialer opened with %x, want %x", got, want)
+		}
+	})
+	t.Run("binary both", func(t *testing.T) {
+		l, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		accepted := acceptOne(t, l)
+		client, err := DialTCP(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := <-accepted
+		if server == nil {
+			t.Fatal("accept failed")
+		}
+		exerciseConnPair(t, client, server)
+	})
+}
+
+// TestTCPRejectsUndeclaredPeer: a peer that sends a well-formed frame without
+// first declaring the binary version — no preamble at all, or the retired
+// version 1 — is refused with ErrCodecVersion and hung up on; the frame is
+// never delivered, and the refusal stays on the conn.
+func TestTCPRejectsUndeclaredPeer(t *testing.T) {
+	hello := framed(t, Binary, mustEncode(t, KindHello, Hello{Vehicle: 42}))
+	for _, c := range []struct {
+		name     string
+		preamble []byte
 	}{
-		{"binary both", []TCPOption{WithCodec(Binary)}, []TCPOption{WithCodec(Binary)}, "binary"},
-		{"json dialer to binary server", []TCPOption{WithCodec(JSON)}, []TCPOption{WithCodec(Binary)}, "json"},
-		{"binary dialer to json server", []TCPOption{WithCodec(Binary)}, []TCPOption{WithCodec(JSON)}, "binary"},
-		{"default dialer declares binary", nil, []TCPOption{WithCodec(JSON)}, "binary"},
-	}
-	for _, c := range cases {
+		{"no preamble", nil},
+		{"retired version 1", []byte{codecMagic, 1}},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			l, err := ListenTCP("127.0.0.1:0", c.listen...)
+			l, err := ListenTCP("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer l.Close()
 			accepted := acceptOne(t, l)
-			client, err := DialTCP(l.Addr(), c.dial...)
+			raw, err := net.Dial("tcp", l.Addr())
 			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if _, err := raw.Write(append(append([]byte(nil), c.preamble...), hello...)); err != nil {
 				t.Fatal(err)
 			}
 			server := <-accepted
 			if server == nil {
 				t.Fatal("accept failed")
 			}
-			exerciseConnPair(t, client, server)
-			// exerciseConnPair closed client; the negotiated codec is still
-			// recorded.
-			if got := CodecOf(client); got != c.want {
-				t.Errorf("client codec = %q, want %q", got, c.want)
+			defer server.Close()
+			for i := 0; i < 2; i++ {
+				if m, err := server.Recv(); !errors.Is(err, ErrCodecVersion) {
+					t.Errorf("Recv %d = %v, %v, want ErrCodecVersion", i, m.Kind, err)
+				}
 			}
-			if got := CodecOf(server); got != c.want {
-				t.Errorf("server codec = %q, want %q", got, c.want)
+			if err := server.Send(mustEncode(t, KindAck, Ack{})); !errors.Is(err, ErrCodecVersion) {
+				t.Errorf("Send on a refused conn = %v, want ErrCodecVersion", err)
+			}
+			// The acceptor closed the socket: the peer's read ends without a
+			// byte of reply instead of waiting out the deadline.
+			_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var ne net.Error
+			if n, err := raw.Read(make([]byte, 1)); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+				t.Errorf("peer read %d bytes, err %v, want the conn closed", n, err)
 			}
 		})
-	}
-}
-
-// TestTCPLegacyPeerInterop: a peer that predates version negotiation sends
-// length-prefixed JSON frames with no preamble; the acceptor must sniff
-// this, fall back to JSON, and not lose the sniffed byte.
-func TestTCPLegacyPeerInterop(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0", WithCodec(Binary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := acceptOne(t, l)
-
-	raw, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	body := []byte(`{"kind":"hello","payload":{"vehicle":42}}`)
-	var header [4]byte
-	binary.BigEndian.PutUint32(header[:], uint32(len(body)))
-	if _, err := raw.Write(append(header[:], body...)); err != nil {
-		t.Fatal(err)
-	}
-
-	server := <-accepted
-	if server == nil {
-		t.Fatal("accept failed")
-	}
-	defer server.Close()
-	m, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hello Hello
-	if err := Decode(m, KindHello, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Vehicle != 42 {
-		t.Errorf("vehicle = %d, want 42", hello.Vehicle)
-	}
-	if got := CodecOf(server); got != "json" {
-		t.Errorf("legacy conn codec = %q, want json", got)
-	}
-
-	// The acceptor's replies are plain length-prefixed JSON the legacy peer
-	// can parse.
-	reply, err := Encode(KindAck, Ack{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Send(reply); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(raw, header[:]); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, binary.BigEndian.Uint32(header[:]))
-	if _, err := io.ReadFull(raw, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := JSON.Decode(buf); err != nil {
-		t.Errorf("legacy peer cannot parse reply %q: %v", buf, err)
 	}
 }
 
 // TestTCPRecvHardening drives the acceptor's frame reader with crafted raw
 // byte streams.
 func TestTCPRecvHardening(t *testing.T) {
+	declared := func(b ...byte) []byte { return append([]byte{codecMagic, VersionBinary}, b...) }
 	oversize := func() []byte {
 		var h [4]byte
 		binary.BigEndian.PutUint32(h[:], MaxFrameBytes+1)
-		return h[:]
-	}()
-	garbage := func() []byte {
-		body := []byte("ab{c!")
-		var h [4]byte
-		binary.BigEndian.PutUint32(h[:], uint32(len(body)))
-		return append(h[:], body...)
+		return declared(h[:]...)
 	}()
 	truncatedBody := func() []byte {
 		var h [4]byte
 		binary.BigEndian.PutUint32(h[:], 100)
-		return append(h[:], []byte("only ten b")...)
+		return declared(append(h[:], []byte("only ten b")...)...)
 	}()
 	badBinaryFrame := func() []byte {
 		body := []byte{0x7F, 0x01} // unknown kind tag under the binary codec
 		var h [4]byte
 		binary.BigEndian.PutUint32(h[:], uint32(len(body)))
-		return append([]byte{codecMagic, VersionBinary}, append(h[:], body...)...)
+		return declared(append(h[:], body...)...)
 	}()
 	cases := []struct {
 		name    string
@@ -531,9 +490,9 @@ func TestTCPRecvHardening(t *testing.T) {
 		wantEOF bool // truncated-at-boundary closes read as EOF
 		wantErr error
 	}{
-		{"truncated header", []byte{0x00, 0x00}, true, nil},
+		{"truncated preamble", []byte{codecMagic}, true, nil},
+		{"truncated header", declared(0x00, 0x00), true, nil},
 		{"oversized frame", oversize, false, ErrFrameTooLarge},
-		{"garbage json payload", garbage, false, nil},
 		{"truncated body", truncatedBody, false, nil},
 		{"unknown codec version", []byte{codecMagic, 0x7F}, false, ErrCodecVersion},
 		{"unknown binary kind tag", badBinaryFrame, false, nil},
@@ -587,7 +546,7 @@ func TestTCPConcurrentSendersNegotiateOnce(t *testing.T) {
 	}
 	defer l.Close()
 	accepted := acceptOne(t, l)
-	client, err := DialTCP(l.Addr(), WithCodec(Binary))
+	client, err := DialTCP(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +584,7 @@ func TestTCPConcurrentSendersNegotiateOnce(t *testing.T) {
 }
 
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed with every valid frame of both codecs plus the hardening cases.
+	// Seed with every valid frame plus the hardening cases.
 	var seeds [][]byte
 	payloads := []struct {
 		kind Kind
@@ -653,23 +612,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, codec := range []Codec{JSON, Binary} {
-			frame, err := codec.AppendEncode(nil, m)
-			if err != nil {
-				f.Fatal(err)
-			}
-			seeds = append(seeds, frame)
+		frame, err := Binary.AppendEncode(nil, m)
+		if err != nil {
+			f.Fatal(err)
 		}
+		seeds = append(seeds, frame)
 	}
-	seeds = append(seeds,
-		nil,
-		[]byte{0x7F},
-		[]byte{0x02, 0x80},
-		[]byte{0x02, 0x02, 0x06, 0xFF, 0xFF, 0x03},
-		[]byte{0x0C, 0x02, 0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, // digest claiming huge member list
-		[]byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00},       // digest with a truncated round
-		[]byte{0x0D, 0x02, 0x04},                               // truncated hood_beat
-	)
+	for _, c := range hardeningCases() {
+		seeds = append(seeds, c.frame)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -705,6 +656,5 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("kind drift: %s -> %s", m.Kind, back.Kind)
 			}
 		}
-		_, _ = JSON.Decode(frame)
 	})
 }

@@ -16,9 +16,9 @@ type Conn interface {
 	Send(Message) error
 	// Recv blocks for the next message; it returns io.EOF after the peer
 	// closes. The message's Body is valid until the next Recv on this conn:
-	// a TCP conn on the binary codec decodes policy, upload, delivery and
-	// ack frames into bodies it reuses, so a receiver that keeps such a body
-	// (or a slice inside it) past its next Recv must copy it first.
+	// a TCP conn decodes policy, upload, delivery and ack frames into bodies
+	// it reuses, so a receiver that keeps such a body (or a slice inside it)
+	// past its next Recv must copy it first.
 	Recv() (Message, error)
 	// Close releases the connection; pending Recv calls unblock with
 	// io.EOF.
@@ -39,22 +39,6 @@ var ErrClosed = errors.New("transport: endpoint closed")
 // MaxFrameBytes bounds a single wire frame (1 MiB), protecting both ends
 // from corrupt length prefixes.
 const MaxFrameBytes = 1 << 20
-
-// codecNamer is implemented by conns that know their wire codec; see
-// CodecOf.
-type codecNamer interface{ codecName() string }
-
-// CodecOf reports the wire codec a Conn speaks: the negotiated codec name
-// for TCP conns (running the handshake if it has not happened yet), the
-// pipe's codec for codec pipes, "inproc" for typed in-process conns, and ""
-// when the codec is unknown (foreign Conn implementations, failed
-// negotiation).
-func CodecOf(c Conn) string {
-	if cn, ok := c.(codecNamer); ok {
-		return cn.codecName()
-	}
-	return ""
-}
 
 // --- In-process transport ---
 
@@ -80,8 +64,6 @@ func Pipe() (Conn, Conn) {
 	a.peer, b.peer = b, a
 	return a, b
 }
-
-func (c *chanConn) codecName() string { return "inproc" }
 
 func (c *chanConn) Send(m Message) error {
 	// Check closure first: a ready buffered channel would otherwise race
@@ -156,8 +138,6 @@ func CodecPipe(codec Codec) (Conn, Conn) {
 	a.peer, b.peer = b, a
 	return a, b
 }
-
-func (c *codecConn) codecName() string { return c.codec.Name() }
 
 func (c *codecConn) Send(m Message) error {
 	frame, err := encodeFrame(c.codec, c.wm.get(c.codec.Name()), m)
@@ -375,26 +355,24 @@ var framePool = sync.Pool{
 const recvBufBytes = 512
 
 // tcpConn frames messages as a 4-byte big-endian length followed by the
-// negotiated codec's encoding. The first bytes on the wire are a version
-// negotiation (see negotiate). A frame is sent with one Write and received,
+// Binary encoding. The first bytes on the wire are the dialer's version
+// preamble (see negotiate). A frame is sent with one Write and received,
 // header and body together, with one Read.
 type tcpConn struct {
 	c       net.Conn
 	timeout time.Duration
-	pref    Codec // codec the dialing side declares
-	dialer  bool  // dialing side proposes, accepting side answers
+	dialer  bool // dialing side declares the version, accepting side checks it
 
 	hs    sync.Once
 	hsErr error
-	codec Codec
 	wm    metricHandles
 
 	wr sync.Mutex
 	rd sync.Mutex // guards rbuf, r, w and scratch once negotiation is done
 	// rbuf[r:w] holds bytes read from c and not yet consumed: the rest of
 	// the frame being received and any frames (or part of one) that arrived
-	// with it. Negotiation reads through it too, so a legacy peer's first
-	// header byte is simply still there for Recv.
+	// with it. Negotiation reads through it too, so whatever came in with the
+	// preamble is still there for Recv.
 	rbuf    [recvBufBytes]byte
 	r, w    int
 	scratch recvScratch
@@ -414,19 +392,11 @@ func WithTimeout(d time.Duration) TCPOption {
 	return func(t *tcpConn) { t.timeout = d }
 }
 
-// WithCodec sets the wire codec a dialed connection declares (default
-// Binary). Accepted conns ignore it: the accepting side adopts whatever
-// version the dialer declared, so mixed-codec deployments interoperate
-// regardless of either side's default.
-func WithCodec(c Codec) TCPOption {
-	return func(t *tcpConn) { t.pref = c }
-}
-
 // NewTCPConn wraps an established net.Conn in the framing codec, in the
 // accepting (server) role of version negotiation. Dialed conns come from
-// DialTCP, which takes the proposing role.
+// DialTCP, which takes the declaring role.
 func NewTCPConn(c net.Conn, opts ...TCPOption) Conn {
-	t := &tcpConn{c: c, pref: Binary, closed: make(chan struct{})}
+	t := &tcpConn{c: c, closed: make(chan struct{})}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -444,14 +414,6 @@ func DialTCP(addr string, opts ...TCPOption) (Conn, error) {
 	return t, nil
 }
 
-// codecName reports the negotiated codec, forcing the handshake.
-func (t *tcpConn) codecName() string {
-	if err := t.handshake(); err != nil {
-		return ""
-	}
-	return t.codec.Name()
-}
-
 // handshake runs version negotiation exactly once; every Send and Recv
 // funnels through it.
 func (t *tcpConn) handshake() error {
@@ -459,16 +421,13 @@ func (t *tcpConn) handshake() error {
 	return t.hsErr
 }
 
-// negotiate settles the connection's codec. The dialing side declares its
-// codec by writing [magic, version] ahead of its first frame and proceeds
-// immediately (no reply round-trip, so negotiation never deadlocks a
-// half-duplex exchange); the accepting side reads the declaration and
-// adopts the version, failing with ErrCodecVersion on one it does not
-// implement. A first byte that is not the magic marks a legacy peer that
-// sends JSON frames with no preamble: the acceptor falls back to JSON and
-// leaves the sniffed byte buffered as the first frame's first header byte (a
-// legacy length prefix for a frame ≤ MaxFrameBytes always starts 0x00, so
-// the magic can never be mistaken for one).
+// negotiate checks that both ends speak the same wire version. The dialing
+// side declares it by writing [magic, version] ahead of its first frame and
+// proceeds immediately (no reply round-trip, so negotiation never deadlocks
+// a half-duplex exchange); the accepting side reads the declaration and
+// refuses the connection with ErrCodecVersion when the first byte is not the
+// magic or the version is not VersionBinary — a peer that speaks anything
+// else is hung up on rather than misread.
 func (t *tcpConn) negotiate() error {
 	if t.timeout > 0 {
 		deadline := time.Now().Add(t.timeout)
@@ -476,30 +435,33 @@ func (t *tcpConn) negotiate() error {
 		_ = t.c.SetReadDeadline(deadline)
 	}
 	if t.dialer {
-		if _, err := t.c.Write([]byte{codecMagic, t.pref.Version()}); err != nil {
+		if _, err := t.c.Write([]byte{codecMagic, VersionBinary}); err != nil {
 			return t.opErr("codec negotiation", err)
 		}
-		t.codec = t.pref
 		return nil
 	}
 	if err := t.fill(1); err != nil {
 		return t.headerErr("codec negotiation", err)
 	}
-	if t.rbuf[t.r] != codecMagic {
-		t.codec = JSON
-		return nil
+	if first := t.rbuf[t.r]; first != codecMagic {
+		return t.refuse(fmt.Sprintf("peer opened with 0x%02x, not the codec preamble", first))
 	}
 	if err := t.fill(2); err != nil {
 		return t.headerErr("codec negotiation", err)
 	}
 	declared := t.rbuf[t.r+1]
 	t.r += 2
-	codec, ok := codecByVersion(declared)
-	if !ok {
-		return fmt.Errorf("%w: peer declared version %d", ErrCodecVersion, declared)
+	if declared != VersionBinary {
+		return t.refuse(fmt.Sprintf("peer declared version %d, want %d", declared, VersionBinary))
 	}
-	t.codec = codec
 	return nil
+}
+
+// refuse hangs up on a peer whose preamble failed the version check; the
+// error stays on the conn, so every later Send and Recv reports it.
+func (t *tcpConn) refuse(why string) error {
+	_ = t.c.Close()
+	return fmt.Errorf("%w: %s", ErrCodecVersion, why)
 }
 
 // opErr maps a raw net.Conn failure to the transport's error vocabulary:
@@ -565,16 +527,16 @@ func (t *tcpConn) Send(m Message) error {
 		}
 		return err
 	}
-	wm := t.wm.get(t.codec.Name())
+	wm := t.wm.get(Binary.Name())
 	bufp := framePool.Get().(*[]byte)
 	buf := append((*bufp)[:0], 0, 0, 0, 0) // length prefix placeholder
 	var err error
 	if wm != nil {
 		start := time.Now()
-		buf, err = t.codec.AppendEncode(buf, m)
+		buf, err = Binary.AppendEncode(buf, m)
 		wm.encodeSeconds.Observe(time.Since(start).Seconds())
 	} else {
-		buf, err = t.codec.AppendEncode(buf, m)
+		buf, err = Binary.AppendEncode(buf, m)
 	}
 	if err != nil {
 		framePool.Put(bufp)
@@ -635,8 +597,8 @@ func (t *tcpConn) Recv() (Message, error) {
 	)
 	if size <= len(t.rbuf) {
 		// Usually already here: the read that brought the header brought
-		// the body with it, and the codecs do not alias the frame they
-		// decode, so it is decoded where it lies.
+		// the body with it, and the codec does not alias the frame it
+		// decodes, so it is decoded where it lies.
 		if err = t.fill(size); err == nil {
 			frame = t.rbuf[t.r : t.r+size]
 			t.r += size
@@ -668,8 +630,8 @@ func (t *tcpConn) Recv() (Message, error) {
 		}
 		return Message{}, t.opErr("reading frame body", err)
 	}
-	wm := t.wm.get(t.codec.Name())
-	m, err := decodeFrame(t.codec, &t.scratch, wm, frame)
+	wm := t.wm.get(Binary.Name())
+	m, err := decodeFrame(Binary, &t.scratch, wm, frame)
 	if bufp != nil {
 		framePool.Put(bufp)
 	}
@@ -696,8 +658,8 @@ type tcpListener struct {
 }
 
 // ListenTCP opens a TCP listener on addr (e.g. "127.0.0.1:0"). The options
-// — timeouts, preferred codec — are applied to every accepted connection,
-// so server-side conns honor the same deadlines as dialed ones.
+// are applied to every accepted connection, so server-side conns honor the
+// same deadlines as dialed ones.
 func ListenTCP(addr string, opts ...TCPOption) (Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -80,8 +80,8 @@ func mustEncode(t *testing.T, kind Kind, body interface{}) Message {
 }
 
 // sameMessage compares two messages by their binary encoding, which is
-// byte-for-byte determined by kind and field values whichever form (typed
-// value, typed pointer, JSON payload) the message carries.
+// byte-for-byte determined by kind and field values whether the body is held
+// by value or by pointer.
 func sameMessage(t *testing.T, got, want Message) {
 	t.Helper()
 	g, err := Binary.AppendEncode(nil, got)
@@ -124,57 +124,42 @@ func vehiclePlaneMessages(t *testing.T) []Message {
 
 // TestRecvSplitAtEveryOffset cuts a stream of frames into two segments at
 // every byte offset — inside the preamble, inside each header, inside each
-// body — and, separately, delivers it a byte at a time. A dialer that
-// declares the binary codec and a legacy peer that sends bare JSON frames are
-// both read through the same buffer.
+// body — and, separately, delivers it a byte at a time.
 func TestRecvSplitAtEveryOffset(t *testing.T) {
 	msgs := vehiclePlaneMessages(t)
-	streams := []struct {
-		name     string
-		preamble []byte
-		codec    Codec
-	}{
-		{"binary", []byte{codecMagic, VersionBinary}, Binary},
-		{"legacy json", nil, JSON},
-	}
-	for _, s := range streams {
-		t.Run(s.name, func(t *testing.T) {
-			stream := append([]byte(nil), s.preamble...)
-			for _, m := range msgs {
-				stream = append(stream, framed(t, s.codec, m)...)
-			}
-			recvAll := func(t *testing.T, segments ...[]byte) {
-				t.Helper()
-				conn, _, raw := pipeConn(t)
-				written := writeSegments(raw, segments...)
-				for i, want := range msgs {
-					got, err := conn.Recv()
-					if err != nil {
-						t.Fatalf("frame %d: %v", i, err)
-					}
-					sameMessage(t, got, want)
+	t.Run("binary", func(t *testing.T) {
+		stream := []byte{codecMagic, VersionBinary}
+		for _, m := range msgs {
+			stream = append(stream, framed(t, Binary, m)...)
+		}
+		recvAll := func(t *testing.T, segments ...[]byte) {
+			t.Helper()
+			conn, _, raw := pipeConn(t)
+			written := writeSegments(raw, segments...)
+			for i, want := range msgs {
+				got, err := conn.Recv()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
 				}
-				if err := <-written; err != nil {
-					t.Fatal(err)
-				}
-				if got := CodecOf(conn); got != s.codec.Name() {
-					t.Errorf("codec = %q, want %q", got, s.codec.Name())
-				}
-				_ = raw.Close()
-				if _, err := conn.Recv(); !errors.Is(err, io.EOF) {
-					t.Errorf("Recv after the peer closed = %v, want io.EOF", err)
-				}
+				sameMessage(t, got, want)
 			}
-			for cut := 1; cut < len(stream); cut++ {
-				recvAll(t, stream[:cut], stream[cut:])
+			if err := <-written; err != nil {
+				t.Fatal(err)
 			}
-			bytewise := make([][]byte, len(stream))
-			for i := range stream {
-				bytewise[i] = stream[i : i+1]
+			_ = raw.Close()
+			if _, err := conn.Recv(); !errors.Is(err, io.EOF) {
+				t.Errorf("Recv after the peer closed = %v, want io.EOF", err)
 			}
-			recvAll(t, bytewise...)
-		})
-	}
+		}
+		for cut := 1; cut < len(stream); cut++ {
+			recvAll(t, stream[:cut], stream[cut:])
+		}
+		bytewise := make([][]byte, len(stream))
+		for i := range stream {
+			bytewise[i] = stream[i : i+1]
+		}
+		recvAll(t, bytewise...)
+	})
 }
 
 // TestRecvOneReadPerSegment: however many frames a segment carries, header
@@ -317,7 +302,7 @@ func TestRecvTruncatedBody(t *testing.T) {
 }
 
 // TestRecvBorrowedAndOwnedBodies pins the lifetime rule of Message.Body on a
-// binary TCP conn from both sides: the four per-vehicle-round kinds come back
+// TCP conn from both sides: the four per-vehicle-round kinds come back
 // in bodies the next Recv of that kind overwrites, and the kinds whose
 // consumers keep slices across rounds come back freshly allocated.
 func TestRecvBorrowedAndOwnedBodies(t *testing.T) {
@@ -327,7 +312,7 @@ func TestRecvBorrowedAndOwnedBodies(t *testing.T) {
 	}
 	defer l.Close()
 	accepted := acceptOne(t, l)
-	client, err := DialTCP(l.Addr(), WithCodec(Binary))
+	client, err := DialTCP(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

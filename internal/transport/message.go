@@ -1,12 +1,11 @@
 // Package transport carries the cooperative-perception control and data
 // plane of Fig. 1 between vehicles, edge servers, and the cloud: typed
-// messages for steps ①-⑤, a versioned pluggable wire codec (JSON and a
-// compact binary format, negotiated per connection), an in-process
-// transport for simulation, and a TCP transport for the distributed demo.
+// messages for steps ①-⑤, one compact binary wire format (binary.go), an
+// in-process transport for simulation, and a TCP transport for the
+// distributed demo.
 package transport
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/sensor"
@@ -65,45 +64,40 @@ const (
 	KindHoodBeat Kind = "hood_beat"
 )
 
-// Message is the wire envelope. A message carries its payload in one of two
-// forms: Body holds the typed struct (the fast path Encode produces — no
-// serialization until a codec needs bytes), Payload holds the JSON form
-// (produced by the JSON codec's decoder and by hand-crafted test frames).
-// Decode accepts either.
+// Message is the wire envelope: a kind and its typed payload. Nothing is
+// serialized until a conn that crosses a wire encodes it.
 type Message struct {
-	Kind    Kind            `json:"kind"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	// Body is the typed payload (one of Hello, Census, Ratio, Policy,
-	// Upload, Delivery, Ack — value or pointer). It is never serialized by
-	// the envelope itself; codecs consume it directly.
+	Kind Kind
+	// Body is the typed payload: the struct named after Kind (Hello, Census,
+	// ... HoodBeat), by value or by pointer.
 	//
 	// On a received message Body is borrowed: it is valid until the next
-	// Recv on the conn that returned it. A TCP conn on the binary codec
-	// decodes Policy, Upload, Delivery and Ack into bodies it reuses for the
-	// next frame of that kind, and Decode copies the struct but not the
-	// slice inside it, so a receiver that keeps Shares or Items past its
-	// next Recv copies them. Census, CensusBatch, Digest, RatioBatch and
-	// the remaining kinds are always freshly allocated and may be kept.
-	Body interface{} `json:"-"`
+	// Recv on the conn that returned it. A TCP conn decodes Policy, Upload,
+	// Delivery and Ack into bodies it reuses for the next frame of that
+	// kind, and Decode copies the struct but not the slice inside it, so a
+	// receiver that keeps Shares or Items past its next Recv copies them.
+	// Census, CensusBatch, Digest, RatioBatch and the remaining kinds are
+	// always freshly allocated and may be kept.
+	Body interface{}
 }
 
 // Hello registers a vehicle with an edge server.
 type Hello struct {
-	Vehicle int `json:"vehicle"`
+	Vehicle int
 }
 
 // Census is an edge server's per-round decision report to the cloud:
 // Counts[k] vehicles currently take decision k+1.
 type Census struct {
-	Edge   int   `json:"edge"`
-	Round  int   `json:"round"`
-	Counts []int `json:"counts"`
+	Edge   int
+	Round  int
+	Counts []int
 }
 
 // Ratio is the cloud's policy answer for one edge server.
 type Ratio struct {
-	Round int     `json:"round"`
-	X     float64 `json:"x"`
+	Round int
+	X     float64
 }
 
 // Policy is the policy forwarded from an edge server to its vehicles. In
@@ -111,40 +105,40 @@ type Ratio struct {
 // distribution from the previous round, which vehicles use to evaluate the
 // expected fitness of each decision (the micro-level analogue of Eq. 4).
 type Policy struct {
-	Round int     `json:"round"`
-	X     float64 `json:"x"`
+	Round int
+	X     float64
 	// Shares[k] is the observed proportion of vehicles on decision k+1.
-	Shares []float64 `json:"shares,omitempty"`
+	Shares []float64
 }
 
 // Item is one shared sensor datum: the owning vehicle and the modality.
 // Payloads are abstract (the simulation exercises the policy mechanics, not
 // perception itself), identified by a sequence number.
 type Item struct {
-	Owner    int         `json:"owner"`
-	Modality sensor.Type `json:"modality"`
-	Seq      int         `json:"seq"`
+	Owner    int
+	Modality sensor.Type
+	Seq      int
 }
 
 // Upload is a vehicle's step-④ message: its decision index (1-based) and
 // the items it shares under that decision.
 type Upload struct {
-	Vehicle  int    `json:"vehicle"`
-	Round    int    `json:"round"`
-	Decision int    `json:"decision"`
-	Items    []Item `json:"items"`
+	Vehicle  int
+	Round    int
+	Decision int
+	Items    []Item
 }
 
 // Delivery is the edge server's step-⑤ answer: the items the vehicle may
 // access this exchange.
 type Delivery struct {
-	Round int    `json:"round"`
-	Items []Item `json:"items"`
+	Round int
+	Items []Item
 }
 
 // Ack acknowledges a message; Err is empty on success.
 type Ack struct {
-	Err string `json:"err,omitempty"`
+	Err string
 }
 
 // Lease is an edge server's membership heartbeat: while renewed within
@@ -152,8 +146,8 @@ type Ack struct {
 // the lease lapses the cloud evicts the edge instead of waiting out the
 // round deadline, and re-admits it on the next renewal.
 type Lease struct {
-	Edge      int   `json:"edge"`
-	TTLMillis int64 `json:"ttl_ms"`
+	Edge      int
+	TTLMillis int64
 }
 
 // RatioCorrection supersedes a previously published Ratio after a fixed-lag
@@ -163,10 +157,10 @@ type Lease struct {
 // is not greater than the last one adopted, which makes redelivery and
 // reordering harmless.
 type RatioCorrection struct {
-	Edge  int     `json:"edge"`
-	Round int     `json:"round"`
-	Seq   int64   `json:"seq"`
-	X     float64 `json:"x"`
+	Edge  int
+	Round int
+	Seq   int64
+	X     float64
 }
 
 // CensusBatch is many regions' step-① censuses in one frame, all for the
@@ -175,9 +169,9 @@ type RatioCorrection struct {
 // per-round uploads into one frame and one reply, the wire-level win that
 // lets a connection multiplex hundreds of regions.
 type CensusBatch struct {
-	Shard    int      `json:"shard"`
-	Round    int      `json:"round"`
-	Censuses []Census `json:"censuses"`
+	Shard    int
+	Round    int
+	Censuses []Census
 }
 
 // RatioBatch is the step-② answer to a CensusBatch: X[i] is the next-round
@@ -185,9 +179,9 @@ type CensusBatch struct {
 // mirroring the single-census Ratio convention (a late batch is answered
 // with the regions' current ratios under the same Round).
 type RatioBatch struct {
-	Round int       `json:"round"`
-	Edges []int     `json:"edges"`
-	X     []float64 `json:"x"`
+	Round int
+	Edges []int
+	X     []float64
 }
 
 // DigestRound is one locally folded gossip round inside a Digest: the full
@@ -196,9 +190,9 @@ type RatioBatch struct {
 // rounds of a digest stream through the control plane's fold in order
 // reproduces the neighborhood's local state bit-identically.
 type DigestRound struct {
-	Round    int      `json:"round"`
-	Degraded bool     `json:"degraded,omitempty"`
-	Censuses []Census `json:"censuses"`
+	Round    int
+	Degraded bool
+	Censuses []Census
 }
 
 // Digest is a gossip neighborhood's escalation frame (KindDigest): the
@@ -210,10 +204,10 @@ type DigestRound struct {
 // ratios for Members. Digests are idempotent: a retried frame whose rounds
 // were already folded is absorbed by the duplicate/late-census machinery.
 type Digest struct {
-	Neighborhood int           `json:"neighborhood"`
-	Of           int           `json:"of"`
-	Members      []int         `json:"members"`
-	Rounds       []DigestRound `json:"rounds"`
+	Neighborhood int
+	Of           int
+	Members      []int
+	Rounds       []DigestRound
 }
 
 // HoodBeat is a gossip leadership heartbeat (KindHoodBeat): Leader asserts
@@ -225,175 +219,79 @@ type Digest struct {
 // acked but otherwise ignored; beats carrying a newer epoch demote a stale
 // leader back to follower.
 type HoodBeat struct {
-	Hood      int   `json:"hood"`
-	Epoch     int   `json:"epoch"`
-	Leader    int   `json:"leader"`
-	Escalated int   `json:"escalated"`
-	TTLMillis int64 `json:"ttl_ms"`
+	Hood      int
+	Epoch     int
+	Leader    int
+	Escalated int
+	TTLMillis int64
 }
 
-// Encode wraps a payload struct in a Message envelope. Encoding is lazy:
-// the payload is carried typed and only serialized when a wire codec needs
-// bytes, so the in-process transport and the binary codec never pay a JSON
-// marshal. The payload — and everything it references — must not be mutated
-// after Send: receivers on the in-process transport may alias it.
+// Encode wraps a payload struct in a Message envelope. The payload is
+// carried typed and only serialized when a conn puts it on a wire, so the
+// in-process transport never pays an encode. The payload — and everything it
+// references — must not be mutated after Send: receivers on the in-process
+// transport may alias it. The error is always nil; a body of the wrong type
+// for kind is reported when the message is encoded or decoded.
 func Encode(kind Kind, payload interface{}) (Message, error) {
 	return Message{Kind: kind, Body: payload}, nil
 }
 
-// Decode unmarshals the payload into out, verifying the expected kind. A
-// typed Body is copied directly (no serialization); a JSON Payload is
-// unmarshaled.
+// Decode copies m's payload into out, a pointer to the payload struct of
+// kind. It fails when m is of another kind or its Body is not that struct
+// (by value or by pointer).
 func Decode(m Message, kind Kind, out interface{}) error {
 	if m.Kind != kind {
 		return fmt.Errorf("transport: expected %s message, got %s", kind, m.Kind)
 	}
-	if err := decodePayload(m, out); err != nil {
-		return fmt.Errorf("transport: decoding %s payload: %w", kind, err)
-	}
-	return nil
-}
-
-// decodePayload extracts m's payload into out without a kind check: typed
-// copy when Body matches out's type, JSON otherwise.
-func decodePayload(m Message, out interface{}) error {
-	if m.Body != nil {
-		if copyTyped(m.Body, out) {
-			return nil
-		}
-		// Mismatched typed body (e.g. hand-crafted message): round-trip
-		// through JSON, preserving the old error surface.
-		raw, err := json.Marshal(m.Body)
-		if err != nil {
-			return err
-		}
-		return json.Unmarshal(raw, out)
-	}
-	return json.Unmarshal(m.Payload, out)
-}
-
-// copyTyped copies a typed payload body into out when their types line up
-// (body may be the value or a pointer). It returns false on any mismatch so
-// the caller can fall back to JSON.
-func copyTyped(body, out interface{}) bool {
 	switch dst := out.(type) {
 	case *Hello:
-		switch src := body.(type) {
-		case Hello:
-			*dst = src
-			return true
-		case *Hello:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Census:
-		switch src := body.(type) {
-		case Census:
-			*dst = src
-			return true
-		case *Census:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Ratio:
-		switch src := body.(type) {
-		case Ratio:
-			*dst = src
-			return true
-		case *Ratio:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Policy:
-		switch src := body.(type) {
-		case Policy:
-			*dst = src
-			return true
-		case *Policy:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Upload:
-		switch src := body.(type) {
-		case Upload:
-			*dst = src
-			return true
-		case *Upload:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Delivery:
-		switch src := body.(type) {
-		case Delivery:
-			*dst = src
-			return true
-		case *Delivery:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Ack:
-		switch src := body.(type) {
-		case Ack:
-			*dst = src
-			return true
-		case *Ack:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Lease:
-		switch src := body.(type) {
-		case Lease:
-			*dst = src
-			return true
-		case *Lease:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *RatioCorrection:
-		switch src := body.(type) {
-		case RatioCorrection:
-			*dst = src
-			return true
-		case *RatioCorrection:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *CensusBatch:
-		switch src := body.(type) {
-		case CensusBatch:
-			*dst = src
-			return true
-		case *CensusBatch:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *RatioBatch:
-		switch src := body.(type) {
-		case RatioBatch:
-			*dst = src
-			return true
-		case *RatioBatch:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *Digest:
-		switch src := body.(type) {
-		case Digest:
-			*dst = src
-			return true
-		case *Digest:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	case *HoodBeat:
-		switch src := body.(type) {
-		case HoodBeat:
-			*dst = src
-			return true
-		case *HoodBeat:
-			*dst = *src
-			return true
-		}
+		return bodyInto(m, dst)
 	}
-	return false
+	return fmt.Errorf("transport: cannot decode a %s message into %T", kind, out)
+}
+
+// typedBody returns m's payload as a T, copied out of a Body held by value
+// or by pointer with no heap allocation.
+func typedBody[T any](m Message) (T, error) {
+	switch b := m.Body.(type) {
+	case T:
+		return b, nil
+	case *T:
+		return *b, nil
+	}
+	var zero T
+	return zero, fmt.Errorf("transport: %s message body is %T, want %T", m.Kind, m.Body, zero)
+}
+
+// bodyInto is typedBody into *dst, which a failure leaves untouched.
+func bodyInto[T any](m Message, dst *T) error {
+	body, err := typedBody[T](m)
+	if err == nil {
+		*dst = body
+	}
+	return err
 }

@@ -18,7 +18,7 @@ func TestWireMetricsFollowInstrument(t *testing.T) {
 	}
 	defer l.Close()
 	accepted := acceptOne(t, l)
-	client, err := DialTCP(l.Addr(), WithCodec(Binary))
+	client, err := DialTCP(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,13 +43,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsUnmarshalable(t *testing.T) {
-	// Encode is lazy, so the error surfaces when a codec serializes the
+	// Encode is lazy, so the error surfaces when the codec serializes the
 	// payload, not at Encode time.
 	m, err := Encode(KindAck, make(chan int))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := JSON.AppendEncode(nil, m); err == nil {
+	if _, err := Binary.AppendEncode(nil, m); err == nil {
 		t.Error("unmarshalable payload must error at encode time")
 	}
 	a, b := Pipe()
@@ -60,6 +62,31 @@ func TestEncodeRejectsUnmarshalable(t *testing.T) {
 	var ack Ack
 	if err := Decode(got, KindAck, &ack); err == nil {
 		t.Error("decoding a channel-typed body into Ack must error")
+	}
+}
+
+// TestDecodeRejectsMismatchedBody: a message whose Body is not the struct its
+// kind names fails at Decode with an error naming both types, and leaves out
+// untouched; nothing tries to convert between payload types.
+func TestDecodeRejectsMismatchedBody(t *testing.T) {
+	for _, body := range []interface{}{Ratio{Round: 2, X: 0.5}, &Ratio{Round: 2, X: 0.5}, nil} {
+		m, err := Encode(KindCensus, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		census := Census{Edge: 7}
+		err = Decode(m, KindCensus, &census)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%T", body)) || !strings.Contains(err.Error(), "transport.Census") {
+			t.Errorf("Decode of a %T body into *Census = %v, want an error naming both types", body, err)
+		}
+		if census.Edge != 7 || census.Counts != nil {
+			t.Errorf("a failed Decode wrote %+v", census)
+		}
+	}
+	m, _ := Encode(KindRatio, Ratio{Round: 2, X: 0.5})
+	var notAPayload int
+	if err := Decode(m, KindRatio, &notAPayload); err == nil {
+		t.Error("Decode into a type that is no payload struct must error")
 	}
 }
 
@@ -260,10 +287,6 @@ func TestTCPManyMessages(t *testing.T) {
 }
 
 func TestTCPOversizeFrameRejected(t *testing.T) {
-	a, b := Pipe()
-	_ = a
-	_ = b
-	// Oversize check is in the TCP codec; craft directly.
 	l, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -277,15 +300,14 @@ func TestTCPOversizeFrameRejected(t *testing.T) {
 		defer c.Close()
 		_, _ = c.Recv()
 	}()
-	// JSON frames the payload bytes as they are, so the frame is oversize.
-	client, err := DialTCP(l.Addr(), WithCodec(JSON))
+	client, err := DialTCP(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	huge := Message{Kind: KindUpload, Payload: make([]byte, MaxFrameBytes+1)}
-	for i := range huge.Payload {
-		huge.Payload[i] = '1'
+	huge, err := Encode(KindAck, Ack{Err: strings.Repeat("x", MaxFrameBytes+1)})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := client.Send(huge); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize frame = %v, want ErrFrameTooLarge", err)
