@@ -43,10 +43,13 @@ type Server struct {
 
 	// Fixed-lag fusion (see SetFixedLag). window holds the last lag
 	// completed rounds in round order; correctionSeq totally orders the
-	// ratio corrections rewinds publish.
+	// ratio corrections rewinds publish; corrEdges and corrX are the fan-out's
+	// region list, reused from rewind to rewind.
 	lag           int
 	window        []*lagEntry
 	correctionSeq int64
+	corrEdges     []int
+	corrX         []float64
 
 	// Digest reconciliation (see SubmitDigest). digestSeen tracks, per
 	// pending round, which neighborhoods have reported it; a round folds
@@ -103,7 +106,7 @@ func newServerMetrics(o *obs.Observer) serverMetrics {
 		rewinds:        o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
 		replayed:       o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
 		beyondLag:      o.Counter("consensus_censuses_beyond_lag_total", "late censuses outside the lag window, answered from current state"),
-		corrections:    o.Counter("consensus_ratio_corrections_total", "ratio-correction frames published after rewinds"),
+		corrections:    o.Counter("consensus_ratio_corrections_total", "regions whose corrected ratio was published to their session after a rewind"),
 		lagDepth:       o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
 		stateHash:      o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)"),
 		digests:        o.Counter("consensus_digests_total", "gossip digests reconciled from neighborhood leaders"),

@@ -68,6 +68,7 @@ type Engine struct {
 	leasing  bool // false until the first lease: all members form the quorum
 	stopped  bool
 	sessions map[int]*session.Session
+	fanout   map[*session.Session]int // PushCorrections' per-session region counts, empty between calls
 }
 
 // EngineConfig is what differs between the kernel's owners.
@@ -180,6 +181,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		latest:   -1,
 		leases:   make(map[int]*leaseEntry),
 		sessions: make(map[int]*session.Session),
+		fanout:   make(map[*session.Session]int),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -195,9 +196,10 @@ func (c *countingConn) Recv() (transport.Message, error) { select {} }
 func (c *countingConn) Close() error                     { return nil }
 
 // TestCorrectionsLeaveOnOneSenderPerSession registers three regions on one
-// session and three on another, rewinds, and requires every region but the
-// submitter to be sent its correction on its own session — and a session
-// whose send fails to be given up on at that frame, not retried per region.
+// session and three on another, rewinds, and requires the healthy session to
+// be sent exactly one frame, carrying every region of its own but the
+// submitter — and a session whose send fails to be tried once and given up
+// on, while the counter still counts the five regions placed.
 func TestCorrectionsLeaveOnOneSenderPerSession(t *testing.T) {
 	const m = 6
 	beta := []float64{3, 3, 3, 3, 3, 3}
@@ -216,7 +218,7 @@ func TestCorrectionsLeaveOnOneSenderPerSession(t *testing.T) {
 	defer srv.Close()
 	srv.SetFixedLag(4)
 
-	good := &countingConn{done: make(chan struct{}), want: 2}
+	good := &countingConn{done: make(chan struct{}), want: 1}
 	bad := &countingConn{done: make(chan struct{}), failAt: 1}
 	census := func(edge int, counts []int) transport.Census {
 		return transport.Census{Edge: edge, Round: 0, Counts: counts}
@@ -237,20 +239,17 @@ func TestCorrectionsLeaveOnOneSenderPerSession(t *testing.T) {
 	<-good.done
 	<-bad.done
 	good.mu.Lock()
-	edges := map[int]bool{}
-	for _, msg := range good.sent {
-		var rc transport.RatioCorrection
-		if err := transport.Decode(msg, transport.KindRatioCorrection, &rc); err != nil {
-			t.Fatal(err)
-		}
-		if rc.Seq != 1 || rc.Round != 0 || rc.X != srv.fold.X(rc.Edge) {
-			t.Errorf("correction %+v, want seq 1 round 0 x %v", rc, srv.fold.X(rc.Edge))
-		}
-		edges[rc.Edge] = true
+	if good.calls != 1 {
+		t.Errorf("healthy session saw %d sends, want one frame for the rewind", good.calls)
+	}
+	var rc transport.RatioCorrection
+	if err := transport.Decode(good.sent[0], transport.KindRatioCorrection, &rc); err != nil {
+		t.Fatal(err)
 	}
 	good.mu.Unlock()
-	if len(edges) != 2 || !edges[1] || !edges[2] {
-		t.Errorf("healthy session was sent corrections for %v, want regions 1 and 2", edges)
+	want := transport.RatioCorrection{Round: 0, Seq: 1, Edges: []int{1, 2}, X: []float64{srv.fold.X(1), srv.fold.X(2)}}
+	if !reflect.DeepEqual(rc, want) {
+		t.Errorf("healthy session was sent %+v, want %+v", rc, want)
 	}
 	if n := metricValue(t, srv.Registry(), "consensus_ratio_corrections_total"); n != 5 {
 		t.Errorf("consensus_ratio_corrections_total = %v, want 5", n)
@@ -258,6 +257,59 @@ func TestCorrectionsLeaveOnOneSenderPerSession(t *testing.T) {
 	bad.mu.Lock()
 	defer bad.mu.Unlock()
 	if bad.calls != 1 {
-		t.Errorf("failing session saw %d sends, want the sender to stop at the first", bad.calls)
+		t.Errorf("failing session saw %d sends, want it tried once", bad.calls)
+	}
+}
+
+// signalConn reports each frame sent on it and keeps nothing.
+type signalConn struct{ sent chan struct{} }
+
+func (c signalConn) Send(transport.Message) error     { c.sent <- struct{}{}; return nil }
+func (c signalConn) Recv() (transport.Message, error) { select {} }
+func (c signalConn) Close() error                     { return nil }
+
+// TestCorrectionFanOutAllocs pins a rewind's fan-out to one session at a
+// handful of heap objects whatever the session's size: the frame, its two
+// slices and the send, with nothing allocated per region. 64 regions and 512
+// cost the same.
+func TestCorrectionFanOutAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	fanOut := func(m int) float64 {
+		beta := make([]float64, m)
+		for i := range beta {
+			beta[i] = 3
+		}
+		model, err := game.NewModel(lattice.PaperPayoffs(), goldenGraph{m: m}, beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fds, err := policy.NewFDS(model, goldenField(t, m, false), 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(fds, game.NewUniformState(m, model.K(), 0.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		members := make([]transport.Census, m)
+		for edge := range members {
+			members[edge].Edge = edge
+		}
+		conn := signalConn{sent: make(chan struct{})}
+		srv.eng.register(session.Wrap(conn), members)
+		return testing.AllocsPerRun(20, func() {
+			srv.mu.Lock()
+			srv.correctionSeq++
+			srv.pushCorrectionsLocked(members[:1])
+			srv.mu.Unlock()
+			<-conn.sent
+		})
+	}
+	small, large := fanOut(64), fanOut(512)
+	if large != small || large > 6 {
+		t.Errorf("fan-out to one session: %.0f allocs at 512 regions, %.0f at 64; want equal and at most 6", large, small)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/transport"
-	"repro/internal/transport/session"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -177,35 +176,25 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 	return true, true, nil
 }
 
-// pushCorrectionsLocked publishes one ratio-correction frame to every
-// connected edge except the submitters (whose census replies already carry
-// the corrected ratios). The frames are pushed asynchronously, by one sender
-// per session that writes its frames in turn — a shard's session carries a
-// frame for each of its regions — and gives up at the first failed send:
-// failures are expected (the edge may have hung up), and the monotonic Seq
-// makes redelivery on the next rewind harmless. Called with s.mu held.
+// pushCorrectionsLocked publishes a rewind's corrected ratios: every session
+// is sent one frame carrying the current ratio of each region it reports for,
+// except the submitters (whose census replies already carry the corrected
+// ratios). A shard's session gets its whole region group in that one frame,
+// an edge's its one region. See Engine.PushCorrections for the delivery
+// rules. Called with s.mu held.
 func (s *Server) pushCorrectionsLocked(submitted []transport.Census) {
 	skip := make(map[int]bool, len(submitted))
 	for i := range submitted {
 		skip[submitted[i].Edge] = true
 	}
-	frames := make(map[*session.Session][]transport.RatioCorrection)
-	for edge, sess := range s.eng.Sessions() {
-		if skip[edge] {
-			continue
+	edges, x := s.corrEdges[:0], s.corrX[:0]
+	for edge := 0; edge < s.m; edge++ {
+		if !skip[edge] {
+			edges = append(edges, edge)
+			x = append(x, s.fold.X(edge))
 		}
-		frames[sess] = append(frames[sess], transport.RatioCorrection{
-			Edge: edge, Round: s.eng.Latest(), Seq: s.correctionSeq, X: s.fold.X(edge),
-		})
-		s.metrics.corrections.Inc()
 	}
-	for sess, rcs := range frames {
-		go func() {
-			for _, rc := range rcs {
-				if sess.Send(transport.KindRatioCorrection, rc) != nil {
-					return
-				}
-			}
-		}()
-	}
+	s.corrEdges, s.corrX = edges, x
+	placed := s.eng.PushCorrections(s.eng.Latest(), s.correctionSeq, edges, x)
+	s.metrics.corrections.Add(int64(placed))
 }

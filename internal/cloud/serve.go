@@ -114,6 +114,41 @@ func (e *Engine) dropSessions(sess *session.Session) {
 	e.mu.Unlock()
 }
 
-// Sessions returns the live member → session registrations. Called with
-// the lock held; the map is the kernel's own.
-func (e *Engine) Sessions() map[int]*session.Session { return e.sessions }
+// PushCorrections fans one rewind's corrected ratios out to the sessions
+// their regions report on: x[i] is region edges[i]'s ratio, edges ascending.
+// The regions are grouped by session — one nobody reports for is left out —
+// and each session is sent one region-set frame carrying the owner's seq.
+// The sends run off the lock, one goroutine per session: a send can block on
+// a slow peer, and a failed one is expected (the edge may have hung up) and
+// harmless, because the monotonic Seq lets the next rewind's frame supersede
+// whatever this one would have said. Returns how many regions were placed.
+// Called with the lock held.
+func (e *Engine) PushCorrections(round int, seq int64, edges []int, x []float64) (placed int) {
+	// Size each session's frame first, so its two slices are allocated once.
+	for _, edge := range edges {
+		if sess := e.sessions[edge]; sess != nil {
+			e.fanout[sess]++
+		}
+	}
+	frames := make(map[*session.Session]*transport.RatioCorrection, len(e.fanout))
+	for i, edge := range edges {
+		sess := e.sessions[edge]
+		if sess == nil {
+			continue
+		}
+		rc := frames[sess]
+		if rc == nil {
+			n := e.fanout[sess]
+			rc = &transport.RatioCorrection{Round: round, Seq: seq, Edges: make([]int, 0, n), X: make([]float64, 0, n)}
+			frames[sess] = rc
+		}
+		rc.Edges = append(rc.Edges, edge)
+		rc.X = append(rc.X, x[i])
+		placed++
+	}
+	clear(e.fanout)
+	for sess, rc := range frames {
+		go sess.Send(transport.KindRatioCorrection, rc)
+	}
+	return placed
+}

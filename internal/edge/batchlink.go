@@ -35,11 +35,12 @@ type BatchLink struct {
 	// OnCorrection, when non-nil, is invoked (outside the link's lock) for
 	// each ratio correction the coordinator pushes after a fixed-lag rewind.
 	// Unlike CloudLink the batched link spans many regions, so the whole
-	// frame — corrected edge, round, sequence, ratio — is handed through: a
-	// shard coordinator forwards it verbatim to the owning edge's session,
-	// preserving the aggregator-assigned sequence the edges' monotonic
-	// adoption depends on. Stale or redelivered frames are dropped by the
-	// link's own sequence check before the callback fires.
+	// frame — round, sequence, and the corrected ratio of every region the
+	// coordinator knows this link reports for — is handed through: a shard
+	// coordinator regroups it by downstream session under the same
+	// aggregator-assigned sequence, which the edges' monotonic adoption
+	// depends on. One frame is one rewind, so a stale or redelivered one is
+	// dropped whole by the link's sequence check before the callback fires.
 	OnCorrection func(rc transport.RatioCorrection)
 
 	link
@@ -54,10 +55,10 @@ func (l *BatchLink) bound() *link {
 func (l *BatchLink) Redials() int { return l.bound().redialCount() }
 
 // handleOther absorbs non-reply frames that interleave with a batch
-// exchange: ratio corrections for any region are adopted monotonically by
-// sequence, anything else fails the exchange.
+// exchange: ratio corrections, whatever regions they carry, are adopted
+// monotonically by sequence, anything else fails the exchange.
 func (l *BatchLink) handleOther(m transport.Message) error {
-	rc, fresh, err := l.adoptCorrection(m, -1)
+	rc, _, fresh, err := l.adoptCorrection(m, -1)
 	if fresh && l.OnCorrection != nil {
 		l.OnCorrection(rc)
 	}

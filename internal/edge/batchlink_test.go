@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -96,8 +97,8 @@ func TestBatchLinkResubmitsAfterDrop(t *testing.T) {
 }
 
 // TestBatchLinkAdoptsRatioCorrections: corrections interleaved with a batch
-// exchange are adopted monotonically by sequence, carrying the corrected
-// edge id through to the callback.
+// exchange are adopted monotonically by sequence, each frame's whole region
+// set carried through to the callback under the coordinator's sequence.
 func TestBatchLinkAdoptsRatioCorrections(t *testing.T) {
 	net := transport.NewInprocNetwork()
 	l, err := net.Listen("agg")
@@ -123,10 +124,10 @@ func TestBatchLinkAdoptsRatioCorrections(t *testing.T) {
 				return err
 			}
 			for _, rc := range []transport.RatioCorrection{
-				{Edge: 5, Round: 6, Seq: 5, X: 0.61}, // adopted
-				{Edge: 5, Round: 6, Seq: 5, X: 0.61}, // redelivered: dropped
-				{Edge: 9, Round: 5, Seq: 3, X: 0.40}, // reordered stale seq: dropped
-				{Edge: 9, Round: 7, Seq: 8, X: 0.66}, // adopted
+				{Round: 6, Seq: 5, Edges: []int{5, 9}, X: []float64{0.61, 0.62}}, // adopted
+				{Round: 6, Seq: 5, Edges: []int{5, 9}, X: []float64{0.61, 0.62}}, // redelivered: dropped
+				{Round: 5, Seq: 3, Edges: []int{9}, X: []float64{0.40}},          // reordered stale seq: dropped
+				{Round: 7, Seq: 8, Edges: []int{9}, X: []float64{0.66}},          // adopted
 			} {
 				f, err := transport.Encode(transport.KindRatioCorrection, rc)
 				if err != nil {
@@ -145,11 +146,7 @@ func TestBatchLinkAdoptsRatioCorrections(t *testing.T) {
 		}()
 	}()
 
-	type adoption struct {
-		edge, round int
-		x           float64
-	}
-	var adopted []adoption
+	var adopted []transport.RatioCorrection
 	link := &BatchLink{
 		Shard: 1,
 		Dialer: &transport.Dialer{
@@ -159,7 +156,7 @@ func TestBatchLinkAdoptsRatioCorrections(t *testing.T) {
 		},
 		ReplyTimeout: 2 * time.Second,
 		OnCorrection: func(rc transport.RatioCorrection) {
-			adopted = append(adopted, adoption{rc.Edge, rc.Round, rc.X})
+			adopted = append(adopted, rc)
 		},
 	}
 	defer link.Close()
@@ -170,14 +167,16 @@ func TestBatchLinkAdoptsRatioCorrections(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Report: %v", err)
 	}
-	want := []adoption{{5, 6, 0.61}, {9, 7, 0.66}}
-	if len(adopted) != len(want) {
-		t.Fatalf("adopted %v, want %v", adopted, want)
+	want := []transport.RatioCorrection{
+		{Round: 6, Seq: 5, Edges: []int{5, 9}, X: []float64{0.61, 0.62}},
+		{Round: 7, Seq: 8, Edges: []int{9}, X: []float64{0.66}},
 	}
-	for i, w := range want {
-		if adopted[i] != w {
-			t.Errorf("adoption %d = %v, want %v", i, adopted[i], w)
-		}
+	if !reflect.DeepEqual(adopted, want) {
+		t.Errorf("adopted %+v, want %+v", adopted, want)
+	}
+	// The counter is in regions: two from the first frame, one from the last.
+	if got := link.Obs.Counter("edge_ratio_corrections_total", "").Value(); got != 3 {
+		t.Errorf("edge_ratio_corrections_total = %v, want 3", got)
 	}
 	if err := <-serverErr; err != nil {
 		t.Fatalf("fake aggregator: %v", err)

@@ -53,12 +53,13 @@ func (l *CloudLink) bound() *link {
 func (l *CloudLink) Redials() int { return l.bound().redialCount() }
 
 // handleOther absorbs non-reply frames that interleave with a census
-// exchange: this region's ratio corrections are adopted monotonically by
-// sequence, anything else fails the exchange.
+// exchange: ratio corrections carrying this region are adopted monotonically
+// by sequence and its ratio picked out of the set, anything else fails the
+// exchange.
 func (l *CloudLink) handleOther(m transport.Message) error {
-	rc, fresh, err := l.adoptCorrection(m, l.Edge)
+	rc, at, fresh, err := l.adoptCorrection(m, l.Edge)
 	if fresh && l.OnCorrection != nil {
-		l.OnCorrection(rc.Round, rc.X)
+		l.OnCorrection(rc.Round, rc.X[at])
 	}
 	return err
 }

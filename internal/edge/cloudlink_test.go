@@ -132,7 +132,10 @@ func TestCloudLinkSurfacesProtocolErrors(t *testing.T) {
 
 // TestCloudLinkAdoptsRatioCorrections: correction frames pushed by the cloud
 // during a census exchange are adopted monotonically — redelivered and
-// reordered sequences are dropped — while the exchange still completes.
+// reordered sequences are dropped — with this region's ratio picked out of
+// each frame's set, while the exchange still completes. A frame that does not
+// carry the region is not the link's: it is ignored and does not advance the
+// sequence, so a lower-numbered frame that does carry it is still adopted.
 func TestCloudLinkAdoptsRatioCorrections(t *testing.T) {
 	net := transport.NewInprocNetwork()
 	l, err := net.Listen("cloud")
@@ -158,11 +161,11 @@ func TestCloudLinkAdoptsRatioCorrections(t *testing.T) {
 				return err
 			}
 			for _, rc := range []transport.RatioCorrection{
-				{Edge: 1, Round: 6, Seq: 4, X: 0.6},  // another region's frame: ignored
-				{Edge: 0, Round: 6, Seq: 5, X: 0.61}, // adopted
-				{Edge: 0, Round: 6, Seq: 5, X: 0.61}, // redelivered: dropped
-				{Edge: 0, Round: 5, Seq: 3, X: 0.40}, // reordered stale seq: dropped
-				{Edge: 0, Round: 7, Seq: 8, X: 0.66}, // adopted
+				{Round: 6, Seq: 6, Edges: []int{1, 3}, X: []float64{0.6, 0.7}},          // without region 2: ignored, seq stays
+				{Round: 6, Seq: 5, Edges: []int{1, 2, 3}, X: []float64{0.6, 0.61, 0.7}}, // adopted
+				{Round: 6, Seq: 5, Edges: []int{1, 2, 3}, X: []float64{0.6, 0.61, 0.7}}, // redelivered: dropped
+				{Round: 5, Seq: 3, Edges: []int{2}, X: []float64{0.40}},                 // reordered stale seq: dropped
+				{Round: 7, Seq: 8, Edges: []int{0, 2}, X: []float64{0.5, 0.66}},         // adopted
 			} {
 				f, err := transport.Encode(transport.KindRatioCorrection, rc)
 				if err != nil {
@@ -186,7 +189,7 @@ func TestCloudLinkAdoptsRatioCorrections(t *testing.T) {
 	}
 	var adopted []adoption
 	link := &CloudLink{
-		Edge: 0,
+		Edge: 2,
 		Dialer: &transport.Dialer{
 			Dial:  func() (transport.Conn, error) { return net.Dial("cloud") },
 			Seed:  1,

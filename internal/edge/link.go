@@ -3,6 +3,7 @@ package edge
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -42,7 +43,7 @@ func (l *link) bind(o **obs.Observer, reports, help string) *link {
 		}
 		l.redials = (*o).Counter("edge_cloud_redials_total", "cloud-link reconnects after the first dial")
 		l.reports = (*o).Counter(reports, help)
-		l.corrections = (*o).Counter("edge_ratio_corrections_total", "ratio corrections adopted after cloud fixed-lag rewinds")
+		l.corrections = (*o).Counter("edge_ratio_corrections_total", "regions whose corrected ratio was adopted after a cloud fixed-lag rewind")
 	}
 	return l
 }
@@ -135,28 +136,40 @@ func (l *link) exchange(d *transport.Dialer, attempts int, fn func(transport.Con
 }
 
 // adoptCorrection absorbs a non-reply frame that interleaved with an
-// exchange. Ratio corrections for edge (any edge when negative) are adopted
-// when their sequence advances past the newest one seen — redelivered or
-// reordered frames report fresh=false — and anything else fails the
-// exchange, preserving the strict reply discipline.
-func (l *link) adoptCorrection(m transport.Message, edge int) (rc transport.RatioCorrection, fresh bool, err error) {
+// exchange. A ratio correction is one rewind as this link's session sees it,
+// so it is adopted whole when its sequence advances past the newest one seen
+// — a redelivered or overtaken frame reports fresh=false — and anything else
+// fails the exchange, preserving the strict reply discipline. A link that
+// reports for one region passes it as edge and gets its index in the set
+// back as at; a frame that does not carry that region is not this link's and
+// is ignored without advancing the sequence. A negative edge takes the set
+// as it comes.
+func (l *link) adoptCorrection(m transport.Message, edge int) (rc transport.RatioCorrection, at int, fresh bool, err error) {
 	if m.Kind != transport.KindRatioCorrection {
-		return rc, false, fmt.Errorf("unexpected %s frame during census exchange", m.Kind)
+		return rc, 0, false, fmt.Errorf("unexpected %s frame during census exchange", m.Kind)
 	}
 	if err := transport.Decode(m, transport.KindRatioCorrection, &rc); err != nil {
-		return rc, false, err
+		return rc, 0, false, err
 	}
-	if edge >= 0 && rc.Edge != edge {
-		return rc, false, nil // misrouted frame; the ratio belongs to another region
+	if len(rc.Edges) != len(rc.X) {
+		return rc, 0, false, fmt.Errorf("ratio correction has %d edges but %d ratios", len(rc.Edges), len(rc.X))
+	}
+	regions := len(rc.Edges)
+	if edge >= 0 {
+		var mine bool
+		if at, mine = slices.BinarySearch(rc.Edges, edge); !mine {
+			return rc, 0, false, nil
+		}
+		regions = 1
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if rc.Seq <= l.lastSeq {
-		return rc, false, nil
+		return rc, at, false, nil
 	}
 	l.lastSeq = rc.Seq
-	l.corrections.Inc()
-	return rc, true, nil
+	l.corrections.Add(int64(regions))
+	return rc, at, true, nil
 }
 
 // PeerLink is the acked-frame sibling of CloudLink: a lazily dialed

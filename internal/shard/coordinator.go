@@ -87,7 +87,7 @@ func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
 		late:            o.Counter("shard_late_censuses_total", "censuses for already-forwarded rounds, relayed upstream individually"),
 		forwards:        o.Counter("shard_forwards_total", "census batches forwarded to the aggregation tier"),
 		forwardFailures: o.Counter("shard_forward_failures_total", "upstream forwards that failed after the link's retries"),
-		corrections:     o.Counter("shard_ratio_corrections_total", "ratio corrections relayed from the aggregator to owned edges"),
+		corrections:     o.Counter("shard_ratio_corrections_total", "owned regions whose corrected ratio arrived from the aggregator after a rewind"),
 		regionsOwned:    o.Gauge("shard_regions_owned", "regions assigned to this shard by the hash ring"),
 		recoveries:      o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords:   o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
@@ -98,8 +98,8 @@ func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
 
 // NewCoordinator builds a shard coordinator for its configured region
 // group. It installs itself as the Upstream link's correction handler, so
-// aggregator rewind corrections for owned regions fan out to the edges that
-// report here.
+// aggregator rewind corrections for owned regions fan out to the sessions
+// that report here.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Upstream == nil {
 		return nil, fmt.Errorf("shard %d: coordinator needs an upstream batch link", cfg.ID)
@@ -317,21 +317,23 @@ func (c *Coordinator) adoptReplyLocked(reply transport.RatioBatch) {
 	}
 }
 
-// routeCorrection relays an aggregator rewind correction to the owned
-// edge's session, preserving the aggregator-assigned sequence, and adopts
-// the corrected ratio into the shard's cache.
+// routeCorrection takes one aggregator rewind as this shard's upstream link
+// saw it: the owned regions' corrected ratios are adopted into the shard's
+// cache, and the frame is regrouped by downstream session — each session is
+// sent the regions it reports for in one frame, under the aggregator-assigned
+// sequence (see cloud.Engine.PushCorrections).
 func (c *Coordinator) routeCorrection(rc transport.RatioCorrection) {
-	if !c.owned[rc.Edge] {
-		return
-	}
 	c.mu.Lock()
-	c.ratios[rc.Edge] = rc.X
-	c.metrics.corrections.Inc()
-	sess := c.eng.Sessions()[rc.Edge]
-	c.mu.Unlock()
-	if sess != nil {
-		go func() { _ = sess.Send(transport.KindRatioCorrection, rc) }()
+	defer c.mu.Unlock()
+	adopted := 0
+	for i, e := range rc.Edges {
+		if c.owned[e] {
+			c.ratios[e] = rc.X[i]
+			adopted++
+		}
 	}
+	c.metrics.corrections.Add(int64(adopted))
+	c.eng.PushCorrections(rc.Round, rc.Seq, rc.Edges, rc.X)
 }
 
 // shardCheckpoint is the shard's tiny durable snapshot: the forwarded-round

@@ -266,6 +266,18 @@ func TestCoordinatorDegradedForwardAndLateRewind(t *testing.T) {
 	if n := metricValue(t, agg.Registry(), "consensus_rewinds_total"); n < 1 {
 		t.Errorf("aggregator consensus_rewinds_total = %v, want >= 1", n)
 	}
+
+	// The rewind's correction for the shard is one frame carrying region 0
+	// (region 1 submitted, and was answered by reply). It is pushed from a
+	// goroutine of its own and surfaces during an upstream exchange, so keep
+	// the rounds going until the shard has adopted it.
+	round := 2
+	for patience := time.Now().Add(10 * time.Second); metricValue(t, reg, "shard_ratio_corrections_total") == 0 && time.Now().Before(patience); round++ {
+		runRound(t, c, round, r1)
+	}
+	if n := metricValue(t, reg, "shard_ratio_corrections_total"); n != 1 {
+		t.Errorf("shard_ratio_corrections_total = %v, want 1 (regions, not frames: region 0)", n)
+	}
 }
 
 // TestCoordinatorRecoversWatermark: a coordinator that crashes after

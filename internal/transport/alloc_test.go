@@ -2,6 +2,7 @@ package transport
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/israce"
 	"repro/internal/obs"
@@ -59,7 +60,7 @@ func TestBatchEncodeAllocs(t *testing.T) {
 	encodesWithoutAlloc(t,
 		mustEncode(t, KindCensusBatch, batch),
 		mustEncode(t, KindRatioBatch, &ratios),
-		mustEncode(t, KindRatioCorrection, RatioCorrection{Edge: 3, Round: 110, Seq: 9, X: 0.7125}))
+		mustEncode(t, KindRatioCorrection, &RatioCorrection{Round: 110, Seq: 9, Edges: ratios.Edges, X: ratios.X}))
 }
 
 // TestTCPVehiclePlaneAllocs pins the heap cost of moving the four frames of a
@@ -115,5 +116,35 @@ func TestTCPVehiclePlaneAllocs(t *testing.T) {
 				t.Errorf("instrumented=%v: %s Send+Recv: %.1f allocs/op, want 0", instrumented, m.Kind, allocs)
 			}
 		}
+	}
+}
+
+// TestRecvTimeoutAllocs pins a reply wait at zero: over a warmed TCP conn a
+// ratio reply is sent, waited for with RecvTimeout and decoded without a heap
+// object — the bound rides the socket's read deadline, and the body is the
+// conn's own.
+func TestRecvTimeoutAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	client, server := tcpPair(t)
+	defer client.Close()
+	defer server.Close()
+	reply := mustEncode(t, KindRatio, &Ratio{Round: 118, X: 0.7125})
+	var ratio Ratio
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := server.Send(reply); err != nil {
+			t.Fatal(err)
+		}
+		m, err := RecvTimeout(client, 30*time.Second)
+		if err == nil {
+			err = Decode(m, KindRatio, &ratio)
+		}
+		if err != nil || ratio.X != 0.7125 {
+			t.Fatalf("RecvTimeout = %+v, %v", ratio, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ratio reply Send+RecvTimeout: %.1f allocs/op, want 0", allocs)
 	}
 }

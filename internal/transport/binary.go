@@ -17,8 +17,8 @@ import (
 //	frame   := kindTag payload
 //	kindTag := 1 hello | 2 census | 3 ratio | 4 policy
 //	         | 5 upload | 6 delivery | 7 ack | 8 lease
-//	         | 9 ratio_correction | 10 census_batch | 11 ratio_batch
-//	         | 12 digest | 13 hood_beat
+//	         | 10 census_batch | 11 ratio_batch | 12 digest
+//	         | 13 hood_beat | 14 ratio_corrections     (9 is retired)
 //	int     := zigzag varint            (encoding/binary PutVarint)
 //	len     := uvarint                  (encoding/binary PutUvarint)
 //	f64     := 8-byte little-endian IEEE-754 bits
@@ -33,16 +33,22 @@ import (
 //	delivery := int(round) len [item]...
 //	ack      := str(err)
 //	lease    := int(edge) int(ttl_ms)
-//	ratio_correction := int(edge) int(round) int(seq) f64(x)
 //	census_batch := int(shard) int(round) len [census]...
 //	ratio_batch  := int(round) len [int(edge)]... [f64(x)]...
 //	digest_round := int(round) int(degraded 0|1) len [census]...
 //	digest       := int(neighborhood) int(of) len [int(member)]... len [digest_round]...
 //	hood_beat    := int(hood) int(epoch) int(leader) int(escalated) int(ttl_ms)
+//	ratio_corrections := int(round) int(seq) len [int(edge_delta)]... [f64(x)]...
+//
+// A correction's edges are strictly ascending and cross the wire as the
+// first edge (>= 0) followed by the positive differences between neighbours,
+// so a shard's few hundred regions cost a byte or two each. Tag 9 was the
+// one-region ratio_correction this layout replaced; it is refused like any
+// unknown tag, so a peer still sending it gets an error, not a misread.
 //
 // Decoding is strict: truncated fields, lengths that cannot fit in the
 // remaining bytes (which also caps decode allocations), unknown kind tags,
-// and trailing garbage all fail.
+// edge sets out of order, and trailing garbage all fail.
 type binaryCodec struct{}
 
 // Binary kind tags (wire stable — append only).
@@ -55,11 +61,12 @@ const (
 	tagDelivery
 	tagAck
 	tagLease
-	tagRatioCorrection
+	_ // 9: the retired one-region ratio_correction
 	tagCensusBatch
 	tagRatioBatch
 	tagDigest
 	tagHoodBeat
+	tagRatioCorrection
 )
 
 func (binaryCodec) Name() string { return "binary" }
@@ -140,11 +147,25 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(rc.Edges) != len(rc.X) {
+			return nil, fmt.Errorf("transport: ratio correction has %d edges but %d ratios", len(rc.Edges), len(rc.X))
+		}
 		dst = append(dst, tagRatioCorrection)
-		dst = appendInt(dst, int64(rc.Edge))
 		dst = appendInt(dst, int64(rc.Round))
 		dst = appendInt(dst, rc.Seq)
-		return appendFloat(dst, rc.X), nil
+		dst = appendLen(dst, len(rc.Edges))
+		prev := 0
+		for i, e := range rc.Edges {
+			if e < 0 || (i > 0 && e <= prev) {
+				return nil, fmt.Errorf("transport: ratio correction edges are not ascending at %d", e)
+			}
+			dst = appendInt(dst, int64(e-prev))
+			prev = e
+		}
+		for _, x := range rc.X {
+			dst = appendFloat(dst, x)
+		}
+		return dst, nil
 	case KindCensusBatch:
 		cb, err := typedBody[CensusBatch](m)
 		if err != nil {
@@ -224,14 +245,16 @@ func (binaryCodec) Decode(frame []byte) (Message, error) {
 	return decodeBinary(frame, &fresh)
 }
 
-// recvScratch holds the bodies the four per-vehicle-round kinds (policy,
-// upload, delivery, ack) decode into. A TCP conn keeps one and reuses it
-// from frame to frame, which is what makes a received body valid only until
-// the conn's next Recv; Decode hands in an empty one, so its bodies are the
-// caller's. A body is allocated the first time its kind arrives — an
-// edge-side conn never sees a delivery, a vehicle-side conn never an upload
-// — and its slice grows to the largest frame of that kind seen.
+// recvScratch holds the bodies the per-vehicle-round kinds (policy, upload,
+// delivery, ack) and an edge's per-round ratio reply decode into. A TCP conn
+// keeps one and reuses it from frame to frame, which is what makes a received
+// body valid only until the conn's next Recv; Decode hands in an empty one,
+// so its bodies are the caller's. A body is allocated the first time its
+// kind arrives — an edge-side conn never sees a delivery, a vehicle-side
+// conn never an upload — and its slice grows to the largest frame of that
+// kind seen.
 type recvScratch struct {
+	ratio    *Ratio
 	policy   *Policy
 	upload   *Upload
 	delivery *Delivery
@@ -254,8 +277,8 @@ func (s *recvScratch) release() {
 	}
 }
 
-// decodeBinary parses one frame. The four scratch kinds come back as
-// pointers into s; every other kind — census, batch, digest and ratio-batch
+// decodeBinary parses one frame. The scratch kinds come back as pointers
+// into s; every other kind — census, batch, digest and ratio-batch
 // consumers hold their slices across rounds — as a freshly allocated value.
 func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	if len(frame) == 0 {
@@ -281,8 +304,11 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		}
 		kind, body = KindCensus, c
 	case tagRatio:
-		kind = KindRatio
-		body = Ratio{Round: int(r.int()), X: r.float()}
+		if s.ratio == nil {
+			s.ratio = new(Ratio)
+		}
+		s.ratio.Round, s.ratio.X = int(r.int()), r.float()
+		kind, body = KindRatio, s.ratio
 	case tagPolicy:
 		if s.policy == nil {
 			s.policy = new(Policy)
@@ -320,9 +346,6 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	case tagLease:
 		kind = KindLease
 		body = Lease{Edge: int(r.int()), TTLMillis: r.int()}
-	case tagRatioCorrection:
-		kind = KindRatioCorrection
-		body = RatioCorrection{Edge: int(r.int()), Round: int(r.int()), Seq: r.int(), X: r.float()}
 	case tagCensusBatch:
 		cb := CensusBatch{Shard: int(r.int()), Round: int(r.int())}
 		cb.Censuses = r.censuses()
@@ -368,6 +391,26 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 			Escalated: int(r.int()),
 			TTLMillis: r.int(),
 		}
+	case tagRatioCorrection:
+		rc := RatioCorrection{Round: int(r.int()), Seq: r.int()}
+		// Each entry is at least 9 bytes (1-byte delta varint + 8-byte float).
+		if n := r.len(9); n > 0 {
+			rc.Edges = make([]int, n)
+			edge := 0
+			for i := range rc.Edges {
+				delta := int(r.int())
+				if delta < 0 || (i > 0 && delta == 0) || edge+delta < 0 {
+					r.fail(fmt.Errorf("edge delta %d at entry %d: edges must ascend from 0", delta, i))
+				}
+				edge += delta
+				rc.Edges[i] = edge
+			}
+			rc.X = make([]float64, n)
+			for i := range rc.X {
+				rc.X[i] = r.float()
+			}
+		}
+		kind, body = KindRatioCorrection, rc
 	default:
 		return Message{}, fmt.Errorf("transport: unknown binary kind tag 0x%02x", frame[0])
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func allKindsMessages(t *testing.T) []Message {
 		{KindDelivery, Delivery{Round: 5, Items: []Item{{Owner: 9, Modality: sensor.Camera, Seq: 3}}}},
 		{KindAck, Ack{Err: "nope"}},
 		{KindLease, Lease{Edge: 2, TTLMillis: 1500}},
-		{KindRatioCorrection, RatioCorrection{Edge: 2, Round: 7, Seq: 3, X: 0.5}},
+		{KindRatioCorrection, RatioCorrection{Round: 7, Seq: 3, Edges: []int{0, 2, 700}, X: []float64{0.5, 0.25, 0.75}}},
 		{KindCensusBatch, CensusBatch{Shard: 1, Round: 3, Censuses: []Census{
 			{Edge: 0, Round: 3, Counts: []int{2, 1}},
 			{Edge: 1, Round: 3, Counts: []int{0, 4}},
@@ -62,7 +63,7 @@ func allKindsMessages(t *testing.T) []Message {
 }
 
 // warmedScratch returns the decode scratch of a conn that has already
-// received every per-vehicle-round kind, each longer than anything the tables
+// received every kind it decodes in place, each longer than anything the tables
 // below decode — so a decode that kept a stale element, length or string
 // from the frame before would show.
 func warmedScratch(t testing.TB) *recvScratch {
@@ -76,6 +77,7 @@ func warmedScratch(t testing.TB) *recvScratch {
 		kind Kind
 		body interface{}
 	}{
+		{KindRatio, Ratio{Round: 99, X: 1}},
 		{KindPolicy, Policy{Round: 99, X: 1, Shares: make([]float64, 16)}},
 		{KindUpload, Upload{Vehicle: 1000, Round: 99, Decision: 1, Items: items}},
 		{KindDelivery, Delivery{Round: 99, Items: items}},
@@ -165,6 +167,24 @@ func TestCodecRoundTripPayloads(t *testing.T) {
 			up.Items[0] != (Item{Owner: -3, Modality: sensor.Camera, Seq: 17}) {
 			t.Errorf("round trip = %+v", up)
 		}
+
+		// A region-set correction: the delta-encoded edges come back as the
+		// ids they were, each beside its own ratio.
+		want := RatioCorrection{Round: 12, Seq: 1 << 40, Edges: []int{0, 1, 64, 1023}, X: []float64{0.125, 0.5, 1, 0}}
+		frame, err = Binary.AppendEncode(nil, mustEncode(t, KindRatioCorrection, &want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err = Binary.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+		var rc RatioCorrection
+		if err := Decode(m, KindRatioCorrection, &rc); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rc, want) {
+			t.Errorf("round trip = %+v, want %+v", rc, want)
+		}
 	})
 }
 
@@ -198,8 +218,10 @@ func TestBinaryGoldenBytes(t *testing.T) {
 		{
 			name: "ratio_correction",
 			kind: KindRatioCorrection,
-			body: RatioCorrection{Edge: 2, Round: 7, Seq: 3, X: 0.5},
-			want: []byte{0x09, 0x04, 0x0E, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F},
+			body: RatioCorrection{Round: 7, Seq: 3, Edges: []int{2, 5}, X: []float64{0.5, 0.25}},
+			want: []byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x06,
+				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
+				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F},
 		},
 		{
 			name: "census_batch",
@@ -267,6 +289,8 @@ func hardeningCases() []hardeningCase {
 		f, _ := Binary.AppendEncode(nil, m)
 		return f
 	}()
+	f64 := []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F} // 0.5
+	f64x2 := append(append([]byte{}, f64...), f64...)
 	return []hardeningCase{
 		{"empty frame", nil},
 		{"unknown kind tag", []byte{0x7F, 0x01}},
@@ -275,7 +299,21 @@ func hardeningCases() []hardeningCase {
 		{"length exceeds remaining", []byte{0x02, 0x02, 0x06, 0xFF, 0xFF, 0x03}}, // census claiming ~65k counts
 		{"trailing garbage", append(append([]byte{}, ratio...), 0xAA)},
 		{"items length overflow", []byte{0x05, 0x0E, 0x0A, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"truncated ratio_correction", []byte{0x09, 0x04, 0x0E, 0x06, 0x00, 0x00}},
+		{"truncated ratio_correction", []byte{0x0E, 0x0E, 0x06, 0x01, 0x04, 0x00, 0x00}},
+		// The one-region frame this layout replaced, as TestBinaryGoldenBytes
+		// pinned it until tag 14.
+		{"ratio_correction retired tag 9", []byte{0x09, 0x04, 0x0E, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F}},
+		{"ratio_correction count exceeds remaining", []byte{0x0E, 0x0E, 0x06, 0x7F, 0x00}},
+		// Two entries claimed with ten bytes left: enough for the deltas, not
+		// for the ratios.
+		{"ratio_correction count needs 9 bytes an entry", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x06}, f64...)},
+		{"ratio_correction duplicate edge", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x00}, f64x2...)},
+		{"ratio_correction unsorted edges", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x01}, f64x2...)},
+		{"ratio_correction negative first edge", append([]byte{0x0E, 0x0E, 0x06, 0x01, 0x01}, f64...)},
+		// MaxInt64, then one more.
+		{"ratio_correction edge overflows", append([]byte{0x0E, 0x0E, 0x06, 0x02,
+			0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02}, f64x2...)},
+		{"ratio_correction trailing garbage", append(append([]byte{0x0E, 0x0E, 0x06, 0x01, 0x04}, f64...), 0xAA)},
 		{"census_batch length overflow", []byte{0x0A, 0x02, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 		{"census_batch truncated census", []byte{0x0A, 0x02, 0x06, 0x02, 0x00, 0x06, 0x02, 0x04}},
 		{"ratio_batch length exceeds remaining", []byte{0x0B, 0x08, 0x7F, 0x00}},
@@ -309,6 +347,22 @@ func TestBinaryDecodeHardening(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEncodeRejectsMalformedCorrection: a region set the decoder would refuse
+// never reaches the wire.
+func TestEncodeRejectsMalformedCorrection(t *testing.T) {
+	for name, rc := range map[string]RatioCorrection{
+		"more edges than ratios": {Edges: []int{1, 2}, X: []float64{0.5}},
+		"more ratios than edges": {Edges: []int{1}, X: []float64{0.5, 0.5}},
+		"unsorted":               {Edges: []int{2, 1}, X: []float64{0.5, 0.5}},
+		"duplicate":              {Edges: []int{1, 1}, X: []float64{0.5, 0.5}},
+		"negative":               {Edges: []int{-1, 1}, X: []float64{0.5, 0.5}},
+	} {
+		if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindRatioCorrection, rc)); err == nil {
+			t.Errorf("%s: encoded to %x, want an error", name, frame)
+		}
 	}
 }
 
@@ -600,7 +654,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{KindCensusBatch, CensusBatch{Shard: 1, Round: 3, Censuses: []Census{{Edge: 0, Round: 3, Counts: []int{2, 1}}}}},
 		{KindRatioBatch, RatioBatch{Round: 4, Edges: []int{0, 1}, X: []float64{0.5, 0.25}}},
 		{KindLease, Lease{Edge: 2, TTLMillis: 1500}},
-		{KindRatioCorrection, RatioCorrection{Edge: 2, Round: 7, Seq: 3, X: 0.5}},
+		{KindRatioCorrection, RatioCorrection{Round: 7, Seq: 3, Edges: []int{2, 5}, X: []float64{0.5, 0.25}}},
 		{KindDigest, Digest{Neighborhood: 1, Of: 2, Members: []int{2, 3}, Rounds: []DigestRound{
 			{Round: 6, Censuses: []Census{{Edge: 2, Round: 6, Counts: []int{3, 1}}}},
 			{Round: 7, Degraded: true, Censuses: []Census{{Edge: 3, Round: 7, Counts: []int{0, 5}}}},

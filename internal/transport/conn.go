@@ -16,9 +16,9 @@ type Conn interface {
 	Send(Message) error
 	// Recv blocks for the next message; it returns io.EOF after the peer
 	// closes. The message's Body is valid until the next Recv on this conn:
-	// a TCP conn decodes policy, upload, delivery and ack frames into bodies
-	// it reuses, so a receiver that keeps such a body (or a slice inside it)
-	// past its next Recv must copy it first.
+	// a TCP conn decodes ratio, policy, upload, delivery and ack frames into
+	// bodies it reuses, so a receiver that keeps such a body (or a slice
+	// inside it) past its next Recv must copy it first.
 	Recv() (Message, error)
 	// Close releases the connection; pending Recv calls unblock with
 	// io.EOF.
@@ -41,6 +41,9 @@ var ErrClosed = errors.New("transport: endpoint closed")
 const MaxFrameBytes = 1 << 20
 
 // --- In-process transport ---
+
+// errPipeDeadline is an in-process conn's bounded receive running out.
+var errPipeDeadline = fmt.Errorf("transport: receive deadline exceeded: %w", ErrTimeout)
 
 // chanConn is one side of an in-memory duplex channel pair.
 type chanConn struct {
@@ -85,10 +88,22 @@ func (c *chanConn) Send(m Message) error {
 	}
 }
 
-func (c *chanConn) Recv() (Message, error) {
+func (c *chanConn) Recv() (Message, error) { return c.recvUntil(nil) }
+
+// RecvWithin is Recv bounded by d (see RecvTimeout).
+func (c *chanConn) RecvWithin(d time.Duration) (Message, error) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	return c.recvUntil(timer.C)
+}
+
+// recvUntil receives until expired fires; a nil expired never does.
+func (c *chanConn) recvUntil(expired <-chan time.Time) (Message, error) {
 	select {
 	case m := <-c.recv:
 		return m, nil
+	case <-expired:
+		return Message{}, errPipeDeadline
 	case <-c.closed:
 		// Drain anything already queued before reporting EOF.
 		select {
@@ -161,10 +176,22 @@ func (c *codecConn) Send(m Message) error {
 	}
 }
 
-func (c *codecConn) Recv() (Message, error) {
+func (c *codecConn) Recv() (Message, error) { return c.recvUntil(nil) }
+
+// RecvWithin is Recv bounded by d (see RecvTimeout).
+func (c *codecConn) RecvWithin(d time.Duration) (Message, error) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	return c.recvUntil(timer.C)
+}
+
+// recvUntil receives until expired fires; a nil expired never does.
+func (c *codecConn) recvUntil(expired <-chan time.Time) (Message, error) {
 	var frame []byte
 	select {
 	case frame = <-c.recv:
+	case <-expired:
+		return Message{}, errPipeDeadline
 	case <-c.closed:
 		select {
 		case frame = <-c.recv:
@@ -574,12 +601,32 @@ func (t *tcpConn) Send(m Message) error {
 func (t *tcpConn) Recv() (Message, error) {
 	t.rd.Lock()
 	defer t.rd.Unlock()
+	return t.recv(t.timeout)
+}
+
+// RecvWithin is Recv with the wait also bounded by d (see RecvTimeout): the
+// read deadline is the tighter of d and the conn's own timeout, and a conn
+// without one blocks indefinitely again on its next Recv.
+func (t *tcpConn) RecvWithin(d time.Duration) (Message, error) {
+	t.rd.Lock()
+	defer t.rd.Unlock()
+	if t.timeout > 0 {
+		return t.recv(min(d, t.timeout))
+	}
+	m, err := t.recv(d)
+	_ = t.c.SetReadDeadline(time.Time{})
+	return m, err
+}
+
+// recv receives one frame under a read deadline of limit (0 = none). Callers
+// hold t.rd.
+func (t *tcpConn) recv(limit time.Duration) (Message, error) {
 	if err := t.handshake(); err != nil {
 		return Message{}, err
 	}
 	t.scratch.release()
-	if t.timeout > 0 {
-		_ = t.c.SetReadDeadline(time.Now().Add(t.timeout))
+	if limit > 0 {
+		_ = t.c.SetReadDeadline(time.Now().Add(limit))
 	}
 	if err := t.fill(4); err != nil {
 		return Message{}, t.headerErr("reading frame header", err)

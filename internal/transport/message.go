@@ -38,8 +38,9 @@ const (
 	// (answered with an Ack). Edges whose lease lapses are evicted from the
 	// round-barrier quorum until they renew.
 	KindLease Kind = "lease"
-	// KindRatioCorrection re-announces a corrected sharing ratio after the
-	// cloud's fixed-lag window rewinds and re-folds completed rounds. Edges
+	// KindRatioCorrection re-announces the corrected sharing ratios of a
+	// session's regions after the cloud's fixed-lag window rewinds and
+	// re-folds completed rounds: one frame per session per rewind. Links
 	// adopt corrections monotonically by Seq.
 	KindRatioCorrection Kind = "ratio_correction"
 	// KindCensusBatch carries many regions' censuses for one round in a
@@ -72,8 +73,8 @@ type Message struct {
 	// ... HoodBeat), by value or by pointer.
 	//
 	// On a received message Body is borrowed: it is valid until the next
-	// Recv on the conn that returned it. A TCP conn decodes Policy, Upload,
-	// Delivery and Ack into bodies it reuses for the next frame of that
+	// Recv on the conn that returned it. A TCP conn decodes Ratio, Policy,
+	// Upload, Delivery and Ack into bodies it reuses for the next frame of that
 	// kind, and Decode copies the struct but not the slice inside it, so a
 	// receiver that keeps Shares or Items past its next Recv copies them.
 	// Census, CensusBatch, Digest, RatioBatch and the remaining kinds are
@@ -150,17 +151,21 @@ type Lease struct {
 	TTLMillis int64
 }
 
-// RatioCorrection supersedes a previously published Ratio after a fixed-lag
-// rewind: the cloud re-folded Round (and everything after it) with a late
-// census, and X is the corrected current ratio for the receiving edge. Seq
-// totally orders corrections; receivers must ignore any correction whose Seq
-// is not greater than the last one adopted, which makes redelivery and
-// reordering harmless.
+// RatioCorrection supersedes previously published Ratios after a fixed-lag
+// rewind: the cloud re-folded a completed round (and everything after it)
+// with a late census, Round is its latest completed round, and X[i] is the
+// corrected current ratio for region Edges[i]. One frame carries every region
+// a session reports for — all of a shard's, or an edge's one — except the
+// rewind's own submitters, so one frame is one rewind as that session sees
+// it. Edges is strictly ascending (the wire delta-encodes it, and a set that
+// is not is refused by both encoder and decoder). Seq totally orders rewinds;
+// receivers must ignore any correction whose Seq is not greater than the last
+// one adopted, which makes redelivery and reordering harmless.
 type RatioCorrection struct {
-	Edge  int
 	Round int
 	Seq   int64
-	X     float64
+	Edges []int
+	X     []float64
 }
 
 // CensusBatch is many regions' step-① censuses in one frame, all for the

@@ -132,10 +132,23 @@ func IsConnError(err error) bool {
 // RecvTimeout waits up to d for the next message on conn. On timeout it
 // closes conn (a blocked Recv cannot otherwise be cancelled on every
 // transport) and returns an error wrapping ErrTimeout, so a timed-out conn
-// must be discarded and redialed. d <= 0 blocks like a plain Recv.
+// must be discarded and redialed. d <= 0 blocks like a plain Recv. The
+// transport's own conns bound the receive themselves (a socket read
+// deadline, a timer beside the pipe's channel); any other Conn — a wrapper
+// that only forwards Send, Recv and Close — is waited on from a goroutine.
 func RecvTimeout(conn Conn, d time.Duration) (Message, error) {
 	if d <= 0 {
 		return conn.Recv()
+	}
+	if bounded, ok := conn.(interface {
+		RecvWithin(time.Duration) (Message, error)
+	}); ok {
+		m, err := bounded.RecvWithin(d)
+		if errors.Is(err, ErrTimeout) {
+			_ = conn.Close()
+			return Message{}, fmt.Errorf("transport: no message within %v: %w", d, ErrTimeout)
+		}
+		return m, err
 	}
 	type result struct {
 		m   Message

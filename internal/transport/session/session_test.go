@@ -258,7 +258,7 @@ func TestRequestWithHandlesInterleavedFrames(t *testing.T) {
 		if _, err := b.Conn().Recv(); err != nil {
 			return
 		}
-		_ = b.Send(transport.KindRatioCorrection, transport.RatioCorrection{Edge: 2, Round: 4, Seq: 1, X: 0.3})
+		_ = b.Send(transport.KindRatioCorrection, transport.RatioCorrection{Round: 4, Seq: 1, Edges: []int{2}, X: []float64{0.3}})
 		_ = b.Send(transport.KindRatio, transport.Ratio{Round: 6, X: 0.9})
 	}()
 	var corrected []transport.RatioCorrection
@@ -277,7 +277,7 @@ func TestRequestWithHandlesInterleavedFrames(t *testing.T) {
 	if x != 0.9 {
 		t.Errorf("x = %v, want 0.9", x)
 	}
-	if len(corrected) != 1 || corrected[0].Seq != 1 || corrected[0].X != 0.3 {
+	if len(corrected) != 1 || corrected[0].Seq != 1 || len(corrected[0].X) != 1 || corrected[0].X[0] != 0.3 {
 		t.Errorf("corrections = %+v, want one with seq 1", corrected)
 	}
 }
@@ -290,7 +290,7 @@ func TestRequestWithoutHandlerStillStrict(t *testing.T) {
 		if _, err := b.Conn().Recv(); err != nil {
 			return
 		}
-		_ = b.Send(transport.KindRatioCorrection, transport.RatioCorrection{Edge: 2, Round: 4, Seq: 1, X: 0.3})
+		_ = b.Send(transport.KindRatioCorrection, transport.RatioCorrection{Round: 4, Seq: 1, Edges: []int{2}, X: []float64{0.3}})
 	}()
 	_, err := ReportCensus(a.Conn(), 2, 5, []int{1, 2}, time.Second)
 	if err == nil {
