@@ -66,21 +66,20 @@ type Server struct {
 // serverMetrics are the coordinator's registry-backed instruments (see the
 // naming convention in package obs).
 type serverMetrics struct {
-	Counters                    // the kernel's ticks, under the consensus_* / lease_* names
-	late           *obs.Counter // consensus_late_censuses_total
-	recoveries     *obs.Counter // durable_recoveries_total
-	replayRecords  *obs.Counter // journal_replay_records_total
-	journalErrors  *obs.Counter // durable_journal_errors_total
-	checkpointSize *obs.Gauge   // checkpoint_bytes
-	rewinds        *obs.Counter // consensus_rewinds_total
-	replayed       *obs.Counter // consensus_replayed_rounds_total
-	beyondLag      *obs.Counter // consensus_censuses_beyond_lag_total
-	corrections    *obs.Counter // consensus_ratio_corrections_total
-	lagDepth       *obs.Gauge   // consensus_lag_window_depth
-	stateHash      *obs.Gauge   // consensus_state_hash
-	digests        *obs.Counter // consensus_digests_total
-	digestRounds   *obs.Counter // consensus_digest_rounds_total
-	digestSkipped  *obs.Counter // consensus_digest_rounds_skipped_total
+	Counters                   // the kernel's ticks, under the consensus_* / lease_* names
+	late          *obs.Counter // consensus_late_censuses_total
+	recoveries    *obs.Counter // durable_recoveries_total
+	replayRecords *obs.Counter // journal_replay_records_total
+	journalErrors *obs.Counter // durable_journal_errors_total
+	rewinds       *obs.Counter // consensus_rewinds_total
+	replayed      *obs.Counter // consensus_replayed_rounds_total
+	beyondLag     *obs.Counter // consensus_censuses_beyond_lag_total
+	corrections   *obs.Counter // consensus_ratio_corrections_total
+	lagDepth      *obs.Gauge   // consensus_lag_window_depth
+	stateHash     *obs.Gauge   // consensus_state_hash
+	digests       *obs.Counter // consensus_digests_total
+	digestRounds  *obs.Counter // consensus_digest_rounds_total
+	digestSkipped *obs.Counter // consensus_digest_rounds_skipped_total
 }
 
 func newServerMetrics(o *obs.Observer) serverMetrics {
@@ -98,20 +97,19 @@ func newServerMetrics(o *obs.Observer) serverMetrics {
 			Latest:         o.Gauge("consensus_round_latest", "highest completed consensus round (-1 before the first)"),
 			RoundDuration:  o.Histogram("consensus_round_duration_seconds", "first census to barrier completion", nil),
 		},
-		late:           o.Counter("consensus_late_censuses_total", "censuses for already-completed rounds, answered with the current ratio"),
-		recoveries:     o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
-		replayRecords:  o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
-		journalErrors:  o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
-		checkpointSize: o.Gauge("checkpoint_bytes", "size of the last checkpoint written or recovered"),
-		rewinds:        o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
-		replayed:       o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
-		beyondLag:      o.Counter("consensus_censuses_beyond_lag_total", "late censuses outside the lag window, answered from current state"),
-		corrections:    o.Counter("consensus_ratio_corrections_total", "regions whose corrected ratio was published to their session after a rewind"),
-		lagDepth:       o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
-		stateHash:      o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)"),
-		digests:        o.Counter("consensus_digests_total", "gossip digests reconciled from neighborhood leaders"),
-		digestRounds:   o.Counter("consensus_digest_rounds_total", "rounds carried by reconciled gossip digests"),
-		digestSkipped:  o.Counter("consensus_digest_rounds_skipped_total", "digest rounds below a neighborhood's escalation watermark, adopted idempotently"),
+		late:          o.Counter("consensus_late_censuses_total", "censuses for already-completed rounds, answered with the current ratio"),
+		recoveries:    o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
+		replayRecords: o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
+		journalErrors: o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
+		rewinds:       o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
+		replayed:      o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
+		beyondLag:     o.Counter("consensus_censuses_beyond_lag_total", "late censuses outside the lag window, answered from current state"),
+		corrections:   o.Counter("consensus_ratio_corrections_total", "regions whose corrected ratio was published to their session after a rewind"),
+		lagDepth:      o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
+		stateHash:     o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)"),
+		digests:       o.Counter("consensus_digests_total", "gossip digests reconciled from neighborhood leaders"),
+		digestRounds:  o.Counter("consensus_digest_rounds_total", "rounds carried by reconciled gossip digests"),
+		digestSkipped: o.Counter("consensus_digest_rounds_skipped_total", "digest rounds below a neighborhood's escalation watermark, adopted idempotently"),
 	}
 }
 

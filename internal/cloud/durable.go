@@ -31,8 +31,8 @@ func (s *Server) Open(stateDir string) error {
 		for h, mark := range cp.DigestWatermarks {
 			s.digestMark[h] = mark
 		}
-		s.metrics.checkpointSize.Set(float64(journal.CheckpointSize()))
 	}
+	journal.Instrument(s.obsv, s.metrics.journalErrors, s.logf)
 	replayed := 0
 	err = journal.Replay(func(rec durable.RoundRecord) error {
 		if rec.Corrected {
@@ -93,16 +93,18 @@ func (s *Server) Open(stateDir string) error {
 
 // persistRoundLocked journals one applied round — the append fsyncs before
 // the round's waiters observe the new state, so a ratio acked to an edge is
-// always recoverable — and folds the journal into a checkpoint every
-// compactEvery rounds. Persistence failures are counted and logged but do
-// not fail the round: the coordinator keeps serving from memory. Called
-// with s.mu held; no-op without an open journal.
+// always recoverable — and starts a checkpoint every compactEvery rounds. A
+// record a rewind re-journals is marked Corrected, so recovery replays the
+// corrected history, and does not count toward that cadence. Persistence
+// failures are counted and logged but do not fail the round: the
+// coordinator keeps serving from memory. Called with s.mu held; no-op
+// without an open journal.
 func (s *Server) persistRoundLocked(rec durable.RoundRecord) {
 	if s.journal == nil {
 		return
 	}
 	n, err := s.journal.AppendRound(rec)
-	if err == nil && s.compactEvery > 0 && n >= s.compactEvery {
+	if err == nil && s.compactEvery > 0 && n >= s.compactEvery && !rec.Corrected {
 		err = s.checkpointLocked()
 	}
 	if err != nil {
@@ -111,40 +113,27 @@ func (s *Server) persistRoundLocked(rec durable.RoundRecord) {
 	}
 }
 
-// persistCorrectedLocked re-journals a window entry whose fold a rewind just
-// superseded, marked Corrected so recovery replays the corrected history.
-// It does not count toward the compaction cadence. Failures are counted and
-// logged but do not fail the rewind, matching persistRoundLocked. Called
-// with s.mu held; no-op without an open journal.
-func (s *Server) persistCorrectedLocked(e *lagEntry) {
-	if s.journal == nil {
-		return
-	}
-	payload, err := durable.EncodeRound(durable.RoundRecord{
-		Round:     e.round,
-		Degraded:  e.degraded,
-		Censuses:  e.censuses,
-		Corrected: true,
-	})
-	if err == nil {
-		err = s.journal.Append(payload)
-	}
-	if err != nil {
-		s.metrics.journalErrors.Inc()
-		s.logfLocked("cloud: journaling corrected round %d: %v", e.round, err)
-	}
-}
-
-// checkpointLocked folds the durable state into an atomic checkpoint.
-// Without a lag window the checkpoint captures the current state and the
-// journal truncates empty. With buffered rounds, the checkpoint instead
-// captures the state *before* the oldest window entry and the window's
-// round records are retained in the journal — rewinding inside the window
+// checkpointLocked captures the durable state for a checkpoint the journal
+// writes in the background. Without a lag window that is the current state
+// (a clone: the next round folds into the live one) and no journaled round
+// outlives it. With buffered rounds it is the state *before* the oldest
+// window entry — which rewinds replace and never write to — and the
+// window's round records stay in the journal: rewinding inside the window
 // must stay possible across a restart, and a checkpoint of the current
 // state would make the buffered rounds unrecoverable. Called with s.mu
 // held.
 func (s *Server) checkpointLocked() error {
-	cp := s.fold.Checkpoint(s.eng.Latest())
+	var cp durable.Checkpoint
+	var retained []durable.RoundRecord
+	if s.lag > 0 && len(s.window) > 0 {
+		w0 := s.window[0]
+		cp = durable.Checkpoint{Round: w0.round - 1, State: w0.preState, FDS: w0.preFDS}
+		for _, e := range s.window {
+			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses})
+		}
+	} else {
+		cp = s.fold.Checkpoint(s.eng.Latest())
+	}
 	cp.CorrectionSeq = s.correctionSeq
 	if len(s.digestMark) > 0 {
 		cp.DigestWatermarks = make(map[int]int, len(s.digestMark))
@@ -152,39 +141,22 @@ func (s *Server) checkpointLocked() error {
 			cp.DigestWatermarks[h] = mark
 		}
 	}
-	var retained []durable.RoundRecord
-	if s.lag > 0 && len(s.window) > 0 {
-		w0 := s.window[0]
-		cp.Round = w0.round - 1
-		cp.State = w0.preState
-		cp.FDS = w0.preFDS
-		for _, e := range s.window {
-			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses})
-		}
-	}
-	payload, err := durable.EncodeCheckpoint(cp)
-	if err != nil {
-		return err
-	}
-	n, err := s.journal.Checkpoint(payload, retained)
-	if err != nil {
-		return err
-	}
-	s.metrics.checkpointSize.Set(float64(n))
-	return nil
+	return s.journal.Checkpoint(func() ([]byte, error) { return durable.EncodeCheckpoint(cp) }, retained)
 }
 
 // Drain shuts the coordinator down gracefully: the most advanced pending
 // barrier completes in degraded mode with whatever censuses it holds (its
-// completion abandons the stale ones), a final checkpoint is written, and
-// the server closes. The returned error reports checkpoint failure only —
-// the shutdown itself always proceeds.
+// completion abandons the stale ones), a final checkpoint is written and
+// waited for, and the server closes. The returned error reports checkpoint
+// failure only — the shutdown itself always proceeds.
 func (s *Server) Drain() error {
 	s.eng.Drain()
 	var err error
 	s.mu.Lock()
 	if s.journal != nil {
-		err = s.checkpointLocked()
+		if err = s.checkpointLocked(); err == nil {
+			err = s.journal.WaitCheckpoint()
+		}
 	}
 	s.mu.Unlock()
 	s.Close()

@@ -104,10 +104,11 @@ func (f *Fold) Converged() bool {
 	return ok
 }
 
-// Checkpoint captures the fold after round as a durable checkpoint; the
-// owner adds its own fields before encoding it.
+// Checkpoint captures the fold after round as a durable checkpoint — a copy,
+// which the journal encodes in the background while the fold moves on; the
+// owner adds its own fields.
 func (f *Fold) Checkpoint(round int) durable.Checkpoint {
-	return durable.Checkpoint{Round: round, State: f.state, FDS: f.fds.Memory()}
+	return durable.Checkpoint{Round: round, State: f.state.Clone(), FDS: f.fds.Memory()}
 }
 
 // Recover opens stateDir as the fold owner's state directory and restores

@@ -289,8 +289,8 @@ func TestDrainCompletesPendingAndCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.JournalSize() != 0 {
-		t.Fatalf("journal not truncated by drain checkpoint: %d bytes", store.JournalSize())
+	if n, err := store.Replay(func([]byte) error { return nil }); err != nil || n != 0 {
+		t.Fatalf("drain checkpoint left %d journal records to replay (%v), want 0", n, err)
 	}
 	store.Close()
 

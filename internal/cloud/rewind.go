@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"slices"
 
+	"repro/internal/durable"
 	"repro/internal/game"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -169,7 +170,7 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
 	s.metrics.stateHash.Set(float64(s.fold.Hash()))
-	s.persistCorrectedLocked(e)
+	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses, Corrected: true})
 	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d rounds (correction seq %d)",
 		round, census.Edge, replayed, s.correctionSeq)
 	span.End(obs.A("replayed", replayed), obs.A("seq", s.correctionSeq))

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,8 +100,8 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 			if len(got) != 1 || string(got[0]) != "good" {
 				t.Fatalf("replayed %q, want just the good record", got)
 			}
-			if s2.JournalSize() != int64(goodLen) {
-				t.Fatalf("journal size after truncation = %d, want %d", s2.JournalSize(), goodLen)
+			if st, err := os.Stat(path); err != nil || st.Size() != int64(goodLen) {
+				t.Fatalf("journal size after truncation = %v (%v), want %d", st.Size(), err, goodLen)
 			}
 			// Appends continue cleanly after the torn tail is gone.
 			if err := s2.Append([]byte("after")); err != nil {
@@ -147,9 +148,36 @@ func TestSnapshotAtomicWriteAndLoad(t *testing.T) {
 	}
 }
 
+// segmentFiles lists the journal segment files in dir, sorted by name.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "journal*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = filepath.Base(names[i])
+	}
+	return names
+}
+
+func payloadOf(p string) func() ([]byte, error) {
+	return func() ([]byte, error) { return []byte(p), nil }
+}
+
+// A checkpoint that covers every journaled round leaves no record behind it:
+// the closed segment is unlinked (not before the snapshot is durable, and
+// never the active one), replay is empty, and new appends land in the
+// segment the rotation made active. (Invariant 2.)
 func TestCompactTruncatesJournal(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	var ops []string
+	s, err := OpenHooked(dir, func(op, path string) error {
+		if op == "rename" || op == "remove" {
+			ops = append(ops, op+" "+filepath.Base(path))
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -159,80 +187,101 @@ func TestCompactTruncatesJournal(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	n, err := s.Compact([]byte("state"))
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
+	if _, err := s.checkpoint(payloadOf("state"), math.MaxInt, 3); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
-	if n != frameHeader+len("state") {
-		t.Fatalf("Compact size = %d, want %d", n, frameHeader+len("state"))
+	if err := s.WaitCheckpoint(); err != nil {
+		t.Fatalf("background checkpoint: %v", err)
 	}
-	if s.JournalSize() != 0 {
-		t.Fatalf("journal size after compact = %d, want 0", s.JournalSize())
+	if want := []string{"rename " + snapshotName, "remove " + journalName}; !reflect.DeepEqual(ops, want) {
+		t.Fatalf("snapshot and unlink order = %q, want %q", ops, want)
+	}
+	if got := segmentFiles(t, dir); !reflect.DeepEqual(got, []string{"journal.00000001.wal", "journal.00000002.wal"}) {
+		t.Fatalf("segments after a covering checkpoint = %q, want the active one and the spare", got)
 	}
 	if got := replayAll(t, s); len(got) != 0 {
-		t.Fatalf("journal replayed %d records after compact, want 0", len(got))
+		t.Fatalf("journal replayed %d records after a covering checkpoint, want 0", len(got))
 	}
 	snap, ok, err := s.LoadSnapshot()
 	if err != nil || !ok || string(snap) != "state" {
-		t.Fatalf("LoadSnapshot after compact = %q ok=%v err=%v", snap, ok, err)
+		t.Fatalf("LoadSnapshot after checkpoint = %q ok=%v err=%v", snap, ok, err)
 	}
-	// New appends after compaction are independent of the old journal.
+	// New appends after the checkpoint are independent of the old journal.
 	if err := s.Append([]byte("next")); err != nil {
-		t.Fatalf("Append after compact: %v", err)
+		t.Fatalf("Append after checkpoint: %v", err)
 	}
 	if got := replayAll(t, s); len(got) != 1 || string(got[0]) != "next" {
-		t.Fatalf("after compact+append, replayed %q", got)
+		t.Fatalf("after checkpoint+append, replayed %q", got)
 	}
 }
 
-// CompactRetain swaps the journal for the retained window records
-// atomically; the new journal must replay exactly those records, appends
-// must continue after them, and a reopen must see the same contents.
+// A checkpoint keeps every segment that holds a retained round: the window's
+// records stay where they were appended, replay returns them after the
+// rotation and after a reopen, and they go once a later checkpoint covers
+// them.
 func TestCompactRetainKeepsWindowRecords(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	j, _, err := OpenJournal(dir)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenJournal: %v", err)
 	}
-	for i := 0; i < 4; i++ {
-		if err := s.Append([]byte{byte(i)}); err != nil {
-			t.Fatalf("Append: %v", err)
+	for n := 0; n < 4; n++ {
+		if _, err := j.AppendRound(round(n)); err != nil {
+			t.Fatalf("AppendRound: %v", err)
 		}
 	}
-	retained := [][]byte{[]byte("win-a"), []byte("win-b")}
-	if _, err := s.CompactRetain([]byte("pre-window state"), retained); err != nil {
-		t.Fatalf("CompactRetain: %v", err)
+	if err := j.Checkpoint(payloadOf("pre-window state"), []RoundRecord{round(2), round(3)}); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	snap, ok, err := s.LoadSnapshot()
+	// Appends continue in the segment the rotation made active.
+	if n, err := j.AppendRound(round(4)); err != nil || n != 1 {
+		t.Fatalf("AppendRound after checkpoint = %d, %v; want 1 record since it", n, err)
+	}
+	if err := j.WaitCheckpoint(); err != nil {
+		t.Fatalf("background checkpoint: %v", err)
+	}
+	snap, ok, err := j.LoadSnapshot()
 	if err != nil || !ok || string(snap) != "pre-window state" {
 		t.Fatalf("LoadSnapshot = %q ok=%v err=%v", snap, ok, err)
 	}
-	got := replayAll(t, s)
-	if len(got) != 2 || string(got[0]) != "win-a" || string(got[1]) != "win-b" {
-		t.Fatalf("retained journal replayed %q", got)
+	check := func(j *Journal, want ...int) {
+		t.Helper()
+		var got []int
+		if err := j.Replay(func(r RoundRecord) error { got = append(got, r.Round); return nil }); err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replayed rounds %v, want %v", got, want)
+		}
 	}
-	// Appends continue on the swapped-in journal file.
-	if err := s.Append([]byte("after")); err != nil {
-		t.Fatalf("Append after CompactRetain: %v", err)
-	}
-	if err := s.Close(); err != nil {
+	check(j, 0, 1, 2, 3, 4)
+	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	s2, err := Open(dir)
+	j2, _, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer s2.Close()
-	got = replayAll(t, s2)
-	if len(got) != 3 || string(got[2]) != "after" {
-		t.Fatalf("after reopen, replayed %q", got)
+	defer j2.Close()
+	check(j2, 0, 1, 2, 3, 4)
+	// A checkpoint that still retains round 4 cannot tell which replayed
+	// segment holds it and keeps both; one retaining nothing unlinks them.
+	if err := j2.Checkpoint(payloadOf("s2"), []RoundRecord{round(4)}); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	// Retaining nothing degenerates to Compact.
-	if _, err := s2.CompactRetain([]byte("s2"), nil); err != nil {
-		t.Fatalf("CompactRetain(nil): %v", err)
+	if err := j2.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
 	}
-	if s2.JournalSize() != 0 {
-		t.Fatalf("journal size = %d, want 0", s2.JournalSize())
+	check(j2, 0, 1, 2, 3, 4)
+	if err := j2.Checkpoint(payloadOf("s3"), nil); err != nil {
+		t.Fatalf("Checkpoint retaining nothing: %v", err)
+	}
+	if err := j2.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check(j2)
+	if got := segmentFiles(t, dir); len(got) != 2 {
+		t.Fatalf("segments after a covering checkpoint = %q, want the active one and the spare", got)
 	}
 }
 
@@ -248,8 +297,8 @@ func TestClosedStoreFails(t *testing.T) {
 	if _, err := s.Replay(func([]byte) error { return nil }); err != ErrStoreClosed {
 		t.Fatalf("Replay on closed store = %v, want ErrStoreClosed", err)
 	}
-	if _, err := s.Compact([]byte("x")); err != ErrStoreClosed {
-		t.Fatalf("Compact on closed store = %v, want ErrStoreClosed", err)
+	if _, err := s.checkpoint(payloadOf("x"), 0, 0); err != ErrStoreClosed {
+		t.Fatalf("checkpoint on closed store = %v, want ErrStoreClosed", err)
 	}
 }
 

@@ -9,23 +9,25 @@ import (
 	"time"
 )
 
-// flakySync wraps the store's real journal file and fails Sync while armed,
+// flakySync is a Hook that fails the fsync of journal segments while armed,
 // counting every attempt.
 type flakySync struct {
-	journalFile
 	mu    sync.Mutex
 	fail  bool
 	syncs int
 }
 
-func (f *flakySync) Sync() error {
+func (f *flakySync) hook(op, path string) error {
+	if op != "sync" || !strings.HasSuffix(path, ".wal") {
+		return nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.syncs++
 	if f.fail {
 		return errors.New("injected fsync failure")
 	}
-	return f.journalFile.Sync()
+	return nil
 }
 
 func (f *flakySync) setFail(v bool) {
@@ -34,13 +36,16 @@ func (f *flakySync) setFail(v bool) {
 	f.fail = v
 }
 
-// armFlakySync swaps the store's journal for a Sync-failing wrapper.
-func armFlakySync(s *Store) *flakySync {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fj := &flakySync{journalFile: s.journal, fail: true}
-	s.journal = fj
-	return fj
+// openFlaky opens a store in a fresh directory whose journal fsyncs fail.
+func openFlaky(t *testing.T) (*Store, *flakySync) {
+	t.Helper()
+	fj := &flakySync{}
+	s, err := OpenHooked(t.TempDir(), fj.hook)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	fj.setFail(true)
+	return s, fj
 }
 
 // TestGroupCommitSyncFailureFailsEveryWaiter is the multi-waiter error-path
@@ -49,14 +54,10 @@ func armFlakySync(s *Store) *flakySync {
 // and the journal stays poisoned for later Appends until a compaction
 // rebuilds it, at which point appends work again.
 func TestGroupCommitSyncFailureFailsEveryWaiter(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s, fj := openFlaky(t)
 	defer s.Close()
 	const writers = 4
 	s.SetGroupCommit(writers, 50*time.Millisecond)
-	fj := armFlakySync(s)
 
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
@@ -87,17 +88,38 @@ func TestGroupCommitSyncFailureFailsEveryWaiter(t *testing.T) {
 		t.Fatal("Append succeeded on a poisoned journal")
 	}
 
-	// CompactRetain rebuilds the journal file from scratch (write + fsync +
-	// rename), which is the one legitimate cure.
-	if _, err := s.CompactRetain([]byte("snap"), [][]byte{[]byte("kept")}); err != nil {
-		t.Fatalf("CompactRetain: %v", err)
+	// Rotation alone is no cure: the checkpoint of a poisoned journal writes
+	// its snapshot inline, cuts the segment back to what a successful fsync
+	// covers, and appends the retained records again from memory — which
+	// must itself succeed.
+	j := &Journal{Store: s}
+	kept := RoundRecord{Round: 7, Censuses: map[int][]int{0: {1}}}
+	fj.setFail(true)
+	if err := j.Checkpoint(payloadOf("snap"), []RoundRecord{kept}); err == nil {
+		t.Fatal("Checkpoint healed a journal whose fsyncs still fail")
 	}
-	if err := s.Append([]byte("after-compact")); err != nil {
-		t.Fatalf("Append after compaction: %v", err)
+	if err := s.Append([]byte("still-poisoned")); err == nil {
+		t.Fatal("Append succeeded after a failed heal")
 	}
-	got := replayAll(t, s)
-	if len(got) != 2 || string(got[0]) != "kept" || string(got[1]) != "after-compact" {
-		t.Fatalf("replayed %q, want [kept after-compact]", got)
+	fj.setFail(false)
+	if err := j.Checkpoint(payloadOf("snap"), []RoundRecord{kept}); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if snap, ok, err := s.LoadSnapshot(); err != nil || !ok || string(snap) != "snap" {
+		t.Fatalf("a healing checkpoint returned before its snapshot landed: %q ok=%v err=%v", snap, ok, err)
+	}
+	if _, err := j.AppendRound(RoundRecord{Round: 8}); err != nil {
+		t.Fatalf("AppendRound after the heal: %v", err)
+	}
+	if err := j.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	if err := j.Replay(func(r RoundRecord) error { got = append(got, r.Round); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
+		t.Fatalf("replayed rounds %v, want [7 8]", got)
 	}
 }
 
@@ -107,13 +129,9 @@ func TestGroupCommitSyncFailureFailsEveryWaiter(t *testing.T) {
 // its frame sits after the possibly-lost ones, so its durability is void
 // even if its own fsync were to succeed.
 func TestGroupCommitSyncFailureFailsLaggingWaiter(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s, fj := openFlaky(t)
 	defer s.Close()
 	s.SetGroupCommit(2, 20*time.Millisecond)
-	fj := armFlakySync(s)
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -237,9 +255,9 @@ func TestGroupCommitWindowFlushesLoneAppend(t *testing.T) {
 	}
 }
 
-// Compaction must drain pending group records before swapping the journal,
-// so a checkpoint+retain cycle under group commit never strands an
-// un-synced append.
+// A checkpoint must drain pending group records before it rotates, so a
+// checkpoint cycle under group commit never strands an un-synced append in
+// a segment it closes.
 func TestGroupCommitCompactRetainDrains(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -247,32 +265,51 @@ func TestGroupCommitCompactRetainDrains(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	s.SetGroupCommit(4, 50*time.Millisecond)
-	for i := 0; i < 4; i++ {
-		if err := s.Append([]byte(fmt.Sprintf("r%d", i))); err != nil {
-			t.Fatalf("Append: %v", err)
+	// Three appenders wait for a fourth that never comes; the checkpoint's
+	// drain is the fsync that releases them.
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := s.Append([]byte(fmt.Sprintf(`{"round":%d,"censuses":null}`, i))); err != nil {
+				t.Errorf("Append: %v", err)
+			}
+		}(i)
+	}
+	for {
+		s.mu.Lock()
+		written := s.writeSeq
+		s.mu.Unlock()
+		if written == 3 {
+			break
 		}
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.CompactRetain([]byte("snap"), [][]byte{[]byte("kept")}); err != nil {
-		t.Fatalf("CompactRetain: %v", err)
+	if _, err := s.checkpoint(payloadOf("snap"), 2, 3); err != nil { // rounds below 3 journaled, round 2 retained
+		t.Fatalf("checkpoint: %v", err)
 	}
-	if err := s.Append([]byte("after")); err != nil {
-		t.Fatalf("Append after compact: %v", err)
+	wg.Wait()
+	if err := s.Append([]byte(`{"round":3,"censuses":null}`)); err != nil {
+		t.Fatalf("Append after checkpoint: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, err := Open(dir)
+	j2, snap, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer s2.Close()
-	got := replayAll(t, s2)
-	if len(got) != 2 || string(got[0]) != "kept" || string(got[1]) != "after" {
-		t.Fatalf("replayed %q, want [kept after]", got)
+	defer j2.Close()
+	seen := map[int]bool{}
+	if err := j2.Replay(func(r RoundRecord) error { seen[r.Round] = true; return nil }); err != nil {
+		t.Fatalf("Replay: %v", err)
 	}
-	payload, ok, err := s2.LoadSnapshot()
-	if err != nil || !ok || string(payload) != "snap" {
-		t.Fatalf("LoadSnapshot = %q, %v, %v", payload, ok, err)
+	if len(seen) != 4 {
+		t.Fatalf("replayed rounds %v, want 0-3", seen)
+	}
+	if string(snap) != "snap" {
+		t.Fatalf("snapshot = %q", snap)
 	}
 }

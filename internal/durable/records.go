@@ -87,15 +87,23 @@ type RoundRecord struct {
 // with the regions in ascending order. DecodeRound reads it back with
 // encoding/json, as it reads the records json.Marshal wrote before.
 func EncodeRound(rec RoundRecord) ([]byte, error) {
-	regions := make([]int, 0, len(rec.Censuses))
 	size := 64
-	for region, counts := range rec.Censuses {
-		regions = append(regions, region)
+	for _, counts := range rec.Censuses {
 		size += 10 + 4*len(counts)
+	}
+	b, _ := appendRound(make([]byte, 0, size), make([]int, 0, len(rec.Censuses)), rec)
+	return b, nil
+}
+
+// appendRound is EncodeRound into b, sorting the regions in the scratch it
+// is given and returns grown: a journal that keeps both encodes its steady
+// state without allocating.
+func appendRound(b []byte, regions []int, rec RoundRecord) ([]byte, []int) {
+	for region := range rec.Censuses {
+		regions = append(regions, region)
 	}
 	slices.Sort(regions)
 
-	b := make([]byte, 0, size)
 	b = append(b, `{"round":`...)
 	b = strconv.AppendInt(b, int64(rec.Round), 10)
 	if rec.Degraded {
@@ -132,7 +140,7 @@ func EncodeRound(rec RoundRecord) ([]byte, error) {
 	if rec.Corrected {
 		b = append(b, `,"corrected":true`...)
 	}
-	return append(b, '}'), nil
+	return append(b, '}'), regions
 }
 
 // DecodeRound parses a round record payload.

@@ -60,7 +60,8 @@ func TestEncodeRoundFormat(t *testing.T) {
 }
 
 // TestEncodeRoundAllocs pins a thousand-region record at the region index,
-// the payload and at most one growth of it.
+// the payload and at most one growth of it — and a journal's steady-state
+// AppendRound, which encodes and frames through buffers it keeps, at none.
 func TestEncodeRoundAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -76,5 +77,20 @@ func TestEncodeRoundAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Errorf("EncodeRound at 1024 censuses: %.0f allocs, want at most 3", allocs)
+	}
+
+	j, _, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	allocs = testing.AllocsPerRun(20, func() {
+		rec.Round++
+		if _, err := j.AppendRound(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendRound at 1024 censuses: %.0f allocs, want 0", allocs)
 	}
 }

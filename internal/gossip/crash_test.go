@@ -1,0 +1,176 @@
+package gossip
+
+import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/crashtest"
+	"repro/internal/durable"
+	"repro/internal/transport"
+)
+
+// TestCheckpointCrashPoints is the gossip tier's crash-point matrix (see the
+// cloud's): the state directory as it stands before each step of a
+// background checkpoint, with a torn tail, and in the parent's one-file
+// layout — for a follower at its count cadence, which retains nothing, and
+// for a leader checkpointing over an unacknowledged backlog. Open must
+// recover the survivor's fold, the round, and the whole backlog, which then
+// escalates to a cloud that ends on the same hash. The follower's cadence
+// round is the commit-path pin: one journal fsync on the goroutine that
+// completed it, nothing else.
+func TestCheckpointCrashPoints(t *testing.T) {
+	var gate atomic.Bool
+	gate.Store(true)
+	netw := transport.NewInprocNetwork()
+	srv := testCloud(t, 2)
+	defer srv.Close()
+	cl, err := netw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	go srv.Serve(cl)
+
+	mk := func(i int) *Node {
+		node, err := NewNode(Config{
+			Edge: i, Members: []int{0, 1}, Neighborhood: 0, Of: 1,
+			EscalateEvery: 3,
+			Deadline:      2 * time.Second,
+			ReplyTimeout:  2 * time.Second,
+			Fold:          testFold(t, 2),
+			PeerDial: func(member int) (transport.Conn, error) {
+				return netw.Dial(fmt.Sprintf("gossip-%d", member))
+			},
+			CloudDial: func() (transport.Conn, error) {
+				if !gate.Load() {
+					return nil, fmt.Errorf("cloud partitioned away")
+				}
+				return netw.Dial("cloud")
+			},
+			Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		return node
+	}
+	nodes := make([]*Node, 2)
+	recs := make([]*crashtest.Recorder, 2)
+	for i := range nodes {
+		nodes[i] = mk(i)
+		dir := t.TempDir()
+		recs[i] = crashtest.New(t, dir)
+		store, err := durable.OpenHooked(dir, recs[i].Hook)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].journal = &durable.Journal{Store: store}
+		nodes[i].journal.Instrument(nodes[i].obsv, nodes[i].metrics.journalErrs, t.Logf)
+		l, err := netw.Listen(fmt.Sprintf("gossip-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go nodes[i].Serve(l)
+	}
+	leader, follower := nodes[0], nodes[1]
+
+	matrix := func(rec *crashtest.Recorder, wantSteps []string) []crashtest.Crash {
+		t.Helper()
+		crashes := rec.Crashes()
+		var steps []string
+		for _, c := range crashes {
+			steps = append(steps, c.Step)
+		}
+		if wantSteps != nil && !reflect.DeepEqual(steps, wantSteps) || len(steps) < 7 {
+			t.Fatalf("background checkpoint steps = %q, want %q", steps, wantSteps)
+		}
+		final := crashes[len(crashes)-1].Dir
+		torn := crashtest.CopyDir(t, final)
+		crashtest.TearTail(t, torn)
+		return append(crashes,
+			crashtest.Crash{Step: "torn tail in the newest segment", Dir: torn},
+			crashtest.Crash{Step: "parent layout", Dir: crashtest.ParentLayout(t, final)})
+	}
+	recovered := func(i int, c crashtest.Crash, twin *Node) *Node {
+		t.Helper()
+		node := mk(i)
+		if err := node.Open(c.Dir); err != nil {
+			t.Fatalf("%s: Open: %v", c.Step, err)
+		}
+		if got, want := node.Latest(), twin.Latest(); got != want {
+			t.Errorf("%s: recovered latest = %d, want %d", c.Step, got, want)
+		}
+		if got, want := node.StateHash(), twin.StateHash(); got != want {
+			t.Errorf("%s: recovered hash %08x != twin's %08x", c.Step, got, want)
+		}
+		if got, want := node.Pending(), twin.Pending(); got != want {
+			t.Errorf("%s: recovered backlog = %d rounds, want %d", c.Step, got, want)
+		}
+		return node
+	}
+
+	// The follower's count cadence: 32 rounds, the leader's escalations
+	// acknowledged (and checkpointed) every third on the way.
+	cadence := durable.CompactEvery - 1
+	for round := 0; round < cadence; round++ {
+		driveRound(t, nodes, round)
+	}
+	recs[1].Reset()
+	recs[1].Arm()
+	driveRound(t, nodes, cadence)
+	if err := follower.journal.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	recs[1].Committer(t)
+	for _, c := range matrix(recs[1], []string{
+		"before create checkpoint.snap.tmp", "before sync checkpoint.snap.tmp", "before rename checkpoint.snap",
+		"before syncdir .", "before remove journal.wal", "before create journal.00000002.wal", "before syncdir .",
+		"after the last step",
+	}) {
+		recovered(1, c, follower).Close()
+	}
+
+	// The leader, cut off from the cloud, accumulates a backlog and
+	// checkpoints over it, as the acknowledgment of a digest that carried
+	// only part of it would.
+	if err := leader.journal.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	gate.Store(false)
+	for round := cadence + 1; round < cadence+6; round++ {
+		driveRound(t, nodes, round)
+	}
+	backlog := leader.Pending()
+	if backlog < 5 {
+		t.Fatalf("leader backlog = %d rounds, want at least the 5 run while partitioned", backlog)
+	}
+	recs[0].Arm()
+	leader.mu.Lock()
+	err = leader.checkpointLocked()
+	leader.mu.Unlock()
+	if err == nil {
+		err = leader.journal.WaitCheckpoint()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.Store(true)
+	for _, c := range matrix(recs[0], nil) {
+		node := recovered(0, c, leader)
+		if err := node.Flush(); err != nil {
+			t.Errorf("%s: Flush of the recovered backlog: %v", c.Step, err)
+		}
+		if got := srv.Latest(); got != leader.Latest() {
+			t.Errorf("%s: cloud latest = %d after the recovered backlog escalated, want %d", c.Step, got, leader.Latest())
+		}
+		if srv.StateHash() != leader.StateHash() {
+			t.Errorf("%s: cloud hash %08x != the hood's %08x", c.Step, srv.StateHash(), leader.StateHash())
+		}
+		node.Close()
+	}
+}

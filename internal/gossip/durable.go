@@ -31,16 +31,17 @@ func (n *Node) Open(stateDir string) error {
 			n.leader = n.leaderAt(n.epoch) == n.cfg.Edge
 		}
 	}
+	journal.Instrument(n.obsv, n.metrics.journalErrs, n.cfg.Logf)
 	retain := n.leader || n.failover
 	replayed := 0
 	err = journal.Replay(func(rec durable.RoundRecord) error {
-		if rec.Round <= n.eng.Latest() && fromCheckpoint {
-			// The fold effect is already inside the checkpoint — either a
-			// record a crash between snapshot rename and journal truncate
-			// left behind, or an unacked round the leader's compaction
-			// retained. The latter still rebuilds the escalation backlog;
-			// re-applying it would double-fold.
-			if retain && rec.Round >= n.escalated {
+		if rec.Round <= n.eng.Latest() {
+			// The fold effect is already in — from the checkpoint (a record in
+			// a segment it had not unlinked yet, or an unacked round a
+			// leader's checkpoint keeps journaled) or from the copy a healed
+			// journal wrote twice. A round not yet seen still rebuilds the
+			// escalation backlog; re-applying it would double-fold.
+			if k := len(n.pending); retain && rec.Round >= n.escalated && (k == 0 || rec.Round > n.pending[k-1].Round) {
 				n.pending = append(n.pending, rec)
 			}
 			return nil
@@ -87,8 +88,8 @@ func (n *Node) Open(stateDir string) error {
 // persistRoundLocked journals one completed local round. The append fsyncs
 // before the round's waiters release; failures are counted and logged but
 // do not fail the round — the node keeps serving from memory. Non-leader
-// nodes compact by count (their journal only serves their own recovery);
-// the leader compacts on acknowledged escalations instead, because its
+// nodes checkpoint by count (their journal only serves their own recovery);
+// the leader checkpoints on acknowledged escalations instead, because its
 // journal doubles as the unacked-digest backlog. Called with n.mu held;
 // no-op without an open journal.
 func (n *Node) persistRoundLocked(rec durable.RoundRecord) {
@@ -105,18 +106,12 @@ func (n *Node) persistRoundLocked(rec durable.RoundRecord) {
 	}
 }
 
-// checkpointLocked folds the node's durable state into an atomic snapshot,
-// retaining the round records still awaiting cloud acknowledgment so a
-// restarted leader re-escalates exactly the unacked backlog. Called with
-// n.mu held.
+// checkpointLocked checkpoints the node's durable state, keeping journaled
+// the round records still awaiting cloud acknowledgment so a restarted
+// leader re-escalates exactly the unacked backlog. Called with n.mu held.
 func (n *Node) checkpointLocked() error {
 	cp := n.fold.Checkpoint(n.eng.Latest())
 	cp.Escalated = n.escalated
 	cp.Epoch = n.epoch
-	payload, err := durable.EncodeCheckpoint(cp)
-	if err != nil {
-		return err
-	}
-	_, err = n.journal.Checkpoint(payload, n.pending)
-	return err
+	return n.journal.Checkpoint(func() ([]byte, error) { return durable.EncodeCheckpoint(cp) }, n.pending)
 }

@@ -67,7 +67,6 @@ type coordinatorMetrics struct {
 	recoveries      *obs.Counter // durable_recoveries_total
 	replayRecords   *obs.Counter // journal_replay_records_total
 	journalErrors   *obs.Counter // durable_journal_errors_total
-	checkpointSize  *obs.Gauge   // checkpoint_bytes
 }
 
 func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
@@ -92,7 +91,6 @@ func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
 		recoveries:      o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords:   o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
 		journalErrors:   o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
-		checkpointSize:  o.Gauge("checkpoint_bytes", "size of the last checkpoint written or recovered"),
 	}
 }
 
@@ -367,8 +365,8 @@ func (c *Coordinator) Open(stateDir string) error {
 			return fmt.Errorf("shard %d: checkpoint in %s: %w", c.cfg.ID, stateDir, err)
 		}
 		c.eng.Advance(cp.Round)
-		c.metrics.checkpointSize.Set(float64(len(snap)))
 	}
+	journal.Instrument(c.obsv, c.metrics.journalErrors, c.cfg.Logf)
 	replayed := 0
 	var lastRec *durable.RoundRecord
 	err = journal.Replay(func(rec durable.RoundRecord) error {
@@ -410,9 +408,9 @@ func (c *Coordinator) Open(stateDir string) error {
 }
 
 // persistRoundLocked journals one frozen barrier's batch, fsynced before
-// the upstream forward, and compacts every durable.CompactEvery rounds.
-// Failures are counted and logged but do not fail the round. Called with
-// c.mu held; no-op without an open journal.
+// the upstream forward, and starts a checkpoint every durable.CompactEvery
+// rounds. Failures are counted and logged but do not fail the round. Called
+// with c.mu held; no-op without an open journal.
 func (c *Coordinator) persistRoundLocked(rec durable.RoundRecord) {
 	if c.journal == nil {
 		return
@@ -430,35 +428,29 @@ func (c *Coordinator) persistRoundLocked(rec durable.RoundRecord) {
 	}
 }
 
-// checkpointLocked folds the journal into a watermark checkpoint, retaining
-// the newest round record so recovery can always re-forward the last batch.
-// Called with c.mu held.
+// checkpointLocked checkpoints the watermark, keeping the newest round
+// record journaled so recovery can always re-forward the last batch. Called
+// with c.mu held.
 func (c *Coordinator) checkpointLocked() error {
-	cp, err := json.Marshal(shardCheckpoint{Round: c.eng.Latest()})
-	if err != nil {
-		return err
-	}
+	cp := shardCheckpoint{Round: c.eng.Latest()}
 	var retained []durable.RoundRecord
 	if c.lastRec != nil {
 		retained = append(retained, *c.lastRec)
 	}
-	n, err := c.journal.Checkpoint(cp, retained)
-	if err != nil {
-		return err
-	}
-	c.metrics.checkpointSize.Set(float64(n))
-	return nil
+	return c.journal.Checkpoint(func() ([]byte, error) { return json.Marshal(cp) }, retained)
 }
 
 // Drain shuts the shard down gracefully: the most advanced pending barrier
 // forwards degraded with whatever censuses it holds, a final checkpoint is
-// written, and the coordinator closes.
+// written and waited for, and the coordinator closes.
 func (c *Coordinator) Drain() error {
 	c.eng.Drain()
 	var err error
 	c.mu.Lock()
 	if c.journal != nil {
-		err = c.checkpointLocked()
+		if err = c.checkpointLocked(); err == nil {
+			err = c.journal.WaitCheckpoint()
+		}
 	}
 	c.mu.Unlock()
 	c.Close()
