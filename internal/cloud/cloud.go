@@ -76,13 +76,16 @@ type serverMetrics struct {
 	beyondLag     *obs.Counter // consensus_censuses_beyond_lag_total
 	corrections   *obs.Counter // consensus_ratio_corrections_total
 	lagDepth      *obs.Gauge   // consensus_lag_window_depth
-	stateHash     *obs.Gauge   // consensus_state_hash
 	digests       *obs.Counter // consensus_digests_total
 	digestRounds  *obs.Counter // consensus_digest_rounds_total
 	digestSkipped *obs.Counter // consensus_digest_rounds_skipped_total
 }
 
-func newServerMetrics(o *obs.Observer) serverMetrics {
+// newServerMetrics binds the instruments on o; consensus_state_hash is a
+// collect-time gauge over stateHash, so no round pays for the witness.
+func newServerMetrics(o *obs.Observer, stateHash func() uint32) serverMetrics {
+	o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)").
+		SetFunc(func() float64 { return float64(stateHash()) })
 	return serverMetrics{
 		Counters: Counters{
 			Rounds:         o.Counter("consensus_rounds_total", "consensus rounds whose FDS update ran (degraded or not)"),
@@ -106,7 +109,6 @@ func newServerMetrics(o *obs.Observer) serverMetrics {
 		beyondLag:     o.Counter("consensus_censuses_beyond_lag_total", "late censuses outside the lag window, answered from current state"),
 		corrections:   o.Counter("consensus_ratio_corrections_total", "regions whose corrected ratio was published to their session after a rewind"),
 		lagDepth:      o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
-		stateHash:     o.Gauge("consensus_state_hash", "CRC-32C of the canonical JSON game state (bit-identity check)"),
 		digests:       o.Counter("consensus_digests_total", "gossip digests reconciled from neighborhood leaders"),
 		digestRounds:  o.Counter("consensus_digest_rounds_total", "rounds carried by reconciled gossip digests"),
 		digestSkipped: o.Counter("consensus_digest_rounds_skipped_total", "digest rounds below a neighborhood's escalation watermark, adopted idempotently"),
@@ -127,12 +129,12 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		m:            fold.Regions(),
 		k:            fold.Decisions(),
 		obsv:         o,
-		metrics:      newServerMetrics(o),
 		srv:          transport.NewAcceptor(),
 		compactEvery: durable.CompactEvery,
 		digestSeen:   make(map[int]map[int]bool),
 		digestMark:   make(map[int]int),
 	}
+	s.metrics = newServerMetrics(o, s.StateHash)
 	s.eng = NewEngine(EngineConfig{
 		Lock:     &s.mu,
 		Name:     "cloud",
@@ -147,7 +149,6 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		Ratio:    fold.X,
 	})
 	s.metrics.Latest.Set(-1)
-	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 	return s, nil
 }
 
@@ -168,10 +169,9 @@ func (s *Server) Instrument(o *obs.Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.obsv = o
-	s.metrics = newServerMetrics(o)
+	s.metrics = newServerMetrics(o, s.StateHash)
 	s.metrics.Latest.Set(float64(s.eng.Latest()))
 	s.metrics.lagDepth.Set(float64(len(s.window)))
-	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 }
 
 // Registry returns the registry behind the server's metrics (the private
@@ -332,7 +332,6 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 		s.pushWindowLocked(round, b.Censuses, degraded)
 	}
 	b.Err = s.fold.Apply(b.Censuses)
-	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 	// Advance the watermark before journaling: a compaction inside persist
 	// snapshots Latest() as the checkpoint round, and the state it captures
 	// already includes this round's fold.

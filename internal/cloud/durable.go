@@ -83,7 +83,6 @@ func (s *Server) Open(stateDir string) error {
 	}
 	if recovered {
 		s.metrics.recoveries.Inc()
-		s.metrics.stateHash.Set(float64(s.fold.Hash()))
 		s.logfLocked("cloud: recovered state through round %d from %s (%d journal records replayed)",
 			s.eng.Latest(), stateDir, replayed)
 	}

@@ -268,7 +268,7 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 	b, ok := e.rounds[round]
 	if !ok {
 		b = &Barrier{
-			Censuses: make(map[int][]int),
+			Censuses: make(map[int][]int, e.cfg.Members),
 			Done:     make(chan struct{}),
 			Opened:   time.Now(),
 			Span:     e.cfg.Span(round),
@@ -291,6 +291,10 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 		if _, dup := b.Censuses[c.Edge]; dup {
 			e.cfg.Counters.Duplicates.Inc()
 		}
+		// Counts is a capped slice of its batch frame's decode slab (see
+		// transport's byteReader.censuses), so a census that outlives its
+		// batch — a lag-window entry, a pending digest round — pins that
+		// frame's slab: at most fixed_lag frames' worth.
 		b.Censuses[c.Edge] = c.Counts
 	}
 	return b, false, nil

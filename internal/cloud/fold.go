@@ -19,9 +19,11 @@ import (
 // which is what makes edge-local rounds reconcilable with the control plane
 // after a partition. The fold does no locking; the owner serializes calls.
 type Fold struct {
-	fds   *policy.FDS
-	state *game.State
-	enc   []byte // Hash's encoding buffer, reused from call to call
+	fds    *policy.FDS
+	state  *game.State
+	enc    []byte // Hash's encoding buffer, reused from call to call
+	hash   uint32 // Hash's memo, valid while hashed
+	hashed bool   // cleared where the state changes: Apply and SetState
 }
 
 // NewFold validates the initial state and returns a fold over a private
@@ -49,6 +51,7 @@ func (f *Fold) Decisions() int { return len(f.state.P[0]) }
 // Regions missing from a degraded round — and empty censuses from edges
 // with no registered vehicles — keep their last-known shares.
 func (f *Fold) Apply(censuses map[int][]int) error {
+	f.hashed = false
 	for i, counts := range censuses {
 		total := 0
 		for _, c := range counts {
@@ -71,14 +74,17 @@ func (f *Fold) Apply(censuses map[int][]int) error {
 // the bytes json.Marshal(state) produces. That encoding round-trips float64
 // exactly and a map-free state encodes deterministically, so two folds hold
 // bit-identical ratio fields if and only if their hashes match. A state
-// JSON cannot carry (NaN, infinity) hashes to 0.
+// JSON cannot carry (NaN, infinity) hashes to 0. The encoding runs when a
+// reader asks (a metrics scrape, StateHash), once per state: no commit does.
 func (f *Fold) Hash() uint32 {
-	b, ok := f.state.AppendJSON(f.enc[:0])
-	f.enc = b
-	if !ok {
-		return 0
+	if !f.hashed {
+		b, ok := f.state.AppendJSON(f.enc[:0])
+		f.enc, f.hash, f.hashed = b, 0, true
+		if ok {
+			f.hash = crc32.Checksum(b, castagnoli)
+		}
 	}
-	return crc32.Checksum(b, castagnoli)
+	return f.hash
 }
 
 // X returns region edge's current sharing ratio.
@@ -90,7 +96,7 @@ func (f *Fold) State() *game.State { return f.state }
 
 // SetState replaces the live state, taking ownership of st (recovery and
 // rewind both install snapshots they already own).
-func (f *Fold) SetState(st *game.State) { f.state = st }
+func (f *Fold) SetState(st *game.State) { f.state, f.hashed = st, false }
 
 // Memory snapshots the FDS controller's cross-round memory.
 func (f *Fold) Memory() policy.FDSMemory { return f.fds.Memory() }
@@ -137,6 +143,6 @@ func (f *Fold) Recover(stateDir string) (*durable.Journal, *durable.Checkpoint, 
 		journal.Close()
 		return nil, nil, fmt.Errorf("checkpoint in %s: %w", stateDir, err)
 	}
-	f.state = cp.State
+	f.SetState(cp.State)
 	return journal, &cp, nil
 }

@@ -113,6 +113,67 @@ func goldenCensuses(t *testing.T, rng *rand.Rand, dyn *game.LogitDynamics, shado
 	return out
 }
 
+// goldenConfig is one of the golden file's four fold configurations.
+type goldenConfig struct {
+	name     string
+	graph    goldenGraph
+	twoSided bool
+	seed     int64
+}
+
+var goldenConfigs = []goldenConfig{
+	{"cycle64/p1band", goldenGraph{m: 64}, false, 101},
+	{"cycle64/twosided", goldenGraph{m: 64}, true, 102},
+	{"dense16/p1band", goldenGraph{m: 16, dense: true}, false, 103},
+	{"dense16/twosided", goldenGraph{m: 16, dense: true}, true, 104},
+}
+
+// goldenRun is a configuration's moving parts: the controller and initial
+// state a fold (or a Server) is built over, and the closed-loop census
+// source — next(x) draws the round's censuses given the fold's ratios.
+type goldenRun struct {
+	model   *game.Model
+	fds     *policy.FDS
+	initial *game.State
+	next    func(x []float64) map[int][]int
+}
+
+func (cfg goldenConfig) run(t *testing.T) goldenRun {
+	t.Helper()
+	m := cfg.graph.m
+	beta := make([]float64, m)
+	for i := range beta {
+		beta[i] = 2 + 0.5*float64(i%5)
+	}
+	model, err := game.NewModel(lattice.PaperPayoffs(), cfg.graph, beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The benchmark's step bound on the band field; a wide one on the
+	// two-sided field, so ratios land on interior set boundaries (-a/b of
+	// the linearized conditions) rather than a whole step away.
+	lambda := 0.1
+	if cfg.twoSided {
+		lambda = 0.5
+	}
+	fds, err := policy.NewFDS(model, goldenField(t, m, cfg.twoSided), lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := game.NewLogitDynamics(model, 0.25, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := game.NewUniformState(m, model.K(), 0.2)
+	rng := rand.New(rand.NewSource(cfg.seed))
+	return goldenRun{
+		model:   model,
+		fds:     fds,
+		initial: game.NewUniformState(m, model.K(), 0.2),
+		next:    func(x []float64) map[int][]int { return goldenCensuses(t, rng, dyn, shadow, x) },
+	}
+}
+
 // foldGoldenText folds 300 seeded rounds through Fold.Apply on four
 // configurations and renders, for each, a CRC over the bits of every round's
 // ratio vector, one over every region's linearization coefficients after
@@ -120,47 +181,13 @@ func goldenCensuses(t *testing.T, rng *rand.Rand, dyn *game.LogitDynamics, shado
 func foldGoldenText(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
-	for _, cfg := range []struct {
-		name     string
-		graph    goldenGraph
-		twoSided bool
-		seed     int64
-	}{
-		{"cycle64/p1band", goldenGraph{m: 64}, false, 101},
-		{"cycle64/twosided", goldenGraph{m: 64}, true, 102},
-		{"dense16/p1band", goldenGraph{m: 16, dense: true}, false, 103},
-		{"dense16/twosided", goldenGraph{m: 16, dense: true}, true, 104},
-	} {
-		m := cfg.graph.m
-		beta := make([]float64, m)
-		for i := range beta {
-			beta[i] = 2 + 0.5*float64(i%5)
-		}
-		model, err := game.NewModel(lattice.PaperPayoffs(), cfg.graph, beta)
+	for _, cfg := range goldenConfigs {
+		run := cfg.run(t)
+		model := run.model
+		fold, err := NewFold(run.fds, run.initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The benchmark's step bound on the band field; a wide one on the
-		// two-sided field, so ratios land on interior set boundaries (-a/b of
-		// the linearized conditions) rather than a whole step away.
-		lambda := 0.1
-		if cfg.twoSided {
-			lambda = 0.5
-		}
-		fds, err := policy.NewFDS(model, goldenField(t, m, cfg.twoSided), lambda)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fold, err := NewFold(fds, game.NewUniformState(m, model.K(), 0.2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dyn, err := game.NewLogitDynamics(model, 0.25, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shadow := game.NewUniformState(m, model.K(), 0.2)
-		rng := rand.New(rand.NewSource(cfg.seed))
 		chain, lin := crc32.NewIEEE(), crc32.NewIEEE()
 		var word [8]byte
 		put := func(h hash.Hash32, v float64) {
@@ -168,7 +195,7 @@ func foldGoldenText(t *testing.T) string {
 			h.Write(word[:])
 		}
 		for round := 0; round < 300; round++ {
-			if err := fold.Apply(goldenCensuses(t, rng, dyn, shadow, fold.State().X)); err != nil {
+			if err := fold.Apply(run.next(fold.State().X)); err != nil {
 				t.Fatal(err)
 			}
 			for i, x := range fold.State().X {

@@ -50,8 +50,9 @@ func (s *Server) SetFixedLag(n int) {
 // StateHash returns a CRC-32C over the canonical JSON encoding of the
 // current game state. encoding/json round-trips float64 exactly and map-free
 // state marshals deterministically, so two coordinators hold bit-identical
-// ratio fields if and only if their hashes match. The same value is exported
-// as the consensus_state_hash gauge (exact: every uint32 fits a float64).
+// ratio fields if and only if their hashes match. The consensus_state_hash
+// gauge reads this method when it is collected (exact: every uint32 fits a
+// float64), so it takes s.mu and may wait out a commit in progress.
 func (s *Server) StateHash() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,7 +170,6 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 	s.correctionSeq++
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
-	s.metrics.stateHash.Set(float64(s.fold.Hash()))
 	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses, Corrected: true})
 	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d rounds (correction seq %d)",
 		round, census.Edge, replayed, s.correctionSeq)

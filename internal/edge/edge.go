@@ -42,6 +42,10 @@ type Distributor struct {
 	gen   uint64 // advanced by BeginRound; starts at 1, a new slot's is 0
 	n     int    // slots filled this round
 
+	// Distribute's scratch, kept from round to round.
+	vehicles []int
+	wins     []win
+
 	// Edge-side perception (see perception.go); zero mask disables it.
 	edgeShare    sensor.Mask
 	edgeDecision lattice.Decision
@@ -53,6 +57,13 @@ type Distributor struct {
 type uploadSlot struct {
 	gen uint64
 	up  transport.Upload
+}
+
+// win is one sharer's items (a slot's, or the edge's) won by the receiver at
+// that index of the round's sorted uploaders.
+type win struct {
+	receiver int
+	items    []transport.Item
 }
 
 // NewDistributor builds a distributor over the decision lattice with the
@@ -160,25 +171,30 @@ func (d *Distributor) NumUploads() int {
 // with decision k_b such that P^{k_b} ⊆ P^{k_a}, vehicle a receives b's
 // items with probability x (one coin flip per sharer-receiver pair, so a
 // sharer's items are delivered atomically, matching the paper's
-// "probability x to access the shared data from b").
+// "probability x to access the shared data from b"). The deliveries are
+// capped sub-slices of one slab that is the round's own — a receiver on the
+// in-process transport may still be reading it when the next round starts —
+// and an uploader that receives nothing maps to nil.
 func (d *Distributor) Distribute() map[int][]transport.Item {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	vehicles := make([]int, 0, d.n)
+	vehicles := d.vehicles[:0]
 	for v, s := range d.slots {
 		if s.gen == d.gen {
 			vehicles = append(vehicles, v)
 		}
 	}
 	sort.Ints(vehicles) // determinism for a fixed seed
+	d.vehicles = vehicles
 
 	edgeContribution := d.edgeItems()
 
-	out := make(map[int][]transport.Item, len(vehicles))
-	for _, a := range vehicles {
+	// First pass: flip the coins in their fixed order (a outer, b inner, then
+	// a's edge-perception flip) and note who won what, which sizes the slab.
+	wins, total := d.wins[:0], 0
+	for i, a := range vehicles {
 		ua := &d.slots[a].up
-		var items []transport.Item
 		for _, b := range vehicles {
 			if a == b {
 				continue
@@ -190,17 +206,39 @@ func (d *Distributor) Distribute() map[int][]transport.Item {
 			if d.rng.Float64() >= d.x {
 				continue
 			}
-			items = append(items, ub.Items...)
+			wins = append(wins, win{i, ub.Items})
+			total += len(ub.Items)
 		}
 		// Edge-side perception: delivered under the same lattice rule and
 		// sharing ratio, with the edge acting as a virtual sharer.
 		if len(edgeContribution) > 0 &&
 			d.lat.CanAccess(lattice.Decision(ua.Decision), d.edgeDecision) &&
 			d.rng.Float64() < d.x {
-			items = append(items, edgeContribution...)
+			wins = append(wins, win{i, edgeContribution})
+			total += len(edgeContribution)
 		}
+	}
+	d.wins = wins
+
+	// Second pass: copy each receiver's run of wins into its cut of the slab.
+	out := make(map[int][]transport.Item, len(vehicles))
+	slab := make([]transport.Item, total)
+	for i, a := range vehicles {
+		n, run := 0, 0
+		for ; run < len(wins) && wins[run].receiver == i; run++ {
+			n += len(wins[run].items)
+		}
+		var items []transport.Item
+		if n > 0 {
+			items, slab = slab[:0:n], slab[n:]
+		}
+		for _, w := range wins[:run] {
+			items = append(items, w.items...)
+		}
+		wins = wins[run:]
 		out[a] = items
 	}
+	clear(d.wins) // do not pin the slots' item arrays between rounds
 	return out
 }
 

@@ -1,11 +1,13 @@
 package edge
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/lattice"
+	"repro/internal/obs"
 	"repro/internal/sensor"
 	"repro/internal/transport"
 )
@@ -173,4 +175,37 @@ func total(xs []int) int {
 		n += v
 	}
 	return n
+}
+
+// TestFailedRoundLeavesItsSpan: a round RunRound gives up on — every error
+// return goes through one exit — still ends its edge_round span, with the
+// error on it, so /debug/spans shows the round that failed and not only its
+// neighbours; and it is not counted in edge_rounds_total. (The two
+// transport.Encode failures take the same exit; Encode cannot fail today, so
+// the refused ratio is the path a test can take.)
+func TestFailedRoundLeavesItsSpan(t *testing.T) {
+	srv := NewServer(4, lattice.NewPaper(), 7)
+	defer srv.Close()
+	o := obs.New()
+	srv.Instrument(o)
+	if _, err := srv.RunRound(3, 1.5, time.Second); err == nil {
+		t.Fatal("a ratio outside [0,1] ran a round")
+	}
+	spans := o.Tracer().Recent(10)
+	if len(spans) != 1 || spans[0].Name != "edge_round" {
+		t.Fatalf("spans after a failed round = %+v, want its one edge_round", spans)
+	}
+	attrs := map[string]interface{}{}
+	for _, a := range spans[0].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["round"] != 3 || attrs["edge"] != 4 {
+		t.Errorf("span attrs %v, want round 3 of edge 4", attrs)
+	}
+	if msg, _ := attrs["error"].(string); !strings.Contains(msg, "outside [0,1]") {
+		t.Errorf("span error attr = %v, want the refused ratio", attrs["error"])
+	}
+	if n := o.Counter("edge_rounds_total", "").Value(); n != 0 {
+		t.Errorf("edge_rounds_total = %d after a failed round, want 0", n)
+	}
 }

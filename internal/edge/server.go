@@ -216,9 +216,13 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 	m := s.metrics
 	span := s.obsv.Span("edge_round", obs.A("edge", s.ID), obs.A("round", round), obs.A("x", x))
 	s.mu.Unlock()
-	if err := s.dist.BeginRound(round, x); err != nil {
+	// A round that fails still shows in /debug/spans, with its error.
+	fail := func(err error) ([]int, error) {
 		span.End(obs.A("error", err.Error()))
 		return nil, err
+	}
+	if err := s.dist.BeginRound(round, x); err != nil {
+		return fail(err)
 	}
 
 	s.mu.Lock()
@@ -238,7 +242,7 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 		Shares: shares,
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	for _, mb := range members {
 		// Dead connections are detected by their read loop; ignore here.
@@ -274,7 +278,7 @@ distribute:
 		bodies = append(bodies, transport.Delivery{Round: round, Items: items})
 		m, err := transport.Encode(transport.KindDelivery, &bodies[len(bodies)-1])
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		_ = mb.conn.Send(m)
 	}

@@ -77,7 +77,6 @@ func (n *Node) Open(stateDir string) error {
 	if fromCheckpoint || replayed > 0 || len(n.pending) > 0 {
 		n.metrics.recoveries.Inc()
 		n.setBacklogLocked()
-		n.metrics.stateHash.Set(float64(n.fold.Hash()))
 		n.logf("gossip: edge %d: recovered state through round %d from %s (%d journal records replayed, %d pending escalation)",
 			n.cfg.Edge, n.eng.Latest(), stateDir, replayed, len(n.pending))
 	}

@@ -141,12 +141,15 @@ type nodeMetrics struct {
 	beatFailures   *obs.Counter // gossip_hood_beat_failures_total
 	backlogDrop    *obs.Counter // gossip_backlog_dropped_total
 	backlogGauge   *obs.Gauge   // gossip_escalation_backlog{edge}
-	stateHash      *obs.Gauge   // gossip_state_hash{edge}
 }
 
-func newNodeMetrics(o *obs.Observer, edge int) nodeMetrics {
+// newNodeMetrics binds the instruments on o. gossip_state_hash{edge} is a
+// collect-time gauge over stateHash, like the cloud's consensus_state_hash.
+func newNodeMetrics(o *obs.Observer, edge int, stateHash func() uint32) nodeMetrics {
 	e := strconv.Itoa(edge)
 	r := o.Registry()
+	r.GaugeVec("gossip_state_hash", "CRC-32C of the node's canonical JSON game state", "edge").With(e).
+		SetFunc(func() float64 { return float64(stateHash()) })
 	return nodeMetrics{
 		Counters: cloud.Counters{
 			Rounds:     o.Counter("gossip_local_rounds_total", "local consensus rounds folded by gossip nodes (degraded or not)"),
@@ -170,7 +173,6 @@ func newNodeMetrics(o *obs.Observer, edge int) nodeMetrics {
 		beatFailures: o.Counter("gossip_hood_beat_failures_total", "heartbeat sends abandoned after redial attempts"),
 		backlogDrop:  o.Counter("gossip_backlog_dropped_total", "oldest backlog rounds shed by the max-backlog cap (permanently unescalated)"),
 		backlogGauge: r.GaugeVec("gossip_escalation_backlog", "completed rounds retained for digest escalation (with failover every member mirrors the leader's backlog)", "edge").With(e),
-		stateHash:    r.GaugeVec("gossip_state_hash", "CRC-32C of the node's canonical JSON game state", "edge").With(e),
 	}
 }
 
@@ -212,9 +214,9 @@ func NewNode(cfg Config) (*Node, error) {
 		fold:     cfg.Fold,
 		peers:    make(map[int]*edge.PeerLink),
 		obsv:     o,
-		metrics:  newNodeMetrics(o, cfg.Edge),
 		srv:      transport.NewAcceptor(),
 	}
+	n.metrics = newNodeMetrics(o, cfg.Edge, n.StateHash)
 	n.eng = cloud.NewEngine(cloud.EngineConfig{
 		Lock:     &n.mu,
 		Name:     fmt.Sprintf("gossip: edge %d", cfg.Edge),
@@ -246,7 +248,6 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 	}
 	n.metrics.Latest.Set(-1)
-	n.metrics.stateHash.Set(float64(n.fold.Hash()))
 	return n, nil
 }
 
@@ -256,10 +257,9 @@ func (n *Node) Instrument(o *obs.Observer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.obsv = o
-	n.metrics = newNodeMetrics(o, n.cfg.Edge)
+	n.metrics = newNodeMetrics(o, n.cfg.Edge, n.StateHash)
 	n.metrics.Latest.Set(float64(n.eng.Latest()))
 	n.setBacklogLocked()
-	n.metrics.stateHash.Set(float64(n.fold.Hash()))
 }
 
 // setBacklogLocked publishes the backlog depth. Called with n.mu held.
@@ -641,7 +641,6 @@ func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) 
 	}
 	n.persistRoundLocked(rec)
 	n.setBacklogLocked()
-	n.metrics.stateHash.Set(float64(n.fold.Hash()))
 	n.eng.Release(round, rb, degraded)
 	return nil
 }

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/game"
 	"repro/internal/lattice"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/transport"
 )
@@ -686,5 +688,82 @@ func TestGossipLeaderFailoverGolden(t *testing.T) {
 	}
 	if cloudA != localA {
 		t.Errorf("cloud hash %08x != local hash %08x", cloudA, localA)
+	}
+}
+
+// TestStateHashGaugePerNode: gossip_state_hash{edge} is computed when read,
+// so on a registry two nodes share each node's series reads that node's own
+// fold — at construction, after every local round, and after a crashed node
+// recovers its fold from the journal.
+func TestStateHashGaugePerNode(t *testing.T) {
+	netw := transport.NewInprocNetwork()
+	o := obs.New()
+	dirs := []string{t.TempDir(), t.TempDir()}
+	mk := func(i int) (*Node, transport.Listener) {
+		l, err := netw.Listen(fmt.Sprintf("gossip-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := NewNode(Config{
+			Edge: i, Members: []int{0, 1}, Neighborhood: 0, Of: 1,
+			EscalateEvery: 100, // never inside this test: no cloud is listening
+			Deadline:      2 * time.Second,
+			ReplyTimeout:  2 * time.Second,
+			Fold:          testFold(t, 2),
+			PeerDial: func(member int) (transport.Conn, error) {
+				return netw.Dial(fmt.Sprintf("gossip-%d", member))
+			},
+			CloudDial: func() (transport.Conn, error) { return nil, fmt.Errorf("no cloud") },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Instrument(o)
+		if err := node.Open(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+		go node.Serve(l)
+		return node, l
+	}
+	gauge := func(edge int) uint32 {
+		t.Helper()
+		for _, p := range o.Registry().Snapshot() {
+			if p.Name == "gossip_state_hash" && p.Labels[0].Value == strconv.Itoa(edge) {
+				return uint32(p.Value)
+			}
+		}
+		t.Fatalf("no gossip_state_hash{edge=%d} in the registry", edge)
+		return 0
+	}
+	check := func(step string, nodes ...*Node) {
+		t.Helper()
+		for i, n := range nodes {
+			if got, want := gauge(i), n.StateHash(); got != want {
+				t.Fatalf("%s: gossip_state_hash{edge=%d} = %08x, node holds %08x", step, i, got, want)
+			}
+		}
+	}
+	n0, l0 := mk(0)
+	n1, l1 := mk(1)
+	defer n1.Close()
+	defer l1.Close()
+	check("before the first round", n0, n1)
+	initial := n0.StateHash()
+	for r := 0; r < 4; r++ {
+		driveRound(t, []*Node{n0, n1}, r)
+		check(fmt.Sprintf("round %d", r), n0, n1)
+	}
+	if n0.StateHash() == initial {
+		t.Fatal("four rounds left the state where it started")
+	}
+	want := n0.StateHash()
+	n0.Close() // kill -9
+	l0.Close()
+	n0, l0 = mk(0)
+	defer n0.Close()
+	defer l0.Close()
+	check("after recovery", n0, n1)
+	if got := gauge(0); got != want {
+		t.Fatalf("recovered gossip_state_hash{edge=0} = %08x, want %08x", got, want)
 	}
 }

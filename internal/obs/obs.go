@@ -316,6 +316,7 @@ func (c *Counter) Value() int64 {
 // to use; a nil *Gauge discards all updates.
 type Gauge struct {
 	bits atomic.Uint64
+	fn   atomic.Pointer[func() float64] // collect-time source, see SetFunc
 }
 
 // Set stores v.
@@ -324,6 +325,19 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
+}
+
+// SetFunc makes g a collect-time gauge: Value — and through it Snapshot and
+// the text exposition — calls fn instead of loading a stored value, so a
+// quantity that is costly to derive is derived when somebody looks. The
+// registry holds none of its locks while it calls fn, so fn may take its
+// owner's lock (and the read waits for it). fn must be safe for concurrent
+// use and must not read the registry it is registered in.
+func (g *Gauge) SetFunc(fn func() float64) {
+	if g == nil {
+		return
+	}
+	g.fn.Store(&fn)
 }
 
 // Add adds d to the gauge (atomically, via CAS).
@@ -339,10 +353,14 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Value returns the current value (0 on nil).
+// Value returns the current value (0 on nil): the collect-time source's when
+// SetFunc installed one, the stored value otherwise.
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
+	}
+	if fn := g.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(g.bits.Load())
 }

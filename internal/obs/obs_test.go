@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/israce"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -163,5 +165,97 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := r.CounterVec("v_total", "", "l").With("x").Value(); got != 8000 {
 		t.Errorf("vec counter = %d, want 8000", got)
+	}
+}
+
+// TestGaugeSetFunc: a collect-time gauge answers Value, Snapshot and the text
+// exposition from its function — plain and as a Vec child — and the function
+// may take a lock its owner holds while it registers instruments (the
+// components' Instrument does exactly that): the registry calls it with none
+// of its own locks held, so the two orders never cross.
+func TestGaugeSetFunc(t *testing.T) {
+	r := NewRegistry()
+	var mu sync.Mutex // the owner's lock
+	v := 1.0
+	read := func() float64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return v
+	}
+	g := r.Gauge("owner_value", "a derived quantity")
+	g.Set(7) // shadowed once a function is installed
+	g.SetFunc(read)
+	child := r.GaugeVec("owner_value_by_edge", "the same, labeled", "edge").With("3")
+	child.SetFunc(read)
+	(*Gauge)(nil).SetFunc(read) // nil-safe
+
+	mu.Lock()
+	v = 42
+	mu.Unlock()
+	if got := g.Value(); got != 42 {
+		t.Errorf("Value = %v, want the function's 42", got)
+	}
+	found := 0
+	for _, p := range r.Snapshot() {
+		if strings.HasPrefix(p.Name, "owner_value") {
+			found++
+			if p.Value != 42 {
+				t.Errorf("snapshot %s = %v, want 42", p.Name, p.Value)
+			}
+		}
+	}
+	if found != 2 {
+		t.Errorf("snapshot has %d owner_value series, want 2", found)
+	}
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"owner_value 42\n", `owner_value_by_edge{edge="3"} 42` + "\n"} {
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("exposition lacks %q:\n%s", line, sb.String())
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the owner: its lock, then the registry's
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			mu.Lock()
+			r.Gauge("owner_value", "").SetFunc(read)
+			r.Counter("owner_rounds_total", "").Inc()
+			v++
+			mu.Unlock()
+		}
+	}()
+	go func() { // the scraper: the registry's, released, then the owner's
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			r.Snapshot()
+		}
+	}()
+	wg.Wait()
+	if got := g.Value(); got != 542 {
+		t.Errorf("Value = %v after 500 updates, want 542", got)
+	}
+}
+
+// TestGaugeReadAllocs pins a gauge read at nothing, stored or collect-time:
+// the benchmark reads consensus_state_hash after every round.
+func TestGaugeReadAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	r := NewRegistry()
+	stored, derived := r.Gauge("stored", ""), r.Gauge("derived", "")
+	stored.Set(3)
+	derived.SetFunc(func() float64 { return 4 })
+	if allocs := testing.AllocsPerRun(200, func() {
+		if stored.Value()+derived.Value() != 7 {
+			t.Fatal("gauges misread")
+		}
+	}); allocs != 0 {
+		t.Errorf("reading a stored and a collect-time gauge: %.1f allocs, want 0", allocs)
 	}
 }

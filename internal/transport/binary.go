@@ -541,17 +541,25 @@ func (r *byteReader) str() string {
 
 // censuses reads a census list — the shared tail of the census_batch and
 // digest encodings. Each census is at least 3 bytes (edge, round, empty
-// counts).
+// counts). Every Counts is cut from one slab per list, capped so an append
+// to one census cannot run into the next. The slab is sized for the rest of
+// the list at the K in hand, never above the bytes left (a count is at least
+// one byte), so a corrupt length buys no more memory per frame byte than a
+// make per census would; a list of mixed K starts a new slab when short.
 func (r *byteReader) censuses() []Census {
 	n := r.len(3)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]Census, n)
+	var slab []int
 	for i := range out {
 		c := Census{Edge: int(r.int()), Round: int(r.int())}
 		if k := r.len(1); k > 0 {
-			c.Counts = make([]int, k)
+			if k > len(slab) {
+				slab = make([]int, min((n-i)*k, len(r.buf)))
+			}
+			c.Counts, slab = slab[:k:k], slab[k:]
 			for j := range c.Counts {
 				c.Counts[j] = int(r.int())
 			}

@@ -316,6 +316,21 @@ func hardeningCases() []hardeningCase {
 		{"ratio_correction trailing garbage", append(append([]byte{0x0E, 0x0E, 0x06, 0x01, 0x04}, f64...), 0xAA)},
 		{"census_batch length overflow", []byte{0x0A, 0x02, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 		{"census_batch truncated census", []byte{0x0A, 0x02, 0x06, 0x02, 0x00, 0x06, 0x02, 0x04}},
+		// The batch decoder carves every census's counts from one slab: the
+		// shapes that steer it — K changing inside a list, empty censuses
+		// between full ones, a K or a census count the frame cannot hold —
+		// each end in a refusal here (TestBatchDecodeShapes has them intact).
+		{"census_batch mixed K cut short", []byte{0x0A, 0x02, 0x06, 0x03,
+			0x00, 0x06, 0x02, 0x02, 0x04, // edge 0: two counts
+			0x02, 0x06, 0x04, 0x02, 0x02, 0x02}}, // edge 1: four declared, three sent
+		{"census_batch first K exceeds remaining", []byte{0x0A, 0x02, 0x06, 0x02, 0x00, 0x06, 0xFF, 0xFF, 0x03, 0x02, 0x04}},
+		{"census_batch count far above the frame", []byte{0x0A, 0x02, 0x06, 0xE8, 0x07, 0x00, 0x06, 0x01, 0x02}},
+		{"census_batch empty censuses between full ones, trailing garbage", []byte{0x0A, 0x02, 0x06, 0x03,
+			0x00, 0x06, 0x02, 0x02, 0x04, 0x02, 0x06, 0x00, 0x04, 0x06, 0x02, 0x02, 0x02, 0xAA}},
+		{"digest mixed K cut short", []byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x02,
+			0x04, 0x0C, 0x01, 0x02, // edge 2: one count
+			0x06, 0x0C, 0x03, 0x02, 0x02, 0x80}}, // edge 3: the third count never ends
+		{"digest census count far above the frame", []byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x64, 0x04, 0x0C, 0x01, 0x02}},
 		{"ratio_batch length exceeds remaining", []byte{0x0B, 0x08, 0x7F, 0x00}},
 		{"ratio_batch truncated float", []byte{0x0B, 0x08, 0x01, 0x00, 0x00, 0x00, 0xE0, 0x3F}},
 		{"digest members length overflow", []byte{0x0C, 0x02, 0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
@@ -660,6 +675,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			{Round: 7, Degraded: true, Censuses: []Census{{Edge: 3, Round: 7, Counts: []int{0, 5}}}},
 		}}},
 		{KindHoodBeat, HoodBeat{Hood: 1, Epoch: 2, Leader: 3, Escalated: 6, TTLMillis: 750}},
+		{KindCensusBatch, mixedBatch()},
+		{KindDigest, mixedDigest()},
 	}
 	for _, p := range payloads {
 		m, err := Encode(p.kind, p.body)

@@ -85,6 +85,15 @@ func (c *Client) Run(conn transport.Conn) error {
 	})
 }
 
+// roundUpload is one round's upload body with room for its items (one per
+// modality): one allocation a round. Every round gets its own, because a sent
+// body must not change (see transport.Encode) — on the in-process transport a
+// delayed or duplicated frame is read after the next round's policy arrived.
+type roundUpload struct {
+	up    transport.Upload
+	items [3]transport.Item
+}
+
 // handlers builds the client's dispatch table for the session read loop.
 // Application is idempotent per session: a duplicated or replayed Policy
 // broadcast re-sends the round's cached upload instead of revising the
@@ -93,7 +102,7 @@ func (c *Client) Run(conn transport.Conn) error {
 func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Handler {
 	duplicates := c.Obs.Counter("vehicle_duplicate_frames_total", "duplicated policy/delivery frames absorbed idempotently")
 	policyRound := -1
-	var cachedUpload transport.Upload
+	var cachedUpload *transport.Upload // sent by pointer, so Send does not box it
 	deliveryRound := -1
 	// One of each per session: the read loop handles a frame at a time, and
 	// nothing below keeps Shares or Items past its own call (a received body
@@ -125,7 +134,9 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 				}
 			}
 			policyRound = pol.Round
-			cachedUpload = c.Agent.BuildUpload(pol.Round)
+			ru := new(roundUpload)
+			ru.up = c.Agent.buildUpload(pol.Round, ru.items[:])
+			cachedUpload = &ru.up
 			if err := sess.Send(transport.KindUpload, cachedUpload); err != nil {
 				return fmt.Errorf("vehicle %d: sending upload: %w", c.Agent.Profile.ID, err)
 			}

@@ -59,6 +59,7 @@ type Agent struct {
 	rng      *rand.Rand
 	decision lattice.Decision
 	seq      int
+	q        []float64 // Revise's scratch, K long once used
 	// Received accumulates the utility of delivered data (for reporting).
 	ReceivedUtility float64
 	ReceivedItems   int
@@ -103,11 +104,20 @@ func (a *Agent) SetDecision(d lattice.Decision) error {
 // Only desired modalities count toward the utility term: f_l is attenuated
 // by the fraction of decision l's shared modalities the agent desires.
 func (a *Agent) Fitness(x float64, shares []float64) ([]float64, error) {
+	return a.fitnessInto(nil, x, shares)
+}
+
+// fitnessInto is Fitness written into out's backing array when that holds K
+// values, and into a fresh one otherwise.
+func (a *Agent) fitnessInto(out []float64, x float64, shares []float64) ([]float64, error) {
 	if len(shares) != a.payoffs.K() {
 		return nil, fmt.Errorf("vehicle %d: shares has %d entries, want %d", a.Profile.ID, len(shares), a.payoffs.K())
 	}
 	lat := a.payoffs.Lattice()
-	out := make([]float64, a.payoffs.K())
+	if cap(out) < a.payoffs.K() {
+		out = make([]float64, a.payoffs.K())
+	}
+	out = out[:a.payoffs.K()]
 	for k := 1; k <= a.payoffs.K(); k++ {
 		utility := 0.0
 		for l := 1; l <= a.payoffs.K(); l++ {
@@ -143,12 +153,13 @@ func (a *Agent) Revise(x float64, shares []float64, mu float64) error {
 	if a.rng.Float64() >= mu {
 		return nil
 	}
-	q, err := a.Fitness(x, shares)
+	q, err := a.fitnessInto(a.q, x, shares)
 	if err != nil {
 		return err
 	}
-	probs := make([]float64, len(q))
-	softmax(q, a.Profile.Tau, probs)
+	a.q = q
+	probs := q
+	softmax(q, a.Profile.Tau, probs) // in place: softmax reads an entry before it writes it
 	r := a.rng.Float64()
 	cum := 0.0
 	for k, p := range probs {
@@ -183,10 +194,23 @@ func softmax(q []float64, tau float64, out []float64) {
 // BuildUpload constructs the step-④ message for the current round: one item
 // per modality in S_a ∩ P^{k_a}.
 func (a *Agent) BuildUpload(round int) transport.Upload {
+	return a.buildUpload(round, nil)
+}
+
+// buildUpload is BuildUpload with the items in buf's backing array when that
+// has room for them, and in one sized to the share otherwise (nil for an
+// empty share).
+func (a *Agent) buildUpload(round int, buf []transport.Item) transport.Upload {
 	lat := a.payoffs.Lattice()
 	share := lat.MustShare(a.decision).Intersect(a.Profile.Equipped)
-	var items []transport.Item
-	for _, t := range share.Types() {
+	items := buf[:0]
+	if n := share.Count(); n > cap(items) {
+		items = make([]transport.Item, 0, n)
+	}
+	for _, t := range sensor.AllTypes() {
+		if !share.Has(t) {
+			continue
+		}
 		a.seq++
 		items = append(items, transport.Item{Owner: a.Profile.ID, Modality: t, Seq: a.seq})
 	}
