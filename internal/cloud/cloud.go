@@ -50,6 +50,7 @@ type Server struct {
 	correctionSeq int64
 	corrEdges     []int
 	corrX         []float64
+	div           []policy.Divergence // refoldLocked's marks, one per region
 
 	// Digest reconciliation (see SubmitDigest). digestSeen tracks, per
 	// pending round, which neighborhoods have reported it; a round folds
@@ -73,6 +74,8 @@ type serverMetrics struct {
 	journalErrors *obs.Counter // durable_journal_errors_total
 	rewinds       *obs.Counter // consensus_rewinds_total
 	replayed      *obs.Counter // consensus_replayed_rounds_total
+	refolded      *obs.Counter // consensus_refolded_regions_total
+	orphans       *obs.Counter // journal_corrected_orphans_total
 	beyondLag     *obs.Counter // consensus_censuses_beyond_lag_total
 	corrections   *obs.Counter // consensus_ratio_corrections_total
 	lagDepth      *obs.Gauge   // consensus_lag_window_depth
@@ -106,6 +109,8 @@ func newServerMetrics(o *obs.Observer, stateHash func() uint32) serverMetrics {
 		journalErrors: o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
 		rewinds:       o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
 		replayed:      o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
+		refolded:      o.Counter("consensus_refolded_regions_total", "regions whose ratio a rewind recomputed, summed over its replayed rounds (the rest kept the recorded result)"),
+		orphans:       o.Counter("journal_corrected_orphans_total", "Corrected journal records skipped at recovery because no buffered round was left to merge them into"),
 		beyondLag:     o.Counter("consensus_censuses_beyond_lag_total", "late censuses outside the lag window, answered from current state"),
 		corrections:   o.Counter("consensus_ratio_corrections_total", "regions whose corrected ratio was published to their session after a rewind"),
 		lagDepth:      o.Gauge("consensus_lag_window_depth", "completed rounds currently buffered in the fixed-lag window"),
@@ -133,6 +138,7 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		compactEvery: durable.CompactEvery,
 		digestSeen:   make(map[int]map[int]bool),
 		digestMark:   make(map[int]int),
+		div:          make([]policy.Divergence, fold.Regions()),
 	}
 	s.metrics = newServerMetrics(o, s.StateHash)
 	s.eng = NewEngine(EngineConfig{
@@ -317,11 +323,10 @@ func (s *Server) ingest(round int, censuses []transport.Census) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rewound, err := s.lateLocked(round, censuses)
-	if rewound && err == nil {
+	if s.lateLocked(round, censuses) {
 		s.pushCorrectionsLocked(censuses)
 	}
-	return err
+	return nil
 }
 
 // completeRoundLocked is the kernel's Complete hook: fold the round, journal

@@ -69,6 +69,22 @@ func crashRound(t *testing.T, srv *Server, round int) {
 	}
 }
 
+// lastRecord returns the newest round record journaled in a copy of a state
+// directory.
+func lastRecord(t *testing.T, dir string) durable.RoundRecord {
+	t.Helper()
+	journal, _, err := durable.OpenJournal(crashtest.CopyDir(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	var last durable.RoundRecord
+	if err := journal.Replay(func(rec durable.RoundRecord) error { last = rec; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return last
+}
+
 // windowOf returns the server's lag window by value.
 func windowOf(srv *Server) []lagEntry {
 	srv.mu.Lock()
@@ -86,8 +102,8 @@ func windowOf(srv *Server) []lagEntry {
 // checkpoint — rotated but no snapshot, snapshot tmp written, snapshot
 // renamed with the old segments still present, old segments unlinked and no
 // spare, empty spare present — and then given a torn tail, rewritten in the
-// parent's one-file layout, and taken after a checkpoint whose background
-// half failed. Open on every one of them must recover the uninterrupted
+// parent's one-file layout, taken right behind a rewind's delta Corrected
+// record, and taken after a checkpoint whose background half failed. Open on every one of them must recover the uninterrupted
 // twin: its round, its consensus_state_hash, its whole rewind window, and a
 // future that folds like a lossless run's.
 func TestCheckpointCrashPoints(t *testing.T) {
@@ -184,6 +200,26 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			for _, c := range crashes {
 				verify(c.Step, c.Dir, srv)
 			}
+
+			// Killed right behind a rewind's record (round 5's late census,
+			// journaled alone): recovery merges it into the degraded round
+			// the journal holds just before it. Without a window round 5 is
+			// an ordinary round and this is one more plain kill.
+			behind := crashServer(t, lag)
+			if err := behind.Open(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round <= 5; round++ {
+				crashRound(t, behind, round)
+			}
+			if err := behind.journal.WaitCheckpoint(); err != nil {
+				t.Fatal(err)
+			}
+			killed := crashtest.CopyDir(t, behind.journal.Dir())
+			if last := lastRecord(t, killed); lag > 0 && (!last.Corrected || last.Round != 5 || len(last.Censuses) != 1) {
+				t.Errorf("the journal ends in %+v, want round 5's late census alone, marked corrected", last)
+			}
+			verify("killed behind a delta Corrected record", killed, behind)
 
 			// A checkpoint whose background half fails at its first step: the
 			// journal has rotated, no snapshot was written, no spare exists,

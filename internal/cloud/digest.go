@@ -62,13 +62,11 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 			// Re-escalation after a lost ack, or another neighborhood's copy
 			// of a round this one already completed: the rewind window
 			// absorbs duplicates and merges genuinely late censuses.
-			_, err = s.lateLocked(dr.Round, dr.Censuses)
+			s.lateLocked(dr.Round, dr.Censuses)
+			continue
 		}
 		if err != nil {
 			return transport.RatioBatch{}, err
-		}
-		if late {
-			continue
 		}
 		seen := s.digestSeen[dr.Round]
 		if seen == nil {

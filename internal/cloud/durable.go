@@ -25,7 +25,9 @@ func (s *Server) Open(stateDir string) error {
 		return fmt.Errorf("cloud: %w", err)
 	}
 	recovered := cp != nil
+	cpRound := -1 // rounds through it are inside the checkpoint
 	if recovered {
+		cpRound = cp.Round
 		s.eng.Advance(cp.Round)
 		s.correctionSeq = cp.CorrectionSeq
 		for h, mark := range cp.DigestWatermarks {
@@ -36,27 +38,23 @@ func (s *Server) Open(stateDir string) error {
 	replayed := 0
 	err = journal.Replay(func(rec durable.RoundRecord) error {
 		if rec.Corrected {
-			// A fixed-lag rewind re-journaled this round with a late census
-			// merged in: supersede the earlier fold and re-propagate, so the
-			// recovered history is the corrected one.
+			// A fixed-lag rewind journaled the late census it merged into this
+			// round (a record from before the delta form carries the round's
+			// whole corrected set, which merges to the same thing): merge it
+			// into the buffered round and re-fold as the live rewind did, so
+			// the recovered history is the corrected one.
 			if idx := s.windowIndexLocked(rec.Round); idx >= 0 {
-				e := s.window[idx]
-				e.censuses = rec.Censuses
-				e.degraded = rec.Degraded
-				if err := s.refoldLocked(idx); err != nil {
-					return fmt.Errorf("replaying corrected round %d: %w", rec.Round, err)
-				}
+				s.refoldLocked(idx, rec.Censuses)
 				s.correctionSeq++
 				replayed++
-				return nil
+			} else if rec.Round > cpRound {
+				// Not under the checkpoint and no buffered round to merge
+				// into — fixed_lag shrank across the restart, or the round's
+				// own record is gone. A late census alone is no round to fold.
+				s.metrics.orphans.Inc()
+				s.logfLocked("cloud: corrected record for round %d skipped: the round is not in the lag window, its correction is lost", rec.Round)
 			}
-			if rec.Round <= s.eng.Latest() {
-				// The corrected fold is already inside the checkpoint (or the
-				// window shrank across restarts); nothing to redo.
-				return nil
-			}
-			// No earlier fold of this round survives: apply it as a fresh
-			// record below.
+			return nil
 		}
 		if rec.Round <= s.eng.Latest() {
 			// Already covered by the checkpoint: a crash between snapshot
@@ -92,9 +90,9 @@ func (s *Server) Open(stateDir string) error {
 
 // persistRoundLocked journals one applied round — the append fsyncs before
 // the round's waiters observe the new state, so a ratio acked to an edge is
-// always recoverable — and starts a checkpoint every compactEvery rounds. A
-// record a rewind re-journals is marked Corrected, so recovery replays the
-// corrected history, and does not count toward that cadence. Persistence
+// always recoverable — and starts a checkpoint every compactEvery rounds. The
+// record a rewind journals — its late census, marked Corrected, which
+// recovery merges back in — does not count toward that cadence. Persistence
 // failures are counted and logged but do not fail the round: the
 // coordinator keeps serving from memory. Called with s.mu held; no-op
 // without an open journal.
@@ -116,8 +114,9 @@ func (s *Server) persistRoundLocked(rec durable.RoundRecord) {
 // writes in the background. Without a lag window that is the current state
 // (a clone: the next round folds into the live one) and no journaled round
 // outlives it. With buffered rounds it is the state *before* the oldest
-// window entry — which rewinds replace and never write to — and the
-// window's round records stay in the journal: rewinding inside the window
+// window entry — which no rewind writes to: one rewrites the snapshots after
+// the entry it rewinds to, never window[0]'s — and the window's round
+// records stay in the journal: rewinding inside the window
 // must stay possible across a restart, and a checkpoint of the current
 // state would make the buffered rounds unrecoverable. Called with s.mu
 // held.

@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/durable"
 	"repro/internal/game"
@@ -21,9 +22,10 @@ import (
 type Fold struct {
 	fds    *policy.FDS
 	state  *game.State
-	enc    []byte // Hash's encoding buffer, reused from call to call
-	hash   uint32 // Hash's memo, valid while hashed
-	hashed bool   // cleared where the state changes: Apply and SetState
+	enc    []byte    // Hash's encoding buffer, reused from call to call
+	row    []float64 // Replay's one row of shares
+	hash   uint32    // Hash's memo, valid while hashed
+	hashed bool      // cleared where the state changes: Apply, Replay and SetState
 }
 
 // NewFold validates the initial state and returns a fold over a private
@@ -53,21 +55,61 @@ func (f *Fold) Decisions() int { return len(f.state.P[0]) }
 func (f *Fold) Apply(censuses map[int][]int) error {
 	f.hashed = false
 	for i, counts := range censuses {
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total == 0 || i < 0 || i >= len(f.state.P) || len(counts) != len(f.state.P[i]) {
-			continue
-		}
-		for d, c := range counts {
-			f.state.P[i][d] = float64(c) / float64(total)
+		if i >= 0 && i < len(f.state.P) {
+			shares(counts, f.state.P[i])
 		}
 	}
 	if _, err := f.fds.UpdateRatios(f.state); err != nil {
 		return fmt.Errorf("cloud: FDS update: %w", err)
 	}
 	return nil
+}
+
+// shares writes a census into p as decision shares, or reports false and
+// leaves p alone for one the fold passes over: empty, or not of p's length.
+func shares(counts []int, p []float64) bool {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 || len(counts) != len(p) {
+		return false
+	}
+	for d, c := range counts {
+		p[d] = float64(c) / float64(total)
+	}
+	return true
+}
+
+// Replay is Apply for a round recorded once already, replayed on a timeline
+// that has since diverged from the record in the regions div marks: it
+// touches those and the ones their difference reaches, and arrives at exactly
+// what Apply would (policy.FDS.Resweep, whose contract this shares, has the
+// argument). On the way in DivergedP marks every region whose shares may
+// differ once censuses are in — it diverged earlier, or its census here is
+// not the recorded one. post is rewritten in place; it is the fold's own
+// state when the round is the newest one buffered. It returns the number of
+// regions whose ratio it recomputed.
+func (f *Fold) Replay(censuses map[int][]int, pre, post *game.State, preMem, postMem policy.FDSMemory, div []policy.Divergence) int {
+	if post == f.state {
+		f.hashed = false
+	}
+	for i, d := range div {
+		if d&policy.DivergedP == 0 {
+			continue
+		}
+		// Region i's shares after this round's censuses, against the record's.
+		f.row = append(f.row[:0], pre.P[i]...)
+		shares(censuses[i], f.row)
+		div[i] &^= policy.DivergedP
+		for k, v := range f.row {
+			if math.Float64bits(v) != math.Float64bits(post.P[i][k]) {
+				div[i] |= policy.DivergedP
+			}
+		}
+		copy(post.P[i], f.row)
+	}
+	return f.fds.Resweep(pre, post, preMem, postMem, div)
 }
 
 // Hash returns a CRC-32C over the canonical JSON encoding of the state —
@@ -91,11 +133,12 @@ func (f *Fold) Hash() uint32 {
 func (f *Fold) X(edge int) float64 { return f.state.X[edge] }
 
 // State returns the live state. The caller must hold whatever lock
-// serializes the fold and must not mutate it outside Apply/SetState.
+// serializes the fold and must not mutate it outside Apply, Replay and
+// SetState.
 func (f *Fold) State() *game.State { return f.state }
 
-// SetState replaces the live state, taking ownership of st (recovery and
-// rewind both install snapshots they already own).
+// SetState replaces the live state, taking ownership of st (recovery
+// installs a snapshot it owns).
 func (f *Fold) SetState(st *game.State) { f.state, f.hashed = st, false }
 
 // Memory snapshots the FDS controller's cross-round memory.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crashtest"
 	"repro/internal/durable"
 	"repro/internal/game"
 	"repro/internal/obs"
@@ -384,6 +385,28 @@ func TestRecoveryPreservesRewindWindow(t *testing.T) {
 	srv1.SetRoundDeadline(0)
 	if _, err := srv1.Submit(transport.Census{Edge: 1, Round: 1, Counts: c1}); err != nil {
 		t.Fatal(err)
+	}
+	// Killed right here, the journal ends in the rewind's record — the late
+	// census alone — and recovery must merge it into the degraded round it
+	// buffered: the same hash, the same window, entry by entry.
+	if err := srv1.journal.WaitCheckpoint(); err != nil { // the copy below is of a directory at rest
+		t.Fatal(err)
+	}
+	fdsKilled, _ := testFDS(t)
+	killed, err := NewServer(fdsKilled, game.NewUniformState(2, 8, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer killed.Close()
+	killed.SetFixedLag(8)
+	if err := killed.Open(crashtest.CopyDir(t, dir)); err != nil {
+		t.Fatalf("Open after a kill behind the delta record: %v", err)
+	}
+	if got, want := killed.StateHash(), srv1.StateHash(); got != want {
+		t.Fatalf("hash recovered behind the delta record %08x != live %08x", got, want)
+	}
+	if got, want := windowOf(killed), windowOf(srv1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("window recovered behind the delta record differs from the live one:\n got %+v\nwant %+v", got, want)
 	}
 	runFullRound(t, srv1, 2, c0, c1)
 	preHash := srv1.StateHash()

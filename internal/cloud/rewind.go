@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"fmt"
 	"hash/crc32"
 	"slices"
 
@@ -18,8 +17,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // the fold inputs (census set, degraded flag) plus a snapshot of the game
 // state and FDS controller memory from just before the round was applied.
 // Rewinding to preState/preFDS and re-folding censuses reproduces the
-// round's effect exactly; the snapshots of later entries are recomputed
-// during replay, so the window is always internally consistent.
+// round's effect exactly; a rewind rewrites the snapshots of the entries
+// after the one it rewinds to, in place, so the window is always internally
+// consistent — and entry n+1's snapshot is always the state after round n.
 type lagEntry struct {
 	round    int
 	preState *game.State
@@ -31,11 +31,11 @@ type lagEntry struct {
 // SetFixedLag sets the fixed-lag fusion window to the last n completed
 // rounds (0, the default, disables rewinding: late censuses are answered
 // from the current state as before). A census arriving for a round still in
-// the window rewinds the fold to that round's pre-state, re-applies the
-// round with the late census merged in, and re-propagates through every
-// buffered round after it — so the published ratio field ends bit-identical
-// to what a lossless network would have produced. Call before Open and
-// Serve: shrinking a live window discards its oldest entries.
+// the window is merged into that round and re-propagated through it and
+// every buffered round after it (refoldLocked) — so the published ratio
+// field ends bit-identical to what a lossless network would have produced.
+// Call before Open and Serve: shrinking a live window discards its oldest
+// entries.
 func (s *Server) SetFixedLag(n int) {
 	if n < 0 {
 		n = 0
@@ -97,48 +97,52 @@ func (s *Server) windowIndexLocked(round int) int {
 	return -1
 }
 
-// refoldLocked rewinds the fold to window entry idx's pre-state and
-// re-propagates through every buffered round from there, refreshing each
-// entry's snapshots along the way. The fold itself is Fold.Apply — the
-// exact code live rounds run — so a replayed history is bit-identical to
-// one where the censuses had arrived on time. Called with s.mu held.
-func (s *Server) refoldLocked(idx int) error {
+// refoldLocked merges late censuses into window entry idx, last write wins,
+// and brings every buffered round from there on, and the live fold, to the
+// timeline where they had arrived on time. The window holds the recorded
+// timeline's state before and after each of those rounds (the next entry's
+// snapshot; the live fold after the last), so each is replayed against its
+// record (Fold.Replay): only the regions a late census reaches are
+// recomputed, and snapshots and live state are rewritten in place where they
+// change. Entry idx's own snapshot is never written — nor, then, window[0]'s,
+// which a background checkpoint may be encoding. It returns the number of
+// regions recomputed over all rounds. Called with s.mu held.
+func (s *Server) refoldLocked(idx int, late map[int][]int) (recomputed int) {
+	clear(s.div)
 	e := s.window[idx]
-	s.fold.SetState(e.preState.Clone())
-	if err := s.fold.SetMemory(e.preFDS); err != nil {
-		return err
+	for edge, counts := range late {
+		e.censuses[edge] = counts
+		if edge >= 0 && edge < s.m {
+			s.div[edge] = policy.DivergedP
+		}
 	}
+	live, liveMem := s.fold.State(), s.fold.Memory()
 	for n, entry := range s.window[idx:] {
-		if n > 0 {
-			// Entry idx keeps the snapshot the fold was just rewound to.
-			entry.preState = s.fold.State().Clone()
-			entry.preFDS = s.fold.Memory()
+		post, postMem := live, liveMem
+		if next := idx + n + 1; next < len(s.window) {
+			post, postMem = s.window[next].preState, s.window[next].preFDS
 		}
-		if err := s.fold.Apply(entry.censuses); err != nil {
-			return fmt.Errorf("re-folding round %d: %w", entry.round, err)
-		}
+		recomputed += s.fold.Replay(entry.censuses, entry.preState, post, entry.preFDS, postMem, s.div)
 	}
-	return nil
+	_ = s.fold.SetMemory(liveMem) // the fold's own Memory(), so of its size
+	s.metrics.refolded.Add(int64(recomputed))
+	return recomputed
 }
 
 // lateLocked resolves censuses for an already-completed round through the
-// lag window, one by one (see handleLateLocked), stopping at the first
-// fold failure. rewound tells the caller the published ratios changed:
-// correction frames are due, once per submission however many censuses
-// rewound. Called with s.mu held.
-func (s *Server) lateLocked(round int, censuses []transport.Census) (rewound bool, err error) {
+// lag window, one by one (see handleLateLocked). rewound tells the caller the
+// published ratios changed: correction frames are due, once per submission
+// however many censuses rewound. Called with s.mu held.
+func (s *Server) lateLocked(round int, censuses []transport.Census) (rewound bool) {
 	for i := range censuses {
 		s.metrics.late.Inc()
-		handled, rw, err := s.handleLateLocked(round, &censuses[i])
-		if err != nil {
-			return rewound, err
-		}
+		handled, rw := s.handleLateLocked(round, &censuses[i])
 		if !handled && s.lag > 0 {
 			s.metrics.beyondLag.Inc()
 		}
 		rewound = rewound || rw
 	}
-	return rewound, nil
+	return rewound
 }
 
 // handleLateLocked resolves a census for an already-completed round through
@@ -147,34 +151,32 @@ func (s *Server) lateLocked(round int, censuses []transport.Census) (rewound boo
 // completing) — the census is then folded away and answered from the
 // current state, the degraded path. When the census is a byte-identical
 // duplicate of what the round already folded, it is absorbed without a
-// rewind. Otherwise the fold rewinds, the census is merged last-write-wins,
-// subsequent rounds re-propagate, and the corrected round is re-journaled.
+// rewind. Otherwise the census is merged last-write-wins, the rounds from
+// there on are re-folded where it reaches (refoldLocked), and the census is
+// journaled as a Corrected record — it alone: replay merges it the same way.
 // Called with s.mu held.
-func (s *Server) handleLateLocked(round int, census *transport.Census) (handled, rewound bool, err error) {
+func (s *Server) handleLateLocked(round int, census *transport.Census) (handled, rewound bool) {
 	idx := s.windowIndexLocked(round)
 	if s.lag <= 0 || idx < 0 {
-		return false, false, nil
+		return false, false
 	}
 	e := s.window[idx]
 	if prev, ok := e.censuses[census.Edge]; ok && slices.Equal(prev, census.Counts) {
 		s.metrics.Duplicates.Inc()
-		return true, false, nil
+		return true, false
 	}
 	span := s.obsv.Span("consensus_rewind", obs.A("round", round), obs.A("edge", census.Edge))
-	e.censuses[census.Edge] = census.Counts
-	if err := s.refoldLocked(idx); err != nil {
-		span.End(obs.A("error", err.Error()))
-		return true, false, err
-	}
+	late := map[int][]int{census.Edge: census.Counts}
+	recomputed := s.refoldLocked(idx, late)
 	replayed := len(s.window) - idx
 	s.correctionSeq++
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
-	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses, Corrected: true})
-	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d rounds (correction seq %d)",
-		round, census.Edge, replayed, s.correctionSeq)
-	span.End(obs.A("replayed", replayed), obs.A("seq", s.correctionSeq))
-	return true, true, nil
+	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Censuses: late, Corrected: true})
+	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d regions over %d rounds (correction seq %d)",
+		round, census.Edge, recomputed, replayed, s.correctionSeq)
+	span.End(obs.A("replayed", replayed), obs.A("recomputed", recomputed), obs.A("seq", s.correctionSeq))
+	return true, true
 }
 
 // pushCorrectionsLocked publishes a rewind's corrected ratios: every session

@@ -73,11 +73,13 @@ type RoundRecord struct {
 	Round    int           `json:"round"`
 	Degraded bool          `json:"degraded,omitempty"`
 	Censuses map[int][]int `json:"censuses"`
-	// Corrected marks a re-journaled record written after a fixed-lag rewind
-	// folded a late census into an already-applied round. During replay a
-	// corrected record supersedes the round's earlier censuses: recovery
-	// rewinds to the round's pre-state and re-folds, reproducing the
-	// corrected history rather than the arrival-order one.
+	// Corrected marks the record a fixed-lag rewind writes after folding a
+	// late census into an already-applied round. It is a delta: Censuses
+	// holds the late census alone and Degraded is left out. Replay merges it,
+	// last write wins, into the round's census set and re-folds from there,
+	// reproducing the corrected history rather than the arrival-order one.
+	// Journals written before the delta form hold the round's whole
+	// corrected set under the same flag, which merges to the same set.
 	Corrected bool `json:"corrected,omitempty"`
 }
 

@@ -59,6 +59,27 @@ func TestEncodeRoundFormat(t *testing.T) {
 	}
 }
 
+// TestCorrectedRecordForms pins the two forms a Corrected record has on
+// disk: the delta a rewind writes — the late census alone — and the whole
+// corrected round that journals from before the delta form hold. Both decode
+// under the same flag; the replayer merges either into the buffered round.
+func TestCorrectedRecordForms(t *testing.T) {
+	delta := RoundRecord{Round: 9, Corrected: true, Censuses: map[int][]int{3: {0, 2, 5}}}
+	const deltaBytes = `{"round":9,"censuses":{"3":[0,2,5]},"corrected":true}`
+	got, err := EncodeRound(delta)
+	if err != nil || string(got) != deltaBytes {
+		t.Errorf("EncodeRound(delta) = %s, %v; want %s", got, err, deltaBytes)
+	}
+	const fullBytes = `{"round":9,"degraded":true,"censuses":{"0":[4,1,2],"3":[0,2,5]},"corrected":true}`
+	full := RoundRecord{Round: 9, Degraded: true, Corrected: true, Censuses: map[int][]int{0: {4, 1, 2}, 3: {0, 2, 5}}}
+	for payload, want := range map[string]RoundRecord{deltaBytes: delta, fullBytes: full} {
+		back, err := DecodeRound([]byte(payload))
+		if err != nil || !reflect.DeepEqual(back, want) {
+			t.Errorf("DecodeRound(%s) = %+v, %v; want %+v", payload, back, err, want)
+		}
+	}
+}
+
 // TestEncodeRoundAllocs pins a thousand-region record at the region index,
 // the payload and at most one growth of it — and a journal's steady-state
 // AppendRound, which encodes and frames through buffers it keeps, at none.

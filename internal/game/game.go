@@ -115,6 +115,11 @@ func (m *Model) M() int { return m.graph.M() }
 // Beta returns beta_i.
 func (m *Model) Beta(i int) float64 { return m.beta[i] }
 
+// Neighbors returns the regions whose shares and ratios region i's fitness
+// reads — the graph's Neighbors(i) as frozen at NewModel. The caller must
+// not write to it.
+func (m *Model) Neighbors(i int) []int { return m.nbrs[i] }
+
 // Payoffs returns the decision payoffs.
 func (m *Model) Payoffs() *lattice.Payoffs { return m.payoffs }
 

@@ -28,7 +28,9 @@ func randomState(rng *rand.Rand, m *Model) *State {
 
 // TestLinearizerMatchesLinearize holds the controller's scratch path to the
 // one-shot Linearize bit for bit, across a sweep in which the ratios move
-// between regions while the tabulated distributions stay put.
+// between regions while the tabulated distributions stay put — once on a
+// table Tabulate filled whole, once on one TabulateRegion fills a region's
+// rows at a time after each new state's Invalidate.
 func TestLinearizerMatchesLinearize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, g := range []Graph{fullGraph{m: 1, selfW: 1}, fullGraph{m: 2, selfW: 0.8}, fullGraph{m: 7, selfW: 0.6}} {
@@ -40,23 +42,26 @@ func TestLinearizerMatchesLinearize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lz := m.NewLinearizer()
+		lz, byRegion := m.NewLinearizer(), m.NewLinearizer()
 		for trial := 0; trial < 20; trial++ {
 			s := randomState(rng, m)
 			lz.Tabulate(s)
+			byRegion.Invalidate()
 			for i := 0; i < m.M(); i++ {
 				want, err := m.Linearize(s, i)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := lz.Region(s, i)
-				for k := range want {
-					for n, pair := range [][2]float64{
-						{got[k].Alpha1.A, want[k].Alpha1.A}, {got[k].Alpha1.B, want[k].Alpha1.B},
-						{got[k].Alpha2.A, want[k].Alpha2.A}, {got[k].Alpha2.B, want[k].Alpha2.B},
-					} {
-						if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-							t.Fatalf("M=%d region %d decision %d coefficient %d: scratch %v, one-shot %v", m.M(), i, k, n, pair[0], pair[1])
+				byRegion.TabulateRegion(s, i)
+				for name, got := range map[string][]LinearCoeffs{"Tabulate": lz.Region(s, i), "TabulateRegion": byRegion.Region(s, i)} {
+					for k := range want {
+						for n, pair := range [][2]float64{
+							{got[k].Alpha1.A, want[k].Alpha1.A}, {got[k].Alpha1.B, want[k].Alpha1.B},
+							{got[k].Alpha2.A, want[k].Alpha2.A}, {got[k].Alpha2.B, want[k].Alpha2.B},
+						} {
+							if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+								t.Fatalf("M=%d region %d decision %d coefficient %d: scratch after %s %v, one-shot %v", m.M(), i, k, n, name, pair[0], pair[1])
+							}
 						}
 					}
 				}

@@ -167,6 +167,8 @@ type Linearizer struct {
 	av     []float64 // av[j*K+k] = AccessibleValue(k, P[j]) as of Tabulate
 	gain   []float64
 	coeffs []LinearCoeffs
+	tabbed []uint64 // tabbed[j] == epoch: TabulateRegion has row j since Invalidate
+	epoch  uint64
 }
 
 // NewLinearizer returns a linearizer for states of the model's shape.
@@ -176,6 +178,7 @@ func (m *Model) NewLinearizer() *Linearizer {
 		av:     make([]float64, m.M()*m.K()),
 		gain:   make([]float64, m.K()),
 		coeffs: make([]LinearCoeffs, m.K()),
+		tabbed: make([]uint64, m.M()),
 	}
 }
 
@@ -185,6 +188,28 @@ func (l *Linearizer) Tabulate(s *State) {
 	k := l.m.K()
 	for j, p := range s.P {
 		l.m.accessibleValues(p, l.av[j*k:(j+1)*k])
+	}
+}
+
+// Invalidate starts a pass that linearizes only some regions of a state
+// whose distributions changed, each after a TabulateRegion.
+func (l *Linearizer) Invalidate() { l.epoch++ }
+
+// TabulateRegion records the accessible values Region(s, i) reads — region
+// i's and its neighbours' — skipping the rows it already recorded since the
+// last Invalidate, so a pass that reaches every region of a dense graph
+// still tabulates each row once.
+func (l *Linearizer) TabulateRegion(s *State, i int) {
+	k := l.m.K()
+	row := func(j int) {
+		if l.tabbed[j] != l.epoch {
+			l.m.accessibleValues(s.P[j], l.av[j*k:(j+1)*k])
+			l.tabbed[j] = l.epoch
+		}
+	}
+	row(i)
+	for _, j := range l.m.nbrs[i] {
+		row(j)
 	}
 }
 

@@ -48,8 +48,10 @@ type FDS struct {
 	// Scratch UpdateRatios reuses from call to call. The controller is
 	// single-caller already (the stall state above), so whoever serializes
 	// its calls serializes these too.
-	lin   *game.Linearizer
-	conds []cond
+	lin       *game.Linearizer
+	conds     []cond
+	satisfied []bool    // UpdateRatios' report
+	xs        []float64 // Resweep's Gauss–Seidel view of the ratios
 
 	// Instruments; nil (no-op) until Instrument is called.
 	obsv    *obs.Observer
@@ -78,6 +80,8 @@ func NewFDS(m *game.Model, f *Field, lambda float64) (*FDS, error) {
 		stallRounds:   make([]int, m.M()),
 		lin:           m.NewLinearizer(),
 		conds:         make([]cond, 0, m.K()),
+		satisfied:     make([]bool, m.M()),
+		xs:            make([]float64, m.M()),
 	}, nil
 }
 
@@ -176,119 +180,115 @@ func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimi
 
 // UpdateRatios performs one FDS round: it recomputes X_i for every region
 // from the current state and moves each x_i toward it by at most Lambda,
-// writing the new ratios into s.X. It returns, per region, whether the
-// current ratio already satisfied its condition set.
+// writing the new ratios into s.X — a Gauss–Seidel pass in ascending order,
+// region i stepped at the ratios regions < i just moved to. It returns, per
+// region, whether the current ratio already satisfied its condition set, in
+// the controller's own buffer: valid until the next call.
 func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 	m := f.model
 	if len(s.P) != m.M() || len(s.X) != m.M() {
 		return nil, fmt.Errorf("policy: state has %d distributions and %d ratios, model %d regions", len(s.P), len(s.X), m.M())
 	}
 	f.updates.Inc()
-	satisfied := make([]bool, m.M())
-	// The distributions do not change during the sweep, so their accessible
-	// values are tabulated once; the ratios do (region i sees the ratios
-	// regions < i just moved to), so each region is linearized in turn.
+	// The distributions do not change during the sweep: tabulate them once.
 	f.lin.Tabulate(s)
-	for i := 0; i < m.M(); i++ {
-		coeffs := f.lin.Region(s, i)
-
-		conds := f.conds[:0]
-		for k := 0; k < m.K(); k++ {
-			want := f.field.P[i][k]
-			if want.Lo <= 0 && want.Hi >= 1 {
-				continue // unconstrained share
-			}
-			p := s.P[i][k]
-			d := 0.0
-			switch {
-			case p < want.Lo:
-				d = want.Lo - p
-			case p > want.Hi:
-				d = p - want.Hi
-			}
-			set := conditionSet(coeffs[k], p, want)
-			if set.Empty() && d > 0 {
-				// No ratio places this share in a case flowing to its
-				// target under the frozen linearization — typical when the
-				// share is near-extinct and its growth rate is negative for
-				// every x. Fall back to the ratio extreme that maximizes
-				// (if the share must rise) or minimizes (if it must fall)
-				// the linearized growth rate alpha1*p + alpha2, so the
-				// system is at least steered toward eventual satisfiability.
-				set = growthExtremeSet(coeffs[k], p, p < want.Lo)
-			}
-			conds = append(conds, cond{set: set, dist: d})
-		}
-
-		xSet := optimize.FullSet()
-		if len(conds) > 0 {
-			// Intersect most-urgent first so best-effort dropping removes
-			// the least-urgent conditions: a stable insertion sort by
-			// descending distance.
-			for a := 1; a < len(conds); a++ {
-				for b := a; b > 0 && conds[b].dist > conds[b-1].dist; b-- {
-					conds[b], conds[b-1] = conds[b-1], conds[b]
-				}
-			}
-			for _, c := range conds {
-				next := xSet.Intersect(c.set)
-				if next.Empty() {
-					if !f.BestEffort {
-						xSet = next
-						break
-					}
-					continue // drop this condition
-				}
-				xSet = next
-			}
-		}
-
-		// Region shortfall for stall detection.
-		worstDist, worstK := 0.0, -1
-		for k := 0; k < m.K(); k++ {
-			want := f.field.P[i][k]
-			p := s.P[i][k]
-			d := 0.0
-			switch {
-			case p < want.Lo:
-				d = want.Lo - p
-			case p > want.Hi:
-				d = p - want.Hi
-			}
-			if d > worstDist {
-				worstDist, worstK = d, k
-			}
-		}
-
-		x := s.X[i]
-		if xSet.Empty() {
-			// No ratio helps under the frozen linearization; hold position.
-			satisfied[i] = false
-			f.noteProgress(i, worstDist)
-			continue
-		}
-		if xSet.Contains(x) {
-			satisfied[i] = true
-			if f.stalled(i, worstDist) && worstK >= 0 {
-				// The linearization says the ratio is fine, but the region
-				// has sat out of band without improving: nudge the ratio
-				// toward the extreme that raises (or lowers) the worst
-				// share's growth rate.
-				up := s.P[i][worstK] < f.field.P[i][worstK].Lo
-				nudge := growthExtremeSet(coeffs[worstK], s.P[i][worstK], up)
-				if target, ok := nudge.Nearest(x); ok {
-					step := clampStep(target-x, f.Lambda)
-					s.X[i] = clamp01(x + step)
-					f.nudges.Inc()
-				}
-			}
-			continue
-		}
-		f.noteProgress(i, worstDist)
-		target, _ := xSet.Nearest(x)
-		s.X[i] = clamp01(x + clampStep(target-x, f.Lambda))
+	for i := range f.satisfied {
+		f.satisfied[i] = f.step(s, i)
 	}
-	return satisfied, nil
+	return f.satisfied, nil
+}
+
+// step is region i's share of UpdateRatios. It reads the distributions of i and
+// its neighbours (through the linearizer's table, which must hold them), x_i
+// and its neighbours' ratios as s.X has them now, and region i's stall
+// memory — nothing else, which Resweep rests on. It writes s.X[i] and that
+// memory, and reports whether x_i already satisfied its condition set.
+func (f *FDS) step(s *game.State, i int) bool {
+	m := f.model
+	coeffs := f.lin.Region(s, i)
+
+	conds := f.conds[:0]
+	for k := 0; k < m.K(); k++ {
+		want := f.field.P[i][k]
+		if want.Lo <= 0 && want.Hi >= 1 {
+			continue // unconstrained share
+		}
+		p := s.P[i][k]
+		d := shortfall(p, want)
+		set := conditionSet(coeffs[k], p, want)
+		if set.Empty() && d > 0 {
+			// No ratio places this share in a case flowing to its
+			// target under the frozen linearization — typical when the
+			// share is near-extinct and its growth rate is negative for
+			// every x. Fall back to the ratio extreme that maximizes
+			// (if the share must rise) or minimizes (if it must fall)
+			// the linearized growth rate alpha1*p + alpha2, so the
+			// system is at least steered toward eventual satisfiability.
+			set = growthExtremeSet(coeffs[k], p, p < want.Lo)
+		}
+		conds = append(conds, cond{set: set, dist: d})
+	}
+
+	xSet := optimize.FullSet()
+	if len(conds) > 0 {
+		// Intersect most-urgent first so best-effort dropping removes
+		// the least-urgent conditions: a stable insertion sort by
+		// descending distance.
+		for a := 1; a < len(conds); a++ {
+			for b := a; b > 0 && conds[b].dist > conds[b-1].dist; b-- {
+				conds[b], conds[b-1] = conds[b-1], conds[b]
+			}
+		}
+		for _, c := range conds {
+			next := xSet.Intersect(c.set)
+			if next.Empty() {
+				if !f.BestEffort {
+					xSet = next
+					break
+				}
+				continue // drop this condition
+			}
+			xSet = next
+		}
+	}
+
+	// Region shortfall for stall detection.
+	worstDist, worstK := 0.0, -1
+	for k := 0; k < m.K(); k++ {
+		want := f.field.P[i][k]
+		p := s.P[i][k]
+		d := shortfall(p, want)
+		if d > worstDist {
+			worstDist, worstK = d, k
+		}
+	}
+
+	x := s.X[i]
+	if xSet.Empty() {
+		// No ratio helps under the frozen linearization; hold position.
+		f.noteProgress(i, worstDist)
+		return false
+	}
+	if xSet.Contains(x) {
+		if f.stalled(i, worstDist) && worstK >= 0 {
+			// The linearization says the ratio is fine, but the region
+			// has sat out of band without improving: nudge the ratio
+			// toward the extreme that raises (or lowers) the worst
+			// share's growth rate.
+			up := s.P[i][worstK] < f.field.P[i][worstK].Lo
+			nudge := growthExtremeSet(coeffs[worstK], s.P[i][worstK], up)
+			if target, ok := nudge.Nearest(x); ok {
+				step := clampStep(target-x, f.Lambda)
+				s.X[i] = clamp01(x + step)
+				f.nudges.Inc()
+			}
+		}
+		return true
+	}
+	f.noteProgress(i, worstDist)
+	target, _ := xSet.Nearest(x)
+	s.X[i] = clamp01(x + clampStep(target-x, f.Lambda))
+	return false
 }
 
 // noteProgress records the region's shortfall and resets its stall counter

@@ -109,6 +109,17 @@ func (f *Field) Validate(m *game.Model) error {
 	return nil
 }
 
+// shortfall returns how far share p lies outside its desired interval.
+func shortfall(p float64, want optimize.Interval) float64 {
+	switch {
+	case p < want.Lo:
+		return want.Lo - p
+	case p > want.Hi:
+		return p - want.Hi
+	}
+	return 0
+}
+
 // Converged reports whether every share lies in its desired interval, and,
 // when it does not, the worst shortfall (largest distance from a share to
 // its interval).
@@ -116,15 +127,7 @@ func (f *Field) Converged(s *game.State) (bool, float64) {
 	worst := 0.0
 	for i, row := range f.P {
 		for k, iv := range row {
-			p := s.P[i][k]
-			var d float64
-			switch {
-			case p < iv.Lo:
-				d = iv.Lo - p
-			case p > iv.Hi:
-				d = p - iv.Hi
-			}
-			if d > worst {
+			if d := shortfall(s.P[i][k], iv); d > worst {
 				worst = d
 			}
 		}
