@@ -82,6 +82,8 @@ type serverMetrics struct {
 	digests       *obs.Counter // consensus_digests_total
 	digestRounds  *obs.Counter // consensus_digest_rounds_total
 	digestSkipped *obs.Counter // consensus_digest_rounds_skipped_total
+
+	durableWait *obs.Histogram // consensus_durability_wait_seconds
 }
 
 // newServerMetrics binds the instruments on o; consensus_state_hash is a
@@ -107,6 +109,7 @@ func newServerMetrics(o *obs.Observer, stateHash func() uint32) serverMetrics {
 		recoveries:    o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords: o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
 		journalErrors: o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
+		durableWait:   o.Histogram("consensus_durability_wait_seconds", "a folded round blocked on its journal append before release (near 0 when the fold hid the fsync)", nil),
 		rewinds:       o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
 		replayed:      o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
 		refolded:      o.Counter("consensus_refolded_regions_total", "regions whose ratio a rewind recomputed, summed over its replayed rounds (the rest kept the recorded result)"),
@@ -329,21 +332,35 @@ func (s *Server) ingest(round int, censuses []transport.Census) error {
 	return nil
 }
 
-// completeRoundLocked is the kernel's Complete hook: fold the round, journal
-// it, release its waiters. Called with s.mu held.
+// completeRoundLocked is the kernel's Complete hook: journal the round and
+// fold it, at once, then release its waiters. The record is write-ahead — the
+// round's censuses, which nothing writes to from here on — so its append runs
+// on the journal's goroutine beside the fold; if a crash leaves it durable
+// and the fold not run, recovery replays it through the same fold (DESIGN
+// §10.2). Called with s.mu held, and kept throughout.
 func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (after func()) {
 	if s.lag > 0 {
 		// Snapshot the pre-fold state so a late census can rewind this round.
 		s.pushWindowLocked(round, b.Censuses, degraded)
 	}
+	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: b.Censuses}
+	var ticket int
+	if s.journal != nil {
+		ticket = s.journal.StartRound(rec)
+	}
 	b.Err = s.fold.Apply(b.Censuses)
-	// Advance the watermark before journaling: a compaction inside persist
-	// snapshots Latest() as the checkpoint round, and the state it captures
-	// already includes this round's fold.
+	// Advance the watermark before the cadence checkpoint: it snapshots
+	// Latest() as the checkpoint round, and the state it captures already
+	// includes this round's fold.
 	s.eng.Advance(round)
-	// Journal before releasing the waiters: a ratio answered to an edge must
+	// Released means folded and fsynced: a ratio answered to an edge must
 	// never be lost to a crash the edge did not see.
-	s.persistRoundLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: b.Censuses})
+	if s.journal != nil {
+		folded := time.Now()
+		n, err := s.journal.WaitRound(ticket)
+		s.metrics.durableWait.Observe(time.Since(folded).Seconds())
+		s.journaledLocked(rec, n, err)
+	}
 	s.eng.Release(round, b, degraded)
 	return nil
 }

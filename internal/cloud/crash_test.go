@@ -34,7 +34,15 @@ func openRecorded(t *testing.T, srv *Server) *crashtest.Recorder {
 	t.Helper()
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	store, err := durable.OpenHooked(dir, rec.Hook)
+	openHooked(t, srv, dir, rec.Hook)
+	return rec
+}
+
+// openHooked attaches dir to srv through a store that announces its disk
+// work to hook.
+func openHooked(t *testing.T, srv *Server, dir string, hook durable.Hook) {
+	t.Helper()
+	store, err := durable.OpenHooked(dir, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +50,6 @@ func openRecorded(t *testing.T, srv *Server) *crashtest.Recorder {
 	defer srv.mu.Unlock()
 	srv.journal = &durable.Journal{Store: store}
 	srv.journal.Instrument(srv.obsv, srv.metrics.journalErrors, t.Logf)
-	return rec
 }
 
 // crashRound drives one round of the crash-matrix script. With a lag window
@@ -98,8 +105,10 @@ func windowOf(srv *Server) []lagEntry {
 
 // TestCheckpointCrashPoints is the crash-point matrix of the segmented
 // journal for the cloud coordinator, with and without a lag window: the
-// state directory is copied as it stands before each step of a background
-// checkpoint — rotated but no snapshot, snapshot tmp written, snapshot
+// state directory is copied as it stands before the fsync of the cadence
+// round's write-ahead record — durable or not, nobody was answered, and
+// recovery folds it like its acknowledged twin — and before each step of the
+// background checkpoint — rotated but no snapshot, snapshot tmp written, snapshot
 // renamed with the old segments still present, old segments unlinked and no
 // spare, empty spare present — and then given a torn tail, rewritten in the
 // parent's one-file layout, taken right behind a rewind's delta Corrected
@@ -176,6 +185,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 				covered, segments = "journal.wal", 3
 			}
 			want := []string{
+				"before sync journal.00000001.wal",  // round 7's record written ahead: no reply, and the fold may not have run
 				"before create checkpoint.snap.tmp", // rotated, no snapshot
 				"before sync checkpoint.snap.tmp",   // snapshot tmp written
 				"before rename checkpoint.snap",

@@ -88,19 +88,22 @@ func (s *Server) Open(stateDir string) error {
 	return nil
 }
 
-// persistRoundLocked journals one applied round — the append fsyncs before
-// the round's waiters observe the new state, so a ratio acked to an edge is
-// always recoverable — and starts a checkpoint every compactEvery rounds. The
-// record a rewind journals — its late census, marked Corrected, which
-// recovery merges back in — does not count toward that cadence. Persistence
-// failures are counted and logged but do not fail the round: the
-// coordinator keeps serving from memory. Called with s.mu held; no-op
-// without an open journal.
+// persistRoundLocked journals a record inline, fsynced before it returns: a
+// rewind's late census, marked Corrected, which recovery merges back in. A
+// rewind holds s.mu like a round's completion, so no append is in flight, and
+// has no fold to hide an fsync behind. No-op without an open journal.
 func (s *Server) persistRoundLocked(rec durable.RoundRecord) {
-	if s.journal == nil {
-		return
+	if s.journal != nil {
+		n, err := s.journal.AppendRound(rec)
+		s.journaledLocked(rec, n, err)
 	}
-	n, err := s.journal.AppendRound(rec)
+}
+
+// journaledLocked takes what rec's finished append returned and starts a
+// checkpoint every compactEvery rounds, toward which a Corrected record does
+// not count. Persistence failures are counted and logged but do not fail the
+// round: the coordinator keeps serving from memory. Called with s.mu held.
+func (s *Server) journaledLocked(rec durable.RoundRecord, n int, err error) {
 	if err == nil && s.compactEvery > 0 && n >= s.compactEvery && !rec.Corrected {
 		err = s.checkpointLocked()
 	}

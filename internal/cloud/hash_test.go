@@ -221,14 +221,17 @@ func TestStateHashScrapedDuringRounds(t *testing.T) {
 		truth[ref.Hash()] = true
 	}
 
-	stop := make(chan struct{})
+	// The edges hold their first census until the scraper has read the gauge
+	// once: 200 two-region rounds can otherwise finish before the scraper's
+	// goroutine is first scheduled, and nothing would have raced.
+	stop, first := make(chan struct{}), make(chan struct{})
 	var scraped []uint32
 	var scraper sync.WaitGroup
 	scraper.Add(1)
 	go func() {
 		defer scraper.Done()
 		mux := obs.NewMux(o)
-		for {
+		for pass := 0; ; pass++ {
 			select {
 			case <-stop:
 				return
@@ -238,6 +241,9 @@ func TestStateHashScrapedDuringRounds(t *testing.T) {
 				if p.Name == "consensus_state_hash" {
 					scraped = append(scraped, uint32(p.Value))
 				}
+			}
+			if pass == 0 {
+				close(first)
 			}
 			rec := httptest.NewRecorder()
 			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -266,6 +272,7 @@ func TestStateHashScrapedDuringRounds(t *testing.T) {
 		edges.Add(1)
 		go func() {
 			defer edges.Done()
+			<-first
 			for round := 0; round < rounds; round++ {
 				if _, err := session.ReportCensus(conn, edge, round, censusOf(edge, round), 10*time.Second); err != nil {
 					t.Errorf("edge %d round %d: %v", edge, round, err)

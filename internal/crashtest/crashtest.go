@@ -1,7 +1,8 @@
 // Package crashtest is the test side of durable.Hook: it records which
-// goroutine performed which disk operation of a store, and copies the state
-// directory as it stands before each step of a checkpoint — the directories
-// a crash at that step would leave behind. Only tests import it.
+// goroutine performed which disk operation of a store, copies the state
+// directory as it stands before each step of an append or a checkpoint — the
+// directories a crash at that step would leave behind — and holds an append's
+// fsync while a test looks at who is answered meanwhile. Only tests import it.
 package crashtest
 
 import (
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -39,9 +41,11 @@ func New(t testing.TB, dir string) *Recorder {
 }
 
 // Hook records the operation under the calling goroutine and, while armed,
-// first copies the directory — except before the fsync of a journal
-// segment, the one step an append takes: a copy there would hold a record
-// whose round was never acknowledged.
+// first copies the directory. The copy before the fsync of a journal segment
+// — the one step an append takes — holds a record whose round nobody was
+// told of: written ahead of the fold or forward it describes, it is what a
+// crash right behind the fsync leaves, and recovery owes it the same state
+// as the round's acknowledged twin.
 func (r *Recorder) Hook(op, path string) error {
 	file := filepath.Base(path)
 	if path == r.dir {
@@ -53,7 +57,7 @@ func (r *Recorder) Hook(op, path string) error {
 	if r.fail == op+" "+file {
 		return fmt.Errorf("crashtest: injected failure of %s", r.fail)
 	}
-	if r.armed && !(op == "sync" && strings.HasSuffix(file, ".wal")) {
+	if r.armed {
 		r.crashes = append(r.crashes, Crash{Step: fmt.Sprintf("before %s %s", op, file), Dir: CopyDir(r.t, r.dir)})
 	}
 	return nil
@@ -87,29 +91,31 @@ func (r *Recorder) Ops() map[string][]string {
 	return out
 }
 
-// Committer checks the commit-path pin over the operations since Reset: the
-// goroutine that fsynced a journal segment — the one that appended a round
-// and started its checkpoint — did that once and nothing else; every create,
-// rename, unlink and directory fsync ran elsewhere.
+// Committer checks the commit-path pin over the operations since Reset: one
+// goroutine fsynced a journal segment — the one that committed the round, or
+// the journal's appender on its behalf — and did that once and nothing else;
+// every create, rename, unlink and directory fsync ran on one other, the
+// store's background goroutine, so none of it on the committer's either.
 func (r *Recorder) Committer(t testing.TB) {
 	t.Helper()
+	ops := r.Ops()
 	committers := 0
-	for g, ops := range r.Ops() {
-		for _, op := range ops {
+	for g, mine := range ops {
+		for _, op := range mine {
 			if g == "" {
 				break
 			}
 			if strings.HasPrefix(op, "sync journal") {
 				committers++
-				if len(ops) != 1 {
-					t.Errorf("goroutine %s appended a round and also did the checkpoint's disk work: %q", g, ops)
+				if len(mine) != 1 {
+					t.Errorf("goroutine %s appended a round and also did the checkpoint's disk work: %q", g, mine)
 				}
 				break
 			}
 		}
 	}
-	if committers != 1 {
-		t.Errorf("%d goroutines fsynced a journal segment, want 1: %v", committers, r.Ops())
+	if committers != 1 || len(ops) != 3 { // all of them under "", the append's, the background's
+		t.Errorf("%d goroutines fsynced a journal segment and %d touched the disk, want 1 of 2: %v", committers, len(ops)-1, ops)
 	}
 }
 
@@ -129,6 +135,35 @@ func (r *Recorder) Crashes() []Crash {
 	out := append(r.crashes, Crash{Step: "after the last step", Dir: CopyDir(r.t, r.dir)})
 	r.crashes = nil
 	return out
+}
+
+// Gate is a durable.Hook (its Hook method) that holds the fsync of a journal
+// segment — the one step an append takes — for as long as a test wants to
+// look at what may and may not happen before the record is durable.
+type Gate struct {
+	Reached chan struct{} // one token for every fsync held
+	release chan error
+	hold    atomic.Bool
+}
+
+// NewGate returns an open gate: nothing is held until Hold(true).
+func NewGate() *Gate {
+	// Reached is sized past any test's appends in flight: the hook never blocks on it.
+	return &Gate{Reached: make(chan struct{}, 16), release: make(chan error)}
+}
+
+// Hold makes every later journal fsync wait for a Release, or lifts that.
+func (g *Gate) Hold(on bool) { g.hold.Store(on) }
+
+// Release lets one held fsync go; a non-nil err fails it in its place.
+func (g *Gate) Release(err error) { g.release <- err }
+
+func (g *Gate) Hook(op, path string) error {
+	if !g.hold.Load() || op != "sync" || !strings.HasSuffix(path, ".wal") {
+		return nil
+	}
+	g.Reached <- struct{}{}
+	return <-g.release
 }
 
 // Goroutine returns the calling goroutine's number, as runtime.Stack prints

@@ -113,6 +113,7 @@ type Store struct {
 	logf     func(format string, args ...interface{})
 	bytes    *obs.Gauge
 	took     *obs.Histogram
+	appends  *obs.Histogram // a Journal's round appends, observed there
 	segments *obs.Gauge
 
 	// Group commit (see SetGroupCommit). With groupN <= 1 every Append
@@ -432,15 +433,16 @@ func (s *Store) drainLocked() {
 	}
 }
 
-// Instrument reports checkpoints through o; a background failure ticks errs
-// and goes to logf, as a failed append does at the store's owner. Call
-// before the first checkpoint.
+// Instrument reports checkpoints and round appends through o; a background
+// checkpoint's failure ticks errs and goes to logf, as a failed append does
+// at the store's owner. Call before the first append.
 func (s *Store) Instrument(o *obs.Observer, errs *obs.Counter, logf func(format string, args ...interface{})) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.errs, s.logf = errs, logf
 	s.bytes = o.Gauge("checkpoint_bytes", "size of the last checkpoint written or recovered")
 	s.took = o.Histogram("durable_checkpoint_duration_seconds", "background checkpoint: encode, snapshot, unlink of covered segments, next spare", nil)
+	s.appends = o.Histogram("durable_append_duration_seconds", "one round record journaled: encode, write, fsync", nil)
 	s.segments = o.Gauge("durable_journal_segments", "journal segment files holding records (closed + active; the spare is not counted)")
 	if st, err := os.Stat(filepath.Join(s.dir, snapshotName)); err == nil {
 		s.bytes.Set(float64(st.Size()))

@@ -1,6 +1,10 @@
 package durable
 
-import "math"
+import (
+	"math"
+	"sync"
+	"time"
+)
 
 // CompactEvery is how many journaled rounds a coordinator lets accumulate
 // before it checkpoints, which lets the journal segments behind it go.
@@ -11,13 +15,31 @@ const CompactEvery = 32
 // journaled since the last checkpoint (the checkpoint cadence), and
 // checkpoints that keep the round records a crash must not lose. Unlike the
 // Store's, its methods are not safe for concurrent use: the coordinator
-// calls them under its own lock.
+// calls them under its own lock — all but WaitRound, which whoever holds the
+// ticket may call outside it. From StartRound until the append has finished
+// the appender goroutine owns the count and the scratch: Checkpoint and
+// Close settle it themselves, AppendRound is for when none is in flight.
 type Journal struct {
 	*Store
 	since   int
 	below   int    // every round journaled so far is below this
 	payload []byte // encoding scratch
 	regions []int
+
+	// The appender, started by the first StartRound. A slot is a ticket: the
+	// cloud has one in use, a shard one per barrier whose forward is
+	// outstanding (two when a deadline completes the successor), and a
+	// StartRound past the last blocks for one. free holds the tickets not in
+	// use, queue the started ones in order; neither send ever blocks.
+	slots [4]struct {
+		rec   RoundRecord
+		since int
+		err   error
+		done  chan struct{} // the appender's hand-back
+	}
+	free     chan int
+	queue    chan int
+	inflight sync.WaitGroup // appends started and not yet finished
 }
 
 // OpenJournal opens dir as a coordinator's state directory and loads the
@@ -57,13 +79,64 @@ func (j *Journal) Replay(apply func(RoundRecord) error) error {
 // records were journaled since the last checkpoint. A Corrected record
 // rides outside that cadence.
 func (j *Journal) AppendRound(rec RoundRecord) (int, error) {
+	start := time.Now()
 	j.payload, j.regions = appendRound(j.payload[:0], j.regions[:0], rec)
 	err := j.Append(j.payload)
 	if err == nil && !rec.Corrected {
 		j.since++
 	}
 	j.below = max(j.below, rec.Round+1)
+	j.appends.Observe(time.Since(start).Seconds())
 	return j.since, err
+}
+
+// StartRound is AppendRound begun on the journal's own goroutine, so that the
+// caller's work on the round — its fold, its forward upstream — runs while
+// the record, which holds the round's inputs and is written to by nobody, is
+// encoded, written and fsynced. The ticket goes to WaitRound, once, before
+// anyone is told the round is durable. Appends run in the order started.
+func (j *Journal) StartRound(rec RoundRecord) (ticket int) {
+	if j.queue == nil {
+		j.free, j.queue = make(chan int, len(j.slots)), make(chan int, len(j.slots))
+		for i := range j.slots {
+			j.slots[i].done = make(chan struct{}, 1)
+			j.free <- i
+		}
+		go func(queue <-chan int) {
+			for i := range queue {
+				a := &j.slots[i]
+				a.since, a.err = j.AppendRound(a.rec)
+				j.inflight.Done()
+				a.done <- struct{}{}
+			}
+		}(j.queue)
+	}
+	ticket = <-j.free
+	j.slots[ticket].rec = rec
+	j.inflight.Add(1)
+	j.queue <- ticket
+	return ticket
+}
+
+// WaitRound blocks until the append StartRound returned ticket for has
+// finished, and returns what AppendRound would have.
+func (j *Journal) WaitRound(ticket int) (int, error) {
+	a := &j.slots[ticket]
+	<-a.done
+	since, err := a.since, a.err
+	a.rec = RoundRecord{} // a free ticket pins no round's censuses
+	j.free <- ticket
+	return since, err
+}
+
+// Close settles the appends in flight, stops the appender, closes the store.
+func (j *Journal) Close() error {
+	j.inflight.Wait()
+	if j.queue != nil {
+		close(j.queue)
+		j.queue = nil
+	}
+	return j.Store.Close()
 }
 
 // Checkpoint makes encode's payload the checkpoint and restarts the cadence.
@@ -74,6 +147,7 @@ func (j *Journal) AppendRound(rec RoundRecord) (int, error) {
 // journal poisoned by a failed fsync pays inline (see Store.checkpoint) and
 // has retained appended again.
 func (j *Journal) Checkpoint(encode func() ([]byte, error), retained []RoundRecord) error {
+	j.inflight.Wait() // the count and the watermark are the appender's until then
 	keepFrom := math.MaxInt
 	if len(retained) > 0 {
 		keepFrom = retained[0].Round

@@ -82,7 +82,8 @@ func TestCorrectedRecordForms(t *testing.T) {
 
 // TestEncodeRoundAllocs pins a thousand-region record at the region index,
 // the payload and at most one growth of it — and a journal's steady-state
-// AppendRound, which encodes and frames through buffers it keeps, at none.
+// AppendRound, which encodes and frames through buffers it keeps, at none,
+// inline or started and waited for.
 func TestEncodeRoundAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -113,5 +114,16 @@ func TestEncodeRoundAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendRound at 1024 censuses: %.0f allocs, want 0", allocs)
+	}
+	// The same append begun on the journal's goroutine and waited for: no
+	// goroutine, channel or result per round.
+	allocs = testing.AllocsPerRun(20, func() {
+		rec.Round++
+		if _, err := j.WaitRound(j.StartRound(rec)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("StartRound + WaitRound at 1024 censuses: %.0f allocs, want 0", allocs)
 	}
 }

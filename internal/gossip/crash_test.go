@@ -128,6 +128,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	}
 	recs[1].Committer(t)
 	for _, c := range matrix(recs[1], []string{
+		"before sync journal.wal", // the cadence round's own record
 		"before create checkpoint.snap.tmp", "before sync checkpoint.snap.tmp", "before rename checkpoint.snap",
 		"before syncdir .", "before remove journal.wal", "before create journal.00000002.wal", "before syncdir .",
 		"after the last step",

@@ -50,8 +50,8 @@ type Tracer struct {
 
 	mu    sync.Mutex
 	ring  []SpanData
-	next  int  // ring write cursor
-	total int  // spans committed (caps at len(ring) for fill detection)
+	next  int // ring write cursor
+	total int // spans committed (caps at len(ring) for fill detection)
 }
 
 // NewTracer returns a tracer retaining the most recent capacity spans

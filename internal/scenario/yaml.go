@@ -66,8 +66,8 @@ type yamlParser struct {
 	pos   int
 }
 
-func (p *yamlParser) more() bool       { return p.pos < len(p.lines) }
-func (p *yamlParser) cur() *yamlLine   { return &p.lines[p.pos] }
+func (p *yamlParser) more() bool     { return p.pos < len(p.lines) }
+func (p *yamlParser) cur() *yamlLine { return &p.lines[p.pos] }
 func (p *yamlParser) errf(line int, format string, args ...any) error {
 	return fmt.Errorf("scenario: yaml line %d: %s", line, fmt.Sprintf(format, args...))
 }

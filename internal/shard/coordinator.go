@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -67,6 +68,8 @@ type coordinatorMetrics struct {
 	recoveries      *obs.Counter // durable_recoveries_total
 	replayRecords   *obs.Counter // journal_replay_records_total
 	journalErrors   *obs.Counter // durable_journal_errors_total
+
+	durableWait *obs.Histogram // shard_durability_wait_seconds
 }
 
 func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
@@ -91,6 +94,7 @@ func newCoordinatorMetrics(o *obs.Observer) coordinatorMetrics {
 		recoveries:      o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords:   o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
 		journalErrors:   o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
+		durableWait:     o.Histogram("shard_durability_wait_seconds", "an answered forward blocked on its journal append before release (near 0 when the exchange hid the fsync)", nil),
 	}
 }
 
@@ -240,25 +244,42 @@ func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
 }
 
 // beginCompleteLocked is the kernel's Complete hook: it freezes a filled
-// (or expired) barrier, journals its batch — fsynced before the upstream
-// ever sees it, so a crash between here and the forward can re-forward on
-// recovery — and returns the upstream exchange for the kernel to run
-// outside the lock. Called with c.mu held.
+// (or expired) barrier, starts the append of its batch on the journal's
+// goroutine — a write-ahead record: the frozen censuses, written to by
+// nobody — and returns the upstream exchange for the kernel to run outside
+// the lock, beside the write and the fsync. Called with c.mu held.
 func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
 	rb.Frozen = true
+	ticket := -1
+	if c.journal != nil {
+		ticket = c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
+	}
 	censuses := cloud.SortedCensuses(round, rb.Censuses)
-	c.persistRoundLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
-	return func() { c.finishForward(round, rb, degraded, censuses) }
+	return func() { c.finishForward(round, rb, degraded, censuses, ticket) }
 }
 
-// finishForward runs one frozen barrier's upstream exchange and resolves
-// its waiters: on success the aggregator's ratios are adopted and the round
-// completes; on failure the barrier fails without advancing the watermark,
-// so redialing edges re-open the round and trigger a fresh forward.
-func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool, censuses []transport.Census) {
+// finishForward runs one frozen barrier's upstream exchange, waits for its
+// own record's append — by ticket: a successor completed by its deadline may
+// have started another — and resolves its waiters: on success the
+// aggregator's ratios are adopted and the round completes; on failure the
+// barrier fails without advancing the watermark, so redialing edges re-open
+// the round and trigger a fresh forward. An edge's reply follows both the
+// aggregator's answer and the shard's fsync, which no longer follow each
+// other: DESIGN §12.5 has why no crash between them loses a census.
+func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool, censuses []transport.Census, ticket int) {
 	reply, err := c.upstreamReport(round, censuses)
+	var journaled int
+	var journalErr error
+	if ticket >= 0 {
+		answered := time.Now()
+		journaled, journalErr = c.journal.WaitRound(ticket)
+		c.metrics.durableWait.Observe(time.Since(answered).Seconds())
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if ticket >= 0 {
+		c.journaledLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}, journaled, journalErr)
+	}
 	if err == nil {
 		c.adoptReplyLocked(reply)
 	}
@@ -407,19 +428,21 @@ func (c *Coordinator) Open(stateDir string) error {
 	return nil
 }
 
-// persistRoundLocked journals one frozen barrier's batch, fsynced before
-// the upstream forward, and starts a checkpoint every durable.CompactEvery
+// journaledLocked takes what the finished append of a frozen barrier's batch
+// returned: the record becomes the one to re-forward, unless a newer round's
+// forward finished first, and a checkpoint starts every durable.CompactEvery
 // rounds. Failures are counted and logged but do not fail the round. Called
-// with c.mu held; no-op without an open journal.
-func (c *Coordinator) persistRoundLocked(rec durable.RoundRecord) {
-	if c.journal == nil {
-		return
-	}
-	n, err := c.journal.AppendRound(rec)
+// with c.mu held.
+func (c *Coordinator) journaledLocked(rec durable.RoundRecord, n int, err error) {
 	if err == nil {
-		c.lastRec = &rec
+		if c.lastRec == nil || rec.Round >= c.lastRec.Round {
+			c.lastRec = &rec
+		}
 		if n >= durable.CompactEvery {
-			err = c.checkpointLocked()
+			// Closed while the forward was in flight: nothing left to bound.
+			if err = c.checkpointLocked(); errors.Is(err, durable.ErrStoreClosed) {
+				err = nil
+			}
 		}
 	}
 	if err != nil {

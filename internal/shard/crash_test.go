@@ -17,6 +17,20 @@ func crashCounts(round int) map[int][]int {
 	return map[int][]int{0: c0, 1: c1}
 }
 
+// openHooked attaches dir to c through a store that announces its disk work
+// to hook.
+func openHooked(t *testing.T, c *Coordinator, dir string, hook durable.Hook) {
+	t.Helper()
+	store, err := durable.OpenHooked(dir, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.journal = &durable.Journal{Store: store}
+	c.journal.Instrument(c.obsv, c.metrics.journalErrors, t.Logf)
+}
+
 // TestCheckpointCrashPoints is the shard coordinator's crash-point matrix
 // (see the cloud's): the state directory as it stands before each step of a
 // background checkpoint, with a torn tail, and in the parent's one-file
@@ -34,14 +48,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	c := newTestCoordinator(t, net, "agg", 0)
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	store, err := durable.OpenHooked(dir, rec.Hook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	c.journal = &durable.Journal{Store: store}
-	c.journal.Instrument(c.obsv, c.metrics.journalErrors, t.Logf)
-	c.mu.Unlock()
+	openHooked(t, c, dir, rec.Hook)
 
 	// Two checkpoints, at rounds 31 and 63; the second has a snapshot to
 	// replace and, the newest batch having moved on, journal.wal to unlink.
@@ -65,6 +72,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		steps = append(steps, cr.Step)
 	}
 	want := []string{
+		"before sync journal.00000001.wal", // the write-ahead record, nobody answered yet
 		"before create checkpoint.snap.tmp", "before sync checkpoint.snap.tmp", "before rename checkpoint.snap",
 		"before syncdir .", "before remove journal.wal", "before create journal.00000003.wal", "before syncdir .",
 		"after the last step",

@@ -1,0 +1,193 @@
+package shard
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/crashtest"
+	"repro/internal/israce"
+	"repro/internal/transport"
+)
+
+// submitAll submits one round's censuses to c, each from its own goroutine,
+// and returns where their outcomes arrive.
+func submitAll(c *Coordinator, round int, counts map[int][]int) <-chan error {
+	replies := make(chan error, len(counts))
+	for edge, cs := range counts {
+		edge, cs := edge, cs
+		go func() {
+			_, err := c.Submit(transport.Census{Edge: edge, Round: round, Counts: cs})
+			replies <- err
+		}()
+	}
+	return replies
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestWriteAheadReplyFollowsAnswerAndFsync holds the fsync of a shard round's
+// record: the forward goes out beside it and the aggregator folds and answers
+// the round, yet no edge is answered until the record is durable, and both
+// are once it is. The wait histogram holds the time the answered forward
+// then spent blocked.
+func TestWriteAheadReplyFollowsAnswerAndFsync(t *testing.T) {
+	net := transport.NewInprocNetwork()
+	agg := newAggregator(t)
+	defer agg.Close()
+	startAggregator(t, net, "agg", agg)
+	c := newTestCoordinator(t, net, "agg", 0)
+	gate := crashtest.NewGate()
+	openHooked(t, c, t.TempDir(), gate.Hook)
+	gate.Hold(true)
+
+	counts := crashCounts(0)
+	replies := submitAll(c, 0, counts)
+	<-gate.Reached
+	waitFor(t, "the aggregator to fold the forwarded round", func() bool { return agg.Latest() == 0 })
+	select {
+	case err := <-replies:
+		t.Fatalf("an edge was answered (%v) with the record's fsync still held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := c.Latest(); got != -1 {
+		t.Fatalf("shard watermark = %d with the record's fsync still held, want -1", got)
+	}
+	gate.Release(nil)
+	for range counts {
+		if err := <-replies; err != nil {
+			t.Fatalf("submit after the fsync was released: %v", err)
+		}
+	}
+	for _, p := range c.Registry().Snapshot() {
+		if p.Name == "shard_durability_wait_seconds" && (p.Count != 1 || p.Sum < 0.02) {
+			t.Errorf("shard_durability_wait_seconds: %d observations summing to %.3fs, want 1 and the 20ms the answer waited out", p.Count, p.Sum)
+		}
+	}
+}
+
+// TestWriteAheadCrashBetweenForwardAndRecord kills a shard in each of the two
+// windows the overlap opens between a round's forward and its record, restarts
+// it on what the disk held, and lets the edges — never answered — re-submit.
+// Either way the tier ends hash-equal to a lossless twin, the edges are
+// answered the twin's ratios, and the aggregator folded no round twice.
+func TestWriteAheadCrashBetweenForwardAndRecord(t *testing.T) {
+	const last = 3
+	for _, window := range []string{"forward delivered, record not durable", "record durable, forward not delivered"} {
+		t.Run(window, func(t *testing.T) {
+			net := transport.NewInprocNetwork()
+			agg := newAggregator(t)
+			defer agg.Close()
+			agg.SetFixedLag(8)
+			startAggregator(t, net, "agg", agg)
+			twin := newAggregator(t)
+			defer twin.Close()
+			var want map[int]float64
+			for round := 0; round <= last; round++ {
+				want = runDirectRound(t, twin, round, crashCounts(round))
+			}
+
+			dir, counts := t.TempDir(), crashCounts(last)
+			gate := crashtest.NewGate()
+			c := newTestCoordinator(t, net, "agg", 0)
+			openHooked(t, c, dir, gate.Hook)
+			for round := 0; round < last; round++ {
+				runRound(t, c, round, crashCounts(round))
+			}
+			var killed string
+			if window == "forward delivered, record not durable" {
+				// The disk as it stood before the round; the forward goes out
+				// and is answered beside an fsync that never completes.
+				killed = crashtest.CopyDir(t, dir)
+				gate.Hold(true)
+				replies := submitAll(c, last, counts)
+				<-gate.Reached
+				waitFor(t, "the aggregator to fold the forwarded round", func() bool { return agg.Latest() == last })
+				gate.Release(errors.New("killed before the fsync returned"))
+				for range counts {
+					<-replies // a killed shard's edges see their connection drop instead
+				}
+				c.Close()
+			} else {
+				// A shard cut off from the aggregator: the record lands, the
+				// forward fails after its retries, the edges get an error.
+				c.Close()
+				cut := newTestCoordinator(t, net, "nowhere", 0)
+				if err := cut.Open(dir); err != nil {
+					t.Fatal(err)
+				}
+				replies := submitAll(cut, last, counts)
+				for range counts {
+					if err := <-replies; err == nil {
+						t.Fatal("an edge was answered by a shard that never reached the aggregator")
+					}
+				}
+				cut.Close()
+				killed = crashtest.CopyDir(t, dir)
+				if got := agg.Latest(); got != last-1 {
+					t.Fatalf("aggregator latest = %d before the restart, want %d", got, last-1)
+				}
+			}
+
+			c2 := newTestCoordinator(t, net, "agg", 0)
+			if err := c2.Open(killed); err != nil {
+				t.Fatal(err)
+			}
+			// Open re-forwards the newest journaled batch: round last-1 as a
+			// duplicate in the first window, round last itself in the second.
+			waitFor(t, "the aggregator to hold the last round", func() bool { return agg.Latest() == last })
+			got := runRound(t, c2, last, counts)
+			for edge, x := range want {
+				if got[edge] != x {
+					t.Errorf("edge %d answered %v after the restart, the twin's %v", edge, got[edge], x)
+				}
+			}
+			if got, want := agg.StateHash(), twin.StateHash(); got != want {
+				t.Errorf("aggregator hash %08x after the restart, lossless twin %08x", got, want)
+			}
+			if n := metricValue(t, agg.Registry(), "consensus_rounds_total"); n != last+1 {
+				t.Errorf("consensus_rounds_total = %v, want %d: a round was folded twice, or never", n, last+1)
+			}
+			if n := metricValue(t, agg.Registry(), "consensus_rewinds_total"); n != 0 {
+				t.Errorf("consensus_rewinds_total = %v: an equal census re-forwarded after the restart re-folded", n)
+			}
+		})
+	}
+}
+
+// TestDurableCommitAllocs: a shard round committed through a journal allocates
+// what the same round does in memory, plus the one copy of its record kept
+// for re-forwarding (as it did when the append ran inline) — starting the
+// append and waiting for it add nothing.
+func TestDurableCommitAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	commit := func(durable bool) float64 {
+		c := newTestCoordinator(t, transport.NewInprocNetwork(), "nowhere", 0)
+		if durable {
+			if err := c.Open(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts := crashCounts(0)
+		batch := transport.CensusBatch{Censuses: []transport.Census{{Edge: 0, Counts: counts[0]}, {Edge: 1, Counts: counts[1]}}}
+		round := 0
+		return testing.AllocsPerRun(20, func() {
+			batch.Round, batch.Censuses[0].Round, batch.Censuses[1].Round = round, round, round
+			_, _ = c.SubmitBatch(batch) // the forward fails: the commit up to it is what is counted
+			round++
+		})
+	}
+	if mem, dur := commit(false), commit(true); dur != mem+1 {
+		t.Errorf("a durable shard commit allocates %.0f, an in-memory one %.0f: the journal must add the kept record and nothing else", dur, mem)
+	}
+}

@@ -172,7 +172,7 @@ func TestShardedGoldenHash(t *testing.T) {
 		shards        = 4
 		rounds        = 12
 		lag           = rounds + 2 // every straggler, however late, is rewindable
-		crashAfter    = 5         // aggregator round that triggers the shard kill
+		crashAfter    = 5          // aggregator round that triggers the shard kill
 		roundDeadline = 60 * time.Millisecond
 	)
 	goldenState, goldenHash := runShardedLossless(t, rounds)
