@@ -42,8 +42,10 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 			}()
 		}
 		<-gate.Reached
+		// The sweep's duration is observed as it ends, so the wait below
+		// starts after the fold has run, however slow a -race build is.
 		deadline := time.Now().Add(5 * time.Second)
-		for metricValue(t, sweeps.Registry(), "fds_updates_total") < float64(round+1) {
+		for sweeps.Histogram("fds_update_duration_seconds", "", nil).Count() < int64(round+1) {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: the fold never ran beside the held fsync", round)
 			}

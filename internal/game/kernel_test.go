@@ -30,7 +30,8 @@ func randomState(rng *rand.Rand, m *Model) *State {
 // one-shot Linearize bit for bit, across a sweep in which the ratios move
 // between regions while the tabulated distributions stay put — once on a
 // table Tabulate filled whole, once on one TabulateRegion fills a region's
-// rows at a time after each new state's Invalidate.
+// rows at a time after each new state's Invalidate — and, for a random
+// subset of the decisions, on a linearizer asked for only those.
 func TestLinearizerMatchesLinearize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, g := range []Graph{fullGraph{m: 1, selfW: 1}, fullGraph{m: 2, selfW: 0.8}, fullGraph{m: 7, selfW: 0.6}} {
@@ -42,10 +43,15 @@ func TestLinearizerMatchesLinearize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lz, byRegion := m.NewLinearizer(), m.NewLinearizer()
+		lz, byRegion, subset := m.NewLinearizer(), m.NewLinearizer(), m.NewLinearizer()
+		all := make([]int, m.K())
+		for k := range all {
+			all[k] = k
+		}
 		for trial := 0; trial < 20; trial++ {
 			s := randomState(rng, m)
 			lz.Tabulate(s)
+			subset.Tabulate(s)
 			byRegion.Invalidate()
 			for i := 0; i < m.M(); i++ {
 				want, err := m.Linearize(s, i)
@@ -53,8 +59,19 @@ func TestLinearizerMatchesLinearize(t *testing.T) {
 					t.Fatal(err)
 				}
 				byRegion.TabulateRegion(s, i)
-				for name, got := range map[string][]LinearCoeffs{"Tabulate": lz.Region(s, i), "TabulateRegion": byRegion.Region(s, i)} {
-					for k := range want {
+				// A random subset of the decisions, in random order, from
+				// none to all: the entries it names must be the full sweep's.
+				ks := rng.Perm(m.K())[:rng.Intn(m.K()+1)]
+				for name, run := range map[string]struct {
+					got []LinearCoeffs
+					ks  []int
+				}{
+					"Tabulate":       {lz.Region(s, i, all), all},
+					"TabulateRegion": {byRegion.Region(s, i, all), all},
+					"subset":         {subset.Region(s, i, ks), ks},
+				} {
+					got := run.got
+					for _, k := range run.ks {
 						for n, pair := range [][2]float64{
 							{got[k].Alpha1.A, want[k].Alpha1.A}, {got[k].Alpha1.B, want[k].Alpha1.B},
 							{got[k].Alpha2.A, want[k].Alpha2.A}, {got[k].Alpha2.B, want[k].Alpha2.B},

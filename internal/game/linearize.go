@@ -74,14 +74,18 @@ func (m *Model) Linearize(s *State, i int) ([]LinearCoeffs, error) {
 	// A one-region table: a row per neighbour in Neighbors order, then i's.
 	k, nb := m.K(), m.nbrs[i]
 	av := make([]float64, (len(nb)+2)*k)
-	rows := make([]int, len(nb))
+	idx := make([]int, len(nb)+k)
+	rows, all := idx[:len(nb)], idx[len(nb):]
 	for n, j := range nb {
 		rows[n] = n
 		m.accessibleValues(s.P[j], av[n*k:(n+1)*k])
 	}
+	for kk := range all {
+		all[kk] = kk
+	}
 	m.accessibleValues(s.P[i], av[len(nb)*k:(len(nb)+1)*k])
 	out := make([]LinearCoeffs, k)
-	m.linearize(s, i, av, len(nb), rows, av[(len(nb)+1)*k:], out)
+	m.linearize(s, i, av, len(nb), rows, all, av[(len(nb)+1)*k:], out)
 	return out, nil
 }
 
@@ -96,34 +100,41 @@ func (m *Model) accessibleValues(p, row []float64) {
 // linearize is the kernel behind Linearize and Linearizer.Region. av is a
 // table of accessible values in rows of K (row r, decision k at av[r*K+k]):
 // row self holds region i's and row rows[n] its n-th neighbour's. The
-// ratios s.X are read live. gain (length K) is scratch; the coefficients go
-// to out (length K).
+// ratios s.X are read live. gain (length K) is scratch; the coefficients of
+// the decisions ks go to out[k] (out has length K), and the other entries of
+// out keep whatever they held. Every decision's A_l enters each alpha2, so
+// the gains are computed for all K whatever ks names.
 //
 // Every sum below accumulates in the order, and every product associates the
 // way, the formulas above are written: states are compared by the bits of
 // their ratios (the consensus_state_hash), so a reordering that moves a
 // result by one ulp is a behaviour change.
-func (m *Model) linearize(s *State, i int, av []float64, self int, rows []int, gain []float64, out []LinearCoeffs) {
+func (m *Model) linearize(s *State, i int, av []float64, self int, rows, ks []int, gain []float64, out []LinearCoeffs) {
 	k := m.K()
 	p := s.P[i]
 	beta, nbrs, gammaIn := m.beta[i], m.nbrs[i], m.gammaIn[i]
 	c := beta * m.gammaSelf[i]
 	s1 := av[self*k : (self+1)*k]
 
-	// A_l for all decisions.
-	for l := 0; l < k; l++ {
-		total := 0.0
-		for n, j := range nbrs {
-			total += s.X[j] * gammaIn[n] * av[rows[n]*k+l]
+	// A_l for all decisions: each neighbour's term added to every l's sum in
+	// turn, so each sum still runs in Neighbors order.
+	clear(gain)
+	for n, j := range nbrs {
+		w := s.X[j] * gammaIn[n]
+		for l, v := range av[rows[n]*k : (rows[n]+1)*k] {
+			gain[l] += w * v
 		}
-		gain[l] = beta * total
+	}
+	for l := range gain {
+		gain[l] *= beta
 	}
 
-	for kk := 0; kk < k; kk++ {
+	for _, kk := range ks {
 		gk := m.payoffs.Cost[kk]
 
-		// S2_k = sum_{l != k} p_l * sum_{l_a in Acc(l), l_a != k} p_{l_a} f_{l_a}.
-		s2 := 0.0
+		// S2_k = sum_{l != k} p_l * sum_{l_a in Acc(l), l_a != k} p_{l_a} f_{l_a};
+		// it and the two sums over l != k share one pass in ascending l.
+		s2, sumOtherCost, sumOtherGain := 0.0, 0.0, 0.0
 		for l := 0; l < k; l++ {
 			if l == kk {
 				continue
@@ -133,14 +144,6 @@ func (m *Model) linearize(s *State, i int, av []float64, self int, rows []int, g
 				innerSum -= p[kk] * m.payoffs.Utility[kk]
 			}
 			s2 += p[l] * innerSum
-		}
-
-		sumOtherCost := 0.0
-		sumOtherGain := 0.0
-		for l := 0; l < k; l++ {
-			if l == kk {
-				continue
-			}
 			sumOtherCost += m.payoffs.Cost[l] * p[l]
 			sumOtherGain += p[l] * gain[l]
 		}
@@ -213,10 +216,11 @@ func (l *Linearizer) TabulateRegion(s *State, i int) {
 	}
 }
 
-// Region linearizes region i of s, which must hold the distributions last
-// tabulated, at its current ratios. The result is the linearizer's own
-// buffer, valid until the next call.
-func (l *Linearizer) Region(s *State, i int) []LinearCoeffs {
-	l.m.linearize(s, i, l.av, i, l.m.nbrs[i], l.gain, l.coeffs)
+// Region linearizes the decisions ks of region i of s, which must hold the
+// distributions last tabulated, at its current ratios. The result is the
+// linearizer's own buffer of K entries, valid until the next call; only
+// the entries ks name are this call's.
+func (l *Linearizer) Region(s *State, i int, ks []int) []LinearCoeffs {
+	l.m.linearize(s, i, l.av, i, l.m.nbrs[i], ks, l.gain, l.coeffs)
 	return l.coeffs
 }

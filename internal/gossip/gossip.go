@@ -152,10 +152,11 @@ func newNodeMetrics(o *obs.Observer, edge int, stateHash func() uint32) nodeMetr
 		SetFunc(func() float64 { return float64(stateHash()) })
 	return nodeMetrics{
 		Counters: cloud.Counters{
-			Rounds:     o.Counter("gossip_local_rounds_total", "local consensus rounds folded by gossip nodes (degraded or not)"),
-			Degraded:   o.Counter("gossip_degraded_rounds_total", "local rounds completed by the deadline with at least one member missing"),
-			Duplicates: o.Counter("gossip_duplicate_censuses_total", "duplicate peer censuses absorbed without changing a round's fold"),
-			Latest:     r.GaugeVec("gossip_round_latest", "highest completed local round (-1 before the first)", "edge").With(e),
+			Rounds:        o.Counter("gossip_local_rounds_total", "local consensus rounds folded by gossip nodes (degraded or not)"),
+			Degraded:      o.Counter("gossip_degraded_rounds_total", "local rounds completed by the deadline with at least one member missing"),
+			Duplicates:    o.Counter("gossip_duplicate_censuses_total", "duplicate peer censuses absorbed without changing a round's fold"),
+			Latest:        r.GaugeVec("gossip_round_latest", "highest completed local round (-1 before the first)", "edge").With(e),
+			RoundDuration: o.Histogram("gossip_round_duration_seconds", "first census to local round completion", nil),
 		},
 		peerCensuses: o.Counter("gossip_peer_censuses_total", "censuses received from neighborhood peers"),
 		late:         o.Counter("gossip_late_peer_censuses_total", "peer censuses for already-completed local rounds, absorbed"),

@@ -756,6 +756,11 @@ func TestStateHashGaugePerNode(t *testing.T) {
 	if n0.StateHash() == initial {
 		t.Fatal("four rounds left the state where it started")
 	}
+	// The kernel's round histogram is bound too: one observation per node
+	// per local round.
+	if n := o.Histogram("gossip_round_duration_seconds", "", nil).Count(); n != 8 {
+		t.Errorf("gossip_round_duration_seconds observed %d rounds, want 8 (two nodes, four rounds)", n)
+	}
 	want := n0.StateHash()
 	n0.Close() // kill -9
 	l0.Close()

@@ -23,7 +23,37 @@ func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // Intersect returns the intersection of two intervals.
 func (iv Interval) Intersect(other Interval) Interval {
-	return Interval{Lo: math.Max(iv.Lo, other.Lo), Hi: math.Min(iv.Hi, other.Hi)}
+	return Interval{Lo: maxf(iv.Lo, other.Lo), Hi: minf(iv.Hi, other.Hi)}
+}
+
+// maxf and minf are math.Max and math.Min bit for bit, small enough to
+// inline: equal operands merge their sign bits, and an infinity beats NaN.
+func maxf(x, y float64) float64 {
+	switch {
+	case x > y:
+		return x
+	case y > x:
+		return y
+	case x == y:
+		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
+	case x > math.MaxFloat64 || y > math.MaxFloat64:
+		return math.Inf(1)
+	}
+	return math.NaN()
+}
+
+func minf(x, y float64) float64 {
+	switch {
+	case x < y:
+		return x
+	case y < x:
+		return y
+	case x == y:
+		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
+	case x < -math.MaxFloat64 || y < -math.MaxFloat64:
+		return math.Inf(-1)
+	}
+	return math.NaN()
 }
 
 // Width returns the length of the interval (0 for empty ones).
@@ -40,7 +70,7 @@ func (iv Interval) Clamp(x float64) float64 {
 	if iv.Empty() {
 		return math.NaN()
 	}
-	return math.Max(iv.Lo, math.Min(iv.Hi, x))
+	return maxf(iv.Lo, minf(iv.Hi, x))
 }
 
 // String implements fmt.Stringer.
@@ -67,9 +97,9 @@ func SolveAffineGE(a, b float64) Interval {
 		}
 		return EmptyInterval()
 	case b > 0:
-		return Interval{Lo: math.Max(0, -a/b), Hi: 1}.Intersect(Unit())
+		return Interval{Lo: maxf(0, -a/b), Hi: 1}.Intersect(Unit())
 	default:
-		return Interval{Lo: 0, Hi: math.Min(1, -a/b)}.Intersect(Unit())
+		return Interval{Lo: 0, Hi: minf(1, -a/b)}.Intersect(Unit())
 	}
 }
 
@@ -88,6 +118,7 @@ const setInline = 4
 // The zero Set is the empty set. A Set is a value: up to setInline intervals
 // live in the struct itself, larger sets spill to one heap slice, and no
 // operation modifies a set once it is built, so copies are independent.
+// Its methods take a pointer only so that a call does not copy the set.
 type Set struct {
 	n      int
 	inline [setInline]Interval
@@ -150,6 +181,9 @@ func (s *Set) normalize() {
 // NewSet builds a Set from arbitrary intervals (they are cleaned, sorted,
 // and merged).
 func NewSet(ivs ...Interval) Set {
+	if len(ivs) == 1 {
+		return single(ivs[0])
+	}
 	var s Set
 	for _, iv := range ivs {
 		s.add(iv)
@@ -158,17 +192,29 @@ func NewSet(ivs ...Interval) Set {
 	return s
 }
 
+// single is NewSet(iv): one interval is clipped but has nothing to sort or
+// merge.
+func single(iv Interval) Set {
+	if iv = iv.Intersect(Unit()); iv.Empty() {
+		return Set{}
+	}
+	return Set{n: 1, inline: [setInline]Interval{iv}}
+}
+
 // FullSet returns the set {[0,1]}.
-func FullSet() Set { return NewSet(Unit()) }
+func FullSet() Set { return Set{n: 1, inline: [setInline]Interval{Unit()}} }
+
+// Point returns the set {x} (empty when x is outside [0,1]).
+func Point(x float64) Set { return single(Interval{Lo: x, Hi: x}) }
 
 // Empty reports whether the set contains no points.
-func (s Set) Empty() bool { return s.n == 0 }
+func (s *Set) Empty() bool { return s.n == 0 }
 
 // Intervals returns the disjoint intervals of the set in ascending order.
-func (s Set) Intervals() []Interval { return append([]Interval(nil), s.view()...) }
+func (s *Set) Intervals() []Interval { return append([]Interval(nil), s.view()...) }
 
 // Contains reports membership.
-func (s Set) Contains(x float64) bool {
+func (s *Set) Contains(x float64) bool {
 	for _, iv := range s.view() {
 		if iv.Contains(x) {
 			return true
@@ -178,7 +224,7 @@ func (s Set) Contains(x float64) bool {
 }
 
 // Union returns the union of two sets.
-func (s Set) Union(other Set) Set {
+func (s *Set) Union(other Set) Set {
 	var out Set
 	for _, iv := range s.view() {
 		out.add(iv)
@@ -190,8 +236,17 @@ func (s Set) Union(other Set) Set {
 	return out
 }
 
-// Intersect returns the intersection of two sets.
-func (s Set) Intersect(other Set) Set {
+// Intersect returns the intersection of two sets. Intersecting with [0,1]
+// returns the other operand: its intervals already lie in [0,1], so the
+// general path would rebuild them bit for bit. (No Set holds a -0 Lo — add
+// clips against +0 — so == on [0,1] compares bits.)
+func (s *Set) Intersect(other Set) Set {
+	switch unit := Unit(); {
+	case s.n == 1 && s.view()[0] == unit:
+		return other
+	case other.n == 1 && other.view()[0] == unit:
+		return *s
+	}
 	var out Set
 	for _, a := range s.view() {
 		for _, b := range other.view() {
@@ -204,7 +259,7 @@ func (s Set) Intersect(other Set) Set {
 
 // Nearest returns the point of the set closest to x. ok is false when the
 // set is empty.
-func (s Set) Nearest(x float64) (nearest float64, ok bool) {
+func (s *Set) Nearest(x float64) (nearest float64, ok bool) {
 	if s.Empty() {
 		return 0, false
 	}
@@ -219,7 +274,7 @@ func (s Set) Nearest(x float64) (nearest float64, ok bool) {
 }
 
 // Min returns the smallest point of the set. ok is false when empty.
-func (s Set) Min() (float64, bool) {
+func (s *Set) Min() (float64, bool) {
 	if s.Empty() {
 		return 0, false
 	}

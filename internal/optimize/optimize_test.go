@@ -128,16 +128,17 @@ func TestSetOperations(t *testing.T) {
 		}
 	}
 
-	if !NewSet().Empty() {
+	empty, ofEmpty, full := NewSet(), NewSet(EmptyInterval()), FullSet()
+	if !empty.Empty() {
 		t.Error("NewSet() should be empty")
 	}
-	if NewSet(EmptyInterval()).Empty() != true {
+	if !ofEmpty.Empty() {
 		t.Error("set of empty interval is empty")
 	}
-	if FullSet().Empty() || !FullSet().Contains(0.5) {
+	if full.Empty() || !full.Contains(0.5) {
 		t.Error("FullSet wrong")
 	}
-	if s.String() == "" || NewSet().String() != "∅" {
+	if s.String() == "" || empty.String() != "∅" {
 		t.Error("String wrong")
 	}
 }
@@ -159,24 +160,25 @@ func TestSetNearestAndMin(t *testing.T) {
 			t.Errorf("Nearest(%f) = %f,%v want %f", tt.x, got, ok, tt.want)
 		}
 	}
-	if _, ok := NewSet().Nearest(0.5); ok {
+	empty := NewSet()
+	if _, ok := empty.Nearest(0.5); ok {
 		t.Error("Nearest on empty set must report !ok")
 	}
 	mn, ok := s.Min()
 	if !ok || mn != 0.2 {
 		t.Errorf("Min = %f,%v", mn, ok)
 	}
-	if _, ok := NewSet().Min(); ok {
+	if _, ok := empty.Min(); ok {
 		t.Error("Min on empty set must report !ok")
 	}
 }
 
 func TestSetIntersectEmptyAbsorbs(t *testing.T) {
-	s := NewSet(Interval{0.2, 0.4})
-	if !s.Intersect(NewSet()).Empty() {
+	s, empty := NewSet(Interval{0.2, 0.4}), NewSet()
+	if in := s.Intersect(empty); !in.Empty() {
 		t.Error("intersect with empty must be empty")
 	}
-	if !NewSet().Union(NewSet()).Empty() {
+	if un := empty.Union(empty); !un.Empty() {
 		t.Error("union of empties must be empty")
 	}
 }

@@ -163,3 +163,61 @@ func TestSetMatchesSliceReference(t *testing.T) {
 		t.Error("no trial outgrew the inline capacity")
 	}
 }
+
+// TestMaxfMinfMatchMath: the inlined max and min are math.Max and
+// math.Min bit for bit on every pair of special and ordinary values.
+func TestMaxfMinfMatchMath(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e-300, math.Nextafter(1, 2),
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, 5e-324}
+	for _, x := range vals {
+		for _, y := range vals {
+			if g, w := maxf(x, y), math.Max(x, y); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("maxf(%v, %v) = %v, math.Max %v", x, y, g, w)
+			}
+			if g, w := minf(x, y), math.Min(x, y); math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("minf(%v, %v) = %v, math.Min %v", x, y, g, w)
+			}
+		}
+	}
+}
+
+// TestSetFastPathsMatchGeneralPath holds the paths that skip add/normalize
+// — FullSet, Point, one-interval NewSet, and an intersection with [0,1] on
+// either side, spilled operands included — to the reference bit for bit.
+func TestSetFastPathsMatchGeneralPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	check := func(what string, got Set, want refSet) {
+		t.Helper()
+		if !sameIntervals(got.Intervals(), want) || got.Empty() != (len(want) == 0) {
+			t.Fatalf("%s: got %v, reference %v", what, got.Intervals(), []Interval(want))
+		}
+	}
+	full, rfull := FullSet(), newRefSet(Unit())
+	check("FullSet", full, rfull)
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, 0.5, -0.25, 1.5, math.Nextafter(1, 2), math.NaN()} {
+		if math.IsNaN(x) { // no reference for NaN: the general path itself
+			p, general := Point(x), NewSet(Interval{x, x}, EmptyInterval())
+			if !sameIntervals(p.Intervals(), general.Intervals()) {
+				t.Fatalf("Point(NaN) = %v, general path %v", p.Intervals(), general.Intervals())
+			}
+			continue
+		}
+		check("Point", Point(x), newRefSet(Interval{x, x}))
+	}
+	spilled := 0
+	for trial := 0; trial < 4000; trial++ {
+		a := randomIntervals(rng, rng.Intn(3*setInline+1))
+		sa, ra := NewSet(a...), newRefSet(a...)
+		if len(ra) > setInline {
+			spilled++
+		}
+		check("one-interval NewSet", NewSet(a[:min(1, len(a))]...), newRefSet(a[:min(1, len(a))]...))
+		check("FullSet ∩ set", full.Intersect(sa), rfull.intersect(ra))
+		check("set ∩ FullSet", sa.Intersect(full), ra.intersect(rfull))
+		x := float64(rng.Intn(21)-2) / 16
+		check("Point ∩ set", sa.Intersect(Point(x)), ra.intersect(newRefSet(Interval{x, x})))
+	}
+	if spilled == 0 {
+		t.Error("no trial outgrew the inline capacity")
+	}
+}

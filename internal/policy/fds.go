@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/game"
 	"repro/internal/obs"
@@ -49,14 +50,16 @@ type FDS struct {
 	// single-caller already (the stall state above), so whoever serializes
 	// its calls serializes these too.
 	lin       *game.Linearizer
+	tracked   []int // the decisions step linearizes: those with a desired interval
 	conds     []cond
 	satisfied []bool    // UpdateRatios' report
 	xs        []float64 // Resweep's Gauss–Seidel view of the ratios
 
 	// Instruments; nil (no-op) until Instrument is called.
-	obsv    *obs.Observer
-	updates *obs.Counter // fds_updates_total
-	nudges  *obs.Counter // fds_stall_nudges_total
+	obsv      *obs.Observer
+	updates   *obs.Counter   // fds_updates_total
+	updateDur *obs.Histogram // fds_update_duration_seconds
+	nudges    *obs.Counter   // fds_stall_nudges_total
 }
 
 // NewFDS validates inputs and builds the controller.
@@ -79,7 +82,8 @@ func NewFDS(m *game.Model, f *Field, lambda float64) (*FDS, error) {
 		lastShortfall: make([]float64, m.M()),
 		stallRounds:   make([]int, m.M()),
 		lin:           m.NewLinearizer(),
-		conds:         make([]cond, 0, m.K()),
+		tracked:       make([]int, 0, m.K()),
+		conds:         make([]cond, m.K()),
 		satisfied:     make([]bool, m.M()),
 		xs:            make([]float64, m.M()),
 	}, nil
@@ -132,40 +136,41 @@ func (f *FDS) SetMemory(mem FDSMemory) error {
 // Field returns the controller's desired field.
 func (f *FDS) Field() *Field { return f.field }
 
-// Instrument makes the controller report per-iteration counters
-// (fds_updates_total, fds_stall_nudges_total) and Shape spans through the
-// given observer. Uninstrumented controllers pay only nil-checks.
+// Instrument makes the controller report fds_updates_total,
+// fds_stall_nudges_total, fds_update_duration_seconds (one per sweep) and
+// Shape spans through o; uninstrumented, it pays nil-checks and a clock read.
 func (f *FDS) Instrument(o *obs.Observer) {
 	f.obsv = o
 	f.updates = o.Counter("fds_updates_total", "FDS ratio-update rounds executed")
+	f.updateDur = o.Histogram("fds_update_duration_seconds", "one full FDS sweep over every region", nil)
 	f.nudges = o.Counter("fds_stall_nudges_total", "stall-escape ratio nudges applied")
 }
 
+// free reports whether a desired interval leaves its share unconstrained.
+func free(want optimize.Interval) bool { return want.Lo <= 0 && want.Hi >= 1 }
+
 // conditionSet returns the set of x values that place decision k of region
 // i (current share p, linearized coefficients c) in a case flowing to its
-// desired interval.
+// desired interval. Each case solves only the inequalities it intersects.
 func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimize.Set {
 	a1, a2 := c.Alpha1, c.Alpha2
 	sum := a1.Add(a2)
 
-	sumGE := optimize.SolveAffineGE(sum.A, sum.B)
-	sumLE := optimize.SolveAffineLE(sum.A, sum.B)
-	a2GE := optimize.SolveAffineGE(a2.A, a2.B)
-	a2LE := optimize.SolveAffineLE(a2.A, a2.B)
-
 	switch {
 	case want.Contains(1):
 		// Case 1 or Case 3a: growth positive at the current share.
-		x1 := sumGE.Intersect(a2GE)
+		sumGE := optimize.SolveAffineGE(sum.A, sum.B)
+		x1 := sumGE.Intersect(optimize.SolveAffineGE(a2.A, a2.B))
 		// Case 3a: unstable rest point below p, i.e. alpha1*p + alpha2 >= 0.
 		atP := optimize.SolveAffineGE(a1.A*p+a2.A, a1.B*p+a2.B)
-		x3a := sumGE.Intersect(a2LE).Intersect(atP)
+		x3a := sumGE.Intersect(optimize.SolveAffineLE(a2.A, a2.B)).Intersect(atP)
 		return optimize.NewSet(x1, x3a)
 	case want.Contains(0):
 		// Case 2 or Case 3b.
-		x2 := sumLE.Intersect(a2LE)
+		a2LE := optimize.SolveAffineLE(a2.A, a2.B)
+		x2 := optimize.SolveAffineLE(sum.A, sum.B).Intersect(a2LE)
 		atP := optimize.SolveAffineLE(a1.A*p+a2.A, a1.B*p+a2.B)
-		x3b := sumGE.Intersect(a2LE).Intersect(atP)
+		x3b := optimize.SolveAffineGE(sum.A, sum.B).Intersect(a2LE).Intersect(atP)
 		return optimize.NewSet(x2, x3b)
 	default:
 		// Case 4: stable interior rest point inside the desired interval.
@@ -173,7 +178,7 @@ func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimi
 		// p* <= hi <=> alpha1*hi + alpha2 <= 0.
 		lo := optimize.SolveAffineGE(a1.A*want.Lo+a2.A, a1.B*want.Lo+a2.B)
 		hi := optimize.SolveAffineLE(a1.A*want.Hi+a2.A, a1.B*want.Hi+a2.B)
-		x4 := sumLE.Intersect(a2GE).Intersect(lo).Intersect(hi)
+		x4 := optimize.SolveAffineLE(sum.A, sum.B).Intersect(optimize.SolveAffineGE(a2.A, a2.B)).Intersect(lo).Intersect(hi)
 		return optimize.NewSet(x4)
 	}
 }
@@ -190,11 +195,13 @@ func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 		return nil, fmt.Errorf("policy: state has %d distributions and %d ratios, model %d regions", len(s.P), len(s.X), m.M())
 	}
 	f.updates.Inc()
+	start := time.Now()
 	// The distributions do not change during the sweep: tabulate them once.
 	f.lin.Tabulate(s)
 	for i := range f.satisfied {
 		f.satisfied[i] = f.step(s, i)
 	}
+	f.updateDur.Observe(time.Since(start).Seconds())
 	return f.satisfied, nil
 }
 
@@ -204,19 +211,28 @@ func (f *FDS) UpdateRatios(s *game.State) ([]bool, error) {
 // memory — nothing else, which Resweep rests on. It writes s.X[i] and that
 // memory, and reports whether x_i already satisfied its condition set.
 func (f *FDS) step(s *game.State, i int) bool {
-	m := f.model
-	coeffs := f.lin.Region(s, i)
+	p, field := s.P[i], f.field.P[i]
 
-	conds := f.conds[:0]
-	for k := 0; k < m.K(); k++ {
-		want := f.field.P[i][k]
-		if want.Lo <= 0 && want.Hi >= 1 {
-			continue // unconstrained share
+	// The region's shortfall (for stall detection) counts every share; only
+	// a share with a desired interval gets a condition set, so only those
+	// decisions are linearized.
+	worstDist, worstK := 0.0, -1
+	tracked := f.tracked[:0]
+	for k, want := range field {
+		if d := shortfall(p[k], want); d > worstDist {
+			worstDist, worstK = d, k
 		}
-		p := s.P[i][k]
-		d := shortfall(p, want)
-		set := conditionSet(coeffs[k], p, want)
-		if set.Empty() && d > 0 {
+		if !free(want) {
+			tracked = append(tracked, k)
+		}
+	}
+	coeffs := f.lin.Region(s, i, tracked)
+	conds := f.conds[:len(tracked)]
+	for n, k := range tracked {
+		c := &conds[n]
+		c.dist = shortfall(p[k], field[k])
+		c.set = conditionSet(coeffs[k], p[k], field[k])
+		if c.set.Empty() && c.dist > 0 {
 			// No ratio places this share in a case flowing to its
 			// target under the frozen linearization — typical when the
 			// share is near-extinct and its growth rate is negative for
@@ -224,43 +240,29 @@ func (f *FDS) step(s *game.State, i int) bool {
 			// (if the share must rise) or minimizes (if it must fall)
 			// the linearized growth rate alpha1*p + alpha2, so the
 			// system is at least steered toward eventual satisfiability.
-			set = growthExtremeSet(coeffs[k], p, p < want.Lo)
+			c.set = optimize.Point(growthExtreme(coeffs[k], p[k], p[k] < field[k].Lo))
 		}
-		conds = append(conds, cond{set: set, dist: d})
 	}
 
+	// Intersect most-urgent first so best-effort dropping removes the
+	// least-urgent conditions: a stable insertion sort by descending
+	// distance.
+	for a := 1; a < len(conds); a++ {
+		for b := a; b > 0 && conds[b].dist > conds[b-1].dist; b-- {
+			conds[b], conds[b-1] = conds[b-1], conds[b]
+		}
+	}
 	xSet := optimize.FullSet()
-	if len(conds) > 0 {
-		// Intersect most-urgent first so best-effort dropping removes
-		// the least-urgent conditions: a stable insertion sort by
-		// descending distance.
-		for a := 1; a < len(conds); a++ {
-			for b := a; b > 0 && conds[b].dist > conds[b-1].dist; b-- {
-				conds[b], conds[b-1] = conds[b-1], conds[b]
+	for a := range conds {
+		next := xSet.Intersect(conds[a].set)
+		if next.Empty() {
+			if !f.BestEffort {
+				xSet = next
+				break
 			}
+			continue // drop this condition
 		}
-		for _, c := range conds {
-			next := xSet.Intersect(c.set)
-			if next.Empty() {
-				if !f.BestEffort {
-					xSet = next
-					break
-				}
-				continue // drop this condition
-			}
-			xSet = next
-		}
-	}
-
-	// Region shortfall for stall detection.
-	worstDist, worstK := 0.0, -1
-	for k := 0; k < m.K(); k++ {
-		want := f.field.P[i][k]
-		p := s.P[i][k]
-		d := shortfall(p, want)
-		if d > worstDist {
-			worstDist, worstK = d, k
-		}
+		xSet = next
 	}
 
 	x := s.X[i]
@@ -274,14 +276,13 @@ func (f *FDS) step(s *game.State, i int) bool {
 			// The linearization says the ratio is fine, but the region
 			// has sat out of band without improving: nudge the ratio
 			// toward the extreme that raises (or lowers) the worst
-			// share's growth rate.
-			up := s.P[i][worstK] < f.field.P[i][worstK].Lo
-			nudge := growthExtremeSet(coeffs[worstK], s.P[i][worstK], up)
-			if target, ok := nudge.Nearest(x); ok {
-				step := clampStep(target-x, f.Lambda)
-				s.X[i] = clamp01(x + step)
-				f.nudges.Inc()
-			}
+			// share's growth rate. The worst share may be a free one
+			// whose share rounded past 1, which the sweep above did
+			// not linearize: linearize it here.
+			c := f.lin.Region(s, i, []int{worstK})[worstK]
+			target := growthExtreme(c, p[worstK], p[worstK] < field[worstK].Lo)
+			s.X[i] = clamp01(x + clampStep(target-x, f.Lambda))
+			f.nudges.Inc()
 		}
 		return true
 	}
@@ -331,20 +332,16 @@ func clampStep(step, lambda float64) float64 {
 	return step
 }
 
-// growthExtremeSet returns the single ratio (as a point set) that extremizes
-// the linearized growth rate (alpha1*p + alpha2)(x), which is affine in x
-// with slope b1*p + b2: the maximizing endpoint when up is true, the
-// minimizing one otherwise.
-func growthExtremeSet(c game.LinearCoeffs, p float64, up bool) optimize.Set {
+// growthExtreme returns the ratio that extremizes the linearized growth
+// rate (alpha1*p + alpha2)(x), which is affine in x with slope b1*p + b2:
+// the maximizing endpoint of [0,1] when up is true, the minimizing one
+// otherwise.
+func growthExtreme(c game.LinearCoeffs, p float64, up bool) float64 {
 	slope := c.Alpha1.B*p + c.Alpha2.B
-	hi := slope > 0
-	if !up {
-		hi = !hi
+	if (slope > 0) == up {
+		return 1
 	}
-	if hi {
-		return optimize.NewSet(optimize.Interval{Lo: 1, Hi: 1})
-	}
-	return optimize.NewSet(optimize.Interval{Lo: 0, Hi: 0})
+	return 0
 }
 
 func clamp01(x float64) float64 {

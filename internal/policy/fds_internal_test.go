@@ -65,10 +65,8 @@ func TestGrowthExtremeSet(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			set := growthExtremeSet(tt.coeffs, tt.p, tt.up)
-			got, ok := set.Nearest(0.5)
-			if !ok || got != tt.want {
-				t.Errorf("growthExtremeSet -> %v, want point {%f}", set, tt.want)
+			if got := growthExtreme(tt.coeffs, tt.p, tt.up); got != tt.want {
+				t.Errorf("growthExtreme -> %v, want %v", got, tt.want)
 			}
 		})
 	}
