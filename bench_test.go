@@ -419,35 +419,24 @@ func benchMessage(b *testing.B, kind transport.Kind, body interface{}) transport
 	return m
 }
 
-var benchCodecs = []struct {
-	name  string
-	codec transport.Codec
-}{
-	{"binary", transport.Binary},
-}
-
 // BenchmarkEncodeCensus measures encoding a step-① census frame, reusing the destination buffer the way tcpConn.Send does. The
 // bytes/frame metric is the wire size the acceptance criterion compares.
 func BenchmarkEncodeCensus(b *testing.B) {
 	m := benchMessage(b, transport.KindCensus,
 		transport.Census{Edge: 3, Round: 117, Counts: []int{12, 40, 7, 3, 0, 9, 1, 28}})
-	for _, bc := range benchCodecs {
-		b.Run(bc.name, func(b *testing.B) {
-			buf := make([]byte, 0, 512)
-			frame, err := bc.codec.AppendEncode(buf, m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.codec.AppendEncode(buf[:0], m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(frame)), "bytes/frame")
-		})
+	buf := make([]byte, 0, 512)
+	frame, err := transport.Binary.AppendEncode(buf, m)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := transport.Binary.AppendEncode(buf[:0], m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(frame)), "bytes/frame")
 }
 
 // BenchmarkRoundTrip measures a full encode+decode cycle for the three message shapes that dominate wire traffic: the census (step ①), the
@@ -464,39 +453,36 @@ func BenchmarkRoundTrip(b *testing.B) {
 		benchMessage(b, transport.KindUpload,
 			transport.Upload{Vehicle: 42, Round: 117, Decision: 6, Items: items}),
 	}
-	for _, bc := range benchCodecs {
-		b.Run(bc.name, func(b *testing.B) {
-			var total int
-			buf := make([]byte, 0, 1024)
-			for _, m := range messages {
-				frame, err := bc.codec.AppendEncode(buf[:0], m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += len(frame)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m := messages[i%len(messages)]
-				frame, err := bc.codec.AppendEncode(buf[:0], m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := bc.codec.Decode(frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(total)/float64(len(messages)), "bytes/frame")
-		})
+	var total int
+	buf := make([]byte, 0, 1024)
+	for _, m := range messages {
+		frame, err := transport.Binary.AppendEncode(buf[:0], m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += len(frame)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := messages[i%len(messages)]
+		frame, err := transport.Binary.AppendEncode(buf[:0], m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transport.Binary.Decode(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(total)/float64(len(messages)), "bytes/frame")
 }
 
 // BenchmarkJournalAppend measures the durable journal's append+fsync cost
 // per record under the two commit disciplines: one fsync per record (the
-// historical floor) and group commit, where concurrent appenders share a
-// batched fsync. The parallel driver models a gossip tier journaling many
-// edges' local rounds against one store.
+// default every node runs) and group commit, where concurrent appenders
+// share a batched fsync. The parallel driver supplies the concurrent
+// appenders group commit needs; no node of the tier has them, so none
+// enables it.
 func BenchmarkJournalAppend(b *testing.B) {
 	record := []byte(`{"round":117,"censuses":{"3":[12,40,7,3,0,9,1,28]}}`)
 	for _, bc := range []struct {

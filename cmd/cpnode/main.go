@@ -70,7 +70,7 @@
 // is the Defaults value, and is registered with the roles that consume it. A
 // flag set on a role that ignores it is rejected up front ("-role edge
 // -fixed-lag 8" is an error, not a silently dead knob). The same NodeConfig
-// constructors wire cmd/loadgen, cmd/scenario, and the benchmark.
+// constructors wire cmd/scenario and the benchmark.
 package main
 
 import (

@@ -212,10 +212,12 @@ const defaultGroupWindow = 2 * time.Millisecond
 // one fsync, flushed as soon as n records are pending or after window at
 // the latest (window <= 0 uses a 2ms default). Append's durability contract
 // is unchanged — it still blocks until the fsync covering its record
-// completes — only the per-record fsync floor is amortized away, which is
-// what lets a gossip node journal every local round without paying a disk
-// round-trip per round. n <= 1 restores the historical fsync-per-append
-// behavior. Safe to call only before the first Append.
+// completes — only the per-record fsync floor is amortized away, and only
+// when several appenders are waiting at once. No node of the tier enables it:
+// a Journal appends one record at a time, so no two of its appends could
+// share an fsync. The benchmark's durable.append_group8_us_p50 probe and the
+// tests use it. n <= 1 (the default) keeps one fsync per append. Safe to
+// call only before the first Append.
 func (s *Store) SetGroupCommit(n int, window time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -103,12 +103,6 @@ func (o *Observer) Histogram(name, help string, buckets []float64) *Histogram {
 	return o.Registry().Histogram(name, help, buckets)
 }
 
-// HistogramVec returns the named labeled histogram family (nil buckets
-// selects DefBuckets).
-func (o *Observer) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return o.Registry().HistogramVec(name, help, buckets, labels...)
-}
-
 // Span starts a span on the observer's tracer (nil when tracing disabled).
 func (o *Observer) Span(name string, attrs ...Attr) *Span {
 	return o.Tracer().Start(name, attrs...)
@@ -143,8 +137,6 @@ type family struct {
 
 	single interface{} // *Counter / *Gauge / *Histogram when unlabeled
 	vec    interface{} // *CounterVec / *GaugeVec when labeled
-
-	buckets []float64 // histogram upper bounds
 }
 
 // NewRegistry returns an empty registry.
@@ -222,10 +214,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DefBuckets
 	}
 	f := r.lookup(name, TypeHistogram, nil, func() *family {
-		return &family{
-			name: name, help: help, typ: TypeHistogram,
-			buckets: buckets, single: newHistogram(buckets),
-		}
+		return &family{name: name, help: help, typ: TypeHistogram, single: newHistogram(buckets)}
 	})
 	return f.single.(*Histogram)
 }
@@ -257,28 +246,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 		}
 	})
 	return f.vec.(*GaugeVec)
-}
-
-// HistogramVec returns the named labeled histogram family, creating it if
-// needed. A nil buckets slice selects DefBuckets.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	f := r.lookup(name, TypeHistogram, labels, func() *family {
-		return &family{
-			name: name, help: help, typ: TypeHistogram, labels: labels,
-			buckets: buckets,
-			vec: &HistogramVec{
-				labels: labels, buckets: buckets,
-				children: make(map[string]*Histogram),
-			},
-		}
-	})
-	return f.vec.(*HistogramVec)
 }
 
 // Counter is a monotonically increasing integer metric. The zero value is
@@ -483,42 +450,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return g
 }
 
-// HistogramVec is a family of histograms distinguished by label values; all
-// children share one bucket layout.
-type HistogramVec struct {
-	labels   []string
-	buckets  []float64
-	mu       sync.RWMutex
-	children map[string]*Histogram
-	order    []string
-}
-
-// With returns the child histogram for the given label values, creating it
-// if needed. Nil-safe.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	key := joinLabelValues(values)
-	v.mu.RLock()
-	h, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("obs: histogram vec %v got %d label values", v.labels, len(values)))
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.children[key]; !ok {
-		h = newHistogram(v.buckets)
-		v.children[key] = h
-		v.order = append(v.order, key)
-	}
-	return h
-}
-
 // joinLabelValues builds the child map key. \xff cannot appear in sane label
 // values; collisions would only merge children, never corrupt.
 func joinLabelValues(values []string) string {
@@ -657,29 +588,6 @@ func (f *family) points() []Point {
 			p := base
 			p.Labels = zipLabels(f.labels, splitLabelValues(key))
 			p.Value = g.Value()
-			out = append(out, p)
-		}
-	case *HistogramVec:
-		vec.mu.RLock()
-		keys := append([]string(nil), vec.order...)
-		vec.mu.RUnlock()
-		for _, key := range keys {
-			vec.mu.RLock()
-			h := vec.children[key]
-			vec.mu.RUnlock()
-			p := base
-			p.Labels = zipLabels(f.labels, splitLabelValues(key))
-			p.Count = h.Count()
-			p.Sum = h.Sum()
-			cum := int64(0)
-			for i := range h.counts {
-				cum += h.counts[i].Load()
-				ub := math.Inf(1)
-				if i < len(h.bounds) {
-					ub = h.bounds[i]
-				}
-				p.Buckets = append(p.Buckets, Bucket{UpperBound: ub, CumulativeCount: cum})
-			}
 			out = append(out, p)
 		}
 	}

@@ -55,7 +55,7 @@ func DemoGraph(m int) game.Graph { return demoGraph{m: m} }
 
 // cycleGraph couples the regions in a sparse cycle: enough inter-region
 // coupling that the fold is global, without the O(M^2) dense graph at load
-// scale (the cmd/loadgen topology).
+// scale (the benchmark's flood topology).
 type cycleGraph struct{ m int }
 
 func (g cycleGraph) M() int { return g.m }
@@ -212,9 +212,9 @@ func (c *NodeConfig) ResolveField(model *game.Model) (*policy.Field, string, err
 // NewCloud wires the full cloud/aggregator stack — model, desired field,
 // FDS controller, coordinator — and applies the round deadline, rewind
 // window, logger, observer, and durable state directory. This is the one
-// construction path every entry point (cpnode, loadgen, cmd/scenario, the
-// agent simulation) shares. The returned description names the field
-// source.
+// construction path every entry point (cpnode, cmd/scenario, the agent
+// simulation, the benchmark) shares. The returned description names the
+// field source.
 func (c *NodeConfig) NewCloud() (*cloud.Server, string, error) {
 	model, err := c.BuildModel()
 	if err != nil {

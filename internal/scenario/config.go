@@ -1,9 +1,8 @@
 // Package scenario is the declarative workload layer over the consensus
 // tier: a typed node-configuration API shared by every entry point
-// (cmd/cpnode, cmd/loadgen, cmd/scenario, the agent simulation, the
-// benchmark), a versioned YAML/JSON scenario spec, and a runner that
-// compiles a spec into a wired tier, executes it, and emits a
-// machine-readable verdict.
+// (cmd/cpnode, cmd/scenario, the agent simulation, the benchmark), a
+// versioned YAML/JSON scenario spec, and a runner that compiles a spec into
+// a wired tier, executes it, and emits a machine-readable verdict.
 //
 // The configuration API is one struct: start from Defaults(role), assign
 // the fields that differ, call Validate. Each knob is declared once (the
@@ -147,10 +146,8 @@ func Defaults(role Role) *NodeConfig {
 
 // Validate checks cross-field consistency for the configured role.
 func (c *NodeConfig) Validate() error {
-	if c.Codec != "" {
-		if _, err := transport.CodecByName(c.Codec); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
+	if c.Codec != "" && c.Codec != "binary" {
+		return fmt.Errorf("scenario: transport: unknown codec %q (want \"binary\" or empty)", c.Codec)
 	}
 	switch c.Role {
 	case RoleCloud, RoleAggregator:

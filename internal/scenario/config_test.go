@@ -77,7 +77,7 @@ func TestGraphByName(t *testing.T) {
 }
 
 // TestBuildCloudFromConfig: the shared constructor wires a working cloud —
-// the same path cpnode, loadgen, the agent sim, and the runner all use.
+// the same path cpnode, the agent sim, and the runner all use.
 func TestBuildCloudFromConfig(t *testing.T) {
 	nc := Defaults(RoleCloud)
 	nc.Regions, nc.RoundDeadline = 2, 0

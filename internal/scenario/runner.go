@@ -338,21 +338,11 @@ type netw struct {
 	addrs map[string]string // tcp only: name -> current address
 }
 
-func newNetw(network, codec string) (*netw, error) {
-	n := &netw{}
+func newNetw(network string) *netw {
 	if network == "inproc" {
-		n.inproc = transport.NewInprocNetwork()
-		if codec != "" {
-			c, err := transport.CodecByName(codec)
-			if err != nil {
-				return nil, err
-			}
-			n.inproc.SetCodec(c)
-		}
-		return n, nil
+		return &netw{inproc: transport.NewInprocNetwork()}
 	}
-	n.addrs = map[string]string{}
-	return n, nil
+	return &netw{addrs: map[string]string{}}
 }
 
 func (n *netw) listen(name string) (transport.Listener, error) {
@@ -497,9 +487,7 @@ func runOnce(spec *Spec, seed int64, logf func(string, ...any), stateRoot string
 		}
 	}()
 
-	if r.net, err = newNetw(spec.Topology.Network, spec.Topology.Codec); err != nil {
-		return nil, err
-	}
+	r.net = newNetw(spec.Topology.Network)
 	if err := r.buildFaults(); err != nil {
 		return nil, err
 	}

@@ -55,9 +55,6 @@ type Topology struct {
 	// Shards > 1 interposes the sharded consensus tier: a rendezvous ring
 	// of shard coordinators batching censuses up to a thin aggregator.
 	Shards int `json:"shards"`
-	// Codec "binary" serializes in-process messages through the wire
-	// codec; empty passes them typed. TCP is always binary.
-	Codec string `json:"codec"`
 	// Gossip switches the edges into the edge-local gossip data plane:
 	// neighborhoods of edges run consensus rounds among themselves and
 	// escalate compacted digests to the cloud, which becomes a slow control
@@ -465,11 +462,6 @@ func (s *Spec) Validate() error {
 	}
 	if t.Shards > 1 && t.Shards > t.Regions {
 		bad("topology.shards %d exceeds regions %d (a shard would own no regions)", t.Shards, t.Regions)
-	}
-	if t.Codec != "" {
-		if _, err := transport.CodecByName(t.Codec); err != nil {
-			bad("topology.codec: %v", err)
-		}
 	}
 	var hoods [][]int // gossip neighborhood table, for leader-aware checks
 	if g := t.Gossip; g != nil {

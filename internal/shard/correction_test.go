@@ -109,7 +109,7 @@ func TestRewindCorrectionsReachEveryDownstreamRegion(t *testing.T) {
 	const m, submitter = 8, 1
 	groups := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
 	net := transport.NewInprocNetwork()
-	net.SetCodec(transport.Binary)
+	net.Serialize = true
 	agg := newRingAggregator(t, m)
 	agg.SetFixedLag(8)
 	startAggregator(t, net, "agg", agg)

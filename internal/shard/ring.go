@@ -90,8 +90,8 @@ func score(shard string, region int) uint64 {
 }
 
 // Names returns the conventional shard names for an n-coordinator
-// deployment: "shard-0" … "shard-<n-1>". cpnode and loadgen both derive
-// their rings from it, so a shard id is enough to agree on the assignment.
+// deployment: "shard-0" … "shard-<n-1>". Every shard and edge derives its
+// ring from it, so a shard id is enough to agree on the assignment.
 func Names(n int) []string {
 	out := make([]string, n)
 	for i := range out {

@@ -55,10 +55,6 @@ type AgentSimConfig struct {
 	// runs the vehicle clients with reconnect + re-registration, so the
 	// simulation exercises the runtime's degraded paths.
 	Fault *transport.FaultConfig
-	// Codec, when "binary", serializes every in-process message through
-	// the wire codec instead of passing typed values, so the simulation
-	// exercises the real encode/decode path.
-	Codec string
 	// Obs, when non-nil, is the shared observer every component of the run
 	// (cloud, edges, fault injector, vehicle clients, FDS) reports through,
 	// so one registry carries the whole system's series. Nil keeps each
@@ -138,7 +134,7 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 	m := w.Model.M()
 
 	// The cloud is wired through the shared scenario.NodeConfig layer — the
-	// same constructor cpnode, cmd/loadgen, and cmd/scenario use. Round
+	// same constructor cpnode, cmd/scenario and the benchmark use. Round
 	// deadline 0 keeps the in-process barrier waiting for every region.
 	nc := scenario.Defaults(scenario.RoleCloud)
 	nc.Model, nc.Field = w.Model, cfg.Field
@@ -155,13 +151,6 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 	defer cloudSrv.Close()
 
 	net := transport.NewInprocNetwork()
-	if cfg.Codec != "" {
-		codec, err := transport.CodecByName(cfg.Codec)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		net.SetCodec(codec)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	var fault *transport.Fault

@@ -396,9 +396,9 @@ func TestChaosPipelineConverges(t *testing.T) {
 
 // TestRunAgentSimWithFaults: the packaged agent simulation survives a lossy
 // transport when configured with a FaultConfig (drops, delays, reconnecting
-// clients) and still completes its rounds. Codec forces every in-process
-// message through the binary wire codec, so the serialization path runs
-// under fault injection too.
+// clients) and still completes its rounds. Its messages cross typed; the
+// TCP runs of TestFixedLagDeterminism and TestShardedGoldenHash are what
+// keep the serialization path covered under fault injection.
 func TestRunAgentSimWithFaults(t *testing.T) {
 	w := buildTinyWorld(t, CoeffBC)
 	opts := MacroOptions{}
@@ -422,7 +422,6 @@ func TestRunAgentSimWithFaults(t *testing.T) {
 		X0:                0.5,
 		InitialShares:     start.P,
 		RoundTimeout:      300 * time.Millisecond,
-		Codec:             "binary",
 		Fault: &transport.FaultConfig{
 			DropProb: 0.05,
 			MinDelay: time.Millisecond,

@@ -67,9 +67,9 @@ func TestBatchEncodeAllocs(t *testing.T) {
 // vehicle-round (policy, upload, delivery, ack) over a warmed TCP conn at
 // zero, Send and Recv together: the frame buffer is pooled or the conn's
 // own, the bodies are the conn's decode scratch, and the wire metrics, when
-// on, are handles the conn already holds. Send and Recv run in turn on one
-// goroutine — a frame fits the loopback socket buffer many times over — so
-// the count covers both ends.
+// on, are unlabeled instruments found with one load. Send and Recv run in
+// turn on one goroutine — a frame fits the loopback socket buffer many times
+// over — so the count covers both ends.
 func TestTCPVehiclePlaneAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")

@@ -69,8 +69,8 @@ const (
 	tagRatioCorrection
 )
 
-func (binaryCodec) Name() string { return "binary" }
-
+// AppendEncode appends m's wire frame (excluding the length prefix) to dst
+// and returns the extended slice.
 func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 	switch m.Kind {
 	case KindHello:

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrFrameTooLarge is returned (wrapped) when a frame — outgoing or
 // incoming — exceeds MaxFrameBytes.
@@ -22,28 +19,7 @@ const VersionBinary byte = 2
 // always 0x00, so the magic can never be mistaken for one.
 const codecMagic byte = 0xCB
 
-// Codec serializes Messages to wire frames and back. Implementations must
-// be safe for concurrent use and must not retain or alias the frame slices
-// they are handed (frames come from a shared buffer pool).
-type Codec interface {
-	// Name is the codec's spec value and metric label ("binary").
-	Name() string
-	// AppendEncode appends m's wire frame (excluding the length prefix) to
-	// dst and returns the extended slice.
-	AppendEncode(dst []byte, m Message) ([]byte, error)
-	// Decode parses one wire frame. The returned Message must not alias
-	// frame.
-	Decode(frame []byte) (Message, error)
-}
-
-// Binary is the wire codec: the compact tag+varint format of binary.go.
-var Binary Codec = binaryCodec{}
-
-// CodecByName resolves a `codec:` spec value. TCP conns always speak Binary;
-// the name only selects serialized in-process pipes (see CodecPipe).
-func CodecByName(name string) (Codec, error) {
-	if name == Binary.Name() {
-		return Binary, nil
-	}
-	return nil, fmt.Errorf("transport: unknown codec %q (want %q or empty)", name, Binary.Name())
-}
+// Binary is the wire codec: the compact tag+varint format of binary.go. It
+// is safe for concurrent use and never retains or aliases the frame slices
+// it is handed (frames come from a shared buffer pool).
+var Binary binaryCodec

@@ -144,7 +144,7 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 // TestCodecRoundTripPayloads checks field-level fidelity through the
 // decode-into-struct path (the one role handlers use).
 func TestCodecRoundTripPayloads(t *testing.T) {
-	t.Run(Binary.Name(), func(t *testing.T) {
+	t.Run("binary", func(t *testing.T) {
 		in, err := Encode(KindUpload, Upload{Vehicle: -3, Round: 9, Decision: 4, Items: []Item{
 			{Owner: -3, Modality: sensor.Camera, Seq: 17},
 		}})
@@ -381,28 +381,15 @@ func TestEncodeRejectsMalformedCorrection(t *testing.T) {
 	}
 }
 
-func TestCodecByName(t *testing.T) {
-	if c, err := CodecByName("binary"); err != nil || c != Binary {
-		t.Errorf("CodecByName(binary) = %v, %v", c, err)
-	}
-	// The retired JSON codec is an unknown name like any other, and the
-	// error says what is accepted.
-	for _, name := range []string{"json", "protobuf"} {
-		if _, err := CodecByName(name); err == nil || !strings.Contains(err.Error(), `"binary"`) {
-			t.Errorf("CodecByName(%q) = %v, want an error naming \"binary\"", name, err)
-		}
-	}
-}
-
 func TestCodecPipe(t *testing.T) {
-	t.Run(Binary.Name(), func(t *testing.T) {
-		a, b := CodecPipe(Binary)
+	t.Run("binary", func(t *testing.T) {
+		a, b := CodecPipe()
 		exerciseConnPair(t, a, b)
 	})
 }
 
 func TestCodecPipeOversizeFrameRejected(t *testing.T) {
-	a, b := CodecPipe(Binary)
+	a, b := CodecPipe()
 	defer a.Close()
 	defer b.Close()
 	m, err := Encode(KindAck, Ack{Err: strings.Repeat("x", MaxFrameBytes+1)})
@@ -453,7 +440,7 @@ func TestTCPCodecNegotiation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer peer.Close()
-		want := append([]byte{codecMagic, VersionBinary}, framed(t, Binary, hello)...)
+		want := append([]byte{codecMagic, VersionBinary}, framed(t, hello)...)
 		got := make([]byte, len(want))
 		if _, err := io.ReadFull(peer, got); err != nil {
 			t.Fatal(err)
@@ -486,7 +473,7 @@ func TestTCPCodecNegotiation(t *testing.T) {
 // version 1 — is refused with ErrCodecVersion and hung up on; the frame is
 // never delivered, and the refusal stays on the conn.
 func TestTCPRejectsUndeclaredPeer(t *testing.T) {
-	hello := framed(t, Binary, mustEncode(t, KindHello, Hello{Vehicle: 42}))
+	hello := framed(t, mustEncode(t, KindHello, Hello{Vehicle: 42}))
 	for _, c := range []struct {
 		name     string
 		preamble []byte

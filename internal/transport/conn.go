@@ -57,7 +57,7 @@ type chanConn struct {
 
 // Pipe returns two connected in-process Conns. Each side's Send delivers to
 // the other's Recv with a small buffer; Close unblocks both sides. Messages
-// cross typed (no serialization); use CodecPipe to exercise a wire codec
+// cross typed (no serialization); use CodecPipe to exercise the wire format
 // in-process.
 func Pipe() (Conn, Conn) {
 	ab := make(chan Message, 64)
@@ -131,31 +131,29 @@ func (c *chanConn) Close() error {
 // encoded wire frames, so the in-process transport exercises the same codec
 // path (and the same decode hardening) as TCP.
 type codecConn struct {
-	codec Codec
-	send  chan<- []byte
-	recv  <-chan []byte
+	send chan<- []byte
+	recv <-chan []byte
 
 	closed chan struct{}
 	once   sync.Once
 	peer   *codecConn
-	wm     metricHandles
 }
 
 // CodecPipe returns two connected in-process Conns that serialize every
-// message through codec — byte-for-byte the TCP wire format minus the
+// message through Binary — byte-for-byte the TCP wire format minus the
 // length prefix. Oversized frames are rejected with ErrFrameTooLarge just
 // like the TCP transport.
-func CodecPipe(codec Codec) (Conn, Conn) {
+func CodecPipe() (Conn, Conn) {
 	ab := make(chan []byte, 64)
 	ba := make(chan []byte, 64)
-	a := &codecConn{codec: codec, send: ab, recv: ba, closed: make(chan struct{})}
-	b := &codecConn{codec: codec, send: ba, recv: ab, closed: make(chan struct{})}
+	a := &codecConn{send: ab, recv: ba, closed: make(chan struct{})}
+	b := &codecConn{send: ba, recv: ab, closed: make(chan struct{})}
 	a.peer, b.peer = b, a
 	return a, b
 }
 
 func (c *codecConn) Send(m Message) error {
-	frame, err := encodeFrame(c.codec, c.wm.get(c.codec.Name()), m)
+	frame, err := encodeFrame(wireObs.Load(), m)
 	if err != nil {
 		return err
 	}
@@ -205,8 +203,8 @@ func (c *codecConn) recvUntil(expired <-chan time.Time) (Message, error) {
 			return Message{}, io.EOF
 		}
 	}
-	wm := c.wm.get(c.codec.Name())
-	m, err := decodeFrame(c.codec, nil, wm, frame)
+	wm := wireObs.Load()
+	m, err := decodeFrame(new(recvScratch), wm, frame)
 	if wm != nil && err == nil {
 		wm.bytesRecv.Add(int64(len(frame)))
 	}
@@ -218,22 +216,22 @@ func (c *codecConn) Close() error {
 	return nil
 }
 
-// encodeFrame runs one codec encode for a codec pipe, with instrumentation
-// (wm may be nil) and the shared frame-size check.
-func encodeFrame(codec Codec, wm *connMetrics, m Message) ([]byte, error) {
+// encodeFrame runs one encode for a codec pipe, with instrumentation (wm may
+// be nil) and the shared frame-size check.
+func encodeFrame(wm *wireInstruments, m Message) ([]byte, error) {
 	var (
 		frame []byte
 		err   error
 	)
 	if wm != nil {
 		start := time.Now()
-		frame, err = codec.AppendEncode(nil, m)
+		frame, err = Binary.AppendEncode(nil, m)
 		wm.encodeSeconds.Observe(time.Since(start).Seconds())
 		if err == nil {
 			wm.bytesSent.Add(int64(len(frame)))
 		}
 	} else {
-		frame, err = codec.AppendEncode(nil, m)
+		frame, err = Binary.AppendEncode(nil, m)
 	}
 	if err != nil {
 		return nil, err
@@ -245,20 +243,16 @@ func encodeFrame(codec Codec, wm *connMetrics, m Message) ([]byte, error) {
 	return frame, nil
 }
 
-// decodeFrame runs one codec decode with instrumentation (wm may be nil). A
-// conn that owns decode scratch passes it, and the binary codec decodes the
-// per-vehicle-round kinds into it; with none, every body is freshly
-// allocated.
-func decodeFrame(codec Codec, scratch *recvScratch, wm *connMetrics, frame []byte) (m Message, err error) {
+// decodeFrame runs one decode into scratch with instrumentation (wm may be
+// nil). A TCP conn passes the scratch it owns, so the per-vehicle-round kinds
+// decode into reused bodies; a codec pipe passes an empty one, so every body
+// is freshly allocated.
+func decodeFrame(scratch *recvScratch, wm *wireInstruments, frame []byte) (m Message, err error) {
 	var start time.Time
 	if wm != nil {
 		start = time.Now()
 	}
-	if codec == Binary && scratch != nil {
-		m, err = decodeBinary(frame, scratch)
-	} else {
-		m, err = codec.Decode(frame)
-	}
+	m, err = decodeBinary(frame, scratch)
 	if wm != nil {
 		wm.decodeSeconds.Observe(time.Since(start).Seconds())
 	}
@@ -270,21 +264,15 @@ func decodeFrame(codec Codec, scratch *recvScratch, wm *connMetrics, frame []byt
 type InprocNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
-	codec     Codec // nil: typed pipes (no serialization)
+	// Serialize, set before the first Dial, makes every connection a
+	// CodecPipe, so an in-process run exercises the real wire format; false
+	// dials typed pipes.
+	Serialize bool
 }
 
 // NewInprocNetwork returns an empty network.
 func NewInprocNetwork() *InprocNetwork {
 	return &InprocNetwork{listeners: make(map[string]*inprocListener)}
-}
-
-// SetCodec makes every subsequently dialed connection serialize its
-// messages through codec (see CodecPipe), so an in-process run exercises
-// the real wire format. Nil restores typed pipes.
-func (n *InprocNetwork) SetCodec(codec Codec) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.codec = codec
 }
 
 type inprocListener struct {
@@ -322,14 +310,13 @@ func (n *InprocNetwork) Listen(name string) (Listener, error) {
 func (n *InprocNetwork) Dial(name string) (Conn, error) {
 	n.mu.Lock()
 	l, ok := n.listeners[name]
-	codec := n.codec
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("transport: no inproc listener at %q", name)
 	}
 	var client, server Conn
-	if codec != nil {
-		client, server = CodecPipe(codec)
+	if n.Serialize {
+		client, server = CodecPipe()
 	} else {
 		client, server = Pipe()
 	}
@@ -392,7 +379,6 @@ type tcpConn struct {
 
 	hs    sync.Once
 	hsErr error
-	wm    metricHandles
 
 	wr sync.Mutex
 	rd sync.Mutex // guards rbuf, r, w and scratch once negotiation is done
@@ -554,7 +540,7 @@ func (t *tcpConn) Send(m Message) error {
 		}
 		return err
 	}
-	wm := t.wm.get(Binary.Name())
+	wm := wireObs.Load()
 	bufp := framePool.Get().(*[]byte)
 	buf := append((*bufp)[:0], 0, 0, 0, 0) // length prefix placeholder
 	var err error
@@ -677,8 +663,8 @@ func (t *tcpConn) recv(limit time.Duration) (Message, error) {
 		}
 		return Message{}, t.opErr("reading frame body", err)
 	}
-	wm := t.wm.get(Binary.Name())
-	m, err := decodeFrame(Binary, &t.scratch, wm, frame)
+	wm := wireObs.Load()
+	m, err := decodeFrame(&t.scratch, wm, frame)
 	if bufp != nil {
 		framePool.Put(bufp)
 	}

@@ -59,9 +59,9 @@ func writeSegments(raw net.Conn, segments ...[]byte) <-chan error {
 	return done
 }
 
-func framed(t *testing.T, codec Codec, m Message) []byte {
+func framed(t *testing.T, m Message) []byte {
 	t.Helper()
-	body, err := codec.AppendEncode(nil, m)
+	body, err := Binary.AppendEncode(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRecvSplitAtEveryOffset(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		stream := []byte{codecMagic, VersionBinary}
 		for _, m := range msgs {
-			stream = append(stream, framed(t, Binary, m)...)
+			stream = append(stream, framed(t, m)...)
 		}
 		recvAll := func(t *testing.T, segments ...[]byte) {
 			t.Helper()
@@ -172,7 +172,7 @@ func TestRecvOneReadPerSegment(t *testing.T) {
 		conn, counted, raw := pipeConn(t)
 		segment := []byte{codecMagic, VersionBinary}
 		for _, m := range frames {
-			segment = append(segment, framed(t, Binary, m)...)
+			segment = append(segment, framed(t, m)...)
 		}
 		if len(segment) > recvBufBytes {
 			t.Fatalf("segment of %d bytes does not fit the read buffer", len(segment))
@@ -205,12 +205,12 @@ func TestRecvLargeFrameTakesDirectPath(t *testing.T) {
 	}
 	big := mustEncode(t, KindCensusBatch, batch)
 	small := vehiclePlaneMessages(t)[1]
-	bigFrame := framed(t, Binary, big)
+	bigFrame := framed(t, big)
 	if len(bigFrame) <= 2*recvBufBytes {
 		t.Fatalf("batch frame of %d bytes is too small for this test", len(bigFrame))
 	}
 	stream := append([]byte{codecMagic, VersionBinary}, bigFrame...)
-	stream = append(stream, framed(t, Binary, small)...)
+	stream = append(stream, framed(t, small)...)
 	stream = append(stream, bigFrame...)
 
 	for _, cut := range []int{0, 2 + 4, 2 + 4 + 100, 2 + recvBufBytes, 2 + len(bigFrame) - 1, 2 + len(bigFrame) + 2} {

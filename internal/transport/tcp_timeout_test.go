@@ -122,7 +122,7 @@ func TestRecvTimeoutExpiry(t *testing.T) {
 	for name, pair := range map[string]func(*testing.T) (Conn, Conn){
 		"tcp":        tcpPair,
 		"pipe":       func(*testing.T) (Conn, Conn) { return Pipe() },
-		"codec pipe": func(*testing.T) (Conn, Conn) { return CodecPipe(Binary) },
+		"codec pipe": func(*testing.T) (Conn, Conn) { return CodecPipe() },
 		"wrapped": func(t *testing.T) (Conn, Conn) {
 			a, b := tcpPair(t)
 			return forwardingConn{a}, b
