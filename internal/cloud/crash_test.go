@@ -239,6 +239,9 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			for round := 0; round < 7; round++ {
 				crashRound(t, failed, round)
 			}
+			if err := failed.journal.WaitCheckpoint(); err != nil { // round 3's, which must not fail too
+				t.Fatal(err)
+			}
 			rec.Fail("create checkpoint.snap.tmp")
 			crashRound(t, failed, 7)
 			if err := failed.journal.WaitCheckpoint(); err == nil {

@@ -9,9 +9,9 @@ import (
 // Open attaches a durable state directory to the server and recovers any
 // state a previous process left there: the checkpoint is loaded, the
 // journal's round records are replayed onto it through the same fold the
-// live rounds use (bit-identical, since the JSON payloads round-trip
-// float64 exactly), and the coordinator resumes at Latest()+1. Late
-// censuses for recovered rounds are re-answered from the recovered state.
+// live rounds use (bit-identical: the checkpoint stores float64 bits), and
+// the coordinator resumes at Latest()+1. Late censuses for recovered rounds
+// are re-answered from the recovered state.
 // Call after Instrument and before Serve; recovery is visible as
 // durable_recoveries_total and journal_replay_records_total.
 func (s *Server) Open(stateDir string) error {

@@ -3,10 +3,10 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/transport/session"
@@ -156,14 +156,15 @@ func (b *Barrier) resolve(err error) {
 	close(b.Done)
 }
 
+// regionOrders lend SortedCensuses the scratch that orders a census set.
+var regionOrders = sync.Pool{New: func() any { return new(durable.RegionOrder) }}
+
 // SortedCensuses flattens one round's census set into a slice ordered by
 // edge id, the deterministic form batches and digests travel in.
 func SortedCensuses(round int, censuses map[int][]int) []transport.Census {
-	edges := make([]int, 0, len(censuses))
-	for e := range censuses {
-		edges = append(edges, e)
-	}
-	sort.Ints(edges)
+	order := regionOrders.Get().(*durable.RegionOrder)
+	defer regionOrders.Put(order)
+	edges := order.Of(censuses)
 	out := make([]transport.Census, len(edges))
 	for i, e := range edges {
 		out[i] = transport.Census{Edge: e, Round: round, Counts: censuses[e]}

@@ -113,7 +113,7 @@ func (f *Fold) Replay(censuses map[int][]int, pre, post *game.State, preMem, pos
 }
 
 // Hash returns a CRC-32C over the canonical JSON encoding of the state —
-// the bytes json.Marshal(state) produces. That encoding round-trips float64
+// the bytes encoding/json writes for it. That encoding round-trips float64
 // exactly and a map-free state encodes deterministically, so two folds hold
 // bit-identical ratio fields if and only if their hashes match. A state
 // JSON cannot carry (NaN, infinity) hashes to 0. The encoding runs when a

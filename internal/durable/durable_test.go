@@ -2,10 +2,12 @@ package durable
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/game"
@@ -325,30 +327,97 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// Checkpoint and round records must round-trip exactly — bit-identical
-// floats included — since recovery correctness depends on it.
-func TestTypedRecordRoundTrip(t *testing.T) {
+// checkpointCases are checkpoints whose floats a decimal round trip is most
+// likely to bend — negative zero, a subnormal, the neighbours one ulp either
+// side of a value — beside every field an owner sets, and nil beside empty.
+func checkpointCases() map[string]Checkpoint {
 	st := game.NewUniformState(2, 3, 0.4)
 	st.P[0] = []float64{0.123456789012345, 0.5, 0.376543210987655}
 	st.X[1] = 0.7071067811865476
-	cp := Checkpoint{
-		Round: 41,
-		State: st,
-		FDS:   policy.FDSMemory{LastShortfall: []float64{0.25, 1e-17}, StallRounds: []int{3, 0}},
+	corners := game.NewUniformState(3, 4, 0)
+	corners.P[0] = []float64{math.Copysign(0, -1), 5e-324, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0)}
+	corners.P[2] = []float64{1, 0, 0, 0}
+	corners.X = []float64{math.Copysign(0, -1), math.Nextafter(0.25, 0), math.Nextafter(0.25, 1)}
+	return map[string]Checkpoint{
+		"cloud": {
+			Round: 41,
+			State: st,
+			FDS:   policy.FDSMemory{LastShortfall: []float64{0.25, 1e-17}, StallRounds: []int{3, 0}},
+		},
+		"float corners": {
+			Round:            1 << 33,
+			State:            corners,
+			FDS:              policy.FDSMemory{LastShortfall: []float64{math.Copysign(0, -1), 5e-324, math.Nextafter(1, 2)}, StallRounds: []int{-1, 7, 1 << 40}},
+			CorrectionSeq:    1 << 45,
+			Escalated:        17,
+			Epoch:            3,
+			DigestWatermarks: map[int]int{0: 12, 3: 9, 700: 1, -4: 2},
+		},
+		"empty": {
+			Round:            -1,
+			State:            &game.State{P: [][]float64{}, X: []float64{}},
+			FDS:              policy.FDSMemory{StallRounds: []int{}},
+			DigestWatermarks: map[int]int{},
+		},
 	}
-	b, err := EncodeCheckpoint(cp)
-	if err != nil {
-		t.Fatalf("EncodeCheckpoint: %v", err)
+}
+
+// floatBits lists a checkpoint's floats as bits, where == would take -0 for 0.
+func floatBits(cp Checkpoint) []uint64 {
+	var out []uint64
+	for _, row := range append(append(slices.Clone(cp.State.P), cp.State.X), cp.FDS.LastShortfall) {
+		for _, v := range row {
+			out = append(out, math.Float64bits(v))
+		}
 	}
-	got, err := DecodeCheckpoint(b)
-	if err != nil {
-		t.Fatalf("DecodeCheckpoint: %v", err)
+	return out
+}
+
+// Checkpoint and round records must round-trip exactly — floats by their
+// bits — since recovery correctness depends on it; so must the checkpoints
+// json.Marshal wrote before payloads were binary.
+func TestTypedRecordRoundTrip(t *testing.T) {
+	for name, cp := range checkpointCases() {
+		b, err := EncodeCheckpoint(cp)
+		if err != nil {
+			t.Fatalf("%s: EncodeCheckpoint: %v", name, err)
+		}
+		got, err := DecodeCheckpoint(b)
+		if err != nil {
+			t.Fatalf("%s: DecodeCheckpoint: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, cp) || !slices.Equal(floatBits(got), floatBits(cp)) {
+			t.Errorf("%s: checkpoint round-trip mismatch:\n got %+v\nwant %+v", name, got, cp)
+		}
+		if name == "empty" {
+			continue // encoding/json leaves an empty watermark map out
+		}
+		old, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeCheckpoint(old); err != nil || !reflect.DeepEqual(got, cp) || !slices.Equal(floatBits(got), floatBits(cp)) {
+			t.Errorf("%s: json.Marshal checkpoint decoded to %+v, %v; want %+v", name, got, err, cp)
+		}
 	}
-	if !reflect.DeepEqual(got, cp) {
-		t.Fatalf("checkpoint round-trip mismatch:\n got %+v\nwant %+v", got, cp)
+	for _, bad := range []string{`{"round":1}`, "", "\x02", "\x01\x02"} {
+		if _, err := DecodeCheckpoint([]byte(bad)); err == nil {
+			t.Errorf("DecodeCheckpoint(%q) accepted a checkpoint without state", bad)
+		}
 	}
-	if _, err := DecodeCheckpoint([]byte(`{"round":1}`)); err == nil {
-		t.Fatalf("DecodeCheckpoint accepted a checkpoint without state")
+	invalid := checkpointCases()["cloud"]
+	invalid.State = &game.State{P: [][]float64{{0.5, 0.6}}, X: []float64{0.5}}
+	offSimplex, _ := EncodeCheckpoint(invalid)
+	if _, err := DecodeCheckpoint(offSimplex); err == nil {
+		t.Errorf("DecodeCheckpoint accepted a binary state off the simplex")
+	}
+
+	// A shard checkpoints its watermark as a round record with no censuses,
+	// and reads the {"round":N} object it used to write the same way.
+	for _, payload := range []string{`{"round":7}`, "\x01\x0e\x04\x00"} {
+		if got, err := DecodeRound([]byte(payload)); err != nil || !reflect.DeepEqual(got, RoundRecord{Round: 7}) {
+			t.Errorf("DecodeRound(%q) = %+v, %v; want round 7 alone", payload, got, err)
+		}
 	}
 
 	rec := RoundRecord{Round: 7, Degraded: true, Censuses: map[int][]int{0: {1, 2, 3}, 1: {0, 0, 4}}}

@@ -22,9 +22,9 @@ const CompactEvery = 32
 type Journal struct {
 	*Store
 	since   int
-	below   int    // every round journaled so far is below this
-	payload []byte // encoding scratch
-	regions []int
+	below   int         // every round journaled so far is below this
+	payload []byte      // encoding scratch
+	order   RegionOrder // the encoder's region-ordering scratch
 
 	// The appender, started by the first StartRound. A slot is a ticket: the
 	// cloud has one in use, a shard one per barrier whose forward is
@@ -80,7 +80,7 @@ func (j *Journal) Replay(apply func(RoundRecord) error) error {
 // rides outside that cadence.
 func (j *Journal) AppendRound(rec RoundRecord) (int, error) {
 	start := time.Now()
-	j.payload, j.regions = appendRound(j.payload[:0], j.regions[:0], rec)
+	j.payload = appendRound(j.payload[:0], &j.order, rec)
 	err := j.Append(j.payload)
 	if err == nil && !rec.Corrected {
 		j.since++

@@ -1,19 +1,32 @@
 package durable
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
-	"strconv"
 
 	"repro/internal/game"
 	"repro/internal/policy"
 )
 
+// tagBinary opens every payload this package writes; one that opens with '{'
+// is JSON an older build wrote. DESIGN §10.1 has the layouts.
+const tagBinary = 0x01
+
+// A round record's flags, in the bit order appendRound sets them in.
+const (
+	flagDegraded = 1 << iota
+	flagCorrected
+	flagNilCensuses
+)
+
 // Checkpoint is the coordinator's full durable state: the game state after
 // round Round, the round number itself, and the FDS controller's cross-round
-// memory. Payloads are JSON: encoding/json round-trips float64 exactly, so
-// a recovered state is bit-identical to the checkpointed one.
+// memory. Floats are stored as their bits, so a recovered state is
+// bit-identical to the checkpointed one.
 type Checkpoint struct {
 	Round int              `json:"round"`
 	State *game.State      `json:"state"`
@@ -42,19 +55,40 @@ type Checkpoint struct {
 	DigestWatermarks map[int]int `json:"digest_watermarks,omitempty"`
 }
 
-// EncodeCheckpoint serializes a checkpoint payload.
+// EncodeCheckpoint serializes a checkpoint payload: the tag; varint Round,
+// CorrectionSeq, Escalated and Epoch; the state's rows, its ratios and the FDS
+// shortfalls as float64 bits; the stall counters, then the digest watermarks
+// in ascending hood order, as varints.
 func EncodeCheckpoint(cp Checkpoint) ([]byte, error) {
 	if cp.State == nil {
 		return nil, fmt.Errorf("durable: checkpoint state must be non-nil")
 	}
-	return json.Marshal(cp)
+	size := 64 + 9*(len(cp.State.X)+len(cp.FDS.LastShortfall)) + 10*(len(cp.FDS.StallRounds)+2*len(cp.DigestWatermarks))
+	for _, p := range cp.State.P {
+		size += 10 + 8*len(p)
+	}
+	b := append(make([]byte, 0, size), tagBinary)
+	for _, v := range []int64{int64(cp.Round), cp.CorrectionSeq, int64(cp.Escalated), int64(cp.Epoch)} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = appendLen(b, len(cp.State.P), cp.State.P == nil)
+	for _, p := range cp.State.P {
+		b = appendFloats(b, p)
+	}
+	b = appendInts(appendFloats(appendFloats(b, cp.State.X), cp.FDS.LastShortfall), cp.FDS.StallRounds)
+	b = appendLen(b, len(cp.DigestWatermarks), cp.DigestWatermarks == nil)
+	hoods, _ := ascending(cp.DigestWatermarks, nil, nil)
+	for _, h := range hoods {
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(h)), int64(cp.DigestWatermarks[h]))
+	}
+	return b, nil
 }
 
 // DecodeCheckpoint parses and validates a checkpoint payload.
 func DecodeCheckpoint(b []byte) (Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return Checkpoint{}, fmt.Errorf("durable: decode checkpoint: %w", err)
+	cp, err := decode(b, "checkpoint", readCheckpoint)
+	if err != nil {
+		return Checkpoint{}, err
 	}
 	if cp.State == nil {
 		return Checkpoint{}, fmt.Errorf("durable: checkpoint has no state")
@@ -63,6 +97,25 @@ func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 		return Checkpoint{}, fmt.Errorf("durable: checkpoint state: %w", err)
 	}
 	return cp, nil
+}
+
+func readCheckpoint(b []byte) (Checkpoint, error) {
+	r := reader{buf: b}
+	cp := Checkpoint{Round: r.int(), CorrectionSeq: int64(r.int()), Escalated: r.int(), Epoch: r.int(), State: &game.State{}}
+	cp.State.P = list(&r, 1, func(r *reader) []float64 { return list(r, 8, (*reader).float) })
+	cp.State.X, cp.FDS.LastShortfall = list(&r, 8, (*reader).float), list(&r, 8, (*reader).float)
+	cp.FDS.StallRounds = list(&r, 1, (*reader).int)
+	if n, isNil := r.len(2, true); !isNil {
+		cp.DigestWatermarks = make(map[int]int, n)
+		for i, prev := 0, 0; i < n; i++ {
+			h := r.int()
+			if i > 0 && h <= prev {
+				r.fail(fmt.Errorf("hood %d does not follow hood %d", h, prev))
+			}
+			cp.DigestWatermarks[h], prev = r.int(), h
+		}
+	}
+	return cp, r.end()
 }
 
 // RoundRecord journals one applied consensus round: the censuses the FDS
@@ -83,73 +136,239 @@ type RoundRecord struct {
 	Corrected bool `json:"corrected,omitempty"`
 }
 
-// EncodeRound serializes a round record payload: the JSON object the struct
-// tags above describe, appended by hand (a round at M=1024 is a map of a
-// thousand slices, and reflecting over it was a visible share of a commit)
-// with the regions in ascending order. DecodeRound reads it back with
-// encoding/json, as it reads the records json.Marshal wrote before.
+// EncodeRound serializes a round record payload: the tag; varint Round; the
+// flags (degraded, corrected, nil census map) in one byte; uvarint census
+// count; then per region in ascending order the varint step from the previous
+// one (from 0), uvarint len(counts)+1 (0 for nil counts) and varint counts. A
+// record encodes to the same bytes whatever order its map was filled in.
 func EncodeRound(rec RoundRecord) ([]byte, error) {
-	size := 64
+	size := 16
 	for _, counts := range rec.Censuses {
-		size += 10 + 4*len(counts)
+		size += 4 + 2*len(counts)
 	}
-	b, _ := appendRound(make([]byte, 0, size), make([]int, 0, len(rec.Censuses)), rec)
-	return b, nil
+	var order RegionOrder
+	return appendRound(make([]byte, 0, size), &order, rec), nil
 }
 
-// appendRound is EncodeRound into b, sorting the regions in the scratch it
-// is given and returns grown: a journal that keeps both encodes its steady
-// state without allocating.
-func appendRound(b []byte, regions []int, rec RoundRecord) ([]byte, []int) {
-	for region := range rec.Censuses {
-		regions = append(regions, region)
-	}
-	slices.Sort(regions)
-
-	b = append(b, `{"round":`...)
-	b = strconv.AppendInt(b, int64(rec.Round), 10)
-	if rec.Degraded {
-		b = append(b, `,"degraded":true`...)
-	}
-	b = append(b, `,"censuses":`...)
-	if rec.Censuses == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '{')
-		for n, region := range regions {
-			if n > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, '"')
-			b = strconv.AppendInt(b, int64(region), 10)
-			b = append(b, '"', ':')
-			counts := rec.Censuses[region]
-			if counts == nil {
-				b = append(b, "null"...)
-				continue
-			}
-			b = append(b, '[')
-			for d, c := range counts {
-				if d > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendInt(b, int64(c), 10)
-			}
-			b = append(b, ']')
+// appendRound is EncodeRound into b, ordering the regions with order: a
+// journal that keeps both encodes its steady state without allocating.
+func appendRound(b []byte, order *RegionOrder, rec RoundRecord) []byte {
+	var flags byte
+	for bit, set := range [...]bool{rec.Degraded, rec.Corrected, rec.Censuses == nil} {
+		if set {
+			flags |= 1 << bit
 		}
-		b = append(b, '}')
 	}
-	if rec.Corrected {
-		b = append(b, `,"corrected":true`...)
+	b = append(binary.AppendVarint(append(b, tagBinary), int64(rec.Round)), flags)
+	b = binary.AppendUvarint(b, uint64(len(rec.Censuses)))
+	prev := 0
+	for _, region := range order.Of(rec.Censuses) {
+		b = appendInts(binary.AppendVarint(b, int64(region-prev)), rec.Censuses[region])
+		prev = region
 	}
-	return append(b, '}'), regions
+	return b
 }
 
-// DecodeRound parses a round record payload.
-func DecodeRound(b []byte) (RoundRecord, error) {
-	var rec RoundRecord
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return RoundRecord{}, fmt.Errorf("durable: decode round record: %w", err)
+// DecodeRound parses a round record payload; the counts of every census are
+// cut from one slab.
+func DecodeRound(b []byte) (RoundRecord, error) { return decode(b, "round record", readRound) }
+
+func readRound(b []byte) (RoundRecord, error) {
+	r := reader{buf: b}
+	rec := RoundRecord{Round: r.int()}
+	flags := r.uvarint()    // one byte: every flag is below 0x80
+	n, _ := r.len(2, false) // a census is at least its step and its length
+	if flags >= flagNilCensuses<<1 || flags&flagNilCensuses != 0 && n != 0 {
+		r.fail(fmt.Errorf("flags %#x with %d censuses", flags, n))
 	}
-	return rec, nil
+	rec.Degraded, rec.Corrected = flags&flagDegraded != 0, flags&flagCorrected != 0
+	if r.err == nil && flags&flagNilCensuses == 0 {
+		rec.Censuses = make(map[int][]int, n)
+	}
+	var slab []int
+	for i, region := 0, 0; i < n && r.err == nil; i++ {
+		step := r.int()
+		if i > 0 && (step <= 0 || region+step < region) {
+			r.fail(fmt.Errorf("census %d does not follow region %d", i, region))
+		}
+		region += step
+		var counts []int
+		if k, isNil := r.len(1, true); !isNil {
+			if slab == nil {
+				slab = make([]int, len(r.buf)) // room for every count left: each takes a byte at least
+			}
+			counts, slab = slab[:k:k], slab[k:]
+			for j := range counts {
+				counts[j] = r.int()
+			}
+		}
+		rec.Censuses[region] = counts
+	}
+	return rec, r.end()
+}
+
+// decode parses a payload: as JSON when it opens with '{', as the binary body
+// after the tag with read otherwise.
+func decode[T any](b []byte, what string, read func([]byte) (T, error)) (v T, err error) {
+	switch {
+	case len(b) > 0 && b[0] == '{':
+		var old T // apart from v: encoding/json puts it on the heap
+		err = json.Unmarshal(b, &old)
+		v = old
+	case len(b) > 0 && b[0] == tagBinary:
+		v, err = read(b[1:])
+	default:
+		err = fmt.Errorf("unknown payload tag %x", b[:min(len(b), 1)])
+	}
+	if err != nil {
+		err = fmt.Errorf("durable: decode %s: %w", what, err)
+	}
+	return v, err
+}
+
+// RegionOrder puts census sets' regions in ascending order with scratch it
+// keeps from call to call.
+type RegionOrder struct {
+	regions []int
+	words   []uint64 // ascending's bitmap, all zero between calls
+}
+
+// Of returns censuses' regions in ascending order, valid until the next call.
+func (o *RegionOrder) Of(censuses map[int][]int) []int {
+	o.regions, o.words = ascending(censuses, o.regions[:0], o.words)
+	return o.regions
+}
+
+// ascending appends the keys of m to keys in ascending order. Keys from 0 to
+// below 64 per entry — edge ids always are — set bits in a bitmap of words,
+// read back lowest first and cleared; a set with any other key is sorted.
+// words must be all zero and comes back so, grown to len(m) when shorter.
+func ascending[V any](m map[int]V, keys []int, words []uint64) ([]int, []uint64) {
+	if len(words) < len(m) {
+		words = make([]uint64, len(m))
+	}
+	keys = slices.Grow(keys, len(m))
+	top := -1 // the highest word with a bit set
+	for k := range m {
+		if k < 0 || k>>6 >= len(m) {
+			clear(words[:top+1])
+			for k := range m {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			return keys, words
+		}
+		words[k>>6] |= 1 << (k & 63)
+		top = max(top, k>>6)
+	}
+	for w, word := range words[:top+1] {
+		for ; word != 0; word &= word - 1 {
+			keys = append(keys, w<<6|bits.TrailingZeros64(word))
+		}
+		words[w] = 0
+	}
+	return keys, words
+}
+
+// appendLen writes a length as n+1, and a nil slice or map as 0.
+func appendLen(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(n)+1)
+}
+
+func appendInts(b []byte, vs []int) []byte {
+	b = appendLen(b, len(vs), vs == nil)
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func appendFloats(b []byte, vs []float64) []byte {
+	b = appendLen(b, len(vs), vs == nil)
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// reader consumes a binary body. As transport's byteReader, it bounds every
+// length by the bytes left; it refuses a varint longer than its value needs,
+// so a body that decodes re-encodes to the same bytes. The first error sticks
+// and empties it.
+type reader struct {
+	buf []byte
+	err error
+}
+
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.buf = nil
+}
+
+// end returns the first error, or one for bytes left over.
+func (r *reader) end() error {
+	if len(r.buf) > 0 {
+		r.fail(fmt.Errorf("%d trailing bytes", len(r.buf)))
+	}
+	return r.err
+}
+
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 || n > 1 && r.buf[n-1] == 0 {
+		r.fail(fmt.Errorf("bad varint"))
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+func (r *reader) int() int {
+	v := r.uvarint()
+	return int(int64(v>>1) ^ -int64(v&1)) // zigzag, as binary.Varint
+}
+
+func (r *reader) float() float64 {
+	if len(r.buf) < 8 {
+		r.fail(fmt.Errorf("truncated float64"))
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
+	r.buf = r.buf[8:]
+	return v
+}
+
+// len reads a length of elements of at least min bytes each — written n+1,
+// 0 for nil, when nilable.
+func (r *reader) len(min int, nilable bool) (n int, isNil bool) {
+	v := r.uvarint()
+	if nilable {
+		if v == 0 {
+			return 0, true
+		}
+		v--
+	}
+	if v > uint64(len(r.buf)/min) {
+		r.fail(fmt.Errorf("length %d exceeds remaining %d bytes", v, len(r.buf)))
+		return 0, nilable
+	}
+	return int(v), false
+}
+
+// list reads an appendLen length and that many elements with read.
+func list[T any](r *reader, min int, read func(*reader) T) []T {
+	n, isNil := r.len(min, true)
+	if isNil {
+		return nil
+	}
+	vs := make([]T, n)
+	for i := range vs {
+		vs[i] = read(r)
+	}
+	return vs
 }

@@ -2,25 +2,26 @@ package durable
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/israce"
 )
 
-// TestEncodeRoundFormat checks the hand-appended round record three ways:
-// it decodes back to the record, a record json.Marshal wrote (the encoder
-// before this one, and every journal already on disk) decodes to the same
-// record, and where region order cannot differ (json.Marshal sorts map keys
-// as strings, EncodeRound as numbers; single digits sort alike) the two
-// encodings are the same bytes.
-func TestEncodeRoundFormat(t *testing.T) {
+// formatCases are round records at every corner of the layout: nil and empty
+// census maps, nil and empty counts, both flags, a round that needs a long
+// varint, a set wider than a bitmap word and a negative region.
+func formatCases() map[string]RoundRecord {
 	wide := map[int][]int{}
 	for region := 0; region < 120; region++ {
 		wide[region] = []int{region, 100 - region, 0, 12345678}
 	}
-	for name, rec := range map[string]RoundRecord{
+	return map[string]RoundRecord{
 		"empty":        {},
 		"nil census":   {Round: 3},
 		"empty census": {Round: 4, Censuses: map[int][]int{}},
@@ -30,17 +31,30 @@ func TestEncodeRoundFormat(t *testing.T) {
 		"both flags":   {Round: 1 << 40, Degraded: true, Corrected: true, Censuses: map[int][]int{3: {1}}},
 		"wide":         {Round: 10, Censuses: wide},
 		"negative":     {Round: -1, Censuses: map[int][]int{-2: {-3, 4}}},
-	} {
+	}
+}
+
+// TestEncodeRoundFormat checks the binary round record three ways: it
+// decodes back to the record, a record json.Marshal wrote (every journal
+// written before the binary body) decodes to the same record, and the same
+// record built by inserting its regions in different orders encodes to the
+// same bytes.
+func TestEncodeRoundFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for name, rec := range formatCases() {
 		got, err := EncodeRound(rec)
 		if err != nil {
 			t.Fatalf("%s: EncodeRound: %v", name, err)
 		}
+		if got[0] != tagBinary {
+			t.Errorf("%s: EncodeRound wrote tag %#x, want %#x", name, got[0], tagBinary)
+		}
 		back, err := DecodeRound(got)
 		if err != nil {
-			t.Fatalf("%s: DecodeRound(%s): %v", name, got, err)
+			t.Fatalf("%s: DecodeRound(%x): %v", name, got, err)
 		}
 		if !reflect.DeepEqual(back, rec) {
-			t.Errorf("%s: round trip through %s gave %+v, want %+v", name, got, back, rec)
+			t.Errorf("%s: round trip through %x gave %+v, want %+v", name, got, back, rec)
 		}
 		old, err := json.Marshal(rec)
 		if err != nil {
@@ -53,37 +67,107 @@ func TestEncodeRoundFormat(t *testing.T) {
 		if !reflect.DeepEqual(fromOld, rec) {
 			t.Errorf("%s: json.Marshal payload decoded to %+v, want %+v", name, fromOld, rec)
 		}
-		if name != "wide" && !bytes.Equal(got, old) {
-			t.Errorf("%s: EncodeRound wrote %s, json.Marshal %s", name, got, old)
+		if rec.Censuses == nil {
+			continue
+		}
+		regions := make([]int, 0, len(rec.Censuses))
+		for region := range rec.Censuses {
+			regions = append(regions, region)
+		}
+		slices.Sort(regions)
+		for _, order := range [][]int{regions, reversed(regions), shuffled(rng, regions)} {
+			refilled := rec
+			refilled.Censuses = make(map[int][]int)
+			for _, region := range order {
+				refilled.Censuses[region] = rec.Censuses[region]
+			}
+			if again, _ := EncodeRound(refilled); !bytes.Equal(again, got) {
+				t.Errorf("%s: regions inserted as %v encode to %x, want %x", name, order, again, got)
+			}
 		}
 	}
+	for _, bad := range []string{"", "\x02", "\x7b", "[1]"} {
+		if _, err := DecodeRound([]byte(bad)); err == nil {
+			t.Errorf("DecodeRound(%q) accepted it", bad)
+		}
+	}
+}
+
+func reversed(s []int) []int {
+	out := slices.Clone(s)
+	slices.Reverse(out)
+	return out
+}
+
+func shuffled(rng *rand.Rand, s []int) []int {
+	out := slices.Clone(s)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
 }
 
 // TestCorrectedRecordForms pins the two forms a Corrected record has on
 // disk: the delta a rewind writes — the late census alone — and the whole
 // corrected round that journals from before the delta form hold. Both decode
 // under the same flag; the replayer merges either into the buffered round.
+// The delta's binary bytes are golden: tag, round 9, the corrected flag, one
+// census, region 3, three counts.
 func TestCorrectedRecordForms(t *testing.T) {
 	delta := RoundRecord{Round: 9, Corrected: true, Censuses: map[int][]int{3: {0, 2, 5}}}
-	const deltaBytes = `{"round":9,"censuses":{"3":[0,2,5]},"corrected":true}`
+	const deltaHex = "01" + "12" + "02" + "01" + "06" + "04" + "00040a"
 	got, err := EncodeRound(delta)
-	if err != nil || string(got) != deltaBytes {
-		t.Errorf("EncodeRound(delta) = %s, %v; want %s", got, err, deltaBytes)
+	if err != nil || hex.EncodeToString(got) != deltaHex {
+		t.Errorf("EncodeRound(delta) = %x, %v; want %s", got, err, deltaHex)
 	}
-	const fullBytes = `{"round":9,"degraded":true,"censuses":{"0":[4,1,2],"3":[0,2,5]},"corrected":true}`
+	deltaBinary, _ := hex.DecodeString(deltaHex)
+	const deltaJSON = `{"round":9,"censuses":{"3":[0,2,5]},"corrected":true}`
+	const fullJSON = `{"round":9,"degraded":true,"censuses":{"0":[4,1,2],"3":[0,2,5]},"corrected":true}`
 	full := RoundRecord{Round: 9, Degraded: true, Corrected: true, Censuses: map[int][]int{0: {4, 1, 2}, 3: {0, 2, 5}}}
-	for payload, want := range map[string]RoundRecord{deltaBytes: delta, fullBytes: full} {
+	for payload, want := range map[string]RoundRecord{string(deltaBinary): delta, deltaJSON: delta, fullJSON: full} {
 		back, err := DecodeRound([]byte(payload))
 		if err != nil || !reflect.DeepEqual(back, want) {
-			t.Errorf("DecodeRound(%s) = %+v, %v; want %+v", payload, back, err, want)
+			t.Errorf("DecodeRound(%q) = %+v, %v; want %+v", payload, back, err, want)
+		}
+	}
+}
+
+// TestRegionOrder holds the bitmap walk to a comparison sort on random sets —
+// dense and sparse, some with a key it cannot take (negative, or past 64 per
+// entry) met after bits were already set — through one RegionOrder, so a bit
+// a call left set would surface as a region in the next.
+func TestRegionOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var order RegionOrder
+	for n := 0; n < 2000; n++ {
+		size := rng.Intn(300)
+		span := size + rng.Intn(64*(size+1))
+		set := make(map[int][]int, size)
+		for len(set) < size {
+			set[rng.Intn(span)] = nil
+		}
+		if size > 0 && rng.Intn(4) == 0 {
+			set[-1-rng.Intn(5)] = nil
+		}
+		want := make([]int, 0, len(set))
+		for region := range set {
+			want = append(want, region)
+		}
+		slices.Sort(want)
+		if got := order.Of(set); !slices.Equal(got, want) {
+			t.Fatalf("set %d: Of = %v, want %v", n, got, want)
+		}
+	}
+	for _, w := range order.words {
+		if w != 0 {
+			t.Fatalf("the bitmap kept bits after a call: %x", order.words)
 		}
 	}
 }
 
 // TestEncodeRoundAllocs pins a thousand-region record at the region index,
-// the payload and at most one growth of it — and a journal's steady-state
-// AppendRound, which encodes and frames through buffers it keeps, at none,
-// inline or started and waited for.
+// the bitmap and the payload; a journal's steady-state AppendRound, which
+// encodes and frames through buffers it keeps, at none, inline or started
+// and waited for; and DecodeRound at the census map and one slab for every
+// census's counts.
 func TestEncodeRoundAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -100,6 +184,21 @@ func TestEncodeRoundAllocs(t *testing.T) {
 	if allocs > 3 {
 		t.Errorf("EncodeRound at 1024 censuses: %.0f allocs, want at most 3", allocs)
 	}
+
+	payload, _ := EncodeRound(rec)
+	var sink map[int][]int
+	mapAllocs := testing.AllocsPerRun(20, func() { sink = make(map[int][]int, 1024) })
+	allocs = testing.AllocsPerRun(20, func() {
+		back, err := DecodeRound(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = back.Censuses
+	})
+	if allocs != mapAllocs+1 {
+		t.Errorf("DecodeRound at 1024 censuses: %.0f allocs, want the map's %.0f and one slab", allocs, mapAllocs)
+	}
+	_ = sink
 
 	j, _, err := OpenJournal(t.TempDir())
 	if err != nil {
@@ -126,4 +225,74 @@ func TestEncodeRoundAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("StartRound + WaitRound at 1024 censuses: %.0f allocs, want 0", allocs)
 	}
+}
+
+// heapBound is what decoding a payload of n bytes may allocate, whatever its
+// lengths claim: a map entry or a row header per two bytes, a count or a
+// float per byte, and size-class rounding.
+func heapBound(n int) uint64 { return 64*uint64(n) + 4096 }
+
+// allocated is the heap f allocates: the least of three calls, so another
+// goroutine's allocation does not count against it.
+func allocated(f func()) uint64 {
+	var ms runtime.MemStats
+	least := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	return least
+}
+
+// FuzzDecodeRound: no payload panics the decoder or buys it more heap than a
+// small multiple of its size, and a binary payload that decodes re-encodes
+// to the same bytes.
+func FuzzDecodeRound(f *testing.F) {
+	for _, rec := range formatCases() {
+		b, _ := EncodeRound(rec)
+		f.Add(b)
+		old, _ := json.Marshal(rec)
+		f.Add(old)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var rec RoundRecord
+		var err error
+		used := allocated(func() { rec, err = DecodeRound(payload) })
+		if !israce.Enabled && len(payload) > 0 && payload[0] == tagBinary && used > heapBound(len(payload)) {
+			t.Errorf("decoding %d bytes allocated %d", len(payload), used)
+		}
+		if err != nil || payload[0] == '{' {
+			return
+		}
+		if again, _ := EncodeRound(rec); !bytes.Equal(again, payload) {
+			t.Errorf("%x decoded to %+v, which encodes to %x", payload, rec, again)
+		}
+	})
+}
+
+// FuzzDecodeCheckpoint is FuzzDecodeRound for checkpoints.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, cp := range checkpointCases() {
+		b, _ := EncodeCheckpoint(cp)
+		f.Add(b)
+		old, _ := json.Marshal(cp)
+		f.Add(old)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var cp Checkpoint
+		var err error
+		used := allocated(func() { cp, err = DecodeCheckpoint(payload) })
+		if !israce.Enabled && len(payload) > 0 && payload[0] == tagBinary && used > heapBound(len(payload)) {
+			t.Errorf("decoding %d bytes allocated %d", len(payload), used)
+		}
+		if err != nil || payload[0] == '{' {
+			return
+		}
+		if again, _ := EncodeCheckpoint(cp); !bytes.Equal(again, payload) {
+			t.Errorf("%x decoded to %+v, which encodes to %x", payload, cp, again)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -174,4 +175,145 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		}
 		node.Close()
 	}
+}
+
+// TestUpgradeInPlace opens state directories as a process upgraded mid-life
+// leaves them — the checkpoint and the older half of the journal as
+// encoding/json wrote them before payloads were binary, the newer half binary
+// — for a hood leader with a backlog, a follower past its checkpoint cadence
+// and the cloud their digests reached. Each must recover to the round, hash
+// and backlog its all-binary twin recovers to.
+func TestUpgradeInPlace(t *testing.T) {
+	var gate atomic.Bool
+	gate.Store(true)
+	netw := transport.NewInprocNetwork()
+	srv := testCloud(t, 2)
+	cloudDir := t.TempDir()
+	if err := srv.Open(cloudDir); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := netw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(cl)
+	mk := func(i int, dir string) *Node {
+		node, err := NewNode(Config{
+			Edge: i, Members: []int{0, 1}, Neighborhood: 0, Of: 1,
+			EscalateEvery: 3,
+			Deadline:      2 * time.Second,
+			ReplyTimeout:  2 * time.Second,
+			Fold:          testFold(t, 2),
+			PeerDial: func(member int) (transport.Conn, error) {
+				return netw.Dial(fmt.Sprintf("gossip-%d", member))
+			},
+			CloudDial: func() (transport.Conn, error) {
+				if !gate.Load() {
+					return nil, fmt.Errorf("cloud partitioned away")
+				}
+				return netw.Dial("cloud")
+			},
+		})
+		if err == nil {
+			err = node.Open(dir)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	nodes := []*Node{mk(0, dirs[0]), mk(1, dirs[1])}
+	for i, node := range nodes {
+		l, err := netw.Listen(fmt.Sprintf("gossip-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		go node.Serve(l)
+	}
+	round := 0
+	for ; round < durable.CompactEvery+4; round++ {
+		driveRound(t, nodes, round)
+	}
+	gate.Store(false) // the leader's backlog stays journaled
+	for end := round + 2; round < end; round++ {
+		driveRound(t, nodes, round)
+	}
+	for _, node := range nodes {
+		node.Close()
+	}
+	srv.Close()
+	cl.Close()
+
+	for i, dir := range dirs {
+		twin, upgraded := mk(i, crashtest.CopyDir(t, dir)), mk(i, upgradedLayout(t, dir))
+		if upgraded.Latest() != twin.Latest() || upgraded.StateHash() != twin.StateHash() || upgraded.Pending() != twin.Pending() {
+			t.Errorf("edge %d: upgraded directory recovers to round %d, hash %08x, backlog %d; its twin to %d, %08x, %d", i,
+				upgraded.Latest(), upgraded.StateHash(), upgraded.Pending(), twin.Latest(), twin.StateHash(), twin.Pending())
+		}
+		twin.Close()
+		upgraded.Close()
+	}
+	twin, upgraded := testCloud(t, 2), testCloud(t, 2)
+	defer twin.Close()
+	defer upgraded.Close()
+	if err := twin.Open(crashtest.CopyDir(t, cloudDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := upgraded.Open(upgradedLayout(t, cloudDir)); err != nil {
+		t.Fatal(err)
+	}
+	if twin.Latest() < durable.CompactEvery || upgraded.Latest() != twin.Latest() || upgraded.StateHash() != twin.StateHash() {
+		t.Errorf("cloud: upgraded directory recovers to round %d, hash %08x; its twin to %d, %08x",
+			upgraded.Latest(), upgraded.StateHash(), twin.Latest(), twin.StateHash())
+	}
+}
+
+// upgradedLayout returns a copy of the state directory dir with its
+// checkpoint, and the older half of its journal's records, re-encoded by
+// json.Marshal, all records in one segment.
+func upgradedLayout(t *testing.T, dir string) string {
+	t.Helper()
+	src, snap, err := durable.OpenJournal(crashtest.CopyDir(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var payloads [][]byte
+	if _, err := src.Store.Replay(func(p []byte) error { payloads = append(payloads, append([]byte(nil), p...)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || len(payloads) < 2 {
+		t.Fatalf("%s: a checkpoint and %d journal records, want a checkpoint and two or more", dir, len(payloads))
+	}
+	dst := t.TempDir()
+	out, err := durable.Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	cp, err := durable.DecodeCheckpoint(snap)
+	if err == nil {
+		snap, err = json.Marshal(cp)
+	}
+	if err == nil {
+		_, err = out.WriteSnapshot(snap)
+	}
+	for i := 0; err == nil && i < len(payloads); i++ {
+		p := payloads[i]
+		if i < len(payloads)/2 {
+			var rec durable.RoundRecord
+			if rec, err = durable.DecodeRound(p); err == nil {
+				p, err = json.Marshal(rec)
+			}
+		}
+		if err == nil {
+			err = out.Append(p)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -355,13 +354,6 @@ func (c *Coordinator) routeCorrection(rc transport.RatioCorrection) {
 	c.eng.PushCorrections(rc.Round, rc.Seq, rc.Edges, rc.X)
 }
 
-// shardCheckpoint is the shard's tiny durable snapshot: the forwarded-round
-// watermark. The shard holds no fold state — the aggregator owns that — so
-// this is all recovery needs beyond the retained round records.
-type shardCheckpoint struct {
-	Round int `json:"round"`
-}
-
 // Open attaches a per-shard durable state directory and recovers the
 // forwarded-round watermark a previous process left there. The newest
 // journaled batch is re-forwarded upstream in the background: the crash may
@@ -380,8 +372,8 @@ func (c *Coordinator) Open(stateDir string) error {
 	}
 	recovered := snap != nil
 	if recovered {
-		var cp shardCheckpoint
-		if err := json.Unmarshal(snap, &cp); err != nil {
+		cp, err := durable.DecodeRound(snap)
+		if err != nil {
 			journal.Close()
 			return fmt.Errorf("shard %d: checkpoint in %s: %w", c.cfg.ID, stateDir, err)
 		}
@@ -451,16 +443,17 @@ func (c *Coordinator) journaledLocked(rec durable.RoundRecord, n int, err error)
 	}
 }
 
-// checkpointLocked checkpoints the watermark, keeping the newest round
-// record journaled so recovery can always re-forward the last batch. Called
-// with c.mu held.
+// checkpointLocked checkpoints the forwarded-round watermark — the shard
+// holds no fold state, the aggregator owns that — as a round record with no
+// censuses, keeping the newest round record journaled so recovery can always
+// re-forward the last batch. Called with c.mu held.
 func (c *Coordinator) checkpointLocked() error {
-	cp := shardCheckpoint{Round: c.eng.Latest()}
+	cp := durable.RoundRecord{Round: c.eng.Latest()}
 	var retained []durable.RoundRecord
 	if c.lastRec != nil {
 		retained = append(retained, *c.lastRec)
 	}
-	return c.journal.Checkpoint(func() ([]byte, error) { return json.Marshal(cp) }, retained)
+	return c.journal.Checkpoint(func() ([]byte, error) { return durable.EncodeRound(cp) }, retained)
 }
 
 // Drain shuts the shard down gracefully: the most advanced pending barrier
