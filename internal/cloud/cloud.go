@@ -42,15 +42,20 @@ type Server struct {
 	compactEvery int
 
 	// Fixed-lag fusion (see SetFixedLag). window holds the last lag
-	// completed rounds in round order; correctionSeq totally orders the
-	// ratio corrections rewinds publish; corrEdges and corrX are the fan-out's
-	// region list, reused from rewind to rewind.
+	// completed rounds in round order, its entries reused as a ring; held is
+	// the entry the last checkpoint snapshotted, which the ring does not
+	// reuse; correctionSeq totally orders the ratio corrections rewinds
+	// publish. The rest is a rewind's scratch, reused from rewind to rewind.
 	lag           int
 	window        []*lagEntry
+	held          *lagEntry
 	correctionSeq int64
-	corrEdges     []int
-	corrX         []float64
+	corrEdges     []int               // the fan-out's regions
+	corrX         []float64           // and their ratios
+	skip          []bool              // the fan-out's submitters, one per region
 	div           []policy.Divergence // refoldLocked's marks, one per region
+	late          map[int][]int       // a rewind's late census
+	liveMem       policy.FDSMemory    // refoldLocked's copy of the live controller memory
 
 	// Digest reconciliation (see SubmitDigest). digestSeen tracks, per
 	// pending round, which neighborhoods have reported it; a round folds
@@ -142,6 +147,8 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		digestSeen:   make(map[int]map[int]bool),
 		digestMark:   make(map[int]int),
 		div:          make([]policy.Divergence, fold.Regions()),
+		skip:         make([]bool, fold.Regions()),
+		late:         make(map[int][]int, 1),
 	}
 	s.metrics = newServerMetrics(o, s.StateHash)
 	s.eng = NewEngine(EngineConfig{
@@ -237,7 +244,7 @@ func (s *Server) Converged() bool {
 func (s *Server) Serve(l transport.Listener) {
 	s.srv.Serve(l, func(conn transport.Conn) {
 		sess := session.Wrap(conn)
-		s.eng.ServeSession(sess, s, map[transport.Kind]session.Handler{
+		s.eng.ServeSession(sess, s.ingest, map[transport.Kind]session.Handler{
 			transport.KindDigest: func(m transport.Message) error {
 				var d transport.Digest
 				if err := transport.Decode(m, transport.KindDigest, &d); err != nil {
@@ -305,11 +312,11 @@ func (s *Server) Submit(census transport.Census) (float64, error) {
 // folded, so a batch is applied atomically or not at all. The call blocks
 // like Submit until the round's barrier completes, then answers every
 // batched region's next ratio in one RatioBatch.
-func (s *Server) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch, error) {
-	if err := s.ingest(batch.Round, batch.Censuses); err != nil {
-		return transport.RatioBatch{}, err
+func (s *Server) SubmitBatch(batch transport.CensusBatch) (reply transport.RatioBatch, err error) {
+	if err = s.ingest(batch.Round, batch.Censuses); err == nil {
+		s.eng.RatioBatch(&reply, batch.Round, batch.Censuses)
 	}
-	return s.eng.RatioBatch(batch.Round, batch.Censuses), nil
+	return reply, err
 }
 
 // ingest runs one round's censuses through the kernel and, when the round
@@ -337,11 +344,15 @@ func (s *Server) ingest(round int, censuses []transport.Census) error {
 // round's censuses, which nothing writes to from here on — so its append runs
 // on the journal's goroutine beside the fold; if a crash leaves it durable
 // and the fold not run, recovery replays it through the same fold (DESIGN
-// §10.2). Called with s.mu held, and kept throughout.
+// §10.2). The round's census set then goes to the lag window, and the one
+// leaving the window back to the engine — without a window, the round's own,
+// once fold and journal are through with it. Called with s.mu held, and kept
+// throughout.
 func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (after func()) {
+	spent := b.CensusSet
 	if s.lag > 0 {
 		// Snapshot the pre-fold state so a late census can rewind this round.
-		s.pushWindowLocked(round, b.Censuses, degraded)
+		spent = s.pushWindowLocked(round, b.CensusSet, degraded)
 	}
 	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: b.Censuses}
 	var ticket int
@@ -362,5 +373,6 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 		s.journaledLocked(rec, n, err)
 	}
 	s.eng.Release(round, b, degraded)
+	s.eng.Recycle(spent)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,13 +93,26 @@ func lastRecord(t *testing.T, dir string) durable.RoundRecord {
 	return last
 }
 
-// windowOf returns the server's lag window by value.
-func windowOf(srv *Server) []lagEntry {
+// windowEntry is what a lag-window entry means, whatever storage holds it:
+// its round, the bits of its snapshot (bitsOf: state and controller memory),
+// its censuses and whether it completed degraded.
+type windowEntry struct {
+	Round    int
+	Snapshot string
+	Censuses map[int][]int
+	Degraded bool
+}
+
+// windowOf returns what the server's lag window means, entry by entry.
+func windowOf(srv *Server) []windowEntry {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	out := make([]lagEntry, len(srv.window))
+	out := make([]windowEntry, len(srv.window))
 	for i, e := range srv.window {
-		out[i] = *e
+		out[i] = windowEntry{e.round, bitsOf(e.preState, e.preFDS), make(map[int][]int), e.degraded}
+		for edge, counts := range e.set.Censuses {
+			out[i].Censuses[edge] = slices.Clone(counts)
+		}
 	}
 	return out
 }

@@ -62,7 +62,7 @@ func (s *Server) Open(stateDir string) error {
 			return nil
 		}
 		if s.lag > 0 {
-			s.pushWindowLocked(rec.Round, rec.Censuses, rec.Degraded)
+			s.eng.Recycle(s.pushWindowLocked(rec.Round, &CensusSet{Censuses: rec.Censuses}, rec.Degraded))
 		}
 		if err := s.fold.Apply(rec.Censuses); err != nil {
 			return fmt.Errorf("replaying round %d: %w", rec.Round, err)
@@ -118,19 +118,20 @@ func (s *Server) journaledLocked(rec durable.RoundRecord, n int, err error) {
 // (a clone: the next round folds into the live one) and no journaled round
 // outlives it. With buffered rounds it is the state *before* the oldest
 // window entry — which no rewind writes to: one rewrites the snapshots after
-// the entry it rewinds to, never window[0]'s — and the window's round
-// records stay in the journal: rewinding inside the window
-// must stay possible across a restart, and a checkpoint of the current
-// state would make the buffered rounds unrecoverable. Called with s.mu
-// held.
+// the entry it rewinds to, never window[0]'s — and the entry is held back
+// from the window's ring, whose next push would overwrite it, until the
+// next checkpoint (which first waits for this one's encode). The window's
+// round records stay in the journal: rewinding inside the window must stay
+// possible across a restart, and a checkpoint of the current state would
+// make the buffered rounds unrecoverable. Called with s.mu held.
 func (s *Server) checkpointLocked() error {
 	var cp durable.Checkpoint
 	var retained []durable.RoundRecord
 	if s.lag > 0 && len(s.window) > 0 {
-		w0 := s.window[0]
-		cp = durable.Checkpoint{Round: w0.round - 1, State: w0.preState, FDS: w0.preFDS}
+		s.held = s.window[0]
+		cp = durable.Checkpoint{Round: s.held.round - 1, State: s.held.preState, FDS: s.held.preFDS}
 		for _, e := range s.window {
-			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.censuses})
+			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.set.Censuses})
 		}
 	} else {
 		cp = s.fold.Checkpoint(s.eng.Latest())

@@ -3,6 +3,7 @@ package cloud
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,6 +70,7 @@ type Engine struct {
 	stopped  bool
 	sessions map[int]*session.Session
 	fanout   map[*session.Session]int // PushCorrections' per-session region counts, empty between calls
+	spare    []*CensusSet             // sets owners recycled, which Place fills before it allocates
 }
 
 // EngineConfig is what differs between the kernel's owners.
@@ -124,13 +126,49 @@ type Counters struct {
 	RoundDuration  *obs.Histogram // first census to release, seconds
 }
 
+// CensusSet is one round's censuses: the map a barrier collects them in and
+// the storage their counts are copied into, so what a barrier keeps is its
+// own. Once its owner is done with a set — every reader of the round's
+// census map, journal record or window entry — it hands the set back
+// (Engine.Recycle) and a later barrier fills it without allocating.
+type CensusSet struct {
+	Censuses map[int][]int
+	slab     []int // the storage counts are cut from; free is its unused tail
+	free     []int
+	sorted   []transport.Census // Sorted's list
+}
+
+// put copies counts in as edge's census: over the census edge already has
+// (dup), else into the slab, which is replaced by one of room ints when it
+// runs short.
+func (s *CensusSet) put(edge int, counts []int, room int) (dup bool) {
+	slot, dup := s.Censuses[edge]
+	if n := len(counts); !dup || len(slot) != n {
+		if len(s.free) < n {
+			s.slab = make([]int, max(room, n))
+			s.free = s.slab
+		}
+		slot, s.free = s.free[:n:n], s.free[n:]
+		s.Censuses[edge] = slot
+	}
+	copy(slot, counts)
+	return dup
+}
+
+// Sorted is SortedCensuses of the set, in a list the set keeps: valid until
+// the set is recycled.
+func (s *CensusSet) Sorted(round int) []transport.Census {
+	s.sorted = appendSorted(s.sorted[:0], round, s.Censuses)
+	return s.sorted
+}
+
 // Barrier collects one pending round's censuses until its quorum fills or
 // its deadline expires. Waiters block on Done; after it closes, Err reports
 // abandonment, failure or shutdown (nil means the round completed and the
 // owner's post-round state is current). All fields are guarded by the
 // owner's lock except Done, which is safe to receive on anywhere.
 type Barrier struct {
-	Censuses map[int][]int
+	*CensusSet
 	Done     chan struct{}
 	Err      error
 	Degraded bool
@@ -162,12 +200,14 @@ var regionOrders = sync.Pool{New: func() any { return new(durable.RegionOrder) }
 // SortedCensuses flattens one round's census set into a slice ordered by
 // edge id, the deterministic form batches and digests travel in.
 func SortedCensuses(round int, censuses map[int][]int) []transport.Census {
+	return appendSorted(make([]transport.Census, 0, len(censuses)), round, censuses)
+}
+
+func appendSorted(out []transport.Census, round int, censuses map[int][]int) []transport.Census {
 	order := regionOrders.Get().(*durable.RegionOrder)
 	defer regionOrders.Put(order)
-	edges := order.Of(censuses)
-	out := make([]transport.Census, len(edges))
-	for i, e := range edges {
-		out[i] = transport.Census{Edge: e, Round: round, Counts: censuses[e]}
+	for _, e := range order.Of(censuses) {
+		out = append(out, transport.Census{Edge: e, Round: round, Counts: censuses[e]})
 	}
 	return out
 }
@@ -252,9 +292,10 @@ func (e *Engine) DropFrame(err error) {
 // placed and the owner resolves the censuses its own way. A round beyond
 // the skew bound is refused. A census finding its barrier frozen is not
 // added; the barrier is returned with late set, for the caller to wait on
-// before treating the census as late. Otherwise each census lands last
-// write wins — a redialing link re-submits the census it never got an
-// answer for. Called with the lock held; it does not check the quorum.
+// before treating the census as late. Otherwise each census's counts are
+// copied onto the barrier, last write wins — a redialing link re-submits
+// the census it never got an answer for — so the caller's censuses stay
+// the caller's. Called with the lock held; it does not check the quorum.
 func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *Barrier, late bool, err error) {
 	switch {
 	case e.stopped:
@@ -268,15 +309,16 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 	}
 	b, ok := e.rounds[round]
 	if !ok {
-		b = &Barrier{
-			Censuses: make(map[int][]int, e.cfg.Members),
-			Done:     make(chan struct{}),
-			Opened:   time.Now(),
-			Span:     e.cfg.Span(round),
+		b = &Barrier{Done: make(chan struct{}), Opened: time.Now(), Span: e.cfg.Span(round)}
+		if n := len(e.spare); n > 0 {
+			b.CensusSet, e.spare = e.spare[n-1], e.spare[:n-1]
+		} else {
+			b.CensusSet = &CensusSet{Censuses: make(map[int][]int, e.cfg.Members)}
 		}
 		e.rounds[round] = b
 		if timed && e.Deadline > 0 {
-			b.timer = time.AfterFunc(e.Deadline, func() { e.expire(round, b) })
+			opened := b // the closure's own copy: capturing b would move it to the heap on every call
+			b.timer = time.AfterFunc(e.Deadline, func() { e.expire(round, opened) })
 		}
 	}
 	if b.Frozen {
@@ -288,17 +330,22 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 		b.Span.Event("census_batch", obs.A("edges", len(censuses)))
 	}
 	for i := range censuses {
-		c := &censuses[i]
-		if _, dup := b.Censuses[c.Edge]; dup {
+		if b.put(censuses[i].Edge, censuses[i].Counts, e.cfg.Members*e.cfg.K) {
 			e.cfg.Counters.Duplicates.Inc()
 		}
-		// Counts is a capped slice of its batch frame's decode slab (see
-		// transport's byteReader.censuses), so a census that outlives its
-		// batch — a lag-window entry, a pending digest round — pins that
-		// frame's slab: at most fixed_lag frames' worth.
-		b.Censuses[c.Edge] = c.Counts
 	}
 	return b, false, nil
+}
+
+// Recycle takes back a census set its owner is done with, for Place to fill
+// again; nil is ignored. Nothing may read the set's censuses afterwards.
+// Called with the lock held.
+func (e *Engine) Recycle(set *CensusSet) {
+	if set != nil {
+		clear(set.Censuses)
+		set.free, set.sorted = set.slab, set.sorted[:0]
+		e.spare = append(e.spare, set)
+	}
 }
 
 // Add validates one round's censuses, places them (see Place), and
@@ -365,20 +412,17 @@ func (e *Engine) Ratio(edge int) float64 {
 
 // RatioBatch answers censuses with each member's current sharing ratio
 // under the step-② reply convention (Round = round + 1, edges echoed in
-// request order — the exchange's identity). Takes the lock.
-func (e *Engine) RatioBatch(round int, censuses []transport.Census) transport.RatioBatch {
-	reply := transport.RatioBatch{
-		Round: round + 1,
-		Edges: make([]int, len(censuses)),
-		X:     make([]float64, len(censuses)),
-	}
+// request order — the exchange's identity), into reply's own slices, grown
+// when short. Takes the lock.
+func (e *Engine) RatioBatch(reply *transport.RatioBatch, round int, censuses []transport.Census) {
+	n := len(censuses)
+	reply.Round, reply.Edges, reply.X = round+1, slices.Grow(reply.Edges[:0], n)[:n], slices.Grow(reply.X[:0], n)[:n]
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range censuses {
 		reply.Edges[i] = censuses[i].Edge
 		reply.X[i] = e.cfg.Ratio(censuses[i].Edge)
 	}
-	return reply
 }
 
 // expire is a barrier's deadline: unless the barrier resolved or froze

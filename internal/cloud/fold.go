@@ -144,6 +144,9 @@ func (f *Fold) SetState(st *game.State) { f.state, f.hashed = st, false }
 // Memory snapshots the FDS controller's cross-round memory.
 func (f *Fold) Memory() policy.FDSMemory { return f.fds.Memory() }
 
+// MemoryInto is Memory written into mem's own slices.
+func (f *Fold) MemoryInto(mem *policy.FDSMemory) { f.fds.MemoryInto(mem) }
+
 // SetMemory restores the FDS controller's cross-round memory.
 func (f *Fold) SetMemory(mem policy.FDSMemory) error { return f.fds.SetMemory(mem) }
 

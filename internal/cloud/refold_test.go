@@ -88,7 +88,7 @@ func (s *Server) fullRefoldLocked(t *testing.T, idx int, late map[int][]int) {
 	t.Helper()
 	e := s.window[idx]
 	for edge, counts := range late {
-		e.censuses[edge] = counts
+		e.set.put(edge, counts, len(counts))
 	}
 	s.fold.SetState(e.preState.Clone())
 	if err := s.fold.SetMemory(e.preFDS); err != nil {
@@ -99,7 +99,7 @@ func (s *Server) fullRefoldLocked(t *testing.T, idx int, late map[int][]int) {
 			entry.preState = s.fold.State().Clone()
 			entry.preFDS = s.fold.Memory()
 		}
-		if err := s.fold.Apply(entry.censuses); err != nil {
+		if err := s.fold.Apply(entry.set.Censuses); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func requireSameTimeline(t *testing.T, when string, srv, ref *Server) {
 	}
 	for i, e := range srv.window {
 		r := ref.window[i]
-		if e.round != r.round || e.degraded != r.degraded || !maps.EqualFunc(e.censuses, r.censuses, slices.Equal[[]int]) {
+		if e.round != r.round || e.degraded != r.degraded || !maps.EqualFunc(e.set.Censuses, r.set.Censuses, slices.Equal[[]int]) {
 			t.Fatalf("%s: window[%d] is round %d (degraded %v), reference round %d (degraded %v), or their censuses differ",
 				when, i, e.round, e.degraded, r.round, r.degraded)
 		}
@@ -276,7 +276,7 @@ func TestSparseRefoldMatchesFull(t *testing.T) {
 				if idx < 0 {
 					continue
 				}
-				if prev, ok := ref.window[idx].censuses[c.Edge]; ok && slices.Equal(prev, c.Counts) {
+				if prev, ok := ref.window[idx].set.Censuses[c.Edge]; ok && slices.Equal(prev, c.Counts) {
 					continue
 				}
 				ref.fullRefoldLocked(t, idx, map[int][]int{c.Edge: c.Counts})
@@ -313,7 +313,7 @@ func TestSparseRefoldMatchesFull(t *testing.T) {
 				target := completed[len(completed)-1-rng.Intn(min(lag, len(completed)))]
 				edge := rng.Intn(m)
 				srv.mu.Lock()
-				folded := srv.window[srv.windowIndexLocked(target)].censuses[edge]
+				folded := srv.window[srv.windowIndexLocked(target)].set.Censuses[edge]
 				srv.mu.Unlock()
 				switch rng.Intn(6) {
 				case 0: // two regions in one batch
@@ -396,11 +396,11 @@ func rewindServer(t testing.TB, g game.Graph) (srv *Server, alt [2][]int) {
 	return srv, [2][]int{{60, 10, 5, 5, 5, 5, 5, 5}, {5, 5, 5, 5, 10, 60, 5, 5}}
 }
 
-// TestRewindAllocs pins a rewind four rounds deep at a handful of heap
-// objects that do not grow with the region count: the late census's map, the
-// copy of the live controller memory the last replayed round is compared
-// with, the span and the submitter set — and no snapshot, for the window's
-// are rewritten in place. 64 regions and 1024 cost the same.
+// TestRewindAllocs pins a rewind four rounds deep at the few heap objects of
+// its span and its log line, which do not grow with the region count: no
+// snapshot, for the window's are rewritten in place, and no late census's
+// map, copy of the live controller memory or submitter set, which are the
+// server's scratch. 64 regions and 1024 cost the same.
 func TestRewindAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -416,8 +416,8 @@ func TestRewindAllocs(t *testing.T) {
 		})
 	}
 	small, large := rewind(64), rewind(1024)
-	if large != small || large > 12 {
-		t.Errorf("a rewind allocates %.0f objects at 1024 regions, %.0f at 64; want equal and at most 12", large, small)
+	if large != small || large > 4 {
+		t.Errorf("a rewind allocates %.0f objects at 1024 regions, %.0f at 64; want equal and at most 4", large, small)
 	}
 }
 

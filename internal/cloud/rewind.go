@@ -16,7 +16,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // lagEntry is one completed round buffered in the fixed-lag fusion window:
 // the fold inputs (census set, degraded flag) plus a snapshot of the game
 // state and FDS controller memory from just before the round was applied.
-// Rewinding to preState/preFDS and re-folding censuses reproduces the
+// Rewinding to preState/preFDS and re-folding the censuses reproduces the
 // round's effect exactly; a rewind rewrites the snapshots of the entries
 // after the one it rewinds to, in place, so the window is always internally
 // consistent — and entry n+1's snapshot is always the state after round n.
@@ -24,7 +24,7 @@ type lagEntry struct {
 	round    int
 	preState *game.State
 	preFDS   policy.FDSMemory
-	censuses map[int][]int
+	set      *CensusSet
 	degraded bool
 }
 
@@ -59,19 +59,32 @@ func (s *Server) StateHash() uint32 {
 	return s.fold.Hash()
 }
 
-// pushWindowLocked buffers a round about to be applied: the snapshots are
-// taken from the *current* (pre-fold) state. Called with s.mu held, before
-// applyRoundLocked.
-func (s *Server) pushWindowLocked(round int, censuses map[int][]int, degraded bool) {
-	s.window = append(s.window, &lagEntry{
-		round:    round,
-		preState: s.fold.State().Clone(),
-		preFDS:   s.fold.Memory(),
-		censuses: censuses,
-		degraded: degraded,
-	})
-	s.trimWindowLocked()
+// pushWindowLocked buffers a round about to be applied, with its census set:
+// the snapshots are taken from the *current* (pre-fold) state. The window is
+// a ring: when it is full, the entry leaving it is overwritten in place and
+// its census set returned as spent — unless it is the entry the last
+// checkpoint snapshotted, which a background encode may still be reading:
+// that one is left to it and a fresh entry taken. Called with s.mu held,
+// before the round's fold.
+func (s *Server) pushWindowLocked(round int, set *CensusSet, degraded bool) (spent *CensusSet) {
+	var e *lagEntry
+	if len(s.window) >= s.lag {
+		out := s.window[0]
+		s.window = append(s.window[:0], s.window[1:]...)
+		if spent = out.set; out != s.held {
+			e = out
+		}
+	}
+	if e == nil {
+		e = &lagEntry{preState: s.fold.State().Clone()}
+	} else {
+		e.preState.CopyFrom(s.fold.State())
+	}
+	s.fold.MemoryInto(&e.preFDS)
+	e.round, e.set, e.degraded = round, set, degraded
+	s.window = append(s.window, e)
 	s.metrics.lagDepth.Set(float64(len(s.window)))
+	return spent
 }
 
 // trimWindowLocked drops entries older than the lag allows, clearing the
@@ -97,34 +110,36 @@ func (s *Server) windowIndexLocked(round int) int {
 	return -1
 }
 
-// refoldLocked merges late censuses into window entry idx, last write wins,
-// and brings every buffered round from there on, and the live fold, to the
-// timeline where they had arrived on time. The window holds the recorded
-// timeline's state before and after each of those rounds (the next entry's
-// snapshot; the live fold after the last), so each is replayed against its
-// record (Fold.Replay): only the regions a late census reaches are
-// recomputed, and snapshots and live state are rewritten in place where they
-// change. Entry idx's own snapshot is never written — nor, then, window[0]'s,
-// which a background checkpoint may be encoding. It returns the number of
-// regions recomputed over all rounds. Called with s.mu held.
+// refoldLocked merges late censuses into window entry idx — copied into its
+// census set, last write wins — and brings every buffered round from there
+// on, and the live fold, to the timeline where they had arrived on time. The
+// window holds the recorded timeline's state before and after each of those
+// rounds (the next entry's snapshot; the live fold after the last), so each
+// is replayed against its record (Fold.Replay): only the regions a late
+// census reaches are recomputed, and snapshots and live state are rewritten
+// in place where they change. Entry idx's own snapshot is never written —
+// nor, then, window[0]'s, which a background checkpoint may be encoding. It
+// returns the number of regions recomputed over all rounds. Called with s.mu
+// held.
 func (s *Server) refoldLocked(idx int, late map[int][]int) (recomputed int) {
 	clear(s.div)
 	e := s.window[idx]
 	for edge, counts := range late {
-		e.censuses[edge] = counts
+		e.set.put(edge, counts, s.m*s.k)
 		if edge >= 0 && edge < s.m {
 			s.div[edge] = policy.DivergedP
 		}
 	}
-	live, liveMem := s.fold.State(), s.fold.Memory()
+	live := s.fold.State()
+	s.fold.MemoryInto(&s.liveMem)
 	for n, entry := range s.window[idx:] {
-		post, postMem := live, liveMem
+		post, postMem := live, s.liveMem
 		if next := idx + n + 1; next < len(s.window) {
 			post, postMem = s.window[next].preState, s.window[next].preFDS
 		}
-		recomputed += s.fold.Replay(entry.censuses, entry.preState, post, entry.preFDS, postMem, s.div)
+		recomputed += s.fold.Replay(entry.set.Censuses, entry.preState, post, entry.preFDS, postMem, s.div)
 	}
-	_ = s.fold.SetMemory(liveMem) // the fold's own Memory(), so of its size
+	_ = s.fold.SetMemory(s.liveMem) // the fold's own memory, so of its size
 	s.metrics.refolded.Add(int64(recomputed))
 	return recomputed
 }
@@ -161,18 +176,19 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 		return false, false
 	}
 	e := s.window[idx]
-	if prev, ok := e.censuses[census.Edge]; ok && slices.Equal(prev, census.Counts) {
+	if prev, ok := e.set.Censuses[census.Edge]; ok && slices.Equal(prev, census.Counts) {
 		s.metrics.Duplicates.Inc()
 		return true, false
 	}
 	span := s.obsv.Span("consensus_rewind", obs.A("round", round), obs.A("edge", census.Edge))
-	late := map[int][]int{census.Edge: census.Counts}
-	recomputed := s.refoldLocked(idx, late)
+	clear(s.late)
+	s.late[census.Edge] = census.Counts
+	recomputed := s.refoldLocked(idx, s.late)
 	replayed := len(s.window) - idx
 	s.correctionSeq++
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
-	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Censuses: late, Corrected: true})
+	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Censuses: s.late, Corrected: true})
 	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d regions over %d rounds (correction seq %d)",
 		round, census.Edge, recomputed, replayed, s.correctionSeq)
 	span.End(obs.A("replayed", replayed), obs.A("recomputed", recomputed), obs.A("seq", s.correctionSeq))
@@ -186,17 +202,17 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 // an edge's its one region. See Engine.PushCorrections for the delivery
 // rules. Called with s.mu held.
 func (s *Server) pushCorrectionsLocked(submitted []transport.Census) {
-	skip := make(map[int]bool, len(submitted))
 	for i := range submitted {
-		skip[submitted[i].Edge] = true
+		s.skip[submitted[i].Edge] = true // a validated member: 0 <= edge < m
 	}
 	edges, x := s.corrEdges[:0], s.corrX[:0]
 	for edge := 0; edge < s.m; edge++ {
-		if !skip[edge] {
+		if !s.skip[edge] {
 			edges = append(edges, edge)
 			x = append(x, s.fold.X(edge))
 		}
 	}
+	clear(s.skip)
 	s.corrEdges, s.corrX = edges, x
 	placed := s.eng.PushCorrections(s.eng.Latest(), s.correctionSeq, edges, x)
 	s.metrics.corrections.Add(int64(placed))

@@ -9,27 +9,19 @@ import (
 	"repro/internal/transport/session"
 )
 
-// Tier is a ratio-answering round owner as the edge-facing session table
-// sees it: the cloud server and a shard coordinator.
-type Tier interface {
-	// Submit records one member's census and blocks until its round
-	// resolves, returning the member's next sharing ratio.
-	Submit(transport.Census) (float64, error)
-	// SubmitBatch is Submit for several members' censuses of one round.
-	SubmitBatch(transport.CensusBatch) (transport.RatioBatch, error)
-}
-
 // ServeSession runs the edge-facing protocol on sess until the connection
-// closes: KindCensus and KindCensusBatch go to the tier and are answered
-// with the ratio frames of step ②, KindLease renews the member's lease,
-// and more lets an owner handle further kinds. A malformed frame is counted
-// and dropped without killing the connection — the edge's next census must
+// closes: KindCensus and KindCensusBatch go to the owner's ingest — which
+// blocks until the censuses' round resolves, the way the cloud server's and a
+// shard coordinator's Submit do — and are answered with the members' ratios
+// in the frames of step ②, KindLease renews the member's lease, and more
+// lets an owner handle further kinds. A malformed frame is counted and
+// dropped without killing the connection — the edge's next census must
 // still be servable. A refused request is acked back with its error; a
 // round abandoned under the submitter is answered with the members' current
 // ratios so the edge catches up instead of hanging; a closed owner drops
 // the connection. The session each member reports on is remembered as the
 // channel pushed frames (ratio corrections) go back out on.
-func (e *Engine) ServeSession(sess *session.Session, t Tier, more map[transport.Kind]session.Handler) {
+func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, censuses []transport.Census) error, more map[transport.Kind]session.Handler) {
 	defer sess.Close()
 	defer e.dropSessions(sess)
 	drop := func(err error) error {
@@ -42,36 +34,47 @@ func (e *Engine) ServeSession(sess *session.Session, t Tier, more map[transport.
 		}
 		return sess.Ack(err)
 	}
+	// submit runs one round's censuses through ingest. answer reports that
+	// they are to be answered with the members' current ratios: their round
+	// resolved, or was abandoned under them. A refusal is acked back instead.
+	submit := func(round int, censuses []transport.Census) (answer bool, err error) {
+		e.register(sess, censuses)
+		if err = ingest(round, censuses); err == nil || errors.Is(err, ErrRoundAbandoned) {
+			return true, nil
+		}
+		return false, ack(err)
+	}
+	// The session's batch answer. A conn whose Send encodes has the reply on
+	// the wire before the next request is read, so its slices are reused; a
+	// typed pipe hands the receiver the slices themselves.
+	var reply transport.RatioBatch
+	reuse := transport.SendCopies(sess.Conn())
 	handlers := map[transport.Kind]session.Handler{
 		transport.KindCensus: func(m transport.Message) error {
-			var census transport.Census
-			if err := transport.Decode(m, transport.KindCensus, &census); err != nil {
+			var one [1]transport.Census
+			if err := transport.Decode(m, transport.KindCensus, &one[0]); err != nil {
 				return drop(err)
 			}
-			e.register(sess, []transport.Census{census})
-			x, err := t.Submit(census)
-			if errors.Is(err, ErrRoundAbandoned) {
-				x, err = e.Ratio(census.Edge), nil
+			c := &one[0]
+			if answer, err := submit(c.Round, one[:]); !answer {
+				return err
 			}
-			if err != nil {
-				return ack(err)
-			}
-			return sess.Send(transport.KindRatio, transport.Ratio{Round: census.Round + 1, X: x})
+			return sess.Send(transport.KindRatio, transport.Ratio{Round: c.Round + 1, X: e.Ratio(c.Edge)})
 		},
 		transport.KindCensusBatch: func(m transport.Message) error {
 			var batch transport.CensusBatch
 			if err := transport.Decode(m, transport.KindCensusBatch, &batch); err != nil {
 				return drop(err)
 			}
-			e.register(sess, batch.Censuses)
-			reply, err := t.SubmitBatch(batch)
-			if errors.Is(err, ErrRoundAbandoned) {
-				reply, err = e.RatioBatch(batch.Round, batch.Censuses), nil
+			if answer, err := submit(batch.Round, batch.Censuses); !answer {
+				return err
 			}
-			if err != nil {
-				return ack(err)
+			out := &reply
+			if !reuse {
+				out = new(transport.RatioBatch)
 			}
-			return sess.Send(transport.KindRatioBatch, reply)
+			e.RatioBatch(out, batch.Round, batch.Censuses)
+			return sess.Send(transport.KindRatioBatch, out)
 		},
 		transport.KindLease: func(m transport.Message) error {
 			var lease transport.Lease

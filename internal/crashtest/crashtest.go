@@ -139,9 +139,12 @@ func (r *Recorder) Crashes() []Crash {
 
 // Gate is a durable.Hook (its Hook method) that holds the fsync of a journal
 // segment — the one step an append takes — for as long as a test wants to
-// look at what may and may not happen before the record is durable.
+// look at what may and may not happen before the record is durable; or,
+// with another Step, other operations: "create checkpoint.snap.tmp" holds a
+// background checkpoint before it encodes its snapshot.
 type Gate struct {
-	Reached chan struct{} // one token for every fsync held
+	Reached chan struct{} // one token for every operation held
+	Step    string        // the "op file" held, as the Recorder names it, or a prefix; set before Hold
 	release chan error
 	hold    atomic.Bool
 }
@@ -149,17 +152,17 @@ type Gate struct {
 // NewGate returns an open gate: nothing is held until Hold(true).
 func NewGate() *Gate {
 	// Reached is sized past any test's appends in flight: the hook never blocks on it.
-	return &Gate{Reached: make(chan struct{}, 16), release: make(chan error)}
+	return &Gate{Reached: make(chan struct{}, 16), Step: "sync journal", release: make(chan error)}
 }
 
-// Hold makes every later journal fsync wait for a Release, or lifts that.
+// Hold makes every later operation Step names wait for a Release, or lifts that.
 func (g *Gate) Hold(on bool) { g.hold.Store(on) }
 
-// Release lets one held fsync go; a non-nil err fails it in its place.
+// Release lets one held operation go; a non-nil err fails it in its place.
 func (g *Gate) Release(err error) { g.release <- err }
 
 func (g *Gate) Hook(op, path string) error {
-	if !g.hold.Load() || op != "sync" || !strings.HasSuffix(path, ".wal") {
+	if !g.hold.Load() || !strings.HasPrefix(op+" "+filepath.Base(path), g.Step) {
 		return nil
 	}
 	g.Reached <- struct{}{}

@@ -508,10 +508,7 @@ func (s *Store) snapshot(encode func() ([]byte, error)) error {
 	if encode == nil {
 		return nil
 	}
-	payload, err := encode()
-	if err == nil {
-		_, err = s.WriteSnapshot(payload)
-	}
+	_, err := s.writeSnapshot(encode)
 	return err
 }
 
@@ -572,15 +569,26 @@ func (s *Store) WaitCheckpoint() error {
 // journal. Returns the checkpoint size in bytes. Not for concurrent use,
 // with itself or a checkpoint.
 func (s *Store) WriteSnapshot(payload []byte) (int, error) {
-	if len(payload) > MaxRecordBytes {
-		return 0, fmt.Errorf("durable: snapshot of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
-	}
-	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
+	return s.writeSnapshot(func() ([]byte, error) { return payload, nil })
+}
+
+// writeSnapshot is WriteSnapshot of encode's payload, encoded once the tmp
+// file is created: a hook that holds the create holds the encode.
+func (s *Store) writeSnapshot(encode func() ([]byte, error)) (int, error) {
 	tmp := filepath.Join(s.dir, snapshotName+".tmp")
 	f, err := s.disk.open(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
 		return 0, fmt.Errorf("durable: create snapshot tmp: %w", err)
 	}
+	payload, err := encode()
+	if err == nil && len(payload) > MaxRecordBytes {
+		err = fmt.Errorf("durable: snapshot of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
+	}
+	if err != nil {
+		f.Close()
+		return 0, err
+	}
+	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return 0, fmt.Errorf("durable: write snapshot: %w", err)

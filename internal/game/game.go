@@ -183,6 +183,15 @@ func (s *State) Clone() *State {
 	return out
 }
 
+// CopyFrom overwrites s with src's values in s's own storage — a lag-window
+// slot reused from round to round — so src must have s's shape.
+func (s *State) CopyFrom(src *State) {
+	for i, p := range src.P {
+		copy(s.P[i], p)
+	}
+	copy(s.X, src.X)
+}
+
 // AppendJSON appends to b exactly the bytes json.Marshal(s) produces — the
 // canonical encoding the consensus state hash is taken over — without
 // reflection, and reports false where json.Marshal would fail (a NaN or

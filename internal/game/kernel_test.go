@@ -163,3 +163,21 @@ func TestCloneAllocs(t *testing.T) {
 		t.Errorf("State.Clone at M=1024: %.0f allocs, want 4", allocs)
 	}
 }
+
+// TestCopyFromAllocs: overwriting a clone with another state of its shape
+// copies every value into the clone's own storage and allocates nothing.
+func TestCopyFromAllocs(t *testing.T) {
+	src, dst := NewUniformState(1024, 8, 0.3), NewUniformState(1024, 8, 0.6).Clone()
+	src.P[5][2], src.X[7] = 0.125, 0.75
+	row := &dst.P[5][0]
+	dst.CopyFrom(src)
+	if !reflect.DeepEqual(dst, src) || &dst.P[5][0] != row || &dst.P[5][0] == &src.P[5][0] {
+		t.Fatal("CopyFrom did not copy into the destination's own storage")
+	}
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { dst.CopyFrom(src) }); allocs != 0 {
+		t.Errorf("State.CopyFrom at M=1024: %.0f allocs, want 0", allocs)
+	}
+}

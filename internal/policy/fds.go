@@ -115,10 +115,15 @@ type FDSMemory struct {
 
 // Memory snapshots the controller's cross-round state.
 func (f *FDS) Memory() FDSMemory {
-	return FDSMemory{
-		LastShortfall: append([]float64(nil), f.lastShortfall...),
-		StallRounds:   append([]int(nil), f.stallRounds...),
-	}
+	var mem FDSMemory
+	f.MemoryInto(&mem)
+	return mem
+}
+
+// MemoryInto is Memory written into mem's own slices, grown when short.
+func (f *FDS) MemoryInto(mem *FDSMemory) {
+	mem.LastShortfall = append(mem.LastShortfall[:0], f.lastShortfall...)
+	mem.StallRounds = append(mem.StallRounds[:0], f.stallRounds...)
 }
 
 // SetMemory restores cross-round state captured by Memory on a controller

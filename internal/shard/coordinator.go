@@ -55,6 +55,7 @@ type Coordinator struct {
 	// Durability (nil journal = in-memory only; see Open).
 	journal *durable.Journal
 	lastRec *durable.RoundRecord // newest journaled round, for re-forward
+	lastSet *cloud.CensusSet     // the barrier's census set lastRec is built on (nil for a recovered one)
 }
 
 type coordinatorMetrics struct {
@@ -181,7 +182,7 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 // generators) until the listener closes, serving each with the kernel's
 // session table. Run in a goroutine.
 func (c *Coordinator) Serve(l transport.Listener) {
-	c.srv.Serve(l, func(conn transport.Conn) { c.eng.ServeSession(session.Wrap(conn), c, nil) })
+	c.srv.Serve(l, func(conn transport.Conn) { c.eng.ServeSession(session.Wrap(conn), c.ingest, nil) })
 }
 
 // Close shuts the coordinator down: pending barriers fail, connections
@@ -219,11 +220,11 @@ func (c *Coordinator) Submit(census transport.Census) (float64, error) {
 // SubmitBatch records several owned regions' censuses in one call (a load
 // generator multiplexing a region group over one connection) and answers
 // them all from the adopted aggregator reply.
-func (c *Coordinator) SubmitBatch(batch transport.CensusBatch) (transport.RatioBatch, error) {
-	if err := c.ingest(batch.Round, batch.Censuses); err != nil {
-		return transport.RatioBatch{}, err
+func (c *Coordinator) SubmitBatch(batch transport.CensusBatch) (reply transport.RatioBatch, err error) {
+	if err = c.ingest(batch.Round, batch.Censuses); err == nil {
+		c.eng.RatioBatch(&reply, batch.Round, batch.Censuses)
 	}
-	return c.eng.RatioBatch(batch.Round, batch.Censuses), nil
+	return reply, err
 }
 
 // ingest runs one round's censuses through the kernel. Censuses that
@@ -253,7 +254,7 @@ func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded
 	if c.journal != nil {
 		ticket = c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
 	}
-	censuses := cloud.SortedCensuses(round, rb.Censuses)
+	censuses := rb.Sorted(round)
 	return func() { c.finishForward(round, rb, degraded, censuses, ticket) }
 }
 
@@ -276,9 +277,14 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ticket >= 0 {
-		c.journaledLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}, journaled, journalErr)
+	// Forward and append done, the barrier's census set goes back to the
+	// engine — unless its record is now the one to re-forward: then the set
+	// of the record it supersedes does.
+	spent := rb.CensusSet
+	if ticket >= 0 && c.journaledLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}, journaled, journalErr) {
+		spent, c.lastSet = c.lastSet, rb.CensusSet
 	}
+	defer c.eng.Recycle(spent)
 	if err == nil {
 		c.adoptReplyLocked(reply)
 	}
@@ -421,13 +427,13 @@ func (c *Coordinator) Open(stateDir string) error {
 }
 
 // journaledLocked takes what the finished append of a frozen barrier's batch
-// returned: the record becomes the one to re-forward, unless a newer round's
-// forward finished first, and a checkpoint starts every durable.CompactEvery
-// rounds. Failures are counted and logged but do not fail the round. Called
-// with c.mu held.
-func (c *Coordinator) journaledLocked(rec durable.RoundRecord, n int, err error) {
+// returned: the record becomes the one to re-forward (kept reports it),
+// unless a newer round's forward finished first, and a checkpoint starts
+// every durable.CompactEvery rounds. Failures are counted and logged but do
+// not fail the round. Called with c.mu held.
+func (c *Coordinator) journaledLocked(rec durable.RoundRecord, n int, err error) (kept bool) {
 	if err == nil {
-		if c.lastRec == nil || rec.Round >= c.lastRec.Round {
+		if kept = c.lastRec == nil || rec.Round >= c.lastRec.Round; kept {
 			c.lastRec = &rec
 		}
 		if n >= durable.CompactEvery {
@@ -441,6 +447,7 @@ func (c *Coordinator) journaledLocked(rec durable.RoundRecord, n int, err error)
 		c.metrics.journalErrors.Inc()
 		c.logf("shard %d: journaling round %d: %v", c.cfg.ID, rec.Round, err)
 	}
+	return kept
 }
 
 // checkpointLocked checkpoints the forwarded-round watermark — the shard

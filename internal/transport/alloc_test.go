@@ -119,6 +119,43 @@ func TestTCPVehiclePlaneAllocs(t *testing.T) {
 	}
 }
 
+// TestTCPBatchRecvAllocs: a 512-census K=9 batch — a shard's forward —
+// received on a TCP conn after the first decodes into the conn's scratch:
+// the body, the census list and the counts the first one grew, and the
+// frame buffer from the pool. Send and Recv run in turn on one goroutine,
+// as in TestTCPVehiclePlaneAllocs, with the wire metrics off and on.
+func TestTCPBatchRecvAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	batch := mustEncode(t, KindCensusBatch, uniformBatch(512, 9))
+	for _, instrumented := range []bool{false, true} {
+		if instrumented {
+			Instrument(obs.New())
+			defer Instrument(nil)
+		}
+		client, server := tcpPair(t)
+		defer client.Close()
+		defer server.Close()
+		var got CensusBatch
+		allocs := testing.AllocsPerRun(50, func() { // its warm-up run is the first batch
+			if err := client.Send(batch); err != nil {
+				t.Fatal(err)
+			}
+			m, err := server.Recv()
+			if err == nil {
+				err = Decode(m, KindCensusBatch, &got)
+			}
+			if err != nil || len(got.Censuses) != 512 {
+				t.Fatalf("Recv = %d censuses, %v", len(got.Censuses), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("instrumented=%v: a second census batch Send+Recv: %.1f allocs/op, want 0", instrumented, allocs)
+		}
+	}
+}
+
 // TestRecvTimeoutAllocs pins a reply wait at zero: over a warmed TCP conn a
 // ratio reply is sent, waited for with RecvTimeout and decoded without a heap
 // object — the bound rides the socket's read deadline, and the body is the

@@ -83,7 +83,7 @@ func TestBatchDecodeShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: batch: %v", name, err)
 		}
-		if got := m.Body.(CensusBatch); !reflect.DeepEqual(got, batch) {
+		if got, _ := typedBody[CensusBatch](m); !reflect.DeepEqual(got, batch) {
 			t.Errorf("%s: batch decoded to\n%+v\nwant\n%+v", name, got, batch)
 		} else {
 			checkCapped(t, name+" batch", got.Censuses)
@@ -92,7 +92,7 @@ func TestBatchDecodeShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: digest: %v", name, err)
 		}
-		if got := m.Body.(Digest); !reflect.DeepEqual(got, digest) {
+		if got, _ := typedBody[Digest](m); !reflect.DeepEqual(got, digest) {
 			t.Errorf("%s: digest decoded to\n%+v\nwant\n%+v", name, got, digest)
 		} else {
 			for _, dr := range got.Rounds {
@@ -128,7 +128,8 @@ func TestBatchDecodeNoAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Body.(CensusBatch).Censuses
+	body, _ := typedBody[CensusBatch](m)
+	got := body.Censuses
 	checkCapped(t, "batch", got)
 	for i := 0; i+1 < len(got); i++ {
 		grown := append(got[i].Counts, -1, -2, -3)

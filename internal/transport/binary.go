@@ -246,19 +246,26 @@ func (binaryCodec) Decode(frame []byte) (Message, error) {
 }
 
 // recvScratch holds the bodies the per-vehicle-round kinds (policy, upload,
-// delivery, ack) and an edge's per-round ratio reply decode into. A TCP conn
-// keeps one and reuses it from frame to frame, which is what makes a received
-// body valid only until the conn's next Recv; Decode hands in an empty one,
-// so its bodies are the caller's. A body is allocated the first time its
-// kind arrives — an edge-side conn never sees a delivery, a vehicle-side
-// conn never an upload — and its slice grows to the largest frame of that
-// kind seen.
+// delivery, ack), an edge's per-round ratio reply and the census kinds
+// (census, census_batch, digest) decode into. A TCP conn keeps one and reuses
+// it from frame to frame, which is what makes a received body valid only
+// until the conn's next Recv; Decode hands in an empty one, so its bodies are
+// the caller's. A body is allocated the first time its kind arrives — an
+// edge-side conn never sees a delivery, a vehicle-side conn never an upload —
+// and its slices grow to the largest frame of that kind seen.
 type recvScratch struct {
 	ratio    *Ratio
 	policy   *Policy
 	upload   *Upload
 	delivery *Delivery
 	ack      *Ack
+	census   *Census
+	batch    *CensusBatch
+	digest   *Digest
+	// The census kinds' lists and counts are cut from these (see
+	// byteReader.censuses), from the start again at every frame.
+	list   []Census
+	counts []int
 }
 
 // deliveryPool holds the delivery bodies no conn is lending out. A delivery
@@ -277,14 +284,23 @@ func (s *recvScratch) release() {
 	}
 }
 
+// reuse returns the scratch body *p, allocated the first time its kind
+// arrives.
+func reuse[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
 // decodeBinary parses one frame. The scratch kinds come back as pointers
-// into s; every other kind — census, batch, digest and ratio-batch
-// consumers hold their slices across rounds — as a freshly allocated value.
+// into s; every other kind — ratio-batch consumers hold their slices across
+// rounds — as a freshly allocated value.
 func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	if len(frame) == 0 {
 		return Message{}, fmt.Errorf("transport: empty binary frame")
 	}
-	r := byteReader{buf: frame[1:]}
+	r := byteReader{buf: frame[1:], list: s.list[:0], counts: s.counts[:0]}
 	var (
 		kind Kind
 		body interface{}
@@ -294,26 +310,16 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		kind = KindHello
 		body = Hello{Vehicle: int(r.int())}
 	case tagCensus:
-		c := Census{Edge: int(r.int()), Round: int(r.int())}
-		n := r.len(1)
-		if n > 0 {
-			c.Counts = make([]int, n)
-			for i := range c.Counts {
-				c.Counts[i] = int(r.int())
-			}
-		}
+		c := reuse(&s.census)
+		c.Edge, c.Round = int(r.int()), int(r.int())
+		c.Counts = r.ints(r.len(1), 0)
 		kind, body = KindCensus, c
 	case tagRatio:
-		if s.ratio == nil {
-			s.ratio = new(Ratio)
-		}
-		s.ratio.Round, s.ratio.X = int(r.int()), r.float()
-		kind, body = KindRatio, s.ratio
+		x := reuse(&s.ratio)
+		x.Round, x.X = int(r.int()), r.float()
+		kind, body = KindRatio, x
 	case tagPolicy:
-		if s.policy == nil {
-			s.policy = new(Policy)
-		}
-		p := s.policy
+		p := reuse(&s.policy)
 		p.Round, p.X = int(r.int()), r.float()
 		n := r.len(8)
 		p.Shares = append(p.Shares[:0], make([]float64, n)...)
@@ -322,10 +328,7 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		}
 		kind, body = KindPolicy, p
 	case tagUpload:
-		if s.upload == nil {
-			s.upload = new(Upload)
-		}
-		u := s.upload
+		u := reuse(&s.upload)
 		u.Vehicle, u.Round, u.Decision = int(r.int()), int(r.int()), int(r.int())
 		u.Items = r.items(u.Items)
 		kind, body = KindUpload, u
@@ -338,16 +341,15 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		d.Items = r.items(d.Items)
 		kind, body = KindDelivery, d
 	case tagAck:
-		if s.ack == nil {
-			s.ack = new(Ack)
-		}
-		s.ack.Err = r.str()
-		kind, body = KindAck, s.ack
+		a := reuse(&s.ack)
+		a.Err = r.str()
+		kind, body = KindAck, a
 	case tagLease:
 		kind = KindLease
 		body = Lease{Edge: int(r.int()), TTLMillis: r.int()}
 	case tagCensusBatch:
-		cb := CensusBatch{Shard: int(r.int()), Round: int(r.int())}
+		cb := reuse(&s.batch)
+		cb.Shard, cb.Round = int(r.int()), int(r.int())
 		cb.Censuses = r.censuses()
 		kind, body = KindCensusBatch, cb
 	case tagRatioBatch:
@@ -365,21 +367,14 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		}
 		kind, body = KindRatioBatch, rb
 	case tagDigest:
-		d := Digest{Neighborhood: int(r.int()), Of: int(r.int())}
-		if n := r.len(1); n > 0 {
-			d.Members = make([]int, n)
-			for i := range d.Members {
-				d.Members[i] = int(r.int())
-			}
-		}
+		d := reuse(&s.digest)
+		d.Neighborhood, d.Of = int(r.int()), int(r.int())
+		d.Members = r.ints(r.len(1), 0)
 		// Each digest round is at least 3 bytes (round, degraded, empty list).
-		if n := r.len(3); n > 0 {
-			d.Rounds = make([]DigestRound, n)
-			for i := range d.Rounds {
-				dr := DigestRound{Round: int(r.int()), Degraded: r.int() != 0}
-				dr.Censuses = r.censuses()
-				d.Rounds[i] = dr
-			}
+		d.Rounds = append(d.Rounds[:0], make([]DigestRound, r.len(3))...)
+		for i := range d.Rounds {
+			d.Rounds[i] = DigestRound{Round: int(r.int()), Degraded: r.int() != 0}
+			d.Rounds[i].Censuses = r.censuses()
 		}
 		kind, body = KindDigest, d
 	case tagHoodBeat:
@@ -414,6 +409,7 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	default:
 		return Message{}, fmt.Errorf("transport: unknown binary kind tag 0x%02x", frame[0])
 	}
+	s.list, s.counts = r.list, r.counts // grown, perhaps, for the next frame
 	if r.err != nil {
 		return Message{}, fmt.Errorf("transport: decoding binary %s frame: %w", kind, r.err)
 	}
@@ -468,10 +464,14 @@ func appendItems(dst []byte, items []Item) []byte {
 // --- decode helpers ---
 
 // byteReader consumes a binary frame with sticky errors, so decode paths
-// read fields unconditionally and check once at the end.
+// read fields unconditionally and check once at the end. The census kinds'
+// lists and counts are cut from list and counts, in order, and are replaced
+// by larger ones when they run short.
 type byteReader struct {
-	buf []byte
-	err error
+	buf    []byte
+	err    error
+	list   []Census
+	counts []int
 }
 
 func (r *byteReader) fail(err error) {
@@ -540,31 +540,47 @@ func (r *byteReader) str() string {
 }
 
 // censuses reads a census list — the shared tail of the census_batch and
-// digest encodings. Each census is at least 3 bytes (edge, round, empty
-// counts). Every Counts is cut from one slab per list, capped so an append
-// to one census cannot run into the next. The slab is sized for the rest of
-// the list at the K in hand, never above the bytes left (a count is at least
-// one byte), so a corrupt length buys no more memory per frame byte than a
-// make per census would; a list of mixed K starts a new slab when short.
+// digest encodings — into r's list storage. Each census is at least 3 bytes
+// (edge, round, empty counts). Every Counts is cut from r's counts storage,
+// capped so an append to one census cannot run into the next. When that runs
+// short it is replaced by one sized for the frame so far plus the rest of the
+// list at the K in hand, never above the bytes left (a count is at least one
+// byte), so a corrupt length buys no more memory per frame byte than a make
+// per census would, and a frame of the same shape next time fits whole.
 func (r *byteReader) censuses() []Census {
 	n := r.len(3)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]Census, n)
-	var slab []int
+	if n > cap(r.list)-len(r.list) {
+		r.list = make([]Census, 0, len(r.list)+n)
+	}
+	at := len(r.list)
+	r.list = r.list[:at+n]
+	out := r.list[at : at+n : at+n]
 	for i := range out {
-		c := Census{Edge: int(r.int()), Round: int(r.int())}
-		if k := r.len(1); k > 0 {
-			if k > len(slab) {
-				slab = make([]int, min((n-i)*k, len(r.buf)))
-			}
-			c.Counts, slab = slab[:k:k], slab[k:]
-			for j := range c.Counts {
-				c.Counts[j] = int(r.int())
-			}
-		}
-		out[i] = c
+		out[i] = Census{Edge: int(r.int()), Round: int(r.int())}
+		k := r.len(1)
+		out[i].Counts = r.ints(k, min((n-i)*k, len(r.buf)))
+	}
+	return out
+}
+
+// ints reads n varints into a capped slice of r's counts storage, which,
+// when short, is replaced by one with room for the frame's counts so far and
+// rest more (at least n); none reads as nil.
+func (r *byteReader) ints(n, rest int) []int {
+	if n == 0 {
+		return nil
+	}
+	if n > cap(r.counts)-len(r.counts) {
+		r.counts = make([]int, 0, len(r.counts)+max(n, rest))
+	}
+	at := len(r.counts)
+	r.counts = r.counts[:at+n]
+	out := r.counts[at : at+n : at+n]
+	for i := range out {
+		out[i] = int(r.int())
 	}
 	return out
 }

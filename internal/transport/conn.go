@@ -16,13 +16,22 @@ type Conn interface {
 	Send(Message) error
 	// Recv blocks for the next message; it returns io.EOF after the peer
 	// closes. The message's Body is valid until the next Recv on this conn:
-	// a TCP conn decodes ratio, policy, upload, delivery and ack frames into
-	// bodies it reuses, so a receiver that keeps such a body (or a slice
-	// inside it) past its next Recv must copy it first.
+	// a TCP conn decodes ratio, policy, upload, delivery, ack, census,
+	// census_batch and digest frames into bodies it reuses, so a receiver
+	// that keeps such a body (or a slice inside it) past its next Recv must
+	// copy it first.
 	Recv() (Message, error)
 	// Close releases the connection; pending Recv calls unblock with
 	// io.EOF.
 	Close() error
+}
+
+// SendCopies reports whether c's Send has put a message on the wire when it
+// returns, so that the sender may reuse what its body references: true of a
+// TCP conn. A typed Pipe hands the receiver the body itself.
+func SendCopies(c Conn) bool {
+	_, tcp := c.(*tcpConn)
+	return tcp
 }
 
 // Listener accepts incoming connections.

@@ -193,6 +193,13 @@ func (c *FaultyConn) Send(m Message) error {
 	}
 	if delay > 0 {
 		c.f.m().delayed.Inc()
+		// The copies leave after Send has returned and the sender may be
+		// reusing what the body references: they carry the message as sent.
+		if frame, err := Binary.AppendEncode(nil, m); err == nil {
+			if sent, err := Binary.Decode(frame); err == nil {
+				m = sent
+			}
+		}
 		for i := 0; i < copies; i++ {
 			time.AfterFunc(delay, func() { _ = c.inner.Send(m) })
 		}

@@ -74,11 +74,11 @@ type Message struct {
 	//
 	// On a received message Body is borrowed: it is valid until the next
 	// Recv on the conn that returned it. A TCP conn decodes Ratio, Policy,
-	// Upload, Delivery and Ack into bodies it reuses for the next frame of that
-	// kind, and Decode copies the struct but not the slice inside it, so a
-	// receiver that keeps Shares or Items past its next Recv copies them.
-	// Census, CensusBatch, Digest, RatioBatch and the remaining kinds are
-	// always freshly allocated and may be kept.
+	// Upload, Delivery, Ack, Census, CensusBatch and Digest into bodies and
+	// storage it reuses for the next frame, and Decode copies the struct but
+	// not the slices inside it, so a receiver that keeps Shares, Items,
+	// Counts or a census list past its next Recv copies them. RatioBatch and
+	// the remaining kinds are always freshly allocated and may be kept.
 	Body interface{}
 }
 
