@@ -22,10 +22,11 @@ import (
 type Fold struct {
 	fds    *policy.FDS
 	state  *game.State
-	enc    []byte    // Hash's encoding buffer, reused from call to call
-	row    []float64 // Replay's one row of shares
-	hash   uint32    // Hash's memo, valid while hashed
-	hashed bool      // cleared where the state changes: Apply, Replay and SetState
+	enc    []byte          // Hash's encoding buffer, reused from call to call
+	memo   *game.FloatMemo // Hash's float texts by bit pattern, allocated by the first Hash
+	row    []float64       // Replay's one row of shares
+	hash   uint32          // Hash's last result, valid while hashed
+	hashed bool            // cleared where the state changes: Apply, Replay and SetState
 }
 
 // NewFold validates the initial state and returns a fold over a private
@@ -118,9 +119,16 @@ func (f *Fold) Replay(censuses map[int][]int, pre, post *game.State, preMem, pos
 // bit-identical ratio fields if and only if their hashes match. A state
 // JSON cannot carry (NaN, infinity) hashes to 0. The encoding runs when a
 // reader asks (a metrics scrape, StateHash), once per state: no commit does.
+// A value is formatted only when no earlier read left its text in the fold's
+// game.FloatMemo — sized by the state, at most 128 KiB, keyed by bit pattern
+// and never invalidated (a text is a pure function of its key) — so a state
+// of recurring shares and ratios costs byte copies, not strconv.
 func (f *Fold) Hash() uint32 {
 	if !f.hashed {
-		b, ok := f.state.AppendJSON(f.enc[:0])
+		if f.memo == nil {
+			f.memo = game.NewFloatMemo(len(f.state.P) * (f.Decisions() + 1))
+		}
+		b, ok := f.state.AppendJSON(f.enc[:0], f.memo)
 		f.enc, f.hash, f.hashed = b, 0, true
 		if ok {
 			f.hash = crc32.Checksum(b, castagnoli)

@@ -63,13 +63,9 @@ func TestFoldHashIsJSONChecksum(t *testing.T) {
 	}
 }
 
-// TestFoldAllocs pins the commit path's per-round heap cost at M=1024 on a
-// ring at nothing, for Apply and for Hash.
-func TestFoldAllocs(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("allocation counts do not hold under the race detector")
-	}
-	const m = 1024
+// censusRing returns a ring fold of m regions and one census of 100 vehicles
+// per region.
+func censusRing(t *testing.T, m int) (*Fold, map[int][]int) {
 	beta := make([]float64, m)
 	for i := range beta {
 		beta[i] = 3
@@ -95,19 +91,81 @@ func TestFoldAllocs(t *testing.T) {
 		}
 		censuses[i] = counts
 	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := fold.Apply(censuses); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("Fold.Apply at M=%d: %.0f allocs, want 0", m, allocs)
+	return fold, censuses
+}
+
+// TestFoldAllocs pins the commit path's per-round heap cost at M=16 and
+// M=1024 on a ring at nothing, for Apply and for Hash once the first Hash
+// has allocated the value memo.
+func TestFoldAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
 	}
-	fold.Hash() // sizes the encoding buffer
-	if allocs := testing.AllocsPerRun(10, func() {
-		fold.SetState(fold.State()) // drops the memo: every run encodes
-		fold.Hash()
-	}); allocs != 0 {
-		t.Errorf("Fold.Hash at M=%d: %.0f allocs, want 0", m, allocs)
+	for _, m := range []int{16, 1024} {
+		fold, censuses := censusRing(t, m)
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := fold.Apply(censuses); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Fold.Apply at M=%d: %.0f allocs, want 0", m, allocs)
+		}
+		fold.Hash() // sizes the encoding buffer and allocates the value memo
+		if allocs := testing.AllocsPerRun(10, func() {
+			fold.SetState(fold.State()) // drops the hash memo: every run encodes
+			fold.Hash()
+		}); allocs != 0 {
+			t.Errorf("Fold.Hash at M=%d: %.0f allocs, want 0", m, allocs)
+		}
+	}
+}
+
+// BenchmarkFoldHash times one state hash at M=1024, K=9 after a change of
+// state: "repeating" holds census shares c/100 and four ratios, so after the
+// first read every value's text is memoised; "distinct" rewrites every value
+// with one never seen before ahead of each read (about 10 µs of the
+// iteration), so every value misses. Hash reads only the state, so the fold
+// needs no controller.
+func BenchmarkFoldHash(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	st := game.NewUniformState(1024, 9, 0)
+	for i, p := range st.P {
+		counts := make([]int, len(p))
+		for v := 0; v < 100; v++ {
+			counts[rng.Intn(len(counts))]++
+		}
+		shares(counts, p)
+		st.X[i] = []float64{0.2, 0.35, 0.5, 0.85}[i%4]
+	}
+	fold, fresh := &Fold{state: st}, 0.1
+	for _, bc := range []struct {
+		name    string
+		prepare func() // readies the state for the next read
+	}{
+		{"repeating", func() {}},
+		{"distinct", func() {
+			for _, p := range st.P {
+				for k := range p {
+					p[k], fresh = fresh, fresh+1e-12
+				}
+			}
+			for i := range st.X {
+				st.X[i], fresh = fresh, fresh+1e-12
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.prepare()
+			fold.SetState(st)
+			fold.Hash() // allocates the memo and sizes the encoding buffer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				bc.prepare()
+				fold.SetState(st)
+				fold.Hash()
+			}
+		})
 	}
 }
 

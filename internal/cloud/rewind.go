@@ -52,7 +52,9 @@ func (s *Server) SetFixedLag(n int) {
 // state marshals deterministically, so two coordinators hold bit-identical
 // ratio fields if and only if their hashes match. The consensus_state_hash
 // gauge reads this method when it is collected (exact: every uint32 fits a
-// float64), so it takes s.mu and may wait out a commit in progress.
+// float64), so it takes s.mu and may wait out a commit in progress; a commit
+// may likewise wait out the read, which encodes the state once per change and
+// copies memoised text for every value an earlier read formatted (Fold.Hash).
 func (s *Server) StateHash() uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

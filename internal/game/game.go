@@ -192,11 +192,59 @@ func (s *State) CopyFrom(src *State) {
 	copy(s.X, src.X)
 }
 
+// floatMemoBits caps FloatMemo at 1<<floatMemoBits slots: 4,096, 128 KiB,
+// room for the census shares c/n of small fleets and the ratios a settled
+// state holds; a larger memo bought no hits at M=1024. floatMemoMul, odd,
+// spreads a bit pattern's low and high bits over the slot index.
+const (
+	floatMemoBits = 12
+	floatMemoMul  = 0x9e3779b97f4a7c15
+)
+
+// FloatMemo remembers the JSON text of float64 values, direct-mapped by bit
+// pattern, so a state whose values repeat is formatted by copying bytes, not
+// by strconv. A slot's text is a pure function of its key, so the memo is
+// never stale and never invalidated; a colliding value simply evicts it. It
+// is not safe for concurrent use: its owner serialises the encodes.
+type FloatMemo struct {
+	slots []floatText
+	shift uint // 64 - log2(len(slots)): a product's top bits index the slot
+}
+
+// NewFloatMemo returns a memo for states of n values: as many slots as the
+// power of two at or above n, up to the cap. A process may hold a fold per
+// gossip node, most over a handful of regions, and each such memo stays a
+// few times its state's size instead of 128 KiB.
+func NewFloatMemo(n int) *FloatMemo {
+	bits := uint(0)
+	for bits < floatMemoBits && 1<<bits < n {
+		bits++
+	}
+	return &FloatMemo{slots: make([]floatText, 1<<bits), shift: 64 - bits}
+}
+
+// floatText is one memo slot, 32 bytes: n == 0 marks it empty, since every
+// JSON float is at least one byte. NaN, ±Inf and texts longer than text are
+// never stored.
+type floatText struct {
+	bits uint64
+	n    uint8
+	text [23]byte
+}
+
+// slot returns the one slot a value of these bits may occupy.
+func (m *FloatMemo) slot(bits uint64) *floatText {
+	return &m.slots[bits*floatMemoMul>>m.shift]
+}
+
 // AppendJSON appends to b exactly the bytes json.Marshal(s) produces — the
 // canonical encoding the consensus state hash is taken over — without
 // reflection, and reports false where json.Marshal would fail (a NaN or
-// infinite value). encoding/json still decodes it.
-func (s *State) AppendJSON(b []byte) ([]byte, bool) {
+// infinite value). encoding/json still decodes it. A value whose bits memo
+// holds is copied from there; only a miss runs strconv, and pays for the
+// store besides, so a state of recurring values encodes far faster and one of
+// all-new values somewhat slower.
+func (s *State) AppendJSON(b []byte, memo *FloatMemo) ([]byte, bool) {
 	ok := true
 	b = append(b, `{"P":`...)
 	if s.P == nil {
@@ -207,20 +255,20 @@ func (s *State) AppendJSON(b []byte) ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b, ok = appendJSONFloats(b, p, ok)
+			b, ok = appendJSONFloats(b, p, memo, ok)
 		}
 		b = append(b, ']')
 	}
 	b = append(b, `,"X":`...)
-	b, ok = appendJSONFloats(b, s.X, ok)
+	b, ok = appendJSONFloats(b, s.X, memo, ok)
 	return append(b, '}'), ok
 }
 
-// appendJSONFloats appends a []float64 the way encoding/json does: null for
-// a nil slice, shortest round-trip digits, exponent form below 1e-6 and
-// from 1e21 with a two-digit exponent's leading zero removed. ok turns false
-// at a value JSON cannot carry.
-func appendJSONFloats(b []byte, vs []float64, ok bool) ([]byte, bool) {
+// appendJSONFloats appends a []float64 the way encoding/json does, null for
+// a nil slice, taking each value's text from memo or, on a miss, from
+// appendJSONFloat and storing it there. ok turns false at a value JSON cannot
+// carry.
+func appendJSONFloats(b []byte, vs []float64, memo *FloatMemo, ok bool) ([]byte, bool) {
 	if vs == nil {
 		return append(b, "null"...), ok
 	}
@@ -229,20 +277,38 @@ func appendJSONFloats(b []byte, vs []float64, ok bool) ([]byte, bool) {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		bits := math.Float64bits(v)
+		slot := memo.slot(bits)
+		if slot.n != 0 && slot.bits == bits {
+			b = append(b, slot.text[:slot.n]...)
+			continue
+		}
+		start := len(b)
+		b = appendJSONFloat(b, v)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			ok = false
-		}
-		format := byte('f')
-		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b = strconv.AppendFloat(b, v, format, -1, 64)
-		if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+		} else if n := len(b) - start; n <= len(slot.text) {
+			slot.bits, slot.n = bits, uint8(n)
+			copy(slot.text[:], b[start:])
 		}
 	}
 	return append(b, ']'), ok
+}
+
+// appendJSONFloat appends v as encoding/json writes a float64: shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21 with a two-digit
+// exponent's leading zero removed.
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // Validate checks simplex and ratio invariants.

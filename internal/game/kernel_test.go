@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/israce"
@@ -88,18 +89,73 @@ func TestLinearizerMatchesLinearize(t *testing.T) {
 	}
 }
 
+// specialFloats take each of encoding/json's float paths: 0 and -0, exact 1,
+// plain decimals, below 1e-6 and from 1e21 up (exponent form, one- and
+// two-digit exponents), and texts longer than a memo slot holds.
+var specialFloats = []float64{0, math.Copysign(0, -1), 1, 0.1, 1e-6, 9.99e-7, 1e-7, 3.5e-12, 1e-300, 5e-324,
+	1e20, 9.99e20, 1e21, 1.5e21, 2e100, math.MaxFloat64, -2.5e-9, -1e22, 1.0 / 3,
+	-1.2345678901234567e-100, -2.2250738585072014e-308, 0.0000012345678901234567}
+
+// collider returns a finite bit pattern other than bits that lands in bits's
+// slot in a memo of any size: the slot is the top bits of bits*floatMemoMul,
+// so flipping low bits of that product and multiplying back by the
+// multiplier's inverse keeps the slot and changes the value.
+func collider(bits uint64) uint64 {
+	inv := uint64(floatMemoMul) // Newton's iteration for the inverse mod 2^64
+	for i := 0; i < 6; i++ {
+		inv *= 2 - floatMemoMul*inv
+	}
+	for flip := uint64(1); ; flip++ {
+		c := (bits*floatMemoMul ^ flip) * inv
+		if v := math.Float64frombits(c); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			return c
+		}
+	}
+}
+
+// checkAppendJSON encodes each state through memo and requires json.Marshal's
+// bytes and verdict and bytes encoding/json decodes, then requires every slot
+// memo holds to be a finite value's own text, filed under its own bits.
+func checkAppendJSON(t *testing.T, memo *FloatMemo, states []*State) {
+	t.Helper()
+	for _, s := range states {
+		want, err := json.Marshal(s)
+		got, ok := s.AppendJSON(nil, memo)
+		if ok != (err == nil) || ok && !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON = %s, %v\njson.Marshal = %s, %v", got, ok, want, err)
+		}
+		var back State
+		if ok && json.Unmarshal(got, &back) != nil {
+			t.Fatalf("encoding/json cannot decode %s", got)
+		}
+	}
+	for i := range memo.slots {
+		slot := &memo.slots[i]
+		if slot.n == 0 {
+			continue
+		}
+		v := math.Float64frombits(slot.bits)
+		if memo.slot(slot.bits) != slot || math.IsNaN(v) || math.IsInf(v, 0) || string(slot.text[:slot.n]) != string(appendJSONFloat(nil, v)) {
+			t.Fatalf("memo slot %d holds %q for %v", i, slot.text[:slot.n], v)
+		}
+	}
+}
+
 // TestStateAppendJSON requires the hand-appended encoding to be the bytes
-// json.Marshal produces, on values that take each of encoding/json's float
-// paths: 0 and -0, exact 1, plain decimals, below 1e-6 and from 1e21 up
-// (exponent form, one- and two-digit exponents), and nil or empty slices.
+// json.Marshal produces on special and random values and on nil or empty
+// slices, every state through one full-size memo, forward and then in
+// reverse, so most values are met once as a miss and again as a hit, and
+// through a memo of one slot; then on more distinct
+// values than the memo has slots, half of them paired with a value of the
+// same slot, so texts evict each other and come back. NaN and ±Inf must be
+// refused after a finite value has filled their slot, and never stored; 0
+// and -0 keep their own texts.
 func TestStateAppendJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	special := []float64{0, math.Copysign(0, -1), 1, 0.1, 1e-6, 9.99e-7, 1e-7, 3.5e-12, 1e-300, 5e-324,
-		1e20, 9.99e20, 1e21, 1.5e21, 2e100, math.MaxFloat64, -2.5e-9, -1e22, 1.0 / 3}
 	value := func() float64 {
 		switch rng.Intn(3) {
 		case 0:
-			return special[rng.Intn(len(special))]
+			return specialFloats[rng.Intn(len(specialFloats))]
 		case 1:
 			return math.Float64frombits(rng.Uint64()&^(0x7ff<<52) | uint64(rng.Intn(2046)+1)<<52) // any finite normal
 		}
@@ -119,25 +175,50 @@ func TestStateAppendJSON(t *testing.T) {
 		}
 		states = append(states, s)
 	}
-	for _, s := range states {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok := s.AppendJSON(nil)
-		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("AppendJSON = %s, %v\njson.Marshal = %s", got, ok, want)
-		}
-		var back State
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatal(err)
-		}
+	memo := NewFloatMemo(1 << 20)
+	if len(memo.slots) != 1<<floatMemoBits {
+		t.Fatalf("a memo for a large state has %d slots, want the cap %d", len(memo.slots), 1<<floatMemoBits)
 	}
+	checkAppendJSON(t, memo, states)
+	slices.Reverse(states)
+	checkAppendJSON(t, memo, states)
+	checkAppendJSON(t, NewFloatMemo(0), states) // one slot: every new value evicts the last
+
+	crowd := &State{X: make([]float64, 3<<floatMemoBits)}
+	for i := 0; i < len(crowd.X); i += 2 {
+		crowd.X[i] = value()
+		crowd.X[i+1] = math.Float64frombits(collider(math.Float64bits(crowd.X[i])))
+	}
+	checkAppendJSON(t, memo, []*State{crowd, crowd})
+
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, ok := (&State{X: []float64{0.5, bad}}).AppendJSON(nil); ok {
-			t.Errorf("AppendJSON accepted %v, json.Marshal refuses it", bad)
-		}
+		squatter := math.Float64frombits(collider(math.Float64bits(bad)))
+		checkAppendJSON(t, memo, []*State{{X: []float64{squatter, bad}}, {X: []float64{bad, squatter, bad}}})
 	}
+	zeros := &State{X: []float64{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)}}
+	if got, _ := zeros.AppendJSON(nil, memo); string(got) != `{"P":null,"X":[0,-0,0,-0]}` {
+		t.Errorf("0 and -0 through the memo: %s", got)
+	}
+}
+
+// FuzzAppendJSON holds the memoised encoder to encoding/json on arbitrary
+// bit patterns — NaN and infinity included, where only the verdict is
+// compared — in a few states sharing one memo sized for them (8 slots), with
+// a colliding value beside each so every slot the run touches changes hands.
+func FuzzAppendJSON(f *testing.F) {
+	for i, v := range specialFloats {
+		f.Add(math.Float64bits(v), math.Float64bits(specialFloats[(i+1)%len(specialFloats)]), math.Float64bits(-v))
+	}
+	f.Add(math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)))
+	f.Fuzz(func(t *testing.T, a, b, c uint64) {
+		v := func(bits uint64) float64 { return math.Float64frombits(bits) }
+		ca, cb, cc := collider(a), collider(b), collider(c)
+		checkAppendJSON(t, NewFloatMemo(7), []*State{
+			{P: [][]float64{{v(a), v(b)}, {v(c)}}, X: []float64{v(ca), v(a)}},
+			{X: []float64{v(cb), v(b), v(cc), v(c), v(ca)}},
+			{P: [][]float64{{v(a), v(ca), v(a)}, {v(cc), v(c)}}, X: []float64{v(b), v(cb)}},
+		})
+	})
 }
 
 var cloneSink *State // keeps the measured clone from living on the stack

@@ -298,7 +298,9 @@ func (n *Node) Latest() int {
 	return n.eng.Latest()
 }
 
-// StateHash returns the CRC-32C witness over the node's local fold state.
+// StateHash returns the CRC-32C witness over the node's local fold state,
+// under n.mu: Fold.Hash encodes once per state change, copying memoised text
+// for every value an earlier read formatted.
 func (n *Node) StateHash() uint32 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
