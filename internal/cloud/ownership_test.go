@@ -14,8 +14,8 @@ import (
 )
 
 // serveVia serves a coordinator on a fresh listener of the named transport
-// — "pipe" the typed in-process pipe, "codec" the codec pipe, "tcp" loopback
-// TCP — and returns a dialer to it.
+// — "pipe" the in-process pipe, "codec" the same behind a spoilingConn, "tcp"
+// loopback TCP — and returns a dialer to it.
 func serveVia(t *testing.T, via string, serve func(transport.Listener)) func() transport.Conn {
 	t.Helper()
 	var (
@@ -30,7 +30,6 @@ func serveVia(t *testing.T, via string, serve func(transport.Listener)) func() t
 		}
 	} else {
 		net := transport.NewInprocNetwork()
-		net.Serialize = via == "codec"
 		if l, err = net.Listen("tier"); err == nil {
 			dial = func() (transport.Conn, error) { return net.Dial("tier") }
 		}
@@ -46,8 +45,34 @@ func serveVia(t *testing.T, via string, serve func(transport.Listener)) func() t
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
+		if via == "codec" {
+			return spoilingConn{c}
+		}
 		return c
 	}
+}
+
+// spoilingConn spoils every census it sends as soon as Send returns, before
+// the reply: by then the frame is encoded and the body is the sender's again.
+type spoilingConn struct{ transport.Conn }
+
+func (c spoilingConn) Send(m transport.Message) error {
+	err := c.Conn.Send(m)
+	switch b := m.Body.(type) {
+	case transport.Census:
+		spoil(b.Counts)
+	case transport.CensusBatch:
+		for _, cs := range b.Censuses {
+			spoil(cs.Counts)
+		}
+	case transport.Digest:
+		for _, r := range b.Rounds {
+			for _, cs := range r.Censuses {
+				spoil(cs.Counts)
+			}
+		}
+	}
+	return err
 }
 
 // spoil overwrites every count, as a caller reusing its buffers would.
@@ -151,7 +176,8 @@ func ownershipRun(t *testing.T, lag int, via string, spoiled bool) keptState {
 // while the round is still pending — and a conn may decode its next frame
 // over the last one's: no lag-window entry, journal record, checkpoint or
 // state hash differs from a run whose caller left its counts alone, with or
-// without a window, called directly or over any transport.
+// without a window, called directly or over any transport, nor when the
+// counts are overwritten the moment the conn's Send returns ("codec").
 func TestCallerKeepsItsCounts(t *testing.T) {
 	for _, lag := range []int{0, 8} {
 		want := ownershipRun(t, lag, "call", false)

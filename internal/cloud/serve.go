@@ -44,11 +44,9 @@ func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, cens
 		}
 		return false, ack(err)
 	}
-	// The session's batch answer. A conn whose Send encodes has the reply on
-	// the wire before the next request is read, so its slices are reused; a
-	// typed pipe hands the receiver the slices themselves.
+	// The session's batch answer, reused: Send has encoded it by the time it
+	// returns.
 	var reply transport.RatioBatch
-	reuse := transport.SendCopies(sess.Conn())
 	handlers := map[transport.Kind]session.Handler{
 		transport.KindCensus: func(m transport.Message) error {
 			var one [1]transport.Census
@@ -69,12 +67,8 @@ func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, cens
 			if answer, err := submit(batch.Round, batch.Censuses); !answer {
 				return err
 			}
-			out := &reply
-			if !reuse {
-				out = new(transport.RatioBatch)
-			}
-			e.RatioBatch(out, batch.Round, batch.Censuses)
-			return sess.Send(transport.KindRatioBatch, out)
+			e.RatioBatch(&reply, batch.Round, batch.Censuses)
+			return sess.Send(transport.KindRatioBatch, &reply)
 		},
 		transport.KindLease: func(m transport.Message) error {
 			var lease transport.Lease

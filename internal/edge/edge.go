@@ -42,9 +42,11 @@ type Distributor struct {
 	gen   uint64 // advanced by BeginRound; starts at 1, a new slot's is 0
 	n     int    // slots filled this round
 
-	// Distribute's scratch, kept from round to round.
+	// Distribute's scratch and result, kept from round to round.
 	vehicles []int
 	wins     []win
+	out      map[int][]transport.Item
+	slab     []transport.Item
 
 	// Edge-side perception (see perception.go); zero mask disables it.
 	edgeShare    sensor.Mask
@@ -75,6 +77,7 @@ func NewDistributor(lat *lattice.Lattice, seed int64) *Distributor {
 		x:     1,
 		slots: make(map[int]*uploadSlot),
 		gen:   1,
+		out:   make(map[int][]transport.Item),
 	}
 }
 
@@ -172,9 +175,9 @@ func (d *Distributor) NumUploads() int {
 // items with probability x (one coin flip per sharer-receiver pair, so a
 // sharer's items are delivered atomically, matching the paper's
 // "probability x to access the shared data from b"). The deliveries are
-// capped sub-slices of one slab that is the round's own — a receiver on the
-// in-process transport may still be reading it when the next round starts —
-// and an uploader that receives nothing maps to nil.
+// capped sub-slices of one slab, and an uploader that receives nothing maps to
+// nil. The map and the slab are the distributor's own: the result is valid
+// until the next Distribute.
 func (d *Distributor) Distribute() map[int][]transport.Item {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -221,8 +224,12 @@ func (d *Distributor) Distribute() map[int][]transport.Item {
 	d.wins = wins
 
 	// Second pass: copy each receiver's run of wins into its cut of the slab.
-	out := make(map[int][]transport.Item, len(vehicles))
-	slab := make([]transport.Item, total)
+	out := d.out
+	clear(out)
+	if cap(d.slab) < total {
+		d.slab = make([]transport.Item, total)
+	}
+	slab := d.slab[:total]
 	for i, a := range vehicles {
 		n, run := 0, 0
 		for ; run < len(wins) && wins[run].receiver == i; run++ {

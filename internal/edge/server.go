@@ -39,6 +39,9 @@ type Server struct {
 	uploaded chan struct{}
 	// members is RunRound's snapshot of conns, reused from round to round.
 	members []member
+	// delivery is RunRound's step-⑤ body, rewritten for every member: Send
+	// has encoded the last one by the time it returns.
+	delivery transport.Delivery
 
 	obsv    *obs.Observer
 	metrics edgeMetrics
@@ -267,16 +270,13 @@ distribute:
 	m.uploads.Add(int64(s.dist.NumUploads()))
 	span.Event("distribute", obs.A("uploads", s.dist.NumUploads()))
 	deliveries := s.dist.Distribute()
-	// The bodies are this round's own: a receiver on the in-process
-	// transport may still be reading one when the next round starts.
-	bodies := make([]transport.Delivery, 0, len(deliveries))
 	for _, mb := range members {
 		items, ok := deliveries[mb.vehicle]
 		if !ok {
 			continue
 		}
-		bodies = append(bodies, transport.Delivery{Round: round, Items: items})
-		m, err := transport.Encode(transport.KindDelivery, &bodies[len(bodies)-1])
+		s.delivery = transport.Delivery{Round: round, Items: items}
+		m, err := transport.Encode(transport.KindDelivery, &s.delivery)
 		if err != nil {
 			return fail(err)
 		}

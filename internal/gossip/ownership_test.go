@@ -50,7 +50,6 @@ func gossipOwnershipRun(t *testing.T, via string, spoiled bool) gossipKept {
 			l, dial = tl, func() (transport.Conn, error) { return transport.DialTCP(tl.Addr()) }
 		} else {
 			net := transport.NewInprocNetwork()
-			net.Serialize = via == "codec"
 			nl, err := net.Listen("node")
 			if err != nil {
 				t.Fatal(err)
@@ -64,15 +63,11 @@ func gossipOwnershipRun(t *testing.T, via string, spoiled bool) gossipKept {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
+		if via == "codec" {
+			conn = spoilingConn{conn}
+		}
 		peer = func(c transport.Census) error {
 			return session.GossipCensus(conn, c.Edge, c.Round, c.Counts, 5*time.Second)
-		}
-	}
-	spoil := func(counts ...[]int) {
-		for _, c := range counts {
-			for k := range c {
-				c[k] = 1000 + k
-			}
 		}
 	}
 	for round := 0; round < 12; round++ {
@@ -108,11 +103,32 @@ func gossipOwnershipRun(t *testing.T, via string, spoiled bool) gossipKept {
 	return out
 }
 
+// spoil overwrites every count, as a sender reusing its buffers would.
+func spoil(counts []int) {
+	for k := range counts {
+		counts[k] = 1000 + k
+	}
+}
+
+// spoilingConn spoils every census it sends as soon as Send returns, before
+// the ack: by then the frame is encoded and the body is the sender's again.
+type spoilingConn struct{ transport.Conn }
+
+func (c spoilingConn) Send(m transport.Message) error {
+	err := c.Conn.Send(m)
+	if cs, ok := m.Body.(transport.Census); ok {
+		spoil(cs.Counts)
+	}
+	return err
+}
+
 // TestCallerKeepsItsCounts: a peer census's sender may overwrite its counts
 // as soon as SubmitPeer returns — with the round still pending — and a conn
 // may decode its next frame over the last one's: neither the node's fold,
 // nor its escalation backlog, nor its journal differs from a run whose
-// sender left its counts alone, called directly or over any transport.
+// sender left its counts alone, called directly or over any transport, nor
+// when the counts are overwritten the moment the conn's Send returns
+// ("codec", the pipe behind a spoilingConn).
 func TestCallerKeepsItsCounts(t *testing.T) {
 	want := gossipOwnershipRun(t, "call", false)
 	for _, via := range []string{"call", "pipe", "codec", "tcp"} {

@@ -49,7 +49,6 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 			l, dial = tl, func() (transport.Conn, error) { return transport.DialTCP(tl.Addr()) }
 		} else {
 			down := transport.NewInprocNetwork()
-			down.Serialize = via == "codec"
 			nl, err := down.Listen("shard")
 			if err != nil {
 				t.Fatal(err)
@@ -63,6 +62,9 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
+		if via == "codec" {
+			conn = spoilingConn{conn}
+		}
 		ignore := func(transport.Message) error { return nil } // corrections a rewind pushes
 		batch = func(b transport.CensusBatch) error {
 			_, err := session.ReportCensusBatch(conn, b, 5*time.Second, ignore)
@@ -84,11 +86,7 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 			t.Fatal(err)
 		}
 		if spoiled {
-			for _, cs := range [][]int{counts[0], counts[1], late} {
-				for k := range cs {
-					cs[k] = 1000 + k
-				}
-			}
+			spoil(counts[0], counts[1], late)
 		}
 	}
 	c.mu.Lock()
@@ -109,12 +107,40 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 	return out
 }
 
+// spoil overwrites every count, as a caller reusing its buffers would.
+func spoil(counts ...[]int) {
+	for _, c := range counts {
+		for k := range c {
+			c[k] = 1000 + k
+		}
+	}
+}
+
+// spoilingConn spoils every census it sends as soon as Send returns, before
+// the reply: by then the frame is encoded and the body is the sender's again.
+type spoilingConn struct{ transport.Conn }
+
+func (c spoilingConn) Send(m transport.Message) error {
+	err := c.Conn.Send(m)
+	switch b := m.Body.(type) {
+	case transport.Census:
+		spoil(b.Counts)
+	case transport.CensusBatch:
+		for _, cs := range b.Censuses {
+			spoil(cs.Counts)
+		}
+	}
+	return err
+}
+
 // TestCallerKeepsItsCounts: a caller may overwrite the counts it passed to
 // Submit or SubmitBatch as soon as the call returns, and a conn may decode
 // its next frame over the last one's: neither the record the shard keeps to
 // re-forward, nor its journal, nor the aggregator's hash differs from a run
 // whose caller left its counts alone — with the aggregator's lag window or
-// without, called directly or over any transport.
+// without, called directly or over any transport, nor when the counts are
+// overwritten the moment the conn's Send returns ("codec", the pipe behind a
+// spoilingConn).
 func TestCallerKeepsItsCounts(t *testing.T) {
 	for _, lag := range []int{0, 8} {
 		want := shardOwnershipRun(t, lag, "call", false)

@@ -396,9 +396,8 @@ func TestChaosPipelineConverges(t *testing.T) {
 
 // TestRunAgentSimWithFaults: the packaged agent simulation survives a lossy
 // transport when configured with a FaultConfig (drops, delays, reconnecting
-// clients) and still completes its rounds. Its messages cross typed; the
-// TCP runs of TestFixedLagDeterminism and TestShardedGoldenHash are what
-// keep the serialization path covered under fault injection.
+// clients) and still completes its rounds, every message crossing as a wire
+// frame.
 func TestRunAgentSimWithFaults(t *testing.T) {
 	w := buildTinyWorld(t, CoeffBC)
 	opts := MacroOptions{}

@@ -247,7 +247,7 @@ func (binaryCodec) Decode(frame []byte) (Message, error) {
 
 // recvScratch holds the bodies the per-vehicle-round kinds (policy, upload,
 // delivery, ack), an edge's per-round ratio reply and the census kinds
-// (census, census_batch, digest) decode into. A TCP conn keeps one and reuses
+// (census, census_batch, digest) decode into. Every conn keeps one and reuses
 // it from frame to frame, which is what makes a received body valid only
 // until the conn's next Recv; Decode hands in an empty one, so its bodies are
 // the caller's. A body is allocated the first time its kind arrives — an

@@ -10,28 +10,23 @@ import (
 	"time"
 )
 
-// Conn is a bidirectional, message-oriented connection.
+// Conn is a bidirectional, message-oriented connection. Every Conn carries
+// Binary frames, so the same rules hold in-process and over TCP.
 type Conn interface {
-	// Send writes one message. Safe for one concurrent sender.
+	// Send writes one message. Safe for one concurrent sender. The message
+	// is encoded before Send returns, so the sender may reuse its body, and
+	// everything the body references, as soon as it does.
 	Send(Message) error
 	// Recv blocks for the next message; it returns io.EOF after the peer
 	// closes. The message's Body is valid until the next Recv on this conn:
-	// a TCP conn decodes ratio, policy, upload, delivery, ack, census,
-	// census_batch and digest frames into bodies it reuses, so a receiver
-	// that keeps such a body (or a slice inside it) past its next Recv must
-	// copy it first.
+	// ratio, policy, upload, delivery, ack, census, census_batch and digest
+	// frames decode into bodies the conn reuses, so a receiver that keeps
+	// such a body (or a slice inside it) past its next Recv must copy it
+	// first.
 	Recv() (Message, error)
 	// Close releases the connection; pending Recv calls unblock with
 	// io.EOF.
 	Close() error
-}
-
-// SendCopies reports whether c's Send has put a message on the wire when it
-// returns, so that the sender may reuse what its body references: true of a
-// TCP conn. A typed Pipe hands the receiver the body itself.
-func SendCopies(c Conn) bool {
-	_, tcp := c.(*tcpConn)
-	return tcp
 }
 
 // Listener accepts incoming connections.
@@ -54,208 +49,131 @@ const MaxFrameBytes = 1 << 20
 // errPipeDeadline is an in-process conn's bounded receive running out.
 var errPipeDeadline = fmt.Errorf("transport: receive deadline exceeded: %w", ErrTimeout)
 
-// chanConn is one side of an in-memory duplex channel pair.
-type chanConn struct {
-	send chan<- Message
-	recv <-chan Message
+// pipeEnd is one side of an in-memory duplex pair whose messages cross as
+// Binary frames — byte-for-byte the TCP wire format minus the length prefix —
+// in pooled buffers, and decode into the receiving side's own scratch, as on
+// a TCP conn.
+type pipeEnd struct {
+	send chan<- *[]byte
+	recv <-chan *[]byte
+
+	rd      sync.Mutex // guards scratch
+	scratch recvScratch
 
 	closed chan struct{}
 	once   sync.Once
-	peer   *chanConn
+	peer   *pipeEnd
 }
 
-// Pipe returns two connected in-process Conns. Each side's Send delivers to
-// the other's Recv with a small buffer; Close unblocks both sides. Messages
-// cross typed (no serialization); use CodecPipe to exercise the wire format
-// in-process.
+// Pipe returns two connected in-process Conns. Each side's Send encodes the
+// message and delivers the frame to the other's Recv with a small buffer;
+// Close unblocks both sides. Oversized frames are rejected with
+// ErrFrameTooLarge just like the TCP transport.
 func Pipe() (Conn, Conn) {
-	ab := make(chan Message, 64)
-	ba := make(chan Message, 64)
-	a := &chanConn{send: ab, recv: ba, closed: make(chan struct{})}
-	b := &chanConn{send: ba, recv: ab, closed: make(chan struct{})}
+	ab := make(chan *[]byte, 64)
+	ba := make(chan *[]byte, 64)
+	a := &pipeEnd{send: ab, recv: ba, closed: make(chan struct{})}
+	b := &pipeEnd{send: ba, recv: ab, closed: make(chan struct{})}
 	a.peer, b.peer = b, a
 	return a, b
 }
 
-func (c *chanConn) Send(m Message) error {
+func (c *pipeEnd) Send(m Message) error {
+	wm := wireObs.Load()
+	bufp := framePool.Get().(*[]byte)
+	frame, err := encodeFrame(wm, (*bufp)[:0], m)
+	if err != nil {
+		framePool.Put(bufp)
+		return err
+	}
+	*bufp = frame
 	// Check closure first: a ready buffered channel would otherwise race
 	// the closed cases in a combined select.
 	select {
 	case <-c.closed:
-		return ErrClosed
 	case <-c.peer.closed:
-		return ErrClosed
 	default:
+		select {
+		case <-c.closed:
+		case <-c.peer.closed:
+		case c.send <- bufp:
+			if wm != nil {
+				wm.bytesSent.Add(int64(len(frame)))
+			}
+			return nil
+		}
 	}
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peer.closed:
-		return ErrClosed
-	case c.send <- m:
-		return nil
-	}
+	framePool.Put(bufp)
+	return ErrClosed
 }
 
-func (c *chanConn) Recv() (Message, error) { return c.recvUntil(nil) }
+func (c *pipeEnd) Recv() (Message, error) { return c.recvUntil(nil) }
 
 // RecvWithin is Recv bounded by d (see RecvTimeout).
-func (c *chanConn) RecvWithin(d time.Duration) (Message, error) {
+func (c *pipeEnd) RecvWithin(d time.Duration) (Message, error) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	return c.recvUntil(timer.C)
 }
 
 // recvUntil receives until expired fires; a nil expired never does.
-func (c *chanConn) recvUntil(expired <-chan time.Time) (Message, error) {
+func (c *pipeEnd) recvUntil(expired <-chan time.Time) (Message, error) {
+	var bufp *[]byte
 	select {
-	case m := <-c.recv:
-		return m, nil
+	case bufp = <-c.recv:
 	case <-expired:
 		return Message{}, errPipeDeadline
 	case <-c.closed:
-		// Drain anything already queued before reporting EOF.
-		select {
-		case m := <-c.recv:
-			return m, nil
-		default:
-			return Message{}, io.EOF
-		}
 	case <-c.peer.closed:
+	}
+	if bufp == nil {
+		// Closed: drain anything already queued before reporting EOF.
 		select {
-		case m := <-c.recv:
-			return m, nil
+		case bufp = <-c.recv:
 		default:
 			return Message{}, io.EOF
 		}
 	}
-}
-
-func (c *chanConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return nil
-}
-
-// codecConn is one side of an in-memory duplex pair whose messages cross as
-// encoded wire frames, so the in-process transport exercises the same codec
-// path (and the same decode hardening) as TCP.
-type codecConn struct {
-	send chan<- []byte
-	recv <-chan []byte
-
-	closed chan struct{}
-	once   sync.Once
-	peer   *codecConn
-}
-
-// CodecPipe returns two connected in-process Conns that serialize every
-// message through Binary — byte-for-byte the TCP wire format minus the
-// length prefix. Oversized frames are rejected with ErrFrameTooLarge just
-// like the TCP transport.
-func CodecPipe() (Conn, Conn) {
-	ab := make(chan []byte, 64)
-	ba := make(chan []byte, 64)
-	a := &codecConn{send: ab, recv: ba, closed: make(chan struct{})}
-	b := &codecConn{send: ba, recv: ab, closed: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-func (c *codecConn) Send(m Message) error {
-	frame, err := encodeFrame(wireObs.Load(), m)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peer.closed:
-		return ErrClosed
-	default:
-	}
-	select {
-	case <-c.closed:
-		return ErrClosed
-	case <-c.peer.closed:
-		return ErrClosed
-	case c.send <- frame:
-		return nil
-	}
-}
-
-func (c *codecConn) Recv() (Message, error) { return c.recvUntil(nil) }
-
-// RecvWithin is Recv bounded by d (see RecvTimeout).
-func (c *codecConn) RecvWithin(d time.Duration) (Message, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	return c.recvUntil(timer.C)
-}
-
-// recvUntil receives until expired fires; a nil expired never does.
-func (c *codecConn) recvUntil(expired <-chan time.Time) (Message, error) {
-	var frame []byte
-	select {
-	case frame = <-c.recv:
-	case <-expired:
-		return Message{}, errPipeDeadline
-	case <-c.closed:
-		select {
-		case frame = <-c.recv:
-		default:
-			return Message{}, io.EOF
-		}
-	case <-c.peer.closed:
-		select {
-		case frame = <-c.recv:
-		default:
-			return Message{}, io.EOF
-		}
-	}
+	c.rd.Lock()
+	defer c.rd.Unlock()
+	c.scratch.release()
 	wm := wireObs.Load()
-	m, err := decodeFrame(new(recvScratch), wm, frame)
+	m, err := decodeFrame(&c.scratch, wm, *bufp)
 	if wm != nil && err == nil {
-		wm.bytesRecv.Add(int64(len(frame)))
+		wm.bytesRecv.Add(int64(len(*bufp)))
 	}
+	framePool.Put(bufp)
 	return m, err
 }
 
-func (c *codecConn) Close() error {
+func (c *pipeEnd) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
 }
 
-// encodeFrame runs one encode for a codec pipe, with instrumentation (wm may
-// be nil) and the shared frame-size check.
-func encodeFrame(wm *wireInstruments, m Message) ([]byte, error) {
-	var (
-		frame []byte
-		err   error
-	)
+// encodeFrame appends m's Binary encoding to dst, timed when wm is non-nil,
+// and refuses a frame whose body — what it appended — exceeds MaxFrameBytes.
+func encodeFrame(wm *wireInstruments, dst []byte, m Message) ([]byte, error) {
+	var start time.Time
 	if wm != nil {
-		start := time.Now()
-		frame, err = Binary.AppendEncode(nil, m)
+		start = time.Now()
+	}
+	frame, err := Binary.AppendEncode(dst, m)
+	if wm != nil {
 		wm.encodeSeconds.Observe(time.Since(start).Seconds())
-		if err == nil {
-			wm.bytesSent.Add(int64(len(frame)))
-		}
-	} else {
-		frame, err = Binary.AppendEncode(nil, m)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(frame) > MaxFrameBytes {
+	if body := len(frame) - len(dst); body > MaxFrameBytes {
 		return nil, fmt.Errorf("transport: outgoing frame of %d bytes exceeds limit %d: %w",
-			len(frame), MaxFrameBytes, ErrFrameTooLarge)
+			body, MaxFrameBytes, ErrFrameTooLarge)
 	}
 	return frame, nil
 }
 
-// decodeFrame runs one decode into scratch with instrumentation (wm may be
-// nil). A TCP conn passes the scratch it owns, so the per-vehicle-round kinds
-// decode into reused bodies; a codec pipe passes an empty one, so every body
-// is freshly allocated.
+// decodeFrame runs one decode into the conn's scratch with instrumentation
+// (wm may be nil).
 func decodeFrame(scratch *recvScratch, wm *wireInstruments, frame []byte) (m Message, err error) {
 	var start time.Time
 	if wm != nil {
@@ -269,14 +187,10 @@ func decodeFrame(scratch *recvScratch, wm *wireInstruments, frame []byte) (m Mes
 }
 
 // InprocNetwork is a registry of in-process listeners addressable by name,
-// so the same cloud/edge/vehicle code runs unchanged over channels or TCP.
+// so the same cloud/edge/vehicle code runs unchanged over pipes or TCP.
 type InprocNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
-	// Serialize, set before the first Dial, makes every connection a
-	// CodecPipe, so an in-process run exercises the real wire format; false
-	// dials typed pipes.
-	Serialize bool
 }
 
 // NewInprocNetwork returns an empty network.
@@ -323,12 +237,7 @@ func (n *InprocNetwork) Dial(name string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no inproc listener at %q", name)
 	}
-	var client, server Conn
-	if n.Serialize {
-		client, server = CodecPipe()
-	} else {
-		client, server = Pipe()
-	}
+	client, server := Pipe()
 	select {
 	case <-l.closed:
 		return nil, ErrClosed
@@ -360,9 +269,9 @@ func (l *inprocListener) Addr() string { return l.name }
 
 // --- TCP transport ---
 
-// framePool recycles frame buffers across Send calls, and Recv calls whose
-// body outgrows the conn's read buffer, on every TCP conn, so the
-// steady-state hot path allocates nothing for framing.
+// framePool recycles frame buffers across every conn's Send calls, a pipe's
+// Recv calls and the TCP Recv calls whose body outgrows the conn's read
+// buffer, so the steady-state hot path allocates nothing for framing.
 var framePool = sync.Pool{
 	New: func() interface{} {
 		b := make([]byte, 0, 4096)
@@ -551,28 +460,14 @@ func (t *tcpConn) Send(m Message) error {
 	}
 	wm := wireObs.Load()
 	bufp := framePool.Get().(*[]byte)
-	buf := append((*bufp)[:0], 0, 0, 0, 0) // length prefix placeholder
-	var err error
-	if wm != nil {
-		start := time.Now()
-		buf, err = Binary.AppendEncode(buf, m)
-		wm.encodeSeconds.Observe(time.Since(start).Seconds())
-	} else {
-		buf, err = Binary.AppendEncode(buf, m)
-	}
+	// Encoding, the frame-size check and the header fixup happen before the
+	// write lock, so a rejected frame never serializes behind a slow peer.
+	buf, err := encodeFrame(wm, append((*bufp)[:0], 0, 0, 0, 0), m) // length prefix placeholder
 	if err != nil {
 		framePool.Put(bufp)
 		return err
 	}
-	// Frame-size check and header fixup happen before the write lock, so a
-	// rejected frame never serializes behind a slow peer.
 	body := len(buf) - 4
-	if body > MaxFrameBytes {
-		*bufp = buf
-		framePool.Put(bufp)
-		return fmt.Errorf("transport: outgoing frame of %d bytes exceeds limit %d: %w",
-			body, MaxFrameBytes, ErrFrameTooLarge)
-	}
 	binary.BigEndian.PutUint32(buf[:4], uint32(body))
 	t.wr.Lock()
 	if t.timeout > 0 {

@@ -192,14 +192,16 @@ func (c *FaultyConn) Send(m Message) error {
 		c.f.m().duplicated.Inc()
 	}
 	if delay > 0 {
-		c.f.m().delayed.Inc()
 		// The copies leave after Send has returned and the sender may be
 		// reusing what the body references: they carry the message as sent.
-		if frame, err := Binary.AppendEncode(nil, m); err == nil {
-			if sent, err := Binary.Decode(frame); err == nil {
-				m = sent
-			}
+		frame, err := Binary.AppendEncode(nil, m)
+		if err == nil {
+			m, err = Binary.Decode(frame)
 		}
+		if err != nil {
+			return err
+		}
+		c.f.m().delayed.Inc()
 		for i := 0; i < copies; i++ {
 			time.AfterFunc(delay, func() { _ = c.inner.Send(m) })
 		}

@@ -146,6 +146,11 @@ func TestFaultDelayDelivers(t *testing.T) {
 	if err := Decode(m, KindRatio, &r); err != nil || r.Round != 7 {
 		t.Errorf("delayed message corrupted: %+v, %v", r, err)
 	}
+	// A body the codec refuses fails its Send, as an undelayed one does, and
+	// is never scheduled.
+	if err := fa.Send(mustEncode(t, KindAck, make(chan int))); err == nil {
+		t.Error("a delayed Send of an unencodable body returned nil")
+	}
 	if got := ctr("transport_fault_delayed_total"); got != 1 {
 		t.Errorf("transport_fault_delayed_total = %d, want 1", got)
 	}

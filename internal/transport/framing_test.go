@@ -301,83 +301,75 @@ func TestRecvTruncatedBody(t *testing.T) {
 	}
 }
 
-// TestRecvBorrowedAndOwnedBodies pins the lifetime rule of Message.Body on a
-// TCP conn from both sides: the four per-vehicle-round kinds and the census
-// kinds come back in bodies the next Recv overwrites, and the kinds whose
-// consumers keep slices across rounds come back freshly allocated.
+// TestRecvBorrowedAndOwnedBodies pins the lifetime rule of Message.Body from
+// both sides, on a TCP conn and on the in-process pipe alike: the four
+// per-vehicle-round kinds and the census kinds come back in bodies the next
+// Recv overwrites, and the kinds whose consumers keep slices across rounds
+// come back freshly allocated.
 func TestRecvBorrowedAndOwnedBodies(t *testing.T) {
-	l, err := ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := acceptOne(t, l)
-	client, err := DialTCP(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	send := func(kind Kind, body interface{}) {
-		t.Helper()
-		if err := client.Send(mustEncode(t, kind, body)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send(KindHello, Hello{Vehicle: 1}) // carries the codec declaration
-	server := <-accepted
-	if server == nil {
-		t.Fatal("accept failed")
-	}
-	defer server.Close()
-	recv := func(kind Kind, out interface{}) {
-		t.Helper()
-		m, err := server.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Decode(m, kind, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var hello Hello
-	recv(KindHello, &hello)
+	for name, pair := range map[string]func(*testing.T) (Conn, Conn){
+		"tcp":  tcpPair,
+		"pipe": func(*testing.T) (Conn, Conn) { return Pipe() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			client, server := pair(t)
+			defer client.Close()
+			defer server.Close()
+			send := func(kind Kind, body interface{}) {
+				t.Helper()
+				if err := client.Send(mustEncode(t, kind, body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recv := func(kind Kind, out interface{}) {
+				t.Helper()
+				m, err := server.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := Decode(m, kind, out); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Borrowed: the second, shorter upload lands in the first one's array.
-	send(KindUpload, Upload{Vehicle: 1, Round: 4, Decision: 1, Items: []Item{
-		{Owner: 1, Modality: sensor.Camera, Seq: 10}, {Owner: 1, Modality: sensor.Radar, Seq: 11},
-	}})
-	send(KindUpload, Upload{Vehicle: 2, Round: 4, Decision: 7, Items: []Item{{Owner: 2, Modality: sensor.Radar, Seq: 20}}})
-	var first, second Upload
-	recv(KindUpload, &first)
-	kept := append([]Item(nil), first.Items...)
-	recv(KindUpload, &second)
-	if &first.Items[0] != &second.Items[0] {
-		t.Error("two uploads on one conn decoded into different arrays: the scratch is not reused")
-	}
-	if first.Items[0] == kept[0] {
-		t.Error("the first upload's items survived the next Recv; this test no longer shows why receivers copy")
-	}
-	if kept[0].Seq != 10 || kept[1].Seq != 11 {
-		t.Errorf("the copy taken before the next Recv changed: %+v", kept)
-	}
+			// Borrowed: the second, shorter upload lands in the first one's array.
+			send(KindUpload, Upload{Vehicle: 1, Round: 4, Decision: 1, Items: []Item{
+				{Owner: 1, Modality: sensor.Camera, Seq: 10}, {Owner: 1, Modality: sensor.Radar, Seq: 11},
+			}})
+			send(KindUpload, Upload{Vehicle: 2, Round: 4, Decision: 7, Items: []Item{{Owner: 2, Modality: sensor.Radar, Seq: 20}}})
+			var first, second Upload
+			recv(KindUpload, &first)
+			kept := append([]Item(nil), first.Items...)
+			recv(KindUpload, &second)
+			if &first.Items[0] != &second.Items[0] {
+				t.Error("two uploads on one conn decoded into different arrays: the scratch is not reused")
+			}
+			if first.Items[0] == kept[0] {
+				t.Error("the first upload's items survived the next Recv; this test no longer shows why receivers copy")
+			}
+			if kept[0].Seq != 10 || kept[1].Seq != 11 {
+				t.Errorf("the copy taken before the next Recv changed: %+v", kept)
+			}
 
-	// Borrowed too: census counts, which the engine copies onto its barrier.
-	send(KindCensus, Census{Edge: 1, Round: 4, Counts: []int{1, 2, 3}})
-	send(KindCensus, Census{Edge: 2, Round: 4, Counts: []int{7, 8, 9}})
-	var c1, c2 Census
-	recv(KindCensus, &c1)
-	recv(KindCensus, &c2)
-	if &c1.Counts[0] != &c2.Counts[0] || c2.Counts[0] != 7 {
-		t.Errorf("two censuses on one conn decoded into different storage, or wrongly: %v then %v", c1.Counts, c2.Counts)
-	}
+			// Borrowed too: census counts, which the engine copies onto its barrier.
+			send(KindCensus, Census{Edge: 1, Round: 4, Counts: []int{1, 2, 3}})
+			send(KindCensus, Census{Edge: 2, Round: 4, Counts: []int{7, 8, 9}})
+			var c1, c2 Census
+			recv(KindCensus, &c1)
+			recv(KindCensus, &c2)
+			if &c1.Counts[0] != &c2.Counts[0] || c2.Counts[0] != 7 {
+				t.Errorf("two censuses on one conn decoded into different storage, or wrongly: %v then %v", c1.Counts, c2.Counts)
+			}
 
-	// Owned: ratio-batch slices are held across rounds by the links.
-	send(KindRatioBatch, RatioBatch{Round: 5, Edges: []int{1, 2}, X: []float64{0.25, 0.5}})
-	send(KindRatioBatch, RatioBatch{Round: 5, Edges: []int{3, 4}, X: []float64{0.75, 1}})
-	var r1, r2 RatioBatch
-	recv(KindRatioBatch, &r1)
-	recv(KindRatioBatch, &r2)
-	if r1.Edges[0] != 1 || r1.X[1] != 0.5 || r2.Edges[0] != 3 {
-		t.Errorf("ratio-batch slices must be owned by the receiver: %+v then %+v", r1, r2)
+			// Owned: ratio-batch slices are held across rounds by the links.
+			send(KindRatioBatch, RatioBatch{Round: 5, Edges: []int{1, 2}, X: []float64{0.25, 0.5}})
+			send(KindRatioBatch, RatioBatch{Round: 5, Edges: []int{3, 4}, X: []float64{0.75, 1}})
+			var r1, r2 RatioBatch
+			recv(KindRatioBatch, &r1)
+			recv(KindRatioBatch, &r2)
+			if r1.Edges[0] != 1 || r1.X[1] != 0.5 || r2.Edges[0] != 3 {
+				t.Errorf("ratio-batch slices must be owned by the receiver: %+v then %+v", r1, r2)
+			}
+		})
 	}
 }

@@ -66,14 +66,14 @@ const (
 )
 
 // Message is the wire envelope: a kind and its typed payload. Nothing is
-// serialized until a conn that crosses a wire encodes it.
+// serialized until a conn's Send encodes it.
 type Message struct {
 	Kind Kind
 	// Body is the typed payload: the struct named after Kind (Hello, Census,
 	// ... HoodBeat), by value or by pointer.
 	//
 	// On a received message Body is borrowed: it is valid until the next
-	// Recv on the conn that returned it. A TCP conn decodes Ratio, Policy,
+	// Recv on the conn that returned it. Every conn decodes Ratio, Policy,
 	// Upload, Delivery, Ack, Census, CensusBatch and Digest into bodies and
 	// storage it reuses for the next frame, and Decode copies the struct but
 	// not the slices inside it, so a receiver that keeps Shares, Items,
@@ -232,11 +232,9 @@ type HoodBeat struct {
 }
 
 // Encode wraps a payload struct in a Message envelope. The payload is
-// carried typed and only serialized when a conn puts it on a wire, so the
-// in-process transport never pays an encode. The payload — and everything it
-// references — must not be mutated after Send: receivers on the in-process
-// transport may alias it. The error is always nil; a body of the wrong type
-// for kind is reported when the message is encoded or decoded.
+// carried typed and serialized by the conn's Send, so the sender may reuse it
+// once Send returns. The error is always nil; a body of the wrong type for
+// kind is reported when the message is encoded or decoded.
 func Encode(kind Kind, payload interface{}) (Message, error) {
 	return Message{Kind: kind, Body: payload}, nil
 }

@@ -8,7 +8,7 @@ import (
 
 // TestWireMetricsFollowInstrument: every frame is counted in the registry
 // Instrument last pointed the package at — header bytes included on TCP,
-// none on an in-process codec pipe, which has no length prefix — and not at
+// none on an in-process pipe, which has no length prefix — and not at
 // all once instrumentation is off. The four series carry no labels.
 func TestWireMetricsFollowInstrument(t *testing.T) {
 	defer Instrument(nil)
@@ -38,29 +38,11 @@ func TestWireMetricsFollowInstrument(t *testing.T) {
 		}
 		return client, server
 	}
-	serialized := func(t *testing.T) (Conn, Conn) {
-		net := NewInprocNetwork()
-		net.Serialize = true
-		l, err := net.Listen("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err := net.Dial("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		server, err := l.Accept()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return client, server
-	}
-
 	for _, c := range []struct {
 		name   string
 		pair   func(*testing.T) (Conn, Conn)
 		header int64
-	}{{"tcp", tcp, 4}, {"serialized pipe", serialized, 0}} {
+	}{{"tcp", tcp, 4}, {"serialized pipe", func(*testing.T) (Conn, Conn) { return Pipe() }, 0}} {
 		t.Run(c.name, func(t *testing.T) {
 			client, server := c.pair(t)
 			defer client.Close()

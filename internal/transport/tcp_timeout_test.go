@@ -114,19 +114,19 @@ func (f forwardingConn) Recv() (Message, error) { return f.inner.Recv() }
 func (f forwardingConn) Close() error           { return f.inner.Close() }
 
 // TestRecvTimeoutExpiry: on every kind of conn — a TCP conn built without
-// WithTimeout, both in-process pipes, and a wrapper RecvTimeout must wait on
-// from a goroutine — a bounded receive that succeeds leaves the next plain
+// WithTimeout, the in-process pipe, and a wrapper RecvTimeout must wait on
+// from a goroutine, around either ("wrapped", "codec pipe") — a bounded receive that succeeds leaves the next plain
 // Recv blocking for as long as it takes, and one that nothing arrives for
 // reports ErrTimeout and closes the conn.
 func TestRecvTimeoutExpiry(t *testing.T) {
 	for name, pair := range map[string]func(*testing.T) (Conn, Conn){
-		"tcp":        tcpPair,
-		"pipe":       func(*testing.T) (Conn, Conn) { return Pipe() },
-		"codec pipe": func(*testing.T) (Conn, Conn) { return CodecPipe() },
+		"tcp":  tcpPair,
+		"pipe": func(*testing.T) (Conn, Conn) { return Pipe() },
 		"wrapped": func(t *testing.T) (Conn, Conn) {
 			a, b := tcpPair(t)
 			return forwardingConn{a}, b
 		},
+		"codec pipe": func(*testing.T) (Conn, Conn) { a, b := Pipe(); return forwardingConn{a}, b },
 	} {
 		t.Run(name, func(t *testing.T) {
 			const bound = 40 * time.Millisecond

@@ -44,7 +44,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeRejectsUnmarshalable(t *testing.T) {
 	// Encode is lazy, so the error surfaces when the codec serializes the
-	// payload, not at Encode time.
+	// payload — in the in-process pipe's Send as on TCP — not at Encode time.
 	m, err := Encode(KindAck, make(chan int))
 	if err != nil {
 		t.Fatal(err)
@@ -55,13 +55,8 @@ func TestEncodeRejectsUnmarshalable(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := a.Send(m); err != nil {
-		t.Fatalf("typed pipe send: %v", err)
-	}
-	got, _ := b.Recv()
-	var ack Ack
-	if err := Decode(got, KindAck, &ack); err == nil {
-		t.Error("decoding a channel-typed body into Ack must error")
+	if err := a.Send(m); err == nil {
+		t.Error("the pipe sent an unmarshalable payload")
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/israce"
 	"repro/internal/lattice"
-	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // TestBuildUploadAllocs pins an upload at its item list, sized once from the
@@ -69,61 +67,5 @@ func TestReviseAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, revise); allocs != 0 {
 		t.Errorf("Revise on a warmed agent: %.1f allocs, want 0", allocs)
-	}
-}
-
-// TestSentUploadIsNeverRewritten: the client sends each round's upload by
-// pointer, and on the in-process transport the edge reads that very body —
-// possibly late, when a delayed or duplicated frame outlives its round. So a
-// body, once sent, must stay as it was sent: here round 1's is held across
-// round 2 without copying.
-func TestSentUploadIsNeverRewritten(t *testing.T) {
-	clientConn, serverConn := transport.Pipe()
-	agent, err := NewAgent(profile(7), lattice.PaperPayoffs(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agent.SetDecision(1); err != nil {
-		t.Fatal(err)
-	}
-	var held [2]*transport.Upload
-	wg := scriptServer(t, serverConn, func(conn transport.Conn) error {
-		if _, err := recvKind(conn, transport.KindHello); err != nil {
-			return err
-		}
-		if err := ackOK(conn); err != nil {
-			return err
-		}
-		for i := range held {
-			pol, err := transport.Encode(transport.KindPolicy, transport.Policy{Round: i + 1, X: 0.9})
-			if err != nil {
-				return err
-			}
-			if err := conn.Send(pol); err != nil {
-				return err
-			}
-			m, err := recvKind(conn, transport.KindUpload)
-			if err != nil {
-				return err
-			}
-			held[i], _ = m.Body.(*transport.Upload)
-		}
-		return nil
-	})
-	client := &Client{Agent: agent, Mu: 0, Obs: obs.New()}
-	if err := client.Run(clientConn); err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	wg.Wait()
-	if held[0] == nil || held[1] == nil {
-		t.Fatal("uploads did not arrive as *transport.Upload bodies")
-	}
-	if held[0] == held[1] {
-		t.Fatal("two rounds' uploads are one body, rewritten in place")
-	}
-	for i, up := range held {
-		if up.Round != i+1 || len(up.Items) != 3 || up.Items[0].Seq != 3*i+1 {
-			t.Errorf("round %d's body after both rounds: %+v", i+1, *up)
-		}
 	}
 }

@@ -85,10 +85,9 @@ func (c *Client) Run(conn transport.Conn) error {
 	})
 }
 
-// roundUpload is one round's upload body with room for its items (one per
-// modality): one allocation a round. Every round gets its own, because a sent
-// body must not change (see transport.Encode) — on the in-process transport a
-// delayed or duplicated frame is read after the next round's policy arrived.
+// roundUpload is the round's upload body with room for its items (one per
+// modality). A session keeps one and rebuilds it every round: Send has
+// encoded the last round's by the time it returns.
 type roundUpload struct {
 	up    transport.Upload
 	items [3]transport.Item
@@ -102,7 +101,7 @@ type roundUpload struct {
 func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Handler {
 	duplicates := c.Obs.Counter("vehicle_duplicate_frames_total", "duplicated policy/delivery frames absorbed idempotently")
 	policyRound := -1
-	var cachedUpload *transport.Upload // sent by pointer, so Send does not box it
+	var ru roundUpload // the round's upload, sent by pointer so Send does not box it
 	deliveryRound := -1
 	// One of each per session: the read loop handles a frame at a time, and
 	// nothing below keeps Shares or Items past its own call (a received body
@@ -123,7 +122,7 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 				if pol.Round < policyRound {
 					return nil // stale reordered broadcast; its upload already went out
 				}
-				if err := sess.Send(transport.KindUpload, cachedUpload); err != nil {
+				if err := sess.Send(transport.KindUpload, &ru.up); err != nil {
 					return fmt.Errorf("vehicle %d: re-sending upload: %w", c.Agent.Profile.ID, err)
 				}
 				return nil
@@ -134,10 +133,8 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 				}
 			}
 			policyRound = pol.Round
-			ru := new(roundUpload)
 			ru.up = c.Agent.buildUpload(pol.Round, ru.items[:])
-			cachedUpload = &ru.up
-			if err := sess.Send(transport.KindUpload, cachedUpload); err != nil {
+			if err := sess.Send(transport.KindUpload, &ru.up); err != nil {
 				return fmt.Errorf("vehicle %d: sending upload: %w", c.Agent.Profile.ID, err)
 			}
 			return nil
