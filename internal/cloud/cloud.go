@@ -37,7 +37,7 @@ type Server struct {
 	metrics serverMetrics
 	srv     *transport.Acceptor
 
-	// Durability (nil journal = in-memory only; see Open).
+	// Durability (a journal not open = in-memory only; see Open).
 	journal      *durable.Journal
 	compactEvery int
 
@@ -143,6 +143,7 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		k:            fold.Decisions(),
 		obsv:         o,
 		srv:          transport.NewAcceptor(),
+		journal:      new(durable.Journal),
 		compactEvery: durable.CompactEvery,
 		digestSeen:   make(map[int]map[int]bool),
 		digestMark:   make(map[int]int),
@@ -275,9 +276,7 @@ func (s *Server) Close() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.eng.Stop()
-		if s.journal != nil {
-			_ = s.journal.Close()
-		}
+		_ = s.journal.Close()
 	})
 }
 
@@ -355,10 +354,7 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 		spent = s.pushWindowLocked(round, b.CensusSet, degraded)
 	}
 	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: b.Censuses}
-	var ticket int
-	if s.journal != nil {
-		ticket = s.journal.StartRound(rec)
-	}
+	ticket := s.journal.StartRound(rec) // -1 without a state directory
 	b.Err = s.fold.Apply(b.Censuses)
 	// Advance the watermark before the cadence checkpoint: it snapshots
 	// Latest() as the checkpoint round, and the state it captures already
@@ -366,11 +362,11 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 	s.eng.Advance(round)
 	// Released means folded and fsynced: a ratio answered to an edge must
 	// never be lost to a crash the edge did not see.
-	if s.journal != nil {
+	if ticket >= 0 {
 		folded := time.Now()
 		n, err := s.journal.WaitRound(ticket)
 		s.metrics.durableWait.Observe(time.Since(folded).Seconds())
-		s.journaledLocked(rec, n, err)
+		s.journal.Journaled(rec, n, err)
 	}
 	s.eng.Release(round, b, degraded)
 	s.eng.Recycle(spent)

@@ -29,28 +29,17 @@ func crashServer(t *testing.T, lag int) *Server {
 	return srv
 }
 
-// openRecorded attaches a fresh state directory to srv whose store announces
-// its disk work to the returned recorder.
+// openRecorded opens a fresh state directory on srv through a journal whose
+// store announces its disk work to the returned recorder.
 func openRecorded(t *testing.T, srv *Server) *crashtest.Recorder {
 	t.Helper()
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	openHooked(t, srv, dir, rec.Hook)
-	return rec
-}
-
-// openHooked attaches dir to srv through a store that announces its disk
-// work to hook.
-func openHooked(t *testing.T, srv *Server, dir string, hook durable.Hook) {
-	t.Helper()
-	store, err := durable.OpenHooked(dir, hook)
-	if err != nil {
+	srv.journal = durable.NewJournal(rec.Hook)
+	if err := srv.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	srv.journal = &durable.Journal{Store: store}
-	srv.journal.Instrument(srv.obsv, srv.metrics.journalErrors, t.Logf)
+	return rec
 }
 
 // crashRound drives one round of the crash-matrix script. With a lag window

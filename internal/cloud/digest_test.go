@@ -86,10 +86,10 @@ func TestDigestWatermarkSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv1.compactEvery = 1
 	if err := srv1.Open(dir); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	srv1.compactEvery = 1
 
 	c0, c1 := testCounts(0, 7, 10)
 	if _, err := srv1.SubmitDigest(testDigest(0, 2, c0, c1)); err != nil {

@@ -171,16 +171,11 @@ func (f *Fold) Checkpoint(round int) durable.Checkpoint {
 	return durable.Checkpoint{Round: round, State: f.state.Clone(), FDS: f.fds.Memory()}
 }
 
-// Recover opens stateDir as the fold owner's state directory and restores
-// the checkpoint a previous process left there — refusing one whose shape
-// differs from the fold's — returning it (nil when there is none) for the
-// owner to read its own fields from. The owner then replays the journal
-// onto the restored fold.
-func (f *Fold) Recover(stateDir string) (*durable.Journal, *durable.Checkpoint, error) {
-	journal, snap, err := durable.OpenJournal(stateDir)
-	if err != nil || snap == nil {
-		return journal, nil, err
-	}
+// Restore installs a checkpoint's payload — refusing one whose shape differs
+// from the fold's — and returns it for the owner to read its own fields from:
+// the Restore hook the cloud and a gossip node hand their journal (see
+// durable.Owner), which then replays the journal onto the restored fold.
+func (f *Fold) Restore(snap []byte) (durable.Checkpoint, error) {
 	cp, err := durable.DecodeCheckpoint(snap)
 	if err == nil {
 		cpK := 0
@@ -193,10 +188,8 @@ func (f *Fold) Recover(stateDir string) (*durable.Journal, *durable.Checkpoint, 
 			err = f.fds.SetMemory(cp.FDS)
 		}
 	}
-	if err != nil {
-		journal.Close()
-		return nil, nil, fmt.Errorf("checkpoint in %s: %w", stateDir, err)
+	if err == nil {
+		f.SetState(cp.State)
 	}
-	f.SetState(cp.State)
-	return journal, &cp, nil
+	return cp, err
 }

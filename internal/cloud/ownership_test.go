@@ -210,7 +210,10 @@ func TestRingKeepsCheckpointedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	gate := crashtest.NewGate()
 	gate.Step = "create checkpoint.snap.tmp"
-	openHooked(t, srv, dir, gate.Hook)
+	srv.journal = durable.NewJournal(gate.Hook)
+	if err := srv.Open(dir); err != nil {
+		t.Fatal(err)
+	}
 	gate.Hold(true)
 	for round := 0; round < cadence; round++ {
 		crashRound(t, srv, round)

@@ -190,7 +190,11 @@ func (s *Server) handleLateLocked(round int, census *transport.Census) (handled,
 	s.correctionSeq++
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
-	s.persistRoundLocked(durable.RoundRecord{Round: e.round, Censuses: s.late, Corrected: true})
+	rec := durable.RoundRecord{Round: e.round, Censuses: s.late, Corrected: true}
+	if ticket := s.journal.StartRound(rec); ticket >= 0 {
+		n, err := s.journal.WaitRound(ticket)
+		s.journal.Journaled(rec, n, err)
+	}
 	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d regions over %d rounds (correction seq %d)",
 		round, census.Edge, recomputed, replayed, s.correctionSeq)
 	span.End(obs.A("replayed", replayed), obs.A("recomputed", recomputed), obs.A("seq", s.correctionSeq))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/crashtest"
+	"repro/internal/durable"
 	"repro/internal/game"
 	"repro/internal/israce"
 	"repro/internal/obs"
@@ -29,7 +30,10 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	}
 	defer srv.Close()
 	gate := crashtest.NewGate()
-	openHooked(t, srv, t.TempDir(), gate.Hook)
+	srv.journal = durable.NewJournal(gate.Hook)
+	if err := srv.Open(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
 	gate.Hold(true)
 
 	for round, syncErr := range []error{nil, errors.New("injected fsync failure")} {

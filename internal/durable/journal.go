@@ -1,36 +1,43 @@
 package durable
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // CompactEvery is how many journaled rounds a coordinator lets accumulate
 // before it checkpoints, which lets the journal segments behind it go.
 const CompactEvery = 32
 
-// Journal is a Store seen the way every round coordinator uses one: round
-// records appended one per completed round, a count of the records
-// journaled since the last checkpoint (the checkpoint cadence), and
-// checkpoints that keep the round records a crash must not lose. Unlike the
-// Store's, its methods are not safe for concurrent use: the coordinator
-// calls them under its own lock — all but WaitRound, which whoever holds the
-// ticket may call outside it. From StartRound until the append has finished
-// the appender goroutine owns the count and the scratch: Checkpoint and
-// Close settle it themselves, AppendRound is for when none is in flight.
+// Journal is the one durable owner of a round coordinator — the cloud, a
+// shard, a gossip node — which keeps only its hooks (Owner). It recovers the
+// state directory (Open), journals each round's record ahead of its reply
+// (StartRound, WaitRound, Journaled), checkpoints on a cadence (Compact) and
+// at a graceful shutdown (Drain). Its methods run under the coordinator's
+// lock — all but WaitRound, which the ticket's holder may call outside it.
+// From StartRound until the append has finished the appender goroutine owns
+// the count and the scratch: Checkpoint and Close settle it themselves,
+// AppendRound is for when none is in flight. A Journal not open journals
+// nothing: a coordinator without a state directory keeps one.
 type Journal struct {
 	*Store
+	disk    Hook  // what Open's store announces its disk work to
+	owner   Owner // set by Open
 	since   int
 	below   int         // every round journaled so far is below this
 	payload []byte      // encoding scratch
 	order   RegionOrder // the encoder's region-ordering scratch
 
 	// The appender, started by the first StartRound. A slot is a ticket: the
-	// cloud has one in use, a shard one per barrier whose forward is
-	// outstanding (two when a deadline completes the successor), and a
-	// StartRound past the last blocks for one. free holds the tickets not in
-	// use, queue the started ones in order; neither send ever blocks.
+	// cloud and a gossip node have one in use, a shard one per barrier whose
+	// forward is outstanding (two when a deadline completes the successor),
+	// and a StartRound past the last blocks for one. free holds the tickets
+	// not in use, queue the started ones in order; neither send ever blocks.
 	slots [4]struct {
 		rec   RoundRecord
 		since int
@@ -42,9 +49,94 @@ type Journal struct {
 	inflight sync.WaitGroup // appends started and not yet finished
 }
 
-// OpenJournal opens dir as a coordinator's state directory and loads the
-// checkpoint a previous process left there (nil when there is none). The
-// caller restores the checkpoint, then replays the journal with Replay.
+// Owner is what a coordinator supplies to its Journal: its hooks, run under
+// its lock, its cadence, and where the journal reports.
+type Owner struct {
+	Name string // leads its errors and log lines: "cloud", "shard 2", "gossip: edge 5"
+	// Restore installs a checkpoint and returns the round it was taken after.
+	Restore func(snap []byte) (round int, err error)
+	// Replay applies one journaled record and reports whether it counts as
+	// replayed: one the checkpoint covers does not.
+	Replay func(rec RoundRecord) (applied bool, err error)
+	// Checkpoint captures a checkpoint: its payload's encoder, run later on
+	// the store's goroutine over values the coordinator no longer writes to,
+	// and the round records, oldest first, a crash must still find beside it.
+	Checkpoint func() (encode func() ([]byte, error), retained []RoundRecord)
+	// Every is the cadence: the record that brings the count since the last
+	// checkpoint to it starts the next one (0: never).
+	Every int
+
+	Observer                     *obs.Observer
+	Errors, Recoveries, Replayed *obs.Counter
+	Logf                         func(format string, args ...interface{})
+}
+
+func (o *Owner) logf(format string, args ...interface{}) {
+	if o.Logf != nil {
+		o.Logf(format, args...)
+	}
+}
+
+// NewJournal returns a journal, not yet open, whose store will announce its
+// disk work to disk: how tests count, hold and fail a coordinator's.
+func NewJournal(disk Hook) *Journal { return &Journal{disk: disk} }
+
+// Open opens dir as o's state directory and recovers what a previous process
+// left there: o.Restore gets the checkpoint, o.Replay every journaled record,
+// oldest first, and a recovery is counted and logged. Every record counts
+// toward the cadence, applied or not: the cadence bounds the journal's length.
+// An empty dir leaves the journal not open: the coordinator keeps no state.
+func (j *Journal) Open(dir string, o Owner) error {
+	if dir == "" {
+		return nil
+	}
+	if j.Store != nil {
+		return fmt.Errorf("%s: state directory already open (%s)", o.Name, j.Dir())
+	}
+	store, err := OpenHooked(dir, j.disk)
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.Name, err)
+	}
+	through, replayed := -1, 0
+	snap, restored, err := store.LoadSnapshot()
+	if restored {
+		if through, err = o.Restore(snap); err != nil {
+			err = fmt.Errorf("checkpoint in %s: %w", dir, err)
+		}
+	}
+	if err == nil {
+		store.Instrument(o.Observer, o.Errors, o.Logf)
+		j.Store = store
+		err = j.Replay(func(rec RoundRecord) error {
+			applied, err := o.Replay(rec)
+			if err != nil {
+				return fmt.Errorf("replaying round %d: %w", rec.Round, err)
+			}
+			if applied {
+				replayed, through = replayed+1, max(through, rec.Round)
+			}
+			return nil
+		})
+		if err != nil {
+			err = fmt.Errorf("journal in %s: %w", dir, err)
+		}
+	}
+	if err != nil {
+		store.Close()
+		j.Store = nil
+		return fmt.Errorf("%s: %w", o.Name, err)
+	}
+	j.owner = o
+	if restored || replayed > 0 {
+		o.Replayed.Add(int64(replayed))
+		o.Recoveries.Inc()
+		o.logf("%s: recovered state through round %d from %s (%d journal records replayed)", o.Name, through, dir, replayed)
+	}
+	return nil
+}
+
+// OpenJournal opens dir and loads its checkpoint (nil when there is none) for
+// a reader that replays the journal itself; a coordinator uses Open.
 func OpenJournal(dir string) (*Journal, []byte, error) {
 	store, err := Open(dir)
 	if err != nil {
@@ -59,8 +151,7 @@ func OpenJournal(dir string) (*Journal, []byte, error) {
 }
 
 // Replay decodes every journaled round record, oldest first, and hands it
-// to apply. Every record counts toward the checkpoint cadence, applied or
-// skipped: the cadence bounds the journal's length.
+// to apply; every one counts toward the checkpoint cadence.
 func (j *Journal) Replay(apply func(RoundRecord) error) error {
 	n, err := j.Store.Replay(func(payload []byte) error {
 		rec, err := DecodeRound(payload)
@@ -94,8 +185,12 @@ func (j *Journal) AppendRound(rec RoundRecord) (int, error) {
 // caller's work on the round — its fold, its forward upstream — runs while
 // the record, which holds the round's inputs and is written to by nobody, is
 // encoded, written and fsynced. The ticket goes to WaitRound, once, before
-// anyone is told the round is durable. Appends run in the order started.
+// anyone is told the round is durable. Appends run in the order started. A
+// journal not open gives no ticket, -1: there is nothing to wait for.
 func (j *Journal) StartRound(rec RoundRecord) (ticket int) {
+	if j.Store == nil {
+		return -1
+	}
 	if j.queue == nil {
 		j.free, j.queue = make(chan int, len(j.slots)), make(chan int, len(j.slots))
 		for i := range j.slots {
@@ -129,8 +224,50 @@ func (j *Journal) WaitRound(ticket int) (int, error) {
 	return since, err
 }
 
+// Journaled is the step after a round's append, with what WaitRound returned:
+// a record that brings the count to the cadence starts a checkpoint (a
+// Corrected one counts toward none), and a failure is counted and logged
+// without failing the round, whose coordinator serves on from memory.
+func (j *Journal) Journaled(rec RoundRecord, since int, err error) {
+	if err != nil {
+		j.owner.Errors.Inc()
+		j.owner.logf("%s: journaling round %d: %v", j.owner.Name, rec.Round, err)
+	} else if !rec.Corrected && j.owner.Every > 0 && since >= j.owner.Every {
+		j.Compact()
+	}
+}
+
+// Compact starts a checkpoint of what the owner's Checkpoint hook captures
+// (see Checkpoint); a failure is counted and logged. A journal not open, or
+// closed under a forward or an escalation still in flight, has nothing left
+// to bound.
+func (j *Journal) Compact() {
+	if j.Store == nil {
+		return
+	}
+	if err := j.Checkpoint(j.owner.Checkpoint()); err != nil && !errors.Is(err, ErrStoreClosed) {
+		j.owner.Errors.Inc()
+		j.owner.logf("%s: checkpoint: %v", j.owner.Name, err)
+	}
+}
+
+// Drain writes a graceful shutdown's last checkpoint and waits for it, so a
+// restart replays nothing; the coordinator closes after it.
+func (j *Journal) Drain() error {
+	if j.Store == nil {
+		return nil
+	}
+	if err := j.Checkpoint(j.owner.Checkpoint()); err != nil {
+		return err
+	}
+	return j.WaitCheckpoint()
+}
+
 // Close settles the appends in flight, stops the appender, closes the store.
 func (j *Journal) Close() error {
+	if j.Store == nil {
+		return nil
+	}
 	j.inflight.Wait()
 	if j.queue != nil {
 		close(j.queue)

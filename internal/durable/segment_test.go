@@ -19,12 +19,12 @@ func openRecorded(t *testing.T) (*Journal, *crashtest.Recorder) {
 	t.Helper()
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	store, err := OpenHooked(dir, rec.Hook)
-	if err != nil {
+	j := NewJournal(rec.Hook)
+	if err := j.Open(dir, Owner{}); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { store.Close() })
-	return &Journal{Store: store}, rec
+	t.Cleanup(func() { j.Close() })
+	return j, rec
 }
 
 func indexOf(ops []string, op string, from int) int {

@@ -15,11 +15,10 @@ import (
 func openGated(t *testing.T) (*Journal, *crashtest.Gate, string) {
 	t.Helper()
 	dir, gate := t.TempDir(), crashtest.NewGate()
-	store, err := OpenHooked(dir, gate.Hook)
-	if err != nil {
+	j := NewJournal(gate.Hook)
+	if err := j.Open(dir, Owner{}); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	j := &Journal{Store: store}
 	t.Cleanup(func() { j.Close() })
 	gate.Hold(true)
 	return j, gate, dir

@@ -3,7 +3,9 @@ package gossip
 import (
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,11 +19,12 @@ import (
 // cloud's): the state directory as it stands before each step of a
 // background checkpoint, with a torn tail, and in the parent's one-file
 // layout — for a follower at its count cadence, which retains nothing, and
-// for a leader checkpointing over an unacknowledged backlog. Open must
-// recover the survivor's fold, the round, and the whole backlog, which then
-// escalates to a cloud that ends on the same hash. The follower's cadence
-// round is the commit-path pin: one journal fsync on the goroutine that
-// completed it, nothing else.
+// for a leader checkpointing over an unacknowledged backlog, copied from
+// before the fsync of its last round's record on: written ahead of the fold,
+// with nobody answered. Open must recover the survivor's fold, the round, and
+// the whole backlog, which then escalates to a cloud that ends on the same
+// hash. The follower's cadence round is the commit-path pin: one journal
+// fsync, on the journal's appender, and nothing else there.
 func TestCheckpointCrashPoints(t *testing.T) {
 	var gate atomic.Bool
 	gate.Store(true)
@@ -61,16 +64,34 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	}
 	nodes := make([]*Node, 2)
 	recs := make([]*crashtest.Recorder, 2)
+	// The leader's round whose record's fsync must find it unreleased (-1:
+	// none): the copy taken there is a record written ahead, with nobody
+	// answered. A release out of order shows within the wait given it.
+	var unreleased atomic.Int64
+	unreleased.Store(-1)
 	for i := range nodes {
 		nodes[i] = mk(i)
 		dir := t.TempDir()
 		recs[i] = crashtest.New(t, dir)
-		store, err := durable.OpenHooked(dir, recs[i].Hook)
-		if err != nil {
+		hook := recs[i].Hook
+		if i == 0 {
+			hook = func(op, path string) error {
+				err := recs[0].Hook(op, path)
+				if r := unreleased.Load(); r >= 0 && op == "sync" && strings.HasPrefix(filepath.Base(path), "journal") {
+					for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+						if nodes[0].metrics.Rounds.Value() > r {
+							t.Errorf("the leader released round %d before its record's fsync", r)
+							break
+						}
+					}
+				}
+				return err
+			}
+		}
+		nodes[i].journal = durable.NewJournal(hook)
+		if err := nodes[i].Open(dir); err != nil {
 			t.Fatal(err)
 		}
-		nodes[i].journal = &durable.Journal{Store: store}
-		nodes[i].journal.Instrument(nodes[i].obsv, nodes[i].metrics.journalErrs, t.Logf)
 		l, err := netw.Listen(fmt.Sprintf("gossip-%d", i))
 		if err != nil {
 			t.Fatal(err)
@@ -144,25 +165,29 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.Store(false)
-	for round := cadence + 1; round < cadence+6; round++ {
+	for round := cadence + 1; round < cadence+5; round++ {
 		driveRound(t, nodes, round)
 	}
+	recs[0].Arm()
+	unreleased.Store(int64(cadence + 5))
+	driveRound(t, nodes, cadence+5)
+	unreleased.Store(-1)
 	backlog := leader.Pending()
 	if backlog < 5 {
 		t.Fatalf("leader backlog = %d rounds, want at least the 5 run while partitioned", backlog)
 	}
-	recs[0].Arm()
 	leader.mu.Lock()
-	err = leader.checkpointLocked()
+	leader.journal.Compact()
 	leader.mu.Unlock()
-	if err == nil {
-		err = leader.journal.WaitCheckpoint()
-	}
-	if err != nil {
+	if err := leader.journal.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	gate.Store(true)
-	for _, c := range matrix(recs[0], nil) {
+	crashes := matrix(recs[0], nil)
+	if !strings.HasPrefix(crashes[0].Step, "before sync journal") {
+		t.Fatalf("the leader's first crash point is %q, want the fsync of its round record", crashes[0].Step)
+	}
+	for _, c := range crashes {
 		node := recovered(0, c, leader)
 		if err := node.Flush(); err != nil {
 			t.Errorf("%s: Flush of the recovered backlog: %v", c.Step, err)

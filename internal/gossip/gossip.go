@@ -214,6 +214,7 @@ func NewNode(cfg Config) (*Node, error) {
 		leader:   members[0] == cfg.Edge,
 		fold:     cfg.Fold,
 		peers:    make(map[int]*edge.PeerLink),
+		journal:  new(durable.Journal),
 		obsv:     o,
 		srv:      transport.NewAcceptor(),
 	}
@@ -613,37 +614,30 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 	return x, nil
 }
 
-// completeLocalLocked is the kernel's Complete hook: fold the round, journal
-// it, release its waiters. The journal append fsyncs before Done closes, so
-// a ratio served to a vehicle is always recoverable — the same write
-// discipline as the cloud coordinator. Called with n.mu held.
+// completeLocalLocked is the kernel's Complete hook: journal the round and
+// fold it, at once, then release its waiters — the cloud's shape. The record
+// is write-ahead — the round's censuses, which nothing writes to from here on
+// — so its append runs on the journal's goroutine beside the fold, and the
+// round is released only once it is durable: a ratio served to a vehicle is
+// always recoverable. Called with n.mu held.
 func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
-	rb.Err = n.fold.Apply(rb.Censuses)
 	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
-	// Watermark and backlog move before journaling: a compaction inside
-	// persist snapshots Latest() as the checkpoint round over a state that
-	// already includes this round's fold, and retains the backlog.
+	ticket := n.journal.StartRound(rec) // -1 without a state directory
+	rb.Err = n.fold.Apply(rb.Censuses)
+	// Watermark and backlog move before the cadence checkpoint: it snapshots
+	// Latest() as the checkpoint round over a state that already includes
+	// this round's fold, and retains the backlog.
 	n.eng.Advance(round)
-	if n.leader || n.failover {
-		// With failover every member mirrors the backlog: a follower promoted
-		// after the leader dies must hold the rounds the leader never
-		// escalated. Without failover only the leader keeps it.
-		n.pending = append(n.pending, rec)
-		if n.cfg.MaxBacklog > 0 && len(n.pending) > n.cfg.MaxBacklog {
-			shed := len(n.pending) - n.cfg.MaxBacklog
-			n.pending = append(n.pending[:0], n.pending[shed:]...)
-			// The shed rounds are permanently forgone; moving the watermark
-			// past them keeps recovery and beat pruning consistent with that.
-			n.escalated = n.pending[0].Round
-			n.metrics.backlogDrop.Add(int64(shed))
-			n.logf("gossip: edge %d: backlog cap %d shed %d oldest rounds (next escalation starts at %d)",
-				n.cfg.Edge, n.cfg.MaxBacklog, shed, n.escalated)
-		}
-	} else {
-		n.escalated = round + 1
+	if shed := n.backlogLocked(rec); shed > 0 {
+		n.metrics.backlogDrop.Add(int64(shed))
+		n.logf("gossip: edge %d: backlog cap %d shed %d oldest rounds (next escalation starts at %d)",
+			n.cfg.Edge, n.cfg.MaxBacklog, shed, n.escalated)
 	}
-	n.persistRoundLocked(rec)
 	n.setBacklogLocked()
+	if ticket >= 0 {
+		since, err := n.journal.WaitRound(ticket)
+		n.journal.Journaled(rec, since, err)
+	}
 	n.eng.Release(round, rb, degraded)
 	return nil
 }
@@ -731,12 +725,7 @@ func (n *Node) escalate() error {
 	}
 	n.metrics.escalations.Inc()
 	n.setBacklogLocked()
-	if n.journal != nil {
-		if err := n.checkpointLocked(); err != nil {
-			n.metrics.journalErrs.Inc()
-			n.logf("gossip: edge %d: compacting after escalation through round %d: %v", n.cfg.Edge, last, err)
-		}
-	}
+	n.journal.Compact()
 	n.mu.Unlock()
 	return nil
 }
@@ -752,9 +741,6 @@ func (n *Node) Close() {
 		for _, pl := range n.peers {
 			pl.Close()
 		}
-		if n.journal != nil {
-			_ = n.journal.Close()
-			n.journal = nil
-		}
+		_ = n.journal.Close()
 	})
 }

@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/crashtest"
 	"repro/internal/game"
 	"repro/internal/lattice"
 	"repro/internal/obs"
@@ -40,7 +43,10 @@ func (g meshGraph) Neighbors(i int) []int {
 // every node (and the cloud's server fixture) gets its own so the test
 // mirrors the real deployment, where bit-identity must emerge from the
 // census stream alone.
-func testFold(t *testing.T, m int) *cloud.Fold {
+func testFold(t *testing.T, m int) *cloud.Fold { return observedFold(t, m, nil) }
+
+// observedFold is testFold with its FDS sweeps reported through o, if set.
+func observedFold(t *testing.T, m int, o *obs.Observer) *cloud.Fold {
 	t.Helper()
 	model, err := game.NewModel(lattice.PaperPayoffs(), meshGraph{m: m}, uniformN(m, 3))
 	if err != nil {
@@ -60,6 +66,9 @@ func testFold(t *testing.T, m int) *cloud.Fold {
 	fds, err := policy.NewFDS(model, field, 0.1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o != nil {
+		fds.Instrument(o)
 	}
 	fold, err := cloud.NewFold(fds, game.NewUniformState(m, 8, 0.5))
 	if err != nil {
@@ -530,13 +539,19 @@ func TestFailoverPromotesSuccessor(t *testing.T) {
 // TestBacklogCapShedsOldest checks the bounded-backlog satellite: with the
 // cloud partitioned, a capped leader sheds its oldest unacked rounds
 // (counting them) and later escalates only what it kept — the cloud still
-// folds the surviving tail.
+// folds the surviving tail. A restart from the leader's directory, which no
+// checkpoint has bounded, sheds the same rounds again, uncounted: they stay
+// forgone.
 func TestBacklogCapShedsOldest(t *testing.T) {
 	var gate atomic.Bool // cloud partitioned: the backlog grows
 	nodes, srv, teardown := hoodCfg(t, 2, 100, &gate, func(c *Config) {
 		c.MaxBacklog = 3
 	})
 	defer teardown()
+	dir := t.TempDir()
+	if err := nodes[0].Open(dir); err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < 6; r++ {
 		driveRound(t, nodes, r)
 	}
@@ -548,6 +563,30 @@ func TestBacklogCapShedsOldest(t *testing.T) {
 	}
 	if got := nodes[1].Pending(); got != 0 {
 		t.Errorf("non-failover follower pending = %d, want 0", got)
+	}
+	restarted, err := NewNode(Config{
+		Edge: 0, Members: []int{0, 1}, Of: 1, EscalateEvery: 100, MaxBacklog: 3, Fold: testFold(t, 2),
+		PeerDial: func(int) (transport.Conn, error) { return nil, errors.New("no peers dialed") },
+	})
+	if err == nil {
+		err = restarted.Open(crashtest.CopyDir(t, dir))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	restarted.mu.Lock()
+	var kept []int
+	for _, rec := range restarted.pending {
+		kept = append(kept, rec.Round)
+	}
+	escalated := restarted.escalated
+	restarted.mu.Unlock()
+	if got := restarted.Pending(); got != 3 || !reflect.DeepEqual(kept, []int{3, 4, 5}) || escalated != 3 {
+		t.Errorf("restarted leader pending = %d rounds %v, escalation watermark %d; want 3 rounds [3 4 5] and 3", got, kept, escalated)
+	}
+	if got := restarted.metrics.backlogDrop.Value(); got != 0 {
+		t.Errorf("restarted gossip_backlog_dropped_total = %d, want 0: the replay sheds what was shed and counted live", got)
 	}
 	gate.Store(true)
 	if err := nodes[0].Flush(); err != nil {

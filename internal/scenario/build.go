@@ -243,11 +243,9 @@ func (c *NodeConfig) NewCloud() (*cloud.Server, string, error) {
 	if c.Logf != nil {
 		srv.SetLogf(c.Logf)
 	}
-	if c.StateDir != "" {
-		if err := srv.Open(c.StateDir); err != nil {
-			srv.Close()
-			return nil, "", err
-		}
+	if err := srv.Open(c.StateDir); err != nil {
+		srv.Close()
+		return nil, "", err
 	}
 	return srv, what, nil
 }
@@ -341,11 +339,9 @@ func (c *NodeConfig) NewGossipNode(members []int, peerDial func(int) (transport.
 	if c.Obs != nil {
 		node.Instrument(c.Obs)
 	}
-	if c.StateDir != "" {
-		if err := node.Open(c.StateDir); err != nil {
-			node.Close()
-			return nil, "", err
-		}
+	if err := node.Open(c.StateDir); err != nil {
+		node.Close()
+		return nil, "", err
 	}
 	return node, what, nil
 }
@@ -438,12 +434,10 @@ func (c *NodeConfig) NewShard(dial func() (transport.Conn, error)) (*shard.Coord
 	if c.Obs != nil {
 		coord.Instrument(c.Obs)
 	}
-	if c.StateDir != "" {
-		if err := coord.Open(c.StateDir); err != nil {
-			coord.Close()
-			upstream.Close()
-			return nil, nil, err
-		}
+	if err := coord.Open(c.StateDir); err != nil {
+		coord.Close()
+		upstream.Close()
+		return nil, nil, err
 	}
 	return coord, upstream, nil
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -52,7 +51,7 @@ type Coordinator struct {
 	metrics coordinatorMetrics
 	srv     *transport.Acceptor
 
-	// Durability (nil journal = in-memory only; see Open).
+	// Durability (a journal not open = in-memory only; see Open).
 	journal *durable.Journal
 	lastRec *durable.RoundRecord // newest journaled round, for re-forward
 	lastSet *cloud.CensusSet     // the barrier's census set lastRec is built on (nil for a recovered one)
@@ -120,6 +119,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		obsv:    o,
 		metrics: newCoordinatorMetrics(o),
 		srv:     transport.NewAcceptor(),
+		journal: new(durable.Journal),
 	}
 	for _, r := range cfg.Regions {
 		c.owned[r] = true
@@ -192,9 +192,7 @@ func (c *Coordinator) Close() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.eng.Stop()
-		if c.journal != nil {
-			_ = c.journal.Close()
-		}
+		_ = c.journal.Close()
 	})
 }
 
@@ -250,10 +248,7 @@ func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
 // the lock, beside the write and the fsync. Called with c.mu held.
 func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
 	rb.Frozen = true
-	ticket := -1
-	if c.journal != nil {
-		ticket = c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses})
-	}
+	ticket := c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}) // -1 without a state directory
 	censuses := rb.Sorted(round)
 	return func() { c.finishForward(round, rb, degraded, censuses, ticket) }
 }
@@ -281,8 +276,12 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 	// engine — unless its record is now the one to re-forward: then the set
 	// of the record it supersedes does.
 	spent := rb.CensusSet
-	if ticket >= 0 && c.journaledLocked(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}, journaled, journalErr) {
-		spent, c.lastSet = c.lastSet, rb.CensusSet
+	if ticket >= 0 {
+		rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
+		if journalErr == nil && c.keepLocked(rec) {
+			spent, c.lastSet = c.lastSet, rb.CensusSet
+		}
+		c.journal.Journaled(rec, journaled, journalErr)
 	}
 	defer c.eng.Recycle(spent)
 	if err == nil {
@@ -361,106 +360,69 @@ func (c *Coordinator) routeCorrection(rc transport.RatioCorrection) {
 }
 
 // Open attaches a per-shard durable state directory and recovers the
-// forwarded-round watermark a previous process left there. The newest
-// journaled batch is re-forwarded upstream in the background: the crash may
-// have preceded the upstream exchange, and the aggregator absorbs the
-// duplicate (or rewinds) if it had already seen it. Call after Instrument
-// and before Serve.
+// forwarded-round watermark a previous process left there (see
+// durable.Journal.Open). The newest journaled batch is re-forwarded upstream
+// in the background: the crash may have preceded the upstream exchange, and
+// the aggregator absorbs the duplicate (or rewinds) if it had already seen
+// it. Call after Instrument and before Serve.
 func (c *Coordinator) Open(stateDir string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.journal != nil {
-		return fmt.Errorf("shard %d: state directory already open (%s)", c.cfg.ID, c.journal.Dir())
-	}
-	journal, snap, err := durable.OpenJournal(stateDir)
-	if err != nil {
-		return err
-	}
-	recovered := snap != nil
-	if recovered {
-		cp, err := durable.DecodeRound(snap)
-		if err != nil {
-			journal.Close()
-			return fmt.Errorf("shard %d: checkpoint in %s: %w", c.cfg.ID, stateDir, err)
-		}
-		c.eng.Advance(cp.Round)
-	}
-	journal.Instrument(c.obsv, c.metrics.journalErrors, c.cfg.Logf)
-	replayed := 0
-	var lastRec *durable.RoundRecord
-	err = journal.Replay(func(rec durable.RoundRecord) error {
-		if lastRec == nil || rec.Round >= lastRec.Round {
-			lastRec = &rec
-		}
-		if rec.Round > c.eng.Latest() {
+	err := c.journal.Open(stateDir, durable.Owner{
+		Name: fmt.Sprintf("shard %d", c.cfg.ID),
+		Restore: func(snap []byte) (int, error) {
+			cp, err := durable.DecodeRound(snap)
+			if err == nil {
+				c.eng.Advance(cp.Round)
+			}
+			return cp.Round, err
+		},
+		Replay: func(rec durable.RoundRecord) (bool, error) {
+			c.keepLocked(rec)
+			applied := rec.Round > c.eng.Latest()
 			c.eng.Advance(rec.Round)
-			replayed++
-		}
-		return nil
+			return applied, nil
+		},
+		Checkpoint: c.checkpointLocked, Every: durable.CompactEvery, Observer: c.obsv, Logf: c.cfg.Logf,
+		Errors: c.metrics.journalErrors, Recoveries: c.metrics.recoveries, Replayed: c.metrics.replayRecords,
 	})
-	if err != nil {
-		journal.Close()
-		return fmt.Errorf("shard %d: journal in %s: %w", c.cfg.ID, stateDir, err)
-	}
-	c.lastRec = lastRec
-	c.journal = journal
-	if replayed > 0 || recovered {
-		c.metrics.replayRecords.Add(int64(replayed))
-		c.metrics.recoveries.Inc()
-		c.logf("shard %d: recovered watermark round %d from %s (%d journal records replayed)",
-			c.cfg.ID, c.eng.Latest(), stateDir, replayed)
-	}
-	if lastRec != nil {
+	if last := c.lastRec; err == nil && last != nil {
 		// Re-forward the newest batch off the serve path: the crash may have
 		// raced the upstream exchange. Idempotent upstream (duplicate absorb
 		// / lag-window rewind), so re-forwarding an acknowledged batch is
 		// harmless.
 		c.srv.Go(func() {
-			if err := c.relay(lastRec.Round, cloud.SortedCensuses(lastRec.Round, lastRec.Censuses)); err != nil {
-				c.logf("shard %d: re-forwarding recovered round %d failed: %v", c.cfg.ID, lastRec.Round, err)
+			if err := c.relay(last.Round, cloud.SortedCensuses(last.Round, last.Censuses)); err != nil {
+				c.logf("shard %d: re-forwarding recovered round %d failed: %v", c.cfg.ID, last.Round, err)
 				return
 			}
-			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, lastRec.Round, len(lastRec.Censuses))
+			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, last.Round, len(last.Censuses))
 		})
 	}
-	return nil
+	return err
 }
 
-// journaledLocked takes what the finished append of a frozen barrier's batch
-// returned: the record becomes the one to re-forward (kept reports it),
-// unless a newer round's forward finished first, and a checkpoint starts
-// every durable.CompactEvery rounds. Failures are counted and logged but do
-// not fail the round. Called with c.mu held.
-func (c *Coordinator) journaledLocked(rec durable.RoundRecord, n int, err error) (kept bool) {
-	if err == nil {
-		if kept = c.lastRec == nil || rec.Round >= c.lastRec.Round; kept {
-			c.lastRec = &rec
-		}
-		if n >= durable.CompactEvery {
-			// Closed while the forward was in flight: nothing left to bound.
-			if err = c.checkpointLocked(); errors.Is(err, durable.ErrStoreClosed) {
-				err = nil
-			}
-		}
+// keepLocked makes rec the record to re-forward after a restart unless a
+// newer round's is, and reports whether it did. Called with c.mu held.
+func (c *Coordinator) keepLocked(rec durable.RoundRecord) bool {
+	if c.lastRec != nil && rec.Round < c.lastRec.Round {
+		return false
 	}
-	if err != nil {
-		c.metrics.journalErrors.Inc()
-		c.logf("shard %d: journaling round %d: %v", c.cfg.ID, rec.Round, err)
-	}
-	return kept
+	c.lastRec = &rec
+	return true
 }
 
-// checkpointLocked checkpoints the forwarded-round watermark — the shard
-// holds no fold state, the aggregator owns that — as a round record with no
-// censuses, keeping the newest round record journaled so recovery can always
-// re-forward the last batch. Called with c.mu held.
-func (c *Coordinator) checkpointLocked() error {
+// checkpointLocked is the journal's Checkpoint hook: the forwarded-round
+// watermark — the shard holds no fold state, the aggregator owns that — as a
+// round record with no censuses, keeping the newest round record journaled
+// so recovery can always re-forward the last batch. Called with c.mu held.
+func (c *Coordinator) checkpointLocked() (func() ([]byte, error), []durable.RoundRecord) {
 	cp := durable.RoundRecord{Round: c.eng.Latest()}
 	var retained []durable.RoundRecord
 	if c.lastRec != nil {
 		retained = append(retained, *c.lastRec)
 	}
-	return c.journal.Checkpoint(func() ([]byte, error) { return durable.EncodeRound(cp) }, retained)
+	return func() ([]byte, error) { return durable.EncodeRound(cp) }, retained
 }
 
 // Drain shuts the shard down gracefully: the most advanced pending barrier
@@ -468,13 +430,8 @@ func (c *Coordinator) checkpointLocked() error {
 // written and waited for, and the coordinator closes.
 func (c *Coordinator) Drain() error {
 	c.eng.Drain()
-	var err error
 	c.mu.Lock()
-	if c.journal != nil {
-		if err = c.checkpointLocked(); err == nil {
-			err = c.journal.WaitCheckpoint()
-		}
-	}
+	err := c.journal.Drain()
 	c.mu.Unlock()
 	c.Close()
 	return err

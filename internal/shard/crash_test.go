@@ -17,20 +17,6 @@ func crashCounts(round int) map[int][]int {
 	return map[int][]int{0: c0, 1: c1}
 }
 
-// openHooked attaches dir to c through a store that announces its disk work
-// to hook.
-func openHooked(t *testing.T, c *Coordinator, dir string, hook durable.Hook) {
-	t.Helper()
-	store, err := durable.OpenHooked(dir, hook)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.journal = &durable.Journal{Store: store}
-	c.journal.Instrument(c.obsv, c.metrics.journalErrors, t.Logf)
-}
-
 // TestCheckpointCrashPoints is the shard coordinator's crash-point matrix
 // (see the cloud's): the state directory as it stands before each step of a
 // background checkpoint, with a torn tail, and in the parent's one-file
@@ -48,7 +34,10 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	c := newTestCoordinator(t, net, "agg", 0)
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	openHooked(t, c, dir, rec.Hook)
+	c.journal = durable.NewJournal(rec.Hook)
+	if err := c.Open(dir); err != nil {
+		t.Fatal(err)
+	}
 
 	// Two checkpoints, at rounds 31 and 63; the second has a snapshot to
 	// replace and, the newest batch having moved on, journal.wal to unlink.

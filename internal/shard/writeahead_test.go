@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/crashtest"
+	"repro/internal/durable"
 	"repro/internal/israce"
 	"repro/internal/transport"
 )
@@ -47,7 +48,10 @@ func TestWriteAheadReplyFollowsAnswerAndFsync(t *testing.T) {
 	startAggregator(t, net, "agg", agg)
 	c := newTestCoordinator(t, net, "agg", 0)
 	gate := crashtest.NewGate()
-	openHooked(t, c, t.TempDir(), gate.Hook)
+	c.journal = durable.NewJournal(gate.Hook)
+	if err := c.Open(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
 	gate.Hold(true)
 
 	counts := crashCounts(0)
@@ -99,7 +103,10 @@ func TestWriteAheadCrashBetweenForwardAndRecord(t *testing.T) {
 			dir, counts := t.TempDir(), crashCounts(last)
 			gate := crashtest.NewGate()
 			c := newTestCoordinator(t, net, "agg", 0)
-			openHooked(t, c, dir, gate.Hook)
+			c.journal = durable.NewJournal(gate.Hook)
+			if err := c.Open(dir); err != nil {
+				t.Fatal(err)
+			}
 			for round := 0; round < last; round++ {
 				runRound(t, c, round, crashCounts(round))
 			}
