@@ -1,15 +1,16 @@
 // Command scenario executes declarative consensus scenarios.
 //
-//	scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr]
-//	scenario check spec.yaml...
+//	scenario run spec.json [-json] [-seed N] [-q] [-metrics addr]
+//	scenario check spec.json...
 //
-// run compiles the spec into a wired tier (in-proc or TCP, per the spec),
-// executes it, and prints the verdict — human-readable by default, machine-
+// run compiles the JSON spec into the configuration of every node, starts
+// them (in-proc or TCP, per the spec), executes it, and prints the verdict — human-readable by default, machine-
 // readable with -json. -metrics serves the run's live /metrics (Prometheus
 // text) on addr while the scenario is in flight, so smoke jobs can assert
 // mid-run counters. Exit status: 0 when every verdict check passed, 2
 // when the run finished but a check failed, 1 on infrastructure errors.
-// check validates specs without running them.
+// check validates specs without running them: it compiles every node and
+// checks each, so a spec that checks is a spec that starts.
 package main
 
 import (
@@ -49,8 +50,8 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  scenario run spec.yaml [-json] [-seed N] [-q] [-metrics addr]
-  scenario check spec.yaml...
+  scenario run spec.json [-json] [-seed N] [-q] [-metrics addr]
+  scenario check spec.json...
 `)
 }
 

@@ -64,9 +64,12 @@ type Server struct {
 	// already been adopted, so a re-sent backlog — an old leader retrying
 	// after a lost ack, or a failed-over successor draining the same
 	// journal-reconstructed rounds — folds idempotently instead of leaning
-	// on the rewind window. Persisted in the checkpoint.
+	// on the rewind window. Persisted in the checkpoint. digestOf is the
+	// neighborhood count the first accepted digest fixed (0 until then); it
+	// is not persisted, so a restarted cloud learns it again.
 	digestSeen map[int]map[int]bool
 	digestMark map[int]int
+	digestOf   int
 }
 
 // serverMetrics are the coordinator's registry-backed instruments (see the

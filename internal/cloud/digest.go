@@ -13,7 +13,7 @@ import (
 // case, since every neighborhood folds the same members' censuses its
 // digest reports — are absorbed; genuinely late censuses rewind and merge),
 // while new rounds accumulate on the round barrier until every neighborhood
-// (d.Of of them) has reported, then fold in round order. SubmitDigest never
+// (d.Of of them, a count the first accepted digest fixes) has reported, then fold in round order. SubmitDigest never
 // blocks on a barrier: the reply is the cloud's *current* view of the
 // members' ratios, which gossip nodes record for observability only — the
 // digest stream is the data plane's history, not a policy round-trip.
@@ -43,6 +43,13 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The first digest fixes how many neighborhoods a round waits for; one
+	// that disagrees would complete rounds without some of them.
+	if s.digestOf == 0 {
+		s.digestOf = d.Of
+	} else if d.Of != s.digestOf {
+		return transport.RatioBatch{}, fmt.Errorf("cloud: digest from neighborhood %d counts %d neighborhoods, the cloud folds %d", d.Neighborhood, d.Of, s.digestOf)
+	}
 	s.metrics.digests.Inc()
 	for _, dr := range d.Rounds {
 		s.metrics.digestRounds.Inc()

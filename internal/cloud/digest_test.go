@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/game"
@@ -73,6 +74,33 @@ func TestDigestIdempotentAdoption(t *testing.T) {
 	}
 	if got := srv.Latest(); got != 3 {
 		t.Fatalf("latest after overlapping digest = %d, want 3", got)
+	}
+}
+
+// The first digest fixes the neighborhood count. A later digest claiming
+// fewer neighborhoods would complete its rounds without the missing ones, so
+// it is refused before any of its rounds is placed.
+func TestDigestNeighborhoodCountIsFixed(t *testing.T) {
+	fds, _ := testFDS(t)
+	srv, err := NewServer(fds, game.NewUniformState(2, 8, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c0, c1 := testCounts(0, 7, 10)
+	first := testDigest(0, 0, c0, c1)
+	first.Of = 2
+	if _, err := srv.SubmitDigest(first); err != nil {
+		t.Fatalf("first digest: %v", err)
+	}
+	lying := testDigest(1, 1, c0, c1)
+	_, err = srv.SubmitDigest(lying)
+	if err == nil || !strings.Contains(err.Error(), "counts 1 neighborhoods, the cloud folds 2") {
+		t.Fatalf("digest with a different count: err = %v, want a refusal naming both counts", err)
+	}
+	if got := srv.Latest(); got != -1 {
+		t.Fatalf("latest = %d after a refused digest, want -1 (neighborhood 1 never reported)", got)
 	}
 }
 

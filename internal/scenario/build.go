@@ -252,7 +252,9 @@ func (c *NodeConfig) NewCloud() (*cloud.Server, string, error) {
 
 // ParseGossipPeers parses an edge's "region=addr" gossip peer list
 // ("1=127.0.0.1:7301,3=127.0.0.1:7303") into a map. The list names the
-// *other* members of the edge's neighborhood; the edge itself is implied.
+// other members of the edge's neighborhood, and may name the edge itself (a
+// compiled spec lists the whole neighborhood, so a one-member neighborhood
+// still has a list).
 func ParseGossipPeers(s string) (map[int]string, error) {
 	peers := map[int]string{}
 	for _, part := range strings.Split(s, ",") {
@@ -347,12 +349,14 @@ func (c *NodeConfig) NewGossipNode(members []int, peerDial func(int) (transport.
 }
 
 // GossipMembers resolves an edge's neighborhood member list from its parsed
-// peer map (the other members) plus the edge itself, sorted.
+// peer map plus the edge itself, sorted.
 func GossipMembers(edgeID int, peers map[int]string) []int {
 	members := make([]int, 0, len(peers)+1)
 	members = append(members, edgeID)
 	for id := range peers {
-		members = append(members, id)
+		if id != edgeID {
+			members = append(members, id)
+		}
 	}
 	sort.Ints(members)
 	return members

@@ -1,8 +1,9 @@
 // Package scenario is the declarative workload layer over the consensus
 // tier: a typed node-configuration API shared by every entry point
 // (cmd/cpnode, cmd/scenario, the agent simulation, the benchmark), a
-// versioned YAML/JSON scenario spec, and a runner that compiles a spec into
-// a wired tier, executes it, and emits a machine-readable verdict.
+// versioned JSON scenario spec that compiles to the NodeConfig of every node
+// it starts, and a runner that starts those nodes, executes the scenario,
+// and emits a machine-readable verdict.
 //
 // The configuration API is one struct: start from Defaults(role), assign
 // the fields that differ, call Validate. Each knob is declared once (the
@@ -144,7 +145,9 @@ func Defaults(role Role) *NodeConfig {
 	}
 }
 
-// Validate checks cross-field consistency for the configured role.
+// Validate checks the configured role's fields, their ranges and their
+// consistency. It is the one home of the per-node rules: Spec.Validate holds
+// every node a spec compiles to it.
 func (c *NodeConfig) Validate() error {
 	if c.Codec != "" && c.Codec != "binary" {
 		return fmt.Errorf("scenario: transport: unknown codec %q (want \"binary\" or empty)", c.Codec)
@@ -154,8 +157,14 @@ func (c *NodeConfig) Validate() error {
 		if c.Model == nil && c.Regions <= 0 {
 			return fmt.Errorf("scenario: role %s needs regions >= 1, got %d", c.Role, c.Regions)
 		}
+		if err := c.checkFold(); err != nil {
+			return err
+		}
 		if c.FixedLag < 0 {
 			return fmt.Errorf("scenario: fixed-lag must be >= 0, got %d", c.FixedLag)
+		}
+		if c.RoundDeadline < 0 {
+			return fmt.Errorf("scenario: round-deadline must be >= 0")
 		}
 		if c.Field != nil && c.FieldPath != "" {
 			return fmt.Errorf("scenario: field-value and field are mutually exclusive")
@@ -170,12 +179,18 @@ func (c *NodeConfig) Validate() error {
 		if c.Regions <= 0 {
 			return fmt.Errorf("scenario: role shard needs regions >= 1, got %d", c.Regions)
 		}
+		if c.ShardDeadline < 0 {
+			return fmt.Errorf("scenario: shard-deadline must be >= 0")
+		}
 	case RoleEdge:
 		if c.Rounds <= 0 {
 			return fmt.Errorf("scenario: role edge needs rounds >= 1, got %d", c.Rounds)
 		}
 		if c.Vehicles < 0 {
 			return fmt.Errorf("scenario: role edge needs vehicles >= 0, got %d", c.Vehicles)
+		}
+		if c.LeaseTTL < 0 {
+			return fmt.Errorf("scenario: lease-ttl must be >= 0")
 		}
 		if c.GossipPeers != "" {
 			if _, err := ParseGossipPeers(c.GossipPeers); err != nil {
@@ -205,11 +220,31 @@ func (c *NodeConfig) Validate() error {
 			if c.LeaseTTL != 0 {
 				return fmt.Errorf("scenario: gossip edges do not heartbeat leases; neighborhood membership is static")
 			}
+			return c.checkFold()
 		}
 	case RoleVehicles:
 		if c.N <= 0 {
 			return fmt.Errorf("scenario: role vehicles needs n >= 1, got %d", c.N)
 		}
+	}
+	return nil
+}
+
+// checkFold holds the fold parameters a cloud, an aggregator or a gossip
+// edge resolves its model and desired field from to their ranges (written
+// so that NaN fails too).
+func (c *NodeConfig) checkFold() error {
+	switch {
+	case !(c.X0 >= 0 && c.X0 <= 1):
+		return fmt.Errorf("scenario: x0 %v out of [0,1]", c.X0)
+	case !(c.TargetX >= 0 && c.TargetX <= 1):
+		return fmt.Errorf("scenario: target-x %v out of [0,1]", c.TargetX)
+	case !(c.Eps > 0 && c.Eps <= 1):
+		return fmt.Errorf("scenario: eps %v out of (0,1]", c.Eps)
+	case !(c.Lambda > 0 && c.Lambda <= 1):
+		return fmt.Errorf("scenario: lambda %v out of (0,1]", c.Lambda)
+	case !(c.Beta > 0):
+		return fmt.Errorf("scenario: beta must be > 0, got %v", c.Beta)
 	}
 	return nil
 }

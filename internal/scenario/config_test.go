@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
 )
@@ -36,6 +38,15 @@ func TestValidateCrossFieldErrors(t *testing.T) {
 		{"empty fleet", RoleVehicles, func(c *NodeConfig) { c.N = 0 }, "n >= 1"},
 		{"negative fixed lag", RoleCloud, func(c *NodeConfig) { c.FixedLag = -1 }, "fixed-lag"},
 		{"field and field-path", RoleCloud, func(c *NodeConfig) { c.FieldPath, c.Field = "f.json", mustBandField(t, 2) }, "mutually exclusive"},
+		{"x0 out of range", RoleCloud, func(c *NodeConfig) { c.X0 = 1.5 }, "x0 1.5 out of [0,1]"},
+		{"target-x out of range", RoleAggregator, func(c *NodeConfig) { c.TargetX = -0.1 }, "target-x -0.1 out of [0,1]"},
+		{"zero eps", RoleCloud, func(c *NodeConfig) { c.Eps = 0 }, "eps 0 out of (0,1]"},
+		{"lambda out of range", RoleCloud, func(c *NodeConfig) { c.Lambda = 2 }, "lambda 2 out of (0,1]"},
+		{"NaN lambda", RoleCloud, func(c *NodeConfig) { c.Lambda = math.NaN() }, "lambda NaN out of (0,1]"},
+		{"zero beta on a gossip edge", RoleEdge, func(c *NodeConfig) { c.GossipPeers, c.Beta = "1=127.0.0.1:7301", 0 }, "beta must be > 0"},
+		{"negative round deadline", RoleCloud, func(c *NodeConfig) { c.RoundDeadline = -time.Second }, "round-deadline must be >= 0"},
+		{"negative shard deadline", RoleShard, func(c *NodeConfig) { c.Shards, c.ShardDeadline = 1, -time.Second }, "shard-deadline must be >= 0"},
+		{"negative lease ttl", RoleEdge, func(c *NodeConfig) { c.LeaseTTL = -time.Second }, "lease-ttl must be >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

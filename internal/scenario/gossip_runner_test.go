@@ -14,9 +14,9 @@ func TestRunCloudPartitionSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full scenario run in -short mode")
 	}
-	spec := loadSpec(t, "cloud-partition.yaml")
+	spec := loadSpec(t, "cloud-partition.json")
 	if !spec.Verdict.RequireHashEqual {
-		t.Fatal("cloud-partition.yaml no longer requires hash equality")
+		t.Fatal("cloud-partition.json no longer requires hash equality")
 	}
 	v, err := Run(spec, RunOptions{})
 	if err != nil {
@@ -45,9 +45,9 @@ func TestRunLeaderKillSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full scenario run in -short mode")
 	}
-	spec := loadSpec(t, "leader-kill.yaml")
+	spec := loadSpec(t, "leader-kill.json")
 	if !spec.Verdict.RequireHashEqual {
-		t.Fatal("leader-kill.yaml no longer requires hash equality")
+		t.Fatal("leader-kill.json no longer requires hash equality")
 	}
 	v, err := Run(spec, RunOptions{})
 	if err != nil {

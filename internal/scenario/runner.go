@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/gossip"
 	"repro/internal/obs"
+	"repro/internal/sensor"
 	"repro/internal/shard"
 	"repro/internal/transport"
 )
@@ -307,21 +309,15 @@ type runResult struct {
 	snapshot         []obs.Point
 }
 
-func (r *runResult) counter(name string) uint64 {
-	total := 0.0
-	for _, p := range r.snapshot {
-		if p.Name == name && p.Type == obs.TypeCounter {
-			total += p.Value
-		}
-	}
-	return uint64(total)
-}
+func (r *runResult) counter(name string) uint64 { return sumCounter(r.snapshot, name) }
 
 // counterNow sums a counter's live value across the registry — used by the
 // driver to bracket partition windows while the run is still in flight.
-func (r *runner) counterNow(name string) uint64 {
+func (r *runner) counterNow(name string) uint64 { return sumCounter(r.o.Registry().Snapshot(), name) }
+
+func sumCounter(points []obs.Point, name string) uint64 {
 	total := 0.0
-	for _, p := range r.o.Registry().Snapshot() {
+	for _, p := range points {
 		if p.Name == name && p.Type == obs.TypeCounter {
 			total += p.Value
 		}
@@ -376,8 +372,7 @@ func (n *netw) dial(name string) (transport.Conn, error) {
 
 // edgeState is the driver's view of one region's edge.
 type edgeState struct {
-	id       int
-	seed     int64
+	nc       *NodeConfig
 	srv      *edge.Server
 	listener transport.Listener
 	link     *edge.CloudLink // nil in gossip mode
@@ -392,18 +387,17 @@ type edgeState struct {
 	x          float64
 	corrX      float64 // latest pushed correction
 	hasCorr    bool
-	lastCounts []int // last completed census; re-seeds a restarted server's shares
-	expected   int   // vehicles that should be registered
-	percept    func(*edge.Server) error
+	lastCounts []int       // last completed census; re-seeds a restarted server's shares
+	expected   int         // vehicles that should be registered
+	percept    sensor.Mask // road-side perception (0 = none)
 }
 
 // shardState is the driver's view of one shard coordinator.
 type shardState struct {
-	id       int
+	nc       *NodeConfig // nil: the member owns no regions and never starts
 	coord    *shard.Coordinator
 	upstream *edge.BatchLink
 	listener transport.Listener
-	stateDir string
 	alive    bool
 }
 
@@ -415,19 +409,15 @@ type runner struct {
 	net  *netw
 	stop chan struct{}
 
-	agg      *cloud.Server
-	aggL     transport.Listener
-	shards   []*shardState
-	edges    []*edgeState
-	shardTab *shard.Table
+	agg    *cloud.Server
+	aggL   transport.Listener
+	shards []*shardState
+	edges  []*edgeState
 
 	edgeFaults  []*transport.Fault // per edge (nil entries)
 	shardFault  *transport.Fault
 	cohortFault map[string]*transport.Fault
 
-	// Gossip data plane (nil/empty unless topology.gossip is set).
-	gossipNC        *NodeConfig // template: model+field resolved once, cloned per edge
-	hoods           [][]int     // neighborhood membership by rendezvous ring
 	cloudPart       atomic.Bool // partition event in force: cloud dials fail fast
 	partMark        uint64      // gossip_local_rounds_total when the partition began
 	partLocalRounds uint64      // local rounds completed across partition windows
@@ -443,9 +433,15 @@ type runner struct {
 	removeState bool
 }
 
+// runOnce compiles the spec for seed and starts exactly the nodes of the
+// plan: the cloud or aggregator, the shards, the edges, the fleets.
 func runOnce(spec *Spec, seed int64, logf func(string, ...any), stateRoot string, o *obs.Observer) (_ *runResult, err error) {
 	if o == nil {
 		o = obs.New()
+	}
+	p, err := spec.compile(seed)
+	if err != nil {
+		return nil, err
 	}
 	r := &runner{
 		spec:        spec,
@@ -453,7 +449,7 @@ func runOnce(spec *Spec, seed int64, logf func(string, ...any), stateRoot string
 		logf:        logf,
 		o:           o,
 		stop:        make(chan struct{}),
-		nextID:      1,
+		nextID:      p.nextID,
 		cohortFault: map[string]*transport.Fault{},
 	}
 	r.roundTmo = 5 * time.Second
@@ -488,46 +484,31 @@ func runOnce(spec *Spec, seed int64, logf func(string, ...any), stateRoot string
 	}()
 
 	r.net = newNetw(spec.Topology.Network)
-	if err := r.buildFaults(); err != nil {
+	r.buildFaults()
+	if err := r.start(p); err != nil {
 		return nil, err
 	}
-	if err := r.buildTier(); err != nil {
-		return nil, err
-	}
-	if err := r.buildEdges(); err != nil {
-		return nil, err
-	}
-	if err := r.buildFleets(); err != nil {
-		return nil, err
-	}
-	if err := r.awaitRegistrations(10 * time.Second); err != nil {
+	if err := r.awaitVehicles(10 * time.Second); err != nil {
 		return nil, err
 	}
 	return r.drive()
 }
 
-func (r *runner) buildFaults() error {
-	m := r.spec.Topology.Regions
-	r.edgeFaults = make([]*transport.Fault, m)
+func (r *runner) buildFaults() {
+	at, _ := r.spec.edgeLinks() // validated: no region has two profiles
+	r.edgeFaults = make([]*transport.Fault, len(at))
+	links := make([]*transport.Fault, len(r.spec.Links))
 	for li := range r.spec.Links {
 		l := &r.spec.Links[li]
-		cfg := l.Fault.Config(r.seed + int64(100+li))
-		f := transport.NewFault(*cfg)
-		f.Instrument(r.o)
-		switch l.Link {
-		case "edge_cloud":
-			regions := l.Regions
-			if len(regions) == 0 {
-				regions = allRegions(m)
-			}
-			for _, i := range regions {
-				if r.edgeFaults[i] != nil {
-					return fmt.Errorf("scenario: edge %d has two edge_cloud fault profiles", i)
-				}
-				r.edgeFaults[i] = f
-			}
-		case "shard_aggregator":
-			r.shardFault = f
+		links[li] = transport.NewFault(*l.Fault.Config(r.seed + int64(100+li)))
+		links[li].Instrument(r.o)
+		if l.Link == "shard_aggregator" {
+			r.shardFault = links[li]
+		}
+	}
+	for i, li := range at {
+		if li >= 0 {
+			r.edgeFaults[i] = links[li]
 		}
 	}
 	for ci := range r.spec.Cohorts {
@@ -539,124 +520,110 @@ func (r *runner) buildFaults() error {
 		f.Instrument(r.o)
 		r.cohortFault[co.Name] = f
 	}
-	return nil
 }
 
-func allRegions(m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// cloudConfig assembles the aggregation tier's NodeConfig from the spec.
-func (r *runner) cloudConfig() (*NodeConfig, error) {
-	s := r.spec
-	role := RoleCloud
-	if s.Topology.Shards > 1 {
-		role = RoleAggregator
-	}
-	graph, err := GraphByName(s.Topology.Graph, s.Topology.Regions)
+// start resolves the model and desired field once, for the cloud and every
+// gossip edge, and starts the plan's nodes.
+func (r *runner) start(p *plan) error {
+	model, err := p.cloud.BuildModel()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nc := Defaults(role)
-	nc.Seed = r.seed
-	nc.Regions = s.Topology.Regions
-	nc.Graph = graph
-	nc.X0 = s.Cloud.X0
-	nc.TargetX = s.Cloud.TargetX
-	nc.Eps = s.Cloud.Eps
-	nc.Lambda = s.Cloud.Lambda
-	nc.Beta = s.Cloud.Beta
-	nc.Tau = DemoTau
-	nc.FixedLag = s.Cloud.FixedLag
-	nc.RoundDeadline = time.Duration(s.Cloud.RoundDeadline)
-	nc.Obs = r.o
-	nc.Logf = func(format string, args ...any) { r.logf("cloud: "+format, args...) }
-	if s.Cloud.Field != nil {
-		field, err := s.Cloud.Field.Compile(s.Topology.Regions)
-		if err != nil {
-			return nil, err
+	field, what, err := p.cloud.ResolveField(model)
+	if err != nil {
+		return err
+	}
+	// runScoped gives a node the run's observer, a log prefix, and its state
+	// directory under the run's root.
+	runScoped := func(nc *NodeConfig, prefix string) {
+		nc.Obs = r.o
+		nc.Logf = func(format string, args ...any) { r.logf(prefix+format, args...) }
+		if nc.StateDir != "" {
+			nc.StateDir = filepath.Join(r.stateDirs, nc.StateDir)
 		}
-		nc.Field = field
 	}
-	if r.stateDirs != "" {
-		nc.StateDir = r.stateDirs + "/aggregator"
-	}
-	return nc, nil
-}
 
-func (r *runner) buildTier() error {
-	nc, err := r.cloudConfig()
-	if err != nil {
+	nc := p.cloud
+	nc.Model, nc.Field = model, field
+	runScoped(nc, "cloud: ")
+	if r.agg, _, err = nc.NewCloud(); err != nil {
 		return err
 	}
-	srv, what, err := nc.NewCloud()
-	if err != nil {
-		return err
-	}
-	r.agg = srv
-	r.logf("cloud up: %d regions, steering toward %s", r.spec.Topology.Regions, what)
-	if r.aggL, err = r.net.listen("cloud"); err != nil {
+	r.logf("cloud up: %d regions, steering toward %s", nc.Regions, what)
+	if r.aggL, err = r.net.listen(nc.Listen); err != nil {
 		return err
 	}
 	go r.agg.Serve(r.aggL)
 
-	s := r.spec
-	if s.Topology.Shards > 1 {
-		if r.shardTab, err = ShardTable(s.Topology.Shards, s.Topology.Regions); err != nil {
+	r.shards = make([]*shardState, len(p.shards))
+	for i, nc := range p.shards {
+		r.shards[i] = &shardState{nc: nc}
+		if nc == nil {
+			r.logf("shard %d owns no regions in the %d-region ring; not started", i, len(p.edges))
+			continue
+		}
+		runScoped(nc, fmt.Sprintf("shard %d: ", i))
+		if err := r.startShard(r.shards[i]); err != nil {
 			return err
 		}
-		r.shards = make([]*shardState, s.Topology.Shards)
-		for si := 0; si < s.Topology.Shards; si++ {
-			st := &shardState{id: si}
-			if r.stateDirs != "" {
-				st.stateDir = fmt.Sprintf("%s/shard-%d", r.stateDirs, si)
+	}
+
+	if g := r.spec.Topology.Gossip; g != nil {
+		r.logf("gossip data plane: %d neighborhoods over %d regions, escalate every %d rounds, steering toward %s",
+			p.edges[0].GossipOf, len(p.edges), g.EscalateEvery, what)
+	}
+	r.edges = make([]*edgeState, len(p.edges))
+	for i, nc := range p.edges {
+		es := &edgeState{nc: nc, x: nc.X0, expected: nc.Vehicles}
+		if nc.GossipPeers != "" {
+			nc.Model, nc.Field = model, field
+		}
+		runScoped(nc, fmt.Sprintf("edge %d: ", i))
+		r.edges[i] = es
+	}
+	// The last rsu cohort covering a region sets its road-side perception.
+	for ci := range r.spec.Cohorts {
+		if co := &r.spec.Cohorts[ci]; co.Kind == KindRSU {
+			mask, _, _ := co.Masks() // validated
+			for _, i := range cohortRegions(co, len(r.edges)) {
+				r.edges[i].percept = mask
 			}
-			// Rendezvous hashing can leave a shard with no regions; such a
-			// shard is never dialed, so don't start it.
-			if len(r.shardTab.Regions(si)) == 0 {
-				r.logf("shard %d owns no regions in the %d-region ring; not started", si, s.Topology.Regions)
-				r.shards[si] = st
-				continue
-			}
-			if err := r.startShard(st); err != nil {
-				return err
-			}
-			r.shards[si] = st
+		}
+	}
+	for _, es := range r.edges {
+		if err := r.startEdge(es); err != nil {
+			return err
+		}
+	}
+	for _, f := range p.fleets {
+		if err := r.startFleet(f); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (r *runner) startShard(st *shardState) error {
-	s := r.spec
-	nc := Defaults(RoleShard)
-	nc.Seed = r.seed + int64(10+st.id)
-	nc.Regions = s.Topology.Regions
-	nc.Shards = s.Topology.Shards
-	nc.ShardID = st.id
-	nc.ShardDeadline = time.Duration(s.Cloud.RoundDeadline)
-	nc.StateDir = st.stateDir
-	nc.Obs = r.o
-	nc.Logf = func(format string, args ...any) { r.logf(fmt.Sprintf("shard %d: ", st.id)+format, args...) }
-	dial := func() (transport.Conn, error) {
-		c, err := r.net.dial("cloud")
+// dialVia dials the listener named addr through fault (nil: none).
+func (r *runner) dialVia(addr string, fault *transport.Fault) func() (transport.Conn, error) {
+	return func() (transport.Conn, error) {
+		c, err := r.net.dial(addr)
 		if err != nil {
 			return nil, err
 		}
-		if r.shardFault != nil {
-			c = r.shardFault.WrapConn(c)
+		if fault != nil {
+			c = fault.WrapConn(c)
 		}
 		return c, nil
 	}
-	coord, upstream, err := nc.NewShard(dial)
+}
+
+func (r *runner) startShard(st *shardState) error {
+	nc := st.nc
+	coord, upstream, err := nc.NewShard(r.dialVia(nc.AggregatorAddr, r.shardFault))
 	if err != nil {
 		return err
 	}
-	l, err := r.net.listen(fmt.Sprintf("shard-%d", st.id))
+	l, err := r.net.listen(nc.Listen)
 	if err != nil {
 		coord.Close()
 		upstream.Close()
@@ -677,136 +644,27 @@ func (r *runner) stopShard(st *shardState) {
 	st.upstream.Close()
 }
 
-// upstreamName is the tier component edge i reports to.
-func (r *runner) upstreamName(i int) string {
-	if r.shardTab == nil {
-		return "cloud"
-	}
-	owner, err := r.shardTab.Owner(i)
-	if err != nil {
-		return "cloud" // unreachable: validated shard/region bounds
-	}
-	return fmt.Sprintf("shard-%d", owner)
-}
-
-func (r *runner) buildEdges() error {
-	s := r.spec
-	m := s.Topology.Regions
-	r.edges = make([]*edgeState, m)
-
-	if g := s.Topology.Gossip; g != nil {
-		hoods, err := gossip.Neighborhoods(m, g.Neighborhoods)
-		if err != nil {
-			return err
-		}
-		r.hoods = hoods
-		graph, err := GraphByName(s.Topology.Graph, m)
-		if err != nil {
-			return err
-		}
-		nc := Defaults(RoleEdge)
-		nc.Regions = m
-		nc.Graph = graph
-		nc.X0 = s.Cloud.X0
-		nc.TargetX = s.Cloud.TargetX
-		nc.Eps = s.Cloud.Eps
-		nc.Lambda = s.Cloud.Lambda
-		nc.Beta = s.Cloud.Beta
-		nc.Tau = DemoTau
-		if s.Cloud.Field != nil {
-			field, err := s.Cloud.Field.Compile(m)
-			if err != nil {
-				return err
-			}
-			nc.Field = field
-		}
-		// Resolve the model and field once; every edge's local fold shares
-		// them (the probe is the expensive part, and identical inputs would
-		// just recompute the identical field per edge).
-		model, err := nc.BuildModel()
-		if err != nil {
-			return err
-		}
-		field, what, err := nc.ResolveField(model)
-		if err != nil {
-			return err
-		}
-		nc.Model, nc.Field = model, field
-		nc.GossipOf = len(hoods)
-		nc.GossipEvery = g.EscalateEvery
-		nc.GossipDeadline = time.Duration(g.Deadline)
-		nc.GossipFailoverTTL = time.Duration(g.FailoverTTL)
-		nc.GossipMaxBacklog = g.MaxBacklog
-		r.gossipNC = nc
-		r.logf("gossip data plane: %d neighborhoods over %d regions, escalate every %d rounds, steering toward %s",
-			len(hoods), m, g.EscalateEvery, what)
-	}
-
-	// Union of rsu perception masks per region.
-	percept := make([]func(*edge.Server) error, m)
-	for ci := range s.Cohorts {
-		co := &s.Cohorts[ci]
-		if co.Kind != KindRSU {
-			continue
-		}
-		mask, _, err := co.Masks()
-		if err != nil {
-			return err
-		}
-		for _, i := range cohortRegions(co, m) {
-			prev := percept[i]
-			percept[i] = func(e *edge.Server) error {
-				if prev != nil {
-					if err := prev(e); err != nil {
-						return err
-					}
-				}
-				return e.EnablePerception(mask)
-			}
-		}
-	}
-
-	for i := 0; i < m; i++ {
-		es := &edgeState{
-			id:      i,
-			seed:    int64(splitmix64(uint64(r.seed)*0x9e3779b97f4a7c15 + 0xedbe + uint64(i))),
-			x:       s.Cloud.X0,
-			percept: percept[i],
-		}
-		if err := r.startEdge(es); err != nil {
-			return err
-		}
-		r.edges[i] = es
-	}
-	return nil
-}
-
-// linkDial dials edge i's upstream through its fault profile; outages and
-// kills make the dial fail so leases lapse while the region is silent.
-func (r *runner) linkDial(es *edgeState) func() (transport.Conn, error) {
+// upDial dials edge es's upstream, named by addr, through its fault profile;
+// outages and kills make the dial fail so leases lapse while the region is
+// silent, and a partition (gossip topologies only) fails every cloud dial.
+func (r *runner) upDial(es *edgeState, addr string) func() (transport.Conn, error) {
+	dial := r.dialVia(addr, r.edgeFaults[es.nc.ID])
 	return func() (transport.Conn, error) {
+		if r.cloudPart.Load() {
+			return nil, fmt.Errorf("scenario: cloud partitioned away")
+		}
 		if es.down.Load() || es.killed.Load() {
-			return nil, fmt.Errorf("scenario: edge %d is offline", es.id)
+			return nil, fmt.Errorf("scenario: edge %d is offline", es.nc.ID)
 		}
-		c, err := r.net.dial(r.upstreamName(es.id))
-		if err != nil {
-			return nil, err
-		}
-		if f := r.edgeFaults[es.id]; f != nil {
-			c = f.WrapConn(c)
-		}
-		return c, nil
+		return dial()
 	}
 }
 
 func (r *runner) startEdge(es *edgeState) error {
-	nc := Defaults(RoleEdge)
-	nc.ID = es.id
-	nc.Seed = es.seed
-	nc.Obs = r.o
+	nc := es.nc
 	es.srv = nc.NewEdge()
-	if es.percept != nil {
-		if err := es.percept(es.srv); err != nil {
+	if es.percept != 0 {
+		if err := es.srv.EnablePerception(es.percept); err != nil {
 			return err
 		}
 	}
@@ -819,25 +677,29 @@ func (r *runner) startEdge(es *edgeState) error {
 		es.srv.SetShares(edge.Shares(es.lastCounts))
 	}
 	es.mu.Unlock()
-	l, err := r.net.listen(fmt.Sprintf("edge-%d", es.id))
+	l, err := r.net.listen(nc.Listen)
 	if err != nil {
 		return err
 	}
 	es.listener = l
 	go es.srv.Serve(l)
 
-	if r.gossipNC != nil {
+	if nc.GossipPeers != "" {
 		return r.startGossip(es)
 	}
 
+	up, err := ShardRoute(nc.CloudAddr, nc.Shards, nc.Regions, nc.ID)
+	if err != nil {
+		return err
+	}
 	es.link = &edge.CloudLink{
-		Edge: es.id,
+		Edge: nc.ID,
 		Dialer: &transport.Dialer{
-			Dial:        r.linkDial(es),
+			Dial:        r.upDial(es, up),
 			MaxAttempts: 10,
 			BaseDelay:   2 * time.Millisecond,
 			MaxDelay:    100 * time.Millisecond,
-			Seed:        es.seed + 1,
+			Seed:        nc.Seed + 1,
 		},
 		ReplyTimeout: r.roundTmo,
 		Obs:          r.o,
@@ -848,18 +710,18 @@ func (r *runner) startEdge(es *edgeState) error {
 		},
 	}
 
-	if ttl := time.Duration(r.spec.Cloud.LeaseTTL); ttl > 0 {
+	if nc.LeaseTTL > 0 {
 		es.hbStop = make(chan struct{})
 		hb := &edge.Heartbeat{
-			Edge: es.id,
+			Edge: nc.ID,
 			Dialer: &transport.Dialer{
-				Dial:        r.linkDial(es),
+				Dial:        r.upDial(es, up),
 				MaxAttempts: 3,
 				BaseDelay:   2 * time.Millisecond,
 				MaxDelay:    50 * time.Millisecond,
-				Seed:        es.seed + 2,
+				Seed:        nc.Seed + 2,
 			},
-			TTL: ttl,
+			TTL: nc.LeaseTTL,
 			Obs: r.o,
 		}
 		stop := es.hbStop
@@ -869,49 +731,26 @@ func (r *runner) startEdge(es *edgeState) error {
 }
 
 // startGossip attaches edge es to its neighborhood's gossip plane: a local
-// fold cloned from the shared template, a listener peers dial, and a node
-// that escalates digests to the cloud. Replaces the CloudLink/heartbeat
-// wiring entirely — in gossip mode the edge never reports censuses direct.
+// fold over the cloud's resolved model and field, a listener peers dial,
+// and a node that escalates digests to the cloud. Replaces the
+// CloudLink/heartbeat wiring entirely — in gossip mode the edge never
+// reports censuses direct.
 func (r *runner) startGossip(es *edgeState) error {
-	nc := *r.gossipNC
-	nc.ID = es.id
-	nc.Seed = es.seed
-	nc.Obs = r.o
-	nc.Logf = func(format string, args ...any) { r.logf(fmt.Sprintf("gossip %d: ", es.id)+format, args...) }
-	h := gossip.HoodOf(r.hoods, es.id)
-	if h < 0 {
-		return fmt.Errorf("scenario: edge %d is in no gossip neighborhood", es.id)
-	}
-	nc.GossipHood = h
-	if r.stateDirs != "" {
-		nc.StateDir = fmt.Sprintf("%s/gossip-%d", r.stateDirs, es.id)
+	nc := es.nc
+	peers, err := ParseGossipPeers(nc.GossipPeers)
+	if err != nil {
+		return err
 	}
 	peerDial := func(member int) (transport.Conn, error) {
 		// Peer links are the neighborhood LAN: outages and faults model the
 		// edge→cloud uplink, not the local mesh.
-		return r.net.dial(fmt.Sprintf("gossip-%d", member))
+		return r.net.dial(peers[member])
 	}
-	cloudDial := func() (transport.Conn, error) {
-		if r.cloudPart.Load() {
-			return nil, fmt.Errorf("scenario: cloud partitioned away")
-		}
-		if es.down.Load() || es.killed.Load() {
-			return nil, fmt.Errorf("scenario: edge %d is offline", es.id)
-		}
-		c, err := r.net.dial("cloud")
-		if err != nil {
-			return nil, err
-		}
-		if f := r.edgeFaults[es.id]; f != nil {
-			c = f.WrapConn(c)
-		}
-		return c, nil
-	}
-	gl, err := r.net.listen(fmt.Sprintf("gossip-%d", es.id))
+	gl, err := r.net.listen(nc.GossipListen)
 	if err != nil {
 		return err
 	}
-	node, _, err := nc.NewGossipNode(r.hoods[h], peerDial, cloudDial)
+	node, _, err := nc.NewGossipNode(GossipMembers(nc.ID, peers), peerDial, r.upDial(es, nc.CloudAddr))
 	if err != nil {
 		gl.Close()
 		return err
@@ -943,102 +782,73 @@ func (r *runner) stopEdge(es *edgeState) {
 	es.srv.Close()
 }
 
-func cohortRegions(co *Cohort, m int) []int {
-	if len(co.Regions) > 0 {
-		return co.Regions
-	}
-	return allRegions(m)
-}
-
-func (r *runner) buildFleets() error {
-	for ci := range r.spec.Cohorts {
-		co := &r.spec.Cohorts[ci]
-		if co.Kind == KindRSU {
-			continue
-		}
-		if err := r.addCohortFleet(co, co.PerRegion); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// addCohortFleet attaches n vehicles of the cohort to each of its regions.
-func (r *runner) addCohortFleet(co *Cohort, n int) error {
-	m := r.spec.Topology.Regions
+// startFleet builds one fleet's vehicles and runs each client against its
+// edge, reconnecting across kills.
+func (r *runner) startFleet(f fleet) error {
+	nc, co := f.nc, f.cohort
 	equipped, desired, err := co.Masks()
 	if err != nil {
 		return err
 	}
-	fault := r.cohortFault[co.Name]
-	nc := &NodeConfig{Obs: r.o}
-	for _, region := range cohortRegions(co, m) {
-		fs := FleetSpec{
-			N:                n,
-			IDBase:           r.nextID,
-			Equipped:         equipped,
-			Desired:          desired,
-			Beta:             co.Beta,
-			Tau:              co.Tau,
-			Mu:               co.Mu,
-			PrivacyWeightStd: co.PrivacyWeightStd,
-			Seed:             r.seed,
-			RegisterTimeout:  250 * time.Millisecond,
-			Stop:             r.stop,
+	vehicles, err := (&NodeConfig{Obs: r.o}).NewFleet(FleetSpec{
+		N:                nc.N,
+		IDBase:           nc.IDBase,
+		Equipped:         equipped,
+		Desired:          desired,
+		Beta:             nc.Beta,
+		Tau:              nc.Tau,
+		Mu:               co.Mu,
+		PrivacyWeightStd: co.PrivacyWeightStd,
+		Seed:             nc.Seed,
+		RegisterTimeout:  250 * time.Millisecond,
+		Stop:             r.stop,
+	})
+	if err != nil {
+		return err
+	}
+	dial := r.dialVia(nc.EdgeAddr, r.cohortFault[co.Name])
+	for _, fv := range vehicles {
+		r.fleetMu.Lock()
+		r.fleet = append(r.fleet, fv)
+		r.fleetMu.Unlock()
+		dialer := &transport.Dialer{
+			Dial:        dial,
+			MaxAttempts: 10000,
+			BaseDelay:   2 * time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
+			Seed:        int64(fv.Agent.Profile.ID) + 0x5eed,
 		}
-		r.nextID += n
-		vehicles, err := nc.NewFleet(fs)
-		if err != nil {
-			return err
-		}
-		es := r.edges[region]
-		es.mu.Lock()
-		es.expected += n
-		es.mu.Unlock()
-		for _, fv := range vehicles {
-			r.fleetMu.Lock()
-			r.fleet = append(r.fleet, fv)
-			r.fleetMu.Unlock()
-			dialer := &transport.Dialer{
-				Dial: func() (transport.Conn, error) {
-					c, err := r.net.dial(fmt.Sprintf("edge-%d", region))
-					if err != nil {
-						return nil, err
-					}
-					if fault != nil {
-						c = fault.WrapConn(c)
-					}
-					return c, nil
-				},
-				MaxAttempts: 10000,
-				BaseDelay:   2 * time.Millisecond,
-				MaxDelay:    50 * time.Millisecond,
-				Seed:        int64(fv.Agent.Profile.ID) + 0x5eed,
-			}
-			client := fv.Client
-			r.clientWG.Add(1)
-			go func() {
-				defer r.clientWG.Done()
-				// Client exits (nil or error) when stop closes or the
-				// dialer's patience runs out mid-kill; either way the agent's
-				// welfare tallies stay readable after clientWG drains.
-				_ = client.RunWithReconnect(dialer)
-			}()
-		}
+		client := fv.Client
+		r.clientWG.Add(1)
+		go func() {
+			defer r.clientWG.Done()
+			// Client exits (nil or error) when stop closes or the
+			// dialer's patience runs out mid-kill; either way the agent's
+			// welfare tallies stay readable after clientWG drains.
+			_ = client.RunWithReconnect(dialer)
+		}()
 	}
 	return nil
 }
 
-func (r *runner) awaitRegistrations(timeout time.Duration) error {
+// awaitVehicles waits until each live edge of edges (all of them when none
+// is named) has its expected vehicles registered, or timeout passes.
+func (r *runner) awaitVehicles(timeout time.Duration, edges ...*edgeState) error {
+	if len(edges) == 0 {
+		edges = r.edges
+	}
 	deadline := time.Now().Add(timeout)
-	for _, es := range r.edges {
+	for _, es := range edges {
+		if es.down.Load() || es.killed.Load() {
+			continue
+		}
 		es.mu.Lock()
 		want := es.expected
 		es.mu.Unlock()
 		for es.srv.NumVehicles() < want {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("scenario: only %d/%d vehicles registered at edge %d",
-					es.srv.NumVehicles(), want, es.id)
+					es.srv.NumVehicles(), want, es.nc.ID)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -1046,88 +856,12 @@ func (r *runner) awaitRegistrations(timeout time.Duration) error {
 	return nil
 }
 
-// timeline precomputes event triggers by round.
-type timeline struct {
-	outageStart  map[int][]int
-	outageEnd    map[int][]int
-	edgeKill     map[int][]int
-	edgeRestart  map[int][]int
-	shardKill    map[int][]int
-	shardRestart map[int][]int
-	leaderKill   map[int][]int // neighborhood indices, by round
-	partStart    map[int]bool
-	partEnd      map[int]bool
-	surges       map[int][]Event
-}
-
-func buildTimeline(events []Event) (*timeline, error) {
-	tl := &timeline{
-		outageStart:  map[int][]int{},
-		outageEnd:    map[int][]int{},
-		edgeKill:     map[int][]int{},
-		edgeRestart:  map[int][]int{},
-		shardKill:    map[int][]int{},
-		shardRestart: map[int][]int{},
-		leaderKill:   map[int][]int{},
-		partStart:    map[int]bool{},
-		partEnd:      map[int]bool{},
-		surges:       map[int][]Event{},
-	}
-	for _, e := range events {
-		switch e.Action {
-		case "outage":
-			_, n, err := e.TargetKind()
-			if err != nil {
-				return nil, err
-			}
-			tl.outageStart[e.Round] = append(tl.outageStart[e.Round], n)
-			if e.Until > 0 {
-				tl.outageEnd[e.Until] = append(tl.outageEnd[e.Until], n)
-			}
-		case "kill":
-			kind, n, err := e.TargetKind()
-			if err != nil {
-				return nil, err
-			}
-			if kind == "edge" {
-				tl.edgeKill[e.Round] = append(tl.edgeKill[e.Round], n)
-				if e.Until > 0 {
-					tl.edgeRestart[e.Until] = append(tl.edgeRestart[e.Until], n)
-				}
-			} else {
-				tl.shardKill[e.Round] = append(tl.shardKill[e.Round], n)
-				if e.Until > 0 {
-					tl.shardRestart[e.Until] = append(tl.shardRestart[e.Until], n)
-				}
-			}
-		case "leader-kill":
-			_, n, err := e.TargetKind()
-			if err != nil {
-				return nil, err
-			}
-			tl.leaderKill[e.Round] = append(tl.leaderKill[e.Round], n)
-		case "partition":
-			tl.partStart[e.Round] = true
-			if e.Until > 0 {
-				tl.partEnd[e.Until] = true
-			}
-		case "surge":
-			tl.surges[e.Round] = append(tl.surges[e.Round], e)
-		}
-	}
-	return tl, nil
-}
-
 func (r *runner) drive() (*runResult, error) {
 	s := r.spec
-	tl, err := buildTimeline(s.Events)
-	if err != nil {
-		return nil, err
-	}
 	res := &runResult{convergedRound: -1}
 
 	for t := 0; t < s.Rounds; t++ {
-		if err := r.applyEvents(tl, t); err != nil {
+		if err := r.applyEvents(t); err != nil {
 			return nil, err
 		}
 
@@ -1165,7 +899,7 @@ func (r *runner) drive() (*runResult, error) {
 	for _, es := range r.edges {
 		if es.gnode != nil && !es.killed.Load() {
 			if err := es.gnode.Flush(); err != nil {
-				r.logf("gossip %d: final flush: %v", es.id, err)
+				r.logf("gossip %d: final flush: %v", es.nc.ID, err)
 			}
 		}
 	}
@@ -1214,7 +948,7 @@ func (r *runner) edgeRound(es *edgeState, t int) {
 
 	counts, err := es.srv.RunRound(t, x, r.edgeTmo)
 	if err != nil {
-		r.logf("edge %d round %d: %v", es.id, t, err)
+		r.logf("edge %d round %d: %v", es.nc.ID, t, err)
 		r.failedRep.Add(1)
 		return
 	}
@@ -1227,7 +961,7 @@ func (r *runner) edgeRound(es *edgeState, t int) {
 		// census stream is identical whether or not the cloud is reachable.
 		newX, err := es.gnode.LocalRound(t, counts)
 		if err != nil {
-			r.logf("gossip %d round %d: %v", es.id, t, err)
+			r.logf("gossip %d round %d: %v", es.nc.ID, t, err)
 			r.failedRep.Add(1)
 			return
 		}
@@ -1250,46 +984,63 @@ func (r *runner) edgeRound(es *edgeState, t int) {
 	es.mu.Unlock()
 }
 
-func (r *runner) applyEvents(tl *timeline, t int) error {
-	if tl.partEnd[t] && r.cloudPart.Load() {
+// applyEvents applies round t's events in a fixed order: a partition heals,
+// then begins; outages end, then begin; edges restart, then die; leaders are
+// killed; shards restart, then die; surges arrive. Within a step, events
+// keep their spec order.
+func (r *runner) applyEvents(t int) error {
+	// at lists the targets of the action's events (of the target kind, when
+	// named) that begin at t, or with ending set, that end at t.
+	at := func(action, kind string, ending bool) []int {
+		var out []int
+		for _, e := range r.spec.Events {
+			k, n, _ := e.TargetKind() // validated; "cloud" has no index
+			if e.Action == action && (kind == "" || k == kind) &&
+				(!ending && e.Round == t || ending && e.Until > 0 && e.Until == t) {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	if len(at("partition", "", true)) > 0 && r.cloudPart.Load() {
 		r.cloudPart.Store(false)
 		r.partLocalRounds += r.counterNow("gossip_local_rounds_total") - r.partMark
 		r.logf("round %d: cloud partition healed", t)
 	}
-	if tl.partStart[t] && !r.cloudPart.Load() {
+	if len(at("partition", "", false)) > 0 && !r.cloudPart.Load() {
 		r.cloudPart.Store(true)
 		r.partMark = r.counterNow("gossip_local_rounds_total")
 		r.logf("round %d: cloud partitioned away", t)
 	}
-	for _, region := range tl.outageEnd[t] {
+	for _, region := range at("outage", "", true) {
 		r.edges[region].down.Store(false)
 		r.logf("round %d: region %d restored", t, region)
 	}
-	for _, region := range tl.outageStart[t] {
+	for _, region := range at("outage", "", false) {
 		r.edges[region].down.Store(true)
 		r.logf("round %d: region %d outage", t, region)
 	}
-	for _, id := range tl.edgeRestart[t] {
+	for _, id := range at("kill", "edge", true) {
 		es := r.edges[id]
 		es.killed.Store(false)
 		if err := r.startEdge(es); err != nil {
 			return fmt.Errorf("restarting edge %d: %w", id, err)
 		}
 		r.logf("round %d: edge %d restarted", t, id)
-		r.awaitEdgeReregistration(es, 2*time.Second)
+		_ = r.awaitVehicles(2*time.Second, es) // a straggler catches up next round
 	}
-	for _, id := range tl.edgeKill[t] {
+	for _, id := range at("kill", "edge", false) {
 		r.stopEdge(r.edges[id])
 		r.logf("round %d: edge %d killed", t, id)
 	}
-	for _, h := range tl.leaderKill[t] {
+	for _, h := range at("leader-kill", "", false) {
 		if err := r.killHoodLeader(h, t); err != nil {
 			return err
 		}
 	}
-	for _, id := range tl.shardRestart[t] {
+	for _, id := range at("kill", "shard", true) {
 		st := r.shards[id]
-		if len(r.shardTab.Regions(id)) == 0 {
+		if st.nc == nil {
 			continue // was never started: owns no regions
 		}
 		if err := r.startShard(st); err != nil {
@@ -1297,23 +1048,33 @@ func (r *runner) applyEvents(tl *timeline, t int) error {
 		}
 		r.logf("round %d: shard %d restarted", t, id)
 	}
-	for _, id := range tl.shardKill[t] {
+	for _, id := range at("kill", "shard", false) {
 		r.stopShard(r.shards[id])
 		r.logf("round %d: shard %d killed", t, id)
 	}
-	for _, e := range tl.surges[t] {
+	for _, e := range r.spec.Events {
+		if e.Action != "surge" || e.Round != t {
+			continue
+		}
 		for ci := range r.spec.Cohorts {
 			co := &r.spec.Cohorts[ci]
-			if co.Name == e.Cohort {
-				if err := r.addCohortFleet(co, e.Count); err != nil {
+			if co.Name != e.Cohort {
+				continue
+			}
+			for _, f := range r.spec.cohortFleets(co, e.Count, r.seed, &r.nextID) {
+				es := r.edges[f.region]
+				es.mu.Lock()
+				es.expected += f.nc.N
+				es.mu.Unlock()
+				if err := r.startFleet(f); err != nil {
 					return fmt.Errorf("surge at round %d: %w", t, err)
 				}
-				r.logf("round %d: surge — %d extra %s vehicles per region", t, e.Count, co.Name)
 			}
+			r.logf("round %d: surge — %d extra %s vehicles per region", t, e.Count, co.Name)
 		}
 		// Surged vehicles register asynchronously; give them a moment so
-		// the next census sees most of them.
-		r.awaitRegistrationsBrief(time.Second)
+		// the next census sees most of them (a straggler joins a later one).
+		_ = r.awaitVehicles(time.Second)
 	}
 	return nil
 }
@@ -1327,84 +1088,50 @@ func (r *runner) applyEvents(tl *timeline, t int) error {
 // bit-identical to an unperturbed run — the successor re-escalates the
 // mirrored backlog and the cloud's per-hood watermark absorbs any overlap.
 func (r *runner) killHoodLeader(h, t int) error {
-	members := r.hoods[h]
+	var members []*edgeState
+	for _, es := range r.edges {
+		if es.nc.GossipHood == h {
+			members = append(members, es)
+		}
+	}
 	deadline := time.Now().Add(15 * time.Second)
-	var victim *edgeState
-	for victim == nil {
-		for _, id := range members {
-			es := r.edges[id]
-			if es.gnode != nil && !es.killed.Load() && es.gnode.Leader() {
-				victim = es
-				break
+	leader := func() *edgeState { // the live member that leads, polled until the deadline
+		for ; time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			for _, es := range members {
+				if es.gnode != nil && !es.killed.Load() && es.gnode.Leader() {
+					return es
+				}
 			}
 		}
-		if victim == nil {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("leader-kill at round %d: neighborhood %d has no confirmed leader", t, h)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		return nil
+	}
+	victim := leader()
+	if victim == nil {
+		return fmt.Errorf("leader-kill at round %d: neighborhood %d has no confirmed leader", t, h)
 	}
 	r.stopEdge(victim)
-	r.logf("round %d: leader-kill — edge %d (neighborhood %d leader) killed", t, victim.id, h)
+	r.logf("round %d: leader-kill — edge %d (neighborhood %d leader) killed", t, victim.nc.ID, h)
 
-	var succ *edgeState
-	for succ == nil {
-		for _, id := range members {
-			es := r.edges[id]
-			if es != victim && es.gnode != nil && !es.killed.Load() && es.gnode.Leader() {
-				succ = es
-				break
-			}
-		}
-		if succ == nil {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("leader-kill at round %d: no successor promoted in neighborhood %d", t, h)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	succ := leader()
+	if succ == nil {
+		return fmt.Errorf("leader-kill at round %d: no successor promoted in neighborhood %d", t, h)
 	}
 	succEpoch := succ.gnode.Epoch()
-	r.logf("round %d: leader-kill — edge %d promoted at epoch %d", t, succ.id, succEpoch)
+	r.logf("round %d: leader-kill — edge %d promoted at epoch %d", t, succ.nc.ID, succEpoch)
 
 	victim.killed.Store(false)
 	if err := r.startEdge(victim); err != nil {
-		return fmt.Errorf("leader-kill at round %d: restarting edge %d: %w", t, victim.id, err)
+		return fmt.Errorf("leader-kill at round %d: restarting edge %d: %w", t, victim.nc.ID, err)
 	}
 	for victim.gnode.Epoch() < succEpoch {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("leader-kill at round %d: edge %d did not rejoin as a follower", t, victim.id)
+			return fmt.Errorf("leader-kill at round %d: edge %d did not rejoin as a follower", t, victim.nc.ID)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r.logf("round %d: leader-kill — edge %d rejoined as a follower at epoch %d", t, victim.id, victim.gnode.Epoch())
-	r.awaitEdgeReregistration(victim, 5*time.Second)
+	r.logf("round %d: leader-kill — edge %d rejoined as a follower at epoch %d", t, victim.nc.ID, victim.gnode.Epoch())
+	_ = r.awaitVehicles(5*time.Second, victim) // a straggler catches up next round
 	return nil
-}
-
-func (r *runner) awaitEdgeReregistration(es *edgeState, timeout time.Duration) {
-	es.mu.Lock()
-	want := es.expected
-	es.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for es.srv.NumVehicles() < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (r *runner) awaitRegistrationsBrief(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for _, es := range r.edges {
-		if es.down.Load() || es.killed.Load() {
-			continue
-		}
-		es.mu.Lock()
-		want := es.expected
-		es.mu.Unlock()
-		for es.srv.NumVehicles() < want && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
 }
 
 func (r *runner) teardown() {

@@ -25,7 +25,7 @@ func TestRunBaselineSpec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full scenario run in -short mode")
 	}
-	spec := loadSpec(t, "baseline.yaml")
+	spec := loadSpec(t, "baseline.json")
 	v, err := Run(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +50,12 @@ func TestRunBaselineDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full scenario run in -short mode")
 	}
-	spec := loadSpec(t, "baseline.yaml")
+	spec := loadSpec(t, "baseline.json")
 	a, err := Run(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(loadSpec(t, "baseline.yaml"), RunOptions{})
+	b, err := Run(loadSpec(t, "baseline.json"), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,9 @@ func TestRunLossyHashEqualsLossless(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full scenario run in -short mode")
 	}
-	spec := loadSpec(t, "lossy-network.yaml")
+	spec := loadSpec(t, "lossy-network.json")
 	if !spec.Verdict.RequireHashEqual {
-		t.Fatal("lossy-network.yaml no longer requires hash equality")
+		t.Fatal("lossy-network.json no longer requires hash equality")
 	}
 	v, err := Run(spec, RunOptions{})
 	if err != nil {
@@ -96,7 +96,7 @@ func TestRunSeedOverride(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full scenario run in -short mode")
 	}
-	spec := loadSpec(t, "baseline.yaml")
+	spec := loadSpec(t, "baseline.json")
 	seed := spec.Seed + 1000
 	v, err := Run(spec, RunOptions{Seed: &seed})
 	if err != nil {

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,8 +25,8 @@ const SpecVersion = 1
 
 // Spec is one declarative scenario: a consensus tier topology, a fleet
 // mix, fault profiles, timed events, and the verdict the run is judged by.
-// Specs are versioned YAML (or JSON) documents; ParseSpec rejects unknown
-// fields so a typo never silently becomes a default.
+// Specs are versioned JSON documents; ParseSpec rejects unknown fields so a
+// typo never silently becomes a default.
 type Spec struct {
 	// Version gates the format (must equal SpecVersion).
 	Version int `json:"version"`
@@ -41,6 +44,27 @@ type Spec struct {
 	Links    []LinkFault `json:"links"`
 	Events   []Event     `json:"events"`
 	Verdict  VerdictSpec `json:"verdict"`
+}
+
+// ParseSpec decodes one JSON spec strictly — an unknown field or trailing
+// data is an error — then validates it.
+func ParseSpec(data []byte) (*Spec, error) {
+	spec := &Spec{}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(spec)
+	if err == nil {
+		if _, end := dec.Token(); end != io.EOF {
+			err = fmt.Errorf("trailing data after the spec")
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return spec, nil
 }
 
 // Topology fixes the tier shape and transports.
@@ -348,6 +372,8 @@ func (fs *FieldSpec) Compile(m int) (*policy.Field, error) {
 	for bi, b := range fs.Bounds {
 		var decisions []int
 		switch {
+		case b.Decision < 0 || b.Decision > k:
+			return nil, fmt.Errorf("field bound %d: decision %d out of 1..%d", bi, b.Decision, k)
 		case b.Decision != 0:
 			decisions = []int{b.Decision - 1}
 		case b.Sensor != "":
@@ -427,9 +453,12 @@ func (s *Spec) fill() {
 	}
 }
 
-// Validate checks the spec (after applying defaults) and returns every
-// problem joined into one error, so an operator fixes a bad spec in one
-// pass.
+// Validate checks the spec and returns every problem joined into one
+// error, so an operator fixes a bad spec in one pass. It fills defaults,
+// checks the rules that span nodes (topology shape, cohorts, links, events
+// and their targets, verdict preconditions), compiles the nodes a run
+// starts, and holds each to NodeConfig.Validate — the per-node rules live
+// there alone — so a spec that checks is a spec that builds.
 func (s *Spec) Validate() error {
 	s.fill()
 	var errs []string
@@ -437,19 +466,10 @@ func (s *Spec) Validate() error {
 		errs = append(errs, fmt.Sprintf(format, args...))
 	}
 
-	if s.Version != SpecVersion {
-		bad("version %d: this build reads version %d", s.Version, SpecVersion)
-	}
-	if s.Name == "" {
-		bad("name is required")
-	}
+	// The shape the nodes compile from.
+	t := &s.Topology
 	if s.Rounds < 1 {
 		bad("rounds must be >= 1 (got %d)", s.Rounds)
-	}
-
-	t := &s.Topology
-	if t.Network != "inproc" && t.Network != "tcp" {
-		bad("topology.network %q: want inproc or tcp", t.Network)
 	}
 	if t.Regions < 1 {
 		bad("topology.regions must be >= 1 (got %d)", t.Regions)
@@ -472,51 +492,20 @@ func (s *Spec) Validate() error {
 		} else if t.Regions >= 1 {
 			hoods, _ = gossip.Neighborhoods(t.Regions, g.Neighborhoods)
 		}
-		if g.EscalateEvery < 1 {
-			bad("topology.gossip.escalate_every must be >= 1 (got %d)", g.EscalateEvery)
-		}
-		if g.Deadline < 0 {
-			bad("topology.gossip.deadline must be >= 0")
-		}
-		if g.FailoverTTL < 0 {
-			bad("topology.gossip.failover_ttl must be >= 0")
-		}
-		if g.MaxBacklog < 0 {
-			bad("topology.gossip.max_backlog must be >= 0")
-		}
-		if t.Shards > 1 {
-			bad("topology.gossip is incompatible with topology.shards > 1 (digests go straight to the cloud)")
-		}
-		if s.Cloud.LeaseTTL != 0 {
-			bad("topology.gossip forbids cloud.lease_ttl: neighborhood membership is static, not leased")
-		}
+	}
+	shaped := len(errs) == 0
+
+	if s.Version != SpecVersion {
+		bad("version %d: this build reads version %d", s.Version, SpecVersion)
+	}
+	if s.Name == "" {
+		bad("name is required")
+	}
+	if t.Network != "inproc" && t.Network != "tcp" {
+		bad("topology.network %q: want inproc or tcp", t.Network)
 	}
 
 	c := &s.Cloud
-	if c.X0 < 0 || c.X0 > 1 {
-		bad("cloud.x0 %v out of [0,1]", c.X0)
-	}
-	if c.TargetX < 0 || c.TargetX > 1 {
-		bad("cloud.target_x %v out of [0,1]", c.TargetX)
-	}
-	if c.Eps <= 0 || c.Eps > 1 {
-		bad("cloud.eps %v out of (0,1]", c.Eps)
-	}
-	if c.Lambda <= 0 || c.Lambda > 1 {
-		bad("cloud.lambda %v out of (0,1]", c.Lambda)
-	}
-	if c.Beta <= 0 {
-		bad("cloud.beta must be > 0 (got %v)", c.Beta)
-	}
-	if c.FixedLag < 0 {
-		bad("cloud.fixed_lag must be >= 0 (got %d)", c.FixedLag)
-	}
-	if c.RoundDeadline < 0 {
-		bad("cloud.round_deadline must be >= 0")
-	}
-	if c.LeaseTTL < 0 {
-		bad("cloud.lease_ttl must be >= 0")
-	}
 	if c.Field != nil {
 		k := lattice.NewPaper().K()
 		for bi, b := range c.Field.Bounds {
@@ -569,9 +558,6 @@ func (s *Spec) Validate() error {
 				bad("%s: rsu cohorts are fixed road-side sensors; per_region must be 0 (got %d)", where, co.PerRegion)
 			}
 		} else {
-			if co.PerRegion < 1 {
-				bad("%s: per_region must be >= 1 (got %d)", where, co.PerRegion)
-			}
 			if len(co.Sensors) > 0 {
 				bad("%s: sensors is only for rsu cohorts (%s kinds are fixed by kind)", where, co.Kind)
 			}
@@ -624,6 +610,8 @@ func (s *Spec) Validate() error {
 			bad("%s: fault: %v", where, err)
 		}
 	}
+	_, problems := s.edgeLinks()
+	errs = append(errs, problems...)
 
 	needsDeadline := false
 	for ei := range s.Events {
@@ -808,10 +796,40 @@ func (s *Spec) Validate() error {
 		}
 	}
 
+	// Compile whatever has a sound shape. Compile fails only on a problem a
+	// rule above reports (a bad field bound), so its error is news only
+	// when nothing else is wrong.
+	if shaped {
+		p, err := s.compile(s.Seed)
+		if err != nil && len(errs) == 0 {
+			bad("%v", err)
+		}
+		check := func(where string, nc *NodeConfig) {
+			if err := nc.Validate(); err != nil {
+				bad("%s: %s", where, strings.TrimPrefix(err.Error(), "scenario: "))
+			}
+		}
+		if err == nil {
+			check(string(p.cloud.Role), p.cloud)
+			for _, nc := range p.shards {
+				if nc != nil {
+					check("shard", nc)
+				}
+			}
+			for _, nc := range p.edges {
+				check("edge", nc)
+			}
+			for _, f := range p.fleets {
+				check("cohort "+f.cohort.Name, f.nc)
+			}
+		}
+	}
+
 	if len(errs) == 0 {
 		return nil
 	}
 	sort.Strings(errs)
+	errs = slices.Compact(errs)
 	return fmt.Errorf("scenario %q: %d problem(s):\n  - %s",
 		s.Name, len(errs), strings.Join(errs, "\n  - "))
 }

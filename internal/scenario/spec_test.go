@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +22,7 @@ func TestGoldenSpecsRoundTrip(t *testing.T) {
 	}
 	seen := 0
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".yaml" {
+		if filepath.Ext(e.Name()) != ".json" {
 			continue
 		}
 		seen++
@@ -57,10 +61,10 @@ func TestValidSpecPasses(t *testing.T) {
 
 func TestParseRejectsUnknownField(t *testing.T) {
 	for _, c := range []struct{ name, doc, field string }{
-		{"top-level typo", "verion: 1\nname: typo\nrounds: 5\n", "verion"},
-		{"nested typo", "version: 1\nname: typo\nrounds: 5\ncloud:\n  fixed_lagg: 8\n", "fixed_lagg"},
+		{"top-level typo", `{"verion": 1, "name": "typo", "rounds": 5}`, "verion"},
+		{"nested typo", `{"version": 1, "name": "typo", "rounds": 5, "cloud": {"fixed_lagg": 8}}`, "fixed_lagg"},
 		// There is one wire format, so there is no codec to pick.
-		{"bad codec", "version: 1\nname: c\nrounds: 5\ntopology:\n  codec: binary\n", "codec"},
+		{"bad codec", `{"version": 1, "name": "c", "rounds": 5, "topology": {"codec": "binary"}}`, "codec"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ParseSpec([]byte(c.doc))
@@ -73,9 +77,11 @@ func TestParseRejectsUnknownField(t *testing.T) {
 
 func TestVersionGate(t *testing.T) {
 	for _, doc := range []string{
-		"version: 2\nname: future\nrounds: 5\ntopology:\n  regions: 1\ncohorts:\n  - name: a\n    kind: taxi\n    per_region: 1\n",
+		`{"version": 2, "name": "future", "rounds": 5, "topology": {"regions": 1},
+		  "cohorts": [{"name": "a", "kind": "taxi", "per_region": 1}]}`,
 		// No version at all is version 0 — also rejected.
-		"name: unversioned\nrounds: 5\ntopology:\n  regions: 1\ncohorts:\n  - name: a\n    kind: taxi\n    per_region: 1\n",
+		`{"name": "unversioned", "rounds": 5, "topology": {"regions": 1},
+		  "cohorts": [{"name": "a", "kind": "taxi", "per_region": 1}]}`,
 	} {
 		_, err := ParseSpec([]byte(doc))
 		if err == nil || !strings.Contains(err.Error(), "this build reads version") {
@@ -84,6 +90,7 @@ func TestVersionGate(t *testing.T) {
 	}
 }
 
+// TestParseJSONSuperset: a compact spec parses, durations as strings.
 func TestParseJSONSuperset(t *testing.T) {
 	doc := `{"version": 1, "name": "json", "rounds": 3,
 		"topology": {"regions": 1},
@@ -99,7 +106,8 @@ func TestParseJSONSuperset(t *testing.T) {
 }
 
 func TestBadDurationRejected(t *testing.T) {
-	doc := "version: 1\nname: d\nrounds: 5\ntopology:\n  regions: 1\ncloud:\n  round_deadline: fast\ncohorts:\n  - name: a\n    kind: taxi\n    per_region: 1\n"
+	doc := `{"version": 1, "name": "d", "rounds": 5, "topology": {"regions": 1},
+		"cloud": {"round_deadline": "fast"}, "cohorts": [{"name": "a", "kind": "taxi", "per_region": 1}]}`
 	if _, err := ParseSpec([]byte(doc)); err == nil {
 		t.Error("malformed duration accepted")
 	}
@@ -118,8 +126,8 @@ func TestValidateErrors(t *testing.T) {
 		{"zero regions", func(s *Spec) { s.Topology.Regions = 0 }, "topology.regions"},
 		{"bad graph", func(s *Spec) { s.Topology.Graph = "torus" }, "topology.graph"},
 		{"shards exceed regions", func(s *Spec) { s.Topology.Shards = 3 }, "a shard would own no regions"},
-		{"x0 out of range", func(s *Spec) { s.Cloud.X0 = 1.5 }, "cloud.x0"},
-		{"lambda out of range", func(s *Spec) { s.Cloud.Lambda = 2 }, "cloud.lambda"},
+		{"x0 out of range", func(s *Spec) { s.Cloud.X0 = 1.5 }, "cloud: x0 1.5 out of [0,1]"},
+		{"lambda out of range", func(s *Spec) { s.Cloud.Lambda = 2 }, "cloud: lambda 2 out of (0,1]"},
 		{"bound with both selectors", func(s *Spec) {
 			s.Cloud.Field = &FieldSpec{Bounds: []BoundSpec{{Decision: 1, Sensor: "camera", Lo: lo(0.1)}}}
 		}, "not both"},
@@ -129,6 +137,9 @@ func TestValidateErrors(t *testing.T) {
 		{"bound with no side", func(s *Spec) {
 			s.Cloud.Field = &FieldSpec{Bounds: []BoundSpec{{Decision: 1}}}
 		}, "one of lo or hi is required"},
+		{"bound decision out of range", func(s *Spec) {
+			s.Cloud.Field = &FieldSpec{Bounds: []BoundSpec{{Decision: 9, Lo: lo(0.1)}}}
+		}, "decision 9 out of 1..8"},
 		{"bound lo above hi", func(s *Spec) {
 			s.Cloud.Field = &FieldSpec{Bounds: []BoundSpec{{Decision: 1, Lo: lo(0.9), Hi: lo(0.1)}}}
 		}, "lo 0.9 > hi 0.1"},
@@ -154,6 +165,12 @@ func TestValidateErrors(t *testing.T) {
 		{"unknown link", func(s *Spec) {
 			s.Links = []LinkFault{{Link: "vehicle_moon"}}
 		}, "want edge_cloud or shard_aggregator"},
+		{"two edge_cloud profiles on one region", func(s *Spec) {
+			s.Links = []LinkFault{{Link: "edge_cloud"}, {Link: "edge_cloud", Regions: []int{1}, Fault: FaultSpec{DupProb: 0.1}}}
+		}, "links[1]: region 1 already has the edge_cloud profile links[0]"},
+		{"region listed twice in one profile", func(s *Spec) {
+			s.Links = []LinkFault{{Link: "edge_cloud", Regions: []int{1, 1}}}
+		}, "links[0]: region 1 listed twice"},
 		{"shard link without shards", func(s *Spec) {
 			s.Links = []LinkFault{{Link: "shard_aggregator"}}
 		}, "topology.shards > 1"},
@@ -209,11 +226,11 @@ func TestValidateErrors(t *testing.T) {
 		{"gossip with shards", func(s *Spec) {
 			s.Topology.Shards = 2
 			s.Topology.Gossip = &GossipSpec{}
-		}, "incompatible with topology.shards"},
+		}, "edge: gossip edges report digests straight to the cloud; shards > 1 is not supported"},
 		{"gossip with leases", func(s *Spec) {
 			s.Topology.Gossip = &GossipSpec{}
 			s.Cloud.LeaseTTL = Duration(time.Second)
-		}, "forbids cloud.lease_ttl"},
+		}, "edge: gossip edges do not heartbeat leases"},
 		{"partition without gossip", func(s *Spec) {
 			s.Events = []Event{{Round: 1, Action: "partition", Target: "cloud"}}
 		}, "need topology.gossip"},
@@ -236,10 +253,10 @@ func TestValidateErrors(t *testing.T) {
 		}, "set topology.gossip.failover_ttl"},
 		{"negative failover ttl", func(s *Spec) {
 			s.Topology.Gossip = &GossipSpec{FailoverTTL: Duration(-time.Second)}
-		}, "failover_ttl must be >= 0"},
+		}, "edge: gossip-failover-ttl must be >= 0"},
 		{"negative max backlog", func(s *Spec) {
 			s.Topology.Gossip = &GossipSpec{MaxBacklog: -1}
-		}, "max_backlog must be >= 0"},
+		}, "edge: gossip-max-backlog must be >= 0"},
 		{"leader-kill without gossip", func(s *Spec) {
 			s.Events = []Event{{Round: 1, Action: "leader-kill", Target: "hood:0"}}
 		}, "leader-kill events need topology.gossip"},
@@ -393,5 +410,165 @@ func TestLosslessTwinStripsPerturbations(t *testing.T) {
 	// The original spec is untouched.
 	if s.Cohorts[0].Fault == nil || len(s.Links) != 1 || len(s.Events) != 2 {
 		t.Error("LosslessTwin mutated the source spec")
+	}
+}
+
+// FuzzParseSpec: a spec ParseSpec accepts is a spec that runs. It compiles,
+// every node it compiles to passes NodeConfig.Validate, and its edge_cloud
+// link profiles assign without conflict. The catalogue seeds the corpus.
+// Byte mutations of JSON almost never make a structural edit, so each input
+// is also tried with one element of each of its arrays in it twice (the
+// elem-th, modulo the array's length): a second link profile, a region
+// listed twice, a repeated event.
+func FuzzParseSpec(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no catalogue specs to seed from (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, elem uint8) {
+		specRuns(t, data)
+		for array := 0; array < 16; array++ {
+			doubled, ok := doubleElement(data, array, int(elem))
+			if !ok {
+				break
+			}
+			specRuns(t, doubled)
+		}
+	})
+}
+
+// specRuns fails t when ParseSpec accepts data that would not run.
+func specRuns(t *testing.T, data []byte) {
+	t.Helper()
+	// Bound the tier, so the fuzzer cannot build a whole city.
+	var shape Spec
+	if json.Unmarshal(data, &shape) != nil || shape.Topology.Regions > 64 {
+		return
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		return
+	}
+	p, err := spec.compile(spec.Seed)
+	if err != nil {
+		t.Fatalf("accepted spec does not compile: %v\n%s", err, data)
+	}
+	if len(p.edges) != spec.Topology.Regions {
+		t.Fatalf("compiled %d edges for %d regions", len(p.edges), spec.Topology.Regions)
+	}
+	nodes := append([]*NodeConfig{p.cloud}, p.edges...)
+	for _, nc := range p.shards {
+		if nc != nil {
+			nodes = append(nodes, nc)
+		}
+	}
+	for _, fl := range p.fleets {
+		nodes = append(nodes, fl.nc)
+	}
+	for _, nc := range nodes {
+		if err := nc.Validate(); err != nil {
+			t.Fatalf("accepted spec compiles a %s node that fails: %v\n%s", nc.Role, err, data)
+		}
+	}
+	if _, problems := spec.edgeLinks(); len(problems) > 0 {
+		t.Fatalf("accepted spec's link profiles conflict: %v\n%s", problems, data)
+	}
+}
+
+// doubleElement re-encodes a JSON document with the elem-th element (modulo
+// the length) of its array-th non-empty array (depth first, keys in order)
+// in it twice. ok is false when the document has no such array.
+func doubleElement(data []byte, array, elem int) (_ []byte, ok bool) {
+	var doc any
+	if json.Unmarshal(data, &doc) != nil {
+		return nil, false
+	}
+	n := 0
+	var walk func(v any) any
+	walk = func(v any) any {
+		switch x := v.(type) {
+		case map[string]any:
+			keys := make([]string, 0, len(x))
+			for k := range x {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				x[k] = walk(x[k])
+			}
+		case []any:
+			if len(x) > 0 {
+				if n == array {
+					i := elem % len(x)
+					x, ok = slices.Insert(x, i, x[i]), true
+				}
+				n++
+			}
+			for i := range x {
+				x[i] = walk(x[i])
+			}
+			return x
+		}
+		return v
+	}
+	doc = walk(doc)
+	if !ok {
+		return nil, false
+	}
+	out, err := json.Marshal(doc)
+	return out, err == nil
+}
+
+// TestCompileDescribesNodesLikeCpnode: a compiled node reads as the cpnode
+// command line that would start it, addressed by the runner's listener names.
+func TestCompileDescribesNodesLikeCpnode(t *testing.T) {
+	spec := loadSpec(t, "edge-gossip.json")
+	p, err := spec.compile(spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.cloud.Role != RoleCloud || p.cloud.Listen != "cloud" || p.cloud.StateDir != "aggregator" {
+		t.Errorf("cloud = %s on %q in %q, want cloud on \"cloud\" in \"aggregator\"", p.cloud.Role, p.cloud.Listen, p.cloud.StateDir)
+	}
+	e := p.edges[2]
+	peers, err := ParseGossipPeers(e.GossipPeers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := GossipMembers(e.ID, peers); !slices.Equal(got, []int{0, 2}) || peers[0] != "gossip-0" {
+		t.Errorf("edge 2 gossips with %v via %q, want members [0 2] with edge 0 on gossip-0", got, e.GossipPeers)
+	}
+	if e.GossipHood != 0 || e.GossipOf != 2 || e.GossipEvery != 2 || e.CloudAddr != "cloud" || e.Vehicles != 8 {
+		t.Errorf("edge 2 = hood %d of %d, every %d, cloud %q, %d vehicles", e.GossipHood, e.GossipOf, e.GossipEvery, e.CloudAddr, e.Vehicles)
+	}
+	// The cloud and every gossip edge fold from one copy of the parameters.
+	if e.X0 != p.cloud.X0 || e.Lambda != p.cloud.Lambda || e.Graph != p.cloud.Graph {
+		t.Errorf("edge 2 folds x0 %v lambda %v, the cloud x0 %v lambda %v", e.X0, e.Lambda, p.cloud.X0, p.cloud.Lambda)
+	}
+
+	spec = loadSpec(t, "shard-kill.json")
+	if p, err = spec.compile(spec.Seed); err != nil {
+		t.Fatal(err)
+	}
+	if p.cloud.Role != RoleAggregator || len(p.shards) != 2 || p.shards[1].AggregatorAddr != "cloud" {
+		t.Fatalf("shard-kill compiles a %s and %d shards", p.cloud.Role, len(p.shards))
+	}
+	table, err := ShardTable(2, spec.Topology.Regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range p.edges {
+		up, err := ShardRoute(e.CloudAddr, e.Shards, e.Regions, e.ID)
+		owner, _ := table.Owner(e.ID)
+		if err != nil || up != fmt.Sprintf("shard-%d", owner) {
+			t.Errorf("edge %d reports to %q (%v), want shard-%d", e.ID, up, err, owner)
+		}
 	}
 }
