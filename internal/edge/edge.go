@@ -132,7 +132,9 @@ func (d *Distributor) AddUpload(u transport.Upload) error {
 		return fmt.Errorf("edge: upload from vehicle %d: %w", u.Vehicle, err)
 	}
 	for _, item := range u.Items {
-		if !share.Has(item.Modality) {
+		// One modality an item: an item claiming two would pass Has on
+		// either, and smuggle the other past the policy.
+		if !item.Modality.Valid() || !share.Has(item.Modality) {
 			return fmt.Errorf("edge: vehicle %d shared %v not covered by decision %d (%v)",
 				u.Vehicle, item.Modality, u.Decision, share)
 		}
@@ -263,10 +265,11 @@ func (d *Distributor) Census() []int {
 	return counts
 }
 
-// Shares converts a census into a decision distribution; a census with no
-// vehicles yields a uniform distribution.
-func Shares(counts []int) []float64 {
-	out := make([]float64, len(counts))
+// Shares converts a census into a decision distribution, written into
+// dst's backing array when it has the room; a census with no vehicles yields
+// a uniform distribution.
+func Shares(dst []float64, counts []int) []float64 {
+	out := append(dst[:0], make([]float64, len(counts))...)
 	total := 0
 	for _, c := range counts {
 		total += c

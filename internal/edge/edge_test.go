@@ -49,6 +49,10 @@ func TestAddUploadValidation(t *testing.T) {
 	if err := d.AddUpload(upload(1, 3, 7, sensor.Camera)); err == nil {
 		t.Error("modality outside decision must be rejected")
 	}
+	// Nor by an item that claims radar and camera at once.
+	if err := d.AddUpload(upload(1, 3, 7, sensor.Radar|sensor.Camera)); err == nil {
+		t.Error("item claiming two modalities must be rejected")
+	}
 	bad := upload(1, 3, 1, sensor.Camera)
 	bad.Items[0].Owner = 2
 	if err := d.AddUpload(bad); err == nil {
@@ -172,11 +176,11 @@ func TestCensusAndShares(t *testing.T) {
 	if census[0] != 1 || census[6] != 2 || census[7] != 1 {
 		t.Errorf("census = %v", census)
 	}
-	shares := Shares(census)
+	shares := Shares(nil, census)
 	if math.Abs(shares[6]-0.5) > 1e-12 {
 		t.Errorf("shares = %v", shares)
 	}
-	uniform := Shares(make([]int, 8))
+	uniform := Shares(nil, make([]int, 8))
 	for _, v := range uniform {
 		if math.Abs(v-0.125) > 1e-12 {
 			t.Errorf("empty census shares = %v", uniform)

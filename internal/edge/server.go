@@ -26,7 +26,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	conns  map[int]transport.Conn
-	shares []float64 // last round's decision distribution; replaced, never written in place
+	census []int // last round's decision census, broadcast with the next policy
 	closed chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
@@ -73,17 +73,12 @@ func newEdgeMetrics(o *obs.Observer) edgeMetrics {
 // NewServer builds an edge server with the given id over the decision
 // lattice.
 func NewServer(id int, lat *lattice.Lattice, seed int64) *Server {
-	k := lat.K()
-	shares := make([]float64, k)
-	for i := range shares {
-		shares[i] = 1 / float64(k)
-	}
 	o := obs.New()
 	return &Server{
 		ID:       id,
 		dist:     NewDistributor(lat, seed),
 		conns:    make(map[int]transport.Conn),
-		shares:   shares,
+		census:   make([]int, lat.K()),
 		uploaded: make(chan struct{}, 1),
 		closed:   make(chan struct{}),
 		obsv:     o,
@@ -128,14 +123,14 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// SetShares seeds the policy broadcast's last-round decision distribution,
-// so a restarted server resumes from the distribution its predecessor
-// published instead of the uniform cold-start prior (which would perturb
-// every vehicle's next revision). Call before Serve with a length-K slice.
-func (s *Server) SetShares(shares []float64) {
+// SetShares seeds the policy broadcast's last-round decision census, so a
+// restarted server resumes from the census its predecessor published
+// instead of the empty cold-start one, whose uniform shares would perturb
+// every vehicle's next revision. Call before Serve with a length-K slice.
+func (s *Server) SetShares(counts []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.shares = append([]float64(nil), shares...)
+	s.census = append([]int(nil), counts...)
 }
 
 // EnablePerception configures edge-side perception (see perception.go):
@@ -235,14 +230,14 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 		members = append(members, member{v, c})
 	}
 	s.members = members
-	shares := s.shares
+	last := s.census
 	s.mu.Unlock()
 
 	s.target.Store(int64(len(members)))
 	policy, err := transport.Encode(transport.KindPolicy, &transport.Policy{
 		Round:  round,
 		X:      x,
-		Shares: shares,
+		Counts: last,
 	})
 	if err != nil {
 		return fail(err)
@@ -285,7 +280,9 @@ distribute:
 
 	census := s.dist.Census()
 	s.mu.Lock()
-	s.shares = Shares(census)
+	// Copied: census is the caller's, and this round's broadcast is done
+	// with s.census.
+	s.census = append(s.census[:0], census...)
 	s.mu.Unlock()
 	m.rounds.Inc()
 	m.roundDuration.Observe(time.Since(start).Seconds())

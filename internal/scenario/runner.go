@@ -670,11 +670,11 @@ func (r *runner) startEdge(es *edgeState) error {
 	}
 	es.mu.Lock()
 	if es.lastCounts != nil {
-		// A restart: resume the policy broadcast from the distribution the
-		// dead server last published, not the uniform cold-start prior —
-		// otherwise every vehicle's next revision diverges from a run that
-		// never lost the server.
-		es.srv.SetShares(edge.Shares(es.lastCounts))
+		// A restart: resume the policy broadcast from the census the dead
+		// server last published, not the empty cold-start one — otherwise
+		// every vehicle's next revision diverges from a run that never lost
+		// the server.
+		es.srv.SetShares(es.lastCounts)
 	}
 	es.mu.Unlock()
 	l, err := r.net.listen(nc.Listen)

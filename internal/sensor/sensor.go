@@ -34,6 +34,9 @@ func (t Type) String() string {
 	}
 }
 
+// Valid reports whether t is exactly one known modality.
+func (t Type) Valid() bool { return t != 0 && t&(t-1) == 0 && Mask(t).Valid() }
+
 // Mask is a set of sensor modalities (a subset of {Camera, LiDAR, Radar}).
 // The zero Mask is the empty set.
 type Mask uint8

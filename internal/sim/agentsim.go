@@ -325,7 +325,7 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 
 		shares := make([][]float64, m)
 		for i := 0; i < m; i++ {
-			shares[i] = edge.Shares(censuses[i])
+			shares[i] = edge.Shares(nil, censuses[i])
 		}
 		res.SharesTrace = append(res.SharesTrace, shares)
 		res.Rounds = t + 1

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/sensor"
@@ -15,22 +16,23 @@ import (
 // Frame layout (after the 4-byte big-endian length prefix):
 //
 //	frame   := kindTag payload
-//	kindTag := 1 hello | 2 census | 3 ratio | 4 policy
-//	         | 5 upload | 6 delivery | 7 ack | 8 lease
+//	kindTag := 1 hello | 2 census | 3 ratio | 7 ack | 8 lease
 //	         | 10 census_batch | 11 ratio_batch | 12 digest
-//	         | 13 hood_beat | 14 ratio_corrections     (9 is retired)
+//	         | 13 hood_beat | 14 ratio_corrections | 15 policy
+//	         | 16 upload | 17 delivery    (4, 5, 6 and 9 are retired)
 //	int     := zigzag varint            (encoding/binary PutVarint)
 //	len     := uvarint                  (encoding/binary PutUvarint)
 //	f64     := 8-byte little-endian IEEE-754 bits
 //	str     := len bytes
+//	mask    := 1 byte, a nonempty subset of sensor.MaskAll
 //
 //	hello    := int(vehicle)
 //	census   := int(edge) int(round) len [int(count)]...
 //	ratio    := int(round) f64(x)
-//	policy   := int(round) f64(x) len [f64(share)]...
-//	item     := int(owner) int(modality) int(seq)
-//	upload   := int(vehicle) int(round) int(decision) len [item]...
-//	delivery := int(round) len [item]...
+//	policy   := int(round) f64(x) len [int(count)]...
+//	run      := int(owner) int(seq) mask
+//	upload   := int(vehicle) int(round) int(decision) len [run]...
+//	delivery := int(round) len [run]...
 //	ack      := str(err)
 //	lease    := int(edge) int(ttl_ms)
 //	census_batch := int(shard) int(round) len [census]...
@@ -46,9 +48,16 @@ import (
 // one-region ratio_correction this layout replaced; it is refused like any
 // unknown tag, so a peer still sending it gets an error, not a misread.
 //
+// A run is a stretch of items with one owner, each the one modality its
+// mask bit names, in rising bit order, at seq, seq+1, ... — one sharer's
+// items as Agent.BuildUpload and the edge's perception make them — so an
+// upload is one run and a delivery one run per sharer. Tags 4, 5 and 6 were
+// the policy of float64 shares and the item-by-item upload and delivery.
+//
 // Decoding is strict: truncated fields, lengths that cannot fit in the
 // remaining bytes (which also caps decode allocations), unknown kind tags,
-// edge sets out of order, and trailing garbage all fail.
+// edge sets out of order, empty or unknown run masks, and trailing garbage
+// all fail.
 type binaryCodec struct{}
 
 // Binary kind tags (wire stable — append only).
@@ -56,9 +65,9 @@ const (
 	tagHello byte = iota + 1
 	tagCensus
 	tagRatio
-	tagPolicy
-	tagUpload
-	tagDelivery
+	_ // 4: the retired float64-share policy
+	_ // 5: the retired item-by-item upload
+	_ // 6: the retired item-by-item delivery
 	tagAck
 	tagLease
 	_ // 9: the retired one-region ratio_correction
@@ -67,6 +76,9 @@ const (
 	tagDigest
 	tagHoodBeat
 	tagRatioCorrection
+	tagPolicy
+	tagUpload
+	tagDelivery
 )
 
 // AppendEncode appends m's wire frame (excluding the length prefix) to dst
@@ -103,11 +115,7 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = append(dst, tagPolicy)
 		dst = appendInt(dst, int64(p.Round))
 		dst = appendFloat(dst, p.X)
-		dst = appendLen(dst, len(p.Shares))
-		for _, s := range p.Shares {
-			dst = appendFloat(dst, s)
-		}
-		return dst, nil
+		return appendCounts(dst, p.Counts), nil
 	case KindUpload:
 		u, err := typedBody[Upload](m)
 		if err != nil {
@@ -117,7 +125,7 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = appendInt(dst, int64(u.Vehicle))
 		dst = appendInt(dst, int64(u.Round))
 		dst = appendInt(dst, int64(u.Decision))
-		return appendItems(dst, u.Items), nil
+		return appendRuns(dst, u.Items)
 	case KindDelivery:
 		d, err := typedBody[Delivery](m)
 		if err != nil {
@@ -125,7 +133,7 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		dst = append(dst, tagDelivery)
 		dst = appendInt(dst, int64(d.Round))
-		return appendItems(dst, d.Items), nil
+		return appendRuns(dst, d.Items)
 	case KindAck:
 		a, err := typedBody[Ack](m)
 		if err != nil {
@@ -262,7 +270,7 @@ type recvScratch struct {
 	census   *Census
 	batch    *CensusBatch
 	digest   *Digest
-	// The census kinds' lists and counts are cut from these (see
+	// The census kinds' lists and all counts are cut from these (see
 	// byteReader.censuses), from the start again at every frame.
 	list   []Census
 	counts []int
@@ -321,16 +329,12 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	case tagPolicy:
 		p := reuse(&s.policy)
 		p.Round, p.X = int(r.int()), r.float()
-		n := r.len(8)
-		p.Shares = append(p.Shares[:0], make([]float64, n)...)
-		for i := range p.Shares {
-			p.Shares[i] = r.float()
-		}
+		p.Counts = r.ints(r.len(1), 0)
 		kind, body = KindPolicy, p
 	case tagUpload:
 		u := reuse(&s.upload)
 		u.Vehicle, u.Round, u.Decision = int(r.int()), int(r.int()), int(r.int())
-		u.Items = r.items(u.Items)
+		u.Items = r.runs(u.Items)
 		kind, body = KindUpload, u
 	case tagDelivery:
 		if s.delivery == nil {
@@ -338,7 +342,7 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		}
 		d := s.delivery
 		d.Round = int(r.int())
-		d.Items = r.items(d.Items)
+		d.Items = r.runs(d.Items)
 		kind, body = KindDelivery, d
 	case tagAck:
 		a := reuse(&s.ack)
@@ -444,21 +448,45 @@ func appendFloat(dst []byte, f float64) []byte {
 func appendCensus(dst []byte, c *Census) []byte {
 	dst = appendInt(dst, int64(c.Edge))
 	dst = appendInt(dst, int64(c.Round))
-	dst = appendLen(dst, len(c.Counts))
-	for _, n := range c.Counts {
+	return appendCounts(dst, c.Counts)
+}
+
+func appendCounts(dst []byte, counts []int) []byte {
+	dst = appendLen(dst, len(counts))
+	for _, n := range counts {
 		dst = appendInt(dst, int64(n))
 	}
 	return dst
 }
 
-func appendItems(dst []byte, items []Item) []byte {
-	dst = appendLen(dst, len(items))
-	for _, it := range items {
-		dst = appendInt(dst, int64(it.Owner))
-		dst = appendInt(dst, int64(it.Modality))
-		dst = appendInt(dst, int64(it.Seq))
+// appendRuns appends items as the fewest runs, refusing an item whose
+// modality is not exactly one sensor type.
+func appendRuns(dst []byte, items []Item) ([]byte, error) {
+	runs := 0
+	for i, it := range items {
+		if !it.Modality.Valid() {
+			return nil, fmt.Errorf("transport: item %d has modality %v, not one sensor type", i, it.Modality)
+		}
+		if i == 0 || !extendsRun(items[i-1], it) {
+			runs++
+		}
 	}
-	return dst
+	dst = appendLen(dst, runs)
+	for i := 0; i < len(items); {
+		first, mask := items[i], byte(items[i].Modality)
+		for i++; i < len(items) && extendsRun(items[i-1], items[i]); i++ {
+			mask |= byte(items[i].Modality)
+		}
+		dst = appendInt(dst, int64(first.Owner))
+		dst = appendInt(dst, int64(first.Seq))
+		dst = append(dst, mask)
+	}
+	return dst, nil
+}
+
+// extendsRun reports whether b continues the run that a ends.
+func extendsRun(a, b Item) bool {
+	return b.Owner == a.Owner && b.Seq == a.Seq+1 && b.Modality > a.Modality
 }
 
 // --- decode helpers ---
@@ -585,17 +613,28 @@ func (r *byteReader) ints(n, rest int) []int {
 	return out
 }
 
-// items reads an item list into dst's backing array, growing it when the
-// list is longer than any read into it before. An empty list leaves a nil
-// dst nil.
-func (r *byteReader) items(dst []Item) []Item {
+// runs reads a run list into dst's backing array as items, growing it when
+// the list is longer than any read into it before. An empty list leaves a
+// nil dst nil.
+func (r *byteReader) runs(dst []Item) []Item {
 	n := r.len(3)
-	dst = append(dst[:0], make([]Item, n)...)
-	for i := range dst {
-		dst[i] = Item{
-			Owner:    int(r.int()),
-			Modality: sensor.Type(r.int()),
-			Seq:      int(r.int()),
+	dst = slices.Grow(dst[:0], n)
+	for i := 0; i < n && r.err == nil; i++ {
+		owner, seq := int(r.int()), int(r.int())
+		if len(r.buf) == 0 {
+			r.fail(fmt.Errorf("truncated run"))
+			break
+		}
+		mask := sensor.Mask(r.buf[0])
+		r.buf = r.buf[1:]
+		if mask == 0 || !mask.Valid() {
+			r.fail(fmt.Errorf("run %d has modality mask %#x", i, uint8(mask)))
+		}
+		for t := sensor.Camera; t <= sensor.Radar && r.err == nil; t <<= 1 {
+			if mask.Has(t) {
+				dst = append(dst, Item{Owner: owner, Modality: t, Seq: seq})
+				seq++
+			}
 		}
 	}
 	return dst

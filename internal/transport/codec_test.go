@@ -26,7 +26,7 @@ func allKindsMessages(t *testing.T) []Message {
 		{KindHello, Hello{Vehicle: 42}},
 		{KindCensus, Census{Edge: 1, Round: 3, Counts: []int{4, 2, 0}}},
 		{KindRatio, Ratio{Round: 2, X: 0.5}},
-		{KindPolicy, Policy{Round: 5, X: 0.75, Shares: []float64{0.25, 0.5, 0.25}}},
+		{KindPolicy, Policy{Round: 5, X: 0.75, Counts: []int{1, 2, 1}}},
 		{KindUpload, Upload{Vehicle: 7, Round: 5, Decision: 3, Items: []Item{
 			{Owner: 7, Modality: sensor.LiDAR, Seq: 1},
 			{Owner: 7, Modality: sensor.Radar, Seq: 2},
@@ -78,7 +78,7 @@ func warmedScratch(t testing.TB) *recvScratch {
 		body interface{}
 	}{
 		{KindRatio, Ratio{Round: 99, X: 1}},
-		{KindPolicy, Policy{Round: 99, X: 1, Shares: make([]float64, 16)}},
+		{KindPolicy, Policy{Round: 99, X: 1, Counts: make([]int, 16)}},
 		{KindUpload, Upload{Vehicle: 1000, Round: 99, Decision: 1, Items: items}},
 		{KindDelivery, Delivery{Round: 99, Items: items}},
 		{KindAck, Ack{Err: "a refusal left over from the frame before"}},
@@ -185,6 +185,31 @@ func TestCodecRoundTripPayloads(t *testing.T) {
 		if !reflect.DeepEqual(rc, want) {
 			t.Errorf("round trip = %+v, want %+v", rc, want)
 		}
+
+		// Items that are not one sharer's stretch — a seq gap, falling
+		// modalities, a repeated one, owners interleaved — cross the wire as
+		// more runs and come back exactly as they were sent.
+		items := Delivery{Round: 3, Items: []Item{
+			{Owner: 4, Modality: sensor.Camera, Seq: 10},
+			{Owner: 4, Modality: sensor.Radar, Seq: 12},
+			{Owner: 4, Modality: sensor.LiDAR, Seq: 13},
+			{Owner: 4, Modality: sensor.LiDAR, Seq: 14},
+			{Owner: 5, Modality: sensor.Camera, Seq: 15},
+			{Owner: 4, Modality: sensor.Radar, Seq: 16},
+		}}
+		if frame, err = Binary.AppendEncode(nil, mustEncode(t, KindDelivery, &items)); err != nil {
+			t.Fatal(err)
+		}
+		if runs := frame[2]; runs != 6 {
+			t.Errorf("%d runs, want 6", runs)
+		}
+		if m, err = Binary.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+		var del Delivery
+		if err := Decode(m, KindDelivery, &del); err != nil || !reflect.DeepEqual(del, items) {
+			t.Errorf("round trip = %+v (%v), want %+v", del, err, items)
+		}
 	})
 }
 
@@ -257,6 +282,39 @@ func TestBinaryGoldenBytes(t *testing.T) {
 			body: HoodBeat{Hood: 1, Epoch: 2, Leader: 3, Escalated: 6, TTLMillis: 750},
 			want: []byte{0x0D, 0x02, 0x04, 0x06, 0x0C, 0xDC, 0x0B},
 		},
+		{
+			name: "policy",
+			kind: KindPolicy,
+			body: Policy{Round: 2, X: 0.5, Counts: []int{3, 0, 1}},
+			want: []byte{0x0F, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
+				0x03, 0x06, 0x00, 0x02},
+		},
+		{
+			name: "upload",
+			kind: KindUpload,
+			body: Upload{Vehicle: 7, Round: 5, Decision: 3, Items: []Item{
+				{Owner: 7, Modality: sensor.LiDAR, Seq: 1},
+				{Owner: 7, Modality: sensor.Radar, Seq: 2},
+			}},
+			// One run: owner 7, seq 1, mask LiDAR|Radar.
+			want: []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x06},
+		},
+		{
+			name: "delivery",
+			kind: KindDelivery,
+			body: Delivery{Round: 5, Items: []Item{
+				{Owner: 9, Modality: sensor.Camera, Seq: 3},
+				{Owner: 9, Modality: sensor.LiDAR, Seq: 4},
+				{Owner: 12, Modality: sensor.Radar, Seq: 7},
+				{Owner: -1, Modality: sensor.Camera, Seq: 2}, // the edge's own perception
+				{Owner: -1, Modality: sensor.LiDAR, Seq: 3},
+				{Owner: -1, Modality: sensor.Radar, Seq: 4},
+			}},
+			want: []byte{0x11, 0x0A, 0x03,
+				0x12, 0x06, 0x03, // owner 9, seq 3, camera|lidar
+				0x18, 0x0E, 0x04, // owner 12, seq 7, radar
+				0x01, 0x04, 0x07}, // owner -1, seq 2, all three
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -298,7 +356,7 @@ func hardeningCases() []hardeningCase {
 		{"truncated float", ratio[:len(ratio)-3]},                                // ratio missing float tail
 		{"length exceeds remaining", []byte{0x02, 0x02, 0x06, 0xFF, 0xFF, 0x03}}, // census claiming ~65k counts
 		{"trailing garbage", append(append([]byte{}, ratio...), 0xAA)},
-		{"items length overflow", []byte{0x05, 0x0E, 0x0A, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"items length overflow", []byte{0x10, 0x0E, 0x0A, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 		{"truncated ratio_correction", []byte{0x0E, 0x0E, 0x06, 0x01, 0x04, 0x00, 0x00}},
 		// The one-region frame this layout replaced, as TestBinaryGoldenBytes
 		// pinned it until tag 14.
@@ -340,12 +398,21 @@ func hardeningCases() []hardeningCase {
 		{"digest trailing garbage", []byte{0x0C, 0x02, 0x04, 0x00, 0x00, 0xAA}},
 		{"hood_beat truncated", []byte{0x0D, 0x02, 0x04}},
 		{"hood_beat trailing garbage", []byte{0x0D, 0x02, 0x04, 0x06, 0x0C, 0x00, 0xAA}},
-		{"policy shares length exceeds remaining", append([]byte{0x04, 0x0A}, append(make([]byte, 8), 0x03, 0x00, 0x00)...)},
-		{"policy share cut short", append([]byte{0x04, 0x0A}, append(make([]byte, 8), 0x01, 0x00, 0x00, 0x00)...)},
-		{"policy trailing garbage", append([]byte{0x04, 0x0A}, append(make([]byte, 8), 0x00, 0xAA)...)},
-		{"upload truncated item", []byte{0x05, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x80}}, // seq varint never ends
-		{"delivery items length overflow", []byte{0x06, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"delivery trailing garbage", []byte{0x06, 0x0A, 0x00, 0xAA}},
+		// The policy's census: three counts claimed, two bytes left.
+		{"policy shares length exceeds remaining", append([]byte{0x0F, 0x0A}, append(make([]byte, 8), 0x03, 0x00, 0x00)...)},
+		{"policy share cut short", append([]byte{0x0F, 0x0A}, append(make([]byte, 8), 0x01, 0x80)...)}, // count never ends
+		{"policy trailing garbage", append([]byte{0x0F, 0x0A}, append(make([]byte, 8), 0x00, 0xAA)...)},
+		{"upload truncated item", []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02}}, // the run's mask never comes
+		{"delivery items length overflow", []byte{0x11, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"delivery trailing garbage", []byte{0x11, 0x0A, 0x00, 0xAA}},
+		// The vehicle-plane frames the run layouts replaced, each well formed
+		// as the golden bytes of its day.
+		{"policy retired tag 4", append([]byte{0x04, 0x0A, 0x01}, f64...)},
+		{"upload retired tag 5", []byte{0x05, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x04, 0x02}},
+		{"delivery retired tag 6", []byte{0x06, 0x0A, 0x01, 0x12, 0x02, 0x06}},
+		{"upload run mask 0", []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x00}},
+		{"delivery run unknown modality bit", []byte{0x11, 0x0A, 0x01, 0x12, 0x06, 0x09}},
+		{"delivery run count exceeds remaining", []byte{0x11, 0x0A, 0x02, 0x12, 0x06, 0x01}},
 		{"ack text length exceeds remaining", []byte{0x07, 0x05, 'n', 'o'}},
 		{"ack trailing garbage", []byte{0x07, 0x00, 0xAA}},
 	}
@@ -377,6 +444,55 @@ func TestEncodeRejectsMalformedCorrection(t *testing.T) {
 	} {
 		if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindRatioCorrection, rc)); err == nil {
 			t.Errorf("%s: encoded to %x, want an error", name, frame)
+		}
+	}
+}
+
+// TestEncodeRejectsMultiModalityItem: an item is one sensor type, so a run's
+// mask bit per item can carry it; anything else never reaches the wire.
+func TestEncodeRejectsMultiModalityItem(t *testing.T) {
+	for _, mod := range []sensor.Type{0, sensor.Camera | sensor.Radar, 8} {
+		up := Upload{Vehicle: 7, Items: []Item{{Owner: 7, Modality: mod, Seq: 1}}}
+		if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindUpload, up)); err == nil {
+			t.Errorf("modality %v: encoded to %x, want an error", mod, frame)
+		}
+	}
+}
+
+// TestVehiclePlaneFrameSizes pins the three frames of a vehicle-round in a
+// paper-lattice (K=8) cell of 16 vehicles, about two thousand rounds in: the
+// policy, a 3-item upload, and a delivery of the 15 others' items and the
+// edge's own perception, each sharer one run.
+func TestVehiclePlaneFrameSizes(t *testing.T) {
+	const round, seq = 1850, 5550
+	counts := []int{9, 1, 2, 0, 3, 0, 0, 1}
+	run := func(owner int) []Item { // one sharer's round, as Agent.BuildUpload makes it
+		var items []Item
+		for i, mod := range sensor.AllTypes() {
+			items = append(items, Item{Owner: owner, Modality: mod, Seq: seq + i})
+		}
+		return items
+	}
+	up := Upload{Vehicle: 241, Round: round, Decision: 1, Items: run(241)}
+	del := Delivery{Round: round}
+	for v := 242; v <= 256; v++ {
+		del.Items = append(del.Items, run(v)...)
+	}
+	del.Items = append(del.Items, run(-1)...) // the edge's own perception
+	for _, c := range []struct {
+		m    Message
+		want int
+	}{
+		{mustEncode(t, KindPolicy, Policy{Round: round, X: 0.7125, Counts: counts}), 20},
+		{mustEncode(t, KindUpload, up), 12},
+		{mustEncode(t, KindDelivery, del), 83},
+	} {
+		frame, err := Binary.AppendEncode(nil, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.m.Kind, len(frame), c.want)
 		}
 	}
 }
@@ -664,7 +780,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		{KindHello, Hello{Vehicle: 42}},
 		{KindCensus, Census{Edge: 1, Round: 3, Counts: []int{4, 2, 0}}},
 		{KindRatio, Ratio{Round: 2, X: 0.5}},
-		{KindPolicy, Policy{Round: 5, X: 0.75, Shares: []float64{0.25, 0.5, 0.25}}},
+		{KindPolicy, Policy{Round: 5, X: 0.75, Counts: []int{1, 2, 1}}},
 		{KindUpload, Upload{Vehicle: 7, Round: 5, Decision: 3, Items: []Item{{Owner: 7, Modality: sensor.LiDAR, Seq: 1}}}},
 		{KindDelivery, Delivery{Round: 5, Items: []Item{{Owner: 9, Modality: sensor.Camera, Seq: 3}}}},
 		{KindAck, Ack{Err: "nope"}},
@@ -679,6 +795,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		{KindHoodBeat, HoodBeat{Hood: 1, Epoch: 2, Leader: 3, Escalated: 6, TTLMillis: 750}},
 		{KindCensusBatch, mixedBatch()},
 		{KindDigest, mixedDigest()},
+		{KindDelivery, Delivery{Round: 5, Items: []Item{
+			{Owner: 9, Modality: sensor.Camera, Seq: 3},
+			{Owner: 9, Modality: sensor.Radar, Seq: 4},
+			{Owner: 12, Modality: sensor.LiDAR, Seq: 7},
+			{Owner: -1, Modality: sensor.Camera, Seq: 2}, // the edge's own perception
+			{Owner: -1, Modality: sensor.LiDAR, Seq: 3},
+		}}},
+		{KindPolicy, Policy{Round: 0, X: 0.5, Counts: make([]int, 8)}},
 	}
 	for _, p := range payloads {
 		m, err := Encode(p.kind, p.body)

@@ -102,9 +102,9 @@ func sameMessage(t *testing.T, got, want Message) {
 // only one that leaves less than half the read buffer free) and an empty ack.
 func vehiclePlaneMessages(t *testing.T) []Message {
 	t.Helper()
-	shares := make([]float64, 9)
-	for i := range shares {
-		shares[i] = float64(i+1) / 45
+	counts := make([]int, 9)
+	for i := range counts {
+		counts[i] = i + 1
 	}
 	upload := Upload{Vehicle: 17, Round: 117, Decision: 1}
 	for i, mod := range sensor.AllTypes() {
@@ -115,7 +115,7 @@ func vehiclePlaneMessages(t *testing.T) []Message {
 		delivery.Items = append(delivery.Items, Item{Owner: 1 + i/3, Modality: sensor.AllTypes()[i%3], Seq: 300 + i})
 	}
 	return []Message{
-		mustEncode(t, KindPolicy, &Policy{Round: 117, X: 0.7125, Shares: shares}),
+		mustEncode(t, KindPolicy, &Policy{Round: 117, X: 0.7125, Counts: counts}),
 		mustEncode(t, KindUpload, &upload),
 		mustEncode(t, KindDelivery, &delivery),
 		mustEncode(t, KindAck, &Ack{}),

@@ -76,9 +76,9 @@ type Message struct {
 	// Recv on the conn that returned it. Every conn decodes Ratio, Policy,
 	// Upload, Delivery, Ack, Census, CensusBatch and Digest into bodies and
 	// storage it reuses for the next frame, and Decode copies the struct but
-	// not the slices inside it, so a receiver that keeps Shares, Items,
-	// Counts or a census list past its next Recv copies them. RatioBatch and
-	// the remaining kinds are always freshly allocated and may be kept.
+	// not the slices inside it, so a receiver that keeps Items, Counts or a
+	// census list past its next Recv copies them. RatioBatch and the
+	// remaining kinds are always freshly allocated and may be kept.
 	Body interface{}
 }
 
@@ -103,13 +103,14 @@ type Ratio struct {
 
 // Policy is the policy forwarded from an edge server to its vehicles. In
 // addition to the sharing ratio it carries the cell's anonymized decision
-// distribution from the previous round, which vehicles use to evaluate the
-// expected fitness of each decision (the micro-level analogue of Eq. 4).
+// census from the previous round, whose shares (edge.Shares) vehicles use
+// to evaluate the expected fitness of each decision (the micro-level
+// analogue of Eq. 4).
 type Policy struct {
 	Round int
 	X     float64
-	// Shares[k] is the observed proportion of vehicles on decision k+1.
-	Shares []float64
+	// Counts[k] is the number of vehicles that took decision k+1.
+	Counts []int
 }
 
 // Item is one shared sensor datum: the owning vehicle and the modality.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/sensor"
 	"repro/internal/transport"
@@ -104,12 +105,13 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 	var ru roundUpload // the round's upload, sent by pointer so Send does not box it
 	deliveryRound := -1
 	// One of each per session: the read loop handles a frame at a time, and
-	// nothing below keeps Shares or Items past its own call (a received body
+	// nothing below keeps Counts or Items past its own call (a received body
 	// is only valid until the next Recv).
 	var (
-		pol transport.Policy
-		del transport.Delivery
-		ack transport.Ack
+		pol    transport.Policy
+		shares []float64 // pol.Counts as the cell's decision distribution
+		del    transport.Delivery
+		ack    transport.Ack
 	)
 	return map[transport.Kind]session.Handler{
 		transport.KindPolicy: func(m transport.Message) error {
@@ -127,8 +129,9 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 				}
 				return nil
 			}
-			if len(pol.Shares) > 0 {
-				if err := c.Agent.Revise(pol.X, pol.Shares, c.Mu); err != nil {
+			if len(pol.Counts) > 0 {
+				shares = edge.Shares(shares, pol.Counts)
+				if err := c.Agent.Revise(pol.X, shares, c.Mu); err != nil {
 					return err
 				}
 			}

@@ -76,8 +76,8 @@ func clientFullRound(t *testing.T, ackUpload bool) {
 			return err
 		}
 		// One policy round.
-		shares := []float64{1, 0, 0, 0, 0, 0, 0, 0}
-		pol, err := transport.Encode(transport.KindPolicy, transport.Policy{Round: 1, X: 0.9, Shares: shares})
+		counts := []int{1, 0, 0, 0, 0, 0, 0, 0}
+		pol, err := transport.Encode(transport.KindPolicy, transport.Policy{Round: 1, X: 0.9, Counts: counts})
 		if err != nil {
 			return err
 		}
@@ -219,9 +219,9 @@ func TestClientIdempotentUnderDuplicates(t *testing.T) {
 	}
 
 	var uploads []transport.Upload
-	shares := []float64{1, 0, 0, 0, 0, 0, 0, 0}
+	counts := []int{1, 0, 0, 0, 0, 0, 0, 0}
 	sendPolicy := func(conn transport.Conn, round int) error {
-		pol, err := transport.Encode(transport.KindPolicy, transport.Policy{Round: round, X: 0.9, Shares: shares})
+		pol, err := transport.Encode(transport.KindPolicy, transport.Policy{Round: round, X: 0.9, Counts: counts})
 		if err != nil {
 			return err
 		}

@@ -77,7 +77,7 @@ func TestRunWithReconnectReregisters(t *testing.T) {
 	s2 := <-serverConns
 	expectHello(s2)
 	pol, err := transport.Encode(transport.KindPolicy, transport.Policy{
-		Round: 0, X: 0.9, Shares: []float64{1, 0, 0, 0, 0, 0, 0, 0},
+		Round: 0, X: 0.9, Counts: []int{1, 0, 0, 0, 0, 0, 0, 0},
 	})
 	if err != nil {
 		t.Fatal(err)
