@@ -69,8 +69,13 @@
 // flag is bound straight to a field of scenario.Defaults, so a flag's default
 // is the Defaults value, and is registered with the roles that consume it. A
 // flag set on a role that ignores it is rejected up front ("-role edge
-// -fixed-lag 8" is an error, not a silently dead knob). The same NodeConfig
-// constructors wire cmd/scenario and the benchmark.
+// -fixed-lag 8" is an error, not a silently dead knob). The node itself is
+// started by NodeConfig.Start, the start code cmd/scenario's runner starts
+// every node of a spec with; cpnode adds only what a process needs: draining
+// on SIGTERM, driving an edge's rounds, waiting on a fleet, and printing.
+//
+// A cloud, aggregator, shard or gossip edge given -state-dir keeps its
+// checkpoint and journal there, and a restarted node resumes from them.
 package main
 
 import (
@@ -81,11 +86,9 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/transport"
@@ -162,11 +165,11 @@ func newNodeFlags(fs *flag.FlagSet) *nodeFlags {
 	f.bind(&nc.Seed, "seed", "random seed", allRoles)
 
 	f.faultDrop = fs.Float64("fault-drop", 0,
-		"fault injection: per-message drop probability on this node's links")
+		"fault injection: per-message drop probability on this node's listener and uplinks")
 	f.faultDelay = fs.Duration("fault-delay", 0,
-		"fault injection: max injected per-message delay on this node's links (delays reorder frames)")
+		"fault injection: max injected per-message delay on this node's listener and uplinks (delays reorder frames)")
 	f.faultDup = fs.Float64("fault-dup", 0,
-		"fault injection: per-message duplication probability on this node's links")
+		"fault injection: per-message duplication probability on this node's listener and uplinks")
 	f.bind(&nc.FixedLag, "fixed-lag",
 		"cloud: rewind window in rounds; a census arriving this late is folded back in and the corrected ratio re-published (0 = answer late censuses from current state)", tierRoles)
 	f.bind(&nc.RetryMax, "retry-max",
@@ -179,7 +182,7 @@ func newNodeFlags(fs *flag.FlagSet) *nodeFlags {
 	f.bind(&nc.IOTimeout, "io-timeout",
 		"per-operation read/write deadline on every TCP conn, dialed or accepted (0 = off; must exceed the idle gap between rounds)", allRoles)
 	f.bind(&nc.StateDir, "state-dir",
-		"cloud, shard: durable state directory (checkpoint + journal); a restarted node resumes the consensus from it (empty = in-memory only)", listenRoles)
+		"cloud, aggregator, shard, gossip edge: durable state directory (checkpoint + journal); a restarted node resumes the consensus from it (empty = in-memory only)", listenRoles)
 	f.bind(&nc.LeaseTTL, "lease-ttl",
 		"edge: membership lease TTL heartbeated to the cloud; a dead edge is evicted from the barrier quorum after this long (0 = no heartbeat)", edgeOnly)
 	f.bind(&nc.Shards, "shards",
@@ -272,16 +275,7 @@ func main() {
 
 	nc, err := f.config()
 	if err == nil {
-		switch nc.Role {
-		case scenario.RoleCloud, scenario.RoleAggregator:
-			err = runCloud(nc)
-		case scenario.RoleShard:
-			err = runShard(nc)
-		case scenario.RoleEdge:
-			err = runEdge(nc)
-		case scenario.RoleVehicles:
-			err = runVehicles(nc)
-		}
+		err = run(nc)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cpnode: %v\n", err)
@@ -289,247 +283,114 @@ func main() {
 	}
 }
 
-// runCloud starts the FDS coordinator over TCP and blocks until the
-// listener dies or a termination signal arrives. With a state directory the
-// consensus survives both kill -9 (journal replay on the next start) and
-// SIGTERM (graceful drain: pending round completed, checkpoint written).
-func runCloud(nc *scenario.NodeConfig) error {
-	srv, what, err := nc.NewCloud()
+// run starts the node through scenario's start code, on the node's own TCP
+// endpoints, and keeps the process alive for its role: a cloud or shard until
+// it is signalled (draining first) or its listener dies, an edge through its
+// rounds, a fleet until every vehicle's session has ended.
+func run(nc *scenario.NodeConfig) error {
+	node, err := nc.Start(scenario.Net{})
 	if err != nil {
 		return err
 	}
-	if nc.StateDir != "" {
-		fmt.Printf("cloud: durable state in %s, resuming at round %d\n", nc.StateDir, srv.Latest()+1)
-	}
-	l, err := nc.Listener()
-	if err != nil {
-		return err
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	go func() {
-		s := <-sig
-		log.Printf("cloud: %v received, draining", s)
-		if err := srv.Drain(); err != nil {
-			log.Printf("cloud: drain: %v", err)
+	defer node.Stop()
+	switch nc.Role {
+	case scenario.RoleCloud, scenario.RoleAggregator:
+		if nc.StateDir != "" {
+			fmt.Printf("cloud: durable state in %s, resuming at round %d\n", nc.StateDir, node.Cloud.Latest()+1)
 		}
-		_ = l.Close() // unblocks Serve
-	}()
-	fmt.Printf("cloud: listening on %s, steering %d regions toward %s (round deadline %v, fixed lag %d)\n",
-		l.Addr(), nc.Regions, what, nc.RoundDeadline, nc.FixedLag)
-	srv.Serve(l) // blocks
-	return nil
-}
-
-// runShard starts one shard coordinator: the rendezvous ring over Shards
-// members assigns its region group, rounds barrier locally and forward to
-// the aggregation tier as one census batch each.
-func runShard(nc *scenario.NodeConfig) error {
-	coord, upstream, err := nc.NewShard(nil)
-	if err != nil {
-		return err
-	}
-	defer upstream.Close()
-	if nc.StateDir != "" {
-		fmt.Printf("shard %d: durable state in %s, resuming at round %d\n", nc.ShardID, nc.StateDir, coord.Latest()+1)
-	}
-	table, err := scenario.ShardTable(nc.Shards, nc.Regions)
-	if err != nil {
-		return err
-	}
-	l, err := nc.Listener()
-	if err != nil {
-		return err
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	go func() {
-		s := <-sig
-		log.Printf("shard %d: %v received, draining", nc.ShardID, s)
-		if err := coord.Drain(); err != nil {
-			log.Printf("shard %d: drain: %v", nc.ShardID, err)
+		fmt.Printf("cloud: listening on %s, steering %d regions toward %s (round deadline %v, fixed lag %d)\n",
+			node.Addr, nc.Regions, node.What, nc.RoundDeadline, nc.FixedLag)
+		return serve(node, "cloud", node.Cloud.Drain)
+	case scenario.RoleShard:
+		if nc.StateDir != "" {
+			fmt.Printf("shard %d: durable state in %s, resuming at round %d\n", nc.ShardID, nc.StateDir, node.Shard.Latest()+1)
 		}
-		_ = l.Close() // unblocks Serve
-	}()
-	fmt.Printf("shard %d/%d: listening on %s, owning regions %v, forwarding to %s (deadline %v)\n",
-		nc.ShardID, nc.Shards, l.Addr(), table.Regions(nc.ShardID), nc.AggregatorAddr, nc.ShardDeadline)
-	coord.Serve(l) // blocks
-	coord.Close()
-	return nil
-}
-
-func runEdge(nc *scenario.NodeConfig) error {
-	srv := nc.NewEdge()
-	l, err := nc.Listener()
-	if err != nil {
-		return err
-	}
-	go srv.Serve(l)
-	defer srv.Close()
-	fmt.Printf("edge %d: listening on %s, waiting for %d vehicles\n", nc.ID, l.Addr(), nc.Vehicles)
-
-	for srv.NumVehicles() < nc.Vehicles {
-		time.Sleep(50 * time.Millisecond)
-	}
-	fmt.Printf("edge %d: %d vehicles registered, starting rounds\n", nc.ID, srv.NumVehicles())
-
-	if nc.GossipPeers != "" {
-		return runEdgeGossip(nc, srv)
-	}
-
-	link, err := nc.NewCloudLink(nil)
-	if err != nil {
-		return err
-	}
-	defer link.Close()
-	// Ratio corrections pushed after a cloud fixed-lag rewind (another
-	// region's straggler changed the fold): adopt the corrected ratio at the
-	// start of the next round. The callback runs on the session's read
-	// goroutine, hence the mutex.
-	var corrMu sync.Mutex
-	correctedX, haveCorrection := 0.0, false
-	link.OnCorrection = func(round int, cx float64) {
-		corrMu.Lock()
-		correctedX, haveCorrection = cx, true
-		corrMu.Unlock()
-		log.Printf("edge %d: cloud rewound through round %d; corrected x=%.4f", nc.ID, round, cx)
-	}
-
-	if nc.LeaseTTL > 0 {
-		hb, err := nc.NewHeartbeat(nil)
-		if err != nil {
+		table, _ := scenario.ShardTable(nc.Shards, nc.Regions) // Start built it
+		fmt.Printf("shard %d/%d: listening on %s, owning regions %v, forwarding to %s (deadline %v)\n",
+			nc.ShardID, nc.Shards, node.Addr, table.Regions(nc.ShardID), nc.AggregatorAddr, nc.ShardDeadline)
+		return serve(node, fmt.Sprintf("shard %d", nc.ShardID), node.Shard.Drain)
+	case scenario.RoleEdge:
+		return runEdge(node)
+	default:
+		fmt.Printf("vehicles: %d agents connected to %s\n", nc.N, nc.EdgeAddr)
+		if err := node.Wait(); err != nil {
 			return err
 		}
-		hbStop := make(chan struct{})
-		defer close(hbStop)
-		go hb.Run(hbStop)
+		fmt.Println("vehicles: edge closed the session, exiting")
+		return nil
+	}
+}
+
+// serve blocks until the node's listener dies or a termination signal
+// arrives. With a state directory the consensus survives both kill -9
+// (journal replay on the next start) and SIGTERM (graceful drain: pending
+// round completed, checkpoint written).
+func serve(node *scenario.Node, name string, drain func() error) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	go func() {
+		s := <-sig
+		log.Printf("%s: %v received, draining", name, s)
+		if err := drain(); err != nil {
+			log.Printf("%s: drain: %v", name, err)
+		}
+		node.Stop() // unblocks Wait
+	}()
+	return node.Wait()
+}
+
+// runEdge waits for the edge's vehicles, then runs its rounds free: from
+// round 0 reporting to the cloud, or on the gossip data plane from the round
+// after the journal's last. A failed upstream step keeps the round's ratio.
+func runEdge(node *scenario.Node) error {
+	nc := node.Config
+	fmt.Printf("edge %d: listening on %s, waiting for %d vehicles\n", nc.ID, node.Addr, nc.Vehicles)
+	for node.Edge.NumVehicles() < nc.Vehicles {
+		time.Sleep(50 * time.Millisecond)
+	}
+	fmt.Printf("edge %d: %d vehicles registered, starting rounds\n", nc.ID, node.Edge.NumVehicles())
+
+	t, x := 0, nc.X0
+	if g := node.Gossip; g != nil {
+		if nc.StateDir != "" {
+			fmt.Printf("edge %d: durable gossip state in %s, resuming at round %d\n", nc.ID, nc.StateDir, g.Latest()+1)
+		}
+		role := "member"
+		if g.Leader() {
+			role = "leader"
+		}
+		peers, _ := scenario.ParseGossipPeers(nc.GossipPeers) // validated
+		fmt.Printf("edge %d: gossiping on %s as %s of neighborhood %d/%d (members %v, escalate every %d), steering toward %s\n",
+			nc.ID, node.GossipAddr, role, nc.GossipHood, nc.GossipOf, scenario.GossipMembers(nc.ID, peers), nc.GossipEvery, node.What)
+		t, x = g.Latest()+1, g.X()
+	} else if nc.LeaseTTL > 0 {
 		fmt.Printf("edge %d: heartbeating membership lease (ttl %v)\n", nc.ID, nc.LeaseTTL)
 	}
 
-	x := nc.X0
-	for t := 0; t < nc.Rounds; t++ {
-		corrMu.Lock()
-		if haveCorrection {
-			x, haveCorrection = correctedX, false
-		}
-		corrMu.Unlock()
-		census, err := srv.RunRound(t, x, 5*time.Second)
-		if err != nil {
+	for ; t < nc.Rounds; t++ {
+		census, next, err := node.Round(t, x)
+		switch {
+		case census == nil:
 			return fmt.Errorf("round %d: %w", t, err)
-		}
-		next, err := link.Report(t, census)
-		if err != nil {
-			// Degraded round: the cloud is unreachable; keep the current
-			// ratio and try again next round.
-			log.Printf("edge %d round %d: cloud unreachable (%v); keeping x=%.2f", nc.ID, t, err, x)
-			continue
-		}
-		fmt.Printf("edge %d round %2d: x=%.2f census=%v -> next x=%.2f\n", nc.ID, t, x, census, next)
-		x = next
-	}
-	return nil
-}
-
-// runEdgeGossip drives the edge through the gossip data plane: each round's
-// census goes to the neighborhood, the next ratio comes from the local fold,
-// and the leader escalates digests to the cloud on the -gossip-every cadence.
-// The cloud being unreachable only delays escalation — rounds keep completing.
-func runEdgeGossip(nc *scenario.NodeConfig, srv *edge.Server) error {
-	peers, err := scenario.ParseGossipPeers(nc.GossipPeers)
-	if err != nil {
-		return err
-	}
-	members := scenario.GossipMembers(nc.ID, peers)
-	peerDial := func(member int) (transport.Conn, error) {
-		addr, ok := peers[member]
-		if !ok {
-			return nil, fmt.Errorf("cpnode: no address for gossip peer %d", member)
-		}
-		return nc.DialFunc(addr)()
-	}
-	node, what, err := nc.NewGossipNode(members, peerDial, nc.DialFunc(nc.CloudAddr))
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	gl, err := transport.ListenTCP(nc.GossipListen, nc.TCPOptions()...)
-	if err != nil {
-		return err
-	}
-	defer gl.Close()
-	go node.Serve(gl)
-
-	role := "member"
-	if node.Leader() {
-		role = "leader"
-	}
-	if nc.StateDir != "" {
-		fmt.Printf("edge %d: durable gossip state in %s, resuming at round %d\n", nc.ID, nc.StateDir, node.Latest()+1)
-	}
-	fmt.Printf("edge %d: gossiping on %s as %s of neighborhood %d/%d (members %v, escalate every %d), steering toward %s\n",
-		nc.ID, gl.Addr(), role, nc.GossipHood, nc.GossipOf, members, nc.GossipEvery, what)
-
-	x := node.X()
-	for t := node.Latest() + 1; t < nc.Rounds; t++ {
-		census, err := srv.RunRound(t, x, 5*time.Second)
-		if err != nil {
-			return fmt.Errorf("round %d: %w", t, err)
-		}
-		next, err := node.LocalRound(t, census)
-		if err != nil {
-			return fmt.Errorf("gossip round %d: %w", t, err)
-		}
-		line := fmt.Sprintf("edge %d round %2d: x=%.2f census=%v -> next x=%.2f", nc.ID, t, x, census, next)
-		if cx, ok := node.CloudRatio(); ok {
-			line += fmt.Sprintf(" (cloud view %.2f)", cx)
-		}
-		fmt.Println(line)
-		x = next
-	}
-	// Drain the escalation backlog so the control plane sees the tail even
-	// when the run length is not a multiple of -gossip-every.
-	if err := node.Flush(); err != nil {
-		log.Printf("edge %d: final digest flush: %v", nc.ID, err)
-	}
-	return nil
-}
-
-func runVehicles(nc *scenario.NodeConfig) error {
-	fleet, err := nc.NewFleet(scenario.FleetSpec{
-		N:               nc.N,
-		IDBase:          nc.IDBase,
-		Beta:            nc.Beta,
-		Seed:            nc.Seed,
-		RegisterTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, nc.N)
-	for _, fv := range fleet {
-		dialer := &transport.Dialer{
-			Dial:        nc.DialFunc(nc.EdgeAddr),
-			MaxAttempts: nc.RetryMax,
-			Seed:        int64(fv.Agent.Profile.ID) + 0x5eed,
-		}
-		client := fv.Client
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := client.RunWithReconnect(dialer); err != nil {
-				errCh <- err
+		case err != nil:
+			log.Printf("edge %d round %d: upstream unreachable (%v); keeping x=%.2f", nc.ID, t, err, next)
+		default:
+			line := fmt.Sprintf("edge %d round %2d: x=%.2f census=%v -> next x=%.2f", nc.ID, t, x, census, next)
+			if g := node.Gossip; g != nil {
+				if cx, ok := g.CloudRatio(); ok {
+					line += fmt.Sprintf(" (cloud view %.2f)", cx)
+				}
 			}
-		}()
+			fmt.Println(line)
+		}
+		x = next
 	}
-	fmt.Printf("vehicles: %d agents connected to %s\n", nc.N, nc.EdgeAddr)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
+	if g := node.Gossip; g != nil {
+		// Drain the escalation backlog so the control plane sees the tail
+		// even when the run length is not a multiple of -gossip-every.
+		if err := g.Flush(); err != nil {
+			log.Printf("edge %d: final digest flush: %v", nc.ID, err)
+		}
 	}
-	fmt.Println("vehicles: edge closed the session, exiting")
 	return nil
 }

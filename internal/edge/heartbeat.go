@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/obs"
@@ -11,11 +10,12 @@ import (
 
 // Heartbeat maintains an edge server's membership lease with the cloud. It
 // runs on a dedicated connection — never the census link, whose
-// request/reply exchange would race with the lease acks — renewing every
-// Interval and redialing whenever the connection drops, so a restarted
-// cloud re-admits the edge as soon as it is reachable again. While the
-// edge is down (its heartbeat stopped), the cloud evicts it from the round
-// barrier quorum after at most TTL.
+// request/reply exchange would race with the lease acks — over the same
+// redial-and-resend core as the census link: every Interval one renewal,
+// redialed and re-sent across connection failures, so a restarted cloud
+// re-admits the edge as soon as it is reachable again. While the edge is
+// down (its heartbeat stopped), the cloud evicts it from the round barrier
+// quorum after at most TTL.
 type Heartbeat struct {
 	// Edge identifies this region to the cloud.
 	Edge int
@@ -32,12 +32,17 @@ type Heartbeat struct {
 	// Obs, when non-nil, is the observer the heartbeat reports through
 	// (edge_lease_renewals_total, edge_lease_redials_total).
 	Obs *obs.Observer
+
+	link
 }
 
 // Run renews the lease until stop closes. It blocks; run it in a goroutine.
 // Failures never terminate the loop — a dead cloud is exactly when the
 // heartbeat must keep dialing, so the lease is re-granted the moment a
-// restarted cloud comes back.
+// restarted cloud comes back. A renewal that fails, whether refused, undialable
+// or dropped on every attempt, is followed by the same one-interval rest as an
+// acked one, so a cloud that accepts and drops connections is not redialed in
+// a tight loop.
 func (h *Heartbeat) Run(stop <-chan struct{}) {
 	ttl := h.TTL
 	if ttl <= 0 {
@@ -56,63 +61,25 @@ func (h *Heartbeat) Run(stop <-chan struct{}) {
 		o = obs.New()
 	}
 	renewals := o.Counter("edge_lease_renewals_total", "membership lease renewals acked by the cloud")
-	redials := o.Counter("edge_lease_redials_total", "heartbeat reconnects after the first dial")
+	h.mu.Lock()
+	h.redials = o.Counter("edge_lease_redials_total", "heartbeat reconnects after the first dial")
+	h.mu.Unlock()
+	defer h.Close()
 
-	var conn transport.Conn
-	defer func() {
-		if conn != nil {
-			_ = conn.Close()
-		}
-	}()
-	dialed := false
-	pause := func(d time.Duration) bool {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-stop:
-			return false
-		case <-t.C:
-			return true
-		}
-	}
+	t := time.NewTimer(0)
+	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		default:
+		case <-t.C:
 		}
-		if conn == nil {
-			c, err := h.Dialer.DialRetry()
-			if err != nil {
-				// The dialer's patience ran out; rest one backoff step and
-				// start over.
-				if !pause(h.Dialer.Backoff(0)) {
-					return
-				}
-				continue
-			}
-			if dialed {
-				redials.Inc()
-			}
-			dialed = true
-			conn = c
+		err := h.exchange(h.Dialer, 0, func(conn transport.Conn) error {
+			return session.RenewLease(conn, h.Edge, ttl, ackTimeout)
+		})
+		if err == nil {
+			renewals.Inc()
 		}
-		if err := session.RenewLease(conn, h.Edge, ttl, ackTimeout); err != nil {
-			_ = conn.Close()
-			conn = nil
-			if !transport.IsConnError(err) {
-				// An application-level refusal (e.g. a misconfigured edge id)
-				// will not heal by redialing fast; rest a full interval.
-				var rej *session.RejectedError
-				if errors.As(err, &rej) && !pause(interval) {
-					return
-				}
-			}
-			continue
-		}
-		renewals.Inc()
-		if !pause(interval) {
-			return
-		}
+		t.Reset(interval)
 	}
 }

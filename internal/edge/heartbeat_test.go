@@ -2,6 +2,7 @@ package edge
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,5 +186,52 @@ func TestHeartbeatStopsWhileCloudDown(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("heartbeat did not stop while dialing a dead cloud")
+	}
+}
+
+// A cloud that accepts every connection and drops it at once must not be
+// redialed in a tight loop: a renewal that failed on every attempt rests one
+// interval, like an acked one.
+func TestHeartbeatPacesADroppingCloud(t *testing.T) {
+	net := transport.NewInprocNetwork()
+	l, err := net.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			_ = conn.Close()
+		}
+	}()
+	var dials atomic.Int64
+	hb := &Heartbeat{
+		Edge: 1,
+		Dialer: &transport.Dialer{
+			Dial: func() (transport.Conn, error) {
+				dials.Add(1)
+				return net.Dial("cloud")
+			},
+			BaseDelay: time.Millisecond,
+			MaxDelay:  10 * time.Millisecond,
+		},
+		TTL:      90 * time.Millisecond,
+		Interval: 10 * time.Millisecond,
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		hb.Run(stop)
+	}()
+	time.Sleep(100 * time.Millisecond)
+	close(stop)
+	<-done
+	if n := dials.Load(); n > 50 {
+		t.Fatalf("heartbeat dialed a dropping cloud %d times in 100ms, want <= 50", n)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/transport"
 )
 
-// link is the redial-and-resend core under CloudLink, BatchLink and
-// PeerLink: one lazily dialed connection, whole exchanges serialized over
+// link is the redial-and-resend core under CloudLink, BatchLink, PeerLink
+// and Heartbeat: one lazily dialed connection, whole exchanges serialized over
 // it, and a retry loop that drops the connection on a link failure, rests
 // one backoff step, redials and runs the exchange again. The receiving tier
 // treats a re-sent frame as a last-write-wins duplicate, so retries are

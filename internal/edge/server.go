@@ -2,7 +2,6 @@ package edge
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,7 +125,8 @@ func (s *Server) Close() {
 // SetShares seeds the policy broadcast's last-round decision census, so a
 // restarted server resumes from the census its predecessor published
 // instead of the empty cold-start one, whose uniform shares would perturb
-// every vehicle's next revision. Call before Serve with a length-K slice.
+// every vehicle's next revision. Call before the first RunRound with a
+// length-K slice.
 func (s *Server) SetShares(counts []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,19 +292,4 @@ distribute:
 	}
 	span.End(obs.A("census_total", total))
 	return census, nil
-}
-
-// ReportCensus sends the census to the cloud on conn and waits for the
-// ratio answer for the next round.
-func (s *Server) ReportCensus(conn transport.Conn, round int, census []int) (float64, error) {
-	x, err := session.ReportCensus(conn, s.ID, round, census, 0)
-	var rej *session.RejectedError
-	switch {
-	case err == nil:
-		return x, nil
-	case errors.As(err, &rej):
-		return 0, fmt.Errorf("edge: cloud rejected census: %s", rej.Reason)
-	default:
-		return 0, fmt.Errorf("edge: reporting census: %w", err)
-	}
 }

@@ -211,27 +211,18 @@ func (c *NodeConfig) ResolveField(model *game.Model) (*policy.Field, string, err
 
 // NewCloud wires the full cloud/aggregator stack — model, desired field,
 // FDS controller, coordinator — and applies the round deadline, rewind
-// window, logger, observer, and durable state directory. This is the one
-// construction path every entry point (cpnode, cmd/scenario, the agent
-// simulation, the benchmark) shares. The returned description names the
-// field source.
+// window, logger, observer, and durable state directory: the one cloud
+// construction path of cpnode, the scenario runner, the agent simulation
+// and the benchmark. The returned description names the field source.
 func (c *NodeConfig) NewCloud() (*cloud.Server, string, error) {
-	model, err := c.BuildModel()
-	if err != nil {
-		return nil, "", err
-	}
-	field, what, err := c.ResolveField(model)
-	if err != nil {
-		return nil, "", err
-	}
-	fds, err := policy.NewFDS(model, field, c.Lambda)
+	fds, what, err := c.newFDS()
 	if err != nil {
 		return nil, "", err
 	}
 	if c.Obs != nil {
 		fds.Instrument(c.Obs)
 	}
-	srv, err := cloud.NewServer(fds, game.NewUniformState(model.M(), model.K(), c.X0))
+	srv, err := cloud.NewServer(fds, game.NewUniformState(fds.Field().M(), fds.Field().K(), c.X0))
 	if err != nil {
 		return nil, "", err
 	}
@@ -290,6 +281,20 @@ func ParseGossipPeers(s string) (map[int]string, error) {
 // metrics cover the data plane, and per-edge FDS instruments would collide
 // with the control plane's.
 func (c *NodeConfig) NewGossipFold() (*cloud.Fold, string, error) {
+	fds, what, err := c.newFDS()
+	if err != nil {
+		return nil, "", err
+	}
+	fold, err := cloud.NewFold(fds, game.NewUniformState(fds.Field().M(), fds.Field().K(), c.X0))
+	if err != nil {
+		return nil, "", err
+	}
+	return fold, what, nil
+}
+
+// newFDS builds the FDS controller over the resolved model and desired
+// field; the description names the field source.
+func (c *NodeConfig) newFDS() (*policy.FDS, string, error) {
 	model, err := c.BuildModel()
 	if err != nil {
 		return nil, "", err
@@ -299,14 +304,7 @@ func (c *NodeConfig) NewGossipFold() (*cloud.Fold, string, error) {
 		return nil, "", err
 	}
 	fds, err := policy.NewFDS(model, field, c.Lambda)
-	if err != nil {
-		return nil, "", err
-	}
-	fold, err := cloud.NewFold(fds, game.NewUniformState(model.M(), model.K(), c.X0))
-	if err != nil {
-		return nil, "", err
-	}
-	return fold, what, nil
+	return fds, what, err
 }
 
 // NewGossipNode wires one edge's gossip consensus participant: the local
@@ -397,9 +395,8 @@ func ShardRoute(cloudAddr string, shards, regions, edgeID int) (string, error) {
 
 // NewShard wires one shard coordinator: the rendezvous ring assigns its
 // region group, the upstream BatchLink dials the aggregation tier through
-// dial (nil defaults to a TCP dial of AggregatorAddr with the node's timeout
-// and fault profile), and the durable state directory is opened when set.
-// Close the returned link after the coordinator.
+// dial, and the durable state directory is opened when set. Close the
+// returned link after the coordinator.
 func (c *NodeConfig) NewShard(dial func() (transport.Conn, error)) (*shard.Coordinator, *edge.BatchLink, error) {
 	table, err := ShardTable(c.Shards, c.Regions)
 	if err != nil {
@@ -410,16 +407,9 @@ func (c *NodeConfig) NewShard(dial func() (transport.Conn, error)) (*shard.Coord
 		return nil, nil, fmt.Errorf("scenario: shard %d owns no regions in a %d-region/%d-shard ring (add regions or drop shards)",
 			c.ShardID, c.Regions, c.Shards)
 	}
-	if dial == nil {
-		dial = c.DialFunc(c.AggregatorAddr, transport.WithTimeout(time.Minute))
-	}
 	upstream := &edge.BatchLink{
-		Shard: c.ShardID,
-		Dialer: &transport.Dialer{
-			Dial:        dial,
-			MaxAttempts: c.RetryMax,
-			Seed:        c.Seed,
-		},
+		Shard:        c.ShardID,
+		Dialer:       c.dialer(dial, c.Seed),
 		ReplyTimeout: 30 * time.Second,
 		Obs:          c.Obs,
 	}
@@ -455,50 +445,37 @@ func (c *NodeConfig) NewEdge() *edge.Server {
 	return srv
 }
 
-// NewCloudLink builds the edge's census link, dialing through dial (nil
-// defaults to a TCP dial of the edge's routed cloud address).
+// NewCloudLink builds the edge's census link to its routed cloud or shard,
+// dialing through dial. A reply is awaited for four round deadlines, and at
+// least edgeRoundWait.
 func (c *NodeConfig) NewCloudLink(dial func() (transport.Conn, error)) (*edge.CloudLink, error) {
-	if dial == nil {
-		addr, err := ShardRoute(c.CloudAddr, c.Shards, c.Regions, c.ID)
-		if err != nil {
-			return nil, err
-		}
-		dial = c.DialFunc(addr, transport.WithTimeout(time.Minute))
-	}
 	return &edge.CloudLink{
-		Edge: c.ID,
-		Dialer: &transport.Dialer{
-			Dial:        dial,
-			MaxAttempts: c.RetryMax,
-			Seed:        c.Seed,
-		},
-		ReplyTimeout: 30 * time.Second,
+		Edge:         c.ID,
+		Dialer:       c.dialer(dial, c.Seed),
+		ReplyTimeout: max(edgeRoundWait, 4*c.RoundDeadline),
 		Obs:          c.Obs,
 	}, nil
 }
 
 // NewHeartbeat builds the edge's membership heartbeat on its own
-// connection (the census link's request/reply exchange would race with the
-// lease acks). Nil dial defaults to a TCP dial of the routed cloud
-// address.
+// connection to its routed cloud or shard, dialing through dial (the census
+// link's request/reply exchange would race with the lease acks).
 func (c *NodeConfig) NewHeartbeat(dial func() (transport.Conn, error)) (*edge.Heartbeat, error) {
-	if dial == nil {
-		addr, err := ShardRoute(c.CloudAddr, c.Shards, c.Regions, c.ID)
-		if err != nil {
-			return nil, err
-		}
-		dial = c.DialFunc(addr)
-	}
 	return &edge.Heartbeat{
-		Edge: c.ID,
-		Dialer: &transport.Dialer{
-			Dial:        dial,
-			MaxAttempts: c.RetryMax,
-			Seed:        c.Seed + 1,
-		},
-		TTL: c.LeaseTTL,
-		Obs: c.Obs,
+		Edge:   c.ID,
+		Dialer: c.dialer(dial, c.Seed+1),
+		TTL:    c.LeaseTTL,
+		Obs:    c.Obs,
 	}, nil
+}
+
+// dialer is the one retry schedule of every link a node dials — a shard's
+// upstream, an edge's census link and heartbeat, a vehicle's session:
+// RetryMax attempts per burst, backing off from 2 ms to 100 ms, steps that
+// suit a scenario's in-process or loopback network and a LAN of cpnodes.
+func (c *NodeConfig) dialer(dial func() (transport.Conn, error), seed int64) *transport.Dialer {
+	return &transport.Dialer{Dial: dial, MaxAttempts: c.RetryMax,
+		BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond, Seed: seed}
 }
 
 // FleetSpec describes one homogeneous vehicle cohort wired by NewFleet.
@@ -517,7 +494,8 @@ type FleetSpec struct {
 	// a splitmix of Seed and its ID, so fleet construction order never
 	// changes an agent's behavior.
 	Seed int64
-	// RegisterTimeout bounds each client's registration ack wait.
+	// RegisterTimeout bounds each client's registration ack wait (default
+	// one second).
 	RegisterTimeout time.Duration
 	// Stop, when non-nil and closed, ends RunWithReconnect sessions.
 	Stop <-chan struct{}
@@ -563,6 +541,9 @@ func (c *NodeConfig) NewFleet(fs FleetSpec) ([]*FleetVehicle, error) {
 	}
 	if fs.Mu == 0 {
 		fs.Mu = 0.5
+	}
+	if fs.RegisterTimeout == 0 {
+		fs.RegisterTimeout = time.Second
 	}
 	out := make([]*FleetVehicle, 0, fs.N)
 	for v := 0; v < fs.N; v++ {

@@ -23,11 +23,13 @@ type plan struct {
 }
 
 // fleet is one cohort's vehicles at one region: a RoleVehicles NodeConfig
-// plus what the cohort fixes beyond it (sensor masks, mu, privacy spread).
+// and the FleetSpec StartFleet runs, which adds what the cohort fixes beyond
+// it (sensor masks, mu, privacy spread).
 type fleet struct {
 	cohort *Cohort
 	region int
 	nc     *NodeConfig
+	spec   FleetSpec
 }
 
 // compile turns a filled spec into the nodes a run with seed starts. It fails
@@ -40,12 +42,14 @@ func (s *Spec) compile(seed int64) (*plan, error) {
 		return nil, err
 	}
 	// The fold parameters, copied once: the cloud and every gossip edge
-	// resolve the same model and desired field from them.
+	// resolve the same model and desired field from them. The round
+	// deadline is the cloud's, and bounds every edge's waits.
 	fold := Defaults("")
 	fold.Seed = seed
 	fold.Regions, fold.Graph = m, graph
 	fold.X0, fold.TargetX, fold.Eps = c.X0, c.TargetX, c.Eps
 	fold.Lambda, fold.Beta = c.Lambda, c.Beta
+	fold.RoundDeadline = time.Duration(c.RoundDeadline)
 	if c.Field != nil {
 		if fold.Field, err = c.Field.Compile(m); err != nil {
 			return nil, err
@@ -69,7 +73,7 @@ func (s *Spec) compile(seed int64) (*plan, error) {
 		p.cloud.Role = RoleAggregator
 	}
 	p.cloud.Listen, p.cloud.StateDir = "cloud", stateDir("aggregator")
-	p.cloud.FixedLag, p.cloud.RoundDeadline = c.FixedLag, time.Duration(c.RoundDeadline)
+	p.cloud.FixedLag = c.FixedLag
 
 	upstream := "cloud"
 	if t.Shards > 1 {
@@ -138,14 +142,19 @@ func (s *Spec) compile(seed int64) (*plan, error) {
 // cohortFleets lays n of the cohort's vehicles at each of its regions,
 // numbering them from *next on.
 func (s *Spec) cohortFleets(co *Cohort, n int, seed int64, next *int) []fleet {
+	equipped, desired, _ := co.Masks() // validated
 	var out []fleet
 	for _, region := range cohortRegions(co, s.Topology.Regions) {
 		nc := Defaults(RoleVehicles)
 		nc.EdgeAddr = fmt.Sprintf("edge-%d", region)
 		nc.N, nc.IDBase, nc.Seed = n, *next, seed
 		nc.Beta, nc.Tau = co.Beta, co.Tau
+		nc.RetryMax = 10000 // a spec's vehicles redial through every kill window
 		*next += n
-		out = append(out, fleet{cohort: co, region: region, nc: nc})
+		out = append(out, fleet{cohort: co, region: region, nc: nc, spec: FleetSpec{
+			N: n, IDBase: nc.IDBase, Equipped: equipped, Desired: desired, Beta: co.Beta, Tau: co.Tau,
+			Mu: co.Mu, PrivacyWeightStd: co.PrivacyWeightStd, Seed: seed,
+		}})
 	}
 	return out
 }

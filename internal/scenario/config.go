@@ -10,8 +10,9 @@
 // NodeConfig field) and defaulted once (Defaults); cmd/cpnode binds its
 // flags straight to those fields and rejects a flag the chosen role does
 // not consume. All tier constructors (game model, desired field, FDS, cloud
-// server, shard coordinator, vehicle fleets) live behind NodeConfig methods,
-// so no component is wired from two different configuration paths.
+// server, shard coordinator, links, vehicle fleets) live behind NodeConfig
+// methods, and Start (node.go) starts cpnode's node and each of the runner's
+// from them, so no component is wired or started two ways.
 package scenario
 
 import (

@@ -9,12 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cloud"
-	"repro/internal/edge"
-	"repro/internal/gossip"
 	"repro/internal/obs"
 	"repro/internal/sensor"
-	"repro/internal/shard"
 	"repro/internal/transport"
 )
 
@@ -370,35 +366,51 @@ func (n *netw) dial(name string) (transport.Conn, error) {
 	return transport.DialTCP(addr)
 }
 
-// edgeState is the driver's view of one region's edge.
+// via is the Net a node of the run starts on: the named network, each
+// uplink dial failing first while gate (nil: none) says so and then wrapped
+// in fault (nil: none). Peer links get neither.
+func (n *netw) via(fault *transport.Fault, gate func() error) Net {
+	return Net{
+		Listen: n.listen,
+		Dial: func(addr string) func() (transport.Conn, error) {
+			return func() (transport.Conn, error) {
+				if gate != nil {
+					if err := gate(); err != nil {
+						return nil, err
+					}
+				}
+				c, err := n.dial(addr)
+				if err == nil && fault != nil {
+					c = fault.WrapConn(c)
+				}
+				return c, err
+			}
+		},
+		Peer: func(addr string) func() (transport.Conn, error) {
+			return func() (transport.Conn, error) { return n.dial(addr) }
+		},
+	}
+}
+
+// edgeState is the runner's view of one region's edge, across restarts.
 type edgeState struct {
-	nc       *NodeConfig
-	srv      *edge.Server
-	listener transport.Listener
-	link     *edge.CloudLink // nil in gossip mode
-	hbStop   chan struct{}   // per-life heartbeat stop (nil when no leases)
-	gnode    *gossip.Node    // gossip mode: the edge's consensus participant
-	gossipL  transport.Listener
+	nc   *NodeConfig
+	node *Node // the edge's current life
 
 	down   atomic.Bool // outage: silent toward the tier
 	killed atomic.Bool
 
-	mu         sync.Mutex
+	mu         sync.Mutex // guards x and lastCounts, written by the edge's round
 	x          float64
-	corrX      float64 // latest pushed correction
-	hasCorr    bool
 	lastCounts []int       // last completed census; re-seeds a restarted server's shares
-	expected   int         // vehicles that should be registered
+	expected   int         // vehicles that should be registered (runner goroutine only)
 	percept    sensor.Mask // road-side perception (0 = none)
 }
 
 // shardState is the driver's view of one shard coordinator.
 type shardState struct {
-	nc       *NodeConfig // nil: the member owns no regions and never starts
-	coord    *shard.Coordinator
-	upstream *edge.BatchLink
-	listener transport.Listener
-	alive    bool
+	nc   *NodeConfig // nil: the member owns no regions and never starts
+	node *Node       // nil while the shard is down
 }
 
 type runner struct {
@@ -407,12 +419,12 @@ type runner struct {
 	logf func(string, ...any)
 	o    *obs.Observer
 	net  *netw
-	stop chan struct{}
+	down sync.Once // teardown
 
-	agg    *cloud.Server
-	aggL   transport.Listener
+	agg    *Node
 	shards []*shardState
 	edges  []*edgeState
+	fleets []*Node
 
 	edgeFaults  []*transport.Fault // per edge (nil entries)
 	shardFault  *transport.Fault
@@ -422,12 +434,7 @@ type runner struct {
 	partMark        uint64      // gossip_local_rounds_total when the partition began
 	partLocalRounds uint64      // local rounds completed across partition windows
 
-	fleetMu     sync.Mutex
-	fleet       []*FleetVehicle
-	clientWG    sync.WaitGroup
 	nextID      int
-	roundTmo    time.Duration // cloud reply wait per round
-	edgeTmo     time.Duration // edge census-barrier wait per round
 	failedRep   atomic.Int64
 	stateDirs   string // run-scoped root for durable state
 	removeState bool
@@ -448,21 +455,8 @@ func runOnce(spec *Spec, seed int64, logf func(string, ...any), stateRoot string
 		seed:        seed,
 		logf:        logf,
 		o:           o,
-		stop:        make(chan struct{}),
 		nextID:      p.nextID,
 		cohortFault: map[string]*transport.Fault{},
-	}
-	r.roundTmo = 5 * time.Second
-	if d := time.Duration(spec.Cloud.RoundDeadline); d > 0 && d*4 > r.roundTmo {
-		r.roundTmo = d * 4
-	}
-	// With a round deadline set the cloud proceeds without stragglers, so an
-	// edge gains nothing by holding its census barrier open longer than the
-	// deadline: dropped vehicle reports would otherwise stall every round for
-	// the full reply timeout. Without a deadline the barrier waits generously.
-	r.edgeTmo = 5 * time.Second
-	if d := time.Duration(spec.Cloud.RoundDeadline); d > 0 {
-		r.edgeTmo = d
 	}
 	if spec.Cloud.Durable {
 		root := stateRoot
@@ -522,38 +516,22 @@ func (r *runner) buildFaults() {
 	}
 }
 
-// start resolves the model and desired field once, for the cloud and every
-// gossip edge, and starts the plan's nodes.
+// start starts the plan's nodes, each with the run's observer, a log
+// prefix, and its state directory under the run's root.
 func (r *runner) start(p *plan) error {
-	model, err := p.cloud.BuildModel()
-	if err != nil {
-		return err
-	}
-	field, what, err := p.cloud.ResolveField(model)
-	if err != nil {
-		return err
-	}
-	// runScoped gives a node the run's observer, a log prefix, and its state
-	// directory under the run's root.
-	runScoped := func(nc *NodeConfig, prefix string) {
+	scope := func(nc *NodeConfig, prefix string) *NodeConfig {
 		nc.Obs = r.o
 		nc.Logf = func(format string, args ...any) { r.logf(prefix+format, args...) }
 		if nc.StateDir != "" {
 			nc.StateDir = filepath.Join(r.stateDirs, nc.StateDir)
 		}
+		return nc
 	}
-
-	nc := p.cloud
-	nc.Model, nc.Field = model, field
-	runScoped(nc, "cloud: ")
-	if r.agg, _, err = nc.NewCloud(); err != nil {
+	var err error
+	if r.agg, err = scope(p.cloud, "cloud: ").Start(r.net.via(nil, nil)); err != nil {
 		return err
 	}
-	r.logf("cloud up: %d regions, steering toward %s", nc.Regions, what)
-	if r.aggL, err = r.net.listen(nc.Listen); err != nil {
-		return err
-	}
-	go r.agg.Serve(r.aggL)
+	r.logf("cloud up: %d regions, steering toward %s", p.cloud.Regions, r.agg.What)
 
 	r.shards = make([]*shardState, len(p.shards))
 	for i, nc := range p.shards {
@@ -562,24 +540,19 @@ func (r *runner) start(p *plan) error {
 			r.logf("shard %d owns no regions in the %d-region ring; not started", i, len(p.edges))
 			continue
 		}
-		runScoped(nc, fmt.Sprintf("shard %d: ", i))
+		scope(nc, fmt.Sprintf("shard %d: ", i))
 		if err := r.startShard(r.shards[i]); err != nil {
 			return err
 		}
 	}
 
 	if g := r.spec.Topology.Gossip; g != nil {
-		r.logf("gossip data plane: %d neighborhoods over %d regions, escalate every %d rounds, steering toward %s",
-			p.edges[0].GossipOf, len(p.edges), g.EscalateEvery, what)
+		r.logf("gossip data plane: %d neighborhoods over %d regions, escalate every %d rounds",
+			p.edges[0].GossipOf, len(p.edges), g.EscalateEvery)
 	}
 	r.edges = make([]*edgeState, len(p.edges))
 	for i, nc := range p.edges {
-		es := &edgeState{nc: nc, x: nc.X0, expected: nc.Vehicles}
-		if nc.GossipPeers != "" {
-			nc.Model, nc.Field = model, field
-		}
-		runScoped(nc, fmt.Sprintf("edge %d: ", i))
-		r.edges[i] = es
+		r.edges[i] = &edgeState{nc: scope(nc, fmt.Sprintf("edge %d: ", i)), x: nc.X0, expected: nc.Vehicles}
 	}
 	// The last rsu cohort covering a region sets its road-side perception.
 	for ci := range r.spec.Cohorts {
@@ -603,231 +576,66 @@ func (r *runner) start(p *plan) error {
 	return nil
 }
 
-// dialVia dials the listener named addr through fault (nil: none).
-func (r *runner) dialVia(addr string, fault *transport.Fault) func() (transport.Conn, error) {
-	return func() (transport.Conn, error) {
-		c, err := r.net.dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		if fault != nil {
-			c = fault.WrapConn(c)
-		}
-		return c, nil
-	}
-}
-
 func (r *runner) startShard(st *shardState) error {
-	nc := st.nc
-	coord, upstream, err := nc.NewShard(r.dialVia(nc.AggregatorAddr, r.shardFault))
-	if err != nil {
-		return err
-	}
-	l, err := r.net.listen(nc.Listen)
-	if err != nil {
-		coord.Close()
-		upstream.Close()
-		return err
-	}
-	st.coord, st.upstream, st.listener, st.alive = coord, upstream, l, true
-	go coord.Serve(l)
-	return nil
+	node, err := st.nc.Start(r.net.via(r.shardFault, nil))
+	st.node = node
+	return err
 }
 
 func (r *runner) stopShard(st *shardState) {
-	if !st.alive {
-		return
+	if st.node != nil {
+		st.node.Stop()
+		st.node = nil
 	}
-	st.alive = false
-	st.listener.Close()
-	st.coord.Close()
-	st.upstream.Close()
 }
 
-// upDial dials edge es's upstream, named by addr, through its fault profile;
-// outages and kills make the dial fail so leases lapse while the region is
-// silent, and a partition (gossip topologies only) fails every cloud dial.
-func (r *runner) upDial(es *edgeState, addr string) func() (transport.Conn, error) {
-	dial := r.dialVia(addr, r.edgeFaults[es.nc.ID])
-	return func() (transport.Conn, error) {
+// startEdge starts one life of edge es. Its uplink dials go through its
+// fault profile and fail while it is down or killed, so leases lapse while
+// the region is silent, and while a partition (gossip topologies only) is
+// in force. A restarted server resumes the shares its predecessor last
+// published — otherwise every vehicle's next revision diverges from a run
+// that never lost the server.
+func (r *runner) startEdge(es *edgeState) error {
+	node, err := es.nc.Start(r.net.via(r.edgeFaults[es.nc.ID], func() error {
 		if r.cloudPart.Load() {
-			return nil, fmt.Errorf("scenario: cloud partitioned away")
+			return fmt.Errorf("scenario: cloud partitioned away")
 		}
 		if es.down.Load() || es.killed.Load() {
-			return nil, fmt.Errorf("scenario: edge %d is offline", es.nc.ID)
+			return fmt.Errorf("scenario: edge %d is offline", es.nc.ID)
 		}
-		return dial()
+		return nil
+	}))
+	if err != nil {
+		return err
 	}
-}
-
-func (r *runner) startEdge(es *edgeState) error {
-	nc := es.nc
-	es.srv = nc.NewEdge()
+	es.node = node
 	if es.percept != 0 {
-		if err := es.srv.EnablePerception(es.percept); err != nil {
+		if err := node.Edge.EnablePerception(es.percept); err != nil {
 			return err
 		}
 	}
 	es.mu.Lock()
+	defer es.mu.Unlock()
 	if es.lastCounts != nil {
-		// A restart: resume the policy broadcast from the census the dead
-		// server last published, not the empty cold-start one — otherwise
-		// every vehicle's next revision diverges from a run that never lost
-		// the server.
-		es.srv.SetShares(es.lastCounts)
+		node.Edge.SetShares(es.lastCounts)
 	}
-	es.mu.Unlock()
-	l, err := r.net.listen(nc.Listen)
-	if err != nil {
-		return err
-	}
-	es.listener = l
-	go es.srv.Serve(l)
-
-	if nc.GossipPeers != "" {
-		return r.startGossip(es)
-	}
-
-	up, err := ShardRoute(nc.CloudAddr, nc.Shards, nc.Regions, nc.ID)
-	if err != nil {
-		return err
-	}
-	es.link = &edge.CloudLink{
-		Edge: nc.ID,
-		Dialer: &transport.Dialer{
-			Dial:        r.upDial(es, up),
-			MaxAttempts: 10,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    100 * time.Millisecond,
-			Seed:        nc.Seed + 1,
-		},
-		ReplyTimeout: r.roundTmo,
-		Obs:          r.o,
-		OnCorrection: func(round int, x float64) {
-			es.mu.Lock()
-			es.corrX, es.hasCorr = x, true
-			es.mu.Unlock()
-		},
-	}
-
-	if nc.LeaseTTL > 0 {
-		es.hbStop = make(chan struct{})
-		hb := &edge.Heartbeat{
-			Edge: nc.ID,
-			Dialer: &transport.Dialer{
-				Dial:        r.upDial(es, up),
-				MaxAttempts: 3,
-				BaseDelay:   2 * time.Millisecond,
-				MaxDelay:    50 * time.Millisecond,
-				Seed:        nc.Seed + 2,
-			},
-			TTL: nc.LeaseTTL,
-			Obs: r.o,
-		}
-		stop := es.hbStop
-		go hb.Run(stop)
-	}
-	return nil
-}
-
-// startGossip attaches edge es to its neighborhood's gossip plane: a local
-// fold over the cloud's resolved model and field, a listener peers dial,
-// and a node that escalates digests to the cloud. Replaces the
-// CloudLink/heartbeat wiring entirely — in gossip mode the edge never
-// reports censuses direct.
-func (r *runner) startGossip(es *edgeState) error {
-	nc := es.nc
-	peers, err := ParseGossipPeers(nc.GossipPeers)
-	if err != nil {
-		return err
-	}
-	peerDial := func(member int) (transport.Conn, error) {
-		// Peer links are the neighborhood LAN: outages and faults model the
-		// edge→cloud uplink, not the local mesh.
-		return r.net.dial(peers[member])
-	}
-	gl, err := r.net.listen(nc.GossipListen)
-	if err != nil {
-		return err
-	}
-	node, _, err := nc.NewGossipNode(GossipMembers(nc.ID, peers), peerDial, r.upDial(es, nc.CloudAddr))
-	if err != nil {
-		gl.Close()
-		return err
-	}
-	es.gnode, es.gossipL = node, gl
-	go node.Serve(gl)
 	return nil
 }
 
 func (r *runner) stopEdge(es *edgeState) {
 	es.killed.Store(true)
-	if es.hbStop != nil {
-		close(es.hbStop)
-		es.hbStop = nil
-	}
-	if es.link != nil {
-		es.link.Close()
-		es.link = nil
-	}
-	if es.gossipL != nil {
-		es.gossipL.Close()
-		es.gossipL = nil
-	}
-	if es.gnode != nil {
-		es.gnode.Close()
-		es.gnode = nil
-	}
-	es.listener.Close()
-	es.srv.Close()
+	es.node.Stop()
 }
 
-// startFleet builds one fleet's vehicles and runs each client against its
-// edge, reconnecting across kills.
+// startFleet starts one fleet's vehicles against their edge through the
+// cohort's fault profile; they reconnect across kills.
 func (r *runner) startFleet(f fleet) error {
-	nc, co := f.nc, f.cohort
-	equipped, desired, err := co.Masks()
+	f.nc.Obs = r.o
+	node, err := f.nc.StartFleet(f.spec, r.net.via(r.cohortFault[f.cohort.Name], nil))
 	if err != nil {
 		return err
 	}
-	vehicles, err := (&NodeConfig{Obs: r.o}).NewFleet(FleetSpec{
-		N:                nc.N,
-		IDBase:           nc.IDBase,
-		Equipped:         equipped,
-		Desired:          desired,
-		Beta:             nc.Beta,
-		Tau:              nc.Tau,
-		Mu:               co.Mu,
-		PrivacyWeightStd: co.PrivacyWeightStd,
-		Seed:             nc.Seed,
-		RegisterTimeout:  250 * time.Millisecond,
-		Stop:             r.stop,
-	})
-	if err != nil {
-		return err
-	}
-	dial := r.dialVia(nc.EdgeAddr, r.cohortFault[co.Name])
-	for _, fv := range vehicles {
-		r.fleetMu.Lock()
-		r.fleet = append(r.fleet, fv)
-		r.fleetMu.Unlock()
-		dialer := &transport.Dialer{
-			Dial:        dial,
-			MaxAttempts: 10000,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-			Seed:        int64(fv.Agent.Profile.ID) + 0x5eed,
-		}
-		client := fv.Client
-		r.clientWG.Add(1)
-		go func() {
-			defer r.clientWG.Done()
-			// Client exits (nil or error) when stop closes or the
-			// dialer's patience runs out mid-kill; either way the agent's
-			// welfare tallies stay readable after clientWG drains.
-			_ = client.RunWithReconnect(dialer)
-		}()
-	}
+	r.fleets = append(r.fleets, node)
 	return nil
 }
 
@@ -842,13 +650,10 @@ func (r *runner) awaitVehicles(timeout time.Duration, edges ...*edgeState) error
 		if es.down.Load() || es.killed.Load() {
 			continue
 		}
-		es.mu.Lock()
-		want := es.expected
-		es.mu.Unlock()
-		for es.srv.NumVehicles() < want {
+		for es.node.Edge.NumVehicles() < es.expected {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("scenario: only %d/%d vehicles registered at edge %d",
-					es.srv.NumVehicles(), want, es.nc.ID)
+					es.node.Edge.NumVehicles(), es.expected, es.nc.ID)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -865,23 +670,37 @@ func (r *runner) drive() (*runResult, error) {
 			return nil, err
 		}
 
+		// Every live edge runs round t; a failed one keeps its ratio and
+		// catches up next round, like a partitioned cpnode edge.
 		roundStart := time.Now()
 		var wg sync.WaitGroup
 		for _, es := range r.edges {
 			if es.down.Load() || es.killed.Load() {
 				continue
 			}
-			es := es
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.edgeRound(es, t)
+				es.mu.Lock()
+				x := es.x
+				es.mu.Unlock()
+				counts, next, err := es.node.Round(t, x)
+				es.mu.Lock()
+				es.x = next
+				if counts != nil {
+					es.lastCounts = counts
+				}
+				es.mu.Unlock()
+				if err != nil {
+					r.logf("edge %d round %d: %v", es.nc.ID, t, err)
+					r.failedRep.Add(1)
+				}
 			}()
 		}
 		wg.Wait()
 		res.latencies = append(res.latencies, time.Since(roundStart))
 
-		if res.convergedRound < 0 && r.agg.Converged() {
+		if res.convergedRound < 0 && r.agg.Cloud.Converged() {
 			res.convergedRound = t
 			r.logf("round %d: desired field satisfied", t)
 		}
@@ -891,14 +710,12 @@ func (r *runner) drive() (*runResult, error) {
 	// leader's escalation backlog, so the cloud's fold reflects all local
 	// rounds before its hash is read — this is the reconcile-on-heal step
 	// the partition verdicts compare against an always-connected run.
-	if r.cloudPart.Load() {
-		r.cloudPart.Store(false)
-		r.partLocalRounds += r.counterNow("gossip_local_rounds_total") - r.partMark
+	if r.healPartition() {
 		r.logf("end of run: cloud partition healed for reconciliation")
 	}
 	for _, es := range r.edges {
-		if es.gnode != nil && !es.killed.Load() {
-			if err := es.gnode.Flush(); err != nil {
+		if es.node.Gossip != nil && !es.killed.Load() {
+			if err := es.node.Gossip.Flush(); err != nil {
 				r.logf("gossip %d: final flush: %v", es.nc.ID, err)
 			}
 		}
@@ -910,9 +727,9 @@ func (r *runner) drive() (*runResult, error) {
 	// dynamics are stochastic, so a small fleet keeps wobbling around the
 	// band after first touching it (RunAgentSim stops at that point; the
 	// runner keeps going for the fixed-round trajectory).
-	res.hash = r.agg.StateHash()
-	res.converged = res.convergedRound >= 0 || r.agg.Converged()
-	state := r.agg.State()
+	res.hash = r.agg.Cloud.StateHash()
+	res.converged = res.convergedRound >= 0 || r.agg.Cloud.Converged()
+	state := r.agg.Cloud.State()
 	for _, x := range state.X {
 		res.meanX += x
 	}
@@ -920,68 +737,22 @@ func (r *runner) drive() (*runResult, error) {
 	res.failedReports = int(r.failedRep.Load())
 
 	r.teardown()
-	r.clientWG.Wait()
-
-	r.fleetMu.Lock()
-	res.vehicles = len(r.fleet)
-	for _, fv := range r.fleet {
-		res.welfare.ReceivedUtility += fv.Agent.ReceivedUtility
-		res.welfare.SharedCost += fv.Agent.SharedCost
-		res.welfare.DeliveredItems += fv.Agent.ReceivedItems
+	for _, f := range r.fleets {
+		// A vehicle's session ends (nil or error) when its fleet stops or
+		// its dial attempts run out mid-kill; either way its welfare tallies
+		// are readable once Wait returns.
+		_ = f.Wait()
+		res.vehicles += len(f.Fleet)
+		for _, fv := range f.Fleet {
+			res.welfare.ReceivedUtility += fv.Agent.ReceivedUtility
+			res.welfare.SharedCost += fv.Agent.SharedCost
+			res.welfare.DeliveredItems += fv.Agent.ReceivedItems
+		}
 	}
-	r.fleetMu.Unlock()
 	res.welfare.Net = res.welfare.ReceivedUtility - res.welfare.SharedCost
 
 	res.snapshot = r.o.Registry().Snapshot()
 	return res, nil
-}
-
-// edgeRound runs one edge's vehicle round and reports the census upstream,
-// adopting any pushed correction first.
-func (r *runner) edgeRound(es *edgeState, t int) {
-	es.mu.Lock()
-	if es.hasCorr {
-		es.x, es.hasCorr = es.corrX, false
-	}
-	x := es.x
-	es.mu.Unlock()
-
-	counts, err := es.srv.RunRound(t, x, r.edgeTmo)
-	if err != nil {
-		r.logf("edge %d round %d: %v", es.nc.ID, t, err)
-		r.failedRep.Add(1)
-		return
-	}
-	es.mu.Lock()
-	es.lastCounts = counts
-	es.mu.Unlock()
-	if es.gnode != nil {
-		// Gossip data plane: fold the neighborhood's censuses locally; the
-		// new ratio comes from the local fold, never from the cloud, so the
-		// census stream is identical whether or not the cloud is reachable.
-		newX, err := es.gnode.LocalRound(t, counts)
-		if err != nil {
-			r.logf("gossip %d round %d: %v", es.nc.ID, t, err)
-			r.failedRep.Add(1)
-			return
-		}
-		es.mu.Lock()
-		es.x = newX
-		es.mu.Unlock()
-		return
-	}
-	newX, err := es.link.Report(t, counts)
-	if err != nil {
-		// Upstream unreachable (kill window, exhausted retries): keep x and
-		// catch up next round, like a partitioned cpnode edge.
-		r.failedRep.Add(1)
-		return
-	}
-	es.mu.Lock()
-	if !es.hasCorr { // a correction racing in wins over the reply
-		es.x = newX
-	}
-	es.mu.Unlock()
 }
 
 // applyEvents applies round t's events in a fixed order: a partition heals,
@@ -1002,9 +773,7 @@ func (r *runner) applyEvents(t int) error {
 		}
 		return out
 	}
-	if len(at("partition", "", true)) > 0 && r.cloudPart.Load() {
-		r.cloudPart.Store(false)
-		r.partLocalRounds += r.counterNow("gossip_local_rounds_total") - r.partMark
+	if len(at("partition", "", true)) > 0 && r.healPartition() {
 		r.logf("round %d: cloud partition healed", t)
 	}
 	if len(at("partition", "", false)) > 0 && !r.cloudPart.Load() {
@@ -1062,10 +831,7 @@ func (r *runner) applyEvents(t int) error {
 				continue
 			}
 			for _, f := range r.spec.cohortFleets(co, e.Count, r.seed, &r.nextID) {
-				es := r.edges[f.region]
-				es.mu.Lock()
-				es.expected += f.nc.N
-				es.mu.Unlock()
+				r.edges[f.region].expected += f.nc.N
 				if err := r.startFleet(f); err != nil {
 					return fmt.Errorf("surge at round %d: %w", t, err)
 				}
@@ -1077,6 +843,16 @@ func (r *runner) applyEvents(t int) error {
 		_ = r.awaitVehicles(time.Second)
 	}
 	return nil
+}
+
+// healPartition ends a partition in force, counting the local rounds
+// completed during it, and reports whether there was one.
+func (r *runner) healPartition() bool {
+	if !r.cloudPart.Swap(false) {
+		return false
+	}
+	r.partLocalRounds += r.counterNow("gossip_local_rounds_total") - r.partMark
+	return true
 }
 
 // killHoodLeader implements the leader-kill event: kill neighborhood h's
@@ -1098,7 +874,7 @@ func (r *runner) killHoodLeader(h, t int) error {
 	leader := func() *edgeState { // the live member that leads, polled until the deadline
 		for ; time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			for _, es := range members {
-				if es.gnode != nil && !es.killed.Load() && es.gnode.Leader() {
+				if !es.killed.Load() && es.node.Gossip.Leader() {
 					return es
 				}
 			}
@@ -1116,45 +892,41 @@ func (r *runner) killHoodLeader(h, t int) error {
 	if succ == nil {
 		return fmt.Errorf("leader-kill at round %d: no successor promoted in neighborhood %d", t, h)
 	}
-	succEpoch := succ.gnode.Epoch()
+	succEpoch := succ.node.Gossip.Epoch()
 	r.logf("round %d: leader-kill — edge %d promoted at epoch %d", t, succ.nc.ID, succEpoch)
 
 	victim.killed.Store(false)
 	if err := r.startEdge(victim); err != nil {
 		return fmt.Errorf("leader-kill at round %d: restarting edge %d: %w", t, victim.nc.ID, err)
 	}
-	for victim.gnode.Epoch() < succEpoch {
+	for victim.node.Gossip.Epoch() < succEpoch {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("leader-kill at round %d: edge %d did not rejoin as a follower", t, victim.nc.ID)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	r.logf("round %d: leader-kill — edge %d rejoined as a follower at epoch %d", t, victim.nc.ID, victim.gnode.Epoch())
+	r.logf("round %d: leader-kill — edge %d rejoined as a follower at epoch %d", t, victim.nc.ID, victim.node.Gossip.Epoch())
 	_ = r.awaitVehicles(5*time.Second, victim) // a straggler catches up next round
 	return nil
 }
 
 func (r *runner) teardown() {
-	select {
-	case <-r.stop:
-		return // already torn down
-	default:
-	}
-	close(r.stop)
-	for _, es := range r.edges {
-		if es != nil && !es.killed.Load() {
-			r.stopEdge(es)
+	r.down.Do(func() {
+		for _, f := range r.fleets {
+			f.Stop()
 		}
-	}
-	for _, st := range r.shards {
-		if st != nil {
-			r.stopShard(st)
+		for _, es := range r.edges {
+			if es != nil && es.node != nil && !es.killed.Load() {
+				r.stopEdge(es)
+			}
 		}
-	}
-	if r.aggL != nil {
-		r.aggL.Close()
-	}
-	if r.agg != nil {
-		r.agg.Close()
-	}
+		for _, st := range r.shards {
+			if st != nil {
+				r.stopShard(st)
+			}
+		}
+		if r.agg != nil {
+			r.agg.Stop()
+		}
+	})
 }

@@ -232,15 +232,6 @@ func RenewLease(conn transport.Conn, edgeID int, ttl, timeout time.Duration) err
 		transport.Lease{Edge: edgeID, TTLMillis: ttl.Milliseconds()}, timeout)
 }
 
-// ReportCensus submits one round's census on conn (step ①) and waits for
-// the cloud's matching next-round ratio (step ②), skipping stale replies.
-// A cloud refusal surfaces as *RejectedError. It is the one census/ratio
-// exchange shared by edge.Server.ReportCensus and edge.CloudLink.
-func ReportCensus(conn transport.Conn, edgeID, round int, counts []int,
-	replyTimeout time.Duration) (float64, error) {
-	return ReportCensusWith(conn, edgeID, round, counts, replyTimeout, nil)
-}
-
 // ReportCensusBatch submits one round's censuses for a whole region group in
 // a single frame (step ① batched) and waits for the matching RatioBatch
 // (step ② batched), skipping stale replies from re-submitted batches. Frames
@@ -278,7 +269,7 @@ func ReportCensusBatch(conn transport.Conn, batch transport.CensusBatch,
 }
 
 // GossipCensus pushes one round's census to a gossip peer on conn and waits
-// for the peer's ack (see Notify). Unlike ReportCensus there is no ratio
+// for the peer's ack (see Notify). Unlike ReportCensusWith there is no ratio
 // reply: peers fold each other's censuses into their own local engines. A
 // peer refusal (e.g. a census for a region outside the neighborhood)
 // surfaces as *RejectedError.
@@ -332,9 +323,10 @@ func EscalateDigest(conn transport.Conn, d transport.Digest,
 	return reply, nil
 }
 
-// ReportCensusWith is ReportCensus with an onOther handler for frames the
-// cloud pushes asynchronously on the census connection (ratio corrections
-// after a fixed-lag rewind). A nil onOther keeps the strict behavior.
+// ReportCensusWith submits one round's census on conn (step ①) and waits for
+// the cloud's matching next-round ratio (step ②), skipping stale replies; a
+// refusal surfaces as *RejectedError. Frames the cloud pushes on the census
+// connection (ratio corrections after a rewind) go to onOther (nil: fail).
 func ReportCensusWith(conn transport.Conn, edgeID, round int, counts []int,
 	replyTimeout time.Duration, onOther Handler) (float64, error) {
 	var ratio transport.Ratio

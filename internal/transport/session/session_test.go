@@ -209,9 +209,9 @@ func TestRequestSkipsStaleReplies(t *testing.T) {
 		_ = b.Send(transport.KindRatio, transport.Ratio{Round: 5, X: 0.1})
 		_ = b.Send(transport.KindRatio, transport.Ratio{Round: 6, X: 0.9})
 	}()
-	x, err := ReportCensus(a.Conn(), 2, 5, []int{1, 2}, time.Second)
+	x, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second, nil)
 	if err != nil {
-		t.Fatalf("ReportCensus = %v", err)
+		t.Fatalf("ReportCensusWith = %v", err)
 	}
 	if x != 0.9 {
 		t.Errorf("x = %v, want 0.9 (stale reply must be skipped)", x)
@@ -226,10 +226,10 @@ func TestRequestRejected(t *testing.T) {
 		}
 		_ = b.Ack(errors.New("round abandoned"))
 	}()
-	_, err := ReportCensus(a.Conn(), 2, 5, []int{1, 2}, time.Second)
+	_, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second, nil)
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
-		t.Fatalf("ReportCensus = %v, want RejectedError", err)
+		t.Fatalf("ReportCensusWith = %v, want RejectedError", err)
 	}
 	if rej.Reason != "round abandoned" {
 		t.Errorf("reason = %q", rej.Reason)
@@ -292,9 +292,9 @@ func TestRequestWithoutHandlerStillStrict(t *testing.T) {
 		}
 		_ = b.Send(transport.KindRatioCorrection, transport.RatioCorrection{Round: 4, Seq: 1, Edges: []int{2}, X: []float64{0.3}})
 	}()
-	_, err := ReportCensus(a.Conn(), 2, 5, []int{1, 2}, time.Second)
+	_, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second, nil)
 	if err == nil {
-		t.Fatal("ReportCensus accepted an unexpected frame kind")
+		t.Fatal("ReportCensusWith accepted an unexpected frame kind")
 	}
 }
 
