@@ -442,16 +442,12 @@ func BenchmarkEncodeCensus(b *testing.B) {
 // BenchmarkRoundTrip measures a full encode+decode cycle for the three message shapes that dominate wire traffic: the census (step ①), the
 // ratio broadcast (step ②), and a vehicle upload (step ④).
 func BenchmarkRoundTrip(b *testing.B) {
-	items := make([]transport.Item, 4)
-	for i := range items {
-		items[i] = transport.Item{Owner: 7, Modality: sensor.LiDAR, Seq: i + 1}
-	}
 	messages := []transport.Message{
 		benchMessage(b, transport.KindCensus,
 			transport.Census{Edge: 3, Round: 117, Counts: []int{12, 40, 7, 3, 0, 9, 1, 28}}),
 		benchMessage(b, transport.KindRatio, transport.Ratio{Round: 118, X: 0.7125}),
 		benchMessage(b, transport.KindUpload,
-			transport.Upload{Vehicle: 42, Round: 117, Decision: 6, Items: items}),
+			transport.Upload{Round: 117, Decision: 6, Share: sensor.MaskOf(sensor.LiDAR)}),
 	}
 	var total int
 	buf := make([]byte, 0, 1024)

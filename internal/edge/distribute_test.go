@@ -26,28 +26,27 @@ func referenceDistribute(d *Distributor) map[int][]transport.Item {
 		}
 	}
 	sort.Ints(vehicles)
-	edgeContribution := d.edgeItems()
 	out := make(map[int][]transport.Item, len(vehicles))
 	for _, a := range vehicles {
-		ua := &d.slots[a].up
+		ua := d.slots[a].up
 		var items []transport.Item
 		for _, b := range vehicles {
 			if a == b {
 				continue
 			}
-			ub := &d.slots[b].up
+			ub := d.slots[b].up
 			if !d.lat.CanAccess(lattice.Decision(ua.Decision), lattice.Decision(ub.Decision)) {
 				continue
 			}
 			if d.rng.Float64() >= d.x {
 				continue
 			}
-			items = append(items, ub.Items...)
+			items = transport.AppendRun(items, b, ub.Share)
 		}
-		if len(edgeContribution) > 0 &&
+		if d.edgeShare != 0 &&
 			d.lat.CanAccess(lattice.Decision(ua.Decision), d.edgeDecision) &&
 			d.rng.Float64() < d.x {
-			items = append(items, edgeContribution...)
+			items = transport.AppendRun(items, EdgeOwner, d.edgeShare)
 		}
 		out[a] = items
 	}

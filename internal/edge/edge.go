@@ -33,13 +33,11 @@ type Distributor struct {
 	mu    sync.Mutex
 	round int
 	x     float64
-	// slots holds one upload per vehicle and is kept from round to round:
-	// AddUpload copies the items into the vehicle's slot, because the
-	// caller's slice may be a conn's decode scratch (see
-	// transport.Message.Body), and a slot counts toward the current round
-	// only while its gen is the distributor's.
-	slots map[int]*uploadSlot
-	gen   uint64 // advanced by BeginRound; starts at 1, a new slot's is 0
+	// slots holds one upload per vehicle and is kept from round to round;
+	// a slot counts toward the current round only while its gen is the
+	// distributor's.
+	slots map[int]uploadSlot
+	gen   uint64 // advanced by BeginRound; starts at 1
 	n     int    // slots filled this round
 
 	// Distribute's scratch and result, kept from round to round.
@@ -51,21 +49,20 @@ type Distributor struct {
 	// Edge-side perception (see perception.go); zero mask disables it.
 	edgeShare    sensor.Mask
 	edgeDecision lattice.Decision
-	edgeSeq      int
 }
 
-// uploadSlot is one vehicle's upload; up.Items is the slot's own backing
-// array, reused by the vehicle's next upload.
+// uploadSlot is one vehicle's upload and the round it counts toward.
 type uploadSlot struct {
 	gen uint64
 	up  transport.Upload
 }
 
-// win is one sharer's items (a slot's, or the edge's) won by the receiver at
-// that index of the round's sorted uploaders.
+// win is one sharer's run (a vehicle's, or the edge's) won by the receiver
+// at that index of the round's sorted uploaders.
 type win struct {
 	receiver int
-	items    []transport.Item
+	owner    int
+	share    sensor.Mask
 }
 
 // NewDistributor builds a distributor over the decision lattice with the
@@ -75,7 +72,7 @@ func NewDistributor(lat *lattice.Lattice, seed int64) *Distributor {
 		lat:   lat,
 		rng:   rand.New(rand.NewSource(seed)),
 		x:     1,
-		slots: make(map[int]*uploadSlot),
+		slots: make(map[int]uploadSlot),
 		gen:   1,
 		out:   make(map[int][]transport.Item),
 	}
@@ -92,7 +89,7 @@ func (d *Distributor) BeginRound(round int, x float64) error {
 	d.round = round
 	d.x = x
 	// A vehicle that sat out the round just ended (it left the cell) gives
-	// its slot up; the others keep theirs for the items they send next.
+	// its slot up; the others keep theirs for the upload they send next.
 	for v, s := range d.slots {
 		if s.gen != d.gen {
 			delete(d.slots, v)
@@ -117,30 +114,21 @@ func (d *Distributor) X() float64 {
 	return d.x
 }
 
-// AddUpload records a vehicle's upload for the current round. Uploads for
+// AddUpload records u.Vehicle's upload for the current round. Uploads for
 // other rounds are rejected; a vehicle uploading twice replaces its earlier
-// upload. The upload's decision must be valid, and every item's share set
-// must be consistent with the decision (the edge enforces the policy: a
-// vehicle cannot smuggle modalities its decision does not share). The upload
-// is copied: the caller may reuse u.Items as soon as AddUpload returns.
+// upload. The upload's decision must be valid, and its share must be a
+// subset of what the decision shares (the edge enforces the policy: a
+// vehicle cannot smuggle modalities its decision does not share).
 func (d *Distributor) AddUpload(u transport.Upload) error {
 	// Policy validation first: it reads only the immutable lattice, so it
 	// needs no lock.
-	k := lattice.Decision(u.Decision)
-	share, err := d.lat.Share(k)
+	share, err := d.lat.Share(lattice.Decision(u.Decision))
 	if err != nil {
 		return fmt.Errorf("edge: upload from vehicle %d: %w", u.Vehicle, err)
 	}
-	for _, item := range u.Items {
-		// One modality an item: an item claiming two would pass Has on
-		// either, and smuggle the other past the policy.
-		if !item.Modality.Valid() || !share.Has(item.Modality) {
-			return fmt.Errorf("edge: vehicle %d shared %v not covered by decision %d (%v)",
-				u.Vehicle, item.Modality, u.Decision, share)
-		}
-		if item.Owner != u.Vehicle {
-			return fmt.Errorf("edge: vehicle %d uploaded an item owned by %d", u.Vehicle, item.Owner)
-		}
+	if !u.Share.SubsetOf(share) {
+		return fmt.Errorf("edge: vehicle %d shared %v not covered by decision %d (%v)",
+			u.Vehicle, u.Share, u.Decision, share)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -150,18 +138,10 @@ func (d *Distributor) AddUpload(u transport.Upload) error {
 	if u.Round != d.round {
 		return fmt.Errorf("%w: upload for round %d, current round is %d", ErrStaleUpload, u.Round, d.round)
 	}
-	s := d.slots[u.Vehicle]
-	if s == nil {
-		s = &uploadSlot{}
-		d.slots[u.Vehicle] = s
-	}
-	if s.gen != d.gen {
-		s.gen = d.gen
+	if d.slots[u.Vehicle].gen != d.gen {
 		d.n++
 	}
-	items := append(s.up.Items[:0], u.Items...)
-	s.up = u
-	s.up.Items = items
+	d.slots[u.Vehicle] = uploadSlot{d.gen, u}
 	return nil
 }
 
@@ -193,34 +173,32 @@ func (d *Distributor) Distribute() map[int][]transport.Item {
 	sort.Ints(vehicles) // determinism for a fixed seed
 	d.vehicles = vehicles
 
-	edgeContribution := d.edgeItems()
-
 	// First pass: flip the coins in their fixed order (a outer, b inner, then
 	// a's edge-perception flip) and note who won what, which sizes the slab.
 	wins, total := d.wins[:0], 0
 	for i, a := range vehicles {
-		ua := &d.slots[a].up
+		ua := d.slots[a].up
 		for _, b := range vehicles {
 			if a == b {
 				continue
 			}
-			ub := &d.slots[b].up
+			ub := d.slots[b].up
 			if !d.lat.CanAccess(lattice.Decision(ua.Decision), lattice.Decision(ub.Decision)) {
 				continue
 			}
 			if d.rng.Float64() >= d.x {
 				continue
 			}
-			wins = append(wins, win{i, ub.Items})
-			total += len(ub.Items)
+			wins = append(wins, win{i, b, ub.Share})
+			total += ub.Share.Count()
 		}
 		// Edge-side perception: delivered under the same lattice rule and
 		// sharing ratio, with the edge acting as a virtual sharer.
-		if len(edgeContribution) > 0 &&
+		if d.edgeShare != 0 &&
 			d.lat.CanAccess(lattice.Decision(ua.Decision), d.edgeDecision) &&
 			d.rng.Float64() < d.x {
-			wins = append(wins, win{i, edgeContribution})
-			total += len(edgeContribution)
+			wins = append(wins, win{i, EdgeOwner, d.edgeShare})
+			total += d.edgeShare.Count()
 		}
 	}
 	d.wins = wins
@@ -235,19 +213,18 @@ func (d *Distributor) Distribute() map[int][]transport.Item {
 	for i, a := range vehicles {
 		n, run := 0, 0
 		for ; run < len(wins) && wins[run].receiver == i; run++ {
-			n += len(wins[run].items)
+			n += wins[run].share.Count()
 		}
 		var items []transport.Item
 		if n > 0 {
 			items, slab = slab[:0:n], slab[n:]
 		}
 		for _, w := range wins[:run] {
-			items = append(items, w.items...)
+			items = transport.AppendRun(items, w.owner, w.share)
 		}
 		wins = wins[run:]
 		out[a] = items
 	}
-	clear(d.wins) // do not pin the slots' item arrays between rounds
 	return out
 }
 

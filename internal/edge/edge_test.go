@@ -14,11 +14,7 @@ import (
 )
 
 func upload(v, round, decision int, modalities ...sensor.Type) transport.Upload {
-	items := make([]transport.Item, 0, len(modalities))
-	for i, m := range modalities {
-		items = append(items, transport.Item{Owner: v, Modality: m, Seq: i + 1})
-	}
-	return transport.Upload{Vehicle: v, Round: round, Decision: decision, Items: items}
+	return transport.Upload{Vehicle: v, Round: round, Decision: decision, Share: sensor.MaskOf(modalities...)}
 }
 
 func TestDistributorRoundLifecycle(t *testing.T) {
@@ -49,14 +45,9 @@ func TestAddUploadValidation(t *testing.T) {
 	if err := d.AddUpload(upload(1, 3, 7, sensor.Camera)); err == nil {
 		t.Error("modality outside decision must be rejected")
 	}
-	// Nor by an item that claims radar and camera at once.
-	if err := d.AddUpload(upload(1, 3, 7, sensor.Radar|sensor.Camera)); err == nil {
-		t.Error("item claiming two modalities must be rejected")
-	}
-	bad := upload(1, 3, 1, sensor.Camera)
-	bad.Items[0].Owner = 2
-	if err := d.AddUpload(bad); err == nil {
-		t.Error("foreign-owned item must be rejected")
+	// Nor by a share with a bit outside the sensor set.
+	if err := d.AddUpload(transport.Upload{Vehicle: 1, Round: 3, Decision: 1, Share: sensor.MaskAll | 8}); err == nil {
+		t.Error("share outside the sensor set must be rejected")
 	}
 	if err := d.AddUpload(upload(1, 3, 7, sensor.Radar)); err != nil {
 		t.Errorf("valid upload rejected: %v", err)
@@ -213,7 +204,7 @@ func TestServerRoundOverInproc(t *testing.T) {
 		census := runRound(t, srv, round, 5*time.Second)
 		for i, v := range vehicles {
 			v.recvPolicy(round)
-			v.upload(round, clients[i].decision, round, clients[i].items...)
+			v.upload(round, clients[i].decision, clients[i].items...)
 		}
 		if counts := <-census; total(counts) != 3 || counts[0] != 1 || counts[6] != 1 || counts[7] != 1 {
 			t.Errorf("round %d census = %v", round, counts)

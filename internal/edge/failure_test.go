@@ -54,15 +54,14 @@ func startScriptedVehicle(t *testing.T, net *transport.InprocNetwork, addr strin
 			if err := transport.Decode(m, transport.KindPolicy, &pol); err != nil {
 				return
 			}
-			items := []transport.Item{}
+			var share sensor.Mask
 			if v.decision == 7 {
-				items = append(items, transport.Item{Owner: v.id, Modality: sensor.Radar, Seq: pol.Round + 1})
+				share = sensor.MaskOf(sensor.Radar)
 			}
 			up, err := transport.Encode(transport.KindUpload, transport.Upload{
-				Vehicle:  v.id,
 				Round:    pol.Round,
 				Decision: v.decision,
-				Items:    items,
+				Share:    share,
 			})
 			if err != nil {
 				return

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/sensor"
-	"repro/internal/transport"
 )
 
 // Edge-side perception (the paper's Section VII future-work direction:
@@ -48,17 +47,4 @@ func (d *Distributor) PerceptionShare() sensor.Mask {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.edgeShare
-}
-
-// edgeItems materializes this round's edge-owned items.
-func (d *Distributor) edgeItems() []transport.Item {
-	if d.edgeShare == 0 {
-		return nil
-	}
-	items := make([]transport.Item, 0, d.edgeShare.Count())
-	for _, t := range d.edgeShare.Types() {
-		d.edgeSeq++
-		items = append(items, transport.Item{Owner: EdgeOwner, Modality: t, Seq: d.edgeSeq})
-	}
-	return items
 }

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/lattice"
@@ -93,14 +94,13 @@ func TestEdgePerceptionRespectsRatio(t *testing.T) {
 	}
 }
 
-// TestEdgePerceptionSeqAdvances: edge item sequence numbers are unique
-// across rounds.
-func TestEdgePerceptionSeqAdvances(t *testing.T) {
+// TestEdgePerceptionEveryRound: the edge contributes one item per modality
+// it perceives in every round, which (owner, round, modality) identifies.
+func TestEdgePerceptionEveryRound(t *testing.T) {
 	d := NewDistributor(lattice.NewPaper(), 1)
 	if err := d.EnablePerception(sensor.MaskOf(sensor.LiDAR)); err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[int]bool)
 	for round := 1; round <= 3; round++ {
 		if err := d.BeginRound(round, 1); err != nil {
 			t.Fatal(err)
@@ -108,18 +108,9 @@ func TestEdgePerceptionSeqAdvances(t *testing.T) {
 		if err := d.AddUpload(upload(1, round, 1, sensor.Camera, sensor.LiDAR, sensor.Radar)); err != nil {
 			t.Fatal(err)
 		}
-		for _, items := range d.Distribute() {
-			for _, it := range items {
-				if it.Owner == EdgeOwner {
-					if seen[it.Seq] {
-						t.Fatalf("edge seq %d reused", it.Seq)
-					}
-					seen[it.Seq] = true
-				}
-			}
+		want := []transport.Item{{Owner: EdgeOwner, Modality: sensor.LiDAR}}
+		if got := d.Distribute()[1]; !reflect.DeepEqual(got, want) {
+			t.Errorf("round %d: vehicle 1 was delivered %v, want %v", round, got, want)
 		}
-	}
-	if len(seen) != 3 {
-		t.Errorf("expected 3 distinct edge items, saw %d", len(seen))
 	}
 }

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -73,15 +74,10 @@ func (v *testVehicle) recvPolicy(round int) {
 	}
 }
 
-// upload sends one item per modality, owned by the vehicle, with the given
-// sequence number.
-func (v *testVehicle) upload(round, decision, seq int, modalities ...sensor.Type) {
+// upload shares the given modalities under the decision.
+func (v *testVehicle) upload(round, decision int, modalities ...sensor.Type) {
 	v.t.Helper()
-	up := transport.Upload{Vehicle: v.id, Round: round, Decision: decision}
-	for _, mod := range modalities {
-		up.Items = append(up.Items, transport.Item{Owner: v.id, Modality: mod, Seq: seq})
-	}
-	v.send(transport.KindUpload, up)
+	v.send(transport.KindUpload, transport.Upload{Round: round, Decision: decision, Share: sensor.MaskOf(modalities...)})
 }
 
 // startServer serves an edge on an in-process listener and returns it with
@@ -125,10 +121,10 @@ func awaitVehicles(t *testing.T, srv *Server, n int) {
 	}
 }
 
-// TestRefusedUploadIsNacked: an upload the policy refuses — an item the
-// decision does not share, an item owned by someone else — is answered with
-// an ack carrying the reason and is not counted, while the vehicle beside it,
-// whose upload is good, hears nothing but its delivery.
+// TestRefusedUploadIsNacked: an upload the policy refuses — a modality the
+// decision does not share, a decision the lattice does not have — is answered
+// with an ack carrying the reason and is not counted, while the vehicle beside
+// it, whose upload is good, hears nothing but its delivery.
 func TestRefusedUploadIsNacked(t *testing.T) {
 	srv, dial := startServer(t)
 	bad := registerVehicle(t, dial, 1)
@@ -139,22 +135,21 @@ func TestRefusedUploadIsNacked(t *testing.T) {
 	bad.recvPolicy(1)
 	good.recvPolicy(1)
 
-	bad.upload(1, 7, 1, sensor.Radar, sensor.Camera) // decision 7 shares radar only
+	bad.upload(1, 7, sensor.Radar, sensor.Camera) // decision 7 shares radar only
 	if reason := bad.recvAck(); !strings.Contains(reason, "not covered by decision 7") {
 		t.Errorf("smuggled modality: ack = %q", reason)
 	}
-	bad.send(transport.KindUpload, transport.Upload{Vehicle: 1, Round: 1, Decision: 7,
-		Items: []transport.Item{{Owner: 2, Modality: sensor.Radar, Seq: 2}}})
-	if reason := bad.recvAck(); !strings.Contains(reason, "owned by 2") {
-		t.Errorf("foreign item: ack = %q", reason)
+	bad.upload(1, 99)
+	if reason := bad.recvAck(); !strings.Contains(reason, "upload from vehicle 1") {
+		t.Errorf("unknown decision: ack = %q", reason)
 	}
 	if n := srv.dist.NumUploads(); n != 0 {
 		t.Errorf("%d uploads counted after two refusals", n)
 	}
 
 	// Vehicle 1 settles for sharing nothing, which lets the round finish.
-	good.upload(1, 7, 3, sensor.Radar)
-	bad.upload(1, 8, 4)
+	good.upload(1, 7, sensor.Radar)
+	bad.upload(1, 8)
 	if counts := <-census; total(counts) != 2 || counts[6] != 1 || counts[7] != 1 {
 		t.Errorf("census = %v, want one vehicle on decision 7 and one on 8", counts)
 	}
@@ -177,8 +172,8 @@ func TestStaleUploadIsSilent(t *testing.T) {
 
 	census := runRound(t, srv, 5, 5*time.Second)
 	v.recvPolicy(5)
-	v.upload(4, 1, 40, sensor.Camera) // a delayed policy's upload: stale
-	v.upload(5, 7, 50, sensor.Radar)
+	v.upload(4, 1, sensor.Camera) // a delayed policy's upload: stale
+	v.upload(5, 7, sensor.Radar)
 	var del transport.Delivery
 	v.recv(transport.KindDelivery, &del)
 	if del.Round != 5 {
@@ -202,7 +197,7 @@ func TestLeftoverSignalDoesNotEndNextRoundEarly(t *testing.T) {
 	census := runRound(t, srv, 1, 250*time.Millisecond)
 	prompt.recvPolicy(1)
 	late.recvPolicy(1)
-	prompt.upload(1, 8, 1)
+	prompt.upload(1, 8)
 	if counts := <-census; total(counts) != 1 {
 		t.Fatalf("round 1 census = %v, want the prompt vehicle alone", counts)
 	}
@@ -210,7 +205,7 @@ func TestLeftoverSignalDoesNotEndNextRoundEarly(t *testing.T) {
 	prompt.recv(transport.KindDelivery, &del)
 	// Round 1 is still the distributor's round, so this brings its count up
 	// to the target after the wait has gone.
-	late.upload(1, 8, 1)
+	late.upload(1, 8)
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.dist.NumUploads() != 2 {
 		if time.Now().After(deadline) {
@@ -222,21 +217,22 @@ func TestLeftoverSignalDoesNotEndNextRoundEarly(t *testing.T) {
 	census = runRound(t, srv, 2, 5*time.Second)
 	prompt.recvPolicy(2)
 	late.recvPolicy(2)
-	prompt.upload(2, 8, 2)
+	prompt.upload(2, 8)
 	select {
 	case counts := <-census:
 		t.Fatalf("round 2 ended with census %v before its second upload", counts)
 	case <-time.After(100 * time.Millisecond):
 	}
-	late.upload(2, 8, 2)
+	late.upload(2, 8)
 	if counts := <-census; total(counts) != 2 {
 		t.Errorf("round 2 census = %v, want both vehicles", counts)
 	}
 }
 
 // TestRecvBodyValidUntilNextRecv: an upload received over TCP is decoded
-// into the conn's scratch and the next Recv decodes over it; what the
-// Distributor took from the first one must not change with it.
+// into the conn's scratch and the next Recv decodes over it; the upload
+// Decode copied out of the first one, and what the Distributor took from it,
+// must not change with it.
 func TestRecvBodyValidUntilNextRecv(t *testing.T) {
 	l, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -248,10 +244,9 @@ func TestRecvBodyValidUntilNextRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	v1 := &testVehicle{t: t, id: 1, conn: client}
-	v2 := &testVehicle{t: t, id: 2, conn: client} // same wire, so same scratch
-	v1.upload(3, 1, 111, sensor.Camera, sensor.LiDAR, sensor.Radar)
-	v2.upload(3, 1, 222, sensor.Camera, sensor.LiDAR, sensor.Radar)
+	v := &testVehicle{t: t, id: 1, conn: client}
+	v.upload(3, 7, sensor.Radar)
+	v.upload(3, 1, sensor.Camera, sensor.LiDAR, sensor.Radar) // same wire, so same scratch
 	server, err := l.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +258,7 @@ func TestRecvBodyValidUntilNextRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first, second transport.Upload
-	for _, up := range []*transport.Upload{&first, &second} {
+	for i, up := range []*transport.Upload{&first, &second} {
 		m, err := server.Recv()
 		if err != nil {
 			t.Fatal(err)
@@ -271,22 +266,53 @@ func TestRecvBodyValidUntilNextRecv(t *testing.T) {
 		if err := transport.Decode(m, transport.KindUpload, up); err != nil {
 			t.Fatal(err)
 		}
+		up.Vehicle = i + 1 // as an edge does from each session's hello
 		if err := d.AddUpload(*up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if first.Items[0].Seq != 222 {
-		t.Fatalf("the first upload's items read %+v after the next Recv: the conn no longer reuses its scratch, and this test no longer tests the copy", first.Items)
+	if first.Decision != 7 || first.Share != sensor.MaskOf(sensor.Radar) {
+		t.Fatalf("the first upload reads %+v after the next Recv", first)
 	}
-	// x = 1 and both share everything: vehicle 2 is delivered vehicle 1's
-	// three items as they were uploaded.
-	got := d.Distribute()[2]
-	if len(got) != 3 {
-		t.Fatalf("vehicle 2 delivery = %+v, want vehicle 1's three items", got)
+	// x = 1: vehicle 2, on decision 1, is delivered vehicle 1's radar item.
+	want := []transport.Item{{Owner: 1, Modality: sensor.Radar}}
+	if got := d.Distribute()[2]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("vehicle 2 delivery = %+v, want %+v", got, want)
 	}
-	for _, item := range got {
-		if item.Owner != 1 || item.Seq != 111 {
-			t.Errorf("vehicle 2 was delivered %+v, want vehicle 1's item with seq 111", item)
+}
+
+// TestUploadCountsForItsSession: an upload counts for the vehicle its
+// session registered, whatever vehicle its body names. One session's uploads
+// naming an unregistered id and a registered neighbour neither add a phantom
+// vehicle to the round (which would end its wait early) nor replace the
+// neighbour's upload: the census counts the two registered vehicles, one
+// decision each.
+func TestUploadCountsForItsSession(t *testing.T) {
+	srv, dial := startServer(t)
+	a := registerVehicle(t, dial, 1)
+	b := registerVehicle(t, dial, 2)
+	awaitVehicles(t, srv, 2)
+
+	census := runRound(t, srv, 1, 5*time.Second)
+	a.recvPolicy(1)
+	b.recvPolicy(1)
+	a.send(transport.KindUpload, transport.Upload{Vehicle: 99, Round: 1, Decision: 2})
+	a.send(transport.KindUpload, transport.Upload{Vehicle: 2, Round: 1, Decision: 3})
+	a.send(transport.KindUpload, transport.Upload{Vehicle: 1, Round: 1, Decision: 7})
+	a.send(transport.KindUpload, transport.Upload{Vehicle: 1, Round: 1, Decision: 99})
+	// The refusal comes after the three uploads before it were handled.
+	if reason := a.recvAck(); reason == "" {
+		t.Fatal("an upload on an unknown decision was acked without a reason")
+	}
+	b.send(transport.KindUpload, transport.Upload{Vehicle: 2, Round: 1, Decision: 8})
+	if counts := <-census; total(counts) != 2 || counts[6] != 1 || counts[7] != 1 {
+		t.Errorf("census = %v, want vehicle 1 on decision 7 and vehicle 2 on decision 8", counts)
+	}
+	for _, v := range []*testVehicle{a, b} {
+		var del transport.Delivery
+		v.recv(transport.KindDelivery, &del)
+		if del.Round != 1 {
+			t.Errorf("vehicle %d: delivery for round %d, want 1", v.id, del.Round)
 		}
 	}
 }
@@ -294,10 +320,10 @@ func TestRecvBodyValidUntilNextRecv(t *testing.T) {
 // TestServerRoundsOverTCP drives three rounds over real TCP on the binary
 // codec, where every session's uploads are decoded into one reused body. In
 // each round two vehicles follow their upload with frames that overwrite
-// that body — a stale upload carrying a marker Seq, then a refused one whose
+// that body — a stale upload sharing radar alone, then a refused one whose
 // nack tells them the server has decoded all three — before the third
 // vehicle's upload lets the round distribute. Round r's deliveries must hold
-// round r's items and nothing else.
+// round r's items and nothing else: the other two vehicles' full runs.
 func TestServerRoundsOverTCP(t *testing.T) {
 	l, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -315,7 +341,6 @@ func TestServerRoundsOverTCP(t *testing.T) {
 	vehicles := []*testVehicle{registerVehicle(t, dial, 1), registerVehicle(t, dial, 2), registerVehicle(t, dial, 3)}
 	awaitVehicles(t, srv, len(vehicles))
 
-	const marker = 9999
 	all := sensor.AllTypes()
 	for round := 1; round <= 3; round++ {
 		census := runRound(t, srv, round, 5*time.Second)
@@ -323,29 +348,30 @@ func TestServerRoundsOverTCP(t *testing.T) {
 			v.recvPolicy(round)
 		}
 		for _, v := range vehicles[:2] {
-			v.upload(round, 1, round*100+v.id, all...)
-			v.upload(round-1, 1, marker, all...)      // stale: dropped in silence
-			v.upload(round, 8, marker, sensor.Camera) // decision 8 shares nothing: refused
+			v.upload(round, 1, all...)
+			v.upload(round-1, 7, sensor.Radar) // stale: dropped in silence
+			v.upload(round, 8, sensor.Camera)  // decision 8 shares nothing: refused
 			if reason := v.recvAck(); reason == "" {
 				t.Fatalf("round %d vehicle %d: refused upload acked without a reason", round, v.id)
 			}
 		}
 		last := vehicles[2]
-		last.upload(round, 1, round*100+last.id, all...)
+		last.upload(round, 1, all...)
 		if counts := <-census; counts[0] != 3 {
 			t.Fatalf("round %d census = %v, want three vehicles on decision 1", round, counts)
 		}
 		for _, v := range vehicles {
 			var del transport.Delivery
 			v.recv(transport.KindDelivery, &del)
-			if del.Round != round || len(del.Items) != 2*len(all) {
-				t.Errorf("round %d vehicle %d: delivery for round %d with %d items, want %d",
-					round, v.id, del.Round, len(del.Items), 2*len(all))
-			}
-			for _, item := range del.Items {
-				if item.Owner == v.id || item.Seq != round*100+item.Owner {
-					t.Errorf("round %d vehicle %d was delivered %+v", round, v.id, item)
+			var want []transport.Item
+			for _, other := range vehicles {
+				if other != v {
+					want = transport.AppendRun(want, other.id, sensor.MaskAll)
 				}
+			}
+			if del.Round != round || !reflect.DeepEqual(del.Items, want) {
+				t.Errorf("round %d vehicle %d: delivery for round %d of %+v, want %+v",
+					round, v.id, del.Round, del.Items, want)
 			}
 		}
 	}

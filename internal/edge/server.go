@@ -185,6 +185,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 				_ = sess.Ack(err)
 				return nil
 			}
+			up.Vehicle = hello.Vehicle // an upload counts for its session's vehicle
 			// An accepted upload is acknowledged by the round's delivery
 			// and a stale one (a delayed policy made the vehicle upload for
 			// an old round; harmless) by nothing; only a refusal is acked.

@@ -19,19 +19,19 @@ import (
 //	kindTag := 1 hello | 2 census | 3 ratio | 7 ack | 8 lease
 //	         | 10 census_batch | 11 ratio_batch | 12 digest
 //	         | 13 hood_beat | 14 ratio_corrections | 15 policy
-//	         | 16 upload | 17 delivery    (4, 5, 6 and 9 are retired)
+//	         | 18 upload | 19 delivery    (4-6, 9, 16 and 17 are retired)
 //	int     := zigzag varint            (encoding/binary PutVarint)
 //	len     := uvarint                  (encoding/binary PutUvarint)
 //	f64     := 8-byte little-endian IEEE-754 bits
 //	str     := len bytes
-//	mask    := 1 byte, a nonempty subset of sensor.MaskAll
+//	mask    := 1 byte, a subset of sensor.MaskAll
 //
 //	hello    := int(vehicle)
 //	census   := int(edge) int(round) len [int(count)]...
 //	ratio    := int(round) f64(x)
 //	policy   := int(round) f64(x) len [int(count)]...
-//	run      := int(owner) int(seq) mask
-//	upload   := int(vehicle) int(round) int(decision) len [run]...
+//	run      := int(owner) mask         (mask nonempty)
+//	upload   := int(round) int(decision) mask
 //	delivery := int(round) len [run]...
 //	ack      := str(err)
 //	lease    := int(edge) int(ttl_ms)
@@ -48,16 +48,19 @@ import (
 // one-region ratio_correction this layout replaced; it is refused like any
 // unknown tag, so a peer still sending it gets an error, not a misread.
 //
-// A run is a stretch of items with one owner, each the one modality its
-// mask bit names, in rising bit order, at seq, seq+1, ... — one sharer's
-// items as Agent.BuildUpload and the edge's perception make them — so an
-// upload is one run and a delivery one run per sharer. Tags 4, 5 and 6 were
-// the policy of float64 shares and the item-by-item upload and delivery.
+// An item is (owner, round, modality): a sharer shares at most one item per
+// modality a round. A run is a stretch of items with one owner, each the one
+// modality its mask bit names, in rising bit order, so a delivery is one run
+// per sharer. An upload is its vehicle's one run without the owner: it
+// belongs to its session, and the edge reads the owner from the session's
+// hello. Tags 4, 5 and 6 were the policy of float64 shares and the
+// item-by-item upload and delivery; 16 and 17 the upload and delivery whose
+// runs carried a sequence number and whose upload named its vehicle.
 //
 // Decoding is strict: truncated fields, lengths that cannot fit in the
 // remaining bytes (which also caps decode allocations), unknown kind tags,
-// edge sets out of order, empty or unknown run masks, and trailing garbage
-// all fail.
+// edge sets out of order, unknown mask bits, empty run masks, and trailing
+// garbage all fail.
 type binaryCodec struct{}
 
 // Binary kind tags (wire stable — append only).
@@ -77,6 +80,8 @@ const (
 	tagHoodBeat
 	tagRatioCorrection
 	tagPolicy
+	_ // 16: the retired upload of seq runs naming its vehicle
+	_ // 17: the retired delivery of seq runs
 	tagUpload
 	tagDelivery
 )
@@ -121,11 +126,13 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !u.Share.Valid() {
+			return nil, fmt.Errorf("transport: upload share %#x is not a sensor set", uint8(u.Share))
+		}
 		dst = append(dst, tagUpload)
-		dst = appendInt(dst, int64(u.Vehicle))
 		dst = appendInt(dst, int64(u.Round))
 		dst = appendInt(dst, int64(u.Decision))
-		return appendRuns(dst, u.Items)
+		return append(dst, byte(u.Share)), nil
 	case KindDelivery:
 		d, err := typedBody[Delivery](m)
 		if err != nil {
@@ -277,7 +284,7 @@ type recvScratch struct {
 }
 
 // deliveryPool holds the delivery bodies no conn is lending out. A delivery
-// is the one large body — 60 items are 1.5 KB where the other three kinds
+// is the one large body — 60 items are ~1 KB where the other three kinds
 // stay near 100 bytes — and a vehicle is done with it as soon as its handler
 // returns, so a fleet shares as many as are being handled at once instead of
 // every vehicle's conn keeping its own between rounds.
@@ -333,8 +340,8 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		kind, body = KindPolicy, p
 	case tagUpload:
 		u := reuse(&s.upload)
-		u.Vehicle, u.Round, u.Decision = int(r.int()), int(r.int()), int(r.int())
-		u.Items = r.runs(u.Items)
+		u.Round, u.Decision = int(r.int()), int(r.int())
+		u.Share = r.mask()
 		kind, body = KindUpload, u
 	case tagDelivery:
 		if s.delivery == nil {
@@ -478,7 +485,6 @@ func appendRuns(dst []byte, items []Item) ([]byte, error) {
 			mask |= byte(items[i].Modality)
 		}
 		dst = appendInt(dst, int64(first.Owner))
-		dst = appendInt(dst, int64(first.Seq))
 		dst = append(dst, mask)
 	}
 	return dst, nil
@@ -486,7 +492,7 @@ func appendRuns(dst []byte, items []Item) ([]byte, error) {
 
 // extendsRun reports whether b continues the run that a ends.
 func extendsRun(a, b Item) bool {
-	return b.Owner == a.Owner && b.Seq == a.Seq+1 && b.Modality > a.Modality
+	return b.Owner == a.Owner && b.Modality > a.Modality
 }
 
 // --- decode helpers ---
@@ -613,28 +619,36 @@ func (r *byteReader) ints(n, rest int) []int {
 	return out
 }
 
+// mask reads a sensor set.
+func (r *byteReader) mask() sensor.Mask {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) == 0 {
+		r.fail(fmt.Errorf("truncated mask"))
+		return 0
+	}
+	m := sensor.Mask(r.buf[0])
+	r.buf = r.buf[1:]
+	if !m.Valid() {
+		r.fail(fmt.Errorf("mask %#x has bits outside the sensor set", uint8(m)))
+	}
+	return m
+}
+
 // runs reads a run list into dst's backing array as items, growing it when
 // the list is longer than any read into it before. An empty list leaves a
 // nil dst nil.
 func (r *byteReader) runs(dst []Item) []Item {
-	n := r.len(3)
+	n := r.len(2)
 	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n && r.err == nil; i++ {
-		owner, seq := int(r.int()), int(r.int())
-		if len(r.buf) == 0 {
-			r.fail(fmt.Errorf("truncated run"))
-			break
+		owner, mask := int(r.int()), r.mask()
+		if mask == 0 {
+			r.fail(fmt.Errorf("run %d is empty", i))
 		}
-		mask := sensor.Mask(r.buf[0])
-		r.buf = r.buf[1:]
-		if mask == 0 || !mask.Valid() {
-			r.fail(fmt.Errorf("run %d has modality mask %#x", i, uint8(mask)))
-		}
-		for t := sensor.Camera; t <= sensor.Radar && r.err == nil; t <<= 1 {
-			if mask.Has(t) {
-				dst = append(dst, Item{Owner: owner, Modality: t, Seq: seq})
-				seq++
-			}
+		if r.err == nil {
+			dst = AppendRun(dst, owner, mask)
 		}
 	}
 	return dst

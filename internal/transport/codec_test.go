@@ -27,11 +27,8 @@ func allKindsMessages(t *testing.T) []Message {
 		{KindCensus, Census{Edge: 1, Round: 3, Counts: []int{4, 2, 0}}},
 		{KindRatio, Ratio{Round: 2, X: 0.5}},
 		{KindPolicy, Policy{Round: 5, X: 0.75, Counts: []int{1, 2, 1}}},
-		{KindUpload, Upload{Vehicle: 7, Round: 5, Decision: 3, Items: []Item{
-			{Owner: 7, Modality: sensor.LiDAR, Seq: 1},
-			{Owner: 7, Modality: sensor.Radar, Seq: 2},
-		}}},
-		{KindDelivery, Delivery{Round: 5, Items: []Item{{Owner: 9, Modality: sensor.Camera, Seq: 3}}}},
+		{KindUpload, Upload{Round: 5, Decision: 3, Share: sensor.MaskOf(sensor.LiDAR, sensor.Radar)}},
+		{KindDelivery, Delivery{Round: 5, Items: []Item{{Owner: 9, Modality: sensor.Camera}}}},
 		{KindAck, Ack{Err: "nope"}},
 		{KindLease, Lease{Edge: 2, TTLMillis: 1500}},
 		{KindRatioCorrection, RatioCorrection{Round: 7, Seq: 3, Edges: []int{0, 2, 700}, X: []float64{0.5, 0.25, 0.75}}},
@@ -70,7 +67,7 @@ func warmedScratch(t testing.TB) *recvScratch {
 	t.Helper()
 	items := make([]Item, 80)
 	for i := range items {
-		items[i] = Item{Owner: 1000 + i, Modality: sensor.Camera, Seq: 9000 + i}
+		items[i] = Item{Owner: 1000 + i, Modality: sensor.Camera}
 	}
 	s := new(recvScratch)
 	for _, p := range []struct {
@@ -79,7 +76,7 @@ func warmedScratch(t testing.TB) *recvScratch {
 	}{
 		{KindRatio, Ratio{Round: 99, X: 1}},
 		{KindPolicy, Policy{Round: 99, X: 1, Counts: make([]int, 16)}},
-		{KindUpload, Upload{Vehicle: 1000, Round: 99, Decision: 1, Items: items}},
+		{KindUpload, Upload{Round: 99, Decision: 1, Share: sensor.MaskAll}},
 		{KindDelivery, Delivery{Round: 99, Items: items}},
 		{KindAck, Ack{Err: "a refusal left over from the frame before"}},
 	} {
@@ -145,9 +142,7 @@ func TestCodecRoundTripAllKinds(t *testing.T) {
 // decode-into-struct path (the one role handlers use).
 func TestCodecRoundTripPayloads(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
-		in, err := Encode(KindUpload, Upload{Vehicle: -3, Round: 9, Decision: 4, Items: []Item{
-			{Owner: -3, Modality: sensor.Camera, Seq: 17},
-		}})
+		in, err := Encode(KindUpload, Upload{Vehicle: -3, Round: 9, Decision: 4, Share: sensor.MaskOf(sensor.Camera)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +158,9 @@ func TestCodecRoundTripPayloads(t *testing.T) {
 		if err := Decode(m, KindUpload, &up); err != nil {
 			t.Fatal(err)
 		}
-		if up.Vehicle != -3 || up.Round != 9 || up.Decision != 4 || len(up.Items) != 1 ||
-			up.Items[0] != (Item{Owner: -3, Modality: sensor.Camera, Seq: 17}) {
+		// The vehicle is not on the wire: the receiving edge knows it from
+		// the session.
+		if up != (Upload{Round: 9, Decision: 4, Share: sensor.MaskOf(sensor.Camera)}) {
 			t.Errorf("round trip = %+v", up)
 		}
 
@@ -186,22 +182,22 @@ func TestCodecRoundTripPayloads(t *testing.T) {
 			t.Errorf("round trip = %+v, want %+v", rc, want)
 		}
 
-		// Items that are not one sharer's stretch — a seq gap, falling
-		// modalities, a repeated one, owners interleaved — cross the wire as
-		// more runs and come back exactly as they were sent.
+		// Items that are not one sharer's stretch — falling modalities, a
+		// repeated one, owners interleaved — cross the wire as more runs and
+		// come back exactly as they were sent.
 		items := Delivery{Round: 3, Items: []Item{
-			{Owner: 4, Modality: sensor.Camera, Seq: 10},
-			{Owner: 4, Modality: sensor.Radar, Seq: 12},
-			{Owner: 4, Modality: sensor.LiDAR, Seq: 13},
-			{Owner: 4, Modality: sensor.LiDAR, Seq: 14},
-			{Owner: 5, Modality: sensor.Camera, Seq: 15},
-			{Owner: 4, Modality: sensor.Radar, Seq: 16},
+			{Owner: 4, Modality: sensor.Camera},
+			{Owner: 4, Modality: sensor.Radar},
+			{Owner: 4, Modality: sensor.LiDAR},
+			{Owner: 4, Modality: sensor.LiDAR},
+			{Owner: 5, Modality: sensor.Camera},
+			{Owner: 4, Modality: sensor.Radar},
 		}}
 		if frame, err = Binary.AppendEncode(nil, mustEncode(t, KindDelivery, &items)); err != nil {
 			t.Fatal(err)
 		}
-		if runs := frame[2]; runs != 6 {
-			t.Errorf("%d runs, want 6", runs)
+		if runs := frame[2]; runs != 5 {
+			t.Errorf("%d runs, want 5", runs)
 		}
 		if m, err = Binary.Decode(frame); err != nil {
 			t.Fatal(err)
@@ -292,28 +288,26 @@ func TestBinaryGoldenBytes(t *testing.T) {
 		{
 			name: "upload",
 			kind: KindUpload,
-			body: Upload{Vehicle: 7, Round: 5, Decision: 3, Items: []Item{
-				{Owner: 7, Modality: sensor.LiDAR, Seq: 1},
-				{Owner: 7, Modality: sensor.Radar, Seq: 2},
-			}},
-			// One run: owner 7, seq 1, mask LiDAR|Radar.
-			want: []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x06},
+			// Round 5, decision 3, mask LiDAR|Radar: the vehicle is the
+			// session's, not the frame's.
+			body: Upload{Vehicle: 7, Round: 5, Decision: 3, Share: sensor.MaskOf(sensor.LiDAR, sensor.Radar)},
+			want: []byte{0x12, 0x0A, 0x06, 0x06},
 		},
 		{
 			name: "delivery",
 			kind: KindDelivery,
 			body: Delivery{Round: 5, Items: []Item{
-				{Owner: 9, Modality: sensor.Camera, Seq: 3},
-				{Owner: 9, Modality: sensor.LiDAR, Seq: 4},
-				{Owner: 12, Modality: sensor.Radar, Seq: 7},
-				{Owner: -1, Modality: sensor.Camera, Seq: 2}, // the edge's own perception
-				{Owner: -1, Modality: sensor.LiDAR, Seq: 3},
-				{Owner: -1, Modality: sensor.Radar, Seq: 4},
+				{Owner: 9, Modality: sensor.Camera},
+				{Owner: 9, Modality: sensor.LiDAR},
+				{Owner: 12, Modality: sensor.Radar},
+				{Owner: -1, Modality: sensor.Camera}, // the edge's own perception
+				{Owner: -1, Modality: sensor.LiDAR},
+				{Owner: -1, Modality: sensor.Radar},
 			}},
-			want: []byte{0x11, 0x0A, 0x03,
-				0x12, 0x06, 0x03, // owner 9, seq 3, camera|lidar
-				0x18, 0x0E, 0x04, // owner 12, seq 7, radar
-				0x01, 0x04, 0x07}, // owner -1, seq 2, all three
+			want: []byte{0x13, 0x0A, 0x03,
+				0x12, 0x03, // owner 9, camera|lidar
+				0x18, 0x04, // owner 12, radar
+				0x01, 0x07}, // owner -1, all three
 		},
 	}
 	for _, c := range cases {
@@ -356,7 +350,7 @@ func hardeningCases() []hardeningCase {
 		{"truncated float", ratio[:len(ratio)-3]},                                // ratio missing float tail
 		{"length exceeds remaining", []byte{0x02, 0x02, 0x06, 0xFF, 0xFF, 0x03}}, // census claiming ~65k counts
 		{"trailing garbage", append(append([]byte{}, ratio...), 0xAA)},
-		{"items length overflow", []byte{0x10, 0x0E, 0x0A, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"items length overflow", []byte{0x13, 0x0A, 0x80, 0x01, 0x12, 0x01}}, // 128 runs in two bytes
 		{"truncated ratio_correction", []byte{0x0E, 0x0E, 0x06, 0x01, 0x04, 0x00, 0x00}},
 		// The one-region frame this layout replaced, as TestBinaryGoldenBytes
 		// pinned it until tag 14.
@@ -402,17 +396,25 @@ func hardeningCases() []hardeningCase {
 		{"policy shares length exceeds remaining", append([]byte{0x0F, 0x0A}, append(make([]byte, 8), 0x03, 0x00, 0x00)...)},
 		{"policy share cut short", append([]byte{0x0F, 0x0A}, append(make([]byte, 8), 0x01, 0x80)...)}, // count never ends
 		{"policy trailing garbage", append([]byte{0x0F, 0x0A}, append(make([]byte, 8), 0x00, 0xAA)...)},
-		{"upload truncated item", []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02}}, // the run's mask never comes
-		{"delivery items length overflow", []byte{0x11, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"delivery trailing garbage", []byte{0x11, 0x0A, 0x00, 0xAA}},
+		{"upload truncated decision", []byte{0x12, 0x0A}},
+		{"upload truncated item", []byte{0x12, 0x0A, 0x06}}, // the share mask never comes
+		{"upload mask outside the sensor set", []byte{0x12, 0x0A, 0x06, 0x08}},
+		{"upload mask with a high bit", []byte{0x12, 0x0A, 0x06, 0x87}},
+		{"upload trailing garbage", []byte{0x12, 0x0A, 0x06, 0x06, 0xAA}},
+		{"delivery items length overflow", []byte{0x13, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"delivery trailing garbage", []byte{0x13, 0x0A, 0x00, 0xAA}},
 		// The vehicle-plane frames the run layouts replaced, each well formed
 		// as the golden bytes of its day.
 		{"policy retired tag 4", append([]byte{0x04, 0x0A, 0x01}, f64...)},
 		{"upload retired tag 5", []byte{0x05, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x04, 0x02}},
 		{"delivery retired tag 6", []byte{0x06, 0x0A, 0x01, 0x12, 0x02, 0x06}},
-		{"upload run mask 0", []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x00}},
-		{"delivery run unknown modality bit", []byte{0x11, 0x0A, 0x01, 0x12, 0x06, 0x09}},
-		{"delivery run count exceeds remaining", []byte{0x11, 0x0A, 0x02, 0x12, 0x06, 0x01}},
+		{"upload retired tag 16", []byte{0x10, 0x0E, 0x0A, 0x06, 0x01, 0x0E, 0x02, 0x06}},
+		{"delivery retired tag 17", []byte{0x11, 0x0A, 0x03, 0x12, 0x06, 0x03, 0x18, 0x0E, 0x04, 0x01, 0x04, 0x07}},
+		{"delivery run mask 0", []byte{0x13, 0x0A, 0x01, 0x12, 0x00}},
+		{"delivery run unknown modality bit", []byte{0x13, 0x0A, 0x01, 0x12, 0x09}},
+		// Three runs claimed with four bytes left: a run is at least two.
+		{"delivery run count exceeds remaining", []byte{0x13, 0x0A, 0x03, 0x12, 0x01, 0x14, 0x02}},
+		{"delivery truncated run", []byte{0x13, 0x0A, 0x01, 0x12}},
 		{"ack text length exceeds remaining", []byte{0x07, 0x05, 'n', 'o'}},
 		{"ack trailing garbage", []byte{0x07, 0x00, 0xAA}},
 	}
@@ -449,13 +451,18 @@ func TestEncodeRejectsMalformedCorrection(t *testing.T) {
 }
 
 // TestEncodeRejectsMultiModalityItem: an item is one sensor type, so a run's
-// mask bit per item can carry it; anything else never reaches the wire.
+// mask bit per item can carry it, and an upload shares a subset of the sensor
+// set; anything else never reaches the wire.
 func TestEncodeRejectsMultiModalityItem(t *testing.T) {
 	for _, mod := range []sensor.Type{0, sensor.Camera | sensor.Radar, 8} {
-		up := Upload{Vehicle: 7, Items: []Item{{Owner: 7, Modality: mod, Seq: 1}}}
-		if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindUpload, up)); err == nil {
+		del := Delivery{Items: []Item{{Owner: 7, Modality: mod}}}
+		if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindDelivery, del)); err == nil {
 			t.Errorf("modality %v: encoded to %x, want an error", mod, frame)
 		}
+	}
+	up := Upload{Share: sensor.MaskAll | 8}
+	if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindUpload, up)); err == nil {
+		t.Errorf("share %v: encoded to %x, want an error", up.Share, frame)
 	}
 }
 
@@ -464,28 +471,21 @@ func TestEncodeRejectsMultiModalityItem(t *testing.T) {
 // policy, a 3-item upload, and a delivery of the 15 others' items and the
 // edge's own perception, each sharer one run.
 func TestVehiclePlaneFrameSizes(t *testing.T) {
-	const round, seq = 1850, 5550
+	const round = 1850
 	counts := []int{9, 1, 2, 0, 3, 0, 0, 1}
-	run := func(owner int) []Item { // one sharer's round, as Agent.BuildUpload makes it
-		var items []Item
-		for i, mod := range sensor.AllTypes() {
-			items = append(items, Item{Owner: owner, Modality: mod, Seq: seq + i})
-		}
-		return items
-	}
-	up := Upload{Vehicle: 241, Round: round, Decision: 1, Items: run(241)}
+	up := Upload{Vehicle: 241, Round: round, Decision: 1, Share: sensor.MaskAll}
 	del := Delivery{Round: round}
 	for v := 242; v <= 256; v++ {
-		del.Items = append(del.Items, run(v)...)
+		del.Items = AppendRun(del.Items, v, sensor.MaskAll)
 	}
-	del.Items = append(del.Items, run(-1)...) // the edge's own perception
+	del.Items = AppendRun(del.Items, -1, sensor.MaskAll) // the edge's own perception
 	for _, c := range []struct {
 		m    Message
 		want int
 	}{
 		{mustEncode(t, KindPolicy, Policy{Round: round, X: 0.7125, Counts: counts}), 20},
-		{mustEncode(t, KindUpload, up), 12},
-		{mustEncode(t, KindDelivery, del), 83},
+		{mustEncode(t, KindUpload, up), 5},
+		{mustEncode(t, KindDelivery, del), 51},
 	} {
 		frame, err := Binary.AppendEncode(nil, c.m)
 		if err != nil {
@@ -505,13 +505,13 @@ func TestCodecPipe(t *testing.T) {
 		a, b := Pipe()
 		defer a.Close()
 		defer b.Close()
-		items := []Item{{Owner: 1, Modality: sensor.Camera, Seq: 10}, {Owner: 1, Modality: sensor.Radar, Seq: 11}}
-		sent := mustEncode(t, KindUpload, Upload{Vehicle: 1, Round: 4, Decision: 2, Items: items})
+		items := []Item{{Owner: 1, Modality: sensor.Camera}, {Owner: 1, Modality: sensor.Radar}}
+		sent := mustEncode(t, KindDelivery, Delivery{Round: 4, Items: items})
 		want, _ := Binary.AppendEncode(nil, sent) // an encode error fails the Send below
 		if err := a.Send(sent); err != nil {
 			t.Fatal(err)
 		}
-		items[0].Seq, items[1] = 99, Item{}
+		items[0].Owner, items[1] = 99, Item{}
 		got, err := b.Recv()
 		if frame, _ := Binary.AppendEncode(nil, got); err != nil || !bytes.Equal(frame, want) {
 			t.Errorf("the pipe delivered a message encoding to %x (%v), want the frame sent, %x", frame, err, want)
@@ -781,8 +781,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		{KindCensus, Census{Edge: 1, Round: 3, Counts: []int{4, 2, 0}}},
 		{KindRatio, Ratio{Round: 2, X: 0.5}},
 		{KindPolicy, Policy{Round: 5, X: 0.75, Counts: []int{1, 2, 1}}},
-		{KindUpload, Upload{Vehicle: 7, Round: 5, Decision: 3, Items: []Item{{Owner: 7, Modality: sensor.LiDAR, Seq: 1}}}},
-		{KindDelivery, Delivery{Round: 5, Items: []Item{{Owner: 9, Modality: sensor.Camera, Seq: 3}}}},
+		{KindUpload, Upload{Round: 5, Decision: 3, Share: sensor.MaskOf(sensor.LiDAR)}},
+		{KindUpload, Upload{Round: 5, Decision: 8}}, // a vehicle that shares nothing
+		{KindDelivery, Delivery{Round: 5, Items: []Item{{Owner: 9, Modality: sensor.Camera}}}},
 		{KindAck, Ack{Err: "nope"}},
 		{KindCensusBatch, CensusBatch{Shard: 1, Round: 3, Censuses: []Census{{Edge: 0, Round: 3, Counts: []int{2, 1}}}}},
 		{KindRatioBatch, RatioBatch{Round: 4, Edges: []int{0, 1}, X: []float64{0.5, 0.25}}},
@@ -796,12 +797,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		{KindCensusBatch, mixedBatch()},
 		{KindDigest, mixedDigest()},
 		{KindDelivery, Delivery{Round: 5, Items: []Item{
-			{Owner: 9, Modality: sensor.Camera, Seq: 3},
-			{Owner: 9, Modality: sensor.Radar, Seq: 4},
-			{Owner: 12, Modality: sensor.LiDAR, Seq: 7},
-			{Owner: -1, Modality: sensor.Camera, Seq: 2}, // the edge's own perception
-			{Owner: -1, Modality: sensor.LiDAR, Seq: 3},
+			{Owner: 9, Modality: sensor.Camera},
+			{Owner: 9, Modality: sensor.Radar},
+			{Owner: 12, Modality: sensor.LiDAR},
+			{Owner: -1, Modality: sensor.Camera}, // the edge's own perception
+			{Owner: -1, Modality: sensor.LiDAR},
 		}}},
+		// Sharers whose owners take one and two varint bytes, then the edge
+		// (owner -1) with its own perception.
+		{KindDelivery, Delivery{Round: 1850, Items: AppendRun(AppendRun(AppendRun(nil,
+			63, sensor.MaskOf(sensor.Camera)), 64, sensor.MaskAll), -1, sensor.MaskOf(sensor.LiDAR, sensor.Radar))}},
 		{KindPolicy, Policy{Round: 0, X: 0.5, Counts: make([]int, 8)}},
 	}
 	for _, p := range payloads {

@@ -98,21 +98,18 @@ func sameMessage(t *testing.T, got, want Message) {
 }
 
 // vehiclePlaneMessages are the four per-vehicle-round frames at the sizes the
-// fleet sends them: a K=9 policy, a 3-item upload, a 60-item delivery (the
-// only one that leaves less than half the read buffer free) and an empty ack.
+// fleet sends them: a K=9 policy, a 3-modality upload, a 60-item delivery of
+// 20 runs and an empty ack.
 func vehiclePlaneMessages(t *testing.T) []Message {
 	t.Helper()
 	counts := make([]int, 9)
 	for i := range counts {
 		counts[i] = i + 1
 	}
-	upload := Upload{Vehicle: 17, Round: 117, Decision: 1}
-	for i, mod := range sensor.AllTypes() {
-		upload.Items = append(upload.Items, Item{Owner: 17, Modality: mod, Seq: 350 + i})
-	}
+	upload := Upload{Round: 117, Decision: 1, Share: sensor.MaskAll}
 	delivery := Delivery{Round: 117}
-	for i := 0; i < 60; i++ {
-		delivery.Items = append(delivery.Items, Item{Owner: 1 + i/3, Modality: sensor.AllTypes()[i%3], Seq: 300 + i})
+	for v := 1; v <= 20; v++ {
+		delivery.Items = AppendRun(delivery.Items, v, sensor.MaskAll)
 	}
 	return []Message{
 		mustEncode(t, KindPolicy, &Policy{Round: 117, X: 0.7125, Counts: counts}),
@@ -332,22 +329,20 @@ func TestRecvBorrowedAndOwnedBodies(t *testing.T) {
 				}
 			}
 
-			// Borrowed: the second, shorter upload lands in the first one's array.
-			send(KindUpload, Upload{Vehicle: 1, Round: 4, Decision: 1, Items: []Item{
-				{Owner: 1, Modality: sensor.Camera, Seq: 10}, {Owner: 1, Modality: sensor.Radar, Seq: 11},
-			}})
-			send(KindUpload, Upload{Vehicle: 2, Round: 4, Decision: 7, Items: []Item{{Owner: 2, Modality: sensor.Radar, Seq: 20}}})
-			var first, second Upload
-			recv(KindUpload, &first)
-			kept := append([]Item(nil), first.Items...)
-			recv(KindUpload, &second)
-			if &first.Items[0] != &second.Items[0] {
-				t.Error("two uploads on one conn decoded into different arrays: the scratch is not reused")
+			// Borrowed: the second, shorter policy census lands in the first one's array.
+			send(KindPolicy, Policy{Round: 4, X: 0.5, Counts: []int{10, 11}})
+			send(KindPolicy, Policy{Round: 5, X: 0.5, Counts: []int{20}})
+			var first, second Policy
+			recv(KindPolicy, &first)
+			kept := append([]int(nil), first.Counts...)
+			recv(KindPolicy, &second)
+			if &first.Counts[0] != &second.Counts[0] {
+				t.Error("two policies on one conn decoded into different arrays: the scratch is not reused")
 			}
-			if first.Items[0] == kept[0] {
-				t.Error("the first upload's items survived the next Recv; this test no longer shows why receivers copy")
+			if first.Counts[0] == kept[0] {
+				t.Error("the first policy's counts survived the next Recv; this test no longer shows why receivers copy")
 			}
-			if kept[0].Seq != 10 || kept[1].Seq != 11 {
+			if kept[0] != 10 || kept[1] != 11 {
 				t.Errorf("the copy taken before the next Recv changed: %+v", kept)
 			}
 

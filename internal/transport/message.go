@@ -115,20 +115,33 @@ type Policy struct {
 
 // Item is one shared sensor datum: the owning vehicle and the modality.
 // Payloads are abstract (the simulation exercises the policy mechanics, not
-// perception itself), identified by a sequence number.
+// perception itself). A sharer shares at most one item per modality a round,
+// so (owner, round, modality) identifies an item.
 type Item struct {
 	Owner    int
 	Modality sensor.Type
-	Seq      int
 }
 
 // Upload is a vehicle's step-④ message: its decision index (1-based) and
-// the items it shares under that decision.
+// the modalities it shares under that decision, one item each. Vehicle is
+// not on the wire: an upload belongs to its session, and the edge sets
+// Vehicle to the id the session registered.
 type Upload struct {
 	Vehicle  int
 	Round    int
 	Decision int
-	Items    []Item
+	Share    sensor.Mask
+}
+
+// AppendRun appends one sharer's run to dst: an item of owner for each
+// modality in share, in rising bit order.
+func AppendRun(dst []Item, owner int, share sensor.Mask) []Item {
+	for t := sensor.Camera; t <= sensor.Radar; t <<= 1 {
+		if share.Has(t) {
+			dst = append(dst, Item{Owner: owner, Modality: t})
+		}
+	}
+	return dst
 }
 
 // Delivery is the edge server's step-⑤ answer: the items the vehicle may

@@ -17,10 +17,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Vehicle:  7,
 		Round:    3,
 		Decision: 4,
-		Items: []Item{
-			{Owner: 7, Modality: sensor.LiDAR, Seq: 1},
-			{Owner: 7, Modality: sensor.Radar, Seq: 2},
-		},
+		Share:    sensor.MaskOf(sensor.LiDAR, sensor.Radar),
 	}
 	m, err := Encode(KindUpload, up)
 	if err != nil {
@@ -30,11 +27,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := Decode(m, KindUpload, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Vehicle != 7 || got.Round != 3 || got.Decision != 4 || len(got.Items) != 2 {
+	if got != up {
 		t.Errorf("round trip = %+v", got)
-	}
-	if got.Items[1].Modality != sensor.Radar {
-		t.Errorf("item modality = %v", got.Items[1].Modality)
 	}
 	var wrong Census
 	if err := Decode(m, KindCensus, &wrong); err == nil {

@@ -6,10 +6,11 @@ import (
 
 	"repro/internal/israce"
 	"repro/internal/lattice"
+	"repro/internal/sensor"
 )
 
-// TestBuildUploadAllocs pins an upload at its item list, sized once from the
-// decision's share.
+// TestBuildUploadAllocs pins an upload at nothing: it is the decision and
+// the share mask, with no item list.
 func TestBuildUploadAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -24,12 +25,12 @@ func TestBuildUploadAllocs(t *testing.T) {
 	round := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		round++
-		if up := a.BuildUpload(round); len(up.Items) != 3 {
-			t.Fatalf("upload has %d items, want 3", len(up.Items))
+		if up := a.BuildUpload(round); up.Share != sensor.MaskAll {
+			t.Fatalf("upload shares %v, want all three", up.Share)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("BuildUpload: %.1f allocs, want <= 1", allocs)
+	if allocs != 0 {
+		t.Errorf("BuildUpload: %.1f allocs, want 0", allocs)
 	}
 }
 

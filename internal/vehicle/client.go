@@ -86,14 +86,6 @@ func (c *Client) Run(conn transport.Conn) error {
 	})
 }
 
-// roundUpload is the round's upload body with room for its items (one per
-// modality). A session keeps one and rebuilds it every round: Send has
-// encoded the last round's by the time it returns.
-type roundUpload struct {
-	up    transport.Upload
-	items [3]transport.Item
-}
-
 // handlers builds the client's dispatch table for the session read loop.
 // Application is idempotent per session: a duplicated or replayed Policy
 // broadcast re-sends the round's cached upload instead of revising the
@@ -102,7 +94,7 @@ type roundUpload struct {
 func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Handler {
 	duplicates := c.Obs.Counter("vehicle_duplicate_frames_total", "duplicated policy/delivery frames absorbed idempotently")
 	policyRound := -1
-	var ru roundUpload // the round's upload, sent by pointer so Send does not box it
+	var up transport.Upload // the round's upload, sent by pointer so Send does not box it
 	deliveryRound := -1
 	// One of each per session: the read loop handles a frame at a time, and
 	// nothing below keeps Counts or Items past its own call (a received body
@@ -124,7 +116,7 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 				if pol.Round < policyRound {
 					return nil // stale reordered broadcast; its upload already went out
 				}
-				if err := sess.Send(transport.KindUpload, &ru.up); err != nil {
+				if err := sess.Send(transport.KindUpload, &up); err != nil {
 					return fmt.Errorf("vehicle %d: re-sending upload: %w", c.Agent.Profile.ID, err)
 				}
 				return nil
@@ -136,8 +128,8 @@ func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Hand
 				}
 			}
 			policyRound = pol.Round
-			ru.up = c.Agent.buildUpload(pol.Round, ru.items[:])
-			if err := sess.Send(transport.KindUpload, &ru.up); err != nil {
+			up = c.Agent.BuildUpload(pol.Round)
+			if err := sess.Send(transport.KindUpload, &up); err != nil {
 				return fmt.Errorf("vehicle %d: sending upload: %w", c.Agent.Profile.ID, err)
 			}
 			return nil

@@ -99,7 +99,7 @@ func clientFullRound(t *testing.T, ackUpload bool) {
 		// Delivery.
 		del, err := transport.Encode(transport.KindDelivery, transport.Delivery{
 			Round: 1,
-			Items: []transport.Item{{Owner: 2, Modality: sensor.Radar, Seq: 1}},
+			Items: []transport.Item{{Owner: 2, Modality: sensor.Radar}},
 		})
 		if err != nil {
 			return err
@@ -113,10 +113,11 @@ func clientFullRound(t *testing.T, ackUpload bool) {
 	}
 	wg.Wait()
 
-	if gotUpload.Vehicle != 7 || gotUpload.Round != 1 {
+	// The vehicle is not on the wire: the edge knows it from the hello.
+	if gotUpload.Vehicle != 0 || gotUpload.Round != 1 {
 		t.Errorf("upload header %+v", gotUpload)
 	}
-	if gotUpload.Decision != 1 || len(gotUpload.Items) != 3 {
+	if gotUpload.Decision != 1 || gotUpload.Share != sensor.MaskAll {
 		t.Errorf("upload should share all three modalities under P1: %+v", gotUpload)
 	}
 	if agent.ReceivedItems != 1 {
@@ -230,7 +231,7 @@ func TestClientIdempotentUnderDuplicates(t *testing.T) {
 	sendDelivery := func(conn transport.Conn, round int) error {
 		del, err := transport.Encode(transport.KindDelivery, transport.Delivery{
 			Round: round,
-			Items: []transport.Item{{Owner: 2, Modality: sensor.Radar, Seq: 1}},
+			Items: []transport.Item{{Owner: 2, Modality: sensor.Radar}},
 		})
 		if err != nil {
 			return err

@@ -58,7 +58,6 @@ type Agent struct {
 	payoffs  *lattice.Payoffs
 	rng      *rand.Rand
 	decision lattice.Decision
-	seq      int
 	q        []float64 // Revise's scratch, K long once used
 	// Received accumulates the utility of delivered data (for reporting).
 	ReceivedUtility float64
@@ -194,32 +193,12 @@ func softmax(q []float64, tau float64, out []float64) {
 // BuildUpload constructs the step-④ message for the current round: one item
 // per modality in S_a ∩ P^{k_a}.
 func (a *Agent) BuildUpload(round int) transport.Upload {
-	return a.buildUpload(round, nil)
-}
-
-// buildUpload is BuildUpload with the items in buf's backing array when that
-// has room for them, and in one sized to the share otherwise (nil for an
-// empty share).
-func (a *Agent) buildUpload(round int, buf []transport.Item) transport.Upload {
-	lat := a.payoffs.Lattice()
-	share := lat.MustShare(a.decision).Intersect(a.Profile.Equipped)
-	items := buf[:0]
-	if n := share.Count(); n > cap(items) {
-		items = make([]transport.Item, 0, n)
-	}
-	for _, t := range sensor.AllTypes() {
-		if !share.Has(t) {
-			continue
-		}
-		a.seq++
-		items = append(items, transport.Item{Owner: a.Profile.ID, Modality: t, Seq: a.seq})
-	}
 	a.SharedCost += a.Profile.PrivacyWeight * a.payoffs.Cost[a.decision-1]
 	return transport.Upload{
 		Vehicle:  a.Profile.ID,
 		Round:    round,
 		Decision: int(a.decision),
-		Items:    items,
+		Share:    a.payoffs.Lattice().MustShare(a.decision).Intersect(a.Profile.Equipped),
 	}
 }
 

@@ -192,36 +192,16 @@ func TestBuildUpload(t *testing.T) {
 	if err := a.SetDecision(1); err != nil { // share everything it has
 		t.Fatal(err)
 	}
-	up := a.BuildUpload(5)
-	if up.Vehicle != 4 || up.Round != 5 || up.Decision != 1 {
-		t.Errorf("upload header = %+v", up)
-	}
-	if len(up.Items) != 2 {
-		t.Fatalf("upload items = %v, want camera+radar", up.Items)
-	}
-	for _, item := range up.Items {
-		if item.Owner != 4 {
-			t.Error("item owner mismatch")
-		}
-		if item.Modality == sensor.LiDAR {
-			t.Error("vehicle uploaded a modality it does not have")
-		}
+	want := transport.Upload{Vehicle: 4, Round: 5, Decision: 1, Share: sensor.MaskOf(sensor.Camera, sensor.Radar)}
+	if up := a.BuildUpload(5); up != want {
+		t.Errorf("upload = %+v, want %+v (camera and radar, no lidar on board)", up, want)
 	}
 	// Decision 8 shares nothing.
 	if err := a.SetDecision(8); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.BuildUpload(6); len(got.Items) != 0 {
-		t.Errorf("decision 8 upload = %v", got.Items)
-	}
-	// Sequence numbers strictly increase.
-	if err := a.SetDecision(1); err != nil {
-		t.Fatal(err)
-	}
-	u1 := a.BuildUpload(7)
-	u2 := a.BuildUpload(8)
-	if u2.Items[0].Seq <= u1.Items[len(u1.Items)-1].Seq {
-		t.Error("sequence numbers must increase")
+	if got := a.BuildUpload(6); got.Share != 0 {
+		t.Errorf("decision 8 upload = %+v", got)
 	}
 }
 
@@ -235,8 +215,8 @@ func TestAbsorbDelivery(t *testing.T) {
 	d := transport.Delivery{
 		Round: 1,
 		Items: []transport.Item{
-			{Owner: 2, Modality: sensor.Radar, Seq: 1},
-			{Owner: 2, Modality: sensor.Camera, Seq: 2}, // undesired
+			{Owner: 2, Modality: sensor.Radar},
+			{Owner: 2, Modality: sensor.Camera}, // undesired
 		},
 	}
 	if err := a.AbsorbDelivery(d, sensor.TableIII()); err != nil {
@@ -266,7 +246,7 @@ func TestAbsorbDeliveryMatchesPerItemSum(t *testing.T) {
 	table := sensor.TableIII()
 	var d transport.Delivery
 	for i := 0; i < 60; i++ {
-		d.Items = append(d.Items, transport.Item{Owner: 2 + i/3, Modality: sensor.AllTypes()[(i*7)%3], Seq: i})
+		d.Items = append(d.Items, transport.Item{Owner: 2 + i/3, Modality: sensor.AllTypes()[(i*7)%3]})
 	}
 	const prior = 0.1 + 0.7 // not representable: every addition after it rounds
 	a.ReceivedUtility, a.ReceivedItems = prior, 5
