@@ -207,6 +207,32 @@ func TestCoordinatorAnswersAggregatorRatios(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesMixedRoundBatch: a batch handed to SubmitBatch in
+// process, not decoded from a frame (where every census takes the batch's
+// round), can carry a census for another round; the kernel refuses the
+// batch whole, so nothing is placed or forwarded.
+func TestCoordinatorRefusesMixedRoundBatch(t *testing.T) {
+	net := transport.NewInprocNetwork()
+	agg := newAggregator(t)
+	defer agg.Close()
+	startAggregator(t, net, "agg", agg)
+	c := newTestCoordinator(t, net, "agg", 0)
+
+	counts := []int{5, 1, 0, 0, 1, 0, 1, 0}
+	if _, err := c.SubmitBatch(transport.CensusBatch{Round: 0, Censuses: []transport.Census{
+		{Edge: 0, Round: 0, Counts: counts},
+		{Edge: 1, Round: 1, Counts: counts},
+	}}); err == nil {
+		t.Fatal("a round-0 batch carrying a round-1 census was accepted")
+	}
+	if c.Latest() != -1 || agg.Latest() != -1 {
+		t.Errorf("latest = %d (shard), %d (aggregator) after the refusal, want -1", c.Latest(), agg.Latest())
+	}
+	if n := metricValue(t, c.Registry(), "shard_forwards_total"); n != 0 {
+		t.Errorf("shard_forwards_total = %v after the refusal, want 0", n)
+	}
+}
+
 // TestCoordinatorDegradedForwardAndLateRewind: a region that misses the
 // shard's deadline is forwarded late as a single-census batch, the
 // aggregator rewinds its lag window, and the global fold ends bit-identical

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -27,21 +29,25 @@ func mixedCensuses(round int) []Census {
 	shapes := [][]int{{4, 2, 0}, nil, {1, 1, 1}, {9, 8, 7, 6, 5}, nil, nil, {3, 3}, {1, 2, 3, 4, 5}, {7}}
 	out := make([]Census, len(shapes))
 	for i, counts := range shapes {
-		out[i] = Census{Edge: i, Round: round, Counts: counts}
+		// Edges 0 5 1 6 2 7 3 8 4: the deltas rise and fall.
+		out[i] = Census{Edge: i * 5 % len(shapes), Round: round, Counts: counts}
 	}
 	return out
 }
 
 // censusesPerMake is the census-list decoder the slab one replaced — one
-// make per census — kept here as the reference the new one is compared with.
-func censusesPerMake(r *byteReader) []Census {
-	n := r.len(3)
+// make per census — kept here as the reference the new one is compared with,
+// on the same list layout: edge deltas, no round per census.
+func censusesPerMake(r *byteReader, round int) []Census {
+	n := r.len(2)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]Census, n)
+	edge := 0
 	for i := range out {
-		c := Census{Edge: int(r.int()), Round: int(r.int())}
+		edge += int(r.int())
+		c := Census{Edge: edge, Round: round}
 		if k := r.len(1); k > 0 {
 			c.Counts = make([]int, k)
 			for j := range c.Counts {
@@ -102,7 +108,7 @@ func TestBatchDecodeShapes(t *testing.T) {
 	}
 	frame := encodeFrameOf(t, KindCensusBatch, batch)
 	r := byteReader{buf: frame[3:]} // past the tag, the shard and the round
-	if ref := censusesPerMake(&r); r.err != nil || !reflect.DeepEqual(ref, batch.Censuses) {
+	if ref := censusesPerMake(&r, batch.Round); r.err != nil || !reflect.DeepEqual(ref, batch.Censuses) {
 		t.Errorf("reference decoder: %v, %+v", r.err, ref)
 	}
 }
@@ -183,27 +189,29 @@ func allocatedBytes(f func()) uint64 {
 
 // TestBatchDecodeHostileLengths: a K larger than the bytes left and a census
 // count the frame cannot hold are refused before any slab exists, at no more
-// heap than the per-make decoder spent refusing the same bytes; and where a
+// heap than the per-make decoder spent refusing the same bytes; where a
 // plausible prefix does get a slab, the slab is bounded by the frame's bytes
-// whatever the lengths claim.
+// whatever the lengths claim; and a ratio list, capped at an entry per byte
+// left, allocates at most 16 bytes per frame byte for its edges and ratios
+// before its runs are refused.
 func TestBatchDecodeHostileLengths(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation sizes do not hold under the race detector")
 	}
 	// Lists as they follow a batch's shard and round.
 	big := appendLen(nil, 1<<20)
-	hugeK := append(append([]byte{0x02, 0x00, 0x06}, big...), make([]byte, 64)...) // 2 censuses; edge 0, round 3, K = 2^20 in 64 bytes
-	hugeN := append(append([]byte{}, big...), 0x00, 0x06, 0x01, 0x02)              // 2^20 censuses in 4 bytes
+	hugeK := append(append([]byte{0x02, 0x00}, big...), make([]byte, 64)...) // 2 censuses; edge 0, K = 2^20 in 64 bytes
+	hugeN := append(append([]byte{}, big...), 0x00, 0x01, 0x02)              // 2^20 censuses in 3 bytes
 	for name, list := range map[string][]byte{"K exceeds remaining": hugeK, "count far above the frame": hugeN} {
 		var slabErr, makeErr error
 		slab := allocatedBytes(func() {
 			r := byteReader{buf: list}
-			r.censuses()
+			r.censuses(3)
 			slabErr = r.err
 		})
 		perMake := allocatedBytes(func() {
 			r := byteReader{buf: list}
-			censusesPerMake(&r)
+			censusesPerMake(&r, 3)
 			makeErr = r.err
 		})
 		if slabErr == nil || makeErr == nil {
@@ -216,11 +224,11 @@ func TestBatchDecodeHostileLengths(t *testing.T) {
 
 	// 30 censuses claimed, the first with 100 one-byte counts, then nothing:
 	// the slab may be sized for what is left of the frame, never for 30 x 100.
-	list := append([]byte{30, 0x00, 0x06, 100}, make([]byte, 100)...)
+	list := append([]byte{30, 0x00, 100}, make([]byte, 100)...)
 	var err error
 	got := allocatedBytes(func() {
 		r := byteReader{buf: list}
-		r.censuses()
+		r.censuses(3)
 		err = r.err
 	})
 	if err == nil {
@@ -232,5 +240,30 @@ func TestBatchDecodeHostileLengths(t *testing.T) {
 	floor, limit := 100*intSize, 30*censusSize+uint64(len(list))*intSize+512
 	if got < floor || got > limit {
 		t.Errorf("a %d-byte list claiming 30 censuses of 100 counts allocated %d bytes, want %d..%d", len(list), got, floor, limit)
+	}
+
+	// Ratio lists, each refused. 200 one-byte deltas fill the count cap
+	// exactly: the slices are sized, then the runs fail.
+	half := []byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F} // 0.5
+	ratioBatch := func(b ...[]byte) []byte { return slices.Concat(append([][]byte{{0x15, 0x08}}, b...)...) }
+	atCap := append([]byte{0xC8, 0x01}, bytes.Repeat([]byte{0x02}, 200)...) // 200 entries, edges 1..200
+	for name, frame := range map[string][]byte{
+		"ratio run of zero":                    ratioBatch([]byte{0x02, 0x00, 0x02, 0x00}, half),
+		"ratio run longer than the entries":    ratioBatch([]byte{0x02, 0x00, 0x02, 0x03}, half),
+		"ratio runs alike side by side":        ratioBatch([]byte{0x02, 0x00, 0x02, 0x01}, half, []byte{0x01}, half),
+		"ratio runs short of the entries":      ratioBatch([]byte{0x02, 0x00, 0x02, 0x01}, half),
+		"ratio count above a byte an entry":    ratioBatch(big, make([]byte, 64)),
+		"ratio count at the cap, no runs":      ratioBatch(atCap),
+		"correction count at the cap, no runs": slices.Concat([]byte{0x17, 0x08, 0x02}, atCap),
+	} {
+		var err error
+		got := allocatedBytes(func() { _, err = Binary.Decode(frame) })
+		if err == nil {
+			t.Errorf("%s: %x decoded", name, frame)
+		}
+		// The edges and ratios, the errors, and size-class rounding.
+		if limit := 16*uint64(len(frame)) + 1024; got > limit {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes refusing it, want <= %d", name, len(frame), got, limit)
+		}
 	}
 }

@@ -17,9 +17,9 @@ import (
 //
 //	frame   := kindTag payload
 //	kindTag := 1 hello | 2 census | 3 ratio | 7 ack | 8 lease
-//	         | 10 census_batch | 11 ratio_batch | 12 digest
-//	         | 13 hood_beat | 14 ratio_corrections | 15 policy
-//	         | 18 upload | 19 delivery    (4-6, 9, 16 and 17 are retired)
+//	         | 13 hood_beat | 15 policy | 18 upload | 19 delivery
+//	         | 20 census_batch | 21 ratio_batch | 22 digest
+//	         | 23 ratio_corrections   (4-6, 9-12, 14, 16 and 17 are retired)
 //	int     := zigzag varint            (encoding/binary PutVarint)
 //	len     := uvarint                  (encoding/binary PutUvarint)
 //	f64     := 8-byte little-endian IEEE-754 bits
@@ -35,18 +35,24 @@ import (
 //	delivery := int(round) len [run]...
 //	ack      := str(err)
 //	lease    := int(edge) int(ttl_ms)
-//	census_batch := int(shard) int(round) len [census]...
-//	ratio_batch  := int(round) len [int(edge)]... [f64(x)]...
-//	digest_round := int(round) int(degraded 0|1) len [census]...
+//	list     := len [int(edge_delta) len [int(count)]...]...
+//	runs     := [len(n) f64(x)]...
+//	census_batch := int(shard) int(round) list
+//	ratio_batch  := int(round) len [int(edge_delta)]... runs
+//	digest_round := int(round) int(degraded 0|1) list
 //	digest       := int(neighborhood) int(of) len [int(member)]... len [digest_round]...
 //	hood_beat    := int(hood) int(epoch) int(leader) int(escalated) int(ttl_ms)
-//	ratio_corrections := int(round) int(seq) len [int(edge_delta)]... [f64(x)]...
+//	ratio_corrections := int(round) int(seq) len [int(edge_delta)]... runs
 //
-// A correction's edges are strictly ascending and cross the wire as the
-// first edge (>= 0) followed by the positive differences between neighbours,
-// so a shard's few hundred regions cost a byte or two each. Tag 9 was the
-// one-region ratio_correction this layout replaced; it is refused like any
-// unknown tag, so a peer still sending it gets an error, not a misread.
+// A listed census takes its list's round; the encoder never reads its
+// Census.Round. An edge_delta is the difference from the edge before (the
+// first from 0), so any order encodes and neighbours cost a byte each; a
+// correction's edges must ascend strictly. The runs cover a ratio list
+// exactly, each a maximal stretch of bit-identical values. Tags 10-12 and
+// 14 were these frames with a round per listed census, bare edges and an
+// f64 per ratio; tag 9 the one-region ratio_correction. Like any unknown
+// tag they are refused, so a peer still sending one gets an error, not a
+// misread.
 //
 // An item is (owner, round, modality): a sharer shares at most one item per
 // modality a round. A run is a stretch of items with one owner, each the one
@@ -59,8 +65,9 @@ import (
 //
 // Decoding is strict: truncated fields, lengths that cannot fit in the
 // remaining bytes (which also caps decode allocations), unknown kind tags,
-// edge sets out of order, unknown mask bits, empty run masks, and trailing
-// garbage all fail.
+// correction edges out of order, ratio runs that are empty, overrun their
+// list or repeat the run before, unknown mask bits, empty run masks, and
+// trailing garbage all fail.
 type binaryCodec struct{}
 
 // Binary kind tags (wire stable — append only).
@@ -74,16 +81,20 @@ const (
 	tagAck
 	tagLease
 	_ // 9: the retired one-region ratio_correction
-	tagCensusBatch
-	tagRatioBatch
-	tagDigest
+	_ // 10: the retired census_batch of censuses with rounds
+	_ // 11: the retired ratio_batch of bare edges and one f64 each
+	_ // 12: the retired digest of censuses with rounds
 	tagHoodBeat
-	tagRatioCorrection
+	_ // 14: the retired ratio_corrections of one f64 each
 	tagPolicy
 	_ // 16: the retired upload of seq runs naming its vehicle
 	_ // 17: the retired delivery of seq runs
 	tagUpload
 	tagDelivery
+	tagCensusBatch
+	tagRatioBatch
+	tagDigest
+	tagRatioCorrection
 )
 
 // AppendEncode appends m's wire frame (excluding the length prefix) to dst
@@ -165,22 +176,13 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		if len(rc.Edges) != len(rc.X) {
 			return nil, fmt.Errorf("transport: ratio correction has %d edges but %d ratios", len(rc.Edges), len(rc.X))
 		}
+		if err := checkAscending(rc.Edges); err != nil {
+			return nil, fmt.Errorf("transport: %w", err)
+		}
 		dst = append(dst, tagRatioCorrection)
 		dst = appendInt(dst, int64(rc.Round))
 		dst = appendInt(dst, rc.Seq)
-		dst = appendLen(dst, len(rc.Edges))
-		prev := 0
-		for i, e := range rc.Edges {
-			if e < 0 || (i > 0 && e <= prev) {
-				return nil, fmt.Errorf("transport: ratio correction edges are not ascending at %d", e)
-			}
-			dst = appendInt(dst, int64(e-prev))
-			prev = e
-		}
-		for _, x := range rc.X {
-			dst = appendFloat(dst, x)
-		}
-		return dst, nil
+		return appendRatios(dst, rc.Edges, rc.X), nil
 	case KindCensusBatch:
 		cb, err := typedBody[CensusBatch](m)
 		if err != nil {
@@ -189,11 +191,7 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		dst = append(dst, tagCensusBatch)
 		dst = appendInt(dst, int64(cb.Shard))
 		dst = appendInt(dst, int64(cb.Round))
-		dst = appendLen(dst, len(cb.Censuses))
-		for i := range cb.Censuses {
-			dst = appendCensus(dst, &cb.Censuses[i])
-		}
-		return dst, nil
+		return appendCensusList(dst, cb.Censuses), nil
 	case KindRatioBatch:
 		rb, err := typedBody[RatioBatch](m)
 		if err != nil {
@@ -204,14 +202,7 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		dst = append(dst, tagRatioBatch)
 		dst = appendInt(dst, int64(rb.Round))
-		dst = appendLen(dst, len(rb.Edges))
-		for _, e := range rb.Edges {
-			dst = appendInt(dst, int64(e))
-		}
-		for _, x := range rb.X {
-			dst = appendFloat(dst, x)
-		}
-		return dst, nil
+		return appendRatios(dst, rb.Edges, rb.X), nil
 	case KindDigest:
 		d, err := typedBody[Digest](m)
 		if err != nil {
@@ -232,10 +223,7 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 				degraded = 1
 			}
 			dst = appendInt(dst, degraded)
-			dst = appendLen(dst, len(dr.Censuses))
-			for i := range dr.Censuses {
-				dst = appendCensus(dst, &dr.Censuses[i])
-			}
+			dst = appendCensusList(dst, dr.Censuses)
 		}
 		return dst, nil
 	case KindHoodBeat:
@@ -361,21 +349,11 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	case tagCensusBatch:
 		cb := reuse(&s.batch)
 		cb.Shard, cb.Round = int(r.int()), int(r.int())
-		cb.Censuses = r.censuses()
+		cb.Censuses = r.censuses(cb.Round)
 		kind, body = KindCensusBatch, cb
 	case tagRatioBatch:
 		rb := RatioBatch{Round: int(r.int())}
-		// Each entry is at least 9 bytes (1-byte edge varint + 8-byte float).
-		if n := r.len(9); n > 0 {
-			rb.Edges = make([]int, n)
-			for i := range rb.Edges {
-				rb.Edges[i] = int(r.int())
-			}
-			rb.X = make([]float64, n)
-			for i := range rb.X {
-				rb.X[i] = r.float()
-			}
-		}
+		rb.Edges, rb.X = r.ratios()
 		kind, body = KindRatioBatch, rb
 	case tagDigest:
 		d := reuse(&s.digest)
@@ -384,8 +362,9 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		// Each digest round is at least 3 bytes (round, degraded, empty list).
 		d.Rounds = append(d.Rounds[:0], make([]DigestRound, r.len(3))...)
 		for i := range d.Rounds {
-			d.Rounds[i] = DigestRound{Round: int(r.int()), Degraded: r.int() != 0}
-			d.Rounds[i].Censuses = r.censuses()
+			dr := &d.Rounds[i]
+			dr.Round, dr.Degraded = int(r.int()), r.int() != 0
+			dr.Censuses = r.censuses(dr.Round)
 		}
 		kind, body = KindDigest, d
 	case tagHoodBeat:
@@ -399,23 +378,8 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 		}
 	case tagRatioCorrection:
 		rc := RatioCorrection{Round: int(r.int()), Seq: r.int()}
-		// Each entry is at least 9 bytes (1-byte delta varint + 8-byte float).
-		if n := r.len(9); n > 0 {
-			rc.Edges = make([]int, n)
-			edge := 0
-			for i := range rc.Edges {
-				delta := int(r.int())
-				if delta < 0 || (i > 0 && delta == 0) || edge+delta < 0 {
-					r.fail(fmt.Errorf("edge delta %d at entry %d: edges must ascend from 0", delta, i))
-				}
-				edge += delta
-				rc.Edges[i] = edge
-			}
-			rc.X = make([]float64, n)
-			for i := range rc.X {
-				rc.X[i] = r.float()
-			}
-		}
+		rc.Edges, rc.X = r.ratios()
+		r.fail(checkAscending(rc.Edges))
 		kind, body = KindRatioCorrection, rc
 	default:
 		return Message{}, fmt.Errorf("transport: unknown binary kind tag 0x%02x", frame[0])
@@ -450,12 +414,48 @@ func appendFloat(dst []byte, f float64) []byte {
 	return append(dst, tmp[:]...)
 }
 
-// appendCensus appends one census body (edge, round, counts) — the shared
-// tail of the census, census_batch, and digest encodings.
+// appendCensus appends a single census, the one that carries its round.
 func appendCensus(dst []byte, c *Census) []byte {
 	dst = appendInt(dst, int64(c.Edge))
 	dst = appendInt(dst, int64(c.Round))
 	return appendCounts(dst, c.Counts)
+}
+
+// appendCensusList appends the census list of a census_batch or a digest
+// round: each census's edge as its difference from the edge before, then
+// its counts. Census.Round is never read — the list's round stands for it —
+// so a list whose censuses' storage has since been reused still encodes.
+func appendCensusList(dst []byte, list []Census) []byte {
+	dst = appendLen(dst, len(list))
+	prev := 0
+	for i := range list {
+		dst = appendInt(dst, int64(list[i].Edge-prev))
+		prev = list[i].Edge
+		dst = appendCounts(dst, list[i].Counts)
+	}
+	return dst
+}
+
+// appendRatios appends a ratio list, the tail of a ratio_batch and of
+// ratio_corrections: the edges as differences from the edge before, then
+// the ratios as runs of bit-identical values.
+func appendRatios(dst []byte, edges []int, xs []float64) []byte {
+	dst = appendLen(dst, len(edges))
+	prev := 0
+	for _, e := range edges {
+		dst = appendInt(dst, int64(e-prev))
+		prev = e
+	}
+	for i := 0; i < len(xs); {
+		bits, n := math.Float64bits(xs[i]), 1
+		for i+n < len(xs) && math.Float64bits(xs[i+n]) == bits {
+			n++
+		}
+		dst = appendLen(dst, n)
+		dst = appendFloat(dst, xs[i])
+		i += n
+	}
+	return dst
 }
 
 func appendCounts(dst []byte, counts []int) []byte {
@@ -527,10 +527,8 @@ func (r *byteReader) int() int64 {
 	return v
 }
 
-// len reads a collection length and bounds it by the bytes remaining given
-// a minimum encoded size per element, so a corrupt length can never drive a
-// huge allocation.
-func (r *byteReader) len(minElemBytes int) int {
+// uint reads a uvarint.
+func (r *byteReader) uint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -540,6 +538,17 @@ func (r *byteReader) len(minElemBytes int) int {
 		return 0
 	}
 	r.buf = r.buf[n:]
+	return v
+}
+
+// len reads a collection length and bounds it by the bytes remaining given
+// a minimum encoded size per element, so a corrupt length can never drive a
+// huge allocation.
+func (r *byteReader) len(minElemBytes int) int {
+	v := r.uint()
+	if r.err != nil {
+		return 0
+	}
 	if minElemBytes < 1 {
 		minElemBytes = 1
 	}
@@ -574,15 +583,16 @@ func (r *byteReader) str() string {
 }
 
 // censuses reads a census list — the shared tail of the census_batch and
-// digest encodings — into r's list storage. Each census is at least 3 bytes
-// (edge, round, empty counts). Every Counts is cut from r's counts storage,
-// capped so an append to one census cannot run into the next. When that runs
-// short it is replaced by one sized for the frame so far plus the rest of the
-// list at the K in hand, never above the bytes left (a count is at least one
-// byte), so a corrupt length buys no more memory per frame byte than a make
-// per census would, and a frame of the same shape next time fits whole.
-func (r *byteReader) censuses() []Census {
-	n := r.len(3)
+// digest encodings — into r's list storage, every census in the list's
+// round. Each census is at least 2 bytes (edge delta, empty counts). Every
+// Counts is cut from r's counts storage, capped so an append to one census
+// cannot run into the next. When that runs short it is replaced by one sized
+// for the frame so far plus the rest of the list at the K in hand, never
+// above the bytes left (a count is at least one byte), so a corrupt length
+// buys no more memory per frame byte than a make per census would, and a
+// frame of the same shape next time fits whole.
+func (r *byteReader) censuses(round int) []Census {
+	n := r.len(2)
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -592,12 +602,55 @@ func (r *byteReader) censuses() []Census {
 	at := len(r.list)
 	r.list = r.list[:at+n]
 	out := r.list[at : at+n : at+n]
+	edge := 0
 	for i := range out {
-		out[i] = Census{Edge: int(r.int()), Round: int(r.int())}
+		edge += int(r.int())
+		out[i] = Census{Edge: edge, Round: round}
 		k := r.len(1)
 		out[i].Counts = r.ints(k, min((n-i)*k, len(r.buf)))
 	}
 	return out
+}
+
+// ratios reads a ratio list. An edge delta is at least a byte, so the count
+// is capped at one entry per byte left, and the edges and ratios it sizes
+// hold at most 16 bytes per frame byte. Every run must be nonempty, stay
+// within the list and differ from the run before, so that a list has one
+// encoding.
+func (r *byteReader) ratios() (edges []int, xs []float64) {
+	n := r.len(1)
+	if r.err != nil || n == 0 {
+		return nil, nil
+	}
+	edges, xs = make([]int, n), make([]float64, n)
+	edge := 0
+	for i := range edges {
+		edge += int(r.int())
+		edges[i] = edge
+	}
+	for i := 0; i < n && r.err == nil; {
+		run, x := r.uint(), r.float()
+		if run == 0 || run > uint64(n-i) || (i > 0 && math.Float64bits(x) == math.Float64bits(xs[i-1])) {
+			r.fail(fmt.Errorf("ratio run of %d at entry %d of %d is empty, overruns the list or repeats the run before", run, i, n))
+			break
+		}
+		for end := i + int(run); i < end; i++ {
+			xs[i] = x
+		}
+	}
+	return edges, xs
+}
+
+// checkAscending refuses a correction's edge set unless it rises strictly
+// from 0 or above, so a duplicated or unsorted set never reaches a link. On
+// the decode side it also catches a delta that overflowed.
+func checkAscending(edges []int) error {
+	for i, e := range edges {
+		if e < 0 || (i > 0 && e <= edges[i-1]) {
+			return fmt.Errorf("ratio correction edges are not ascending at %d", e)
+		}
+	}
+	return nil
 }
 
 // ints reads n varints into a capped slice of r's counts storage, which,

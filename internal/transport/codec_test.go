@@ -239,10 +239,10 @@ func TestBinaryGoldenBytes(t *testing.T) {
 		{
 			name: "ratio_correction",
 			kind: KindRatioCorrection,
-			body: RatioCorrection{Round: 7, Seq: 3, Edges: []int{2, 5}, X: []float64{0.5, 0.25}},
-			want: []byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x06,
-				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
-				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F},
+			body: RatioCorrection{Round: 7, Seq: 3, Edges: []int{2, 5, 6}, X: []float64{0.5, 0.5, 0.25}},
+			want: []byte{0x17, 0x0E, 0x06, 0x03, 0x04, 0x06, 0x02, // edges 2, +3, +1
+				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, // 0.5 twice
+				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F}, // 0.25 once
 		},
 		{
 			name: "census_batch",
@@ -251,17 +251,18 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				{Edge: 0, Round: 3, Counts: []int{2, 1}},
 				{Edge: 1, Round: 3, Counts: []int{0, 4}},
 			}},
-			want: []byte{0x0A, 0x02, 0x06, 0x02,
-				0x00, 0x06, 0x02, 0x04, 0x02,
-				0x02, 0x06, 0x02, 0x00, 0x08},
+			// Each census takes the batch's round; edges are deltas.
+			want: []byte{0x14, 0x02, 0x06, 0x02,
+				0x00, 0x02, 0x04, 0x02,
+				0x02, 0x02, 0x00, 0x08},
 		},
 		{
 			name: "ratio_batch",
 			kind: KindRatioBatch,
-			body: RatioBatch{Round: 4, Edges: []int{0, 1}, X: []float64{0.5, 0.25}},
-			want: []byte{0x0B, 0x08, 0x02, 0x00, 0x02,
-				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
-				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F},
+			body: RatioBatch{Round: 4, Edges: []int{3, 1, 2}, X: []float64{0.5, 0.5, 0.25}},
+			want: []byte{0x15, 0x08, 0x03, 0x06, 0x03, 0x02, // edges 3, -2, +1
+				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, // 0.5 twice
+				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F}, // 0.25 once
 		},
 		{
 			name: "digest",
@@ -269,8 +270,8 @@ func TestBinaryGoldenBytes(t *testing.T) {
 			body: Digest{Neighborhood: 1, Of: 2, Members: []int{2, 3}, Rounds: []DigestRound{
 				{Round: 6, Censuses: []Census{{Edge: 2, Round: 6, Counts: []int{3, 1}}}},
 			}},
-			want: []byte{0x0C, 0x02, 0x04, 0x02, 0x04, 0x06,
-				0x01, 0x0C, 0x00, 0x01, 0x04, 0x0C, 0x02, 0x06, 0x02},
+			want: []byte{0x16, 0x02, 0x04, 0x02, 0x04, 0x06,
+				0x01, 0x0C, 0x00, 0x01, 0x04, 0x02, 0x06, 0x02},
 		},
 		{
 			name: "hood_beat",
@@ -351,45 +352,54 @@ func hardeningCases() []hardeningCase {
 		{"length exceeds remaining", []byte{0x02, 0x02, 0x06, 0xFF, 0xFF, 0x03}}, // census claiming ~65k counts
 		{"trailing garbage", append(append([]byte{}, ratio...), 0xAA)},
 		{"items length overflow", []byte{0x13, 0x0A, 0x80, 0x01, 0x12, 0x01}}, // 128 runs in two bytes
-		{"truncated ratio_correction", []byte{0x0E, 0x0E, 0x06, 0x01, 0x04, 0x00, 0x00}},
+		{"truncated ratio_correction", []byte{0x17, 0x0E, 0x06, 0x01, 0x04, 0x01, 0x00, 0x00}},
 		// The one-region frame this layout replaced, as TestBinaryGoldenBytes
 		// pinned it until tag 14.
 		{"ratio_correction retired tag 9", []byte{0x09, 0x04, 0x0E, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F}},
-		{"ratio_correction count exceeds remaining", []byte{0x0E, 0x0E, 0x06, 0x7F, 0x00}},
-		// Two entries claimed with ten bytes left: enough for the deltas, not
-		// for the ratios.
-		{"ratio_correction count needs 9 bytes an entry", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x06}, f64...)},
-		{"ratio_correction duplicate edge", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x00}, f64x2...)},
-		{"ratio_correction unsorted edges", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x01}, f64x2...)},
-		{"ratio_correction negative first edge", append([]byte{0x0E, 0x0E, 0x06, 0x01, 0x01}, f64...)},
+		{"ratio_correction count exceeds remaining", []byte{0x17, 0x0E, 0x06, 0x7F, 0x00}},
+		// Two entries with one ratio run: the runs must cover the list.
+		{"ratio_correction runs short of the entries", append([]byte{0x17, 0x0E, 0x06, 0x02, 0x04, 0x06, 0x01}, f64...)},
+		{"ratio_correction duplicate edge", append([]byte{0x17, 0x0E, 0x06, 0x02, 0x04, 0x00, 0x02}, f64...)},
+		{"ratio_correction unsorted edges", append([]byte{0x17, 0x0E, 0x06, 0x02, 0x04, 0x01, 0x02}, f64...)},
+		{"ratio_correction negative first edge", append([]byte{0x17, 0x0E, 0x06, 0x01, 0x01, 0x01}, f64...)},
 		// MaxInt64, then one more.
-		{"ratio_correction edge overflows", append([]byte{0x0E, 0x0E, 0x06, 0x02,
-			0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02}, f64x2...)},
-		{"ratio_correction trailing garbage", append(append([]byte{0x0E, 0x0E, 0x06, 0x01, 0x04}, f64...), 0xAA)},
-		{"census_batch length overflow", []byte{0x0A, 0x02, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"census_batch truncated census", []byte{0x0A, 0x02, 0x06, 0x02, 0x00, 0x06, 0x02, 0x04}},
+		{"ratio_correction edge overflows", append([]byte{0x17, 0x0E, 0x06, 0x02,
+			0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02, 0x02}, f64...)},
+		{"ratio_correction trailing garbage", append(append([]byte{0x17, 0x0E, 0x06, 0x01, 0x04, 0x01}, f64...), 0xAA)},
+		// Two neighbouring runs of one value: that is one run of two.
+		{"ratio_correction runs alike side by side", append([]byte{0x17, 0x0E, 0x06, 0x02, 0x04, 0x02, 0x01}, append(append(append([]byte{}, f64...), 0x01), f64...)...)},
+		{"census_batch length overflow", []byte{0x14, 0x02, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"census_batch truncated census", []byte{0x14, 0x02, 0x06, 0x02, 0x00, 0x02, 0x04}},
 		// The batch decoder carves every census's counts from one slab: the
 		// shapes that steer it — K changing inside a list, empty censuses
 		// between full ones, a K or a census count the frame cannot hold —
 		// each end in a refusal here (TestBatchDecodeShapes has them intact).
-		{"census_batch mixed K cut short", []byte{0x0A, 0x02, 0x06, 0x03,
-			0x00, 0x06, 0x02, 0x02, 0x04, // edge 0: two counts
-			0x02, 0x06, 0x04, 0x02, 0x02, 0x02}}, // edge 1: four declared, three sent
-		{"census_batch first K exceeds remaining", []byte{0x0A, 0x02, 0x06, 0x02, 0x00, 0x06, 0xFF, 0xFF, 0x03, 0x02, 0x04}},
-		{"census_batch count far above the frame", []byte{0x0A, 0x02, 0x06, 0xE8, 0x07, 0x00, 0x06, 0x01, 0x02}},
-		{"census_batch empty censuses between full ones, trailing garbage", []byte{0x0A, 0x02, 0x06, 0x03,
-			0x00, 0x06, 0x02, 0x02, 0x04, 0x02, 0x06, 0x00, 0x04, 0x06, 0x02, 0x02, 0x02, 0xAA}},
-		{"digest mixed K cut short", []byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x02,
-			0x04, 0x0C, 0x01, 0x02, // edge 2: one count
-			0x06, 0x0C, 0x03, 0x02, 0x02, 0x80}}, // edge 3: the third count never ends
-		{"digest census count far above the frame", []byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x64, 0x04, 0x0C, 0x01, 0x02}},
-		{"ratio_batch length exceeds remaining", []byte{0x0B, 0x08, 0x7F, 0x00}},
-		{"ratio_batch truncated float", []byte{0x0B, 0x08, 0x01, 0x00, 0x00, 0x00, 0xE0, 0x3F}},
-		{"digest members length overflow", []byte{0x0C, 0x02, 0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"digest rounds length overflow", []byte{0x0C, 0x02, 0x04, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
-		{"digest truncated round", []byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00}},
-		{"digest census counts overflow", []byte{0x0C, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x01, 0x04, 0x0C, 0xFF, 0xFF, 0x03}},
-		{"digest trailing garbage", []byte{0x0C, 0x02, 0x04, 0x00, 0x00, 0xAA}},
+		{"census_batch mixed K cut short", []byte{0x14, 0x02, 0x06, 0x03,
+			0x00, 0x02, 0x02, 0x04, // edge 0: two counts
+			0x02, 0x04, 0x02, 0x02, 0x02}}, // edge 1: four declared, three sent
+		{"census_batch first K exceeds remaining", []byte{0x14, 0x02, 0x06, 0x02, 0x00, 0xFF, 0xFF, 0x03, 0x02, 0x04}},
+		{"census_batch count far above the frame", []byte{0x14, 0x02, 0x06, 0xE8, 0x07, 0x00, 0x01, 0x02}},
+		{"census_batch empty censuses between full ones, trailing garbage", []byte{0x14, 0x02, 0x06, 0x03,
+			0x00, 0x02, 0x02, 0x04, 0x02, 0x00, 0x02, 0x02, 0x02, 0x02, 0xAA}},
+		{"digest mixed K cut short", []byte{0x16, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x02,
+			0x04, 0x01, 0x02, // edge 2: one count
+			0x02, 0x03, 0x02, 0x02, 0x80}}, // edge 3: the third count never ends
+		{"digest census count far above the frame", []byte{0x16, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x64, 0x04, 0x01, 0x02}},
+		{"ratio_batch length exceeds remaining", []byte{0x15, 0x08, 0x7F, 0x00}},
+		{"ratio_batch truncated float", []byte{0x15, 0x08, 0x01, 0x00, 0x01, 0x00, 0x00, 0xE0, 0x3F}},
+		{"digest members length overflow", []byte{0x16, 0x02, 0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"digest rounds length overflow", []byte{0x16, 0x02, 0x04, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+		{"digest truncated round", []byte{0x16, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00}},
+		{"digest census counts overflow", []byte{0x16, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x01, 0x04, 0xFF, 0xFF, 0x03}},
+		{"digest trailing garbage", []byte{0x16, 0x02, 0x04, 0x00, 0x00, 0xAA}},
+		// The tier-plane frames the list layouts replaced, each the golden
+		// bytes of its day.
+		{"census_batch retired tag 10", []byte{0x0A, 0x02, 0x06, 0x02,
+			0x00, 0x06, 0x02, 0x04, 0x02, 0x02, 0x06, 0x02, 0x00, 0x08}},
+		{"ratio_batch retired tag 11", append([]byte{0x0B, 0x08, 0x02, 0x00, 0x02}, f64x2...)},
+		{"digest retired tag 12", []byte{0x0C, 0x02, 0x04, 0x02, 0x04, 0x06,
+			0x01, 0x0C, 0x00, 0x01, 0x04, 0x0C, 0x02, 0x06, 0x02}},
+		{"ratio_corrections retired tag 14", append([]byte{0x0E, 0x0E, 0x06, 0x02, 0x04, 0x06}, f64x2...)},
 		{"hood_beat truncated", []byte{0x0D, 0x02, 0x04}},
 		{"hood_beat trailing garbage", []byte{0x0D, 0x02, 0x04, 0x06, 0x0C, 0x00, 0xAA}},
 		// The policy's census: three counts claimed, two bytes left.
@@ -446,6 +456,53 @@ func TestEncodeRejectsMalformedCorrection(t *testing.T) {
 	} {
 		if frame, err := Binary.AppendEncode(nil, mustEncode(t, KindRatioCorrection, rc)); err == nil {
 			t.Errorf("%s: encoded to %x, want an error", name, frame)
+		}
+	}
+}
+
+// TestListCensusTakesItsListsRound: a census in a census_batch or a digest
+// round crosses the wire without a round of its own, so one whose struct
+// holds a stray round — its storage reused for a later round, say — encodes
+// to the same bytes as it would with its list's round, and decodes in that
+// round.
+func TestListCensusTakesItsListsRound(t *testing.T) {
+	stray := func(round int) []Census {
+		cs := mixedCensuses(round)
+		for i := range cs {
+			cs[i].Round = round + 4 + i
+		}
+		return cs
+	}
+	cases := []struct {
+		kind       Kind
+		sent, want interface{}
+	}{
+		{KindCensusBatch, CensusBatch{Shard: 1, Round: 3, Censuses: stray(3)}, mixedBatch()},
+		{KindDigest, Digest{Neighborhood: 1, Of: 2, Members: []int{2, 3}, Rounds: []DigestRound{
+			{Round: 6, Censuses: stray(6)},
+			{Round: 7, Degraded: true, Censuses: stray(7)},
+		}}, mixedDigest()},
+	}
+	for _, c := range cases {
+		frame := encodeFrameOf(t, c.kind, c.sent)
+		if want := encodeFrameOf(t, c.kind, c.want); !bytes.Equal(frame, want) {
+			t.Errorf("%s with stray census rounds encodes to %x, want %x", c.kind, frame, want)
+		}
+		for name, decode := range binaryDecoders(t) {
+			m, err := decode(frame)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, c.kind, err)
+			}
+			var got interface{}
+			switch b := m.Body.(type) {
+			case *CensusBatch:
+				got = *b
+			case *Digest:
+				got = *b
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: %s decoded to\n%+v\nwant\n%+v", name, c.kind, got, c.want)
+			}
 		}
 	}
 }
@@ -808,6 +865,24 @@ func FuzzDecodeFrame(f *testing.F) {
 		{KindDelivery, Delivery{Round: 1850, Items: AppendRun(AppendRun(AppendRun(nil,
 			63, sensor.MaskOf(sensor.Camera)), 64, sensor.MaskAll), -1, sensor.MaskOf(sensor.LiDAR, sensor.Radar))}},
 		{KindPolicy, Policy{Round: 0, X: 0.5, Counts: make([]int, 8)}},
+		// A flood's reply: 512 regions sharing one ratio, one run.
+		{KindRatioBatch, func() RatioBatch {
+			rb := RatioBatch{Round: 9, Edges: make([]int, 512), X: make([]float64, 512)}
+			for i := range rb.Edges {
+				rb.Edges[i], rb.X[i] = 512+i, 1
+			}
+			return rb
+		}()},
+		{KindRatioCorrection, RatioCorrection{Round: 8, Seq: 2, Edges: []int{0, 1, 2, 5, 9, 10},
+			X: []float64{1, 1, 0.5, 1, 1, 1}}},
+		// Descending edges: every delta after the first is negative.
+		{KindCensusBatch, CensusBatch{Shard: 2, Round: 40, Censuses: []Census{
+			{Edge: 9, Counts: []int{1, 2}}, {Edge: 7, Counts: []int{3, 0}}, {Edge: 3}, {Edge: 0, Counts: []int{0, 1}},
+		}}},
+		{KindDigest, Digest{Neighborhood: 0, Of: 3, Members: []int{0, 3, 6}, Rounds: []DigestRound{
+			{Round: 11, Censuses: []Census{{Edge: 0, Counts: []int{4}}, {Edge: 3, Counts: []int{2}}, {Edge: 6, Counts: []int{1}}}},
+			{Round: 12, Degraded: true, Censuses: []Census{{Edge: 6, Counts: []int{3}}, {Edge: 0, Counts: []int{5}}}},
+		}}},
 	}
 	for _, p := range payloads {
 		m, err := Encode(p.kind, p.body)
