@@ -2,10 +2,12 @@ package edge
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/israce"
 	"repro/internal/lattice"
 	"repro/internal/sensor"
+	"repro/internal/transport"
 )
 
 // TestAddUploadWarmedSlotAllocs pins what the Distributor's copy of an
@@ -36,3 +38,73 @@ func TestAddUploadWarmedSlotAllocs(t *testing.T) {
 		t.Errorf("after %d rounds: %d uploads, census %v", round, d.NumUploads(), d.Census())
 	}
 }
+
+// TestRunRoundAllocs pins a warmed RunRound over TCP, three vehicles
+// answering from one goroutine: the policy and delivery bodies are the
+// server's own, the deadline timer is reset rather than made, and the span
+// keeps its attrs and events inline. What is left is the span, its boxed
+// ratio attr and the census the round returns.
+func TestRunRoundAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	l, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(0, lattice.NewPaper(), 7)
+	go srv.Serve(l)
+	t.Cleanup(func() {
+		srv.Close()
+		l.Close()
+	})
+	dial := func() (transport.Conn, error) { return transport.DialTCP(l.Addr()) }
+	vehicles := []*testVehicle{registerVehicle(t, dial, 1), registerVehicle(t, dial, 2), registerVehicle(t, dial, 3)}
+	awaitVehicles(t, srv, len(vehicles))
+	ups := make([]*transport.Upload, len(vehicles))
+	for i := range ups {
+		ups[i] = &transport.Upload{Decision: 1, Share: sensor.MaskAll}
+	}
+	go func() { // the fleet: each round a policy in, an upload out, a delivery in
+		for {
+			for i, v := range vehicles {
+				m, err := v.conn.Recv()
+				var pol transport.Policy
+				if err == nil {
+					err = transport.Decode(m, transport.KindPolicy, &pol)
+				}
+				if err != nil {
+					return
+				}
+				ups[i].Round = pol.Round
+				if v.conn.Send(transport.Message{Kind: transport.KindUpload, Body: ups[i]}) != nil {
+					return
+				}
+			}
+			for _, v := range vehicles {
+				if _, err := v.conn.Recv(); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	round := 0
+	step := func() {
+		round++
+		census, err := srv.RunRound(round, 1, 5*time.Second)
+		if err != nil || census[0] != len(vehicles) {
+			t.Fatalf("round %d: census %v, %v", round, census, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(100, step)
+	t.Logf("a three-vehicle RunRound: %.1f allocs", allocs)
+	if allocs > runRoundAllocs {
+		t.Errorf("a three-vehicle RunRound: %.1f allocs, want at most %d", allocs, runRoundAllocs)
+	}
+}
+
+// runRoundAllocs is TestRunRoundAllocs's pinned count.
+const runRoundAllocs = 3

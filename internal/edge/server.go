@@ -38,9 +38,15 @@ type Server struct {
 	uploaded chan struct{}
 	// members is RunRound's snapshot of conns, reused from round to round.
 	members []member
-	// delivery is RunRound's step-⑤ body, rewritten for every member: Send
-	// has encoded the last one by the time it returns.
+	// policy and delivery are RunRound's step-③ and step-⑤ bodies, rewritten
+	// for every round and member: Send has encoded the last one by the time
+	// it returns.
+	policy   transport.Policy
 	delivery transport.Delivery
+	// deadline is RunRound's upload timer. Between rounds it is stopped and
+	// its channel empty (go.mod's go 1.22 timer semantics: a fired timer's
+	// value waits in the channel until received).
+	deadline *time.Timer
 
 	obsv    *obs.Observer
 	metrics edgeMetrics
@@ -215,13 +221,9 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 	m := s.metrics
 	span := s.obsv.Span("edge_round", obs.A("edge", s.ID), obs.A("round", round), obs.A("x", x))
 	s.mu.Unlock()
-	// A round that fails still shows in /debug/spans, with its error.
-	fail := func(err error) ([]int, error) {
-		span.End(obs.A("error", err.Error()))
-		return nil, err
-	}
 	if err := s.dist.BeginRound(round, x); err != nil {
-		return fail(err)
+		span.End(obs.A("error", err.Error())) // a failed round still shows in /debug/spans
+		return nil, err
 	}
 
 	s.mu.Lock()
@@ -235,25 +237,28 @@ func (s *Server) RunRound(round int, x float64, timeout time.Duration) ([]int, e
 	s.mu.Unlock()
 
 	s.target.Store(int64(len(members)))
-	policy, err := transport.Encode(transport.KindPolicy, &transport.Policy{
-		Round:  round,
-		X:      x,
-		Counts: last,
-	})
-	if err != nil {
-		return fail(err)
-	}
+	s.policy = transport.Policy{Round: round, X: x, Counts: last}
 	for _, mb := range members {
 		// Dead connections are detected by their read loop; ignore here.
-		_ = mb.conn.Send(policy)
+		_ = mb.conn.Send(transport.Message{Kind: transport.KindPolicy, Body: &s.policy})
 	}
 
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	if s.deadline == nil {
+		s.deadline = time.NewTimer(timeout)
+	} else {
+		s.deadline.Reset(timeout)
+	}
+	fired := false
+	defer func() {
+		if !fired && !s.deadline.Stop() {
+			<-s.deadline.C // fired unread: drain it for the next round
+		}
+	}()
 	for s.dist.NumUploads() < len(members) {
 		select {
 		case <-s.uploaded:
-		case <-deadline.C:
+		case <-s.deadline.C:
+			fired = true
 			// Proceed with whatever arrived.
 			span.Event("upload_deadline", obs.A("uploads", s.dist.NumUploads()), obs.A("vehicles", len(members)))
 			goto distribute
@@ -272,11 +277,7 @@ distribute:
 			continue
 		}
 		s.delivery = transport.Delivery{Round: round, Items: items}
-		m, err := transport.Encode(transport.KindDelivery, &s.delivery)
-		if err != nil {
-			return fail(err)
-		}
-		_ = mb.conn.Send(m)
+		_ = mb.conn.Send(transport.Message{Kind: transport.KindDelivery, Body: &s.delivery})
 	}
 
 	census := s.dist.Census()

@@ -29,9 +29,11 @@ package gossip
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud"
@@ -108,7 +110,9 @@ type Node struct {
 	fold      *cloud.Fold
 	escalated int                   // next round the leader will escalate (rounds below are acked)
 	pending   []durable.RoundRecord // unacked rounds, ascending (every member retains them under failover)
-	peers     map[int]*edge.PeerLink
+	senders   []*peerSender         // one per peer, by member id; fixed after NewNode
+	censusFan fan                   // LocalRound's fan-outs to the senders
+	beatFan   fan                   // the failover clock's beats
 	journal   *durable.Journal
 	cloudX    float64 // latest cloud-published ratio for Edge (observability)
 	cloudSeen bool
@@ -213,7 +217,6 @@ func NewNode(cfg Config) (*Node, error) {
 		failover: cfg.FailoverTTL > 0,
 		leader:   members[0] == cfg.Edge,
 		fold:     cfg.Fold,
-		peers:    make(map[int]*edge.PeerLink),
 		journal:  new(durable.Journal),
 		obsv:     o,
 		srv:      transport.NewAcceptor(),
@@ -223,7 +226,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Lock:     &n.mu,
 		Name:     fmt.Sprintf("gossip: edge %d", cfg.Edge),
 		Members:  len(members),
-		Owns:     n.isMember,
+		Owns:     func(edge int) bool { return slices.Contains(members, edge) },
 		K:        cfg.Fold.Decisions(),
 		Closed:   n.srv.Closed(),
 		Counters: &n.metrics.Counters,
@@ -234,19 +237,10 @@ func NewNode(cfg Config) (*Node, error) {
 		Complete: n.completeLocalLocked,
 	})
 	n.eng.Deadline = cfg.Deadline
+	n.censusFan.done, n.beatFan.done = make(chan struct{}, 1), make(chan struct{}, 1)
 	for _, m := range members {
-		if m == cfg.Edge {
-			continue
-		}
-		n.peers[m] = &edge.PeerLink{
-			// A short dial schedule: a dead peer must cost less than the
-			// round deadline, not the transport default's two-second cap.
-			Dialer: &transport.Dialer{
-				Dial:        func() (transport.Conn, error) { return cfg.PeerDial(m) },
-				MaxAttempts: 4,
-				BaseDelay:   2 * time.Millisecond,
-				MaxDelay:    50 * time.Millisecond,
-			},
+		if m != cfg.Edge {
+			n.startSender(m)
 		}
 	}
 	n.metrics.Latest.Set(-1)
@@ -467,7 +461,7 @@ func (n *Node) tickFailover() {
 			TTLMillis: n.cfg.FailoverTTL.Milliseconds(),
 		}
 		n.mu.Unlock()
-		n.broadcastBeat(beat)
+		n.fanOut(peerJob{fan: &n.beatFan, beat: beat})
 		return
 	}
 	if time.Since(n.lastBeat) < n.cfg.FailoverTTL {
@@ -510,25 +504,107 @@ func (n *Node) tickFailover() {
 	}
 }
 
-// broadcastBeat sends one heartbeat to every peer, concurrently. Beats are
-// best-effort: an unreachable peer just counts a failure and learns the
-// epoch from the next beat that lands.
-func (n *Node) broadcastBeat(beat transport.HoodBeat) {
-	var wg sync.WaitGroup
-	for _, pl := range n.peers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+// peerSender is one peer's outbound half, run under n.srv (Close waits for
+// it) and the only caller of its link's Exchange. It owns the bodies it sends.
+type peerSender struct {
+	member int
+	link   edge.PeerLink
+	work   chan peerJob // a census and a beat at most: see fanOut
+	census transport.Census
+	beat   transport.HoodBeat
+}
+
+// peerJob is one frame for the senders: this node's census, or a beat.
+type peerJob struct {
+	fan    *fan // n.censusFan or n.beatFan, the fan-out waiting for it
+	census transport.Census
+	beat   transport.HoodBeat
+}
+
+// fan serializes the fan-outs of one job kind. The sender that finishes a
+// fan-out's last job wakes its caller, once.
+type fan struct {
+	sync.Mutex
+	left atomic.Int32  // the fan-out's jobs not finished yet, and its hand-off
+	done chan struct{} // capacity 1
+}
+
+func (n *Node) startSender(member int) {
+	s := &peerSender{member: member, work: make(chan peerJob, 2)}
+	// A short dial schedule (a dead peer must cost less than the round
+	// deadline), and none once closed: Close need not wait out a redial.
+	s.link.Dialer = &transport.Dialer{
+		Dial: func() (transport.Conn, error) {
+			select {
+			case <-n.srv.Closed():
+				return nil, transport.ErrClosed
+			default:
+				return n.cfg.PeerDial(member)
+			}
+		},
+		MaxAttempts: 4,
+		BaseDelay:   2 * time.Millisecond,
+		MaxDelay:    50 * time.Millisecond,
+	}
+	n.senders = append(n.senders, s)
+	n.srv.Go(func() { n.runSender(s) })
+}
+
+// runSender sends s's jobs, each redialed and re-sent across connection
+// failures, until the node closes. Beats are best-effort: an unreachable
+// peer just counts a failure and learns the epoch from the next beat.
+func (n *Node) runSender(s *peerSender) {
+	for {
+		var job peerJob
+		select {
+		case job = <-s.work:
+		case <-n.srv.Closed():
+			return
+		}
+		if job.fan == &n.beatFan {
+			s.beat = job.beat
 			n.metrics.beatsSent.Inc()
-			err := pl.Exchange(func(conn transport.Conn) error {
-				return session.SendHoodBeat(conn, beat, n.cfg.ReplyTimeout)
-			})
-			if err != nil {
+			if s.link.Exchange(func(c transport.Conn) error { return session.SendHoodBeat(c, &s.beat, n.cfg.ReplyTimeout) }) != nil {
 				n.metrics.beatFailures.Inc()
 			}
-		}()
+		} else {
+			s.census = job.census
+			n.metrics.peerSends.Inc()
+			if err := s.link.Exchange(func(c transport.Conn) error { return session.GossipCensus(c, &s.census, n.cfg.ReplyTimeout) }); err != nil {
+				n.metrics.sendFailures.Inc()
+				n.logf("gossip: edge %d: census to peer %d round %d: %v", n.cfg.Edge, s.member, s.census.Round, err)
+			}
+		}
+		if job.fan.left.Add(-1) == 0 {
+			select {
+			case job.fan.done <- struct{}{}:
+			case <-n.srv.Closed():
+				return
+			}
+		}
 	}
-	wg.Wait()
+}
+
+// fanOut hands job to every peer's sender and waits until each has sent it
+// or given up, or the node closes. Fan-outs of one kind run one at a time,
+// so the wake-up a fan-out takes is its own.
+func (n *Node) fanOut(job peerJob) {
+	job.fan.Lock()
+	defer job.fan.Unlock()
+	job.fan.left.Store(int32(len(n.senders)) + 1) // and this hand-off's own share
+	for _, s := range n.senders {
+		select {
+		case s.work <- job:
+		case <-n.srv.Closed():
+			return
+		}
+	}
+	if job.fan.left.Add(-1) > 0 {
+		select {
+		case <-job.fan.done:
+		case <-n.srv.Closed():
+		}
+	}
 }
 
 // SubmitPeer folds one peer's census into the pending local round. Unlike
@@ -546,15 +622,6 @@ func (n *Node) SubmitPeer(census transport.Census) error {
 		n.metrics.late.Inc()
 	}
 	return err
-}
-
-func (n *Node) isMember(edge int) bool {
-	for _, m := range n.members {
-		if m == edge {
-			return true
-		}
-	}
-	return false
 }
 
 // LocalRound runs this node's part of one local consensus round: it adds its
@@ -576,24 +643,9 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 	}
 
 	// Broadcast outside the lock: peer barriers fill from these sends the
-	// way ours fills from theirs. Sends run concurrently per peer; each
-	// link serializes its own rounds, so per-peer order is preserved.
-	var sendWG sync.WaitGroup
-	for member, pl := range n.peers {
-		sendWG.Add(1)
-		go func() {
-			defer sendWG.Done()
-			n.metrics.peerSends.Inc()
-			err := pl.Exchange(func(conn transport.Conn) error {
-				return session.GossipCensus(conn, n.cfg.Edge, round, counts, n.cfg.ReplyTimeout)
-			})
-			if err != nil {
-				n.metrics.sendFailures.Inc()
-				n.logf("gossip: edge %d: census to peer %d round %d: %v", n.cfg.Edge, member, round, err)
-			}
-		}()
-	}
-	sendWG.Wait()
+	// way ours fills from theirs. Peers are sent to concurrently, each by
+	// its one sender, so per-peer order is preserved.
+	n.fanOut(peerJob{fan: &n.censusFan, census: transport.Census{Edge: n.cfg.Edge, Round: round, Counts: counts}})
 
 	select {
 	case <-rb.Done:
@@ -738,8 +790,8 @@ func (n *Node) Close() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		n.eng.Stop()
-		for _, pl := range n.peers {
-			pl.Close()
+		for _, s := range n.senders {
+			s.link.Close()
 		}
 		_ = n.journal.Close()
 	})

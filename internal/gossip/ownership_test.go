@@ -67,7 +67,7 @@ func gossipOwnershipRun(t *testing.T, via string, spoiled bool) gossipKept {
 			conn = spoilingConn{conn}
 		}
 		peer = func(c transport.Census) error {
-			return session.GossipCensus(conn, c.Edge, c.Round, c.Counts, 5*time.Second)
+			return session.GossipCensus(conn, &c, 5*time.Second)
 		}
 	}
 	for round := 0; round < 12; round++ {
@@ -116,7 +116,10 @@ type spoilingConn struct{ transport.Conn }
 
 func (c spoilingConn) Send(m transport.Message) error {
 	err := c.Conn.Send(m)
-	if cs, ok := m.Body.(transport.Census); ok {
+	switch cs := m.Body.(type) {
+	case transport.Census:
+		spoil(cs.Counts)
+	case *transport.Census:
 		spoil(cs.Counts)
 	}
 	return err

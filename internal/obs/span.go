@@ -42,9 +42,9 @@ type SpanData struct {
 
 // Tracer records finished spans into a fixed-size ring buffer: the most
 // recent spans win, older ones are overwritten. Starting and annotating
-// spans is cheap (no allocation beyond the span itself); nothing is
-// retained until End commits the span. A nil *Tracer hands out nil *Spans,
-// on which every method is a no-op.
+// spans is cheap: a span is one allocation while its attrs and events fit
+// its inline storage (see Span), and nothing is retained until End commits
+// it. A nil *Tracer hands out nil *Spans, on which every method is a no-op.
 type Tracer struct {
 	nextID atomic.Uint64
 
@@ -69,15 +69,16 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{
+	s := &Span{
 		t: t,
 		data: SpanData{
 			ID:    t.nextID.Add(1),
 			Name:  name,
 			Start: time.Now(),
-			Attrs: attrs,
 		},
 	}
+	s.data.Attrs, s.data.Events = append(s.attrs[:0], attrs...), s.events[:0]
+	return s
 }
 
 // commit stores a finished span in the ring.
@@ -121,13 +122,27 @@ func (t *Tracer) WriteJSON(w io.Writer, n int) error {
 	return enc.Encode(spans)
 }
 
+// A Span holds this many attrs, events and event attrs inline, and spills the
+// rest to the heap. Sized for the system's spans (five attrs at most, a census
+// event per hood member) within the 768-byte size class, header included.
+const (
+	inlineAttrs      = 5
+	inlineEvents     = 6
+	inlineEventAttrs = 5
+)
+
 // Span is an in-flight timed operation. All methods are safe for concurrent
-// use and no-ops on a nil *Span.
+// use and no-ops on a nil *Span. A span copies the attrs it is given; its
+// committed SpanData points into its own storage, which End freezes.
 type Span struct {
-	t     *Tracer
-	mu    sync.Mutex
-	data  SpanData
-	ended bool
+	t          *Tracer
+	mu         sync.Mutex
+	ended      bool
+	eventUsed  uint8 // eventAttrs taken by events so far
+	data       SpanData
+	attrs      [inlineAttrs]Attr
+	events     [inlineEvents]Event
+	eventAttrs [inlineEventAttrs]Attr
 }
 
 // Attr appends an annotation to the span.
@@ -152,10 +167,23 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		s.data.Events = append(s.data.Events, Event{
 			Name:     name,
 			OffsetNS: int64(time.Since(s.data.Start)),
-			Attrs:    attrs,
+			Attrs:    s.eventAttrsOf(attrs),
 		})
 	}
 	s.mu.Unlock()
+}
+
+// eventAttrsOf copies an event's attrs into the span's inline storage while
+// it lasts, and to the heap after. Called with s.mu held.
+func (s *Span) eventAttrsOf(attrs []Attr) []Attr {
+	used := int(s.eventUsed) + len(attrs)
+	if len(attrs) == 0 || used > len(s.eventAttrs) {
+		return append([]Attr(nil), attrs...) // nil for none
+	}
+	out := s.eventAttrs[s.eventUsed:used:used]
+	copy(out, attrs)
+	s.eventUsed = uint8(used)
+	return out
 }
 
 // End finishes the span and commits it to the tracer's ring buffer. Calling

@@ -185,3 +185,27 @@ func TestRecvTimeoutAllocs(t *testing.T) {
 		t.Errorf("ratio reply Send+RecvTimeout: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestDecodeAllocs pins Decode into a receiver's local body at zero: the
+// census a gossip peer folds and the ack a notifier reads stay on the
+// receiver's stack, because Decode keeps nothing of its target.
+func TestDecodeAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	census := mustEncode(t, KindCensus, &Census{Edge: 3, Round: 117, Counts: []int{12, 40, 7}})
+	ack := mustEncode(t, KindAck, &Ack{})
+	allocs := testing.AllocsPerRun(200, func() {
+		var c Census
+		var a Ack
+		if err := Decode(census, KindCensus, &c); err != nil || c.Round != 117 {
+			t.Fatalf("census = %+v, %v", c, err)
+		}
+		if err := Decode(ack, KindAck, &a); err != nil || a.Err != "" {
+			t.Fatalf("ack = %+v, %v", a, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Decode into a local Census and Ack: %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -288,7 +288,8 @@ func Decode(m Message, kind Kind, out interface{}) error {
 	case *HoodBeat:
 		return bodyInto(m, dst)
 	}
-	return fmt.Errorf("transport: cannot decode a %s message into %T", kind, out)
+	// Not %T of out: formatting it would move every caller's target to the heap.
+	return fmt.Errorf("transport: cannot decode a %s message into that body type", kind)
 }
 
 // typedBody returns m's payload as a T, copied out of a Body held by value

@@ -46,24 +46,23 @@ func (s *Session) Conn() transport.Conn { return s.conn }
 // Close closes the underlying connection.
 func (s *Session) Close() error { return s.conn.Close() }
 
-// Send encodes payload under kind and sends it.
+// Send sends payload under kind.
 func (s *Session) Send(kind transport.Kind, payload interface{}) error {
-	m, err := transport.Encode(kind, payload)
-	if err != nil {
-		return err
-	}
-	return s.conn.Send(m)
+	return s.conn.Send(transport.Message{Kind: kind, Body: payload})
 }
+
+// okAck is the body of every success ack, shared by all sessions. Nothing
+// writes to it, and every conn has encoded a body by the time Send returns.
+var okAck = &transport.Ack{}
 
 // Ack answers the last inbound message: a nil err acknowledges success,
 // a non-nil err carries its text to the peer (surfacing there as a
 // RejectedError where a reply was awaited).
 func (s *Session) Ack(err error) error {
-	ack := transport.Ack{}
-	if err != nil {
-		ack.Err = err.Error()
+	if err == nil {
+		return s.Send(transport.KindAck, okAck)
 	}
-	return s.Send(transport.KindAck, ack)
+	return s.Send(transport.KindAck, &transport.Ack{Err: err.Error()})
 }
 
 // Handler processes one inbound message. A non-nil error stops the Serve
@@ -272,20 +271,19 @@ func ReportCensusBatch(conn transport.Conn, batch transport.CensusBatch,
 // for the peer's ack (see Notify). Unlike ReportCensusWith there is no ratio
 // reply: peers fold each other's censuses into their own local engines. A
 // peer refusal (e.g. a census for a region outside the neighborhood)
-// surfaces as *RejectedError.
-func GossipCensus(conn transport.Conn, edgeID, round int, counts []int,
-	timeout time.Duration) error {
-	return Wrap(conn).Notify(transport.KindCensus,
-		transport.Census{Edge: edgeID, Round: round, Counts: counts}, timeout)
+// surfaces as *RejectedError. The census is the caller's body, encoded
+// before the ack is awaited, so the caller may reuse it once this returns.
+func GossipCensus(conn transport.Conn, census *transport.Census, timeout time.Duration) error {
+	return Wrap(conn).Notify(transport.KindCensus, census, timeout)
 }
 
 // SendHoodBeat pushes one gossip leadership heartbeat to a neighborhood
 // peer on conn and waits for the peer's ack (see Notify). Receivers ack
 // every well-formed beat — including stale-epoch ones, which they ignore
 // after acking — so a refusal (*RejectedError) means the frame itself was
-// malformed, not that the peer disputes the leadership.
-func SendHoodBeat(conn transport.Conn, beat transport.HoodBeat,
-	timeout time.Duration) error {
+// malformed, not that the peer disputes the leadership. Like a census, the
+// beat is the caller's body.
+func SendHoodBeat(conn transport.Conn, beat *transport.HoodBeat, timeout time.Duration) error {
 	return Wrap(conn).Notify(transport.KindHoodBeat, beat, timeout)
 }
 
