@@ -153,7 +153,6 @@ func MicroMacro(w *sim.World, populations []int, opts sim.MacroOptions) (*MicroM
 			Field:             field,
 			Seed:              int64(1000 + n),
 			X0:                0.5,
-			PrivacyWeightStd:  0,
 			InitialShares:     start.P,
 			Tau:               opts.Tau,
 			Mu:                opts.Mu,

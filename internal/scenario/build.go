@@ -490,6 +490,10 @@ type FleetSpec struct {
 	// PrivacyWeightStd spreads the per-vehicle privacy weight around 1
 	// (clipped at 0).
 	PrivacyWeightStd float64
+	// InitialShares, when non-nil, is the decision distribution each
+	// vehicle's first decision is drawn from (nil: the agent's own uniform
+	// draw).
+	InitialShares []float64
 	// Seed drives the per-vehicle seed derivation: every vehicle's RNG is
 	// a splitmix of Seed and its ID, so fleet construction order never
 	// changes an agent's behavior.
@@ -522,9 +526,9 @@ func vehicleSeed(fleetSeed int64, id int) int64 {
 }
 
 // NewFleet builds fs.N vehicle agents and clients over payoffs. Each
-// vehicle's RNG seed and privacy weight derive from (fs.Seed, vehicle id)
-// alone, so two runs of the same spec produce identical fleets regardless
-// of construction interleaving.
+// vehicle's RNG seed, privacy weight and first decision derive from
+// (fs.Seed, vehicle id) alone, so two runs of the same spec produce
+// identical fleets regardless of construction interleaving or fleet size.
 func (c *NodeConfig) NewFleet(fs FleetSpec) ([]*FleetVehicle, error) {
 	payoffs := lattice.PaperPayoffs()
 	if fs.Equipped == 0 {
@@ -571,6 +575,21 @@ func (c *NodeConfig) NewFleet(fs FleetSpec) ([]*FleetVehicle, error) {
 		agent, err := vehicle.NewAgent(prof, payoffs, seed)
 		if err != nil {
 			return nil, err
+		}
+		if fs.InitialShares != nil {
+			// Drawn apart from the agent's RNG, whose stream its revisions
+			// consume.
+			u := float64(splitmix64(^uint64(seed))>>11) / (1 << 53)
+			d, cum := len(fs.InitialShares), 0.0
+			for k, p := range fs.InitialShares {
+				if cum += p; u < cum {
+					d = k + 1
+					break
+				}
+			}
+			if err := agent.SetDecision(lattice.Decision(d)); err != nil {
+				return nil, err
+			}
 		}
 		out = append(out, &FleetVehicle{
 			Agent: agent,

@@ -107,3 +107,50 @@ func TestBuildCloudFromConfig(t *testing.T) {
 		t.Errorf("fresh cloud Latest = %d, want -1", srv.Latest())
 	}
 }
+
+// TestFleetInitialSharesOneHot: a one-hot InitialShares starts every
+// vehicle of the fleet at that decision.
+func TestFleetInitialSharesOneHot(t *testing.T) {
+	nc := Defaults(RoleVehicles)
+	for d := 1; d <= 8; d++ {
+		shares := make([]float64, 8)
+		shares[d-1] = 1
+		fleet, err := nc.NewFleet(FleetSpec{N: 50, IDBase: 1, Seed: 3, InitialShares: shares})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fv := range fleet {
+			if got := int(fv.Agent.Decision()); got != d {
+				t.Fatalf("one-hot decision %d: vehicle %d starts at %d", d, fv.Agent.Profile.ID, got)
+			}
+		}
+	}
+}
+
+// TestFleetFirstDecisionIgnoresFleetSize: a vehicle's first decision is a
+// function of (fleet seed, id) alone, so a larger fleet starts its shared
+// vehicles where the smaller one does.
+func TestFleetFirstDecisionIgnoresFleetSize(t *testing.T) {
+	nc := Defaults(RoleVehicles)
+	shares := []float64{0.3, 0.05, 0.1, 0.05, 0.2, 0.1, 0.15, 0.05}
+	small, err := nc.NewFleet(FleetSpec{N: 8, IDBase: 40, Seed: 9, InitialShares: shares})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := nc.NewFleet(FleetSpec{N: 200, IDBase: 40, Seed: 9, InitialShares: shares})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for i, fv := range large {
+		d := int(fv.Agent.Decision())
+		seen[d] = true
+		if i < len(small) && int(small[i].Agent.Decision()) != d {
+			t.Errorf("vehicle %d starts at %d in a fleet of %d, at %d in a fleet of %d",
+				fv.Agent.Profile.ID, small[i].Agent.Decision(), len(small), d, len(large))
+		}
+	}
+	if len(seen) < 6 {
+		t.Errorf("200 vehicles drew only decisions %v from %v", seen, shares)
+	}
+}

@@ -245,6 +245,20 @@ func (n *Node) Stop() {
 	})
 }
 
+// AwaitVehicles waits until the edge has want vehicles registered, or
+// timeout passes.
+func (n *Node) AwaitVehicles(want int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for n.Edge.NumVehicles() < want {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("scenario: only %d/%d vehicles registered at edge %d",
+				n.Edge.NumVehicles(), want, n.Config.ID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
 // edgeRoundWait bounds an edge's census barrier when the cloud sets no
 // shorter round deadline, and floors its wait for the cloud's reply.
 const edgeRoundWait = 5 * time.Second

@@ -321,23 +321,26 @@ func sumCounter(points []obs.Point, name string) uint64 {
 	return uint64(total)
 }
 
-// netw names listeners so components find each other on either transport,
-// and so a restarted component can reclaim its name.
-type netw struct {
+// Network names listeners so components find each other on either
+// transport, and so a restarted component can reclaim its name: the one
+// network the runner and the agent simulation start their nodes on.
+type Network struct {
 	inproc *transport.InprocNetwork
 
 	mu    sync.Mutex
 	addrs map[string]string // tcp only: name -> current address
 }
 
-func newNetw(network string) *netw {
+// NewNetwork returns an in-process network for "inproc", and loopback TCP
+// otherwise.
+func NewNetwork(network string) *Network {
 	if network == "inproc" {
-		return &netw{inproc: transport.NewInprocNetwork()}
+		return &Network{inproc: transport.NewInprocNetwork()}
 	}
-	return &netw{addrs: map[string]string{}}
+	return &Network{addrs: map[string]string{}}
 }
 
-func (n *netw) listen(name string) (transport.Listener, error) {
+func (n *Network) listen(name string) (transport.Listener, error) {
 	if n.inproc != nil {
 		return n.inproc.Listen(name)
 	}
@@ -353,7 +356,7 @@ func (n *netw) listen(name string) (transport.Listener, error) {
 
 // dial resolves the name at call time, so dials started after a restart
 // reach the component's new address.
-func (n *netw) dial(name string) (transport.Conn, error) {
+func (n *Network) dial(name string) (transport.Conn, error) {
 	if n.inproc != nil {
 		return n.inproc.Dial(name)
 	}
@@ -366,10 +369,10 @@ func (n *netw) dial(name string) (transport.Conn, error) {
 	return transport.DialTCP(addr)
 }
 
-// via is the Net a node of the run starts on: the named network, each
+// Via is the Net a node of the run starts on: the named network, each
 // uplink dial failing first while gate (nil: none) says so and then wrapped
 // in fault (nil: none). Peer links get neither.
-func (n *netw) via(fault *transport.Fault, gate func() error) Net {
+func (n *Network) Via(fault *transport.Fault, gate func() error) Net {
 	return Net{
 		Listen: n.listen,
 		Dial: func(addr string) func() (transport.Conn, error) {
@@ -418,7 +421,7 @@ type runner struct {
 	seed int64
 	logf func(string, ...any)
 	o    *obs.Observer
-	net  *netw
+	net  *Network
 	down sync.Once // teardown
 
 	agg    *Node
@@ -477,7 +480,7 @@ func runOnce(spec *Spec, seed int64, logf func(string, ...any), stateRoot string
 		}
 	}()
 
-	r.net = newNetw(spec.Topology.Network)
+	r.net = NewNetwork(spec.Topology.Network)
 	r.buildFaults()
 	if err := r.start(p); err != nil {
 		return nil, err
@@ -528,7 +531,7 @@ func (r *runner) start(p *plan) error {
 		return nc
 	}
 	var err error
-	if r.agg, err = scope(p.cloud, "cloud: ").Start(r.net.via(nil, nil)); err != nil {
+	if r.agg, err = scope(p.cloud, "cloud: ").Start(r.net.Via(nil, nil)); err != nil {
 		return err
 	}
 	r.logf("cloud up: %d regions, steering toward %s", p.cloud.Regions, r.agg.What)
@@ -577,7 +580,7 @@ func (r *runner) start(p *plan) error {
 }
 
 func (r *runner) startShard(st *shardState) error {
-	node, err := st.nc.Start(r.net.via(r.shardFault, nil))
+	node, err := st.nc.Start(r.net.Via(r.shardFault, nil))
 	st.node = node
 	return err
 }
@@ -596,7 +599,7 @@ func (r *runner) stopShard(st *shardState) {
 // published — otherwise every vehicle's next revision diverges from a run
 // that never lost the server.
 func (r *runner) startEdge(es *edgeState) error {
-	node, err := es.nc.Start(r.net.via(r.edgeFaults[es.nc.ID], func() error {
+	node, err := es.nc.Start(r.net.Via(r.edgeFaults[es.nc.ID], func() error {
 		if r.cloudPart.Load() {
 			return fmt.Errorf("scenario: cloud partitioned away")
 		}
@@ -631,7 +634,7 @@ func (r *runner) stopEdge(es *edgeState) {
 // cohort's fault profile; they reconnect across kills.
 func (r *runner) startFleet(f fleet) error {
 	f.nc.Obs = r.o
-	node, err := f.nc.StartFleet(f.spec, r.net.via(r.cohortFault[f.cohort.Name], nil))
+	node, err := f.nc.StartFleet(f.spec, r.net.Via(r.cohortFault[f.cohort.Name], nil))
 	if err != nil {
 		return err
 	}
@@ -650,12 +653,8 @@ func (r *runner) awaitVehicles(timeout time.Duration, edges ...*edgeState) error
 		if es.down.Load() || es.killed.Load() {
 			continue
 		}
-		for es.node.Edge.NumVehicles() < es.expected {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("scenario: only %d/%d vehicles registered at edge %d",
-					es.node.Edge.NumVehicles(), es.expected, es.nc.ID)
-			}
-			time.Sleep(time.Millisecond)
+		if err := es.node.AwaitVehicles(es.expected, time.Until(deadline)); err != nil {
+			return err
 		}
 	}
 	return nil

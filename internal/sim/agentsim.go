@@ -2,24 +2,20 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/lattice"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/sensor"
 	"repro/internal/transport"
-	"repro/internal/vehicle"
 )
 
 // AgentSimConfig parameterizes the agent-based distributed simulation: one
-// edge server per region, a population of heterogeneous vehicle agents per
-// region, and the cloud coordinator running FDS — all exchanging real
-// messages over the in-process transport.
+// edge server per region, a population of vehicle agents per region, and
+// the cloud coordinator running FDS — all exchanging real messages over the
+// in-process transport.
 type AgentSimConfig struct {
 	// VehiclesPerRegion is the population size per region (default 40).
 	VehiclesPerRegion int
@@ -30,11 +26,6 @@ type AgentSimConfig struct {
 	Mu, Tau float64
 	// X0 is the initial sharing ratio (default 0.5).
 	X0 float64
-	// Lambda is the FDS ratio step limit (default 0.1).
-	Lambda float64
-	// PrivacyWeightStd is the standard deviation of the per-vehicle privacy
-	// weight around 1 (heterogeneity; default 0.2, clipped at 0).
-	PrivacyWeightStd float64
 	// Field is the desired decision field the cloud steers toward
 	// (required).
 	Field *policy.Field
@@ -48,18 +39,13 @@ type AgentSimConfig struct {
 	EdgeShare sensor.Mask
 	// Seed drives all randomness.
 	Seed int64
-	// RoundTimeout bounds each edge round (default 5s).
+	// RoundTimeout bounds each edge round, at most 5s, and the wait for
+	// each edge's registrations (default 5s).
 	RoundTimeout time.Duration
-	// Fault, when non-nil, wraps every vehicle connection in the seeded
-	// fault injector (drops, duplicates, delays, forced disconnects) and
-	// runs the vehicle clients with reconnect + re-registration, so the
+	// Fault, when non-nil, wraps every vehicle uplink in the seeded fault
+	// injector (drops, duplicates, delays, forced disconnects), so the
 	// simulation exercises the runtime's degraded paths.
 	Fault *transport.FaultConfig
-	// Obs, when non-nil, is the shared observer every component of the run
-	// (cloud, edges, fault injector, vehicle clients, FDS) reports through,
-	// so one registry carries the whole system's series. Nil keeps each
-	// component on its private registry.
-	Obs *obs.Observer
 }
 
 func (c *AgentSimConfig) fill() {
@@ -77,12 +63,6 @@ func (c *AgentSimConfig) fill() {
 	}
 	if c.X0 == 0 {
 		c.X0 = 0.5
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.1
-	}
-	if c.PrivacyWeightStd < 0 {
-		c.PrivacyWeightStd = 0
 	}
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = 5 * time.Second
@@ -109,189 +89,90 @@ type AgentSimResult struct {
 	TotalSharedCost float64
 }
 
-// sampleDecision draws a 1-based decision index from a distribution.
-func sampleDecision(rng *rand.Rand, shares []float64) (lattice.Decision, error) {
-	if len(shares) == 0 {
-		return 0, fmt.Errorf("sim: empty initial share vector")
-	}
-	r := rng.Float64()
-	cum := 0.0
-	for k, p := range shares {
-		cum += p
-		if r <= cum {
-			return lattice.Decision(k + 1), nil
-		}
-	}
-	return lattice.Decision(len(shares)), nil
-}
-
-// RunAgentSim executes the distributed agent-based simulation.
+// RunAgentSim executes the distributed agent-based simulation. Its cloud,
+// edges and fleets start through scenario.NodeConfig on one in-process
+// network, as the scenario runner's do; each round is every edge's
+// Node.Round, and the edges report over their cloud links.
 func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 	cfg.fill()
 	if cfg.Field == nil {
 		return nil, fmt.Errorf("sim: agent simulation requires a desired field")
 	}
-	m := w.Model.M()
+	m, k := w.Model.M(), w.Model.K()
+	if cfg.InitialShares != nil {
+		if len(cfg.InitialShares) != m {
+			return nil, fmt.Errorf("sim: %d initial share rows for %d regions", len(cfg.InitialShares), m)
+		}
+		for i, row := range cfg.InitialShares {
+			if len(row) != k {
+				return nil, fmt.Errorf("sim: region %d has %d initial shares, want %d", i, len(row), k)
+			}
+		}
+	}
 
-	// The cloud is wired through the shared scenario.NodeConfig layer — the
-	// same constructor cpnode, cmd/scenario and the benchmark use. Round
-	// deadline 0 keeps the in-process barrier waiting for every region.
-	nc := scenario.Defaults(scenario.RoleCloud)
-	nc.Model, nc.Field = w.Model, cfg.Field
-	nc.Lambda, nc.X0 = cfg.Lambda, cfg.X0
-	nc.RoundDeadline = 0
-	nc.Obs = cfg.Obs
-	if err := nc.Validate(); err != nil {
+	// Round deadline 0 keeps the cloud's barrier waiting for every region.
+	net := scenario.NewNetwork("inproc")
+	cc := scenario.Defaults(scenario.RoleCloud)
+	cc.Model, cc.Field, cc.X0 = w.Model, cfg.Field, cfg.X0
+	cc.Listen, cc.RoundDeadline = "cloud", 0
+	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	cloudSrv, _, err := nc.NewCloud()
+	cloud, err := cc.Start(net.Via(nil, nil))
 	if err != nil {
 		return nil, err
 	}
-	defer cloudSrv.Close()
-
-	net := transport.NewInprocNetwork()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	var fault *transport.Fault
-	if cfg.Fault != nil {
-		fc := *cfg.Fault
-		if fc.Seed == 0 {
-			fc.Seed = cfg.Seed
-		}
-		fault = transport.NewFault(fc)
-		if cfg.Obs != nil {
-			fault.Instrument(cfg.Obs)
-		}
-	}
-	stop := make(chan struct{})
-
-	edges := make([]*edge.Server, m)
-	listeners := make([]transport.Listener, m)
-	for i := 0; i < m; i++ {
-		l, err := net.Listen(fmt.Sprintf("edge-%d", i))
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = l
-		edges[i] = edge.NewServer(i, w.Payoffs.Lattice(), rng.Int63())
-		if cfg.Obs != nil {
-			edges[i].Instrument(cfg.Obs)
-		}
-		if cfg.EdgeShare != 0 {
-			if err := edges[i].EnablePerception(cfg.EdgeShare); err != nil {
-				return nil, err
-			}
-		}
-		go edges[i].Serve(l)
-	}
-	teardown := func() {
-		close(stop)
-		for _, l := range listeners {
-			_ = l.Close()
+	var edges, fleets []*scenario.Node
+	// The fleets stop before their edges: a session whose edge closes first
+	// redials it until its attempts run out.
+	stop := func() {
+		for _, f := range fleets {
+			f.Stop()
 		}
 		for _, e := range edges {
-			e.Close()
+			e.Stop()
 		}
+		cloud.Stop()
 	}
-	torndown := false
-	defer func() {
-		if !torndown {
-			teardown()
-		}
-	}()
+	defer stop()
 
-	dialEdge := func(i int) (transport.Conn, error) {
-		c, err := net.Dial(fmt.Sprintf("edge-%d", i))
+	vc := scenario.Defaults(scenario.RoleVehicles)
+	vc.Seed, vc.Fault = cfg.Seed, cfg.Fault
+	fault := vc.NewFaultInjector() // one injector for every vehicle uplink
+	fs := scenario.FleetSpec{N: cfg.VehiclesPerRegion, Tau: cfg.Tau, Mu: cfg.Mu, Seed: cfg.Seed}
+	if fault != nil {
+		// Lossy links: bound the registration wait, and redial longer.
+		vc.RetryMax, fs.RegisterTimeout = 20, 250*time.Millisecond
+	}
+	for i := 0; i < m; i++ {
+		ec := scenario.Defaults(scenario.RoleEdge)
+		ec.ID, ec.Seed, ec.RoundDeadline = i, cfg.Seed+int64(i), cfg.RoundTimeout
+		ec.Listen, ec.CloudAddr = fmt.Sprintf("edge-%d", i), "cloud"
+		e, err := ec.Start(net.Via(nil, nil))
 		if err != nil {
 			return nil, err
 		}
-		if fault != nil {
-			c = fault.WrapConn(c)
-		}
-		return c, nil
-	}
-
-	// Launch vehicle agents.
-	var clientWG sync.WaitGroup
-	clientErr := make(chan error, m*cfg.VehiclesPerRegion)
-	agents := make([][]*vehicle.Agent, m)
-	nextID := 1
-	for i := 0; i < m; i++ {
-		agents[i] = make([]*vehicle.Agent, cfg.VehiclesPerRegion)
-		for v := 0; v < cfg.VehiclesPerRegion; v++ {
-			weight := 1 + rng.NormFloat64()*cfg.PrivacyWeightStd
-			if weight < 0 {
-				weight = 0
-			}
-			prof := vehicle.Profile{
-				ID:            nextID,
-				Equipped:      sensor.MaskAll,
-				Desired:       sensor.MaskAll,
-				PrivacyWeight: weight,
-				Beta:          w.Beta[i],
-				Tau:           cfg.Tau,
-			}
-			nextID++
-			a, err := vehicle.NewAgent(prof, w.Payoffs, rng.Int63())
-			if err != nil {
+		edges = append(edges, e)
+		if cfg.EdgeShare != 0 {
+			if err := e.Edge.EnablePerception(cfg.EdgeShare); err != nil {
 				return nil, err
 			}
-			if cfg.InitialShares != nil {
-				d, err := sampleDecision(rng, cfg.InitialShares[i])
-				if err != nil {
-					return nil, err
-				}
-				if err := a.SetDecision(d); err != nil {
-					return nil, err
-				}
-			}
-			agents[i][v] = a
-			client := &vehicle.Client{Agent: a, Mu: cfg.Mu, Cap: sensor.TableIII(), Stop: stop, Obs: cfg.Obs}
-			if fault != nil {
-				// Lossy links: bound the registration wait and heal
-				// dropped sessions by redialing.
-				client.RegisterTimeout = 250 * time.Millisecond
-				region := i
-				dialer := &transport.Dialer{
-					Dial:        func() (transport.Conn, error) { return dialEdge(region) },
-					MaxAttempts: 20,
-					BaseDelay:   2 * time.Millisecond,
-					MaxDelay:    50 * time.Millisecond,
-					Seed:        cfg.Seed + int64(prof.ID),
-				}
-				clientWG.Add(1)
-				go func() {
-					defer clientWG.Done()
-					if err := client.RunWithReconnect(dialer); err != nil {
-						clientErr <- err
-					}
-				}()
-				continue
-			}
-			conn, err := dialEdge(i)
-			if err != nil {
-				return nil, err
-			}
-			clientWG.Add(1)
-			go func() {
-				defer clientWG.Done()
-				if err := client.Run(conn); err != nil {
-					clientErr <- err
-				}
-			}()
 		}
+		fc := *vc
+		fc.EdgeAddr = ec.Listen
+		fs.IDBase, fs.Beta = 1+i*cfg.VehiclesPerRegion, w.Beta[i]
+		if cfg.InitialShares != nil {
+			fs.InitialShares = cfg.InitialShares[i]
+		}
+		f, err := fc.StartFleet(fs, net.Via(fault, nil))
+		if err != nil {
+			return nil, err
+		}
+		fleets = append(fleets, f)
 	}
-
-	// Wait for registrations.
-	deadline := time.Now().Add(cfg.RoundTimeout)
 	for _, e := range edges {
-		for e.NumVehicles() < cfg.VehiclesPerRegion {
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("sim: only %d/%d vehicles registered at edge %d",
-					e.NumVehicles(), cfg.VehiclesPerRegion, e.ID)
-			}
-			time.Sleep(time.Millisecond)
+		if err := e.AwaitVehicles(cfg.VehiclesPerRegion, cfg.RoundTimeout); err != nil {
+			return nil, err
 		}
 	}
 
@@ -300,20 +181,17 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 	for i := range x {
 		x[i] = cfg.X0
 	}
-
 	for t := 0; t < cfg.Rounds; t++ {
 		res.RatioTrace = append(res.RatioTrace, append([]float64(nil), x...))
-
-		// Run every edge's round concurrently.
-		censuses := make([][]int, m)
-		errs := make([]error, m)
+		shares, next, errs := make([][]float64, m), make([]float64, m), make([]error, m)
 		var wg sync.WaitGroup
-		for i := 0; i < m; i++ {
-			i := i
+		for i, e := range edges {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				censuses[i], errs[i] = edges[i].RunRound(t, x[i], cfg.RoundTimeout)
+				var census []int
+				census, next[i], errs[i] = e.Round(t, x[i])
+				shares[i] = edge.Shares(nil, census)
 			}()
 		}
 		wg.Wait()
@@ -322,61 +200,25 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 				return nil, fmt.Errorf("sim: edge %d round %d: %w", i, t, err)
 			}
 		}
-
-		shares := make([][]float64, m)
-		for i := 0; i < m; i++ {
-			shares[i] = edge.Shares(nil, censuses[i])
-		}
 		res.SharesTrace = append(res.SharesTrace, shares)
-		res.Rounds = t + 1
-
-		// Report to the cloud (concurrently: the cloud barriers per round).
-		var reportWG sync.WaitGroup
-		newX := make([]float64, m)
-		reportErrs := make([]error, m)
-		for i := 0; i < m; i++ {
-			i := i
-			reportWG.Add(1)
-			go func() {
-				defer reportWG.Done()
-				newX[i], reportErrs[i] = cloudSrv.Submit(transport.Census{
-					Edge:   i,
-					Round:  t,
-					Counts: censuses[i],
-				})
-			}()
-		}
-		reportWG.Wait()
-		for i, err := range reportErrs {
-			if err != nil {
-				return nil, fmt.Errorf("sim: cloud report for edge %d: %w", i, err)
-			}
-		}
-		x = newX
-
-		if cloudSrv.Converged() {
+		res.Rounds, x = t+1, next
+		if cloud.Cloud.Converged() {
 			res.Converged = true
 			break
 		}
 	}
 
-	// Tear down clients before reading agent state: the client goroutines
-	// own the agents until their connections close.
-	teardown()
-	torndown = true
-	clientWG.Wait()
-
-	for i := range agents {
-		for _, a := range agents[i] {
-			res.TotalDeliveredItems += a.ReceivedItems
-			res.TotalReceivedUtility += a.ReceivedUtility
-			res.TotalSharedCost += a.SharedCost
+	// A session owns its agent until it ends.
+	stop()
+	for _, f := range fleets {
+		if err := f.Wait(); err != nil {
+			return nil, fmt.Errorf("sim: vehicle client: %w", err)
 		}
-	}
-	select {
-	case err := <-clientErr:
-		return nil, fmt.Errorf("sim: vehicle client: %w", err)
-	default:
+		for _, fv := range f.Fleet {
+			res.TotalDeliveredItems += fv.Agent.ReceivedItems
+			res.TotalReceivedUtility += fv.Agent.ReceivedUtility
+			res.TotalSharedCost += fv.Agent.SharedCost
+		}
 	}
 	return res, nil
 }

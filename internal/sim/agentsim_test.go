@@ -119,4 +119,17 @@ func TestRunAgentSimDeterministicSeed(t *testing.T) {
 			}
 		}
 	}
+	for tIdx := range a.RatioTrace {
+		for i := range a.RatioTrace[tIdx] {
+			if a.RatioTrace[tIdx][i] != b.RatioTrace[tIdx][i] {
+				t.Fatalf("round %d region %d ratio: %v vs %v", tIdx, i, a.RatioTrace[tIdx][i], b.RatioTrace[tIdx][i])
+			}
+		}
+	}
+	if a.TotalDeliveredItems != b.TotalDeliveredItems || a.TotalReceivedUtility != b.TotalReceivedUtility ||
+		a.TotalSharedCost != b.TotalSharedCost {
+		t.Errorf("welfare differs: items %d/%d, utility %v/%v, cost %v/%v",
+			a.TotalDeliveredItems, b.TotalDeliveredItems, a.TotalReceivedUtility, b.TotalReceivedUtility,
+			a.TotalSharedCost, b.TotalSharedCost)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/game"
+	"repro/internal/policy"
 )
 
 func tinyWorldConfig() WorldConfig {
@@ -241,7 +242,6 @@ func TestRunAgentSimMatchesMacro(t *testing.T) {
 		Field:             field,
 		Seed:              7,
 		X0:                0.5,
-		PrivacyWeightStd:  0, // homogeneous agents = exact mean field
 		InitialShares:     start.P,
 	})
 	if err != nil {
@@ -271,7 +271,26 @@ func TestRunAgentSimMatchesMacro(t *testing.T) {
 
 func TestRunAgentSimValidation(t *testing.T) {
 	w := buildTinyWorld(t, CoeffBC)
-	if _, err := w.RunAgentSim(AgentSimConfig{}); err == nil {
-		t.Error("missing field must error")
+	m, k := w.Model.M(), w.Model.K()
+	field := policy.NewFreeField(m, k)
+	shares := func(rows, cols int) [][]float64 {
+		out := make([][]float64, rows)
+		for i := range out {
+			out[i] = make([]float64, cols)
+			out[i][0] = 1
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  AgentSimConfig
+	}{
+		{"missing field", AgentSimConfig{}},
+		{"fewer share rows than regions", AgentSimConfig{Field: field, InitialShares: shares(m-1, k)}},
+		{"share row shorter than the lattice", AgentSimConfig{Field: field, InitialShares: shares(m, k-1)}},
+	} {
+		if _, err := w.RunAgentSim(tc.cfg); err == nil {
+			t.Errorf("%s must error", tc.name)
+		}
 	}
 }
