@@ -148,7 +148,7 @@ func BenchmarkLowerBoundFeasibility(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	field, err := sim.FieldFromState(target, 0.05)
+	field, err := policy.BandField(target.P, 0.05)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func BenchmarkFDSUpdate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		field, err := sim.FieldFromState(target, 0.03)
+		field, err := policy.BandField(target.P, 0.03)
 		if err != nil {
 			b.Fatal(err)
 		}

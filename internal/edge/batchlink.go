@@ -50,10 +50,6 @@ func (l *BatchLink) bound() *link {
 	return l.bind(&l.Obs, "edge_batch_reports_total", "census batches submitted upstream (including re-submissions)")
 }
 
-// Redials returns how many times the link re-established its connection
-// after the first dial.
-func (l *BatchLink) Redials() int { return l.bound().redialCount() }
-
 // handleOther absorbs non-reply frames that interleave with a batch
 // exchange: ratio corrections, whatever regions they carry, are adopted
 // monotonically by sequence, anything else fails the exchange.

@@ -88,8 +88,8 @@ func TestBatchLinkResubmitsAfterDrop(t *testing.T) {
 	if reply.Round != 4 || len(reply.X) != 2 || reply.X[0] != 0.75 {
 		t.Errorf("reply = %+v, want round 4 with the non-stale ratios", reply)
 	}
-	if got := link.Redials(); got != 1 {
-		t.Errorf("Redials = %d, want 1", got)
+	if got := link.Obs.Counter("edge_cloud_redials_total", "").Value(); got != 1 {
+		t.Errorf("edge_cloud_redials_total = %d, want 1", got)
 	}
 	if err := <-serverErr; err != nil {
 		t.Fatalf("fake aggregator: %v", err)

@@ -29,8 +29,7 @@ type CloudLink struct {
 	Attempts int
 	// Obs, when non-nil, is the observer the link reports through
 	// (edge_cloud_redials_total, edge_cloud_reports_total). Set it before
-	// the first Report; nil falls back to a private registry so Redials
-	// still counts.
+	// the first Report; nil falls back to a private registry.
 	Obs *obs.Observer
 	// OnCorrection, when non-nil, is invoked (outside the link's lock) for
 	// each ratio correction the cloud pushes after a fixed-lag rewind, with
@@ -46,11 +45,6 @@ type CloudLink struct {
 func (l *CloudLink) bound() *link {
 	return l.bind(&l.Obs, "edge_cloud_reports_total", "censuses submitted to the cloud (including re-submissions)")
 }
-
-// Redials returns how many times the link re-established its connection
-// after the first dial. It is a typed view over the obs registry
-// (edge_cloud_redials_total).
-func (l *CloudLink) Redials() int { return l.bound().redialCount() }
 
 // handleOther absorbs non-reply frames that interleave with a census
 // exchange: ratio corrections carrying this region are adopted monotonically

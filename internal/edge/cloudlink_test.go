@@ -79,8 +79,8 @@ func TestCloudLinkResubmitsAfterDrop(t *testing.T) {
 	if x != 0.75 {
 		t.Errorf("ratio = %f, want 0.75 (the non-stale reply)", x)
 	}
-	if got := link.Redials(); got != 1 {
-		t.Errorf("Redials = %d, want 1", got)
+	if got := link.Obs.Counter("edge_cloud_redials_total", "").Value(); got != 1 {
+		t.Errorf("edge_cloud_redials_total = %d, want 1", got)
 	}
 	if err := <-serverErr; err != nil {
 		t.Fatalf("fake cloud: %v", err)
@@ -125,8 +125,8 @@ func TestCloudLinkSurfacesProtocolErrors(t *testing.T) {
 	if _, err := link.Report(0, []int{1}); err == nil {
 		t.Fatal("rejected census must surface an error")
 	}
-	if got := link.Redials(); got != 0 {
-		t.Errorf("Redials = %d, want 0 for a protocol error", got)
+	if got := link.Obs.Counter("edge_cloud_redials_total", "").Value(); got != 0 {
+		t.Errorf("edge_cloud_redials_total = %d, want 0 for a protocol error", got)
 	}
 }
 

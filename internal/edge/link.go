@@ -32,8 +32,8 @@ type link struct {
 }
 
 // bind lazily points the link's counters at *o (installing a private
-// observer there when nil, so Redials still counts). reports names the
-// owner's submission counter.
+// observer there when nil, so edge_cloud_redials_total still counts).
+// reports names the owner's submission counter.
 func (l *link) bind(o **obs.Observer, reports, help string) *link {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -46,14 +46,6 @@ func (l *link) bind(o **obs.Observer, reports, help string) *link {
 		l.corrections = (*o).Counter("edge_ratio_corrections_total", "regions whose corrected ratio was adopted after a cloud fixed-lag rewind")
 	}
 	return l
-}
-
-// Redials returns how many times the link re-established its connection
-// after the first dial.
-func (l *link) redialCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int(l.redials.Value())
 }
 
 // Close drops the link's connection, if any.
@@ -78,7 +70,7 @@ func (l *link) ensureConn(d *transport.Dialer) (transport.Conn, error) {
 	if d == nil {
 		return nil, errors.New("link has no dialer")
 	}
-	conn, err := d.DialRetry()
+	conn, err := d.DialRetry(nil)
 	if err != nil {
 		return nil, fmt.Errorf("dialing: %w", err)
 	}
@@ -117,7 +109,7 @@ func (l *link) exchange(d *transport.Dialer, attempts int, fn func(transport.Con
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			d.Pause(a - 1)
+			d.Pause(a-1, nil)
 		}
 		conn, err := l.ensureConn(d)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -48,7 +49,7 @@ func LambdaAblation(w *sim.World, lambdas []float64, opts sim.MacroOptions) (*La
 		if err != nil {
 			return nil, err
 		}
-		field, err := sim.FieldFromState(targetEq, 0.03)
+		field, err := policy.BandField(targetEq.P, 0.03)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +141,7 @@ func MicroMacro(w *sim.World, populations []int, opts sim.MacroOptions) (*MicroM
 	if err != nil {
 		return nil, err
 	}
-	field, err := sim.FieldFromState(targetEq, 0.12)
+	field, err := policy.BandField(targetEq.P, 0.12)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func BetaNoise(w *sim.World, sigmas []float64, opts sim.MacroOptions) (*BetaNois
 	if err != nil {
 		return nil, err
 	}
-	field, err := sim.FieldFromState(targetEq, 0.04)
+	field, err := policy.BandField(targetEq.P, 0.04)
 	if err != nil {
 		return nil, err
 	}

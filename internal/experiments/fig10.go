@@ -107,7 +107,7 @@ func Fig10(w *sim.World, cfg Fig10Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	field, err := sim.FieldFromState(targetEq, cfg.Eps)
+	field, err := policy.BandField(targetEq.P, cfg.Eps)
 	if err != nil {
 		return nil, err
 	}

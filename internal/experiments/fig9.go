@@ -116,7 +116,7 @@ func fig9Sweep(w *sim.World, cfg Fig9Config) ([]Fig9Point, error) {
 			minEps = e
 		}
 	}
-	refField, err := sim.FieldFromState(targetEq, minEps)
+	refField, err := policy.BandField(targetEq.P, minEps)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func fig9Sweep(w *sim.World, cfg Fig9Config) ([]Fig9Point, error) {
 			}
 		}
 
-		field, err := sim.FieldFromState(targetEq, eps)
+		field, err := policy.BandField(targetEq.P, eps)
 		if err != nil {
 			return nil, err
 		}

@@ -79,7 +79,7 @@ func WelfareComparison(w *sim.World, cfg WelfareConfig) (*WelfareResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	field, err := sim.FieldFromState(targetEq, cfg.Eps)
+	field, err := policy.BandField(targetEq.P, cfg.Eps)
 	if err != nil {
 		return nil, err
 	}

@@ -53,6 +53,23 @@ func NewUniformField(mRegions int, target []float64, eps float64) (*Field, error
 	return f, nil
 }
 
+// BandField builds the field that holds every share of p (p[i][k] is
+// region i's share of decision k) within eps of its value, clipped to
+// [0,1]: per region, so heterogeneous regions get their own targets.
+func BandField(p [][]float64, eps float64) (*Field, error) {
+	if len(p) == 0 {
+		return nil, fmt.Errorf("policy: no shares to band")
+	}
+	f := &Field{P: make([][]optimize.Interval, len(p))}
+	for i, row := range p {
+		f.P[i] = make([]optimize.Interval, len(row))
+		for k, v := range row {
+			f.P[i][k] = optimize.Interval{Lo: max0(v - eps), Hi: min1(v + eps)}
+		}
+	}
+	return f, nil
+}
+
 // NewFreeField builds a field with every share unconstrained.
 func NewFreeField(mRegions, k int) *Field {
 	f := &Field{P: make([][]optimize.Interval, mRegions)}

@@ -141,20 +141,7 @@ func ProbeField(model *game.Model, m int, x0, targetX, eps, lambda, tau float64)
 	if _, err := dyn.Equilibrium(probe, 1e-9, 20000); err != nil {
 		return nil, err
 	}
-	field := policy.NewFreeField(m, model.K())
-	for i := range probe.P {
-		for k, v := range probe.P[i] {
-			lo, hi := v-eps, v+eps
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > 1 {
-				hi = 1
-			}
-			field.P[i][k].Lo, field.P[i][k].Hi = lo, hi
-		}
-	}
-	return field, nil
+	return policy.BandField(probe.P, eps)
 }
 
 // P1BandField is the load-harness field: the all-sharing decision P1 held

@@ -70,11 +70,9 @@ func TestStartedNodesFoldTheRunnersHash(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			nc := node.Config
-			for deadline := time.Now().Add(10 * time.Second); node.Edge.NumVehicles() < nc.Vehicles; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					errs <- fmt.Errorf("edge %d: %d/%d vehicles registered", nc.ID, node.Edge.NumVehicles(), nc.Vehicles)
-					return
-				}
+			if err := node.AwaitVehicles(nc.Vehicles, 10*time.Second); err != nil {
+				errs <- err
+				return
 			}
 			x := nc.X0
 			for r := 0; r < nc.Rounds; r++ {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func loadSpec(t *testing.T, name string) *Spec {
@@ -104,5 +105,32 @@ func TestRunSeedOverride(t *testing.T) {
 	}
 	if v.Seed != seed {
 		t.Errorf("verdict seed = %d, want override %d", v.Seed, seed)
+	}
+}
+
+// TestKillWithoutRestartFinishes: a spec whose edge dies for good runs its
+// rounds and returns: the dead edge's vehicles, still redialing it, stop
+// when the run stops them.
+func TestKillWithoutRestartFinishes(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"version": 1, "name": "kill-for-good", "seed": 3, "rounds": 12,
+		"topology": {"network": "inproc", "regions": 2},
+		"cloud": {"x0": 0.3, "target_x": 0.85, "eps": 0.05, "round_deadline": "150ms"},
+		"cohorts": [{"name": "taxis", "kind": "taxi", "per_region": 4}],
+		"events": [{"round": 4, "action": "kill", "target": "edge:1"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(spec, RunOptions{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the run did not return after its last round")
 	}
 }

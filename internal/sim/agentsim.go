@@ -123,8 +123,6 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 		return nil, err
 	}
 	var edges, fleets []*scenario.Node
-	// The fleets stop before their edges: a session whose edge closes first
-	// redials it until its attempts run out.
 	stop := func() {
 		for _, f := range fleets {
 			f.Stop()

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/policy"
 	"repro/internal/sensor"
+	"repro/internal/transport"
 )
 
 // TestEquilibriumFromValidation covers the continuation helper's input
@@ -46,7 +49,7 @@ func TestRunAgentSimWithEdgePerception(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	field, err := FieldFromState(target, 0.15)
+	field, err := policy.BandField(target.P, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestRunAgentSimDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	field, err := FieldFromState(target, 0.15)
+	field, err := policy.BandField(target.P, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +134,46 @@ func TestRunAgentSimDeterministicSeed(t *testing.T) {
 		t.Errorf("welfare differs: items %d/%d, utility %v/%v, cost %v/%v",
 			a.TotalDeliveredItems, b.TotalDeliveredItems, a.TotalReceivedUtility, b.TotalReceivedUtility,
 			a.TotalSharedCost, b.TotalSharedCost)
+	}
+}
+
+// TestRunAgentSimWithFaults: the packaged agent simulation survives a lossy
+// transport when configured with a FaultConfig (drops, delays, reconnecting
+// clients) and still completes its rounds, every message crossing as a wire
+// frame.
+func TestRunAgentSimWithFaults(t *testing.T) {
+	w := buildTinyWorld(t, CoeffBC)
+	opts := MacroOptions{}
+	start, err := w.EquilibriumAt(0.5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := w.EquilibriumFrom(start, 0.85, 0.1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field, err := policy.BandField(target.P, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.RunAgentSim(AgentSimConfig{
+		VehiclesPerRegion: 10,
+		Rounds:            5,
+		Field:             field,
+		Seed:              11,
+		X0:                0.5,
+		InitialShares:     start.P,
+		RoundTimeout:      300 * time.Millisecond,
+		Fault: &transport.FaultConfig{
+			DropProb: 0.05,
+			MinDelay: time.Millisecond,
+			MaxDelay: 5 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 5 {
+		t.Errorf("completed %d rounds, want 5", res.Rounds)
 	}
 }

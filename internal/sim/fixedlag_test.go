@@ -20,6 +20,33 @@ import (
 	"repro/internal/transport"
 )
 
+// counterValue reads one counter's value out of a registry snapshot.
+func counterValue(points []obs.Point, name string) (float64, bool) {
+	for _, p := range points {
+		if p.Name == name && len(p.Labels) == 0 {
+			return p.Value, true
+		}
+	}
+	return 0, false
+}
+
+// chaosGraph is a 2-region graph with dominant intra-region frequency.
+type chaosGraph struct{}
+
+func (chaosGraph) M() int { return 2 }
+func (chaosGraph) Gamma(i, j int) float64 {
+	if i == j {
+		return 0.9
+	}
+	return 0.1
+}
+func (chaosGraph) Neighbors(i int) []int {
+	if i == 0 {
+		return []int{1}
+	}
+	return []int{0}
+}
+
 // fixedLagFDS builds a fresh deterministic controller; each run gets its own
 // so controller memory never leaks between the baseline and the faulted run.
 func fixedLagFDS(t *testing.T) *policy.FDS {

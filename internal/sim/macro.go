@@ -137,30 +137,6 @@ func (w *World) EquilibriumFrom(start *game.State, xTarget, lambda float64, opts
 	return s, nil
 }
 
-// FieldFromState builds a desired field equal to the state's distributions
-// with tolerance eps — per region, so heterogeneous regions get their own
-// targets.
-func FieldFromState(s *game.State, eps float64) (*policy.Field, error) {
-	if len(s.P) == 0 {
-		return nil, fmt.Errorf("sim: empty state")
-	}
-	f := policy.NewFreeField(len(s.P), len(s.P[0]))
-	for i, row := range s.P {
-		for k, v := range row {
-			lo := v - eps
-			if lo < 0 {
-				lo = 0
-			}
-			hi := v + eps
-			if hi > 1 {
-				hi = 1
-			}
-			f.P[i][k].Lo, f.P[i][k].Hi = lo, hi
-		}
-	}
-	return f, nil
-}
-
 // MacroResult packages a macroscopic run.
 type MacroResult struct {
 	Shape *policy.ShapeResult

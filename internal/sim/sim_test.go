@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/game"
 	"repro/internal/policy"
 )
 
@@ -150,6 +149,8 @@ func TestGridDim(t *testing.T) {
 	}
 }
 
+// TestEquilibriumAndFieldFromState: an equilibrium satisfies the field
+// banded around its own shares.
 func TestEquilibriumAndFieldFromState(t *testing.T) {
 	w := buildTinyWorld(t, CoeffBC)
 	eq, err := w.EquilibriumAt(0.8, MacroOptions{})
@@ -159,14 +160,14 @@ func TestEquilibriumAndFieldFromState(t *testing.T) {
 	if err := eq.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	field, err := FieldFromState(eq, 0.03)
+	field, err := policy.BandField(eq.P, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, _ := field.Converged(eq); !ok {
 		t.Error("state must satisfy its own field")
 	}
-	if _, err := FieldFromState(&game.State{}, 0.03); err == nil {
+	if _, err := policy.BandField(nil, 0.03); err == nil {
 		t.Error("empty state must error")
 	}
 }
@@ -186,7 +187,7 @@ func TestRunFDSEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	field, err := FieldFromState(target, 0.04)
+	field, err := policy.BandField(target.P, 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestRunAgentSimMatchesMacro(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Finite-population noise needs a loose tolerance.
-	field, err := FieldFromState(target, 0.12)
+	field, err := policy.BandField(target.P, 0.12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,28 +81,40 @@ func (d *Dialer) Backoff(attempt int) time.Duration {
 	return time.Duration(float64(delay) * (1 - jitter + 2*jitter*u))
 }
 
-// Pause sleeps the backoff delay that follows the given 0-based failed
-// attempt (through the Sleep hook when set).
-func (d *Dialer) Pause(attempt int) {
+// Pause waits the backoff delay that follows the given 0-based failed
+// attempt (through the Sleep hook when set), or until stop closes (nil:
+// never). It reports whether stop is still open.
+func (d *Dialer) Pause(attempt int, stop <-chan struct{}) bool {
 	if t := d.Backoff(attempt); d.Sleep != nil {
 		d.Sleep(t)
 	} else {
-		time.Sleep(t)
+		timer := time.NewTimer(t)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-stop:
+		}
+	}
+	select {
+	case <-stop:
+		return false
+	default:
+		return true
 	}
 }
 
 // DialRetry dials until an attempt succeeds or MaxAttempts is exhausted,
-// sleeping the backoff schedule between attempts. The returned error wraps
-// the last dial failure.
-func (d *Dialer) DialRetry() (Conn, error) {
+// pausing the backoff schedule between attempts, and gives up once stop
+// (nil: never) closes. The returned error wraps the last dial failure.
+func (d *Dialer) DialRetry(stop <-chan struct{}) (Conn, error) {
 	if d.Dial == nil {
 		return nil, fmt.Errorf("transport: dialer has no Dial func")
 	}
 	attempts := d.attempts()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			d.Pause(a - 1)
+		if a > 0 && !d.Pause(a-1, stop) {
+			return nil, fmt.Errorf("transport: dial stopped after %d attempts: %w", a, lastErr)
 		}
 		c, err := d.Dial()
 		if err == nil {

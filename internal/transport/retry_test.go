@@ -92,7 +92,7 @@ func TestDialRetryRecovers(t *testing.T) {
 		Seed:  1,
 		Sleep: func(t time.Duration) { sleeps = append(sleeps, t) },
 	}
-	c, err := d.DialRetry()
+	c, err := d.DialRetry(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +120,14 @@ func TestDialRetryExhausts(t *testing.T) {
 		MaxAttempts: 4,
 		Sleep:       func(time.Duration) {},
 	}
-	_, err := d.DialRetry()
+	_, err := d.DialRetry(nil)
 	if err == nil {
 		t.Fatal("exhausted dialer must error")
 	}
 	if !strings.Contains(err.Error(), "after 4 attempts") || !strings.Contains(err.Error(), "host down") {
 		t.Errorf("error should report attempts and wrap the last failure: %v", err)
 	}
-	if _, err := (&Dialer{}).DialRetry(); err == nil {
+	if _, err := (&Dialer{}).DialRetry(nil); err == nil {
 		t.Error("dialer without Dial func must error")
 	}
 }

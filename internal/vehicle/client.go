@@ -32,7 +32,8 @@ type Client struct {
 	// RunWithReconnect retry instead of wedging.
 	RegisterTimeout time.Duration
 	// Stop, when non-nil and closed, makes RunWithReconnect return nil
-	// after the current session instead of redialing.
+	// after the current session instead of redialing, and ends a redial's
+	// backoff wait at once.
 	Stop <-chan struct{}
 	// Obs, when non-nil, is the observer the client reports through
 	// (vehicle_sessions_total, vehicle_reconnects_total). Typically one
@@ -192,7 +193,7 @@ func (c *Client) RunWithReconnect(d *transport.Dialer) error {
 		if c.stopped() {
 			return nil
 		}
-		conn, err := d.DialRetry()
+		conn, err := d.DialRetry(c.Stop)
 		if err == nil {
 			sessions.Inc()
 			if session > 0 {
@@ -223,14 +224,9 @@ func (c *Client) RunWithReconnect(d *transport.Dialer) error {
 		default:
 			return err
 		}
-		if c.stopped() {
-			return nil
-		}
 		// Pace the redial so a flapping server cannot spin the client.
-		if pause := d.Backoff(rejected); d.Sleep != nil {
-			d.Sleep(pause)
-		} else {
-			time.Sleep(pause)
+		if !d.Pause(rejected, c.Stop) {
+			return nil
 		}
 	}
 }

@@ -171,3 +171,39 @@ func TestRunWithReconnectRetriesRejection(t *testing.T) {
 		t.Fatal("RunWithReconnect did not return after Stop")
 	}
 }
+
+// TestStopEndsTheRedialWait: a client redialing a dead edge through a long
+// backoff schedule returns as soon as Stop closes, not after its attempts
+// run out (20 attempts at 2–100 ms wait about 1.4 s).
+func TestStopEndsTheRedialWait(t *testing.T) {
+	agent, err := NewAgent(profile(3), lattice.PaperPayoffs(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &transport.Dialer{
+		Dial:        func() (transport.Conn, error) { return nil, transport.ErrClosed },
+		MaxAttempts: 20,
+		BaseDelay:   2 * time.Millisecond,
+		MaxDelay:    100 * time.Millisecond,
+		Seed:        1,
+	}
+	stop := make(chan struct{})
+	client := &Client{Agent: agent, Stop: stop}
+	done := make(chan error, 1)
+	go func() { done <- client.RunWithReconnect(d) }()
+
+	time.Sleep(150 * time.Millisecond) // into the schedule's 100 ms steps
+	close(stop)
+	stopped := time.Now()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("RunWithReconnect = %v, want nil after Stop", err)
+		}
+		if waited := time.Since(stopped); waited > 100*time.Millisecond {
+			t.Errorf("RunWithReconnect returned %v after Stop, want within 100ms", waited)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunWithReconnect did not return after Stop")
+	}
+}
