@@ -54,12 +54,11 @@ type Server struct {
 	corrX         []float64           // and their ratios
 	skip          []bool              // the fan-out's submitters, one per region
 	div           []policy.Divergence // refoldLocked's marks, one per region
-	late          map[int][]int       // a rewind's late census
 	liveMem       policy.FDSMemory    // refoldLocked's copy of the live controller memory
 
-	// Digest reconciliation (see SubmitDigest). digestSeen tracks, per
-	// pending round, which neighborhoods have reported it; a round folds
-	// once every neighborhood has. digestMark[h] is neighborhood h's
+	// Digest reconciliation (see SubmitDigest). A pending round's barrier
+	// marks which neighborhoods have reported it; a round folds once every
+	// neighborhood has. digestMark[h] is neighborhood h's
 	// monotonic escalation watermark: every digest round below it has
 	// already been adopted, so a re-sent backlog — an old leader retrying
 	// after a lost ack, or a failed-over successor draining the same
@@ -67,7 +66,6 @@ type Server struct {
 	// on the rewind window. Persisted in the checkpoint. digestOf is the
 	// neighborhood count the first accepted digest fixed (0 until then); it
 	// is not persisted, so a restarted cloud learns it again.
-	digestSeen map[int]map[int]bool
 	digestMark map[int]int
 	digestOf   int
 }
@@ -148,18 +146,19 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		srv:          transport.NewAcceptor(),
 		journal:      new(durable.Journal),
 		compactEvery: durable.CompactEvery,
-		digestSeen:   make(map[int]map[int]bool),
 		digestMark:   make(map[int]int),
 		div:          make([]policy.Divergence, fold.Regions()),
 		skip:         make([]bool, fold.Regions()),
-		late:         make(map[int][]int, 1),
 	}
 	s.metrics = newServerMetrics(o, s.StateHash)
+	regions := make([]int, s.m)
+	for i := range regions {
+		regions[i] = i
+	}
 	s.eng = NewEngine(EngineConfig{
 		Lock:     &s.mu,
 		Name:     "cloud",
-		Members:  s.m,
-		Owns:     func(edge int) bool { return edge >= 0 && edge < s.m },
+		Members:  regions,
 		K:        s.k,
 		Closed:   s.srv.Closed(),
 		Counters: &s.metrics.Counters,
@@ -356,9 +355,9 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 		// Snapshot the pre-fold state so a late census can rewind this round.
 		spent = s.pushWindowLocked(round, b.CensusSet, degraded)
 	}
-	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: b.Censuses}
+	rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: b.Sorted(round)}
 	ticket := s.journal.StartRound(rec) // -1 without a state directory
-	b.Err = s.fold.Apply(b.Censuses)
+	b.Err = s.fold.ApplySet(b.CensusSet)
 	// Advance the watermark before the cadence checkpoint: it snapshots
 	// Latest() as the checkpoint round, and the state it captures already
 	// includes this round's fold.

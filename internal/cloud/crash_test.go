@@ -99,7 +99,7 @@ func windowOf(srv *Server) []windowEntry {
 	out := make([]windowEntry, len(srv.window))
 	for i, e := range srv.window {
 		out[i] = windowEntry{e.round, bitsOf(e.preState, e.preFDS), make(map[int][]int), e.degraded}
-		for edge, counts := range e.set.Censuses {
+		for edge, counts := range e.set.asMap() {
 			out[i].Censuses[edge] = slices.Clone(counts)
 		}
 	}

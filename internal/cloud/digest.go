@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/transport"
 )
@@ -75,19 +76,12 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 		if err != nil {
 			return transport.RatioBatch{}, err
 		}
-		seen := s.digestSeen[dr.Round]
-		if seen == nil {
-			seen = make(map[int]bool)
-			s.digestSeen[dr.Round] = seen
+		if b.digested == nil {
+			b.digested = make([]bool, d.Of)
 		}
-		seen[d.Neighborhood] = true
-		if len(seen) >= d.Of {
+		b.digested[d.Neighborhood] = true
+		if !slices.Contains(b.digested, false) {
 			s.completeRoundLocked(dr.Round, b, b.Size() < s.m)
-		}
-	}
-	for round := range s.digestSeen {
-		if round <= s.eng.Latest() {
-			delete(s.digestSeen, round)
 		}
 	}
 	// Advance the neighborhood's watermark past everything this digest

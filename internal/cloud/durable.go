@@ -41,11 +41,18 @@ func (s *Server) Open(stateDir string) error {
 // from before the delta form carries the round's whole corrected set, which
 // merges to the same thing): it is merged into the buffered round and
 // re-folded as the live rewind did, so the recovered history is the
-// corrected one. Called with s.mu held.
+// corrected one. A record no round of this cloud's could have written is
+// refused (Engine.Collect). Called with s.mu held.
 func (s *Server) replayLocked(rec durable.RoundRecord, cpRound int) (bool, error) {
+	set, err := s.eng.Collect(rec)
+	if err != nil {
+		return false, err
+	}
+	spent := set
+	defer func() { s.eng.Recycle(spent) }()
 	if rec.Corrected {
 		if idx := s.windowIndexLocked(rec.Round); idx >= 0 {
-			s.refoldLocked(idx, rec.Censuses)
+			s.refoldLocked(idx, set.Sorted(rec.Round))
 			s.correctionSeq++
 			return true, nil
 		}
@@ -64,9 +71,9 @@ func (s *Server) replayLocked(rec durable.RoundRecord, cpRound int) (bool, error
 		return false, nil
 	}
 	if s.lag > 0 {
-		s.eng.Recycle(s.pushWindowLocked(rec.Round, &CensusSet{Censuses: rec.Censuses}, rec.Degraded))
+		spent = s.pushWindowLocked(rec.Round, set, rec.Degraded)
 	}
-	if err := s.fold.Apply(rec.Censuses); err != nil {
+	if err := s.fold.ApplySet(set); err != nil {
 		return false, err
 	}
 	s.eng.Advance(rec.Round)
@@ -91,7 +98,7 @@ func (s *Server) checkpointLocked() (func() ([]byte, error), []durable.RoundReco
 		s.held = s.window[0]
 		cp = durable.Checkpoint{Round: s.held.round - 1, State: s.held.preState, FDS: s.held.preFDS}
 		for _, e := range s.window {
-			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Censuses: e.set.Censuses})
+			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Sorted: e.set.Sorted(e.round)})
 		}
 	} else {
 		cp = s.fold.Checkpoint(s.eng.Latest())

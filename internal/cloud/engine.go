@@ -10,7 +10,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/transport/session"
 )
 
 // ErrRoundAbandoned is returned by Submit when a round's barrier was
@@ -60,17 +59,24 @@ type Engine struct {
 	// Zero leaves barriers unbounded. Guarded by the lock.
 	Deadline time.Duration
 
-	cfg      EngineConfig
-	mu       sync.Locker
-	maxSkew  int
-	rounds   map[int]*Barrier
-	latest   int // highest completed round (-1 before the first)
-	leases   map[int]*leaseEntry
-	leasing  bool // false until the first lease: all members form the quorum
-	stopped  bool
-	sessions map[int]*session.Session
-	fanout   map[*session.Session]int // PushCorrections' per-session region counts, empty between calls
-	spare    []*CensusSet             // sets owners recycled, which Place fills before it allocates
+	cfg     EngineConfig
+	mu      sync.Locker
+	maxSkew int
+	rounds  map[int]*Barrier
+	latest  int      // highest completed round (-1 before the first)
+	roster  []member // by region id, up to the highest member's
+	live    int      // members holding a live lease
+	leasing bool     // false until the first lease: all members form the quorum
+	stopped bool
+	fanout  []*reporter  // PushCorrections' sessions, empty between calls
+	spare   []*CensusSet // sets owners recycled, which Place fills before it allocates
+}
+
+// member is the kernel's state for one region id: membership, lease, session.
+type member struct {
+	owned bool
+	lease leaseEntry
+	sess  *reporter
 }
 
 // EngineConfig is what differs between the kernel's owners.
@@ -79,10 +85,9 @@ type EngineConfig struct {
 	Lock sync.Locker
 	// Name prefixes the kernel's errors and log lines ("cloud", "shard 2").
 	Name string
-	// Members is the size of the member set: a barrier holding this many
-	// censuses is full. Owns reports whether an edge id is in the set.
-	Members int
-	Owns    func(edge int) bool
+	// Members are the member ids (regions, or edges; at least one, none
+	// negative, no repeats): a barrier holding a census from each is full.
+	Members []int
 	// K is the number of decisions every census must carry.
 	K int
 	// Closed is closed when the owner shuts down; blocked submitters return
@@ -126,40 +131,51 @@ type Counters struct {
 	RoundDuration  *obs.Histogram // first census to release, seconds
 }
 
-// CensusSet is one round's censuses: the map a barrier collects them in and
-// the storage their counts are copied into, so what a barrier keeps is its
-// own. Once its owner is done with a set — every reader of the round's
-// census map, journal record or window entry — it hands the set back
-// (Engine.Recycle) and a later barrier fills it without allocating.
+// CensusSet is one round's censuses: the table a barrier collects them in,
+// indexed by region, and the storage their counts are copied into, so what a
+// barrier keeps is its own. Once its owner is done with a set — every reader
+// of the round's censuses, journal record or window entry — it hands the set
+// back (Engine.Recycle) and a later barrier fills it without allocating.
 type CensusSet struct {
-	Censuses map[int][]int
-	slab     []int // the storage counts are cut from; free is its unused tail
-	free     []int
-	sorted   []transport.Census // Sorted's list
+	counts [][]int // by region; nil where no census came
+	n      int     // the censuses held
+	slab   []int   // the storage counts are cut from; free is its unused tail
+	free   []int
+	sorted []transport.Census // Sorted's list
 }
 
-// put copies counts in as edge's census: over the census edge already has
-// (dup), else into the slab, which is replaced by one of room ints when it
-// runs short.
+// put copies counts, which are never empty, in as region edge's census:
+// over the census edge already has (dup), else into the slab, which is
+// replaced by one of room ints when it runs short. edge indexes the table.
 func (s *CensusSet) put(edge int, counts []int, room int) (dup bool) {
-	slot, dup := s.Censuses[edge]
+	slot := s.counts[edge]
+	dup = slot != nil
 	if n := len(counts); !dup || len(slot) != n {
 		if len(s.free) < n {
 			s.slab = make([]int, max(room, n))
 			s.free = s.slab
 		}
 		slot, s.free = s.free[:n:n], s.free[n:]
-		s.Censuses[edge] = slot
+		s.counts[edge] = slot
+	}
+	if !dup {
+		s.n++
 	}
 	copy(slot, counts)
 	return dup
 }
 
-// Sorted is SortedCensuses of the set, in a list the set keeps: valid until
-// the set is recycled.
+// Sorted lists the set's censuses in ascending region order, the form batches,
+// digests and journal records carry, in a list the set keeps.
 func (s *CensusSet) Sorted(round int) []transport.Census {
-	s.sorted = appendSorted(s.sorted[:0], round, s.Censuses)
-	return s.sorted
+	list := slices.Grow(s.sorted[:0], s.n)
+	for region, counts := range s.counts {
+		if counts != nil {
+			list = append(list, transport.Census{Edge: region, Round: round, Counts: counts})
+		}
+	}
+	s.sorted = list
+	return list
 }
 
 // Barrier collects one pending round's censuses until its quorum fills or
@@ -178,12 +194,13 @@ type Barrier struct {
 	// (set by the owner's Complete hook): the kernel no longer adds to it,
 	// expires it or completes it again, and a census that finds it frozen is
 	// reported late once the barrier resolves.
-	Frozen bool
-	timer  *time.Timer
+	Frozen   bool
+	timer    *time.Timer
+	digested []bool // the neighborhoods whose digests carried the round (SubmitDigest)
 }
 
 // Size returns how many members have reported.
-func (b *Barrier) Size() int { return len(b.Censuses) }
+func (b *Barrier) Size() int { return b.n }
 
 // resolve stops the barrier's deadline and wakes its waiters with err.
 func (b *Barrier) resolve(err error) {
@@ -194,36 +211,19 @@ func (b *Barrier) resolve(err error) {
 	close(b.Done)
 }
 
-// regionOrders lend SortedCensuses the scratch that orders a census set.
-var regionOrders = sync.Pool{New: func() any { return new(durable.RegionOrder) }}
-
-// SortedCensuses flattens one round's census set into a slice ordered by
-// edge id, the deterministic form batches and digests travel in.
-func SortedCensuses(round int, censuses map[int][]int) []transport.Census {
-	return appendSorted(make([]transport.Census, 0, len(censuses)), round, censuses)
-}
-
-func appendSorted(out []transport.Census, round int, censuses map[int][]int) []transport.Census {
-	order := regionOrders.Get().(*durable.RegionOrder)
-	defer regionOrders.Put(order)
-	for _, e := range order.Of(censuses) {
-		out = append(out, transport.Census{Edge: e, Round: round, Counts: censuses[e]})
-	}
-	return out
-}
-
 // NewEngine returns an idle kernel with no completed rounds.
 func NewEngine(cfg EngineConfig) *Engine {
-	return &Engine{
-		cfg:      cfg,
-		mu:       cfg.Lock,
-		maxSkew:  defaultMaxRoundSkew,
-		rounds:   make(map[int]*Barrier),
-		latest:   -1,
-		leases:   make(map[int]*leaseEntry),
-		sessions: make(map[int]*session.Session),
-		fanout:   make(map[*session.Session]int),
+	e := &Engine{cfg: cfg, mu: cfg.Lock, maxSkew: defaultMaxRoundSkew, rounds: make(map[int]*Barrier), latest: -1}
+	e.roster = make([]member, slices.Max(cfg.Members)+1)
+	for _, id := range cfg.Members {
+		e.roster[id].owned = true
 	}
+	return e
+}
+
+// Owns reports whether edge is a member.
+func (e *Engine) Owns(edge int) bool {
+	return edge >= 0 && edge < len(e.roster) && e.roster[edge].owned
 }
 
 func (e *Engine) logf(format string, args ...interface{}) {
@@ -263,7 +263,7 @@ func (e *Engine) Validate(censuses []transport.Census) error {
 	}
 	for i := range censuses {
 		c := &censuses[i]
-		if !e.cfg.Owns(c.Edge) {
+		if !e.Owns(c.Edge) {
 			return fmt.Errorf("%s: census from edge %d, which is not a member", e.cfg.Name, c.Edge)
 		}
 		if len(c.Counts) != e.cfg.K {
@@ -309,12 +309,7 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 	}
 	b, ok := e.rounds[round]
 	if !ok {
-		b = &Barrier{Done: make(chan struct{}), Opened: time.Now(), Span: e.cfg.Span(round)}
-		if n := len(e.spare); n > 0 {
-			b.CensusSet, e.spare = e.spare[n-1], e.spare[:n-1]
-		} else {
-			b.CensusSet = &CensusSet{Censuses: make(map[int][]int, e.cfg.Members)}
-		}
+		b = &Barrier{CensusSet: e.takeSet(), Done: make(chan struct{}), Opened: time.Now(), Span: e.cfg.Span(round)}
 		e.rounds[round] = b
 		if timed && e.Deadline > 0 {
 			opened := b // the closure's own copy: capturing b would move it to the heap on every call
@@ -330,11 +325,37 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 		b.Span.Event("census_batch", obs.A("edges", len(censuses)))
 	}
 	for i := range censuses {
-		if b.put(censuses[i].Edge, censuses[i].Counts, e.cfg.Members*e.cfg.K) {
+		if b.put(censuses[i].Edge, censuses[i].Counts, len(e.cfg.Members)*e.cfg.K) {
 			e.cfg.Counters.Duplicates.Inc()
 		}
 	}
 	return b, false, nil
+}
+
+// takeSet returns a recycled census set, else a fresh one sized whole.
+func (e *Engine) takeSet() *CensusSet {
+	if n := len(e.spare); n > 0 {
+		set := e.spare[n-1]
+		e.spare = e.spare[:n-1]
+		return set
+	}
+	return &CensusSet{counts: make([][]int, len(e.roster)), sorted: []transport.Census{}} // lists empty, not nil
+}
+
+// Collect puts a journaled round's censuses on a census set for the caller. A
+// census of no member, or not of K counts, refuses the record: no round of
+// this owner's wrote it, and its region ids index the set. Called with the
+// lock held.
+func (e *Engine) Collect(rec durable.RoundRecord) (*CensusSet, error) {
+	set := e.takeSet()
+	for region, counts := range rec.Censuses {
+		if !e.Owns(region) || len(counts) != e.cfg.K {
+			e.Recycle(set)
+			return nil, fmt.Errorf("%s: round %d record has %d counts for region %d: not a member's census", e.cfg.Name, rec.Round, len(counts), region)
+		}
+		set.put(region, counts, len(e.cfg.Members)*e.cfg.K)
+	}
+	return set, nil
 }
 
 // Recycle takes back a census set its owner is done with, for Place to fill
@@ -342,8 +363,9 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 // Called with the lock held.
 func (e *Engine) Recycle(set *CensusSet) {
 	if set != nil {
-		clear(set.Censuses)
-		set.free, set.sorted = set.slab, set.sorted[:0]
+		clear(set.counts)
+		clear(set.sorted) // pins no counts
+		set.n, set.free, set.sorted = 0, set.slab, set.sorted[:0]
 		e.spare = append(e.spare, set)
 	}
 }
@@ -369,7 +391,7 @@ func (e *Engine) Add(round int, censuses []transport.Census) (b *Barrier, late b
 	var after func()
 	b, late, err = e.Place(round, censuses, true)
 	if b != nil && !late && e.quorumMetLocked(b) {
-		after = e.cfg.Complete(round, b, b.Size() < e.cfg.Members)
+		after = e.cfg.Complete(round, b, b.Size() < len(e.cfg.Members))
 	}
 	e.unlockThen(after)
 	return b, late, err
@@ -450,7 +472,7 @@ func (e *Engine) completeBestLocked(force bool) (after func()) {
 		return nil
 	}
 	b := e.rounds[best]
-	return e.cfg.Complete(best, b, b.Size() < e.cfg.Members)
+	return e.cfg.Complete(best, b, b.Size() < len(e.cfg.Members))
 }
 
 // Drain completes the most advanced pending barrier with whatever censuses
@@ -479,9 +501,9 @@ func (e *Engine) Release(round int, b *Barrier, degraded bool) {
 	c.RoundDuration.Observe(time.Since(b.Opened).Seconds())
 	if degraded {
 		c.Degraded.Inc()
-		e.logf("%s: round %d completed degraded with %d/%d members", e.cfg.Name, round, b.Size(), e.cfg.Members)
+		e.logf("%s: round %d completed degraded with %d/%d members", e.cfg.Name, round, b.Size(), len(e.cfg.Members))
 	}
-	b.Span.End(obs.A("degraded", degraded), obs.A("regions", b.Size()), obs.A("of", e.cfg.Members))
+	b.Span.End(obs.A("degraded", degraded), obs.A("regions", b.Size()), obs.A("of", len(e.cfg.Members)))
 	for r, old := range e.rounds {
 		if r > e.latest {
 			continue
@@ -514,14 +536,16 @@ func (e *Engine) Stop() {
 		delete(e.rounds, round)
 		b.Span.End(obs.A("closed", true))
 	}
-	for _, l := range e.leases {
-		l.timer.Stop()
+	for i := range e.roster {
+		if t := e.roster[i].lease.timer; t != nil {
+			t.Stop()
+		}
 	}
 }
 
-// leaseEntry tracks one member's lease. The timer fires at expiry and
-// evicts the member from the quorum; a renewal pushes expiry out and
-// re-arms it.
+// leaseEntry tracks one member's lease. The timer, nil until the first
+// renewal, fires at expiry and evicts the member from the quorum; a renewal
+// pushes expiry out and re-arms it.
 type leaseEntry struct {
 	expiry time.Time
 	timer  *time.Timer
@@ -536,7 +560,7 @@ type leaseEntry struct {
 // the all-members barrier to the lease-defined quorum; deployments that
 // never send heartbeats keep the original behavior. Takes the lock.
 func (e *Engine) Renew(edge int, ttl time.Duration) error {
-	if !e.cfg.Owns(edge) {
+	if !e.Owns(edge) {
 		return fmt.Errorf("%s: lease from edge %d, which is not a member", e.cfg.Name, edge)
 	}
 	if ttl <= 0 {
@@ -548,31 +572,33 @@ func (e *Engine) Renew(edge int, ttl time.Duration) error {
 		return transport.ErrClosed
 	}
 	e.leasing = true
-	l := e.leases[edge]
-	if l == nil {
-		l = &leaseEntry{timer: time.AfterFunc(ttl, func() { e.expireLease(edge) })}
-		e.leases[edge] = l
+	l := &e.roster[edge].lease
+	if l.timer == nil {
+		l.timer = time.AfterFunc(ttl, func() { e.expireLease(edge) })
 	} else {
 		if !l.live {
 			e.logf("%s: edge %d re-admitted to quorum", e.cfg.Name, edge)
 		}
 		l.timer.Reset(ttl)
 	}
+	if !l.live {
+		e.live++
+	}
 	l.live = true
 	l.expiry = time.Now().Add(ttl)
 	e.cfg.Counters.LeaseRenewals.Inc()
-	e.cfg.Counters.LeasesLive.Set(float64(e.liveLeasesLocked()))
+	e.cfg.Counters.LeasesLive.Set(float64(e.live))
 	return nil
 }
 
-// LiveLeases returns the ids of members currently holding a live lease.
-// Takes the lock.
+// LiveLeases returns the ids of members currently holding a live lease, in
+// ascending order. Takes the lock.
 func (e *Engine) LiveLeases() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var ids []int
-	for id, l := range e.leases {
-		if l.live {
+	for id := range e.roster {
+		if e.roster[id].lease.live {
 			ids = append(ids, id)
 		}
 	}
@@ -585,7 +611,7 @@ func (e *Engine) LiveLeases() []int {
 // may now complete without waiting for the round deadline.
 func (e *Engine) expireLease(edge int) {
 	e.mu.Lock()
-	l := e.leases[edge]
+	l := &e.roster[edge].lease
 	if e.stopped || !l.live {
 		e.mu.Unlock()
 		return
@@ -598,21 +624,11 @@ func (e *Engine) expireLease(edge int) {
 		return
 	}
 	l.live = false
+	e.live--
 	e.cfg.Counters.LeaseEvictions.Inc()
-	e.cfg.Counters.LeasesLive.Set(float64(e.liveLeasesLocked()))
+	e.cfg.Counters.LeasesLive.Set(float64(e.live))
 	e.logf("%s: lease of edge %d expired, evicting from quorum", e.cfg.Name, edge)
 	e.unlockThen(e.completeBestLocked(false))
-}
-
-// liveLeasesLocked counts live leases.
-func (e *Engine) liveLeasesLocked() int {
-	n := 0
-	for _, l := range e.leases {
-		if l.live {
-			n++
-		}
-	}
-	return n
 }
 
 // quorumMetLocked reports whether b can complete: every member reported,
@@ -620,17 +636,14 @@ func (e *Engine) liveLeasesLocked() int {
 // A member reporting without a lease still counts toward its own barrier;
 // it just cannot be waited on after its lease lapses.
 func (e *Engine) quorumMetLocked(b *Barrier) bool {
-	if b.Size() >= e.cfg.Members {
+	if b.Size() >= len(e.cfg.Members) {
 		return true
 	}
 	if !e.leasing || b.Size() == 0 {
 		return false
 	}
-	for id, l := range e.leases {
-		if !l.live {
-			continue
-		}
-		if _, ok := b.Censuses[id]; !ok {
+	for id := range e.roster {
+		if e.roster[id].lease.live && b.counts[id] == nil {
 			return false
 		}
 	}

@@ -28,6 +28,15 @@ type completion struct {
 	edges    []int
 }
 
+// ids returns 0..n-1.
+func ids(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func newRig(members, k int) *rig {
 	reg := obs.NewRegistry()
 	r := &rig{closed: make(chan struct{}), tick: Counters{
@@ -40,15 +49,14 @@ func newRig(members, k int) *rig {
 	r.eng = NewEngine(EngineConfig{
 		Lock:     &r.mu,
 		Name:     "rig",
-		Members:  members,
-		Owns:     func(edge int) bool { return edge >= 0 && edge < members },
+		Members:  ids(members),
 		K:        k,
 		Closed:   r.closed,
 		Counters: &r.tick,
 		Span:     func(int) *obs.Span { return nil },
 		Complete: func(round int, b *Barrier, degraded bool) func() {
 			var edges []int
-			for e := range b.Censuses {
+			for e := range b.asMap() {
 				edges = append(edges, e)
 			}
 			sort.Ints(edges)
@@ -58,6 +66,36 @@ func newRig(members, k int) *rig {
 		},
 	})
 	return r
+}
+
+// Get returns region edge's census, or nil when it has none.
+func (s *CensusSet) Get(edge int) []int {
+	if edge < 0 || edge >= len(s.counts) {
+		return nil
+	}
+	return s.counts[edge]
+}
+
+// setOf lays censuses out as a census set of m regions, over their counts.
+func setOf(m int, censuses map[int][]int) *CensusSet {
+	set := &CensusSet{counts: make([][]int, m)}
+	for region, counts := range censuses {
+		set.counts[region] = counts
+		set.n++
+	}
+	return set
+}
+
+// asMap is the set as a census map over the set's own counts: how tests
+// look a set over whole.
+func (s *CensusSet) asMap() map[int][]int {
+	m := make(map[int][]int, s.n)
+	for region, counts := range s.counts {
+		if counts != nil {
+			m[region] = counts
+		}
+	}
+	return m
 }
 
 func (r *rig) completions() []completion {
@@ -149,7 +187,7 @@ func TestEngineRoster(t *testing.T) {
 			// The renewal's effect without its timer reset: exactly what the
 			// expiry callback sees when it lost the lock to a renewal.
 			r.mu.Lock()
-			r.eng.leases[1].expiry = time.Now().Add(long)
+			r.eng.roster[1].lease.expiry = time.Now().Add(long)
 			r.mu.Unlock()
 			time.Sleep(4 * short)
 			if live := r.eng.LiveLeases(); !reflect.DeepEqual(live, []int{1}) {
@@ -282,7 +320,7 @@ func TestEngineIngestClassification(t *testing.T) {
 					t.Errorf("barrier holds %d censuses, want %d", b.Size(), tc.want.pending)
 				}
 				last := tc.censuses[len(tc.censuses)-1]
-				if got := b.Censuses[last.Edge]; !reflect.DeepEqual(got, last.Counts) {
+				if got := b.Get(last.Edge); !reflect.DeepEqual(got, last.Counts) {
 					t.Errorf("barrier has %v for edge %d, want %v", got, last.Edge, last.Counts)
 				}
 			}
@@ -291,7 +329,7 @@ func TestEngineIngestClassification(t *testing.T) {
 				// still holds exactly what it held.
 				r.mu.Lock()
 				_, opened := r.eng.Barrier(1)
-				held := r.eng.rounds[2].Censuses[0]
+				held := r.eng.rounds[2].Get(0)
 				r.mu.Unlock()
 				if opened || !reflect.DeepEqual(held, []int{1, 2}) {
 					t.Errorf("refused ingest left a trace: round 1 opened %v, round 2 holds %v", opened, held)

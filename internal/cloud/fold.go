@@ -26,7 +26,7 @@ type Fold struct {
 	memo   *game.FloatMemo // Hash's float texts by bit pattern, allocated by the first Hash
 	row    []float64       // Replay's one row of shares
 	hash   uint32          // Hash's last result, valid while hashed
-	hashed bool            // cleared where the state changes: Apply, Replay and SetState
+	hashed bool            // cleared where the state changes: ApplySet, Replay and SetState
 }
 
 // NewFold validates the initial state and returns a fold over a private
@@ -50,13 +50,13 @@ func (f *Fold) Regions() int { return len(f.state.P) }
 // Decisions returns the lattice size K censuses must match.
 func (f *Fold) Decisions() int { return len(f.state.P[0]) }
 
-// Apply folds one round's censuses into the state and runs one FDS update.
-// Regions missing from a degraded round — and empty censuses from edges
-// with no registered vehicles — keep their last-known shares.
-func (f *Fold) Apply(censuses map[int][]int) error {
+// ApplySet folds one round's census set into the state and runs one FDS
+// update. Regions missing from a degraded round — and empty censuses from
+// edges with no registered vehicles — keep their last-known shares.
+func (f *Fold) ApplySet(set *CensusSet) error {
 	f.hashed = false
-	for i, counts := range censuses {
-		if i >= 0 && i < len(f.state.P) {
+	for i, counts := range set.counts { // no longer than the state: member ids are regions
+		if counts != nil {
 			shares(counts, f.state.P[i])
 		}
 	}
@@ -64,6 +64,18 @@ func (f *Fold) Apply(censuses map[int][]int) error {
 		return fmt.Errorf("cloud: FDS update: %w", err)
 	}
 	return nil
+}
+
+// Apply is ApplySet of a census map laid out by region (a region outside
+// the state is passed over): the form the benchmark's reference fold hands in.
+func (f *Fold) Apply(censuses map[int][]int) error {
+	set := &CensusSet{counts: make([][]int, f.Regions())}
+	for i, counts := range censuses {
+		if i >= 0 && i < len(set.counts) {
+			set.counts[i] = counts
+		}
+	}
+	return f.ApplySet(set)
 }
 
 // shares writes a census into p as decision shares, or reports false and
@@ -82,16 +94,16 @@ func shares(counts []int, p []float64) bool {
 	return true
 }
 
-// Replay is Apply for a round recorded once already, replayed on a timeline
+// Replay is ApplySet for a round recorded once already, replayed on a timeline
 // that has since diverged from the record in the regions div marks: it
 // touches those and the ones their difference reaches, and arrives at exactly
-// what Apply would (policy.FDS.Resweep, whose contract this shares, has the
+// what ApplySet would (policy.FDS.Resweep, whose contract this shares, has the
 // argument). On the way in DivergedP marks every region whose shares may
 // differ once censuses are in — it diverged earlier, or its census here is
 // not the recorded one. post is rewritten in place; it is the fold's own
 // state when the round is the newest one buffered. It returns the number of
 // regions whose ratio it recomputed.
-func (f *Fold) Replay(censuses map[int][]int, pre, post *game.State, preMem, postMem policy.FDSMemory, div []policy.Divergence) int {
+func (f *Fold) Replay(set *CensusSet, pre, post *game.State, preMem, postMem policy.FDSMemory, div []policy.Divergence) int {
 	if post == f.state {
 		f.hashed = false
 	}
@@ -101,7 +113,7 @@ func (f *Fold) Replay(censuses map[int][]int, pre, post *game.State, preMem, pos
 		}
 		// Region i's shares after this round's censuses, against the record's.
 		f.row = append(f.row[:0], pre.P[i]...)
-		shares(censuses[i], f.row)
+		shares(set.counts[i], f.row) // the cloud's: a table of m
 		div[i] &^= policy.DivergedP
 		for k, v := range f.row {
 			if math.Float64bits(v) != math.Float64bits(post.P[i][k]) {
@@ -141,7 +153,7 @@ func (f *Fold) Hash() uint32 {
 func (f *Fold) X(edge int) float64 { return f.state.X[edge] }
 
 // State returns the live state. The caller must hold whatever lock
-// serializes the fold and must not mutate it outside Apply, Replay and
+// serializes the fold and must not mutate it outside ApplySet, Replay and
 // SetState.
 func (f *Fold) State() *game.State { return f.state }
 

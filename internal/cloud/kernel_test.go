@@ -95,7 +95,7 @@ func censusRing(t *testing.T, m int) (*Fold, map[int][]int) {
 }
 
 // TestFoldAllocs pins the commit path's per-round heap cost at M=16 and
-// M=1024 on a ring at nothing, for Apply and for Hash once the first Hash
+// M=1024 on a ring at nothing, for ApplySet and for Hash once the first Hash
 // has allocated the value memo.
 func TestFoldAllocs(t *testing.T) {
 	if israce.Enabled {
@@ -103,12 +103,13 @@ func TestFoldAllocs(t *testing.T) {
 	}
 	for _, m := range []int{16, 1024} {
 		fold, censuses := censusRing(t, m)
+		set := setOf(m, censuses)
 		if allocs := testing.AllocsPerRun(10, func() {
-			if err := fold.Apply(censuses); err != nil {
+			if err := fold.ApplySet(set); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("Fold.Apply at M=%d: %.0f allocs, want 0", m, allocs)
+			t.Errorf("Fold.ApplySet at M=%d: %.0f allocs, want 0", m, allocs)
 		}
 		fold.Hash() // sizes the encoding buffer and allocates the value memo
 		if allocs := testing.AllocsPerRun(10, func() {
@@ -391,8 +392,8 @@ func TestCorrectionsLeaveOnOneSenderPerSession(t *testing.T) {
 	for edge := 0; edge < m; edge++ {
 		full.Censuses = append(full.Censuses, census(edge, []int{10, 0, 0, 0, 0, 0, 0, 5}))
 	}
-	srv.eng.register(session.Wrap(good), full.Censuses[:3])
-	srv.eng.register(session.Wrap(bad), full.Censuses[3:])
+	srv.eng.register(&reporter{Session: session.Wrap(good)}, full.Censuses[:3])
+	srv.eng.register(&reporter{Session: session.Wrap(bad)}, full.Censuses[3:])
 	if _, err := srv.SubmitBatch(full); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +464,7 @@ func TestCorrectionFanOutAllocs(t *testing.T) {
 			members[edge].Edge = edge
 		}
 		conn := signalConn{sent: make(chan struct{})}
-		srv.eng.register(session.Wrap(conn), members)
+		srv.eng.register(&reporter{Session: session.Wrap(conn)}, members)
 		return testing.AllocsPerRun(20, func() {
 			srv.mu.Lock()
 			srv.correctionSeq++

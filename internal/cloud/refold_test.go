@@ -99,7 +99,7 @@ func (s *Server) fullRefoldLocked(t *testing.T, idx int, late map[int][]int) {
 			entry.preState = s.fold.State().Clone()
 			entry.preFDS = s.fold.Memory()
 		}
-		if err := s.fold.Apply(entry.set.Censuses); err != nil {
+		if err := s.fold.ApplySet(entry.set); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func requireSameTimeline(t *testing.T, when string, srv, ref *Server) {
 	}
 	for i, e := range srv.window {
 		r := ref.window[i]
-		if e.round != r.round || e.degraded != r.degraded || !maps.EqualFunc(e.set.Censuses, r.set.Censuses, slices.Equal[[]int]) {
+		if e.round != r.round || e.degraded != r.degraded || !maps.EqualFunc(e.set.asMap(), r.set.asMap(), slices.Equal[[]int]) {
 			t.Fatalf("%s: window[%d] is round %d (degraded %v), reference round %d (degraded %v), or their censuses differ",
 				when, i, e.round, e.degraded, r.round, r.degraded)
 		}
@@ -276,7 +276,7 @@ func TestSparseRefoldMatchesFull(t *testing.T) {
 				if idx < 0 {
 					continue
 				}
-				if prev, ok := ref.window[idx].set.Censuses[c.Edge]; ok && slices.Equal(prev, c.Counts) {
+				if prev := ref.window[idx].set.Get(c.Edge); prev != nil && slices.Equal(prev, c.Counts) {
 					continue
 				}
 				ref.fullRefoldLocked(t, idx, map[int][]int{c.Edge: c.Counts})
@@ -313,7 +313,7 @@ func TestSparseRefoldMatchesFull(t *testing.T) {
 				target := completed[len(completed)-1-rng.Intn(min(lag, len(completed)))]
 				edge := rng.Intn(m)
 				srv.mu.Lock()
-				folded := srv.window[srv.windowIndexLocked(target)].set.Censuses[edge]
+				folded := srv.window[srv.windowIndexLocked(target)].set.Get(edge)
 				srv.mu.Unlock()
 				switch rng.Intn(6) {
 				case 0: // two regions in one batch

@@ -123,14 +123,12 @@ func (s *Server) windowIndexLocked(round int) int {
 // nor, then, window[0]'s, which a background checkpoint may be encoding. It
 // returns the number of regions recomputed over all rounds. Called with s.mu
 // held.
-func (s *Server) refoldLocked(idx int, late map[int][]int) (recomputed int) {
+func (s *Server) refoldLocked(idx int, late []transport.Census) (recomputed int) {
 	clear(s.div)
 	e := s.window[idx]
-	for edge, counts := range late {
-		e.set.put(edge, counts, s.m*s.k)
-		if edge >= 0 && edge < s.m {
-			s.div[edge] = policy.DivergedP
-		}
+	for i := range late {
+		e.set.put(late[i].Edge, late[i].Counts, s.m*s.k) // a member's: 0 <= edge < m
+		s.div[late[i].Edge] = policy.DivergedP
 	}
 	live := s.fold.State()
 	s.fold.MemoryInto(&s.liveMem)
@@ -139,7 +137,7 @@ func (s *Server) refoldLocked(idx int, late map[int][]int) (recomputed int) {
 		if next := idx + n + 1; next < len(s.window) {
 			post, postMem = s.window[next].preState, s.window[next].preFDS
 		}
-		recomputed += s.fold.Replay(entry.set.Censuses, entry.preState, post, entry.preFDS, postMem, s.div)
+		recomputed += s.fold.Replay(entry.set, entry.preState, post, entry.preFDS, postMem, s.div)
 	}
 	_ = s.fold.SetMemory(s.liveMem) // the fold's own memory, so of its size
 	s.metrics.refolded.Add(int64(recomputed))
@@ -153,7 +151,7 @@ func (s *Server) refoldLocked(idx int, late map[int][]int) (recomputed int) {
 func (s *Server) lateLocked(round int, censuses []transport.Census) (rewound bool) {
 	for i := range censuses {
 		s.metrics.late.Inc()
-		handled, rw := s.handleLateLocked(round, &censuses[i])
+		handled, rw := s.handleLateLocked(round, censuses[i:i+1])
 		if !handled && s.lag > 0 {
 			s.metrics.beyondLag.Inc()
 		}
@@ -171,26 +169,24 @@ func (s *Server) lateLocked(round int, censuses []transport.Census) (rewound boo
 // rewind. Otherwise the census is merged last-write-wins, the rounds from
 // there on are re-folded where it reaches (refoldLocked), and the census is
 // journaled as a Corrected record — it alone: replay merges it the same way.
-// Called with s.mu held.
-func (s *Server) handleLateLocked(round int, census *transport.Census) (handled, rewound bool) {
+// late is the census, as a list of one. Called with s.mu held.
+func (s *Server) handleLateLocked(round int, late []transport.Census) (handled, rewound bool) {
 	idx := s.windowIndexLocked(round)
 	if s.lag <= 0 || idx < 0 {
 		return false, false
 	}
-	e := s.window[idx]
-	if prev, ok := e.set.Censuses[census.Edge]; ok && slices.Equal(prev, census.Counts) {
+	e, census := s.window[idx], &late[0]
+	if prev := e.set.counts[census.Edge]; prev != nil && slices.Equal(prev, census.Counts) {
 		s.metrics.Duplicates.Inc()
 		return true, false
 	}
 	span := s.obsv.Span("consensus_rewind", obs.A("round", round), obs.A("edge", census.Edge))
-	clear(s.late)
-	s.late[census.Edge] = census.Counts
-	recomputed := s.refoldLocked(idx, s.late)
+	recomputed := s.refoldLocked(idx, late)
 	replayed := len(s.window) - idx
 	s.correctionSeq++
 	s.metrics.rewinds.Inc()
 	s.metrics.replayed.Add(int64(replayed))
-	rec := durable.RoundRecord{Round: e.round, Censuses: s.late, Corrected: true}
+	rec := durable.RoundRecord{Round: e.round, Sorted: late, Corrected: true}
 	if ticket := s.journal.StartRound(rec); ticket >= 0 {
 		n, err := s.journal.WaitRound(ticket)
 		s.journal.Journaled(rec, n, err)

@@ -213,8 +213,8 @@ func TestPendingBarrierDuplicateLastWriteWins(t *testing.T) {
 			if !ok {
 				return false
 			}
-			got, ok := rb.Censuses[0]
-			return ok && slices.Equal(got, want)
+			got := rb.Get(0)
+			return got != nil && slices.Equal(got, want)
 		}
 	}
 	var wg sync.WaitGroup

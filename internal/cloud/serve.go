@@ -23,7 +23,8 @@ import (
 // channel pushed frames (ratio corrections) go back out on.
 func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, censuses []transport.Census) error, more map[transport.Kind]session.Handler) {
 	defer sess.Close()
-	defer e.dropSessions(sess)
+	r := &reporter{Session: sess}
+	defer e.dropSessions(r)
 	drop := func(err error) error {
 		e.DropFrame(err)
 		return nil
@@ -38,7 +39,7 @@ func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, cens
 	// they are to be answered with the members' current ratios: their round
 	// resolved, or was abandoned under them. A refusal is acked back instead.
 	submit := func(round int, censuses []transport.Census) (answer bool, err error) {
-		e.register(sess, censuses)
+		e.register(r, censuses)
 		if err = ingest(round, censuses); err == nil || errors.Is(err, ErrRoundAbandoned) {
 			return true, nil
 		}
@@ -86,26 +87,34 @@ func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, cens
 	})
 }
 
-// register remembers sess as the session the censuses' members report on.
-// Takes the lock.
-func (e *Engine) register(sess *session.Session, censuses []transport.Census) {
+// reporter is a session members report on, with its share of the
+// correction fan-out in progress (PushCorrections).
+type reporter struct {
+	*session.Session
+	regions int                        // how many regions the fan-out sends it
+	rc      *transport.RatioCorrection // the frame carrying them
+}
+
+// register remembers r as the session the censuses' members report on,
+// writing only where that changed. Takes the lock.
+func (e *Engine) register(r *reporter, censuses []transport.Census) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range censuses {
-		if edge := censuses[i].Edge; e.cfg.Owns(edge) {
-			e.sessions[edge] = sess
+		if edge := censuses[i].Edge; e.Owns(edge) && e.roster[edge].sess != r {
+			e.roster[edge].sess = r
 		}
 	}
 }
 
-// dropSessions forgets every member registration pointing at sess (the
-// conn closed; a reconnecting edge re-registers with its next census).
-// Takes the lock.
-func (e *Engine) dropSessions(sess *session.Session) {
+// dropSessions forgets every member registration pointing at r (the conn
+// closed; a reconnecting edge re-registers with its next census). Takes the
+// lock.
+func (e *Engine) dropSessions(r *reporter) {
 	e.mu.Lock()
-	for edge, es := range e.sessions {
-		if es == sess {
-			delete(e.sessions, edge)
+	for id := range e.roster {
+		if e.roster[id].sess == r {
+			e.roster[id].sess = nil
 		}
 	}
 	e.mu.Unlock()
@@ -122,30 +131,32 @@ func (e *Engine) dropSessions(sess *session.Session) {
 // Called with the lock held.
 func (e *Engine) PushCorrections(round int, seq int64, edges []int, x []float64) (placed int) {
 	// Size each session's frame first, so its two slices are allocated once.
+	fan := e.fanout[:0]
 	for _, edge := range edges {
-		if sess := e.sessions[edge]; sess != nil {
-			e.fanout[sess]++
+		if e.Owns(edge) && e.roster[edge].sess != nil {
+			r := e.roster[edge].sess
+			if r.regions == 0 {
+				fan = append(fan, r)
+			}
+			r.regions++
 		}
 	}
-	frames := make(map[*session.Session]*transport.RatioCorrection, len(e.fanout))
+	for _, r := range fan {
+		r.rc = &transport.RatioCorrection{Round: round, Seq: seq, Edges: make([]int, 0, r.regions), X: make([]float64, 0, r.regions)}
+	}
 	for i, edge := range edges {
-		sess := e.sessions[edge]
-		if sess == nil {
-			continue
+		if e.Owns(edge) && e.roster[edge].sess != nil {
+			r := e.roster[edge].sess
+			r.rc.Edges = append(r.rc.Edges, edge)
+			r.rc.X = append(r.rc.X, x[i])
+			placed++
 		}
-		rc := frames[sess]
-		if rc == nil {
-			n := e.fanout[sess]
-			rc = &transport.RatioCorrection{Round: round, Seq: seq, Edges: make([]int, 0, n), X: make([]float64, 0, n)}
-			frames[sess] = rc
-		}
-		rc.Edges = append(rc.Edges, edge)
-		rc.X = append(rc.X, x[i])
-		placed++
 	}
-	clear(e.fanout)
-	for sess, rc := range frames {
-		go sess.Send(transport.KindRatioCorrection, rc)
+	for _, r := range fan {
+		go r.Send(transport.KindRatioCorrection, r.rc)
+		r.regions, r.rc = 0, nil
 	}
+	clear(fan) // pins no session
+	e.fanout = fan[:0]
 	return placed
 }

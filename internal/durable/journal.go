@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // CompactEvery is how many journaled rounds a coordinator lets accumulate
@@ -29,9 +30,9 @@ type Journal struct {
 	disk    Hook  // what Open's store announces its disk work to
 	owner   Owner // set by Open
 	since   int
-	below   int         // every round journaled so far is below this
-	payload []byte      // encoding scratch
-	order   RegionOrder // the encoder's region-ordering scratch
+	below   int                // every round journaled so far is below this
+	payload []byte             // encoding scratch
+	listed  []transport.Census // the encoder's scratch for a record in map form
 
 	// The appender, started by the first StartRound. A slot is a ticket: the
 	// cloud and a gossip node have one in use, a shard one per barrier whose
@@ -171,7 +172,7 @@ func (j *Journal) Replay(apply func(RoundRecord) error) error {
 // rides outside that cadence.
 func (j *Journal) AppendRound(rec RoundRecord) (int, error) {
 	start := time.Now()
-	j.payload = appendRound(j.payload[:0], &j.order, rec)
+	j.payload = appendRound(j.payload[:0], &j.listed, rec)
 	err := j.Append(j.payload)
 	if err == nil && !rec.Corrected {
 		j.since++

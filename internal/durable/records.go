@@ -1,15 +1,16 @@
 package durable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/game"
 	"repro/internal/policy"
+	"repro/internal/transport"
 )
 
 // tagBinary opens every payload this package writes; one that opens with '{'
@@ -77,7 +78,11 @@ func EncodeCheckpoint(cp Checkpoint) ([]byte, error) {
 	}
 	b = appendInts(appendFloats(appendFloats(b, cp.State.X), cp.FDS.LastShortfall), cp.FDS.StallRounds)
 	b = appendLen(b, len(cp.DigestWatermarks), cp.DigestWatermarks == nil)
-	hoods, _ := ascending(cp.DigestWatermarks, nil, nil)
+	hoods := make([]int, 0, len(cp.DigestWatermarks))
+	for h := range cp.DigestWatermarks {
+		hoods = append(hoods, h)
+	}
+	slices.Sort(hoods)
 	for _, h := range hoods {
 		b = binary.AppendVarint(binary.AppendVarint(b, int64(h)), int64(cp.DigestWatermarks[h]))
 	}
@@ -119,15 +124,18 @@ func readCheckpoint(b []byte) (Checkpoint, error) {
 }
 
 // RoundRecord journals one applied consensus round: the censuses the FDS
-// update ran over (keyed by region) and whether the round completed
-// degraded. Replaying the record through the same fold reproduces the
-// post-round state exactly.
+// update ran over and whether the round completed degraded. Replaying the
+// record through the same fold reproduces the post-round state exactly.
 type RoundRecord struct {
-	Round    int           `json:"round"`
-	Degraded bool          `json:"degraded,omitempty"`
-	Censuses map[int][]int `json:"censuses"`
+	Round    int  `json:"round"`
+	Degraded bool `json:"degraded,omitempty"`
+	// Sorted holds the censuses in ascending region order, as a census set
+	// lists them; Censuses holds them by region, as DecodeRound returns them
+	// (and the benchmark builds them). A record holds one form or the other.
+	Sorted   []transport.Census `json:"-"`
+	Censuses map[int][]int      `json:"censuses"`
 	// Corrected marks the record a fixed-lag rewind writes after folding a
-	// late census into an already-applied round. It is a delta: Censuses
+	// late census into an already-applied round. It is a delta: the record
 	// holds the late census alone and Degraded is left out. Replay merges it,
 	// last write wins, into the round's census set and re-folds from there,
 	// reproducing the corrected history rather than the arrival-order one.
@@ -137,34 +145,45 @@ type RoundRecord struct {
 }
 
 // EncodeRound serializes a round record payload: the tag; varint Round; the
-// flags (degraded, corrected, nil census map) in one byte; uvarint census
+// flags (degraded, corrected, no censuses at all) in one byte; uvarint census
 // count; then per region in ascending order the varint step from the previous
 // one (from 0), uvarint len(counts)+1 (0 for nil counts) and varint counts. A
-// record encodes to the same bytes whatever order its map was filled in.
+// record encodes to the same bytes whichever form holds its censuses, and
+// whatever order its map was filled in.
 func EncodeRound(rec RoundRecord) ([]byte, error) {
 	size := 16
 	for _, counts := range rec.Censuses {
 		size += 4 + 2*len(counts)
 	}
-	var order RegionOrder
-	return appendRound(make([]byte, 0, size), &order, rec), nil
+	var scratch []transport.Census
+	return appendRound(make([]byte, 0, size), &scratch, rec), nil
 }
 
-// appendRound is EncodeRound into b, ordering the regions with order: a
-// journal that keeps both encodes its steady state without allocating.
-func appendRound(b []byte, order *RegionOrder, rec RoundRecord) []byte {
+// appendRound is EncodeRound into b. A record in map form is listed in
+// scratch first: a journal that keeps both encodes its steady state without
+// allocating.
+func appendRound(b []byte, scratch *[]transport.Census, rec RoundRecord) []byte {
+	list := rec.Sorted
+	if rec.Censuses != nil {
+		list = slices.Grow((*scratch)[:0], len(rec.Censuses))
+		for region, counts := range rec.Censuses {
+			list = append(list, transport.Census{Edge: region, Counts: counts})
+		}
+		slices.SortFunc(list, func(a, b transport.Census) int { return cmp.Compare(a.Edge, b.Edge) })
+		*scratch = list
+	}
 	var flags byte
-	for bit, set := range [...]bool{rec.Degraded, rec.Corrected, rec.Censuses == nil} {
+	for bit, set := range [...]bool{rec.Degraded, rec.Corrected, rec.Sorted == nil && rec.Censuses == nil} {
 		if set {
 			flags |= 1 << bit
 		}
 	}
 	b = append(binary.AppendVarint(append(b, tagBinary), int64(rec.Round)), flags)
-	b = binary.AppendUvarint(b, uint64(len(rec.Censuses)))
+	b = binary.AppendUvarint(b, uint64(len(list)))
 	prev := 0
-	for _, region := range order.Of(rec.Censuses) {
-		b = appendInts(binary.AppendVarint(b, int64(region-prev)), rec.Censuses[region])
-		prev = region
+	for _, c := range list {
+		b = appendInts(binary.AppendVarint(b, int64(c.Edge-prev)), c.Counts)
+		prev = c.Edge
 	}
 	return b
 }
@@ -224,50 +243,6 @@ func decode[T any](b []byte, what string, read func([]byte) (T, error)) (v T, er
 		err = fmt.Errorf("durable: decode %s: %w", what, err)
 	}
 	return v, err
-}
-
-// RegionOrder puts census sets' regions in ascending order with scratch it
-// keeps from call to call.
-type RegionOrder struct {
-	regions []int
-	words   []uint64 // ascending's bitmap, all zero between calls
-}
-
-// Of returns censuses' regions in ascending order, valid until the next call.
-func (o *RegionOrder) Of(censuses map[int][]int) []int {
-	o.regions, o.words = ascending(censuses, o.regions[:0], o.words)
-	return o.regions
-}
-
-// ascending appends the keys of m to keys in ascending order. Keys from 0 to
-// below 64 per entry — edge ids always are — set bits in a bitmap of words,
-// read back lowest first and cleared; a set with any other key is sorted.
-// words must be all zero and comes back so, grown to len(m) when shorter.
-func ascending[V any](m map[int]V, keys []int, words []uint64) ([]int, []uint64) {
-	if len(words) < len(m) {
-		words = make([]uint64, len(m))
-	}
-	keys = slices.Grow(keys, len(m))
-	top := -1 // the highest word with a bit set
-	for k := range m {
-		if k < 0 || k>>6 >= len(m) {
-			clear(words[:top+1])
-			for k := range m {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			return keys, words
-		}
-		words[k>>6] |= 1 << (k & 63)
-		top = max(top, k>>6)
-	}
-	for w, word := range words[:top+1] {
-		for ; word != 0; word &= word - 1 {
-			keys = append(keys, w<<6|bits.TrailingZeros64(word))
-		}
-		words[w] = 0
-	}
-	return keys, words
 }
 
 // appendLen writes a length as n+1, and a nil slice or map as 0.

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/israce"
+	"repro/internal/transport"
 )
 
 // formatCases are round records at every corner of the layout: nil and empty
@@ -130,37 +133,109 @@ func TestCorrectedRecordForms(t *testing.T) {
 	}
 }
 
-// TestRegionOrder holds the bitmap walk to a comparison sort on random sets —
-// dense and sparse, some with a key it cannot take (negative, or past 64 per
-// entry) met after bits were already set — through one RegionOrder, so a bit
-// a call left set would surface as a region in the next.
-func TestRegionOrder(t *testing.T) {
+// TestEncodeRoundMatchesMapEncoder holds the encoder to the one it replaced,
+// which ordered a census map's regions itself (oracleAppendRound, below), on
+// random records: dense and sparse, degraded and Corrected, some with nil or
+// empty counts, a nil census map or a negative region. Each is encoded from
+// its ascending list — the form census sets hand out — and from its map, and
+// both must write the old encoder's bytes.
+func TestEncodeRoundMatchesMapEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var order RegionOrder
+	var scratch []transport.Census
 	for n := 0; n < 2000; n++ {
-		size := rng.Intn(300)
-		span := size + rng.Intn(64*(size+1))
-		set := make(map[int][]int, size)
-		for len(set) < size {
-			set[rng.Intn(span)] = nil
+		rec := RoundRecord{Round: rng.Intn(1<<20) - 8, Degraded: rng.Intn(3) == 0, Corrected: rng.Intn(4) == 0}
+		if rng.Intn(20) > 0 {
+			size := rng.Intn(300)
+			span := size + rng.Intn(64*(size+1))
+			rec.Censuses = make(map[int][]int, size)
+			for len(rec.Censuses) < size {
+				var counts []int
+				switch rng.Intn(10) {
+				case 0: // nil counts
+				case 1:
+					counts = []int{}
+				default:
+					counts = make([]int, 1+rng.Intn(8))
+					for k := range counts {
+						counts[k] = rng.Intn(500) - rng.Intn(2)*rng.Intn(3)
+					}
+				}
+				rec.Censuses[rng.Intn(span)] = counts
+			}
+			if size > 0 && rng.Intn(8) == 0 {
+				rec.Censuses[-1-rng.Intn(5)] = []int{1}
+			}
 		}
-		if size > 0 && rng.Intn(4) == 0 {
-			set[-1-rng.Intn(5)] = nil
+		want := oracleAppendRound(nil, rec)
+		if got, _ := EncodeRound(rec); !bytes.Equal(got, want) {
+			t.Fatalf("record %d in map form: EncodeRound = %x, want %x", n, got, want)
 		}
-		want := make([]int, 0, len(set))
-		for region := range set {
-			want = append(want, region)
+		listed := RoundRecord{Round: rec.Round, Degraded: rec.Degraded, Corrected: rec.Corrected}
+		if rec.Censuses != nil {
+			listed.Sorted = []transport.Census{}
+			regions, _ := ascending(rec.Censuses, nil, nil)
+			for _, region := range regions {
+				listed.Sorted = append(listed.Sorted, transport.Census{Edge: region, Round: rec.Round, Counts: rec.Censuses[region]})
+			}
 		}
-		slices.Sort(want)
-		if got := order.Of(set); !slices.Equal(got, want) {
-			t.Fatalf("set %d: Of = %v, want %v", n, got, want)
+		if got, _ := EncodeRound(listed); !bytes.Equal(got, want) {
+			t.Fatalf("record %d as a list: EncodeRound = %x, want %x", n, got, want)
+		}
+		if got := appendRound(nil, &scratch, rec); !bytes.Equal(got, want) {
+			t.Fatalf("record %d through a reused scratch: %x, want %x", n, got, want)
 		}
 	}
-	for _, w := range order.words {
-		if w != 0 {
-			t.Fatalf("the bitmap kept bits after a call: %x", order.words)
+}
+
+// oracleAppendRound is the map encoder EncodeRound had before census sets
+// were indexed by region, regions ordered by a bitmap walk (ascending).
+func oracleAppendRound(b []byte, rec RoundRecord) []byte {
+	var flags byte
+	for bit, set := range [...]bool{rec.Degraded, rec.Corrected, rec.Censuses == nil} {
+		if set {
+			flags |= 1 << bit
 		}
 	}
+	b = append(binary.AppendVarint(append(b, tagBinary), int64(rec.Round)), flags)
+	b = binary.AppendUvarint(b, uint64(len(rec.Censuses)))
+	prev := 0
+	regions, _ := ascending(rec.Censuses, nil, nil)
+	for _, region := range regions {
+		b = appendInts(binary.AppendVarint(b, int64(region-prev)), rec.Censuses[region])
+		prev = region
+	}
+	return b
+}
+
+// ascending appends the keys of m to keys in ascending order. Keys from 0 to
+// below 64 per entry set bits in a bitmap of words, read back lowest first and
+// cleared; a set with any other key is sorted. words must be all zero and
+// comes back so, grown to len(m) when shorter.
+func ascending[V any](m map[int]V, keys []int, words []uint64) ([]int, []uint64) {
+	if len(words) < len(m) {
+		words = make([]uint64, len(m))
+	}
+	keys = slices.Grow(keys, len(m))
+	top := -1 // the highest word with a bit set
+	for k := range m {
+		if k < 0 || k>>6 >= len(m) {
+			clear(words[:top+1])
+			for k := range m {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			return keys, words
+		}
+		words[k>>6] |= 1 << (k & 63)
+		top = max(top, k>>6)
+	}
+	for w, word := range words[:top+1] {
+		for ; word != 0; word &= word - 1 {
+			keys = append(keys, w<<6|bits.TrailingZeros64(word))
+		}
+		words[w] = 0
+	}
+	return keys, words
 }
 
 // TestEncodeRoundAllocs pins a thousand-region record at the region index,
@@ -257,6 +332,11 @@ func FuzzDecodeRound(f *testing.F) {
 		old, _ := json.Marshal(rec)
 		f.Add(old)
 	}
+	// A region id is a number read from the disk, never a size: a record
+	// naming region 1<<40 decodes within the bound like any other (and a
+	// coordinator refuses it as no member's; see the owners' recovery tests).
+	far, _ := EncodeRound(RoundRecord{Round: 5, Censuses: map[int][]int{1 << 40: {3, 1}}})
+	f.Add(far)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var rec RoundRecord
 		var err error

@@ -342,3 +342,34 @@ func upgradedLayout(t *testing.T, dir string) string {
 	}
 	return dst
 }
+
+// TestOpenRefusesForeignCensus: a journaled round naming a region that is
+// not the neighborhood's — another hood's region of the state, or one far
+// past it — is refused at recovery before it is folded: Open fails naming
+// the round, and the node stands where it started.
+func TestOpenRefusesForeignCensus(t *testing.T) {
+	for name, region := range map[string]int{"another hood's region": 1, "region 1<<40": 1 << 40} {
+		dir := t.TempDir()
+		j, _, err := durable.OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.AppendRound(durable.RoundRecord{Round: 0, Censuses: map[int][]int{0: counts(0, 0), region: counts(1, 0)}}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		n, err := NewNode(Config{Edge: 0, Members: []int{0}, Of: 1, Fold: testFold(t, 2),
+			PeerDial: func(int) (transport.Conn, error) { return nil, fmt.Errorf("no peers dialed") }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := n.StateHash()
+		if err := n.Open(dir); err == nil || !strings.Contains(err.Error(), "round 0") {
+			t.Errorf("%s: Open = %v, want the record refused", name, err)
+		}
+		if got := n.StateHash(); got != before || n.Latest() != -1 {
+			t.Errorf("%s: the refused record moved the node (hash %08x -> %08x, latest %d)", name, before, got, n.Latest())
+		}
+		n.Close()
+	}
+}

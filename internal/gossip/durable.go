@@ -49,9 +49,14 @@ func (n *Node) Open(stateDir string) error {
 // healed journal wrote twice), which must not be applied again. Called with
 // n.mu held.
 func (n *Node) replayLocked(rec durable.RoundRecord) (bool, error) {
+	set, err := n.eng.Collect(rec)
+	if err != nil {
+		return false, err
+	}
+	rec = durable.RoundRecord{Round: rec.Round, Degraded: rec.Degraded, Sorted: set.Sorted(rec.Round)}
 	applied := rec.Round > n.eng.Latest()
 	if applied {
-		if err := n.fold.Apply(rec.Censuses); err != nil {
+		if err := n.fold.ApplySet(set); err != nil {
 			return false, err
 		}
 		n.eng.Advance(rec.Round)

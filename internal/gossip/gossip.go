@@ -195,16 +195,12 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	members := append([]int(nil), cfg.Members...)
 	sort.Ints(members)
-	self := false
 	for _, m := range members {
-		if m == cfg.Edge {
-			self = true
-		}
 		if m < 0 || m >= cfg.Fold.Regions() {
 			return nil, fmt.Errorf("gossip: member %d outside the %d-region state", m, cfg.Fold.Regions())
 		}
 	}
-	if !self {
+	if !slices.Contains(members, cfg.Edge) {
 		return nil, fmt.Errorf("gossip: edge %d is not in its own neighborhood %v", cfg.Edge, members)
 	}
 	if cfg.EscalateEvery <= 0 {
@@ -225,8 +221,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.eng = cloud.NewEngine(cloud.EngineConfig{
 		Lock:     &n.mu,
 		Name:     fmt.Sprintf("gossip: edge %d", cfg.Edge),
-		Members:  len(members),
-		Owns:     func(edge int) bool { return slices.Contains(members, edge) },
+		Members:  members,
 		K:        cfg.Fold.Decisions(),
 		Closed:   n.srv.Closed(),
 		Counters: &n.metrics.Counters,
@@ -673,9 +668,9 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 // round is released only once it is durable: a ratio served to a vehicle is
 // always recoverable. Called with n.mu held.
 func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
-	rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
+	rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: rb.Sorted(round)}
 	ticket := n.journal.StartRound(rec) // -1 without a state directory
-	rb.Err = n.fold.Apply(rb.Censuses)
+	rb.Err = n.fold.ApplySet(rb.CensusSet)
 	// Watermark and backlog move before the cadence checkpoint: it snapshots
 	// Latest() as the checkpoint round over a state that already includes
 	// this round's fold, and retains the backlog.
@@ -732,9 +727,7 @@ func (n *Node) escalate() error {
 		Rounds:       make([]transport.DigestRound, 0, len(n.pending)),
 	}
 	for _, rec := range n.pending {
-		d.Rounds = append(d.Rounds, transport.DigestRound{
-			Round: rec.Round, Degraded: rec.Degraded, Censuses: cloud.SortedCensuses(rec.Round, rec.Censuses),
-		})
+		d.Rounds = append(d.Rounds, transport.DigestRound{Round: rec.Round, Degraded: rec.Degraded, Censuses: rec.Sorted})
 	}
 	last := d.Rounds[len(d.Rounds)-1].Round
 	n.mu.Unlock()
@@ -761,22 +754,13 @@ func (n *Node) escalate() error {
 			n.metrics.cloudUpdates.Inc()
 		}
 	}
-	// Drop exactly the rounds this digest carried; rounds completed while
-	// the escalation was in flight stay pending for the next boundary. The
-	// watermark only ever advances: a slow ack racing a larger concurrent
-	// escalation must not rewind it.
-	keep := n.pending[:0]
-	for _, rec := range n.pending {
-		if rec.Round > last {
-			keep = append(keep, rec)
-		}
-	}
-	n.pending = keep
-	if last+1 > n.escalated {
-		n.escalated = last + 1
-	}
+	// Drop the rounds this digest carried, and any other the watermark has
+	// passed; rounds completed while the escalation was in flight stay
+	// pending for the next boundary. The watermark only ever advances: a
+	// slow ack racing a larger concurrent escalation must not rewind it.
+	n.escalated = max(n.escalated, last+1)
+	n.prunePendingLocked()
 	n.metrics.escalations.Inc()
-	n.setBacklogLocked()
 	n.journal.Compact()
 	n.mu.Unlock()
 	return nil

@@ -85,9 +85,9 @@ func gossipOwnershipRun(t *testing.T, via string, spoiled bool) gossipKept {
 	out := gossipKept{Hash: n.fold.Hash()}
 	for _, rec := range n.pending {
 		copied := rec
-		copied.Censuses = map[int][]int{}
-		for edge, c := range rec.Censuses {
-			copied.Censuses[edge] = append([]int(nil), c...)
+		copied.Sorted, copied.Censuses = nil, map[int][]int{}
+		for _, c := range rec.Sorted {
+			copied.Censuses[c.Edge] = append([]int(nil), c.Counts...)
 		}
 		out.Pending = append(out.Pending, copied)
 	}

@@ -117,8 +117,10 @@ const setInline = 4
 // Set is a union of disjoint, sorted, non-empty intervals within [0,1].
 // The zero Set is the empty set. A Set is a value: up to setInline intervals
 // live in the struct itself, larger sets spill to one heap slice, and no
-// operation modifies a set once it is built, so copies are independent.
-// Its methods take a pointer only so that a call does not copy the set.
+// operation modifies a set once it is built, so copies are independent —
+// except Build and IntersectInto, which rebuild the set they are given in
+// place, for a caller that keeps its own scratch sets. Methods take a
+// pointer only so that a call does not copy the set.
 type Set struct {
 	n      int
 	inline [setInline]Interval
@@ -181,31 +183,25 @@ func (s *Set) normalize() {
 // NewSet builds a Set from arbitrary intervals (they are cleaned, sorted,
 // and merged).
 func NewSet(ivs ...Interval) Set {
-	if len(ivs) == 1 {
-		return single(ivs[0])
-	}
 	var s Set
+	s.Build(ivs...)
+	return s
+}
+
+// Build makes s the set NewSet(ivs...) returns, in place.
+func (s *Set) Build(ivs ...Interval) {
+	s.n, s.spill = 0, nil
 	for _, iv := range ivs {
 		s.add(iv)
 	}
 	s.normalize()
-	return s
-}
-
-// single is NewSet(iv): one interval is clipped but has nothing to sort or
-// merge.
-func single(iv Interval) Set {
-	if iv = iv.Intersect(Unit()); iv.Empty() {
-		return Set{}
-	}
-	return Set{n: 1, inline: [setInline]Interval{iv}}
 }
 
 // FullSet returns the set {[0,1]}.
 func FullSet() Set { return Set{n: 1, inline: [setInline]Interval{Unit()}} }
 
 // Point returns the set {x} (empty when x is outside [0,1]).
-func Point(x float64) Set { return single(Interval{Lo: x, Hi: x}) }
+func Point(x float64) Set { return NewSet(Interval{Lo: x, Hi: x}) }
 
 // Empty reports whether the set contains no points.
 func (s *Set) Empty() bool { return s.n == 0 }
@@ -236,25 +232,34 @@ func (s *Set) Union(other Set) Set {
 	return out
 }
 
-// Intersect returns the intersection of two sets. Intersecting with [0,1]
-// returns the other operand: its intervals already lie in [0,1], so the
-// general path would rebuild them bit for bit. (No Set holds a -0 Lo — add
-// clips against +0 — so == on [0,1] compares bits.)
+// Intersect returns the intersection of two sets.
 func (s *Set) Intersect(other Set) Set {
+	var out Set
+	s.IntersectInto(&other, &out)
+	return out
+}
+
+// IntersectInto makes out the intersection of s and other, in place; out is
+// neither. Intersecting with [0,1] gives the other operand: its intervals
+// already lie in [0,1], so the general path would rebuild them bit for bit.
+// (No Set holds a -0 Lo — add clips against +0 — so == on [0,1] compares
+// bits.)
+func (s *Set) IntersectInto(other, out *Set) {
 	switch unit := Unit(); {
 	case s.n == 1 && s.view()[0] == unit:
-		return other
+		*out = *other
+		return
 	case other.n == 1 && other.view()[0] == unit:
-		return *s
+		*out = *s
+		return
 	}
-	var out Set
+	out.n, out.spill = 0, nil
 	for _, a := range s.view() {
 		for _, b := range other.view() {
 			out.add(a.Intersect(b))
 		}
 	}
 	out.normalize()
-	return out
 }
 
 // Nearest returns the point of the set closest to x. ok is false when the

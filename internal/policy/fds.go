@@ -52,8 +52,10 @@ type FDS struct {
 	lin       *game.Linearizer
 	tracked   []int // the decisions step linearizes: those with a desired interval
 	conds     []cond
-	satisfied []bool    // UpdateRatios' report
-	xs        []float64 // Resweep's Gauss–Seidel view of the ratios
+	order     []int           // step's intersection order: conds indices, most urgent first
+	xsets     [2]optimize.Set // step's running intersection and the next one
+	satisfied []bool          // UpdateRatios' report
+	xs        []float64       // Resweep's Gauss–Seidel view of the ratios
 
 	// Instruments; nil (no-op) until Instrument is called.
 	obsv      *obs.Observer
@@ -84,6 +86,7 @@ func NewFDS(m *game.Model, f *Field, lambda float64) (*FDS, error) {
 		lin:           m.NewLinearizer(),
 		tracked:       make([]int, 0, m.K()),
 		conds:         make([]cond, m.K()),
+		order:         make([]int, m.K()),
 		satisfied:     make([]bool, m.M()),
 		xs:            make([]float64, m.M()),
 	}, nil
@@ -154,10 +157,10 @@ func (f *FDS) Instrument(o *obs.Observer) {
 // free reports whether a desired interval leaves its share unconstrained.
 func free(want optimize.Interval) bool { return want.Lo <= 0 && want.Hi >= 1 }
 
-// conditionSet returns the set of x values that place decision k of region
+// conditionSet makes out the set of x values that place decision k of region
 // i (current share p, linearized coefficients c) in a case flowing to its
 // desired interval. Each case solves only the inequalities it intersects.
-func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimize.Set {
+func conditionSet(out *optimize.Set, c game.LinearCoeffs, p float64, want optimize.Interval) {
 	a1, a2 := c.Alpha1, c.Alpha2
 	sum := a1.Add(a2)
 
@@ -169,14 +172,14 @@ func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimi
 		// Case 3a: unstable rest point below p, i.e. alpha1*p + alpha2 >= 0.
 		atP := optimize.SolveAffineGE(a1.A*p+a2.A, a1.B*p+a2.B)
 		x3a := sumGE.Intersect(optimize.SolveAffineLE(a2.A, a2.B)).Intersect(atP)
-		return optimize.NewSet(x1, x3a)
+		out.Build(x1, x3a)
 	case want.Contains(0):
 		// Case 2 or Case 3b.
 		a2LE := optimize.SolveAffineLE(a2.A, a2.B)
 		x2 := optimize.SolveAffineLE(sum.A, sum.B).Intersect(a2LE)
 		atP := optimize.SolveAffineLE(a1.A*p+a2.A, a1.B*p+a2.B)
 		x3b := optimize.SolveAffineGE(sum.A, sum.B).Intersect(a2LE).Intersect(atP)
-		return optimize.NewSet(x2, x3b)
+		out.Build(x2, x3b)
 	default:
 		// Case 4: stable interior rest point inside the desired interval.
 		// With alpha1 < 0, p* >= lo <=> alpha1*lo + alpha2 >= 0 and
@@ -184,7 +187,7 @@ func conditionSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimi
 		lo := optimize.SolveAffineGE(a1.A*want.Lo+a2.A, a1.B*want.Lo+a2.B)
 		hi := optimize.SolveAffineLE(a1.A*want.Hi+a2.A, a1.B*want.Hi+a2.B)
 		x4 := optimize.SolveAffineLE(sum.A, sum.B).Intersect(optimize.SolveAffineGE(a2.A, a2.B)).Intersect(lo).Intersect(hi)
-		return optimize.NewSet(x4)
+		out.Build(x4)
 	}
 }
 
@@ -236,7 +239,7 @@ func (f *FDS) step(s *game.State, i int) bool {
 	for n, k := range tracked {
 		c := &conds[n]
 		c.dist = shortfall(p[k], field[k])
-		c.set = conditionSet(coeffs[k], p[k], field[k])
+		conditionSet(&c.set, coeffs[k], p[k], field[k])
 		if c.set.Empty() && c.dist > 0 {
 			// No ratio places this share in a case flowing to its
 			// target under the frozen linearization — typical when the
@@ -245,21 +248,25 @@ func (f *FDS) step(s *game.State, i int) bool {
 			// (if the share must rise) or minimizes (if it must fall)
 			// the linearized growth rate alpha1*p + alpha2, so the
 			// system is at least steered toward eventual satisfiability.
-			c.set = optimize.Point(growthExtreme(coeffs[k], p[k], p[k] < field[k].Lo))
+			g := growthExtreme(coeffs[k], p[k], p[k] < field[k].Lo)
+			c.set.Build(optimize.Interval{Lo: g, Hi: g})
 		}
 	}
 
 	// Intersect most-urgent first so best-effort dropping removes the
 	// least-urgent conditions: a stable insertion sort by descending
-	// distance.
-	for a := 1; a < len(conds); a++ {
-		for b := a; b > 0 && conds[b].dist > conds[b-1].dist; b-- {
-			conds[b], conds[b-1] = conds[b-1], conds[b]
+	// distance, of indices (a cond is a set: moving one copies it).
+	order := f.order[:len(conds)]
+	for a := range order {
+		order[a] = a
+		for b := a; b > 0 && conds[order[b]].dist > conds[order[b-1]].dist; b-- {
+			order[b], order[b-1] = order[b-1], order[b]
 		}
 	}
-	xSet := optimize.FullSet()
-	for a := range conds {
-		next := xSet.Intersect(conds[a].set)
+	xSet, next := &f.xsets[0], &f.xsets[1]
+	xSet.Build(optimize.Unit())
+	for _, a := range order {
+		xSet.IntersectInto(&conds[a].set, next)
 		if next.Empty() {
 			if !f.BestEffort {
 				xSet = next
@@ -267,7 +274,7 @@ func (f *FDS) step(s *game.State, i int) bool {
 			}
 			continue // drop this condition
 		}
-		xSet = next
+		xSet, next = next, xSet
 	}
 
 	x := s.X[i]

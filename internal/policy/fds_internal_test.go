@@ -236,7 +236,7 @@ func TestConditionSetCoversClassifiedCase(t *testing.T) {
 			degenerate := func(x float64) bool {
 				return math.Abs(c.Alpha1.At(x)) < 1e-9 && math.Abs(c.Alpha2.At(x)) < 1e-9
 			}
-			up := conditionSet(c, p, optimize.Interval{Lo: 0.8, Hi: 1})
+			up := condSet(c, p, optimize.Interval{Lo: 0.8, Hi: 1})
 			for _, x := range []float64{0, 0.25, 0.5, 0.75, 1} {
 				if !up.Contains(x) || degenerate(x) {
 					continue
@@ -247,7 +247,7 @@ func TestConditionSetCoversClassifiedCase(t *testing.T) {
 						ci, p, x, cl.Case, cl.Limit)
 				}
 			}
-			down := conditionSet(c, p, optimize.Interval{Lo: 0, Hi: 0.2})
+			down := condSet(c, p, optimize.Interval{Lo: 0, Hi: 0.2})
 			for _, x := range []float64{0, 0.25, 0.5, 0.75, 1} {
 				if !down.Contains(x) || degenerate(x) {
 					continue
@@ -262,6 +262,13 @@ func TestConditionSetCoversClassifiedCase(t *testing.T) {
 	}
 }
 
+// condSet is conditionSet into a set of its own.
+func condSet(c game.LinearCoeffs, p float64, want optimize.Interval) optimize.Set {
+	var set optimize.Set
+	conditionSet(&set, c, p, want)
+	return set
+}
+
 // TestConditionSetESSTarget: Case-4 sets admit only ratios whose stable
 // rest point lies inside the desired interval.
 func TestConditionSetESSTarget(t *testing.T) {
@@ -270,7 +277,7 @@ func TestConditionSetESSTarget(t *testing.T) {
 		Alpha2: game.Affine{A: 0.2, B: 1}, // alpha2 = 0.2 + x
 	}
 	want := optimize.Interval{Lo: 0.4, Hi: 0.6}
-	set := conditionSet(c, 0.5, want)
+	set := condSet(c, 0.5, want)
 	if set.Empty() {
 		t.Fatal("expected non-empty Case-4 set")
 	}

@@ -331,7 +331,7 @@ func TestNudgeLinearizesFreeWorstShare(t *testing.T) {
 	}
 	// A ratio the tracked share's condition set admits, so the step takes
 	// the stall branch; stall memory one unimproved round from patience.
-	if set := conditionSet(fresh[0], 0, field.P[region][0]); !set.Empty() {
+	if set := condSet(fresh[0], 0, field.P[region][0]); !set.Empty() {
 		s.X[region], _ = set.Min()
 	}
 	worst := shortfall(overOne, field.P[region][3])

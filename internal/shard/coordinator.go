@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,12 +42,11 @@ type Config struct {
 // exists to re-forward a batch the aggregator may never have seen when the
 // shard crashes between barrier completion and the upstream exchange.
 type Coordinator struct {
-	cfg   Config
-	owned map[int]bool
+	cfg Config
 
 	mu      sync.Mutex
-	eng     *cloud.Engine   // roster, round barriers, ingest, forwarded-round watermark
-	ratios  map[int]float64 // latest adopted ratio per owned region
+	eng     *cloud.Engine // roster, round barriers, ingest, forwarded-round watermark
+	ratios  []float64     // latest adopted ratio by region, for the owned ones
 	obsv    *obs.Observer
 	metrics coordinatorMetrics
 	srv     *transport.Acceptor
@@ -54,7 +54,7 @@ type Coordinator struct {
 	// Durability (a journal not open = in-memory only; see Open).
 	journal *durable.Journal
 	lastRec *durable.RoundRecord // newest journaled round, for re-forward
-	lastSet *cloud.CensusSet     // the barrier's census set lastRec is built on (nil for a recovered one)
+	lastSet *cloud.CensusSet     // the barrier's census set lastRec lists (nil for a recovered one: the re-forward reads it)
 }
 
 type coordinatorMetrics struct {
@@ -114,21 +114,19 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	o := obs.New()
 	c := &Coordinator{
 		cfg:     cfg,
-		owned:   make(map[int]bool, len(cfg.Regions)),
-		ratios:  make(map[int]float64, len(cfg.Regions)),
 		obsv:    o,
 		metrics: newCoordinatorMetrics(o),
 		srv:     transport.NewAcceptor(),
 		journal: new(durable.Journal),
 	}
-	for _, r := range cfg.Regions {
-		c.owned[r] = true
+	if r := slices.Min(cfg.Regions); r < 0 {
+		return nil, fmt.Errorf("shard %d: coordinator owns region %d", cfg.ID, r)
 	}
+	c.ratios = make([]float64, slices.Max(cfg.Regions)+1)
 	c.eng = cloud.NewEngine(cloud.EngineConfig{
 		Lock:     &c.mu,
 		Name:     fmt.Sprintf("shard %d", cfg.ID),
-		Members:  len(cfg.Regions),
-		Owns:     func(edge int) bool { return c.owned[edge] },
+		Members:  cfg.Regions,
 		K:        cfg.K,
 		Closed:   c.srv.Closed(),
 		Counters: &c.metrics.Counters,
@@ -248,8 +246,8 @@ func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
 // the lock, beside the write and the fsync. Called with c.mu held.
 func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
 	rb.Frozen = true
-	ticket := c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}) // -1 without a state directory
 	censuses := rb.Sorted(round)
+	ticket := c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Sorted: censuses}) // -1 without a state directory
 	return func() { c.finishForward(round, rb, degraded, censuses, ticket) }
 }
 
@@ -277,7 +275,7 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 	// of the record it supersedes does.
 	spent := rb.CensusSet
 	if ticket >= 0 {
-		rec := durable.RoundRecord{Round: round, Degraded: degraded, Censuses: rb.Censuses}
+		rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: censuses}
 		if journalErr == nil && c.keepLocked(rec) {
 			spent, c.lastSet = c.lastSet, rb.CensusSet
 		}
@@ -334,7 +332,7 @@ func (c *Coordinator) upstreamReport(round int, censuses []transport.Census) (tr
 // regions. Called with c.mu held.
 func (c *Coordinator) adoptReplyLocked(reply transport.RatioBatch) {
 	for i, e := range reply.Edges {
-		if c.owned[e] && i < len(reply.X) {
+		if c.eng.Owns(e) && i < len(reply.X) {
 			c.ratios[e] = reply.X[i]
 		}
 	}
@@ -350,7 +348,7 @@ func (c *Coordinator) routeCorrection(rc transport.RatioCorrection) {
 	defer c.mu.Unlock()
 	adopted := 0
 	for i, e := range rc.Edges {
-		if c.owned[e] {
+		if c.eng.Owns(e) {
 			c.ratios[e] = rc.X[i]
 			adopted++
 		}
@@ -378,7 +376,11 @@ func (c *Coordinator) Open(stateDir string) error {
 			return cp.Round, err
 		},
 		Replay: func(rec durable.RoundRecord) (bool, error) {
-			c.keepLocked(rec)
+			set, err := c.eng.Collect(rec)
+			if err != nil {
+				return false, err
+			}
+			c.keepLocked(durable.RoundRecord{Round: rec.Round, Degraded: rec.Degraded, Sorted: set.Sorted(rec.Round)})
 			applied := rec.Round > c.eng.Latest()
 			c.eng.Advance(rec.Round)
 			return applied, nil
@@ -392,11 +394,11 @@ func (c *Coordinator) Open(stateDir string) error {
 		// / lag-window rewind), so re-forwarding an acknowledged batch is
 		// harmless.
 		c.srv.Go(func() {
-			if err := c.relay(last.Round, cloud.SortedCensuses(last.Round, last.Censuses)); err != nil {
+			if err := c.relay(last.Round, last.Sorted); err != nil {
 				c.logf("shard %d: re-forwarding recovered round %d failed: %v", c.cfg.ID, last.Round, err)
 				return
 			}
-			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, last.Round, len(last.Censuses))
+			c.logf("shard %d: re-forwarded recovered round %d (%d regions)", c.cfg.ID, last.Round, len(last.Sorted))
 		})
 	}
 	return err

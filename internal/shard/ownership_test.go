@@ -91,10 +91,7 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 	}
 	c.mu.Lock()
 	out := shardKept{Hash: agg.StateHash(), LastRec: *c.lastRec}
-	out.LastRec.Censuses = map[int][]int{}
-	for edge, cs := range c.lastRec.Censuses {
-		out.LastRec.Censuses[edge] = append([]int(nil), cs...)
-	}
+	out.LastRec.Sorted, out.LastRec.Censuses = nil, censusMap(c.lastRec.Sorted)
 	c.mu.Unlock()
 	journal, _, err := durable.OpenJournal(crashtest.CopyDir(t, dir))
 	if err != nil {
