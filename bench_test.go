@@ -178,7 +178,7 @@ func BenchmarkMicroMacroAgents(b *testing.B) {
 	bc, _ := getBenchWorlds(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MicroMacro(bc, []int{24}, sim.MacroOptions{}); err != nil {
+		if _, err := experiments.MicroMacro(bc, []int{24}, 1, sim.MacroOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -247,7 +247,7 @@ func runMicroMacro(sc experiments.Scale) error {
 	if err != nil {
 		return err
 	}
-	res, err := experiments.MicroMacro(bc, nil, sim.MacroOptions{})
+	res, err := experiments.MicroMacro(bc, nil, 0, sim.MacroOptions{})
 	if err != nil {
 		return err
 	}

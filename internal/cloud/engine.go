@@ -370,6 +370,10 @@ func (e *Engine) Recycle(set *CensusSet) {
 	}
 }
 
+// Spares returns how many recycled census sets wait for Place to fill them.
+// Called with the lock held.
+func (e *Engine) Spares() int { return len(e.spare) }
+
 // Add validates one round's censuses, places them (see Place), and
 // completes the barrier through the owner's hook if that fills the quorum.
 // It does not wait: a non-nil barrier is the one to wait on. late with a

@@ -97,13 +97,15 @@ func (r *LambdaAblationResult) Render(w io.Writer) error {
 // MicroMacroPoint is one population size's comparison.
 type MicroMacroPoint struct {
 	Vehicles int
-	// L1 is the mean L1 distance between the agent-based final
-	// distribution and the macroscopic mean-field prediction, averaged
-	// over regions.
-	L1 float64
-	// Converged reports whether the agent simulation reached the field.
-	Converged bool
-	Rounds    int
+	// Gap summarizes, over the seeds, the L1 distance between the
+	// agent-based distribution and the macroscopic mean-field prediction,
+	// averaged over regions, measured sim.SettleRounds rounds after the run
+	// first satisfied the field (at its last round if it never did).
+	Gap metrics.Summary
+	// Converged counts the seeds whose run reached the field.
+	Converged int
+	// Rounds is the longest run's round count.
+	Rounds int
 }
 
 // MicroMacroResult validates the mean-field construction: the distributed
@@ -112,14 +114,20 @@ type MicroMacroPoint struct {
 // shrinking as the population grows.
 type MicroMacroResult struct {
 	Points []MicroMacroPoint
-	// GapShrinks: the largest population's L1 gap is below the smallest's.
+	// GapShrinks: the largest population's mean gap lies below the
+	// smallest's by more than two standard errors of the difference — a
+	// shrink the seeds' spread cannot account for. With one seed a
+	// population there is no spread to judge by, and it is false.
 	GapShrinks bool
 }
 
-// MicroMacro runs the comparison.
-func MicroMacro(w *sim.World, populations []int, opts sim.MacroOptions) (*MicroMacroResult, error) {
+// MicroMacro runs the comparison: seeds runs per population (default 10).
+func MicroMacro(w *sim.World, populations []int, seeds int, opts sim.MacroOptions) (*MicroMacroResult, error) {
 	if len(populations) == 0 {
 		populations = []int{12, 48, 120}
+	}
+	if seeds <= 0 {
+		seeds = 10
 	}
 	// A soft choice temperature keeps every region's quantal-response
 	// equilibrium away from basin boundaries; at sharper temperatures the
@@ -148,36 +156,43 @@ func MicroMacro(w *sim.World, populations []int, opts sim.MacroOptions) (*MicroM
 
 	res := &MicroMacroResult{}
 	for _, n := range populations {
-		run, err := w.RunAgentSim(sim.AgentSimConfig{
-			VehiclesPerRegion: n,
-			Rounds:            120,
-			Field:             field,
-			Seed:              int64(1000 + n),
-			X0:                0.5,
-			InitialShares:     start.P,
-			Tau:               opts.Tau,
-			Mu:                opts.Mu,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: agent sim with %d vehicles: %w", n, err)
-		}
-		final := run.SharesTrace[len(run.SharesTrace)-1]
-		l1 := 0.0
-		for i := range final {
-			for k := range final[i] {
-				l1 += math.Abs(final[i][k] - targetEq.P[i][k])
+		p := MicroMacroPoint{Vehicles: n}
+		gaps := make([]float64, seeds)
+		for s := range gaps {
+			run, err := w.RunAgentSim(sim.AgentSimConfig{
+				VehiclesPerRegion: n,
+				Rounds:            200,
+				Field:             field,
+				Seed:              int64(1000 + n + 100000*s),
+				X0:                0.5,
+				InitialShares:     start.P,
+				Tau:               opts.Tau,
+				Mu:                opts.Mu,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: agent sim with %d vehicles, seed %d: %w", n, s, err)
 			}
+			final := run.SharesTrace[len(run.SharesTrace)-1]
+			for i := range final {
+				for k := range final[i] {
+					gaps[s] += math.Abs(final[i][k] - targetEq.P[i][k])
+				}
+			}
+			gaps[s] /= float64(len(final))
+			if run.Converged {
+				p.Converged++
+			}
+			p.Rounds = max(p.Rounds, run.Rounds)
 		}
-		l1 /= float64(len(final))
-		res.Points = append(res.Points, MicroMacroPoint{
-			Vehicles:  n,
-			L1:        l1,
-			Converged: run.Converged,
-			Rounds:    run.Rounds,
-		})
+		p.Gap = metrics.Summarize(gaps)
+		res.Points = append(res.Points, p)
 	}
-	if len(res.Points) >= 2 {
-		res.GapShrinks = res.Points[len(res.Points)-1].L1 < res.Points[0].L1
+	if k := len(res.Points); k >= 2 && seeds >= 2 {
+		small, large := res.Points[0].Gap, res.Points[k-1].Gap
+		// Summary.Std is the population deviation, so a mean's standard
+		// error is Std/√(N−1).
+		se := math.Sqrt((small.Std*small.Std + large.Std*large.Std) / float64(seeds-1))
+		res.GapShrinks = small.Mean-large.Mean > 2*se
 	}
 	return res, nil
 }
@@ -185,18 +200,23 @@ func MicroMacro(w *sim.World, populations []int, opts sim.MacroOptions) (*MicroM
 // Render prints the comparison.
 func (r *MicroMacroResult) Render(w io.Writer) error {
 	header(w, "Micro/macro consistency — agent-based system vs mean field")
-	rows := [][]string{{"vehicles/region", "L1 gap to mean field", "converged", "rounds"}}
+	rows := [][]string{{"vehicles/region", "seeds", "mean L1 gap", "std", "min", "max", "converged", "max rounds"}}
 	for _, p := range r.Points {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Vehicles),
-			metrics.FormatFloat(p.L1),
-			fmt.Sprintf("%v", p.Converged),
+			fmt.Sprintf("%d", p.Gap.N),
+			metrics.FormatFloat(p.Gap.Mean),
+			metrics.FormatFloat(p.Gap.Std),
+			metrics.FormatFloat(p.Gap.Min),
+			metrics.FormatFloat(p.Gap.Max),
+			fmt.Sprintf("%d/%d", p.Converged, p.Gap.N),
 			fmt.Sprintf("%d", p.Rounds),
 		})
 	}
 	if err := metrics.Table(w, rows); err != nil {
 		return err
 	}
-	note(w, "sampling gap shrinks with population size: %v", r.GapShrinks)
+	note(w, "gap measured %d rounds after each run first satisfied the field", sim.SettleRounds)
+	note(w, "gap shrinks with population size beyond two standard errors: %v", r.GapShrinks)
 	return nil
 }

@@ -240,7 +240,7 @@ func TestLambdaAblation(t *testing.T) {
 
 func TestMicroMacro(t *testing.T) {
 	bc, _ := testWorlds(t)
-	res, err := MicroMacro(bc, []int{12, 48}, sim.MacroOptions{})
+	res, err := MicroMacro(bc, []int{12, 48}, 2, sim.MacroOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +250,9 @@ func TestMicroMacro(t *testing.T) {
 	for _, p := range res.Points {
 		if p.Rounds == 0 {
 			t.Error("agent sim executed no rounds")
+		}
+		if p.Gap.N != 2 {
+			t.Errorf("%d vehicles: gap over %d seeds, want 2", p.Vehicles, p.Gap.N)
 		}
 	}
 	var buf bytes.Buffer

@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 
+	"repro/internal/cloud"
 	"repro/internal/durable"
 )
 
@@ -61,8 +62,12 @@ func (n *Node) replayLocked(rec durable.RoundRecord) (bool, error) {
 		}
 		n.eng.Advance(rec.Round)
 	}
+	kept := false
 	if k := len(n.pending); rec.Round >= n.escalated && (k == 0 || rec.Round > n.pending[k-1].Round) {
-		n.backlogLocked(rec)
+		kept, _ = n.backlogLocked(rec, set)
+	}
+	if !kept {
+		n.recycleLocked(set)
 	}
 	return applied, nil
 }
@@ -72,20 +77,50 @@ func (n *Node) replayLocked(rec durable.RoundRecord) (bool, error) {
 // promoted after the leader dies holds what it never escalated — and sheds
 // the oldest past MaxBacklog, moving the watermark past them: they are
 // forgone for good, live and after a restart alike. A node without a backlog
-// only moves the watermark. It returns how many it shed. Called with n.mu
-// held.
-func (n *Node) backlogLocked(rec durable.RoundRecord) (shed int) {
+// only moves the watermark. The backlog keeps set, the census set rec's list
+// is cut from, until the round leaves it; kept reports whether it did, and
+// shed how many rounds it shed. Called with n.mu held.
+func (n *Node) backlogLocked(rec durable.RoundRecord, set *cloud.CensusSet) (kept bool, shed int) {
 	if !n.leader && !n.failover {
 		n.escalated = rec.Round + 1
-		return 0
+		return false, 0
 	}
-	n.pending = append(n.pending, rec)
+	n.pending, n.sets = append(n.pending, rec), append(n.sets, set)
 	if n.cfg.MaxBacklog > 0 && len(n.pending) > n.cfg.MaxBacklog {
 		shed = len(n.pending) - n.cfg.MaxBacklog
-		n.pending = append(n.pending[:0], n.pending[shed:]...)
+		n.dropLocked(shed)
 		n.escalated = n.pending[0].Round
 	}
-	return shed
+	return true, shed
+}
+
+// dropLocked takes the oldest k rounds off the backlog and hands their census
+// sets back, unless an escalation is reading the backlog's lists outside n.mu:
+// the collector then takes them. Called with n.mu held.
+func (n *Node) dropLocked(k int) {
+	if n.reading == 0 {
+		n.recycleLocked(n.sets[:k]...)
+	}
+	n.pending = append(n.pending[:0], n.pending[k:]...)
+	n.sets = append(n.sets[:0], n.sets[k:]...)
+}
+
+// maxSpares bounds the census sets a node's engine keeps for its next
+// barriers: a leader's backlog between two escalations, or a follower's
+// between two beats, at a few milliseconds a round, plus the barrier
+// completing and the next. Past it the collector takes what a prune frees, so
+// the sets a long partition's backlog held do not outlive it.
+const maxSpares = 32
+
+// recycleLocked hands census sets the node is done with back to the engine,
+// whose next barriers fill them, up to maxSpares. Called with n.mu held.
+func (n *Node) recycleLocked(sets ...*cloud.CensusSet) {
+	for _, set := range sets {
+		if n.eng.Spares() >= maxSpares {
+			return
+		}
+		n.eng.Recycle(set)
+	}
 }
 
 // checkpointLocked is the journal's Checkpoint hook: the fold, the

@@ -110,6 +110,8 @@ type Node struct {
 	fold      *cloud.Fold
 	escalated int                   // next round the leader will escalate (rounds below are acked)
 	pending   []durable.RoundRecord // unacked rounds, ascending (every member retains them under failover)
+	sets      []*cloud.CensusSet    // pending[i]'s census set, its list's storage
+	reading   int                   // escalations encoding the backlog's lists outside n.mu
 	senders   []*peerSender         // one per peer, by member id; fixed after NewNode
 	censusFan fan                   // LocalRound's fan-outs to the senders
 	beatFan   fan                   // the failover clock's beats
@@ -408,16 +410,15 @@ func (n *Node) submitBeat(beat transport.HoodBeat) error {
 	return nil
 }
 
-// prunePendingLocked drops backlog rounds below the escalation watermark
-// and refreshes the backlog gauges. Called with n.mu held.
+// prunePendingLocked drops the backlog rounds below the escalation
+// watermark, the oldest (see dropLocked), and refreshes the backlog gauges.
+// Called with n.mu held.
 func (n *Node) prunePendingLocked() {
-	keep := n.pending[:0]
-	for _, rec := range n.pending {
-		if rec.Round >= n.escalated {
-			keep = append(keep, rec)
-		}
+	k := 0
+	for k < len(n.pending) && n.pending[k].Round < n.escalated {
+		k++
 	}
-	n.pending = keep
+	n.dropLocked(k)
 	n.setBacklogLocked()
 }
 
@@ -675,7 +676,8 @@ func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) 
 	// Latest() as the checkpoint round over a state that already includes
 	// this round's fold, and retains the backlog.
 	n.eng.Advance(round)
-	if shed := n.backlogLocked(rec); shed > 0 {
+	kept, shed := n.backlogLocked(rec, rb.CensusSet)
+	if shed > 0 {
 		n.metrics.backlogDrop.Add(int64(shed))
 		n.logf("gossip: edge %d: backlog cap %d shed %d oldest rounds (next escalation starts at %d)",
 			n.cfg.Edge, n.cfg.MaxBacklog, shed, n.escalated)
@@ -686,6 +688,9 @@ func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) 
 		n.journal.Journaled(rec, since, err)
 	}
 	n.eng.Release(round, rb, degraded)
+	if !kept {
+		n.recycleLocked(rb.CensusSet) // the appender is through with it
+	}
 	return nil
 }
 
@@ -708,7 +713,9 @@ func (n *Node) Flush() error {
 // on acknowledgment, advances the escalation watermark and compacts the
 // journal. A fresh connection is dialed per escalation: a partitioned cloud
 // fails the dial fast, the backlog is kept, and the next K boundary (or
-// Flush) retries. Runs on the caller's goroutine, never under n.mu.
+// Flush) retries. Runs on the caller's goroutine, never under n.mu; the
+// digest's lists are the backlog's own, which it reads under a lease
+// (reading) until the exchange ends.
 func (n *Node) escalate() error {
 	if n.cfg.CloudDial == nil {
 		return fmt.Errorf("gossip: edge %d: no cloud dialer", n.cfg.Edge)
@@ -730,23 +737,26 @@ func (n *Node) escalate() error {
 		d.Rounds = append(d.Rounds, transport.DigestRound{Round: rec.Round, Degraded: rec.Degraded, Censuses: rec.Sorted})
 	}
 	last := d.Rounds[len(d.Rounds)-1].Round
+	n.reading++
 	n.mu.Unlock()
 
+	what := "dialing cloud for"
+	var reply transport.RatioBatch
 	conn, err := n.cfg.CloudDial()
-	if err != nil {
-		n.metrics.escFailures.Inc()
-		n.logf("gossip: edge %d: dialing cloud for digest through round %d: %v", n.cfg.Edge, last, err)
-		return err
-	}
-	reply, err := session.EscalateDigest(conn, d, n.cfg.ReplyTimeout)
-	conn.Close()
-	if err != nil {
-		n.metrics.escFailures.Inc()
-		n.logf("gossip: edge %d: escalating digest through round %d: %v", n.cfg.Edge, last, err)
-		return err
+	if err == nil {
+		what = "escalating"
+		reply, err = session.EscalateDigest(conn, d, n.cfg.ReplyTimeout)
+		conn.Close()
 	}
 
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.reading--
+	if err != nil {
+		n.metrics.escFailures.Inc()
+		n.logf("gossip: edge %d: %s digest through round %d: %v", n.cfg.Edge, what, last, err)
+		return err
+	}
 	for i, e := range reply.Edges {
 		if e == n.cfg.Edge && i < len(reply.X) {
 			n.cloudX = reply.X[i]
@@ -762,7 +772,6 @@ func (n *Node) escalate() error {
 	n.prunePendingLocked()
 	n.metrics.escalations.Inc()
 	n.journal.Compact()
-	n.mu.Unlock()
 	return nil
 }
 

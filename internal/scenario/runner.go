@@ -724,8 +724,8 @@ func (r *runner) drive() (*runResult, error) {
 	// The run is over: read the fold before teardown. Converged means the
 	// fold satisfied the desired field at some round — the revision
 	// dynamics are stochastic, so a small fleet keeps wobbling around the
-	// band after first touching it (RunAgentSim stops at that point; the
-	// runner keeps going for the fixed-round trajectory).
+	// band after first touching it (RunAgentSim stops sim.SettleRounds
+	// later; the runner keeps going for the fixed-round trajectory).
 	res.hash = r.agg.Cloud.StateHash()
 	res.converged = res.convergedRound >= 0 || r.agg.Cloud.Converged()
 	state := r.agg.Cloud.State()

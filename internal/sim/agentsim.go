@@ -69,6 +69,12 @@ func (c *AgentSimConfig) fill() {
 	}
 }
 
+// SettleRounds is how many rounds RunAgentSim keeps running past the first
+// one after which the cloud's view satisfies the field, within Rounds: the
+// final distribution is then a settled population's, not the one that has
+// just entered the field's band.
+const SettleRounds = 30
+
 // AgentSimResult reports an agent-based run.
 type AgentSimResult struct {
 	// SharesTrace[t][i][k] is region i's observed decision distribution at
@@ -78,7 +84,8 @@ type AgentSimResult struct {
 	RatioTrace [][]float64
 	// Converged reports whether the cloud's view satisfied the field.
 	Converged bool
-	// Rounds actually executed.
+	// Rounds actually executed: the config's Rounds, or SettleRounds past
+	// convergence if that comes first.
 	Rounds int
 	// TotalDeliveredItems counts step-⑤ items across the run.
 	TotalDeliveredItems int
@@ -179,7 +186,7 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 	for i := range x {
 		x[i] = cfg.X0
 	}
-	for t := 0; t < cfg.Rounds; t++ {
+	for t, end := 0, cfg.Rounds; t < end; t++ {
 		res.RatioTrace = append(res.RatioTrace, append([]float64(nil), x...))
 		shares, next, errs := make([][]float64, m), make([]float64, m), make([]error, m)
 		var wg sync.WaitGroup
@@ -200,9 +207,8 @@ func (w *World) RunAgentSim(cfg AgentSimConfig) (*AgentSimResult, error) {
 		}
 		res.SharesTrace = append(res.SharesTrace, shares)
 		res.Rounds, x = t+1, next
-		if cloud.Cloud.Converged() {
-			res.Converged = true
-			break
+		if !res.Converged && cloud.Cloud.Converged() {
+			res.Converged, end = true, min(end, t+1+SettleRounds)
 		}
 	}
 

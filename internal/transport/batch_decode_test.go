@@ -267,3 +267,34 @@ func TestBatchDecodeHostileLengths(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCensusBatchCodec encodes and decodes a flood-sized census batch:
+// 512 censuses of K=8 counts, the counts a region of a few dozen vehicles
+// reports (one or two varint bytes each).
+func BenchmarkCensusBatchCodec(b *testing.B) {
+	m, err := Encode(KindCensusBatch, uniformBatch(512, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame, err := Binary.AppendEncode(nil, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(frame))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf, err = Binary.AppendEncode(buf[:0], m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Binary.Decode(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

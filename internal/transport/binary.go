@@ -396,17 +396,9 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 
 // --- encode helpers ---
 
-func appendInt(dst []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
+func appendInt(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
 
-func appendLen(dst []byte, n int) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(tmp[:], uint64(n))
-	return append(dst, tmp[:w]...)
-}
+func appendLen(dst []byte, n int) []byte { return binary.AppendUvarint(dst, uint64(n)) }
 
 func appendFloat(dst []byte, f float64) []byte {
 	var tmp [8]byte
@@ -518,6 +510,11 @@ func (r *byteReader) int() int64 {
 	if r.err != nil {
 		return 0
 	}
+	if len(r.buf) > 0 && r.buf[0] < 0x80 { // one byte: -64..63 zig-zagged
+		b := int64(r.buf[0])
+		r.buf = r.buf[1:]
+		return b>>1 ^ -(b & 1)
+	}
 	v, n := binary.Varint(r.buf)
 	if n <= 0 {
 		r.fail(fmt.Errorf("truncated varint"))
@@ -531,6 +528,11 @@ func (r *byteReader) int() int64 {
 func (r *byteReader) uint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if len(r.buf) > 0 && r.buf[0] < 0x80 {
+		v := uint64(r.buf[0])
+		r.buf = r.buf[1:]
+		return v
 	}
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
