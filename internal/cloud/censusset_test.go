@@ -18,7 +18,7 @@ import (
 // the pins below reach.
 func pinEngine(mu *sync.Mutex, m, k int) *Engine {
 	return NewEngine(EngineConfig{Lock: mu, Name: "pin", Members: ids(m), K: k, Counters: &Counters{},
-		Span: func(int) *obs.Span { return nil }})
+		Span: func(int) obs.Span { return obs.Span{} }})
 }
 
 // mapSet is the census set a barrier held before sets were indexed by

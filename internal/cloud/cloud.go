@@ -163,7 +163,7 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 		Closed:   s.srv.Closed(),
 		Counters: &s.metrics.Counters,
 		Logf:     s.logfLocked,
-		Span:     func(round int) *obs.Span { return s.obsv.Span("consensus_round", obs.A("round", round)) },
+		Span:     func(round int) obs.Span { return s.obsv.Span("consensus_round", obs.A("round", round)) },
 		Complete: s.completeRoundLocked,
 		Ratio:    fold.X,
 	})
@@ -328,7 +328,7 @@ func (s *Server) SubmitBatch(batch transport.CensusBatch) (reply transport.Ratio
 // resulting state, every other connected edge is pushed a correction —
 // and beyond it the censuses are folded away, the degraded legacy path.
 func (s *Server) ingest(round int, censuses []transport.Census) error {
-	late, err := s.eng.Submit(round, censuses)
+	late, err := s.eng.Submit(round, censuses, nil)
 	if !late {
 		return err
 	}

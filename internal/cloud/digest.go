@@ -76,7 +76,7 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 		if err != nil {
 			return transport.RatioBatch{}, err
 		}
-		if b.digested == nil {
+		if len(b.digested) != d.Of {
 			b.digested = make([]bool, d.Of)
 		}
 		b.digested[d.Neighborhood] = true

@@ -70,6 +70,7 @@ type Engine struct {
 	stopped bool
 	fanout  []*reporter  // PushCorrections' sessions, empty between calls
 	spare   []*CensusSet // sets owners recycled, which Place fills before it allocates
+	idle    []*Barrier   // barriers let go of, which Place opens before it allocates
 }
 
 // member is the kernel's state for one region id: membership, lease, session.
@@ -101,7 +102,7 @@ type EngineConfig struct {
 	Logf func(format string, args ...interface{})
 	// Span opens the owner's span for a new barrier (the owners' span names
 	// differ). Called with the lock held.
-	Span func(round int) *obs.Span
+	Span func(round int) obs.Span
 	// Complete is called with the lock held when a barrier must complete:
 	// its quorum filled, its deadline fired (degraded), a lease eviction
 	// left it satisfied, or the owner is draining. The owner folds or
@@ -179,36 +180,64 @@ func (s *CensusSet) Sorted(round int) []transport.Census {
 }
 
 // Barrier collects one pending round's censuses until its quorum fills or
-// its deadline expires. Waiters block on Done; after it closes, Err reports
+// its deadline expires. Submit waits on it; once it resolves, Err reports
 // abandonment, failure or shutdown (nil means the round completed and the
-// owner's post-round state is current). All fields are guarded by the
-// owner's lock except Done, which is safe to receive on anywhere.
+// owner's post-round state is current). The kernel reuses a barrier for a
+// later round once it has resolved, no Submit still waits on it and it is
+// not Frozen, so an owner reads a barrier only under the lock it was placed
+// or completed under or, when frozen, until it calls Thaw. All fields are
+// guarded by the owner's lock.
 type Barrier struct {
 	*CensusSet
-	Done     chan struct{}
-	Err      error
-	Degraded bool
-	Opened   time.Time
-	Span     *obs.Span
+	Err    error
+	Opened time.Time
+	Span   obs.Span
 	// Frozen marks a barrier whose completion is in flight outside the lock
 	// (set by the owner's Complete hook): the kernel no longer adds to it,
-	// expires it or completes it again, and a census that finds it frozen is
-	// reported late once the barrier resolves.
+	// expires it, completes it again or reuses it until the owner calls
+	// Thaw, and a census that finds it frozen is reported late once the
+	// barrier resolves.
 	Frozen   bool
-	timer    *time.Timer
+	round    int
+	due      time.Time     // when the deadline completes it; zero when untimed
+	timer    *time.Timer   // the deadline, kept across rounds
+	wake     chan struct{} // one token per waiter when it resolves
+	waiters  int           // Submits waiting on it
+	resolved bool
 	digested []bool // the neighborhoods whose digests carried the round (SubmitDigest)
 }
 
 // Size returns how many members have reported.
 func (b *Barrier) Size() int { return b.n }
 
-// resolve stops the barrier's deadline and wakes its waiters with err.
+// resolve stops b's deadline and wakes its waiters with err.
 func (b *Barrier) resolve(err error) {
 	if b.timer != nil {
 		b.timer.Stop()
 	}
-	b.Err = err
-	close(b.Done)
+	b.Err, b.resolved, b.due = err, true, time.Time{}
+	for range b.waiters {
+		b.wake <- struct{}{}
+	}
+}
+
+// letGo keeps b for Place to open again once it has resolved and nothing
+// holds it: no waiter and no frozen completion. The census set stays its
+// owner's.
+func (e *Engine) letGo(b *Barrier) {
+	if b.resolved && b.waiters == 0 && !b.Frozen {
+		b.CensusSet, b.Err, b.Span, b.resolved = nil, nil, obs.Span{}, false
+		clear(b.digested)
+		e.idle = append(e.idle, b)
+	}
+}
+
+// Thaw ends the hold a Complete hook took on b by freezing it: the owner's
+// completion is through with b, which has resolved or is resolved with it.
+// Called with the lock held.
+func (e *Engine) Thaw(b *Barrier) {
+	b.Frozen = false
+	e.letGo(b)
 }
 
 // NewEngine returns an idle kernel with no completed rounds.
@@ -287,15 +316,16 @@ func (e *Engine) DropFrame(err error) {
 }
 
 // Place classifies one round's validated censuses against the watermark and
-// puts them on the round's barrier, opening it if needed (timed barriers
-// arm the Deadline). A round at or below the watermark is late: nothing is
-// placed and the owner resolves the censuses its own way. A round beyond
-// the skew bound is refused. A census finding its barrier frozen is not
-// added; the barrier is returned with late set, for the caller to wait on
-// before treating the census as late. Otherwise each census's counts are
-// copied onto the barrier, last write wins — a redialing link re-submits
-// the census it never got an answer for — so the caller's censuses stay
-// the caller's. Called with the lock held; it does not check the quorum.
+// puts them on the round's barrier, opening it if needed — an idle one before
+// a fresh one; timed barriers arm the Deadline. A round at or below the
+// watermark is late: nothing is placed and the owner resolves the censuses
+// its own way. A round beyond the skew bound is refused. A census finding
+// its barrier frozen is not added; the barrier is returned with late set.
+// Otherwise each census's counts are copied onto the barrier, last write
+// wins — a redialing link re-submits the census it never got an answer for
+// — so the caller's censuses stay the caller's. Called with the lock held,
+// which the caller keeps while it reads the barrier; it does not check the
+// quorum.
 func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *Barrier, late bool, err error) {
 	switch {
 	case e.stopped:
@@ -309,11 +339,21 @@ func (e *Engine) Place(round int, censuses []transport.Census, timed bool) (b *B
 	}
 	b, ok := e.rounds[round]
 	if !ok {
-		b = &Barrier{CensusSet: e.takeSet(), Done: make(chan struct{}), Opened: time.Now(), Span: e.cfg.Span(round)}
+		if n := len(e.idle); n > 0 {
+			b, e.idle = e.idle[n-1], e.idle[:n-1]
+		} else {
+			b = &Barrier{wake: make(chan struct{}, 1<<30)} // tokens of struct{} take no buffer
+		}
+		b.round, b.CensusSet, b.Opened, b.Span = round, e.takeSet(), time.Now(), e.cfg.Span(round)
 		e.rounds[round] = b
 		if timed && e.Deadline > 0 {
-			opened := b // the closure's own copy: capturing b would move it to the heap on every call
-			b.timer = time.AfterFunc(e.Deadline, func() { e.expire(round, opened) })
+			b.due = b.Opened.Add(e.Deadline)
+			if b.timer == nil {
+				kept := b // the closure's own copy: capturing b would move it to the heap on every call
+				b.timer = time.AfterFunc(e.Deadline, func() { e.expire(kept) })
+			} else {
+				b.timer.Reset(e.Deadline)
+			}
 		}
 	}
 	if b.Frozen {
@@ -376,9 +416,16 @@ func (e *Engine) Spares() int { return len(e.spare) }
 
 // Add validates one round's censuses, places them (see Place), and
 // completes the barrier through the owner's hook if that fills the quorum.
-// It does not wait: a non-nil barrier is the one to wait on. late with a
-// nil barrier means the round had already completed. Takes the lock.
-func (e *Engine) Add(round int, censuses []transport.Census) (b *Barrier, late bool, err error) {
+// It does not wait. late means the round had already completed, or its
+// completion was in flight. Takes the lock.
+func (e *Engine) Add(round int, censuses []transport.Census) (late bool, err error) {
+	_, late, err = e.add(round, censuses, false)
+	return late, err
+}
+
+// add is Add; with wait, the barrier it returns holds the caller as a
+// waiter, and without, the caller must not keep it.
+func (e *Engine) add(round int, censuses []transport.Census, wait bool) (b *Barrier, late bool, err error) {
 	if len(censuses) == 0 {
 		return nil, false, fmt.Errorf("%s: empty census batch for round %d", e.cfg.Name, round)
 	}
@@ -394,6 +441,9 @@ func (e *Engine) Add(round int, censuses []transport.Census) (b *Barrier, late b
 	e.mu.Lock()
 	var after func()
 	b, late, err = e.Place(round, censuses, true)
+	if b != nil && wait {
+		b.waiters++
+	}
 	if b != nil && !late && e.quorumMetLocked(b) {
 		after = e.cfg.Complete(round, b, b.Size() < len(e.cfg.Members))
 	}
@@ -415,18 +465,38 @@ func (e *Engine) unlockThen(after func()) {
 // deadline, abandoned, failed, or shut down. late reports that the censuses
 // did not make it into the round's completion (the round had already
 // completed, or its completion was in flight and has now finished): the
-// owner resolves them its own way. Takes the lock.
-func (e *Engine) Submit(round int, censuses []transport.Census) (late bool, err error) {
-	b, late, err := e.Add(round, censuses)
+// owner resolves them its own way. placed, when non-nil, runs outside the
+// lock once the censuses are on their barrier, before the wait (not when
+// they are late). Takes the lock.
+func (e *Engine) Submit(round int, censuses []transport.Census, placed func()) (late bool, err error) {
+	b, late, err := e.add(round, censuses, true)
 	if b == nil {
 		return late, err
 	}
-	select {
-	case <-b.Done:
-		return late, b.Err
-	case <-e.cfg.Closed:
-		return false, transport.ErrClosed
+	if placed != nil && !late {
+		placed()
 	}
+	return e.wait(b, late)
+}
+
+// wait blocks a waiter add counted on b until b resolves or the owner
+// closes, then lets go of b. Takes the lock.
+func (e *Engine) wait(b *Barrier, late bool) (_ bool, err error) {
+	select {
+	case <-b.wake:
+		e.mu.Lock()
+		err = b.Err
+	case <-e.cfg.Closed:
+		e.mu.Lock()
+		if b.resolved {
+			<-b.wake // the token resolve counted for this waiter
+		}
+		late, err = false, transport.ErrClosed
+	}
+	b.waiters--
+	e.letGo(b)
+	e.mu.Unlock()
+	return late, err
 }
 
 // Ratio returns one member's current sharing ratio. Takes the lock.
@@ -452,12 +522,14 @@ func (e *Engine) RatioBatch(reply *transport.RatioBatch, round int, censuses []t
 }
 
 // expire is a barrier's deadline: unless the barrier resolved or froze
-// while the timer waited on the lock, it completes degraded.
-func (e *Engine) expire(round int, b *Barrier) {
+// while the timer waited on the lock, it completes degraded. A firing left
+// over from the barrier's last round finds it idle, or open again with its
+// new deadline still ahead.
+func (e *Engine) expire(b *Barrier) {
 	e.mu.Lock()
 	var after func()
-	if e.rounds[round] == b && !b.Frozen {
-		after = e.cfg.Complete(round, b, true)
+	if e.rounds[b.round] == b && !b.Frozen && !b.due.IsZero() && !time.Now().Before(b.due) {
+		after = e.cfg.Complete(b.round, b, true)
 	}
 	e.unlockThen(after)
 }
@@ -492,12 +564,12 @@ func (e *Engine) Drain() {
 // wake, and every pending barrier the new watermark strands is evicted
 // with ErrRoundAbandoned (an edge that died mid-round must not leak its
 // half-filled barrier). The owner must have folded and journaled the
-// round's effect first — waiters read the post-round state the moment Done
-// closes — and may have set b.Err (a fold that failed still consumes its
-// round; its waiters see the error).
+// round's effect first — waiters read the post-round state the moment they
+// wake — and may have set b.Err (a fold that failed still consumes its
+// round; its waiters see the error). Unless a waiter or a freeze holds b,
+// the kernel reuses it from here on.
 func (e *Engine) Release(round int, b *Barrier, degraded bool) {
 	c := e.cfg.Counters
-	b.Degraded = degraded
 	b.resolve(b.Err)
 	delete(e.rounds, round)
 	e.Advance(round)
@@ -516,7 +588,9 @@ func (e *Engine) Release(round int, b *Barrier, degraded bool) {
 		delete(e.rounds, r)
 		c.Abandoned.Inc()
 		old.Span.End(obs.A("abandoned", true), obs.A("superseded_by", round))
+		e.letGo(old)
 	}
+	e.letGo(b)
 }
 
 // Fail resolves round's barrier with err without advancing the watermark
@@ -528,6 +602,7 @@ func (e *Engine) Fail(round int, b *Barrier, err error) {
 		delete(e.rounds, round)
 	}
 	b.Span.End(obs.A("failed", err.Error()))
+	e.letGo(b)
 }
 
 // Stop shuts the kernel down: every pending barrier fails with
@@ -539,6 +614,7 @@ func (e *Engine) Stop() {
 		b.resolve(transport.ErrClosed)
 		delete(e.rounds, round)
 		b.Span.End(obs.A("closed", true))
+		e.letGo(b)
 	}
 	for i := range e.roster {
 		if t := e.roster[i].lease.timer; t != nil {

@@ -2,8 +2,11 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -53,7 +56,7 @@ func newRig(members, k int) *rig {
 		K:        k,
 		Closed:   r.closed,
 		Counters: &r.tick,
-		Span:     func(int) *obs.Span { return nil },
+		Span:     func(int) obs.Span { return obs.Span{} },
 		Complete: func(round int, b *Barrier, degraded bool) func() {
 			var edges []int
 			for e := range b.asMap() {
@@ -115,13 +118,34 @@ func census(edge, round int, counts ...int) transport.Census {
 }
 
 // add places one census without waiting on its barrier.
-func (r *rig) add(t *testing.T, c transport.Census) *Barrier {
+func (r *rig) add(t *testing.T, c transport.Census) {
 	t.Helper()
-	b, late, err := r.eng.Add(c.Round, []transport.Census{c})
-	if err != nil || late {
+	if late, err := r.eng.Add(c.Round, []transport.Census{c}); err != nil || late {
 		t.Fatalf("Add(%+v) = late %v, err %v", c, late, err)
 	}
-	return b
+}
+
+// outcome is what a Submit returned.
+type outcome struct {
+	late bool
+	err  error
+}
+
+// submit places one census, as Submit does, before it returns, and waits on
+// its barrier in the background: the outcome arrives once the barrier
+// resolves.
+func (r *rig) submit(t *testing.T, c transport.Census) <-chan outcome {
+	t.Helper()
+	b, late, err := r.eng.add(c.Round, []transport.Census{c}, true)
+	if err != nil || late || b == nil {
+		t.Fatalf("add(%+v) = %v, late %v, err %v", c, b, late, err)
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		late, err := r.eng.wait(b, late)
+		out <- outcome{late, err}
+	}()
+	return out
 }
 
 func TestEngineRoster(t *testing.T) {
@@ -142,14 +166,16 @@ func TestEngineRoster(t *testing.T) {
 			}
 		},
 		"without leases the barrier waits for every member": func(t *testing.T, r *rig) {
-			b := r.add(t, census(0, 0, 1, 2))
+			b := r.submit(t, census(0, 0, 1, 2))
 			select {
-			case <-b.Done:
+			case <-b:
 				t.Fatal("barrier completed on one of two members with no lease in play")
 			case <-time.After(3 * short):
 			}
 			r.add(t, census(1, 0, 2, 1))
-			<-b.Done
+			if o := <-b; o.late || o.err != nil {
+				t.Errorf("round 0 = %+v, want completed", o)
+			}
 			if got := r.completions(); !reflect.DeepEqual(got, []completion{{0, false, []int{0, 1}}}) {
 				t.Errorf("completions = %+v, want round 0 full", got)
 			}
@@ -161,14 +187,12 @@ func TestEngineRoster(t *testing.T) {
 			if err := r.eng.Renew(1, short); err != nil {
 				t.Fatal(err)
 			}
-			stale, best := r.add(t, census(0, 3, 1, 2)), r.add(t, census(0, 4, 1, 2))
-			<-best.Done
-			<-stale.Done
-			if best.Err != nil || !best.Degraded {
-				t.Errorf("round 4: err %v degraded %v, want completed degraded", best.Err, best.Degraded)
+			stale, best := r.submit(t, census(0, 3, 1, 2)), r.submit(t, census(0, 4, 1, 2))
+			if o := <-best; o.late || o.err != nil {
+				t.Errorf("round 4 = %+v, want completed", o)
 			}
-			if !errors.Is(stale.Err, ErrRoundAbandoned) {
-				t.Errorf("round 3: err %v, want ErrRoundAbandoned (swept by round 4)", stale.Err)
+			if o := <-stale; !errors.Is(o.err, ErrRoundAbandoned) {
+				t.Errorf("round 3: err %v, want ErrRoundAbandoned (swept by round 4)", o.err)
 			}
 			if got := r.completions(); !reflect.DeepEqual(got, []completion{{4, true, []int{0}}}) {
 				t.Errorf("completions = %+v, want only round 4", got)
@@ -208,16 +232,16 @@ func TestEngineRoster(t *testing.T) {
 			if err := r.eng.Renew(1, long); err != nil {
 				t.Fatal(err)
 			}
-			b := r.add(t, census(0, 0, 1, 2))
+			b := r.submit(t, census(0, 0, 1, 2))
 			select {
-			case <-b.Done:
+			case <-b:
 				t.Fatal("barrier completed without the re-admitted member")
 			case <-time.After(3 * short):
 			}
 			r.add(t, census(1, 0, 2, 1))
-			<-b.Done
-			if b.Degraded {
-				t.Error("round with both members reported completed degraded")
+			<-b
+			if got := r.completions(); !reflect.DeepEqual(got, []completion{{0, false, []int{0, 1}}}) {
+				t.Errorf("completions = %+v, want round 0 full, not degraded", got)
 			}
 		},
 		"stop cancels every timer": func(t *testing.T, r *rig) {
@@ -227,13 +251,12 @@ func TestEngineRoster(t *testing.T) {
 			if err := r.eng.Renew(1, short); err != nil {
 				t.Fatal(err)
 			}
-			b := r.add(t, census(0, 0, 1, 2))
+			b := r.submit(t, census(0, 0, 1, 2))
 			r.mu.Lock()
 			r.eng.Stop()
 			r.mu.Unlock()
-			<-b.Done
-			if !errors.Is(b.Err, transport.ErrClosed) {
-				t.Errorf("pending barrier after Stop: err %v, want ErrClosed", b.Err)
+			if o := <-b; !errors.Is(o.err, transport.ErrClosed) {
+				t.Errorf("pending barrier after Stop: err %v, want ErrClosed", o.err)
 			}
 			time.Sleep(4 * short)
 			if got := r.completions(); len(got) != 0 {
@@ -245,7 +268,7 @@ func TestEngineRoster(t *testing.T) {
 			if err := r.eng.Renew(0, long); !errors.Is(err, transport.ErrClosed) {
 				t.Errorf("Renew after Stop = %v, want ErrClosed", err)
 			}
-			if _, _, err := r.eng.Add(1, []transport.Census{census(0, 1, 1, 2)}); !errors.Is(err, transport.ErrClosed) {
+			if _, err := r.eng.Add(1, []transport.Census{census(0, 1, 1, 2)}); !errors.Is(err, transport.ErrClosed) {
 				t.Errorf("Add after Stop = %v, want ErrClosed", err)
 			}
 		},
@@ -302,7 +325,10 @@ func TestEngineIngestClassification(t *testing.T) {
 			}
 			r.add(t, census(0, 2, 1, 2))
 
-			b, late, err := r.eng.Add(tc.round, tc.censuses)
+			late, err := r.eng.Add(tc.round, tc.censuses)
+			r.mu.Lock()
+			b, _ := r.eng.Barrier(tc.round)
+			r.mu.Unlock()
 			switch {
 			case tc.want.err == nil && err != nil:
 				t.Fatalf("Add = %v, want accepted", err)
@@ -360,7 +386,7 @@ func TestEngineSubmitOneIsBatchOfOne(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if late, err := r.eng.Submit(0, censuses); late || err != nil {
+			if late, err := r.eng.Submit(0, censuses, nil); late || err != nil {
 				t.Errorf("Submit(%v) = late %v, err %v", censuses, late, err)
 			}
 		}()
@@ -371,7 +397,7 @@ func TestEngineSubmitOneIsBatchOfOne(t *testing.T) {
 	if got := r.completions(); !reflect.DeepEqual(got, []completion{{0, false, []int{0, 1, 2}}}) {
 		t.Errorf("completions = %+v, want one full round 0", got)
 	}
-	if late, err := r.eng.Submit(0, []transport.Census{census(1, 0, 5, 5)}); !late || err != nil {
+	if late, err := r.eng.Submit(0, []transport.Census{census(1, 0, 5, 5)}, nil); !late || err != nil {
 		t.Errorf("Submit for the completed round = late %v, err %v, want late", late, err)
 	}
 }
@@ -388,13 +414,14 @@ func TestEngineFrozenBarrierReportsStragglersLate(t *testing.T) {
 			<-release // e.g. an upstream exchange
 			r.mu.Lock()
 			r.eng.Release(round, b, degraded)
+			r.eng.Thaw(b)
 			r.mu.Unlock()
 		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if late, err := r.eng.Submit(0, []transport.Census{census(0, 0, 1, 2), census(1, 0, 2, 1)}); late || err != nil {
+		if late, err := r.eng.Submit(0, []transport.Census{census(0, 0, 1, 2), census(1, 0, 2, 1)}, nil); late || err != nil {
 			t.Errorf("filling Submit = late %v, err %v", late, err)
 		}
 	}()
@@ -406,7 +433,7 @@ func TestEngineFrozenBarrierReportsStragglersLate(t *testing.T) {
 	})
 	straggler := make(chan bool)
 	go func() {
-		late, err := r.eng.Submit(0, []transport.Census{census(1, 0, 9, 9)})
+		late, err := r.eng.Submit(0, []transport.Census{census(1, 0, 9, 9)}, nil)
 		if err != nil {
 			t.Errorf("straggler Submit: %v", err)
 		}
@@ -424,5 +451,154 @@ func TestEngineFrozenBarrierReportsStragglersLate(t *testing.T) {
 	<-done
 	if r.tick.Duplicates.Value() != 0 {
 		t.Error("straggler was added to the frozen barrier")
+	}
+}
+
+// roundErr is the outcome a test owner's fold reports for its round.
+type roundErr int
+
+func (e roundErr) Error() string { return fmt.Sprintf("round %d", int(e)) }
+
+// TestBarrierReuseWaitsForWaiters: the kernel opens a barrier again only once
+// every Submit that waited on it has read its outcome. Four rounds at a time,
+// each with three waiters (one a duplicate census), run against a 1 ms
+// deadline, so rounds complete full, degraded or abandoned and stragglers
+// arrive late; every waiter reads its own round's outcome, never a later
+// round's, and a handful of barriers serve every round.
+func TestBarrierReuseWaitsForWaiters(t *testing.T) {
+	const rounds, inFlight = 400, 4
+	r := newRig(2, 2)
+	r.eng.cfg.Complete = func(round int, b *Barrier, degraded bool) func() {
+		b.Err = roundErr(round)
+		r.eng.Release(round, b, degraded)
+		return nil
+	}
+	r.mu.Lock()
+	r.eng.Deadline = time.Millisecond
+	r.mu.Unlock()
+	slots := make(chan struct{}, inFlight)
+	var all sync.WaitGroup
+	for round := 0; round < rounds; round++ {
+		slots <- struct{}{}
+		var waiters sync.WaitGroup
+		for _, edge := range []int{0, 0, 1} {
+			waiters.Add(1)
+			go func() {
+				defer waiters.Done()
+				late, err := r.eng.Submit(round, []transport.Census{census(edge, round, 1, 2)}, nil)
+				var own roundErr
+				switch {
+				case errors.As(err, &own):
+					if int(own) != round {
+						t.Errorf("a round %d waiter read round %d's outcome", round, int(own))
+					}
+				case errors.Is(err, ErrRoundAbandoned):
+					if !strings.Contains(err.Error(), fmt.Sprintf("round %d superseded", round)) {
+						t.Errorf("a round %d waiter read %v", round, err)
+					}
+				case err != nil || !late:
+					t.Errorf("a round %d waiter: late %v, err %v", round, late, err)
+				}
+			}()
+		}
+		all.Add(1)
+		go func() {
+			defer all.Done()
+			waiters.Wait()
+			<-slots
+		}()
+	}
+	all.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.eng.idle); n == 0 || n > 2*inFlight || len(r.eng.rounds) != 0 {
+		t.Errorf("%d rounds left %d idle barriers and %d pending; want 1 to %d idle, none pending", rounds, n, len(r.eng.rounds), 2*inFlight)
+	}
+	for _, b := range r.eng.idle {
+		if len(b.wake) != 0 || b.waiters != 0 || b.CensusSet != nil {
+			t.Errorf("an idle barrier holds %d tokens, %d waiters, census set %v", len(b.wake), b.waiters, b.CensusSet)
+		}
+	}
+}
+
+// TestBarrierWaiterLeavesOnClose: a waiter that leaves on its owner's close,
+// whether its barrier resolved first or not, takes the token counted for it,
+// so the barrier the kernel keeps wakes no later waiter early.
+func TestBarrierWaiterLeavesOnClose(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		r := newRig(2, 2)
+		waiter := r.submit(t, census(0, 0, 1, 2))
+		r.mu.Lock()
+		if i%2 == 0 {
+			r.eng.Stop() // resolved before the close
+		}
+		close(r.closed)
+		r.mu.Unlock()
+		if o := <-waiter; o.err == nil {
+			t.Fatalf("run %d: waiter = %+v, want ErrClosed", i, o)
+		}
+		r.mu.Lock()
+		r.eng.Stop()
+		if len(r.eng.idle) != 1 || len(r.eng.idle[0].wake) != 0 {
+			t.Errorf("run %d: %d idle barriers, want 1 holding no token", i, len(r.eng.idle))
+		}
+		r.mu.Unlock()
+	}
+}
+
+// TestFrozenBarrierIsNotReused: a frozen barrier stays its owner's until
+// Thaw, even once a newer round has evicted it and its waiters have gone:
+// the owner's in-flight completion — here its deadline's, on the timer's
+// goroutine — still finds it, resolved, and only then does the kernel open
+// it again.
+func TestFrozenBarrierIsNotReused(t *testing.T) {
+	r := newRig(2, 2)
+	release, thawed := make(chan struct{}), make(chan bool)
+	var frozen *Barrier
+	r.eng.cfg.Complete = func(round int, b *Barrier, degraded bool) func() {
+		if round > 0 {
+			r.eng.Release(round, b, degraded)
+			return nil
+		}
+		b.Frozen, frozen = true, b
+		return func() {
+			<-release // e.g. an upstream exchange
+			r.mu.Lock()
+			pending, _ := r.eng.Barrier(0)
+			resolved := pending != b && b.Err != nil
+			r.eng.Thaw(b) // the last read of b
+			r.mu.Unlock()
+			thawed <- resolved
+		}
+	}
+	r.mu.Lock()
+	r.eng.Deadline = time.Millisecond
+	r.mu.Unlock()
+	first := r.submit(t, census(0, 0, 1, 2)) // its deadline freezes it
+	waitFor(t, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return frozen != nil
+	})
+	if late, err := r.eng.Submit(1, []transport.Census{census(0, 1, 1, 2), census(1, 1, 2, 1)}, nil); late || err != nil {
+		t.Fatalf("round 1 = late %v, err %v", late, err)
+	}
+	if o := <-first; !errors.Is(o.err, ErrRoundAbandoned) {
+		t.Fatalf("round 0's waiter = %+v, want ErrRoundAbandoned", o)
+	}
+	r.add(t, census(0, 2, 1, 2))
+	r.mu.Lock()
+	if r.eng.rounds[2] == frozen || slices.Contains(r.eng.idle, frozen) {
+		t.Error("the frozen round-0 barrier was let go of before its owner thawed it")
+	}
+	r.mu.Unlock()
+	close(release)
+	if !<-thawed {
+		t.Error("the owner's completion found its barrier pending or unresolved")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !slices.Contains(r.eng.idle, frozen) {
+		t.Error("a thawed, resolved barrier was not kept for reuse")
 	}
 }

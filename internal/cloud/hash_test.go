@@ -274,7 +274,7 @@ func TestStateHashScrapedDuringRounds(t *testing.T) {
 			defer edges.Done()
 			<-first
 			for round := 0; round < rounds; round++ {
-				if _, err := session.ReportCensusWith(conn, edge, round, censusOf(edge, round), 10*time.Second, nil); err != nil {
+				if _, err := session.ReportCensusWith(conn, &transport.Census{Edge: edge, Round: round, Counts: censusOf(edge, round)}, 10*time.Second, nil); err != nil {
 					t.Errorf("edge %d round %d: %v", edge, round, err)
 					return
 				}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 	"repro/internal/game"
@@ -476,5 +477,40 @@ func TestCorrectionFanOutAllocs(t *testing.T) {
 	small, large := fanOut(64), fanOut(512)
 	if large != small || large > 6 {
 		t.Errorf("fan-out to one session: %.0f allocs at 512 regions, %.0f at 64; want equal and at most 6", large, small)
+	}
+}
+
+// TestCensusExchangeAllocs pins a warmed step-① / step-② exchange of a
+// one-region cloud over TCP at zero: the session decodes the census into its
+// own scratch and answers from its own ratio body, the round's barrier, its
+// span and its census set are reused, and the edge's side
+// (session.ReportCensusWith) allocates nothing either.
+func TestCensusExchangeAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	fds, model := refoldFDS(t, goldenGraph{m: 1}, false, 8)
+	srv, err := NewServer(fds, game.NewUniformState(1, model.K(), 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	conn := serveVia(t, "tcp", srv.Serve)()
+	census := &transport.Census{Counts: make([]int, model.K())}
+	census.Counts[1] = 10
+	exchange := func() {
+		if _, err := session.ReportCensusWith(conn, census, 30*time.Second, nil); err != nil {
+			t.Fatal(err)
+		}
+		census.Round++
+	}
+	for census.Round < 300 { // past the tracer's ring, so every span slot is warm
+		exchange()
+	}
+	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+		t.Errorf("a census exchange with a one-region cloud: %.1f allocs, want 0", allocs)
+	}
+	if got := srv.Latest(); got != census.Round-1 {
+		t.Errorf("cloud completed up to round %d, want %d", got, census.Round-1)
 	}
 }

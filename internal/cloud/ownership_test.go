@@ -61,7 +61,13 @@ func (c spoilingConn) Send(m transport.Message) error {
 	switch b := m.Body.(type) {
 	case transport.Census:
 		spoil(b.Counts)
+	case *transport.Census:
+		spoil(b.Counts)
 	case transport.CensusBatch:
+		for _, cs := range b.Censuses {
+			spoil(cs.Counts)
+		}
+	case *transport.CensusBatch:
 		for _, cs := range b.Censuses {
 			spoil(cs.Counts)
 		}
@@ -113,11 +119,11 @@ func ownershipRun(t *testing.T, lag int, via string, spoiled bool) keptState {
 		// tested here; digests go on their own conn, which gets none.
 		edgeConn, hoodConn, ignore := dial(), dial(), func(transport.Message) error { return nil }
 		batch = func(b transport.CensusBatch) error {
-			_, err := session.ReportCensusBatch(edgeConn, b, 5*time.Second, ignore)
+			_, err := session.ReportCensusBatch(edgeConn, &b, 5*time.Second, ignore)
 			return err
 		}
 		one = func(c transport.Census) error {
-			_, err := session.ReportCensusWith(edgeConn, c.Edge, c.Round, c.Counts, 5*time.Second, ignore)
+			_, err := session.ReportCensusWith(edgeConn, &c, 5*time.Second, ignore)
 			return err
 		}
 		digest = func(d transport.Digest) error {

@@ -45,12 +45,15 @@ func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, cens
 		}
 		return false, ack(err)
 	}
-	// The session's batch answer, reused: Send has encoded it by the time it
-	// returns.
-	var reply transport.RatioBatch
+	// The session's census and its answers, reused: ingest keeps no census
+	// it is handed, and Send has encoded a reply by the time it returns.
+	var (
+		one   [1]transport.Census
+		ratio transport.Ratio
+		reply transport.RatioBatch
+	)
 	handlers := map[transport.Kind]session.Handler{
 		transport.KindCensus: func(m transport.Message) error {
-			var one [1]transport.Census
 			if err := transport.Decode(m, transport.KindCensus, &one[0]); err != nil {
 				return drop(err)
 			}
@@ -58,7 +61,8 @@ func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, cens
 			if answer, err := submit(c.Round, one[:]); !answer {
 				return err
 			}
-			return sess.Send(transport.KindRatio, transport.Ratio{Round: c.Round + 1, X: e.Ratio(c.Edge)})
+			ratio = transport.Ratio{Round: c.Round + 1, X: e.Ratio(c.Edge)}
+			return sess.Send(transport.KindRatio, &ratio)
 		},
 		transport.KindCensusBatch: func(m transport.Message) error {
 			var batch transport.CensusBatch

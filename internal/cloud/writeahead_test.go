@@ -105,13 +105,14 @@ func allocatedBytes(calls int, f func()) uint64 {
 // round committed through a journal allocates no census map, no counts
 // storage and no snapshot — the barrier fills a recycled census set, the
 // window's outgoing entry is overwritten in place, and the record's append
-// reuses the journal's scratch. Any one of those is tens of kilobytes; what
-// is left is the barrier's own few objects.
+// reuses the journal's scratch. Any one of those is tens of kilobytes. The
+// barrier, its wake channel and its span are reused too, so a commit reads
+// 0 bytes; the limit leaves room for one small object.
 func TestDurableCommitAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	const m, limit = 1024, 1024
+	const m, limit = 1024, 128
 	fds, model := refoldFDS(t, goldenGraph{m: m}, false, 8)
 	srv, err := NewServer(fds, game.NewUniformState(m, model.K(), 0.2))
 	if err != nil {
@@ -142,7 +143,9 @@ func TestDurableCommitAllocs(t *testing.T) {
 	for round < 16 { // fill the window and the engine's spare sets
 		commit()
 	}
-	if got := allocatedBytes(20, commit); got > limit {
+	got := allocatedBytes(20, commit)
+	t.Logf("a steady-state durable commit at M = %d: %d bytes", m, got)
+	if got > limit {
 		t.Errorf("a steady-state durable commit at M = %d allocates %d bytes, want at most %d", m, got, limit)
 	}
 }

@@ -238,8 +238,9 @@ func ascending[V any](m map[int]V, keys []int, words []uint64) ([]int, []uint64)
 	return keys, words
 }
 
-// TestEncodeRoundAllocs pins a thousand-region record at the region index,
-// the bitmap and the payload; a journal's steady-state AppendRound, which
+// TestEncodeRoundAllocs pins a thousand-region record in map form at the
+// list its regions are sorted in and the payload (a bound of 3 leaves one
+// spare); a journal's steady-state AppendRound, which
 // encodes and frames through buffers it keeps, at none, inline or started
 // and waited for; and DecodeRound at the census map and one slab for every
 // census's counts.

@@ -41,9 +41,10 @@ func TestAddUploadWarmedSlotAllocs(t *testing.T) {
 
 // TestRunRoundAllocs pins a warmed RunRound over TCP, three vehicles
 // answering from one goroutine: the policy and delivery bodies are the
-// server's own, the deadline timer is reset rather than made, and the span
-// keeps its attrs and events inline. What is left is the span, its boxed
-// ratio attr and the census the round returns.
+// server's own, the deadline timer is reset rather than made, the span takes
+// a tracer slot whose storage is reused, and its attrs hold the round and
+// ratio unboxed. What is left is the census the round returns, which is the
+// caller's.
 func TestRunRoundAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -107,4 +108,4 @@ func TestRunRoundAllocs(t *testing.T) {
 }
 
 // runRoundAllocs is TestRunRoundAllocs's pinned count.
-const runRoundAllocs = 3
+const runRoundAllocs = 1

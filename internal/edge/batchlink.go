@@ -43,6 +43,7 @@ type BatchLink struct {
 	// dropped whole by the link's sequence check before the callback fires.
 	OnCorrection func(rc transport.RatioCorrection)
 
+	batch transport.CensusBatch // the body of the exchange in progress
 	link
 }
 
@@ -66,9 +67,9 @@ func (l *BatchLink) handleOther(m transport.Message) error {
 // across connection failures. Exchanges are serialized: a shard coordinator
 // forwards concurrent rounds and late stragglers over one link.
 func (l *BatchLink) Report(round int, censuses []transport.Census) (reply transport.RatioBatch, err error) {
-	batch := transport.CensusBatch{Shard: l.Shard, Round: round, Censuses: censuses}
 	err = l.bound().exchange(l.Dialer, l.Attempts, func(conn transport.Conn) (err error) {
-		reply, err = session.ReportCensusBatch(conn, batch, l.ReplyTimeout, l.handleOther)
+		l.batch = transport.CensusBatch{Shard: l.Shard, Round: round, Censuses: censuses}
+		reply, err = session.ReportCensusBatch(conn, &l.batch, l.ReplyTimeout, l.handleOther)
 		return err
 	})
 	if err != nil {

@@ -39,6 +39,7 @@ type CloudLink struct {
 	// the monotonic correction sequence before the callback fires.
 	OnCorrection func(round int, x float64)
 
+	census transport.Census // the body of the exchange in progress
 	link
 }
 
@@ -62,7 +63,8 @@ func (l *CloudLink) handleOther(m transport.Message) error {
 // reconnecting and re-submitting across connection failures.
 func (l *CloudLink) Report(round int, counts []int) (x float64, err error) {
 	err = l.bound().exchange(l.Dialer, l.Attempts, func(conn transport.Conn) (err error) {
-		x, err = session.ReportCensusWith(conn, l.Edge, round, counts, l.ReplyTimeout, l.handleOther)
+		l.census = transport.Census{Edge: l.Edge, Round: round, Counts: counts}
+		x, err = session.ReportCensusWith(conn, &l.census, l.ReplyTimeout, l.handleOther)
 		return err
 	})
 	if err != nil {

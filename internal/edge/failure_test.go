@@ -196,7 +196,7 @@ func TestFailedRoundLeavesItsSpan(t *testing.T) {
 	}
 	attrs := map[string]interface{}{}
 	for _, a := range spans[0].Attrs {
-		attrs[a.Key] = a.Value
+		attrs[a.Key] = a.Value()
 	}
 	if attrs["round"] != 3 || attrs["edge"] != 4 {
 		t.Errorf("span attrs %v, want round 3 of edge 4", attrs)

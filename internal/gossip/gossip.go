@@ -228,7 +228,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Closed:   n.srv.Closed(),
 		Counters: &n.metrics.Counters,
 		Logf:     cfg.Logf,
-		Span: func(round int) *obs.Span {
+		Span: func(round int) obs.Span {
 			return n.obsv.Span("gossip_round", obs.A("round", round), obs.A("edge", cfg.Edge))
 		},
 		Complete: n.completeLocalLocked,
@@ -610,7 +610,7 @@ func (n *Node) fanOut(job peerJob) {
 // re-send after a redial) is absorbed: the fold moved on.
 func (n *Node) SubmitPeer(census transport.Census) error {
 	one := [1]transport.Census{census}
-	_, late, err := n.eng.Add(census.Round, one[:])
+	late, err := n.eng.Add(census.Round, one[:])
 	if err == nil {
 		n.metrics.peerCensuses.Inc()
 	}
@@ -628,7 +628,12 @@ func (n *Node) SubmitPeer(census transport.Census) error {
 // Close it fails with transport.ErrClosed.
 func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 	one := [1]transport.Census{{Edge: n.cfg.Edge, Round: round, Counts: counts}}
-	rb, late, err := n.eng.Add(round, one[:])
+	// Broadcast once the census is placed, outside the lock: peer barriers
+	// fill from these sends the way ours fills from theirs. Peers are sent to
+	// concurrently, each by its one sender, so per-peer order is preserved.
+	late, err := n.eng.Submit(round, one[:], func() {
+		n.fanOut(peerJob{fan: &n.censusFan, census: transport.Census{Edge: n.cfg.Edge, Round: round, Counts: counts}})
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -636,20 +641,6 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 		// Completed while this node was down or behind; serve the current
 		// policy so the caller catches up to Latest()+1.
 		return n.X(), nil
-	}
-
-	// Broadcast outside the lock: peer barriers fill from these sends the
-	// way ours fills from theirs. Peers are sent to concurrently, each by
-	// its one sender, so per-peer order is preserved.
-	n.fanOut(peerJob{fan: &n.censusFan, census: transport.Census{Edge: n.cfg.Edge, Round: round, Counts: counts}})
-
-	select {
-	case <-rb.Done:
-		if rb.Err != nil {
-			return 0, rb.Err
-		}
-	case <-n.srv.Closed():
-		return 0, transport.ErrClosed
 	}
 
 	n.mu.Lock()
@@ -669,14 +660,15 @@ func (n *Node) LocalRound(round int, counts []int) (float64, error) {
 // round is released only once it is durable: a ratio served to a vehicle is
 // always recoverable. Called with n.mu held.
 func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
-	rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: rb.Sorted(round)}
+	set := rb.CensusSet // the barrier's until Release, then the backlog's or the engine's
+	rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: set.Sorted(round)}
 	ticket := n.journal.StartRound(rec) // -1 without a state directory
-	rb.Err = n.fold.ApplySet(rb.CensusSet)
+	rb.Err = n.fold.ApplySet(set)
 	// Watermark and backlog move before the cadence checkpoint: it snapshots
 	// Latest() as the checkpoint round over a state that already includes
 	// this round's fold, and retains the backlog.
 	n.eng.Advance(round)
-	kept, shed := n.backlogLocked(rec, rb.CensusSet)
+	kept, shed := n.backlogLocked(rec, set)
 	if shed > 0 {
 		n.metrics.backlogDrop.Add(int64(shed))
 		n.logf("gossip: edge %d: backlog cap %d shed %d oldest rounds (next escalation starts at %d)",
@@ -689,7 +681,7 @@ func (n *Node) completeLocalLocked(round int, rb *cloud.Barrier, degraded bool) 
 	}
 	n.eng.Release(round, rb, degraded)
 	if !kept {
-		n.recycleLocked(rb.CensusSet) // the appender is through with it
+		n.recycleLocked(set) // the appender is through with it
 	}
 	return nil
 }

@@ -103,8 +103,8 @@ func (o *Observer) Histogram(name, help string, buckets []float64) *Histogram {
 	return o.Registry().Histogram(name, help, buckets)
 }
 
-// Span starts a span on the observer's tracer (nil when tracing disabled).
-func (o *Observer) Span(name string, attrs ...Attr) *Span {
+// Span starts a span on the observer's tracer (the zero span when tracing is disabled).
+func (o *Observer) Span(name string, attrs ...Attr) Span {
 	return o.Tracer().Start(name, attrs...)
 }
 

@@ -3,21 +3,81 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Attr is one key/value annotation on a span or event. Values should be
-// small scalars (numbers, short strings, bools): they are retained in the
-// ring buffer and marshaled to JSON on /debug/spans.
+// Attr is one key/value annotation on a span or event: a scalar held
+// without boxing, so annotating a span allocates nothing. It marshals to
+// JSON as {"key": …, "value": …}.
 type Attr struct {
-	Key   string      `json:"key"`
-	Value interface{} `json:"value"`
+	Key  string
+	str  string
+	num  uint64 // the bits of an integer, a float64 or a bool
+	kind uint8
 }
 
-// A returns an Attr (shorthand for literal construction at call sites).
-func A(key string, value interface{}) Attr { return Attr{Key: key, Value: value} }
+const (
+	kindNil = iota
+	kindBool
+	kindInt
+	kindFloat64
+	kindString
+)
+
+// A returns an Attr. value is nil, a bool, an int or int64, a float64 or a
+// string; any other value is recorded as its type's name. A keeps none of
+// value's storage but a string's bytes, so the caller's conversion to
+// interface{} stays on its stack.
+func A(key string, value interface{}) Attr {
+	a := Attr{Key: key}
+	switch v := value.(type) {
+	case nil:
+	case bool:
+		a.kind = kindBool
+		if v {
+			a.num = 1
+		}
+	case int:
+		a.kind, a.num = kindInt, uint64(v)
+	case int64:
+		a.kind, a.num = kindInt, uint64(v)
+	case float64:
+		a.kind, a.num = kindFloat64, math.Float64bits(v)
+	case string:
+		a.kind, a.str = kindString, v
+	default:
+		a.kind, a.str = kindString, reflect.TypeOf(v).String()
+	}
+	return a
+}
+
+// Value returns the attr's value as A was given it, an int for any integer.
+func (a Attr) Value() interface{} {
+	switch a.kind {
+	case kindBool:
+		return a.num == 1
+	case kindInt:
+		return int(a.num)
+	case kindFloat64:
+		return math.Float64frombits(a.num)
+	case kindString:
+		return a.str
+	}
+	return nil
+}
+
+// MarshalJSON writes the attr as {"key": …, "value": …}.
+func (a Attr) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Key   string      `json:"key"`
+		Value interface{} `json:"value"`
+	}{a.Key, a.Value()})
+}
 
 // Event is a point-in-time annotation inside a span.
 type Event struct {
@@ -27,7 +87,7 @@ type Event struct {
 	Attrs    []Attr `json:"attrs,omitempty"`
 }
 
-// SpanData is the immutable record of a finished span.
+// SpanData is the record of a finished span, a copy nothing else writes to.
 type SpanData struct {
 	// ID is a tracer-unique, monotonically increasing span id.
 	ID   uint64 `json:"id"`
@@ -40,72 +100,135 @@ type SpanData struct {
 	Events     []Event `json:"events,omitempty"`
 }
 
-// Tracer records finished spans into a fixed-size ring buffer: the most
-// recent spans win, older ones are overwritten. Starting and annotating
-// spans is cheap: a span is one allocation while its attrs and events fit
-// its inline storage (see Span), and nothing is retained until End commits
-// it. A nil *Tracer hands out nil *Spans, on which every method is a no-op.
+// Tracer keeps the most recently started spans in a fixed ring of slots, one
+// per span, whose storage is reused: span id i lives in slot i mod capacity
+// from its Start until the span capacity starts later takes the slot over.
+// Starting, annotating and ending a span allocate nothing once the slot has
+// grown to the span's attrs and events, and a finished span is visible in
+// Recent until its slot is taken. A nil *Tracer hands out zero Spans, on
+// which every method is a no-op.
 type Tracer struct {
 	nextID atomic.Uint64
+	slots  []slot
+}
 
-	mu    sync.Mutex
-	ring  []SpanData
-	next  int // ring write cursor
-	total int // spans committed (caps at len(ring) for fill detection)
+// slot is one span's storage. The span whose id it holds may write to it
+// until End; nothing else does but the next Start.
+type slot struct {
+	mu         sync.Mutex
+	ended      bool
+	data       SpanData // ID 0 before the first span
+	eventAttrs []Attr   // the storage data.Events' attrs are cut from
 }
 
 // NewTracer returns a tracer retaining the most recent capacity spans
-// (minimum 1).
+// (minimum 1). A slot starts with room for five attrs, six events and five
+// event attrs, and keeps whatever a span grows it to.
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
+	t := &Tracer{slots: make([]slot, max(capacity, 1))}
+	for i := range t.slots {
+		s := &t.slots[i]
+		s.data.Attrs, s.data.Events, s.eventAttrs = make([]Attr, 0, 5), make([]Event, 0, 6), make([]Attr, 0, 5)
 	}
-	return &Tracer{ring: make([]SpanData, capacity)}
+	return t
+}
+
+// Span is a handle on an in-flight timed operation. Its methods are safe for
+// concurrent use and no-ops on the zero Span, after End, and once the span's
+// slot has been taken over by a newer span: a handle writes only to its own
+// span's record.
+type Span struct {
+	s  *slot
+	id uint64
 }
 
 // Start opens a span. The span is not visible in Recent until End is
-// called. Nil-safe: a nil tracer returns a nil span.
-func (t *Tracer) Start(name string, attrs ...Attr) *Span {
+// called. Nil-safe: a nil tracer returns the zero span.
+func (t *Tracer) Start(name string, attrs ...Attr) Span {
 	if t == nil {
+		return Span{}
+	}
+	id := t.nextID.Add(1)
+	s := &t.slots[(id-1)%uint64(len(t.slots))]
+	s.mu.Lock()
+	if id > s.data.ID { // else a span started capacity later took the slot first
+		s.ended, s.eventAttrs = false, s.eventAttrs[:0]
+		s.data = SpanData{ID: id, Name: name, Start: time.Now(), Attrs: append(s.data.Attrs[:0], attrs...), Events: s.data.Events[:0]}
+	}
+	s.mu.Unlock()
+	return Span{s, id}
+}
+
+// open locks and returns the span's slot while the span may still write to
+// it, else nil (the zero span, an ended one, or one whose slot was taken).
+func (sp Span) open() *slot {
+	if sp.s == nil {
 		return nil
 	}
-	s := &Span{
-		t: t,
-		data: SpanData{
-			ID:    t.nextID.Add(1),
-			Name:  name,
-			Start: time.Now(),
-		},
+	if sp.s.mu.Lock(); sp.s.data.ID != sp.id || sp.s.ended {
+		sp.s.mu.Unlock()
+		return nil
 	}
-	s.data.Attrs, s.data.Events = append(s.attrs[:0], attrs...), s.events[:0]
-	return s
+	return sp.s
 }
 
-// commit stores a finished span in the ring.
-func (t *Tracer) commit(d SpanData) {
-	t.mu.Lock()
-	t.ring[t.next] = d
-	t.next = (t.next + 1) % len(t.ring)
-	if t.total < len(t.ring) {
-		t.total++
+// Attr appends an annotation to the span.
+func (sp Span) Attr(key string, value interface{}) {
+	if s := sp.open(); s != nil {
+		s.data.Attrs = append(s.data.Attrs, A(key, value))
+		s.mu.Unlock()
 	}
-	t.mu.Unlock()
 }
 
-// Recent returns up to n finished spans, most recent first (n <= 0 means
-// all retained). Nil-safe (returns nil).
+// Event records a point-in-time annotation inside the span.
+func (sp Span) Event(name string, attrs ...Attr) {
+	if s := sp.open(); s != nil {
+		from := len(s.eventAttrs)
+		s.eventAttrs = append(s.eventAttrs, attrs...)
+		s.data.Events = append(s.data.Events, Event{name, int64(time.Since(s.data.Start)), s.eventAttrs[from:len(s.eventAttrs):len(s.eventAttrs)]})
+		s.mu.Unlock()
+	}
+}
+
+// End finishes the span, which becomes visible in Recent. Calling End more
+// than once ends it only the first time.
+func (sp Span) End(attrs ...Attr) {
+	if s := sp.open(); s != nil {
+		s.data.Attrs = append(s.data.Attrs, attrs...)
+		s.data.DurationNS = int64(time.Since(s.data.Start))
+		s.ended = true
+		s.mu.Unlock()
+	}
+}
+
+// record copies a finished span out of its slot. Called with s.mu held.
+func (s *slot) record() SpanData {
+	d := s.data
+	d.Attrs, d.Events = slices.Clone(d.Attrs), slices.Clone(d.Events)
+	for i := range d.Events {
+		d.Events[i].Attrs = slices.Clone(d.Events[i].Attrs)
+	}
+	return d
+}
+
+// Recent returns up to n finished spans, most recently started first (n <= 0
+// means all retained), as copies. Nil-safe (returns nil).
 func (t *Tracer) Recent(n int) []SpanData {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 || n > t.total {
-		n = t.total
+	if n <= 0 || n > len(t.slots) {
+		n = len(t.slots)
 	}
-	out := make([]SpanData, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, t.ring[(t.next-i+len(t.ring))%len(t.ring)])
+	var out []SpanData
+	last := t.nextID.Load()
+	for id := last; id > 0 && last-id < uint64(len(t.slots)) && len(out) < n; id-- {
+		s := &t.slots[(id-1)%uint64(len(t.slots))]
+		s.mu.Lock()
+		if s.data.ID == id && s.ended {
+			out = append(out, s.record())
+		}
+		s.mu.Unlock()
 	}
 	return out
 }
@@ -120,87 +243,4 @@ func (t *Tracer) WriteJSON(w io.Writer, n int) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(spans)
-}
-
-// A Span holds this many attrs, events and event attrs inline, and spills the
-// rest to the heap. Sized for the system's spans (five attrs at most, a census
-// event per hood member) within the 768-byte size class, header included.
-const (
-	inlineAttrs      = 5
-	inlineEvents     = 6
-	inlineEventAttrs = 5
-)
-
-// Span is an in-flight timed operation. All methods are safe for concurrent
-// use and no-ops on a nil *Span. A span copies the attrs it is given; its
-// committed SpanData points into its own storage, which End freezes.
-type Span struct {
-	t          *Tracer
-	mu         sync.Mutex
-	ended      bool
-	eventUsed  uint8 // eventAttrs taken by events so far
-	data       SpanData
-	attrs      [inlineAttrs]Attr
-	events     [inlineEvents]Event
-	eventAttrs [inlineEventAttrs]Attr
-}
-
-// Attr appends an annotation to the span.
-func (s *Span) Attr(key string, value interface{}) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		s.data.Attrs = append(s.data.Attrs, Attr{Key: key, Value: value})
-	}
-	s.mu.Unlock()
-}
-
-// Event records a point-in-time annotation inside the span.
-func (s *Span) Event(name string, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		s.data.Events = append(s.data.Events, Event{
-			Name:     name,
-			OffsetNS: int64(time.Since(s.data.Start)),
-			Attrs:    s.eventAttrsOf(attrs),
-		})
-	}
-	s.mu.Unlock()
-}
-
-// eventAttrsOf copies an event's attrs into the span's inline storage while
-// it lasts, and to the heap after. Called with s.mu held.
-func (s *Span) eventAttrsOf(attrs []Attr) []Attr {
-	used := int(s.eventUsed) + len(attrs)
-	if len(attrs) == 0 || used > len(s.eventAttrs) {
-		return append([]Attr(nil), attrs...) // nil for none
-	}
-	out := s.eventAttrs[s.eventUsed:used:used]
-	copy(out, attrs)
-	s.eventUsed = uint8(used)
-	return out
-}
-
-// End finishes the span and commits it to the tracer's ring buffer. Calling
-// End more than once commits only the first.
-func (s *Span) End(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	s.data.Attrs = append(s.data.Attrs, attrs...)
-	s.data.DurationNS = int64(time.Since(s.data.Start))
-	d := s.data
-	s.mu.Unlock()
-	s.t.commit(d)
 }

@@ -111,22 +111,78 @@ func TestSpanEndsOnce(t *testing.T) {
 	}
 }
 
-// TestSpanAllocs pins a span that fits its inline storage — three start
-// attrs, four one-attr events, an end attr — at one allocation, the span:
-// the callers' variadic slices stay on their stacks.
+// TestSpanAllocs pins a span — three start attrs, one of them a round past
+// 255, four one-attr events, an end attr — at zero allocations once its slot
+// has grown to it: attrs hold their values unboxed, the callers' variadic
+// slices stay on their stacks, and the slot's storage is reused.
 func TestSpanAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	tr := NewTracer(8)
+	round := 1000
 	allocs := testing.AllocsPerRun(200, func() {
-		sp := tr.Start("edge_round", A("edge", 1), A("round", 2), A("x", "y"))
+		round++
+		sp := tr.Start("edge_round", A("edge", 1), A("round", round), A("x", 0.5+float64(round)))
 		for i := 0; i < 4; i++ {
 			sp.Event("census", A("edge", i))
 		}
 		sp.End(A("census_total", 40))
 	})
-	if allocs != 1 {
-		t.Errorf("a span of 4 attrs and 4 events: %.1f allocs, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a span of 4 attrs and 4 events: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestSpanOwnsItsRecord: a span handle writes only to its own span's record.
+// Ended twice or annotated after End from several goroutines, or outlived by
+// a tracer's capacity of newer spans — the last of which holds its slot,
+// still open, when it writes — it changes no other span's record, and an
+// outlived span never shows in Recent.
+func TestSpanOwnsItsRecord(t *testing.T) {
+	const capacity = 256
+	tr := NewTracer(capacity)
+	old := tr.Start("old", A("round", 1))
+	ended := tr.Start("ended", A("round", 2))
+	ended.End(A("total", 3))
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < (capacity-2)/2; i++ {
+				sp := tr.Start("newer", A("g", g), A("i", i))
+				sp.Event("e", A("i", i))
+				sp.End()
+				sp.End(A("again", true))
+				ended.Event("late", A("i", i))
+				ended.Attr("late", i)
+				ended.End(A("again", true))
+			}
+		}()
+	}
+	wg.Wait()
+	taker := tr.Start("taker", A("round", 4)) // the span capacity after old: its slot
+	old.Event("late", A("i", 1))
+	old.Attr("late", true)
+	old.End(A("again", true))
+	taker.End()
+	recent := tr.Recent(0)
+	if len(recent) != capacity {
+		t.Fatalf("retained %d spans, want %d", len(recent), capacity)
+	}
+	for i, d := range recent {
+		var ok bool
+		switch i {
+		case 0:
+			ok = d.Name == "taker" && len(d.Attrs) == 1 && len(d.Events) == 0
+		case capacity - 1:
+			ok = d.Name == "ended" && len(d.Attrs) == 2 && len(d.Events) == 0
+		default:
+			ok = d.Name == "newer" && len(d.Attrs) == 2 && len(d.Events) == 1 && len(d.Events[0].Attrs) == 1
+		}
+		if !ok {
+			t.Errorf("recent[%d] = %+v: written by another span's handle", i, d)
+		}
 	}
 }

@@ -18,7 +18,7 @@ func TestTracerRingBuffer(t *testing.T) {
 	}
 	// Most recent first: rounds 4, 3, 2.
 	for i, want := range []int{4, 3, 2} {
-		if got := recent[i].Attrs[0].Value.(int); got != want {
+		if got := recent[i].Attrs[0].Value().(int); got != want {
 			t.Errorf("recent[%d] round = %v, want %d", i, got, want)
 		}
 	}

@@ -53,8 +53,8 @@ type Coordinator struct {
 
 	// Durability (a journal not open = in-memory only; see Open).
 	journal *durable.Journal
-	lastRec *durable.RoundRecord // newest journaled round, for re-forward
-	lastSet *cloud.CensusSet     // the barrier's census set lastRec lists (nil for a recovered one: the re-forward reads it)
+	lastRec durable.RoundRecord // newest journaled round, for re-forward (round -1: none)
+	lastSet *cloud.CensusSet    // the barrier's census set lastRec lists (nil for a recovered one: the re-forward reads it)
 }
 
 type coordinatorMetrics struct {
@@ -118,6 +118,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		metrics: newCoordinatorMetrics(o),
 		srv:     transport.NewAcceptor(),
 		journal: new(durable.Journal),
+		lastRec: durable.RoundRecord{Round: -1},
 	}
 	if r := slices.Min(cfg.Regions); r < 0 {
 		return nil, fmt.Errorf("shard %d: coordinator owns region %d", cfg.ID, r)
@@ -131,7 +132,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		Closed:   c.srv.Closed(),
 		Counters: &c.metrics.Counters,
 		Logf:     cfg.Logf,
-		Span: func(round int) *obs.Span {
+		Span: func(round int) obs.Span {
 			return c.obsv.Span("shard_round", obs.A("shard", cfg.ID), obs.A("round", round))
 		},
 		Complete: c.beginCompleteLocked,
@@ -229,7 +230,7 @@ func (c *Coordinator) SubmitBatch(batch transport.CensusBatch) (reply transport.
 // aggregator absorbs duplicates or rewinds its lag window) and the reply
 // adopted, so the global fold sees them and the caller answers from it.
 func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
-	late, err := c.eng.Submit(round, censuses)
+	late, err := c.eng.Submit(round, censuses, nil)
 	if !late || err != nil {
 		return err
 	}
@@ -270,6 +271,7 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.eng.Thaw(rb)
 	// Forward and append done, the barrier's census set goes back to the
 	// engine — unless its record is now the one to re-forward: then the set
 	// of the record it supersedes does.
@@ -285,8 +287,8 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 	if err == nil {
 		c.adoptReplyLocked(reply)
 	}
-	select {
-	case <-rb.Done:
+	switch pending, _ := c.eng.Barrier(round); {
+	case pending != rb:
 		// The barrier resolved while the forward was in flight: a newer
 		// round's forward finished first and evicted it, or the coordinator
 		// shut down. Its waiters are gone; whatever the upstream answered is
@@ -294,12 +296,10 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 		if err == nil {
 			c.eng.Advance(round)
 		}
+	case err != nil:
+		c.logf("shard %d: forwarding round %d failed: %v", c.cfg.ID, round, err)
+		c.eng.Fail(round, rb, fmt.Errorf("shard %d: forwarding round %d: %w", c.cfg.ID, round, err))
 	default:
-		if err != nil {
-			c.logf("shard %d: forwarding round %d failed: %v", c.cfg.ID, round, err)
-			c.eng.Fail(round, rb, fmt.Errorf("shard %d: forwarding round %d: %w", c.cfg.ID, round, err))
-			return
-		}
 		c.eng.Release(round, rb, degraded)
 	}
 }
@@ -388,7 +388,7 @@ func (c *Coordinator) Open(stateDir string) error {
 		Checkpoint: c.checkpointLocked, Every: durable.CompactEvery, Observer: c.obsv, Logf: c.cfg.Logf,
 		Errors: c.metrics.journalErrors, Recoveries: c.metrics.recoveries, Replayed: c.metrics.replayRecords,
 	})
-	if last := c.lastRec; err == nil && last != nil {
+	if last := c.lastRec; err == nil && last.Round >= 0 {
 		// Re-forward the newest batch off the serve path: the crash may have
 		// raced the upstream exchange. Idempotent upstream (duplicate absorb
 		// / lag-window rewind), so re-forwarding an acknowledged batch is
@@ -407,10 +407,10 @@ func (c *Coordinator) Open(stateDir string) error {
 // keepLocked makes rec the record to re-forward after a restart unless a
 // newer round's is, and reports whether it did. Called with c.mu held.
 func (c *Coordinator) keepLocked(rec durable.RoundRecord) bool {
-	if c.lastRec != nil && rec.Round < c.lastRec.Round {
+	if rec.Round < c.lastRec.Round {
 		return false
 	}
-	c.lastRec = &rec
+	c.lastRec = rec
 	return true
 }
 
@@ -421,8 +421,8 @@ func (c *Coordinator) keepLocked(rec durable.RoundRecord) bool {
 func (c *Coordinator) checkpointLocked() (func() ([]byte, error), []durable.RoundRecord) {
 	cp := durable.RoundRecord{Round: c.eng.Latest()}
 	var retained []durable.RoundRecord
-	if c.lastRec != nil {
-		retained = append(retained, *c.lastRec)
+	if c.lastRec.Round >= 0 {
+		retained = append(retained, c.lastRec)
 	}
 	return func() ([]byte, error) { return durable.EncodeRound(cp) }, retained
 }

@@ -101,7 +101,7 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		c2.mu.Lock()
 		lastRec := c2.lastRec
 		c2.mu.Unlock()
-		if lastRec == nil || lastRec.Round != last || !reflect.DeepEqual(censusMap(lastRec.Sorted), crashCounts(last)) {
+		if lastRec.Round != last || !reflect.DeepEqual(censusMap(lastRec.Sorted), crashCounts(last)) {
 			t.Errorf("%s: recovered newest batch = %+v, want round %d's", cr.Step, lastRec, last)
 		}
 		// The re-forward reaches the aggregator, which has the batch already.

@@ -67,11 +67,11 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 		}
 		ignore := func(transport.Message) error { return nil } // corrections a rewind pushes
 		batch = func(b transport.CensusBatch) error {
-			_, err := session.ReportCensusBatch(conn, b, 5*time.Second, ignore)
+			_, err := session.ReportCensusBatch(conn, &b, 5*time.Second, ignore)
 			return err
 		}
 		one = func(cs transport.Census) error {
-			_, err := session.ReportCensusWith(conn, cs.Edge, cs.Round, cs.Counts, 5*time.Second, ignore)
+			_, err := session.ReportCensusWith(conn, &cs, 5*time.Second, ignore)
 			return err
 		}
 	}
@@ -90,7 +90,7 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 		}
 	}
 	c.mu.Lock()
-	out := shardKept{Hash: agg.StateHash(), LastRec: *c.lastRec}
+	out := shardKept{Hash: agg.StateHash(), LastRec: c.lastRec}
 	out.LastRec.Sorted, out.LastRec.Censuses = nil, censusMap(c.lastRec.Sorted)
 	c.mu.Unlock()
 	journal, _, err := durable.OpenJournal(crashtest.CopyDir(t, dir))
@@ -122,7 +122,13 @@ func (c spoilingConn) Send(m transport.Message) error {
 	switch b := m.Body.(type) {
 	case transport.Census:
 		spoil(b.Counts)
+	case *transport.Census:
+		spoil(b.Counts)
 	case transport.CensusBatch:
+		for _, cs := range b.Censuses {
+			spoil(cs.Counts)
+		}
+	case *transport.CensusBatch:
 		for _, cs := range b.Censuses {
 			spoil(cs.Counts)
 		}

@@ -175,13 +175,14 @@ func TestWriteAheadCrashBetweenForwardAndRecord(t *testing.T) {
 // through a journal allocates no census map, no counts storage and no
 // forward list: the barrier fills the census set the record it superseded
 // as the one to re-forward gave back. Any one of those is tens of
-// kilobytes; what is left is the barrier's own few objects, the kept
-// record's header and the failed forward's error.
+// kilobytes; what is left (~1,400 bytes) is the forward's closure and the
+// failed forward's error: the barrier, its span and the kept record are
+// reused.
 func TestDurableCommitAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	const m, limit = 1024, 4096
+	const m, limit = 1024, 2048
 	regions := make([]int, m)
 	batch := transport.CensusBatch{Censuses: make([]transport.Census, m)}
 	for edge := range regions {
@@ -211,7 +212,9 @@ func TestDurableCommitAllocs(t *testing.T) {
 	for round < 4 {
 		commit()
 	}
-	if got := allocatedBytes(10, commit); got > limit {
+	got := allocatedBytes(10, commit)
+	t.Logf("a steady-state durable shard commit of %d regions: %d bytes", m, got)
+	if got > limit {
 		t.Errorf("a steady-state durable shard commit of %d regions allocates %d bytes, want at most %d", m, got, limit)
 	}
 }

@@ -67,3 +67,32 @@ func TestAckAndNotifyAllocs(t *testing.T) {
 		t.Errorf("Ack(nil) + GossipCensus + Recv: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestReportCensusAllocs pins an edge's census exchange at zero over a warmed
+// TCP conn: the census is the caller's body, sent by pointer, and the ratio
+// and the stale-reply check stay on ReportCensusWith's stack. One goroutine
+// plays both ends, answering first — the ratio waits in the socket.
+func TestReportCensusAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	client, server := tcpPair(t)
+	census := &transport.Census{Edge: 3, Round: 117, Counts: []int{12, 40, 7}}
+	ratio := &transport.Ratio{X: 0.5}
+	allocs := testing.AllocsPerRun(200, func() {
+		census.Round++
+		ratio.Round = census.Round + 1
+		if err := server.Send(transport.Message{Kind: transport.KindRatio, Body: ratio}); err != nil {
+			t.Fatal(err)
+		}
+		if x, err := ReportCensusWith(client, census, 30*time.Second, nil); err != nil || x != 0.5 {
+			t.Fatalf("ReportCensusWith = %v, %v", x, err)
+		}
+		if m, err := server.Recv(); err != nil || m.Kind != transport.KindCensus {
+			t.Fatalf("Recv = %s, %v", m.Kind, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Send(ratio) + ReportCensusWith + Recv: %.1f allocs/op, want 0", allocs)
+	}
+}

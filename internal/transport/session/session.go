@@ -236,8 +236,9 @@ func RenewLease(conn transport.Conn, edgeID int, ttl, timeout time.Duration) err
 // (step ② batched), skipping stale replies from re-submitted batches. Frames
 // the coordinator pushes asynchronously on the same connection — ratio
 // corrections after a fixed-lag rewind — go to onOther (nil fails on them).
-// A refusal surfaces as *RejectedError.
-func ReportCensusBatch(conn transport.Conn, batch transport.CensusBatch,
+// A refusal surfaces as *RejectedError. The batch is the caller's body,
+// encoded before the reply is awaited.
+func ReportCensusBatch(conn transport.Conn, batch *transport.CensusBatch,
 	replyTimeout time.Duration, onOther Handler) (transport.RatioBatch, error) {
 	var reply transport.RatioBatch
 	err := Wrap(conn).RequestWith(
@@ -325,14 +326,14 @@ func EscalateDigest(conn transport.Conn, d transport.Digest,
 // the cloud's matching next-round ratio (step ②), skipping stale replies; a
 // refusal surfaces as *RejectedError. Frames the cloud pushes on the census
 // connection (ratio corrections after a rewind) go to onOther (nil: fail).
-func ReportCensusWith(conn transport.Conn, edgeID, round int, counts []int,
+// The census is the caller's body, encoded before the reply is awaited.
+func ReportCensusWith(conn transport.Conn, census *transport.Census,
 	replyTimeout time.Duration, onOther Handler) (float64, error) {
 	var ratio transport.Ratio
 	err := Wrap(conn).RequestWith(
-		transport.KindCensus,
-		transport.Census{Edge: edgeID, Round: round, Counts: counts},
+		transport.KindCensus, census,
 		transport.KindRatio, &ratio, replyTimeout,
-		func() bool { return ratio.Round == round+1 },
+		func() bool { return ratio.Round == census.Round+1 },
 		onOther,
 	)
 	if err != nil {

@@ -209,7 +209,7 @@ func TestRequestSkipsStaleReplies(t *testing.T) {
 		_ = b.Send(transport.KindRatio, transport.Ratio{Round: 5, X: 0.1})
 		_ = b.Send(transport.KindRatio, transport.Ratio{Round: 6, X: 0.9})
 	}()
-	x, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second, nil)
+	x, err := ReportCensusWith(a.Conn(), &transport.Census{Edge: 2, Round: 5, Counts: []int{1, 2}}, time.Second, nil)
 	if err != nil {
 		t.Fatalf("ReportCensusWith = %v", err)
 	}
@@ -226,7 +226,7 @@ func TestRequestRejected(t *testing.T) {
 		}
 		_ = b.Ack(errors.New("round abandoned"))
 	}()
-	_, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second, nil)
+	_, err := ReportCensusWith(a.Conn(), &transport.Census{Edge: 2, Round: 5, Counts: []int{1, 2}}, time.Second, nil)
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("ReportCensusWith = %v, want RejectedError", err)
@@ -262,7 +262,7 @@ func TestRequestWithHandlesInterleavedFrames(t *testing.T) {
 		_ = b.Send(transport.KindRatio, transport.Ratio{Round: 6, X: 0.9})
 	}()
 	var corrected []transport.RatioCorrection
-	x, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second,
+	x, err := ReportCensusWith(a.Conn(), &transport.Census{Edge: 2, Round: 5, Counts: []int{1, 2}}, time.Second,
 		func(m transport.Message) error {
 			var rc transport.RatioCorrection
 			if err := transport.Decode(m, transport.KindRatioCorrection, &rc); err != nil {
@@ -292,7 +292,7 @@ func TestRequestWithoutHandlerStillStrict(t *testing.T) {
 		}
 		_ = b.Send(transport.KindRatioCorrection, transport.RatioCorrection{Round: 4, Seq: 1, Edges: []int{2}, X: []float64{0.3}})
 	}()
-	_, err := ReportCensusWith(a.Conn(), 2, 5, []int{1, 2}, time.Second, nil)
+	_, err := ReportCensusWith(a.Conn(), &transport.Census{Edge: 2, Round: 5, Counts: []int{1, 2}}, time.Second, nil)
 	if err == nil {
 		t.Fatal("ReportCensusWith accepted an unexpected frame kind")
 	}
