@@ -37,18 +37,18 @@ type Server struct {
 	metrics serverMetrics
 	srv     *transport.Acceptor
 
-	// Durability (a journal not open = in-memory only; see Open).
-	journal      *durable.Journal
-	compactEvery int
+	// Durability (a journal not open = in-memory only; see Open). Every
+	// round below journaledBelow is folded and, with a state directory,
+	// journaled: a digest ack covers no round beyond it (ackedLocked).
+	journal        *durable.Journal
+	journaledBelow int
 
 	// Fixed-lag fusion (see SetFixedLag). window holds the last lag
-	// completed rounds in round order, its entries reused as a ring; held is
-	// the entry the last checkpoint snapshotted, which the ring does not
-	// reuse; correctionSeq totally orders the ratio corrections rewinds
-	// publish. The rest is a rewind's scratch, reused from rewind to rewind.
+	// completed rounds in round order, its entries reused as a ring;
+	// correctionSeq totally orders the ratio corrections rewinds publish.
+	// The rest is a rewind's scratch, reused from rewind to rewind.
 	lag           int
 	window        []*lagEntry
-	held          *lagEntry
 	correctionSeq int64
 	corrEdges     []int               // the fan-out's regions
 	corrX         []float64           // and their ratios
@@ -139,16 +139,15 @@ func NewServer(f *policy.FDS, initial *game.State) (*Server, error) {
 	}
 	o := obs.New()
 	s := &Server{
-		fold:         fold,
-		m:            fold.Regions(),
-		k:            fold.Decisions(),
-		obsv:         o,
-		srv:          transport.NewAcceptor(),
-		journal:      new(durable.Journal),
-		compactEvery: durable.CompactEvery,
-		digestMark:   make(map[int]int),
-		div:          make([]policy.Divergence, fold.Regions()),
-		skip:         make([]bool, fold.Regions()),
+		fold:       fold,
+		m:          fold.Regions(),
+		k:          fold.Decisions(),
+		obsv:       o,
+		srv:        transport.NewAcceptor(),
+		journal:    new(durable.Journal),
+		digestMark: make(map[int]int),
+		div:        make([]policy.Divergence, fold.Regions()),
+		skip:       make([]bool, fold.Regions()),
 	}
 	s.metrics = newServerMetrics(o, s.StateHash)
 	regions := make([]int, s.m)
@@ -364,11 +363,15 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 	s.eng.Advance(round)
 	// Released means folded and fsynced: a ratio answered to an edge must
 	// never be lost to a crash the edge did not see.
-	if ticket >= 0 {
+	if ticket < 0 {
+		s.journaledBelow = round + 1
+	} else {
 		folded := time.Now()
 		n, err := s.journal.WaitRound(ticket)
 		s.metrics.durableWait.Observe(time.Since(folded).Seconds())
-		s.journal.Journaled(rec, n, err)
+		if s.journal.Journaled(rec, n, err); err == nil { // a failed append poisons the journal: none after it succeeds
+			s.journaledBelow = round + 1
+		}
 	}
 	s.eng.Release(round, b, degraded)
 	s.eng.Recycle(spent)

@@ -2,8 +2,8 @@ package cloud
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -25,21 +25,8 @@ func crashServer(t *testing.T, lag int) *Server {
 	}
 	t.Cleanup(srv.Close)
 	srv.SetFixedLag(lag)
-	srv.compactEvery = 4
+	srv.journal = durable.NewJournal(nil, 4)
 	return srv
-}
-
-// openRecorded opens a fresh state directory on srv through a journal whose
-// store announces its disk work to the returned recorder.
-func openRecorded(t *testing.T, srv *Server) *crashtest.Recorder {
-	t.Helper()
-	dir := t.TempDir()
-	rec := crashtest.New(t, dir)
-	srv.journal = durable.NewJournal(rec.Hook)
-	if err := srv.Open(dir); err != nil {
-		t.Fatal(err)
-	}
-	return rec
 }
 
 // crashRound drives one round of the crash-matrix script. With a lag window
@@ -66,22 +53,6 @@ func crashRound(t *testing.T, srv *Server, round int) {
 	}
 }
 
-// lastRecord returns the newest round record journaled in a copy of a state
-// directory.
-func lastRecord(t *testing.T, dir string) durable.RoundRecord {
-	t.Helper()
-	journal, _, err := durable.OpenJournal(crashtest.CopyDir(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal.Close()
-	var last durable.RoundRecord
-	if err := journal.Replay(func(rec durable.RoundRecord) error { last = rec; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	return last
-}
-
 // windowEntry is what a lag-window entry means, whatever storage holds it:
 // its round, the bits of its snapshot (bitsOf: state and controller memory),
 // its censuses and whether it completed degraded.
@@ -106,166 +77,269 @@ func windowOf(srv *Server) []windowEntry {
 	return out
 }
 
-// TestCheckpointCrashPoints is the crash-point matrix of the segmented
-// journal for the cloud coordinator, with and without a lag window: the
-// state directory is copied as it stands before the fsync of the cadence
-// round's write-ahead record — durable or not, nobody was answered, and
-// recovery folds it like its acknowledged twin — and before each step of the
-// background checkpoint — rotated but no snapshot, snapshot tmp written, snapshot
-// renamed with the old segments still present, old segments unlinked and no
-// spare, empty spare present — and then given a torn tail, rewritten in the
-// parent's one-file layout, taken right behind a rewind's delta Corrected
-// record, and taken after a checkpoint whose background half failed. Open on every one of them must recover the uninterrupted
-// twin: its round, its consensus_state_hash, its whole rewind window, and a
-// future that folds like a lossless run's.
+// genSetting is what a generated cloud schedule runs under: its lag window,
+// its checkpoint cadence, and whether its two regions report as two gossip
+// neighborhoods' digests (of one member each) instead of as edges.
+type genSetting struct {
+	Lag, Every int
+	Hoods      bool
+}
+
+// genStep is one step of a generated cloud schedule. A "round" completes
+// Round with every region's Counts but Region's (-1: none, else degraded); a
+// "late" census is Region's for Round, which completed earlier; a "fail"
+// step fails the next step's journal fsyncs, poisoning the journal, and a
+// "spare" step its creation of the next spare segment. With Hoods, "local"
+// completes hood Region's local Round and "digest" escalates what the hood
+// holds, which then drops the rounds the cloud acknowledged.
+type genStep struct {
+	Op     string
+	Round  int
+	Region int
+	Counts [][]int
+}
+
+// genCloud draws a schedule under lag.
+func genCloud(lag int, rng *rand.Rand) (genSetting, []genStep) {
+	set := genSetting{Lag: lag, Every: 2 + rng.Intn(2), Hoods: rng.Intn(4) == 0}
+	counts := func() []int {
+		c := make([]int, 8)
+		for v := 0; v < 10; v++ {
+			c[rng.Intn(3)]++
+		}
+		return c
+	}
+	var steps []genStep
+	if set.Hoods {
+		var next [2]int
+		for rounds := 2 + rng.Intn(4); next[0] < rounds || next[1] < rounds; {
+			if h := rng.Intn(2); next[h] < rounds && rng.Intn(3) > 0 {
+				steps = append(steps, genStep{Op: "local", Round: next[h], Region: h, Counts: [][]int{counts()}})
+				next[h]++
+			} else {
+				if rng.Intn(6) == 0 {
+					steps = append(steps, genStep{Op: "fail"})
+				}
+				steps = append(steps, genStep{Op: "digest", Region: h})
+			}
+		}
+		return set, append(steps, genStep{Op: "digest"}, genStep{Op: "digest", Region: 1}, genStep{Op: "digest"}, genStep{Op: "digest", Region: 1})
+	}
+	for r := 0; r < 4+rng.Intn(5); r++ {
+		miss := -1
+		if rng.Intn(4) == 0 {
+			miss = rng.Intn(2)
+		}
+		steps = append(steps, genStep{Op: "round", Round: r, Region: miss, Counts: [][]int{counts(), counts()}})
+		switch rng.Intn(8) {
+		case 0, 1:
+			steps = append(steps, genStep{Op: "late", Round: max(0, r-rng.Intn(set.Lag+2)), Region: rng.Intn(2), Counts: [][]int{counts()}})
+		case 2:
+			steps = append(steps, genStep{Op: "fail"})
+		case 3:
+			steps = append(steps, genStep{Op: "spare"})
+		}
+	}
+	return set, steps
+}
+
+// genApply runs one step on srv, the hoods' backlogs beside it. A full round
+// is one batch through SubmitBatch; a degraded one completes at once, as its
+// deadline would, without waiting one out.
+func genApply(srv *Server, hoods *[2][]transport.DigestRound, st genStep) error {
+	switch st.Op {
+	case "round":
+		var censuses []transport.Census
+		for e, c := range st.Counts {
+			if e != st.Region {
+				censuses = append(censuses, transport.Census{Edge: e, Round: st.Round, Counts: c})
+			}
+		}
+		if st.Region < 0 {
+			_, err := srv.SubmitBatch(transport.CensusBatch{Round: st.Round, Censuses: censuses})
+			return err
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		b, late, err := srv.eng.Place(st.Round, censuses, false)
+		if err == nil && !late {
+			srv.completeRoundLocked(st.Round, b, b.Size() < srv.m)
+		} else if err == nil {
+			err = fmt.Errorf("round %d is late", st.Round)
+		}
+		return err
+	case "late":
+		if st.Round > srv.Latest() {
+			return nil // the round it is late for was shrunk away
+		}
+		_, err := srv.SubmitBatch(transport.CensusBatch{Round: st.Round, Censuses: []transport.Census{{Edge: st.Region, Round: st.Round, Counts: st.Counts[0]}}})
+		return err
+	case "local":
+		hoods[st.Region] = append(hoods[st.Region], transport.DigestRound{Round: st.Round,
+			Censuses: []transport.Census{{Edge: st.Region, Round: st.Round, Counts: st.Counts[0]}}})
+	case "digest":
+		held := hoods[st.Region]
+		if len(held) == 0 {
+			return nil
+		}
+		reply, err := srv.SubmitDigest(transport.Digest{Neighborhood: st.Region, Of: 2, Members: []int{st.Region}, Rounds: held})
+		for err == nil && len(held) > 0 && held[0].Round < reply.Acked {
+			held = held[1:]
+		}
+		hoods[st.Region] = held
+		return err
+	}
+	return nil
+}
+
+// genOwner is a server a generated schedule runs on, with the two hoods'
+// backlogs beside it; the journaled one keeps theirs before each step in
+// seen.
+type genOwner struct {
+	*Server
+	hoods [2][]transport.DigestRound
+	seen  *[][2][]transport.DigestRound
+}
+
+func (o *genOwner) Step(st genStep) error {
+	if o.seen != nil {
+		*o.seen = append(*o.seen, o.hoods)
+	}
+	return genApply(o.Server, &o.hoods, st)
+}
+
+// State is what a recovery must reproduce: the round, the fold's hash and
+// the lag window, entry by entry.
+func (o *genOwner) State() string {
+	return fmt.Sprintf("latest %d hash %08x window %+v", o.Latest(), o.StateHash(), windowOf(o.Server))
+}
+
+func (o *genOwner) Settle() { _ = o.journal.WaitCheckpoint() }
+
+func (o *genOwner) Drain() error {
+	if o.seen != nil {
+		*o.seen = append(*o.seen, o.hoods)
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.journal.Drain()
+}
+
+// cloudSchedule is how crashtest.Check runs a generated cloud schedule. With
+// hoods, whose digest step may fold several rounds, a recovery is not
+// matched to a twin state: it goes on from the step it crashed in, with the
+// hoods' backlogs as the crash found them — holding every round the cloud
+// did not acknowledge, or the run cannot end where the twin's did.
+func cloudSchedule(t *testing.T, set genSetting, steps []genStep) crashtest.Schedule[genStep] {
+	var seen [][2][]transport.DigestRound
+	s := crashtest.Schedule[genStep]{
+		Steps: steps,
+		Open: func(dir string, hook func(op, path string) error) (crashtest.Owner[genStep], error) {
+			o := &genOwner{Server: crashServer(t, set.Lag)}
+			if dir == "" {
+				return o, nil
+			}
+			if hook != nil {
+				o.seen = &seen
+			}
+			o.journal = durable.NewJournal(hook, set.Every)
+			return o, o.Open(dir)
+		},
+		Fail: func(st genStep) (string, bool) {
+			return map[string]string{"fail": "sync journal", "spare": "create journal"}[st.Op], st.Op == "fail"
+		},
+	}
+	if set.Hoods {
+		s.Resume = func(r crashtest.Owner[genStep], k int, _ string, _ []string) int {
+			o := r.(*genOwner)
+			o.hoods = [2][]transport.DigestRound{slices.Clone(seen[k][0]), slices.Clone(seen[k][1])}
+			for h := 0; k == len(steps) && h < 4; h++ { // a crash in the drain: the hoods send what they hold
+				_ = genApply(o.Server, &o.hoods, genStep{Op: "digest", Region: h % 2})
+			}
+			return k
+		}
+	}
+	return s
+}
+
+// TestCheckpointCrashPoints is the cloud's crash-point generator, 500
+// schedules with and 500 without a lag window, each recovered from a copy
+// taken before every one of its disk operations (see cloudSchedule). The
+// fixed schedules are digest acks that covered a round the cloud held only
+// in memory: hood 0's round 0 acknowledged while hood 1 has not reported it,
+// and hood 1's folded by an append whose fsync failed. A crash before the
+// round is durable must not lose it.
 func TestCheckpointCrashPoints(t *testing.T) {
+	c := []int{5, 3, 2, 0, 0, 0, 0, 0}
+	failedAppend := func() (genSetting, []genStep) {
+		return genSetting{Every: 2, Hoods: true}, []genStep{
+			{Op: "local", Round: 0, Region: 0, Counts: [][]int{c}},
+			{Op: "local", Round: 0, Region: 1, Counts: [][]int{c}},
+			{Op: "digest", Region: 0},
+			{Op: "fail"},
+			{Op: "digest", Region: 1},
+			{Op: "local", Round: 1, Region: 0, Counts: [][]int{c}},
+			{Op: "local", Round: 1, Region: 1, Counts: [][]int{c}},
+			{Op: "digest", Region: 1},
+			{Op: "digest", Region: 0},
+		}
+	}
+	ackedInMemory := func() (genSetting, []genStep) {
+		return genSetting{Every: 2, Hoods: true}, []genStep{
+			{Op: "local", Round: 0, Region: 0, Counts: [][]int{c}},
+			{Op: "local", Round: 0, Region: 1, Counts: [][]int{c}},
+			{Op: "local", Round: 1, Region: 0, Counts: [][]int{c}},
+			{Op: "digest", Region: 0},
+			{Op: "digest", Region: 1},
+			{Op: "local", Round: 1, Region: 1, Counts: [][]int{c}},
+			{Op: "digest", Region: 1},
+			{Op: "digest", Region: 0},
+		}
+	}
+	fixed := []func() (genSetting, []genStep){ackedInMemory, failedAppend}
 	for _, lag := range []int{0, 2} {
 		t.Run(fmt.Sprintf("lag=%d", lag), func(t *testing.T) {
-			// The lossless reference: the hash after every round.
-			ref := crashServer(t, 0)
-			var hashes []uint32
-			for round := 0; round < 12; round++ {
-				c0, c1 := testCounts(round%8, 7-round%8, 10)
-				runFullRound(t, ref, round, c0, c1)
-				hashes = append(hashes, ref.StateHash())
-			}
-
-			verify := func(step, dir string, twin *Server) {
-				t.Helper()
-				srv := crashServer(t, lag)
-				if err := srv.Open(dir); err != nil {
-					t.Errorf("%s: Open: %v", step, err)
-					return
-				}
-				latest := twin.Latest()
-				if got := srv.Latest(); got != latest {
-					t.Errorf("%s: recovered latest = %d, want %d", step, got, latest)
-					return
-				}
-				if got := srv.StateHash(); got != hashes[latest] || got != twin.StateHash() {
-					t.Errorf("%s: recovered hash %08x, twin %08x, lossless %08x", step, got, twin.StateHash(), hashes[latest])
-				}
-				if got, want := windowOf(srv), windowOf(twin); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: recovered rewind window differs from the twin's:\n got %+v\nwant %+v", step, got, want)
-				}
-				// The future, a rewind included (round 10 under a lag window),
-				// folds like the lossless run's.
-				for round := latest + 1; round < len(hashes); round++ {
-					crashRound(t, srv, round)
-				}
-				if got := srv.StateHash(); got != hashes[len(hashes)-1] {
-					t.Errorf("%s: hash after the recovered server ran on = %08x, lossless %08x", step, got, hashes[len(hashes)-1])
-				}
-			}
-
-			// Two checkpoints (rounds 3 and 7); the second one's background
-			// half is the one copied step by step: it has a snapshot to
-			// replace and a covered segment to unlink.
-			srv := crashServer(t, lag)
-			rec := openRecorded(t, srv)
-			for round := 0; round < 7; round++ {
-				crashRound(t, srv, round)
-			}
-			if err := srv.journal.WaitCheckpoint(); err != nil {
-				t.Fatal(err)
-			}
-			rec.Reset()
-			rec.Arm()
-			crashRound(t, srv, 7)
-			if err := srv.journal.WaitCheckpoint(); err != nil {
-				t.Fatal(err)
-			}
-			crashes := rec.Crashes()
-			rec.Committer(t)
-			var steps []string
-			for _, c := range crashes {
-				steps = append(steps, c.Step)
-			}
-			// Without a window the first checkpoint unlinked journal.wal; with
-			// one it kept it for rounds 2-3, and the second lets it go.
-			covered, segments := "journal.00000001.wal", 2
-			if lag > 0 {
-				covered, segments = "journal.wal", 3
-			}
-			want := []string{
-				"before sync journal.00000001.wal",  // round 7's record written ahead: no reply, and the fold may not have run
-				"before create checkpoint.snap.tmp", // rotated, no snapshot
-				"before sync checkpoint.snap.tmp",   // snapshot tmp written
-				"before rename checkpoint.snap",
-				"before syncdir .",                   // snapshot renamed, old segments still present
-				"before remove " + covered,           // the same, its directory entry durable
-				"before create journal.00000003.wal", // old segments unlinked, no spare
-				"before syncdir .",                   // empty spare present
-				"after the last step",
-			}
-			if !reflect.DeepEqual(steps, want) {
-				t.Fatalf("background checkpoint steps = %q, want %q", steps, want)
-			}
-			final := crashes[len(crashes)-1].Dir
-			if names, _ := filepath.Glob(filepath.Join(final, "journal*.wal")); len(names) != segments {
-				t.Errorf("segment files after the second checkpoint = %q, want %d (closed ones a retained round is in, the active one, the spare)", names, segments)
-			}
-			torn := crashtest.CopyDir(t, final)
-			crashtest.TearTail(t, torn)
-			crashes = append(crashes,
-				crashtest.Crash{Step: "torn tail in the newest segment", Dir: torn},
-				crashtest.Crash{Step: "parent layout", Dir: crashtest.ParentLayout(t, final)})
-			for _, c := range crashes {
-				verify(c.Step, c.Dir, srv)
-			}
-
-			// Killed right behind a rewind's record (round 5's late census,
-			// journaled alone): recovery merges it into the degraded round
-			// the journal holds just before it. Without a window round 5 is
-			// an ordinary round and this is one more plain kill.
-			behind := crashServer(t, lag)
-			if err := behind.Open(t.TempDir()); err != nil {
-				t.Fatal(err)
-			}
-			for round := 0; round <= 5; round++ {
-				crashRound(t, behind, round)
-			}
-			if err := behind.journal.WaitCheckpoint(); err != nil {
-				t.Fatal(err)
-			}
-			killed := crashtest.CopyDir(t, behind.journal.Dir())
-			if last := lastRecord(t, killed); lag > 0 && (!last.Corrected || last.Round != 5 || len(last.Censuses) != 1) {
-				t.Errorf("the journal ends in %+v, want round 5's late census alone, marked corrected", last)
-			}
-			verify("killed behind a delta Corrected record", killed, behind)
-
-			// A checkpoint whose background half fails at its first step: the
-			// journal has rotated, no snapshot was written, no spare exists,
-			// and two more rounds land in the new segment.
-			failed := crashServer(t, lag)
-			rec = openRecorded(t, failed)
-			for round := 0; round < 7; round++ {
-				crashRound(t, failed, round)
-			}
-			if err := failed.journal.WaitCheckpoint(); err != nil { // round 3's, which must not fail too
-				t.Fatal(err)
-			}
-			rec.Fail("create checkpoint.snap.tmp")
-			crashRound(t, failed, 7)
-			if err := failed.journal.WaitCheckpoint(); err == nil {
-				t.Fatal("WaitCheckpoint returned nil for a background checkpoint that failed")
-			}
-			if n := metricValue(t, failed.Registry(), "durable_journal_errors_total"); n != 1 {
-				t.Errorf("durable_journal_errors_total = %v after a failed background checkpoint, want 1", n)
-			}
-			rec.Fail("")
-			crashRound(t, failed, 8)
-			crashRound(t, failed, 9)
-			verify("background failed, two rounds later", crashtest.CopyDir(t, failed.journal.Dir()), failed)
+			crashtest.Explore(t, 500, fixed, func(rng *rand.Rand) (genSetting, []genStep) {
+				return genCloud(lag, rng)
+			}, func(t *testing.T, set genSetting, steps []genStep) error {
+				return crashtest.Check(t, cloudSchedule(t, set, steps))
+			})
+			fixed = nil
 		})
 	}
+}
+
+// TestCadenceRoundCommitPath is the cloud's commit-path pin: the cadence
+// round, submitted like any other, fsyncs the journal once, on a goroutine
+// that touches the disk no further; the checkpoint's create, unlinks and
+// directory fsync all run on the store's background goroutine.
+func TestCadenceRoundCommitPath(t *testing.T) {
+	srv := crashServer(t, 2)
+	dir := t.TempDir()
+	rec := crashtest.New(t, dir)
+	srv.journal = durable.NewJournal(rec.Hook, 4)
+	if err := srv.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 11; round++ { // rewinds at rounds 5 and 10, checkpoints at 3 and 7
+		crashRound(t, srv, round)
+	}
+	if err := srv.journal.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rec.Reset()
+	crashRound(t, srv, 11) // its checkpoint unlinks journal.wal, which round 7's covers
+	if err := srv.journal.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rec.Committer(t)
 }
 
 // TestCheckpointBoundsSegments: at fixed_lag 8 and the default cadence, 200
 // rounds leave at most two closed segments, the active one and the spare.
 func TestCheckpointBoundsSegments(t *testing.T) {
 	srv := crashServer(t, 8)
-	srv.compactEvery = durable.CompactEvery
+	srv.journal = durable.NewJournal(nil, durable.CompactEvery)
 	dir := t.TempDir()
 	if err := srv.Open(dir); err != nil {
 		t.Fatal(err)

@@ -10,14 +10,14 @@ import (
 // SubmitDigest reconciles one neighborhood's compacted round history into
 // the control-plane fold. Each digest round carries the full census set the
 // neighborhood folded locally; rounds the cloud already completed go
-// through the fixed-lag late path (byte-identical duplicates — the normal
-// case, since every neighborhood folds the same members' censuses its
-// digest reports — are absorbed; genuinely late censuses rewind and merge),
-// while new rounds accumulate on the round barrier until every neighborhood
-// (d.Of of them, a count the first accepted digest fixes) has reported, then fold in round order. SubmitDigest never
-// blocks on a barrier: the reply is the cloud's *current* view of the
-// members' ratios, which gossip nodes record for observability only — the
-// digest stream is the data plane's history, not a policy round-trip.
+// through the fixed-lag late path (byte-identical duplicates are absorbed,
+// genuinely late censuses rewind and merge), while new rounds wait on the
+// round barrier until every neighborhood (d.Of of them, a count the first
+// accepted digest fixes) has reported, then fold in round order.
+// SubmitDigest never blocks on a barrier: the reply is the cloud's *current*
+// view of the members' ratios, for observability only, and the
+// neighborhood's durable watermark (ackedLocked), below which alone it may
+// drop rounds.
 //
 // Rounds inside one digest must be ascending; neighborhoods escalate their
 // backlog in order, so cross-neighborhood completion is ascending too.
@@ -55,11 +55,9 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 	for _, dr := range d.Rounds {
 		s.metrics.digestRounds.Inc()
 		if dr.Round < s.digestMark[d.Neighborhood] {
-			// This neighborhood already escalated the round — the same
-			// leader retrying a lost ack, or a failed-over successor
-			// draining the backlog its journal reconstructed. Idempotent
-			// adoption: skip without disturbing the rewind window, so the
-			// re-sent copy folds bit-identically to having never arrived.
+			// This neighborhood already escalated the round: a re-send of
+			// what was not yet durable, a lost ack's retry, or a failed-over
+			// successor's. Skipped without disturbing the rewind window.
 			s.metrics.digestSkipped.Inc()
 			continue
 		}
@@ -86,10 +84,9 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 	}
 	// Advance the neighborhood's watermark past everything this digest
 	// carried: the rounds are either folded, pending on the digest barrier,
-	// or absorbed by the rewind window, and the ack below tells the leader
-	// to drop them — any future copy must be treated as a duplicate. The
-	// reply Round stays last+1 even when every round was skipped, since the
-	// escalation exchange identifies its answer by that number.
+	// or absorbed by the rewind window, so a copy re-sent is a duplicate.
+	// The reply Round stays last+1 even when every round was skipped, since
+	// the escalation exchange identifies its answer by that number.
 	if last+1 > s.digestMark[d.Neighborhood] {
 		s.digestMark[d.Neighborhood] = last + 1
 	}
@@ -97,6 +94,7 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 		Round: last + 1,
 		Edges: append([]int(nil), d.Members...),
 		X:     make([]float64, len(d.Members)),
+		Acked: s.ackedLocked(d.Neighborhood),
 	}
 	for i, e := range d.Members {
 		if e >= 0 && e < s.m {
@@ -104,4 +102,13 @@ func (s *Server) SubmitDigest(d transport.Digest) (transport.RatioBatch, error) 
 		}
 	}
 	return reply, nil
+}
+
+// ackedLocked is neighborhood h's durable watermark, which its ack and the
+// checkpoint carry: its rounds below it are folded and journaled. One still
+// waiting on the digest barrier, or folded while the journal fails, lives
+// only in memory, so h keeps it and re-sends it at its next boundary.
+// Called with s.mu held.
+func (s *Server) ackedLocked(h int) int {
+	return min(s.digestMark[h], s.journaledBelow)
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/crashtest"
+	"repro/internal/durable"
 	"repro/internal/game"
 	"repro/internal/transport"
 )
@@ -114,7 +116,7 @@ func TestDigestWatermarkSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1.compactEvery = 1
+	srv1.journal = durable.NewJournal(nil, 1)
 	if err := srv1.Open(dir); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -158,5 +160,38 @@ func TestDigestWatermarkSurvivesRestart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(srv2.State(), preState) {
 		t.Fatalf("re-escalation disturbed the recovered fold:\n got %+v\nwant %+v", srv2.State(), preState)
+	}
+}
+
+// A digest ack covers no round the journal failed to make durable: after a
+// failed fsync the cloud serves on from memory, its acks stay below the
+// round the failed append held, so the hood keeps that round and sends it
+// again, and a drain, which heals the journal, lets the next ack cover it.
+func TestDigestAckStopsAtAFailedAppend(t *testing.T) {
+	srv := crashServer(t, 0)
+	dir := t.TempDir()
+	rec := crashtest.New(t, dir)
+	srv.journal = durable.NewJournal(rec.Hook, 0)
+	if err := srv.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := testCounts(0, 7, 10)
+	if reply, err := srv.SubmitDigest(testDigest(0, 0, c0, c1)); err != nil || reply.Acked != 1 {
+		t.Fatalf("digest of round 0: acked %d, %v; want 1", reply.Acked, err)
+	}
+	rec.Fail("sync journal")
+	reply, err := srv.SubmitDigest(testDigest(1, 2, c0, c1))
+	rec.Fail("")
+	if err != nil || reply.Acked != 1 || srv.Latest() != 2 {
+		t.Fatalf("digest of rounds 1-2 over a failed fsync: acked %d with latest %d, %v; want 1 with 2", reply.Acked, srv.Latest(), err)
+	}
+	srv.mu.Lock()
+	err = srv.journal.Drain()
+	srv.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := srv.SubmitDigest(testDigest(1, 3, c0, c1)); err != nil || reply.Acked != 4 || srv.Latest() != 3 {
+		t.Fatalf("re-sent rounds 1-2 and round 3 after a drain: acked %d with latest %d, %v; want 4 with 3", reply.Acked, srv.Latest(), err)
 	}
 }

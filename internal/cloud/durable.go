@@ -17,6 +17,7 @@ func (s *Server) Open(stateDir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cpRound := -1 // rounds through it are inside the checkpoint
+	defer func() { s.journaledBelow = s.eng.Latest() + 1 }()
 	return s.journal.Open(stateDir, durable.Owner{
 		Name: "cloud",
 		Restore: func(snap []byte) (int, error) {
@@ -30,7 +31,7 @@ func (s *Server) Open(stateDir string) error {
 			return cp.Round, err
 		},
 		Replay:     func(rec durable.RoundRecord) (bool, error) { return s.replayLocked(rec, cpRound) },
-		Checkpoint: s.checkpointLocked, Every: s.compactEvery, Observer: s.obsv, Logf: s.logf,
+		Checkpoint: s.checkpointLocked, Every: durable.CompactEvery, Observer: s.obsv, Logf: s.logf,
 		Errors: s.metrics.journalErrors, Recoveries: s.metrics.recoveries, Replayed: s.metrics.replayRecords,
 	})
 }
@@ -81,22 +82,16 @@ func (s *Server) replayLocked(rec durable.RoundRecord, cpRound int) (bool, error
 }
 
 // checkpointLocked is the journal's Checkpoint hook. Without a lag window a
-// checkpoint is of the current state (a clone: the next round folds into the
-// live one) and no journaled round outlives it. With buffered rounds it is of
-// the state *before* the oldest window entry — which no rewind writes to: one
-// rewrites the snapshots after the entry it rewinds to, never window[0]'s —
-// and the entry is held back from the window's ring, whose next push would
-// overwrite it, until the next checkpoint (which first waits for this one's
-// encode). The window's round records stay in the journal: rewinding inside
-// the window must stay possible across a restart, and a checkpoint of the
-// current state would make the buffered rounds unrecoverable. Called with
-// s.mu held.
-func (s *Server) checkpointLocked() (func() ([]byte, error), []durable.RoundRecord) {
+// checkpoint is of the current state and no journaled round outlives it.
+// With buffered rounds it is of the state *before* the oldest window entry,
+// and the window's records stay journaled, so that rewinding inside the
+// window stays possible across a restart. Called with s.mu held.
+func (s *Server) checkpointLocked(dst []byte) ([]byte, []durable.RoundRecord, error) {
 	var cp durable.Checkpoint
 	var retained []durable.RoundRecord
 	if s.lag > 0 && len(s.window) > 0 {
-		s.held = s.window[0]
-		cp = durable.Checkpoint{Round: s.held.round - 1, State: s.held.preState, FDS: s.held.preFDS}
+		e := s.window[0]
+		cp = durable.Checkpoint{Round: e.round - 1, State: e.preState, FDS: e.preFDS}
 		for _, e := range s.window {
 			retained = append(retained, durable.RoundRecord{Round: e.round, Degraded: e.degraded, Sorted: e.set.Sorted(e.round)})
 		}
@@ -106,8 +101,12 @@ func (s *Server) checkpointLocked() (func() ([]byte, error), []durable.RoundReco
 	cp.CorrectionSeq = s.correctionSeq
 	if len(s.digestMark) > 0 {
 		cp.DigestWatermarks = maps.Clone(s.digestMark)
+		for h := range cp.DigestWatermarks {
+			cp.DigestWatermarks[h] = s.ackedLocked(h)
+		}
 	}
-	return func() ([]byte, error) { return durable.EncodeCheckpoint(cp) }, retained
+	snap, err := durable.AppendCheckpoint(dst, cp)
+	return snap, retained, err
 }
 
 // Drain shuts the coordinator down gracefully: the most advanced pending

@@ -176,11 +176,10 @@ func (f *Fold) Converged() bool {
 	return ok
 }
 
-// Checkpoint captures the fold after round as a durable checkpoint — a copy,
-// which the journal encodes in the background while the fold moves on; the
-// owner adds its own fields.
+// Checkpoint captures the fold after round as a durable checkpoint over its
+// own state, to encode before the next round; the owner adds its fields.
 func (f *Fold) Checkpoint(round int) durable.Checkpoint {
-	return durable.Checkpoint{Round: round, State: f.state.Clone(), FDS: f.fds.Memory()}
+	return durable.Checkpoint{Round: round, State: f.state, FDS: f.fds.Memory()}
 }
 
 // Restore installs a checkpoint's payload — refusing one whose shape differs

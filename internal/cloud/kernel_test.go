@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crashtest"
 	"repro/internal/durable"
 	"repro/internal/game"
 	"repro/internal/israce"
@@ -309,18 +310,11 @@ func TestOpenCountsOrphanedCorrections(t *testing.T) {
 
 	// Under a checkpoint: round 1's correction is debris the snapshot covers.
 	dir := reflectionJournal(t, []durable.RoundRecord{full(1), correction(1), full(2)})
-	store, err := durable.Open(dir)
+	snap, err := durable.AppendCheckpoint(nil, durable.Checkpoint{Round: 1, State: game.NewUniformState(2, 8, 0.5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := durable.EncodeCheckpoint(durable.Checkpoint{Round: 1, State: game.NewUniformState(2, 8, 0.5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.WriteSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
+	crashtest.WriteLegacySnapshot(t, dir, snap)
 	srv := newLagServer(t, 8)
 	defer srv.Close()
 	if err := srv.Open(dir); err != nil {

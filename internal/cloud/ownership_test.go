@@ -198,10 +198,11 @@ func TestCallerKeepsItsCounts(t *testing.T) {
 }
 
 // TestRingKeepsCheckpointedSnapshot holds a background checkpoint before it
-// encodes — its snapshot is the oldest lag-window entry's, the one the ring
-// reuses next — while twice the window's depth of rounds commits, then lets
-// it go. What it wrote must be the lossless twin's state at its round, and a
-// server opened on the directory must recover the twin's window.
+// prepares its spare — its snapshot, encoded at capture, is the oldest
+// lag-window entry's, the one the ring reuses next — while twice the window's
+// depth of rounds commits, then lets it go. What it wrote must be the
+// lossless twin's state at its round, and a server opened on the directory
+// must recover the twin's window.
 func TestRingKeepsCheckpointedSnapshot(t *testing.T) {
 	const lag, cadence = 4, 10
 	twin := crashServer(t, lag)
@@ -212,11 +213,10 @@ func TestRingKeepsCheckpointedSnapshot(t *testing.T) {
 	}
 
 	srv := crashServer(t, lag)
-	srv.compactEvery = cadence
 	dir := t.TempDir()
 	gate := crashtest.NewGate()
-	gate.Step = "create checkpoint.snap.tmp"
-	srv.journal = durable.NewJournal(gate.Hook)
+	gate.Step = "create journal.00000002.wal"
+	srv.journal = durable.NewJournal(gate.Hook, cadence)
 	if err := srv.Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRingKeepsCheckpointedSnapshot(t *testing.T) {
 	for round := 0; round < cadence; round++ {
 		crashRound(t, srv, round)
 	}
-	<-gate.Reached // round cadence-1's record started the checkpoint; it waits to encode
+	<-gate.Reached // round cadence-1's record started the checkpoint; its background waits
 	for round := cadence; round < cadence+2*lag; round++ {
 		crashRound(t, srv, round)
 	}

@@ -162,7 +162,7 @@ func TestRecoverySkipsCheckpointedJournalRecords(t *testing.T) {
 	}
 	ckptState := game.NewUniformState(2, 8, 0.5)
 	ckptState.X[0], ckptState.X[1] = 0.25, 0.75
-	snap, err := durable.EncodeCheckpoint(durable.Checkpoint{
+	snap, err := durable.AppendCheckpoint(nil, durable.Checkpoint{
 		Round: 2,
 		State: ckptState,
 		FDS:   policy.FDSMemory{LastShortfall: []float64{0.1, 0.2}, StallRounds: []int{1, 2}},
@@ -170,9 +170,7 @@ func TestRecoverySkipsCheckpointedJournalRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.WriteSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
+	crashtest.WriteLegacySnapshot(t, dir, snap)
 	c0, c1 := testCounts(0, 7, 10)
 	for round := 1; round <= 3; round++ {
 		rec, err := durable.EncodeRound(durable.RoundRecord{
@@ -214,7 +212,7 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1.compactEvery = 2
+	srv1.journal = durable.NewJournal(nil, 2)
 	if err := srv1.Open(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +248,8 @@ func TestCompactionPreservesRecovery(t *testing.T) {
 }
 
 // Drain completes the pending barrier degraded, checkpoints, and leaves a
-// state directory that reopens with an empty journal.
+// state directory whose checkpoint covers every record still on disk: it
+// reopens with nothing to replay.
 func TestDrainCompletesPendingAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	fds1, _ := testFDS(t)
@@ -286,14 +285,23 @@ func TestDrainCompletesPendingAndCheckpoints(t *testing.T) {
 	}
 	drained := srv1.State()
 
-	store, err := durable.Open(dir)
+	j, snap, err := durable.OpenJournal(crashtest.CopyDir(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := store.Replay(func([]byte) error { return nil }); err != nil || n != 0 {
-		t.Fatalf("drain checkpoint left %d journal records to replay (%v), want 0", n, err)
+	cp, err := durable.DecodeCheckpoint(snap)
+	if err != nil || cp.Round != 1 {
+		t.Fatalf("the drain checkpoint is of round %d (%v), want 1", cp.Round, err)
 	}
-	store.Close()
+	if err := j.Replay(func(rec durable.RoundRecord) error {
+		if rec.Round > cp.Round {
+			t.Errorf("round %d is journaled past the drain checkpoint", rec.Round)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
 
 	fds2, _ := testFDS(t)
 	srv2, err := NewServer(fds2, game.NewUniformState(2, 8, 0.5))
@@ -306,6 +314,9 @@ func TestDrainCompletesPendingAndCheckpoints(t *testing.T) {
 	}
 	if got := srv2.Latest(); got != 1 {
 		t.Fatalf("reopened latest = %d, want 1", got)
+	}
+	if n := metricValue(t, srv2.Registry(), "journal_replay_records_total"); n != 0 {
+		t.Fatalf("the drain checkpoint left %v journal records to replay, want 0", n)
 	}
 	if !reflect.DeepEqual(srv2.State(), drained) {
 		t.Fatalf("reopened state differs from drained state")
@@ -371,7 +382,7 @@ func TestRecoveryPreservesRewindWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv1.SetFixedLag(8)
-	srv1.compactEvery = 2 // exercise the retained-window checkpoint path
+	srv1.journal = durable.NewJournal(nil, 2) // exercise the retained-window checkpoint path
 	if err := srv1.Open(dir); err != nil {
 		t.Fatal(err)
 	}

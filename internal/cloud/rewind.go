@@ -64,18 +64,14 @@ func (s *Server) StateHash() uint32 {
 // pushWindowLocked buffers a round about to be applied, with its census set:
 // the snapshots are taken from the *current* (pre-fold) state. The window is
 // a ring: when it is full, the entry leaving it is overwritten in place and
-// its census set returned as spent — unless it is the entry the last
-// checkpoint snapshotted, which a background encode may still be reading:
-// that one is left to it and a fresh entry taken. Called with s.mu held,
-// before the round's fold.
+// its census set returned as spent. Called with s.mu held, before the round's
+// fold.
 func (s *Server) pushWindowLocked(round int, set *CensusSet, degraded bool) (spent *CensusSet) {
 	var e *lagEntry
 	if len(s.window) >= s.lag {
-		out := s.window[0]
+		e = s.window[0]
 		s.window = append(s.window[:0], s.window[1:]...)
-		if spent = out.set; out != s.held {
-			e = out
-		}
+		spent = e.set
 	}
 	if e == nil {
 		e = &lagEntry{preState: s.fold.State().Clone()}
@@ -190,6 +186,9 @@ func (s *Server) handleLateLocked(round int, late []transport.Census) (handled, 
 	if ticket := s.journal.StartRound(rec); ticket >= 0 {
 		n, err := s.journal.WaitRound(ticket)
 		s.journal.Journaled(rec, n, err)
+		if err != nil {
+			s.journaledBelow = min(s.journaledBelow, e.round)
+		}
 	}
 	s.logfLocked("cloud: rewound round %d for edge %d, re-folded %d regions over %d rounds (correction seq %d)",
 		round, census.Edge, recomputed, replayed, s.correctionSeq)

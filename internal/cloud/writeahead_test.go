@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	}
 	defer srv.Close()
 	gate := crashtest.NewGate()
-	srv.journal = durable.NewJournal(gate.Hook)
+	srv.journal = durable.NewJournal(gate.Hook, 0)
 	if err := srv.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDurableCommitAllocs(t *testing.T) {
 	}
 	t.Cleanup(srv.Close)
 	srv.SetFixedLag(8)
-	srv.compactEvery = 0
+	srv.journal = durable.NewJournal(nil, math.MaxInt) // no checkpoint
 	if err := srv.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,21 @@
 // Package durable persists a round coordinator's consensus state across
-// process death. A state directory holds checkpoint.snap — the latest full
-// checkpoint, written atomically (tmp file + fsync + rename + directory
-// fsync) — and a journal cut into segments, journal.wal (segment 0) and
-// journal.NNNNNNNN.wal: closed ones, the active one (append-only, fsynced
-// per append) and an empty spare created ahead of the next rotation.
+// process death. A state directory holds a journal cut into segments,
+// journal.wal (segment 0) and journal.NNNNNNNN.wal: closed ones, the active
+// one (append-only, fsynced per append) and an empty spare created ahead of
+// the next rotation. A checkpoint is a snapshot frame at the head of the
+// segment the journal rotates into; a directory an older build wrote may
+// also hold checkpoint.snap, which recovery reads when no segment has one.
 //
-// All files carry CRC-framed records: a 4-byte big-endian payload length,
-// a 4-byte big-endian CRC-32C (Castagnoli) of the payload, then the
-// payload. A crash mid-append leaves a torn tail that fails the length or
-// CRC check; Replay truncates it away, so recovery always resumes from the
-// last record whose fsync completed. A checkpoint rewrites no record: the
-// owner rotates to the spare, a background job writes the snapshot and
-// unlinks the closed segments it covers, and a crash in between only leaves
-// already-checkpointed records behind, which the replayer must skip by
+// Every file carries CRC-framed records: a 4-byte big-endian payload length,
+// a 4-byte big-endian CRC-32C (Castagnoli) of the payload, then the payload.
+// A round record's payload opens with 0x01 (or '{', JSON an older build
+// wrote), a snapshot frame's with 0x02. A crash mid-append leaves a torn tail
+// that fails the length or CRC check; Replay truncates it away, so recovery
+// always resumes from the last record whose fsync completed. A snapshot
+// frame rides the next append's fsync: until then a crash may tear it, and
+// recovery falls back to the previous snapshot, which is why a checkpoint's
+// background job unlinks only the segments the previous snapshot covers.
+// Records a snapshot covers may outlive it; the replayer skips them by
 // round number. DESIGN §10.1 has the invariants and the crash windows.
 package durable
 
@@ -32,10 +35,13 @@ import (
 )
 
 const (
-	snapshotName = "checkpoint.snap"
-	journalName  = "journal.wal"
+	legacySnapshot = "checkpoint.snap" // an older build's checkpoint file
+	journalName    = "journal.wal"
 
 	frameHeader = 8 // 4-byte payload length + 4-byte CRC-32C
+
+	// tagSnapshot opens a snapshot frame's payload; the checkpoint follows.
+	tagSnapshot = 0x02
 
 	// MaxRecordBytes bounds a single record (16 MiB). A length prefix
 	// beyond it is treated as corruption, not an allocation request.
@@ -48,8 +54,8 @@ var ErrStoreClosed = errors.New("durable: store closed")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Hook runs before every operation that changes the state directory —
-// "create" (an open that may create), "sync", "rename", "remove", "syncdir"
-// — on the goroutine performing it; an error it returns fails the operation
+// "create" (an open that may create), "sync", "remove", "syncdir" — on the
+// goroutine performing it; an error it returns fails the operation
 // in its place. Tests count, interrupt and fail disk work through it.
 type Hook func(op, path string) error
 
@@ -69,19 +75,12 @@ func (h Hook) open(path string, flag int) (f *os.File, err error) {
 
 func (h Hook) sync(f *os.File) error { return h.do("sync", f.Name(), f.Sync) }
 
-// syncDir makes a create, rename or unlink inside dir durable.
-func (h Hook) syncDir(dir string) error {
-	return h.do("syncdir", dir, func() error {
-		f, err := os.Open(dir)
-		if err == nil {
-			err = f.Sync()
-			f.Close() // opened to read: nothing of ours to lose
-		}
-		if err != nil {
-			return fmt.Errorf("durable: sync dir: %w", err)
-		}
-		return nil
-	})
+// syncDir makes a create or unlink inside the state directory durable.
+func (s *Store) syncDir() error {
+	if err := s.disk.do("syncdir", s.dir, s.dirf.Sync); err != nil {
+		return fmt.Errorf("durable: sync dir: %w", err)
+	}
+	return nil
 }
 
 // segment is one journal file: its number, its length in complete records
@@ -92,10 +91,15 @@ type segment struct {
 	size       int64
 }
 
+// head is the snapshot a checkpoint wrote at the head of segment seq, which
+// needs the records of rounds from keepFrom on beside it; seq 0 is none.
+type head struct{ seq, keepFrom int }
+
 // Store owns one state directory. All methods are safe for concurrent use.
 type Store struct {
 	dir  string
-	disk Hook // every change to the directory goes through it
+	dirf *os.File // the state directory, held open for its fsyncs
+	disk Hook     // every change to the directory goes through it
 
 	mu      sync.Mutex
 	journal *os.File  // the active segment
@@ -103,7 +107,10 @@ type Store struct {
 	synced  int64     // the prefix of it a successful fsync covers
 	closed  []segment // older segments still on disk, oldest first
 	spare   *os.File  // empty segment cur.seq+1 with a durable directory entry, or nil
-	frame   []byte    // Append's framing scratch
+	frame   []byte    // the framing scratch of Append and checkpoint
+	last    head      // the newest snapshot this store wrote
+	legacy  bool      // a checkpoint.snap is on disk
+	loaded  int       // the size of the snapshot frame LoadSnapshot found
 
 	bg    sync.WaitGroup // the one background checkpoint in flight
 	bgErr error          // its failure, until WaitCheckpoint collects it
@@ -140,11 +147,12 @@ type Store struct {
 	timerArmed  bool
 }
 
-// Open creates the state directory if needed, opens (or creates) its active
-// journal segment and spare, and fsyncs the directory, so every segment an
-// Append can land in has a durable entry. Call Replay before the first
-// Append, so a torn tail from a previous crash is truncated rather than
-// appended after. OpenHooked announces the store's disk work to hook.
+// Open creates the state directory if needed and holds it open, opens (or
+// creates) its active journal segment and spare, and fsyncs the directory,
+// so every segment an Append can land in has a durable entry. Call Replay
+// before the first Append, so a torn tail from a previous crash is truncated
+// rather than appended after. OpenHooked announces the store's disk work to
+// hook.
 func Open(dir string) (*Store, error) { return OpenHooked(dir, nil) }
 
 func OpenHooked(dir string, hook Hook) (*Store, error) {
@@ -154,13 +162,19 @@ func OpenHooked(dir string, hook Hook) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: create state dir: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	dirf, err := os.Open(dir)
 	if err != nil {
+		return nil, fmt.Errorf("durable: open state dir: %w", err)
+	}
+	entries, err := dirf.ReadDir(-1)
+	if err != nil {
+		dirf.Close()
 		return nil, fmt.Errorf("durable: list state dir: %w", err)
 	}
-	s := &Store{dir: dir, disk: hook, cur: segment{below: math.MaxInt}}
+	s := &Store{dir: dir, dirf: dirf, disk: hook, cur: segment{below: math.MaxInt}}
 	s.flushed = sync.NewCond(&s.mu)
 	for _, e := range entries {
+		s.legacy = s.legacy || e.Name() == legacySnapshot
 		seq := 0
 		_, _ = fmt.Sscanf(e.Name(), "journal.%d.wal", &seq) // no number: seq stays 0, journal.wal's
 		if info, err := e.Info(); err == nil && e.Name() == filepath.Base(s.segmentPath(seq)) {
@@ -173,7 +187,9 @@ func OpenHooked(dir string, hook Hook) (*Store, error) {
 		n-- // the spare a previous process left
 	}
 	if n > 0 {
-		s.cur, s.closed, s.synced = s.closed[n-1], s.closed[:n-1], s.closed[n-1].size
+		// A kill -9 keeps what no fsync covered, a later power loss would
+		// not: synced stays 0, and the first rotation fsyncs what it closes.
+		s.cur, s.closed = s.closed[n-1], s.closed[:n-1]
 	}
 	if s.journal, err = s.disk.open(s.segmentPath(s.cur.seq), os.O_CREATE|os.O_RDWR); err == nil {
 		s.spare, err = s.createSegment(s.cur.seq + 1)
@@ -197,7 +213,7 @@ func (s *Store) createSegment(seq int) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: create segment: %w", err)
 	}
-	if err := s.disk.syncDir(s.dir); err != nil {
+	if err := s.syncDir(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -232,16 +248,26 @@ func (s *Store) SetGroupCommit(n int, window time.Duration) {
 func (s *Store) Dir() string { return s.dir }
 
 // LoadSnapshot returns the checkpoint payload, or ok=false when no
-// checkpoint has been written yet. A checkpoint that fails its CRC is an
-// error: unlike a torn journal tail, a torn checkpoint means the atomic
-// rename protocol was violated (or the disk corrupted it) and silently
-// restarting from scratch would discard real state.
+// checkpoint has been written yet: the snapshot frame at the head of the
+// newest segment that opens with a complete one — reading only the heads —
+// or else an older build's checkpoint.snap. A newest head that fails its
+// check is a snapshot whose fsync never came, and the previous one stands; a
+// corrupt checkpoint.snap is an error: its writer renamed it into place
+// whole, and silently restarting from scratch would discard real state.
 func (s *Store) LoadSnapshot() (payload []byte, ok bool, err error) {
-	path := filepath.Join(s.dir, snapshotName)
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	segs := append(s.closed[:len(s.closed):len(s.closed)], s.cur)
+	for i := len(segs) - 1; i >= 0; i-- {
+		if payload, ok, err = s.readHead(segs[i]); ok || err != nil {
+			return payload, ok, err
+		}
+	}
+	if !s.legacy {
 		return nil, false, nil
 	}
+	path := filepath.Join(s.dir, legacySnapshot)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, fmt.Errorf("durable: read snapshot: %w", err)
 	}
@@ -249,14 +275,41 @@ func (s *Store) LoadSnapshot() (payload []byte, ok bool, err error) {
 	if !frameOK || n != len(b) {
 		return nil, false, fmt.Errorf("durable: snapshot %s is corrupt", path)
 	}
+	s.loaded = n
 	return payload, true, nil
 }
 
-// Replay walks every segment's complete records, oldest segment first,
-// passing each payload to fn, and truncates any torn tail left by a crash
-// mid-append in the active one; a bad frame in a closed segment (fsynced
-// through its last frame before it closed) is an error, like a bad snapshot.
-// It returns the number of records replayed. An error from fn aborts the walk.
+// readHead returns the checkpoint in the snapshot frame at seg's head, if it
+// opens with a complete one.
+func (s *Store) readHead(seg segment) (payload []byte, ok bool, err error) {
+	f, err := os.Open(s.segmentPath(seg.seq))
+	if err != nil {
+		return nil, false, fmt.Errorf("durable: read journal: %w", err)
+	}
+	defer f.Close()
+	b := make([]byte, frameHeader+1)
+	if _, err := f.ReadAt(b, 0); err != nil || b[frameHeader] != tagSnapshot {
+		return nil, false, nil // shorter than a frame, or a round record
+	}
+	if n := int64(binary.BigEndian.Uint32(b)); frameHeader+n <= seg.size { // else torn: no frame
+		b = make([]byte, frameHeader+n)
+		if _, err := f.ReadAt(b, 0); err != nil {
+			return nil, false, nil
+		}
+	}
+	if payload, _, ok = parseFrame(b); ok {
+		s.loaded = len(b)
+		payload = payload[1:]
+	}
+	return payload, ok, nil
+}
+
+// Replay walks every segment's complete round records, oldest segment first,
+// passing each payload to fn — a snapshot frame is no record — and truncates
+// any torn tail left by a crash mid-append in the active one; a bad frame in
+// a closed segment (fsynced through its last frame before it closed) is an
+// error, like a bad checkpoint.snap. It returns the number of records
+// replayed. An error from fn aborts the walk.
 func (s *Store) Replay(fn func(payload []byte) error) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -276,11 +329,14 @@ func (s *Store) Replay(fn func(payload []byte) error) (int, error) {
 			if !ok {
 				break // torn or corrupt tail: everything before it is good
 			}
+			off += n
+			if len(payload) > 0 && payload[0] == tagSnapshot {
+				continue
+			}
 			if err := fn(payload); err != nil {
 				return replayed, err
 			}
 			replayed++
-			off += n
 		}
 		if seg.seq != s.cur.seq {
 			if off < len(buf) {
@@ -296,7 +352,7 @@ func (s *Store) Replay(fn func(payload []byte) error) (int, error) {
 				return replayed, fmt.Errorf("durable: sync journal: %w", err)
 			}
 		}
-		s.cur.size, s.synced = int64(off), int64(off)
+		s.cur.size, s.synced = int64(off), min(s.synced, int64(off))
 	}
 	return replayed, nil
 }
@@ -443,52 +499,59 @@ func (s *Store) Instrument(o *obs.Observer, errs *obs.Counter, logf func(format 
 	defer s.mu.Unlock()
 	s.errs, s.logf = errs, logf
 	s.bytes = o.Gauge("checkpoint_bytes", "size of the last checkpoint written or recovered")
-	s.took = o.Histogram("durable_checkpoint_duration_seconds", "background checkpoint: encode, snapshot, unlink of covered segments, next spare", nil)
+	s.took = o.Histogram("durable_checkpoint_duration_seconds", "background checkpoint: unlink of the segments the previous snapshot covers, next spare", nil)
 	s.appends = o.Histogram("durable_append_duration_seconds", "one round record journaled: encode, write, fsync", nil)
 	s.segments = o.Gauge("durable_journal_segments", "journal segment files holding records (closed + active; the spare is not counted)")
-	if st, err := os.Stat(filepath.Join(s.dir, snapshotName)); err == nil {
-		s.bytes.Set(float64(st.Size()))
-	}
+	s.bytes.Set(float64(s.loaded))
 	s.segments.Set(float64(len(s.closed) + 1))
 }
 
-// checkpoint starts a checkpoint over a journal whose rounds are all under
-// below: it waits for the previous one, drains pending group-commit appends
-// and rotates to the spare. One background goroutine then encodes the
-// payload, writes the snapshot, unlinks the closed segments with no round
-// from keepFrom on and prepares the next spare: a snapshot only bounds
-// replay, so none of it runs in front of the caller's reply.
+// checkpoint makes snap the checkpoint over a journal whose rounds are all
+// under below. It waits for the previous checkpoint, drains pending
+// group-commit appends, fsyncs a head no append has (a closed segment is
+// durable through its last frame), rotates to the spare and writes snap as
+// the snapshot frame at its head, which the next append's fsync makes
+// durable. One background goroutine then unlinks the segments the previous
+// snapshot covers — it needs no round below its keepFrom, and its own
+// segment has been fsynced — and prepares the next spare: none of it runs in
+// front of the caller's reply.
 //
-// A poisoned journal is healed first, inline: the snapshot (the rounds the
-// failed fsync lost leave a gap only it covers), then the active segment cut
-// back to what a successful fsync covers, so that it closes clean. The
-// caller then appends again what it holds in memory from keepFrom on.
-func (s *Store) checkpoint(encode func() ([]byte, error), keepFrom, below int) (healed bool, err error) {
+// A poisoned journal is healed inline: the active segment is cut back to
+// what a successful fsync covers, so that it closes clean, and the frames
+// retained appends — the records from keepFrom on, which the caller holds
+// in memory — follow the snapshot frame, one fsync making both durable: the
+// rounds the failed fsync lost leave a gap only the snapshot covers, and a
+// crash recovers both or neither.
+func (s *Store) checkpoint(snap []byte, keepFrom, below int, retained func([]byte) []byte) error {
+	if len(snap)+1 > MaxRecordBytes {
+		return fmt.Errorf("durable: snapshot of %d bytes exceeds limit %d", len(snap), MaxRecordBytes)
+	}
 	_ = s.WaitCheckpoint() // a failure was counted and logged when it happened
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
-		return false, ErrStoreClosed
+		return ErrStoreClosed
 	}
 	s.drainLocked()
-	if healed = s.flushErr != nil; healed {
-		err := s.snapshot(encode)
-		if err == nil {
-			err = s.journal.Truncate(s.synced)
-		}
+	healed := s.flushErr != nil
+	if healed {
+		err := s.journal.Truncate(s.synced)
 		if err == nil {
 			err = s.disk.sync(s.journal)
 		}
 		if err != nil {
-			return false, fmt.Errorf("durable: healing poisoned journal: %w", err)
+			return fmt.Errorf("durable: healing poisoned journal: %w", err)
 		}
-		s.cur.size, s.flushErr, encode = s.synced, nil, nil
+		s.cur.size, s.flushErr = s.synced, nil
+	} else if err := s.syncHeadLocked(); err != nil {
+		return err
 	}
 	next := s.spare
 	if s.spare = nil; next == nil {
 		// The background job fell behind (or failed): create the segment here.
+		var err error
 		if next, err = s.createSegment(s.cur.seq + 1); err != nil {
-			return healed, err
+			return err
 		}
 	}
 	_ = s.journal.Close() // fsynced through its last frame: nothing to lose
@@ -498,42 +561,69 @@ func (s *Store) checkpoint(encode func() ([]byte, error), keepFrom, below int) (
 	}
 	s.journal, s.cur, s.synced = next, segment{seq: s.cur.seq + 1, below: math.MaxInt}, 0
 	s.segments.Set(float64(len(s.closed) + 1))
+	s.frame = append(append(append(s.frame[:0], make([]byte, frameHeader)...), tagSnapshot), snap...)
+	sealFrame(s.frame)
+	s.bytes.Set(float64(len(s.frame)))
+	if healed && retained != nil {
+		s.frame = retained(s.frame)
+	}
+	if _, err := s.journal.WriteAt(s.frame, 0); err != nil {
+		return fmt.Errorf("durable: write snapshot: %w", err)
+	}
+	if s.cur.size = int64(len(s.frame)); healed {
+		if err := s.syncHeadLocked(); err != nil {
+			return err
+		}
+	}
+	prev := s.last
+	s.last = head{s.cur.seq, keepFrom}
 	s.bg.Add(1)
-	go s.finishCheckpoint(encode, keepFrom, s.cur.seq+1)
-	return healed, nil
+	go s.finishCheckpoint(prev, s.cur.seq+1)
+	return nil
 }
 
-// snapshot encodes and writes the checkpoint; a nil encode has been already.
-func (s *Store) snapshot(encode func() ([]byte, error)) error {
-	if encode == nil {
+// syncHeadLocked fsyncs the active segment when it holds a snapshot frame no
+// append has fsynced yet; a poisoned one waits for its heal. Called with s.mu
+// held.
+func (s *Store) syncHeadLocked() error {
+	if s.synced == s.cur.size || s.flushErr != nil {
 		return nil
 	}
-	_, err := s.writeSnapshot(encode)
-	return err
+	if err := s.disk.sync(s.journal); err != nil {
+		s.flushErr = err
+		return fmt.Errorf("durable: sync snapshot: %w", err)
+	}
+	s.synced = s.cur.size
+	return nil
 }
 
 // finishCheckpoint is the background half of checkpoint, which alone adds to
 // the closed segments, and not before this returned.
-func (s *Store) finishCheckpoint(encode func() ([]byte, error), keepFrom, spareSeq int) {
+func (s *Store) finishCheckpoint(prev head, spareSeq int) {
 	defer s.bg.Done()
 	start := time.Now()
 	err := func() error {
-		if err := s.snapshot(encode); err != nil {
-			return err
-		}
 		s.mu.Lock()
 		n := 0
-		for n < len(s.closed) && s.closed[n].below <= keepFrom {
+		for prev.seq > 0 && n < len(s.closed) && s.closed[n].seq < prev.seq && s.closed[n].below <= prev.keepFrom {
 			n++
 		}
 		covered := s.closed[:n]
 		s.closed = s.closed[n:]
+		legacy := s.legacy && prev.seq > 0
+		s.legacy = s.legacy && !legacy
 		s.segments.Set(float64(len(s.closed) + 1))
 		s.mu.Unlock()
+		paths := make([]string, 0, n+1)
 		for _, seg := range covered {
-			path := s.segmentPath(seg.seq)
+			paths = append(paths, s.segmentPath(seg.seq))
+		}
+		if legacy {
+			paths = append(paths, filepath.Join(s.dir, legacySnapshot))
+		}
+		for _, path := range paths {
 			if err := s.disk.do("remove", path, func() error { return os.Remove(path) }); err != nil {
-				return fmt.Errorf("durable: unlink covered segment: %w", err)
+				return fmt.Errorf("durable: unlink covered file: %w", err)
 			}
 		}
 		spare, err := s.createSegment(spareSeq) // its directory fsync covers the unlinks
@@ -565,63 +655,25 @@ func (s *Store) WaitCheckpoint() error {
 	return err
 }
 
-// WriteSnapshot atomically replaces the checkpoint without touching the
-// journal. Returns the checkpoint size in bytes. Not for concurrent use,
-// with itself or a checkpoint.
-func (s *Store) WriteSnapshot(payload []byte) (int, error) {
-	return s.writeSnapshot(func() ([]byte, error) { return payload, nil })
-}
-
-// writeSnapshot is WriteSnapshot of encode's payload, encoded once the tmp
-// file is created: a hook that holds the create holds the encode.
-func (s *Store) writeSnapshot(encode func() ([]byte, error)) (int, error) {
-	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	f, err := s.disk.open(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
-	if err != nil {
-		return 0, fmt.Errorf("durable: create snapshot tmp: %w", err)
-	}
-	payload, err := encode()
-	if err == nil && len(payload) > MaxRecordBytes {
-		err = fmt.Errorf("durable: snapshot of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
-	}
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: write snapshot: %w", err)
-	}
-	if err := s.disk.sync(f); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("durable: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("durable: close snapshot: %w", err)
-	}
-	path := filepath.Join(s.dir, snapshotName)
-	if err := s.disk.do("rename", path, func() error { return os.Rename(tmp, path) }); err != nil {
-		return 0, fmt.Errorf("durable: rename snapshot: %w", err)
-	}
-	if err := s.disk.syncDir(s.dir); err != nil {
-		return 0, err
-	}
-	s.bytes.Set(float64(len(frame)))
-	return len(frame), nil
-}
-
-// Close waits for a background checkpoint in flight and releases the
-// segment handles. Further operations fail with ErrStoreClosed.
+// Close waits for a background checkpoint in flight, fsyncs a snapshot
+// frame no append has, and releases the segment and directory handles.
+// Further operations fail with ErrStoreClosed.
 func (s *Store) Close() error {
 	s.bg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dirf != nil {
+		s.dirf.Close() // opened to read: nothing of ours to lose
+		s.dirf = nil
+	}
 	if s.journal == nil {
 		return nil
 	}
 	s.drainLocked()
-	err := s.journal.Close()
+	err := s.syncHeadLocked()
+	if cerr := s.journal.Close(); err == nil {
+		err = cerr
+	}
 	s.journal = nil
 	if s.spare != nil {
 		_ = s.spare.Close() // empty: nothing to lose
@@ -635,11 +687,16 @@ func (s *Store) Close() error {
 
 // appendFrame appends [len][crc][payload] to dst and returns it.
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(append(dst, make([]byte, frameHeader)...), payload...)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// sealFrame fills in the header of frame, whose payload follows it.
+func sealFrame(frame []byte) {
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-frameHeader))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeader:], castagnoli))
 }
 
 // parseFrame reads one record from the front of b. ok is false when b holds

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/crashtest"
 	"repro/internal/game"
 	"repro/internal/policy"
 )
@@ -116,36 +117,37 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 	}
 }
 
-func TestSnapshotAtomicWriteAndLoad(t *testing.T) {
+// An older build's checkpoint.snap is read when no segment opens with a
+// snapshot frame, and a corrupt one is an error, never silently ignored; a
+// snapshot frame beats it, and the checkpoint after next unlinks it.
+func TestLoadSnapshotReadsLegacyFile(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	crashtest.WriteLegacySnapshot(t, dir, []byte("v1"))
+	j, snap, err := OpenJournal(dir)
+	if err != nil || string(snap) != "v1" {
+		t.Fatalf("OpenJournal over a legacy checkpoint = %q, %v; want v1", snap, err)
 	}
-	defer s.Close()
-
-	if _, ok, err := s.LoadSnapshot(); err != nil || ok {
-		t.Fatalf("LoadSnapshot on empty dir = ok=%v err=%v, want absent", ok, err)
+	for _, p := range []string{"v2", "v3"} {
+		if err := j.Checkpoint(payloadOf(p), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := j.LoadSnapshot(); err != nil || !ok || string(got) != p {
+			t.Fatalf("LoadSnapshot = %q ok=%v err=%v, want %s", got, ok, err, p)
+		}
 	}
-	if _, err := s.WriteSnapshot([]byte("v1")); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if _, err := s.WriteSnapshot([]byte("v2")); err != nil {
-		t.Fatalf("WriteSnapshot v2: %v", err)
-	}
-	got, ok, err := s.LoadSnapshot()
-	if err != nil || !ok || string(got) != "v2" {
-		t.Fatalf("LoadSnapshot = %q ok=%v err=%v, want v2", got, ok, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotName+".tmp")); !os.IsNotExist(err) {
-		t.Fatalf("snapshot tmp file left behind (err=%v)", err)
+	j.Close()
+	if _, err := os.Stat(filepath.Join(dir, legacySnapshot)); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint.snap outlived two snapshot frames (err=%v)", err)
 	}
 
-	// A corrupt checkpoint is an error, never silently ignored.
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte("garbage"), 0o644); err != nil {
-		t.Fatalf("corrupt snapshot: %v", err)
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, legacySnapshot), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := s.LoadSnapshot(); err == nil {
+	if _, _, err := OpenJournal(dir); err == nil {
 		t.Fatalf("LoadSnapshot accepted a corrupt checkpoint")
 	}
 }
@@ -163,57 +165,103 @@ func segmentFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-func payloadOf(p string) func() ([]byte, error) {
-	return func() ([]byte, error) { return []byte(p), nil }
+func payloadOf(p string) []byte { return []byte(p) }
+
+// A checkpoint is a snapshot frame at the head of the segment the journal
+// rotates into, and costs the disk one create and one directory fsync, on
+// the background goroutine: no rename, no file of its own, and no fsync of
+// its own unless no append follows it (Close). A segment goes one checkpoint
+// late: the first checkpoint keeps journal.wal, under which its own snapshot
+// might yet be torn; the second unlinks it. (Invariant 2.)
+func TestCheckpointIsASnapshotFrame(t *testing.T) {
+	j, rec := openRecorded(t)
+	for n := 0; n < 3; n++ {
+		if _, err := j.AppendRound(round(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := func(p string, want ...string) {
+		t.Helper()
+		rec.Reset()
+		if err := j.Checkpoint(payloadOf(p), nil); err != nil {
+			t.Fatal(err)
+		}
+		mine := rec.Ops()[crashtest.Goroutine()]
+		if err := j.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if len(mine) != 0 {
+			t.Errorf("Checkpoint did %q on the caller's goroutine, want nothing", mine)
+		}
+		if got := rec.Ops()[""]; !reflect.DeepEqual(got, want) {
+			t.Errorf("checkpoint %s did %q, want %q", p, got, want)
+		}
+		if snap, ok, err := j.LoadSnapshot(); err != nil || !ok || string(snap) != p {
+			t.Errorf("LoadSnapshot = %q ok=%v err=%v, want %s", snap, ok, err, p)
+		}
+	}
+	checkpoint("one", "create journal.00000002.wal", "syncdir .")
+	if got := replayedRounds(t, j); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("replayed %v after the first checkpoint, want the rounds it covers still on disk", got)
+	}
+	rec.Reset()
+	if _, err := j.AppendRound(round(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.Ops()[""], []string{"sync journal.00000001.wal"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the append behind a snapshot frame did %q, want %q: one fsync for both", got, want)
+	}
+	checkpoint("two", "remove journal.wal", "create journal.00000003.wal", "syncdir .")
+	if got := segmentFiles(t, j.Dir()); !reflect.DeepEqual(got, []string{"journal.00000001.wal", "journal.00000002.wal", "journal.00000003.wal"}) {
+		t.Fatalf("segments after the second checkpoint = %q", got)
+	}
+	if got := replayedRounds(t, j); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("replayed %v after the second checkpoint, want [3]", got)
+	}
+	rec.Reset()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.Ops()[""], []string{"sync journal.00000002.wal"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Close over a snapshot frame no append followed did %q, want %q", got, want)
+	}
+	b, err := os.ReadFile(filepath.Join(j.Dir(), "journal.00000002.wal"))
+	if err != nil || len(b) != frameHeader+1+len("two") || b[frameHeader] != tagSnapshot {
+		t.Fatalf("journal.00000002.wal = %x (%v), want one snapshot frame of two", b, err)
+	}
 }
 
-// A checkpoint that covers every journaled round leaves no record behind it:
-// the closed segment is unlinked (not before the snapshot is durable, and
-// never the active one), replay is empty, and new appends land in the
-// segment the rotation made active. (Invariant 2.)
-func TestCompactTruncatesJournal(t *testing.T) {
-	dir := t.TempDir()
-	var ops []string
-	s, err := OpenHooked(dir, func(op, path string) error {
-		if op == "rename" || op == "remove" {
-			ops = append(ops, op+" "+filepath.Base(path))
-		}
-		return nil
-	})
+// A reopened store counts nothing it found as fsynced: a kill -9 keeps a
+// snapshot frame no fsync covered, and the checkpoint that closes its
+// segment after the restart fsyncs it first, so that a later power loss
+// cannot tear a closed segment's head.
+func TestReopenedHeadIsSyncedBeforeItCloses(t *testing.T) {
+	j, _ := openRecorded(t)
+	if _, err := j.AppendRound(round(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Checkpoint(payloadOf("one"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	killed := crashtest.CopyDir(t, j.Dir())
+	rec := crashtest.New(t, killed)
+	s, err := OpenHooked(killed, rec.Hook)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 3; i++ {
-		if err := s.Append([]byte{byte(i)}); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
+	if _, err := s.Replay(func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.checkpoint(payloadOf("state"), math.MaxInt, 3); err != nil {
-		t.Fatalf("checkpoint: %v", err)
+	rec.Reset()
+	if err := s.checkpoint(payloadOf("two"), math.MaxInt, 1, nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.WaitCheckpoint(); err != nil {
-		t.Fatalf("background checkpoint: %v", err)
-	}
-	if want := []string{"rename " + snapshotName, "remove " + journalName}; !reflect.DeepEqual(ops, want) {
-		t.Fatalf("snapshot and unlink order = %q, want %q", ops, want)
-	}
-	if got := segmentFiles(t, dir); !reflect.DeepEqual(got, []string{"journal.00000001.wal", "journal.00000002.wal"}) {
-		t.Fatalf("segments after a covering checkpoint = %q, want the active one and the spare", got)
-	}
-	if got := replayAll(t, s); len(got) != 0 {
-		t.Fatalf("journal replayed %d records after a covering checkpoint, want 0", len(got))
-	}
-	snap, ok, err := s.LoadSnapshot()
-	if err != nil || !ok || string(snap) != "state" {
-		t.Fatalf("LoadSnapshot after checkpoint = %q ok=%v err=%v", snap, ok, err)
-	}
-	// New appends after the checkpoint are independent of the old journal.
-	if err := s.Append([]byte("next")); err != nil {
-		t.Fatalf("Append after checkpoint: %v", err)
-	}
-	if got := replayAll(t, s); len(got) != 1 || string(got[0]) != "next" {
-		t.Fatalf("after checkpoint+append, replayed %q", got)
+	if got := rec.Ops()[""]; len(got) == 0 || got[0] != "sync journal.00000001.wal" {
+		t.Errorf("the first checkpoint after a reopen did %q, want the fsync of the head it closes first", got)
 	}
 }
 
@@ -267,23 +315,26 @@ func TestCompactRetainKeepsWindowRecords(t *testing.T) {
 	defer j2.Close()
 	check(j2, 0, 1, 2, 3, 4)
 	// A checkpoint that still retains round 4 cannot tell which replayed
-	// segment holds it and keeps both; one retaining nothing unlinks them.
-	if err := j2.Checkpoint(payloadOf("s2"), []RoundRecord{round(4)}); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if err := j2.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	check(j2, 0, 1, 2, 3, 4)
-	if err := j2.Checkpoint(payloadOf("s3"), nil); err != nil {
-		t.Fatalf("Checkpoint retaining nothing: %v", err)
-	}
-	if err := j2.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
+	// segment holds it and keeps both; one retaining nothing lets them go
+	// at the checkpoint after it.
+	for _, p := range []string{"s2", "s3", "s4"} {
+		var retained []RoundRecord
+		if p == "s2" {
+			retained = []RoundRecord{round(4)}
+		}
+		if err := j2.Checkpoint(payloadOf(p), retained); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		if err := j2.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if p != "s4" {
+			check(j2, 0, 1, 2, 3, 4)
+		}
 	}
 	check(j2)
-	if got := segmentFiles(t, dir); len(got) != 2 {
-		t.Fatalf("segments after a covering checkpoint = %q, want the active one and the spare", got)
+	if got := segmentFiles(t, dir); len(got) != 3 {
+		t.Fatalf("segments after two covering checkpoints = %q, want the previous snapshot's, the active one and the spare", got)
 	}
 }
 
@@ -299,7 +350,7 @@ func TestClosedStoreFails(t *testing.T) {
 	if _, err := s.Replay(func([]byte) error { return nil }); err != ErrStoreClosed {
 		t.Fatalf("Replay on closed store = %v, want ErrStoreClosed", err)
 	}
-	if _, err := s.checkpoint(payloadOf("x"), 0, 0); err != ErrStoreClosed {
+	if err := s.checkpoint(payloadOf("x"), 0, 0, nil); err != ErrStoreClosed {
 		t.Fatalf("checkpoint on closed store = %v, want ErrStoreClosed", err)
 	}
 }
@@ -378,9 +429,9 @@ func floatBits(cp Checkpoint) []uint64 {
 // json.Marshal wrote before payloads were binary.
 func TestTypedRecordRoundTrip(t *testing.T) {
 	for name, cp := range checkpointCases() {
-		b, err := EncodeCheckpoint(cp)
+		b, err := AppendCheckpoint(nil, cp)
 		if err != nil {
-			t.Fatalf("%s: EncodeCheckpoint: %v", name, err)
+			t.Fatalf("%s: AppendCheckpoint: %v", name, err)
 		}
 		got, err := DecodeCheckpoint(b)
 		if err != nil {
@@ -407,7 +458,7 @@ func TestTypedRecordRoundTrip(t *testing.T) {
 	}
 	invalid := checkpointCases()["cloud"]
 	invalid.State = &game.State{P: [][]float64{{0.5, 0.6}}, X: []float64{0.5}}
-	offSimplex, _ := EncodeCheckpoint(invalid)
+	offSimplex, _ := AppendCheckpoint(nil, invalid)
 	if _, err := DecodeCheckpoint(offSimplex); err == nil {
 		t.Errorf("DecodeCheckpoint accepted a binary state off the simplex")
 	}

@@ -286,7 +286,7 @@ func TestGroupCommitCompactRetainDrains(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.checkpoint(payloadOf("snap"), 2, 3); err != nil { // rounds below 3 journaled, round 2 retained
+	if err := s.checkpoint(payloadOf("snap"), 2, 3, nil); err != nil { // rounds below 3 journaled, round 2 retained
 		t.Fatalf("checkpoint: %v", err)
 	}
 	wg.Wait()

@@ -28,10 +28,12 @@ const CompactEvery = 32
 type Journal struct {
 	*Store
 	disk    Hook  // what Open's store announces its disk work to
+	every   int   // a cadence set by NewJournal in place of the owner's
 	owner   Owner // set by Open
 	since   int
 	below   int                // every round journaled so far is below this
 	payload []byte             // encoding scratch
+	snap    []byte             // the checkpoint's encoding scratch
 	listed  []transport.Census // the encoder's scratch for a record in map form
 
 	// The appender, started by the first StartRound. A slot is a ticket: the
@@ -59,10 +61,9 @@ type Owner struct {
 	// Replay applies one journaled record and reports whether it counts as
 	// replayed: one the checkpoint covers does not.
 	Replay func(rec RoundRecord) (applied bool, err error)
-	// Checkpoint captures a checkpoint: its payload's encoder, run later on
-	// the store's goroutine over values the coordinator no longer writes to,
-	// and the round records, oldest first, a crash must still find beside it.
-	Checkpoint func() (encode func() ([]byte, error), retained []RoundRecord)
+	// Checkpoint captures a checkpoint: its payload, appended to dst, and
+	// the round records, oldest first, a crash must still find beside it.
+	Checkpoint func(dst []byte) (snap []byte, retained []RoundRecord, err error)
 	// Every is the cadence: the record that brings the count since the last
 	// checkpoint to it starts the next one (0: never).
 	Every int
@@ -79,8 +80,10 @@ func (o *Owner) logf(format string, args ...interface{}) {
 }
 
 // NewJournal returns a journal, not yet open, whose store will announce its
-// disk work to disk: how tests count, hold and fail a coordinator's.
-func NewJournal(disk Hook) *Journal { return &Journal{disk: disk} }
+// disk work to disk and whose cadence is every in place of its owner's (0:
+// the owner's): how tests count, hold and fail a coordinator's disk work,
+// and checkpoint it often.
+func NewJournal(disk Hook, every int) *Journal { return &Journal{disk: disk, every: every} }
 
 // Open opens dir as o's state directory and recovers what a previous process
 // left there: o.Restore gets the checkpoint, o.Replay every journaled record,
@@ -127,7 +130,9 @@ func (j *Journal) Open(dir string, o Owner) error {
 		j.Store = nil
 		return fmt.Errorf("%s: %w", o.Name, err)
 	}
-	j.owner = o
+	if j.owner = o; j.every > 0 {
+		j.owner.Every = j.every
+	}
 	if restored || replayed > 0 {
 		o.Replayed.Add(int64(replayed))
 		o.Recoveries.Inc()
@@ -238,30 +243,47 @@ func (j *Journal) Journaled(rec RoundRecord, since int, err error) {
 	}
 }
 
-// Compact starts a checkpoint of what the owner's Checkpoint hook captures
-// (see Checkpoint); a failure is counted and logged. A journal not open, or
+// Compact checkpoints what the owner's Checkpoint hook captures (see
+// Checkpoint); a failure is counted and logged. A journal not open, or
 // closed under a forward or an escalation still in flight, has nothing left
 // to bound.
 func (j *Journal) Compact() {
 	if j.Store == nil {
 		return
 	}
-	if err := j.Checkpoint(j.owner.Checkpoint()); err != nil && !errors.Is(err, ErrStoreClosed) {
+	if err := j.capture(); err != nil && !errors.Is(err, ErrStoreClosed) {
 		j.owner.Errors.Inc()
 		j.owner.logf("%s: checkpoint: %v", j.owner.Name, err)
 	}
 }
 
-// Drain writes a graceful shutdown's last checkpoint and waits for it, so a
-// restart replays nothing; the coordinator closes after it.
+// capture checkpoints what the owner's Checkpoint hook encodes.
+func (j *Journal) capture() error {
+	snap, retained, err := j.owner.Checkpoint(j.snap[:0])
+	if err != nil {
+		return err
+	}
+	j.snap = snap
+	return j.Checkpoint(snap, retained)
+}
+
+// Drain writes a graceful shutdown's last checkpoint, fsyncs it and waits
+// for the background job, so a restart replays nothing; the coordinator
+// closes after it.
 func (j *Journal) Drain() error {
 	if j.Store == nil {
 		return nil
 	}
-	if err := j.Checkpoint(j.owner.Checkpoint()); err != nil {
+	if err := j.capture(); err != nil {
 		return err
 	}
-	return j.WaitCheckpoint()
+	err := j.WaitCheckpoint()
+	j.Store.mu.Lock()
+	defer j.Store.mu.Unlock()
+	if j.journal == nil {
+		return ErrStoreClosed
+	}
+	return errors.Join(err, j.syncHeadLocked())
 }
 
 // Close settles the appends in flight, stops the appender, closes the store.
@@ -277,23 +299,26 @@ func (j *Journal) Close() error {
 	return j.Store.Close()
 }
 
-// Checkpoint makes encode's payload the checkpoint and restarts the cadence.
-// retained are the round records, oldest first, that a crash must still
-// find journaled beside it (none: it covers every journaled round). It
-// returns once the journal has rotated; encode runs later, on the store's
-// background goroutine, over values the caller no longer writes to. Only a
-// journal poisoned by a failed fsync pays inline (see Store.checkpoint) and
-// has retained appended again.
-func (j *Journal) Checkpoint(encode func() ([]byte, error), retained []RoundRecord) error {
+// Checkpoint makes snap the checkpoint and restarts the cadence. retained
+// are the round records, oldest first, that a crash must still find
+// journaled beside it (none: it covers every journaled round). It returns
+// once the journal has rotated and snap heads the new segment; the next
+// append's fsync makes it durable. Only a journal poisoned by a failed fsync
+// has retained appended again behind snap and fsyncs both (see
+// Store.checkpoint).
+func (j *Journal) Checkpoint(snap []byte, retained []RoundRecord) error {
 	j.inflight.Wait() // the count and the watermark are the appender's until then
 	keepFrom := math.MaxInt
 	if len(retained) > 0 {
 		keepFrom = retained[0].Round
 	}
-	healed, err := j.Store.checkpoint(encode, keepFrom, j.below)
-	for i := 0; healed && err == nil && i < len(retained); i++ {
-		_, err = j.AppendRound(retained[i])
-	}
+	err := j.Store.checkpoint(snap, keepFrom, j.below, func(dst []byte) []byte {
+		for _, rec := range retained {
+			j.payload = appendRound(j.payload[:0], &j.listed, rec)
+			dst = appendFrame(dst, j.payload)
+		}
+		return dst
+	})
 	if err == nil {
 		j.since = 0
 	}

@@ -26,9 +26,9 @@ func newStubOwner(every int) *stubOwner {
 			o.replayed = append(o.replayed, rec.Round)
 			return true, nil
 		},
-		Checkpoint: func() (func() ([]byte, error), []RoundRecord) {
+		Checkpoint: func(dst []byte) ([]byte, []RoundRecord, error) {
 			o.checkpoints++
-			return payloadOf("state"), nil
+			return append(dst, "state"...), nil, nil
 		},
 		Every:      every,
 		Observer:   reg,
@@ -61,7 +61,7 @@ func TestJournalOwnerContract(t *testing.T) {
 				commit(j, r)
 			}
 			j.Close()
-			again, reopened := newStubOwner(0), NewJournal(nil)
+			again, reopened := newStubOwner(0), NewJournal(nil, 0)
 			if err := reopened.Open(j.Dir(), again.Owner); err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestJournalOwnerContract(t *testing.T) {
 			commit(j, round(0))
 		}, 1, 0},
 		{"a failed background checkpoint is counted once", 1, func(t *testing.T, j *Journal, rec *crashtest.Recorder) {
-			rec.Fail("create checkpoint.snap.tmp")
+			rec.Fail("create journal.00000002.wal")
 			commit(j, round(0))
 			for deadline := time.Now().Add(5 * time.Second); j.owner.Errors.Value() == 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
@@ -111,7 +111,7 @@ func TestJournalOwnerContract(t *testing.T) {
 			dir := t.TempDir()
 			rec := crashtest.New(t, dir)
 			o := newStubOwner(tc.every)
-			j := NewJournal(rec.Hook)
+			j := NewJournal(rec.Hook, 0)
 			if err := j.Open(dir, o.Owner); err != nil {
 				t.Fatal(err)
 			}

@@ -56,11 +56,11 @@ type Checkpoint struct {
 	DigestWatermarks map[int]int `json:"digest_watermarks,omitempty"`
 }
 
-// EncodeCheckpoint serializes a checkpoint payload: the tag; varint Round,
+// AppendCheckpoint appends a checkpoint payload to b: the tag; varint Round,
 // CorrectionSeq, Escalated and Epoch; the state's rows, its ratios and the FDS
 // shortfalls as float64 bits; the stall counters, then the digest watermarks
 // in ascending hood order, as varints.
-func EncodeCheckpoint(cp Checkpoint) ([]byte, error) {
+func AppendCheckpoint(b []byte, cp Checkpoint) ([]byte, error) {
 	if cp.State == nil {
 		return nil, fmt.Errorf("durable: checkpoint state must be non-nil")
 	}
@@ -68,7 +68,7 @@ func EncodeCheckpoint(cp Checkpoint) ([]byte, error) {
 	for _, p := range cp.State.P {
 		size += 10 + 8*len(p)
 	}
-	b := append(make([]byte, 0, size), tagBinary)
+	b = append(slices.Grow(b, size), tagBinary)
 	for _, v := range []int64{int64(cp.Round), cp.CorrectionSeq, int64(cp.Escalated), int64(cp.Epoch)} {
 		b = binary.AppendVarint(b, v)
 	}

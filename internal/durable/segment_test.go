@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +18,7 @@ func openRecorded(t *testing.T) (*Journal, *crashtest.Recorder) {
 	t.Helper()
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	j := NewJournal(rec.Hook)
+	j := NewJournal(rec.Hook, 0)
 	if err := j.Open(dir, Owner{}); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -101,35 +100,27 @@ func TestAppendLandsInSegmentWithDurableEntry(t *testing.T) {
 
 // The commit-path pin: with a spare ready, the cadence round's append and
 // checkpoint call fsync the journal once on the caller's goroutine and do
-// nothing else to the disk there; the snapshot, the unlink and the next
-// spare run on the store's background goroutine.
+// nothing else to the disk there; the unlinks and the next spare run on the
+// store's background goroutine.
 func TestCheckpointLeavesTheCommitPath(t *testing.T) {
 	j, rec := openRecorded(t)
-	for n := 0; n < 3; n++ {
+	for n := 0; n < 4; n++ {
+		if n == 3 {
+			rec.Reset()
+		}
 		if _, err := j.AppendRound(round(n)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	rec.Reset()
-	if _, err := j.AppendRound(round(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Checkpoint(payloadOf("state"), []RoundRecord{round(3)}); err != nil {
-		t.Fatal(err)
-	}
-	mine := rec.Ops()[crashtest.Goroutine()]
-	if err := j.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"sync journal.wal"}; !reflect.DeepEqual(mine, want) {
-		t.Fatalf("AppendRound + Checkpoint did %q on the caller's goroutine, want %q", mine, want)
+		if n == 1 || n == 3 {
+			if err := j.Checkpoint(payloadOf("state"), []RoundRecord{round(n)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rec.Committer(t)
-	want := []string{"sync journal.wal", "create checkpoint.snap.tmp", "sync checkpoint.snap.tmp", "rename checkpoint.snap",
-		"syncdir .", "create journal.00000002.wal", "syncdir ."}
-	if got := rec.Ops()[""]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpoint did %q, want %q", got, want)
-	}
 }
 
 // Invariant 3: replay walks every segment oldest first and forgives a bad
@@ -187,41 +178,25 @@ func TestClosedSegmentCorruptionIsAnError(t *testing.T) {
 	}
 }
 
-// Invariant 4: one checkpoint in flight per store. The next one waits for it
-// rather than skipping — both snapshots are written, in order — and so does
-// Close.
+// Invariant 4: one checkpoint in flight per store. The next one waits for
+// its background job rather than skipping — both snapshots are written, in
+// order — and so does Close.
 func TestCheckpointsRunOneAtATime(t *testing.T) {
 	dir := t.TempDir()
-	hold, held := make(chan struct{}), make(chan struct{}, 1)
-	var mu sync.Mutex
-	var snapshots []string
-	store, err := OpenHooked(dir, func(op, path string) error {
-		if op == "create" && strings.HasSuffix(path, ".tmp") {
-			select {
-			case held <- struct{}{}:
-				<-hold // the first checkpoint's background half stops here
-			default:
-			}
-		}
-		if op == "rename" {
-			b, err := os.ReadFile(path + ".tmp")
-			mu.Lock()
-			snapshots = append(snapshots, string(b[frameHeader:]))
-			mu.Unlock()
-			return err
-		}
-		return nil
-	})
-	if err != nil {
+	gate := crashtest.NewGate()
+	gate.Step = "create journal.00000002.wal" // the first checkpoint's next spare
+	j := NewJournal(gate.Hook, 0)
+	if err := j.Open(dir, Owner{}); err != nil {
 		t.Fatal(err)
 	}
-	j := &Journal{Store: store}
+	gate.Hold(true)
 	if _, err := j.AppendRound(round(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Checkpoint(payloadOf("first"), nil); err != nil {
 		t.Fatal(err)
 	}
+	<-gate.Reached
 	second := make(chan error, 1)
 	go func() {
 		err := j.Checkpoint(payloadOf("second"), nil)
@@ -235,18 +210,21 @@ func TestCheckpointsRunOneAtATime(t *testing.T) {
 		t.Fatalf("a second checkpoint and Close returned (%v) while the first was still in flight", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	store.mu.Lock()
-	rotations := store.cur.seq
-	store.mu.Unlock()
+	j.mu.Lock()
+	rotations := j.cur.seq
+	j.mu.Unlock()
 	if rotations != 1 {
 		t.Fatalf("the journal rotated %d times while the first checkpoint was in flight, want 1", rotations)
 	}
-	close(hold)
+	gate.Hold(false)
+	gate.Release(nil)
 	if err := <-second; err != nil {
 		t.Fatalf("second checkpoint, then Close: %v", err)
 	}
-	if want := []string{"first", "second"}; !reflect.DeepEqual(snapshots, want) {
-		t.Fatalf("snapshots written = %q, want %q", snapshots, want)
+	for seq, want := range map[int]string{1: "first", 2: "second"} {
+		if snap, ok, err := (&Store{dir: dir}).readHead(segment{seq: seq, size: 1 << 20}); err != nil || !ok || string(snap) != want {
+			t.Fatalf("segment %d opens with %q (ok=%v, %v), want %s", seq, snap, ok, err, want)
+		}
 	}
 	if err := j.Checkpoint(payloadOf("third"), nil); err != ErrStoreClosed {
 		t.Fatalf("Checkpoint on a closed journal = %v, want ErrStoreClosed", err)
@@ -254,8 +232,8 @@ func TestCheckpointsRunOneAtATime(t *testing.T) {
 }
 
 // A background checkpoint reports where Instrument pointed it: its duration,
-// the snapshot's size once it lands, the segment count, and a failure to
-// the owner's error counter and logger as well as to WaitCheckpoint.
+// the snapshot's size, the segment count, and a failure to the owner's error
+// counter and logger as well as to WaitCheckpoint.
 func TestCheckpointMetrics(t *testing.T) {
 	j, rec := openRecorded(t)
 	o := obs.New()
@@ -289,8 +267,8 @@ func TestCheckpointMetrics(t *testing.T) {
 	if err := j.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := value("checkpoint_bytes"); got != float64(frameHeader+len("state")) {
-		t.Errorf("checkpoint_bytes = %v once the snapshot landed, want %d", got, frameHeader+len("state"))
+	if got := value("checkpoint_bytes"); got != float64(frameHeader+1+len("state")) {
+		t.Errorf("checkpoint_bytes = %v, want %d", got, frameHeader+1+len("state"))
 	}
 	if got := value("durable_journal_segments"); got != 2 {
 		t.Errorf("durable_journal_segments = %v with a retained round in the closed segment, want 2", got)
@@ -299,12 +277,12 @@ func TestCheckpointMetrics(t *testing.T) {
 		t.Errorf("durable_checkpoint_duration_seconds observed %v checkpoints, want 1", got)
 	}
 
-	rec.Fail("rename checkpoint.snap")
-	if err := j.Checkpoint(payloadOf("lost"), nil); err != nil {
+	rec.Fail("create journal.00000003.wal")
+	if err := j.Checkpoint(payloadOf("later"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.WaitCheckpoint(); err == nil {
-		t.Fatal("WaitCheckpoint returned nil for a checkpoint whose rename failed")
+		t.Fatal("WaitCheckpoint returned nil for a checkpoint whose spare was not created")
 	}
 	if err := j.WaitCheckpoint(); err != nil {
 		t.Fatalf("WaitCheckpoint reported the same failure twice: %v", err)
@@ -315,9 +293,8 @@ func TestCheckpointMetrics(t *testing.T) {
 	if got := value("durable_journal_segments"); got != 3 {
 		t.Errorf("durable_journal_segments = %v after a checkpoint that unlinked nothing, want 3", got)
 	}
-	// Nothing was unlinked under a snapshot that never landed.
-	if snap, _, err := j.LoadSnapshot(); err != nil || string(snap) != "state" {
-		t.Fatalf("snapshot after the failed checkpoint = %q, %v; want the previous one", snap, err)
+	if snap, _, err := j.LoadSnapshot(); err != nil || string(snap) != "later" {
+		t.Fatalf("snapshot after the failed background job = %q, %v; want the one at the head", snap, err)
 	}
 	if got := replayedRounds(t, j); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("replayed rounds %v after the failed checkpoint, want [0 1]", got)

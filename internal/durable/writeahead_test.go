@@ -15,7 +15,7 @@ import (
 func openGated(t *testing.T) (*Journal, *crashtest.Gate, string) {
 	t.Helper()
 	dir, gate := t.TempDir(), crashtest.NewGate()
-	j := NewJournal(gate.Hook)
+	j := NewJournal(gate.Hook, 0)
 	if err := j.Open(dir, Owner{}); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -72,6 +72,10 @@ func TestWriteAheadCheckpointSettlesAppendInFlight(t *testing.T) {
 	gate.Hold(false)
 	if n, err := j.WaitRound(j.StartRound(round(1))); n != 1 || err != nil {
 		t.Fatalf("the first round after the checkpoint counted %d, %v, want 1, nil", n, err)
+	}
+	// The next checkpoint unlinks what the first one covers.
+	if err := j.Checkpoint(payloadOf("through round 1"), []RoundRecord{round(1)}); err != nil {
+		t.Fatal(err)
 	}
 	if err := j.WaitCheckpoint(); err != nil {
 		t.Fatal(err)

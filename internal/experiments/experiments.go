@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -53,18 +52,12 @@ func WorldConfig(s Scale, src sim.CoeffSource) sim.WorldConfig {
 	return cfg
 }
 
-// Worlds builds the BC- and TD-coefficient worlds for a scale. Both share
-// the same network and trace seeds, so the two coefficient sources are
+// WorldsWith builds the BC- and TD-coefficient worlds for a scale. Both
+// share the same network and trace seeds, so the two coefficient sources are
 // computed over identical substrates, as in the paper; the pair is built
-// through one artifact cache so the network, trace, and map-matching stages
-// execute exactly once.
-func Worlds(s Scale) (bc, td *sim.World, err error) {
-	return WorldsWith(sim.NewWorldBuilder(), s, 0)
-}
-
-// WorldsWith builds the BC/TD pair through a caller-owned builder, sharing
-// its artifact cache with any other worlds the caller builds (e.g. across
-// scales or repeated experiment invocations). workers bounds the build's
+// through the caller-owned builder's artifact cache, so the network, trace
+// and map-matching stages execute once, shared with any other worlds the
+// caller builds (e.g. across scales or repeated experiment invocations). workers bounds the build's
 // worker pools (0 means runtime.NumCPU()) without affecting the result.
 func WorldsWith(b *sim.WorldBuilder, s Scale, workers int) (bc, td *sim.World, err error) {
 	cfg := WorldConfig(s, sim.CoeffBC)
@@ -90,10 +83,4 @@ func header(w io.Writer, title string) {
 // note prints an indented remark.
 func note(w io.Writer, format string, args ...interface{}) {
 	fmt.Fprintf(w, "  · "+format+"\n", args...)
-}
-
-// stopwatch reports elapsed wall time for experiment logs.
-func stopwatch() func() time.Duration {
-	start := time.Now()
-	return func() time.Duration { return time.Since(start) }
 }

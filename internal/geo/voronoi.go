@@ -37,19 +37,10 @@ func NewVoronoi(box BBox, sites []Point) (*Voronoi, error) {
 // NumCells returns the number of Voronoi cells (sites).
 func (v *Voronoi) NumCells() int { return len(v.sites) }
 
-// Site returns the location of cell i's site.
-func (v *Voronoi) Site(i int) Point { return v.sites[i] }
-
 // CellOf returns the index of the cell containing p, i.e. the nearest site.
 func (v *Voronoi) CellOf(p Point) int {
 	i, _ := v.index.Nearest(p)
 	return i
-}
-
-// CellAndDistance returns the nearest site index and the distance to it in
-// meters.
-func (v *Voronoi) CellAndDistance(p Point) (cell int, meters float64) {
-	return v.index.Nearest(p)
 }
 
 // Assign maps each point to its cell. The result has len(pts) entries.

@@ -3,8 +3,7 @@ package gossip
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
-	"reflect"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,17 +14,153 @@ import (
 	"repro/internal/transport"
 )
 
-// TestCheckpointCrashPoints is the gossip tier's crash-point matrix (see the
-// cloud's): the state directory as it stands before each step of a
-// background checkpoint, with a torn tail, and in the parent's one-file
-// layout — for a follower at its count cadence, which retains nothing, and
-// for a leader checkpointing over an unacknowledged backlog, copied from
-// before the fsync of its last round's record on: written ahead of the fold,
-// with nobody answered. Open must recover the survivor's fold, the round, and
-// the whole backlog, which then escalates to a cloud that ends on the same
-// hash. The follower's cadence round is the commit-path pin: one journal
-// fsync, on the journal's appender, and nothing else there.
+// hoodSetting is what a generated gossip schedule runs under: the node's
+// cadence, whether it leads (and keeps the escalation backlog) and its
+// backlog cap (0: none).
+type hoodSetting struct {
+	Every      int
+	Leader     bool
+	MaxBacklog int
+}
+
+// hoodStep is one step of a generated gossip schedule: a "round" completes
+// Round with both members' Counts but Member's (-1: none, else degraded);
+// an "ack" is the cloud's acknowledgment of every round below Round; "fail"
+// fails the next step's journal fsyncs and "spare" its creation of the next
+// spare.
+type hoodStep struct {
+	Op     string
+	Round  int
+	Member int
+	Counts [][]int
+}
+
+func genHood(rng *rand.Rand) (hoodSetting, []hoodStep) {
+	set := hoodSetting{Every: 2 + rng.Intn(2), Leader: rng.Intn(4) > 0, MaxBacklog: []int{0, 0, 3}[rng.Intn(3)]}
+	counts := func() []int {
+		c := make([]int, 8)
+		for v := 0; v < 10; v++ {
+			c[rng.Intn(3)]++
+		}
+		return c
+	}
+	var steps []hoodStep
+	acked := 0
+	for r := 0; r < 4+rng.Intn(4); r++ {
+		miss := -1
+		if rng.Intn(4) == 0 {
+			miss = rng.Intn(2)
+		}
+		steps = append(steps, hoodStep{Op: "round", Round: r, Member: miss, Counts: [][]int{counts(), counts()}})
+		switch rng.Intn(8) {
+		case 0, 1:
+			acked += rng.Intn(r + 2 - acked)
+			steps = append(steps, hoodStep{Op: "ack", Round: acked})
+		case 2:
+			steps = append(steps, hoodStep{Op: "fail"})
+		case 3:
+			steps = append(steps, hoodStep{Op: "spare"})
+		}
+	}
+	return set, steps
+}
+
+func hoodApply(n *Node, st hoodStep) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch st.Op {
+	case "round":
+		var censuses []transport.Census
+		for e, c := range st.Counts {
+			if e != st.Member {
+				censuses = append(censuses, transport.Census{Edge: e, Round: st.Round, Counts: c})
+			}
+		}
+		b, late, err := n.eng.Place(st.Round, censuses, false)
+		if err == nil && !late {
+			n.completeLocalLocked(st.Round, b, b.Size() < 2)
+		} else if err == nil {
+			err = fmt.Errorf("round %d is late", st.Round)
+		}
+		return err
+	case "ack":
+		n.ackLocked(st.Round)
+	}
+	return nil
+}
+
+// hoodOwner is a node a generated schedule runs on.
+type hoodOwner struct{ *Node }
+
+func (o hoodOwner) Step(st hoodStep) error { return hoodApply(o.Node, st) }
+
+// State is what a recovery must reproduce of a node: its round, its fold's
+// hash, its escalation watermark and the backlog, round by round.
+func (o hoodOwner) State() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b := fmt.Appendf(nil, "latest %d hash %08x escalated %d backlog", o.eng.Latest(), o.fold.Hash(), o.escalated)
+	for _, rec := range o.pending {
+		b = fmt.Appendf(b, " %d:%v:%+v", rec.Round, rec.Degraded, rec.Sorted)
+	}
+	return string(b)
+}
+
+func (o hoodOwner) Settle() { _ = o.journal.WaitCheckpoint() }
+
+func (o hoodOwner) Drain() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.journal.Drain()
+}
+
+// hoodSchedule is how crashtest.Check runs a generated gossip schedule. An
+// ack's checkpoint is durable with the next append's fsync: a crash before
+// it recovers the backlog from before the ack.
+func hoodSchedule(t *testing.T, set hoodSetting, steps []hoodStep) crashtest.Schedule[hoodStep] {
+	return crashtest.Schedule[hoodStep]{
+		Steps: steps,
+		Open: func(dir string, hook func(op, path string) error) (crashtest.Owner[hoodStep], error) {
+			edge := 1
+			if set.Leader {
+				edge = 0
+			}
+			n, err := NewNode(Config{Edge: edge, Members: []int{0, 1}, Of: 1, EscalateEvery: 1 << 20, MaxBacklog: set.MaxBacklog,
+				Deadline: time.Second, ReplyTimeout: time.Second, Fold: testFold(t, 2),
+				PeerDial:  func(int) (transport.Conn, error) { return nil, fmt.Errorf("no peers") },
+				CloudDial: func() (transport.Conn, error) { return nil, fmt.Errorf("no cloud") }})
+			if err == nil && dir != "" {
+				n.journal = durable.NewJournal(hook, set.Every)
+				err = n.Open(dir)
+			}
+			return hoodOwner{n}, err
+		},
+		Fail: func(st hoodStep) (string, bool) {
+			return map[string]string{"fail": "sync journal", "spare": "create journal"}[st.Op], st.Op == "fail"
+		},
+		Unsynced: func(st hoodStep) bool { return st.Op == "ack" },
+	}
+}
+
+// TestCheckpointCrashPoints is the gossip node's crash-point generator: leaders
+// checkpointing over an unacknowledged backlog, acks, backlog sheds and
+// followers at their count cadence, each recovered from a copy taken
+// before every disk operation (see hoodSchedule).
 func TestCheckpointCrashPoints(t *testing.T) {
+	crashtest.Explore(t, 1000, nil, genHood, func(t *testing.T, set hoodSetting, steps []hoodStep) error {
+		return crashtest.Check(t, hoodSchedule(t, set, steps))
+	})
+}
+
+// TestRecoveredHoodEscalates runs a hood of two nodes, leader and follower,
+// through their commit paths to a cloud, checkpointing every fourth record.
+// The follower's cadence round is the commit-path pin: one journal fsync, on
+// the journal's appender, and nothing else there. Open on a copy taken
+// before each of its disk operations must recover the follower's round and
+// hash; then the leader, cut off from the cloud, checkpoints over a backlog,
+// and Open on each copy of that must recover the backlog, which escalates to
+// a cloud that ends on the hood's hash.
+func TestRecoveredHoodEscalates(t *testing.T) {
 	var gate atomic.Bool
 	gate.Store(true)
 	netw := transport.NewInprocNetwork()
@@ -37,24 +172,17 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	}
 	defer cl.Close()
 	go srv.Serve(cl)
-
 	mk := func(i int) *Node {
 		node, err := NewNode(Config{
-			Edge: i, Members: []int{0, 1}, Neighborhood: 0, Of: 1,
-			EscalateEvery: 3,
-			Deadline:      2 * time.Second,
-			ReplyTimeout:  2 * time.Second,
-			Fold:          testFold(t, 2),
-			PeerDial: func(member int) (transport.Conn, error) {
-				return netw.Dial(fmt.Sprintf("gossip-%d", member))
-			},
+			Edge: i, Members: []int{0, 1}, Neighborhood: 0, Of: 1, EscalateEvery: 3,
+			Deadline: 2 * time.Second, ReplyTimeout: 2 * time.Second, Fold: testFold(t, 2),
+			PeerDial: func(member int) (transport.Conn, error) { return netw.Dial(fmt.Sprintf("gossip-%d", member)) },
 			CloudDial: func() (transport.Conn, error) {
 				if !gate.Load() {
 					return nil, fmt.Errorf("cloud partitioned away")
 				}
 				return netw.Dial("cloud")
 			},
-			Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -62,34 +190,12 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		t.Cleanup(node.Close)
 		return node
 	}
-	nodes := make([]*Node, 2)
-	recs := make([]*crashtest.Recorder, 2)
-	// The leader's round whose record's fsync must find it unreleased (-1:
-	// none): the copy taken there is a record written ahead, with nobody
-	// answered. A release out of order shows within the wait given it.
-	var unreleased atomic.Int64
-	unreleased.Store(-1)
-	for i := range nodes {
-		nodes[i] = mk(i)
+	nodes, recs := []*Node{mk(0), mk(1)}, make([]*crashtest.Recorder, 2)
+	for i, node := range nodes {
 		dir := t.TempDir()
 		recs[i] = crashtest.New(t, dir)
-		hook := recs[i].Hook
-		if i == 0 {
-			hook = func(op, path string) error {
-				err := recs[0].Hook(op, path)
-				if r := unreleased.Load(); r >= 0 && op == "sync" && strings.HasPrefix(filepath.Base(path), "journal") {
-					for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
-						if nodes[0].metrics.Rounds.Value() > r {
-							t.Errorf("the leader released round %d before its record's fsync", r)
-							break
-						}
-					}
-				}
-				return err
-			}
-		}
-		nodes[i].journal = durable.NewJournal(hook)
-		if err := nodes[i].Open(dir); err != nil {
+		node.journal = durable.NewJournal(recs[i].Hook, 4)
+		if err := node.Open(dir); err != nil {
 			t.Fatal(err)
 		}
 		l, err := netw.Listen(fmt.Sprintf("gossip-%d", i))
@@ -97,84 +203,48 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		go nodes[i].Serve(l)
+		go node.Serve(l)
 	}
 	leader, follower := nodes[0], nodes[1]
-
-	matrix := func(rec *crashtest.Recorder, wantSteps []string) []crashtest.Crash {
-		t.Helper()
-		crashes := rec.Crashes()
-		var steps []string
-		for _, c := range crashes {
-			steps = append(steps, c.Step)
-		}
-		if wantSteps != nil && !reflect.DeepEqual(steps, wantSteps) || len(steps) < 7 {
-			t.Fatalf("background checkpoint steps = %q, want %q", steps, wantSteps)
-		}
-		final := crashes[len(crashes)-1].Dir
-		torn := crashtest.CopyDir(t, final)
-		crashtest.TearTail(t, torn)
-		return append(crashes,
-			crashtest.Crash{Step: "torn tail in the newest segment", Dir: torn},
-			crashtest.Crash{Step: "parent layout", Dir: crashtest.ParentLayout(t, final)})
-	}
 	recovered := func(i int, c crashtest.Crash, twin *Node) *Node {
 		t.Helper()
 		node := mk(i)
 		if err := node.Open(c.Dir); err != nil {
 			t.Fatalf("%s: Open: %v", c.Step, err)
 		}
-		if got, want := node.Latest(), twin.Latest(); got != want {
-			t.Errorf("%s: recovered latest = %d, want %d", c.Step, got, want)
-		}
-		if got, want := node.StateHash(), twin.StateHash(); got != want {
-			t.Errorf("%s: recovered hash %08x != twin's %08x", c.Step, got, want)
-		}
-		if got, want := node.Pending(), twin.Pending(); got != want {
-			t.Errorf("%s: recovered backlog = %d rounds, want %d", c.Step, got, want)
+		if node.Latest() != twin.Latest() || node.StateHash() != twin.StateHash() || node.Pending() != twin.Pending() {
+			t.Errorf("%s: recovered round %d, hash %08x, backlog %d; want %d, %08x, %d", c.Step,
+				node.Latest(), node.StateHash(), node.Pending(), twin.Latest(), twin.StateHash(), twin.Pending())
 		}
 		return node
 	}
 
-	// The follower's count cadence: 32 rounds, the leader's escalations
-	// acknowledged (and checkpointed) every third on the way.
-	cadence := durable.CompactEvery - 1
-	for round := 0; round < cadence; round++ {
+	for round := 0; round < 3; round++ {
 		driveRound(t, nodes, round)
 	}
 	recs[1].Reset()
 	recs[1].Arm()
-	driveRound(t, nodes, cadence)
+	driveRound(t, nodes, 3) // the follower's fourth record: its cadence
 	if err := follower.journal.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	recs[1].Committer(t)
-	for _, c := range matrix(recs[1], []string{
-		"before sync journal.wal", // the cadence round's own record
-		"before create checkpoint.snap.tmp", "before sync checkpoint.snap.tmp", "before rename checkpoint.snap",
-		"before syncdir .", "before remove journal.wal", "before create journal.00000002.wal", "before syncdir .",
-		"after the last step",
-	}) {
+	for _, c := range recs[1].Crashes() {
 		recovered(1, c, follower).Close()
 	}
 
-	// The leader, cut off from the cloud, accumulates a backlog and
-	// checkpoints over it, as the acknowledgment of a digest that carried
-	// only part of it would.
 	if err := leader.journal.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	gate.Store(false)
-	for round := cadence + 1; round < cadence+5; round++ {
+	for round := 4; round < 9; round++ {
+		if round == 8 {
+			recs[0].Arm()
+		}
 		driveRound(t, nodes, round)
 	}
-	recs[0].Arm()
-	unreleased.Store(int64(cadence + 5))
-	driveRound(t, nodes, cadence+5)
-	unreleased.Store(-1)
-	backlog := leader.Pending()
-	if backlog < 5 {
-		t.Fatalf("leader backlog = %d rounds, want at least the 5 run while partitioned", backlog)
+	if leader.Pending() < 5 {
+		t.Fatalf("leader backlog = %d rounds, want at least the 5 run while partitioned", leader.Pending())
 	}
 	leader.mu.Lock()
 	leader.journal.Compact()
@@ -183,20 +253,14 @@ func TestCheckpointCrashPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate.Store(true)
-	crashes := matrix(recs[0], nil)
-	if !strings.HasPrefix(crashes[0].Step, "before sync journal") {
-		t.Fatalf("the leader's first crash point is %q, want the fsync of its round record", crashes[0].Step)
-	}
-	for _, c := range crashes {
+	for _, c := range recs[0].Crashes() {
 		node := recovered(0, c, leader)
 		if err := node.Flush(); err != nil {
 			t.Errorf("%s: Flush of the recovered backlog: %v", c.Step, err)
 		}
-		if got := srv.Latest(); got != leader.Latest() {
-			t.Errorf("%s: cloud latest = %d after the recovered backlog escalated, want %d", c.Step, got, leader.Latest())
-		}
-		if srv.StateHash() != leader.StateHash() {
-			t.Errorf("%s: cloud hash %08x != the hood's %08x", c.Step, srv.StateHash(), leader.StateHash())
+		if srv.Latest() != leader.Latest() || srv.StateHash() != leader.StateHash() {
+			t.Errorf("%s: the cloud is at round %d, hash %08x after the recovered backlog escalated; the hood at %d, %08x",
+				c.Step, srv.Latest(), srv.StateHash(), leader.Latest(), leader.StateHash())
 		}
 		node.Close()
 	}
@@ -323,7 +387,7 @@ func upgradedLayout(t *testing.T, dir string) string {
 		snap, err = json.Marshal(cp)
 	}
 	if err == nil {
-		_, err = out.WriteSnapshot(snap)
+		crashtest.WriteLegacySnapshot(t, dst, snap)
 	}
 	for i := 0; err == nil && i < len(payloads); i++ {
 		p := payloads[i]

@@ -127,8 +127,9 @@ func (n *Node) recycleLocked(sets ...*cloud.CensusSet) {
 // escalation watermark and the epoch, with the round records still awaiting
 // cloud acknowledgment kept journaled, so that a restarted leader
 // re-escalates exactly the unacked backlog. Called with n.mu held.
-func (n *Node) checkpointLocked() (func() ([]byte, error), []durable.RoundRecord) {
+func (n *Node) checkpointLocked(dst []byte) ([]byte, []durable.RoundRecord, error) {
 	cp := n.fold.Checkpoint(n.eng.Latest())
 	cp.Escalated, cp.Epoch = n.escalated, n.epoch
-	return func() ([]byte, error) { return durable.EncodeCheckpoint(cp) }, n.pending
+	snap, err := durable.AppendCheckpoint(dst, cp)
+	return snap, n.pending, err
 }

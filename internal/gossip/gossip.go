@@ -701,13 +701,11 @@ func (n *Node) Flush() error {
 	return n.escalate()
 }
 
-// escalate sends one Digest carrying every pending round to the cloud and,
-// on acknowledgment, advances the escalation watermark and compacts the
-// journal. A fresh connection is dialed per escalation: a partitioned cloud
-// fails the dial fast, the backlog is kept, and the next K boundary (or
-// Flush) retries. Runs on the caller's goroutine, never under n.mu; the
-// digest's lists are the backlog's own, which it reads under a lease
-// (reading) until the exchange ends.
+// escalate sends one Digest carrying every pending round to the cloud and
+// takes its ack. A fresh connection is dialed per escalation: a partitioned
+// cloud fails the dial fast, the backlog is kept, and the next K boundary
+// (or Flush) retries. Runs on the caller's goroutine, never under n.mu; the
+// digest's lists are the backlog's own, read under a lease (reading).
 func (n *Node) escalate() error {
 	if n.cfg.CloudDial == nil {
 		return fmt.Errorf("gossip: edge %d: no cloud dialer", n.cfg.Edge)
@@ -756,15 +754,19 @@ func (n *Node) escalate() error {
 			n.metrics.cloudUpdates.Inc()
 		}
 	}
-	// Drop the rounds this digest carried, and any other the watermark has
-	// passed; rounds completed while the escalation was in flight stay
-	// pending for the next boundary. The watermark only ever advances: a
-	// slow ack racing a larger concurrent escalation must not rewind it.
-	n.escalated = max(n.escalated, last+1)
-	n.prunePendingLocked()
 	n.metrics.escalations.Inc()
-	n.journal.Compact()
+	n.ackLocked(min(reply.Acked, last+1))
 	return nil
+}
+
+// ackLocked takes the cloud's word that every round below acked is durable
+// there: the backlog drops them and the journal checkpoints over the rest,
+// which the next boundary re-sends. The watermark only ever advances: a slow
+// ack racing a larger escalation must not rewind it. Called with n.mu held.
+func (n *Node) ackLocked(acked int) {
+	n.escalated = max(n.escalated, acked)
+	n.prunePendingLocked()
+	n.journal.Compact()
 }
 
 // Close shuts the node down: pending barriers fail, peer links and inbound

@@ -28,7 +28,7 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	}
 	defer n.Close()
 	gate := crashtest.NewGate()
-	n.journal = durable.NewJournal(gate.Hook)
+	n.journal = durable.NewJournal(gate.Hook, 0)
 	if err := n.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,6 @@ func NewPaper() *Lattice {
 // K returns the number of decisions.
 func (l *Lattice) K() int { return len(l.shares) }
 
-// Universe returns the modality universe Ω.
-func (l *Lattice) Universe() sensor.Mask { return l.universe }
-
 // Share returns P^k, the set of modalities shared under decision k.
 func (l *Lattice) Share(k Decision) (sensor.Mask, error) {
 	if k < 1 || int(k) > len(l.shares) {

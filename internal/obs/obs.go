@@ -60,12 +60,6 @@ func New() *Observer {
 	return &Observer{reg: NewRegistry(), tr: NewTracer(256)}
 }
 
-// NewObserver bundles an existing registry and tracer; either may be nil to
-// disable that half.
-func NewObserver(reg *Registry, tr *Tracer) *Observer {
-	return &Observer{reg: reg, tr: tr}
-}
-
 // Registry returns the observer's metric registry (nil when disabled).
 func (o *Observer) Registry() *Registry {
 	if o == nil {

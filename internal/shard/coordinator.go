@@ -418,13 +418,13 @@ func (c *Coordinator) keepLocked(rec durable.RoundRecord) bool {
 // watermark — the shard holds no fold state, the aggregator owns that — as a
 // round record with no censuses, keeping the newest round record journaled
 // so recovery can always re-forward the last batch. Called with c.mu held.
-func (c *Coordinator) checkpointLocked() (func() ([]byte, error), []durable.RoundRecord) {
-	cp := durable.RoundRecord{Round: c.eng.Latest()}
+func (c *Coordinator) checkpointLocked(dst []byte) ([]byte, []durable.RoundRecord, error) {
 	var retained []durable.RoundRecord
 	if c.lastRec.Round >= 0 {
 		retained = append(retained, c.lastRec)
 	}
-	return func() ([]byte, error) { return durable.EncodeRound(cp) }, retained
+	snap, err := durable.EncodeRound(durable.RoundRecord{Round: c.eng.Latest()})
+	return append(dst, snap...), retained, err
 }
 
 // Drain shuts the shard down gracefully: the most advanced pending barrier

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/crashtest"
 	"repro/internal/durable"
+	"repro/internal/edge"
 	"repro/internal/transport"
 )
 
@@ -28,14 +31,161 @@ func crashCounts(round int) map[int][]int {
 	return map[int][]int{0: c0, 1: c1}
 }
 
-// TestCheckpointCrashPoints is the shard coordinator's crash-point matrix
-// (see the cloud's): the state directory as it stands before each step of a
-// background checkpoint, with a torn tail, and in the parent's one-file
-// layout. Open must recover the watermark and the newest batch every time,
-// and re-forward that batch upstream, where it is absorbed as a duplicate.
-// The cadence round itself is the commit-path pin: its append fsyncs the
-// journal once, and the goroutine that did touches the disk no further.
+// shardStep is one step of a generated shard schedule: "round" journals the
+// forward of Round with both regions' Counts but Region's (-1: none), "pair"
+// starts the appends of Round and Round+1 — a deadline completing the
+// successor while the first forward is out — before either is waited for;
+// "spare" fails the next step's creation of the next spare segment.
+type shardStep struct {
+	Op     string
+	Round  int
+	Region int
+	Counts [][]int
+}
+
+func genShard(rng *rand.Rand) (int, []shardStep) {
+	every := 2 + rng.Intn(2)
+	counts := func() []int {
+		c := make([]int, 8)
+		c[rng.Intn(8)] = 1 + rng.Intn(9)
+		return c
+	}
+	var steps []shardStep
+	for r := 0; r < 6+rng.Intn(6); r++ {
+		miss, op := -1, "round"
+		if rng.Intn(4) == 0 {
+			miss = rng.Intn(2)
+		}
+		if rng.Intn(4) == 0 {
+			op = "pair"
+		}
+		steps = append(steps, shardStep{Op: op, Round: r, Region: miss, Counts: [][]int{counts(), counts(), counts(), counts()}})
+		if op == "pair" {
+			r++
+		}
+		if rng.Intn(8) == 0 {
+			steps = append(steps, shardStep{Op: "spare"})
+		}
+	}
+	return every, steps
+}
+
+// records is what a step journals, oldest first.
+func (st shardStep) records() []durable.RoundRecord {
+	var out []durable.RoundRecord
+	for i := 0; i < map[string]int{"round": 1, "pair": 2}[st.Op]; i++ {
+		rec := durable.RoundRecord{Round: st.Round + i, Degraded: st.Region >= 0}
+		for e := 0; e < 2; e++ {
+			if e != st.Region {
+				rec.Sorted = append(rec.Sorted, transport.Census{Edge: e, Round: rec.Round, Counts: st.Counts[2*i+e]})
+			}
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// shardApply journals a step's forwards as the coordinator's commit does:
+// started under c.mu, waited for outside it, the newest kept for re-forward
+// — by a shard without a state directory too, the lossless twin.
+func shardApply(c *Coordinator, st shardStep) {
+	recs := st.records()
+	tickets := make([]int, len(recs))
+	c.mu.Lock()
+	for i, rec := range recs {
+		tickets[i] = c.journal.StartRound(rec)
+	}
+	c.mu.Unlock()
+	for i, rec := range recs {
+		var n int
+		var err error
+		if tickets[i] >= 0 {
+			n, err = c.journal.WaitRound(tickets[i])
+		}
+		c.mu.Lock()
+		if err == nil {
+			c.keepLocked(rec)
+		}
+		c.eng.Advance(rec.Round)
+		c.journal.Journaled(rec, n, err)
+		c.mu.Unlock()
+	}
+}
+
+// shardOwner is a coordinator a generated schedule runs on.
+type shardOwner struct{ *Coordinator }
+
+func (o shardOwner) Step(st shardStep) error {
+	shardApply(o.Coordinator, st)
+	return nil
+}
+
+// State is what a recovery must reproduce of a shard: its watermark and the
+// batch it re-forwards.
+func (o shardOwner) State() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return shardState(o.eng.Latest(), o.lastRec)
+}
+
+func shardState(latest int, newest durable.RoundRecord) string {
+	return fmt.Sprintf("latest %d newest %d:%v:%+v", latest, newest.Round, newest.Degraded, newest.Sorted)
+}
+
+func (o shardOwner) Settle() { _ = o.journal.WaitCheckpoint() }
+
+func (o shardOwner) Drain() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.journal.Drain()
+}
+
+// shardSchedule is how crashtest.Check runs a generated shard schedule. A
+// crash may also fall between a pair's two rounds, which then runs again.
+func shardSchedule(t *testing.T, every int, steps []shardStep) crashtest.Schedule[shardStep] {
+	return crashtest.Schedule[shardStep]{
+		Steps: steps,
+		Open: func(dir string, hook func(op, path string) error) (crashtest.Owner[shardStep], error) {
+			c, err := NewCoordinator(Config{Regions: []int{0, 1}, K: 8, Upstream: &edge.BatchLink{Dialer: &transport.Dialer{
+				Dial:  func() (transport.Conn, error) { return nil, fmt.Errorf("no aggregator") },
+				Sleep: func(time.Duration) {}}}})
+			if err == nil && dir != "" {
+				c.journal = durable.NewJournal(hook, every)
+				err = c.Open(dir)
+			}
+			return shardOwner{c}, err
+		},
+		Fail: func(st shardStep) (string, bool) { return map[string]string{"spare": "create journal"}[st.Op], false },
+		Resume: func(_ crashtest.Owner[shardStep], k int, got string, want []string) int {
+			switch {
+			case got == want[k+1]:
+				return k + 1
+			case got == want[k], k < len(steps) && steps[k].Op == "pair" && got == shardState(steps[k].Round, steps[k].records()[0]):
+				return k
+			}
+			return -1
+		},
+	}
+}
+
+// TestCheckpointCrashPoints is the shard's crash-point generator (see
+// shardSchedule): forwards journaled one or two in flight at a time,
+// failed fsyncs and spares, each schedule recovered from a copy taken before
+// every disk operation.
 func TestCheckpointCrashPoints(t *testing.T) {
+	crashtest.Explore(t, 1000, nil, genShard, func(t *testing.T, every int, steps []shardStep) error {
+		return crashtest.Check(t, shardSchedule(t, every, steps))
+	})
+}
+
+// TestRecoveredShardReforwards drives a shard's rounds through its commit
+// path to an aggregator, checkpointing every fourth. The cadence round is
+// the commit-path pin: its append fsyncs the journal once, on a goroutine
+// that touches the disk no further. Open on a copy taken before each of its
+// disk operations must recover the watermark and the newest batch and
+// re-forward that batch upstream, where the aggregator absorbs it as a
+// duplicate and keeps its hash.
+func TestRecoveredShardReforwards(t *testing.T) {
 	net := transport.NewInprocNetwork()
 	agg := newAggregator(t)
 	defer agg.Close()
@@ -45,14 +195,11 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	c := newTestCoordinator(t, net, "agg", 0)
 	dir := t.TempDir()
 	rec := crashtest.New(t, dir)
-	c.journal = durable.NewJournal(rec.Hook)
+	c.journal = durable.NewJournal(rec.Hook, 4)
 	if err := c.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-
-	// Two checkpoints, at rounds 31 and 63; the second has a snapshot to
-	// replace and, the newest batch having moved on, journal.wal to unlink.
-	last := 2*durable.CompactEvery - 1
+	const last = 11 // the third cadence round: it unlinks journal.wal, which the second's snapshot covers
 	for round := 0; round < last; round++ {
 		runRound(t, c, round, crashCounts(round))
 	}
@@ -67,25 +214,6 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	}
 	crashes := rec.Crashes()
 	rec.Committer(t)
-	var steps []string
-	for _, cr := range crashes {
-		steps = append(steps, cr.Step)
-	}
-	want := []string{
-		"before sync journal.00000001.wal", // the write-ahead record, nobody answered yet
-		"before create checkpoint.snap.tmp", "before sync checkpoint.snap.tmp", "before rename checkpoint.snap",
-		"before syncdir .", "before remove journal.wal", "before create journal.00000003.wal", "before syncdir .",
-		"after the last step",
-	}
-	if !reflect.DeepEqual(steps, want) {
-		t.Fatalf("background checkpoint steps = %q, want %q", steps, want)
-	}
-	final := crashes[len(crashes)-1].Dir
-	torn := crashtest.CopyDir(t, final)
-	crashtest.TearTail(t, torn)
-	crashes = append(crashes,
-		crashtest.Crash{Step: "torn tail in the newest segment", Dir: torn},
-		crashtest.Crash{Step: "parent layout", Dir: crashtest.ParentLayout(t, final)})
 
 	hash := agg.StateHash()
 	for _, cr := range crashes {
@@ -95,18 +223,14 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			t.Errorf("%s: Open: %v", cr.Step, err)
 			continue
 		}
-		if got := c2.Latest(); got != last {
-			t.Errorf("%s: recovered watermark = %d, want %d", cr.Step, got, last)
-		}
 		c2.mu.Lock()
-		lastRec := c2.lastRec
+		latest, newest := c2.eng.Latest(), c2.lastRec
 		c2.mu.Unlock()
-		if lastRec.Round != last || !reflect.DeepEqual(censusMap(lastRec.Sorted), crashCounts(last)) {
-			t.Errorf("%s: recovered newest batch = %+v, want round %d's", cr.Step, lastRec, last)
+		if latest != last || newest.Round != last || !reflect.DeepEqual(censusMap(newest.Sorted), crashCounts(last)) {
+			t.Errorf("%s: recovered watermark %d and newest batch %+v, want round %d's", cr.Step, latest, newest, last)
 		}
 		// The re-forward reaches the aggregator, which has the batch already.
-		deadline := time.Now().Add(5 * time.Second)
-		for metricValue(t, agg.Registry(), "consensus_duplicate_censuses_total") < dups+2 && time.Now().Before(deadline) {
+		for end := time.Now().Add(5 * time.Second); metricValue(t, agg.Registry(), "consensus_duplicate_censuses_total") < dups+2 && time.Now().Before(end); {
 			time.Sleep(time.Millisecond)
 		}
 		if got := metricValue(t, agg.Registry(), "consensus_duplicate_censuses_total"); got < dups+2 {

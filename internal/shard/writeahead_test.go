@@ -48,7 +48,7 @@ func TestWriteAheadReplyFollowsAnswerAndFsync(t *testing.T) {
 	startAggregator(t, net, "agg", agg)
 	c := newTestCoordinator(t, net, "agg", 0)
 	gate := crashtest.NewGate()
-	c.journal = durable.NewJournal(gate.Hook)
+	c.journal = durable.NewJournal(gate.Hook, 0)
 	if err := c.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestWriteAheadCrashBetweenForwardAndRecord(t *testing.T) {
 			dir, counts := t.TempDir(), crashCounts(last)
 			gate := crashtest.NewGate()
 			c := newTestCoordinator(t, net, "agg", 0)
-			c.journal = durable.NewJournal(gate.Hook)
+			c.journal = durable.NewJournal(gate.Hook, 0)
 			if err := c.Open(dir); err != nil {
 				t.Fatal(err)
 			}

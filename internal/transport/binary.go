@@ -38,7 +38,7 @@ import (
 //	list     := len [int(edge_delta) len [int(count)]...]...
 //	runs     := [len(n) f64(x)]...
 //	census_batch := int(shard) int(round) list
-//	ratio_batch  := int(round) len [int(edge_delta)]... runs
+//	ratio_batch  := int(round) len [int(edge_delta)]... runs [int(acked)]   (acked > 0 only)
 //	digest_round := int(round) int(degraded 0|1) list
 //	digest       := int(neighborhood) int(of) len [int(member)]... len [digest_round]...
 //	hood_beat    := int(hood) int(epoch) int(leader) int(escalated) int(ttl_ms)
@@ -202,7 +202,11 @@ func (binaryCodec) AppendEncode(dst []byte, m Message) ([]byte, error) {
 		}
 		dst = append(dst, tagRatioBatch)
 		dst = appendInt(dst, int64(rb.Round))
-		return appendRatios(dst, rb.Edges, rb.X), nil
+		dst = appendRatios(dst, rb.Edges, rb.X)
+		if rb.Acked > 0 { // a digest's answer; a batch's ends at its ratios
+			dst = appendInt(dst, int64(rb.Acked))
+		}
+		return dst, nil
 	case KindDigest:
 		d, err := typedBody[Digest](m)
 		if err != nil {
@@ -354,6 +358,11 @@ func decodeBinary(frame []byte, s *recvScratch) (Message, error) {
 	case tagRatioBatch:
 		rb := RatioBatch{Round: int(r.int())}
 		rb.Edges, rb.X = r.ratios()
+		if len(r.buf) > 0 {
+			if rb.Acked = int(r.int()); rb.Acked <= 0 {
+				r.fail(fmt.Errorf("acked watermark %d is written only when positive", rb.Acked))
+			}
+		}
 		kind, body = KindRatioBatch, rb
 	case tagDigest:
 		d := reuse(&s.digest)

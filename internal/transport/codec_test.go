@@ -265,6 +265,14 @@ func TestBinaryGoldenBytes(t *testing.T) {
 				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F}, // 0.25 once
 		},
 		{
+			name: "ratio_batch answering a digest",
+			kind: KindRatioBatch,
+			body: RatioBatch{Round: 7, Edges: []int{2, 3}, X: []float64{0.5, 0.5}, Acked: 6},
+			want: []byte{0x15, 0x0E, 0x02, 0x04, 0x02, // edges 2, +1
+				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F, // 0.5 twice
+				0x0C}, // acked 6
+		},
+		{
 			name: "digest",
 			kind: KindDigest,
 			body: Digest{Neighborhood: 1, Of: 2, Members: []int{2, 3}, Rounds: []DigestRound{
@@ -387,6 +395,7 @@ func hardeningCases() []hardeningCase {
 		{"digest census count far above the frame", []byte{0x16, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00, 0x64, 0x04, 0x01, 0x02}},
 		{"ratio_batch length exceeds remaining", []byte{0x15, 0x08, 0x7F, 0x00}},
 		{"ratio_batch truncated float", []byte{0x15, 0x08, 0x01, 0x00, 0x01, 0x00, 0x00, 0xE0, 0x3F}},
+		{"ratio_batch acked zero", []byte{0x15, 0x08, 0x00, 0x00}},
 		{"digest members length overflow", []byte{0x16, 0x02, 0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 		{"digest rounds length overflow", []byte{0x16, 0x02, 0x04, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
 		{"digest truncated round", []byte{0x16, 0x02, 0x04, 0x00, 0x01, 0x0C, 0x00}},

@@ -196,11 +196,15 @@ type CensusBatch struct {
 // RatioBatch is the step-② answer to a CensusBatch: X[i] is the next-round
 // sharing ratio for region Edges[i]. Round is the batch's round + 1,
 // mirroring the single-census Ratio convention (a late batch is answered
-// with the regions' current ratios under the same Round).
+// with the regions' current ratios under the same Round). Answering a
+// Digest, Acked is the neighborhood's durable watermark: every round of it
+// below Acked is folded and durable on the control plane, and only those
+// may the neighborhood drop (0 on a batch's answer).
 type RatioBatch struct {
 	Round int
 	Edges []int
 	X     []float64
+	Acked int
 }
 
 // DigestRound is one locally folded gossip round inside a Digest: the full
@@ -220,8 +224,8 @@ type DigestRound struct {
 // since the last acknowledged escalation. The control plane reconciles the
 // rounds through its own fold — completing a round once every one of the Of
 // neighborhoods has reported it — and answers with a RatioBatch of current
-// ratios for Members. Digests are idempotent: a retried frame whose rounds
-// were already folded is absorbed by the duplicate/late-census machinery.
+// ratios for Members and its acknowledged watermark. Digests are idempotent:
+// a re-sent round the control plane already holds is skipped.
 type Digest struct {
 	Neighborhood int
 	Of           int
