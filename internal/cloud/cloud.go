@@ -6,7 +6,6 @@
 package cloud
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -241,31 +240,10 @@ func (s *Server) Converged() bool {
 
 // Serve accepts edge-server connections until the listener is torn down or
 // the server closes (see transport.Acceptor), serving each with the
-// kernel's session table plus the control plane's KindDigest. Run in a
-// goroutine.
+// kernel's session protocol, digests included. Run in a goroutine.
 func (s *Server) Serve(l transport.Listener) {
-	s.srv.Serve(l, func(conn transport.Conn) {
-		sess := session.Wrap(conn)
-		s.eng.ServeSession(sess, s.ingest, map[transport.Kind]session.Handler{
-			transport.KindDigest: func(m transport.Message) error {
-				var d transport.Digest
-				if err := transport.Decode(m, transport.KindDigest, &d); err != nil {
-					s.eng.DropFrame(err)
-					return nil
-				}
-				reply, err := s.SubmitDigest(d)
-				if errors.Is(err, transport.ErrClosed) {
-					return err
-				}
-				if err != nil {
-					// Bad digest (malformed census, skew bound): reject it,
-					// keep the conn for the leader's next attempt.
-					return sess.Ack(err)
-				}
-				return sess.Send(transport.KindRatioBatch, reply)
-			},
-		})
-	})
+	ingest, digest := s.ingest, s.SubmitDigest // bound once, not per connection
+	s.srv.Serve(l, func(conn transport.Conn) { s.eng.ServeSession(session.Wrap(conn), ingest, digest) })
 }
 
 // Close shuts the server down without flushing a final checkpoint — the
@@ -369,7 +347,7 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 		folded := time.Now()
 		n, err := s.journal.WaitRound(ticket)
 		s.metrics.durableWait.Observe(time.Since(folded).Seconds())
-		if s.journal.Journaled(rec, n, err); err == nil { // a failed append poisons the journal: none after it succeeds
+		if s.journal.Journaled(rec, n, err); err == nil { // a failed round is acked with the next that journals
 			s.journaledBelow = round + 1
 		}
 	}

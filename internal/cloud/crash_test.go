@@ -282,6 +282,11 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			{Op: "local", Round: 1, Region: 1, Counts: [][]int{c}},
 			{Op: "digest", Region: 1},
 			{Op: "digest", Region: 0},
+			// The hoods send what they hold once more, as every generated
+			// schedule ends: the heal that round 1's failed append starts
+			// may crash before hood 1's backlog is durable.
+			{Op: "digest", Region: 1},
+			{Op: "digest", Region: 0},
 		}
 	}
 	ackedInMemory := func() (genSetting, []genStep) {
@@ -309,10 +314,12 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	}
 }
 
-// TestCadenceRoundCommitPath is the cloud's commit-path pin: the cadence
-// round, submitted like any other, fsyncs the journal once, on a goroutine
-// that touches the disk no further; the checkpoint's create, unlinks and
-// directory fsync all run on the store's background goroutine.
+// TestCadenceRoundCommitPath is the cloud's commit-path pin, at each of its
+// first three checkpoints: the cadence round, completed by the census its
+// caller submits, fsyncs the journal once, on the journal's appender, which
+// touches the disk no further; the checkpoint's create, unlinks and
+// directory fsync all run on the store's background goroutine, none on the
+// round's caller.
 func TestCadenceRoundCommitPath(t *testing.T) {
 	srv := crashServer(t, 2)
 	dir := t.TempDir()
@@ -321,18 +328,37 @@ func TestCadenceRoundCommitPath(t *testing.T) {
 	if err := srv.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 11; round++ { // rewinds at rounds 5 and 10, checkpoints at 3 and 7
-		crashRound(t, srv, round)
+	// Rewinds at rounds 5 and 10, checkpoints at 3, 7 and 11; the third
+	// unlinks journal.wal, which the second's snapshot covers.
+	for round := 0; round < 12; round++ {
+		if round%4 != 3 {
+			crashRound(t, srv, round)
+			continue
+		}
+		c0, c1 := testCounts(round%8, 7-round%8, 10)
+		first := make(chan error, 1)
+		go func() {
+			_, err := srv.Submit(transport.Census{Edge: 0, Round: round, Counts: c0})
+			first <- err
+		}()
+		waitFor(t, func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			b, ok := srv.eng.Barrier(round)
+			return ok && b.Size() == 1
+		})
+		rec.Reset()
+		if _, err := srv.Submit(transport.Census{Edge: 1, Round: round, Counts: c1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.journal.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		rec.Committer(t)
 	}
-	if err := srv.journal.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rec.Reset()
-	crashRound(t, srv, 11) // its checkpoint unlinks journal.wal, which round 7's covers
-	if err := srv.journal.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rec.Committer(t)
 }
 
 // TestCheckpointBoundsSegments: at fixed_lag 8 and the default cadence, 200

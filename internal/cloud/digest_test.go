@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,5 +195,55 @@ func TestDigestAckStopsAtAFailedAppend(t *testing.T) {
 	}
 	if reply, err := srv.SubmitDigest(testDigest(1, 3, c0, c1)); err != nil || reply.Acked != 4 || srv.Latest() != 3 {
 		t.Fatalf("re-sent rounds 1-2 and round 3 after a drain: acked %d with latest %d, %v; want 4 with 3", reply.Acked, srv.Latest(), err)
+	}
+}
+
+// A journal one failed fsync poisoned heals on the round that failed: the
+// failure starts the checkpoint that heals it, so every round after it is
+// journaled and the digest ack moves past the failed round again — rather
+// than every append failing, and no checkpoint, until a drain.
+func TestFailedAppendHealsOnTheNextRound(t *testing.T) {
+	dir := t.TempDir() // removed after the server's Close has waited out its checkpoint
+	srv := crashServer(t, 0)
+	failures := 1
+	srv.journal = durable.NewJournal(func(op, path string) error {
+		if op == "sync" && strings.HasPrefix(filepath.Base(path), "journal") && failures > 0 {
+			failures--
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	}, 2)
+	if err := srv.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := func() int64 {
+		if err := srv.journal.WaitCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range srv.Registry().Snapshot() {
+			if p.Name == "durable_checkpoint_duration_seconds" {
+				return p.Count
+			}
+		}
+		t.Fatal("no durable_checkpoint_duration_seconds")
+		return 0
+	}
+	c0, c1 := testCounts(0, 7, 10)
+	acked := 0
+	for round := 0; round <= 10; round++ {
+		reply, err := srv.SubmitDigest(testDigest(acked, round, c0, c1))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if round == 0 && (reply.Acked != 0 || checkpoints() != 1) {
+			t.Fatalf("the failed round: acked %d with %d checkpoints, want 0 with the heal's 1", reply.Acked, checkpoints())
+		}
+		acked = reply.Acked
+	}
+	if acked != 11 {
+		t.Errorf("acked %d after rounds 0-10, want 11", acked)
+	}
+	if n := metricValue(t, srv.Registry(), "durable_journal_errors_total"); n != 1 {
+		t.Errorf("durable_journal_errors_total = %v after one failed fsync, want 1", n)
 	}
 }

@@ -2,8 +2,10 @@ package cloud
 
 import (
 	"maps"
+	"slices"
 
 	"repro/internal/durable"
+	"repro/internal/transport"
 )
 
 // Open attaches a durable state directory to the server and recovers what a
@@ -67,8 +69,18 @@ func (s *Server) replayLocked(rec durable.RoundRecord, cpRound int) (bool, error
 		return false, nil
 	}
 	if rec.Round <= s.eng.Latest() {
-		// Already covered by the checkpoint: a crash between snapshot rename
-		// and journal truncate leaves such records behind.
+		// Already applied: covered by the checkpoint (a crash between
+		// snapshot rename and journal truncate leaves such records behind),
+		// or a lag-window round that a healed journal wrote again after its
+		// snapshot (durable.Journal.Checkpoint). That copy is the newer one:
+		// a census it holds otherwise is a correction the failed fsync lost,
+		// merged as the live rewind did.
+		if idx := s.windowIndexLocked(rec.Round); idx >= 0 {
+			if late := changed(s.window[idx].set, set, rec.Round); len(late) > 0 {
+				s.refoldLocked(idx, late)
+				return true, nil
+			}
+		}
 		return false, nil
 	}
 	if s.lag > 0 {
@@ -79,6 +91,18 @@ func (s *Server) replayLocked(rec durable.RoundRecord, cpRound int) (bool, error
 	}
 	s.eng.Advance(rec.Round)
 	return true, nil
+}
+
+// changed lists the censuses of newer that old lacks or holds other counts
+// for.
+func changed(old, newer *CensusSet, round int) []transport.Census {
+	var late []transport.Census
+	for region, counts := range newer.counts {
+		if counts != nil && !slices.Equal(old.counts[region], counts) {
+			late = append(late, transport.Census{Edge: region, Round: round, Counts: counts})
+		}
+	}
+	return late
 }
 
 // checkpointLocked is the journal's Checkpoint hook. Without a lag window a

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -503,6 +504,60 @@ func TestCensusExchangeAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
 		t.Errorf("a census exchange with a one-region cloud: %.1f allocs, want 0", allocs)
+	}
+	if got := srv.Latest(); got != census.Round-1 {
+		t.Errorf("cloud completed up to round %d, want %d", got, census.Round-1)
+	}
+}
+
+// scriptConn is a fresh edge's whole session: Recv hands out one census,
+// then io.EOF; Send drops what it is given.
+type scriptConn struct {
+	census *transport.Census
+	done   bool
+}
+
+func (c *scriptConn) Send(transport.Message) error { return nil }
+func (c *scriptConn) Close() error                 { return nil }
+func (c *scriptConn) Recv() (transport.Message, error) {
+	if c.done {
+		return transport.Message{}, io.EOF
+	}
+	c.done = true
+	return transport.Message{Kind: transport.KindCensus, Body: c.census}, nil
+}
+
+// TestFreshSessionAllocs pins what a session costs from its first frame to
+// its last: the cloud serves a new connection that carries one census and
+// closes. The census exchange itself is warm (TestCensusExchangeAllocs pins
+// it at 0), so what is counted is the session's setup — the session view
+// and its connection struct, with the owner's ingest and digest bound once,
+// outside it: 2. A handler table of fresh closures per connection, the
+// cloud's digest handler among them, cost 13.
+func TestFreshSessionAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	fds, model := refoldFDS(t, goldenGraph{m: 1}, false, 8)
+	srv, err := NewServer(fds, game.NewUniformState(1, model.K(), 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ingest, digest := srv.ingest, srv.SubmitDigest // as Serve binds them
+	census := &transport.Census{Counts: make([]int, model.K())}
+	census.Counts[1] = 10
+	conn := &scriptConn{census: census}
+	session1 := func() {
+		*conn = scriptConn{census: census}
+		srv.eng.ServeSession(session.Wrap(conn), ingest, digest)
+		census.Round++
+	}
+	for census.Round < 300 { // past the tracer's ring, so every span slot is warm
+		session1()
+	}
+	if allocs := testing.AllocsPerRun(200, session1); allocs > 2 {
+		t.Errorf("a fresh session with one census: %.1f allocs, want at most 2", allocs)
 	}
 	if got := srv.Latest(); got != census.Round-1 {
 		t.Errorf("cloud completed up to round %d, want %d", got, census.Round-1)

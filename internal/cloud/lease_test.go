@@ -79,14 +79,15 @@ func TestLeaseOverInproc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := session.RenewLease(conn, 1, time.Minute, time.Second); err != nil {
-		t.Fatalf("RenewLease over wire: %v", err)
+	sess := session.Wrap(conn)
+	if err := sess.Notify(transport.KindLease, transport.Lease{Edge: 1, TTLMillis: time.Minute.Milliseconds()}, time.Second); err != nil {
+		t.Fatalf("lease renewal over wire: %v", err)
 	}
 	if live := srv.LiveLeases(); len(live) != 1 || live[0] != 1 {
 		t.Fatalf("live leases = %v, want [1]", live)
 	}
 
-	err = session.RenewLease(conn, 99, time.Minute, time.Second)
+	err = sess.Notify(transport.KindLease, transport.Lease{Edge: 99, TTLMillis: time.Minute.Milliseconds()}, time.Second)
 	var rej *session.RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("lease for unknown edge = %v, want *RejectedError", err)

@@ -11,92 +11,115 @@ import (
 
 // ServeSession runs the edge-facing protocol on sess until the connection
 // closes: KindCensus and KindCensusBatch go to the owner's ingest — which
-// blocks until the censuses' round resolves, the way the cloud server's and a
-// shard coordinator's Submit do — and are answered with the members' ratios
-// in the frames of step ②, KindLease renews the member's lease, and more
-// lets an owner handle further kinds. A malformed frame is counted and
-// dropped without killing the connection — the edge's next census must
-// still be servable. A refused request is acked back with its error; a
-// round abandoned under the submitter is answered with the members' current
-// ratios so the edge catches up instead of hanging; a closed owner drops
-// the connection. The session each member reports on is remembered as the
-// channel pushed frames (ratio corrections) go back out on.
-func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, censuses []transport.Census) error, more map[transport.Kind]session.Handler) {
+// blocks until the censuses' round resolves — and are answered with the
+// members' ratios in the frames of step ②, KindLease renews the member's
+// lease, and KindDigest goes to digest, the owner's reconciliation of a
+// neighborhood's round digest (the cloud's; nil for an owner that takes
+// none). A malformed or unexpected frame is counted and dropped without
+// killing the connection — the edge's next census must still be servable. A
+// refused request is acked back with its error; a round abandoned under the
+// submitter is answered with the members' current ratios so the edge catches
+// up instead of hanging; a closed owner drops the connection. The session
+// each member reports on is remembered as the channel pushed frames (ratio
+// corrections) go back out on.
+func (e *Engine) ServeSession(sess *session.Session, ingest func(round int, censuses []transport.Census) error, digest func(transport.Digest) (transport.RatioBatch, error)) {
 	defer sess.Close()
-	r := &reporter{Session: sess}
+	r := &reporter{Session: sess, e: e, ingest: ingest, digest: digest}
 	defer e.dropSessions(r)
-	drop := func(err error) error {
-		e.DropFrame(err)
-		return nil
-	}
-	ack := func(err error) error {
-		if errors.Is(err, transport.ErrClosed) {
-			return err
-		}
-		return sess.Ack(err)
-	}
-	// submit runs one round's censuses through ingest. answer reports that
-	// they are to be answered with the members' current ratios: their round
-	// resolved, or was abandoned under them. A refusal is acked back instead.
-	submit := func(round int, censuses []transport.Census) (answer bool, err error) {
-		e.register(r, censuses)
-		if err = ingest(round, censuses); err == nil || errors.Is(err, ErrRoundAbandoned) {
-			return true, nil
-		}
-		return false, ack(err)
-	}
-	// The session's census and its answers, reused: ingest keeps no census
-	// it is handed, and Send has encoded a reply by the time it returns.
-	var (
-		one   [1]transport.Census
-		ratio transport.Ratio
-		reply transport.RatioBatch
-	)
-	handlers := map[transport.Kind]session.Handler{
-		transport.KindCensus: func(m transport.Message) error {
-			if err := transport.Decode(m, transport.KindCensus, &one[0]); err != nil {
-				return drop(err)
-			}
-			c := &one[0]
-			if answer, err := submit(c.Round, one[:]); !answer {
-				return err
-			}
-			ratio = transport.Ratio{Round: c.Round + 1, X: e.Ratio(c.Edge)}
-			return sess.Send(transport.KindRatio, &ratio)
-		},
-		transport.KindCensusBatch: func(m transport.Message) error {
-			var batch transport.CensusBatch
-			if err := transport.Decode(m, transport.KindCensusBatch, &batch); err != nil {
-				return drop(err)
-			}
-			if answer, err := submit(batch.Round, batch.Censuses); !answer {
-				return err
-			}
-			e.RatioBatch(&reply, batch.Round, batch.Censuses)
-			return sess.Send(transport.KindRatioBatch, &reply)
-		},
-		transport.KindLease: func(m transport.Message) error {
-			var lease transport.Lease
-			if err := transport.Decode(m, transport.KindLease, &lease); err != nil {
-				return drop(err)
-			}
-			return ack(e.Renew(lease.Edge, time.Duration(lease.TTLMillis)*time.Millisecond))
-		},
-	}
-	for kind, h := range more {
-		handlers[kind] = h
-	}
-	_ = sess.Serve(handlers, func(m transport.Message) error {
-		return drop(fmt.Errorf("unexpected %s frame", m.Kind))
-	})
+	_ = sess.Serve(r.handle)
 }
 
-// reporter is a session members report on, with its share of the
-// correction fan-out in progress (PushCorrections).
+// reporter is one connection members report on: its session, the owner's
+// ingest and digest reconciliation, the census and answers it reuses, and
+// its share of the correction fan-out in progress (PushCorrections).
 type reporter struct {
 	*session.Session
+	e      *Engine
+	ingest func(round int, censuses []transport.Census) error
+	digest func(transport.Digest) (transport.RatioBatch, error)
+
+	// The session's census and its answers, reused: ingest keeps no census
+	// it is handed, and Send has encoded a reply by the time it returns.
+	one   [1]transport.Census
+	ratio transport.Ratio
+	reply transport.RatioBatch
+
 	regions int                        // how many regions the fan-out sends it
 	rc      *transport.RatioCorrection // the frame carrying them
+}
+
+// handle serves one inbound frame on the session's read loop.
+func (r *reporter) handle(m transport.Message) error {
+	switch m.Kind {
+	case transport.KindCensus:
+		c := &r.one[0]
+		if err := transport.Decode(m, transport.KindCensus, c); err != nil {
+			return r.drop(err)
+		}
+		if answer, err := r.submit(c.Round, r.one[:]); !answer {
+			return err
+		}
+		r.ratio = transport.Ratio{Round: c.Round + 1, X: r.e.Ratio(c.Edge)}
+		return r.Send(transport.KindRatio, &r.ratio)
+	case transport.KindCensusBatch:
+		var batch transport.CensusBatch
+		if err := transport.Decode(m, transport.KindCensusBatch, &batch); err != nil {
+			return r.drop(err)
+		}
+		if answer, err := r.submit(batch.Round, batch.Censuses); !answer {
+			return err
+		}
+		r.e.RatioBatch(&r.reply, batch.Round, batch.Censuses)
+		return r.Send(transport.KindRatioBatch, &r.reply)
+	case transport.KindLease:
+		var lease transport.Lease
+		if err := transport.Decode(m, transport.KindLease, &lease); err != nil {
+			return r.drop(err)
+		}
+		return r.ack(r.e.Renew(lease.Edge, time.Duration(lease.TTLMillis)*time.Millisecond))
+	case transport.KindDigest:
+		if r.digest == nil {
+			break
+		}
+		var d transport.Digest
+		if err := transport.Decode(m, transport.KindDigest, &d); err != nil {
+			return r.drop(err)
+		}
+		reply, err := r.digest(d)
+		if err != nil {
+			// Bad digest (malformed census, skew bound): reject it, keep the
+			// conn for the leader's next attempt.
+			return r.ack(err)
+		}
+		return r.Send(transport.KindRatioBatch, &reply)
+	}
+	return r.drop(fmt.Errorf("unexpected %s frame", m.Kind))
+}
+
+// submit runs one round's censuses through ingest. answer reports that they
+// are to be answered with the members' current ratios: their round resolved,
+// or was abandoned under them. A refusal is acked back instead.
+func (r *reporter) submit(round int, censuses []transport.Census) (answer bool, err error) {
+	r.e.register(r, censuses)
+	if err = r.ingest(round, censuses); err == nil || errors.Is(err, ErrRoundAbandoned) {
+		return true, nil
+	}
+	return false, r.ack(err)
+}
+
+// ack acks err back to the peer, unless the owner closed: then the session
+// ends.
+func (r *reporter) ack(err error) error {
+	if errors.Is(err, transport.ErrClosed) {
+		return err
+	}
+	return r.Ack(err)
+}
+
+// drop counts and drops a malformed or unexpected frame, keeping the conn.
+func (r *reporter) drop(err error) error {
+	r.e.DropFrame(err)
+	return nil
 }
 
 // register remembers r as the session the censuses' members report on,

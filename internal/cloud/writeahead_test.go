@@ -19,7 +19,8 @@ import (
 // and watches the commit: the fold runs meanwhile (the FDS sweep is counted
 // on an observer that needs no server lock), neither submitter is answered
 // until the record is durable, and both are once it is — even when the
-// fsync fails, which is counted and logged but fails no round. The wait
+// fsync fails, which is counted and logged, fails no round and starts the
+// checkpoint that heals the journal. The wait
 // histogram holds the time the folded round then spent blocked.
 func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	fds, _ := testFDS(t)
@@ -61,6 +62,9 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 		case err := <-replies:
 			t.Fatalf("round %d: a submitter was answered (%v) with the record's fsync still held", round, err)
 		case <-time.After(20 * time.Millisecond):
+		}
+		if syncErr != nil {
+			gate.Hold(false) // the checkpoint that heals the failure fsyncs too
 		}
 		gate.Release(syncErr)
 		for i := 0; i < 2; i++ {

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,7 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	ops     [][2]string // {goroutine, "op file"}, in order
+	caller  string      // the goroutine that called Reset
 	armed   bool
 	crashes []Crash
 	fail    string           // the "op file" to fail, "" for none
@@ -120,11 +122,13 @@ func (r *Recorder) Fail(step string) {
 	r.fail = step
 }
 
-// Reset forgets the operations recorded so far.
+// Reset forgets the operations recorded so far and names the calling
+// goroutine the round's caller (see Committer).
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.ops = nil
+	r.caller = Goroutine()
 }
 
 // Ops returns the operations performed since Reset, in order: all of them
@@ -140,27 +144,25 @@ func (r *Recorder) Ops() map[string][]string {
 	return out
 }
 
-// Committer checks the commit-path pin over the operations since Reset: one
-// goroutine fsynced a journal segment — the one that committed the round, or
-// the journal's appender on its behalf — and did that once and nothing else;
-// every create, rename, unlink and directory fsync ran on one other, the
-// store's background goroutine, so none of it on the committer's either.
+// Committer checks the commit-path pin over the operations since Reset. The
+// round's caller — the goroutine that called Reset, which must be the one
+// that completed the round and so started its checkpoint — touched the disk
+// not at all; one other goroutine, the journal's appender, fsynced a journal
+// segment and did that once and nothing else; and every create, unlink and
+// directory fsync ran on one more, the store's background goroutine.
 func (r *Recorder) Committer(t testing.TB) {
 	t.Helper()
 	ops := r.Ops()
+	if mine := ops[r.caller]; len(mine) > 0 {
+		t.Errorf("the round's caller, goroutine %s, did the checkpoint's disk work: %q", r.caller, mine)
+	}
 	committers := 0
 	for g, mine := range ops {
-		for _, op := range mine {
-			if g == "" {
-				break
-			}
-			if strings.HasPrefix(op, "sync journal") {
-				committers++
-				if len(mine) != 1 {
-					t.Errorf("goroutine %s appended a round and also did the checkpoint's disk work: %q", g, mine)
-				}
-				break
-			}
+		if g == "" || !slices.ContainsFunc(mine, func(op string) bool { return strings.HasPrefix(op, "sync journal") }) {
+			continue
+		}
+		if committers++; len(mine) != 1 {
+			t.Errorf("goroutine %s appended a round and also did the checkpoint's disk work: %q", g, mine)
 		}
 	}
 	if committers != 1 || len(ops) != 3 { // all of them under "", the append's, the background's

@@ -535,14 +535,16 @@ func (s *Store) checkpoint(snap []byte, keepFrom, below int, retained func([]byt
 	s.drainLocked()
 	healed := s.flushErr != nil
 	if healed {
+		// The journal stays poisoned until the snapshot frame is written: up
+		// to then, the rounds the failed fsync lost are a gap nothing covers.
 		err := s.journal.Truncate(s.synced)
 		if err == nil {
+			s.cur.size = s.synced
 			err = s.disk.sync(s.journal)
 		}
 		if err != nil {
 			return fmt.Errorf("durable: healing poisoned journal: %w", err)
 		}
-		s.cur.size, s.flushErr = s.synced, nil
 	} else if err := s.syncHeadLocked(); err != nil {
 		return err
 	}
@@ -570,7 +572,7 @@ func (s *Store) checkpoint(snap []byte, keepFrom, below int, retained func([]byt
 	if _, err := s.journal.WriteAt(s.frame, 0); err != nil {
 		return fmt.Errorf("durable: write snapshot: %w", err)
 	}
-	if s.cur.size = int64(len(s.frame)); healed {
+	if s.cur.size, s.flushErr = int64(len(s.frame)), nil; healed {
 		if err := s.syncHeadLocked(); err != nil {
 			return err
 		}

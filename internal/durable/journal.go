@@ -233,12 +233,15 @@ func (j *Journal) WaitRound(ticket int) (int, error) {
 // Journaled is the step after a round's append, with what WaitRound returned:
 // a record that brings the count to the cadence starts a checkpoint (a
 // Corrected one counts toward none), and a failure is counted and logged
-// without failing the round, whose coordinator serves on from memory.
+// without failing the round, whose coordinator serves on from memory. A
+// failure starts a checkpoint too: a failed fsync poisons the journal, no
+// append after it succeeds, and the checkpoint is what heals it.
 func (j *Journal) Journaled(rec RoundRecord, since int, err error) {
 	if err != nil {
 		j.owner.Errors.Inc()
 		j.owner.logf("%s: journaling round %d: %v", j.owner.Name, rec.Round, err)
-	} else if !rec.Corrected && j.owner.Every > 0 && since >= j.owner.Every {
+	}
+	if err != nil || !rec.Corrected && j.owner.Every > 0 && since >= j.owner.Every {
 		j.Compact()
 	}
 }

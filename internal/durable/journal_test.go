@@ -88,10 +88,18 @@ func TestJournalOwnerContract(t *testing.T) {
 			n, err := j.WaitRound(ticket)
 			j.Journaled(round(0), n, err)
 		}, 0, 1},
-		{"a failed append is counted once and starts no checkpoint", 1, func(t *testing.T, j *Journal, rec *crashtest.Recorder) {
+		{"a failed append is counted once and starts the heal", 0, func(t *testing.T, j *Journal, rec *crashtest.Recorder) {
 			rec.Fail("sync journal.wal")
-			commit(j, round(0))
-		}, 1, 0},
+			n, err := j.WaitRound(j.StartRound(round(0)))
+			rec.Fail("")
+			if _, poisoned := j.WaitRound(j.StartRound(round(1))); err == nil || poisoned == nil {
+				t.Fatalf("appends = %v, %v; want the injected failure, then a poisoned journal", err, poisoned)
+			}
+			j.Journaled(round(0), n, err)
+			if _, err := j.WaitRound(j.StartRound(round(2))); err != nil {
+				t.Fatalf("an append after the heal: %v", err)
+			}
+		}, 1, 1},
 		{"a failed background checkpoint is counted once", 1, func(t *testing.T, j *Journal, rec *crashtest.Recorder) {
 			rec.Fail("create journal.00000002.wal")
 			commit(j, round(0))

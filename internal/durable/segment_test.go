@@ -98,17 +98,18 @@ func TestAppendLandsInSegmentWithDurableEntry(t *testing.T) {
 	}
 }
 
-// The commit-path pin: with a spare ready, the cadence round's append and
-// checkpoint call fsync the journal once on the caller's goroutine and do
-// nothing else to the disk there; the unlinks and the next spare run on the
-// store's background goroutine.
+// The commit-path pin: with a spare ready, the cadence round's append
+// fsyncs the journal once on the journal's appender goroutine and does
+// nothing else to the disk there, its checkpoint does nothing to the disk on
+// the caller's, and the unlinks and the next spare run on the store's
+// background goroutine.
 func TestCheckpointLeavesTheCommitPath(t *testing.T) {
 	j, rec := openRecorded(t)
 	for n := 0; n < 4; n++ {
 		if n == 3 {
 			rec.Reset()
 		}
-		if _, err := j.AppendRound(round(n)); err != nil {
+		if _, err := j.WaitRound(j.StartRound(round(n))); err != nil {
 			t.Fatal(err)
 		}
 		if n == 1 || n == 3 {

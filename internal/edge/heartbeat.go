@@ -75,7 +75,8 @@ func (h *Heartbeat) Run(stop <-chan struct{}) {
 		case <-t.C:
 		}
 		err := h.exchange(h.Dialer, 0, func(conn transport.Conn) error {
-			return session.RenewLease(conn, h.Edge, ttl, ackTimeout)
+			lease := transport.Lease{Edge: h.Edge, TTLMillis: ttl.Milliseconds()}
+			return session.Wrap(conn).Notify(transport.KindLease, lease, ackTimeout)
 		})
 		if err == nil {
 			renewals.Inc()

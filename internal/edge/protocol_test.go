@@ -122,9 +122,10 @@ func awaitVehicles(t *testing.T, srv *Server, n int) {
 }
 
 // TestRefusedUploadIsNacked: an upload the policy refuses — a modality the
-// decision does not share, a decision the lattice does not have — is answered
-// with an ack carrying the reason and is not counted, while the vehicle beside
-// it, whose upload is good, hears nothing but its delivery.
+// decision does not share, a decision the lattice does not have — and a frame
+// of a kind the edge does not serve are answered with an ack carrying the
+// reason and are not counted, while the vehicle beside it, whose upload is
+// good, hears nothing but its delivery.
 func TestRefusedUploadIsNacked(t *testing.T) {
 	srv, dial := startServer(t)
 	bad := registerVehicle(t, dial, 1)
@@ -143,8 +144,12 @@ func TestRefusedUploadIsNacked(t *testing.T) {
 	if reason := bad.recvAck(); !strings.Contains(reason, "upload from vehicle 1") {
 		t.Errorf("unknown decision: ack = %q", reason)
 	}
+	bad.send(transport.KindCensus, transport.Census{Edge: 0, Round: 1, Counts: make([]int, 8)})
+	if reason := bad.recvAck(); reason != "unexpected message kind census" {
+		t.Errorf("unexpected kind: ack = %q", reason)
+	}
 	if n := srv.dist.NumUploads(); n != 0 {
-		t.Errorf("%d uploads counted after two refusals", n)
+		t.Errorf("%d uploads counted after three refusals", n)
 	}
 
 	// Vehicle 1 settles for sharing nothing, which lets the round finish.

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,32 +184,45 @@ func (s *Server) handleConn(conn transport.Conn) {
 		s.mu.Unlock()
 	}()
 
-	var up transport.Upload // one per session: the read loop handles a frame at a time
-	_ = sess.Serve(map[transport.Kind]session.Handler{
-		transport.KindUpload: func(m transport.Message) error {
-			up = transport.Upload{}
-			if err := transport.Decode(m, transport.KindUpload, &up); err != nil {
-				_ = sess.Ack(err)
-				return nil
+	v := &vehicleConn{srv: s, sess: sess, vehicle: hello.Vehicle}
+	_ = sess.Serve(v.handle)
+}
+
+// vehicleConn is one registered vehicle's session.
+type vehicleConn struct {
+	srv     *Server
+	sess    *session.Session
+	vehicle int
+}
+
+// handle serves one inbound frame. A malformed or refused upload, and a frame
+// of a kind the edge does not serve, is acked back with its error, and the
+// session goes on.
+func (v *vehicleConn) handle(m transport.Message) error {
+	if m.Kind != transport.KindUpload {
+		return v.sess.Ack(fmt.Errorf("unexpected message kind %s", m.Kind))
+	}
+	var up transport.Upload
+	if err := transport.Decode(m, transport.KindUpload, &up); err != nil {
+		_ = v.sess.Ack(err)
+		return nil
+	}
+	up.Vehicle = v.vehicle // an upload counts for its session's vehicle
+	// An accepted upload is acknowledged by the round's delivery and a stale
+	// one (a delayed policy made the vehicle upload for an old round;
+	// harmless) by nothing; only a refusal is acked.
+	switch err := v.srv.dist.AddUpload(up); {
+	case err == nil:
+		if v.srv.dist.NumUploads() >= int(v.srv.target.Load()) {
+			select {
+			case v.srv.uploaded <- struct{}{}:
+			default:
 			}
-			up.Vehicle = hello.Vehicle // an upload counts for its session's vehicle
-			// An accepted upload is acknowledged by the round's delivery
-			// and a stale one (a delayed policy made the vehicle upload for
-			// an old round; harmless) by nothing; only a refusal is acked.
-			switch err := s.dist.AddUpload(up); {
-			case err == nil:
-				if s.dist.NumUploads() >= int(s.target.Load()) {
-					select {
-					case s.uploaded <- struct{}{}:
-					default:
-					}
-				}
-			case !errors.Is(err, ErrStaleUpload):
-				_ = sess.Ack(err)
-			}
-			return nil
-		},
-	}, nil) // nil unknown handler: ack "unexpected message kind", keep serving
+		}
+	case !errors.Is(err, ErrStaleUpload):
+		_ = v.sess.Ack(err)
+	}
+	return nil
 }
 
 // RunRound drives one synchronized data-sharing round: broadcast the policy

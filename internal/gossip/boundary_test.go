@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/transport"
+	"repro/internal/transport/session"
 )
 
 func counterValue(t *testing.T, reg *obs.Registry, name string) float64 {
@@ -27,8 +29,8 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) float64 {
 // varints carry negative ints, so a census like [-1, 2, 0, ...] decodes
 // fine; folded, it would put a negative share into the game state. The
 // kernel's one shape check refuses it with ErrBadCensus at every entry
-// point — cloud single, batch and digest, shard, gossip peer — before
-// anything reaches a barrier, let alone Fold.Apply. (The test lives here
+// point — cloud single, batch and digest, a shard's session, gossip peer —
+// before anything reaches a barrier, let alone Fold.Apply. (The test lives here
 // because gossip is the one package that may import both other owners.)
 func TestNegativeCountsRefusedAtEveryIngest(t *testing.T) {
 	nodes, agg, teardown := hood(t, 2, 100, nil)
@@ -42,6 +44,18 @@ func TestNegativeCountsRefusedAtEveryIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	shardNet := transport.NewInprocNetwork()
+	l, err := shardNet.Listen("shard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go c.Serve(l)
+	conn, err := shardNet.Dial("shard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 
 	good := transport.Census{Edge: 0, Round: 0, Counts: counts(0, 0)}
 	bad := transport.Census{Edge: 1, Round: 0, Counts: []int{-1, 2, 0, 0, 0, 0, 0, 0}}
@@ -60,7 +74,14 @@ func TestNegativeCountsRefusedAtEveryIngest(t *testing.T) {
 				Rounds: []transport.DigestRound{{Round: 0, Censuses: both}}})
 			return err
 		}},
-		{"shard.Submit", func() error { _, err := c.Submit(bad); return err }},
+		{"shard.ServeSession", func() error {
+			_, err := session.ReportCensusWith(conn, &bad, 5*time.Second, nil)
+			var rej *session.RejectedError
+			if errors.As(err, &rej) && strings.Contains(rej.Reason, cloud.ErrBadCensus.Error()) {
+				return cloud.ErrBadCensus // the refusal crossed the wire as the ack's text
+			}
+			return err
+		}},
 		{"gossip.SubmitPeer", func() error { return node.SubmitPeer(bad) }},
 	}
 	cloudHash, hoodHash := agg.StateHash(), node.StateHash()
@@ -89,5 +110,28 @@ func TestNegativeCountsRefusedAtEveryIngest(t *testing.T) {
 	}
 	if n := counterValue(t, c.Registry(), "shard_decode_failures_total"); n != 1 {
 		t.Errorf("shard_decode_failures_total = %v, want 1", n)
+	}
+}
+
+// TestPeerLinkAcksUnexpectedKind: a frame of a kind a peer link does not
+// carry is acked back with an error, and the link goes on: the census after
+// it on the same conn is acked.
+func TestPeerLinkAcksUnexpectedKind(t *testing.T) {
+	nodes, _, teardown := hood(t, 2, 100, nil)
+	defer teardown()
+	conn, err := nodes[0].cfg.PeerDial(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sess := session.Wrap(conn)
+	err = sess.Notify(transport.KindRatio, &transport.Ratio{Round: 1, X: 0.5}, 5*time.Second)
+	var rej *session.RejectedError
+	if !errors.As(err, &rej) || !strings.Contains(rej.Reason, "unexpected ratio frame") {
+		t.Fatalf("a ratio on a peer link: %v, want an unexpected-kind refusal", err)
+	}
+	census := transport.Census{Edge: 1, Round: 0, Counts: counts(1, 0)}
+	if err := sess.Notify(transport.KindCensus, &census, 5*time.Second); err != nil {
+		t.Fatalf("the census after it: %v", err)
 	}
 }

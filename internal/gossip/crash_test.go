@@ -222,9 +222,28 @@ func TestRecoveredHoodEscalates(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		driveRound(t, nodes, round)
 	}
+	// The follower's fourth record is its cadence: the round is completed by
+	// the follower's own census, submitted on this goroutine once the
+	// leader's is on its barrier.
+	led := make(chan error, 1)
+	go func() {
+		_, err := leader.LocalRound(3, counts(0, 3))
+		led <- err
+	}()
+	waitFor(t, 5*time.Second, "the leader's census on the follower's barrier", func() bool {
+		follower.mu.Lock()
+		defer follower.mu.Unlock()
+		b, ok := follower.eng.Barrier(3)
+		return ok && b.Size() == 1
+	})
 	recs[1].Reset()
 	recs[1].Arm()
-	driveRound(t, nodes, 3) // the follower's fourth record: its cadence
+	if _, err := follower.LocalRound(3, counts(1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-led; err != nil {
+		t.Fatal(err)
+	}
 	if err := follower.journal.WaitCheckpoint(); err != nil {
 		t.Fatal(err)
 	}

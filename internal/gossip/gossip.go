@@ -350,26 +350,36 @@ func (n *Node) Serve(l transport.Listener) {
 }
 
 func (n *Node) handleConn(conn transport.Conn) {
-	sess := session.Wrap(conn)
-	defer sess.Close()
-	_ = sess.Serve(map[transport.Kind]session.Handler{
-		transport.KindCensus: func(m transport.Message) error {
-			var census transport.Census
-			if err := transport.Decode(m, transport.KindCensus, &census); err != nil {
-				return sess.Ack(err)
-			}
-			return sess.Ack(n.SubmitPeer(census))
-		},
-		transport.KindHoodBeat: func(m transport.Message) error {
-			var beat transport.HoodBeat
-			if err := transport.Decode(m, transport.KindHoodBeat, &beat); err != nil {
-				return sess.Ack(err)
-			}
-			return sess.Ack(n.submitBeat(beat))
-		},
-	}, func(m transport.Message) error {
-		return sess.Ack(fmt.Errorf("gossip: unexpected %s frame on peer link", m.Kind))
-	})
+	p := &peerConn{node: n, sess: session.Wrap(conn)}
+	defer p.sess.Close()
+	_ = p.sess.Serve(p.handle)
+}
+
+// peerConn is one inbound peer link.
+type peerConn struct {
+	node *Node
+	sess *session.Session
+}
+
+// handle serves one inbound frame: a census or a heartbeat is acked with
+// what absorbing it said, a malformed frame or one of another kind with its
+// error, and the link goes on.
+func (p *peerConn) handle(m transport.Message) error {
+	switch m.Kind {
+	case transport.KindCensus:
+		var census transport.Census
+		if err := transport.Decode(m, transport.KindCensus, &census); err != nil {
+			return p.sess.Ack(err)
+		}
+		return p.sess.Ack(p.node.SubmitPeer(census))
+	case transport.KindHoodBeat:
+		var beat transport.HoodBeat
+		if err := transport.Decode(m, transport.KindHoodBeat, &beat); err != nil {
+			return p.sess.Ack(err)
+		}
+		return p.sess.Ack(p.node.submitBeat(beat))
+	}
+	return p.sess.Ack(fmt.Errorf("gossip: unexpected %s frame on peer link", m.Kind))
 }
 
 // submitBeat absorbs one leader heartbeat. Every well-formed beat is acked
@@ -560,13 +570,17 @@ func (n *Node) runSender(s *peerSender) {
 		if job.fan == &n.beatFan {
 			s.beat = job.beat
 			n.metrics.beatsSent.Inc()
-			if s.link.Exchange(func(c transport.Conn) error { return session.SendHoodBeat(c, &s.beat, n.cfg.ReplyTimeout) }) != nil {
+			if s.link.Exchange(func(c transport.Conn) error {
+				return session.Wrap(c).Notify(transport.KindHoodBeat, &s.beat, n.cfg.ReplyTimeout)
+			}) != nil {
 				n.metrics.beatFailures.Inc()
 			}
 		} else {
 			s.census = job.census
 			n.metrics.peerSends.Inc()
-			if err := s.link.Exchange(func(c transport.Conn) error { return session.GossipCensus(c, &s.census, n.cfg.ReplyTimeout) }); err != nil {
+			if err := s.link.Exchange(func(c transport.Conn) error {
+				return session.Wrap(c).Notify(transport.KindCensus, &s.census, n.cfg.ReplyTimeout)
+			}); err != nil {
 				n.metrics.sendFailures.Inc()
 				n.logf("gossip: edge %d: census to peer %d round %d: %v", n.cfg.Edge, s.member, s.census.Round, err)
 			}

@@ -67,7 +67,7 @@ func gossipOwnershipRun(t *testing.T, via string, spoiled bool) gossipKept {
 			conn = spoilingConn{conn}
 		}
 		peer = func(c transport.Census) error {
-			return session.GossipCensus(conn, &c, 5*time.Second)
+			return session.Wrap(conn).Notify(transport.KindCensus, &c, 5*time.Second)
 		}
 	}
 	for round := 0; round < 12; round++ {

@@ -16,7 +16,8 @@ import (
 // meanwhile (the FDS sweep is counted on an observer that needs no node
 // lock), yet the round is neither counted complete nor returned from
 // LocalRound until the record is durable, and it is once it is — even when
-// the fsync fails, which is counted once and fails no round.
+// the fsync fails, which is counted once, fails no round and starts the
+// checkpoint that heals the journal.
 func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	sweeps := obs.New()
 	n, err := NewNode(Config{
@@ -58,6 +59,9 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 		}
 		if got := n.metrics.Rounds.Value(); got != int64(round) {
 			t.Errorf("round %d: %d rounds released with the record's fsync still held, want %d", round, got, round)
+		}
+		if syncErr != nil {
+			gate.Hold(false) // the checkpoint that heals the failure fsyncs too
 		}
 		gate.Release(syncErr)
 		if t.Failed() {

@@ -179,9 +179,10 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 
 // Serve accepts downstream connections (edge CloudLinks and batching load
 // generators) until the listener closes, serving each with the kernel's
-// session table. Run in a goroutine.
+// session protocol. Run in a goroutine.
 func (c *Coordinator) Serve(l transport.Listener) {
-	c.srv.Serve(l, func(conn transport.Conn) { c.eng.ServeSession(session.Wrap(conn), c.ingest, nil) })
+	ingest := c.ingest // bound once, not per connection
+	c.srv.Serve(l, func(conn transport.Conn) { c.eng.ServeSession(session.Wrap(conn), ingest, nil) })
 }
 
 // Close shuts the coordinator down: pending barriers fail, connections
@@ -202,28 +203,6 @@ func (c *Coordinator) RenewLease(edgeID int, ttl time.Duration) error {
 	return c.eng.Renew(edgeID, ttl)
 }
 
-// Submit records one owned region's census and blocks until the round's
-// batch has been forwarded upstream and the aggregator's answer adopted —
-// then returns the region's next global-fold sharing ratio. It is a
-// one-census call into the same path as SubmitBatch.
-func (c *Coordinator) Submit(census transport.Census) (float64, error) {
-	one := [1]transport.Census{census}
-	if err := c.ingest(census.Round, one[:]); err != nil {
-		return 0, err
-	}
-	return c.eng.Ratio(census.Edge), nil
-}
-
-// SubmitBatch records several owned regions' censuses in one call (a load
-// generator multiplexing a region group over one connection) and answers
-// them all from the adopted aggregator reply.
-func (c *Coordinator) SubmitBatch(batch transport.CensusBatch) (reply transport.RatioBatch, err error) {
-	if err = c.ingest(batch.Round, batch.Censuses); err == nil {
-		c.eng.RatioBatch(&reply, batch.Round, batch.Censuses)
-	}
-	return reply, err
-}
-
 // ingest runs one round's censuses through the kernel. Censuses that
 // missed their round's forward — it had already been adopted, or its batch
 // was in flight when they arrived — are relayed upstream on their own (the
@@ -235,7 +214,7 @@ func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
 		return err
 	}
 	c.metrics.late.Add(int64(len(censuses)))
-	// The link retains what it sends; a copy keeps Submit's one-census view
+	// The link retains what it sends; a copy keeps a session's one-census view
 	// off the heap on the common path.
 	return c.relay(round, append([]transport.Census(nil), censuses...))
 }

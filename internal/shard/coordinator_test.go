@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/transport"
+	"repro/internal/transport/session"
 )
 
 // lineGraph is the 2-region test graph shared with the cloud tests.
@@ -114,6 +115,15 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	return 0
 }
 
+// submit runs one census through the coordinator's ingest, the path a
+// session's census takes, and returns the region's adopted ratio.
+func submit(c *Coordinator, census transport.Census) (float64, error) {
+	if err := c.ingest(census.Round, []transport.Census{census}); err != nil {
+		return 0, err
+	}
+	return c.eng.Ratio(census.Edge), nil
+}
+
 // runRound drives both regions through one coordinator round concurrently
 // and returns the answered ratios.
 func runRound(t *testing.T, c *Coordinator, round int, counts map[int][]int) map[int]float64 {
@@ -126,7 +136,7 @@ func runRound(t *testing.T, c *Coordinator, round int, counts map[int][]int) map
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x, err := c.Submit(transport.Census{Edge: edge, Round: round, Counts: cs})
+			x, err := submit(c, transport.Census{Edge: edge, Round: round, Counts: cs})
 			if err != nil {
 				t.Errorf("round %d edge %d: %v", round, edge, err)
 				return
@@ -207,7 +217,7 @@ func TestCoordinatorAnswersAggregatorRatios(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesMixedRoundBatch: a batch handed to SubmitBatch in
+// TestCoordinatorRefusesMixedRoundBatch: a batch handed to ingest in
 // process, not decoded from a frame (where every census takes the batch's
 // round), can carry a census for another round; the kernel refuses the
 // batch whole, so nothing is placed or forwarded.
@@ -219,10 +229,10 @@ func TestCoordinatorRefusesMixedRoundBatch(t *testing.T) {
 	c := newTestCoordinator(t, net, "agg", 0)
 
 	counts := []int{5, 1, 0, 0, 1, 0, 1, 0}
-	if _, err := c.SubmitBatch(transport.CensusBatch{Round: 0, Censuses: []transport.Census{
+	if err := c.ingest(0, []transport.Census{
 		{Edge: 0, Round: 0, Counts: counts},
 		{Edge: 1, Round: 1, Counts: counts},
-	}}); err == nil {
+	}); err == nil {
 		t.Fatal("a round-0 batch carrying a round-1 census was accepted")
 	}
 	if c.Latest() != -1 || agg.Latest() != -1 {
@@ -258,7 +268,7 @@ func TestCoordinatorDegradedForwardAndLateRewind(t *testing.T) {
 	runDirectRound(t, baseline, 0, r0)
 
 	// Through the shard: only region 0 makes round 0's deadline.
-	if _, err := c.Submit(transport.Census{Edge: 0, Round: 0, Counts: r0[0]}); err != nil {
+	if _, err := submit(c, transport.Census{Edge: 0, Round: 0, Counts: r0[0]}); err != nil {
 		t.Fatalf("degraded round: %v", err)
 	}
 	// Vacuousness guard: the degraded fold must actually differ before the
@@ -268,7 +278,7 @@ func TestCoordinatorDegradedForwardAndLateRewind(t *testing.T) {
 	}
 	// The straggler arrives after the round was forwarded: relayed upstream
 	// individually, aggregator rewinds, fold converges to the baseline.
-	if _, err := c.Submit(transport.Census{Edge: 1, Round: 0, Counts: r0[1]}); err != nil {
+	if _, err := submit(c, transport.Census{Edge: 1, Round: 0, Counts: r0[1]}); err != nil {
 		t.Fatalf("late straggler: %v", err)
 	}
 	if got, want := agg.StateHash(), baseline.StateHash(); got != want {
@@ -348,7 +358,7 @@ func TestCoordinatorRecoversWatermark(t *testing.T) {
 
 	// A replayed census for round 0 is late to the recovered coordinator and
 	// must be answered, not re-barriered.
-	if _, err := c2.Submit(transport.Census{Edge: 0, Round: 0, Counts: r0[0]}); err != nil {
+	if _, err := submit(c2, transport.Census{Edge: 0, Round: 0, Counts: r0[0]}); err != nil {
 		t.Fatalf("late census after recovery: %v", err)
 	}
 
@@ -364,6 +374,46 @@ func TestCoordinatorRecoversWatermark(t *testing.T) {
 		t.Log("round 1 left the hash unchanged (fold converged); fine")
 	}
 	c2.Close()
+}
+
+// TestSessionDropsUnexpectedFrames: a shard's session counts a frame it does
+// not serve — a digest, which only the cloud reconciles, or a vehicle's
+// policy — as a decode failure and drops it, keeping the conn: the lease
+// renewal after them is acked.
+func TestSessionDropsUnexpectedFrames(t *testing.T) {
+	net := transport.NewInprocNetwork()
+	agg := newAggregator(t)
+	defer agg.Close()
+	startAggregator(t, net, "agg", agg)
+	c := newTestCoordinator(t, net, "agg", 0)
+	l, err := net.Listen("shard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go c.Serve(l)
+	conn, err := net.Dial("shard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sess := session.Wrap(conn)
+	digest := &transport.Digest{Of: 1, Members: []int{0}, Rounds: []transport.DigestRound{{Round: 0}}}
+	if err := sess.Send(transport.KindDigest, digest); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Send(transport.KindPolicy, &transport.Policy{Round: 0, X: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Notify(transport.KindLease, transport.Lease{Edge: 0, TTLMillis: 60000}, 5*time.Second); err != nil {
+		t.Fatalf("the lease renewal after them: %v", err)
+	}
+	if n := metricValue(t, c.Registry(), "shard_decode_failures_total"); n != 2 {
+		t.Errorf("shard_decode_failures_total = %v, want 2", n)
+	}
+	if agg.Latest() != -1 {
+		t.Errorf("the aggregator completed round %d", agg.Latest())
+	}
 }
 
 // TestCoordinatorLeaseQuorum: once leases are in play, a round completes as
@@ -389,7 +439,7 @@ func TestCoordinatorLeaseQuorum(t *testing.T) {
 	}
 
 	// Region 1's lease lapses; the round must complete on region 0 alone.
-	x, err := c.Submit(transport.Census{Edge: 0, Round: 0, Counts: []int{5, 1, 0, 0, 1, 0, 1, 0}})
+	x, err := submit(c, transport.Census{Edge: 0, Round: 0, Counts: []int{5, 1, 0, 0, 1, 0, 1, 0}})
 	if err != nil {
 		t.Fatalf("leased quorum round: %v", err)
 	}

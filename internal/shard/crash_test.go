@@ -178,13 +178,44 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	})
 }
 
+// callerRound runs round with region 1's census, the one that completes it,
+// submitted on the calling goroutine, which it names the round's caller
+// (crashtest.Recorder.Reset), and waits out the checkpoint it may start.
+func callerRound(t *testing.T, c *Coordinator, rec *crashtest.Recorder, round int) {
+	t.Helper()
+	counts := crashCounts(round)
+	first := make(chan error, 1)
+	go func() {
+		_, err := submit(c, transport.Census{Edge: 0, Round: round, Counts: counts[0]})
+		first <- err
+	}()
+	waitFor(t, "region 0's census on the barrier", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		b, ok := c.eng.Barrier(round)
+		return ok && b.Size() == 1
+	})
+	rec.Reset()
+	if _, err := submit(c, transport.Census{Edge: 1, Round: round, Counts: counts[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.journal.WaitCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveredShardReforwards drives a shard's rounds through its commit
-// path to an aggregator, checkpointing every fourth. The cadence round is
-// the commit-path pin: its append fsyncs the journal once, on a goroutine
-// that touches the disk no further. Open on a copy taken before each of its
-// disk operations must recover the watermark and the newest batch and
-// re-forward that batch upstream, where the aggregator absorbs it as a
-// duplicate and keeps its hash.
+// path to an aggregator, checkpointing every fourth. Each cadence round is
+// the commit-path pin: completed by the census its caller submits, its
+// append fsyncs the journal once, on the journal's appender, which touches
+// the disk no further, and its checkpoint's disk work runs on the store's
+// background goroutine, none on the round's caller. Open on a copy taken
+// before each of the third's disk operations must recover the watermark and
+// the newest batch and re-forward that batch upstream, where the aggregator
+// absorbs it as a duplicate and keeps its hash.
 func TestRecoveredShardReforwards(t *testing.T) {
 	net := transport.NewInprocNetwork()
 	agg := newAggregator(t)
@@ -201,17 +232,15 @@ func TestRecoveredShardReforwards(t *testing.T) {
 	}
 	const last = 11 // the third cadence round: it unlinks journal.wal, which the second's snapshot covers
 	for round := 0; round < last; round++ {
-		runRound(t, c, round, crashCounts(round))
+		if round%4 != 3 {
+			runRound(t, c, round, crashCounts(round))
+			continue
+		}
+		callerRound(t, c, rec, round)
+		rec.Committer(t)
 	}
-	if err := c.journal.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rec.Reset()
 	rec.Arm()
-	runRound(t, c, last, crashCounts(last))
-	if err := c.journal.WaitCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
+	callerRound(t, c, rec, last)
 	crashes := rec.Crashes()
 	rec.Committer(t)
 

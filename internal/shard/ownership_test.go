@@ -36,8 +36,8 @@ func shardOwnershipRun(t *testing.T, lag int, via string, spoiled bool) shardKep
 	if err := c.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	batch := func(b transport.CensusBatch) error { _, err := c.SubmitBatch(b); return err }
-	one := func(cs transport.Census) error { _, err := c.Submit(cs); return err }
+	batch := func(b transport.CensusBatch) error { return c.ingest(b.Round, b.Censuses) }
+	one := func(cs transport.Census) error { return c.ingest(cs.Round, []transport.Census{cs}) }
 	if via != "call" {
 		var l transport.Listener
 		var dial func() (transport.Conn, error)
@@ -137,7 +137,7 @@ func (c spoilingConn) Send(m transport.Message) error {
 }
 
 // TestCallerKeepsItsCounts: a caller may overwrite the counts it passed to
-// Submit or SubmitBatch as soon as the call returns, and a conn may decode
+// the shard's ingest as soon as the call returns, and a conn may decode
 // its next frame over the last one's: neither the record the shard keeps to
 // re-forward, nor its journal, nor the aggregator's hash differs from a run
 // whose caller left its counts alone — with the aggregator's lag window or

@@ -19,7 +19,7 @@ func submitAll(c *Coordinator, round int, counts map[int][]int) <-chan error {
 	for edge, cs := range counts {
 		edge, cs := edge, cs
 		go func() {
-			_, err := c.Submit(transport.Census{Edge: edge, Round: round, Counts: cs})
+			_, err := submit(c, transport.Census{Edge: edge, Round: round, Counts: cs})
 			replies <- err
 		}()
 	}
@@ -119,6 +119,7 @@ func TestWriteAheadCrashBetweenForwardAndRecord(t *testing.T) {
 				replies := submitAll(c, last, counts)
 				<-gate.Reached
 				waitFor(t, "the aggregator to fold the forwarded round", func() bool { return agg.Latest() == last })
+				gate.Hold(false) // the checkpoint that heals the failure fsyncs too
 				gate.Release(errors.New("killed before the fsync returned"))
 				for range counts {
 					<-replies // a killed shard's edges see their connection drop instead
@@ -206,7 +207,7 @@ func TestDurableCommitAllocs(t *testing.T) {
 		for i := range batch.Censuses {
 			batch.Censuses[i].Round = round
 		}
-		_, _ = c.SubmitBatch(batch) // the forward fails: the commit up to it is what is counted
+		_ = c.ingest(batch.Round, batch.Censuses) // the forward fails: the commit up to it is what is counted
 		round++
 	}
 	for round < 4 {

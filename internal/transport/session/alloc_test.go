@@ -43,7 +43,8 @@ func tcpPair(t *testing.T) (client, server transport.Conn) {
 
 // TestAckAndNotifyAllocs pins a gossip census exchange at zero over a warmed
 // TCP conn: a success ack is the one shared body, Notify decodes the ack on
-// its stack, and the census is the caller's own body. One goroutine plays
+// its stack, the session view stays on the caller's stack, and the census is
+// the caller's own body. One goroutine plays
 // both ends, acking first — the ack waits in the socket for Notify to read.
 func TestAckAndNotifyAllocs(t *testing.T) {
 	if israce.Enabled {
@@ -56,7 +57,7 @@ func TestAckAndNotifyAllocs(t *testing.T) {
 		if err := acker.Ack(nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := GossipCensus(client, census, 30*time.Second); err != nil {
+		if err := Wrap(client).Notify(transport.KindCensus, census, 30*time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if m, err := server.Recv(); err != nil || m.Kind != transport.KindCensus {
@@ -64,7 +65,7 @@ func TestAckAndNotifyAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Ack(nil) + GossipCensus + Recv: %.1f allocs/op, want 0", allocs)
+		t.Errorf("Ack(nil) + Notify(census) + Recv: %.1f allocs/op, want 0", allocs)
 	}
 }
 

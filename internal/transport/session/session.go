@@ -1,6 +1,6 @@
 // Package session is the shared control-plane session layer above
 // transport.Conn: the hello registration handshake, ack construction, the
-// kind-dispatch read loop, and typed request/reply. Cloud, edge, and
+// read loop, and typed request/reply. Cloud, edge, and
 // vehicle all run their connections through it, so protocol plumbing —
 // who acks what, how stale replies are skipped, what a clean close looks
 // like — lives in exactly one place.
@@ -69,12 +69,12 @@ func (s *Session) Ack(err error) error {
 // loop and is returned to the caller.
 type Handler func(m transport.Message) error
 
-// Serve dispatches inbound messages by kind until the connection closes or
-// a handler fails. A clean close (io.EOF) returns nil; other receive
-// failures are returned as-is, so transport.IsConnError classification
-// still works on them. Messages with no handler go to unknown; a nil
-// unknown acks an "unexpected message kind" error back and keeps serving.
-func (s *Session) Serve(handlers map[transport.Kind]Handler, unknown Handler) error {
+// Serve hands inbound messages to h until the connection closes or h fails.
+// A clean close (io.EOF) returns nil; other receive failures are returned
+// as-is, so transport.IsConnError classification still works on them. The
+// owner's handler dispatches on the message kind, answering one it does not
+// serve the owner's way.
+func (s *Session) Serve(h Handler) error {
 	for {
 		m, err := s.conn.Recv()
 		if errors.Is(err, io.EOF) {
@@ -82,16 +82,6 @@ func (s *Session) Serve(handlers map[transport.Kind]Handler, unknown Handler) er
 		}
 		if err != nil {
 			return err
-		}
-		h, ok := handlers[m.Kind]
-		if !ok {
-			h = unknown
-		}
-		if h == nil {
-			if err := s.Ack(fmt.Errorf("unexpected message kind %s", m.Kind)); err != nil {
-				return err
-			}
-			continue
 		}
 		if err := h(m); err != nil {
 			return err
@@ -146,24 +136,17 @@ func (s *Session) AcceptRegistration() (transport.Hello, error) {
 	return hello, nil
 }
 
-// Request sends payload under kind and waits for a reply of replyKind,
+// RequestWith sends payload under kind and waits for a reply of replyKind,
 // decoding it into out. An Ack reply is a refusal and surfaces as
 // *RejectedError. Replies of replyKind for which accept returns false are
 // skipped (stale answers left over from duplicated or re-submitted
-// requests); a nil accept takes the first. timeout bounds each wait (0 =
-// forever); on expiry the conn is closed and must be redialed.
-func (s *Session) Request(kind transport.Kind, payload interface{},
-	replyKind transport.Kind, out interface{}, timeout time.Duration,
-	accept func() bool) error {
-	return s.RequestWith(kind, payload, replyKind, out, timeout, accept, nil)
-}
-
-// RequestWith is Request with a handler for interleaved frames: any reply
-// that is neither an Ack nor of replyKind is passed to onOther (when
-// non-nil) and the wait continues, instead of failing the exchange. The
-// cloud pushes asynchronous frames — e.g. ratio corrections after a
-// fixed-lag rewind — on the same connection a census reply is awaited on,
-// so request loops must tolerate them. An onOther error aborts the request.
+// requests); a nil accept takes the first. Any other reply is passed to
+// onOther (when non-nil) and the wait continues, instead of failing the
+// exchange: the cloud pushes asynchronous frames — e.g. ratio corrections
+// after a fixed-lag rewind — on the same connection a census reply is
+// awaited on, so request loops must tolerate them. An onOther error aborts
+// the request. timeout bounds each wait (0 = forever); on expiry the conn is
+// closed and must be redialed.
 func (s *Session) RequestWith(kind transport.Kind, payload interface{},
 	replyKind transport.Kind, out interface{}, timeout time.Duration,
 	accept func() bool, onOther Handler) error {
@@ -201,7 +184,7 @@ func (s *Session) RequestWith(kind transport.Kind, payload interface{},
 // Notify sends payload under kind and waits for the peer's Ack: the one
 // acked-frame exchange behind lease renewals, gossip censuses and hood
 // beats. It must run on a connection the sender owns for the exchange — on
-// a shared conn the ack would race with census/ratio replies (Request
+// a shared conn the ack would race with census/ratio replies (RequestWith
 // treats any Ack as a refusal). A refusal surfaces as *RejectedError.
 // timeout bounds the ack wait (0 = forever); on expiry the conn is closed
 // and must be redialed.
@@ -221,14 +204,6 @@ func (s *Session) Notify(kind transport.Kind, payload interface{}, timeout time.
 		return &RejectedError{Reason: ack.Err}
 	}
 	return nil
-}
-
-// RenewLease sends one membership-lease renewal on conn and waits for the
-// coordinator's ack (see Notify). A refusal — e.g. an unknown edge id —
-// surfaces as *RejectedError.
-func RenewLease(conn transport.Conn, edgeID int, ttl, timeout time.Duration) error {
-	return Wrap(conn).Notify(transport.KindLease,
-		transport.Lease{Edge: edgeID, TTLMillis: ttl.Milliseconds()}, timeout)
 }
 
 // ReportCensusBatch submits one round's censuses for a whole region group in
@@ -268,26 +243,6 @@ func ReportCensusBatch(conn transport.Conn, batch *transport.CensusBatch,
 	return reply, nil
 }
 
-// GossipCensus pushes one round's census to a gossip peer on conn and waits
-// for the peer's ack (see Notify). Unlike ReportCensusWith there is no ratio
-// reply: peers fold each other's censuses into their own local engines. A
-// peer refusal (e.g. a census for a region outside the neighborhood)
-// surfaces as *RejectedError. The census is the caller's body, encoded
-// before the ack is awaited, so the caller may reuse it once this returns.
-func GossipCensus(conn transport.Conn, census *transport.Census, timeout time.Duration) error {
-	return Wrap(conn).Notify(transport.KindCensus, census, timeout)
-}
-
-// SendHoodBeat pushes one gossip leadership heartbeat to a neighborhood
-// peer on conn and waits for the peer's ack (see Notify). Receivers ack
-// every well-formed beat — including stale-epoch ones, which they ignore
-// after acking — so a refusal (*RejectedError) means the frame itself was
-// malformed, not that the peer disputes the leadership. Like a census, the
-// beat is the caller's body.
-func SendHoodBeat(conn transport.Conn, beat *transport.HoodBeat, timeout time.Duration) error {
-	return Wrap(conn).Notify(transport.KindHoodBeat, beat, timeout)
-}
-
 // EscalateDigest submits a neighborhood's compacted round digest to the
 // cloud control plane and waits for the matching RatioBatch reply (the
 // cloud's current view of the digest members' ratios, round = the digest's
@@ -301,7 +256,7 @@ func EscalateDigest(conn transport.Conn, d transport.Digest,
 	}
 	last := d.Rounds[len(d.Rounds)-1].Round
 	var reply transport.RatioBatch
-	err := Wrap(conn).Request(
+	err := Wrap(conn).RequestWith(
 		transport.KindDigest, d,
 		transport.KindRatioBatch, &reply, replyTimeout,
 		func() bool {
@@ -315,6 +270,7 @@ func EscalateDigest(conn transport.Conn, d transport.Digest,
 			}
 			return true
 		},
+		nil,
 	)
 	if err != nil {
 		return transport.RatioBatch{}, err

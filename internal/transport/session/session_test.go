@@ -22,9 +22,9 @@ func pair(t *testing.T) (*Session, *Session) {
 
 // serveDone runs sess.Serve on its own goroutine and returns the result
 // channel.
-func serveDone(sess *Session, handlers map[transport.Kind]Handler, unknown Handler) <-chan error {
+func serveDone(sess *Session, h Handler) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- sess.Serve(handlers, unknown) }()
+	go func() { done <- sess.Serve(h) }()
 	return done
 }
 
@@ -52,16 +52,14 @@ func TestAck(t *testing.T) {
 func TestServeDispatchAndCleanClose(t *testing.T) {
 	a, b := pair(t)
 	got := make(chan transport.Ratio, 1)
-	done := serveDone(b, map[transport.Kind]Handler{
-		transport.KindRatio: func(m transport.Message) error {
-			var r transport.Ratio
-			if err := transport.Decode(m, transport.KindRatio, &r); err != nil {
-				return err
-			}
-			got <- r
-			return nil
-		},
-	}, nil)
+	done := serveDone(b, func(m transport.Message) error {
+		var r transport.Ratio
+		if err := transport.Decode(m, transport.KindRatio, &r); err != nil {
+			return err
+		}
+		got <- r
+		return nil
+	})
 	if err := a.Send(transport.KindRatio, transport.Ratio{Round: 4, X: 0.25}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +73,22 @@ func TestServeDispatchAndCleanClose(t *testing.T) {
 	}
 }
 
+// An owner's handler answers a kind it does not serve with an error ack and
+// returns nil; Serve keeps reading, so the next frame still reaches it.
 func TestServeUnknownKindAcksAndContinues(t *testing.T) {
 	a, b := pair(t)
-	done := serveDone(b, nil, nil)
+	got := make(chan transport.Ratio, 1)
+	done := serveDone(b, func(m transport.Message) error {
+		if m.Kind != transport.KindRatio {
+			return b.Ack(fmt.Errorf("unexpected message kind %s", m.Kind))
+		}
+		var r transport.Ratio
+		if err := transport.Decode(m, transport.KindRatio, &r); err != nil {
+			return err
+		}
+		got <- r
+		return nil
+	})
 	if err := a.Send(transport.KindPolicy, transport.Policy{Round: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +104,17 @@ func TestServeUnknownKindAcksAndContinues(t *testing.T) {
 		t.Error("unknown kind must be acked with an error")
 	}
 	// The loop survived the unknown message.
+	if err := a.Send(transport.KindRatio, transport.Ratio{Round: 2, X: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r.Round != 2 {
+			t.Errorf("ratio after unknown kind = %+v, want round 2", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame after an unknown kind never reached the handler")
+	}
 	_ = a.Close()
 	if err := <-done; err != nil {
 		t.Errorf("Serve = %v, want nil", err)
@@ -102,9 +124,7 @@ func TestServeUnknownKindAcksAndContinues(t *testing.T) {
 func TestServeHandlerErrorStopsLoop(t *testing.T) {
 	a, b := pair(t)
 	boom := errors.New("boom")
-	done := serveDone(b, map[transport.Kind]Handler{
-		transport.KindAck: func(transport.Message) error { return boom },
-	}, nil)
+	done := serveDone(b, func(transport.Message) error { return boom })
 	if err := a.Ack(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +259,10 @@ func TestRequestRejected(t *testing.T) {
 func TestRequestTimeoutClosesConn(t *testing.T) {
 	a, b := pair(t)
 	_ = b // peer never answers
-	err := a.Request(transport.KindCensus, transport.Census{}, transport.KindRatio,
-		&transport.Ratio{}, 20*time.Millisecond, nil)
+	err := a.RequestWith(transport.KindCensus, transport.Census{}, transport.KindRatio,
+		&transport.Ratio{}, 20*time.Millisecond, nil, nil)
 	if !errors.Is(err, transport.ErrTimeout) {
-		t.Fatalf("Request = %v, want ErrTimeout", err)
+		t.Fatalf("RequestWith = %v, want ErrTimeout", err)
 	}
 	if !transport.IsConnError(err) {
 		t.Error("timeout must classify as a connection error so callers redial")
@@ -321,10 +341,11 @@ func TestRenewLeaseAckedAndRejected(t *testing.T) {
 			}
 		}
 	}()
-	if err := RenewLease(a.Conn(), 3, 250*time.Millisecond, time.Second); err != nil {
+	lease := transport.Lease{Edge: 3, TTLMillis: 250}
+	if err := a.Notify(transport.KindLease, lease, time.Second); err != nil {
 		t.Fatalf("first renewal: %v", err)
 	}
-	err := RenewLease(a.Conn(), 3, 250*time.Millisecond, time.Second)
+	err := a.Notify(transport.KindLease, lease, time.Second)
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("second renewal = %v, want *RejectedError", err)
@@ -333,9 +354,9 @@ func TestRenewLeaseAckedAndRejected(t *testing.T) {
 
 func TestRenewLeaseTimeoutClosesConn(t *testing.T) {
 	a, _ := pair(t)
-	err := RenewLease(a.Conn(), 1, time.Second, 20*time.Millisecond)
+	err := a.Notify(transport.KindLease, transport.Lease{Edge: 1, TTLMillis: 1000}, 20*time.Millisecond)
 	if err == nil {
-		t.Fatal("RenewLease with silent peer succeeded")
+		t.Fatal("a lease renewal with a silent peer succeeded")
 	}
 	if !transport.IsConnError(err) {
 		t.Fatalf("timeout error %v is not a conn error", err)

@@ -72,94 +72,93 @@ func (c *Client) Run(conn transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	handlers := c.handlers(sess)
+	v := &clientConn{
+		c:             c,
+		sess:          sess,
+		duplicates:    c.Obs.Counter("vehicle_duplicate_frames_total", "duplicated policy/delivery frames absorbed idempotently"),
+		policyRound:   -1,
+		deliveryRound: -1,
+	}
 	if pending != nil {
-		if h, ok := handlers[pending.Kind]; ok {
-			if err := h(*pending); err != nil {
-				return err
-			}
-		} else {
-			return fmt.Errorf("vehicle %d: unexpected message kind %s", c.Agent.Profile.ID, pending.Kind)
+		if err := v.handle(*pending); err != nil {
+			return err
 		}
 	}
-	return sess.Serve(handlers, func(m transport.Message) error {
-		return fmt.Errorf("vehicle %d: unexpected message kind %s", c.Agent.Profile.ID, m.Kind)
-	})
+	return sess.Serve(v.handle)
 }
 
-// handlers builds the client's dispatch table for the session read loop.
-// Application is idempotent per session: a duplicated or replayed Policy
-// broadcast re-sends the round's cached upload instead of revising the
-// decision and growing the shared-cost ledger twice, and a duplicated
-// Delivery is dropped rather than double-counted into the world value.
-func (c *Client) handlers(sess *session.Session) map[transport.Kind]session.Handler {
-	duplicates := c.Obs.Counter("vehicle_duplicate_frames_total", "duplicated policy/delivery frames absorbed idempotently")
-	policyRound := -1
-	var up transport.Upload // the round's upload, sent by pointer so Send does not box it
-	deliveryRound := -1
-	// One of each per session: the read loop handles a frame at a time, and
-	// nothing below keeps Counts or Items past its own call (a received body
-	// is only valid until the next Recv).
-	var (
-		pol    transport.Policy
-		shares []float64 // pol.Counts as the cell's decision distribution
-		del    transport.Delivery
-		ack    transport.Ack
-	)
-	return map[transport.Kind]session.Handler{
-		transport.KindPolicy: func(m transport.Message) error {
-			pol = transport.Policy{}
-			if err := transport.Decode(m, transport.KindPolicy, &pol); err != nil {
-				return err
+// clientConn is one registered session's state. Application is idempotent
+// per session: a duplicated or replayed Policy broadcast re-sends the
+// round's cached upload instead of revising the decision and growing the
+// shared-cost ledger twice, and a duplicated Delivery is dropped rather than
+// double-counted into the world value.
+type clientConn struct {
+	c          *Client
+	sess       *session.Session
+	duplicates *obs.Counter
+
+	policyRound   int
+	up            transport.Upload // the round's upload, sent by pointer so Send does not box it
+	shares        []float64        // the last policy's Counts as the cell's decision distribution, reused
+	deliveryRound int
+}
+
+// handle serves one inbound frame; a frame of a kind a vehicle does not
+// serve ends the session with an error.
+func (v *clientConn) handle(m transport.Message) error {
+	c := v.c
+	switch m.Kind {
+	case transport.KindPolicy:
+		var pol transport.Policy
+		if err := transport.Decode(m, transport.KindPolicy, &pol); err != nil {
+			return err
+		}
+		if v.policyRound >= 0 && pol.Round <= v.policyRound {
+			v.duplicates.Inc()
+			if pol.Round < v.policyRound {
+				return nil // stale reordered broadcast; its upload already went out
 			}
-			if policyRound >= 0 && pol.Round <= policyRound {
-				duplicates.Inc()
-				if pol.Round < policyRound {
-					return nil // stale reordered broadcast; its upload already went out
-				}
-				if err := sess.Send(transport.KindUpload, &up); err != nil {
-					return fmt.Errorf("vehicle %d: re-sending upload: %w", c.Agent.Profile.ID, err)
-				}
-				return nil
-			}
-			if len(pol.Counts) > 0 {
-				shares = edge.Shares(shares, pol.Counts)
-				if err := c.Agent.Revise(pol.X, shares, c.Mu); err != nil {
-					return err
-				}
-			}
-			policyRound = pol.Round
-			up = c.Agent.BuildUpload(pol.Round)
-			if err := sess.Send(transport.KindUpload, &up); err != nil {
-				return fmt.Errorf("vehicle %d: sending upload: %w", c.Agent.Profile.ID, err)
+			if err := v.sess.Send(transport.KindUpload, &v.up); err != nil {
+				return fmt.Errorf("vehicle %d: re-sending upload: %w", c.Agent.Profile.ID, err)
 			}
 			return nil
-		},
-		transport.KindDelivery: func(m transport.Message) error {
-			del = transport.Delivery{}
-			if err := transport.Decode(m, transport.KindDelivery, &del); err != nil {
+		}
+		if len(pol.Counts) > 0 {
+			v.shares = edge.Shares(v.shares, pol.Counts)
+			if err := c.Agent.Revise(pol.X, v.shares, c.Mu); err != nil {
 				return err
 			}
-			if deliveryRound >= 0 && del.Round <= deliveryRound {
-				duplicates.Inc()
-				return nil
-			}
-			deliveryRound = del.Round
-			return c.Agent.AbsorbDelivery(del, c.Cap)
-		},
+		}
+		v.policyRound = pol.Round
+		v.up = c.Agent.BuildUpload(pol.Round)
+		if err := v.sess.Send(transport.KindUpload, &v.up); err != nil {
+			return fmt.Errorf("vehicle %d: sending upload: %w", c.Agent.Profile.ID, err)
+		}
+		return nil
+	case transport.KindDelivery:
+		var del transport.Delivery
+		if err := transport.Decode(m, transport.KindDelivery, &del); err != nil {
+			return err
+		}
+		if v.deliveryRound >= 0 && del.Round <= v.deliveryRound {
+			v.duplicates.Inc()
+			return nil
+		}
+		v.deliveryRound = del.Round
+		return c.Agent.AbsorbDelivery(del, c.Cap)
+	case transport.KindAck:
 		// The edge acks only what it refuses; an older edge also acks every
 		// accepted upload, which is absorbed here.
-		transport.KindAck: func(m transport.Message) error {
-			ack = transport.Ack{}
-			if err := transport.Decode(m, transport.KindAck, &ack); err != nil {
-				return err
-			}
-			if ack.Err != "" {
-				return fmt.Errorf("vehicle %d: server rejected message: %s", c.Agent.Profile.ID, ack.Err)
-			}
-			return nil
-		},
+		var ack transport.Ack
+		if err := transport.Decode(m, transport.KindAck, &ack); err != nil {
+			return err
+		}
+		if ack.Err != "" {
+			return fmt.Errorf("vehicle %d: server rejected message: %s", c.Agent.Profile.ID, ack.Err)
+		}
+		return nil
 	}
+	return fmt.Errorf("vehicle %d: unexpected message kind %s", c.Agent.Profile.ID, m.Kind)
 }
 
 // stopped reports whether the client's Stop channel is closed.

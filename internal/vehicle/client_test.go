@@ -125,6 +125,40 @@ func clientFullRound(t *testing.T, ackUpload bool) {
 	}
 }
 
+// TestClientEndsOnUnexpectedKind: a frame of a kind a vehicle does not serve
+// ends its session with an error, whether it comes in the registration
+// ack's place or after the ack.
+func TestClientEndsOnUnexpectedKind(t *testing.T) {
+	for _, acked := range []bool{false, true} {
+		clientConn, serverConn := transport.Pipe()
+		agent, err := NewAgent(profile(4), lattice.PaperPayoffs(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg := scriptServer(t, serverConn, func(conn transport.Conn) error {
+			if _, err := recvKind(conn, transport.KindHello); err != nil {
+				return err
+			}
+			if acked {
+				if err := ackOK(conn); err != nil {
+					return err
+				}
+			}
+			m, err := transport.Encode(transport.KindRatio, transport.Ratio{Round: 1, X: 0.5})
+			if err != nil {
+				return err
+			}
+			return conn.Send(m)
+		})
+		err = (&Client{Agent: agent}).Run(clientConn)
+		if err == nil || !strings.Contains(err.Error(), "unexpected message kind") {
+			t.Errorf("acked %v: Run = %v, want an unexpected-kind error", acked, err)
+		}
+		clientConn.Close()
+		wg.Wait()
+	}
+}
+
 func TestClientRejectedRegistration(t *testing.T) {
 	clientConn, serverConn := transport.Pipe()
 	agent, err := NewAgent(profile(9), lattice.PaperPayoffs(), 1)
