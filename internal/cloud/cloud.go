@@ -39,8 +39,11 @@ type Server struct {
 	// Durability (a journal not open = in-memory only; see Open). Every
 	// round below journaledBelow is folded and, with a state directory,
 	// journaled: a digest ack covers no round beyond it (ackedLocked).
+	// unsynced is the one round answered before its record was durable
+	// (completeRoundLocked), until settleLocked collects its append.
 	journal        *durable.Journal
 	journaledBelow int
+	unsynced       unsyncedRound
 
 	// Fixed-lag fusion (see SetFixedLag). window holds the last lag
 	// completed rounds in round order, its entries reused as a ring;
@@ -67,6 +70,16 @@ type Server struct {
 	// is not persisted, so a restarted cloud learns it again.
 	digestMark map[int]int
 	digestOf   int
+}
+
+// unsyncedRound is a round released while its record's append was still
+// running: the journal ticket to wait for, the record, and the census set to
+// recycle once the append is through with it.
+type unsyncedRound struct {
+	held   bool
+	ticket int
+	rec    durable.RoundRecord
+	spent  *CensusSet
 }
 
 // serverMetrics are the coordinator's registry-backed instruments (see the
@@ -114,7 +127,7 @@ func newServerMetrics(o *obs.Observer, stateHash func() uint32) serverMetrics {
 		recoveries:    o.Counter("durable_recoveries_total", "coordinator state recoveries from a state directory"),
 		replayRecords: o.Counter("journal_replay_records_total", "journal round records replayed during recovery"),
 		journalErrors: o.Counter("durable_journal_errors_total", "journal appends or checkpoints that failed (state kept in memory)"),
-		durableWait:   o.Histogram("consensus_durability_wait_seconds", "a folded round blocked on its journal append before release (near 0 when the fold hid the fsync)", nil),
+		durableWait:   o.Histogram("consensus_durability_wait_seconds", "a folded round that must not be answered before its record is durable (degraded, a digest's, or after a failed append) blocked on its journal append before release", nil),
 		rewinds:       o.Counter("consensus_rewinds_total", "fixed-lag rewinds triggered by late censuses inside the window"),
 		replayed:      o.Counter("consensus_replayed_rounds_total", "rounds re-folded during fixed-lag rewinds"),
 		refolded:      o.Counter("consensus_refolded_regions_total", "regions whose ratio a rewind recomputed, summed over its replayed rounds (the rest kept the recorded result)"),
@@ -248,8 +261,8 @@ func (s *Server) Serve(l transport.Listener) {
 
 // Close shuts the server down without flushing a final checkpoint — the
 // crash path; see Drain for the graceful one. Pending barriers fail, open
-// connections close, lease timers stop, and the journal (already fsynced
-// through the last completed round) is released.
+// connections close, lease timers stop, and the journal is released once
+// the append in flight, if any, has finished.
 func (s *Server) Close() {
 	s.srv.Close(func() {
 		s.mu.Lock()
@@ -322,11 +335,17 @@ func (s *Server) ingest(round int, censuses []transport.Census) error {
 // round's censuses, which nothing writes to from here on — so its append runs
 // on the journal's goroutine beside the fold; if a crash leaves it durable
 // and the fold not run, recovery replays it through the same fold (DESIGN
-// §10.2). The round's census set then goes to the lag window, and the one
-// leaving the window back to the engine — without a window, the round's own,
-// once fold and journal are through with it. Called with s.mu held, and kept
-// throughout.
+// §10.2). A full round of censuses is released at once, its append still
+// running, when every round before it is journaled: a crash that loses it
+// loses what each member holds and re-sends on its next connection, and the
+// fold of the same censuses is the same (see settleLocked). A degraded round,
+// a digest's, or one after a failed append waits for its own fsync: no
+// re-send could rebuild its census set. The round's census set then goes to
+// the lag window, and the one leaving the window back to the engine —
+// without a window, the round's own, once fold and journal are through with
+// it. Called with s.mu held, and kept throughout.
 func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (after func()) {
+	s.settleLocked()
 	spent := b.CensusSet
 	if s.lag > 0 {
 		// Snapshot the pre-fold state so a late census can rewind this round.
@@ -339,19 +358,44 @@ func (s *Server) completeRoundLocked(round int, b *Barrier, degraded bool) (afte
 	// Latest() as the checkpoint round, and the state it captures already
 	// includes this round's fold.
 	s.eng.Advance(round)
-	// Released means folded and fsynced: a ratio answered to an edge must
-	// never be lost to a crash the edge did not see.
-	if ticket < 0 {
+	switch {
+	case ticket < 0:
 		s.journaledBelow = round + 1
-	} else {
+	case !degraded && s.journaledBelow == round && !b.viaDigest():
+		s.unsynced = unsyncedRound{held: true, ticket: ticket, rec: rec, spent: spent}
+		spent = nil // the append still reads it
+	default:
 		folded := time.Now()
 		n, err := s.journal.WaitRound(ticket)
 		s.metrics.durableWait.Observe(time.Since(folded).Seconds())
-		if s.journal.Journaled(rec, n, err); err == nil { // a failed round is acked with the next that journals
-			s.journaledBelow = round + 1
-		}
+		s.journaledLocked(rec, n, err)
 	}
 	s.eng.Release(round, b, degraded)
 	s.eng.Recycle(spent)
 	return nil
+}
+
+// settleLocked collects the append of the round answered before its record
+// was durable, if one is: its outcome is journaled like a waited one's, and
+// its census set goes back to the engine. Every later round's release, every
+// rewind and every checkpoint come after it, so at most one answered round is
+// ever not durable, and nothing writes to what its append reads. Called with
+// s.mu held.
+func (s *Server) settleLocked() {
+	if u := s.unsynced; u.held {
+		s.unsynced = unsyncedRound{}
+		n, err := s.journal.WaitRound(u.ticket)
+		s.journaledLocked(u.rec, n, err)
+		s.eng.Recycle(u.spent)
+	}
+}
+
+// journaledLocked is the step after a round's append: the journal counts it
+// toward the cadence, and a round that journaled moves the watermark digest
+// acks stop at (a failed one is acked with the next that journals). Called
+// with s.mu held.
+func (s *Server) journaledLocked(rec durable.RoundRecord, n int, err error) {
+	if s.journal.Journaled(rec, n, err); err == nil {
+		s.journaledBelow = rec.Round + 1
+	}
 }

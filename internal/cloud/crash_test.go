@@ -214,7 +214,16 @@ func (o *genOwner) State() string {
 	return fmt.Sprintf("latest %d hash %08x window %+v", o.Latest(), o.StateHash(), windowOf(o.Server))
 }
 
-func (o *genOwner) Settle() { _ = o.journal.WaitCheckpoint() }
+// Settle also collects the append of a round answered before its record was
+// durable, as the next round's completion would, so that its fsync — and the
+// crash points before it, the record's loss among them — fall in its own
+// step.
+func (o *genOwner) Settle() {
+	o.mu.Lock()
+	o.settleLocked()
+	o.mu.Unlock()
+	_ = o.journal.WaitCheckpoint()
+}
 
 func (o *genOwner) Drain() error {
 	if o.seen != nil {
@@ -222,6 +231,7 @@ func (o *genOwner) Drain() error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.settleLocked()
 	return o.journal.Drain()
 }
 
@@ -316,8 +326,10 @@ func TestCheckpointCrashPoints(t *testing.T) {
 
 // TestCadenceRoundCommitPath is the cloud's commit-path pin, at each of its
 // first three checkpoints: the cadence round, completed by the census its
-// caller submits, fsyncs the journal once, on the journal's appender, which
-// touches the disk no further; the checkpoint's create, unlinks and
+// caller submits and answered before its record is durable, fsyncs the
+// journal once, on the journal's appender, which touches the disk no
+// further; the caller then collects the append, as the next round's
+// completion would, which starts the checkpoint; its create, unlinks and
 // directory fsync all run on the store's background goroutine, none on the
 // round's caller.
 func TestCadenceRoundCommitPath(t *testing.T) {
@@ -354,6 +366,9 @@ func TestCadenceRoundCommitPath(t *testing.T) {
 		if err := <-first; err != nil {
 			t.Fatal(err)
 		}
+		srv.mu.Lock()
+		srv.settleLocked()
+		srv.mu.Unlock()
 		if err := srv.journal.WaitCheckpoint(); err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,14 @@ func (s *Server) Open(stateDir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cpRound := -1 // rounds through it are inside the checkpoint
-	defer func() { s.journaledBelow = s.eng.Latest() + 1 }()
+	defer func() {
+		s.journaledBelow = s.eng.Latest() + 1
+		if s.journal.Store != nil {
+			// The round after the last durable one may have been answered and
+			// lost: the members' re-sends rebuild it.
+			s.eng.Recovered(s.journaledBelow)
+		}
+	}()
 	return s.journal.Open(stateDir, durable.Owner{
 		Name: "cloud",
 		Restore: func(snap []byte) (int, error) {
@@ -141,6 +148,7 @@ func (s *Server) checkpointLocked(dst []byte) ([]byte, []durable.RoundRecord, er
 func (s *Server) Drain() error {
 	s.eng.Drain()
 	s.mu.Lock()
+	s.settleLocked()
 	err := s.journal.Drain()
 	s.mu.Unlock()
 	s.Close()

@@ -67,6 +67,7 @@ type Engine struct {
 	roster  []member // by region id, up to the highest member's
 	live    int      // members holding a live lease
 	leasing bool     // false until the first lease: all members form the quorum
+	resent  int      // the first round after a recovery, its members' re-sends awaited (Recovered; -1: none)
 	stopped bool
 	fanout  []*reporter  // PushCorrections' sessions, empty between calls
 	spare   []*CensusSet // sets owners recycled, which Place fills before it allocates
@@ -210,6 +211,9 @@ type Barrier struct {
 // Size returns how many members have reported.
 func (b *Barrier) Size() int { return b.n }
 
+// viaDigest reports whether a neighborhood's digest carried the round.
+func (b *Barrier) viaDigest() bool { return slices.Contains(b.digested, true) }
+
 // resolve stops b's deadline and wakes its waiters with err.
 func (b *Barrier) resolve(err error) {
 	if b.timer != nil {
@@ -242,7 +246,7 @@ func (e *Engine) Thaw(b *Barrier) {
 
 // NewEngine returns an idle kernel with no completed rounds.
 func NewEngine(cfg EngineConfig) *Engine {
-	e := &Engine{cfg: cfg, mu: cfg.Lock, maxSkew: defaultMaxRoundSkew, rounds: make(map[int]*Barrier), latest: -1}
+	e := &Engine{cfg: cfg, mu: cfg.Lock, maxSkew: defaultMaxRoundSkew, rounds: make(map[int]*Barrier), latest: -1, resent: -1}
 	e.roster = make([]member, slices.Max(cfg.Members)+1)
 	for _, id := range cfg.Members {
 		e.roster[id].owned = true
@@ -563,11 +567,12 @@ func (e *Engine) Drain() {
 // Release resolves round as completed: the watermark advances, b's waiters
 // wake, and every pending barrier the new watermark strands is evicted
 // with ErrRoundAbandoned (an edge that died mid-round must not leak its
-// half-filled barrier). The owner must have folded and journaled the
-// round's effect first — waiters read the post-round state the moment they
-// wake — and may have set b.Err (a fold that failed still consumes its
-// round; its waiters see the error). Unless a waiter or a freeze holds b,
-// the kernel reuses it from here on.
+// half-filled barrier). The owner must have folded the round first —
+// waiters read the post-round state the moment they wake — and journaled
+// it, unless its members re-send what a crash would lose (the cloud's full
+// rounds, DESIGN §10.2); it may have set b.Err (a fold that failed still
+// consumes its round; its waiters see the error). Unless a waiter or a
+// freeze holds b, the kernel reuses it from here on.
 func (e *Engine) Release(round int, b *Barrier, degraded bool) {
 	c := e.cfg.Counters
 	b.resolve(b.Err)
@@ -578,6 +583,9 @@ func (e *Engine) Release(round int, b *Barrier, degraded bool) {
 	if degraded {
 		c.Degraded.Inc()
 		e.logf("%s: round %d completed degraded with %d/%d members", e.cfg.Name, round, b.Size(), len(e.cfg.Members))
+		if round == e.resent {
+			e.logf("%s: round %d, the first after recovery, may differ from a ratio answered for it before the crash", e.cfg.Name, round)
+		}
 	}
 	b.Span.End(obs.A("degraded", degraded), obs.A("regions", b.Size()), obs.A("of", len(e.cfg.Members)))
 	for r, old := range e.rounds {
@@ -638,7 +646,9 @@ type leaseEntry struct {
 // members have reported, instead of waiting out the round deadline — and
 // the next renewal re-admits it. The first renewal switches the kernel from
 // the all-members barrier to the lease-defined quorum; deployments that
-// never send heartbeats keep the original behavior. Takes the lock.
+// never send heartbeats keep the original behavior. After a recovery (see
+// Recovered) the first renewal leases every other member for the same ttl,
+// as if each had renewed at once. Takes the lock.
 func (e *Engine) Renew(edge int, ttl time.Duration) error {
 	if !e.Owns(edge) {
 		return fmt.Errorf("%s: lease from edge %d, which is not a member", e.cfg.Name, edge)
@@ -651,7 +661,22 @@ func (e *Engine) Renew(edge int, ttl time.Duration) error {
 	if e.stopped {
 		return transport.ErrClosed
 	}
+	if !e.leasing && e.resent >= 0 {
+		for _, id := range e.cfg.Members {
+			if id != edge {
+				e.leaseLocked(id, ttl)
+			}
+		}
+	}
 	e.leasing = true
+	e.leaseLocked(edge, ttl)
+	e.cfg.Counters.LeaseRenewals.Inc()
+	return nil
+}
+
+// leaseLocked makes edge's lease live for ttl from now. Called with the lock
+// held.
+func (e *Engine) leaseLocked(edge int, ttl time.Duration) {
 	l := &e.roster[edge].lease
 	if l.timer == nil {
 		l.timer = time.AfterFunc(ttl, func() { e.expireLease(edge) })
@@ -666,9 +691,7 @@ func (e *Engine) Renew(edge int, ttl time.Duration) error {
 	}
 	l.live = true
 	l.expiry = time.Now().Add(ttl)
-	e.cfg.Counters.LeaseRenewals.Inc()
 	e.cfg.Counters.LeasesLive.Set(float64(e.live))
-	return nil
 }
 
 // LiveLeases returns the ids of members currently holding a live lease, in
@@ -710,6 +733,14 @@ func (e *Engine) expireLease(edge int) {
 	e.logf("%s: lease of edge %d expired, evicting from quorum", e.cfg.Name, edge)
 	e.unlockThen(e.completeBestLocked(false))
 }
+
+// Recovered marks round as the first after a recovery: it may have been
+// answered before a crash lost it, and only the members' re-sends rebuild
+// it. So no lease quorum completes it before every member has had one lease
+// TTL to re-send — the first renewal leases the others too (see Renew) —
+// and a degraded completion of it is logged as possibly differing from the
+// lost answer. Called with the lock held.
+func (e *Engine) Recovered(round int) { e.resent = round }
 
 // quorumMetLocked reports whether b can complete: every member reported,
 // or — once leases are in use — every member holding a live lease reported.

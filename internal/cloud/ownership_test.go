@@ -224,7 +224,13 @@ func TestRingKeepsCheckpointedSnapshot(t *testing.T) {
 	for round := 0; round < cadence; round++ {
 		crashRound(t, srv, round)
 	}
-	<-gate.Reached // round cadence-1's record started the checkpoint; its background waits
+	// Round cadence-1 was answered ahead of its record's fsync; collecting
+	// its append, as the next round's completion would, starts the
+	// checkpoint, whose background waits.
+	srv.mu.Lock()
+	srv.settleLocked()
+	srv.mu.Unlock()
+	<-gate.Reached
 	for round := cadence; round < cadence+2*lag; round++ {
 		crashRound(t, srv, round)
 	}

@@ -176,6 +176,7 @@ func (s *Server) handleLateLocked(round int, late []transport.Census) (handled, 
 		s.metrics.Duplicates.Inc()
 		return true, false
 	}
+	s.settleLocked() // the append of a round answered before it was durable may still read the window
 	span := s.obsv.Span("consensus_rewind", obs.A("round", round), obs.A("edge", census.Edge))
 	recomputed := s.refoldLocked(idx, late)
 	replayed := len(s.window) - idx

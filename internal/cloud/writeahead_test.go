@@ -15,13 +15,17 @@ import (
 	"repro/internal/transport"
 )
 
-// TestWriteAheadReplyFollowsFoldAndFsync holds the fsync of a round's record
-// and watches the commit: the fold runs meanwhile (the FDS sweep is counted
-// on an observer that needs no server lock), neither submitter is answered
-// until the record is durable, and both are once it is — even when the
-// fsync fails, which is counted and logged, fails no round and starts the
-// checkpoint that heals the journal. The wait
-// histogram holds the time the folded round then spent blocked.
+// TestWriteAheadReplyFollowsFoldAndFsync holds the fsync of every round's
+// record and watches who is answered meanwhile. A full round is answered
+// with its fsync still held (round 0); the next round is not, whatever it is,
+// until that fsync ends, and a full one then is too (round 1). A degraded
+// round waits for its own fsync (round 2) — its fold runs meanwhile (the FDS
+// sweep is counted on an observer that needs no server lock) — and is
+// answered even when that fsync fails, which is counted and logged, fails no
+// round and starts the checkpoint that heals the journal. The full round
+// after the failed append waits for its own fsync (round 3), and the one
+// after that, every earlier append through, is answered ahead of its fsync
+// again (round 4). The wait histogram holds the two rounds that waited.
 func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	fds, _ := testFDS(t)
 	sweeps := obs.New()
@@ -30,61 +34,119 @@ func TestWriteAheadReplyFollowsFoldAndFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	gate := crashtest.NewGate()
+	defer srv.Close()
+	defer gate.Lift() // a failure with a fsync held must not hang the close
 	srv.journal = durable.NewJournal(gate.Hook, 0)
 	if err := srv.Open(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	gate.Hold(true)
 
-	for round, syncErr := range []error{nil, errors.New("injected fsync failure")} {
+	submit := func(round int, edges ...int) <-chan error {
+		replies := make(chan error, len(edges))
 		c0, c1 := testCounts(round, 7-round, 10)
-		replies := make(chan error, 2)
-		for edge, counts := range [][]int{c0, c1} {
-			edge, counts := edge, counts
+		for _, edge := range edges {
+			counts := [][]int{c0, c1}[edge]
 			go func() {
 				_, err := srv.Submit(transport.Census{Edge: edge, Round: round, Counts: counts})
 				replies <- err
 			}()
 		}
-		<-gate.Reached
-		// The sweep's duration is observed as it ends, so the wait below
-		// starts after the fold has run, however slow a -race build is.
-		deadline := time.Now().Add(5 * time.Second)
-		for sweeps.Histogram("fds_update_duration_seconds", "", nil).Count() < int64(round+1) {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: the fold never ran beside the held fsync", round)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		select {
-		case err := <-replies:
-			t.Fatalf("round %d: a submitter was answered (%v) with the record's fsync still held", round, err)
-		case <-time.After(20 * time.Millisecond):
-		}
-		if syncErr != nil {
-			gate.Hold(false) // the checkpoint that heals the failure fsyncs too
-		}
-		gate.Release(syncErr)
-		for i := 0; i < 2; i++ {
-			if err := <-replies; err != nil {
-				t.Fatalf("round %d: submit after the fsync was released: %v", round, err)
+		return replies
+	}
+	answered := func(round int, replies <-chan error, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case err := <-replies:
+				if err != nil {
+					t.Fatalf("round %d: submit: %v", round, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: a submitter was not answered", round)
 			}
 		}
 		if got := srv.Latest(); got != round {
 			t.Fatalf("latest = %d after round %d", got, round)
 		}
 	}
+	unanswered := func(round int, replies <-chan error) {
+		t.Helper()
+		select {
+		case err := <-replies:
+			t.Fatalf("round %d: a submitter was answered (%v) with a fsync it waits for still held", round, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	// Round 0, full: answered while its record's fsync is held.
+	r0 := submit(0, 0, 1)
+	<-gate.Reached
+	answered(0, r0, 2)
+
+	// Round 1, full: not answered until round 0's fsync ends; then answered
+	// with its own held.
+	r1 := submit(1, 0, 1)
+	unanswered(1, r1)
+	gate.Release(nil)
+	<-gate.Reached
+	answered(1, r1, 2)
+
+	// Round 2, degraded by its deadline: folded beside its held fsync, not
+	// answered until the fsync ends — here by failing.
+	srv.SetRoundDeadline(20 * time.Millisecond)
+	r2 := submit(2, 0)
+	waitFor(t, func() bool { // the barrier opens with the deadline
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		b, ok := srv.eng.Barrier(2)
+		return ok && b.Size() == 1
+	})
+	srv.SetRoundDeadline(0)
+	gate.Release(nil) // round 1's, which round 2's completion collects first
+	<-gate.Reached
+	// The sweep's duration is observed as it ends, so the wait below starts
+	// after the fold has run, however slow a -race build is.
+	deadline := time.Now().Add(5 * time.Second)
+	for sweeps.Histogram("fds_update_duration_seconds", "", nil).Count() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("round 2: the fold never ran beside the held fsync")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unanswered(2, r2)
+	gate.Hold(false) // the checkpoint that heals the failure fsyncs too
+	gate.Release(errors.New("injected fsync failure"))
+	answered(2, r2, 1)
+
+	// Round 3, full, after the failed append: waits for its own fsync.
+	gate.Hold(true)
+	r3 := submit(3, 0, 1)
+	<-gate.Reached
+	unanswered(3, r3)
+	gate.Release(nil)
+	answered(3, r3, 2)
+
+	// Round 4, full, every append before it through: answered ahead of its
+	// fsync again.
+	r4 := submit(4, 0, 1)
+	<-gate.Reached
+	answered(4, r4, 2)
+	gate.Release(nil)
+	srv.mu.Lock()
+	srv.settleLocked()
+	srv.mu.Unlock()
+
 	if n := metricValue(t, srv.Registry(), "durable_journal_errors_total"); n != 1 {
 		t.Errorf("durable_journal_errors_total = %v after one failed fsync, want 1", n)
 	}
 	for _, p := range srv.Registry().Snapshot() {
 		if p.Name == "consensus_durability_wait_seconds" && (p.Count != 2 || p.Sum < 0.04) {
-			t.Errorf("consensus_durability_wait_seconds: %d observations summing to %.3fs, want 2 and the 40ms the folds waited out", p.Count, p.Sum)
+			t.Errorf("consensus_durability_wait_seconds: %d observations summing to %.3fs, want 2 (rounds 2 and 3) and the 40ms they waited out", p.Count, p.Sum)
 		}
-		if p.Name == "durable_append_duration_seconds" && p.Count != 2 {
-			t.Errorf("durable_append_duration_seconds: %d observations, want 2", p.Count)
+		if p.Name == "durable_append_duration_seconds" && p.Count != 5 {
+			t.Errorf("durable_append_duration_seconds: %d observations, want 5", p.Count)
 		}
 	}
 }

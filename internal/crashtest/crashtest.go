@@ -54,13 +54,15 @@ func New(t testing.TB, dir string) *Recorder {
 
 // Hook records the operation under the calling goroutine and, while armed,
 // first copies the directory. The copy before the fsync of a journal segment
-// — the one step an append takes — holds a record whose round nobody was
-// told of: written ahead of the fold or forward it describes, it is what a
-// crash right behind the fsync leaves, and recovery owes it the same state
-// as the round's acknowledged twin. While the newest segment's snapshot
-// frame has had no fsync, a second copy tears it (TearHead). A file whose
-// fsync failed is copied only as long as its last successful fsync covered,
-// until one succeeds again: the kernel may have dropped the rest.
+// — the one step an append takes — holds a record written ahead of the fold
+// or forward it describes: it is what a crash right behind the fsync leaves,
+// and recovery owes it the same state as the round's acknowledged twin. A
+// second copy there loses the record (loseTailLocked): what a crash before
+// the fsync leaves, after a round answered ahead of it. While the newest
+// segment's snapshot frame has had no fsync, a second copy tears it
+// (TearHead). A file whose fsync failed is copied only as long as its last
+// successful fsync covered, until one succeeds again: the kernel may have
+// dropped the rest.
 func (r *Recorder) Hook(op, path string) error {
 	file := filepath.Base(path)
 	if path == r.dir {
@@ -78,6 +80,9 @@ func (r *Recorder) Hook(op, path string) error {
 	}
 	if r.armed {
 		r.copyLocked(fmt.Sprintf("before %s %s", op, file))
+		if op == "sync" && strings.HasPrefix(file, "journal") {
+			r.loseTailLocked(fmt.Sprintf("before %s %s, unsynced tail lost", op, file), file)
+		}
 	}
 	switch st, err := os.Stat(path); {
 	case op == "sync":
@@ -96,15 +101,7 @@ func (r *Recorder) Hook(op, path string) error {
 // once more with the newest snapshot frame torn while no fsync covers it.
 // Called with r.mu held.
 func (r *Recorder) copyLocked(step string) {
-	dir := CopyDir(r.t, r.dir)
-	for file := range r.lost {
-		name := filepath.Join(dir, file)
-		if st, err := os.Stat(name); err == nil && st.Size() > r.synced[file] {
-			if err := os.Truncate(name, r.synced[file]); err != nil {
-				r.t.Errorf("crashtest: %v", err)
-			}
-		}
-	}
+	dir := r.cutCopyLocked()
 	r.crashes = append(r.crashes, Crash{Step: step, Dir: dir})
 	if len(r.fresh) > 0 && r.fresh[filepath.Base(newest(r.t, dir))] {
 		torn := CopyDir(r.t, dir)
@@ -112,6 +109,41 @@ func (r *Recorder) copyLocked(step string) {
 			r.crashes = append(r.crashes, Crash{Step: step + ", snapshot torn", Dir: torn})
 		}
 	}
+}
+
+// cutCopyLocked copies the directory, each file whose fsync failed cut back
+// to what its last successful one covered. Called with r.mu held.
+func (r *Recorder) cutCopyLocked() string {
+	dir := CopyDir(r.t, r.dir)
+	for file := range r.lost {
+		r.truncate(filepath.Join(dir, file), r.synced[file])
+	}
+	return dir
+}
+
+func (r *Recorder) truncate(name string, size int64) {
+	if st, err := os.Stat(name); err == nil && st.Size() > size {
+		if err := os.Truncate(name, size); err != nil {
+			r.t.Errorf("crashtest: %v", err)
+		}
+	}
+}
+
+// loseTailLocked copies the directory as a crash that lost what the coming
+// fsync of the journal segment file was to make durable leaves it: the
+// segment cut back to what its last fsync covered, so the records appended
+// since are gone, a round answered before its record was durable among
+// them. A segment no fsync covered yet opens with a snapshot frame, whose
+// loss the torn copies stand for (copyLocked); nothing is copied for it, nor
+// when nothing was appended since. Called with r.mu held.
+func (r *Recorder) loseTailLocked(step, file string) {
+	st, err := os.Stat(filepath.Join(r.dir, file))
+	if r.fresh[file] || err != nil || st.Size() <= r.synced[file] {
+		return
+	}
+	dir := r.cutCopyLocked()
+	r.truncate(filepath.Join(dir, file), r.synced[file])
+	r.crashes = append(r.crashes, Crash{Step: step, Dir: dir})
 }
 
 // Fail makes every later operation step names ("op file", as Ops prints
@@ -208,12 +240,22 @@ type Gate struct {
 	Step    string        // the "op file" held, as the Recorder names it, or a prefix; set before Hold
 	release chan error
 	hold    atomic.Bool
+	lifted  chan struct{}
+	lift    sync.Once
 }
 
 // NewGate returns an open gate: nothing is held until Hold(true).
 func NewGate() *Gate {
 	// Reached is sized past any test's appends in flight: the hook never blocks on it.
-	return &Gate{Reached: make(chan struct{}, 16), Step: "sync journal", release: make(chan error)}
+	return &Gate{Reached: make(chan struct{}, 16), Step: "sync journal", release: make(chan error), lifted: make(chan struct{})}
+}
+
+// Lift holds nothing more and lets every held operation go, now and later:
+// a test that failed with an operation held defers it before closing the
+// store, which waits for the operation.
+func (g *Gate) Lift() {
+	g.hold.Store(false)
+	g.lift.Do(func() { close(g.lifted) })
 }
 
 // Hold makes every later operation Step names wait for a Release, or lifts that.
@@ -227,7 +269,12 @@ func (g *Gate) Hook(op, path string) error {
 		return nil
 	}
 	g.Reached <- struct{}{}
-	return <-g.release
+	select {
+	case err := <-g.release:
+		return err
+	case <-g.lifted:
+		return nil
+	}
 }
 
 // Goroutine returns the calling goroutine's number, as runtime.Stack prints

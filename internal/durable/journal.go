@@ -17,9 +17,10 @@ const CompactEvery = 32
 
 // Journal is the one durable owner of a round coordinator — the cloud, a
 // shard, a gossip node — which keeps only its hooks (Owner). It recovers the
-// state directory (Open), journals each round's record ahead of its reply
-// (StartRound, WaitRound, Journaled), checkpoints on a cadence (Compact) and
-// at a graceful shutdown (Drain). Its methods run under the coordinator's
+// state directory (Open), journals each round's record ahead of its reply,
+// or beside it where a lost record is re-sent (StartRound, WaitRound,
+// Journaled), checkpoints on a cadence (Compact) and at a graceful shutdown
+// (Drain). Its methods run under the coordinator's
 // lock — all but WaitRound, which the ticket's holder may call outside it.
 // From StartRound until the append has finished the appender goroutine owns
 // the count and the scratch: Checkpoint and Close settle it themselves,
@@ -36,11 +37,14 @@ type Journal struct {
 	snap    []byte             // the checkpoint's encoding scratch
 	listed  []transport.Census // the encoder's scratch for a record in map form
 
-	// The appender, started by the first StartRound. A slot is a ticket: the
-	// cloud and a gossip node have one in use, a shard one per barrier whose
-	// forward is outstanding (two when a deadline completes the successor),
-	// and a StartRound past the last blocks for one. free holds the tickets
-	// not in use, queue the started ones in order; neither send ever blocks.
+	// The appender, started by the first StartRound. A slot is a ticket: a
+	// gossip node has one in use, the cloud one too — held past its round's
+	// release when the round was answered before its record was durable,
+	// until the next round, a rewind or the drain collects it — a shard one
+	// per barrier whose forward is outstanding (two when a deadline
+	// completes the successor), and a StartRound past the last blocks for
+	// one. free holds the tickets not in use, queue the started ones in
+	// order; neither send ever blocks.
 	slots [4]struct {
 		rec   RoundRecord
 		since int

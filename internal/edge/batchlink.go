@@ -17,7 +17,9 @@ import (
 // times out — redials and re-submits the same batch. The receiving tier
 // treats a re-submitted batch as last-write-wins duplicates, so retries are
 // harmless, and a batch for an already-completed round is answered
-// immediately with the regions' current ratios.
+// immediately with the regions' current ratios. Like CloudLink's, a
+// redialed connection first re-sends the newest batch its owner forwarded
+// (see Last) and discards the answer.
 type BatchLink struct {
 	// Shard identifies the submitting coordinator in batch frames
 	// (informational; routing is by each census's Edge id).
@@ -42,6 +44,11 @@ type BatchLink struct {
 	// depends on. One frame is one rewind, so a stale or redelivered one is
 	// dropped whole by the link's sequence check before the callback fires.
 	OnCorrection func(rc transport.RatioCorrection)
+	// Last, when non-nil, hands the newest batch the owner forwarded to
+	// keep, under whatever lock guards it: keep copies it for a redialed
+	// connection to re-send first, as a CloudLink re-sends its newest
+	// answered census. A shard coordinator installs its own.
+	Last func(keep func(round int, censuses []transport.Census))
 
 	batch transport.CensusBatch // the body of the exchange in progress
 	link
@@ -67,7 +74,7 @@ func (l *BatchLink) handleOther(m transport.Message) error {
 // across connection failures. Exchanges are serialized: a shard coordinator
 // forwards concurrent rounds and late stragglers over one link.
 func (l *BatchLink) Report(round int, censuses []transport.Census) (reply transport.RatioBatch, err error) {
-	err = l.bound().exchange(l.Dialer, l.Attempts, func(conn transport.Conn) (err error) {
+	err = l.bound().exchange(l.Dialer, l.Attempts, l.resend, func(conn transport.Conn) (err error) {
 		l.batch = transport.CensusBatch{Shard: l.Shard, Round: round, Censuses: censuses}
 		reply, err = session.ReportCensusBatch(conn, &l.batch, l.ReplyTimeout, l.handleOther)
 		return err
@@ -76,4 +83,19 @@ func (l *BatchLink) Report(round int, censuses []transport.Census) (reply transp
 		return transport.RatioBatch{}, fmt.Errorf("shard %d: reporting round %d: %w", l.Shard, round, err)
 	}
 	return reply, nil
+}
+
+// resend re-sends the owner's newest forwarded batch on a redialed
+// connection (exchange discards the answer).
+func (l *BatchLink) resend(conn transport.Conn) error {
+	if l.Last == nil {
+		return nil
+	}
+	l.answered.censuses = l.answered.censuses[:0]
+	if l.Last(l.answered.keep); len(l.answered.censuses) == 0 {
+		return nil
+	}
+	l.batch = transport.CensusBatch{Shard: l.Shard, Round: l.answered.round, Censuses: l.answered.censuses}
+	_, err := session.ReportCensusBatch(conn, &l.batch, l.ReplyTimeout, l.handleOther)
+	return err
 }

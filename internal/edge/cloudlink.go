@@ -15,7 +15,9 @@ import (
 // out — redials and re-submits the census for the same round. The cloud
 // answers re-submissions for already-completed rounds immediately with the
 // region's current ratio, so a partitioned edge catches up as soon as the
-// link heals.
+// link heals. Every redialed connection first re-sends the census of the
+// newest round the cloud answered, and discards the answer: the cloud may
+// have crashed between that answer and its record's fsync.
 type CloudLink struct {
 	// Edge identifies this region to the cloud.
 	Edge int
@@ -62,13 +64,25 @@ func (l *CloudLink) handleOther(m transport.Message) error {
 // Report submits one round's census and returns the next sharing ratio,
 // reconnecting and re-submitting across connection failures.
 func (l *CloudLink) Report(round int, counts []int) (x float64, err error) {
-	err = l.bound().exchange(l.Dialer, l.Attempts, func(conn transport.Conn) (err error) {
+	err = l.bound().exchange(l.Dialer, l.Attempts, l.resend, func(conn transport.Conn) (err error) {
 		l.census = transport.Census{Edge: l.Edge, Round: round, Counts: counts}
-		x, err = session.ReportCensusWith(conn, &l.census, l.ReplyTimeout, l.handleOther)
+		if x, err = session.ReportCensusWith(conn, &l.census, l.ReplyTimeout, l.handleOther); err == nil {
+			l.answered.keep(round, []transport.Census{l.census})
+		}
 		return err
 	})
 	if err != nil {
 		return 0, fmt.Errorf("edge %d: reporting round %d: %w", l.Edge, round, err)
 	}
 	return x, nil
+}
+
+// resend re-sends the newest answered round's census on a redialed
+// connection (exchange discards the answer).
+func (l *CloudLink) resend(conn transport.Conn) error {
+	if len(l.answered.censuses) == 0 {
+		return nil
+	}
+	_, err := session.ReportCensusWith(conn, &l.answered.censuses[0], l.ReplyTimeout, l.handleOther)
+	return err
 }

@@ -74,7 +74,7 @@ func (h *Heartbeat) Run(stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		err := h.exchange(h.Dialer, 0, func(conn transport.Conn) error {
+		err := h.exchange(h.Dialer, 0, nil, func(conn transport.Conn) error {
 			lease := transport.Lease{Edge: h.Edge, TTLMillis: ttl.Milliseconds()}
 			return session.Wrap(conn).Notify(transport.KindLease, lease, ackTimeout)
 		})

@@ -19,8 +19,9 @@ import (
 type link struct {
 	// reqMu serializes whole exchanges: interleaved request/reply pairs on
 	// one connection would cross replies between waiters (a consumed frame
-	// is never redelivered to the right exchange).
-	reqMu sync.Mutex
+	// is never redelivered to the right exchange). It guards answered.
+	reqMu    sync.Mutex
+	answered answered // the census links' newest answered round
 
 	mu          sync.Mutex
 	conn        transport.Conn
@@ -60,26 +61,26 @@ func (l *link) Close() error {
 	return err
 }
 
-// ensureConn returns the live connection, dialing one if needed.
-func (l *link) ensureConn(d *transport.Dialer) (transport.Conn, error) {
+// ensureConn returns the live connection, dialing one if needed; redialed
+// reports that it did, and not for the first time.
+func (l *link) ensureConn(d *transport.Dialer) (conn transport.Conn, redialed bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.conn != nil {
-		return l.conn, nil
+		return l.conn, false, nil
 	}
 	if d == nil {
-		return nil, errors.New("link has no dialer")
+		return nil, false, errors.New("link has no dialer")
 	}
-	conn, err := d.DialRetry(nil)
-	if err != nil {
-		return nil, fmt.Errorf("dialing: %w", err)
+	if conn, err = d.DialRetry(nil); err != nil {
+		return nil, false, fmt.Errorf("dialing: %w", err)
 	}
-	if l.dialed {
+	if redialed = l.dialed; redialed {
 		l.redials.Inc()
 	}
 	l.dialed = true
 	l.conn = conn
-	return conn, nil
+	return conn, redialed, nil
 }
 
 // dropConn discards conn if it is still the link's current connection.
@@ -93,14 +94,16 @@ func (l *link) dropConn(conn transport.Conn) {
 }
 
 // exchange runs fn over the link's connection, redialing and re-running it
-// across connection failures, up to attempts times (default 3). A dial
-// failure ends the exchange — the dialer already retried with backoff —
-// and so does any error that is not a connection failure. After a
-// connection that dialed fine but then failed, the link rests one backoff
-// step before re-submitting: a server that is shutting down still accepts
-// (and immediately drops) connections, and instant retries would burn every
+// across connection failures, up to attempts times (default 3); on a
+// redialed connection resend, when non-nil, runs first, and only a
+// connection failure of its fails the attempt. A dial failure ends the
+// exchange — the dialer already retried with backoff — and so does any
+// error that is not a connection failure. After a connection that dialed
+// fine but then failed, the link rests one backoff step before
+// re-submitting: a server that is shutting down still accepts (and
+// immediately drops) connections, and instant retries would burn every
 // attempt in microseconds.
-func (l *link) exchange(d *transport.Dialer, attempts int, fn func(transport.Conn) error) error {
+func (l *link) exchange(d *transport.Dialer, attempts int, resend, fn func(transport.Conn) error) error {
 	l.reqMu.Lock()
 	defer l.reqMu.Unlock()
 	if attempts <= 0 {
@@ -111,12 +114,20 @@ func (l *link) exchange(d *transport.Dialer, attempts int, fn func(transport.Con
 		if a > 0 {
 			d.Pause(a-1, nil)
 		}
-		conn, err := l.ensureConn(d)
+		conn, redialed, err := l.ensureConn(d)
 		if err != nil {
 			return err
 		}
 		l.reports.Inc()
-		if lastErr = fn(conn); lastErr == nil {
+		if lastErr = nil; redialed && resend != nil {
+			if err := resend(conn); transport.IsConnError(err) {
+				lastErr = err // any other failure is the re-send's answer, which is discarded
+			}
+		}
+		if lastErr == nil {
+			lastErr = fn(conn)
+		}
+		if lastErr == nil {
 			return nil
 		}
 		l.dropConn(conn)
@@ -125,6 +136,34 @@ func (l *link) exchange(d *transport.Dialer, attempts int, fn func(transport.Con
 		}
 	}
 	return fmt.Errorf("failed after %d attempts: %w", attempts, lastErr)
+}
+
+// answered is the newest round a census link's peer answered: its censuses,
+// copied into the link's own storage, which a redialed connection re-sends
+// ahead of the exchange in progress. A cloud answers a full round before its
+// record is durable, so a crash may lose the one round it answered last; the
+// re-sent censuses fold it again, and a cloud that kept the round takes them
+// as late duplicates. A CloudLink keeps each answered census, without
+// allocating after the first rounds; a BatchLink fills it from its owner's
+// Last only when it redials.
+type answered struct {
+	round    int
+	censuses []transport.Census // none before the first answer
+	counts   []int              // the storage their counts are cut from
+}
+
+// keep records censuses as answered for round, in place of an older round's;
+// an older round's, answered after, are not kept.
+func (a *answered) keep(round int, censuses []transport.Census) {
+	if len(a.censuses) > 0 && round < a.round {
+		return
+	}
+	a.round, a.censuses, a.counts = round, a.censuses[:0], a.counts[:0]
+	for _, c := range censuses {
+		at := len(a.counts)
+		a.counts = append(a.counts, c.Counts...)
+		a.censuses = append(a.censuses, transport.Census{Edge: c.Edge, Round: round, Counts: a.counts[at:len(a.counts):len(a.counts)]})
+	}
 }
 
 // adoptCorrection absorbs a non-reply frame that interleaved with an
@@ -178,5 +217,5 @@ type PeerLink struct {
 // Exchange runs one acked frame exchange over the link, re-dialing and
 // re-sending across connection failures (three attempts).
 func (p *PeerLink) Exchange(fn func(transport.Conn) error) error {
-	return p.exchange(p.Dialer, 0, fn)
+	return p.exchange(p.Dialer, 0, nil, fn)
 }

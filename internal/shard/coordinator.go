@@ -53,8 +53,22 @@ type Coordinator struct {
 
 	// Durability (a journal not open = in-memory only; see Open).
 	journal *durable.Journal
-	lastRec durable.RoundRecord // newest journaled round, for re-forward (round -1: none)
+	lastRec durable.RoundRecord // newest forwarded round — journaled, with a state directory — for re-forward and the upstream's re-send (round -1: none)
 	lastSet *cloud.CensusSet    // the barrier's census set lastRec lists (nil for a recovered one: the re-forward reads it)
+	idle    []*forward          // forwards done, which beginCompleteLocked reuses before it allocates
+}
+
+// forward is one frozen barrier's completion in flight: what finishForward
+// needs, and run, finishForward bound to it once, the work the Complete hook
+// hands the kernel. A shard has one per barrier whose forward is
+// outstanding, and reuses them from round to round.
+type forward struct {
+	round    int
+	rb       *cloud.Barrier
+	degraded bool
+	censuses []transport.Census
+	ticket   int
+	run      func()
 }
 
 type coordinatorMetrics struct {
@@ -142,6 +156,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c.metrics.Latest.Set(-1)
 	c.metrics.regionsOwned.Set(float64(len(cfg.Regions)))
 	cfg.Upstream.OnCorrection = c.routeCorrection
+	cfg.Upstream.Last = c.lastForward
 	return c, nil
 }
 
@@ -226,9 +241,16 @@ func (c *Coordinator) ingest(round int, censuses []transport.Census) error {
 // the lock, beside the write and the fsync. Called with c.mu held.
 func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded bool) (after func()) {
 	rb.Frozen = true
-	censuses := rb.Sorted(round)
-	ticket := c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Sorted: censuses}) // -1 without a state directory
-	return func() { c.finishForward(round, rb, degraded, censuses, ticket) }
+	var f *forward
+	if n := len(c.idle); n > 0 {
+		f, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		f = new(forward)
+		f.run = func() { c.finishForward(f) }
+	}
+	f.round, f.rb, f.degraded, f.censuses = round, rb, degraded, rb.Sorted(round)
+	f.ticket = c.journal.StartRound(durable.RoundRecord{Round: round, Degraded: degraded, Sorted: f.censuses}) // -1 without a state directory
+	return f.run
 }
 
 // finishForward runs one frozen barrier's upstream exchange, waits for its
@@ -238,8 +260,10 @@ func (c *Coordinator) beginCompleteLocked(round int, rb *cloud.Barrier, degraded
 // barrier fails without advancing the watermark, so redialing edges re-open
 // the round and trigger a fresh forward. An edge's reply follows both the
 // aggregator's answer and the shard's fsync, which no longer follow each
-// other: DESIGN §12.5 has why no crash between them loses a census.
-func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool, censuses []transport.Census, ticket int) {
+// other: DESIGN §12.5 has why no crash between them loses a census. f goes
+// back for a later round's forward.
+func (c *Coordinator) finishForward(f *forward) {
+	round, rb, degraded, censuses, ticket := f.round, f.rb, f.degraded, f.censuses, f.ticket
 	reply, err := c.upstreamReport(round, censuses)
 	var journaled int
 	var journalErr error
@@ -250,16 +274,18 @@ func (c *Coordinator) finishForward(round int, rb *cloud.Barrier, degraded bool,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	f.rb, f.censuses = nil, nil // pins no barrier
+	c.idle = append(c.idle, f)
 	defer c.eng.Thaw(rb)
 	// Forward and append done, the barrier's census set goes back to the
 	// engine — unless its record is now the one to re-forward: then the set
 	// of the record it supersedes does.
 	spent := rb.CensusSet
+	rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: censuses}
+	if journalErr == nil && c.keepLocked(rec) {
+		spent, c.lastSet = c.lastSet, rb.CensusSet
+	}
 	if ticket >= 0 {
-		rec := durable.RoundRecord{Round: round, Degraded: degraded, Sorted: censuses}
-		if journalErr == nil && c.keepLocked(rec) {
-			spent, c.lastSet = c.lastSet, rb.CensusSet
-		}
 		c.journal.Journaled(rec, journaled, journalErr)
 	}
 	defer c.eng.Recycle(spent)
@@ -383,8 +409,20 @@ func (c *Coordinator) Open(stateDir string) error {
 	return err
 }
 
-// keepLocked makes rec the record to re-forward after a restart unless a
-// newer round's is, and reports whether it did. Called with c.mu held.
+// lastForward is the upstream link's Last: it hands the record to
+// re-forward to keep under the lock, which is what stops finishForward
+// recycling its census set mid-copy.
+func (c *Coordinator) lastForward(keep func(round int, censuses []transport.Census)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lastRec.Round >= 0 {
+		keep(c.lastRec.Round, c.lastRec.Sorted)
+	}
+}
+
+// keepLocked makes rec the record to re-forward — after a restart, or on a
+// redialed upstream connection — unless a newer round's is, and reports
+// whether it did. Called with c.mu held.
 func (c *Coordinator) keepLocked(rec durable.RoundRecord) bool {
 	if rec.Round < c.lastRec.Round {
 		return false
